@@ -34,7 +34,6 @@ fn sweep_with_trace(link: Option<polytops_obs::SpanLink>) -> ScenarioSet {
         for (preset, config) in preset_grid() {
             let options = EngineOptions {
                 trace: link.clone(),
-                ..EngineOptions::default()
             };
             set.add_scenario_with_options(id, format!("{kernel}/{preset}"), config, options);
         }

@@ -14,9 +14,9 @@
 //!
 //! Schedules are asserted bit-identical between sequential and sharded
 //! before any number is reported. Results land in the `"scenarios"`
-//! section of `BENCH_schedule.json` (the `"staged"` section written by
-//! the staged bench is preserved); `speedup_cache` isolates cache
-//! amortization (machine-independent), `speedup_threads` isolates
+//! section of `BENCH_schedule.json` (every other bench's section is
+//! preserved); `speedup_cache` isolates cache amortization
+//! (machine-independent), `speedup_threads` isolates
 //! thread scaling (1.0 on a single-core container, grows with cores),
 //! and `speedup_total` is the product the reconfiguration loop actually
 //! experiences.
@@ -99,7 +99,10 @@ fn main() {
                 ("dims", int(r.schedule.dims() as i64)),
                 ("farkas_hits", int(r.stats.farkas_hits as i64)),
                 ("farkas_misses", int(r.stats.farkas_misses as i64)),
-                ("fractional_stages", int(r.stats.fractional_stages() as i64)),
+                (
+                    "fractional_stages",
+                    int(r.stats.ilp.fractional_stages as i64),
+                ),
             ])
         })
         .collect();

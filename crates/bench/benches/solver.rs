@@ -1,4 +1,4 @@
-//! Solver-speed benchmark: the three PR levers measured separately.
+//! Solver-speed benchmark: the two solver levers measured separately.
 //!
 //! * **dual_simplex** — the standard sweep under the incremental lexmin
 //!   solver. After a stage optimum is pinned as an equality row, the
@@ -7,13 +7,6 @@
 //!   only a fallback. The bench asserts the fallback never fires on the
 //!   sweep (`phase1_passes == 0`) and reports how many dual pivots did
 //!   the work.
-//! * **warm_sharing** — the sweep with cross-scenario warm-start
-//!   sharing enabled: scenarios of the same (SCoP, component, ILP
-//!   layout) group seed each other's lexmin stages from published
-//!   per-dimension optima, with the canonical tie-break keeping every
-//!   schedule bit-identical at any thread count (asserted at 1/2/4
-//!   threads before any number is reported). Reported against the
-//!   non-sharing sweep: total branch-and-bound nodes and wall time.
 //! * **fast_path** — the heuristic scheduler on a synthetic large SCoP
 //!   ([`synthetic::long_chain`]) versus the pure-ILP cascade on the
 //!   same SCoP. The emitted fast-path schedule is certified against the
@@ -43,10 +36,9 @@ fn main() {
     // ---- Lever 1: dual-simplex stage re-optimization -----------------
     let set = standard_sweep();
     let baseline = set.run_sequential();
-    let dual_pivots = total(&baseline, |s| s.dual_pivots());
-    let phase1_passes = total(&baseline, |s| s.phase1_passes());
-    let fractional = total(&baseline, |s| s.fractional_stages());
-    let baseline_nodes = total(&baseline, |s| s.ilp.nodes);
+    let dual_pivots = total(&baseline, |s| s.ilp.dual_pivots);
+    let phase1_passes = total(&baseline, |s| s.ilp.phase1_passes);
+    let fractional = total(&baseline, |s| s.ilp.fractional_stages);
     assert_eq!(
         phase1_passes, 0,
         "dual simplex must re-optimize every pinned stage on the sweep \
@@ -58,37 +50,7 @@ fn main() {
         dual_pivots, phase1_passes, fractional
     );
 
-    // ---- Lever 2: cross-scenario warm-start sharing ------------------
-    let mut shared_set = standard_sweep();
-    shared_set.share_warm_starts(true);
-    let shared = shared_set.run_sequential();
-    // Determinism gate: bit-identical schedules at every thread count.
-    for threads in [1, 2, 4] {
-        let sharded = shared_set.run_sharded(threads);
-        for (a, b) in shared.iter().zip(&sharded) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(
-                a.schedule, b.schedule,
-                "{}: sharing must stay bit-identical at {threads} threads",
-                a.name
-            );
-        }
-    }
-    let shared_nodes = total(&shared, |s| s.ilp.nodes);
-    let seed_hits = total(&shared, |s| s.shared_seed_hits);
-    assert!(seed_hits > 0, "the sweep must actually share seeds");
-    assert!(
-        shared_nodes < baseline_nodes,
-        "sharing must reduce total branch-and-bound nodes \
-         ({baseline_nodes} -> {shared_nodes})"
-    );
-    let shared_ns = bench_ns(|| shared_set.run_sequential());
-    println!(
-        "warm_sharing: {} seed hits; b&b nodes {} -> {} ({} threads checked)",
-        seed_hits, baseline_nodes, shared_nodes, 4
-    );
-
-    // ---- Lever 3: heuristic fast path on a large SCoP ----------------
+    // ---- Lever 2: heuristic fast path on a large SCoP ----------------
     let big = synthetic::long_chain(FAST_PATH_CHAIN);
     let fast = schedule(&big, &presets::fast_path()).expect("fast path schedules the chain");
     for dep in analyze(&big) {
@@ -126,20 +88,6 @@ fn main() {
                     ("phase1_passes", int(phase1_passes as i64)),
                     ("fractional_stages", int(fractional as i64)),
                     ("sweep_ns", int(baseline_ns as i64)),
-                ]),
-            ),
-            (
-                "warm_sharing",
-                object([
-                    ("shared_seed_hits", int(seed_hits as i64)),
-                    ("baseline_nodes", int(baseline_nodes as i64)),
-                    ("shared_nodes", int(shared_nodes as i64)),
-                    ("baseline_ns", int(baseline_ns as i64)),
-                    ("shared_ns", int(shared_ns as i64)),
-                    (
-                        "node_ratio",
-                        ratio(shared_nodes as f64 / (baseline_nodes as f64).max(1.0)),
-                    ),
                 ]),
             ),
             (

@@ -1,14 +1,14 @@
 //! Shared handling of the committed benchmark report
 //! (`BENCH_schedule.json`).
 //!
-//! Several benches contribute to one report file: `staged` owns the
-//! `"staged"` section (cold vs cached/warm pipeline), `scenarios` owns
-//! the `"scenarios"` section (sequential loop vs sharded scenario
-//! engine). Each bench parses the existing file with the in-tree JSON
-//! parser ([`polytops_core::json`]), replaces only its own section and
-//! writes the result back, so running one bench never discards the
-//! other's numbers. See `docs/ARCHITECTURE.md` for the meaning of every
-//! field.
+//! Several benches contribute to one report file: `solver` owns the
+//! `"solver"` section (dual-simplex counters, heuristic fast path),
+//! `scenarios` owns the `"scenarios"` section (sequential loop vs
+//! sharded scenario engine). Each bench parses the existing file with
+//! the in-tree JSON parser ([`polytops_core::json`]), replaces only its
+//! own section and writes the result back, so running one bench never
+//! discards the other's numbers. See `docs/ARCHITECTURE.md` for the
+//! meaning of every field.
 
 use std::collections::BTreeMap;
 
@@ -83,13 +83,13 @@ mod tests {
         let path = path.to_str().unwrap();
         let _ = std::fs::remove_file(path);
 
-        update_section(path, "staged", object([("total_speedup", ratio(1.25))]));
+        update_section(path, "solver", object([("speedup", ratio(1.25))]));
         update_section(path, "scenarios", object([("threads", int(4_i64))]));
         let root = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
         let obj = root.as_object().unwrap();
         assert_eq!(obj["bench"].as_str(), Some("schedule"));
         assert_eq!(
-            obj["staged"].as_object().unwrap()["total_speedup"].as_f64(),
+            obj["solver"].as_object().unwrap()["speedup"].as_f64(),
             Some(1.25)
         );
         assert_eq!(

@@ -76,7 +76,7 @@ pub use config::{
     SchedulerConfig,
 };
 pub use error::ScheduleError;
-pub use pipeline::{CacheSession, EngineOptions, FarkasCache, PipelineStats, SeedStore};
+pub use pipeline::{CacheSession, EngineOptions, FarkasCache, PipelineStats};
 pub use registry::{LearnedConfig, RegistryStats, ScopEntry, ScopRegistry};
 pub use scenario::{winner, winner_by, Scenario, ScenarioReport, ScenarioResult, ScenarioSet};
 pub use scheduler::{schedule, schedule_with_options, schedule_with_strategy};

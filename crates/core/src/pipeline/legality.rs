@@ -27,7 +27,7 @@
 //! variable layout, never on live/retired state. The cache additionally
 //! pins the full [`IlpSpace`] of its first lookup and compares every
 //! later lookup against it, recomputing (without storing) on mismatch —
-//! so a mis-grouped share degrades to the cold path instead of
+//! so a mis-grouped share degrades to fresh eliminations instead of
 //! corrupting the ILP, even when two layouts coincide in column count.
 //!
 //! Two counter sets exist: the cache's own atomic totals (aggregated
@@ -61,7 +61,6 @@ use crate::space::IlpSpace;
 /// another layout.
 #[derive(Debug)]
 pub struct FarkasCache {
-    enabled: bool,
     /// The ILP variable layout the stored entries were eliminated
     /// under, pinned by the first lookup. Every later lookup compares
     /// its own layout against this fingerprint — equal column *counts*
@@ -76,12 +75,9 @@ pub struct FarkasCache {
 }
 
 impl FarkasCache {
-    /// Creates a cache for `num_deps` dependences. When `enabled` is
-    /// `false` every lookup recomputes (the cold path benchmarked
-    /// against the cached one); counters are maintained either way.
-    pub fn new(num_deps: usize, enabled: bool) -> FarkasCache {
+    /// Creates an empty cache for `num_deps` dependences.
+    pub fn new(num_deps: usize) -> FarkasCache {
         FarkasCache {
-            enabled,
             space: OnceLock::new(),
             validity: (0..num_deps).map(|_| OnceLock::new()).collect(),
             proximity: (0..num_deps).map(|_| OnceLock::new()).collect(),
@@ -193,10 +189,9 @@ impl FarkasCache {
     /// Replays `slot` into `out` when a cached system exists *and* the
     /// requesting run's variable layout equals the one the cache was
     /// pinned to by its first lookup; otherwise builds fresh (storing
-    /// the result only when the cache is enabled and the layouts
-    /// match — equal column counts with different column meanings must
-    /// not replay each other's rows). Returns whether the lookup was a
-    /// hit.
+    /// the result only when the layouts match — equal column counts
+    /// with different column meanings must not replay each other's
+    /// rows). Returns whether the lookup was a hit.
     fn replay(
         &self,
         slot: &OnceLock<ConstraintSystem>,
@@ -222,7 +217,7 @@ impl FarkasCache {
         };
         self.misses.fetch_add(1, Ordering::Relaxed);
         out.extend(&sys);
-        if self.enabled && matches {
+        if matches {
             let _ = slot.set(sys);
         }
         Ok(false)
@@ -339,7 +334,7 @@ mod tests {
         let scop = chain();
         let deps = analyze(&scop);
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
-        let cache = FarkasCache::new(deps.len(), true);
+        let cache = FarkasCache::new(deps.len());
 
         let mut first = ConstraintSystem::new(space.total());
         cache
@@ -356,26 +351,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_always_recomputes() {
-        let scop = chain();
-        let deps = analyze(&scop);
-        let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
-        let cache = FarkasCache::new(deps.len(), false);
-        for _ in 0..3 {
-            let mut out = ConstraintSystem::new(space.total());
-            cache
-                .extend_with_validity(0, &deps[0], &space, &mut out)
-                .unwrap();
-        }
-        assert_eq!((cache.hits(), cache.misses()), (0, 3));
-    }
-
-    #[test]
     fn sessions_count_locally_while_sharing_entries() {
         let scop = chain();
         let deps = analyze(&scop);
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
-        let cache = Arc::new(FarkasCache::new(deps.len(), true));
+        let cache = Arc::new(FarkasCache::new(deps.len()));
 
         let first = CacheSession::new(Arc::clone(&cache));
         let mut out = ConstraintSystem::new(space.total());
@@ -402,7 +382,7 @@ mod tests {
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
         let wide = IlpSpace::new(&scop, vec![], deps.len(), true, true);
         assert_ne!(space.total(), wide.total());
-        let cache = FarkasCache::new(deps.len(), true);
+        let cache = FarkasCache::new(deps.len());
 
         let mut out = ConstraintSystem::new(space.total());
         cache
@@ -423,7 +403,7 @@ mod tests {
         let scop = chain();
         let deps = analyze(&scop);
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
-        let cache = Arc::new(FarkasCache::new(deps.len(), true));
+        let cache = Arc::new(FarkasCache::new(deps.len()));
         let mut reference = ConstraintSystem::new(space.total());
         cache
             .extend_with_validity(0, &deps[0], &space, &mut reference)

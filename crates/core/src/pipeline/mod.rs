@@ -36,4 +36,4 @@ pub mod postprocess;
 pub mod solve;
 
 pub use legality::{CacheSession, FarkasCache};
-pub use solve::{EngineOptions, PipelineStats, SeedStore};
+pub use solve::{EngineOptions, PipelineStats};

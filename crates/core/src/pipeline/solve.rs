@@ -19,12 +19,11 @@
 //! exist for *all* dependences, pinned to zero while unused) so cached
 //! Farkas systems and warm-start points stay valid across dimensions.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use polytops_deps::{analyze, sccs_topological, strongly_satisfies, zero_distance, Dependence};
 use polytops_ir::{Schedule, Scop, StmtSchedule};
-use polytops_math::{ilp_lexmin_canonical, ilp_lexmin_stats, ilp_lexmin_warm, IlpStats, IntMatrix};
+use polytops_math::{ilp_lexmin_warm, IlpStats, IntMatrix};
 
 use crate::config::{DirectiveKind, FusionHeuristic, SchedulerConfig};
 use crate::error::ScheduleError;
@@ -38,84 +37,14 @@ use crate::strategy::{DimSolution, DimensionPlan, Reaction, Strategy, StrategySt
 /// Hard cap on strategy-driven recomputations of one dimension.
 const MAX_RECOMPUTE: usize = 3;
 
-/// A cross-run store of per-dimension ILP solution points, shared by
-/// runs scheduling the same SCoP under the same variable layout.
-///
-/// The scenario engine hands one store to every scenario of a
-/// (SCoP, ILP layout) group (see
-/// [`ScenarioSet::share_warm_starts`](crate::scenario::ScenarioSet::share_warm_starts)):
-/// the first run to solve dimension `d` publishes its optimum, and
-/// every later (or concurrent) run seeds its own dimension-`d` solve
-/// from that point. Donated seeds only ever *accelerate* a solve —
-/// consumers switch to [`ilp_lexmin_canonical`], whose canonical
-/// tie-break makes the answer independent of the seed, so sharing
-/// cannot change any schedule (bit-determinism at any thread count
-/// survives). A seed that is infeasible for the consumer's system —
-/// sibling configurations may constrain the space differently — is
-/// silently ignored by the solver.
-#[derive(Debug, Default)]
-pub struct SeedStore {
-    /// Dimension index → first published solution point. First writer
-    /// wins; under concurrency the *winner* may vary, but canonical
-    /// solves make every choice equivalent.
-    points: Mutex<BTreeMap<usize, Vec<i64>>>,
-}
-
-impl SeedStore {
-    /// Creates an empty store.
-    pub fn new() -> SeedStore {
-        SeedStore::default()
-    }
-
-    /// The published seed for dimension `dim`, if any run got there.
-    pub fn seed_for(&self, dim: usize) -> Option<Vec<i64>> {
-        self.points
-            .lock()
-            .expect("seed store lock")
-            .get(&dim)
-            .cloned()
-    }
-
-    /// Publishes a solved point for dimension `dim` (first writer wins).
-    pub fn publish(&self, dim: usize, point: &[i64]) {
-        self.points
-            .lock()
-            .expect("seed store lock")
-            .entry(dim)
-            .or_insert_with(|| point.to_vec());
-    }
-}
-
-/// Pipeline feature toggles, mainly for benchmarking the staged pipeline
-/// against the cold path.
-#[derive(Debug, Clone)]
+/// Per-run engine options.
+#[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
-    /// Replay cached Farkas eliminations across dimensions.
-    pub farkas_cache: bool,
-    /// Seed each ILP solve with the previous optimum (MIP start).
-    pub warm_start: bool,
-    /// Cross-run warm-start sharing: when set, every ILP solve is seeded
-    /// from (and publishes to) this store's per-dimension points and
-    /// runs in canonical-optimum mode ([`ilp_lexmin_canonical`]), which
-    /// keeps results independent of whichever sibling donated the seed.
-    /// `None` (the default) keeps warm starts private to the run.
-    pub shared_seeds: Option<Arc<SeedStore>>,
     /// Observability context: when set, the run binds this link on its
     /// executing thread and records pipeline/dimension/solver spans
     /// under it. `None` (the default) makes every span call inert —
     /// tracing can never perturb a schedule, only watch it.
     pub trace: Option<polytops_obs::SpanLink>,
-}
-
-impl Default for EngineOptions {
-    fn default() -> EngineOptions {
-        EngineOptions {
-            farkas_cache: true,
-            warm_start: true,
-            shared_seeds: None,
-            trace: None,
-        }
-    }
 }
 
 /// Counters describing one scheduling run.
@@ -127,9 +56,6 @@ pub struct PipelineStats {
     pub farkas_misses: usize,
     /// Scheduling dimensions emitted (including constant levels).
     pub dimensions: usize,
-    /// ILP solves seeded from a sibling run's published point (only
-    /// nonzero when [`EngineOptions::shared_seeds`] is set).
-    pub shared_seed_hits: usize,
     /// Dimensions scheduled by the heuristic fast path (no ILP solve).
     pub fast_path_dims: usize,
     /// Dimensions where the fast path was attempted but could not
@@ -151,30 +77,6 @@ impl PipelineStats {
         }
     }
 
-    /// Lexmin stages whose root relaxation vertex was fractional, so the
-    /// warm LP path could not finish and branch and bound ran
-    /// ([`IlpStats::fractional_stages`]). Recorded so the dual-simplex
-    /// re-optimization follow-up (ROADMAP: `jacobi_1d/pluto` is the
-    /// weakest warm-start entry precisely because its u/w proximity
-    /// stages go fractional) has per-run data to target.
-    pub fn fractional_stages(&self) -> usize {
-        self.ilp.fractional_stages
-    }
-
-    /// Dual-simplex pivots spent re-optimizing pinned lexicographic
-    /// stages ([`IlpStats::dual_pivots`]) — the cheap replacement for
-    /// the artificial-variable mini phase-1 the solver used to run.
-    pub fn dual_pivots(&self) -> usize {
-        self.ilp.dual_pivots
-    }
-
-    /// Artificial-variable phase-1 fallbacks the dual simplex could not
-    /// avoid ([`IlpStats::phase1_passes`]); zero on every reference
-    /// kernel.
-    pub fn phase1_passes(&self) -> usize {
-        self.ilp.phase1_passes
-    }
-
     /// Folds this run's counters into a recorder's `solver.*` counters
     /// — the single accumulation path shared by the daemon's `stats`
     /// op, the tuner and the benches (replacing the per-layer counter
@@ -182,13 +84,10 @@ impl PipelineStats {
     pub fn accumulate_into(&self, recorder: &polytops_obs::Recorder) {
         recorder
             .counter("solver.dual_pivots")
-            .add(self.dual_pivots() as u64);
+            .add(self.ilp.dual_pivots as u64);
         recorder
             .counter("solver.phase1_passes")
-            .add(self.phase1_passes() as u64);
-        recorder
-            .counter("solver.shared_seed_hits")
-            .add(self.shared_seed_hits as u64);
+            .add(self.ilp.phase1_passes as u64);
         recorder
             .counter("solver.fast_path_dims")
             .add(self.fast_path_dims as u64);
@@ -232,7 +131,7 @@ pub fn run(
 ///
 /// `deps` must be [`analyze`]\ `(scop)` — cache entries are keyed by
 /// position in that vector — and the cache must have been created for
-/// its length (`FarkasCache::new(deps.len(), ..)`); a mis-sized cache
+/// its length (`FarkasCache::new(deps.len())`); a mis-sized cache
 /// is ignored and a private one used instead, so sharing can never
 /// corrupt a run. Reported [`PipelineStats`] count only this run's
 /// lookups.
@@ -306,7 +205,7 @@ impl<'a> Engine<'a> {
         );
         let cache = shared
             .filter(|c| c.num_deps() == deps.len())
-            .unwrap_or_else(|| Arc::new(FarkasCache::new(deps.len(), options.farkas_cache)));
+            .unwrap_or_else(|| Arc::new(FarkasCache::new(deps.len())));
         Engine {
             scop,
             config,
@@ -477,13 +376,13 @@ impl<'a> Engine<'a> {
             }
             stats.fast_path_fallbacks += 1;
         }
-        if let Some(solution) = self.solve_ilp(plan, dim, true, stats, warm)? {
+        if let Some(solution) = self.solve_ilp(plan, true, stats, warm)? {
             return Ok((solution, false));
         }
         // The band's permutability constraints may be what blocks the
         // dimension: close the band and retry with live legality only.
         if self.has_in_band_carried() {
-            if let Some(solution) = self.solve_ilp(plan, dim, false, stats, warm)? {
+            if let Some(solution) = self.solve_ilp(plan, false, stats, warm)? {
                 return Ok((solution, true));
             }
         }
@@ -497,7 +396,7 @@ impl<'a> Engine<'a> {
                 extra_constraints: Vec::new(),
             };
             if self
-                .solve_ilp(&unconstrained, dim, false, stats, warm)?
+                .solve_ilp(&unconstrained, false, stats, warm)?
                 .is_some()
             {
                 return Err(ScheduleError::InfeasibleCustomConstraints { dimension: dim });
@@ -514,7 +413,6 @@ impl<'a> Engine<'a> {
     fn solve_ilp(
         &self,
         plan: &DimensionPlan,
-        dim: usize,
         in_band_legality: bool,
         stats: &mut PipelineStats,
         warm: &mut Option<Vec<i64>>,
@@ -539,34 +437,13 @@ impl<'a> Engine<'a> {
             objectives::assemble(&ctx, plan)?
         };
 
-        let mut ilp_stats = IlpStats::default();
         let point = {
             let _span = polytops_obs::span("ilp_solve");
-            if let Some(store) = &self.options.shared_seeds {
-                // Prefer a sibling run's same-dimension optimum over
-                // this run's previous-dimension point; the canonical
-                // tie-break keeps the answer identical whichever seed
-                // (or none) is used, so sharing never perturbs a
-                // schedule.
-                let donated = store.seed_for(dim);
-                if donated.is_some() {
-                    stats.shared_seed_hits += 1;
-                }
-                let hint = donated.as_deref().or(warm.as_deref());
-                ilp_lexmin_canonical(&sys, &objectives, hint, &mut ilp_stats)
-            } else if self.options.warm_start {
-                ilp_lexmin_warm(&sys, &objectives, warm.as_deref(), &mut ilp_stats)
-            } else {
-                ilp_lexmin_stats(&sys, &objectives, &mut ilp_stats)
-            }
+            ilp_lexmin_warm(&sys, &objectives, warm.as_deref(), &mut stats.ilp)
         };
-        stats.ilp.absorb(&ilp_stats);
         let Some(point) = point else {
             return Ok(None);
         };
-        if let Some(store) = &self.options.shared_seeds {
-            store.publish(dim, &point);
-        }
 
         let rows: Vec<Vec<i64>> = (0..self.scop.statements.len())
             .map(|s| self.space.extract_row(&point, s))

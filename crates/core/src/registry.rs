@@ -135,7 +135,7 @@ impl ScopEntry {
         Arc::clone(
             caches
                 .entry(layout.clone())
-                .or_insert_with(|| Arc::new(FarkasCache::new(self.deps.len(), true))),
+                .or_insert_with(|| Arc::new(FarkasCache::new(self.deps.len()))),
         )
     }
 

@@ -34,16 +34,9 @@
 //! cache hit replays a constraint system equal to what a recomputation
 //! would build, so no result depends on which thread finished first.
 //! ILP warm-start seeds — which *can* steer tie-breaks between equally
-//! optimal points — are kept per-run by default; opting into
-//! [`ScenarioSet::share_warm_starts`] lets scenarios of one
-//! (SCoP, ILP layout) group seed each other's solves from a completed
-//! sibling's per-dimension optimum, and preserves bit-identity by
-//! switching those solves to the canonical-optimum tie-break
-//! ([`polytops_math::ilp_lexmin_canonical`]): the answer is a pure
-//! function of the constraint system, whichever sibling (or none)
-//! donated the seed. Only per-scenario *counter* splits may vary under
-//! concurrency (cache hit/miss, seed hits, branch-and-bound node
-//! counts); every schedule is reproducible at any thread count.
+//! optimal points — never leave the run that produced them. Only the
+//! per-scenario cache hit/miss *split* may vary under concurrency;
+//! every schedule is reproducible at any thread count.
 //!
 //! # Example
 //!
@@ -84,7 +77,7 @@ use polytops_ir::{Schedule, ScheduleTree, Scop, StmtId, StmtSchedule, TreeNode};
 use crate::config::SchedulerConfig;
 use crate::error::ScheduleError;
 use crate::pipeline::legality::FarkasCache;
-use crate::pipeline::solve::{self, EngineOptions, PipelineStats, SeedStore};
+use crate::pipeline::solve::{self, EngineOptions, PipelineStats};
 use crate::registry::{CacheLayout, ScopEntry};
 use crate::strategy::ConfigStrategy;
 
@@ -142,7 +135,6 @@ pub struct ScenarioSet {
     resident: Vec<Option<Arc<ScopEntry>>>,
     scenarios: Vec<Scenario>,
     split_components: bool,
-    share_warm_starts: bool,
 }
 
 impl ScenarioSet {
@@ -237,24 +229,6 @@ impl ScenarioSet {
     /// splitting is off.
     pub fn split_components(&mut self, enabled: bool) {
         self.split_components = enabled;
-    }
-
-    /// Enables or disables cross-scenario warm-start sharing (off by
-    /// default): scenarios of one (SCoP, ILP layout) group — the same
-    /// groups that share a Farkas cache — seed each dimension's ILP
-    /// solve from the first sibling optimum published for that
-    /// dimension, and run in canonical-optimum mode so the donated seed
-    /// can only *accelerate* the solve, never change its answer.
-    ///
-    /// Schedules are therefore bit-identical at any thread count, and
-    /// to a sequential sharing run — but **not** necessarily to a
-    /// non-sharing run: the canonical tie-break (lexicographically
-    /// smallest coefficient vector among optima) may pick a different
-    /// equally-optimal point than the history-dependent warm path does.
-    /// That is why sharing is an explicit opt-in rather than the
-    /// default.
-    pub fn share_warm_starts(&mut self, enabled: bool) {
-        self.share_warm_starts = enabled;
     }
 
     /// The registered scenarios.
@@ -433,7 +407,6 @@ enum Job {
         scenario: usize,
         deps: Arc<Vec<Dependence>>,
         cache: Arc<FarkasCache>,
-        seeds: Option<Arc<SeedStore>>,
         /// When the job was enqueued, for the pool's queue-wait
         /// histogram (recorded only for traced scenarios).
         queued: Instant,
@@ -444,7 +417,6 @@ enum Job {
         comp: usize,
         deps: Arc<Vec<Dependence>>,
         cache: Arc<FarkasCache>,
-        seeds: Option<Arc<SeedStore>>,
         /// See [`Job::Whole::queued`].
         queued: Instant,
     },
@@ -550,23 +522,10 @@ impl<'a> Runner<'a> {
     /// instead of once per scenario.
     fn jobs(&self) -> Vec<Job> {
         let mut caches: BTreeMap<CacheKey, Arc<FarkasCache>> = BTreeMap::new();
-        // Warm-start sharing (opt-in) uses the same grouping as the
-        // Farkas caches: one seed store per (SCoP, component, layout).
-        // Stores are always per-run, even for registry-resident SCoPs —
-        // a seed is only an accelerator, so nothing is lost by not
-        // persisting them.
-        let mut seed_stores: BTreeMap<CacheKey, Arc<SeedStore>> = BTreeMap::new();
         let mut analyses = self.analyses.clone();
         let mut jobs = Vec::new();
         for (i, sc) in self.set.scenarios.iter().enumerate() {
             let layout: CacheLayout = crate::registry::layout_of(&sc.config);
-            let mut seeds_for = |comp: Option<usize>| {
-                if !self.set.share_warm_starts {
-                    return None;
-                }
-                let key = (sc.scop, comp, layout.0, layout.1, layout.2.clone());
-                Some(Arc::clone(seed_stores.entry(key).or_default()))
-            };
             let mut shared_for = |comp: Option<usize>, scop: &Scop| {
                 // A resident whole-SCoP job draws both the analysis and
                 // the cache from the registry entry, so its state
@@ -585,7 +544,7 @@ impl<'a> Runner<'a> {
                 let cache = Arc::clone(
                     caches
                         .entry((sc.scop, comp, layout.0, layout.1, layout.2.clone()))
-                        .or_insert_with(|| Arc::new(FarkasCache::new(deps.len(), true))),
+                        .or_insert_with(|| Arc::new(FarkasCache::new(deps.len()))),
                 );
                 (deps, cache)
             };
@@ -598,7 +557,6 @@ impl<'a> Runner<'a> {
                         comp: c,
                         deps,
                         cache,
-                        seeds: seeds_for(Some(c)),
                         queued: Instant::now(),
                     });
                 }
@@ -608,7 +566,6 @@ impl<'a> Runner<'a> {
                     scenario: i,
                     deps,
                     cache,
-                    seeds: seeds_for(None),
                     queued: Instant::now(),
                 });
             }
@@ -622,13 +579,12 @@ impl<'a> Runner<'a> {
                 scenario,
                 deps,
                 cache,
-                seeds,
                 queued,
             } => {
                 let sc = &self.set.scenarios[scenario];
                 let scop = &self.set.scops[sc.scop].1;
                 let (options, _job_span) = traced_options(&sc.options, scenario, queued);
-                let outcome = solve_one(scop, &sc.config, &options, deps, cache, seeds);
+                let outcome = solve_one(scop, &sc.config, &options, deps, cache);
                 let _ = slots.whole[scenario].set(outcome);
             }
             Job::Component {
@@ -636,13 +592,12 @@ impl<'a> Runner<'a> {
                 comp,
                 deps,
                 cache,
-                seeds,
                 queued,
             } => {
                 let sc = &self.set.scenarios[scenario];
                 let plan = &self.comp_sets[sc.scop].as_ref().expect("split has comps")[comp];
                 let (options, _job_span) = traced_options(&sc.options, scenario, queued);
-                let outcome = solve_one(&plan.scop, &sc.config, &options, deps, cache, seeds);
+                let outcome = solve_one(&plan.scop, &sc.config, &options, deps, cache);
                 let _ = slots.comps[scenario][comp].set(outcome);
             }
         }
@@ -713,22 +668,16 @@ fn traced_options(
     (options, Some(span))
 }
 
-/// Runs one engine job under shared analysis, cache and (optional)
-/// warm-start seed store.
+/// Runs one engine job under shared analysis and cache.
 fn solve_one(
     scop: &Scop,
     config: &SchedulerConfig,
     options: &EngineOptions,
     deps: Arc<Vec<Dependence>>,
     cache: Arc<FarkasCache>,
-    seeds: Option<Arc<SeedStore>>,
 ) -> EngineOutcome {
     let mut strategy = ConfigStrategy::new(config.clone());
-    let mut options = options.clone();
-    if seeds.is_some() {
-        options.shared_seeds = seeds;
-    }
-    solve::run_shared(scop, config, &mut strategy, &options, deps, cache)
+    solve::run_shared(scop, config, &mut strategy, options, deps, cache)
 }
 
 /// Whether a configuration can be applied per component: fusion
@@ -919,7 +868,6 @@ fn stitch(
     for (_, comp_stats) in &solved {
         stats.farkas_hits += comp_stats.farkas_hits;
         stats.farkas_misses += comp_stats.farkas_misses;
-        stats.shared_seed_hits += comp_stats.shared_seed_hits;
         stats.fast_path_dims += comp_stats.fast_path_dims;
         stats.fast_path_fallbacks += comp_stats.fast_path_fallbacks;
         stats.ilp.absorb(&comp_stats.ilp);
@@ -1044,40 +992,6 @@ mod tests {
             "tile marks kept"
         );
         assert_eq!(results[1].as_ref().unwrap().sub_jobs, 2);
-    }
-
-    #[test]
-    fn warm_start_sharing_is_bit_identical_at_any_thread_count() {
-        // Four same-layout scenarios over the hardest warm-start kernel
-        // (jacobi_1d goes fractional), so sibling seeds really flow.
-        let build = |share: bool| {
-            let mut set = ScenarioSet::new();
-            let scop = set.add_scop("jacobi_1d", polytops_workloads::jacobi_1d());
-            set.add_scenario(scop, "pluto", presets::pluto());
-            set.add_scenario(scop, "pluto2", presets::pluto());
-            set.add_scenario(scop, "feautrier", presets::feautrier());
-            set.add_scenario(scop, "isl_like", presets::isl_like());
-            set.share_warm_starts(share);
-            set
-        };
-        let seq = build(true).run_sequential();
-        let total_hits: usize = seq
-            .iter()
-            .map(|r| r.as_ref().unwrap().stats.shared_seed_hits)
-            .sum();
-        assert!(total_hits > 0, "sibling seeds must actually be consumed");
-        for threads in [1, 2, 4] {
-            let par = build(true).run_sharded(threads);
-            for (a, b) in seq.iter().zip(&par) {
-                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                assert_eq!(a.schedule, b.schedule, "{} @ {threads} threads", a.name);
-            }
-        }
-        // Sharing stays off by default.
-        let plain = build(false).run_sequential();
-        assert!(plain
-            .iter()
-            .all(|r| r.as_ref().unwrap().stats.shared_seed_hits == 0));
     }
 
     #[test]

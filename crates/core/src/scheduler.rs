@@ -9,8 +9,8 @@
 //! * [`schedule_with_strategy`] — dynamic [`Strategy`]-driven scheduling
 //!   (the Rust analogue of the paper's C++ interface);
 //! * [`schedule_with_options`] — scheduling with explicit
-//!   [`EngineOptions`] (Farkas cache / ILP warm start toggles), also
-//!   returning the run's [`PipelineStats`].
+//!   [`EngineOptions`] (a trace context), also returning the run's
+//!   [`PipelineStats`].
 //!
 //! Deviations from the paper, documented rather than hidden:
 //!
@@ -84,9 +84,7 @@ pub fn schedule_with_strategy(
 }
 
 /// Schedules a SCoP with explicit pipeline options and reports the run's
-/// statistics (Farkas cache hit rate, ILP solver effort). The default
-/// options enable both the Farkas cache and the warm-started solver;
-/// disabling them reproduces the cold path for benchmarking.
+/// statistics (Farkas cache hit rate, ILP solver effort).
 ///
 /// # Errors
 ///
@@ -200,30 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn options_toggle_cache_and_warm_start_without_changing_results() {
-        let scop = chain();
-        let cfg = SchedulerConfig::default();
-        let (staged, hot) = schedule_with_options(&scop, &cfg, &EngineOptions::default()).unwrap();
-        let (cold_sched, cold) = schedule_with_options(
-            &scop,
-            &cfg,
-            &EngineOptions {
-                farkas_cache: false,
-                warm_start: false,
-                ..EngineOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(staged, cold_sched, "options must not change the schedule");
-        assert_eq!(cold.farkas_hits, 0, "disabled cache cannot hit");
-        assert_eq!(hot.farkas_hits + hot.farkas_misses, cold.farkas_misses);
-        assert!(
-            hot.ilp.nodes <= cold.ilp.nodes,
-            "warm start cannot explore more nodes"
-        );
-    }
-
-    #[test]
     fn fast_path_schedules_the_chain_without_ilp() {
         let scop = chain();
         let (sched, stats) = schedule_with_options(
@@ -306,34 +280,5 @@ mod tests {
                 sched.stmt(dep.dst).rows(),
             ));
         }
-    }
-
-    #[test]
-    fn shared_seed_store_accelerates_without_changing_the_schedule() {
-        use crate::pipeline::SeedStore;
-        use std::sync::Arc;
-        let scop = polytops_workloads::jacobi_1d();
-        let cfg = SchedulerConfig::default();
-        let store = Arc::new(SeedStore::new());
-        let shared = EngineOptions {
-            shared_seeds: Some(Arc::clone(&store)),
-            ..EngineOptions::default()
-        };
-        // First run populates the store, second consumes it.
-        let (first, _) = schedule_with_options(&scop, &cfg, &shared).unwrap();
-        let (second, stats) = schedule_with_options(&scop, &cfg, &shared).unwrap();
-        assert_eq!(first, second, "seeding must not change the schedule");
-        assert!(stats.shared_seed_hits > 0, "{stats:?}");
-        // And a store-less canonical run agrees bit for bit.
-        let (solo, _) = schedule_with_options(
-            &scop,
-            &cfg,
-            &EngineOptions {
-                shared_seeds: Some(Arc::new(SeedStore::new())),
-                ..EngineOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(first, solo);
     }
 }

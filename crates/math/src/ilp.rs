@@ -31,23 +31,21 @@ pub enum IlpOutcome {
 /// Default branch-and-bound node budget.
 const MAX_NODES: usize = 50_000;
 
-/// Cumulative solver-effort counters, used to measure how much work the
-/// warm-started entry points ([`ilp_minimize_seeded`], [`ilp_lexmin_warm`])
-/// save over their cold counterparts.
+/// Cumulative solver-effort counters of [`ilp_lexmin_warm`]: where a
+/// lexicographic solve spent its work (LP stages, branch-and-bound
+/// nodes, dual pivots) and how often a seed paid.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IlpStats {
     /// Branch-and-bound nodes explored (each node solves a fresh LP from
     /// a rebuilt tableau).
     pub nodes: usize,
     /// Lexmin stages resolved purely by incremental LP re-optimization
-    /// (warm path: shared basis, no branch and bound at all).
+    /// on the shared tableau (no branch and bound at all).
     pub lp_stages: usize,
     /// Branch-and-bound entries whose *root* relaxation vertex was
     /// fractional (or overflowed `i64`), i.e. stages where pure LP
-    /// re-optimization could not finish and real branching began. This
-    /// is the per-stage fractional-vertex count motivating dual-simplex
-    /// re-optimization after pinning (see ROADMAP `jacobi_1d/pluto`):
-    /// every unit here pays for both a simplex solve and a tree search.
+    /// re-optimization could not finish and real branching began: every
+    /// unit here pays for both a simplex solve and a tree search.
     pub fractional_stages: usize,
     /// Seed points offered that were feasible and became the initial
     /// incumbent of a branch-and-bound run.
@@ -56,8 +54,7 @@ pub struct IlpStats {
     /// zero objective is optimal without any search).
     pub seed_shortcuts: usize,
     /// Dual-simplex pivots spent pinning stage optima on the shared
-    /// incremental tableau (the re-optimization that replaced the
-    /// artificial-based mini phase-1).
+    /// incremental tableau.
     pub dual_pivots: usize,
     /// Artificial-based phase-1 fallback passes during pinning (the dual
     /// pivot loop hit its safety cap; zero on every known workload).
@@ -97,27 +94,24 @@ impl IlpStats {
 /// }
 /// ```
 pub fn ilp_minimize(cs: &ConstraintSystem, obj: &[i64]) -> IlpOutcome {
-    ilp_minimize_seeded(cs, obj, None, &mut IlpStats::default())
+    ilp_minimize_impl(
+        cs,
+        obj,
+        None,
+        None,
+        None,
+        MAX_NODES,
+        &mut IlpStats::default(),
+    )
 }
 
-/// [`ilp_minimize`] with a warm start: when `seed` is a feasible integer
-/// point of `cs`, it becomes the initial incumbent, so branch and bound
-/// starts with an upper bound and prunes from the first node (a MIP
-/// start). An infeasible or ill-sized seed is silently ignored.
-///
-/// Solver effort is accumulated into `stats`.
-pub fn ilp_minimize_seeded(
-    cs: &ConstraintSystem,
-    obj: &[i64],
-    seed: Option<&[i64]>,
-    stats: &mut IlpStats,
-) -> IlpOutcome {
-    ilp_minimize_impl(cs, obj, seed, None, None, stats)
-}
-
-/// Full branch and bound. `lower_bound` is an optional proven objective
-/// lower bound (e.g. the ceiling of the LP relaxation's optimum): the
-/// search stops as soon as an incumbent attains it. `root_lp` optionally supplies an
+/// Full branch and bound over at most `max_nodes` nodes. When `seed` is
+/// a feasible integer point of `cs` it becomes the initial incumbent, so
+/// the search starts with an upper bound and prunes from the first node
+/// (a MIP start); an infeasible or ill-sized seed is silently ignored.
+/// `lower_bound` is an optional proven objective lower bound (e.g. the
+/// ceiling of the LP relaxation's optimum): the search stops as soon as
+/// an incumbent attains it. `root_lp` optionally supplies an
 /// already-computed LP optimum of the root relaxation (value and
 /// vertex), skipping the root solve. A fractional externally-supplied
 /// vertex is sound to branch on even though the root system is
@@ -130,6 +124,7 @@ fn ilp_minimize_impl(
     seed: Option<&[i64]>,
     lower_bound: Option<i64>,
     root_lp: Option<(Rat, Vec<Rat>)>,
+    max_nodes: usize,
     stats: &mut IlpStats,
 ) -> IlpOutcome {
     assert_eq!(obj.len(), cs.num_vars(), "objective length mismatch");
@@ -168,7 +163,7 @@ fn ilp_minimize_impl(
     while let Some(node) = stack.pop() {
         nodes += 1;
         stats.nodes += 1;
-        if nodes > MAX_NODES {
+        if nodes > max_nodes {
             return IlpOutcome::NodeLimit { best: incumbent };
         }
         let outcome = match root_lp.take() {
@@ -226,15 +221,22 @@ fn ilp_minimize_impl(
                         }
                         // Branch x_j <= floor(v) and x_j >= ceil(v);
                         // explore the floor branch first (DFS pops last).
+                        // A bound outside i64 makes the node unusable,
+                        // like an out-of-range integral vertex above.
+                        let (Ok(neg_ceil), Ok(floor)) =
+                            (i64::try_from(-v.ceil()), i64::try_from(v.floor()))
+                        else {
+                            continue;
+                        };
                         let mut up = node.clone();
                         let mut row = vec![0i64; up.num_vars() + 1];
                         row[j] = 1;
-                        row[up.num_vars()] = -(v.ceil() as i64);
+                        row[up.num_vars()] = neg_ceil;
                         up.add_ineq(row);
                         let mut down = node;
                         let mut row = vec![0i64; down.num_vars() + 1];
                         row[j] = -1;
-                        row[down.num_vars()] = v.floor() as i64;
+                        row[down.num_vars()] = floor;
                         down.add_ineq(row);
                         stack.push(up);
                         stack.push(down);
@@ -257,9 +259,10 @@ fn first_fractional(point: &[Rat]) -> Option<(usize, Rat)> {
         .map(|(j, v)| (j, *v))
 }
 
-/// Finds any integer point of `cs`, or `None` when the system has no
-/// integer solutions (or the node budget runs out — treated as empty,
-/// which is the conservative answer for dependence tests).
+/// Finds an integer point of `cs`. `None` means none was found: either
+/// the system has no integer solutions or the node budget ran out first,
+/// so `None` is not a proof of emptiness — [`ilp_feasible`] is the test
+/// that never mistakes one for the other.
 pub fn ilp_feasible_point(cs: &ConstraintSystem) -> Option<Vec<i64>> {
     let zeros = vec![0i64; cs.num_vars()];
     match ilp_minimize(cs, &zeros) {
@@ -269,9 +272,19 @@ pub fn ilp_feasible_point(cs: &ConstraintSystem) -> Option<Vec<i64>> {
     }
 }
 
-/// Whether `cs` contains at least one integer point.
+/// Whether `cs` may contain an integer point: `false` only when branch
+/// and bound *proved* the system empty. A search truncated by the node
+/// budget answers `true` (a point may exist), because dependence
+/// analysis and schedule certification read `!ilp_feasible(..)` as proof
+/// that no dependence / no violating instance exists.
 pub fn ilp_feasible(cs: &ConstraintSystem) -> bool {
-    ilp_feasible_point(cs).is_some()
+    feasible_within(cs, MAX_NODES)
+}
+
+fn feasible_within(cs: &ConstraintSystem, max_nodes: usize) -> bool {
+    let zeros = vec![0i64; cs.num_vars()];
+    let mut stats = IlpStats::default();
+    ilp_minimize_impl(cs, &zeros, None, None, None, max_nodes, &mut stats) != IlpOutcome::Infeasible
 }
 
 /// Lexicographic minimization: minimizes each objective in turn, fixing
@@ -301,22 +314,11 @@ pub fn ilp_feasible(cs: &ConstraintSystem) -> bool {
 /// assert_eq!(point, vec![0, 3]);
 /// ```
 pub fn ilp_lexmin(cs: &ConstraintSystem, objectives: &[Vec<i64>]) -> Option<Vec<i64>> {
-    ilp_lexmin_stats(cs, objectives, &mut IlpStats::default())
+    ilp_lexmin_warm(cs, objectives, None, &mut IlpStats::default())
 }
 
-/// [`ilp_lexmin`] with effort counters but **no** warm starting — the
-/// cold baseline that [`ilp_lexmin_warm`] is benchmarked against.
-pub fn ilp_lexmin_stats(
-    cs: &ConstraintSystem,
-    objectives: &[Vec<i64>],
-    stats: &mut IlpStats,
-) -> Option<Vec<i64>> {
-    lexmin_cold(cs, objectives, stats)
-}
-
-/// Warm-started lexicographic minimization.
-///
-/// Three mechanisms cut the solver effort relative to [`ilp_lexmin`]:
+/// [`ilp_lexmin`] with a warm start and effort counters — the one
+/// lexicographic solver.
 ///
 /// * **incremental simplex** — one [`IncrementalLp`] tableau is built
 ///   (and made feasible) once; each objective stage re-optimizes from
@@ -330,49 +332,15 @@ pub fn ilp_lexmin_stats(
 /// * **cross-call seeding** — a caller solving a sequence of related
 ///   systems (the iterative scheduler, one dimension after another) can
 ///   pass the previous solve's point as `warm`; it seeds the first
-///   branch-and-bound fallback whenever it is still feasible.
+///   branch-and-bound fallback whenever it is still feasible. An
+///   infeasible or ill-sized `warm` is ignored.
 ///
-/// Solver effort is accumulated into `stats`, which lets callers report
-/// warm-vs-cold work.
+/// Solver effort is accumulated into `stats`.
 pub fn ilp_lexmin_warm(
     cs: &ConstraintSystem,
     objectives: &[Vec<i64>],
     warm: Option<&[i64]>,
     stats: &mut IlpStats,
-) -> Option<Vec<i64>> {
-    lexmin_warm_impl(cs, objectives, warm, stats, false)
-}
-
-/// [`ilp_lexmin_warm`] with a **canonical-optimum tie-break**: after the
-/// objective cascade, the coordinates themselves are lexicographically
-/// minimized (in variable order), so among all points optimal for the
-/// cascade the *lexicographically smallest coefficient vector* is
-/// returned.
-///
-/// This makes the answer a pure function of `(cs, objectives)` —
-/// independent of the warm seed, of the shared tableau's pivot history,
-/// and of any branch-and-bound exploration order. That basis
-/// independence is what lets callers share warm seeds across
-/// concurrently solved siblings without giving up bit-determinism (see
-/// `polytops_core::scenario`): a seed can only *accelerate* the solve,
-/// never steer its result. A stage truncated by the node budget is
-/// deterministically re-run unseeded so even pathological systems cannot
-/// leak the seed into the answer.
-pub fn ilp_lexmin_canonical(
-    cs: &ConstraintSystem,
-    objectives: &[Vec<i64>],
-    warm: Option<&[i64]>,
-    stats: &mut IlpStats,
-) -> Option<Vec<i64>> {
-    lexmin_warm_impl(cs, objectives, warm, stats, true)
-}
-
-fn lexmin_warm_impl(
-    cs: &ConstraintSystem,
-    objectives: &[Vec<i64>],
-    warm: Option<&[i64]>,
-    stats: &mut IlpStats,
-    canonical: bool,
 ) -> Option<Vec<i64>> {
     let n = cs.num_vars();
     // Normalize once (gcd tightening, dedup, subsumption) — the same
@@ -390,22 +358,7 @@ fn lexmin_warm_impl(
     let mut hint: Option<Vec<i64>> = warm
         .filter(|p| p.len() == n && cs.contains_point(p))
         .map(<[i64]>::to_vec);
-    let mut last_point: Option<Vec<i64>> = None;
-    // The canonical tie-break is itself a lexmin cascade: unit
-    // objectives over every variable in order, appended after the
-    // caller's objectives.
-    let canon_objs: Vec<Vec<i64>> = if canonical {
-        (0..n)
-            .map(|j| {
-                let mut e = vec![0i64; n];
-                e[j] = 1;
-                e
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    for obj in objectives.iter().chain(&canon_objs) {
+    for obj in objectives {
         assert_eq!(obj.len(), n, "objective length mismatch");
         // Stage attempt 1: pure LP re-optimization. An integral optimal
         // vertex of the relaxation is the integer optimum of the stage;
@@ -448,7 +401,8 @@ fn lexmin_warm_impl(
         // Stage attempt 2: branch and bound on the mirrored system,
         // seeded with the previous stage's optimum, rooted at the
         // already-solved relaxation, and stopped early at the LP-proven
-        // lower bound.
+        // lower bound. A truncated run's incumbent is still a legal
+        // point, so it is pinned best-effort.
         let (value, point) = match stage_point {
             Some(vp) => vp,
             None => {
@@ -457,39 +411,22 @@ fn lexmin_warm_impl(
                     obj,
                     hint.as_deref(),
                     stage_lb,
-                    stage_root.clone(),
+                    stage_root,
+                    MAX_NODES,
                     stats,
                 ) {
-                    IlpOutcome::Optimal { value, point } => (value, point),
-                    IlpOutcome::NodeLimit {
+                    IlpOutcome::Optimal { value, point }
+                    | IlpOutcome::NodeLimit {
                         best: Some((value, point)),
-                    } => {
-                        if canonical && hint.is_some() {
-                            // A truncated stage reports its best
-                            // incumbent, which the seed may have steered.
-                            // Canonical mode re-runs the stage unseeded:
-                            // the deterministic exploration order makes
-                            // the (still best-effort) answer a function
-                            // of the system alone.
-                            match ilp_minimize_impl(&cur, obj, None, stage_lb, stage_root, stats) {
-                                IlpOutcome::Optimal { value, point }
-                                | IlpOutcome::NodeLimit {
-                                    best: Some((value, point)),
-                                } => (value, point),
-                                _ => return None,
-                            }
-                        } else {
-                            (value, point)
-                        }
-                    }
+                    } => (value, point),
                     _ => return None,
                 }
             }
         };
-        // Pin the stage optimum. A pin is cheap now — dual-simplex
-        // pivots on the existing basis, no artificial, no phase-1 pass —
-        // so the tableau stays alive across fractional stages too: the
-        // next stage still gets an LP lower bound and a solved root
+        // Pin the stage optimum. A pin is cheap — dual-simplex pivots on
+        // the existing basis, no artificial, no phase-1 pass — so the
+        // tableau stays alive across fractional stages too: the next
+        // stage still gets an LP lower bound and a solved root
         // relaxation even when this one had to branch.
         let mut row = obj.clone();
         row.push(-value);
@@ -497,59 +434,11 @@ fn lexmin_warm_impl(
             lp_alive = lp.pin_eq(&row);
         }
         cur.add_eq(row);
-        // In canonical mode, keep a warm point that also attains this
-        // stage's optimum (it is still feasible after the pin): a
-        // sibling's exact canonical answer then short-circuits every
-        // remaining branch-and-bound stage at zero nodes. The answer is
-        // seed-independent either way; retention only skips work. The
-        // plain warm path keeps its historical fall-forward seeding so
-        // its (deterministic, history-dependent) answers do not shift.
-        let keep_hint = canonical && hint.as_ref().is_some_and(|h| cur.contains_point(h));
-        if !keep_hint {
-            hint = Some(point.clone());
-        }
-        last_point = Some(point);
+        hint = Some(point);
     }
     stats.dual_pivots += lp.dual_pivots();
     stats.phase1_passes += lp.phase1_passes();
-    match last_point {
-        Some(p) => Some(p),
-        None => hint.or_else(|| ilp_feasible_point(&cur)),
-    }
-}
-
-/// The cold lexicographic loop shared by [`ilp_lexmin`] and
-/// [`ilp_lexmin_stats`]: one full branch-and-bound run per objective, no
-/// seeding, no shared basis.
-fn lexmin_cold(
-    cs: &ConstraintSystem,
-    objectives: &[Vec<i64>],
-    stats: &mut IlpStats,
-) -> Option<Vec<i64>> {
-    let n = cs.num_vars();
-    let mut cur = cs.clone();
-    let mut last_point: Option<Vec<i64>> = None;
-    for obj in objectives {
-        assert_eq!(obj.len(), n, "objective length mismatch");
-        match ilp_minimize_seeded(&cur, obj, None, stats) {
-            IlpOutcome::Optimal { value, point }
-            | IlpOutcome::NodeLimit {
-                best: Some((value, point)),
-            } => {
-                // Pin the objective at its optimum (best-effort for a
-                // truncated run: the incumbent is still a legal point).
-                let mut row = obj.clone();
-                row.push(-value);
-                cur.add_eq(row);
-                last_point = Some(point);
-            }
-            _ => return None,
-        }
-    }
-    match last_point {
-        Some(p) => Some(p),
-        None => ilp_feasible_point(&cur),
-    }
+    hint.or_else(|| ilp_feasible_point(&cur))
 }
 
 /// Conservatively decides whether `row` (an inequality `a·x + c >= 0`) is
@@ -568,6 +457,17 @@ pub fn ineq_implied(cs: &ConstraintSystem, row: &[i64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The private branch and bound with only a seed and a node budget.
+    fn bb(
+        cs: &ConstraintSystem,
+        obj: &[i64],
+        seed: Option<&[i64]>,
+        max_nodes: usize,
+        stats: &mut IlpStats,
+    ) -> IlpOutcome {
+        ilp_minimize_impl(cs, obj, seed, None, None, max_nodes, stats)
+    }
 
     #[test]
     fn integer_rounding_up() {
@@ -661,9 +561,9 @@ mod tests {
         cs.add_ineq(vec![0, 1, 0]);
         let mut cold = IlpStats::default();
         let mut warm = IlpStats::default();
-        let c = ilp_minimize_seeded(&cs, &[1, 1], None, &mut cold);
+        let c = bb(&cs, &[1, 1], None, MAX_NODES, &mut cold);
         // Seed with the known optimum (2, 1).
-        let w = ilp_minimize_seeded(&cs, &[1, 1], Some(&[2, 1]), &mut warm);
+        let w = bb(&cs, &[1, 1], Some(&[2, 1]), MAX_NODES, &mut warm);
         let value = |o: &IlpOutcome| match o {
             IlpOutcome::Optimal { value, .. } => *value,
             other => panic!("unexpected {other:?}"),
@@ -683,7 +583,7 @@ mod tests {
         let mut cs = ConstraintSystem::new(1);
         cs.add_ineq(vec![1, -3]); // x >= 3
         let mut stats = IlpStats::default();
-        let out = ilp_minimize_seeded(&cs, &[1], Some(&[0]), &mut stats);
+        let out = bb(&cs, &[1], Some(&[0]), MAX_NODES, &mut stats);
         assert_eq!(stats.seeds_accepted, 0);
         match out {
             IlpOutcome::Optimal { value, .. } => assert_eq!(value, 3),
@@ -696,7 +596,7 @@ mod tests {
         let mut cs = ConstraintSystem::new(1);
         cs.add_ineq(vec![1, -3]);
         let mut stats = IlpStats::default();
-        let out = ilp_minimize_seeded(&cs, &[0], Some(&[5]), &mut stats);
+        let out = bb(&cs, &[0], Some(&[5]), MAX_NODES, &mut stats);
         assert_eq!(stats.seed_shortcuts, 1);
         assert_eq!(stats.nodes, 0);
         assert_eq!(
@@ -808,45 +708,6 @@ mod tests {
     }
 
     #[test]
-    fn canonical_lexmin_is_seed_independent() {
-        // After minimizing x + y over the box-bounded half-plane
-        // x + y >= 2, many optima remain; the canonical tie-break must
-        // pick the lexicographically smallest one no matter the seed.
-        let mut cs = ConstraintSystem::new(2);
-        cs.add_ineq(vec![1, 0, 0]);
-        cs.add_ineq(vec![-1, 0, 4]);
-        cs.add_ineq(vec![0, 1, 0]);
-        cs.add_ineq(vec![0, -1, 4]);
-        cs.add_ineq(vec![1, 1, -2]);
-        let objectives = [vec![1, 1]];
-        let mut stats = IlpStats::default();
-        let unseeded = ilp_lexmin_canonical(&cs, &objectives, None, &mut stats).unwrap();
-        assert_eq!(unseeded, vec![0, 2], "lexicographically smallest optimum");
-        for seed in [[2, 0], [1, 1], [0, 2], [4, 4]] {
-            let mut stats = IlpStats::default();
-            let seeded = ilp_lexmin_canonical(&cs, &objectives, Some(&seed), &mut stats).unwrap();
-            assert_eq!(seeded, unseeded, "seed {seed:?} steered the result");
-        }
-    }
-
-    #[test]
-    fn canonical_agrees_with_warm_when_the_optimum_is_unique() {
-        let mut cs = ConstraintSystem::new(2);
-        cs.add_ineq(vec![1, 0, 0]);
-        cs.add_ineq(vec![-1, 0, 2]);
-        cs.add_ineq(vec![0, 1, 0]);
-        cs.add_ineq(vec![0, -1, 2]);
-        cs.add_ineq(vec![1, 1, -2]);
-        let objectives = [vec![1, 0], vec![0, 1]];
-        let mut s1 = IlpStats::default();
-        let mut s2 = IlpStats::default();
-        let warm = ilp_lexmin_warm(&cs, &objectives, None, &mut s1).unwrap();
-        let canon = ilp_lexmin_canonical(&cs, &objectives, None, &mut s2).unwrap();
-        assert_eq!(warm, canon);
-        assert_eq!(warm, vec![0, 2]);
-    }
-
-    #[test]
     fn implied_inequality() {
         // x >= 3 implies x >= 1 but not x >= 4.
         let mut cs = ConstraintSystem::new(1);
@@ -862,5 +723,45 @@ mod tests {
         let mut cs = ConstraintSystem::new(1);
         cs.add_eq(vec![2, -3]);
         assert!(!ilp_feasible(&cs));
+    }
+
+    #[test]
+    fn truncated_search_is_not_a_proof_of_emptiness() {
+        // 2x == 3y, 1 <= x <= 10: both LP vertices, (1, 2/3) and
+        // (10, 20/3), are fractional, yet (3, 2) is an integer point. A
+        // one-node budget is spent on the root before any is found.
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_eq(vec![2, -3, 0]);
+        cs.add_ineq(vec![1, 0, -1]);
+        cs.add_ineq(vec![-1, 0, 10]);
+        let mut stats = IlpStats::default();
+        assert_eq!(
+            bb(&cs, &[0, 0], None, 1, &mut stats),
+            IlpOutcome::NodeLimit { best: None }
+        );
+        assert!(feasible_within(&cs, 1), "a point may exist");
+        assert!(ilp_feasible(&cs));
+        // A proof of emptiness within the same budget still reads false.
+        let mut empty = ConstraintSystem::new(1);
+        empty.add_ineq(vec![1, -5]);
+        empty.add_ineq(vec![-1, 2]);
+        assert!(!feasible_within(&empty, 1));
+    }
+
+    #[test]
+    fn branch_bound_beyond_i64_makes_the_node_unusable() {
+        // minimize x s.t. 2x >= 3y, y >= i64::MAX: the root vertex is
+        // x = 3·(2^63 − 1)/2, fractional and beyond i64. Its floor/ceil
+        // must not wrap into a (wrong, satisfiable) branch row.
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_ineq(vec![2, -3, 0]);
+        cs.add_ineq(vec![0, 1, -i64::MAX]);
+        let mut stats = IlpStats::default();
+        assert_eq!(
+            bb(&cs, &[1, 0], None, 64, &mut stats),
+            IlpOutcome::Infeasible
+        );
+        assert_eq!(stats.nodes, 1, "{stats:?}");
+        assert_eq!(stats.fractional_stages, 1, "{stats:?}");
     }
 }

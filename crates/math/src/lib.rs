@@ -61,8 +61,8 @@ pub use consys::{ConstraintSystem, RowKind};
 pub use error::{MathError, Result};
 pub use farkas::farkas_nonneg;
 pub use ilp::{
-    ilp_feasible, ilp_feasible_point, ilp_lexmin, ilp_lexmin_canonical, ilp_lexmin_stats,
-    ilp_lexmin_warm, ilp_minimize, ilp_minimize_seeded, ineq_implied, IlpOutcome, IlpStats,
+    ilp_feasible, ilp_feasible_point, ilp_lexmin, ilp_lexmin_warm, ilp_minimize, ineq_implied,
+    IlpOutcome, IlpStats,
 };
 pub use matrix::{orthogonal_complement, primitive, IntMatrix, RatMatrix};
 pub use num::{ceil_div, floor_div, gcd, gcd_slice, lcm, modulo, narrow};

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use polytops_math::{
-    ilp_feasible, ilp_lexmin, ilp_lexmin_canonical, ilp_lexmin_warm, ilp_minimize, lp_minimize,
-    orthogonal_complement, ConstraintSystem, IlpOutcome, IlpStats, IntMatrix, LpOutcome, Rat,
+    ilp_feasible, ilp_lexmin, ilp_lexmin_warm, ilp_minimize, lp_minimize, orthogonal_complement,
+    ConstraintSystem, IlpOutcome, IlpStats, IncrementalLp, IntMatrix, LpOutcome, Rat,
 };
 
 fn small_rat() -> impl Strategy<Value = Rat> {
@@ -193,39 +193,47 @@ proptest! {
         seed in proptest::collection::vec(-5i64..=5, 3),
         use_seed in 0u8..=1,
     ) {
-        // The dual-simplex warm path must be a pure optimization: same
-        // answer as the cold solver whatever seed it is handed —
-        // feasible, infeasible, or absent. The full identity cascade
-        // makes the lexmin point unique, so equality is exact.
-        let _ = bounds;
+        // A seed must be a pure optimization: the brute-force answer
+        // whatever seed the solver is handed — feasible, infeasible, or
+        // absent. The full identity cascade makes the lexmin point
+        // unique, so equality is exact; and its dual-simplex pins must
+        // never need the phase-1 fallback.
         let objs = vec![vec![1, 0, 0], vec![0, 1, 0], vec![0, 0, 1]];
-        let cold = ilp_lexmin(&cs, &objs);
+        let want = brute_points(&cs, &bounds).into_iter().min();
         let mut stats = IlpStats::default();
         let warm = ilp_lexmin_warm(&cs, &objs, (use_seed == 1).then_some(seed.as_slice()), &mut stats);
-        prop_assert_eq!(warm, cold);
+        prop_assert_eq!(warm, want);
+        prop_assert_eq!(stats.phase1_passes, 0);
     }
 
     #[test]
-    fn canonical_lexmin_is_seed_independent_and_lex_minimal(
-        (cs, bounds) in boxed_system(),
-        obj in proptest::collection::vec(-2i64..=2, 3),
-        seed in proptest::collection::vec(-5i64..=5, 3),
+    fn dual_pins_track_the_accumulated_system_without_phase1(
+        (cs, _bounds) in boxed_system(),
+        objs in proptest::collection::vec(proptest::collection::vec(-3i64..=3, 3), 1..5),
     ) {
-        // A single (possibly degenerate) objective leaves ties for the
-        // canonical cascade to break: the result must be the
-        // lexicographically smallest point among the objective's optima,
-        // and the seed must never change it.
-        let objs = vec![obj.clone()];
-        let mut s = IlpStats::default();
-        let unseeded = ilp_lexmin_canonical(&cs, &objs, None, &mut s);
-        let mut s = IlpStats::default();
-        let seeded = ilp_lexmin_canonical(&cs, &objs, Some(&seed), &mut s);
-        prop_assert_eq!(&seeded, &unseeded);
-        let pts = brute_points(&cs, &bounds);
-        let value = |p: &Vec<i64>| p.iter().zip(&obj).map(|(a, b)| a * b).sum::<i64>();
-        let best = pts.iter().map(value).min();
-        let want = pts.iter().filter(|p| Some(value(p)) == best).min().cloned();
-        prop_assert_eq!(unseeded, want);
+        // minimize → pin the optimum → minimize the next objective, on
+        // one tableau, against a cold solve of the system with every pin
+        // appended as an equality row.
+        let mut lp = IncrementalLp::new(&cs);
+        let mut acc = cs.clone();
+        if lp.is_feasible() {
+            for obj in &objs {
+                let (stage, cold) = (lp.minimize(obj), lp_minimize(&acc, obj));
+                let (LpOutcome::Optimal { value, .. }, LpOutcome::Optimal { value: cold, .. }) =
+                    (&stage, &cold)
+                else {
+                    panic!("a feasible boxed stage is bounded: {stage:?} vs {cold:?}");
+                };
+                prop_assert_eq!(value, cold);
+                // obj·x == n/d as the integer row d·obj·x − n == 0.
+                let (n, d) = (value.numer() as i64, value.denom() as i64);
+                let mut row: Vec<i64> = obj.iter().map(|c| c * d).collect();
+                row.push(-n);
+                prop_assert!(lp.pin_eq(&row), "pinning an attained optimum cannot fail");
+                acc.add_eq(row);
+            }
+        }
+        prop_assert_eq!(lp.phase1_passes(), 0);
     }
 
     #[test]

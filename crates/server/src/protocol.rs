@@ -411,11 +411,10 @@ pub fn stats_to_json(stats: &PipelineStats) -> Json {
         ("dimensions", Json::Int(stats.dimensions as i64)),
         (
             "fractional_stages",
-            Json::Int(stats.fractional_stages() as i64),
+            Json::Int(stats.ilp.fractional_stages as i64),
         ),
-        ("dual_pivots", Json::Int(stats.dual_pivots() as i64)),
-        ("phase1_passes", Json::Int(stats.phase1_passes() as i64)),
-        ("shared_seed_hits", Json::Int(stats.shared_seed_hits as i64)),
+        ("dual_pivots", Json::Int(stats.ilp.dual_pivots as i64)),
+        ("phase1_passes", Json::Int(stats.ilp.phase1_passes as i64)),
         ("fast_path_dims", Json::Int(stats.fast_path_dims as i64)),
         (
             "fast_path_fallbacks",
@@ -578,18 +577,14 @@ pub fn error_response(id: &Json, message: &str) -> String {
 /// surfaced by the `stats` op (the per-request split travels in each
 /// schedule response's `stats` field — see [`stats_to_json`]).
 ///
-/// All five are diagnostic sums: under concurrency the per-scenario
-/// split can vary (racing seed publication, cache elimination), but the
-/// schedules themselves stay bit-identical — see
-/// `polytops_core::scenario`'s determinism contract.
+/// All four are diagnostic sums, not part of the bit-identity contract
+/// on schedules — see `polytops_core::scenario`'s determinism contract.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SolverTotals {
     /// Dual-simplex re-optimization pivots across all ILP stages.
     pub dual_pivots: usize,
     /// Mini phase-1 fallbacks the dual simplex could not avoid.
     pub phase1_passes: usize,
-    /// Lexmin stages seeded from a sibling scenario's published point.
-    pub shared_seed_hits: usize,
     /// Schedule dimensions solved by the heuristic fast path.
     pub fast_path_dims: usize,
     /// Fast-path proposals that failed validation and fell back to ILP.
@@ -860,10 +855,6 @@ pub fn stats_response(
             object(vec![
                 ("dual_pivots", Json::Int(solver.dual_pivots as i64)),
                 ("phase1_passes", Json::Int(solver.phase1_passes as i64)),
-                (
-                    "shared_seed_hits",
-                    Json::Int(solver.shared_seed_hits as i64),
-                ),
                 ("fast_path_dims", Json::Int(solver.fast_path_dims as i64)),
                 (
                     "fast_path_fallbacks",

@@ -172,7 +172,6 @@ impl ServerObs {
         protocol::SolverTotals {
             dual_pivots: get("solver.dual_pivots"),
             phase1_passes: get("solver.phase1_passes"),
-            shared_seed_hits: get("solver.shared_seed_hits"),
             fast_path_dims: get("solver.fast_path_dims"),
             fast_path_fallbacks: get("solver.fast_path_fallbacks"),
         }
@@ -616,7 +615,6 @@ fn process_group(
             .map(|spec| {
                 let options = polytops_core::EngineOptions {
                     trace: link.clone(),
-                    ..Default::default()
                 };
                 set.add_scenario_with_options(
                     scop_idx,
