@@ -18,12 +18,12 @@
 //! eliminated, and loop bounds for scan variable `k` are read off the
 //! projection onto the first `k + 1` scan variables.
 //!
-//! Unlike the flat-schedule scanner this module replaces, statements
-//! that share a band never split into sibling loops: every band member
-//! emits **one union loop** whose bounds cover all active statements
-//! (shared bounds are proven with an exact LP implication check, and a
-//! `min`/`max` combination of the per-statement bounds covers the rest)
-//! while per-statement *guards* at the leaves restore exactness.
+//! Statements that share a band never split into sibling loops: every
+//! band member emits **one union loop** whose bounds cover all active
+//! statements (shared bounds are proven with an exact LP implication
+//! check, and a `min`/`max` combination of the per-statement bounds
+//! covers the rest) while per-statement *guards* at the leaves restore
+//! exactness.
 //! Guards implied by the enclosing loop bounds are eliminated
 //! gist-style with the same LP check, so a statement whose domain is
 //! fully described by its loops carries no guard at all.

@@ -106,17 +106,15 @@ fn wavefront_emits_exact_floor_guard_or_clean_skew() {
 #[test]
 fn fused_statements_do_not_split_into_sibling_loops() {
     // gemver under feautrier fuses four statements with staggered
-    // domains; the old flat-schedule scanner split them into four
-    // sibling nests per level. The tree scanner must emit union loops
-    // with per-statement guards instead.
+    // domains. The scanner must emit union loops with per-statement
+    // guards, not one sibling nest per statement (7 loops).
     let scop = gemver();
     let sched = schedule(&scop, &presets::feautrier()).unwrap();
     let tree = generate(&scop, &sched).unwrap();
     let s = stats(&tree);
-    // Old flat-schedule scanner: 7 loops across sibling nests.
     assert!(
         s.loops < 7,
-        "expected fewer union loops than the old separation, got {s:?}"
+        "expected union loops, not a nest per statement, got {s:?}"
     );
     let text = emit_c(&scop, &sched).unwrap();
     for name in ["S0(", "S1(", "S2(", "S3("] {

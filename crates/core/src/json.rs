@@ -6,10 +6,9 @@
 //! is standard JSON (RFC 8259) minus `\u` surrogate-pair pedantry.
 //! Integer numbers parse as [`Json::Int`]; fractional or exponent forms
 //! parse as [`Json::Float`] (the configuration format itself only ever
-//! uses integers, but the benchmark reports in `BENCH_schedule.json`
-//! carry speedup ratios, and the benches read those files back to merge
-//! their sections). The [`std::fmt::Display`] impl serializes a value
-//! back out with two-space indentation.
+//! uses integers, but the benchmark's run files carry fractional metric
+//! values). The [`std::fmt::Display`] impl serializes a value back out
+//! with two-space indentation.
 
 use std::collections::BTreeMap;
 use std::fmt;

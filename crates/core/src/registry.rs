@@ -19,8 +19,7 @@
 //!   grouping rule the scenario engine applies within a run);
 //! * the [`ScopRegistry`] dedupes SCoPs by canonical text, bounds
 //!   residency with an LRU policy, and reports
-//!   [`RegistryStats`] so callers can assert hits (the service
-//!   benchmark's warm-vs-cold gate).
+//!   [`RegistryStats`] so callers can assert hits.
 //!
 //! # Determinism
 //!

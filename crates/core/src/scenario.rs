@@ -223,10 +223,7 @@ impl ScenarioSet {
     /// solve would schedule unrelated components into common loops,
     /// while the split scenario distributes them. Splitting is
     /// therefore an explicit axis of the sweep, off by default; split
-    /// results remain deterministic and oracle-legal. Note that
-    /// [`run_isolated`](ScenarioSet::run_isolated) never splits, so its
-    /// timings/stats are only comparable to the engine paths while
-    /// splitting is off.
+    /// results remain deterministic and oracle-legal.
     pub fn split_components(&mut self, enabled: bool) {
         self.split_components = enabled;
     }
@@ -297,37 +294,6 @@ impl ScenarioSet {
             }
         });
         runner.assemble(slots)
-    }
-
-    /// Runs every scenario independently (fresh caches, no sharing, no
-    /// component splitting) — the pre-engine baseline used to measure
-    /// how much work cross-scenario sharing saves.
-    ///
-    /// Because this path models the naive loop, it always solves whole
-    /// SCoPs: with [`split_components`](ScenarioSet::split_components)
-    /// enabled, `run_sequential`/`run_sharded` solve *different*
-    /// (distributed) scenarios, so compare against this baseline only
-    /// with splitting off (as `benches/scenarios.rs` does).
-    pub fn run_isolated(&self) -> Vec<ScenarioResult> {
-        self.scenarios
-            .iter()
-            .enumerate()
-            .map(|(i, sc)| {
-                let (name, scop) = &self.scops[sc.scop];
-                let mut strategy = ConfigStrategy::new(sc.config.clone());
-                solve::run(scop, &sc.config, &mut strategy, &sc.options).map(|(schedule, stats)| {
-                    ScenarioReport {
-                        scenario: i,
-                        name: sc.name.clone(),
-                        scop: sc.scop,
-                        scop_name: name.clone(),
-                        schedule,
-                        stats,
-                        sub_jobs: 1,
-                    }
-                })
-            })
-            .collect()
     }
 }
 

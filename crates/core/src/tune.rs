@@ -379,11 +379,11 @@ fn explore_candidates(
     })
 }
 
-/// Scores an already-built schedule under the model — the comparison
-/// hook the `autotune` bench uses to line the tuner's pick up against
-/// a fixed preset's schedule. Returns the feature vector and its
-/// score. (Runs its own dependence analysis; inside [`explore`] the
-/// analysis is shared instead.)
+/// Scores an already-built schedule under the model — the hook that
+/// lines the tuner's pick up against a fixed preset's schedule, and
+/// what the benchmark's `model_cycles_geomean` reads. Returns the
+/// feature vector and its score. (Runs its own dependence analysis;
+/// inside [`explore`] the analysis is shared instead.)
 pub fn score_schedule(
     scop: &Scop,
     sched: &Schedule,

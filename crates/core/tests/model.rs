@@ -5,8 +5,9 @@
 use polytops_core::tune::{self, MachineModel, TuneBudget};
 use polytops_core::{presets, schedule};
 use polytops_deps::analyze;
+use polytops_machine::calibrate::{calibrate, SyntheticTimer};
 use polytops_machine::model::{extract_features, model_score};
-use polytops_workloads::{jacobi_1d, matmul, producer_consumer};
+use polytops_workloads::{all_kernels, jacobi_1d, matmul};
 
 #[test]
 fn tiled_stencil_has_bounded_footprint() {
@@ -69,7 +70,20 @@ fn model_prefers_parallel_tiled_matmul_over_sequential() {
 #[test]
 fn explore_beats_or_matches_the_default_preset() {
     let machine = MachineModel::default();
-    for scop in [matmul(), jacobi_1d(), producer_consumer()] {
+    // A ground truth with a 10x pricier memory system than stock, and
+    // the model `calibrate` fits to it.
+    let truth = MachineModel {
+        miss_penalty_cycles: 240,
+        sync_cycles: 9000,
+        ..MachineModel::default()
+    };
+    let timer = SyntheticTimer {
+        ground_truth: truth.clone(),
+    };
+    let calibrated = calibrate(&machine, &timer)
+        .expect("synthetic timing never fails")
+        .machine;
+    for (_, scop) in all_kernels() {
         let budget = TuneBudget {
             threads: 2,
             ..TuneBudget::default()
@@ -88,6 +102,18 @@ fn explore_beats_or_matches_the_default_preset() {
             scop.name,
             outcome.score,
             default_score
+        );
+        // Priced under the ground truth, the calibrated tuner's pick
+        // matches or beats the stock tuner's.
+        let tuned = tune::explore(&scop, &calibrated, &budget).expect("kernels schedule");
+        let price = |pick: &tune::TuneOutcome| {
+            tune::score_schedule(&scop, &pick.winner.schedule, &truth, budget.param_estimate).1
+        };
+        let (calibrated_gt, stock_gt) = (price(&tuned), price(&outcome));
+        assert!(
+            calibrated_gt >= stock_gt,
+            "{}: calibrated pick {calibrated_gt} vs stock pick {stock_gt}",
+            scop.name
         );
     }
 }

@@ -28,6 +28,13 @@ fn assert_legal(name: &str, scop: &Scop, sched: &Schedule) {
 fn sharded_sweep_is_bit_identical_to_sequential() {
     let set = standard_sweep();
     let sequential = set.run_sequential();
+    // Dual simplex re-optimizes every pinned stage on the sweep; the
+    // mini phase-1 fallback never fires.
+    let phase1_passes: usize = sequential
+        .iter()
+        .map(|r| r.as_ref().unwrap().stats.ilp.phase1_passes)
+        .sum();
+    assert_eq!(phase1_passes, 0);
     for threads in [2, 4] {
         let sharded = set.run_sharded(threads);
         assert_eq!(sequential.len(), sharded.len());
@@ -97,29 +104,36 @@ fn farkas_hits_grow_with_scenario_count_for_a_fixed_scop() {
 #[test]
 fn mixed_kernel_sweep_reports_cross_scenario_hits() {
     // The acceptance-criterion shape: >= 4 scenarios over >= 3 kernels
-    // with cross-scenario hits (sweep hits beyond what isolated runs
-    // score through intra-run dimension replay alone).
+    // with cross-scenario hits (sweep hits beyond what each scenario
+    // scores alone, in a set of its own, through intra-run dimension
+    // replay).
+    let hits = |set: &ScenarioSet| -> usize {
+        set.run_sharded(2)
+            .iter()
+            .map(|r| r.as_ref().unwrap().stats.farkas_hits)
+            .sum()
+    };
     let mut set = ScenarioSet::new();
+    let mut isolated = 0usize;
     for (name, scop) in [
         ("stencil_chain", stencil_chain()),
         ("matmul", matmul()),
         ("producer_consumer", producer_consumer()),
     ] {
-        let id = set.add_scop(name, scop);
-        set.add_scenario(id, format!("{name}/pluto"), presets::pluto());
-        set.add_scenario(id, format!("{name}/feautrier"), presets::feautrier());
+        let id = set.add_scop(name, scop.clone());
+        for (preset, config) in [
+            ("pluto", presets::pluto()),
+            ("feautrier", presets::feautrier()),
+        ] {
+            set.add_scenario(id, format!("{name}/{preset}"), config.clone());
+            let mut alone = ScenarioSet::new();
+            let only = alone.add_scop(name, scop.clone());
+            alone.add_scenario(only, format!("{name}/{preset}"), config);
+            isolated += hits(&alone);
+        }
     }
     assert!(set.len() >= 4);
-    let shared: usize = set
-        .run_sharded(2)
-        .iter()
-        .map(|r| r.as_ref().unwrap().stats.farkas_hits)
-        .sum();
-    let isolated: usize = set
-        .run_isolated()
-        .iter()
-        .map(|r| r.as_ref().unwrap().stats.farkas_hits)
-        .sum();
+    let shared = hits(&set);
     assert!(
         shared > isolated,
         "cross-scenario hits must exist: shared {shared} vs isolated {isolated}"

@@ -242,8 +242,7 @@ fn fit(excess_ns: u64, t_alu: u64, ops: u64, events: u64) -> u32 {
 /// The fit is a pure integer function of the three nanosecond readings,
 /// so a deterministic timer (the [`SyntheticTimer`]) makes the whole
 /// pass bit-deterministic; with the ground-truth timer the fit recovers
-/// the ground truth exactly (a unit test and the `learning` bench hold
-/// this).
+/// the ground truth exactly (a unit test holds this).
 pub fn calibrate(base: &MachineModel, timer: &dyn Timer) -> Option<CalibrationReport> {
     let kernels = calibration_kernels(base);
     let mut samples = Vec::with_capacity(kernels.len());

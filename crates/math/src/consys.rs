@@ -350,7 +350,7 @@ impl ConstraintSystem {
                 // p: a x_var + ... >= 0 (a > 0), q: -b x_var + ... >= 0 (b > 0)
                 // combine: b * p + a * q
                 let a = i128::from(p[var]);
-                let b = i128::from(-q[var]);
+                let b = -i128::from(q[var]);
                 let mut nr: Vec<i64> = Vec::with_capacity(n);
                 for c in 0..=n {
                     if c == var {
@@ -519,6 +519,18 @@ mod tests {
         assert!(proj.contains_point(&[3]));
         assert!(!proj.contains_point(&[4]));
         assert!(!proj.contains_point(&[-2]));
+    }
+
+    #[test]
+    fn eliminate_reports_overflow_on_an_i64_min_coefficient() {
+        // x0 + x2 >= 0 and i64::MIN * x0 + x1 >= 0 project to
+        // x1 + 2^63 * x2 >= 0, which no i64 row can hold. Negating the
+        // coefficient before widening it would wrap to
+        // x1 - 2^63 * x2 >= 0, which excludes the feasible (-5, 1).
+        let mut cs = ConstraintSystem::new(3);
+        cs.add_ineq(vec![1, 0, 1, 0]);
+        cs.add_ineq(vec![i64::MIN, 1, 0, 0]);
+        assert_eq!(cs.eliminate_var(0), Err(crate::MathError::Overflow));
     }
 
     #[test]

@@ -98,7 +98,8 @@ fn fleet_config(threads: usize, dir: &std::path::Path) -> ServerConfig {
 /// Kill-after-N-batches at 1, 2 and 4 worker threads: every client's
 /// final answer is bit-identical to the offline engine, and the
 /// restarted daemon replays journaled work with zero fresh Farkas
-/// eliminations.
+/// eliminations — as does a third generation booted from the snapshot
+/// its graceful shutdown leaves behind.
 #[test]
 fn kill_restart_is_bit_identical_and_warm() {
     for threads in [1usize, 2, 4] {
@@ -163,6 +164,22 @@ fn kill_restart_is_bit_identical_and_warm() {
                 .map(|w| w.join().expect("client thread"))
                 .collect();
             finish(second);
+
+            // The graceful shutdown rotated a full snapshot: a third
+            // generation boots from it alone (no journal event to
+            // replay) and serves its first probe warm.
+            let third = Server::start_on(
+                listener.try_clone().expect("clone listener"),
+                fleet_config(threads, &dir),
+            )
+            .expect("start third generation");
+            let totals = third.persist_totals().expect("persistence enabled");
+            assert!(totals.restored_entries > 0, "threads={threads}: {totals:?}");
+            assert_eq!(
+                totals.replayed_events, 0,
+                "threads={threads}: a graceful shutdown leaves everything in the snapshot"
+            );
+            finish(third);
             collected
         });
 

@@ -16,10 +16,9 @@ use polytops_core::{presets, SchedulerConfig};
 use crate::{all_kernels, synthetic};
 
 /// Statement count of the synthetic chain instance registered in the
-/// standard sweep: large enough that the joint ILP visibly dominates
-/// (the fast-path benchmark uses bigger sizes), small enough that the
-/// pure-ILP presets stay test-suite friendly.
-pub const SWEEP_CHAIN_LEN: usize = 12;
+/// standard sweep: large enough that the joint ILP visibly dominates,
+/// small enough that the pure-ILP presets stay test-suite friendly.
+const SWEEP_CHAIN_LEN: usize = 12;
 
 /// The preset grid every kernel is swept over: the paper's Table I
 /// presets plus the post-processing (tiling + wavefront) variant and
