@@ -3,7 +3,7 @@
 //!
 //! Large SCoPs pay the ILP cascade dearly: the joint constraint system
 //! couples every statement's coefficients, so its size — and the exact
-//! rational simplex underneath — grows with the statement count even
+//! simplex underneath — grows with the statement count even
 //! when the schedule the cascade eventually finds is a plain
 //! permutation. Acharya & Bondhugula's observation (*An Approach for
 //! Finding Permutations Quickly*) is that for most programs that
@@ -130,12 +130,12 @@ pub(crate) fn propose(
 
 /// The minimal schedule distance `Δ` of a dependence under candidate
 /// rows, or `None` when `Δ` is unbounded below (or the polyhedron is
-/// somehow empty).
+/// somehow empty, or the solver overflowed): the fast path gives up.
 fn min_distance(dep: &Dependence, src_row: &[i64], dst_row: &[i64]) -> Option<i64> {
     let delta = polytops_deps::distance_row(dep, src_row, dst_row);
     let nv = dep.poly.num_vars();
     match ilp_minimize(&dep.poly, &delta[..nv]) {
-        IlpOutcome::Optimal { value, .. } => Some(value + delta[nv]),
+        Ok(IlpOutcome::Optimal { value, .. }) => Some(value + delta[nv]),
         _ => None,
     }
 }

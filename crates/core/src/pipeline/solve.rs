@@ -409,7 +409,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Builds and solves the ILP of one dimension. `Ok(None)` means the
-    /// space is infeasible (caller decides whether to cut or fail).
+    /// space is infeasible (caller decides whether to cut or fail); a
+    /// solver overflow proves nothing of the kind and is
+    /// [`ScheduleError::Math`].
     fn solve_ilp(
         &self,
         plan: &DimensionPlan,
@@ -439,7 +441,7 @@ impl<'a> Engine<'a> {
 
         let point = {
             let _span = polytops_obs::span("ilp_solve");
-            ilp_lexmin_warm(&sys, &objectives, warm.as_deref(), &mut stats.ilp)
+            ilp_lexmin_warm(&sys, &objectives, warm.as_deref(), &mut stats.ilp)?
         };
         let Some(point) = point else {
             return Ok(None);

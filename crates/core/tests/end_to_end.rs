@@ -415,3 +415,35 @@ fn total_distribution_splits_the_loops() {
         "all of S0 must precede all of S1: {t0:?} vs {t1:?}"
     );
 }
+
+#[test]
+fn overflowing_coefficients_fail_the_request_with_a_math_error() {
+    // Subscripts whose dependence polyhedron needs products of three
+    // near-`i64::MAX` coefficients: the exact solver cannot hold them.
+    // Analysis must keep the dependences it could not rule out, and
+    // scheduling must fail with the layer's name — not panic the thread
+    // that happened to pick the request up.
+    let src = "
+        double A[N][N][N];
+        #pragma scop
+        for (i = 0; i < N; i++)
+          for (j = 0; j < N; j++)
+            for (k = 0; k < N; k++)
+              A[9223372036854775807*i - 9223372036854775805*j]
+               [9223372036854775803*j - 9223372036854775801*k]
+               [9223372036854775799*k - 9223372036854775797*i]
+                = A[9223372036854775807*i - 9223372036854775805*j + 1]
+                   [9223372036854775803*j - 9223372036854775801*k + 1]
+                   [9223372036854775799*k - 9223372036854775797*i + 1];
+        #pragma endscop
+    ";
+    let scop = polytops_ir::frontend::parse_c("hostile", src).unwrap();
+    assert!(!analyze(&scop).is_empty(), "an overflow proves no absence");
+    for (name, cfg) in configs() {
+        let err = schedule(&scop, &cfg).unwrap_err();
+        assert!(
+            matches!(err, polytops_core::ScheduleError::Math(_)),
+            "{name}: {err}"
+        );
+    }
+}

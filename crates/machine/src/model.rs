@@ -166,14 +166,14 @@ fn expr_extent(
     obj[depth..depth + nparams.min(expr.nparams())]
         .copy_from_slice(&expr.param_coeffs()[..nparams.min(expr.nparams())]);
     let lo = match ilp_minimize(&sys, &obj) {
-        IlpOutcome::Optimal { value, .. } => value,
+        Ok(IlpOutcome::Optimal { value, .. }) => value,
         _ => return None,
     };
     for v in obj.iter_mut() {
         *v = -*v;
     }
     let hi = match ilp_minimize(&sys, &obj) {
-        IlpOutcome::Optimal { value, .. } => -value,
+        Ok(IlpOutcome::Optimal { value, .. }) => -value,
         _ => return None,
     };
     Some((hi - lo + 1).max(1))

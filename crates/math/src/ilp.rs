@@ -1,8 +1,9 @@
 //! Branch-and-bound integer linear programming on top of the exact
-//! rational simplex, including the lexicographic minimization the
+//! simplex, including the lexicographic minimization the
 //! iterative scheduler relies on (Pluto/PIP-style `lexmin`).
 
 use crate::consys::ConstraintSystem;
+use crate::error::{MathError, Result};
 use crate::rat::Rat;
 use crate::simplex::{lp_minimize, IncrementalLp, LpOutcome};
 
@@ -56,8 +57,9 @@ pub struct IlpStats {
     /// Dual-simplex pivots spent pinning stage optima on the shared
     /// incremental tableau.
     pub dual_pivots: usize,
-    /// Artificial-based phase-1 fallback passes during pinning (the dual
-    /// pivot loop hit its safety cap; zero on every known workload).
+    /// Always 0: the phase-1 fallback it counted is gone (a pin at the
+    /// dual pivot cap gives the tableau up), but perfbench and the
+    /// `stats` bytes read the field until a `benchmark` PR drops it.
     pub phase1_passes: usize,
 }
 
@@ -77,6 +79,11 @@ impl IlpStats {
 /// Minimizes an integer objective `obj · x` over the integer points of
 /// `cs` by depth-first branch and bound.
 ///
+/// # Errors
+///
+/// [`MathError::Overflow`] when a relaxation
+/// outgrew the simplex tableau: nothing is proven about `cs` then.
+///
 /// # Examples
 ///
 /// ```
@@ -85,7 +92,7 @@ impl IlpStats {
 /// // minimize x subject to 2x >= 3 (integer): x = 2.
 /// let mut cs = ConstraintSystem::new(1);
 /// cs.add_ineq(vec![2, -3]);
-/// match ilp_minimize(&cs, &[1]) {
+/// match ilp_minimize(&cs, &[1]).unwrap() {
 ///     IlpOutcome::Optimal { value, point } => {
 ///         assert_eq!(value, 2);
 ///         assert_eq!(point, vec![2]);
@@ -93,7 +100,7 @@ impl IlpStats {
 ///     other => panic!("unexpected {other:?}"),
 /// }
 /// ```
-pub fn ilp_minimize(cs: &ConstraintSystem, obj: &[i64]) -> IlpOutcome {
+pub fn ilp_minimize(cs: &ConstraintSystem, obj: &[i64]) -> Result<IlpOutcome> {
     ilp_minimize_impl(
         cs,
         obj,
@@ -126,11 +133,11 @@ fn ilp_minimize_impl(
     root_lp: Option<(Rat, Vec<Rat>)>,
     max_nodes: usize,
     stats: &mut IlpStats,
-) -> IlpOutcome {
+) -> Result<IlpOutcome> {
     assert_eq!(obj.len(), cs.num_vars(), "objective length mismatch");
     let mut root = cs.clone();
     if !root.normalize() {
-        return IlpOutcome::Infeasible;
+        return Ok(IlpOutcome::Infeasible);
     }
     let zero_obj = obj.iter().all(|&c| c == 0);
     let mut incumbent: Option<(i64, Vec<i64>)> = None;
@@ -148,10 +155,10 @@ fn ilp_minimize_impl(
                     // objective; a seed attaining a proven lower bound
                     // is optimal outright.
                     stats.seed_shortcuts += 1;
-                    return IlpOutcome::Optimal {
+                    return Ok(IlpOutcome::Optimal {
                         value,
                         point: p.to_vec(),
-                    };
+                    });
                 }
                 incumbent = Some((value, p.to_vec()));
             }
@@ -164,11 +171,11 @@ fn ilp_minimize_impl(
         nodes += 1;
         stats.nodes += 1;
         if nodes > max_nodes {
-            return IlpOutcome::NodeLimit { best: incumbent };
+            return Ok(IlpOutcome::NodeLimit { best: incumbent });
         }
         let outcome = match root_lp.take() {
             Some((value, point)) => LpOutcome::Optimal { value, point },
-            None => lp_minimize(&node, obj),
+            None => lp_minimize(&node, obj)?,
         };
         match outcome {
             LpOutcome::Infeasible => continue,
@@ -176,7 +183,7 @@ fn ilp_minimize_impl(
                 // The relaxation is unbounded. If we have not yet committed
                 // to an incumbent this propagates out; bounded scheduler
                 // problems never hit this.
-                return IlpOutcome::Unbounded;
+                return Ok(IlpOutcome::Unbounded);
             }
             LpOutcome::Optimal { value, point } => {
                 // Bound pruning: integer objective values are integers.
@@ -245,10 +252,10 @@ fn ilp_minimize_impl(
             }
         }
     }
-    match incumbent {
+    Ok(match incumbent {
         Some((value, point)) => IlpOutcome::Optimal { value, point },
         None => IlpOutcome::Infeasible,
-    }
+    })
 }
 
 fn first_fractional(point: &[Rat]) -> Option<(usize, Rat)> {
@@ -263,20 +270,26 @@ fn first_fractional(point: &[Rat]) -> Option<(usize, Rat)> {
 /// the system has no integer solutions or the node budget ran out first,
 /// so `None` is not a proof of emptiness — [`ilp_feasible`] is the test
 /// that never mistakes one for the other.
-pub fn ilp_feasible_point(cs: &ConstraintSystem) -> Option<Vec<i64>> {
+///
+/// # Errors
+///
+/// [`MathError::Overflow`], as
+/// [`ilp_minimize`].
+pub fn ilp_feasible_point(cs: &ConstraintSystem) -> Result<Option<Vec<i64>>> {
     let zeros = vec![0i64; cs.num_vars()];
-    match ilp_minimize(cs, &zeros) {
+    Ok(match ilp_minimize(cs, &zeros)? {
         IlpOutcome::Optimal { point, .. } => Some(point),
         IlpOutcome::NodeLimit { best } => best.map(|(_, p)| p),
         _ => None,
-    }
+    })
 }
 
 /// Whether `cs` may contain an integer point: `false` only when branch
 /// and bound *proved* the system empty. A search truncated by the node
-/// budget answers `true` (a point may exist), because dependence
-/// analysis and schedule certification read `!ilp_feasible(..)` as proof
-/// that no dependence / no violating instance exists.
+/// budget, or stopped by an overflowing relaxation, answers `true` (a
+/// point may exist), because dependence analysis and schedule
+/// certification read `!ilp_feasible(..)` as proof that no dependence /
+/// no violating instance exists.
 pub fn ilp_feasible(cs: &ConstraintSystem) -> bool {
     feasible_within(cs, MAX_NODES)
 }
@@ -284,7 +297,8 @@ pub fn ilp_feasible(cs: &ConstraintSystem) -> bool {
 fn feasible_within(cs: &ConstraintSystem, max_nodes: usize) -> bool {
     let zeros = vec![0i64; cs.num_vars()];
     let mut stats = IlpStats::default();
-    ilp_minimize_impl(cs, &zeros, None, None, None, max_nodes, &mut stats) != IlpOutcome::Infeasible
+    let outcome = ilp_minimize_impl(cs, &zeros, None, None, None, max_nodes, &mut stats);
+    outcome != Ok(IlpOutcome::Infeasible)
 }
 
 /// Lexicographic minimization: minimizes each objective in turn, fixing
@@ -297,6 +311,12 @@ fn feasible_within(cs: &ConstraintSystem, max_nodes: usize) -> bool {
 /// Returns `None` when the system is infeasible or some objective is
 /// unbounded below (callers bound their variables, so unboundedness
 /// signals a modeling error upstream).
+///
+/// # Errors
+///
+/// [`MathError::Overflow`] when the simplex
+/// tableau outgrew `i64` — which says nothing about feasibility, so it
+/// is not a `None`.
 ///
 /// # Examples
 ///
@@ -311,9 +331,9 @@ fn feasible_within(cs: &ConstraintSystem, max_nodes: usize) -> bool {
 /// cs.add_ineq(vec![0, -1, 3]);
 /// cs.add_ineq(vec![1, 1, -3]);
 /// let point = ilp_lexmin(&cs, &[vec![1, 0], vec![0, 1]]).unwrap();
-/// assert_eq!(point, vec![0, 3]);
+/// assert_eq!(point, Some(vec![0, 3]));
 /// ```
-pub fn ilp_lexmin(cs: &ConstraintSystem, objectives: &[Vec<i64>]) -> Option<Vec<i64>> {
+pub fn ilp_lexmin(cs: &ConstraintSystem, objectives: &[Vec<i64>]) -> Result<Option<Vec<i64>>> {
     ilp_lexmin_warm(cs, objectives, None, &mut IlpStats::default())
 }
 
@@ -336,23 +356,27 @@ pub fn ilp_lexmin(cs: &ConstraintSystem, objectives: &[Vec<i64>]) -> Option<Vec<
 ///   infeasible or ill-sized `warm` is ignored.
 ///
 /// Solver effort is accumulated into `stats`.
+///
+/// # Errors
+///
+/// [`MathError::Overflow`], as [`ilp_lexmin`].
 pub fn ilp_lexmin_warm(
     cs: &ConstraintSystem,
     objectives: &[Vec<i64>],
     warm: Option<&[i64]>,
     stats: &mut IlpStats,
-) -> Option<Vec<i64>> {
+) -> Result<Option<Vec<i64>>> {
     let n = cs.num_vars();
     // Normalize once (gcd tightening, dedup, subsumption) — the same
     // reduction every branch-and-bound root performs — so the shared
     // tableau is built from the small system, not the raw one.
     let mut cur = cs.clone();
     if !cur.normalize() {
-        return None;
+        return Ok(None);
     }
-    let mut lp = IncrementalLp::new(&cur);
+    let mut lp = IncrementalLp::new(&cur)?;
     if !lp.is_feasible() {
-        return None; // LP-infeasible ⇒ ILP-infeasible
+        return Ok(None); // LP-infeasible ⇒ ILP-infeasible
     }
     let mut lp_alive = true;
     let mut hint: Option<Vec<i64>> = warm
@@ -367,7 +391,7 @@ pub fn ilp_lexmin_warm(
         let mut stage_lb: Option<i64> = None;
         let mut stage_root: Option<(Rat, Vec<Rat>)> = None;
         if lp_alive {
-            match lp.minimize(obj) {
+            match lp.minimize(obj)? {
                 LpOutcome::Optimal { value, point } => {
                     // Checked narrowing throughout: a vertex with an
                     // i64-overflowing coordinate falls back to branch
@@ -392,7 +416,7 @@ pub fn ilp_lexmin_warm(
                         }
                     }
                 }
-                LpOutcome::Unbounded => return None,
+                LpOutcome::Unbounded => return Ok(None),
                 // Infeasibility cannot appear after a successful pin;
                 // fall through to branch and bound defensively.
                 LpOutcome::Infeasible => {}
@@ -414,12 +438,12 @@ pub fn ilp_lexmin_warm(
                     stage_root,
                     MAX_NODES,
                     stats,
-                ) {
+                )? {
                     IlpOutcome::Optimal { value, point }
                     | IlpOutcome::NodeLimit {
                         best: Some((value, point)),
                     } => (value, point),
-                    _ => return None,
+                    _ => return Ok(None),
                 }
             }
         };
@@ -427,30 +451,35 @@ pub fn ilp_lexmin_warm(
         // the existing basis, no artificial, no phase-1 pass — so the
         // tableau stays alive across fractional stages too: the next
         // stage still gets an LP lower bound and a solved root
-        // relaxation even when this one had to branch.
+        // relaxation even when this one had to branch. A pin that gives
+        // up at its pivot cap leaves the later stages to branch and
+        // bound on `cur`.
         let mut row = obj.clone();
-        row.push(-value);
+        row.push(value.checked_neg().ok_or(MathError::Overflow)?);
         if lp_alive {
-            lp_alive = lp.pin_eq(&row);
+            lp_alive = lp.pin_eq(&row)?;
         }
         cur.add_eq(row);
         hint = Some(point);
     }
     stats.dual_pivots += lp.dual_pivots();
-    stats.phase1_passes += lp.phase1_passes();
-    hint.or_else(|| ilp_feasible_point(&cur))
+    match hint {
+        Some(point) => Ok(Some(point)),
+        None => ilp_feasible_point(&cur),
+    }
 }
 
 /// Conservatively decides whether `row` (an inequality `a·x + c >= 0`) is
 /// implied by `cs` over the rationals. Used for pruning redundant guards
-/// during code generation; a `false` answer merely keeps a guard.
+/// during code generation; a `false` answer merely keeps a guard, so an
+/// overflowing simplex answers `false`.
 pub fn ineq_implied(cs: &ConstraintSystem, row: &[i64]) -> bool {
     assert_eq!(row.len(), cs.num_vars() + 1, "row length mismatch");
     let n = cs.num_vars();
     match lp_minimize(cs, &row[..n]) {
-        LpOutcome::Optimal { value, .. } => value + Rat::from(row[n]) >= Rat::ZERO,
-        LpOutcome::Infeasible => true, // empty set implies everything
-        LpOutcome::Unbounded => false,
+        Ok(LpOutcome::Optimal { value, .. }) => value + Rat::from(row[n]) >= Rat::ZERO,
+        Ok(LpOutcome::Infeasible) => true, // empty set implies everything
+        Ok(LpOutcome::Unbounded) | Err(_) => false,
     }
 }
 
@@ -466,7 +495,7 @@ mod tests {
         max_nodes: usize,
         stats: &mut IlpStats,
     ) -> IlpOutcome {
-        ilp_minimize_impl(cs, obj, seed, None, None, max_nodes, stats)
+        ilp_minimize_impl(cs, obj, seed, None, None, max_nodes, stats).unwrap()
     }
 
     #[test]
@@ -474,7 +503,7 @@ mod tests {
         // 3x >= 7 -> x >= 3 (integer).
         let mut cs = ConstraintSystem::new(1);
         cs.add_ineq(vec![3, -7]);
-        match ilp_minimize(&cs, &[1]) {
+        match ilp_minimize(&cs, &[1]).unwrap() {
             IlpOutcome::Optimal { value, .. } => assert_eq!(value, 3),
             other => panic!("unexpected {other:?}"),
         }
@@ -486,7 +515,7 @@ mod tests {
         let mut cs = ConstraintSystem::new(1);
         cs.add_ineq(vec![2, -3]); // 2x >= 3
         cs.add_ineq(vec![-2, 3]); // 2x <= 3
-        assert_eq!(ilp_minimize(&cs, &[1]), IlpOutcome::Infeasible);
+        assert_eq!(ilp_minimize(&cs, &[1]), Ok(IlpOutcome::Infeasible));
         assert!(!ilp_feasible(&cs));
     }
 
@@ -497,7 +526,7 @@ mod tests {
         cs.add_eq(vec![1, -1, 0]);
         cs.add_ineq(vec![1, 0, -5]);
         cs.add_ineq(vec![-1, 0, 6]);
-        let p = ilp_feasible_point(&cs).unwrap();
+        let p = ilp_feasible_point(&cs).unwrap().unwrap();
         assert_eq!(p[0], p[1]);
         assert!((5..=6).contains(&p[0]));
     }
@@ -510,7 +539,7 @@ mod tests {
         cs.add_ineq(vec![2, 3, -7]);
         cs.add_ineq(vec![1, 0, 0]);
         cs.add_ineq(vec![0, 1, 0]);
-        match ilp_minimize(&cs, &[1, 1]) {
+        match ilp_minimize(&cs, &[1, 1]).unwrap() {
             IlpOutcome::Optimal { value, point } => {
                 assert_eq!(value, 3);
                 assert!(2 * point[0] + 3 * point[1] >= 7);
@@ -528,7 +557,7 @@ mod tests {
         cs.add_ineq(vec![0, 1, 0]);
         cs.add_ineq(vec![0, -1, 2]);
         cs.add_ineq(vec![1, 1, -2]);
-        let p = ilp_lexmin(&cs, &[vec![1, 0], vec![0, 1]]).unwrap();
+        let p = ilp_lexmin(&cs, &[vec![1, 0], vec![0, 1]]).unwrap().unwrap();
         assert_eq!(p, vec![0, 2]);
     }
 
@@ -540,7 +569,7 @@ mod tests {
             cs.add_ineq(r);
         }
         cs.add_ineq(vec![1, 1, -1]); // x + y >= 1
-        let p = ilp_lexmin(&cs, &[vec![1, 1], vec![1, 0]]).unwrap();
+        let p = ilp_lexmin(&cs, &[vec![1, 1], vec![1, 0]]).unwrap().unwrap();
         assert_eq!(p, vec![0, 1]);
     }
 
@@ -549,7 +578,7 @@ mod tests {
         let mut cs = ConstraintSystem::new(1);
         cs.add_ineq(vec![1, -5]);
         cs.add_ineq(vec![-1, 2]);
-        assert_eq!(ilp_lexmin(&cs, &[vec![1]]), None);
+        assert_eq!(ilp_lexmin(&cs, &[vec![1]]), Ok(None));
     }
 
     #[test]
@@ -619,9 +648,13 @@ mod tests {
         cs.add_ineq(vec![1, 1, -2]);
         let objectives = [vec![1, 0], vec![0, 1]];
         let mut cold = IlpStats::default();
-        let p_cold = ilp_lexmin_warm(&cs, &objectives, None, &mut cold).unwrap();
+        let p_cold = ilp_lexmin_warm(&cs, &objectives, None, &mut cold)
+            .unwrap()
+            .unwrap();
         let mut warm = IlpStats::default();
-        let p_warm = ilp_lexmin_warm(&cs, &objectives, Some(&[1, 1]), &mut warm).unwrap();
+        let p_warm = ilp_lexmin_warm(&cs, &objectives, Some(&[1, 1]), &mut warm)
+            .unwrap()
+            .unwrap();
         assert_eq!(p_cold, vec![0, 2]);
         assert_eq!(p_warm, p_cold);
         assert!(warm.nodes <= cold.nodes);
@@ -638,7 +671,9 @@ mod tests {
         cs.add_ineq(vec![-4, -1, 4]);
         cs.add_ineq(vec![-1, -4, 4]);
         let mut stats = IlpStats::default();
-        let p = ilp_lexmin_warm(&cs, &[vec![-1, -1]], None, &mut stats).unwrap();
+        let p = ilp_lexmin_warm(&cs, &[vec![-1, -1]], None, &mut stats)
+            .unwrap()
+            .unwrap();
         assert_eq!(p[0] + p[1], 1, "integer optimum of x + y is 1: {p:?}");
         assert_eq!(stats.fractional_stages, 1, "{stats:?}");
 
@@ -647,7 +682,9 @@ mod tests {
         cs.add_ineq(vec![1, -3]);
         cs.add_ineq(vec![-1, 5]);
         let mut stats = IlpStats::default();
-        let p = ilp_lexmin_warm(&cs, &[vec![1]], None, &mut stats).unwrap();
+        let p = ilp_lexmin_warm(&cs, &[vec![1]], None, &mut stats)
+            .unwrap()
+            .unwrap();
         assert_eq!(p, vec![3]);
         assert_eq!(stats.fractional_stages, 0, "{stats:?}");
     }
@@ -695,7 +732,9 @@ mod tests {
         cs.add_ineq(vec![-1, -4, 0, 4]); // x + 4y <= 4
         let objectives = [vec![-1, -1, 0], vec![0, 0, 1]];
         let mut stats = IlpStats::default();
-        let p = ilp_lexmin_warm(&cs, &objectives, None, &mut stats).unwrap();
+        let p = ilp_lexmin_warm(&cs, &objectives, None, &mut stats)
+            .unwrap()
+            .unwrap();
         assert_eq!(p[0] + p[1], 1, "integer max of x + y is 1: {p:?}");
         assert_eq!(p[2], 0);
         assert_eq!(stats.fractional_stages, 1, "{stats:?}");
@@ -749,19 +788,38 @@ mod tests {
     }
 
     #[test]
+    fn an_overflowing_relaxation_is_an_error_and_proves_nothing() {
+        let cs = crate::simplex::overflowing_system();
+        let objectives = [vec![1, 1, 1]];
+        let mut stats = IlpStats::default();
+        assert_eq!(ilp_minimize(&cs, &[1, 1, 1]), Err(MathError::Overflow));
+        assert_eq!(ilp_feasible_point(&cs), Err(MathError::Overflow));
+        assert_eq!(
+            ilp_lexmin_warm(&cs, &objectives, None, &mut stats),
+            Err(MathError::Overflow)
+        );
+        // `deps` reads `!ilp_feasible` as proof that no dependence
+        // exists, codegen reads `ineq_implied` as leave to drop a guard.
+        assert!(ilp_feasible(&cs), "a point may exist");
+        assert!(!ineq_implied(&cs, &[1, 0, 0, 0]), "the guard stays");
+    }
+
+    #[test]
     fn branch_bound_beyond_i64_makes_the_node_unusable() {
         // minimize x s.t. 2x >= 3y, y >= i64::MAX: the root vertex is
-        // x = 3·(2^63 − 1)/2, fractional and beyond i64. Its floor/ceil
-        // must not wrap into a (wrong, satisfiable) branch row.
+        // x = 3·(2^63 − 1)/2, fractional and beyond i64. The tableau
+        // cannot hold it, so the node is an error — not a wrapped branch
+        // row, and not the proof of emptiness a skipped node would be
+        // (the system has integer points).
         let mut cs = ConstraintSystem::new(2);
         cs.add_ineq(vec![2, -3, 0]);
         cs.add_ineq(vec![0, 1, -i64::MAX]);
         let mut stats = IlpStats::default();
         assert_eq!(
-            bb(&cs, &[1, 0], None, 64, &mut stats),
-            IlpOutcome::Infeasible
+            ilp_minimize_impl(&cs, &[1, 0], None, None, None, 64, &mut stats),
+            Err(MathError::Overflow)
         );
         assert_eq!(stats.nodes, 1, "{stats:?}");
-        assert_eq!(stats.fractional_stages, 1, "{stats:?}");
+        assert!(ilp_feasible(&cs), "a point may exist");
     }
 }

@@ -3,14 +3,16 @@
 //! This crate provides everything the scheduler stack needs and nothing
 //! more, implemented from scratch with **exact** arithmetic:
 //!
-//! * [`Rat`] — rational numbers over `i128`;
+//! * [`Rat`] — rational numbers over `i128`, for matrices and for the
+//!   values an LP reports;
 //! * [`IntMatrix`] / [`RatMatrix`] — dense matrices with rank, inversion,
 //!   Hermite normal form and the Pluto-style
 //!   [`orthogonal_complement`] used by the progression constraint;
 //! * [`ConstraintSystem`] — affine equality/inequality systems with exact
 //!   Fourier–Motzkin elimination (integer-tightening and rational
 //!   variants);
-//! * [`lp_minimize`] — exact two-phase rational simplex;
+//! * [`lp_minimize`] — exact two-phase simplex on an integer tableau
+//!   (one `i64` denominator per row; overflow is an error);
 //! * [`ilp_minimize`] / [`ilp_lexmin`] / [`ilp_feasible`] — branch-and-
 //!   bound ILP with the lexicographic minimization that drives schedule
 //!   coefficient selection;
@@ -42,7 +44,7 @@
 //! legal.add_ineq(vec![0, 1, 0]);  // t_R >= 0
 //! legal.add_ineq(vec![1, 1, -1]); // t_S + t_R >= 1
 //! let sol = ilp_lexmin(&legal, &[vec![1, 1], vec![1, 0]]).unwrap();
-//! assert_eq!(sol, vec![0, 1]);
+//! assert_eq!(sol, Some(vec![0, 1]));
 //! ```
 
 #![deny(missing_docs)]

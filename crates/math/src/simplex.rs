@@ -1,11 +1,22 @@
-//! Exact two-phase primal simplex over the rationals.
+//! Exact two-phase primal simplex on an integer tableau.
 //!
 //! Variables are unrestricted in sign (the standard-form translation
 //! `x = x⁺ − x⁻` happens internally); constraints come from a
 //! [`ConstraintSystem`]. The solver is exact — no floating point — so
 //! feasibility and optimality answers are decisions, not approximations.
+//!
+//! Every tableau row is a vector of `i64` numerators over one positive
+//! `i64` denominator of its own, kept free of common factors; products
+//! are formed in `i128` and narrowed back. The rational value of every
+//! cell — hence every sign test, pricing choice, ratio tie-break and
+//! vertex — is what a tableau of gcd-normalized rationals would hold
+//! (`tests/reference` is one, and the proptests compare against it). A
+//! value that does not fit is [`MathError::Overflow`], never a panic
+//! and never a wrapped number. `docs/SOLVER.md`, lever 0, has the
+//! reasons.
 
 use crate::consys::{ConstraintSystem, RowKind};
+use crate::error::{MathError, Result};
 use crate::rat::Rat;
 
 /// Result of a linear program.
@@ -30,6 +41,11 @@ pub enum LpOutcome {
 /// term — add constants outside). Uses Dantzig pricing with an automatic
 /// switch to Bland's rule to guarantee termination.
 ///
+/// # Errors
+///
+/// [`MathError::Overflow`] when a tableau entry outgrows `i64`; the
+/// system is then neither proven feasible nor infeasible.
+///
 /// # Examples
 ///
 /// ```
@@ -38,38 +54,58 @@ pub enum LpOutcome {
 /// // minimize x subject to x >= 3
 /// let mut cs = ConstraintSystem::new(1);
 /// cs.add_ineq(vec![1, -3]);
-/// match lp_minimize(&cs, &[1]) {
+/// match lp_minimize(&cs, &[1]).unwrap() {
 ///     LpOutcome::Optimal { value, .. } => assert_eq!(value, Rat::from(3)),
 ///     other => panic!("unexpected {other:?}"),
 /// }
 /// ```
-pub fn lp_minimize(cs: &ConstraintSystem, objective: &[i64]) -> LpOutcome {
+pub fn lp_minimize(cs: &ConstraintSystem, objective: &[i64]) -> Result<LpOutcome> {
     assert_eq!(objective.len(), cs.num_vars(), "objective length mismatch");
-    Tableau::build(cs).solve(objective)
+    let mut tab = Tableau::build(cs)?;
+    if !tab.phase1()? {
+        return Ok(LpOutcome::Infeasible);
+    }
+    tab.phase2(objective)
 }
 
 /// Whether `cs` admits any rational solution.
-pub fn lp_feasible(cs: &ConstraintSystem) -> bool {
-    let zeros = vec![0i64; cs.num_vars()];
-    !matches!(lp_minimize(cs, &zeros), LpOutcome::Infeasible)
+///
+/// # Errors
+///
+/// [`MathError::Overflow`], as [`lp_minimize`].
+pub fn lp_feasible(cs: &ConstraintSystem) -> Result<bool> {
+    Tableau::build(cs)?.phase1()
 }
 
 /// Dense simplex tableau in standard form `A z = b, z >= 0`.
 ///
-/// Column layout: `[x⁺ (n), x⁻ (n), slacks (m_ineq), artificials (m)]`.
+/// Column layout: `[x⁺ (n), x⁻ (n), slacks (m_ineq), artificials (m)]`,
+/// the artificials only until phase 1 has expelled them. Row `i` is
+/// `cells[i * (width + 1)..][..width + 1]`, its last cell the right-hand
+/// side, and stands for those numerators over `den[i]`. No cell is ever
+/// `i64::MIN`, so negating one cannot overflow and a difference of two
+/// cell products fits `i128`.
 struct Tableau {
-    n: usize,            // original variables
-    ncols: usize,        // structural + slack columns (no artificials)
-    nart: usize,         // artificial columns
-    rows: Vec<Vec<Rat>>, // m rows of length ncols + nart, plus rhs column appended
-    rhs: Vec<Rat>,
+    n: usize,     // original variables
+    ncols: usize, // structural + slack columns (no artificials)
+    width: usize, // columns of a row: `ncols`, plus the artificials in phase 1
+    cells: Vec<i64>,
+    den: Vec<i64>,     // positive, one per row
     basis: Vec<usize>, // basic column per row
+    /// Reduced costs over `cost_den`, laid out like a row; its last cell
+    /// is minus the objective value. Priced from scratch when
+    /// [`optimize`](Tableau::optimize) starts and carried through its
+    /// pivots; stale in between.
+    cost: Vec<i64>,
+    cost_den: i64,
+    /// Artificial columns, and zero rows that kept one basic, dropped
+    /// after phase 1. The iteration caps still count them, so the switch
+    /// to Bland's rule comes at the iteration it always came at.
+    dropped: usize,
     /// Dual-simplex pivots spent restoring feasibility after
     /// [`add_eq_row`](Tableau::add_eq_row) appended a row.
     dual_pivots: usize,
-    /// Times the guarded artificial-based fallback ran instead (the dual
-    /// pivot loop hit its cap; never expected on scheduler systems).
-    phase1_passes: usize,
+    nz: Vec<usize>, // scratch: non-zero columns of the pivot row
 }
 
 /// Sentinel basis entry for a freshly appended row before its first
@@ -77,92 +113,175 @@ struct Tableau {
 /// appending code pivots (or discards the row) before returning.
 const NO_BASIS: usize = usize::MAX;
 
+/// Narrows to a cell: `i64`, and not `i64::MIN`.
+fn fit(v: i128) -> Result<i64> {
+    match i64::try_from(v) {
+        Ok(v) if v != i64::MIN => Ok(v),
+        _ => Err(MathError::Overflow),
+    }
+}
+
+/// `-v`, which `i64::MIN` does not have.
+fn neg(v: i64) -> Result<i64> {
+    v.checked_neg().ok_or(MathError::Overflow)
+}
+
+/// [`crate::gcd`] on machine words: its `i128` remainder is a library
+/// call, this one an instruction.
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// Divides `row` and its denominator by their common factor.
+fn reduce(row: &mut [i64], den: &mut i64) {
+    let mut g = den.unsigned_abs();
+    if g == 1 {
+        return;
+    }
+    for &v in row.iter().filter(|&&v| v != 0) {
+        // Most entries are a multiple of what `g` already is.
+        let r = v.unsigned_abs() % g;
+        if r != 0 {
+            g = gcd(g, r);
+            if g == 1 {
+                return;
+            }
+        }
+    }
+    let g = g as i64; // a divisor of `den`
+    for v in row.iter_mut().filter(|v| **v != 0) {
+        *v /= g;
+    }
+    *den /= g;
+}
+
+fn nonzeros(row: &[i64], nz: &mut Vec<usize>) {
+    nz.clear();
+    nz.extend((0..row.len()).filter(|&j| row[j] != 0));
+}
+
+/// `row ← row − row[je] · prow`, both as rationals: `prow / pd` is a
+/// pivot row (1 in column `je`, non-zero exactly at `nz`) and `row /
+/// den` any other row, left with 0 in column `je`.
+///
+/// With `f = row[je]` cancelled against `pd`, the new numerators are
+/// `row · (pd/g) − (f/g) · prow` over `den · (pd/g)`. When `pd/g` is 1
+/// — always, for an integral pivot row — only the columns in `nz`
+/// change and the rest of the row is not written.
+///
+/// Numerators are narrowed as they are formed, before the row's common
+/// factor is divided out, so a row is refused at most that one factor
+/// early; the check bounds the reduced entries all the same.
+fn eliminate(
+    row: &mut [i64],
+    den: &mut i64,
+    (prow, pd): (&[i64], i64),
+    je: usize,
+    nz: &[usize],
+) -> Result<()> {
+    let f = row[je];
+    let g = gcd(f.unsigned_abs(), pd.unsigned_abs()) as i64;
+    let (f, scale) = (i128::from(f / g), i128::from(pd / g));
+    if scale != 1 {
+        for v in row.iter_mut().filter(|v| **v != 0) {
+            *v = fit(i128::from(*v) * scale)?;
+        }
+        *den = fit(i128::from(*den) * scale)?;
+    }
+    for &j in nz {
+        row[j] = fit(i128::from(row[j]) - f * i128::from(prow[j]))?;
+    }
+    reduce(row, den);
+    Ok(())
+}
+
 impl Tableau {
-    fn build(cs: &ConstraintSystem) -> Tableau {
+    fn build(cs: &ConstraintSystem) -> Result<Tableau> {
         let n = cs.num_vars();
         let m = cs.len();
         let num_ineq = cs.iter().filter(|(k, _)| *k == RowKind::Ineq).count();
         let ncols = 2 * n + num_ineq;
-        let nart = m;
-        let mut rows: Vec<Vec<Rat>> = Vec::with_capacity(m);
-        let mut rhs: Vec<Rat> = Vec::with_capacity(m);
-        let mut basis: Vec<usize> = Vec::with_capacity(m);
+        let width = ncols + m;
+        let mut cells = vec![0i64; m * (width + 1)];
         let mut slack_idx = 0usize;
-        for (ri, (kind, row)) in cs.iter().enumerate() {
-            // Row semantics: a·x + c (>=|==) 0  =>  a·x (>=|==) -c.
-            let mut r = vec![Rat::ZERO; ncols + nart];
-            let mut b = Rat::from(-row[n]);
-            let mut sign = Rat::ONE;
-            if b.is_negative() {
-                sign = -Rat::ONE;
-                b = -b;
-            }
+        for (ri, ((kind, row), r)) in cs.iter().zip(cells.chunks_exact_mut(width + 1)).enumerate() {
+            // Row semantics: a·x + c (>=|==) 0  =>  a·x (>=|==) -c, the
+            // whole row negated when -c < 0 so every rhs starts at |c|.
+            let negate = row[n] > 0;
             for j in 0..n {
-                let a = sign * Rat::from(row[j]);
-                r[j] = a;
-                r[n + j] = -a;
+                let minus = neg(row[j])?;
+                (r[j], r[n + j]) = if negate {
+                    (minus, row[j])
+                } else {
+                    (row[j], minus)
+                };
             }
             if kind == RowKind::Ineq {
-                // a·x - s = -c with s >= 0 (after sign normalization the
-                // slack coefficient is -sign).
-                r[2 * n + slack_idx] = -sign;
+                // a·x - s = -c with s >= 0, negated with the row.
+                r[2 * n + slack_idx] = if negate { 1 } else { -1 };
                 slack_idx += 1;
             }
             // Artificial variable for this row.
-            r[ncols + ri] = Rat::ONE;
-            basis.push(ncols + ri);
-            rows.push(r);
-            rhs.push(b);
+            r[ncols + ri] = 1;
+            r[width] = row[n].checked_abs().ok_or(MathError::Overflow)?;
         }
-        Tableau {
+        Ok(Tableau {
             n,
             ncols,
-            nart,
-            rows,
-            rhs,
-            basis,
+            width,
+            cells,
+            den: vec![1; m],
+            basis: (ncols..width).collect(),
+            cost: Vec::new(),
+            cost_den: 1,
+            dropped: 0,
             dual_pivots: 0,
-            phase1_passes: 0,
-        }
+            nz: Vec::new(),
+        })
     }
 
-    fn solve(mut self, objective: &[i64]) -> LpOutcome {
-        if !self.phase1() {
-            return LpOutcome::Infeasible;
+    /// Phase 1: minimize the sum of artificials; `true` iff feasible.
+    /// The artificial columns are gone afterwards.
+    fn phase1(&mut self) -> Result<bool> {
+        let mut cost1 = vec![0i64; self.width];
+        cost1[self.ncols..].fill(1);
+        // Bounded below by 0, so `optimize` cannot report unboundedness;
+        // the cost row's last cell is minus the sum it reached.
+        if !self.optimize(&cost1)? || self.cost[self.width] < 0 {
+            return Ok(false);
         }
-        match self.phase2(objective) {
-            None => LpOutcome::Unbounded,
-            Some((value, point)) => LpOutcome::Optimal { value, point },
-        }
-    }
-
-    /// Phase 1: minimize the sum of artificials; `true` iff feasible
-    /// (remaining artificials are driven out of the basis).
-    fn phase1(&mut self) -> bool {
-        let mut cost1 = vec![Rat::ZERO; self.ncols + self.nart];
-        for c in cost1.iter_mut().skip(self.ncols) {
-            *c = Rat::ONE;
-        }
-        // Phase 1 is bounded below by 0, so `optimize` cannot return None.
-        let Some((z1, _)) = self.optimize(&cost1, /*restrict_arts=*/ false) else {
-            return false;
-        };
-        if z1.is_positive() {
-            return false;
-        }
-        self.expel_artificials();
-        true
+        self.expel_artificials()?;
+        self.drop_artificials();
+        Ok(true)
     }
 
     /// Phase 2: the original objective on x⁺/x⁻ columns, starting from
-    /// the current (feasible) basis. `None` means unbounded.
-    fn phase2(&mut self, objective: &[i64]) -> Option<(Rat, Vec<Rat>)> {
-        let mut cost2 = vec![Rat::ZERO; self.ncols + self.nart];
-        for j in 0..self.n {
-            cost2[j] = Rat::from(objective[j]);
-            cost2[self.n + j] = -Rat::from(objective[j]);
+    /// the current (feasible) basis.
+    fn phase2(&mut self, objective: &[i64]) -> Result<LpOutcome> {
+        let n = self.n;
+        let mut cost2 = vec![0i64; self.width];
+        for (j, &c) in objective.iter().enumerate() {
+            cost2[j] = c;
+            cost2[n + j] = neg(c)?;
         }
-        self.optimize(&cost2, /*restrict_arts=*/ true)
+        if !self.optimize(&cost2)? {
+            return Ok(LpOutcome::Unbounded);
+        }
+        let mut point = vec![Rat::ZERO; n];
+        let rows = self.cells.chunks_exact(self.width + 1);
+        for ((row, &den), &bj) in rows.zip(&self.den).zip(&self.basis) {
+            let rhs = Rat::new(row[self.width].into(), den.into());
+            if bj < n {
+                point[bj] += rhs;
+            } else if bj < 2 * n {
+                point[bj - n] -= rhs;
+            }
+        }
+        let value = Rat::new(-i128::from(self.cost[self.width]), self.cost_den.into());
+        Ok(LpOutcome::Optimal { value, point })
     }
 
     /// Appends the equality `row · x + c == 0` to a solved tableau and
@@ -176,265 +295,233 @@ impl Tableau {
     /// every reduced cost is identically zero, so the tableau is
     /// trivially dual-feasible throughout, every entering ratio ties at
     /// zero, and smallest-index tie-breaks make the walk finite (and
-    /// deterministic). A guarded artificial-based fallback remains for
-    /// the pivot-cap case and is counted in `phase1_passes`.
-    fn add_eq_row(&mut self, row: &[i64]) -> bool {
-        let n = self.n;
-        let width = self.ncols + self.nart;
-        // Raw row over [x⁺, x⁻, slacks, artificials], rhs = -c.
-        let mut r = vec![Rat::ZERO; width];
-        let mut b = Rat::from(-row[n]);
+    /// deterministic).
+    fn add_eq_row(&mut self, row: &[i64]) -> Result<bool> {
+        let (n, w) = (self.n, self.width);
+        let nrows = self.den.len();
+        // Raw row over [x⁺, x⁻, slacks], rhs = -c, denominator 1.
+        self.cells.resize((nrows + 1) * (w + 1), 0);
+        let (rows, r) = self.cells.split_at_mut(nrows * (w + 1));
         for j in 0..n {
-            let a = Rat::from(row[j]);
-            r[j] = a;
-            r[n + j] = -a;
+            r[j] = row[j];
+            r[n + j] = neg(row[j])?;
         }
+        r[w] = neg(row[n])?;
+        let mut den = 1i64;
         // Reduce by the current basis so basic columns keep their
         // identity structure in the new row.
-        for i in 0..self.rows.len() {
-            let f = r[self.basis[i]];
-            if f.is_zero() {
-                continue;
+        for ((prow, &pd), &bj) in rows.chunks_exact(w + 1).zip(&self.den).zip(&self.basis) {
+            if r[bj] != 0 {
+                nonzeros(prow, &mut self.nz);
+                eliminate(r, &mut den, (prow, pd), bj, &self.nz)?;
             }
-            let pivot_rhs = self.rhs[i];
-            let pivot_row = self.rows[i].clone();
-            for (v, pv) in r.iter_mut().zip(&pivot_row) {
-                if !pv.is_zero() {
-                    let s = f * *pv;
-                    *v -= s;
-                }
-            }
-            b -= f * pivot_rhs;
         }
         // Dual-simplex sign convention: the appended row enters with a
         // non-positive residual so it reads as the one infeasible row.
-        if b.is_positive() {
-            for v in &mut r {
+        if r[w] > 0 {
+            for v in r.iter_mut() {
                 *v = -*v;
             }
-            b = -b;
         }
-        if r[..self.ncols].iter().all(|v| v.is_zero()) {
-            // No structural support left after reduction: the equality
-            // is implied (zero residual) or contradicts the system. The
-            // residual may still touch artificial columns, but those are
-            // zero on every feasible point, so they cannot carry it.
-            return b.is_zero();
-        }
-        self.rows.push(r);
-        self.rhs.push(b);
+        let residual = r[w];
+        let Some(je) = r[..w].iter().position(|&v| v != 0) else {
+            // No support left after reduction: the equality is implied
+            // (zero residual) or contradicts the system.
+            self.cells.truncate(nrows * (w + 1));
+            return Ok(residual == 0);
+        };
+        self.den.push(den);
         self.basis.push(NO_BASIS);
-        if b.is_zero() {
+        if residual == 0 {
             // The current vertex already satisfies the equality: one
             // degenerate pivot gives the row a basic column without
             // moving the point (rhs 0 leaves every other row intact).
-            let new_row = self.rows.len() - 1;
-            let je = (0..self.ncols)
-                .find(|&j| !self.rows[new_row][j].is_zero())
-                .expect("structural support checked above");
-            self.pivot(new_row, je);
-            return true;
+            self.pivot(nrows, je)?;
+            return Ok(true);
         }
         self.dual_reoptimize()
     }
 
     /// The dual-simplex loop: while some row is primal-infeasible
     /// (negative rhs), pivot it feasible. Returns `false` on proven
-    /// primal infeasibility. Falls back to the artificial-based repair
-    /// (counted in `phase1_passes`) if the pivot cap is hit.
-    fn dual_reoptimize(&mut self) -> bool {
-        let cap = 4 * (self.ncols + self.nart + self.rows.len());
+    /// primal infeasibility — and at the pivot cap, where the tableau is
+    /// given up rather than repaired (Bland's rule terminates, so the
+    /// cap is a guard against a bug, not a case with an answer).
+    fn dual_reoptimize(&mut self) -> Result<bool> {
+        let (w, s) = (self.width, self.width + 1);
+        let cap = 4 * (w + self.dropped + self.den.len());
         let mut steps = 0usize;
         loop {
             // Leaving row: Bland — smallest basic index among the
             // infeasible rows (a fresh `NO_BASIS` row sorts last but is
             // the only infeasible row when it is present).
-            let Some(li) = (0..self.rows.len())
-                .filter(|&i| self.rhs[i].is_negative())
+            let Some(li) = (0..self.den.len())
+                .filter(|&i| self.cells[i * s + w] < 0)
                 .min_by_key(|&i| self.basis[i])
             else {
-                return true;
+                return Ok(true);
             };
             if steps >= cap {
-                self.phase1_passes += 1;
-                return self.restore_feasibility_phase1();
+                return Ok(false);
             }
             steps += 1;
-            // Entering column: smallest-index eligible column with a
-            // negative entry (all reduced-cost ratios tie at zero under
-            // the zero cost vector — see `add_eq_row`).
-            let Some(je) = (0..self.ncols)
-                .find(|&j| self.rows[li][j].is_negative() && !self.basis.contains(&j))
-            else {
-                return false; // the row cannot be made feasible
+            // Entering column: smallest-index column with a negative
+            // entry (all reduced-cost ratios tie at zero under the zero
+            // cost vector — see `add_eq_row`). It is never a basic one:
+            // those read 0 in this row, or 1 if it is the row's own.
+            let Some(je) = self.cells[li * s..][..w].iter().position(|&v| v < 0) else {
+                return Ok(false); // the row cannot be made feasible
             };
             self.dual_pivots += 1;
-            self.pivot(li, je);
+            self.pivot(li, je)?;
         }
     }
 
-    /// Artificial-based feasibility repair: every infeasible row is
-    /// sign-normalized and given a fresh basic artificial, then one
-    /// restricted phase-1 pass drives the artificials back to zero. The
-    /// guarded fallback of [`dual_reoptimize`](Tableau::dual_reoptimize).
-    fn restore_feasibility_phase1(&mut self) -> bool {
-        let _timing = polytops_obs::time("simplex.phase1_ns");
-        let width = self.ncols + self.nart;
-        let bad: Vec<usize> = (0..self.rows.len())
-            .filter(|&i| self.rhs[i].is_negative())
-            .collect();
-        for (k, &i) in bad.iter().enumerate() {
-            for v in &mut self.rows[i] {
-                *v = -*v;
-            }
-            self.rhs[i] = -self.rhs[i];
-            self.basis[i] = width + k;
-        }
-        for (i, rr) in self.rows.iter_mut().enumerate() {
-            for &bi in &bad {
-                rr.push(if i == bi { Rat::ONE } else { Rat::ZERO });
+    /// Runs the simplex loop for the given cost vector (one integer per
+    /// column) and leaves minus the optimal value in the cost row's
+    /// last cell; `false` means unbounded.
+    fn optimize(&mut self, cost: &[i64]) -> Result<bool> {
+        let (w, s) = (self.width, self.width + 1);
+        // Reduced costs c_j - c_B · B⁻¹ A_j: the rows are B⁻¹ A, so
+        // eliminating each basic column from the raw cost row prices it.
+        self.cost.clear();
+        self.cost.extend_from_slice(cost);
+        self.cost.push(0);
+        self.cost_den = 1;
+        for ((prow, &pd), &bj) in self.cells.chunks_exact(s).zip(&self.den).zip(&self.basis) {
+            if self.cost[bj] != 0 {
+                nonzeros(prow, &mut self.nz);
+                let (cost, den) = (&mut self.cost, &mut self.cost_den);
+                eliminate(cost, den, (prow, pd), bj, &self.nz)?;
             }
         }
-        self.nart += bad.len();
-        let mut cost = vec![Rat::ZERO; self.ncols + self.nart];
-        for k in 0..bad.len() {
-            cost[width + k] = Rat::ONE;
-        }
-        let Some((z, _)) = self.optimize(&cost, /*restrict_arts=*/ true) else {
-            return false;
-        };
-        if z.is_positive() {
-            return false;
-        }
-        self.expel_artificials();
-        true
-    }
-
-    /// Runs the simplex loop for the given cost vector. Returns
-    /// `(objective value, original-variable point)` or `None` if unbounded.
-    fn optimize(&mut self, cost: &[Rat], restrict_arts: bool) -> Option<(Rat, Vec<Rat>)> {
-        let total_cols = self.ncols + self.nart;
-        // Reduced costs are computed on demand: c_j - c_B · B⁻¹ A_j. Since we
-        // keep the tableau fully updated (rows are B⁻¹ A), the reduced cost
-        // is c_j - sum_i c_{basis[i]} * rows[i][j].
         let mut iters = 0usize;
-        let max_dantzig = 4 * (total_cols + self.rows.len());
+        let max_dantzig = 4 * (w + self.dropped + self.den.len());
         loop {
             iters += 1;
             let bland = iters > max_dantzig;
-            // Compute multipliers y_i = cost of basic var in row i.
-            let cb: Vec<Rat> = self.basis.iter().map(|&j| cost[j]).collect();
-            // Entering column: negative reduced cost.
-            let mut enter: Option<(usize, Rat)> = None;
-            for j in 0..total_cols {
-                if restrict_arts && j >= self.ncols {
-                    continue; // artificials stay out in phase 2
-                }
-                if self.basis.contains(&j) {
-                    continue;
-                }
-                let mut red = cost[j];
-                for (i, r) in self.rows.iter().enumerate() {
-                    if !cb[i].is_zero() && !r[j].is_zero() {
-                        red -= cb[i] * r[j];
-                    }
-                }
-                if red.is_negative() {
+            // Entering column: negative reduced cost — the most negative
+            // (Dantzig) or the first (Bland). Basic columns read 0.
+            let mut enter: Option<usize> = None;
+            for (j, &red) in self.cost[..w].iter().enumerate() {
+                if red < 0 {
                     if bland {
-                        enter = Some((j, red));
+                        enter = Some(j);
                         break;
                     }
-                    match &enter {
-                        None => enter = Some((j, red)),
-                        Some((_, best)) if red < *best => enter = Some((j, red)),
-                        _ => {}
+                    if enter.is_none_or(|best| red < self.cost[best]) {
+                        enter = Some(j);
                     }
                 }
             }
-            let Some((je, _)) = enter else {
-                // Optimal: compute value and point.
-                let mut point = vec![Rat::ZERO; self.n];
-                for (i, &bj) in self.basis.iter().enumerate() {
-                    if bj < self.n {
-                        point[bj] += self.rhs[i];
-                    } else if bj < 2 * self.n {
-                        point[bj - self.n] -= self.rhs[i];
-                    }
-                }
-                let mut value = Rat::ZERO;
-                for (i, &bj) in self.basis.iter().enumerate() {
-                    if !cost[bj].is_zero() {
-                        value += cost[bj] * self.rhs[i];
-                    }
-                }
-                return Some((value, point));
+            let Some(je) = enter else {
+                return Ok(true);
             };
-            // Ratio test (Bland tie-break on basis index).
-            let mut leave: Option<(usize, Rat)> = None;
-            for i in 0..self.rows.len() {
-                let a = self.rows[i][je];
-                if a.is_positive() {
-                    let ratio = self.rhs[i] / a;
-                    match &leave {
-                        None => leave = Some((i, ratio)),
-                        Some((li, best)) => {
-                            if ratio < *best || (ratio == *best && self.basis[i] < self.basis[*li])
-                            {
-                                leave = Some((i, ratio));
-                            }
-                        }
-                    }
+            // Ratio test (Bland tie-break on basis index). A row's
+            // denominator cancels out of rhs / entry.
+            let mut leave: Option<usize> = None;
+            for i in 0..self.den.len() {
+                let (a, b) = (self.cells[i * s + je], self.cells[i * s + w]);
+                if a <= 0 {
+                    continue;
+                }
+                let better = leave.is_none_or(|l| {
+                    let (la, lb) = (self.cells[l * s + je], self.cells[l * s + w]);
+                    let (ratio, best) = (
+                        i128::from(b) * i128::from(la),
+                        i128::from(lb) * i128::from(a),
+                    );
+                    ratio < best || (ratio == best && self.basis[i] < self.basis[l])
+                });
+                if better {
+                    leave = Some(i);
                 }
             }
-            let Some((li, _)) = leave else {
-                return None; // unbounded
+            let Some(li) = leave else {
+                return Ok(false); // unbounded
             };
-            self.pivot(li, je);
+            self.pivot(li, je)?;
+            let pivot_row = (&self.cells[li * s..][..s], self.den[li]);
+            let (cost, den) = (&mut self.cost, &mut self.cost_den);
+            eliminate(cost, den, pivot_row, je, &self.nz)?;
         }
     }
 
-    fn pivot(&mut self, li: usize, je: usize) {
-        let p = self.rows[li][je];
-        let inv = p.recip();
-        for v in &mut self.rows[li] {
-            *v *= inv;
+    /// Makes column `je` basic in row `li`, and leaves the row's
+    /// non-zero columns in `self.nz`.
+    fn pivot(&mut self, li: usize, je: usize) -> Result<()> {
+        let s = self.width + 1;
+        let (before, rest) = self.cells.split_at_mut(li * s);
+        let (prow, after) = rest.split_at_mut(s);
+        let (den_before, den_rest) = self.den.split_at_mut(li);
+        let (pd, den_after) = den_rest.split_first_mut().expect("pivot row in range");
+        // Dividing the row by its pivot entry p/den leaves numerators
+        // over |p|, with the sign of p moved into them.
+        let p = prow[je];
+        if p < 0 {
+            for v in prow.iter_mut() {
+                *v = -*v;
+            }
         }
-        self.rhs[li] *= inv;
-        let pivot_row = self.rows[li].clone();
-        let pivot_rhs = self.rhs[li];
-        for i in 0..self.rows.len() {
-            if i == li {
-                continue;
+        *pd = p.abs();
+        reduce(prow, pd);
+        nonzeros(prow, &mut self.nz);
+        let pivot_row = (&*prow, *pd);
+        let others = (before.chunks_exact_mut(s).zip(den_before))
+            .chain(after.chunks_exact_mut(s).zip(den_after));
+        for (row, den) in others {
+            if row[je] != 0 {
+                eliminate(row, den, pivot_row, je, &self.nz)?;
             }
-            let f = self.rows[i][je];
-            if f.is_zero() {
-                continue;
-            }
-            for (v, pv) in self.rows[i].iter_mut().zip(&pivot_row) {
-                if !pv.is_zero() {
-                    let s = f * *pv;
-                    *v -= s;
-                }
-            }
-            let s = f * pivot_rhs;
-            self.rhs[i] -= s;
         }
         self.basis[li] = je;
+        Ok(())
     }
 
     /// After phase 1, pivots remaining artificial basics to structural
     /// columns (or leaves degenerate zero rows harmlessly basic).
-    fn expel_artificials(&mut self) {
-        for i in 0..self.rows.len() {
+    fn expel_artificials(&mut self) -> Result<()> {
+        let s = self.width + 1;
+        for i in 0..self.den.len() {
             if self.basis[i] >= self.ncols {
                 // Find a structural column with nonzero entry to pivot in.
-                if let Some(j) = (0..self.ncols).find(|&j| !self.rows[i][j].is_zero()) {
-                    self.pivot(i, j);
+                let row = &self.cells[i * s..][..self.ncols];
+                if let Some(j) = row.iter().position(|&v| v != 0) {
+                    self.pivot(i, j)?;
                 }
                 // Otherwise the row is all-zero over structurals (redundant
                 // constraint); its rhs must be zero after a feasible phase 1.
             }
         }
+        Ok(())
+    }
+
+    /// Compacts the tableau to its structural columns once no
+    /// artificial is basic in a row with structural support. Artificial
+    /// columns never enter again and no pivot reads them, and a zero row
+    /// that kept one basic takes no part in any ratio test or update —
+    /// but together they hold B⁻¹, the densest third of the tableau.
+    fn drop_artificials(&mut self) {
+        let (old, new) = (self.width + 1, self.ncols + 1);
+        let mut kept = 0usize;
+        for i in 0..self.den.len() {
+            if self.basis[i] >= self.ncols {
+                continue;
+            }
+            let (src, dst) = (i * old, kept * new);
+            self.cells.copy_within(src..src + self.ncols, dst);
+            self.cells[dst + self.ncols] = self.cells[src + self.width];
+            self.den[kept] = self.den[i];
+            self.basis[kept] = self.basis[i];
+            // The B⁻¹ entries may have been all that kept a factor in.
+            reduce(&mut self.cells[dst..dst + new], &mut self.den[kept]);
+            kept += 1;
+        }
+        self.dropped = (self.width - self.ncols) + (self.den.len() - kept);
+        self.width = self.ncols;
+        self.cells.truncate(kept * new);
+        self.den.truncate(kept);
+        self.basis.truncate(kept);
     }
 }
 
@@ -461,55 +548,74 @@ impl Tableau {
 /// cs.add_ineq(vec![0, 1, 0]);
 /// cs.add_ineq(vec![0, -1, 2]);
 /// cs.add_ineq(vec![1, 1, -2]);
-/// let mut lp = IncrementalLp::new(&cs);
-/// let LpOutcome::Optimal { value, .. } = lp.minimize(&[1, 0]) else { panic!() };
+/// let mut lp = IncrementalLp::new(&cs).unwrap();
+/// let LpOutcome::Optimal { value, .. } = lp.minimize(&[1, 0]).unwrap() else { panic!() };
 /// assert_eq!(value, Rat::from(0));
-/// assert!(lp.pin_eq(&[1, 0, 0])); // pin x == 0, re-pivot on one row
-/// let LpOutcome::Optimal { value, .. } = lp.minimize(&[0, 1]) else { panic!() };
+/// assert!(lp.pin_eq(&[1, 0, 0]).unwrap()); // pin x == 0, re-pivot on one row
+/// let LpOutcome::Optimal { value, .. } = lp.minimize(&[0, 1]).unwrap() else { panic!() };
 /// assert_eq!(value, Rat::from(2));
 /// ```
 pub struct IncrementalLp {
     tab: Tableau,
-    feasible: bool,
+    /// Whether the system with every pinned row so far is feasible — or
+    /// the error that stopped a pivot half-way, which every later call
+    /// repeats rather than read the tableau it left.
+    state: Result<bool>,
 }
 
 impl IncrementalLp {
     /// Builds the tableau and runs phase 1.
-    pub fn new(cs: &ConstraintSystem) -> IncrementalLp {
-        let mut tab = Tableau::build(cs);
-        let feasible = tab.phase1();
-        IncrementalLp { tab, feasible }
+    ///
+    /// # Errors
+    ///
+    /// [`MathError::Overflow`] when a tableau entry outgrows `i64`.
+    pub fn new(cs: &ConstraintSystem) -> Result<IncrementalLp> {
+        let mut tab = Tableau::build(cs)?;
+        let state = Ok(tab.phase1()?);
+        Ok(IncrementalLp { tab, state })
     }
 
     /// Whether the system (with every pinned row so far) is feasible.
     pub fn is_feasible(&self) -> bool {
-        self.feasible
+        self.state == Ok(true)
     }
 
     /// Minimizes `objective · x` from the current basis.
-    pub fn minimize(&mut self, objective: &[i64]) -> LpOutcome {
+    ///
+    /// # Errors
+    ///
+    /// [`MathError::Overflow`] when a tableau entry outgrows `i64`, now
+    /// or in an earlier call.
+    pub fn minimize(&mut self, objective: &[i64]) -> Result<LpOutcome> {
         assert_eq!(objective.len(), self.tab.n, "objective length mismatch");
-        if !self.feasible {
-            return LpOutcome::Infeasible;
+        if !self.state.clone()? {
+            return Ok(LpOutcome::Infeasible);
         }
-        match self.tab.phase2(objective) {
-            None => LpOutcome::Unbounded,
-            Some((value, point)) => LpOutcome::Optimal { value, point },
+        let outcome = self.tab.phase2(objective);
+        if let Err(e) = &outcome {
+            self.state = Err(e.clone());
         }
+        outcome
     }
 
     /// Pins the equality `row · x + c == 0` (`row` has `n + 1` entries)
     /// and restores feasibility with dual-simplex pivots on the existing
     /// basis. Returns `false` (and stays infeasible) when the pinned
-    /// system has no solution.
-    pub fn pin_eq(&mut self, row: &[i64]) -> bool {
+    /// system has no solution, and when the dual pivot loop hit its cap
+    /// and gave the tableau up.
+    ///
+    /// # Errors
+    ///
+    /// [`MathError::Overflow`] when a tableau entry outgrows `i64`, now
+    /// or in an earlier call.
+    pub fn pin_eq(&mut self, row: &[i64]) -> Result<bool> {
         assert_eq!(row.len(), self.tab.n + 1, "row length mismatch");
-        if !self.feasible {
-            return false;
+        if !self.state.clone()? {
+            return Ok(false);
         }
         let _timing = polytops_obs::time("simplex.pin_eq_ns");
-        self.feasible = self.tab.add_eq_row(row);
-        self.feasible
+        self.state = self.tab.add_eq_row(row);
+        self.state.clone()
     }
 
     /// Dual-simplex pivots spent by [`pin_eq`](IncrementalLp::pin_eq)
@@ -517,13 +623,21 @@ impl IncrementalLp {
     pub fn dual_pivots(&self) -> usize {
         self.tab.dual_pivots
     }
+}
 
-    /// Artificial-based phase-1 fallback passes taken by
-    /// [`pin_eq`](IncrementalLp::pin_eq) (the dual pivot loop hit its
-    /// cap; zero on every known workload).
-    pub fn phase1_passes(&self) -> usize {
-        self.tab.phase1_passes
-    }
+/// Three rows of near-`i64::MAX` coefficients: the second pivot
+/// already needs a product of two of them.
+#[cfg(test)]
+pub(crate) fn overflowing_system() -> ConstraintSystem {
+    const M: i64 = i64::MAX;
+    let mut cs = ConstraintSystem::new(3);
+    cs.add_ineq(vec![M, -(M - 2), 0, -1]);
+    cs.add_ineq(vec![0, M - 4, -(M - 6), -1]);
+    cs.add_ineq(vec![-(M - 10), 0, M - 8, -1]);
+    cs.add_ineq(vec![1, 0, 0, 0]);
+    cs.add_ineq(vec![0, 1, 0, 0]);
+    cs.add_ineq(vec![0, 0, 1, 0]);
+    cs
 }
 
 #[cfg(test)]
@@ -531,7 +645,7 @@ mod tests {
     use super::*;
 
     fn optimal(cs: &ConstraintSystem, obj: &[i64]) -> (Rat, Vec<Rat>) {
-        match lp_minimize(cs, obj) {
+        match lp_minimize(cs, obj).unwrap() {
             LpOutcome::Optimal { value, point } => (value, point),
             other => panic!("expected optimal, got {other:?}"),
         }
@@ -585,15 +699,15 @@ mod tests {
         let mut cs = ConstraintSystem::new(1);
         cs.add_ineq(vec![1, -5]); // x >= 5
         cs.add_ineq(vec![-1, 2]); // x <= 2
-        assert_eq!(lp_minimize(&cs, &[1]), LpOutcome::Infeasible);
-        assert!(!lp_feasible(&cs));
+        assert_eq!(lp_minimize(&cs, &[1]), Ok(LpOutcome::Infeasible));
+        assert_eq!(lp_feasible(&cs), Ok(false));
     }
 
     #[test]
     fn detects_unbounded() {
         let mut cs = ConstraintSystem::new(1);
         cs.add_ineq(vec![1, 0]); // x >= 0
-        assert_eq!(lp_minimize(&cs, &[-1]), LpOutcome::Unbounded);
+        assert_eq!(lp_minimize(&cs, &[-1]), Ok(LpOutcome::Unbounded));
     }
 
     #[test]
@@ -614,15 +728,14 @@ mod tests {
         cs.add_ineq(vec![-1, 0, 3]);
         cs.add_ineq(vec![0, 1, 0]);
         cs.add_ineq(vec![0, -1, 3]);
-        let mut lp = IncrementalLp::new(&cs);
-        let LpOutcome::Optimal { value, .. } = lp.minimize(&[1, 1]) else {
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        let LpOutcome::Optimal { value, .. } = lp.minimize(&[1, 1]).unwrap() else {
             panic!()
         };
         assert_eq!(value, Rat::from(0));
-        assert!(lp.pin_eq(&[1, 1, -2]));
+        assert!(lp.pin_eq(&[1, 1, -2]).unwrap());
         assert!(lp.dual_pivots() >= 1, "the pin must re-pivot");
-        assert_eq!(lp.phase1_passes(), 0, "no artificial fallback");
-        let LpOutcome::Optimal { value, point } = lp.minimize(&[1, 0]) else {
+        let LpOutcome::Optimal { value, point } = lp.minimize(&[1, 0]).unwrap() else {
             panic!()
         };
         assert_eq!(value, Rat::from(0));
@@ -636,15 +749,14 @@ mod tests {
         let mut cs = ConstraintSystem::new(1);
         cs.add_ineq(vec![1, -1]);
         cs.add_ineq(vec![-1, 4]);
-        let mut lp = IncrementalLp::new(&cs);
-        let LpOutcome::Optimal { value, .. } = lp.minimize(&[1]) else {
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        let LpOutcome::Optimal { value, .. } = lp.minimize(&[1]).unwrap() else {
             panic!()
         };
         assert_eq!(value, Rat::from(1));
-        assert!(lp.pin_eq(&[1, -1]));
+        assert!(lp.pin_eq(&[1, -1]).unwrap());
         assert_eq!(lp.dual_pivots(), 0);
-        assert_eq!(lp.phase1_passes(), 0);
-        let LpOutcome::Optimal { value, .. } = lp.minimize(&[-1]) else {
+        let LpOutcome::Optimal { value, .. } = lp.minimize(&[-1]).unwrap() else {
             panic!()
         };
         assert_eq!(value, Rat::from(-1), "the pin holds x at 1");
@@ -655,10 +767,10 @@ mod tests {
         let mut cs = ConstraintSystem::new(1);
         cs.add_ineq(vec![1, 0]); // x >= 0
         cs.add_ineq(vec![-1, 2]); // x <= 2
-        let mut lp = IncrementalLp::new(&cs);
-        assert!(!lp.pin_eq(&[1, -7])); // x == 7 is out of the box
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        assert!(!lp.pin_eq(&[1, -7]).unwrap()); // x == 7 is out of the box
         assert!(!lp.is_feasible());
-        assert_eq!(lp.minimize(&[1]), LpOutcome::Infeasible);
+        assert_eq!(lp.minimize(&[1]), Ok(LpOutcome::Infeasible));
     }
 
     #[test]
@@ -670,23 +782,96 @@ mod tests {
         cs.add_ineq(vec![1, 0, 0, 0]);
         cs.add_ineq(vec![0, 1, 0, 0]);
         cs.add_ineq(vec![0, 0, 1, 0]);
-        let mut lp = IncrementalLp::new(&cs);
-        let LpOutcome::Optimal { value, .. } = lp.minimize(&[1, 0, 0]) else {
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        let LpOutcome::Optimal { value, .. } = lp.minimize(&[1, 0, 0]).unwrap() else {
             panic!()
         };
         assert_eq!(value, Rat::from(0));
-        assert!(lp.pin_eq(&[1, 0, 0, 0]));
-        let LpOutcome::Optimal { value, .. } = lp.minimize(&[0, 1, 0]) else {
+        assert!(lp.pin_eq(&[1, 0, 0, 0]).unwrap());
+        let LpOutcome::Optimal { value, .. } = lp.minimize(&[0, 1, 0]).unwrap() else {
             panic!()
         };
         assert_eq!(value, Rat::from(0));
-        assert!(lp.pin_eq(&[0, 1, 0, 0]));
-        let LpOutcome::Optimal { value, point } = lp.minimize(&[0, 0, 1]) else {
+        assert!(lp.pin_eq(&[0, 1, 0, 0]).unwrap());
+        let LpOutcome::Optimal { value, point } = lp.minimize(&[0, 0, 1]).unwrap() else {
             panic!()
         };
         assert_eq!(value, Rat::from(6));
         assert_eq!(point[2], Rat::from(6));
-        assert_eq!(lp.phase1_passes(), 0);
+    }
+
+    #[test]
+    fn overflow_is_an_error_not_a_panic() {
+        let cs = overflowing_system();
+        assert_eq!(lp_minimize(&cs, &[1, 1, 1]), Err(MathError::Overflow));
+        assert_eq!(lp_feasible(&cs), Err(MathError::Overflow));
+        assert_eq!(IncrementalLp::new(&cs).err(), Some(MathError::Overflow));
+        // An input that cannot be negated is refused at the door.
+        let mut cs = ConstraintSystem::new(1);
+        cs.add_ineq(vec![i64::MIN, 0]);
+        assert_eq!(lp_minimize(&cs, &[1]), Err(MathError::Overflow));
+    }
+
+    #[test]
+    fn an_overflowing_pin_poisons_the_tableau() {
+        // x in [0, 2^62] maximized: reducing the pinned row 4x + y == 5
+        // by the row that holds x = 2^62 needs 4 · 2^62.
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_ineq(vec![1, 0, 0]);
+        cs.add_ineq(vec![0, 1, 0]);
+        cs.add_ineq(vec![-1, 0, 1 << 62]);
+        cs.add_ineq(vec![0, -1, 1]);
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        assert!(lp.minimize(&[-1, 0]).is_ok());
+        assert_eq!(lp.pin_eq(&[4, 1, -5]), Err(MathError::Overflow));
+        // Half-pivoted: every later call repeats the error.
+        assert!(!lp.is_feasible());
+        assert_eq!(lp.minimize(&[1, 0]), Err(MathError::Overflow));
+        assert_eq!(lp.pin_eq(&[1, 0, 0]), Err(MathError::Overflow));
+    }
+
+    #[test]
+    fn rows_sharing_a_large_factor_stay_narrow() {
+        // 2^40 · {x + 2y >= 4, 3x + y >= 3, x + y <= 10}: the slacks
+        // count in units of 2^-40, so entries of that size are the
+        // rationals themselves — but each row keeps one factor of it, in
+        // its denominator, where unreduced rows would be at 2^80 by the
+        // second pivot.
+        const K: i64 = 1 << 40;
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_ineq(vec![K, 2 * K, -4 * K]);
+        cs.add_ineq(vec![3 * K, K, -3 * K]);
+        cs.add_ineq(vec![-K, -K, 10 * K]);
+        let mut tab = Tableau::build(&cs).unwrap();
+        assert_eq!(tab.phase1(), Ok(true));
+        let widest = tab.cells.iter().chain(&tab.den).map(|v| v.abs()).max();
+        assert!(widest < Some(100 * K), "{:?} / {:?}", tab.cells, tab.den);
+        assert_eq!(
+            tab.phase2(&[1, 1]),
+            Ok(LpOutcome::Optimal {
+                value: Rat::new(11, 5),
+                point: vec![Rat::new(2, 5), Rat::new(9, 5)],
+            })
+        );
+    }
+
+    #[test]
+    fn artificial_columns_are_gone_after_phase1() {
+        // n = 2, three inequalities and two equalities, one of them
+        // redundant: its zero row goes with the artificial it kept.
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_ineq(vec![1, 0, 0]);
+        cs.add_ineq(vec![0, 1, 0]);
+        cs.add_ineq(vec![-1, -1, 8]);
+        cs.add_eq(vec![1, -1, 0]);
+        cs.add_eq(vec![2, -2, 0]);
+        let mut tab = Tableau::build(&cs).unwrap();
+        assert_eq!((tab.width, tab.den.len()), (2 * 2 + 3 + 5, 5));
+        assert_eq!(tab.phase1(), Ok(true));
+        assert_eq!((tab.width, tab.den.len()), (2 * 2 + 3, 4));
+        assert_eq!(tab.cells.len(), 4 * (tab.width + 1));
+        assert!(tab.basis.iter().all(|&b| b < tab.width));
+        assert_eq!(tab.dropped, 5 + 1);
     }
 
     #[test]
