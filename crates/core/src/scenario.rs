@@ -17,9 +17,9 @@
 //!   [`PipelineStats::farkas_hits`] of the later scenarios measure
 //!   exactly this cross-scenario amortization;
 //! * [`ScenarioSet::run_sharded`] executes the jobs on a work-stealing
-//!   pool of scoped threads pulling from a shared channel queue
-//!   (`std::thread::scope` + `std::sync::mpsc` — the build environment
-//!   has no registry access, so no rayon/crossbeam);
+//!   pool of scoped threads claiming jobs from an atomic index
+//!   (`std::thread::scope` — the build environment has no registry
+//!   access, so no rayon/crossbeam); a pool of one is the caller itself;
 //! * with [`ScenarioSet::split_components`] enabled, a SCoP whose
 //!   dependence graph falls into several weakly connected components is
 //!   dispatched as one **sub-job per component** (the groups a
@@ -67,8 +67,8 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use polytops_deps::{analyze, Dependence};
@@ -255,16 +255,18 @@ impl ScenarioSet {
     pub fn run_sequential(&self) -> Vec<ScenarioResult> {
         let runner = Runner::new(self);
         let slots = runner.slots();
-        for job in runner.jobs() {
+        for job in &runner.jobs() {
             runner.execute(job, &slots);
         }
         runner.assemble(slots)
     }
 
-    /// Runs every scenario on a pool of `threads` scoped worker threads
-    /// pulling jobs from a shared channel queue (work-stealing: a free
-    /// worker takes the next job whatever its scenario), then assembles
-    /// results in scenario order. `threads` is clamped to `1..=jobs`.
+    /// Runs every scenario on a pool of `threads` workers claiming jobs
+    /// from a shared index (work-stealing: a free worker takes the next
+    /// job whatever its scenario), then assembles results in scenario
+    /// order. `threads` is clamped to `1..=jobs`; a pool of one — a
+    /// one-job set, or `threads == 1` — is the calling thread itself and
+    /// spawns nothing.
     ///
     /// Results are bit-identical to
     /// [`run_sequential`](ScenarioSet::run_sequential) — see the module
@@ -274,25 +276,27 @@ impl ScenarioSet {
         let slots = runner.slots();
         let jobs = runner.jobs();
         let workers = threads.clamp(1, jobs.len().max(1));
-        let (tx, rx) = mpsc::channel::<Job>();
-        for job in jobs {
-            tx.send(job).expect("queue open");
-        }
-        drop(tx);
-        let rx = Mutex::new(rx);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    // Hold the queue lock only while dequeuing, never
-                    // while solving.
-                    let job = match rx.lock().expect("queue lock").recv() {
-                        Ok(job) => job,
-                        Err(_) => break, // queue drained
-                    };
-                    runner.execute(job, &slots);
-                });
+        // Relaxed: the index publishes nothing. Jobs are read-only and
+        // results reach the caller through the scope's join.
+        let next = AtomicUsize::new(0);
+        let work = || {
+            while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                runner.execute(job, &slots);
             }
-        });
+        };
+        if workers == 1 {
+            work();
+        } else {
+            // The caller only waits: as worker 0 of a wider pool its
+            // solver temporaries land in its own malloc arena, beside
+            // the data it keeps, and `sweep_ilp` peaks at 10.0 MiB
+            // where this peaks at 8.5.
+            std::thread::scope(|s| {
+                for _ in 0..workers {
+                    s.spawn(work);
+                }
+            });
+        }
         runner.assemble(slots)
     }
 }
@@ -539,12 +543,12 @@ impl<'a> Runner<'a> {
         jobs
     }
 
-    fn execute(&self, job: Job, slots: &Slots) {
-        match job {
+    fn execute(&self, job: &Job, slots: &Slots) {
+        match *job {
             Job::Whole {
                 scenario,
-                deps,
-                cache,
+                ref deps,
+                ref cache,
                 queued,
             } => {
                 let sc = &self.set.scenarios[scenario];
@@ -556,8 +560,8 @@ impl<'a> Runner<'a> {
             Job::Component {
                 scenario,
                 comp,
-                deps,
-                cache,
+                ref deps,
+                ref cache,
                 queued,
             } => {
                 let sc = &self.set.scenarios[scenario];
@@ -639,11 +643,18 @@ fn solve_one(
     scop: &Scop,
     config: &SchedulerConfig,
     options: &EngineOptions,
-    deps: Arc<Vec<Dependence>>,
-    cache: Arc<FarkasCache>,
+    deps: &Arc<Vec<Dependence>>,
+    cache: &Arc<FarkasCache>,
 ) -> EngineOutcome {
     let mut strategy = ConfigStrategy::new(config.clone());
-    solve::run_shared(scop, config, &mut strategy, options, deps, cache)
+    solve::run_shared(
+        scop,
+        config,
+        &mut strategy,
+        options,
+        Arc::clone(deps),
+        Arc::clone(cache),
+    )
 }
 
 /// Whether a configuration can be applied per component: fusion

@@ -35,7 +35,7 @@ fn sharded_sweep_is_bit_identical_to_sequential() {
         .map(|r| r.as_ref().unwrap().stats.ilp.phase1_passes)
         .sum();
     assert_eq!(phase1_passes, 0);
-    for threads in [2, 4] {
+    for threads in [1, 2, 4] {
         let sharded = set.run_sharded(threads);
         assert_eq!(sequential.len(), sharded.len());
         for (a, b) in sequential.iter().zip(&sharded) {
@@ -51,6 +51,41 @@ fn sharded_sweep_is_bit_identical_to_sequential() {
                 a.name
             );
         }
+    }
+}
+
+#[test]
+fn a_one_job_set_runs_on_the_calling_thread() {
+    // A pool of one is the caller, so a one-scenario set spawns nothing
+    // whatever `threads` says: its traced "job" span carries the
+    // caller's thread ordinal, and the schedule never changes.
+    let recorder = polytops_obs::Recorder::new(true);
+    let mut reference = None;
+    for threads in [1, 2, 4] {
+        let root = recorder.root_span("test");
+        let mut set = ScenarioSet::new();
+        let scop = set.add_scop("matmul", matmul());
+        set.add_scenario_with_options(
+            scop,
+            "pluto",
+            presets::pluto(),
+            EngineOptions { trace: root.link() },
+        );
+        let results = set.run_sharded(threads);
+        let schedule = &results[0].as_ref().unwrap().schedule;
+        assert_eq!(
+            schedule,
+            reference.get_or_insert_with(|| schedule.clone()),
+            "{threads} threads"
+        );
+        let spans = recorder.spans_for(root.trace_id());
+        let jobs: Vec<_> = spans.iter().filter(|s| s.name == "job").collect();
+        assert_eq!(jobs.len(), 1, "{threads} threads");
+        assert_eq!(
+            jobs[0].tid,
+            polytops_obs::thread_ordinal(),
+            "{threads} threads"
+        );
     }
 }
 

@@ -32,9 +32,13 @@ USAGE:
                    [--snapshot-dir D] [--rotate-every E]
                    [--max-connections M] [--no-trace]
       Run the daemon (default addr 127.0.0.1:7225) until it receives a
-      {\"op\":\"shutdown\"} request. --snapshot-dir enables registry
-      persistence: the daemon restores (and prewarms) its registry from
-      D at startup and journals admissions into D while serving.
+      {\"op\":\"shutdown\"} request. A batch is the first queued request
+      plus whatever queued while the previous batch ran, so an idle
+      daemon dispatches at once; --window-ms W (default 0) holds every
+      batch open W ms longer to force cross-client batches.
+      --snapshot-dir enables registry persistence: the daemon restores
+      (and prewarms) its registry from D at startup and journals
+      admissions into D while serving.
       --no-trace disables span recording (counters and histograms stay
       on); responses are bit-identical either way.
       Protocol: docs/SERVICE.md.
@@ -155,7 +159,7 @@ fn serve(args: &[String]) -> i32 {
     match Server::start(config) {
         Ok(handle) => {
             println!(
-                "polytopsd listening on {} (window {window} ms, {threads} worker threads)",
+                "polytopsd listening on {} (batch hold {window} ms, {threads} worker threads)",
                 handle.addr()
             );
             handle.join();

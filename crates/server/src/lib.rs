@@ -13,13 +13,15 @@
 //!   request per line (SCoP in the polyscop exchange format + a list of
 //!   presets/inline configs), one response per line. Schema reference:
 //!   `docs/SERVICE.md`.
-//! * **Batching** — concurrently arriving requests are admitted into
-//!   one window (first request opens it, [`ServerConfig::window_ms`]
-//!   closes it) and executed as a *single*
-//!   [`ScenarioSet`](polytops_core::scenario::ScenarioSet) on the
-//!   work-stealing pool, so requests from different clients share
-//!   analyses and caches within the batch exactly like scenarios of one
-//!   offline sweep.
+//! * **Batching** — no timer sits between a request and its batch: the
+//!   batcher takes the first queued request plus whatever else queued
+//!   while the previous batch was in flight, and executes them as a
+//!   *single* [`ScenarioSet`](polytops_core::scenario::ScenarioSet) on
+//!   the work-stealing pool (a one-scenario batch runs on the batcher
+//!   thread itself), so requests from different clients share analyses
+//!   and caches within the batch exactly like scenarios of one offline
+//!   sweep, and an idle daemon dispatches a lone request at once.
+//!   [`ServerConfig::window_ms`] is an opt-in extra hold.
 //! * **Cross-request persistence** — every SCoP is resolved through a
 //!   [`ScopRegistry`](polytops_core::registry::ScopRegistry):
 //!   fingerprinted, deduped across clients, and kept resident (exact

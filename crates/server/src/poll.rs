@@ -6,11 +6,15 @@
 //! equivalent of a readiness loop — every socket is nonblocking, and
 //! one thread sweeps them all, treating `WouldBlock` as "not ready".
 //! When a sweep makes no progress the loop parks on the outbound
-//! response channel with a sub-millisecond timeout, so an idle daemon
-//! costs ~2k wakeups/s instead of a spinning core, and a computed
-//! response wakes it immediately. The trade against a real poller is a
-//! bounded idle latency (≤ [`IDLE_PARK`]) per quiet sweep — well under
-//! the admission window it feeds.
+//! response channel, so a computed response wakes it immediately. The
+//! park starts at [`MIN_PARK`], doubles with every further quiet sweep
+//! up to [`IDLE_PARK`] and resets on progress: a client that answers a
+//! response with its next request is read within tens of microseconds,
+//! while an idle daemon settles at ~2k wakeups/s instead of a spinning
+//! core. The trade against a real poller is that bounded read latency
+//! (≤ [`IDLE_PARK`] on a daemon that has been quiet, far less on a
+//! busy one) — nothing else sits between a request's bytes and the
+//! batcher, which dispatches at once.
 //!
 //! Per connection the loop keeps a read buffer (bytes up to the next
 //! `\n`) and a write buffer (queued response lines); only this thread
@@ -28,8 +32,13 @@ use std::time::{Duration, Instant};
 use crate::protocol::{self, Request};
 use crate::service::{Admitted, RequestTrace, Shared, TuneJob};
 
-/// How long a no-progress sweep parks on the response channel.
+/// The longest a no-progress sweep parks on the response channel: what
+/// the back-off settles at on an idle daemon.
 const IDLE_PARK: Duration = Duration::from_micros(500);
+
+/// The park after a sweep that made progress; each further quiet sweep
+/// doubles it up to [`IDLE_PARK`].
+const MIN_PARK: Duration = Duration::from_micros(20);
 
 /// How long a graceful shutdown keeps flushing write buffers before
 /// abandoning unread responses (the client stopped reading).
@@ -100,6 +109,9 @@ pub(crate) fn event_loop(
     let mut next_id: u64 = 0;
     let mut outbound_open = true;
     let mut flush_deadline: Option<Instant> = None;
+    let mut park = MIN_PARK;
+    // One read buffer for every connection and every sweep.
+    let mut chunk = vec![0u8; 64 * 1024];
     loop {
         if shared.is_crashed() {
             // A crash drops every connection unflushed: clients observe
@@ -157,38 +169,30 @@ pub(crate) fn event_loop(
 
         // Sweep every connection: read what's ready, handle complete
         // lines, write what fits.
-        let ids: Vec<u64> = conns.keys().copied().collect();
-        for id in ids {
-            let conn = conns.get_mut(&id).expect("swept conn exists");
-            if !conn.close_after_flush && read_ready(conn, shared.config.max_line_bytes) {
+        for (&id, conn) in &mut conns {
+            if !conn.close_after_flush && read_ready(conn, &mut chunk, shared.config.max_line_bytes)
+            {
                 progress = true;
             }
             // Handle complete lines (may queue inline responses or
-            // forward to workers).
-            loop {
-                let conn = conns.get_mut(&id).expect("swept conn exists");
-                if conn.dead || conn.close_after_flush {
-                    break;
-                }
-                let Some(pos) = conn.rbuf.iter().position(|&b| b == b'\n') else {
+            // forward to workers). The buffer leaves the connection
+            // meanwhile, so each line is parsed where it was read.
+            let rbuf = std::mem::take(&mut conn.rbuf);
+            let mut handled = 0;
+            while !conn.dead && !conn.close_after_flush {
+                let Some(len) = rbuf[handled..].iter().position(|&b| b == b'\n') else {
                     break;
                 };
-                let line: Vec<u8> = conn.rbuf.drain(..=pos).collect();
-                let text = String::from_utf8_lossy(&line[..pos]).into_owned();
+                let text = String::from_utf8_lossy(&rbuf[handled..handled + len]);
                 if !text.trim().is_empty() {
-                    handle_line(
-                        shared,
-                        conns.get_mut(&id).expect("swept conn"),
-                        id,
-                        &text,
-                        admit,
-                        tune,
-                    );
+                    handle_line(shared, conn, id, &text, admit, tune);
                 }
                 // The next pipelined line's read time starts fresh.
-                conns.get_mut(&id).expect("swept conn").read_started = None;
+                conn.read_started = None;
+                handled += len + 1;
             }
-            let conn = conns.get_mut(&id).expect("swept conn exists");
+            conn.rbuf = rbuf;
+            conn.rbuf.drain(..handled);
             let written = write_ready(conn);
             if written > 0 {
                 progress = true;
@@ -232,15 +236,23 @@ pub(crate) fn event_loop(
             if outbound_open {
                 // Park on the response channel: a computed response is
                 // the latency-critical wakeup.
-                match out.recv_timeout(IDLE_PARK) {
-                    Ok(outbound) => queue_response(shared, &mut conns, outbound),
+                match out.recv_timeout(park) {
+                    Ok(outbound) => {
+                        queue_response(shared, &mut conns, outbound);
+                        progress = true;
+                    }
                     Err(RecvTimeoutError::Timeout) => {}
                     Err(RecvTimeoutError::Disconnected) => outbound_open = false,
                 }
             } else {
-                std::thread::sleep(IDLE_PARK);
+                std::thread::sleep(park);
             }
         }
+        park = if progress {
+            MIN_PARK
+        } else {
+            (park * 2).min(IDLE_PARK)
+        };
     }
 }
 
@@ -269,15 +281,15 @@ fn queue_response(shared: &Arc<Shared>, conns: &mut HashMap<u64, Conn>, outbound
     }
 }
 
-/// Reads everything the socket has ready into `rbuf`. Returns whether
-/// any bytes arrived. EOF and hard errors mark the connection dead; a
-/// line overflowing `max_line_bytes` queues a protocol error and closes
-/// (resynchronizing mid-stream is not worth the buffer exposure).
-fn read_ready(conn: &mut Conn, max_line_bytes: usize) -> bool {
+/// Reads everything the socket has ready into `rbuf`, through the event
+/// loop's one `chunk` buffer. Returns whether any bytes arrived. EOF and
+/// hard errors mark the connection dead; a line overflowing
+/// `max_line_bytes` queues a protocol error and closes (resynchronizing
+/// mid-stream is not worth the buffer exposure).
+fn read_ready(conn: &mut Conn, chunk: &mut [u8], max_line_bytes: usize) -> bool {
     let mut any = false;
-    let mut chunk = [0u8; 64 * 1024];
     loop {
-        match conn.stream.read(&mut chunk) {
+        match conn.stream.read(chunk) {
             Ok(0) => {
                 conn.dead = true;
                 break;

@@ -1,6 +1,6 @@
 //! The daemon: a readiness event loop over nonblocking sockets, the
-//! admission-window batcher, a dedicated tuner worker, optional
-//! registry persistence, and graceful shutdown.
+//! batcher, a dedicated tuner worker, optional registry persistence,
+//! and graceful shutdown.
 //!
 //! Thread shape (see `docs/ARCHITECTURE.md` for the request lifecycle):
 //!
@@ -11,10 +11,11 @@
 //!      │  schedule ──► bounded admission channel ──► batcher thread
 //!      │  autotune ──► unbounded tune channel ─────► tuner thread
 //!      ▼
-//! batcher thread: first request opens a window, window_ms/max_batch
-//! close it → one ScenarioSet (SCoPs resolved through the
-//! ScopRegistry) → run_sharded(threads) → per-request response lines,
-//! journaled to the persister, queued back to the event loop
+//! batcher thread: takes the first request, drains what queued while
+//! the previous batch ran (up to max_batch) → one ScenarioSet (SCoPs
+//! resolved through the ScopRegistry) → run_sharded(threads), on the
+//! batcher itself when the batch is one scenario → per-request response
+//! lines, journaled to the persister, queued back to the event loop
 //! ```
 //!
 //! Exactly one thread (the event loop) touches sockets, so thousands
@@ -44,9 +45,9 @@ use crate::protocol::{self, AutotuneRequest, ScheduleRequest};
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Crash the daemon (drop every connection unflushed, stop all
-    /// threads) immediately after the Nth admission window finishes
-    /// computing — after its journal events are durable, before any of
-    /// its responses are queued. Models `kill -9` at the worst moment.
+    /// threads) immediately after the Nth batch finishes computing —
+    /// after its journal events are durable, before any of its
+    /// responses are queued. Models `kill -9` at the worst moment.
     pub kill_after_batches: Option<usize>,
     /// Truncate the Nth queued response (daemon-wide, 1-based) to half
     /// its bytes and then drop that connection: a client observes a
@@ -72,12 +73,12 @@ impl FaultPlan {
 pub struct ServerConfig {
     /// Listen address; port 0 picks an ephemeral port (tests/benches).
     pub addr: String,
-    /// Admission window in milliseconds: how long the batcher keeps
-    /// collecting after the first request of a batch arrives. `0`
-    /// dispatches every request as its own batch (lowest latency, no
-    /// cross-request batching).
+    /// Extra hold in milliseconds: how long the batcher keeps a batch
+    /// open after taking its first request. With the default `0` a
+    /// batch is the first request plus whatever queued while the
+    /// previous batch ran, and an idle daemon dispatches at once.
     pub window_ms: u64,
-    /// Maximum requests per batch (the window closes early when full).
+    /// Maximum requests per batch (a full batch runs without waiting).
     pub max_batch: usize,
     /// Worker threads for the scenario engine's work-stealing pool.
     pub threads: usize,
@@ -107,7 +108,7 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            window_ms: 2,
+            window_ms: 0,
             max_batch: 64,
             threads: std::thread::available_parallelism().map_or(2, |n| n.get().clamp(2, 8)),
             registry_capacity: 128,
@@ -133,7 +134,7 @@ pub(crate) struct ServerObs {
     pub(crate) recorder: Arc<polytops_obs::Recorder>,
     /// Schedule + autotune requests admitted (`service.requests`).
     pub(crate) requests: Arc<polytops_obs::Counter>,
-    /// Admission windows executed (`service.batches`).
+    /// Batches executed (`service.batches`).
     pub(crate) batches: Arc<polytops_obs::Counter>,
     /// Queued schedule/autotune responses, daemon-wide
     /// (`service.responses`) — the counter the `drop_response` fault
@@ -249,8 +250,8 @@ pub(crate) struct RequestTrace {
     /// The whole-lifecycle "request" span; finished when the response's
     /// last byte reaches the socket.
     pub(crate) root: polytops_obs::SpanHandle,
-    /// The open "admission" child; finished when the batch window
-    /// closes around this request.
+    /// The open "admission" child; finished when the batcher takes
+    /// this request into a batch.
     pub(crate) admission: Option<polytops_obs::SpanHandle>,
 }
 
@@ -477,7 +478,7 @@ fn tune_loop(shared: &Arc<Shared>, rx: &Receiver<TuneJob>, out: &Sender<Outbound
 
 fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>, out: &Sender<Outbound>) {
     loop {
-        // Wait for the request that opens the next window, polling the
+        // Wait for the request that opens the next batch, polling the
         // shutdown flags so a quiet daemon can stop.
         let first = loop {
             match rx.recv_timeout(Duration::from_millis(50)) {
@@ -494,20 +495,23 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>, out: &Sender<Outbou
         if shared.is_crashed() {
             break;
         }
+        // Whatever queued while the previous batch ran rides along; an
+        // idle daemon finds the queue empty and dispatches at once. A
+        // non-zero `window_ms` holds the batch open that much longer.
         let mut batch = vec![first];
         let deadline = Instant::now() + Duration::from_millis(shared.config.window_ms);
         while batch.len() < shared.config.max_batch {
             let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            match rx.recv_timeout(left) {
-                Ok(admitted) => batch.push(admitted),
-                Err(_) => break,
-            }
+            let next = if left.is_zero() {
+                rx.try_recv().ok()
+            } else {
+                rx.recv_timeout(left).ok()
+            };
+            let Some(admitted) = next else { break };
+            batch.push(admitted);
         }
-        // The window just closed: every member's admission wait ends
-        // here, where the batch is committed to execution.
+        // The batcher has taken these requests: their admission wait
+        // ends here, where the batch is committed to execution.
         for admitted in &mut batch {
             if let Some(trace) = &mut admitted.trace {
                 if let Some(admission) = trace.admission.take() {
@@ -515,7 +519,7 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>, out: &Sender<Outbou
                 }
             }
         }
-        let windows = shared.obs.batches.inc() as usize;
+        let nth_batch = shared.obs.batches.inc() as usize;
         shared.obs.requests.add(batch.len() as u64);
         // `split_components` changes scenario semantics per request, so
         // a mixed batch runs as two sets (responses still correlate by
@@ -529,7 +533,7 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>, out: &Sender<Outbou
                 process_group(shared, group, split_flag, &mut responses, &mut touched);
             }
         }
-        // Durability before delivery: the journal records this window's
+        // Durability before delivery: the journal records this batch's
         // admissions (fsynced) before any client can observe a
         // response, so an acknowledged answer is always replayable.
         if let Some(persist) = &shared.persist {
@@ -538,7 +542,7 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>, out: &Sender<Outbou
         // The kill fault fires between durability and delivery — the
         // worst crash point: clients must retry, and the retry must
         // find the registry warm.
-        if shared.config.faults.kill_after_batches == Some(windows) {
+        if shared.config.faults.kill_after_batches == Some(nth_batch) {
             crash(shared);
             break;
         }

@@ -87,7 +87,9 @@ fn unpack(response: &str) -> (bool, bool, String, i64) {
 
 fn fleet_config(threads: usize, dir: &std::path::Path) -> ServerConfig {
     ServerConfig {
-        window_ms: 0, // one batch per request: the kill point is exact
+        // No hold: a sequential client gets one batch per request, so
+        // the kill point is exact.
+        window_ms: 0,
         threads,
         snapshot_dir: Some(dir.display().to_string()),
         rotate_every: 4,

@@ -7,7 +7,8 @@ use std::time::Duration;
 use polytops_core::json::Json;
 use polytops_server::protocol::{self, Request};
 use polytops_server::{Client, Server, ServerConfig};
-use polytops_workloads::requests::{sweep_request_line, sweep_request_streams};
+use polytops_workloads::requests::{request_line, sweep_request_line, sweep_request_streams};
+use polytops_workloads::synthetic::long_chain;
 use polytops_workloads::{all_kernels, jacobi_1d, matmul, producer_consumer, stencil_chain};
 
 fn start(config: ServerConfig) -> polytops_server::ServerHandle {
@@ -299,6 +300,86 @@ fn concurrent_clients_match_sequential_offline_runs() {
     }
     // All N copies of each kernel deduped onto one entry.
     assert_eq!(handle.registry_stats().entries, all_kernels().len());
+    handle.shutdown();
+}
+
+/// The daemon's (`batches`, `requests`) counts, as the `stats` op
+/// reports them.
+fn batch_counts(client: &mut Client) -> (i64, i64) {
+    let stats = client.stats().unwrap();
+    let obj = stats.as_object().unwrap();
+    (
+        obj["batches"].as_int().unwrap(),
+        obj["requests"].as_int().unwrap(),
+    )
+}
+
+#[test]
+fn the_default_config_holds_no_admission_timer() {
+    // perfbench takes `window_ms` out of its probe scaling as the timer
+    // a lone request waits out; nothing waits, so it must read 0.
+    assert_eq!(ServerConfig::default().window_ms, 0);
+}
+
+#[test]
+fn requests_arriving_during_a_batch_form_exactly_one_following_batch() {
+    let followers = 3i64;
+    let handle = start(ServerConfig {
+        window_ms: 0, // no hold: only the running batch gathers these
+        ..local_config()
+    });
+    let addr = handle.addr();
+    let mut control = Client::connect(addr).unwrap();
+    assert_eq!(batch_counts(&mut control), (0, 0));
+
+    // A slow batch: the idle daemon dispatches it at once, alone.
+    let mut slow = Client::connect(addr).unwrap();
+    slow.send_line(&request_line(
+        "slow",
+        "long_chain_12",
+        &long_chain(12),
+        &["feautrier"],
+    ))
+    .unwrap();
+    while batch_counts(&mut control) != (1, 1) {
+        std::thread::yield_now();
+    }
+
+    // While it runs, each follower queues one request. The event loop
+    // handles a connection's lines in order, so the pong proves the
+    // schedule line before it already sits in the admission queue.
+    let line = sweep_request_line("follower", "jacobi_1d", &jacobi_1d());
+    let mut clients: Vec<Client> = (0..followers)
+        .map(|_| {
+            let mut client = Client::connect(addr).unwrap();
+            client.send_line(&line).unwrap();
+            assert!(client
+                .roundtrip(r#"{"op":"ping"}"#)
+                .unwrap()
+                .contains("pong"));
+            client
+        })
+        .collect();
+    assert_eq!(
+        batch_counts(&mut control),
+        (1, 1),
+        "the slow batch must still be in flight once every follower has queued"
+    );
+
+    let (ok, _, _) = unpack(&slow.recv_line().unwrap());
+    assert!(ok);
+    let want = match protocol::parse_request(&line).unwrap() {
+        Request::Schedule(req) => protocol::offline_results(&req).compact(),
+        other => panic!("generated line must be a schedule request, got {other:?}"),
+    };
+    for client in &mut clients {
+        let (ok, _, got) = unpack(&client.recv_line().unwrap());
+        assert!(ok);
+        assert_eq!(got, want, "a batched follower must match the offline run");
+    }
+    // 1 + N requests in exactly two batches: what queued while the slow
+    // batch ran was drained as one.
+    assert_eq!(batch_counts(&mut control), (2, 1 + followers));
     handle.shutdown();
 }
 
