@@ -31,7 +31,42 @@
 use std::fmt::Write as _;
 
 use polytops_ir::{MarkKind, PathStep, Schedule, Scop, StmtId, TreeNode};
-use polytops_math::{ineq_implied, ConstraintSystem, Rat, Result as MathResult, RowKind};
+use polytops_math::{
+    ineq_implied, ConstraintSystem, MathError, Rat, Result as MathResult, RowKind,
+};
+
+/// Why a scheduled SCoP could not be lowered to C.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CodegenError {
+    /// The exact projections overflowed.
+    Math(MathError),
+    /// The statement's iterators are not integer affine expressions of
+    /// the scan variables, so its call cannot be written.
+    NoIntegralInverse {
+        /// Name of the statement.
+        stmt: String,
+    },
+}
+
+impl std::fmt::Display for CodegenError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CodegenError::Math(e) => write!(f, "code generation: {e}"),
+            CodegenError::NoIntegralInverse { stmt } => write!(
+                f,
+                "statement `{stmt}`: its schedule has no integral inverse, so its call cannot be emitted"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CodegenError {}
+
+impl From<MathError> for CodegenError {
+    fn from(e: MathError) -> CodegenError {
+        CodegenError::Math(e)
+    }
+}
 
 /// One bound term `⌈expr / div⌉` (lower) or `⌊expr / div⌋` (upper); the
 /// numerator is affine over `(outer scan vars…, params, 1)`.
@@ -900,12 +935,18 @@ fn render_guard(g: &Guard, params: &[&str]) -> String {
     }
 }
 
-fn emit_node(node: &AstNode, params: &[&str], indent: usize, in_parallel: bool, out: &mut String) {
+fn emit_node(
+    node: &AstNode,
+    params: &[&str],
+    indent: usize,
+    in_parallel: bool,
+    out: &mut String,
+) -> Result<(), CodegenError> {
     let pad = "  ".repeat(indent);
     match node {
         AstNode::Seq(children) => {
             for c in children {
-                emit_node(c, params, indent, in_parallel, out);
+                emit_node(c, params, indent, in_parallel, out)?;
             }
         }
         AstNode::Loop(l) => {
@@ -928,19 +969,24 @@ fn emit_node(node: &AstNode, params: &[&str], indent: usize, in_parallel: bool, 
             }
             let _ = writeln!(out, "{pad}for ({v} = {lb}; {v} <= {ub}; {v}++) {{{note}");
             for c in &l.body {
-                emit_node(c, params, indent + 1, in_parallel || mark_parallel, out);
+                emit_node(c, params, indent + 1, in_parallel || mark_parallel, out)?;
             }
             let _ = writeln!(out, "{pad}}}");
         }
         AstNode::Stmt(s) => {
-            let args = match &s.iters {
-                Some(exprs) => exprs
-                    .iter()
-                    .map(|e| render_affine(e, params))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                None => "...".to_string(),
-            };
+            // Without the inverse there are no arguments to print, and
+            // no stride guard picks the scan points that are instances.
+            let exprs = s
+                .iters
+                .as_ref()
+                .ok_or_else(|| CodegenError::NoIntegralInverse {
+                    stmt: s.name.clone(),
+                })?;
+            let args = exprs
+                .iter()
+                .map(|e| render_affine(e, params))
+                .collect::<Vec<_>>()
+                .join(", ");
             if s.guards.is_empty() {
                 let _ = writeln!(out, "{pad}{}({args});", s.name);
             } else {
@@ -949,6 +995,7 @@ fn emit_node(node: &AstNode, params: &[&str], indent: usize, in_parallel: bool, 
             }
         }
     }
+    Ok(())
 }
 
 /// Lowers a scheduled SCoP to C-like text through the schedule-tree
@@ -962,11 +1009,14 @@ fn emit_node(node: &AstNode, params: &[&str], indent: usize, in_parallel: bool, 
 ///
 /// # Errors
 ///
-/// Propagates arithmetic overflow from the exact projections.
-pub fn emit_c(scop: &Scop, sched: &Schedule) -> MathResult<String> {
+/// [`CodegenError::Math`] for arithmetic overflow in the exact
+/// projections, [`CodegenError::NoIntegralInverse`] for a statement
+/// whose schedule rows (a scaled coefficient such as `2·i`) do not give
+/// its iterators back as integer expressions of the scan variables.
+pub fn emit_c(scop: &Scop, sched: &Schedule) -> Result<String, CodegenError> {
     let tree = generate(scop, sched)?;
     let params: Vec<&str> = scop.params.iter().map(String::as_str).collect();
     let mut out = String::new();
-    emit_node(&tree, &params, 0, false, &mut out);
+    emit_node(&tree, &params, 0, false, &mut out)?;
     Ok(out)
 }

@@ -20,7 +20,8 @@
 pub mod ast;
 
 pub use ast::{
-    emit_c, generate, stats, AstNode, BoundTerm, CodegenStats, Guard, LoopNode, StmtNode,
+    emit_c, generate, stats, AstNode, BoundTerm, CodegenError, CodegenStats, Guard, LoopNode,
+    StmtNode,
 };
 
 use std::fmt::Write as _;

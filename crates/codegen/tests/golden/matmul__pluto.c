@@ -2,7 +2,7 @@
 for (c0 = 0; c0 <= N - 1; c0++) {
   for (c1 = 0; c1 <= N - 1; c1++) {
     for (c2 = 0; c2 <= N - 1; c2++) {
-      S0(c1, c0, c2);
+      S0(c0, c1, c2);
     }
   }
 }

@@ -1,9 +1,9 @@
 //! Schedule-tree codegen integration tests: schedule real kernels with
 //! the core pipeline and check the generated loop nests.
 
-use polytops_codegen::{emit_c, generate, stats, AstNode};
+use polytops_codegen::{emit_c, generate, stats, AstNode, CodegenError};
 use polytops_core::{presets, schedule, SchedulerConfig};
-use polytops_ir::MarkKind;
+use polytops_ir::{Aff, MarkKind, Schedule, ScopBuilder, StmtSchedule};
 use polytops_workloads::{gemver, heat_2d, jacobi_1d, matmul, producer_consumer};
 
 /// Counts the loops (tile and point) of a generated AST.
@@ -120,4 +120,31 @@ fn fused_statements_do_not_split_into_sibling_loops() {
     for name in ["S0(", "S1(", "S2(", "S3("] {
         assert_eq!(text.matches(name).count(), 1, "{text}");
     }
+}
+
+#[test]
+fn a_schedule_without_an_integral_inverse_is_an_error_not_an_ellipsis() {
+    // φ = 2i scans c0 = 0, 2, 4, …: i = c0 / 2 is no integer
+    // expression, and `S0(...)` would be C that neither compiles nor
+    // runs the right instances.
+    let mut b = ScopBuilder::new("scaled");
+    let n = b.param("N");
+    let a = b.array("A", &[n.clone()], 8);
+    b.open_loop("i", Aff::val(0), n - 1);
+    b.stmt("S0").write(a, &[Aff::var("i")]).add(&mut b);
+    b.close_loop();
+    let scop = b.build().unwrap();
+    let mut ss = StmtSchedule::new(1, 1);
+    ss.push_row(vec![2, 0, 0]);
+    let sched = Schedule::from_parts(vec![ss], vec![0], vec![false]);
+    let err = emit_c(&scop, &sched).unwrap_err();
+    assert_eq!(
+        err,
+        CodegenError::NoIntegralInverse {
+            stmt: "S0".to_string()
+        }
+    );
+    assert!(err.to_string().contains("`S0`"), "{err}");
+    // The AST itself still says so, for callers that walk it.
+    assert!(generate(&scop, &sched).is_ok());
 }

@@ -14,7 +14,12 @@
 //!    priority order ([`build_costs`]);
 //! 5. **custom constraints** — the mini-language of §III-A2;
 //! 6. **directives** — soft constraints kept only while feasible;
-//! 7. **tie-break** — a coefficient-sum objective keeping rows primitive.
+//! 7. **tie-break** — a coefficient-sum objective keeping rows
+//!    primitive, the iterator-coefficient sum (a shift `i + k` beats a
+//!    scaled `k·i`), then every statement variable on its own. The
+//!    lexmin is then total over the schedule coefficients: one point
+//!    attains it, so the schedule is a function of the SCoP and the
+//!    configuration and not of the vertex the simplex happened to reach.
 
 use polytops_deps::Dependence;
 use polytops_ir::Scop;
@@ -196,16 +201,30 @@ pub fn assemble(
 
     // 7. Lexicographic objectives: the configured costs first, then a
     //    coefficient-sum tie-break that drives completed statements to
-    //    all-zero rows and keeps coefficients primitive.
+    //    all-zero rows and keeps coefficients primitive. The sum cannot
+    //    tell `(1,0,0)` from `(0,1,0)`, nor `i + k` from `k·i`, so the
+    //    iterator-coefficient sum and then each statement variable on
+    //    its own (a block's last variable first: constants before
+    //    iterators, inner iterators before outer) follow it, and every
+    //    schedule coefficient is pinned by the model. The ± parts of a
+    //    `negative_coefficients` block are variables like any other.
     let mut objectives = cost.objectives;
-    let mut tie = vec![0i64; n + 1];
+    let (mut tie, mut iters) = (vec![0i64; n], vec![0i64; n]);
+    let mult = if space.negative { 2 } else { 1 };
+    for (s, stmt) in ctx.scop.statements.iter().enumerate() {
+        let block = space.stmt_vars(s);
+        tie[block.clone()].fill(1);
+        iters[block.start..block.start + mult * stmt.depth()].fill(1);
+    }
+    objectives.push(tie);
+    objectives.push(iters);
     for s in 0..ctx.scop.statements.len() {
-        for v in space.stmt_vars(s) {
-            tie[v] = 1;
+        for v in space.stmt_vars(s).rev() {
+            let mut unit = vec![0i64; n];
+            unit[v] = 1;
+            objectives.push(unit);
         }
     }
-    tie.pop();
-    objectives.push(tie);
 
     Ok((sys, objectives))
 }

@@ -33,8 +33,10 @@
 //! Sharded execution is **bit-identical** to sequential execution: a
 //! cache hit replays a constraint system equal to what a recomputation
 //! would build, so no result depends on which thread finished first.
-//! ILP warm-start seeds — which *can* steer tie-breaks between equally
-//! optimal points — never leave the run that produced them. Only the
+//! The lexmin is total over the schedule coefficients, so no seed or
+//! pivot order picks between schedules; ILP warm-start seeds — which
+//! *can* still steer the other variables of a point — never leave the
+//! run that produced them. Only the
 //! per-scenario cache hit/miss *split* may vary under concurrency;
 //! every schedule is reproducible at any thread count.
 //!

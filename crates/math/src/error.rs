@@ -6,8 +6,9 @@ use std::fmt;
 /// Errors produced by exact arithmetic and polyhedral operations.
 ///
 /// All operations in this crate are exact; the only failure modes are
-/// arithmetic overflow of the fixed-width integer representation and
-/// structural misuse (dimension mismatches, singular matrices).
+/// arithmetic overflow of the fixed-width integer representation,
+/// structural misuse (dimension mismatches, singular matrices) and the
+/// simplex's pivot cap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MathError {
@@ -24,6 +25,9 @@ pub enum MathError {
     SingularMatrix,
     /// Division by zero in rational arithmetic.
     DivisionByZero,
+    /// The dual simplex reached its pivot cap: the system is neither
+    /// proven feasible nor infeasible.
+    PivotLimit,
 }
 
 impl fmt::Display for MathError {
@@ -35,6 +39,7 @@ impl fmt::Display for MathError {
             }
             MathError::SingularMatrix => write!(f, "matrix is singular"),
             MathError::DivisionByZero => write!(f, "division by zero"),
+            MathError::PivotLimit => write!(f, "dual simplex reached its pivot cap"),
         }
     }
 }

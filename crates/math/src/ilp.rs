@@ -58,8 +58,8 @@ pub struct IlpStats {
     /// incremental tableau.
     pub dual_pivots: usize,
     /// Always 0: the phase-1 fallback it counted is gone (a pin at the
-    /// dual pivot cap gives the tableau up), but perfbench and the
-    /// `stats` bytes read the field until a `benchmark` PR drops it.
+    /// dual pivot cap is an error), but perfbench and the `stats` bytes
+    /// read the field until a `benchmark` PR drops it.
     pub phase1_passes: usize,
 }
 
@@ -341,11 +341,13 @@ pub fn ilp_lexmin(cs: &ConstraintSystem, objectives: &[Vec<i64>]) -> Result<Opti
 /// lexicographic solver.
 ///
 /// * **incremental simplex** — one [`IncrementalLp`] tableau is built
-///   (and made feasible) once; each objective stage re-optimizes from
-///   the previous optimal basis, and pinning an optimum appends a single
-///   equality row and re-pivots only on it. When a stage's LP vertex is
-///   integral it *is* the stage's integer optimum and no branch and
-///   bound runs at all ([`IlpStats::lp_stages`] counts these);
+///   once, on the slack basis, and made feasible by dual pivots on the
+///   rows `x = 0` violates; each objective stage re-optimizes from the
+///   previous optimal basis, and pinning an optimum appends a single
+///   equality row and repairs it with the same dual pivots. When a
+///   stage's LP vertex is integral it *is* the stage's integer optimum
+///   and no branch and bound runs at all ([`IlpStats::lp_stages`]
+///   counts these);
 /// * **stage seeding** — when a stage does need branch and bound (a
 ///   fractional vertex), the previous stage's optimum seeds it as the
 ///   initial incumbent;
@@ -355,11 +357,16 @@ pub fn ilp_lexmin(cs: &ConstraintSystem, objectives: &[Vec<i64>]) -> Result<Opti
 ///   branch-and-bound fallback whenever it is still feasible. An
 ///   infeasible or ill-sized `warm` is ignored.
 ///
+/// Which point comes back when several attain the lexmin depends on
+/// the pivots taken; a caller that needs one answer makes the
+/// objective sequence total, as the scheduler's `assemble` does.
+///
 /// Solver effort is accumulated into `stats`.
 ///
 /// # Errors
 ///
-/// [`MathError::Overflow`], as [`ilp_lexmin`].
+/// [`MathError::Overflow`], as [`ilp_lexmin`], and
+/// [`MathError::PivotLimit`] when a dual-simplex loop reached its cap.
 pub fn ilp_lexmin_warm(
     cs: &ConstraintSystem,
     objectives: &[Vec<i64>],
@@ -378,7 +385,6 @@ pub fn ilp_lexmin_warm(
     if !lp.is_feasible() {
         return Ok(None); // LP-infeasible ⇒ ILP-infeasible
     }
-    let mut lp_alive = true;
     let mut hint: Option<Vec<i64>> = warm
         .filter(|p| p.len() == n && cs.contains_point(p))
         .map(<[i64]>::to_vec);
@@ -390,37 +396,35 @@ pub fn ilp_lexmin_warm(
         let mut stage_point: Option<(i64, Vec<i64>)> = None;
         let mut stage_lb: Option<i64> = None;
         let mut stage_root: Option<(Rat, Vec<Rat>)> = None;
-        if lp_alive {
-            match lp.minimize(obj)? {
-                LpOutcome::Optimal { value, point } => {
-                    // Checked narrowing throughout: a vertex with an
-                    // i64-overflowing coordinate falls back to branch
-                    // and bound instead of silently truncating.
-                    let ivalue = value.to_integer().and_then(|v| i64::try_from(v).ok());
-                    let ipoint: Option<Vec<i64>> = point
-                        .iter()
-                        .map(|v| v.to_integer().and_then(|c| i64::try_from(c).ok()))
-                        .collect();
-                    match (ipoint, ivalue) {
-                        (Some(ipoint), Some(value)) => {
-                            stats.lp_stages += 1;
-                            stage_point = Some((value, ipoint));
-                        }
-                        _ => {
-                            // Fractional (or overflowing) vertex: branch
-                            // and bound must run, but the relaxation is
-                            // already solved — reuse it as the root and
-                            // as a lower bound.
-                            stage_lb = i64::try_from(value.ceil()).ok();
-                            stage_root = Some((value, point));
-                        }
+        match lp.minimize(obj)? {
+            LpOutcome::Optimal { value, point } => {
+                // Checked narrowing throughout: a vertex with an
+                // i64-overflowing coordinate falls back to branch
+                // and bound instead of silently truncating.
+                let ivalue = value.to_integer().and_then(|v| i64::try_from(v).ok());
+                let ipoint: Option<Vec<i64>> = point
+                    .iter()
+                    .map(|v| v.to_integer().and_then(|c| i64::try_from(c).ok()))
+                    .collect();
+                match (ipoint, ivalue) {
+                    (Some(ipoint), Some(value)) => {
+                        stats.lp_stages += 1;
+                        stage_point = Some((value, ipoint));
+                    }
+                    _ => {
+                        // Fractional (or overflowing) vertex: branch
+                        // and bound must run, but the relaxation is
+                        // already solved — reuse it as the root and
+                        // as a lower bound.
+                        stage_lb = i64::try_from(value.ceil()).ok();
+                        stage_root = Some((value, point));
                     }
                 }
-                LpOutcome::Unbounded => return Ok(None),
-                // Infeasibility cannot appear after a successful pin;
-                // fall through to branch and bound defensively.
-                LpOutcome::Infeasible => {}
             }
+            LpOutcome::Unbounded => return Ok(None),
+            // Infeasibility cannot appear after a successful pin;
+            // fall through to branch and bound defensively.
+            LpOutcome::Infeasible => {}
         }
         // Stage attempt 2: branch and bound on the mirrored system,
         // seeded with the previous stage's optimum, rooted at the
@@ -447,18 +451,16 @@ pub fn ilp_lexmin_warm(
                 }
             }
         };
-        // Pin the stage optimum. A pin is cheap — dual-simplex pivots on
-        // the existing basis, no artificial, no phase-1 pass — so the
-        // tableau stays alive across fractional stages too: the next
-        // stage still gets an LP lower bound and a solved root
-        // relaxation even when this one had to branch. A pin that gives
-        // up at its pivot cap leaves the later stages to branch and
-        // bound on `cur`.
+        // Pin the stage optimum. A pin is cheap — the dual-simplex
+        // pivots of phase 1, on the existing basis — so the tableau
+        // stays alive across fractional stages too: the next stage still
+        // gets an LP lower bound and a solved root relaxation even when
+        // this one had to branch. The value is attained, so the pin
+        // holds; were it to fail, every later `minimize` would read
+        // `Infeasible` and go to branch and bound on `cur`.
         let mut row = obj.clone();
         row.push(value.checked_neg().ok_or(MathError::Overflow)?);
-        if lp_alive {
-            lp_alive = lp.pin_eq(&row)?;
-        }
+        lp.pin_eq(&row)?;
         cur.add_eq(row);
         hint = Some(point);
     }

@@ -11,8 +11,9 @@
 //! * [`ConstraintSystem`] — affine equality/inequality systems with exact
 //!   Fourier–Motzkin elimination (integer-tightening and rational
 //!   variants);
-//! * [`lp_minimize`] — exact two-phase simplex on an integer tableau
-//!   (one `i64` denominator per row; overflow is an error);
+//! * [`lp_minimize`] — exact simplex on an integer tableau (a dual
+//!   phase 1 from the slack basis, a primal phase 2; one `i64`
+//!   denominator per row; overflow is an error);
 //! * [`ilp_minimize`] / [`ilp_lexmin`] / [`ilp_feasible`] — branch-and-
 //!   bound ILP with the lexicographic minimization that drives schedule
 //!   coefficient selection;

@@ -1,19 +1,28 @@
-//! Exact two-phase primal simplex on an integer tableau.
+//! Exact simplex on an integer tableau: a dual-simplex phase 1 from the
+//! slack basis, a primal phase 2.
 //!
 //! Variables are unrestricted in sign (the standard-form translation
 //! `x = x⁺ − x⁻` happens internally); constraints come from a
 //! [`ConstraintSystem`]. The solver is exact — no floating point — so
 //! feasibility and optimality answers are decisions, not approximations.
 //!
+//! No column exists only to make a starting basis. Every inequality
+//! starts with its own slack basic, which is a basis whatever the
+//! right-hand sides are; the rows `x = 0` violates are then repaired by
+//! the dual-simplex loop that also restores feasibility after a pinned
+//! equality ([`IncrementalLp::pin_eq`]), and the system's equalities
+//! enter the way pins do. Phase 1 and pins are one mechanism.
+//!
 //! Every tableau row is a vector of `i64` numerators over one positive
 //! `i64` denominator of its own, kept free of common factors; products
 //! are formed in `i128` and narrowed back. The rational value of every
 //! cell — hence every sign test, pricing choice, ratio tie-break and
-//! vertex — is what a tableau of gcd-normalized rationals would hold
-//! (`tests/reference` is one, and the proptests compare against it). A
+//! vertex — is what a tableau of gcd-normalized rationals would hold. A
 //! value that does not fit is [`MathError::Overflow`], never a panic
-//! and never a wrapped number. `docs/SOLVER.md`, lever 0, has the
-//! reasons.
+//! and never a wrapped number. `tests/reference` is an independent
+//! two-phase primal simplex on such rationals; the proptests hold
+//! verdicts and optimal values to it. `docs/SOLVER.md`, lever 0, has
+//! the reasons.
 
 use crate::consys::{ConstraintSystem, RowKind};
 use crate::error::{MathError, Result};
@@ -43,7 +52,8 @@ pub enum LpOutcome {
 ///
 /// # Errors
 ///
-/// [`MathError::Overflow`] when a tableau entry outgrows `i64`; the
+/// [`MathError::Overflow`] when a tableau entry outgrows `i64`, and
+/// [`MathError::PivotLimit`] when phase 1 reaches its pivot cap; the
 /// system is then neither proven feasible nor infeasible.
 ///
 /// # Examples
@@ -62,7 +72,7 @@ pub enum LpOutcome {
 pub fn lp_minimize(cs: &ConstraintSystem, objective: &[i64]) -> Result<LpOutcome> {
     assert_eq!(objective.len(), cs.num_vars(), "objective length mismatch");
     let mut tab = Tableau::build(cs)?;
-    if !tab.phase1()? {
+    if !tab.phase1(cs)? {
         return Ok(LpOutcome::Infeasible);
     }
     tab.phase2(objective)
@@ -72,23 +82,23 @@ pub fn lp_minimize(cs: &ConstraintSystem, objective: &[i64]) -> Result<LpOutcome
 ///
 /// # Errors
 ///
-/// [`MathError::Overflow`], as [`lp_minimize`].
+/// [`MathError::Overflow`] and [`MathError::PivotLimit`], as
+/// [`lp_minimize`].
 pub fn lp_feasible(cs: &ConstraintSystem) -> Result<bool> {
-    Tableau::build(cs)?.phase1()
+    Tableau::build(cs)?.phase1(cs)
 }
 
 /// Dense simplex tableau in standard form `A z = b, z >= 0`.
 ///
-/// Column layout: `[x⁺ (n), x⁻ (n), slacks (m_ineq), artificials (m)]`,
-/// the artificials only until phase 1 has expelled them. Row `i` is
+/// Column layout: `[x⁺ (n), x⁻ (n), slacks (m_ineq)]`, from
+/// [`build`](Tableau::build) on. Row `i` is
 /// `cells[i * (width + 1)..][..width + 1]`, its last cell the right-hand
 /// side, and stands for those numerators over `den[i]`. No cell is ever
 /// `i64::MIN`, so negating one cannot overflow and a difference of two
 /// cell products fits `i128`.
 struct Tableau {
     n: usize,     // original variables
-    ncols: usize, // structural + slack columns (no artificials)
-    width: usize, // columns of a row: `ncols`, plus the artificials in phase 1
+    width: usize, // columns of a row
     cells: Vec<i64>,
     den: Vec<i64>,     // positive, one per row
     basis: Vec<usize>, // basic column per row
@@ -98,12 +108,8 @@ struct Tableau {
     /// pivots; stale in between.
     cost: Vec<i64>,
     cost_den: i64,
-    /// Artificial columns, and zero rows that kept one basic, dropped
-    /// after phase 1. The iteration caps still count them, so the switch
-    /// to Bland's rule comes at the iteration it always came at.
-    dropped: usize,
-    /// Dual-simplex pivots spent restoring feasibility after
-    /// [`add_eq_row`](Tableau::add_eq_row) appended a row.
+    /// Pivots of [`dual_reoptimize`](Tableau::dual_reoptimize) so far,
+    /// phase 1's and the pins'.
     dual_pivots: usize,
     nz: Vec<usize>, // scratch: non-zero columns of the pivot row
 }
@@ -112,6 +118,16 @@ struct Tableau {
 /// pivot assigns a real basic column. Never read as a column index: the
 /// appending code pivots (or discards the row) before returning.
 const NO_BASIS: usize = usize::MAX;
+
+/// Pivots [`Tableau::dual_reoptimize`] may spend on a tableau of `size`
+/// rows plus columns.
+fn dual_pivot_cap(size: usize) -> usize {
+    #[cfg(test)]
+    if let Some(cap) = tests::PIVOT_CAP.get() {
+        return cap;
+    }
+    4 * size
+}
 
 /// Narrows to a cell: `i64`, and not `i64::MIN`.
 fn fit(v: i128) -> Result<i64> {
@@ -199,62 +215,49 @@ fn eliminate(
 }
 
 impl Tableau {
+    /// Every inequality `a·x + c ≥ 0` as `−a·x + s = c` with its slack
+    /// `s` basic: an identity basis, primal-infeasible exactly in the
+    /// rows `x = 0` violates. Equalities wait for
+    /// [`phase1`](Tableau::phase1).
     fn build(cs: &ConstraintSystem) -> Result<Tableau> {
         let n = cs.num_vars();
-        let m = cs.len();
-        let num_ineq = cs.iter().filter(|(k, _)| *k == RowKind::Ineq).count();
-        let ncols = 2 * n + num_ineq;
-        let width = ncols + m;
+        let ineqs = || cs.iter().filter(|(k, _)| *k == RowKind::Ineq);
+        let m = ineqs().count();
+        let width = 2 * n + m;
         let mut cells = vec![0i64; m * (width + 1)];
-        let mut slack_idx = 0usize;
-        for (ri, ((kind, row), r)) in cs.iter().zip(cells.chunks_exact_mut(width + 1)).enumerate() {
-            // Row semantics: a·x + c (>=|==) 0  =>  a·x (>=|==) -c, the
-            // whole row negated when -c < 0 so every rhs starts at |c|.
-            let negate = row[n] > 0;
+        for (i, ((_, row), r)) in ineqs().zip(cells.chunks_exact_mut(width + 1)).enumerate() {
             for j in 0..n {
-                let minus = neg(row[j])?;
-                (r[j], r[n + j]) = if negate {
-                    (minus, row[j])
-                } else {
-                    (row[j], minus)
-                };
+                (r[j], r[n + j]) = (neg(row[j])?, row[j]);
             }
-            if kind == RowKind::Ineq {
-                // a·x - s = -c with s >= 0, negated with the row.
-                r[2 * n + slack_idx] = if negate { 1 } else { -1 };
-                slack_idx += 1;
-            }
-            // Artificial variable for this row.
-            r[ncols + ri] = 1;
-            r[width] = row[n].checked_abs().ok_or(MathError::Overflow)?;
+            r[2 * n + i] = 1;
+            r[width] = fit(row[n].into())?;
         }
         Ok(Tableau {
             n,
-            ncols,
             width,
             cells,
             den: vec![1; m],
-            basis: (ncols..width).collect(),
+            basis: (2 * n..width).collect(),
             cost: Vec::new(),
             cost_den: 1,
-            dropped: 0,
             dual_pivots: 0,
             nz: Vec::new(),
         })
     }
 
-    /// Phase 1: minimize the sum of artificials; `true` iff feasible.
-    /// The artificial columns are gone afterwards.
-    fn phase1(&mut self) -> Result<bool> {
-        let mut cost1 = vec![0i64; self.width];
-        cost1[self.ncols..].fill(1);
-        // Bounded below by 0, so `optimize` cannot report unboundedness;
-        // the cost row's last cell is minus the sum it reached.
-        if !self.optimize(&cost1)? || self.cost[self.width] < 0 {
+    /// Phase 1: dual pivots until no slack is negative, then the
+    /// equalities of `cs` — the system [`build`](Tableau::build) was
+    /// given — one [`add_eq_row`](Tableau::add_eq_row) each, in row
+    /// order. `true` iff feasible.
+    fn phase1(&mut self, cs: &ConstraintSystem) -> Result<bool> {
+        if !self.dual_reoptimize()? {
             return Ok(false);
         }
-        self.expel_artificials()?;
-        self.drop_artificials();
+        for (_, row) in cs.iter().filter(|(k, _)| *k == RowKind::Eq) {
+            if !self.add_eq_row(row)? {
+                return Ok(false);
+            }
+        }
         Ok(true)
     }
 
@@ -284,12 +287,13 @@ impl Tableau {
         Ok(LpOutcome::Optimal { value, point })
     }
 
-    /// Appends the equality `row · x + c == 0` to a solved tableau and
+    /// Appends the equality `row · x + c == 0` to a feasible tableau and
     /// restores feasibility with **dual-simplex** pivots on the existing
     /// basis: after reducing the new row by the basic columns, the
-    /// tableau is primal-infeasible by exactly that row, and dual pivots
-    /// repair it without any artificial variable or phase-1 pass.
-    /// Returns `false` when the pinned system becomes infeasible.
+    /// tableau is primal-infeasible by exactly that row, and the loop
+    /// that ran phase 1 repairs it. Returns `false` when the system
+    /// with the row is infeasible; an equality the tableau already
+    /// implies adds no row.
     ///
     /// The pivot rule is Bland's dual rule under the zero cost vector:
     /// every reduced cost is identically zero, so the tableau is
@@ -343,14 +347,17 @@ impl Tableau {
     }
 
     /// The dual-simplex loop: while some row is primal-infeasible
-    /// (negative rhs), pivot it feasible. Returns `false` on proven
-    /// primal infeasibility — and at the pivot cap, where the tableau is
-    /// given up rather than repaired (Bland's rule terminates, so the
-    /// cap is a guard against a bug, not a case with an answer).
+    /// (negative rhs), pivot it feasible. `false` is a proof of primal
+    /// infeasibility: a row with a negative rhs and no negative entry.
+    ///
+    /// # Errors
+    ///
+    /// [`MathError::PivotLimit`] at the pivot cap. Bland's rule
+    /// terminates, so the cap is a guard against a bug — but callers
+    /// read `false` as "no point exists", which a cap cannot know.
     fn dual_reoptimize(&mut self) -> Result<bool> {
         let (w, s) = (self.width, self.width + 1);
-        let cap = 4 * (w + self.dropped + self.den.len());
-        let mut steps = 0usize;
+        let stop = self.dual_pivots + dual_pivot_cap(w + self.den.len());
         loop {
             // Leaving row: Bland — smallest basic index among the
             // infeasible rows (a fresh `NO_BASIS` row sorts last but is
@@ -361,10 +368,6 @@ impl Tableau {
             else {
                 return Ok(true);
             };
-            if steps >= cap {
-                return Ok(false);
-            }
-            steps += 1;
             // Entering column: smallest-index column with a negative
             // entry (all reduced-cost ratios tie at zero under the zero
             // cost vector — see `add_eq_row`). It is never a basic one:
@@ -372,6 +375,9 @@ impl Tableau {
             let Some(je) = self.cells[li * s..][..w].iter().position(|&v| v < 0) else {
                 return Ok(false); // the row cannot be made feasible
             };
+            if self.dual_pivots >= stop {
+                return Err(MathError::PivotLimit);
+            }
             self.dual_pivots += 1;
             self.pivot(li, je)?;
         }
@@ -396,7 +402,7 @@ impl Tableau {
             }
         }
         let mut iters = 0usize;
-        let max_dantzig = 4 * (w + self.dropped + self.den.len());
+        let max_dantzig = 4 * (w + self.den.len());
         loop {
             iters += 1;
             let bland = iters > max_dantzig;
@@ -477,52 +483,6 @@ impl Tableau {
         self.basis[li] = je;
         Ok(())
     }
-
-    /// After phase 1, pivots remaining artificial basics to structural
-    /// columns (or leaves degenerate zero rows harmlessly basic).
-    fn expel_artificials(&mut self) -> Result<()> {
-        let s = self.width + 1;
-        for i in 0..self.den.len() {
-            if self.basis[i] >= self.ncols {
-                // Find a structural column with nonzero entry to pivot in.
-                let row = &self.cells[i * s..][..self.ncols];
-                if let Some(j) = row.iter().position(|&v| v != 0) {
-                    self.pivot(i, j)?;
-                }
-                // Otherwise the row is all-zero over structurals (redundant
-                // constraint); its rhs must be zero after a feasible phase 1.
-            }
-        }
-        Ok(())
-    }
-
-    /// Compacts the tableau to its structural columns once no
-    /// artificial is basic in a row with structural support. Artificial
-    /// columns never enter again and no pivot reads them, and a zero row
-    /// that kept one basic takes no part in any ratio test or update —
-    /// but together they hold B⁻¹, the densest third of the tableau.
-    fn drop_artificials(&mut self) {
-        let (old, new) = (self.width + 1, self.ncols + 1);
-        let mut kept = 0usize;
-        for i in 0..self.den.len() {
-            if self.basis[i] >= self.ncols {
-                continue;
-            }
-            let (src, dst) = (i * old, kept * new);
-            self.cells.copy_within(src..src + self.ncols, dst);
-            self.cells[dst + self.ncols] = self.cells[src + self.width];
-            self.den[kept] = self.den[i];
-            self.basis[kept] = self.basis[i];
-            // The B⁻¹ entries may have been all that kept a factor in.
-            reduce(&mut self.cells[dst..dst + new], &mut self.den[kept]);
-            kept += 1;
-        }
-        self.dropped = (self.width - self.ncols) + (self.den.len() - kept);
-        self.width = self.ncols;
-        self.cells.truncate(kept * new);
-        self.den.truncate(kept);
-        self.basis.truncate(kept);
-    }
 }
 
 /// An incrementally re-optimizable LP: the tableau is built (and phase 1
@@ -557,6 +517,8 @@ impl Tableau {
 /// ```
 pub struct IncrementalLp {
     tab: Tableau,
+    /// Dual pivots phase 1 spent: not the pins'.
+    phase1_pivots: usize,
     /// Whether the system with every pinned row so far is feasible — or
     /// the error that stopped a pivot half-way, which every later call
     /// repeats rather than read the tableau it left.
@@ -568,11 +530,16 @@ impl IncrementalLp {
     ///
     /// # Errors
     ///
-    /// [`MathError::Overflow`] when a tableau entry outgrows `i64`.
+    /// [`MathError::Overflow`] when a tableau entry outgrows `i64`,
+    /// [`MathError::PivotLimit`] when phase 1 reaches its pivot cap.
     pub fn new(cs: &ConstraintSystem) -> Result<IncrementalLp> {
         let mut tab = Tableau::build(cs)?;
-        let state = Ok(tab.phase1()?);
-        Ok(IncrementalLp { tab, state })
+        let state = Ok(tab.phase1(cs)?);
+        Ok(IncrementalLp {
+            phase1_pivots: tab.dual_pivots,
+            tab,
+            state,
+        })
     }
 
     /// Whether the system (with every pinned row so far) is feasible.
@@ -601,13 +568,13 @@ impl IncrementalLp {
     /// Pins the equality `row · x + c == 0` (`row` has `n + 1` entries)
     /// and restores feasibility with dual-simplex pivots on the existing
     /// basis. Returns `false` (and stays infeasible) when the pinned
-    /// system has no solution, and when the dual pivot loop hit its cap
-    /// and gave the tableau up.
+    /// system has no solution.
     ///
     /// # Errors
     ///
-    /// [`MathError::Overflow`] when a tableau entry outgrows `i64`, now
-    /// or in an earlier call.
+    /// [`MathError::Overflow`] when a tableau entry outgrows `i64` and
+    /// [`MathError::PivotLimit`] when the dual loop reaches its pivot
+    /// cap, now or in an earlier call.
     pub fn pin_eq(&mut self, row: &[i64]) -> Result<bool> {
         assert_eq!(row.len(), self.tab.n + 1, "row length mismatch");
         if !self.state.clone()? {
@@ -621,7 +588,7 @@ impl IncrementalLp {
     /// Dual-simplex pivots spent by [`pin_eq`](IncrementalLp::pin_eq)
     /// calls so far.
     pub fn dual_pivots(&self) -> usize {
-        self.tab.dual_pivots
+        self.tab.dual_pivots - self.phase1_pivots
     }
 }
 
@@ -643,6 +610,13 @@ pub(crate) fn overflowing_system() -> ConstraintSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ilp::{ilp_feasible, ineq_implied};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Overrides [`dual_pivot_cap`] on the thread that sets it.
+        pub(super) static PIVOT_CAP: Cell<Option<usize>> = const { Cell::new(None) };
+    }
 
     fn optimal(cs: &ConstraintSystem, obj: &[i64]) -> (Rat, Vec<Rat>) {
         match lp_minimize(cs, obj).unwrap() {
@@ -722,7 +696,7 @@ mod tests {
     fn pin_cutting_off_the_vertex_uses_dual_pivots() {
         // Box [0,3]², minimize x + y -> vertex (0,0). Pinning
         // x + y == 2 cuts that vertex off: feasibility comes back via
-        // dual pivots (no artificial, no phase-1 pass).
+        // dual pivots.
         let mut cs = ConstraintSystem::new(2);
         cs.add_ineq(vec![1, 0, 0]);
         cs.add_ineq(vec![-1, 0, 3]);
@@ -810,6 +784,14 @@ mod tests {
         let mut cs = ConstraintSystem::new(1);
         cs.add_ineq(vec![i64::MIN, 0]);
         assert_eq!(lp_minimize(&cs, &[1]), Err(MathError::Overflow));
+        // So is a right-hand side, a signed cell like any other — while
+        // the widest one that is a cell is solved, not wrapped.
+        let mut cs = ConstraintSystem::new(1);
+        cs.add_ineq(vec![1, i64::MIN]);
+        assert_eq!(lp_feasible(&cs), Err(MathError::Overflow));
+        let mut cs = ConstraintSystem::new(1);
+        cs.add_ineq(vec![1, -i64::MAX]);
+        assert_eq!(optimal(&cs, &[1]).0, Rat::from(i128::from(i64::MAX)));
     }
 
     #[test]
@@ -843,7 +825,7 @@ mod tests {
         cs.add_ineq(vec![3 * K, K, -3 * K]);
         cs.add_ineq(vec![-K, -K, 10 * K]);
         let mut tab = Tableau::build(&cs).unwrap();
-        assert_eq!(tab.phase1(), Ok(true));
+        assert_eq!(tab.phase1(&cs), Ok(true));
         let widest = tab.cells.iter().chain(&tab.den).map(|v| v.abs()).max();
         assert!(widest < Some(100 * K), "{:?} / {:?}", tab.cells, tab.den);
         assert_eq!(
@@ -856,9 +838,10 @@ mod tests {
     }
 
     #[test]
-    fn artificial_columns_are_gone_after_phase1() {
+    fn the_tableau_is_structurals_and_slacks_from_build_on() {
         // n = 2, three inequalities and two equalities, one of them
-        // redundant: its zero row goes with the artificial it kept.
+        // redundant: no column is made for any row beyond its slack,
+        // and the equality the tableau already implies adds no row.
         let mut cs = ConstraintSystem::new(2);
         cs.add_ineq(vec![1, 0, 0]);
         cs.add_ineq(vec![0, 1, 0]);
@@ -866,12 +849,62 @@ mod tests {
         cs.add_eq(vec![1, -1, 0]);
         cs.add_eq(vec![2, -2, 0]);
         let mut tab = Tableau::build(&cs).unwrap();
-        assert_eq!((tab.width, tab.den.len()), (2 * 2 + 3 + 5, 5));
-        assert_eq!(tab.phase1(), Ok(true));
+        assert_eq!((tab.width, tab.den.len()), (2 * 2 + 3, 3));
+        assert_eq!(tab.phase1(&cs), Ok(true));
         assert_eq!((tab.width, tab.den.len()), (2 * 2 + 3, 4));
         assert_eq!(tab.cells.len(), 4 * (tab.width + 1));
         assert!(tab.basis.iter().all(|&b| b < tab.width));
-        assert_eq!(tab.dropped, 5 + 1);
+    }
+
+    #[test]
+    fn a_box_needs_no_phase1_pivot() {
+        // 0 <= x_j <= B: x = 0 violates no row, so the slack basis is
+        // feasible as built.
+        let mut cs = ConstraintSystem::new(3);
+        for j in 0..3 {
+            let mut lo = vec![0i64; 4];
+            lo[j] = 1;
+            cs.add_ineq(lo);
+            let mut hi = vec![0i64; 4];
+            (hi[j], hi[3]) = (-1, 7);
+            cs.add_ineq(hi);
+        }
+        let mut tab = Tableau::build(&cs).unwrap();
+        assert_eq!(tab.phase1(&cs), Ok(true));
+        assert_eq!(tab.dual_pivots, 0);
+        assert_eq!(tab.basis, (6..12).collect::<Vec<_>>());
+        // A lower bound above zero costs the pivot that moves x there,
+        // and it is phase 1's, not a pin's.
+        cs.add_ineq(vec![1, 0, 0, -2]);
+        let lp = IncrementalLp::new(&cs).unwrap();
+        assert!(lp.is_feasible());
+        assert_eq!((lp.tab.dual_pivots, lp.dual_pivots()), (1, 0));
+    }
+
+    #[test]
+    fn the_pivot_cap_is_an_error_never_a_proof() {
+        // 2 <= x <= 5, 3 <= y <= 5: phase 1 needs two pivots.
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_ineq(vec![1, 0, -2]);
+        cs.add_ineq(vec![-1, 0, 5]);
+        cs.add_ineq(vec![0, 1, -3]);
+        cs.add_ineq(vec![0, -1, 5]);
+        assert_eq!(lp_feasible(&cs), Ok(true));
+        assert!(ineq_implied(&cs, &[1, 0, -1]), "x >= 1 holds on the box");
+        PIVOT_CAP.set(Some(1));
+        assert_eq!(lp_feasible(&cs), Err(MathError::PivotLimit));
+        assert_eq!(lp_minimize(&cs, &[1, 1]), Err(MathError::PivotLimit));
+        assert_eq!(IncrementalLp::new(&cs).err(), Some(MathError::PivotLimit));
+        // `deps` reads `!ilp_feasible` as proof that no dependence
+        // exists, codegen reads `ineq_implied` as leave to drop a guard.
+        assert!(ilp_feasible(&cs), "a point may exist");
+        assert!(!ineq_implied(&cs, &[1, 0, -1]), "the guard stays");
+        // A proof of infeasibility within the cap still reads as one.
+        let mut empty = ConstraintSystem::new(1);
+        empty.add_ineq(vec![1, -5]);
+        empty.add_ineq(vec![-1, 2]);
+        assert_eq!(lp_feasible(&empty), Ok(false));
+        PIVOT_CAP.set(None);
     }
 
     #[test]

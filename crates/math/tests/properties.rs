@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use polytops_math::{
     ilp_feasible, ilp_lexmin, ilp_lexmin_warm, ilp_minimize, lp_minimize, orthogonal_complement,
-    ConstraintSystem, IlpOutcome, IlpStats, IncrementalLp, IntMatrix, LpOutcome, Rat,
+    ConstraintSystem, IlpOutcome, IlpStats, IncrementalLp, IntMatrix, LpOutcome, Rat, RowKind,
 };
 
 fn small_rat() -> impl Strategy<Value = Rat> {
@@ -293,8 +293,44 @@ fn wide_system() -> impl Strategy<Value = (ConstraintSystem, Vec<i64>)> {
         })
 }
 
-/// Drives minimize → pin chains on both tableaus; every outcome and the
-/// dual-pivot count must agree at every step.
+/// The point a solve returned lies in `cs` and attains `value`.
+fn attains(cs: &ConstraintSystem, obj: &[i64], value: Rat, point: &[Rat]) -> bool {
+    let dot = |row: &[i64]| {
+        let terms = row.iter().zip(point).map(|(&a, &x)| Rat::from(a) * x);
+        terms.fold(Rat::ZERO, |acc, t| acc + t)
+    };
+    let n = cs.num_vars();
+    dot(obj) == value
+        && cs.iter().all(|(kind, row)| {
+            let lhs = dot(&row[..n]) + Rat::from(row[n]);
+            match kind {
+                RowKind::Eq => lhs.is_zero(),
+                RowKind::Ineq => !lhs.is_negative(),
+            }
+        })
+}
+
+/// What a solve must share with the reference whatever its pivots were:
+/// the verdict and the optimal value. The vertex is the solver's own,
+/// and is checked against `cs` instead.
+fn same_answer(
+    cs: &ConstraintSystem,
+    obj: &[i64],
+    got: &LpOutcome,
+    want: &LpOutcome,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    match (got, want) {
+        (LpOutcome::Optimal { value, point }, LpOutcome::Optimal { value: want, .. }) => {
+            prop_assert_eq!(value, want);
+            prop_assert!(attains(cs, obj, *value, point), "{:?} in {:?}", point, cs);
+        }
+        _ => prop_assert_eq!(got, want),
+    }
+    Ok(())
+}
+
+/// Drives minimize → pin chains on both tableaus; feasibility, every
+/// stage's verdict and value and every pin's result must agree.
 fn chains_agree(
     cs: &ConstraintSystem,
     objs: &[Vec<i64>],
@@ -302,9 +338,10 @@ fn chains_agree(
     let mut lp = IncrementalLp::new(cs).unwrap();
     let mut old = reference::IncrementalLp::new(cs);
     prop_assert_eq!(lp.is_feasible(), old.is_feasible());
+    let mut acc = cs.clone(); // `cs` and the pins that held
     for obj in objs {
         let outcome = lp.minimize(obj).unwrap();
-        prop_assert_eq!(&outcome, &old.minimize(obj));
+        same_answer(&acc, obj, &outcome, &old.minimize(obj))?;
         let LpOutcome::Optimal { value, .. } = outcome else {
             break;
         };
@@ -319,18 +356,23 @@ fn chains_agree(
         }
         let mut row: Vec<i64> = obj.iter().map(|c| c * d).collect();
         row.push(-n);
-        prop_assert_eq!(lp.pin_eq(&row).unwrap(), old.pin_eq(&row));
-        prop_assert_eq!(lp.dual_pivots(), old.dual_pivots());
         let mut cut: Vec<i64> = obj.iter().rev().copied().collect();
         cut.push(-1);
-        prop_assert_eq!(lp.pin_eq(&cut).unwrap(), old.pin_eq(&cut));
-        prop_assert_eq!(lp.dual_pivots(), old.dual_pivots());
+        for pin in [row, cut] {
+            let held = lp.pin_eq(&pin).unwrap();
+            prop_assert_eq!(held, old.pin_eq(&pin));
+            prop_assert_eq!(lp.is_feasible(), held);
+            if held {
+                acc.add_eq(pin);
+            }
+        }
     }
     Ok(())
 }
 
-// The integer tableau against the `Rat` tableau it replaced: the same
-// pivots, so the same outcome down to the vertex.
+// The integer tableau's dual phase 1 against the `Rat` tableau's
+// artificial one: two pivot paths, so verdict and optimal value are the
+// contract, not the vertex.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -339,12 +381,14 @@ proptest! {
         (cs, _bounds) in boxed_system(),
         obj in proptest::collection::vec(-3i64..=3, 3),
     ) {
-        prop_assert_eq!(lp_minimize(&cs, &obj), Ok(reference::lp_minimize(&cs, &obj)));
+        let got = lp_minimize(&cs, &obj).unwrap();
+        same_answer(&cs, &obj, &got, &reference::lp_minimize(&cs, &obj))?;
     }
 
     #[test]
     fn lp_is_identical_to_the_reference_on_wide_systems((cs, obj) in wide_system()) {
-        prop_assert_eq!(lp_minimize(&cs, &obj), Ok(reference::lp_minimize(&cs, &obj)));
+        let got = lp_minimize(&cs, &obj).unwrap();
+        same_answer(&cs, &obj, &got, &reference::lp_minimize(&cs, &obj))?;
     }
 
     #[test]
@@ -365,5 +409,30 @@ proptest! {
         let rotated: Vec<i64> = (0..n).map(|j| obj[(j + seed) % n]).collect();
         let negated: Vec<i64> = obj.iter().map(|c| -c).collect();
         chains_agree(&cs, &[obj, rotated, negated])?;
+    }
+
+    #[test]
+    fn a_total_lexmin_does_not_depend_on_the_row_order(
+        (cs, bounds) in boxed_system(),
+        shift in 0usize..9,
+    ) {
+        // One unit objective per variable pins every coordinate, so one
+        // point attains the lexmin — whatever basis the rows' order
+        // starts the simplex from.
+        let objs = vec![vec![1, 0, 0], vec![0, 1, 0], vec![0, 0, 1]];
+        let want = brute_points(&cs, &bounds).into_iter().min();
+        // `boxed_system` has inequalities only.
+        let with_rows = |rows: Vec<Vec<i64>>| {
+            let mut out = ConstraintSystem::new(cs.num_vars());
+            rows.into_iter().for_each(|row| out.add_ineq(row));
+            out
+        };
+        let rows: Vec<Vec<i64>> = cs.iter().map(|(_, row)| row.to_vec()).collect();
+        let reversed = with_rows(rows.iter().rev().cloned().collect());
+        let mut rotated = rows.clone();
+        rotated.rotate_left(shift % rows.len());
+        for sys in [&cs, &reversed, &with_rows(rotated)] {
+            prop_assert_eq!(ilp_lexmin(sys, &objs), Ok(want.clone()));
+        }
     }
 }

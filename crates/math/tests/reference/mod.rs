@@ -1,10 +1,9 @@
 //! The `Rat` tableau the integer tableau in `src/simplex.rs` replaced,
-//! kept for one PR as the exact differential reference: the same
-//! build, pricing, ratio tests, pivots and dual-simplex pins cell for
-//! cell on gcd-normalized `i128/i128` rationals. The one departure
-//! from the code it was moved from is the one the crate made too: at
-//! the dual-pivot cap a pin gives up instead of running an
-//! artificial-based repair.
+//! kept as the independent oracle of the differential proptests: a
+//! two-phase primal simplex with one artificial column per row, on
+//! gcd-normalized `i128/i128` rationals. The crate's phase 1 is a dual
+//! simplex from the slack basis, so the two take different pivots to
+//! the same verdicts and optimal values.
 
 use polytops_math::{ConstraintSystem, LpOutcome, Rat, RowKind};
 
@@ -24,9 +23,6 @@ struct Tableau {
     rows: Vec<Vec<Rat>>, // m rows of length ncols + nart, plus rhs column appended
     rhs: Vec<Rat>,
     basis: Vec<usize>, // basic column per row
-    /// Dual-simplex pivots spent restoring feasibility after
-    /// [`add_eq_row`](Tableau::add_eq_row) appended a row.
-    dual_pivots: usize,
 }
 
 /// Sentinel basis entry for a freshly appended row before its first
@@ -78,7 +74,6 @@ impl Tableau {
             rows,
             rhs,
             basis,
-            dual_pivots: 0,
         }
     }
 
@@ -221,7 +216,6 @@ impl Tableau {
             else {
                 return false; // the row cannot be made feasible
             };
-            self.dual_pivots += 1;
             self.pivot(li, je);
         }
     }
@@ -389,9 +383,5 @@ impl IncrementalLp {
         }
         self.feasible = self.tab.add_eq_row(row);
         self.feasible
-    }
-
-    pub fn dual_pivots(&self) -> usize {
-        self.tab.dual_pivots
     }
 }
