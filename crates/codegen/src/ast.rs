@@ -27,12 +27,21 @@
 //! Guards implied by the enclosing loop bounds are eliminated
 //! gist-style with the same LP check, so a statement whose domain is
 //! fully described by its loops carries no guard at all.
+//!
+//! Those implication checks come in families over one system, and each
+//! family is asked of one live tableau ([`IncrementalLp`]): a
+//! statement's scan space answers every shared-bound question about it
+//! by re-optimizing from where the last answer left the basis, a leaf's
+//! context tableau takes each kept guard as a pushed row, and the
+//! redundancy pruning of a Fourier–Motzkin step takes each tested row
+//! out of the one tableau of the step's system and puts it back if it
+//! was needed.
 
 use std::fmt::Write as _;
 
 use polytops_ir::{MarkKind, PathStep, Schedule, Scop, StmtId, TreeNode};
 use polytops_math::{
-    ineq_implied, ConstraintSystem, MathError, Rat, Result as MathResult, RowKind,
+    ineq_implied, ConstraintSystem, IncrementalLp, MathError, Rat, Result as MathResult, RowKind,
 };
 
 /// Why a scheduled SCoP could not be lowered to C.
@@ -202,42 +211,102 @@ struct StmtScan {
     /// (convex) description of the statement's scan space, the source
     /// of leaf guards.
     full: ConstraintSystem,
+    /// The solved tableau of `full`, which every bound proposed for a
+    /// loop around the statement is checked against.
+    space: Context,
     /// Original iterators over `(c_0..c_{K-1}, params, 1)`, when the
     /// affine members pin them integrally.
     iters: Option<Vec<Vec<i64>>>,
+}
+
+/// A system that is asked many implication questions: its live tableau,
+/// and the count of questions for `codegen.implied_queries`.
+struct Context {
+    /// `None` when the tableau could not be built (an overflow):
+    /// nothing is implied then, as [`ineq_implied`] would answer.
+    lp: Option<IncrementalLp>,
+    queries: u64,
+}
+
+impl Context {
+    fn new(cs: &ConstraintSystem) -> Context {
+        Context {
+            lp: IncrementalLp::new(cs).ok(),
+            queries: 0,
+        }
+    }
+
+    /// Whether the system implies `row ≥ 0` over the rationals. Every
+    /// answer re-optimizes from the basis the last one stopped at.
+    fn implies(&mut self, row: &[i64]) -> bool {
+        self.queries += 1;
+        self.lp.as_mut().is_some_and(|lp| lp.implies(row))
+    }
+
+    /// Whether the system implies `row == 0`.
+    fn implies_eq(&mut self, row: &[i64]) -> bool {
+        let neg: Vec<i64> = row.iter().map(|&c| -c).collect();
+        self.implies(row) && self.implies(&neg)
+    }
+
+    /// Adds a row to the system. A push that overflows leaves a
+    /// tableau that implies nothing, which only keeps guards.
+    fn push(&mut self, kind: RowKind, row: &[i64]) {
+        if let Some(lp) = &mut self.lp {
+            let _ = match kind {
+                RowKind::Ineq => lp.push_ineq(row),
+                RowKind::Eq => lp.pin_eq(row),
+            };
+        }
+    }
 }
 
 /// Drops every inequality row the remaining rows already imply (an
 /// exact LP check per row). Fourier–Motzkin cascades produce heavily
 /// redundant systems; pruning after each elimination keeps the cascade
 /// small and the extracted loop bounds readable.
-fn prune_redundant(cs: &ConstraintSystem) -> ConstraintSystem {
+///
+/// Rows are tested in order against the rows still kept, so of two
+/// identical rows the first goes and the second stays. All tests are
+/// asked of the one tableau of `cs`: the tested row is taken out of it
+/// and the rest minimizes it; a row that turns out implied stays out,
+/// a row that does not is put back by rolling the tableau back.
+fn prune_redundant(cs: &ConstraintSystem, queries: &mut u64) -> ConstraintSystem {
     let rows = cs.rows();
-    let n = rows.len();
-    let mut keep = vec![true; n];
-    for i in 0..n {
-        if rows[i].0 == RowKind::Eq {
-            continue;
-        }
-        let mut rest = ConstraintSystem::new(cs.num_vars());
-        for j in 0..n {
-            if j == i || !keep[j] {
-                continue;
+    let mut keep = vec![true; rows.len()];
+    // An empty system has no feasible basis to take a row out of, and
+    // a tableau that overflowed none to trust: each row is then tested
+    // against a system rebuilt from the rows still kept.
+    let mut live = IncrementalLp::new(cs)
+        .ok()
+        .filter(IncrementalLp::is_feasible);
+    let ineqs = (0..rows.len()).filter(|&i| rows[i].0 == RowKind::Ineq);
+    for (k, i) in ineqs.enumerate() {
+        *queries += 1;
+        keep[i] = match &mut live {
+            Some(lp) => {
+                let before = lp.snapshot();
+                let implied = lp.drop_ineq(k).is_ok() && lp.implies(&rows[i].1);
+                if !implied {
+                    lp.rollback(before);
+                }
+                !implied
             }
-            match rows[j].0 {
-                RowKind::Eq => rest.add_eq(rows[j].1.clone()),
-                RowKind::Ineq => rest.add_ineq(rows[j].1.clone()),
+            None => {
+                let mut rest = ConstraintSystem::new(cs.num_vars());
+                for (j, (kind, row)) in rows.iter().enumerate() {
+                    match kind {
+                        _ if j == i || !keep[j] => {}
+                        RowKind::Eq => rest.add_eq(row.clone()),
+                        RowKind::Ineq => rest.add_ineq(row.clone()),
+                    }
+                }
+                !ineq_implied(&rest, &rows[i].1)
             }
-        }
-        if ineq_implied(&rest, &rows[i].1) {
-            keep[i] = false;
-        }
+        };
     }
     let mut out = ConstraintSystem::new(cs.num_vars());
-    for (j, (kind, row)) in rows.iter().enumerate() {
-        if !keep[j] {
-            continue;
-        }
+    for ((kind, row), _) in rows.iter().zip(keep).filter(|(_, keep)| *keep) {
         match kind {
             RowKind::Eq => out.add_eq(row.clone()),
             RowKind::Ineq => out.add_ineq(row.clone()),
@@ -298,6 +367,7 @@ fn extract_bounds(proj: &ConstraintSystem, k: usize) -> (Vec<BoundTerm>, Vec<Bou
 /// constraints, eliminate auxiliary floor variables and iterators, and
 /// read per-level bounds off successive projections.
 fn scan_stmt(scop: &Scop, sid: usize, members: Vec<MemberData>) -> MathResult<StmtScan> {
+    let _timing = polytops_math::obs::time("codegen.scan_ns");
     let stmt = &scop.statements[sid];
     let d = stmt.depth();
     let np = scop.nparams();
@@ -369,14 +439,15 @@ fn scan_stmt(scop: &Scop, sid: usize, members: Vec<MemberData>) -> MathResult<St
     // Eliminate the auxiliary floor variables and the original
     // iterators (positions kk..kk+aux+d).
     let mut cur = sys;
+    let mut queries = 0;
     for _ in 0..(aux + d) {
-        cur = prune_redundant(&cur.eliminate_var(kk)?);
+        cur = prune_redundant(&cur.eliminate_var(kk)?, &mut queries);
     }
     let full = cur.clone();
     // Successive projections onto (c_0..c_k, params).
     let mut projections = vec![cur.clone()];
     for k in (1..kk).rev() {
-        cur = prune_redundant(&cur.eliminate_var(k)?);
+        cur = prune_redundant(&cur.eliminate_var(k)?, &mut queries);
         projections.push(cur.clone());
     }
     projections.reverse();
@@ -384,10 +455,13 @@ fn scan_stmt(scop: &Scop, sid: usize, members: Vec<MemberData>) -> MathResult<St
         .map(|k| extract_bounds(&projections[k], k))
         .collect();
     let iters = invert_iters(scop, sid, &members);
+    let mut space = Context::new(&full);
+    space.queries += queries;
     Ok(StmtScan {
         members,
         bounds,
         full,
+        space,
         iters,
     })
 }
@@ -468,32 +542,32 @@ fn lift_bound(term: &BoundTerm, k: usize, kk: usize, np: usize, lower: bool) -> 
 
 /// Whether `term` is a valid `c_k` bound for every point of `scan`'s
 /// statement (an exact LP implication over the full projection).
-fn bound_valid(scan: &StmtScan, k: usize, term: &BoundTerm, lower: bool, np: usize) -> bool {
+fn bound_valid(scan: &mut StmtScan, k: usize, term: &BoundTerm, lower: bool, np: usize) -> bool {
     let row = lift_bound(term, k, scan.members.len(), np, lower);
-    ineq_implied(&scan.full, &row)
+    scan.space.implies(&row)
 }
 
 /// The union bound of one loop level: the shared terms every active
 /// statement satisfies when such terms exist, otherwise the per-
 /// statement bound lists combined with an outer `min`/`max`.
 fn union_bounds(
-    scans: &[StmtScan],
+    scans: &mut [StmtScan],
     active: &[usize],
     k: usize,
     lower: bool,
     np: usize,
 ) -> Vec<Vec<BoundTerm>> {
-    let list_of = |s: usize| -> &Vec<BoundTerm> {
-        let (lb, ub) = &scans[s].bounds[k];
+    fn list_of(scan: &StmtScan, k: usize, lower: bool) -> &Vec<BoundTerm> {
+        let (lb, ub) = &scan.bounds[k];
         if lower {
             lb
         } else {
             ub
         }
-    };
+    }
     let mut candidates: Vec<BoundTerm> = Vec::new();
     for &s in active {
-        for t in list_of(s) {
+        for t in list_of(&scans[s], k, lower) {
             if !candidates.contains(t) {
                 candidates.push(t.clone());
             }
@@ -504,7 +578,7 @@ fn union_bounds(
         .filter(|t| {
             active
                 .iter()
-                .all(|&s| bound_valid(&scans[s], k, t, lower, np))
+                .all(|&s| bound_valid(&mut scans[s], k, t, lower, np))
         })
         .collect();
     if !shared.is_empty() {
@@ -512,7 +586,7 @@ fn union_bounds(
     }
     let mut lists: Vec<Vec<BoundTerm>> = Vec::new();
     for &s in active {
-        let l = list_of(s).clone();
+        let l = list_of(&scans[s], k, lower).clone();
         if !lists.contains(&l) {
             lists.push(l);
         }
@@ -527,14 +601,20 @@ struct PendingMarks<'a> {
     simd_stmts: Option<&'a [usize]>,
 }
 
-/// The leaf guards of one statement: the exact floor checks of its
+/// The leaf guards of one statement — the exact floor checks of its
 /// quasi-affine members plus every full-projection row the enclosing
-/// loop bounds do not imply.
-fn leaf_guards(scan: &StmtScan, loop_bounds: &[(usize, bool, BoundTerm)], np: usize) -> Vec<Guard> {
+/// loop bounds do not imply — and the number of implication questions
+/// that took. The context the rows are tested against is one tableau:
+/// the loop bounds, and each guard kept so far pushed onto it.
+fn leaf_guards(
+    scan: &StmtScan,
+    loop_bounds: &[(usize, bool, BoundTerm)],
+    np: usize,
+) -> (Vec<Guard>, u64) {
     let kk = scan.members.len();
-    let mut ctx = ConstraintSystem::new(kk + np);
+    let mut bounds = ConstraintSystem::new(kk + np);
     for (k, lower, term) in loop_bounds {
-        ctx.add_ineq(lift_bound(term, *k, kk, np, *lower));
+        bounds.add_ineq(lift_bound(term, *k, kk, np, *lower));
     }
     let mut out = Vec::new();
     // Exact floor guards for quasi-affine members, plus their linear
@@ -561,28 +641,25 @@ fn leaf_guards(scan: &StmtScan, loop_bounds: &[(usize, bool, BoundTerm)], np: us
             }
             lo[kk + np] += w * (t.div - 1);
         }
-        ctx.add_ineq(lo);
-        ctx.add_ineq(hi);
+        bounds.add_ineq(lo);
+        bounds.add_ineq(hi);
         out.push(Guard::Floors { var: v, terms });
     }
+    let mut ctx = Context::new(&bounds);
     for (kind, row) in scan.full.iter() {
-        match kind {
-            RowKind::Ineq => {
-                if !ineq_implied(&ctx, row) {
-                    out.push(Guard::Ineq(row.to_vec()));
-                    ctx.add_ineq(row.to_vec());
-                }
-            }
-            RowKind::Eq => {
-                let neg: Vec<i64> = row.iter().map(|&c| -c).collect();
-                if !(ineq_implied(&ctx, row) && ineq_implied(&ctx, &neg)) {
-                    out.push(Guard::Eq(row.to_vec()));
-                    ctx.add_eq(row.to_vec());
-                }
-            }
+        let implied = match kind {
+            RowKind::Ineq => ctx.implies(row),
+            RowKind::Eq => ctx.implies_eq(row),
+        };
+        if !implied {
+            out.push(match kind {
+                RowKind::Ineq => Guard::Ineq(row.to_vec()),
+                RowKind::Eq => Guard::Eq(row.to_vec()),
+            });
+            ctx.push(kind, row);
         }
     }
-    out
+    (out, ctx.queries)
 }
 
 /// The floored terms of a quasi-affine member rewritten over the scan
@@ -615,7 +692,7 @@ fn floor_terms(scan: &StmtScan, md: &MemberData) -> Option<Vec<BoundTerm>> {
 #[allow(clippy::too_many_arguments)]
 fn walk(
     scop: &Scop,
-    scans: &[StmtScan],
+    scans: &mut [StmtScan],
     node: &TreeNode,
     active: &[usize],
     level: usize,
@@ -630,11 +707,13 @@ fn walk(
         TreeNode::Leaf => active
             .iter()
             .map(|&sid| {
+                let (guards, asked) = leaf_guards(&scans[sid], loop_bounds, np);
+                scans[sid].space.queries += asked;
                 AstNode::Stmt(StmtNode {
                     id: StmtId(sid),
                     name: scop.statements[sid].name.clone(),
                     iters: scans[sid].iters.clone(),
-                    guards: leaf_guards(&scans[sid], loop_bounds, np),
+                    guards,
                 })
             })
             .collect(),
@@ -687,7 +766,7 @@ fn walk(
 #[allow(clippy::too_many_arguments)]
 fn build_member(
     scop: &Scop,
-    scans: &[StmtScan],
+    scans: &mut [StmtScan],
     active: &[usize],
     level: usize,
     n: usize,
@@ -801,12 +880,16 @@ pub fn generate(scop: &Scop, sched: &Schedule) -> MathResult<AstNode> {
     let mut loop_bounds = Vec::new();
     let body = walk(
         scop,
-        &scans,
+        &mut scans,
         &tree.root,
         &active,
         0,
         &mut loop_bounds,
         PendingMarks::default(),
+    );
+    polytops_math::obs::count(
+        "codegen.implied_queries",
+        scans.iter().map(|scan| scan.space.queries).sum(),
     );
     Ok(match body.len() {
         1 => body.into_iter().next().expect("nonempty"),

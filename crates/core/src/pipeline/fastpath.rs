@@ -25,15 +25,15 @@
 //!    statement can re-expose a dependence upstream).
 //! 3. **Validation** — every legality dependence (live ones plus those
 //!    carried inside the open band, so emitted bands stay permutable)
-//!    must pass [`respects`], the same exact `Δ ≥ 0` dependence-
-//!    polyhedron check the Farkas stage linearizes.
+//!    must pass [`Certifier::respects`], the same exact `Δ ≥ 0`
+//!    dependence-polyhedron check the Farkas stage linearizes.
 //!
 //! Any failure returns `None` and the caller falls back to the full ILP
 //! cascade *for this dimension only* — later dimensions try the fast
 //! path again. Fast-path schedules flow through the same commit,
 //! post-processing and oracle-certification machinery as ILP schedules.
 
-use polytops_deps::{respects, zero_distance, Dependence};
+use polytops_deps::{Certifier, Dependence};
 use polytops_ir::Scop;
 use polytops_math::{ilp_minimize, IlpOutcome, IntMatrix};
 
@@ -43,6 +43,7 @@ use crate::strategy::DimSolution;
 /// `None` when no legal permutation/shift proposal exists (the caller
 /// then runs the ILP cascade for this dimension).
 pub(crate) fn propose(
+    oracle: &mut Certifier<'_>,
     scop: &Scop,
     basis: &[IntMatrix],
     legality: &[(usize, &Dependence)],
@@ -83,8 +84,8 @@ pub(crate) fn propose(
     //    cycle no constant shift can fix.
     for _ in 0..=nstmts {
         let mut changed = false;
-        for &(_, dep) in legality {
-            if respects(dep, &rows[dep.src.0], &rows[dep.dst.0]) {
+        for &(e, dep) in legality {
+            if oracle.respects(e, &rows[dep.src.0], &rows[dep.dst.0]) {
                 continue;
             }
             let deficit = match min_distance(dep, &rows[dep.src.0], &rows[dep.dst.0]) {
@@ -113,14 +114,14 @@ pub(crate) fn propose(
     //    dimension must preserve.
     if legality
         .iter()
-        .any(|&(_, dep)| !respects(dep, &rows[dep.src.0], &rows[dep.dst.0]))
+        .any(|&(e, dep)| !oracle.respects(e, &rows[dep.src.0], &rows[dep.dst.0]))
     {
         return None;
     }
 
     let parallel = live
         .iter()
-        .all(|(_, dep)| zero_distance(dep, &rows[dep.src.0], &rows[dep.dst.0]));
+        .all(|&(e, dep)| oracle.zero_distance(e, &rows[dep.src.0], &rows[dep.dst.0]));
     Some(DimSolution {
         rows,
         parallel,

@@ -20,23 +20,26 @@
 //!   follow), and vectorization directives/auto-detection become
 //!   `Mark::Vectorize` annotations.
 //!
-//! Every transformation is **verified before it is committed**: the
-//! candidate tree's instance order must pass the independent dependence
-//! oracle ([`polytops_deps::steps_respect_dependence`]) for every
-//! dependence. A transformation that fails verification is silently
-//! dropped — post-processing, like directives, is best-effort and never
-//! breaks legality. Coincidence flags of transformed bands are
-//! recomputed with the *conditioned* oracle
-//! ([`polytops_deps::step_coincident`]: zero distance given equal outer
-//! coordinates); untransformed bands keep the engine's flags so model
-//! scores of plain schedules are unchanged.
+//! Every transformation is **verified before it is committed**, by the
+//! independent dependence oracle ([`polytops_deps::Certifier`]): the
+//! candidate's instance order must respect every dependence *whose step
+//! sequence the rewrite changed*. That is every dependence there is to
+//! check — a verdict is a function of (dependence, step sequence), the
+//! tree a rewrite starts from is certified by induction (the lowering
+//! of the engine's schedule is legal by its Farkas construction, each
+//! committed rewrite by this check), so a dependence that crosses the
+//! same steps before and after keeps the verdict it had. A
+//! transformation that fails verification is silently dropped —
+//! post-processing, like directives, is best-effort and never breaks
+//! legality. Coincidence flags of transformed bands are recomputed with
+//! the *conditioned* oracle on the same walk (zero distance given equal
+//! outer coordinates); untransformed bands keep the engine's flags so
+//! model scores of plain schedules are unchanged.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
-use polytops_deps::{
-    step_coincident, steps_respect_dependence, strongly_satisfies, zero_distance, Dependence,
-    OrderStep,
-};
+use polytops_deps::Certifier;
 use polytops_ir::{
     BandMember, MarkKind, MemberTerm, PathStep, Schedule, ScheduleTree, StmtId, TreeNode,
 };
@@ -46,18 +49,22 @@ use crate::pipeline::objectives::expand_targets;
 
 /// Applies the configured post-processing to `sched` in place: lowers
 /// the schedule to a tree, transforms it, and attaches the result
-/// (every schedule leaves this stage with an explicit tree).
-pub fn apply(deps: &[Dependence], sched: &mut Schedule, config: &SchedulerConfig) {
+/// (every schedule leaves this stage with an explicit tree). `oracle`
+/// answers for the dependences of the schedule's SCoP.
+pub fn apply(oracle: &mut Certifier<'_>, sched: &mut Schedule, config: &SchedulerConfig) {
     let mut tree = sched.tree_or_lowered();
     let post = &config.post;
     if !post.tile_sizes.is_empty() {
-        tile(deps, sched, &mut tree, &post.tile_sizes);
+        let _timing = polytops_obs::time("postprocess.tile_ns");
+        tile(oracle, sched, &mut tree, &post.tile_sizes);
     }
     if post.wavefront {
-        wavefront(deps, &mut tree);
+        let _timing = polytops_obs::time("postprocess.wavefront_ns");
+        wavefront(oracle, &mut tree);
     }
     if post.intra_tile_vectorize && !post.tile_sizes.is_empty() {
-        intra_tile_vectorize(deps, &mut tree);
+        let _timing = polytops_obs::time("postprocess.rotate_ns");
+        intra_tile_vectorize(oracle, &mut tree);
     }
     vectorize_marks(sched, &mut tree, config);
     sched.set_tree(tree);
@@ -67,83 +74,30 @@ pub fn apply(deps: &[Dependence], sched: &mut Schedule, config: &SchedulerConfig
 // Oracle plumbing.
 // ---------------------------------------------------------------------
 
-/// Whether every dependence is respected by the tree's instance order
-/// (the commit gate of every transformation).
-fn tree_respects_all(deps: &[Dependence], tree: &ScheduleTree) -> bool {
-    let paths = tree.stmt_paths();
-    deps.iter().all(|dep| {
-        let steps = aligned_steps(&paths[dep.src.0], &paths[dep.dst.0]).0;
-        steps_respect_dependence(dep, &steps)
-    })
-}
-
-/// [`polytops_deps::order_steps`] plus the structural node id of each
-/// member step (needed to attribute conditioned properties back to tree
-/// members).
-fn aligned_steps(src: &[PathStep], dst: &[PathStep]) -> (Vec<OrderStep>, Vec<Option<usize>>) {
-    let mut steps = Vec::new();
-    let mut ids = Vec::new();
-    for (a, b) in src.iter().zip(dst.iter()) {
-        match (a, b) {
-            (
-                PathStep::Member {
-                    node: na,
-                    terms: ta,
-                    ..
-                },
-                PathStep::Member {
-                    node: nb,
-                    terms: tb,
-                    ..
-                },
-            ) if na == nb => {
-                steps.push(OrderStep::Value {
-                    src: ta.clone(),
-                    dst: tb.clone(),
-                });
-                ids.push(Some(*na));
-            }
-            (PathStep::Seq { node: na, pos: pa }, PathStep::Seq { node: nb, pos: pb })
-                if na == nb =>
-            {
-                steps.push(OrderStep::Position { src: *pa, dst: *pb });
-                ids.push(None);
-                if pa != pb {
-                    break;
-                }
-            }
-            _ => break,
-        }
+/// The commit gate of every transformation: whether `candidate`, a
+/// rewrite of the certified `tree`, respects every dependence. With it
+/// come the conditioned coincidence flags of the candidate's members
+/// with structural node ids `flags` — a member is coincident iff, for
+/// every dependence, its step distance is zero given equal coordinates
+/// on all *prefix* steps (dependences that never reach the member —
+/// separated earlier or filtered apart — are vacuously fine; a member
+/// no statement crosses is not coincident).
+fn certify_rewrite(
+    oracle: &mut Certifier<'_>,
+    tree: &ScheduleTree,
+    candidate: &ScheduleTree,
+    flags: Range<usize>,
+) -> Option<Vec<bool>> {
+    let after = candidate.stmt_paths();
+    let mut out = oracle.certify_rewrite(&tree.stmt_paths(), &after, flags.clone())?;
+    let crossed = |id: usize| {
+        let on = |step: &PathStep| matches!(step, PathStep::Member { node, .. } if *node == id);
+        after.iter().any(|path| path.iter().any(on))
+    };
+    for (flag, id) in out.iter_mut().zip(flags) {
+        *flag &= crossed(id);
     }
-    (steps, ids)
-}
-
-/// Conditioned coincidence of every member node id in the tree: a
-/// member is coincident iff, for every dependence, its step distance is
-/// zero given equal coordinates on all *prefix* steps (dependences that
-/// never reach the member — separated earlier or filtered apart — are
-/// vacuously fine).
-fn conditioned_flags(deps: &[Dependence], tree: &ScheduleTree) -> HashMap<usize, bool> {
-    let paths = tree.stmt_paths();
-    let mut flags: HashMap<usize, bool> = HashMap::new();
-    for path in &paths {
-        for step in path {
-            if let PathStep::Member { node, .. } = step {
-                flags.entry(*node).or_insert(true);
-            }
-        }
-    }
-    for dep in deps {
-        let (steps, ids) = aligned_steps(&paths[dep.src.0], &paths[dep.dst.0]);
-        for (j, id) in ids.iter().enumerate() {
-            let Some(id) = id else { continue };
-            let entry = flags.entry(*id).or_insert(true);
-            if *entry {
-                *entry = step_coincident(dep, &steps[..j], &steps[j]);
-            }
-        }
-    }
-    flags
+    Some(out)
 }
 
 // ---------------------------------------------------------------------
@@ -255,13 +209,14 @@ fn rewrite_band(
 
 /// Dependences not strongly carried by any flat dimension before
 /// `start`.
-fn live_at(deps: &[Dependence], sched: &Schedule, start: usize) -> Vec<usize> {
+fn live_at(oracle: &mut Certifier<'_>, sched: &Schedule, start: usize) -> Vec<usize> {
+    let deps = oracle.deps();
     let mut live: Vec<usize> = (0..deps.len()).collect();
     for d in 0..start {
         live.retain(|&e| {
             let dep = &deps[e];
-            !strongly_satisfies(
-                dep,
+            !oracle.strongly_satisfies(
+                e,
                 &sched.stmt(dep.src).rows()[d],
                 &sched.stmt(dep.dst).rows()[d],
             )
@@ -278,7 +233,8 @@ fn live_at(deps: &[Dependence], sched: &Schedule, start: usize) -> Vec<usize> {
 /// band, the candidate certified against the oracle before committing.
 /// `tile_sizes` supplies one size per band depth and is cycled when the
 /// band is deeper.
-fn tile(deps: &[Dependence], sched: &Schedule, tree: &mut ScheduleTree, tile_sizes: &[i64]) {
+fn tile(oracle: &mut Certifier<'_>, sched: &Schedule, tree: &mut ScheduleTree, tile_sizes: &[i64]) {
+    let deps = oracle.deps();
     let mut bi = 0;
     while bi < count_bands(&tree.root) {
         let candidate = rewrite_band(tree, bi, &mut |ctx, members, permutable, child| {
@@ -294,7 +250,7 @@ fn tile(deps: &[Dependence], sched: &Schedule, tree: &mut ScheduleTree, tile_siz
             // carried by an earlier member of the same band still
             // crosses tiles.
             let start = members[0].source_dim();
-            let live = live_at(deps, sched, start);
+            let live = live_at(oracle, sched, start);
             let tile_members: Vec<BandMember> = members
                 .iter()
                 .zip(&sizes)
@@ -302,8 +258,8 @@ fn tile(deps: &[Dependence], sched: &Schedule, tree: &mut ScheduleTree, tile_siz
                     let t = &m.terms[0];
                     let parallel = live.iter().all(|&e| {
                         let dep = &deps[e];
-                        zero_distance(
-                            dep,
+                        oracle.zero_distance(
+                            e,
                             &sched.stmt(dep.src).rows()[t.source_dim],
                             &sched.stmt(dep.dst).rows()[t.source_dim],
                         )
@@ -334,7 +290,7 @@ fn tile(deps: &[Dependence], sched: &Schedule, tree: &mut ScheduleTree, tile_siz
             })
         });
         match candidate {
-            Some(c) if tree_respects_all(deps, &c) => {
+            Some(c) if certify_rewrite(oracle, tree, &c, 0..0).is_some() => {
                 *tree = c;
                 // The rewrite put two bands (tile + point) where one
                 // was; continue past both.
@@ -362,18 +318,32 @@ fn coincident_count(tree: &ScheduleTree, target: usize) -> usize {
     n
 }
 
-/// Recomputes the coincidence flags of the `target`-th band with the
-/// conditioned oracle (other bands keep their flags).
-fn refresh_band_flags(deps: &[Dependence], tree: &mut ScheduleTree, target: usize) {
-    let flags = conditioned_flags(deps, tree);
+/// The structural node ids of the members of bands `bands` (adjacent
+/// in depth-first order, so one range).
+fn member_ids(tree: &ScheduleTree, bands: Range<usize>) -> Range<usize> {
+    let mut ids = 0..0;
     let mut k = 0;
-    tree.for_each_band_mut(|first, members| {
-        if k == target {
-            for (j, m) in members.iter_mut().enumerate() {
-                m.coincident = flags.get(&(first + j)).copied().unwrap_or(false);
+    tree.for_each_band(|first, members| {
+        if bands.contains(&k) {
+            if ids.is_empty() {
+                ids.start = first;
             }
+            ids.end = first + members.len();
         }
         k += 1;
+    });
+    ids
+}
+
+/// Sets the coincidence flags of the members with structural node ids
+/// `ids` (other members keep theirs).
+fn set_flags(tree: &mut ScheduleTree, ids: Range<usize>, flags: &[bool]) {
+    tree.for_each_band_mut(|first, members| {
+        for (j, m) in members.iter_mut().enumerate() {
+            if ids.contains(&(first + j)) {
+                m.coincident = flags[first + j - ids.start];
+            }
+        }
     });
 }
 
@@ -384,7 +354,7 @@ fn refresh_band_flags(deps: &[Dependence], tree: &mut ScheduleTree, target: usiz
 /// only when it is certified against every dependence and loses no
 /// coincident members (the user asked for a wavefront; pipelining an
 /// already-parallel-inside band is allowed, degrading one is not).
-fn wavefront(deps: &[Dependence], tree: &mut ScheduleTree) {
+fn wavefront(oracle: &mut Certifier<'_>, tree: &mut ScheduleTree) {
     let mut bi = 0;
     while bi < count_bands(&tree.root) {
         let candidate = rewrite_band(tree, bi, &mut |ctx, members, _permutable, child| {
@@ -438,10 +408,12 @@ fn wavefront(deps: &[Dependence], tree: &mut ScheduleTree) {
             })
         });
         if let Some(mut c) = candidate {
-            refresh_band_flags(deps, &mut c, bi);
-            if tree_respects_all(deps, &c) && coincident_count(&c, bi) >= coincident_count(tree, bi)
-            {
-                *tree = c;
+            let ids = member_ids(&c, bi..bi + 1);
+            if let Some(flags) = certify_rewrite(oracle, tree, &c, ids.clone()) {
+                set_flags(&mut c, ids, &flags);
+                if coincident_count(&c, bi) >= coincident_count(tree, bi) {
+                    *tree = c;
+                }
             }
         }
         bi += 1;
@@ -575,8 +547,9 @@ fn rotate_under_tile_mark(under: &TreeNode, sizes: &[i64]) -> Option<(TreeNode, 
 
 /// Driver: tries each tiled nest in turn, committing certified
 /// rotations (flags of both bands of a rotated nest are recomputed with
-/// the conditioned oracle — the permutation changes every prefix).
-fn intra_tile_vectorize(deps: &[Dependence], tree: &mut ScheduleTree) {
+/// the conditioned oracle — the permutation changes every prefix — on
+/// the walk that certifies it).
+fn intra_tile_vectorize(oracle: &mut Certifier<'_>, tree: &mut ScheduleTree) {
     let ntiles = tree
         .marks()
         .iter()
@@ -592,21 +565,22 @@ fn intra_tile_vectorize(deps: &[Dependence], tree: &mut ScheduleTree) {
             root,
         };
         // Locate the rotated nest's two bands: they are the bands whose
-        // members differ from `tree`'s at the same index.
+        // members differ from `tree`'s at the same index, the point band
+        // right below the tile band.
         let mut before = Vec::new();
         tree.for_each_band(|_, m| before.push(m.to_vec()));
-        let mut changed = Vec::new();
+        let mut changed: Option<Range<usize>> = None;
         let mut k = 0;
         candidate.for_each_band(|_, m| {
             if before.get(k).map(Vec::as_slice) != Some(m) {
-                changed.push(k);
+                changed = Some(changed.take().map_or(k, |c| c.start)..k + 1);
             }
             k += 1;
         });
-        for &b in &changed {
-            refresh_band_flags(deps, &mut candidate, b);
-        }
-        if tree_respects_all(deps, &candidate) {
+        let Some(changed) = changed else { continue };
+        let ids = member_ids(&candidate, changed);
+        if let Some(flags) = certify_rewrite(oracle, tree, &candidate, ids.clone()) {
+            set_flags(&mut candidate, ids, &flags);
             *tree = candidate;
         }
     }
@@ -702,8 +676,18 @@ fn vectorize_marks(sched: &Schedule, tree: &mut ScheduleTree, config: &Scheduler
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polytops_deps::analyze;
+    use polytops_deps::{analyze, order_steps, steps_respect_dependence, Dependence};
     use polytops_ir::{Aff, Scop, ScopBuilder};
+
+    /// Whether every dependence is respected by the tree's instance
+    /// order, each asked from scratch.
+    fn tree_respects_all(deps: &[Dependence], tree: &ScheduleTree) -> bool {
+        let paths = tree.stmt_paths();
+        deps.iter().all(|dep| {
+            let steps = order_steps(&paths[dep.src.0], &paths[dep.dst.0]);
+            steps_respect_dependence(dep, &steps)
+        })
+    }
 
     /// `for t for i A[i] = A[i-1] + A[i+1];` — the classic skewing case.
     fn jacobi() -> Scop {
@@ -841,7 +825,8 @@ mod tests {
         let deps = analyze(&scop);
         let mut sched = crate::schedule(&scop, &crate::SchedulerConfig::default()).unwrap();
         let before = sched.clone();
-        apply(&deps, &mut sched, &crate::SchedulerConfig::default());
+        let config = crate::SchedulerConfig::default();
+        apply(&mut Certifier::new(&deps), &mut sched, &config);
         // Rows, bands and flags untouched; the tree is exactly the
         // lowering of the flat schedule.
         assert_eq!(

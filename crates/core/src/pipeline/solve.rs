@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use polytops_deps::{analyze, sccs_topological, strongly_satisfies, zero_distance, Dependence};
+use polytops_deps::{analyze, sccs_topological, Certifier, Dependence};
 use polytops_ir::{Schedule, Scop, StmtSchedule};
 use polytops_math::{ilp_lexmin_warm, IlpStats, IntMatrix};
 
@@ -283,6 +283,10 @@ impl<'a> Engine<'a> {
         let budget = 2 * (max_depth + nstmts) + 8;
         let mut stats = PipelineStats::default();
         let mut warm: Option<Vec<i64>> = None;
+        // One oracle for the run: every dimension's carried / parallel
+        // tests and the post-processing stage ask the same dependences.
+        let deps = Arc::clone(&self.deps);
+        let oracle = &mut Certifier::new(&deps);
         let mut dim = 0usize;
         while !self.complete() {
             if dim >= budget {
@@ -302,7 +306,7 @@ impl<'a> Engine<'a> {
             let mut recompute = 0usize;
             loop {
                 let (solution, band_break) =
-                    self.solve_dimension(&plan, dim, &mut stats, &mut warm)?;
+                    self.solve_dimension(oracle, &plan, dim, &mut stats, &mut warm)?;
                 let ranks = self.ranks();
                 let state = StrategyState {
                     dimension: dim,
@@ -319,14 +323,14 @@ impl<'a> Engine<'a> {
                         recompute += 1;
                     }
                     _ => {
-                        self.commit(&solution, band_break);
+                        self.commit(oracle, &solution, band_break);
                         break;
                     }
                 }
             }
             dim += 1;
         }
-        self.finalize(stats)
+        self.finalize(oracle, stats)
     }
 
     // -----------------------------------------------------------------
@@ -339,6 +343,7 @@ impl<'a> Engine<'a> {
     /// dependences carried inside it).
     fn solve_dimension(
         &self,
+        oracle: &mut Certifier<'_>,
         plan: &DimensionPlan,
         dim: usize,
         stats: &mut PipelineStats,
@@ -363,6 +368,7 @@ impl<'a> Engine<'a> {
             let proposed = {
                 let _span = polytops_obs::span("fast_path");
                 fastpath::propose(
+                    oracle,
                     self.scop,
                     &self.basis,
                     &legality,
@@ -376,13 +382,13 @@ impl<'a> Engine<'a> {
             }
             stats.fast_path_fallbacks += 1;
         }
-        if let Some(solution) = self.solve_ilp(plan, true, stats, warm)? {
+        if let Some(solution) = self.solve_ilp(oracle, plan, true, stats, warm)? {
             return Ok((solution, false));
         }
         // The band's permutability constraints may be what blocks the
         // dimension: close the band and retry with live legality only.
         if self.has_in_band_carried() {
-            if let Some(solution) = self.solve_ilp(plan, false, stats, warm)? {
+            if let Some(solution) = self.solve_ilp(oracle, plan, false, stats, warm)? {
                 return Ok((solution, true));
             }
         }
@@ -396,7 +402,7 @@ impl<'a> Engine<'a> {
                 extra_constraints: Vec::new(),
             };
             if self
-                .solve_ilp(&unconstrained, false, stats, warm)?
+                .solve_ilp(oracle, &unconstrained, false, stats, warm)?
                 .is_some()
             {
                 return Err(ScheduleError::InfeasibleCustomConstraints { dimension: dim });
@@ -414,6 +420,7 @@ impl<'a> Engine<'a> {
     /// [`ScheduleError::Math`].
     fn solve_ilp(
         &self,
+        oracle: &mut Certifier<'_>,
         plan: &DimensionPlan,
         in_band_legality: bool,
         stats: &mut PipelineStats,
@@ -460,7 +467,7 @@ impl<'a> Engine<'a> {
         // dimension (vacuously true without live dependences).
         let parallel = live
             .iter()
-            .all(|(_, dep)| zero_distance(dep, &rows[dep.src.0], &rows[dep.dst.0]));
+            .all(|&(e, dep)| oracle.zero_distance(e, &rows[dep.src.0], &rows[dep.dst.0]));
         *warm = Some(point);
         Ok(Some(DimSolution {
             rows,
@@ -588,7 +595,7 @@ impl<'a> Engine<'a> {
     // Committing and finishing.
     // -----------------------------------------------------------------
 
-    fn commit(&mut self, solution: &DimSolution, band_break: bool) {
+    fn commit(&mut self, oracle: &mut Certifier<'_>, solution: &DimSolution, band_break: bool) {
         if band_break && !solution.constant {
             // The dimension was solved with the previous band closed.
             self.band_id += 1;
@@ -614,7 +621,11 @@ impl<'a> Engine<'a> {
         };
         for (e, dep) in self.deps.iter().enumerate() {
             if self.live[e]
-                && strongly_satisfies(dep, &solution.rows[dep.src.0], &solution.rows[dep.dst.0])
+                && oracle.strongly_satisfies(
+                    e,
+                    &solution.rows[dep.src.0],
+                    &solution.rows[dep.dst.0],
+                )
             {
                 self.live[e] = false;
                 self.carried_band[e] = Some(dim_band);
@@ -669,6 +680,7 @@ impl<'a> Engine<'a> {
     /// runs the post-processing stage on it.
     fn finalize(
         mut self,
+        oracle: &mut Certifier<'_>,
         mut stats: PipelineStats,
     ) -> Result<(Schedule, PipelineStats), ScheduleError> {
         let nstmts = self.scop.statements.len();
@@ -699,6 +711,7 @@ impl<'a> Engine<'a> {
             }
             let rows = self.constant_rows(&values);
             self.commit(
+                oracle,
                 &DimSolution {
                     rows,
                     parallel: false,
@@ -714,6 +727,7 @@ impl<'a> Engine<'a> {
             let values: Vec<i64> = self.scop.statements.iter().map(|s| s.beta[0]).collect();
             let rows = self.constant_rows(&values);
             self.commit(
+                oracle,
                 &DimSolution {
                     rows,
                     parallel: false,
@@ -741,7 +755,7 @@ impl<'a> Engine<'a> {
         // committed.
         {
             let _span = polytops_obs::span("postprocess");
-            postprocess::apply(&self.deps, &mut sched, self.config);
+            postprocess::apply(oracle, &mut sched, self.config);
         }
 
         stats.dimensions = sched.dims();

@@ -22,7 +22,7 @@
 //! winner, with the same schedule bytes, on any thread count.
 //! `crates/core/tests/model.rs` asserts exactly this.
 
-use polytops_deps::schedule_respects_dependence;
+use polytops_deps::Certifier;
 use polytops_ir::{Schedule, Scop};
 use polytops_machine::model::{extract_features, model_score, ScheduleFeatures};
 pub use polytops_machine::MachineModel;
@@ -84,7 +84,7 @@ pub struct TuneOutcome {
     /// The winner's extracted feature vector.
     pub features: ScheduleFeatures,
     /// Whether the winner passed the independent legality oracle
-    /// (`schedule_respects_dependence` over every dependence). The
+    /// ([`Certifier::certifies`]: every dependence). The
     /// engine schedules legally by construction, so this is `true`
     /// unless there is an internal bug — callers (the service, the
     /// bench) refuse to act on an uncertified winner.
@@ -300,13 +300,7 @@ fn serve_learned(
     if score != remembered.score {
         return None;
     }
-    let certified = deps.iter().all(|d| {
-        schedule_respects_dependence(
-            d,
-            winner.schedule.stmt(d.src).rows(),
-            winner.schedule.stmt(d.dst).rows(),
-        )
-    });
+    let certified = Certifier::new(&deps).certifies(&winner.schedule);
     Some(TuneOutcome {
         config: candidate.config.clone(),
         winner,
@@ -359,13 +353,7 @@ fn explore_candidates(
             }));
     };
     let winner = results[idx].as_ref().cloned().expect("best is Ok");
-    let certified = deps.iter().all(|d| {
-        schedule_respects_dependence(
-            d,
-            winner.schedule.stmt(d.src).rows(),
-            winner.schedule.stmt(d.dst).rows(),
-        )
-    });
+    let certified = Certifier::new(&deps).certifies(&winner.schedule);
     let explored_scenarios = results.len();
     Ok(TuneOutcome {
         config: candidates[idx].config.clone(),

@@ -6,7 +6,10 @@
 //! test. [`strongly_satisfies`], [`zero_distance`] and [`respects`]
 //! answer the satisfaction questions the iterative scheduler asks at
 //! every dimension, and [`schedule_respects_dependence`] is the
-//! independent legality oracle used by the test suite.
+//! independent legality oracle used by the test suite. Each is the
+//! one-question form of a [`Certifier`], which answers families of such
+//! questions about one set of dependences on one live tableau per
+//! dependence.
 //!
 //! # Example
 //!
@@ -41,7 +44,7 @@ mod satisfy;
 pub use analysis::{analyze, common_loops, DepKind, Dependence};
 pub use graph::{dependence_sccs, sccs_topological};
 pub use satisfy::{
-    distance_row, order_steps, respects, schedule_respects_dependence, step_carries,
-    step_coincident, step_legal, steps_respect_dependence, strongly_satisfies, zero_distance,
-    OrderStep,
+    distance_row, order_steps, order_steps_with_nodes, respects, schedule_respects_dependence,
+    step_coincident, steps_respect_dependence, strongly_satisfies, zero_distance, Certifier,
+    CertifierStats, OrderStep, StepDelta, StepSystem, Walk,
 };

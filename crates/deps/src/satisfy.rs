@@ -6,8 +6,21 @@
 //! everywhere; a row **strongly satisfies** (carries) the dependence when
 //! `Δ ≥ 1` everywhere, and is **parallel** for it when `Δ = 0`
 //! everywhere.
+//!
+//! Every such question is "does the dependence polyhedron, plus a row
+//! or two, hold an integer point", and the questions come in families
+//! over one polyhedron. A [`Certifier`] therefore keeps, per
+//! dependence, the solved tableau of its polyhedron
+//! ([`IncrementalLp`]) and asks each question as one pushed row on a
+//! snapshot of it; a walk down a step sequence pins `Δ = 0` on one
+//! working copy as it goes instead of rebuilding prefix + step per
+//! question. The free functions of this module are the one-dependence,
+//! one-question forms of the same code.
 
-use polytops_math::ilp_feasible;
+use std::collections::HashMap;
+
+use polytops_ir::PathStep;
+use polytops_math::{ConstraintSystem, IncrementalLp, RowKind};
 
 use crate::analysis::Dependence;
 
@@ -39,56 +52,37 @@ pub fn distance_row(dep: &Dependence, src_row: &[i64], dst_row: &[i64]) -> Vec<i
     row
 }
 
+/// `row − 1 ≥ 0`, i.e. `Δ ≥ 1` for a distance row.
+fn at_least_one(row: &[i64]) -> Vec<i64> {
+    let mut up = row.to_vec();
+    *up.last_mut().expect("a constant column") -= 1;
+    up
+}
+
+/// `−row − 1 ≥ 0`, i.e. `Δ ≤ −1` for a distance row.
+fn at_most_minus_one(row: &[i64]) -> Vec<i64> {
+    let mut down: Vec<i64> = row.iter().map(|&v| -v).collect();
+    *down.last_mut().expect("a constant column") -= 1;
+    down
+}
+
 /// Whether `Δ ≥ 1` on the whole dependence polyhedron (the row *carries*
 /// the dependence, which can then be removed from the live set).
 pub fn strongly_satisfies(dep: &Dependence, src_row: &[i64], dst_row: &[i64]) -> bool {
-    // Strongly satisfied iff { poly ∧ Δ <= 0 } has no integer point.
-    let delta = distance_row(dep, src_row, dst_row);
-    let mut sys = dep.poly.clone();
-    let nv = sys.num_vars();
-    let mut leq = vec![0i64; nv + 1];
-    for (o, d) in leq.iter_mut().zip(&delta) {
-        *o = -d;
-    }
-    // -Δ >= 0  <=>  Δ <= 0.
-    let _ = nv;
-    sys.add_ineq(leq);
-    !ilp_feasible(&sys)
+    Certifier::new(std::slice::from_ref(dep)).strongly_satisfies(0, src_row, dst_row)
 }
 
 /// Whether `Δ = 0` on the whole dependence polyhedron (the dimension is
 /// parallel with respect to this dependence).
 pub fn zero_distance(dep: &Dependence, src_row: &[i64], dst_row: &[i64]) -> bool {
-    let delta = distance_row(dep, src_row, dst_row);
-    let nv = dep.poly.num_vars();
-    // Δ >= 1 feasible?
-    let mut up = dep.poly.clone();
-    let mut row = delta.clone();
-    row[nv] -= 1;
-    up.add_ineq(row);
-    if ilp_feasible(&up) {
-        return false;
-    }
-    // Δ <= -1 feasible?
-    let mut down = dep.poly.clone();
-    let mut row: Vec<i64> = delta.iter().map(|&v| -v).collect();
-    row[nv] -= 1;
-    down.add_ineq(row);
-    !ilp_feasible(&down)
+    Certifier::new(std::slice::from_ref(dep)).zero_distance(0, src_row, dst_row)
 }
 
 /// Whether `Δ ≥ 0` on the whole polyhedron (the row is legal for this
 /// dependence). Mostly used by tests and verification — the scheduler
 /// enforces legality by construction via Farkas.
 pub fn respects(dep: &Dependence, src_row: &[i64], dst_row: &[i64]) -> bool {
-    let delta = distance_row(dep, src_row, dst_row);
-    let nv = dep.poly.num_vars();
-    // Δ <= -1 feasible?
-    let mut sys = dep.poly.clone();
-    let mut row: Vec<i64> = delta.iter().map(|&v| -v).collect();
-    row[nv] -= 1;
-    sys.add_ineq(row);
-    !ilp_feasible(&sys)
+    Certifier::new(std::slice::from_ref(dep)).respects(0, src_row, dst_row)
 }
 
 /// Verifies a complete multidimensional schedule against a dependence:
@@ -102,32 +96,7 @@ pub fn schedule_respects_dependence(
     src_rows: &[Vec<i64>],
     dst_rows: &[Vec<i64>],
 ) -> bool {
-    assert_eq!(src_rows.len(), dst_rows.len(), "ragged schedules");
-    // Violated iff there is a point with Δ_0..k-1 = 0 and Δ_k <= -1 for
-    // some k, i.e. destination not lexicographically after source.
-    let nv = dep.poly.num_vars();
-    for k in 0..src_rows.len() {
-        let mut sys = dep.poly.clone();
-        for j in 0..k {
-            let delta = distance_row(dep, &src_rows[j], &dst_rows[j]);
-            sys.add_eq(delta);
-        }
-        let delta = distance_row(dep, &src_rows[k], &dst_rows[k]);
-        let mut row: Vec<i64> = delta.iter().map(|&v| -v).collect();
-        row[nv] -= 1;
-        sys.add_ineq(row);
-        if ilp_feasible(&sys) {
-            return false;
-        }
-    }
-    // Also violated if all dimensions are equal somewhere (no strict
-    // order at all).
-    let mut sys = dep.poly.clone();
-    for k in 0..src_rows.len() {
-        let delta = distance_row(dep, &src_rows[k], &dst_rows[k]);
-        sys.add_eq(delta);
-    }
-    !ilp_feasible(&sys)
+    Certifier::new(std::slice::from_ref(dep)).schedule_respects(0, src_rows, dst_rows)
 }
 
 // ---------------------------------------------------------------------
@@ -140,7 +109,7 @@ pub fn schedule_respects_dependence(
 /// Built by [`order_steps`] from the two statements' tree paths; each
 /// step is either a band-member *value* comparison (quasi-affine: sums
 /// of floored terms on both sides) or a static sequence *position*
-/// comparison. The `step_*` oracles below answer satisfaction questions
+/// comparison. The step oracles below answer satisfaction questions
 /// about such steps inside the same exact integer-feasibility machinery
 /// as the affine row tests above, by extending the dependence
 /// polyhedron with auxiliary integer variables:
@@ -183,12 +152,20 @@ pub enum OrderStep {
 /// steps are zipped while the paths traverse the same structural nodes,
 /// and a sequence node where the positions differ (which decides the
 /// order statically) terminates the sequence.
-pub fn order_steps(
-    src_path: &[polytops_ir::PathStep],
-    dst_path: &[polytops_ir::PathStep],
-) -> Vec<OrderStep> {
-    use polytops_ir::PathStep as P;
-    let mut out = Vec::new();
+pub fn order_steps(src_path: &[PathStep], dst_path: &[PathStep]) -> Vec<OrderStep> {
+    order_steps_with_nodes(src_path, dst_path).0
+}
+
+/// [`order_steps`] plus, beside each step, the structural node id of
+/// the band member it compares (`None` for a sequence position) — what
+/// attributes a conditioned property of the step back to a tree member.
+pub fn order_steps_with_nodes(
+    src_path: &[PathStep],
+    dst_path: &[PathStep],
+) -> (Vec<OrderStep>, Vec<Option<usize>>) {
+    use PathStep as P;
+    let mut steps = Vec::new();
+    let mut nodes = Vec::new();
     for (a, b) in src_path.iter().zip(dst_path.iter()) {
         match (a, b) {
             (
@@ -202,111 +179,119 @@ pub fn order_steps(
                     terms: tb,
                     ..
                 },
-            ) if na == nb => out.push(OrderStep::Value {
-                src: ta.clone(),
-                dst: tb.clone(),
-            }),
+            ) if na == nb => {
+                steps.push(OrderStep::Value {
+                    src: ta.clone(),
+                    dst: tb.clone(),
+                });
+                nodes.push(Some(*na));
+            }
             (P::Seq { node: na, pos: pa }, P::Seq { node: nb, pos: pb }) if na == nb => {
-                let decided = pa != pb;
-                out.push(OrderStep::Position { src: *pa, dst: *pb });
-                if decided {
+                steps.push(OrderStep::Position { src: *pa, dst: *pb });
+                nodes.push(None);
+                if pa != pb {
                     break;
                 }
             }
             _ => break,
         }
     }
-    out
+    (steps, nodes)
 }
 
-/// The distance of one step over the extended variable space: either a
-/// static constant (sequence positions) or a linear row over
-/// `(it_src, it_dst, params, aux…, 1)`.
-enum StepDelta {
+/// The distance of one step over the extended variable space
+/// `(it_src, it_dst, params, aux…, 1)` of a [`StepSystem`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StepDelta {
+    /// Sequence positions: a static constant.
     Const(i64),
+    /// A band member: a linear row.
     Linear(Vec<i64>),
 }
 
-/// The dependence polyhedron widened with the auxiliary floor variables
-/// of a step sequence, plus each step's distance expression.
-struct StepEncoding {
-    sys: polytops_math::ConstraintSystem,
-    deltas: Vec<StepDelta>,
+/// What a step sequence adds to its dependence polyhedron: the
+/// auxiliary floor variables, the rows that define them, and each
+/// step's distance expression.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StepSystem {
+    /// Auxiliary variables, appended behind the dependence's own.
+    pub aux: usize,
+    /// Window and monotonicity-cut inequalities over
+    /// `(it_src, it_dst, params, aux…, 1)`.
+    pub rows: Vec<Vec<i64>>,
+    /// One distance per step, in order.
+    pub deltas: Vec<StepDelta>,
 }
 
 /// A distinct floored term needing one auxiliary variable: either a
 /// source/destination pair of the same member term (encoded as a
 /// difference window) or a lone side term (encoded as a floor box).
 #[derive(PartialEq, Eq, Hash, Clone)]
-enum AuxKey {
-    Pair(Vec<i64>, Vec<i64>, i64),
-    Side(bool, Vec<i64>, i64),
+enum AuxKey<'a> {
+    Pair(&'a [i64], &'a [i64], i64),
+    Side(bool, &'a [i64], i64),
 }
 
-impl StepEncoding {
-    fn new(dep: &Dependence, steps: &[OrderStep]) -> StepEncoding {
+/// Whether a member contributes the same index-aligned terms to both
+/// sides (always the case for terms built from tree paths).
+fn paired(src: &[(Vec<i64>, i64)], dst: &[(Vec<i64>, i64)]) -> bool {
+    src.len() == dst.len() && src.iter().zip(dst).all(|((_, da), (_, db))| da == db)
+}
+
+impl StepSystem {
+    /// Encodes `steps` over `dep`. `sign_of` answers, for the distance
+    /// `δ = rd·x − rs·x` of a floored term pair as a row over the
+    /// dependence space, whether the polyhedron implies `δ ≥ 0` (`1`),
+    /// `δ ≤ 0` (`-1`) or neither (`0`).
+    pub fn new(
+        dep: &Dependence,
+        steps: &[OrderStep],
+        mut sign_of: impl FnMut(&[i64]) -> i8,
+    ) -> StepSystem {
         let ds = dep.src_depth;
         let dr = dep.dst_depth;
         let nv = dep.poly.num_vars();
         let np = nv - ds - dr;
         // First pass: one auxiliary variable per distinct floored term,
         // paired across sides when a member contributes the same
-        // index-aligned term to both (always the case for terms built
-        // from tree paths).
-        let mut keys: Vec<AuxKey> = Vec::new();
-        let mut index: std::collections::HashMap<AuxKey, usize> = std::collections::HashMap::new();
-        let intern = |keys: &mut Vec<AuxKey>,
-                      index: &mut std::collections::HashMap<AuxKey, usize>,
-                      key: AuxKey|
-         -> usize {
+        // index-aligned term to both.
+        let mut keys: Vec<AuxKey<'_>> = Vec::new();
+        let mut index: HashMap<AuxKey<'_>, usize> = HashMap::new();
+        fn intern<'s>(
+            keys: &mut Vec<AuxKey<'s>>,
+            index: &mut HashMap<AuxKey<'s>, usize>,
+            key: AuxKey<'s>,
+        ) -> usize {
             *index.entry(key.clone()).or_insert_with(|| {
                 keys.push(key);
                 keys.len() - 1
             })
-        };
+        }
+        // Per Value step, the auxiliary variable of each floored term
+        // (source side first when the sides are not paired).
+        let mut slots: Vec<Vec<usize>> = Vec::with_capacity(steps.len());
         for step in steps {
+            let mut of_step = Vec::new();
             if let OrderStep::Value { src, dst } = step {
-                let paired = src.len() == dst.len()
-                    && src.iter().zip(dst).all(|((_, da), (_, db))| da == db);
-                if paired {
-                    for ((rs, div), (rd, _)) in src.iter().zip(dst) {
-                        if *div > 1 {
-                            intern(
-                                &mut keys,
-                                &mut index,
-                                AuxKey::Pair(rs.clone(), rd.clone(), *div),
-                            );
-                        }
+                if paired(src, dst) {
+                    for ((rs, div), (rd, _)) in src.iter().zip(dst).filter(|((_, d), _)| *d > 1) {
+                        of_step.push(intern(&mut keys, &mut index, AuxKey::Pair(rs, rd, *div)));
                     }
                 } else {
-                    for (row, div) in src {
-                        if *div > 1 {
-                            intern(&mut keys, &mut index, AuxKey::Side(true, row.clone(), *div));
-                        }
-                    }
-                    for (row, div) in dst {
-                        if *div > 1 {
-                            intern(
+                    for (is_src, side) in [(true, src), (false, dst)] {
+                        for (row, div) in side.iter().filter(|(_, d)| *d > 1) {
+                            of_step.push(intern(
                                 &mut keys,
                                 &mut index,
-                                AuxKey::Side(false, row.clone(), *div),
-                            );
+                                AuxKey::Side(is_src, row, *div),
+                            ));
                         }
                     }
                 }
             }
+            slots.push(of_step);
         }
         let next = nv + keys.len();
-        let mut sys = polytops_math::ConstraintSystem::new(next);
-        for (kind, row) in dep.poly.iter() {
-            let mut r = vec![0i64; next + 1];
-            r[..nv].copy_from_slice(&row[..nv]);
-            r[next] = row[nv];
-            match kind {
-                polytops_math::RowKind::Eq => sys.add_eq(r),
-                polytops_math::RowKind::Ineq => sys.add_ineq(r),
-            }
-        }
         // Lifts a per-side row over (iters, params, 1) into the
         // extended space.
         let lift = |row: &[i64], is_src: bool| -> Vec<i64> {
@@ -315,13 +300,12 @@ impl StepEncoding {
             let mut r = vec![0i64; next + 1];
             let base = if is_src { 0 } else { ds };
             r[base..base + d].copy_from_slice(&row[..d]);
-            for j in 0..np {
-                r[ds + dr + j] = row[d + j];
-            }
+            r[ds + dr..nv].copy_from_slice(&row[d..d + np]);
             r[next] = row[d + np];
             r
         };
         // Defining constraints, once per auxiliary variable.
+        let mut rows = Vec::with_capacity(3 * keys.len());
         for (i, key) in keys.iter().enumerate() {
             let q = nv + i;
             match key {
@@ -331,14 +315,15 @@ impl StepEncoding {
                     // δ = rd·x − rs·x.
                     let s = lift(rs, true);
                     let d = lift(rd, false);
-                    let mut hi: Vec<i64> = d.iter().zip(&s).map(|(a, b)| a - b).collect();
+                    let delta: Vec<i64> = d.iter().zip(&s).map(|(a, b)| a - b).collect();
+                    let mut hi = delta.clone();
                     hi[q] -= div;
                     hi[next] += div - 1;
-                    sys.add_ineq(hi);
-                    let mut lo: Vec<i64> = s.iter().zip(&d).map(|(a, b)| a - b).collect();
+                    rows.push(hi);
+                    let mut lo: Vec<i64> = delta.iter().map(|&c| -c).collect();
                     lo[q] += div;
                     lo[next] += div - 1;
-                    sys.add_ineq(lo);
+                    rows.push(lo);
                     // Monotonicity cut: the floor function is monotone,
                     // so a sign-definite δ over the dependence
                     // polyhedron forces the same sign on the true floor
@@ -348,85 +333,101 @@ impl StepEncoding {
                     // integrally infeasible but rationally feasible)
                     // into deep branch and bound; the cut makes it a
                     // pure LP refutation.
-                    let mut base_delta = vec![0i64; nv + 1];
-                    for (j, &c) in rd[..dr].iter().enumerate() {
-                        base_delta[ds + j] += c;
-                    }
-                    for (j, &c) in rs[..ds].iter().enumerate() {
-                        base_delta[j] -= c;
-                    }
-                    for j in 0..np {
-                        base_delta[ds + dr + j] += rd[dr + j] - rs[ds + j];
-                    }
-                    base_delta[nv] += rd[dr + np] - rs[ds + np];
-                    if polytops_math::ineq_implied(&dep.poly, &base_delta) {
+                    let mut base_delta = delta[..nv].to_vec();
+                    base_delta.push(delta[next]);
+                    let sign = sign_of(&base_delta);
+                    if sign != 0 {
                         let mut cut = vec![0i64; next + 1];
-                        cut[q] = 1;
-                        sys.add_ineq(cut);
-                    } else {
-                        let neg: Vec<i64> = base_delta.iter().map(|&c| -c).collect();
-                        if polytops_math::ineq_implied(&dep.poly, &neg) {
-                            let mut cut = vec![0i64; next + 1];
-                            cut[q] = -1;
-                            sys.add_ineq(cut);
-                        }
+                        cut[q] = i64::from(sign);
+                        rows.push(cut);
                     }
                 }
                 AuxKey::Side(is_src, row, div) => {
                     // q = ⌊row·x / div⌋ via div·q ≤ row·x ≤ div·q + div − 1.
                     let mut lo = lift(row, *is_src);
                     lo[q] -= div;
-                    sys.add_ineq(lo);
-                    let mut hi: Vec<i64> = lift(row, *is_src).iter().map(|&c| -c).collect();
-                    hi[q] += div;
+                    let mut hi: Vec<i64> = lo.iter().map(|&c| -c).collect();
                     hi[next] += div - 1;
-                    sys.add_ineq(hi);
+                    rows.push(lo);
+                    rows.push(hi);
                 }
             }
         }
         // Second pass: per-step distance expressions over the extended
         // space.
-        let mut deltas = Vec::with_capacity(steps.len());
-        for step in steps {
-            match step {
-                OrderStep::Position { src, dst } => deltas.push(StepDelta::Const(dst - src)),
+        let deltas = steps
+            .iter()
+            .zip(&slots)
+            .map(|(step, slots)| match step {
+                OrderStep::Position { src, dst } => StepDelta::Const(dst - src),
                 OrderStep::Value { src, dst } => {
                     let mut delta = vec![0i64; next + 1];
-                    let paired = src.len() == dst.len()
-                        && src.iter().zip(dst).all(|((_, da), (_, db))| da == db);
-                    if paired {
-                        for ((rs, div), (rd, _)) in src.iter().zip(dst) {
+                    let mut slots = slots.iter();
+                    let mut add = |terms: &[(Vec<i64>, i64)], sign: i64, is_src: bool, aux: i64| {
+                        for (row, div) in terms {
                             if *div == 1 {
-                                for ((acc, a), b) in
-                                    delta.iter_mut().zip(lift(rd, false)).zip(lift(rs, true))
-                                {
-                                    *acc += a - b;
+                                for (acc, v) in delta.iter_mut().zip(lift(row, is_src)) {
+                                    *acc += sign * v;
                                 }
-                            } else {
-                                delta[nv + index[&AuxKey::Pair(rs.clone(), rd.clone(), *div)]] += 1;
+                            } else if aux != 0 {
+                                delta[nv + slots.next().expect("interned above")] += aux;
                             }
                         }
+                    };
+                    if paired(src, dst) {
+                        // A pair's variable stands for the difference:
+                        // it is counted once, on the destination side.
+                        add(src, -1, true, 0);
+                        add(dst, 1, false, 1);
                     } else {
-                        let mut add_side = |terms: &[(Vec<i64>, i64)], sign: i64, is_src: bool| {
-                            for (row, div) in terms {
-                                if *div == 1 {
-                                    for (acc, v) in delta.iter_mut().zip(lift(row, is_src)) {
-                                        *acc += sign * v;
-                                    }
-                                } else {
-                                    let key = AuxKey::Side(is_src, row.clone(), *div);
-                                    delta[nv + index[&key]] += sign;
-                                }
-                            }
-                        };
-                        add_side(src, -1, true);
-                        add_side(dst, 1, false);
+                        add(src, -1, true, -1);
+                        add(dst, 1, false, 1);
                     }
-                    deltas.push(StepDelta::Linear(delta));
+                    StepDelta::Linear(delta)
                 }
+            })
+            .collect();
+        StepSystem {
+            aux: keys.len(),
+            rows,
+            deltas,
+        }
+    }
+
+    /// The encoding as one constraint system — `dep.poly` lifted into
+    /// the extended space plus [`rows`](StepSystem::rows) — with the
+    /// cut signs decided by a cold [`polytops_math::ineq_implied`]
+    /// each. This is the from-scratch form a [`Certifier`]'s tableau
+    /// stands for: the reference oracle of the test suite asks
+    /// [`polytops_math::ilp_feasible`] of it, one rebuilt system a
+    /// question.
+    pub fn materialized(dep: &Dependence, steps: &[OrderStep]) -> (ConstraintSystem, StepSystem) {
+        let enc = StepSystem::new(dep, steps, |delta| {
+            let neg: Vec<i64> = delta.iter().map(|&c| -c).collect();
+            if polytops_math::ineq_implied(&dep.poly, delta) {
+                1
+            } else if polytops_math::ineq_implied(&dep.poly, &neg) {
+                -1
+            } else {
+                0
+            }
+        });
+        let nv = dep.poly.num_vars();
+        let next = nv + enc.aux;
+        let mut sys = ConstraintSystem::new(next);
+        for (kind, row) in dep.poly.iter() {
+            let mut r = vec![0i64; next + 1];
+            r[..nv].copy_from_slice(&row[..nv]);
+            r[next] = row[nv];
+            match kind {
+                RowKind::Eq => sys.add_eq(r),
+                RowKind::Ineq => sys.add_ineq(r),
             }
         }
-        StepEncoding { sys, deltas }
+        for row in &enc.rows {
+            sys.add_ineq(row.clone());
+        }
+        (sys, enc)
     }
 }
 
@@ -437,63 +438,7 @@ impl StepEncoding {
 /// integer-feasibility machinery (no code path in common with the
 /// scheduler's Farkas construction).
 pub fn steps_respect_dependence(dep: &Dependence, steps: &[OrderStep]) -> bool {
-    let enc = StepEncoding::new(dep, steps);
-    let mut sys = enc.sys;
-    for delta in &enc.deltas {
-        match delta {
-            StepDelta::Const(c) => {
-                if *c < 0 {
-                    // Every instance still equal on the prefix is
-                    // ordered backwards here.
-                    return !ilp_feasible(&sys);
-                }
-                if *c > 0 {
-                    // Strictly ordered wherever the prefix is equal;
-                    // nothing can remain unordered below.
-                    return true;
-                }
-            }
-            StepDelta::Linear(row) => {
-                let mut v = sys.clone();
-                let mut neg: Vec<i64> = row.iter().map(|&x| -x).collect();
-                let n = neg.len() - 1;
-                neg[n] -= 1; // Δ ≤ −1
-                v.add_ineq(neg);
-                if ilp_feasible(&v) {
-                    return false;
-                }
-                sys.add_eq(row.clone());
-            }
-        }
-    }
-    // Violated if some instance pair is equal on every step (no strict
-    // order at all).
-    !ilp_feasible(&sys)
-}
-
-/// Builds the system conditioned on every prefix step having distance 0,
-/// plus the queried step's delta. Returns `None` when the prefix is
-/// statically unsatisfiable (a sequence already separates the pair), in
-/// which case every conditioned property holds vacuously.
-fn conditioned(
-    dep: &Dependence,
-    prefix: &[OrderStep],
-    step: &OrderStep,
-) -> Option<(polytops_math::ConstraintSystem, StepDelta)> {
-    let mut steps: Vec<OrderStep> = prefix.to_vec();
-    steps.push(step.clone());
-    let enc = StepEncoding::new(dep, &steps);
-    let mut sys = enc.sys;
-    let mut deltas = enc.deltas;
-    let last = deltas.pop().expect("queried step");
-    for delta in &deltas {
-        match delta {
-            StepDelta::Const(0) => {}
-            StepDelta::Const(_) => return None,
-            StepDelta::Linear(row) => sys.add_eq(row.clone()),
-        }
-    }
-    Some((sys, last))
+    Certifier::new(std::slice::from_ref(dep)).steps_respect(0, steps)
 }
 
 /// Whether the step's distance is 0 for every dependence instance with
@@ -504,59 +449,366 @@ fn conditioned(
 /// dependence crossing tiles always crosses the skewed outer member
 /// first.
 pub fn step_coincident(dep: &Dependence, prefix: &[OrderStep], step: &OrderStep) -> bool {
-    match conditioned(dep, prefix, step) {
-        None => true,
-        Some((sys, StepDelta::Const(c))) => c == 0 || !ilp_feasible(&sys),
-        Some((sys, StepDelta::Linear(row))) => {
-            let n = row.len() - 1;
-            let mut up = sys.clone();
-            let mut r = row.clone();
-            r[n] -= 1; // Δ ≥ 1
-            up.add_ineq(r);
-            if ilp_feasible(&up) {
-                return false;
+    let mut steps = prefix.to_vec();
+    steps.push(step.clone());
+    let mut wanted = vec![false; steps.len()];
+    wanted[prefix.len()] = true;
+    let walk = Certifier::new(std::slice::from_ref(dep)).walk(0, &steps, false, &wanted);
+    walk.coincident[prefix.len()]
+}
+
+// ---------------------------------------------------------------------
+// The certifier.
+// ---------------------------------------------------------------------
+
+/// What a [`Certifier`] did so far. Flushed into the `oracle.*`
+/// counters of the thread's `polytops_obs` context when the certifier
+/// is dropped.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CertifierStats {
+    /// Feasibility and implication questions asked of a tableau.
+    pub queries: u64,
+    /// Tableaus built from a constraint system (one per dependence
+    /// asked about; never one per question).
+    pub tableau_builds: u64,
+    /// Branch-and-bound nodes the feasibility questions explored.
+    pub bb_nodes: u64,
+    /// Dependences [`Certifier::certify_rewrite`] walked because the
+    /// rewrite changed their step sequence.
+    pub deps_recertified: u64,
+    /// Dependences it did not: same steps before and after.
+    pub deps_skipped: u64,
+}
+
+/// What one dependence keeps between questions.
+struct DepOracle {
+    /// The solved tableau of `dep.poly`, normalized once. `None` when
+    /// it could not be built (an overflow): every feasibility question
+    /// then answers "a point may exist" and no cut is proved.
+    base: Option<IncrementalLp>,
+    /// The sign of `δ` over the polyhedron, per floored term pair (the
+    /// `δ` row is the key): `1` for `δ ≥ 0`, `-1` for `δ ≤ 0`, `0` for
+    /// neither.
+    cuts: HashMap<Vec<i64>, i8>,
+}
+
+/// The outcome of [`Certifier::walk`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Walk {
+    /// Whether the step sequence orders every instance pair of the
+    /// dependence source-first (`true` when the order was not asked
+    /// about).
+    pub respected: bool,
+    /// Per step: whether its distance is 0 wherever every earlier step
+    /// is. `true` where it was not asked, and vacuously `true` below a
+    /// step that already separates every pair.
+    pub coincident: Vec<bool>,
+}
+
+/// The dependence oracle of one set of dependences: answers every
+/// satisfaction and legality question about them, keeping per
+/// dependence the live tableau of its polyhedron and the monotonicity
+/// cuts it has proved. One per post-processing pass, certification or
+/// tuner call, dropped with it — nothing outlives the dependences it
+/// was made for.
+pub struct Certifier<'a> {
+    deps: &'a [Dependence],
+    oracles: Vec<Option<DepOracle>>,
+    stats: CertifierStats,
+}
+
+impl Drop for Certifier<'_> {
+    fn drop(&mut self) {
+        let s = &self.stats;
+        for (name, n) in [
+            ("oracle.queries", s.queries),
+            ("oracle.tableau_builds", s.tableau_builds),
+            ("oracle.bb_nodes", s.bb_nodes),
+            ("oracle.deps_recertified", s.deps_recertified),
+            ("oracle.deps_skipped", s.deps_skipped),
+        ] {
+            if n > 0 {
+                polytops_math::obs::count(name, n);
             }
-            let mut down = sys;
-            let mut r: Vec<i64> = row.iter().map(|&x| -x).collect();
-            r[n] -= 1; // Δ ≤ −1
-            down.add_ineq(r);
-            !ilp_feasible(&down)
         }
     }
 }
 
-/// Whether the step's distance is ≥ 0 for every dependence instance with
-/// equal coordinates on all `prefix` steps (the member is individually
-/// legal at that position — the per-member half of band permutability).
-pub fn step_legal(dep: &Dependence, prefix: &[OrderStep], step: &OrderStep) -> bool {
-    match conditioned(dep, prefix, step) {
-        None => true,
-        Some((sys, StepDelta::Const(c))) => c >= 0 || !ilp_feasible(&sys),
-        Some((sys, StepDelta::Linear(row))) => {
-            let n = row.len() - 1;
-            let mut down = sys;
-            let mut r: Vec<i64> = row.iter().map(|&x| -x).collect();
-            r[n] -= 1; // Δ ≤ −1
-            down.add_ineq(r);
-            !ilp_feasible(&down)
+/// Whether `lp` plus `row ≥ 0` (over integer variables) may hold an
+/// integer point; `lp` is left as it was. An unusable tableau proves
+/// nothing: a point may exist.
+fn may_hold(
+    lp: &mut Option<IncrementalLp>,
+    row: Option<&[i64]>,
+    stats: &mut CertifierStats,
+) -> bool {
+    stats.queries += 1;
+    let Some(lp) = lp else { return true };
+    let before = lp.snapshot();
+    let pushed = row.map_or(Ok(true), |row| lp.push_int_ineq(row));
+    let mut nodes = 0;
+    let answer = match pushed {
+        Ok(false) => false,
+        Ok(true) => lp.may_have_integer_point(&mut nodes),
+        Err(_) => true,
+    };
+    stats.bb_nodes += nodes as u64;
+    lp.rollback(before);
+    answer
+}
+
+impl<'a> Certifier<'a> {
+    /// A certifier for `deps`; dependence `e` below is `deps[e]`.
+    /// Nothing is built until a dependence is first asked about.
+    pub fn new(deps: &'a [Dependence]) -> Certifier<'a> {
+        Certifier {
+            deps,
+            oracles: deps.iter().map(|_| None).collect(),
+            stats: CertifierStats::default(),
         }
+    }
+
+    /// The dependences this certifier answers for.
+    pub fn deps(&self) -> &'a [Dependence] {
+        self.deps
+    }
+
+    /// What it did so far.
+    pub fn stats(&self) -> CertifierStats {
+        self.stats
+    }
+
+    fn oracle(&mut self, e: usize) -> (&mut DepOracle, &mut CertifierStats) {
+        let dep = &self.deps[e];
+        let stats = &mut self.stats;
+        let oracle = self.oracles[e].get_or_insert_with(|| {
+            stats.tableau_builds += 1;
+            // `normalize` leaves an infeasible witness behind when it
+            // finds one, and the tableau of that is infeasible too.
+            let mut poly = dep.poly.clone();
+            poly.normalize();
+            DepOracle {
+                base: IncrementalLp::new(&poly).ok(),
+                cuts: HashMap::new(),
+            }
+        });
+        (oracle, stats)
+    }
+
+    /// Whether `deps[e].poly` plus `row ≥ 0` may hold an integer point.
+    fn ask(&mut self, e: usize, row: &[i64]) -> bool {
+        let (oracle, stats) = self.oracle(e);
+        may_hold(&mut oracle.base, Some(row), stats)
+    }
+
+    /// [`strongly_satisfies`] for `deps[e]`.
+    pub fn strongly_satisfies(&mut self, e: usize, src_row: &[i64], dst_row: &[i64]) -> bool {
+        // Strongly satisfied iff { poly ∧ Δ <= 0 } has no integer point.
+        let delta = distance_row(&self.deps[e], src_row, dst_row);
+        let leq: Vec<i64> = delta.iter().map(|&d| -d).collect();
+        !self.ask(e, &leq)
+    }
+
+    /// [`zero_distance`] for `deps[e]`.
+    pub fn zero_distance(&mut self, e: usize, src_row: &[i64], dst_row: &[i64]) -> bool {
+        let delta = distance_row(&self.deps[e], src_row, dst_row);
+        !self.ask(e, &at_least_one(&delta)) && !self.ask(e, &at_most_minus_one(&delta))
+    }
+
+    /// [`respects`] for `deps[e]`.
+    pub fn respects(&mut self, e: usize, src_row: &[i64], dst_row: &[i64]) -> bool {
+        let delta = distance_row(&self.deps[e], src_row, dst_row);
+        !self.ask(e, &at_most_minus_one(&delta))
+    }
+
+    /// [`schedule_respects_dependence`] for `deps[e]`: one walk down the
+    /// dimensions on a copy of the base tableau.
+    pub fn schedule_respects(
+        &mut self,
+        e: usize,
+        src_rows: &[Vec<i64>],
+        dst_rows: &[Vec<i64>],
+    ) -> bool {
+        assert_eq!(src_rows.len(), dst_rows.len(), "ragged schedules");
+        let dep = &self.deps[e];
+        let deltas: Vec<StepDelta> = (src_rows.iter().zip(dst_rows))
+            .map(|(s, d)| StepDelta::Linear(distance_row(dep, s, d)))
+            .collect();
+        let (oracle, stats) = self.oracle(e);
+        let mut lp = oracle.base.as_ref().map(|base| base.with_vars(0, 0));
+        descend(&mut lp, &deltas, true, &vec![false; deltas.len()], stats).respected
+    }
+
+    /// Whether `sched`'s rows order every dependence source-first: the
+    /// legality certificate of a flat schedule.
+    pub fn certifies(&mut self, sched: &polytops_ir::Schedule) -> bool {
+        let deps = self.deps;
+        (0..deps.len()).all(|e| {
+            let (src, dst) = (sched.stmt(deps[e].src), sched.stmt(deps[e].dst));
+            self.schedule_respects(e, src.rows(), dst.rows())
+        })
+    }
+
+    /// [`steps_respect_dependence`] for `deps[e]`.
+    pub fn steps_respect(&mut self, e: usize, steps: &[OrderStep]) -> bool {
+        self.walk(e, steps, true, &vec![false; steps.len()])
+            .respected
+    }
+
+    /// Walks `steps` for `deps[e]` on one tableau — the base tableau
+    /// widened by the sequence's auxiliary variables — asking of each
+    /// step in turn and then pinning its distance to 0:
+    ///
+    /// * with `order`, whether some instance pair still equal on every
+    ///   earlier step is ordered backwards by this one (`Δ ≤ −1` on a
+    ///   snapshot), and at the end whether some pair is equal on all of
+    ///   them — either way the sequence does not respect the
+    ///   dependence, and the walk stops;
+    /// * where `wanted`, whether the step is coincident given the
+    ///   earlier ones (`Δ ≥ 1` and `Δ ≤ −1` both empty).
+    pub fn walk(&mut self, e: usize, steps: &[OrderStep], order: bool, wanted: &[bool]) -> Walk {
+        let dep = &self.deps[e];
+        let (oracle, stats) = self.oracle(e);
+        let DepOracle { base, cuts } = oracle;
+        let enc = StepSystem::new(dep, steps, |delta| {
+            if let Some(&sign) = cuts.get(delta) {
+                return sign;
+            }
+            // One question each way of the base tableau, on a snapshot:
+            // an overflowing minimize would poison it.
+            let mut implied = |row: &[i64]| {
+                stats.queries += 1;
+                base.as_mut().is_some_and(|base| {
+                    let before = base.snapshot();
+                    let implied = base.implies(row);
+                    base.rollback(before);
+                    implied
+                })
+            };
+            let neg: Vec<i64> = delta.iter().map(|&c| -c).collect();
+            let sign = if implied(delta) {
+                1
+            } else if implied(&neg) {
+                -1
+            } else {
+                0
+            };
+            cuts.insert(delta.to_vec(), sign);
+            sign
+        });
+        let mut lp = base.as_ref().map(|base| {
+            let mut lp = base.with_vars(enc.aux, enc.rows.len());
+            for row in &enc.rows {
+                // An empty or poisoned tableau keeps answering so.
+                let _ = lp.push_int_ineq(row);
+            }
+            lp
+        });
+        descend(&mut lp, &enc.deltas, order, wanted, stats)
+    }
+
+    /// Certifies the instance order `after` of a rewritten tree, given
+    /// that the tree it was rewritten from — instance order `before` —
+    /// is certified: only the dependences whose step sequence the
+    /// rewrite changed are walked again, since a verdict is a function
+    /// of (dependence, steps). Both arguments are
+    /// [`polytops_ir::ScheduleTree::stmt_paths`].
+    ///
+    /// `flags` selects, by structural node id in `after`, the band
+    /// members whose conditioned coincidence is wanted. Returns `None`
+    /// when `after` violates a dependence, otherwise one flag per id of
+    /// `flags`: whether the member is coincident for every dependence
+    /// that reaches it.
+    pub fn certify_rewrite(
+        &mut self,
+        before: &[Vec<PathStep>],
+        after: &[Vec<PathStep>],
+        flags: std::ops::Range<usize>,
+    ) -> Option<Vec<bool>> {
+        let mut out = vec![true; flags.len()];
+        for (e, dep) in self.deps.iter().enumerate() {
+            let (src, dst) = (dep.src.0, dep.dst.0);
+            let (steps, nodes) = order_steps_with_nodes(&after[src], &after[dst]);
+            let touched = steps != order_steps(&before[src], &before[dst]);
+            let wanted: Vec<bool> = nodes
+                .iter()
+                .map(|id| id.is_some_and(|id| flags.contains(&id)))
+                .collect();
+            if touched {
+                self.stats.deps_recertified += 1;
+            } else {
+                self.stats.deps_skipped += 1;
+                if !wanted.contains(&true) {
+                    continue;
+                }
+            }
+            let walk = self.walk(e, &steps, touched, &wanted);
+            if !walk.respected {
+                return None;
+            }
+            for (j, id) in nodes.iter().enumerate() {
+                if let Some(id) = id.filter(|_| wanted[j]) {
+                    out[id - flags.start] &= walk.coincident[j];
+                }
+            }
+        }
+        Some(out)
     }
 }
 
-/// Whether the step's distance is ≥ 1 for every dependence instance with
-/// equal coordinates on all `prefix` steps (the step *carries* the
-/// dependence at that position: nothing below needs to order it).
-pub fn step_carries(dep: &Dependence, prefix: &[OrderStep], step: &OrderStep) -> bool {
-    match conditioned(dep, prefix, step) {
-        None => true,
-        Some((sys, StepDelta::Const(c))) => c >= 1 || !ilp_feasible(&sys),
-        Some((sys, StepDelta::Linear(row))) => {
-            let mut down = sys;
-            // Δ ≤ 0 feasible?
-            down.add_ineq(row.iter().map(|&x| -x).collect());
-            !ilp_feasible(&down)
+/// The walk of [`Certifier::walk`] over the encoded distances, on the
+/// working tableau `lp`.
+fn descend(
+    lp: &mut Option<IncrementalLp>,
+    deltas: &[StepDelta],
+    order: bool,
+    wanted: &[bool],
+    stats: &mut CertifierStats,
+) -> Walk {
+    let mut walk = Walk {
+        respected: true,
+        coincident: vec![true; deltas.len()],
+    };
+    for (j, delta) in deltas.iter().enumerate() {
+        match delta {
+            StepDelta::Const(0) => {}
+            StepDelta::Const(c) => {
+                // Strictly ordered wherever the prefix is equal, so
+                // nothing can remain unordered below — forwards, or
+                // backwards for every instance still equal on it.
+                let backwards = order && *c < 0;
+                if (backwards || wanted[j]) && may_hold(lp, None, stats) {
+                    walk.respected = !backwards;
+                    walk.coincident[j] = !wanted[j];
+                }
+                return walk;
+            }
+            StepDelta::Linear(row) => {
+                if order || wanted[j] {
+                    let backwards = may_hold(lp, Some(&at_most_minus_one(row)), stats);
+                    if wanted[j] {
+                        walk.coincident[j] =
+                            !backwards && !may_hold(lp, Some(&at_least_one(row)), stats);
+                    }
+                    if order && backwards {
+                        walk.respected = false;
+                        return walk;
+                    }
+                }
+                if let Some(live) = lp {
+                    if live.pin_int_eq(row) == Ok(false) {
+                        // No pair is equal this far down: every later
+                        // question is about the empty set.
+                        return walk;
+                    }
+                }
+            }
         }
     }
+    // Violated if some instance pair is equal on every step (no strict
+    // order at all).
+    walk.respected = !(order && may_hold(lp, None, stats));
+    walk
 }
 
 #[cfg(test)]
@@ -655,11 +907,8 @@ mod tests {
         assert!(steps_respect_dependence(&dep, &[id.clone()]));
         assert!(!steps_respect_dependence(&dep, &[rev.clone()]));
         assert!(!steps_respect_dependence(&dep, &[cst.clone()]));
-        assert!(step_carries(&dep, &[], &id));
         assert!(!step_coincident(&dep, &[], &id));
         assert!(step_coincident(&dep, &[], &cst));
-        assert!(step_legal(&dep, &[], &id));
-        assert!(!step_legal(&dep, &[], &rev));
     }
 
     #[test]
@@ -692,14 +941,9 @@ mod tests {
             dst: vec![(vec![1, 0, 0], 4)],
         };
         let point = affine_step(vec![1, 0, 0]);
-        // ⌊i/4⌋ neither carries (same-tile pairs exist) nor is
-        // coincident (tile-crossing pairs exist), but it is legal.
-        assert!(!step_carries(&dep, &[], &tile));
+        // ⌊i/4⌋ is not coincident (tile-crossing pairs exist), but the
+        // full (tile, point) order is respected.
         assert!(!step_coincident(&dep, &[], &tile));
-        assert!(step_legal(&dep, &[], &tile));
-        // Within equal tiles the point step still carries; the full
-        // (tile, point) order is respected.
-        assert!(step_carries(&dep, &[tile.clone()], &point));
         assert!(steps_respect_dependence(&dep, &[tile, point]));
     }
 
@@ -746,7 +990,6 @@ mod tests {
                 step_coincident(dep, &[wave.clone()], &tile_q1),
                 "q1 is coincident under the wavefront"
             );
-            assert!(step_legal(dep, &[], &wave), "wavefront member legal");
         }
     }
 

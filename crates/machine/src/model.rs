@@ -40,7 +40,7 @@
 //! features and scores, on any thread count — the property the
 //! autotuner's winner selection is built on.
 
-use polytops_deps::{strongly_satisfies, Dependence};
+use polytops_deps::{Certifier, Dependence};
 use polytops_ir::{Access, AffineExpr, MarkKind, Schedule, Scop, Statement, StmtId, TreeNode};
 use polytops_math::{ilp_minimize, IlpOutcome};
 
@@ -572,12 +572,14 @@ pub fn extract_features(
     // Reuse distance per dependence: iterations of everything nested
     // inside the carrying dimension (1 when carried innermost or
     // loop-independent — the reuse is immediate).
+    let mut oracle = Certifier::new(deps);
     let reuse_distances: Vec<i64> = deps
         .iter()
-        .map(|dep| {
+        .enumerate()
+        .map(|(e, dep)| {
             let carry = (0..dims).find(|&d| {
-                strongly_satisfies(
-                    dep,
+                oracle.strongly_satisfies(
+                    e,
                     &sched.stmt(dep.src).rows()[d],
                     &sched.stmt(dep.dst).rows()[d],
                 )

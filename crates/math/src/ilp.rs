@@ -4,8 +4,8 @@
 
 use crate::consys::ConstraintSystem;
 use crate::error::{MathError, Result};
-use crate::rat::Rat;
-use crate::simplex::{lp_minimize, IncrementalLp, LpOutcome};
+use crate::num::{floor_div, gcd_slice};
+use crate::simplex::{Bound, IncrementalLp, LpOutcome, Snapshot};
 
 /// Result of an integer linear program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,8 +37,8 @@ const MAX_NODES: usize = 50_000;
 /// nodes, dual pivots) and how often a seed paid.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IlpStats {
-    /// Branch-and-bound nodes explored (each node solves a fresh LP from
-    /// a rebuilt tableau).
+    /// Branch-and-bound nodes explored (each node is its parent's
+    /// tableau plus one bound row, re-optimized).
     pub nodes: usize,
     /// Lexmin stages resolved purely by incremental LP re-optimization
     /// on the shared tableau (no branch and bound at all).
@@ -101,36 +101,19 @@ impl IlpStats {
 /// }
 /// ```
 pub fn ilp_minimize(cs: &ConstraintSystem, obj: &[i64]) -> Result<IlpOutcome> {
-    ilp_minimize_impl(
-        cs,
-        obj,
-        None,
-        None,
-        None,
-        MAX_NODES,
-        &mut IlpStats::default(),
-    )
+    ilp_minimize_impl(cs, obj, None, None, MAX_NODES, &mut IlpStats::default())
 }
 
-/// Full branch and bound over at most `max_nodes` nodes. When `seed` is
-/// a feasible integer point of `cs` it becomes the initial incumbent, so
-/// the search starts with an upper bound and prunes from the first node
-/// (a MIP start); an infeasible or ill-sized seed is silently ignored.
-/// `lower_bound` is an optional proven objective lower bound (e.g. the
-/// ceiling of the LP relaxation's optimum): the search stops as soon as
-/// an incumbent attains it. `root_lp` optionally supplies an
-/// already-computed LP optimum of the root relaxation (value and
-/// vertex), skipping the root solve. A fractional externally-supplied
-/// vertex is sound to branch on even though the root system is
-/// integer-tightened afterwards: the floor/ceil branches cover every
-/// integer point regardless of the vertex used, and the LP value's
-/// ceiling remains a valid lower bound.
+/// The one-question form of [`IncrementalLp::int_minimize`]: `cs` is
+/// normalized (gcd tightening, dedup, subsumption), its tableau built,
+/// the search run and the tableau dropped. `seed` becomes the initial
+/// incumbent when it is an integer point of `cs`; an infeasible or
+/// ill-sized one is silently ignored.
 fn ilp_minimize_impl(
     cs: &ConstraintSystem,
     obj: &[i64],
     seed: Option<&[i64]>,
     lower_bound: Option<i64>,
-    root_lp: Option<(Rat, Vec<Rat>)>,
     max_nodes: usize,
     stats: &mut IlpStats,
 ) -> Result<IlpOutcome> {
@@ -139,84 +122,194 @@ fn ilp_minimize_impl(
     if !root.normalize() {
         return Ok(IlpOutcome::Infeasible);
     }
-    let zero_obj = obj.iter().all(|&c| c == 0);
-    let mut incumbent: Option<(i64, Vec<i64>)> = None;
-    if let Some(p) = seed {
-        if p.len() == cs.num_vars() && cs.contains_point(p) {
-            let value: i128 = obj
-                .iter()
-                .zip(p)
-                .map(|(&c, &v)| i128::from(c) * i128::from(v))
-                .sum();
-            if let Ok(value) = i64::try_from(value) {
-                stats.seeds_accepted += 1;
-                if zero_obj || lower_bound == Some(value) {
-                    // Any feasible point is optimal under a zero
-                    // objective; a seed attaining a proven lower bound
-                    // is optimal outright.
-                    stats.seed_shortcuts += 1;
-                    return Ok(IlpOutcome::Optimal {
-                        value,
-                        point: p.to_vec(),
-                    });
-                }
-                incumbent = Some((value, p.to_vec()));
-            }
-        }
+    let incumbent = match seeded(cs, obj, seed, lower_bound, stats) {
+        Seeded::Optimal(outcome) => return Ok(outcome),
+        Seeded::Incumbent(incumbent) => incumbent,
+    };
+    // The root relaxation is node 1 whether or not its phase 1 ends.
+    let mut lp = IncrementalLp::new(&root).inspect_err(|_| stats.nodes += 1)?;
+    lp.int_minimize(obj, incumbent, lower_bound, max_nodes, stats)
+}
+
+/// What a seed is worth before any node is solved.
+enum Seeded {
+    /// The seed is optimal outright.
+    Optimal(IlpOutcome),
+    /// The incumbent the search starts with.
+    Incumbent(Option<(i64, Vec<i64>)>),
+}
+
+/// Turns `seed` into the initial incumbent of a search over `cs` when
+/// it is an integer point of it (a MIP start: the search has an upper
+/// bound and prunes from its first node). Any feasible point is optimal
+/// under a zero objective, and one attaining a proven `lower_bound` is
+/// optimal outright.
+fn seeded(
+    cs: &ConstraintSystem,
+    obj: &[i64],
+    seed: Option<&[i64]>,
+    lower_bound: Option<i64>,
+    stats: &mut IlpStats,
+) -> Seeded {
+    let Some(p) = seed.filter(|p| p.len() == cs.num_vars() && cs.contains_point(p)) else {
+        return Seeded::Incumbent(None);
+    };
+    let value: i128 = obj
+        .iter()
+        .zip(p)
+        .map(|(&c, &v)| i128::from(c) * i128::from(v))
+        .sum();
+    let Ok(value) = i64::try_from(value) else {
+        return Seeded::Incumbent(None);
+    };
+    stats.seeds_accepted += 1;
+    if obj.iter().all(|&c| c == 0) || lower_bound == Some(value) {
+        stats.seed_shortcuts += 1;
+        return Seeded::Optimal(IlpOutcome::Optimal {
+            value,
+            point: p.to_vec(),
+        });
     }
-    let mut nodes = 0usize;
-    let mut root_lp = root_lp;
-    let mut stack: Vec<ConstraintSystem> = vec![root];
-    while let Some(node) = stack.pop() {
-        nodes += 1;
-        stats.nodes += 1;
-        if nodes > max_nodes {
-            return Ok(IlpOutcome::NodeLimit { best: incumbent });
+    Seeded::Incumbent(Some((value, p.to_vec())))
+}
+
+impl IncrementalLp {
+    /// [`push_ineq`](IncrementalLp::push_ineq) for a row over integer
+    /// variables: the coefficients are divided by their gcd and the
+    /// constant floored first, as [`ConstraintSystem::normalize`] would
+    /// have done had the row been in the system the tableau was built
+    /// from.
+    ///
+    /// # Errors
+    ///
+    /// As [`push_ineq`](IncrementalLp::push_ineq).
+    pub fn push_int_ineq(&mut self, row: &[i64]) -> Result<bool> {
+        let n = row.len() - 1;
+        let g = gcd_slice(&row[..n]);
+        if g <= 1 {
+            return self.push_ineq(row);
         }
-        let outcome = match root_lp.take() {
-            Some((value, point)) => LpOutcome::Optimal { value, point },
-            None => lp_minimize(&node, obj)?,
-        };
-        match outcome {
-            LpOutcome::Infeasible => continue,
-            LpOutcome::Unbounded => {
-                // The relaxation is unbounded. If we have not yet committed
-                // to an incumbent this propagates out; bounded scheduler
-                // problems never hit this.
-                return Ok(IlpOutcome::Unbounded);
+        let mut tight: Vec<i64> = row[..n].iter().map(|v| v / g).collect();
+        tight.push(floor_div(row[n], g));
+        self.push_ineq(&tight)
+    }
+
+    /// [`pin_eq`](IncrementalLp::pin_eq) for a row over integer
+    /// variables: when the gcd of the coefficients does not divide the
+    /// constant no integer point satisfies the row, and the system is
+    /// marked empty by pinning `0 == 1`.
+    ///
+    /// # Errors
+    ///
+    /// As [`pin_eq`](IncrementalLp::pin_eq).
+    pub fn pin_int_eq(&mut self, row: &[i64]) -> Result<bool> {
+        let n = row.len() - 1;
+        let g = gcd_slice(&row[..n]);
+        if g <= 1 {
+            return self.pin(row);
+        }
+        if row[n] % g != 0 {
+            let mut never = vec![0i64; n + 1];
+            never[n] = 1;
+            return self.pin(&never);
+        }
+        self.pin(&row.iter().map(|v| v / g).collect::<Vec<_>>())
+    }
+
+    /// Whether the system may contain an integer point: `false` only
+    /// when the search *proved* it empty — an infeasible relaxation at
+    /// every leaf. A search truncated by the node budget, or stopped by
+    /// an overflowing or cap-hitting pivot, answers `true`. Nodes
+    /// explored are added to `nodes`. The tableau is left wherever the
+    /// search stopped: ask on a
+    /// [`snapshot`](IncrementalLp::snapshot).
+    pub fn may_have_integer_point(&mut self, nodes: &mut usize) -> bool {
+        let zeros = vec![0i64; self.num_vars()];
+        let mut stats = IlpStats::default();
+        let outcome = self.int_minimize(&zeros, None, None, MAX_NODES, &mut stats);
+        *nodes += stats.nodes;
+        outcome != Ok(IlpOutcome::Infeasible)
+    }
+
+    /// Depth-first branch and bound **on this tableau**, over at most
+    /// `max_nodes` nodes: the root is the system as it stands, and a
+    /// child is its parent's tableau plus one bound row — pushed,
+    /// repaired by the dual loop, re-optimized by the primal one — with
+    /// the parent kept as a [`snapshot`](IncrementalLp::snapshot) for
+    /// the other branch. The base system is expected normalized; the
+    /// unit bound rows need no tightening.
+    ///
+    /// `incumbent` is an integer point known beforehand with its value:
+    /// the search starts with an upper bound. `lower_bound` is an
+    /// optional proven objective lower bound (e.g. the ceiling of the
+    /// LP relaxation's optimum): the search stops as soon as an
+    /// incumbent attains it. The tableau is left wherever the search
+    /// stopped.
+    ///
+    /// # Errors
+    ///
+    /// [`MathError::Overflow`] and [`MathError::PivotLimit`], which
+    /// also poison the tableau; nothing is proven then.
+    pub(crate) fn int_minimize(
+        &mut self,
+        obj: &[i64],
+        mut incumbent: Option<(i64, Vec<i64>)>,
+        lower_bound: Option<i64>,
+        max_nodes: usize,
+        stats: &mut IlpStats,
+    ) -> Result<IlpOutcome> {
+        let n = self.num_vars();
+        let zero_obj = obj.iter().all(|&c| c == 0);
+        let mut nodes = 0usize;
+        // Branches not taken yet: the parent, and the bound to push.
+        let mut pending: Vec<(Snapshot, Vec<i64>)> = Vec::new();
+        loop {
+            nodes += 1;
+            stats.nodes += 1;
+            if nodes > max_nodes {
+                return Ok(IlpOutcome::NodeLimit { best: incumbent });
             }
-            LpOutcome::Optimal { value, point } => {
-                // Bound pruning: integer objective values are integers.
-                if let Some((inc, _)) = &incumbent {
-                    if value.ceil() >= i128::from(*inc) {
-                        continue;
-                    }
+            match self.minimize_value(obj)? {
+                Bound::Infeasible => {}
+                Bound::Unbounded => {
+                    // The relaxation is unbounded. If we have not yet
+                    // committed to an incumbent this propagates out;
+                    // bounded scheduler problems never hit this.
+                    return Ok(IlpOutcome::Unbounded);
                 }
-                match first_fractional(&point) {
+                // Bound pruning: integer objective values are integers.
+                Bound::Value(value)
+                    if incumbent
+                        .as_ref()
+                        .is_some_and(|(inc, _)| value.ceil() >= i128::from(*inc)) => {}
+                Bound::Value(value) => match self.first_fractional() {
                     None => {
-                        let ipoint: Option<Vec<i64>> = point
+                        // Cells are `i64`, so an integral vertex fits;
+                        // the value of a wide objective on it may not,
+                        // and the node is then unusable rather than
+                        // wrapped. At the root this still counts as a
+                        // stage pure LP could not finish.
+                        let point: Vec<i64> = self
+                            .vertex()
                             .iter()
-                            .map(|v| i64::try_from(v.numer()).ok())
+                            .map(|v| i64::try_from(v.numer()).expect("an integral cell"))
                             .collect();
-                        let ival = value.to_integer().and_then(|v| i64::try_from(v).ok());
-                        let (Some(ipoint), Some(ival)) = (ipoint, ival) else {
-                            // A coordinate or value outside i64: treat
-                            // the node as unusable rather than wrapping
-                            // (box-bounded scheduler problems never get
-                            // here). At the root this still counts as a
-                            // stage pure LP could not finish.
-                            if nodes == 1 {
-                                stats.fractional_stages += 1;
+                        match value.to_integer().and_then(|v| i64::try_from(v).ok()) {
+                            None => {
+                                if nodes == 1 {
+                                    stats.fractional_stages += 1;
+                                }
                             }
-                            continue;
-                        };
-                        let better = incumbent.as_ref().is_none_or(|(inc, _)| ival < *inc);
-                        if better {
-                            incumbent = Some((ival, ipoint));
-                            if zero_obj || lower_bound == Some(ival) {
-                                // Optimal: zero objective, or the proven
-                                // lower bound was attained.
-                                break;
+                            Some(ival) => {
+                                if incumbent.as_ref().is_none_or(|(inc, _)| ival < *inc) {
+                                    incumbent = Some((ival, point));
+                                    if zero_obj || lower_bound == Some(ival) {
+                                        // Optimal: zero objective, or
+                                        // the proven lower bound was
+                                        // attained.
+                                        break;
+                                    }
+                                }
                             }
                         }
                     }
@@ -226,44 +319,32 @@ fn ilp_minimize_impl(
                             // this solve genuinely needs branch and bound.
                             stats.fractional_stages += 1;
                         }
-                        // Branch x_j <= floor(v) and x_j >= ceil(v);
-                        // explore the floor branch first (DFS pops last).
-                        // A bound outside i64 makes the node unusable,
-                        // like an out-of-range integral vertex above.
-                        let (Ok(neg_ceil), Ok(floor)) =
-                            (i64::try_from(-v.ceil()), i64::try_from(v.floor()))
-                        else {
-                            continue;
+                        // Branch x_j <= floor(v) and x_j >= ceil(v), the
+                        // floor branch first. Both fit: `v` is a ratio
+                        // of two cells.
+                        let bound = |coeff: i64, cst: i128| {
+                            let mut row = vec![0i64; n + 1];
+                            row[j] = coeff;
+                            row[n] = i64::try_from(cst).expect("a ratio of two cells");
+                            row
                         };
-                        let mut up = node.clone();
-                        let mut row = vec![0i64; up.num_vars() + 1];
-                        row[j] = 1;
-                        row[up.num_vars()] = neg_ceil;
-                        up.add_ineq(row);
-                        let mut down = node;
-                        let mut row = vec![0i64; down.num_vars() + 1];
-                        row[j] = -1;
-                        row[down.num_vars()] = floor;
-                        down.add_ineq(row);
-                        stack.push(up);
-                        stack.push(down);
+                        pending.push((self.snapshot(), bound(1, -v.ceil())));
+                        self.push_ineq(&bound(-1, v.floor()))?;
+                        continue;
                     }
-                }
+                },
             }
+            let Some((parent, row)) = pending.pop() else {
+                break;
+            };
+            self.rollback(parent);
+            self.push_ineq(&row)?;
         }
+        Ok(match incumbent {
+            Some((value, point)) => IlpOutcome::Optimal { value, point },
+            None => IlpOutcome::Infeasible,
+        })
     }
-    Ok(match incumbent {
-        Some((value, point)) => IlpOutcome::Optimal { value, point },
-        None => IlpOutcome::Infeasible,
-    })
-}
-
-fn first_fractional(point: &[Rat]) -> Option<(usize, Rat)> {
-    point
-        .iter()
-        .enumerate()
-        .find(|(_, v)| !v.is_integer())
-        .map(|(j, v)| (j, *v))
 }
 
 /// Finds an integer point of `cs`. `None` means none was found: either
@@ -297,7 +378,7 @@ pub fn ilp_feasible(cs: &ConstraintSystem) -> bool {
 fn feasible_within(cs: &ConstraintSystem, max_nodes: usize) -> bool {
     let zeros = vec![0i64; cs.num_vars()];
     let mut stats = IlpStats::default();
-    let outcome = ilp_minimize_impl(cs, &zeros, None, None, None, max_nodes, &mut stats);
+    let outcome = ilp_minimize_impl(cs, &zeros, None, None, max_nodes, &mut stats);
     outcome != Ok(IlpOutcome::Infeasible)
 }
 
@@ -374,9 +455,9 @@ pub fn ilp_lexmin_warm(
     stats: &mut IlpStats,
 ) -> Result<Option<Vec<i64>>> {
     let n = cs.num_vars();
-    // Normalize once (gcd tightening, dedup, subsumption) — the same
-    // reduction every branch-and-bound root performs — so the shared
-    // tableau is built from the small system, not the raw one.
+    // Normalize once (gcd tightening, dedup, subsumption) so the shared
+    // tableau is built from the small system, not the raw one. `cur`
+    // gathers the pins beside it: what a seed has to satisfy.
     let mut cur = cs.clone();
     if !cur.normalize() {
         return Ok(None);
@@ -395,7 +476,6 @@ pub fn ilp_lexmin_warm(
         // a fractional one still proves a lower bound for attempt 2.
         let mut stage_point: Option<(i64, Vec<i64>)> = None;
         let mut stage_lb: Option<i64> = None;
-        let mut stage_root: Option<(Rat, Vec<Rat>)> = None;
         match lp.minimize(obj)? {
             LpOutcome::Optimal { value, point } => {
                 // Checked narrowing throughout: a vertex with an
@@ -411,38 +491,34 @@ pub fn ilp_lexmin_warm(
                         stats.lp_stages += 1;
                         stage_point = Some((value, ipoint));
                     }
-                    _ => {
-                        // Fractional (or overflowing) vertex: branch
-                        // and bound must run, but the relaxation is
-                        // already solved — reuse it as the root and
-                        // as a lower bound.
-                        stage_lb = i64::try_from(value.ceil()).ok();
-                        stage_root = Some((value, point));
-                    }
+                    // Fractional (or overflowing) vertex: branch and
+                    // bound must run, from the relaxation this tableau
+                    // has just solved and above its value.
+                    _ => stage_lb = i64::try_from(value.ceil()).ok(),
                 }
             }
             LpOutcome::Unbounded => return Ok(None),
-            // Infeasibility cannot appear after a successful pin;
-            // fall through to branch and bound defensively.
+            // Infeasibility cannot appear after a successful pin; the
+            // search below reads it off its root.
             LpOutcome::Infeasible => {}
         }
-        // Stage attempt 2: branch and bound on the mirrored system,
-        // seeded with the previous stage's optimum, rooted at the
-        // already-solved relaxation, and stopped early at the LP-proven
-        // lower bound. A truncated run's incumbent is still a legal
-        // point, so it is pinned best-effort.
+        // Stage attempt 2: branch and bound on a snapshot of the shared
+        // tableau, seeded with the previous stage's optimum and stopped
+        // early at the LP-proven lower bound. A truncated run's
+        // incumbent is still a legal point, so it is pinned best-effort.
         let (value, point) = match stage_point {
             Some(vp) => vp,
             None => {
-                match ilp_minimize_impl(
-                    &cur,
-                    obj,
-                    hint.as_deref(),
-                    stage_lb,
-                    stage_root,
-                    MAX_NODES,
-                    stats,
-                )? {
+                let incumbent = match seeded(&cur, obj, hint.as_deref(), stage_lb, stats) {
+                    Seeded::Optimal(outcome) => Ok(outcome),
+                    Seeded::Incumbent(incumbent) => {
+                        let before = lp.snapshot();
+                        let outcome = lp.int_minimize(obj, incumbent, stage_lb, MAX_NODES, stats);
+                        lp.rollback(before);
+                        outcome
+                    }
+                };
+                match incumbent? {
                     IlpOutcome::Optimal { value, point }
                     | IlpOutcome::NodeLimit {
                         best: Some((value, point)),
@@ -457,7 +533,7 @@ pub fn ilp_lexmin_warm(
         // gets an LP lower bound and a solved root relaxation even when
         // this one had to branch. The value is attained, so the pin
         // holds; were it to fail, every later `minimize` would read
-        // `Infeasible` and go to branch and bound on `cur`.
+        // `Infeasible` and the stage end at the root of its search.
         let mut row = obj.clone();
         row.push(value.checked_neg().ok_or(MathError::Overflow)?);
         lp.pin_eq(&row)?;
@@ -477,17 +553,13 @@ pub fn ilp_lexmin_warm(
 /// overflowing simplex answers `false`.
 pub fn ineq_implied(cs: &ConstraintSystem, row: &[i64]) -> bool {
     assert_eq!(row.len(), cs.num_vars() + 1, "row length mismatch");
-    let n = cs.num_vars();
-    match lp_minimize(cs, &row[..n]) {
-        Ok(LpOutcome::Optimal { value, .. }) => value + Rat::from(row[n]) >= Rat::ZERO,
-        Ok(LpOutcome::Infeasible) => true, // empty set implies everything
-        Ok(LpOutcome::Unbounded) | Err(_) => false,
-    }
+    IncrementalLp::new(cs).is_ok_and(|mut lp| lp.implies(row))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rat::Rat;
 
     /// The private branch and bound with only a seed and a node budget.
     fn bb(
@@ -497,7 +569,7 @@ mod tests {
         max_nodes: usize,
         stats: &mut IlpStats,
     ) -> IlpOutcome {
-        ilp_minimize_impl(cs, obj, seed, None, None, max_nodes, stats).unwrap()
+        ilp_minimize_impl(cs, obj, seed, None, max_nodes, stats).unwrap()
     }
 
     #[test]
@@ -749,6 +821,71 @@ mod tests {
     }
 
     #[test]
+    fn pushed_rows_get_their_own_integer_tightening() {
+        // 0 <= x, y <= 3. Over the rationals 2x + 2y == 3 cuts the box;
+        // over the integers the gcd 2 does not divide 3 and the set is
+        // empty at once — as `normalize` says of the materialized
+        // system — without a search that could only time out.
+        let mut cs = ConstraintSystem::new(2);
+        for r in [vec![1, 0, 0], vec![-1, 0, 3], vec![0, 1, 0], vec![0, -1, 3]] {
+            cs.add_ineq(r);
+        }
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        let before = lp.snapshot();
+        assert_eq!(lp.pin_eq(&[2, 2, -3]), Ok(true), "a rational point");
+        lp.rollback(before);
+        let before = lp.snapshot();
+        assert_eq!(lp.pin_int_eq(&[2, 2, -3]), Ok(false), "no integer point");
+        lp.rollback(before);
+        assert_eq!(lp.pin_int_eq(&[2, 2, -4]), Ok(true), "x + y == 2");
+        // 2x >= 3 is x >= 2 for an integer x: its relaxation's vertex
+        // is integral, no branching.
+        assert_eq!(lp.push_int_ineq(&[2, 0, -3]), Ok(true));
+        let mut stats = IlpStats::default();
+        assert_eq!(
+            lp.int_minimize(&[1, 0], None, None, MAX_NODES, &mut stats),
+            Ok(IlpOutcome::Optimal {
+                value: 2,
+                point: vec![2, 0]
+            })
+        );
+        assert_eq!((stats.nodes, stats.fractional_stages), (1, 0));
+    }
+
+    #[test]
+    fn a_search_on_the_tableau_branches_on_snapshots_and_can_be_taken_back() {
+        // maximize x + y s.t. 4x + y <= 4, x + 4y <= 4, x, y >= 0: the
+        // root vertex (4/5, 4/5) is fractional, the integer optimum 1.
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_ineq(vec![1, 0, 0]);
+        cs.add_ineq(vec![0, 1, 0]);
+        cs.add_ineq(vec![-4, -1, 4]);
+        cs.add_ineq(vec![-1, -4, 4]);
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        let before = lp.snapshot();
+        let mut stats = IlpStats::default();
+        let outcome = lp.int_minimize(&[-1, -1], None, None, MAX_NODES, &mut stats);
+        let Ok(IlpOutcome::Optimal { value: -1, point }) = &outcome else {
+            panic!("unexpected {outcome:?}");
+        };
+        assert!(cs.contains_point(point));
+        assert!(stats.nodes > 1 && stats.fractional_stages == 1, "{stats:?}");
+        // The bound rows of the search are gone with the rollback: the
+        // relaxation is the root's again, and so is a second search.
+        lp.rollback(before);
+        let LpOutcome::Optimal { value, .. } = lp.minimize(&[-1, -1]).unwrap() else {
+            panic!()
+        };
+        assert_eq!(value, Rat::new(-8, 5));
+        let mut again = IlpStats::default();
+        assert_eq!(
+            lp.int_minimize(&[-1, -1], None, None, MAX_NODES, &mut again),
+            outcome
+        );
+        assert_eq!(again, stats);
+    }
+
+    #[test]
     fn implied_inequality() {
         // x >= 3 implies x >= 1 but not x >= 4.
         let mut cs = ConstraintSystem::new(1);
@@ -818,7 +955,7 @@ mod tests {
         cs.add_ineq(vec![0, 1, -i64::MAX]);
         let mut stats = IlpStats::default();
         assert_eq!(
-            ilp_minimize_impl(&cs, &[1, 0], None, None, None, 64, &mut stats),
+            ilp_minimize_impl(&cs, &[1, 0], None, None, 64, &mut stats),
             Err(MathError::Overflow)
         );
         assert_eq!(stats.nodes, 1, "{stats:?}");

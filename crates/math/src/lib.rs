@@ -60,6 +60,10 @@ mod num;
 mod rat;
 mod simplex;
 
+/// The instrumentation crate the solver records into, for the crates
+/// above this one that ask it questions and count them.
+pub use polytops_obs as obs;
+
 pub use consys::{ConstraintSystem, RowKind};
 pub use error::{MathError, Result};
 pub use farkas::farkas_nonneg;
@@ -70,4 +74,4 @@ pub use ilp::{
 pub use matrix::{orthogonal_complement, primitive, IntMatrix, RatMatrix};
 pub use num::{ceil_div, floor_div, gcd, gcd_slice, lcm, modulo, narrow};
 pub use rat::Rat;
-pub use simplex::{lp_feasible, lp_minimize, IncrementalLp, LpOutcome};
+pub use simplex::{lp_feasible, lp_minimize, IncrementalLp, LpOutcome, Snapshot};

@@ -11,7 +11,13 @@
 //! right-hand sides are; the rows `x = 0` violates are then repaired by
 //! the dual-simplex loop that also restores feasibility after a pinned
 //! equality ([`IncrementalLp::pin_eq`]), and the system's equalities
-//! enter the way pins do. Phase 1 and pins are one mechanism.
+//! enter the way pins do. Phase 1 and pins are one mechanism — and so is
+//! a question asked of a solved system: [`IncrementalLp::push_ineq`]
+//! gives a new inequality its slack, reduces the row by the basis and
+//! lets the same dual loop repair it, and [`IncrementalLp::snapshot`] /
+//! [`IncrementalLp::rollback`] take the row back, so a family of
+//! questions that differ from one base system by a row is asked of one
+//! tableau (`docs/SOLVER.md`, lever 3).
 //!
 //! Every tableau row is a vector of `i64` numerators over one positive
 //! `i64` denominator of its own, kept free of common factors; products
@@ -70,12 +76,7 @@ pub enum LpOutcome {
 /// }
 /// ```
 pub fn lp_minimize(cs: &ConstraintSystem, objective: &[i64]) -> Result<LpOutcome> {
-    assert_eq!(objective.len(), cs.num_vars(), "objective length mismatch");
-    let mut tab = Tableau::build(cs)?;
-    if !tab.phase1(cs)? {
-        return Ok(LpOutcome::Infeasible);
-    }
-    tab.phase2(objective)
+    IncrementalLp::new(cs)?.minimize(objective)
 }
 
 /// Whether `cs` admits any rational solution.
@@ -85,20 +86,24 @@ pub fn lp_minimize(cs: &ConstraintSystem, objective: &[i64]) -> Result<LpOutcome
 /// [`MathError::Overflow`] and [`MathError::PivotLimit`], as
 /// [`lp_minimize`].
 pub fn lp_feasible(cs: &ConstraintSystem) -> Result<bool> {
-    Tableau::build(cs)?.phase1(cs)
+    Ok(IncrementalLp::new(cs)?.is_feasible())
 }
 
 /// Dense simplex tableau in standard form `A z = b, z >= 0`.
 ///
-/// Column layout: `[x⁺ (n), x⁻ (n), slacks (m_ineq)]`, from
-/// [`build`](Tableau::build) on. Row `i` is
-/// `cells[i * (width + 1)..][..width + 1]`, its last cell the right-hand
-/// side, and stands for those numerators over `den[i]`. No cell is ever
-/// `i64::MIN`, so negating one cannot overflow and a difference of two
-/// cell products fits `i128`.
+/// Column layout: `[x⁺ (n), x⁻ (n), slacks]`: one slack per inequality
+/// of the system [`build`](Tableau::build) was given, then one per
+/// [`add_ineq_row`](Tableau::add_ineq_row), in order. Row `i` is
+/// `cells[i * stride..][..width + 1]`, its last cell the right-hand
+/// side, and stands for those numerators over `den[i]`; the
+/// `stride − width − 1` cells behind it are room for slack columns to
+/// come. No cell is ever `i64::MIN`, so negating one cannot overflow
+/// and a difference of two cell products fits `i128`.
+#[derive(Clone)]
 struct Tableau {
-    n: usize,     // original variables
-    width: usize, // columns of a row
+    n: usize,      // original variables
+    width: usize,  // columns of a row
+    stride: usize, // cells from one row to the next, > width
     cells: Vec<i64>,
     den: Vec<i64>,     // positive, one per row
     basis: Vec<usize>, // basic column per row
@@ -214,18 +219,32 @@ fn eliminate(
     Ok(())
 }
 
+/// Slack columns a re-layout makes room for beyond the one it was
+/// called for: a question is one pushed row on a snapshot, so a block
+/// this small is grown once per base tableau and again only by a branch
+/// and bound some levels deep.
+const SPARE_SLACKS: usize = 4;
+
 impl Tableau {
     /// Every inequality `a·x + c ≥ 0` as `−a·x + s = c` with its slack
     /// `s` basic: an identity basis, primal-infeasible exactly in the
     /// rows `x = 0` violates. Equalities wait for
     /// [`phase1`](Tableau::phase1).
+    #[cfg(test)]
     fn build(cs: &ConstraintSystem) -> Result<Tableau> {
+        Tableau::build_with_room(cs, 0)
+    }
+
+    /// [`build`](Tableau::build) with room for `spare` more slack
+    /// columns in every row.
+    fn build_with_room(cs: &ConstraintSystem, spare: usize) -> Result<Tableau> {
         let n = cs.num_vars();
         let ineqs = || cs.iter().filter(|(k, _)| *k == RowKind::Ineq);
         let m = ineqs().count();
         let width = 2 * n + m;
-        let mut cells = vec![0i64; m * (width + 1)];
-        for (i, ((_, row), r)) in ineqs().zip(cells.chunks_exact_mut(width + 1)).enumerate() {
+        let stride = width + 1 + spare;
+        let mut cells = vec![0i64; m * stride];
+        for (i, ((_, row), r)) in ineqs().zip(cells.chunks_exact_mut(stride)).enumerate() {
             for j in 0..n {
                 (r[j], r[n + j]) = (neg(row[j])?, row[j]);
             }
@@ -235,6 +254,7 @@ impl Tableau {
         Ok(Tableau {
             n,
             width,
+            stride,
             cells,
             den: vec![1; m],
             basis: (2 * n..width).collect(),
@@ -243,6 +263,13 @@ impl Tableau {
             dual_pivots: 0,
             nz: Vec::new(),
         })
+    }
+
+    /// The rows, each `width + 1` cells.
+    fn rows(&self) -> impl Iterator<Item = &[i64]> {
+        self.cells
+            .chunks_exact(self.stride)
+            .map(|r| &r[..=self.width])
     }
 
     /// Phase 1: dual pivots until no slack is negative, then the
@@ -263,19 +290,40 @@ impl Tableau {
 
     /// Phase 2: the original objective on x⁺/x⁻ columns, starting from
     /// the current (feasible) basis.
+    #[cfg(test)]
     fn phase2(&mut self, objective: &[i64]) -> Result<LpOutcome> {
+        Ok(match self.solve(objective)? {
+            false => LpOutcome::Unbounded,
+            true => LpOutcome::Optimal {
+                value: self.value(),
+                point: self.vertex(),
+            },
+        })
+    }
+
+    /// [`phase2`](Tableau::phase2) without its report: `false` means
+    /// unbounded, otherwise [`value`](Tableau::value) and
+    /// [`vertex`](Tableau::vertex) read the optimum.
+    fn solve(&mut self, objective: &[i64]) -> Result<bool> {
         let n = self.n;
         let mut cost2 = vec![0i64; self.width];
         for (j, &c) in objective.iter().enumerate() {
             cost2[j] = c;
             cost2[n + j] = neg(c)?;
         }
-        if !self.optimize(&cost2)? {
-            return Ok(LpOutcome::Unbounded);
-        }
+        self.optimize(&cost2)
+    }
+
+    /// The objective value [`optimize`](Tableau::optimize) stopped at.
+    fn value(&self) -> Rat {
+        Rat::new(-i128::from(self.cost[self.width]), self.cost_den.into())
+    }
+
+    /// The current basic solution, one value per original variable.
+    fn vertex(&self) -> Vec<Rat> {
+        let n = self.n;
         let mut point = vec![Rat::ZERO; n];
-        let rows = self.cells.chunks_exact(self.width + 1);
-        for ((row, &den), &bj) in rows.zip(&self.den).zip(&self.basis) {
+        for ((row, &den), &bj) in self.rows().zip(&self.den).zip(&self.basis) {
             let rhs = Rat::new(row[self.width].into(), den.into());
             if bj < n {
                 point[bj] += rhs;
@@ -283,8 +331,91 @@ impl Tableau {
                 point[bj - n] -= rhs;
             }
         }
-        let value = Rat::new(-i128::from(self.cost[self.width]), self.cost_den.into());
-        Ok(LpOutcome::Optimal { value, point })
+        point
+    }
+
+    /// The first original variable whose value at the current basic
+    /// solution is not an integer, and that value. `x⁺ⱼ` and `x⁻ⱼ` are
+    /// negatives of each other, so at most one of them is basic and the
+    /// value is one row's right-hand side.
+    fn first_fractional(&self) -> Option<(usize, Rat)> {
+        let (n, w) = (self.n, self.width);
+        let rows = self.rows().zip(&self.den).zip(&self.basis);
+        rows.filter(|((row, &den), &bj)| bj < 2 * n && row[w] % den != 0)
+            .map(|((row, &den), &bj)| {
+                let rhs = Rat::new(row[w].into(), den.into());
+                (bj % n, if bj < n { rhs } else { -rhs })
+            })
+            .min_by_key(|&(j, _)| j)
+    }
+
+    /// A copy of this tableau over `extra` more variables, which no row
+    /// mentions yet: their x⁺/x⁻ columns are zeros and non-basic. The
+    /// slacks keep their order, and room is left for `spare` more.
+    fn widened(&self, extra: usize, spare: usize) -> Tableau {
+        let (n, w) = (self.n, self.width);
+        let (n2, w2) = (n + extra, w + 2 * extra);
+        let stride = w2 + 1 + spare;
+        let mut cells = vec![0i64; self.den.len() * stride];
+        for (to, from) in cells.chunks_exact_mut(stride).zip(self.rows()) {
+            to[..n].copy_from_slice(&from[..n]);
+            to[n2..n2 + n].copy_from_slice(&from[n..2 * n]);
+            to[2 * n2..=w2].copy_from_slice(&from[2 * n..=w]);
+        }
+        let moved = |c: usize| match c {
+            c if c < n => c,
+            c if c < 2 * n => c + extra,
+            c => c + 2 * extra,
+        };
+        Tableau {
+            n: n2,
+            width: w2,
+            stride,
+            cells,
+            den: self.den.clone(),
+            basis: self.basis.iter().map(|&c| moved(c)).collect(),
+            cost: Vec::new(),
+            cost_den: 1,
+            dual_pivots: self.dual_pivots,
+            nz: Vec::new(),
+        }
+    }
+
+    /// A fresh all-zero column behind the last slack: every right-hand
+    /// side moves one cell up. Returns the column.
+    fn add_column(&mut self) -> usize {
+        if self.width + 1 == self.stride {
+            // Out of room: re-lay the rows out with a fresh spare block.
+            *self = self.widened(0, 1 + SPARE_SLACKS);
+        }
+        let w = self.width;
+        for row in self.cells.chunks_exact_mut(self.stride) {
+            (row[w], row[w + 1]) = (0, row[w]);
+        }
+        self.width += 1;
+        w
+    }
+
+    /// Appends `raw` — a row over `[x⁺, x⁻, slacks]` and the right-hand
+    /// side, denominator 1 — reduced by the current basis, so that basic
+    /// columns keep their identity structure in it. Returns the row's
+    /// index; its denominator and basic column are the caller's to push.
+    fn append_reduced(&mut self, raw: impl FnOnce(&mut [i64]) -> Result<()>) -> Result<i64> {
+        let (w, s) = (self.width, self.stride);
+        let nrows = self.den.len();
+        self.cells.resize((nrows + 1) * s, 0);
+        let (rows, r) = self.cells.split_at_mut(nrows * s);
+        let r = &mut r[..=w];
+        raw(r)?;
+        let mut den = 1i64;
+        for ((prow, &pd), &bj) in rows.chunks_exact(s).zip(&self.den).zip(&self.basis) {
+            if r[bj] != 0 {
+                let prow = &prow[..=w];
+                nonzeros(prow, &mut self.nz);
+                eliminate(r, &mut den, (prow, pd), bj, &self.nz)?;
+            }
+        }
+        Ok(den)
     }
 
     /// Appends the equality `row · x + c == 0` to a feasible tableau and
@@ -301,25 +432,18 @@ impl Tableau {
     /// zero, and smallest-index tie-breaks make the walk finite (and
     /// deterministic).
     fn add_eq_row(&mut self, row: &[i64]) -> Result<bool> {
-        let (n, w) = (self.n, self.width);
+        let (n, w, s) = (self.n, self.width, self.stride);
         let nrows = self.den.len();
-        // Raw row over [x⁺, x⁻, slacks], rhs = -c, denominator 1.
-        self.cells.resize((nrows + 1) * (w + 1), 0);
-        let (rows, r) = self.cells.split_at_mut(nrows * (w + 1));
-        for j in 0..n {
-            r[j] = row[j];
-            r[n + j] = neg(row[j])?;
-        }
-        r[w] = neg(row[n])?;
-        let mut den = 1i64;
-        // Reduce by the current basis so basic columns keep their
-        // identity structure in the new row.
-        for ((prow, &pd), &bj) in rows.chunks_exact(w + 1).zip(&self.den).zip(&self.basis) {
-            if r[bj] != 0 {
-                nonzeros(prow, &mut self.nz);
-                eliminate(r, &mut den, (prow, pd), bj, &self.nz)?;
+        // Raw row over [x⁺, x⁻, slacks], rhs = -c.
+        let den = self.append_reduced(|r| {
+            for j in 0..n {
+                r[j] = row[j];
+                r[n + j] = neg(row[j])?;
             }
-        }
+            r[w] = neg(row[n])?;
+            Ok(())
+        })?;
+        let r = &mut self.cells[nrows * s..][..=w];
         // Dual-simplex sign convention: the appended row enters with a
         // non-positive residual so it reads as the one infeasible row.
         if r[w] > 0 {
@@ -331,7 +455,7 @@ impl Tableau {
         let Some(je) = r[..w].iter().position(|&v| v != 0) else {
             // No support left after reduction: the equality is implied
             // (zero residual) or contradicts the system.
-            self.cells.truncate(nrows * (w + 1));
+            self.cells.truncate(nrows * s);
             return Ok(residual == 0);
         };
         self.den.push(den);
@@ -346,6 +470,89 @@ impl Tableau {
         self.dual_reoptimize()
     }
 
+    /// Appends the inequality `row · x + c ≥ 0` to a feasible tableau
+    /// the way [`build`](Tableau::build) would have written it —
+    /// `−row · x + s = c` on a fresh slack column — reduced by the
+    /// basis, which leaves `s` basic in it, and repairs the one row
+    /// that may now be infeasible with the dual loop. Returns `false`
+    /// when the system with the row is infeasible.
+    fn add_ineq_row(&mut self, row: &[i64]) -> Result<bool> {
+        let n = self.n;
+        let slack = self.add_column();
+        let w = self.width;
+        // `eliminate` scales the slack's 1 and the denominator alike
+        // and no basic row reaches into a fresh column: the entry stays
+        // equal to the denominator, a unit coefficient.
+        let den = self.append_reduced(|r| {
+            for j in 0..n {
+                (r[j], r[n + j]) = (neg(row[j])?, row[j]);
+            }
+            r[slack] = 1;
+            r[w] = fit(row[n].into())?;
+            Ok(())
+        })?;
+        self.den.push(den);
+        self.basis.push(slack);
+        self.dual_reoptimize()
+    }
+
+    /// Takes the inequality whose slack is column `slack` out of a
+    /// feasible tableau: one pivot makes the slack basic without making
+    /// any *other* row infeasible — its own value may go negative, the
+    /// constraint is leaving — and its row is then deleted. What is left
+    /// is a feasible basis of the system without that inequality; the
+    /// column stays behind, all zeros.
+    fn remove_ineq_row(&mut self, slack: usize) -> Result<()> {
+        let (w, s) = (self.width, self.stride);
+        let at = match self.basis.iter().position(|&b| b == slack) {
+            Some(i) => i,
+            None => {
+                // Moving the slack by t off zero moves each basic value
+                // to rhs − entry · t: upwards the smallest ratio over
+                // the positive entries binds, downwards the largest
+                // (they are ≤ 0) over the negative ones.
+                let ratio = |i: usize| (self.cells[i * s + w], self.cells[i * s + slack]);
+                let closer = |i: usize, l: usize| {
+                    let ((b, a), (lb, la)) = (ratio(i), ratio(l));
+                    // b/a against lb/la, both entries of one sign.
+                    let (x, y) = (
+                        i128::from(b) * i128::from(la),
+                        i128::from(lb) * i128::from(a),
+                    );
+                    if a > 0 {
+                        x < y || (x == y && self.basis[i] < self.basis[l])
+                    } else {
+                        x > y || (x == y && self.basis[i] < self.basis[l])
+                    }
+                };
+                let pick = |positive: bool| {
+                    (0..self.den.len())
+                        .filter(|&i| ratio(i).1 != 0 && (ratio(i).1 > 0) == positive)
+                        .fold(None, |best: Option<usize>, i| match best {
+                            Some(l) if !closer(i, l) => Some(l),
+                            _ => Some(i),
+                        })
+                };
+                // The slack's defining row is a combination of the
+                // tableau's, so its column is not all zeros.
+                let li = pick(true)
+                    .or_else(|| pick(false))
+                    .expect("a live slack column has a non-zero entry");
+                self.pivot(li, slack)?;
+                li
+            }
+        };
+        let last = self.den.len() - 1;
+        if at != last {
+            let (head, tail) = self.cells.split_at_mut(last * s);
+            head[at * s..][..=w].copy_from_slice(&tail[..=w]);
+        }
+        self.cells.truncate(last * s);
+        self.den.swap_remove(at);
+        self.basis.swap_remove(at);
+        Ok(())
+    }
+
     /// The dual-simplex loop: while some row is primal-infeasible
     /// (negative rhs), pivot it feasible. `false` is a proof of primal
     /// infeasibility: a row with a negative rhs and no negative entry.
@@ -356,7 +563,7 @@ impl Tableau {
     /// terminates, so the cap is a guard against a bug — but callers
     /// read `false` as "no point exists", which a cap cannot know.
     fn dual_reoptimize(&mut self) -> Result<bool> {
-        let (w, s) = (self.width, self.width + 1);
+        let (w, s) = (self.width, self.stride);
         let stop = self.dual_pivots + dual_pivot_cap(w + self.den.len());
         loop {
             // Leaving row: Bland — smallest basic index among the
@@ -387,7 +594,7 @@ impl Tableau {
     /// column) and leaves minus the optimal value in the cost row's
     /// last cell; `false` means unbounded.
     fn optimize(&mut self, cost: &[i64]) -> Result<bool> {
-        let (w, s) = (self.width, self.width + 1);
+        let (w, s) = (self.width, self.stride);
         // Reduced costs c_j - c_B · B⁻¹ A_j: the rows are B⁻¹ A, so
         // eliminating each basic column from the raw cost row prices it.
         self.cost.clear();
@@ -396,6 +603,7 @@ impl Tableau {
         self.cost_den = 1;
         for ((prow, &pd), &bj) in self.cells.chunks_exact(s).zip(&self.den).zip(&self.basis) {
             if self.cost[bj] != 0 {
+                let prow = &prow[..=w];
                 nonzeros(prow, &mut self.nz);
                 let (cost, den) = (&mut self.cost, &mut self.cost_den);
                 eliminate(cost, den, (prow, pd), bj, &self.nz)?;
@@ -447,7 +655,7 @@ impl Tableau {
                 return Ok(false); // unbounded
             };
             self.pivot(li, je)?;
-            let pivot_row = (&self.cells[li * s..][..s], self.den[li]);
+            let pivot_row = (&self.cells[li * s..][..=w], self.den[li]);
             let (cost, den) = (&mut self.cost, &mut self.cost_den);
             eliminate(cost, den, pivot_row, je, &self.nz)?;
         }
@@ -456,9 +664,10 @@ impl Tableau {
     /// Makes column `je` basic in row `li`, and leaves the row's
     /// non-zero columns in `self.nz`.
     fn pivot(&mut self, li: usize, je: usize) -> Result<()> {
-        let s = self.width + 1;
+        let (w, s) = (self.width, self.stride);
         let (before, rest) = self.cells.split_at_mut(li * s);
         let (prow, after) = rest.split_at_mut(s);
+        let prow = &mut prow[..=w];
         let (den_before, den_rest) = self.den.split_at_mut(li);
         let (pd, den_after) = den_rest.split_first_mut().expect("pivot row in range");
         // Dividing the row by its pivot entry p/den leaves numerators
@@ -477,7 +686,7 @@ impl Tableau {
             .chain(after.chunks_exact_mut(s).zip(den_after));
         for (row, den) in others {
             if row[je] != 0 {
-                eliminate(row, den, pivot_row, je, &self.nz)?;
+                eliminate(&mut row[..=w], den, pivot_row, je, &self.nz)?;
             }
         }
         self.basis[li] = je;
@@ -495,6 +704,16 @@ impl Tableau {
 /// [`ilp_lexmin_warm`](crate::ilp_lexmin_warm): the lexicographic
 /// objective cascade re-uses one basis instead of rebuilding and
 /// re-solving the whole system per objective.
+///
+/// It is also the one tableau under every feasibility and implication
+/// question: [`push_ineq`](IncrementalLp::push_ineq) adds a row to a
+/// solved system, [`snapshot`](IncrementalLp::snapshot) /
+/// [`rollback`](IncrementalLp::rollback) take it back,
+/// [`implies`](IncrementalLp::implies) and
+/// [`may_have_integer_point`](IncrementalLp::may_have_integer_point)
+/// ask, and [`lp_minimize`], [`lp_feasible`],
+/// [`ineq_implied`](crate::ineq_implied) and
+/// [`ilp_feasible`](crate::ilp_feasible) are its build-ask-drop forms.
 ///
 /// # Examples
 ///
@@ -519,10 +738,21 @@ pub struct IncrementalLp {
     tab: Tableau,
     /// Dual pivots phase 1 spent: not the pins'.
     phase1_pivots: usize,
-    /// Whether the system with every pinned row so far is feasible — or
-    /// the error that stopped a pivot half-way, which every later call
-    /// repeats rather than read the tableau it left.
+    /// Whether the system with every row pinned and pushed so far is
+    /// feasible — or the error that stopped a pivot half-way, which
+    /// every later call repeats rather than read the tableau it left.
     state: Result<bool>,
+}
+
+/// What [`IncrementalLp::snapshot`] copied, for
+/// [`IncrementalLp::rollback`] to put back.
+pub struct Snapshot(IncrementalLp);
+
+/// [`LpOutcome`] without the vertex.
+pub(crate) enum Bound {
+    Infeasible,
+    Unbounded,
+    Value(Rat),
 }
 
 impl IncrementalLp {
@@ -533,7 +763,7 @@ impl IncrementalLp {
     /// [`MathError::Overflow`] when a tableau entry outgrows `i64`,
     /// [`MathError::PivotLimit`] when phase 1 reaches its pivot cap.
     pub fn new(cs: &ConstraintSystem) -> Result<IncrementalLp> {
-        let mut tab = Tableau::build(cs)?;
+        let mut tab = Tableau::build_with_room(cs, SPARE_SLACKS)?;
         let state = Ok(tab.phase1(cs)?);
         Ok(IncrementalLp {
             phase1_pivots: tab.dual_pivots,
@@ -542,9 +772,40 @@ impl IncrementalLp {
         })
     }
 
-    /// Whether the system (with every pinned row so far) is feasible.
+    /// A copy of this tableau over `extra` more variables, unrestricted
+    /// and in no row yet — what a caller pushes next gives them their
+    /// meaning — with room for `rows` pushed inequalities. The copy
+    /// shares nothing with `self`, which makes `extra == 0` the way to
+    /// ask a base system a chain of questions and keep it.
+    pub fn with_vars(&self, extra: usize, rows: usize) -> IncrementalLp {
+        self.with_tableau(self.tab.widened(extra, rows + SPARE_SLACKS))
+    }
+
+    fn with_tableau(&self, tab: Tableau) -> IncrementalLp {
+        IncrementalLp {
+            tab,
+            phase1_pivots: self.phase1_pivots,
+            state: self.state.clone(),
+        }
+    }
+
+    /// Number of variables of the system.
+    pub fn num_vars(&self) -> usize {
+        self.tab.n
+    }
+
+    /// Whether the system (with every row pinned and pushed so far) is
+    /// feasible.
     pub fn is_feasible(&self) -> bool {
         self.state == Ok(true)
+    }
+
+    /// Records what `step` did to the tableau.
+    fn advance(&mut self, step: impl FnOnce(&mut Tableau) -> Result<bool>) -> Result<bool> {
+        if self.state.clone()? {
+            self.state = step(&mut self.tab);
+        }
+        self.state.clone()
     }
 
     /// Minimizes `objective · x` from the current basis.
@@ -554,15 +815,42 @@ impl IncrementalLp {
     /// [`MathError::Overflow`] when a tableau entry outgrows `i64`, now
     /// or in an earlier call.
     pub fn minimize(&mut self, objective: &[i64]) -> Result<LpOutcome> {
+        Ok(match self.minimize_value(objective)? {
+            Bound::Infeasible => LpOutcome::Infeasible,
+            Bound::Unbounded => LpOutcome::Unbounded,
+            Bound::Value(value) => LpOutcome::Optimal {
+                value,
+                point: self.tab.vertex(),
+            },
+        })
+    }
+
+    /// [`minimize`](IncrementalLp::minimize) for a caller that reads
+    /// the vertex itself, or not at all.
+    pub(crate) fn minimize_value(&mut self, objective: &[i64]) -> Result<Bound> {
         assert_eq!(objective.len(), self.tab.n, "objective length mismatch");
         if !self.state.clone()? {
-            return Ok(LpOutcome::Infeasible);
+            return Ok(Bound::Infeasible);
         }
-        let outcome = self.tab.phase2(objective);
-        if let Err(e) = &outcome {
-            self.state = Err(e.clone());
+        match self.tab.solve(objective) {
+            Ok(true) => Ok(Bound::Value(self.tab.value())),
+            Ok(false) => Ok(Bound::Unbounded),
+            Err(e) => {
+                self.state = Err(e.clone());
+                Err(e)
+            }
         }
-        outcome
+    }
+
+    /// The first variable whose value at the current vertex of a
+    /// feasible system is not an integer, with that value.
+    pub(crate) fn first_fractional(&self) -> Option<(usize, Rat)> {
+        self.tab.first_fractional()
+    }
+
+    /// The current vertex of a feasible system.
+    pub(crate) fn vertex(&self) -> Vec<Rat> {
+        self.tab.vertex()
     }
 
     /// Pins the equality `row · x + c == 0` (`row` has `n + 1` entries)
@@ -576,17 +864,84 @@ impl IncrementalLp {
     /// [`MathError::PivotLimit`] when the dual loop reaches its pivot
     /// cap, now or in an earlier call.
     pub fn pin_eq(&mut self, row: &[i64]) -> Result<bool> {
-        assert_eq!(row.len(), self.tab.n + 1, "row length mismatch");
-        if !self.state.clone()? {
-            return Ok(false);
-        }
         let _timing = polytops_obs::time("simplex.pin_eq_ns");
-        self.state = self.tab.add_eq_row(row);
-        self.state.clone()
+        self.pin(row)
+    }
+
+    /// [`pin_eq`](IncrementalLp::pin_eq) outside the
+    /// `simplex.pin_eq_ns` histogram, which times the lexmin's stage
+    /// pins: an oracle's walk pins a row per step and has a timer of
+    /// its own around the whole rewrite.
+    pub(crate) fn pin(&mut self, row: &[i64]) -> Result<bool> {
+        assert_eq!(row.len(), self.tab.n + 1, "row length mismatch");
+        self.advance(|tab| tab.add_eq_row(row))
+    }
+
+    /// Pushes the inequality `row · x + c ≥ 0` (`row` has `n + 1`
+    /// entries): a fresh slack, the row reduced by the current basis,
+    /// feasibility restored by the dual-simplex pivots of
+    /// [`pin_eq`](IncrementalLp::pin_eq). Returns `false` (and stays
+    /// infeasible) when no rational point satisfies the system with
+    /// the row — which [`rollback`](IncrementalLp::rollback) undoes.
+    ///
+    /// # Errors
+    ///
+    /// As [`pin_eq`](IncrementalLp::pin_eq).
+    pub fn push_ineq(&mut self, row: &[i64]) -> Result<bool> {
+        assert_eq!(row.len(), self.tab.n + 1, "row length mismatch");
+        self.advance(|tab| tab.add_ineq_row(row))
+    }
+
+    /// Takes inequality `k` out of a feasible system: inequalities are
+    /// numbered from 0 in the order the system given to
+    /// [`new`](IncrementalLp::new) listed them, pushed rows following
+    /// on, and a number is never reused. Of an infeasible system
+    /// nothing is left to take a row from, and it stays as it is.
+    ///
+    /// # Errors
+    ///
+    /// [`MathError::Overflow`], now or in an earlier call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if inequality `k` was never there.
+    pub fn drop_ineq(&mut self, k: usize) -> Result<()> {
+        let slack = 2 * self.tab.n + k;
+        assert!(slack < self.tab.width, "no inequality {k}");
+        self.advance(|tab| tab.remove_ineq_row(slack).map(|()| true))
+            .map(|_| ())
+    }
+
+    /// Whether `row · x + c ≥ 0` holds at every rational point of the
+    /// system — of an infeasible one, vacuously. Conservative: an
+    /// unbounded minimum or an overflowing tableau answers `false`
+    /// (the latter for every later question too).
+    pub fn implies(&mut self, row: &[i64]) -> bool {
+        let n = self.tab.n;
+        assert_eq!(row.len(), n + 1, "row length mismatch");
+        match self.minimize_value(&row[..n]) {
+            Ok(Bound::Value(value)) => value + Rat::from(row[n]) >= Rat::ZERO,
+            Ok(Bound::Infeasible) => true,
+            Ok(Bound::Unbounded) | Err(_) => false,
+        }
+    }
+
+    /// A copy of the tableau as it stands. A tableau here is tens of
+    /// rows, so a copy costs less than the pivot it guards and no undo
+    /// log is kept.
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot(self.with_tableau(self.tab.clone()))
+    }
+
+    /// Puts the tableau back to where `snapshot` was taken: rows pinned
+    /// or pushed since, the pivots they cost and an error that poisoned
+    /// it are all gone.
+    pub fn rollback(&mut self, snapshot: Snapshot) {
+        *self = snapshot.0;
     }
 
     /// Dual-simplex pivots spent by [`pin_eq`](IncrementalLp::pin_eq)
-    /// calls so far.
+    /// and [`push_ineq`](IncrementalLp::push_ineq) calls so far.
     pub fn dual_pivots(&self) -> usize {
         self.tab.dual_pivots - self.phase1_pivots
     }
@@ -905,6 +1260,146 @@ mod tests {
         empty.add_ineq(vec![-1, 2]);
         assert_eq!(lp_feasible(&empty), Ok(false));
         PIVOT_CAP.set(None);
+    }
+
+    /// Every basic value of a feasible tableau is non-negative.
+    fn primal_feasible(lp: &IncrementalLp) -> bool {
+        lp.tab.rows().all(|row| row[lp.tab.width] >= 0)
+    }
+
+    #[test]
+    fn a_pushed_row_is_repaired_and_a_rollback_takes_it_back() {
+        // Box [0,3]²: pushing x + y >= 5 cuts the vertex (0,0) off and
+        // costs dual pivots; the rollback gives the box back.
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_ineq(vec![1, 0, 0]);
+        cs.add_ineq(vec![-1, 0, 3]);
+        cs.add_ineq(vec![0, 1, 0]);
+        cs.add_ineq(vec![0, -1, 3]);
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        let before = lp.snapshot();
+        assert_eq!(lp.push_ineq(&[1, 1, -5]), Ok(true));
+        assert!(lp.dual_pivots() >= 1 && primal_feasible(&lp));
+        assert!(lp.implies(&[1, 0, -2]), "x >= 2 once x + y >= 5");
+        let LpOutcome::Optimal { value, .. } = lp.minimize(&[1, 1]).unwrap() else {
+            panic!()
+        };
+        assert_eq!(value, Rat::from(5));
+        // A second row that empties the set is a verdict, not an error.
+        assert_eq!(lp.push_ineq(&[-1, -1, 4]), Ok(false));
+        assert!(!lp.is_feasible());
+        assert!(lp.implies(&[0, 0, -1]), "the empty set implies anything");
+        lp.rollback(before);
+        assert!(lp.is_feasible() && lp.dual_pivots() == 0);
+        assert!(!lp.implies(&[1, 0, -2]));
+        let LpOutcome::Optimal { value, .. } = lp.minimize(&[1, 1]).unwrap() else {
+            panic!()
+        };
+        assert_eq!(value, Rat::from(0));
+    }
+
+    #[test]
+    fn pushes_beyond_the_spare_block_re_lay_the_rows_out() {
+        // More pushes than `new` left room for, equalities in between:
+        // x >= k for k = 1..=10 on x in [0, 20] with y == x.
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_ineq(vec![1, 0, 0]);
+        cs.add_ineq(vec![-1, 0, 20]);
+        cs.add_eq(vec![1, -1, 0]);
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        let room = lp.tab.stride;
+        for k in 1..=10 {
+            assert_eq!(lp.push_ineq(&[1, 0, -k]), Ok(true));
+        }
+        assert!(lp.tab.stride > room && primal_feasible(&lp));
+        assert_eq!(lp.tab.width, 2 * 2 + 2 + 10);
+        let LpOutcome::Optimal { value, point } = lp.minimize(&[0, 1]).unwrap() else {
+            panic!()
+        };
+        assert_eq!((value, point), (Rat::from(10), vec![Rat::from(10); 2]));
+        // And a copy over more variables keeps every row and slack.
+        let mut wide = lp.with_vars(2, 1);
+        assert_eq!(wide.num_vars(), 4);
+        assert_eq!(wide.push_ineq(&[-1, 0, 1, 0, 0]), Ok(true)); // z >= x
+        let LpOutcome::Optimal { value, .. } = wide.minimize(&[0, 0, 1, 0]).unwrap() else {
+            panic!()
+        };
+        assert_eq!(value, Rat::from(10));
+        assert_eq!(wide.minimize(&[0, 0, 0, 1]), Ok(LpOutcome::Unbounded));
+    }
+
+    #[test]
+    fn dropping_a_tight_row_keeps_every_other_row_feasible() {
+        // x >= 2, x >= 0, x >= -3 and nothing above: at the vertex
+        // x = 2 the first slack is non-basic and its column has no
+        // positive entry, so it can only enter *downwards*, and only as
+        // far as x >= 0 lets it.
+        let mut cs = ConstraintSystem::new(1);
+        cs.add_ineq(vec![1, -2]);
+        cs.add_ineq(vec![1, 0]);
+        cs.add_ineq(vec![1, 3]);
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        assert!(!lp.tab.basis.contains(&2), "x >= 2 is tight at the vertex");
+        lp.drop_ineq(0).unwrap();
+        assert!(lp.is_feasible() && primal_feasible(&lp));
+        assert!(lp.implies(&[1, 0]) && !lp.implies(&[1, -1]));
+        // Of two identical rows either can go, but not both: the second
+        // is tested against a system the first has really left.
+        let mut twice = ConstraintSystem::new(1);
+        twice.add_ineq(vec![1, -2]);
+        twice.add_ineq(vec![1, -2]);
+        let mut lp = IncrementalLp::new(&twice).unwrap();
+        lp.drop_ineq(0).unwrap();
+        assert!(lp.implies(&[1, -2]), "its twin still holds x >= 2");
+        lp.drop_ineq(1).unwrap();
+        assert!(!lp.implies(&[1, -2]) && primal_feasible(&lp));
+    }
+
+    #[test]
+    fn a_failed_push_poisons_its_snapshot_only() {
+        // The overflow of `an_overflowing_pin_poisons_the_tableau`, as
+        // a pushed inequality: every later call repeats the error until
+        // the tableau is rolled back, and then answers as if never asked.
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_ineq(vec![1, 0, 0]);
+        cs.add_ineq(vec![0, 1, 0]);
+        cs.add_ineq(vec![-1, 0, 1 << 62]);
+        cs.add_ineq(vec![0, -1, 1]);
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        assert!(lp.minimize(&[-1, 0]).is_ok());
+        let before = lp.snapshot();
+        assert_eq!(lp.push_ineq(&[4, 1, -5]), Err(MathError::Overflow));
+        assert!(!lp.is_feasible());
+        assert_eq!(lp.push_ineq(&[1, 0, 0]), Err(MathError::Overflow));
+        assert!(!lp.implies(&[1, 0, 0]), "a guard stays");
+        let mut nodes = 0;
+        assert!(lp.may_have_integer_point(&mut nodes), "a point may exist");
+        lp.rollback(before);
+        assert!(lp.is_feasible() && lp.implies(&[1, 0, 0]));
+        assert_eq!(lp.push_ineq(&[1, 1, -1]), Ok(true));
+
+        // The pivot cap, likewise: 2 <= x <= 5 is solved, then a push
+        // that needs a pivot is refused one.
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_ineq(vec![1, 0, -2]);
+        cs.add_ineq(vec![-1, 0, 5]);
+        cs.add_ineq(vec![0, 1, 0]);
+        cs.add_ineq(vec![0, -1, 5]);
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        let before = lp.snapshot();
+        PIVOT_CAP.set(Some(0));
+        assert_eq!(lp.push_ineq(&[0, 1, -3]), Err(MathError::PivotLimit));
+        assert!(lp.may_have_integer_point(&mut nodes) && !lp.implies(&[1, 0, -1]));
+        PIVOT_CAP.set(None);
+        assert_eq!(lp.push_ineq(&[0, 1, -3]), Err(MathError::PivotLimit));
+        lp.rollback(before);
+        assert_eq!(lp.push_ineq(&[0, 1, -3]), Ok(true));
+        assert!(lp.implies(&[1, 0, -1]) && lp.may_have_integer_point(&mut nodes));
+        assert_eq!(lp.push_ineq(&[0, -1, 2]), Ok(false), "3 <= y <= 2");
+        assert!(
+            !lp.may_have_integer_point(&mut nodes),
+            "a proof of emptiness"
+        );
     }
 
     #[test]

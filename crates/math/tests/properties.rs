@@ -5,8 +5,9 @@ mod reference;
 use proptest::prelude::*;
 
 use polytops_math::{
-    ilp_feasible, ilp_lexmin, ilp_lexmin_warm, ilp_minimize, lp_minimize, orthogonal_complement,
-    ConstraintSystem, IlpOutcome, IlpStats, IncrementalLp, IntMatrix, LpOutcome, Rat, RowKind,
+    ilp_feasible, ilp_lexmin, ilp_lexmin_warm, ilp_minimize, ineq_implied, lp_minimize,
+    orthogonal_complement, ConstraintSystem, IlpOutcome, IlpStats, IncrementalLp, IntMatrix,
+    LpOutcome, Rat, RowKind, Snapshot,
 };
 
 fn small_rat() -> impl Strategy<Value = Rat> {
@@ -244,6 +245,111 @@ proptest! {
         let proj = cs.eliminate_var(2).unwrap();
         for p in brute_points(&cs, &bounds) {
             prop_assert!(proj.contains_point(&p[..2]), "projection lost {:?}", p);
+        }
+    }
+}
+
+/// One step of a live-tableau session: what to do, and the row to do it
+/// with (`a·x + c`, four entries).
+fn session() -> impl Strategy<Value = Vec<(u8, Vec<i64>)>> {
+    proptest::collection::vec((0u8..6, proptest::collection::vec(-3i64..=3, 4)), 1..10)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn a_live_tableau_answers_as_the_system_it_stands_for(
+        (cs, bounds) in boxed_system(),
+        ops in session(),
+    ) {
+        // Rows are pushed onto, pinned into and rolled back off one
+        // tableau, with the system it must stand for kept beside it;
+        // after every step the integer-feasibility question and an
+        // implication question are asked three ways: of the tableau, of
+        // the one-question wrapper on the materialized system, and (the
+        // first) by enumerating the box.
+        // (`normalize` leaves its witness behind when an extra row is a
+        // constant contradiction, and the tableau of that is empty too.)
+        let mut base = cs.clone();
+        base.normalize();
+        let mut lp = IncrementalLp::new(&base).unwrap();
+        let mut acc = cs.clone();
+        let mut saved: Vec<(Snapshot, ConstraintSystem)> = Vec::new();
+        for (kind, row) in ops {
+            match kind {
+                0 | 1 => {
+                    let held = lp.push_int_ineq(&row).unwrap();
+                    acc.add_ineq(row.clone());
+                    prop_assert_eq!(held, lp.is_feasible());
+                }
+                2 => {
+                    let held = lp.pin_int_eq(&row).unwrap();
+                    acc.add_eq(row.clone());
+                    prop_assert_eq!(held, lp.is_feasible());
+                }
+                3 | 4 => saved.push((lp.snapshot(), acc.clone())),
+                _ => {
+                    if let Some((snapshot, system)) = saved.pop() {
+                        lp.rollback(snapshot);
+                        acc = system;
+                    }
+                }
+            }
+            let points = brute_points(&acc, &bounds);
+            if !lp.is_feasible() {
+                prop_assert!(points.is_empty(), "an empty relaxation has no integer point");
+            }
+            let before = lp.snapshot();
+            let mut nodes = 0;
+            let got = lp.may_have_integer_point(&mut nodes);
+            lp.rollback(before);
+            prop_assert!(got != points.is_empty(), "{:?}", acc);
+            prop_assert_eq!(got, ilp_feasible(&acc));
+            // A question after a rollback is a question of a fresh
+            // tableau: the same answer again.
+            let mut fresh = acc.clone();
+            let fresh = if fresh.normalize() { IncrementalLp::new(&fresh).ok() } else { None };
+            if let Some(mut fresh) = fresh {
+                let mut fresh_nodes = 0;
+                prop_assert_eq!(fresh.may_have_integer_point(&mut fresh_nodes), got);
+            }
+            // Implication is over the rationals of what was pushed:
+            // the rows as tightened, which `normalize` reproduces.
+            let mut tight = acc.clone();
+            if tight.normalize() {
+                let before = lp.snapshot();
+                prop_assert!(lp.implies(&row) == ineq_implied(&tight, &row), "{:?}", tight);
+                lp.rollback(before);
+            }
+        }
+    }
+
+    #[test]
+    fn a_dropped_inequality_leaves_the_rest(
+        (cs, _bounds) in boxed_system(),
+        which in 0usize..6,
+        probe in proptest::collection::vec(-3i64..=3, 4),
+    ) {
+        // Taking a row of the box out of the live tableau must leave
+        // the tableau of the system without it: same feasibility, same
+        // answer to any implication question, the row's own included.
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        if lp.is_feasible() {
+            lp.drop_ineq(which).unwrap();
+            let mut rest = ConstraintSystem::new(cs.num_vars());
+            let mut taken = None;
+            for (k, (_, row)) in cs.iter().enumerate() {
+                if k == which {
+                    taken = Some(row.to_vec());
+                } else {
+                    rest.add_ineq(row.to_vec());
+                }
+            }
+            prop_assert!(lp.is_feasible());
+            for row in [probe, taken.expect("a box has six rows")] {
+                prop_assert!(lp.implies(&row) == ineq_implied(&rest, &row), "{:?}", rest);
+            }
         }
     }
 }

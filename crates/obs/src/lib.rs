@@ -748,6 +748,18 @@ pub fn time(name: &str) -> HistTimer {
     }
 }
 
+/// Adds `n` to the named counter of the current context's recorder.
+/// Inert when no context is bound. The lookup takes the registry's
+/// lock: call it once per unit of work with a locally gathered total,
+/// not once per event.
+pub fn count(name: &str, n: u64) {
+    CTX.with(|slot| {
+        if let Some(ctx) = slot.borrow().as_ref() {
+            ctx.recorder.counter(name).add(n);
+        }
+    });
+}
+
 /// RAII histogram timer returned by [`time`].
 #[derive(Debug)]
 pub struct HistTimer {
@@ -993,6 +1005,21 @@ mod tests {
             let _t = time("stage_ns");
         }
         assert_eq!(rec.histogram("stage_ns").snapshot().count, 1);
+    }
+
+    #[test]
+    fn counts_land_in_the_bound_recorder_and_nowhere_without_one() {
+        count("orphan", 5); // no context: inert
+        let rec = Recorder::new(true);
+        let root = rec.root_span("request");
+        {
+            let link = root.link().expect("armed");
+            let _guard = link.bind();
+            count("oracle.queries", 3);
+            count("oracle.queries", 4);
+        }
+        assert_eq!(rec.counter("oracle.queries").get(), 7);
+        assert_eq!(rec.counter("orphan").get(), 0);
     }
 
     #[test]

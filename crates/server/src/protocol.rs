@@ -905,13 +905,7 @@ pub fn offline_results(req: &ScheduleRequest) -> Json {
 
 /// The independent legality oracle over one report.
 pub fn certify(deps: &[polytops_deps::Dependence], report: &ScenarioReport) -> bool {
-    deps.iter().all(|d| {
-        polytops_deps::schedule_respects_dependence(
-            d,
-            report.schedule.stmt(d.src).rows(),
-            report.schedule.stmt(d.dst).rows(),
-        )
-    })
+    polytops_deps::Certifier::new(deps).certifies(&report.schedule)
 }
 
 #[cfg(test)]

@@ -63,7 +63,8 @@ pub use polytops_core::{
 };
 pub use polytops_deps::{
     analyze, dependence_sccs, order_steps, respects, schedule_respects_dependence,
-    steps_respect_dependence, strongly_satisfies, zero_distance, DepKind, Dependence, OrderStep,
+    steps_respect_dependence, strongly_satisfies, zero_distance, Certifier, DepKind, Dependence,
+    OrderStep,
 };
 pub use polytops_ir::{
     frontend, parse_scop, print_scop, Aff, AffineExpr, ArrayId, ArrayInfo, BandMember, MarkKind,
