@@ -1,16 +1,17 @@
-//! Per-cost-function templates (paper §III-A1) and the Farkas templates
-//! shared by validity and cost constraints.
+//! Per-cost-function coefficients (paper §III-A1) and the templates of
+//! the three affine forms a dependence's Farkas cone is asked about.
 //!
 //! The assembly of a full dimension's constraint system and objective
 //! sequence lives in [`crate::pipeline::objectives`]; this module holds
-//! the reusable building blocks it composes (and that the
-//! [`FarkasCache`](crate::pipeline::FarkasCache) memoizes).
+//! the reusable building blocks it composes. A template says, per
+//! coefficient of an affine form over a dependence's `(it_src, it_dst,
+//! params, 1)` space, which combination of ILP variables it is; the
+//! [`FarkasCache`](crate::pipeline::FarkasCache) substitutes it into the
+//! dependence's cone.
 
 use polytops_deps::Dependence;
 use polytops_ir::{Scop, Statement, Subscript};
-use polytops_math::{farkas_nonneg, ConstraintSystem};
 
-use crate::error::ScheduleError;
 use crate::space::IlpSpace;
 
 /// Builds the template matrix of `Δ = φ_dst − φ_src` over a dependence's
@@ -48,64 +49,42 @@ pub fn delta_template(dep: &Dependence, space: &IlpSpace) -> Vec<Vec<i64>> {
     rows
 }
 
-/// Farkas-linearized validity constraints `Δ ≥ 0` for one dependence
-/// (Eq. 2 of the paper).
-///
-/// # Errors
-///
-/// Propagates arithmetic overflow from the elimination.
-pub fn validity_rows(
-    dep: &Dependence,
-    space: &IlpSpace,
-) -> Result<ConstraintSystem, ScheduleError> {
-    let template = delta_template(dep, space);
-    Ok(farkas_nonneg(&dep.poly, &template, space.total())?)
+/// The affine forms the scheduler requires to be non-negative on a
+/// dependence polyhedron.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DepConstraint {
+    /// Validity `Δ ≥ 0` (Eq. 2 of the paper).
+    Validity,
+    /// Proximity `u·N + w − Δ ≥ 0` (Eq. 4).
+    Proximity,
+    /// Feautrier `Δ − x_e ≥ 0` (the `0 ≤ x_e ≤ 1` box is the engine's);
+    /// maximizing `Σ x_e` maximizes the number of strongly satisfied
+    /// dependences.
+    Feautrier,
 }
 
-/// Proximity constraints `Δ ≤ u·N + w` for one dependence (Eq. 4),
-/// linearized with Farkas.
-///
-/// # Errors
-///
-/// Propagates arithmetic overflow from the elimination.
-pub fn proximity_rows(
-    dep: &Dependence,
-    space: &IlpSpace,
-) -> Result<ConstraintSystem, ScheduleError> {
-    // e = u·N + w − Δ ≥ 0.
-    let mut template = delta_template(dep, space);
-    for row in &mut template {
-        for v in row.iter_mut() {
-            *v = -*v;
+impl DepConstraint {
+    /// The template of this form for dependence `dep` (index `e` in the
+    /// analysis, which picks its `x_e` column) over `space`.
+    pub fn template(self, dep: &Dependence, e: usize, space: &IlpSpace) -> Vec<Vec<i64>> {
+        let mut template = delta_template(dep, space);
+        let last = template.len() - 1;
+        match self {
+            DepConstraint::Validity => {}
+            DepConstraint::Proximity => {
+                for v in template.iter_mut().flatten() {
+                    *v = -*v;
+                }
+                let params = dep.src_depth + dep.dst_depth;
+                for j in 0..space.nparams {
+                    template[params + j][space.u(j)] += 1;
+                }
+                template[last][space.w()] += 1;
+            }
+            DepConstraint::Feautrier => template[last][space.dep_var(e)] -= 1,
         }
+        template
     }
-    let ds = dep.src_depth;
-    let dr = dep.dst_depth;
-    for j in 0..space.nparams {
-        template[ds + dr + j][space.u(j)] += 1;
-    }
-    let last = template.len() - 1;
-    template[last][space.w()] += 1;
-    Ok(farkas_nonneg(&dep.poly, &template, space.total())?)
-}
-
-/// Feautrier constraints `Δ ≥ x_e` with `0 ≤ x_e ≤ 1` for dependence
-/// index `e` in the live set; maximizing `Σ x_e` maximizes the number of
-/// strongly satisfied dependences.
-///
-/// # Errors
-///
-/// Propagates arithmetic overflow from the elimination.
-pub fn feautrier_rows(
-    dep: &Dependence,
-    dep_index: usize,
-    space: &IlpSpace,
-) -> Result<ConstraintSystem, ScheduleError> {
-    // e = Δ − x_e ≥ 0.
-    let mut template = delta_template(dep, space);
-    let last = template.len() - 1;
-    template[last][space.dep_var(dep_index)] -= 1;
-    Ok(farkas_nonneg(&dep.poly, &template, space.total())?)
 }
 
 /// Nominal parameter value for the contiguity stride analysis: big
@@ -169,6 +148,11 @@ mod tests {
     use super::*;
     use polytops_deps::analyze;
     use polytops_ir::{Aff, ScopBuilder};
+    use polytops_math::{farkas_nonneg, ConstraintSystem};
+
+    fn rows(kind: DepConstraint, dep: &Dependence, space: &IlpSpace) -> ConstraintSystem {
+        farkas_nonneg(&dep.poly, &kind.template(dep, 0, space), space.total()).unwrap()
+    }
 
     fn chain() -> (Scop, Vec<Dependence>) {
         let mut b = ScopBuilder::new("chain");
@@ -189,7 +173,7 @@ mod tests {
     fn validity_accepts_forward_rejects_backward() {
         let (scop, deps) = chain();
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
-        let sys = validity_rows(&deps[0], &space).unwrap();
+        let sys = rows(DepConstraint::Validity, &deps[0], &space);
         // φ = i: T_it = 1, T_cst = 0 -> legal.
         let mut p = vec![0i64; space.total()];
         let b = space.stmts[0].offset;
@@ -204,7 +188,7 @@ mod tests {
     fn proximity_bounds_distance() {
         let (scop, deps) = chain();
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
-        let sys = proximity_rows(&deps[0], &space).unwrap();
+        let sys = rows(DepConstraint::Proximity, &deps[0], &space);
         let b = space.stmts[0].offset;
         // φ = i: Δ = 1; u = 0, w = 1 satisfies Δ <= w.
         let mut p = vec![0i64; space.total()];
@@ -220,7 +204,7 @@ mod tests {
     fn feautrier_var_forces_satisfaction() {
         let (scop, deps) = chain();
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
-        let sys = feautrier_rows(&deps[0], 0, &space).unwrap();
+        let sys = rows(DepConstraint::Feautrier, &deps[0], &space);
         let b = space.stmts[0].offset;
         let x = space.dep_var(0);
         // φ = i with x_e = 1: Δ = 1 >= 1 ok.

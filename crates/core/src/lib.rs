@@ -13,9 +13,9 @@
 //!   (proximity, Feautrier, contiguity, big-loops-first, user variables);
 //! * [`constraints`] — the custom-constraint mini-language (§III-A2);
 //! * [`pipeline`] — the staged driver (legality → objectives → solve →
-//!   postprocess), with its cached Farkas systems and warm-started ILP;
+//!   postprocess), with its cached Farkas cones and warm-started ILP;
 //! * [`scenario`] — the scenario engine: N (SCoP × config) jobs sharing
-//!   `Arc`-wrapped Farkas caches per SCoP and executing on a
+//!   one `Arc`-wrapped Farkas cache per SCoP and executing on a
 //!   work-stealing thread pool (the paper's per-scenario
 //!   reconfiguration loop);
 //! * [`registry`] — the cross-request persistence layer of the

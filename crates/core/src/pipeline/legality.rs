@@ -1,75 +1,46 @@
-//! Legality stage: cached Farkas linearization.
+//! Legality stage: one Farkas cone per dependence.
 //!
-//! Eliminating a dependence's Farkas multipliers (Fourier–Motzkin over
-//! the dependence polyhedron) is the single most expensive constraint-
-//! construction step of the scheduler, and the monolithic driver used to
-//! redo it for every live dependence at every dimension. The resulting
-//! system, however, only depends on the dependence polyhedron and the
-//! ILP variable layout — neither changes across dimensions now that the
-//! engine fixes one [`IlpSpace`] per SCoP — so [`FarkasCache`]
-//! eliminates each dependence **once** and replays the cached affine
-//! form at every later dimension.
+//! Validity (`Δ ≥ 0`), proximity (`u·N + w − Δ ≥ 0`) and Feautrier
+//! (`Δ − x_e ≥ 0`) all ask which affine forms are non-negative on a
+//! dependence polyhedron. The answer — the polyhedron's Farkas cone,
+//! [`polytops_math::farkas_cone`] — is the expensive part
+//! (Fourier–Motzkin over the multipliers) and depends on the dependence
+//! alone: not on the constraint kind, the dimension, the live set or the
+//! configuration's ILP variable layout. [`FarkasCache`] eliminates it
+//! **once** per dependence; every lookup then substitutes the asked
+//! kind's [template](DepConstraint::template) over the asking run's
+//! [`IlpSpace`] into it, which is a few multiplications per row.
 //!
-//! Since the per-scenario reconfiguration loop (paper Fig. 1) solves the
-//! *same* SCoP many times under different configurations, the cache is
-//! also shareable **across runs**: it is `Send + Sync` (entries behind
-//! [`OnceLock`], counters atomic), so the scenario engine
-//! ([`crate::scenario`]) wraps one cache per (SCoP, variable-layout)
-//! group in an [`Arc`] and every scenario of that group replays the same
-//! eliminations — including scenarios running concurrently on other
-//! worker threads. Entries are keyed by dependence identity (the index
-//! assigned by [`polytops_deps::analyze`], which is deterministic for a
-//! given SCoP) and constraint kind (validity, proximity, Feautrier).
-//!
-//! Lookups happen for live dependences and — on the validity side — for
-//! dependences carried inside the still-open band; that is fine because
-//! an entry depends only on the dependence polyhedron and the fixed
-//! variable layout, never on live/retired state. The cache additionally
-//! pins the full [`IlpSpace`] of its first lookup and compares every
-//! later lookup against it, recomputing (without storing) on mismatch —
-//! so a mis-grouped share degrades to fresh eliminations instead of
-//! corrupting the ILP, even when two layouts coincide in column count.
+//! The cache is `Send + Sync` (cones behind [`OnceLock`], counters
+//! atomic), so the scenario engine ([`crate::scenario`]) shares one per
+//! (SCoP, component) among all its scenarios whatever their
+//! configuration, and a registry entry keeps one resident across
+//! requests. Cones are keyed by dependence index (the one assigned by
+//! [`polytops_deps::analyze`], deterministic for a given SCoP).
 //!
 //! Two counter sets exist: the cache's own atomic totals (aggregated
-//! over every run that ever shared it — the scenario engine reports
-//! these as cross-scenario hit rates) and the per-run [`CacheSession`]
+//! over every run that ever shared it) and the per-run [`CacheSession`]
 //! counters that feed [`PipelineStats`](crate::pipeline::PipelineStats)
-//! exactly even when other threads hit the same cache concurrently.
+//! exactly even when other threads use the same cache concurrently. A
+//! hit is a lookup that found its cone resident, a miss one that
+//! eliminated it.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use polytops_deps::Dependence;
-use polytops_math::ConstraintSystem;
+use polytops_math::{farkas_cone, farkas_substitute, ConstraintSystem};
 
-use crate::costfn::{feautrier_rows, proximity_rows, validity_rows};
+use crate::costfn::DepConstraint;
 use crate::error::ScheduleError;
 use crate::space::IlpSpace;
 
-/// Per-SCoP cache of Farkas-eliminated constraint systems, shareable
-/// across scheduling runs (and threads) of the same SCoP.
-///
-/// The cache is only sound while the ILP variable layout is stable: the
-/// engine constructs one [`IlpSpace`] per SCoP (with dependence-variable
-/// columns for *all* dependences, live or not) and shares it across
-/// every dimension. Runs whose configuration changes the layout
-/// (`negative_coefficients`, `parametric_shift`, `new_variables`) must
-/// use a different cache — the scenario engine groups by exactly that
-/// key — and the layout fingerprint pinned by the first lookup makes
-/// every later lookup recompute rather than replay an entry built for
-/// another layout.
+/// The Farkas cones of one SCoP's dependences, shareable across
+/// scheduling runs (and threads) of that SCoP under any configuration.
 #[derive(Debug)]
 pub struct FarkasCache {
-    /// The ILP variable layout the stored entries were eliminated
-    /// under, pinned by the first lookup. Every later lookup compares
-    /// its own layout against this fingerprint — equal column *counts*
-    /// with different column *meanings* (e.g. parametric-shift columns
-    /// vs user variables) must not replay each other's rows.
-    space: OnceLock<IlpSpace>,
-    validity: Vec<OnceLock<ConstraintSystem>>,
-    proximity: Vec<OnceLock<ConstraintSystem>>,
-    feautrier: Vec<OnceLock<ConstraintSystem>>,
+    cones: Vec<OnceLock<ConstraintSystem>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -78,149 +49,79 @@ impl FarkasCache {
     /// Creates an empty cache for `num_deps` dependences.
     pub fn new(num_deps: usize) -> FarkasCache {
         FarkasCache {
-            space: OnceLock::new(),
-            validity: (0..num_deps).map(|_| OnceLock::new()).collect(),
-            proximity: (0..num_deps).map(|_| OnceLock::new()).collect(),
-            feautrier: (0..num_deps).map(|_| OnceLock::new()).collect(),
+            cones: (0..num_deps).map(|_| OnceLock::new()).collect(),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
         }
     }
 
-    /// Number of dependences the cache was sized for (entry slots per
-    /// constraint kind).
+    /// Number of dependences the cache was sized for.
     pub fn num_deps(&self) -> usize {
-        self.validity.len()
+        self.cones.len()
     }
 
-    /// Total lookups answered from the cache, across every run (and
-    /// thread) that shared it.
+    /// Total lookups that found their cone resident, across every run
+    /// (and thread) that shared the cache.
     pub fn hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Total lookups that ran a fresh Farkas elimination, across every
-    /// run (and thread) that shared it.
+    /// Total lookups that eliminated a cone, across every run (and
+    /// thread) that shared the cache.
     pub fn misses(&self) -> usize {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Appends the validity system `Δ_e ≥ 0` of dependence `e` to `out`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates arithmetic overflow from the elimination.
-    pub fn extend_with_validity(
-        &self,
-        e: usize,
-        dep: &Dependence,
-        space: &IlpSpace,
-        out: &mut ConstraintSystem,
-    ) -> Result<(), ScheduleError> {
-        self.validity_hit(e, dep, space, out).map(|_| ())
-    }
-
-    /// Appends the proximity system `Δ_e ≤ u·N + w` of dependence `e`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates arithmetic overflow from the elimination.
-    pub fn extend_with_proximity(
-        &self,
-        e: usize,
-        dep: &Dependence,
-        space: &IlpSpace,
-        out: &mut ConstraintSystem,
-    ) -> Result<(), ScheduleError> {
-        self.proximity_hit(e, dep, space, out).map(|_| ())
-    }
-
-    /// Appends the Feautrier system `Δ_e ≥ x_e` of dependence `e` (the
-    /// `0 ≤ x_e ≤ 1` box is the caller's, it is layout- not
-    /// elimination-work).
-    ///
-    /// # Errors
-    ///
-    /// Propagates arithmetic overflow from the elimination.
-    pub fn extend_with_feautrier(
-        &self,
-        e: usize,
-        dep: &Dependence,
-        space: &IlpSpace,
-        out: &mut ConstraintSystem,
-    ) -> Result<(), ScheduleError> {
-        self.feautrier_hit(e, dep, space, out).map(|_| ())
-    }
-
-    fn validity_hit(
-        &self,
-        e: usize,
-        dep: &Dependence,
-        space: &IlpSpace,
-        out: &mut ConstraintSystem,
-    ) -> Result<bool, ScheduleError> {
-        self.replay(&self.validity[e], space, out, || validity_rows(dep, space))
-    }
-
-    fn proximity_hit(
-        &self,
-        e: usize,
-        dep: &Dependence,
-        space: &IlpSpace,
-        out: &mut ConstraintSystem,
-    ) -> Result<bool, ScheduleError> {
-        self.replay(&self.proximity[e], space, out, || {
-            proximity_rows(dep, space)
-        })
-    }
-
-    fn feautrier_hit(
-        &self,
-        e: usize,
-        dep: &Dependence,
-        space: &IlpSpace,
-        out: &mut ConstraintSystem,
-    ) -> Result<bool, ScheduleError> {
-        self.replay(&self.feautrier[e], space, out, || {
-            feautrier_rows(dep, e, space)
-        })
-    }
-
-    /// Replays `slot` into `out` when a cached system exists *and* the
-    /// requesting run's variable layout equals the one the cache was
-    /// pinned to by its first lookup; otherwise builds fresh (storing
-    /// the result only when the layouts match — equal column counts
-    /// with different column meanings must not replay each other's
-    /// rows). Returns whether the lookup was a hit.
-    fn replay(
-        &self,
-        slot: &OnceLock<ConstraintSystem>,
-        space: &IlpSpace,
-        out: &mut ConstraintSystem,
-        build: impl FnOnce() -> Result<ConstraintSystem, ScheduleError>,
-    ) -> Result<bool, ScheduleError> {
-        let matches = self.space.get_or_init(|| space.clone()) == space;
-        if matches {
-            if let Some(sys) = slot.get() {
-                let _timing = polytops_obs::time("farkas.replay_ns");
-                debug_assert_eq!(sys.num_vars(), out.num_vars(), "layout drift");
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                out.extend(sys);
-                return Ok(true);
-            }
-        }
-        // Empty slot, or a mis-grouped share: eliminate fresh, leaving
-        // any stored entry (and the pinned layout) alone.
-        let sys = {
+    /// The cone of dependence `e`, eliminated on first use, and whether
+    /// it was resident already. Two threads racing on an empty slot both
+    /// eliminate; the results are equal and one is kept.
+    fn cone(&self, e: usize, dep: &Dependence) -> Result<(&ConstraintSystem, bool), ScheduleError> {
+        let slot = &self.cones[e];
+        let hit = slot.get().is_some();
+        if hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        } else {
             let _timing = polytops_obs::time("farkas.eliminate_ns");
-            build()?
-        };
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        out.extend(&sys);
-        if matches {
-            let _ = slot.set(sys);
+            let _ = slot.set(farkas_cone(&dep.poly)?);
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(false)
+        Ok((slot.get().expect("filled above"), hit))
+    }
+
+    /// Appends the `kind` constraints of dependence `e` over `space` to
+    /// `out`. Returns whether the dependence's cone was resident.
+    ///
+    /// # Errors
+    ///
+    /// Propagates arithmetic overflow from the elimination or the
+    /// substitution.
+    pub fn extend(
+        &self,
+        kind: DepConstraint,
+        e: usize,
+        dep: &Dependence,
+        space: &IlpSpace,
+        out: &mut ConstraintSystem,
+    ) -> Result<bool, ScheduleError> {
+        let (cone, hit) = self.cone(e, dep)?;
+        let _timing = polytops_obs::time("farkas.replay_ns");
+        let template = kind.template(dep, e, space);
+        out.extend(&farkas_substitute(cone, &template, space.total())?);
+        Ok(hit)
+    }
+
+    /// Eliminates the cone of every dependence in `deps` that is not
+    /// resident yet, so that no later lookup misses (the restore path's
+    /// "serve warm" guarantee).
+    ///
+    /// # Errors
+    ///
+    /// Propagates arithmetic overflow from an elimination.
+    pub fn prewarm(&self, deps: &[Dependence]) -> Result<(), ScheduleError> {
+        for (e, dep) in deps.iter().enumerate() {
+            self.cone(e, dep)?;
+        }
+        Ok(())
     }
 }
 
@@ -230,8 +131,8 @@ impl FarkasCache {
 /// concurrent scenarios would otherwise pollute each other's
 /// [`PipelineStats`](crate::pipeline::PipelineStats). A session wraps
 /// the shared cache with thread-local hit/miss counters so each engine
-/// run reports exactly the lookups *it* performed, while entries (and
-/// the global totals) remain shared.
+/// run reports exactly the lookups *it* performed, while cones (and the
+/// global totals) remain shared.
 #[derive(Debug)]
 pub struct CacheSession {
     cache: Arc<FarkasCache>,
@@ -249,77 +150,39 @@ impl CacheSession {
         }
     }
 
-    /// The underlying shared cache.
-    pub fn cache(&self) -> &Arc<FarkasCache> {
-        &self.cache
-    }
-
-    /// Lookups this session answered from the cache (including entries
-    /// eliminated by *other* sessions sharing the cache — that is the
-    /// cross-scenario amortization being measured).
+    /// Lookups of this session that found their cone resident
+    /// (including cones eliminated by *other* sessions sharing the
+    /// cache — that is the cross-scenario amortization being measured).
     pub fn hits(&self) -> usize {
         self.hits.get()
     }
 
-    /// Lookups this session had to eliminate fresh.
+    /// Cones this session had to eliminate.
     pub fn misses(&self) -> usize {
         self.misses.get()
     }
 
-    /// Session-counted [`FarkasCache::extend_with_validity`].
+    /// Session-counted [`FarkasCache::extend`].
     ///
     /// # Errors
     ///
-    /// Propagates arithmetic overflow from the elimination.
-    pub fn extend_with_validity(
+    /// Propagates arithmetic overflow from the elimination or the
+    /// substitution.
+    pub fn extend(
         &self,
+        kind: DepConstraint,
         e: usize,
         dep: &Dependence,
         space: &IlpSpace,
         out: &mut ConstraintSystem,
     ) -> Result<(), ScheduleError> {
-        self.count(self.cache.validity_hit(e, dep, space, out)?);
-        Ok(())
-    }
-
-    /// Session-counted [`FarkasCache::extend_with_proximity`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates arithmetic overflow from the elimination.
-    pub fn extend_with_proximity(
-        &self,
-        e: usize,
-        dep: &Dependence,
-        space: &IlpSpace,
-        out: &mut ConstraintSystem,
-    ) -> Result<(), ScheduleError> {
-        self.count(self.cache.proximity_hit(e, dep, space, out)?);
-        Ok(())
-    }
-
-    /// Session-counted [`FarkasCache::extend_with_feautrier`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates arithmetic overflow from the elimination.
-    pub fn extend_with_feautrier(
-        &self,
-        e: usize,
-        dep: &Dependence,
-        space: &IlpSpace,
-        out: &mut ConstraintSystem,
-    ) -> Result<(), ScheduleError> {
-        self.count(self.cache.feautrier_hit(e, dep, space, out)?);
-        Ok(())
-    }
-
-    fn count(&self, hit: bool) {
-        if hit {
-            self.hits.set(self.hits.get() + 1);
+        let counter = if self.cache.extend(kind, e, dep, space, out)? {
+            &self.hits
         } else {
-            self.misses.set(self.misses.get() + 1);
-        }
+            &self.misses
+        };
+        counter.set(counter.get() + 1);
+        Ok(())
     }
 }
 
@@ -329,6 +192,14 @@ mod tests {
     use polytops_deps::analyze;
     use polytops_workloads::stencil_chain as chain;
 
+    fn validity(cache: &FarkasCache, dep: &Dependence, space: &IlpSpace) -> ConstraintSystem {
+        let mut out = ConstraintSystem::new(space.total());
+        cache
+            .extend(DepConstraint::Validity, 0, dep, space, &mut out)
+            .unwrap();
+        out
+    }
+
     #[test]
     fn second_lookup_hits_and_replays_identical_rows() {
         let scop = chain();
@@ -336,16 +207,10 @@ mod tests {
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
         let cache = FarkasCache::new(deps.len());
 
-        let mut first = ConstraintSystem::new(space.total());
-        cache
-            .extend_with_validity(0, &deps[0], &space, &mut first)
-            .unwrap();
+        let first = validity(&cache, &deps[0], &space);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
 
-        let mut second = ConstraintSystem::new(space.total());
-        cache
-            .extend_with_validity(0, &deps[0], &space, &mut second)
-            .unwrap();
+        let second = validity(&cache, &deps[0], &space);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(first, second);
     }
@@ -360,42 +225,61 @@ mod tests {
         let first = CacheSession::new(Arc::clone(&cache));
         let mut out = ConstraintSystem::new(space.total());
         first
-            .extend_with_validity(0, &deps[0], &space, &mut out)
+            .extend(DepConstraint::Validity, 0, &deps[0], &space, &mut out)
             .unwrap();
         assert_eq!((first.hits(), first.misses()), (0, 1));
 
-        // A second session replays the first session's elimination: a
-        // hit locally, and the global totals see both lookups.
+        // A second session finds the first session's cone — under
+        // another constraint kind too: a hit locally, and the global
+        // totals see both lookups.
         let second = CacheSession::new(Arc::clone(&cache));
         let mut out = ConstraintSystem::new(space.total());
         second
-            .extend_with_validity(0, &deps[0], &space, &mut out)
+            .extend(DepConstraint::Proximity, 0, &deps[0], &space, &mut out)
             .unwrap();
         assert_eq!((second.hits(), second.misses()), (1, 0));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
     #[test]
-    fn layout_mismatch_recomputes_instead_of_replaying() {
+    fn every_layout_substitutes_into_the_one_cone() {
         let scop = chain();
         let deps = analyze(&scop);
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
-        let wide = IlpSpace::new(&scop, vec![], deps.len(), true, true);
+        let wide = IlpSpace::new(&scop, vec!["x".into()], deps.len(), true, true);
         assert_ne!(space.total(), wide.total());
         let cache = FarkasCache::new(deps.len());
 
-        let mut out = ConstraintSystem::new(space.total());
-        cache
-            .extend_with_validity(0, &deps[0], &space, &mut out)
-            .unwrap();
-        // A lookup under a different layout must not replay the stored
-        // entry (its columns would be misaligned) — it recomputes.
-        let mut other = ConstraintSystem::new(wide.total());
-        cache
-            .extend_with_validity(0, &deps[0], &wide, &mut other)
-            .unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        assert_eq!(other.num_vars(), wide.total());
+        let narrow_rows = validity(&cache, &deps[0], &space);
+        let wide_rows = validity(&cache, &deps[0], &wide);
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        // Each equals what a cold cache builds for that layout alone.
+        let cold = FarkasCache::new(deps.len());
+        assert_eq!(wide_rows, validity(&cold, &deps[0], &wide));
+        let cold = FarkasCache::new(deps.len());
+        assert_eq!(narrow_rows, validity(&cold, &deps[0], &space));
+    }
+
+    #[test]
+    fn prewarm_leaves_nothing_to_eliminate() {
+        let scop = chain();
+        let deps = analyze(&scop);
+        let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
+        let cache = Arc::new(FarkasCache::new(deps.len()));
+        cache.prewarm(&deps).unwrap();
+        assert_eq!(cache.misses(), deps.len());
+        let session = CacheSession::new(Arc::clone(&cache));
+        for kind in [
+            DepConstraint::Validity,
+            DepConstraint::Proximity,
+            DepConstraint::Feautrier,
+        ] {
+            for (e, dep) in deps.iter().enumerate() {
+                let mut out = ConstraintSystem::new(space.total());
+                session.extend(kind, e, dep, &space, &mut out).unwrap();
+            }
+        }
+        assert_eq!((session.hits(), session.misses()), (3 * deps.len(), 0));
     }
 
     #[test]
@@ -404,23 +288,28 @@ mod tests {
         let deps = analyze(&scop);
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
         let cache = Arc::new(FarkasCache::new(deps.len()));
-        let mut reference = ConstraintSystem::new(space.total());
-        cache
-            .extend_with_validity(0, &deps[0], &space, &mut reference)
-            .unwrap();
+        let reference = validity(&FarkasCache::new(deps.len()), &deps[0], &space);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     let session = CacheSession::new(Arc::clone(&cache));
                     let mut out = ConstraintSystem::new(space.total());
-                    session
-                        .extend_with_validity(0, &deps[0], &space, &mut out)
-                        .unwrap();
-                    assert_eq!(out, reference.clone());
-                    assert_eq!((session.hits(), session.misses()), (1, 0));
+                    for _ in 0..2 {
+                        session
+                            .extend(DepConstraint::Validity, 0, &deps[0], &space, &mut out)
+                            .unwrap();
+                    }
+                    let mut twice = reference.clone();
+                    twice.extend(&reference);
+                    assert_eq!(out, twice);
+                    // Racing sessions may each eliminate the empty slot,
+                    // but never more than once.
+                    assert!(session.misses() <= 1);
+                    assert_eq!(session.hits() + session.misses(), 2);
                 });
             }
         });
-        assert_eq!(cache.hits(), 4);
+        assert_eq!(cache.hits() + cache.misses(), 8);
+        assert!((1..=4).contains(&cache.misses()));
     }
 }

@@ -8,11 +8,12 @@
 //! legality ──► objectives ──► solve ──► postprocess ──► (codegen)
 //! ```
 //!
-//! * [`legality`] — Farkas linearization of `Δ_e ≥ 0`, eliminated once
-//!   per dependence and replayed from a [`FarkasCache`] at every
-//!   dimension — and, because the cache is `Send + Sync` and
-//!   `Arc`-shareable, at every *scenario* re-scheduling the same SCoP
-//!   (see [`crate::scenario`]);
+//! * [`legality`] — the Farkas cone of each dependence, eliminated once
+//!   and kept in a [`FarkasCache`]; validity, proximity and Feautrier
+//!   rows are substituted into it at every dimension — and, because the
+//!   cache is `Send + Sync`, `Arc`-shareable and knows nothing of the
+//!   ILP layout, at every *scenario* re-scheduling the same SCoP under
+//!   any configuration (see [`crate::scenario`]);
 //! * [`objectives`] — assembly of one dimension's ILP (progression,
 //!   bounds, layered cost functions, custom constraints, directives,
 //!   tie-break) over the engine's fixed [`IlpSpace`](crate::IlpSpace);

@@ -4,7 +4,8 @@
 //! `(ConstraintSystem, lexicographic objectives)` pair over the engine's
 //! fixed [`IlpSpace`]:
 //!
-//! 1. **legality** — `Δ_e ≥ 0` per live dependence, replayed from the
+//! 1. **legality** — `Δ_e ≥ 0` per live dependence, substituted into
+//!    the dependence's cone in the
 //!    [`FarkasCache`](crate::pipeline::FarkasCache) through the run's
 //!    [`CacheSession`];
 //! 2. **progression** — the next row of every incomplete statement must
@@ -27,7 +28,7 @@ use polytops_math::{ilp_feasible, orthogonal_complement, ConstraintSystem, IntMa
 
 use crate::config::{CostFn, DirectiveKind, SchedulerConfig};
 use crate::constraints::parse_constraints;
-use crate::costfn::{big_loops_first_coeffs, contiguity_coeffs};
+use crate::costfn::{big_loops_first_coeffs, contiguity_coeffs, DepConstraint};
 use crate::error::ScheduleError;
 use crate::pipeline::legality::CacheSession;
 use crate::space::IlpSpace;
@@ -58,7 +59,7 @@ pub struct DimensionContext<'a> {
     pub config: &'a SchedulerConfig,
     /// The engine's fixed ILP variable layout.
     pub space: &'a IlpSpace,
-    /// This run's session over the Farkas replay cache.
+    /// This run's session over the SCoP's Farkas cones.
     pub cache: &'a CacheSession,
     /// Dependences whose legality (`Δ ≥ 0`) this dimension must enforce:
     /// the live ones plus those carried *inside the current band*, which
@@ -91,7 +92,7 @@ pub fn build_costs(
             CostFn::Proximity => {
                 for &(e, dep) in ctx.live {
                     ctx.cache
-                        .extend_with_proximity(e, dep, space, &mut out.sys)?;
+                        .extend(DepConstraint::Proximity, e, dep, space, &mut out.sys)?;
                 }
                 // Objectives: Σ u_j first, then w (Pluto's lexmin order).
                 let mut urow = vec![0i64; space.total()];
@@ -106,7 +107,7 @@ pub fn build_costs(
             CostFn::Feautrier => {
                 for &(e, dep) in ctx.live {
                     ctx.cache
-                        .extend_with_feautrier(e, dep, space, &mut out.sys)?;
+                        .extend(DepConstraint::Feautrier, e, dep, space, &mut out.sys)?;
                 }
                 // Maximize Σ x_e  ⇔  minimize −Σ x_e (the 0 ≤ x_e ≤ 1 box
                 // is part of the engine's bounds).
@@ -172,7 +173,8 @@ pub fn assemble(
     {
         let _span = polytops_obs::span("legality");
         for &(e, dep) in ctx.legality {
-            ctx.cache.extend_with_validity(e, dep, space, &mut sys)?;
+            ctx.cache
+                .extend(DepConstraint::Validity, e, dep, space, &mut sys)?;
         }
     }
 

@@ -6,8 +6,8 @@
 //!
 //! 1. the [`Strategy`] plans the dimension;
 //! 2. [`objectives::assemble`] builds the dimension's ILP over the
-//!    engine's **fixed** [`IlpSpace`], replaying cached Farkas systems
-//!    from the [`FarkasCache`];
+//!    engine's **fixed** [`IlpSpace`], substituting into the cones of
+//!    the [`FarkasCache`];
 //! 3. [`polytops_math::ilp_lexmin_warm`] solves it, seeded with the
 //!    previous solve's optimum whenever that point is still feasible;
 //! 4. infeasibility falls back to an SCC cut of the live dependence
@@ -16,8 +16,8 @@
 //!    configured tiling/wavefront transformations.
 //!
 //! The variable layout is fixed per SCoP (dependence-variable columns
-//! exist for *all* dependences, pinned to zero while unused) so cached
-//! Farkas systems and warm-start points stay valid across dimensions.
+//! exist for *all* dependences, pinned to zero while unused) so
+//! warm-start points stay valid across dimensions.
 
 use std::sync::Arc;
 
@@ -50,9 +50,9 @@ pub struct EngineOptions {
 /// Counters describing one scheduling run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineStats {
-    /// Farkas eliminations answered from the cache.
+    /// Farkas lookups whose cone was resident in the cache.
     pub farkas_hits: usize,
-    /// Farkas eliminations computed fresh.
+    /// Farkas lookups that eliminated their dependence's cone.
     pub farkas_misses: usize,
     /// Scheduling dimensions emitted (including constant levels).
     pub dimensions: usize,
@@ -122,10 +122,10 @@ pub fn run(
 
 /// [`run`] with externally owned dependence analysis and
 /// [`FarkasCache`] — the entry point of the scenario engine. Every run
-/// sharing `cache` replays (instead of re-eliminating) the Farkas
-/// systems computed by any earlier — or concurrent — run over the same
-/// SCoP and variable layout, and the exact dependence analysis (itself
-/// a stack of integer feasibility tests, 6–28% of a run on the
+/// sharing `cache` reuses (instead of re-eliminating) the Farkas cones
+/// computed by any earlier — or concurrent — run over the same SCoP,
+/// whatever its configuration, and the exact dependence analysis
+/// (itself a stack of integer feasibility tests, 6–28% of a run on the
 /// reference kernels) is done once per SCoP instead of once per
 /// scenario.
 ///
@@ -158,7 +158,7 @@ struct Engine<'a> {
     /// Fixed ILP variable layout shared by every dimension.
     space: IlpSpace,
     /// This run's session over the (possibly scenario-shared) Farkas
-    /// replay cache, keyed by dependence id.
+    /// cones, keyed by dependence id.
     cache: CacheSession,
     /// The SCoP's dependences, possibly shared across scenarios (the
     /// analysis is deterministic, so a shared vector equals what this
@@ -194,8 +194,8 @@ impl<'a> Engine<'a> {
             .filter(|d| d.iter().all(|d| d.src.0 < nstmts && d.dst.0 < nstmts))
             .unwrap_or_else(|| Arc::new(analyze(scop)));
         // One layout for the whole SCoP: dependence-satisfaction columns
-        // exist for every dependence so cached Farkas systems replay
-        // verbatim at any dimension (unused columns are pinned to zero).
+        // exist for every dependence (unused columns are pinned to
+        // zero), so a warm-start point means the same at any dimension.
         let space = IlpSpace::new(
             scop,
             config.new_variables.clone(),

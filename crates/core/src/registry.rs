@@ -15,8 +15,8 @@
 //!   analyzed dependence vector) land on the same entry;
 //! * a [`ScopEntry`] keeps a SCoP resident together with its
 //!   `Arc<Vec<Dependence>>` (the exact dependence analysis, done once
-//!   ever) and one `Arc<FarkasCache>` per ILP variable layout (the same
-//!   grouping rule the scenario engine applies within a run);
+//!   ever) and its `Arc<FarkasCache>` (one Farkas cone per dependence,
+//!   shared by every configuration);
 //! * the [`ScopRegistry`] dedupes SCoPs by canonical text, bounds
 //!   residency with an LRU policy, and reports
 //!   [`RegistryStats`] so callers can assert hits.
@@ -24,8 +24,8 @@
 //! # Determinism
 //!
 //! Scheduling a registry-resident SCoP is bit-identical to scheduling it
-//! offline: a [`FarkasCache`] hit replays a constraint system equal to
-//! what a fresh elimination would build (the PR 3 contract), the
+//! offline: a resident [`FarkasCache`] cone equals what a fresh
+//! elimination would build (the PR 3 contract), the
 //! dependence analysis is deterministic, and requests deduped onto one
 //! entry are all scheduled against the entry's *representative* SCoP —
 //! so the answer cannot depend on which client registered it first, nor
@@ -37,26 +37,9 @@ use std::sync::{Arc, Mutex};
 
 use polytops_deps::{analyze, Dependence};
 use polytops_ir::{parse_scop, print_scop, AccessKind, Scop, Subscript};
-use polytops_math::ConstraintSystem;
 
-use crate::config::SchedulerConfig;
 use crate::error::ScheduleError;
 use crate::pipeline::legality::FarkasCache;
-use crate::space::IlpSpace;
-
-/// The configuration fields that shape the ILP variable layout — SCoPs
-/// only share a [`FarkasCache`] between configurations agreeing on all
-/// three (the scenario engine's grouping rule).
-pub type CacheLayout = (bool, bool, Vec<String>);
-
-/// The layout key of a configuration.
-pub fn layout_of(config: &SchedulerConfig) -> CacheLayout {
-    (
-        config.negative_coefficients,
-        config.parametric_shift,
-        config.new_variables.clone(),
-    )
-}
 
 /// A tuning winner remembered for one SCoP under one tuning key
 /// (machine model + budget; see `tune::learned_key`): the name of the
@@ -80,8 +63,7 @@ pub struct ScopEntry {
     fingerprint: u64,
     scop: Scop,
     deps: Arc<Vec<Dependence>>,
-    /// One Farkas cache per ILP variable layout, created on first use.
-    caches: Mutex<BTreeMap<CacheLayout, Arc<FarkasCache>>>,
+    cache: Arc<FarkasCache>,
     /// Remembered tuning winners, keyed by tuning key.
     learned: Mutex<BTreeMap<String, LearnedConfig>>,
 }
@@ -93,8 +75,8 @@ impl ScopEntry {
             name,
             fingerprint,
             scop,
+            cache: Arc::new(FarkasCache::new(deps.len())),
             deps,
-            caches: Mutex::new(BTreeMap::new()),
             learned: Mutex::new(BTreeMap::new()),
         }
     }
@@ -121,70 +103,23 @@ impl ScopEntry {
         Arc::clone(&self.deps)
     }
 
-    /// The resident Farkas cache for a configuration's variable layout,
-    /// created on first use. Configurations with different layouts get
-    /// independent caches (their Farkas systems differ).
-    pub fn cache_for(&self, config: &SchedulerConfig) -> Arc<FarkasCache> {
-        self.cache_for_layout(&layout_of(config))
+    /// The resident Farkas cache: the cones of [`deps`](ScopEntry::deps),
+    /// each eliminated on first use by whichever configuration asks.
+    pub fn cache(&self) -> Arc<FarkasCache> {
+        Arc::clone(&self.cache)
     }
 
-    /// [`cache_for`](ScopEntry::cache_for) by explicit layout key.
-    pub fn cache_for_layout(&self, layout: &CacheLayout) -> Arc<FarkasCache> {
-        let mut caches = self.caches.lock().expect("cache map lock");
-        Arc::clone(
-            caches
-                .entry(layout.clone())
-                .or_insert_with(|| Arc::new(FarkasCache::new(self.deps.len()))),
-        )
-    }
-
-    /// How many distinct variable layouts have resident caches.
-    pub fn layouts(&self) -> usize {
-        self.caches.lock().expect("cache map lock").len()
-    }
-
-    /// The layout keys of every resident cache, in deterministic
-    /// (`BTreeMap`) order — what a snapshot records so a restore can
-    /// [`prewarm_layout`](ScopEntry::prewarm_layout) each one.
-    pub fn layout_keys(&self) -> Vec<CacheLayout> {
-        self.caches
-            .lock()
-            .expect("cache map lock")
-            .keys()
-            .cloned()
-            .collect()
-    }
-
-    /// Eagerly performs every Farkas elimination for `layout`, so later
-    /// scheduling runs under that layout replay from the cache instead
-    /// of paying fresh eliminations (the restore path's "serve warm"
+    /// Eagerly eliminates every dependence's Farkas cone, so later
+    /// scheduling runs pay none (the restore path's "serve warm"
     /// guarantee: a request against a restored entry reports
-    /// `farkas_misses == 0`).
-    ///
-    /// The [`IlpSpace`] built here is exactly the one the solve stage
-    /// builds for a configuration with this layout, so the cache's
-    /// pinned-space check accepts the prewarmed entries. Idempotent:
-    /// already-filled slots are replayed, not rebuilt.
+    /// `farkas_misses == 0`). Idempotent.
     ///
     /// # Errors
     ///
     /// Propagates arithmetic overflow from an elimination (which would
-    /// equally have failed when the entry was first scheduled).
-    pub fn prewarm_layout(&self, layout: &CacheLayout) -> Result<(), ScheduleError> {
-        let cache = self.cache_for_layout(layout);
-        let &(negative, shift, ref vars) = layout;
-        let space = IlpSpace::new(&self.scop, vars.clone(), self.deps.len(), negative, shift);
-        for (e, dep) in self.deps.iter().enumerate() {
-            // The appended rows are discarded: only the cache-slot fill
-            // matters here.
-            let mut sink = ConstraintSystem::new(space.total());
-            cache.extend_with_validity(e, dep, &space, &mut sink)?;
-            let mut sink = ConstraintSystem::new(space.total());
-            cache.extend_with_proximity(e, dep, &space, &mut sink)?;
-            let mut sink = ConstraintSystem::new(space.total());
-            cache.extend_with_feautrier(e, dep, &space, &mut sink)?;
-        }
-        Ok(())
+    /// equally fail when the entry is first scheduled).
+    pub fn prewarm(&self) -> Result<(), ScheduleError> {
+        self.cache.prewarm(&self.deps)
     }
 
     /// The remembered tuning winner for `key`, if any.
@@ -228,24 +163,22 @@ impl ScopEntry {
 
 /// One registry entry as captured by [`ScopRegistry::snapshot`]: the
 /// representative SCoP serialized as polyscop exchange text (the format
-/// round-trips exactly, and the dependence analysis plus every
-/// [`FarkasCache`] rebuild deterministically from it) together with the
-/// cache layouts that were resident at snapshot time.
+/// round-trips exactly, and the dependence analysis plus the
+/// [`FarkasCache`] rebuild deterministically from it) together with its
+/// remembered tuning winners.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotEntry {
     /// The name the SCoP was first registered under.
     pub name: String,
     /// [`print_scop`] text of the representative SCoP.
     pub scop_text: String,
-    /// Resident cache layouts, in deterministic order.
-    pub layouts: Vec<CacheLayout>,
     /// Remembered tuning winners, in deterministic key order.
     pub learned: Vec<(String, LearnedConfig)>,
 }
 
 /// A point-in-time, self-contained image of a [`ScopRegistry`]:
 /// entries in LRU order (coldest first), each reduced to canonical SCoP
-/// text plus its resident cache layouts. Everything else — canonical
+/// text plus its learned winners. Everything else — canonical
 /// identity, fingerprints, dependence analyses, Farkas eliminations —
 /// is a deterministic function of that text, which is what makes
 /// snapshot → [`restore`](ScopRegistry::restore) → snapshot an exact
@@ -261,9 +194,6 @@ pub struct RegistrySnapshot {
 pub struct RestoreReport {
     /// Entries registered (and re-analyzed) by the restore.
     pub entries: usize,
-    /// Cache layouts prewarmed (every Farkas elimination re-run
-    /// eagerly, off the serving path).
-    pub layouts: usize,
     /// Tuning winners re-learned from the snapshot.
     pub learned: usize,
 }
@@ -393,8 +323,8 @@ impl ScopRegistry {
     }
 
     /// Captures the registry as a [`RegistrySnapshot`]: every resident
-    /// entry in LRU order, reduced to canonical SCoP text plus resident
-    /// cache layouts. The snapshot is a pure value — serialize it
+    /// entry in LRU order, reduced to canonical SCoP text plus learned
+    /// winners. The snapshot is a pure value — serialize it
     /// however persistence wants (the `polytopsd` daemon writes it as
     /// checksummed JSON; see `polytops_server`).
     pub fn snapshot(&self) -> RegistrySnapshot {
@@ -405,7 +335,6 @@ impl ScopRegistry {
                 .map(|(_, entry)| SnapshotEntry {
                     name: entry.name().to_string(),
                     scop_text: print_scop(entry.scop()),
-                    layouts: entry.layout_keys(),
                     learned: entry.learned_snapshot(),
                 })
                 .collect(),
@@ -414,9 +343,9 @@ impl ScopRegistry {
 
     /// Rebuilds registry state from a snapshot: each entry is parsed,
     /// registered through the normal [`resolve`](ScopRegistry::resolve)
-    /// path (re-running its dependence analysis), and every recorded
-    /// cache layout is [prewarmed](ScopEntry::prewarm_layout) so the
-    /// first request after a restart replays instead of re-eliminating.
+    /// path (re-running its dependence analysis) and
+    /// [prewarmed](ScopEntry::prewarm), so the first request after a
+    /// restart eliminates nothing.
     ///
     /// Entries are applied in snapshot (LRU) order, so a restore into an
     /// empty registry reproduces the captured LRU order exactly; a
@@ -441,12 +370,9 @@ impl ScopRegistry {
             if !hit {
                 report.entries += 1;
             }
-            for layout in &entry.layouts {
-                resident
-                    .prewarm_layout(layout)
-                    .map_err(|e| format!("prewarm `{}`: {e}", entry.name))?;
-                report.layouts += 1;
-            }
+            resident
+                .prewarm()
+                .map_err(|e| format!("prewarm `{}`: {e}", entry.name))?;
             for (key, config) in &entry.learned {
                 resident.learn(key, config.clone());
                 report.learned += 1;
@@ -458,8 +384,9 @@ impl ScopRegistry {
     /// Looks up a resident entry by canonical fingerprint *without*
     /// warming its LRU position (the journal-replay path: replays must
     /// not perturb the order the snapshot captured). Fingerprints can
-    /// collide in principle; a collision here would prewarm the wrong
-    /// entry's caches — harmless, as prewarming never changes answers.
+    /// collide in principle; a collision here would file a learned
+    /// winner under the wrong entry — a name the tuner re-derives,
+    /// re-scores and certifies before use, so never a wrong answer.
     pub fn find_by_fingerprint(&self, fingerprint: u64) -> Option<Arc<ScopEntry>> {
         let lru = self.lru.lock().expect("registry lock");
         lru.iter()

@@ -10,10 +10,11 @@
 //!
 //! * a [`ScenarioSet`] holds N (SCoP × configuration) jobs
 //!   ([`Scenario`]) over a shared pool of SCoPs;
-//! * jobs are **grouped by SCoP and ILP variable layout**, each group
-//!   sharing one dependence analysis and one `Arc`-wrapped
-//!   [`FarkasCache`]: the first scenario of a group eliminates each
-//!   dependence, every later (or concurrent) scenario replays it —
+//! * jobs are **grouped by SCoP**, each group sharing one dependence
+//!   analysis and one `Arc`-wrapped [`FarkasCache`]: the first scenario
+//!   to need a dependence eliminates its cone, every later (or
+//!   concurrent) scenario — under any configuration, a cone knows
+//!   nothing of the ILP layout — substitutes into it;
 //!   [`PipelineStats::farkas_hits`] of the later scenarios measure
 //!   exactly this cross-scenario amortization;
 //! * [`ScenarioSet::run_sharded`] executes the jobs on a work-stealing
@@ -31,8 +32,8 @@
 //! # Determinism
 //!
 //! Sharded execution is **bit-identical** to sequential execution: a
-//! cache hit replays a constraint system equal to what a recomputation
-//! would build, so no result depends on which thread finished first.
+//! resident cone equals what a recomputation would eliminate, so no
+//! result depends on which thread finished first.
 //! The lexmin is total over the schedule coefficients, so no seed or
 //! pivot order picks between schedules; ILP warm-start seeds — which
 //! *can* still steer the other variables of a point — never leave the
@@ -80,7 +81,7 @@ use crate::config::SchedulerConfig;
 use crate::error::ScheduleError;
 use crate::pipeline::legality::FarkasCache;
 use crate::pipeline::solve::{self, EngineOptions, PipelineStats};
-use crate::registry::{CacheLayout, ScopEntry};
+use crate::registry::ScopEntry;
 use crate::strategy::ConfigStrategy;
 
 /// One scheduling job: a SCoP (by index into its [`ScenarioSet`])
@@ -132,7 +133,7 @@ pub struct ScenarioSet {
     scops: Vec<(String, Scop)>,
     /// Registry entries backing a SCoP slot, when admitted via
     /// [`add_resident_scop`](ScenarioSet::add_resident_scop): their
-    /// whole-SCoP dependence analysis and Farkas caches are used instead
+    /// whole-SCoP dependence analysis and Farkas cache are used instead
     /// of per-run ones, which is what carries amortization across runs.
     resident: Vec<Option<Arc<ScopEntry>>>,
     scenarios: Vec<Scenario>,
@@ -155,14 +156,14 @@ impl ScenarioSet {
 
     /// Registers a registry-resident SCoP (the admission API of the
     /// `polytopsd` service): scenarios over this slot reuse the entry's
-    /// persistent dependence analysis and per-layout Farkas caches
+    /// persistent dependence analysis and Farkas cache
     /// instead of building fresh ones for this run, so a SCoP the
     /// registry has seen before pays only the ILP solves.
     ///
     /// The scheduled SCoP is the entry's *representative*
     /// ([`ScopEntry::scop`]), making answers bit-identical across every
-    /// client that deduped onto the entry — and, because cache replay is
-    /// exact, bit-identical to a fresh offline
+    /// client that deduped onto the entry — and, because a resident cone
+    /// equals a fresh one, bit-identical to a fresh offline
     /// [`add_scop`](ScenarioSet::add_scop) run of the same SCoP.
     pub fn add_resident_scop(&mut self, entry: Arc<ScopEntry>) -> usize {
         self.scops
@@ -404,8 +405,8 @@ struct Slots {
     comps: Vec<Vec<OnceLock<EngineOutcome>>>,
 }
 
-/// One `run_*` call's precomputed state: component decompositions, the
-/// parent-SCoP analyses feeding them, and the cache-sharing groups.
+/// One `run_*` call's precomputed state: component decompositions and
+/// the parent-SCoP analyses feeding them.
 struct Runner<'a> {
     set: &'a ScenarioSet,
     /// Per SCoP: its weakly-connected dependence components, when there
@@ -418,10 +419,6 @@ struct Runner<'a> {
     /// [`Runner::jobs`] so no SCoP is analyzed twice per run.
     analyses: BTreeMap<(usize, Option<usize>), Arc<Vec<Dependence>>>,
 }
-
-/// Cache-sharing key: SCoP, component (`None` = whole), and the
-/// configuration fields that shape the ILP variable layout.
-type CacheKey = (usize, Option<usize>, bool, bool, Vec<String>);
 
 impl<'a> Runner<'a> {
     fn new(set: &'a ScenarioSet) -> Runner<'a> {
@@ -488,16 +485,15 @@ impl<'a> Runner<'a> {
     }
 
     /// Expands scenarios into pool jobs, resolving each job's shared
-    /// dependence analysis by (SCoP, component) and its shared cache by
-    /// (SCoP, component, layout) group. The analysis — itself a stack
-    /// of exact integer feasibility tests — thus runs once per SCoP
-    /// instead of once per scenario.
+    /// dependence analysis and Farkas cache by (SCoP, component). The
+    /// analysis — itself a stack of exact integer feasibility tests —
+    /// and each cone elimination thus run once per SCoP instead of once
+    /// per scenario.
     fn jobs(&self) -> Vec<Job> {
-        let mut caches: BTreeMap<CacheKey, Arc<FarkasCache>> = BTreeMap::new();
-        let mut analyses = self.analyses.clone();
+        type Shared = (Arc<Vec<Dependence>>, Arc<FarkasCache>);
+        let mut groups: BTreeMap<(usize, Option<usize>), Shared> = BTreeMap::new();
         let mut jobs = Vec::new();
         for (i, sc) in self.set.scenarios.iter().enumerate() {
-            let layout: CacheLayout = crate::registry::layout_of(&sc.config);
             let mut shared_for = |comp: Option<usize>, scop: &Scop| {
                 // A resident whole-SCoP job draws both the analysis and
                 // the cache from the registry entry, so its state
@@ -505,20 +501,21 @@ impl<'a> Runner<'a> {
                 // per-run sharing: their decompositions are run-local).
                 if comp.is_none() {
                     if let Some(entry) = &self.set.resident[sc.scop] {
-                        return (entry.deps(), entry.cache_for_layout(&layout));
+                        return (entry.deps(), entry.cache());
                     }
                 }
-                let deps = Arc::clone(
-                    analyses
-                        .entry((sc.scop, comp))
-                        .or_insert_with(|| Arc::new(analyze(scop))),
-                );
-                let cache = Arc::clone(
-                    caches
-                        .entry((sc.scop, comp, layout.0, layout.1, layout.2.clone()))
-                        .or_insert_with(|| Arc::new(FarkasCache::new(deps.len()))),
-                );
-                (deps, cache)
+                let key = (sc.scop, comp);
+                groups
+                    .entry(key)
+                    .or_insert_with(|| {
+                        let deps = match self.analyses.get(&key) {
+                            Some(deps) => Arc::clone(deps),
+                            None => Arc::new(analyze(scop)),
+                        };
+                        let cache = Arc::new(FarkasCache::new(deps.len()));
+                        (deps, cache)
+                    })
+                    .clone()
             };
             if self.split[i] {
                 let comps = self.comp_sets[sc.scop].as_ref().expect("split has comps");
@@ -910,19 +907,17 @@ mod tests {
     }
 
     #[test]
-    fn different_layouts_do_not_share() {
+    fn different_layouts_share_one_cone() {
         let mut set = ScenarioSet::new();
         let scop = set.add_scop("chain", chain());
         set.add_scenario(scop, "pluto", presets::pluto());
         set.add_scenario(scop, "pluto_plus", presets::pluto_plus());
         let results = set.run_sequential();
-        // pluto+ widens the variable layout; it must not replay pluto's
-        // cache (it has its own group).
-        assert!(
-            results[1].as_ref().unwrap().stats.farkas_misses > 0,
-            "{:?}",
-            results[1].as_ref().unwrap().stats
-        );
+        // pluto+ widens the variable layout; a cone does not depend on
+        // it, so pluto's eliminations serve pluto+ as well.
+        let plus = results[1].as_ref().unwrap();
+        assert_eq!(plus.stats.farkas_misses, 0, "{:?}", plus.stats);
+        assert!(plus.stats.farkas_hits > 0, "{:?}", plus.stats);
     }
 
     #[test]

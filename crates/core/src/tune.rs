@@ -239,8 +239,8 @@ pub fn explore(
 
 /// [`explore`] over an already-resolved registry entry — the daemon's
 /// entry point: repeated autotune requests for a resident SCoP reuse
-/// its persistent dependence analysis and per-layout Farkas caches
-/// instead of re-analyzing per request. Tunes the entry's
+/// its persistent dependence analysis and Farkas cones instead of
+/// re-analyzing per request. Tunes the entry's
 /// *representative* SCoP (the same value the `schedule` op answers
 /// from), so responses stay bit-stable across deduped clients.
 ///

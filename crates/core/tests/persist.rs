@@ -1,45 +1,31 @@
 //! Property tests for the registry snapshot/restore API (vendored
 //! proptest shim): for arbitrary admission sequences over the
-//! reference kernels — with arbitrary Farkas-cache layouts resident —
-//! snapshot → restore → snapshot round-trips the registry *exactly*:
-//! canonical SCoP text, LRU order, fingerprints, layout sets, and
-//! learned tuning winners.
+//! reference kernels snapshot → restore → snapshot round-trips the
+//! registry *exactly*: canonical SCoP text, LRU order, fingerprints and
+//! learned tuning winners — and leaves every restored entry's Farkas
+//! cones resident.
 //!
 //! This is the invariant the `polytopsd` persistence layer is built
 //! on: what a snapshot captures is sufficient to rebuild a registry
 //! that is indistinguishable from the one that wrote it.
 
-use polytops_core::registry::{fingerprint, CacheLayout, LearnedConfig, ScopRegistry};
+use polytops_core::registry::{fingerprint, LearnedConfig, ScopRegistry};
 use polytops_workloads::all_kernels;
 use proptest::prelude::*;
-
-/// The cache-layout variants a scheduling config can induce (the
-/// `(negative_coefficients, parametric_shift, new_variables)` key).
-fn layout(idx: usize) -> CacheLayout {
-    match idx {
-        0 => (false, false, vec![]),
-        1 => (true, false, vec![]),
-        2 => (false, true, vec![]),
-        _ => (true, true, vec!["x".to_string()]),
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn snapshot_restore_snapshot_is_identity(
-        admissions in collection::vec((0usize..7, 0usize..4, 0i64..3), 1..10),
+        admissions in collection::vec((0usize..7, 0i64..3), 1..10),
         capacity in 2usize..5,
     ) {
         let kernels = all_kernels();
         let registry = ScopRegistry::new(capacity);
-        for &(k, l, w) in &admissions {
+        for &(k, w) in &admissions {
             let (name, scop) = &kernels[k % kernels.len()];
             let (entry, _) = registry.resolve(name, scop);
-            // Materialize a Farkas cache under this layout, as a
-            // scheduling run with the matching config would.
-            entry.prewarm_layout(&layout(l)).expect("prewarm");
             // Remember a tuning winner under a per-variant key, as an
             // autotune exploration would; re-learning an identical
             // winner must be a no-op, a changed one an overwrite.
@@ -56,16 +42,12 @@ proptest! {
         let report = restored.restore(&snap_a).expect("restore");
         prop_assert_eq!(report.entries, snap_a.entries.len());
         prop_assert_eq!(
-            report.layouts,
-            snap_a.entries.iter().map(|e| e.layouts.len()).sum::<usize>()
-        );
-        prop_assert_eq!(
             report.learned,
             snap_a.entries.iter().map(|e| e.learned.len()).sum::<usize>()
         );
 
-        // The round-trip: canonical text, LRU order and layout sets are
-        // all inside the snapshot value, so one equality covers them.
+        // The round-trip: canonical text, LRU order and learned winners
+        // are all inside the snapshot value, so one equality covers them.
         let snap_b = restored.snapshot();
         prop_assert_eq!(&snap_a, &snap_b);
 
@@ -75,7 +57,10 @@ proptest! {
             let scop = polytops_ir::parse_scop(&entry.scop_text).expect("canonical text parses");
             let fp = fingerprint(&scop);
             prop_assert!(registry.find_by_fingerprint(fp).is_some());
-            prop_assert!(restored.find_by_fingerprint(fp).is_some());
+            let entry = restored.find_by_fingerprint(fp).expect("restored entry");
+            // Restored entries are prewarmed: one elimination per
+            // dependence, none left for a request to pay.
+            prop_assert_eq!(entry.cache().misses(), entry.deps().len());
         }
     }
 }

@@ -129,16 +129,32 @@ fn resident_scheduling_replays_across_runs_and_matches_offline() {
 }
 
 #[test]
-fn layouts_get_separate_resident_caches() {
+fn every_layout_shares_the_entrys_one_cache() {
+    // pluto+ widens the ILP variable layout; the entry's cones do not
+    // depend on it, so a pluto run leaves pluto+ nothing to eliminate —
+    // and a prewarmed entry leaves nobody anything.
     let registry = ScopRegistry::new(8);
-    let (entry, _) = registry.resolve("chain", &stencil_chain());
-    let pluto = entry.cache_for(&presets::pluto());
-    let pluto_again = entry.cache_for(&presets::pluto());
-    assert!(Arc::ptr_eq(&pluto, &pluto_again), "same layout, same cache");
-    // pluto+ widens the variable layout → its own cache.
-    let plus = entry.cache_for(&presets::pluto_plus());
-    assert!(!Arc::ptr_eq(&pluto, &plus));
-    assert_eq!(entry.layouts(), 2);
+    let run = |name: &str, config: SchedulerConfig| {
+        let (entry, _) = registry.resolve("chain", &stencil_chain());
+        let mut set = ScenarioSet::new();
+        let scop = set.add_resident_scop(entry);
+        set.add_scenario(scop, name, config);
+        set.run_sequential().remove(0).unwrap()
+    };
+    let pluto = run("pluto", presets::pluto());
+    assert!(pluto.stats.farkas_misses > 0);
+    let plus = run("pluto_plus", presets::pluto_plus());
+    assert_eq!(plus.stats.farkas_misses, 0, "{:?}", plus.stats);
+    assert_eq!(
+        plus.schedule,
+        polytops_core::schedule(&stencil_chain(), &presets::pluto_plus()).unwrap()
+    );
+
+    let (entry, _) = registry.resolve("matmul", &matmul());
+    entry.prewarm().unwrap();
+    assert_eq!(entry.cache().misses(), entry.deps().len());
+    entry.prewarm().unwrap();
+    assert_eq!(entry.cache().misses(), entry.deps().len(), "idempotent");
 }
 
 #[test]

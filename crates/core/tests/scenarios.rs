@@ -3,11 +3,11 @@
 //! stitching — all certified against the independent legality oracle.
 
 use polytops_core::scenario::{winner, ScenarioSet};
-use polytops_core::{presets, EngineOptions};
+use polytops_core::{presets, EngineOptions, SchedulerConfig};
 use polytops_deps::{analyze, schedule_respects_dependence};
 use polytops_ir::{Aff, Schedule, Scop, ScopBuilder, StmtId};
 use polytops_workloads::sweep::standard_sweep;
-use polytops_workloads::{matmul, producer_consumer, stencil_chain};
+use polytops_workloads::{jacobi_1d, matmul, producer_consumer, stencil_chain};
 
 fn assert_legal(name: &str, scop: &Scop, sched: &Schedule) {
     for (e, dep) in analyze(scop).iter().enumerate() {
@@ -107,9 +107,9 @@ fn sweep_results_match_the_plain_scheduler_and_stay_legal() {
 
 #[test]
 fn farkas_hits_grow_with_scenario_count_for_a_fixed_scop() {
-    // The cross-scenario cache contract: for one SCoP scheduled K times
-    // under one layout, total hits grow with K and every scenario after
-    // the first eliminates nothing.
+    // The cross-scenario cache contract: for one SCoP scheduled K
+    // times, total hits grow with K and every scenario after the first
+    // eliminates nothing.
     let total_hits = |k: usize| -> (usize, Vec<usize>) {
         let mut set = ScenarioSet::new();
         let scop = set.add_scop("matmul", matmul());
@@ -133,6 +133,67 @@ fn farkas_hits_grow_with_scenario_count_for_a_fixed_scop() {
             misses.iter().all(|&m| m == 0),
             "repeat scenarios must replay everything: {misses:?}"
         );
+    }
+}
+
+#[test]
+fn one_cone_per_dependence_serves_every_ilp_layout() {
+    // Four configurations, four ILP variable layouts (± split columns,
+    // parameter-coefficient columns, a user variable, a Feautrier stack
+    // on the plain layout), one SCoP, one set: each dependence's cone
+    // is eliminated once for all of them, and sharing it is invisible
+    // in the schedules.
+    let configs = [
+        ("pluto", presets::pluto()),
+        ("pluto_plus", presets::pluto_plus()),
+        (
+            "shift",
+            SchedulerConfig {
+                parametric_shift: true,
+                cost_functions: presets::feautrier().cost_functions,
+                ..presets::pluto()
+            },
+        ),
+        (
+            "user_var",
+            SchedulerConfig {
+                new_variables: vec!["x".to_string()],
+                ..presets::pluto()
+            },
+        ),
+    ];
+    let scop = jacobi_1d();
+    let ndeps = analyze(&scop).len();
+    assert!(ndeps > 1);
+    let mut set = ScenarioSet::new();
+    let id = set.add_scop("jacobi_1d", scop.clone());
+    for (name, config) in &configs {
+        set.add_scenario(id, *name, config.clone());
+    }
+
+    let sequential = set.run_sequential();
+    let misses: usize = sequential
+        .iter()
+        .map(|r| r.as_ref().unwrap().stats.farkas_misses)
+        .sum();
+    assert_eq!(misses, ndeps, "one elimination per dependence");
+    for (r, (name, config)) in sequential.iter().zip(&configs) {
+        let mut alone = ScenarioSet::new();
+        let only = alone.add_scop("jacobi_1d", scop.clone());
+        alone.add_scenario(only, *name, config.clone());
+        let alone = alone.run_sequential().remove(0).unwrap();
+        let shared = r.as_ref().unwrap();
+        assert_eq!(
+            shared.schedule, alone.schedule,
+            "{name}: identical to the scenario run alone"
+        );
+        assert_legal(name, &scop, &shared.schedule);
+    }
+    for threads in [1, 2, 4] {
+        for (a, b) in sequential.iter().zip(&set.run_sharded(threads)) {
+            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            assert_eq!(a.schedule, b.schedule, "{}@{threads} threads", a.name);
+        }
     }
 }
 

@@ -10,14 +10,124 @@
 //!
 //! Matching coefficients of `z` turns the quantified condition
 //! `∀z ∈ P: e(z) ≥ 0` into an *existential* linear system over the
-//! multipliers, which [`farkas_nonneg`] then eliminates by (rational)
-//! Fourier–Motzkin — leaving constraints purely over the unknowns of the
-//! scheduling ILP (the coefficients of `e`).
+//! multipliers and the `nz + 1` coefficients of `e`. [`farkas_cone`]
+//! eliminates the multipliers by (rational) Fourier–Motzkin with those
+//! coefficients left symbolic — the cone of every affine form that is
+//! non-negative on `P`, which depends on `P` and on nothing else — and
+//! [`farkas_substitute`] writes the coefficients of one particular `e`
+//! (affine in the unknowns of the scheduling ILP) into that cone.
+//! [`farkas_nonneg`] is the two in sequence.
 
 use crate::consys::{ConstraintSystem, RowKind};
-#[cfg(doc)]
-use crate::error::MathError;
-use crate::error::Result;
+use crate::error::{MathError, Result};
+
+/// The cone of affine forms non-negative on `poly`: a homogeneous system
+/// over `nz + 1` variables — the coefficient of each of `poly`'s `nz`
+/// variables, then the constant term — that `(c, c₀)` satisfies exactly
+/// when `c·z + c₀ ≥ 0` everywhere on `poly` (assumed non-empty).
+///
+/// # Errors
+///
+/// Returns [`MathError::Overflow`] when Fourier–Motzkin combinations
+/// overflow `i64`.
+///
+/// # Examples
+///
+/// ```
+/// use polytops_math::{farkas_cone, ConstraintSystem};
+///
+/// // P = { z | 0 <= z <= 10 }: c*z + c0 >= 0 on P iff it is at both ends.
+/// let mut p = ConstraintSystem::new(1);
+/// p.add_ineq(vec![1, 0]);
+/// p.add_ineq(vec![-1, 10]);
+/// let cone = farkas_cone(&p).unwrap();
+/// assert!(cone.contains_point(&[-1, 10]));
+/// assert!(!cone.contains_point(&[-1, 5]));
+/// ```
+pub fn farkas_cone(poly: &ConstraintSystem) -> Result<ConstraintSystem> {
+    let nz = poly.num_vars();
+    let m = poly.len();
+    // Variable space: [ c (nz) | c₀ | λ0 | λ_1..λ_m ], plus constant column.
+    let nv = nz + 2 + m;
+    let mut sys = ConstraintSystem::new(nv);
+
+    // Coefficient matching, one equality per z variable and one for the
+    // constant (which also absorbs λ0):
+    //   c_i - Σ_k λ_k A[k][i] = 0,   c₀ - λ0 - Σ_k λ_k b_k = 0.
+    for i in 0..=nz {
+        let mut row = vec![0i64; nv + 1];
+        row[i] = 1;
+        if i == nz {
+            row[nz + 1] = -1; // λ0
+        }
+        for (k, (_, prow)) in poly.rows().iter().enumerate() {
+            row[nz + 2 + k] = prow[i].checked_neg().ok_or(MathError::Overflow)?;
+        }
+        sys.add_eq(row);
+    }
+    // λ0 >= 0 and λ_k >= 0 for inequality rows (free for equalities).
+    let mut lambda0 = vec![0i64; nv + 1];
+    lambda0[nz + 1] = 1;
+    sys.add_ineq(lambda0);
+    for (k, (kind, _)) in poly.rows().iter().enumerate() {
+        if *kind == RowKind::Ineq {
+            let mut row = vec![0i64; nv + 1];
+            row[nz + 2 + k] = 1;
+            sys.add_ineq(row);
+        }
+    }
+    // Eliminate the multipliers (rational semantics: λ, μ are rational).
+    let mut cone = sys.eliminate_last_vars_rational(m + 1)?;
+    cone.normalize_rational();
+    Ok(cone)
+}
+
+/// Substitutes `template` for the variables of `cone`: row `i` of
+/// `template` (`nilp + 1` entries, the last one the constant) is the
+/// affine function of the `nilp` ILP variables that stands for the
+/// cone's variable `i`. Returns the cone's rows over the ILP variables.
+///
+/// # Errors
+///
+/// Returns [`MathError::Overflow`] when a product or sum overflows `i64`.
+///
+/// # Panics
+///
+/// Panics if `template` does not have `cone.num_vars()` rows of
+/// `nilp + 1` entries.
+pub fn farkas_substitute(
+    cone: &ConstraintSystem,
+    template: &[Vec<i64>],
+    nilp: usize,
+) -> Result<ConstraintSystem> {
+    let nc = cone.num_vars();
+    assert_eq!(template.len(), nc, "template must have nz + 1 rows");
+    for row in template {
+        assert_eq!(row.len(), nilp + 1, "template row length mismatch");
+    }
+    let mut out = ConstraintSystem::new(nilp);
+    for (kind, crow) in cone.iter() {
+        let mut row = vec![0i64; nilp + 1];
+        row[nilp] = crow[nc];
+        for (&a, trow) in crow.iter().zip(template) {
+            if a == 0 {
+                continue;
+            }
+            for (acc, &t) in row.iter_mut().zip(trow) {
+                *acc = a
+                    .checked_mul(t)
+                    .and_then(|p| acc.checked_add(p))
+                    .ok_or(MathError::Overflow)?;
+            }
+        }
+        match kind {
+            RowKind::Eq => out.add_eq(row),
+            RowKind::Ineq => out.add_ineq(row),
+        }
+    }
+    out.normalize_rational();
+    Ok(out)
+}
 
 /// Linearizes `∀z ∈ poly: e(z) ≥ 0` into constraints over ILP variables.
 ///
@@ -34,8 +144,8 @@ use crate::error::Result;
 ///
 /// # Errors
 ///
-/// Returns [`MathError::Overflow`](crate::MathError::Overflow) when
-/// Fourier–Motzkin combinations overflow `i64`.
+/// Returns [`MathError::Overflow`] when Fourier–Motzkin combinations or
+/// the substitution overflow `i64`.
 ///
 /// # Panics
 ///
@@ -67,55 +177,7 @@ pub fn farkas_nonneg(
     template: &[Vec<i64>],
     nilp: usize,
 ) -> Result<ConstraintSystem> {
-    let nz = poly.num_vars();
-    assert_eq!(template.len(), nz + 1, "template must have nz + 1 rows");
-    for row in template {
-        assert_eq!(row.len(), nilp + 1, "template row length mismatch");
-    }
-    let m = poly.len();
-    // Variable space: [ y (nilp) | λ0 | λ_1..λ_m ], plus constant column.
-    let nv = nilp + 1 + m;
-    let mut sys = ConstraintSystem::new(nv);
-
-    // Coefficient-matching equalities, one per z variable:
-    //   e_coeff_i(y) - Σ_k λ_k A[k][i] = 0
-    for zi in 0..nz {
-        let mut row = vec![0i64; nv + 1];
-        row[..nilp].copy_from_slice(&template[zi][..nilp]);
-        row[nv] = template[zi][nilp];
-        for (k, (_, prow)) in poly.rows().iter().enumerate() {
-            row[nilp + 1 + k] = -prow[zi];
-        }
-        sys.add_eq(row);
-    }
-    // Constant matching: e_const(y) - λ0 - Σ_k λ_k b_k = 0.
-    {
-        let mut row = vec![0i64; nv + 1];
-        row[..nilp].copy_from_slice(&template[nz][..nilp]);
-        row[nv] = template[nz][nilp];
-        row[nilp] = -1; // λ0
-        for (k, (_, prow)) in poly.rows().iter().enumerate() {
-            row[nilp + 1 + k] = -prow[nz];
-        }
-        sys.add_eq(row);
-    }
-    // λ0 >= 0 and λ_k >= 0 for inequality rows (free for equalities).
-    {
-        let mut row = vec![0i64; nv + 1];
-        row[nilp] = 1;
-        sys.add_ineq(row);
-    }
-    for (k, (kind, _)) in poly.rows().iter().enumerate() {
-        if *kind == RowKind::Ineq {
-            let mut row = vec![0i64; nv + 1];
-            row[nilp + 1 + k] = 1;
-            sys.add_ineq(row);
-        }
-    }
-    // Eliminate the multipliers (rational semantics: λ, μ are rational).
-    let mut out = sys.eliminate_last_vars_rational(m + 1)?;
-    out.normalize_rational();
-    Ok(out)
+    farkas_substitute(&farkas_cone(poly)?, template, nilp)
 }
 
 #[cfg(test)]
@@ -188,5 +250,27 @@ mod tests {
         let template = vec![vec![-1], vec![0]];
         let sys = farkas_nonneg(&p, &template, 0).unwrap();
         assert!(!sys.contains_point(&[]));
+    }
+
+    #[test]
+    fn substitution_overflow_is_an_error() {
+        // Cone row 2·c + c₀ ≥ 0 with c := 2^62·y: the product is 2^63.
+        let mut cone = ConstraintSystem::new(2);
+        cone.add_ineq(vec![2, 1, 0]);
+        let template = vec![vec![1i64 << 62, 0], vec![0, 0]];
+        assert_eq!(
+            farkas_substitute(&cone, &template, 1),
+            Err(MathError::Overflow)
+        );
+        // Each product fits, their sum does not.
+        let template = vec![vec![1i64 << 61, 0], vec![i64::MAX, 0]];
+        assert_eq!(
+            farkas_substitute(&cone, &template, 1),
+            Err(MathError::Overflow)
+        );
+        // The same shape within range substitutes exactly.
+        let template = vec![vec![3, 1], vec![-1, 4]];
+        let sys = farkas_substitute(&cone, &template, 1).unwrap();
+        assert_eq!(sys.rows(), &[(RowKind::Ineq, vec![5, 6])]);
     }
 }

@@ -66,7 +66,7 @@ pub use polytops_obs as obs;
 
 pub use consys::{ConstraintSystem, RowKind};
 pub use error::{MathError, Result};
-pub use farkas::farkas_nonneg;
+pub use farkas::{farkas_cone, farkas_nonneg, farkas_substitute};
 pub use ilp::{
     ilp_feasible, ilp_feasible_point, ilp_lexmin, ilp_lexmin_warm, ilp_minimize, ineq_implied,
     IlpOutcome, IlpStats,

@@ -5,9 +5,9 @@ mod reference;
 use proptest::prelude::*;
 
 use polytops_math::{
-    ilp_feasible, ilp_lexmin, ilp_lexmin_warm, ilp_minimize, ineq_implied, lp_minimize,
-    orthogonal_complement, ConstraintSystem, IlpOutcome, IlpStats, IncrementalLp, IntMatrix,
-    LpOutcome, Rat, RowKind, Snapshot,
+    farkas_cone, farkas_nonneg, farkas_substitute, ilp_feasible, ilp_lexmin, ilp_lexmin_warm,
+    ilp_minimize, ineq_implied, lp_feasible, lp_minimize, orthogonal_complement, ConstraintSystem,
+    IlpOutcome, IlpStats, IncrementalLp, IntMatrix, LpOutcome, Rat, RowKind, Snapshot,
 };
 
 fn small_rat() -> impl Strategy<Value = Rat> {
@@ -539,6 +539,90 @@ proptest! {
         rotated.rotate_left(shift % rows.len());
         for sys in [&cs, &reversed, &with_rows(rotated)] {
             prop_assert_eq!(ilp_lexmin(sys, &objs), Ok(want.clone()));
+        }
+    }
+}
+
+/// A non-empty polyhedron over three variables: per variable a box, a
+/// lower bound alone or nothing (unbounded directions), up to two extra
+/// inequality rows and up to one equality row.
+fn farkas_polyhedron() -> impl Strategy<Value = ConstraintSystem> {
+    let vars = proptest::collection::vec((0u8..3, -3i64..=0, 0i64..=3), 3);
+    let rows = |n| proptest::collection::vec(proptest::collection::vec(-2i64..=2, 4), 0..n);
+    (vars, rows(3), rows(2))
+        .prop_map(|(vars, ineqs, eqs)| {
+            let n = vars.len();
+            let mut cs = ConstraintSystem::new(n);
+            for (j, &(shape, lo, hi)) in vars.iter().enumerate() {
+                if shape < 2 {
+                    let mut row = vec![0i64; n + 1];
+                    row[j] = 1;
+                    row[n] = -lo;
+                    cs.add_ineq(row);
+                }
+                if shape == 0 {
+                    let mut row = vec![0i64; n + 1];
+                    row[j] = -1;
+                    row[n] = hi;
+                    cs.add_ineq(row);
+                }
+            }
+            for row in ineqs {
+                cs.add_ineq(row);
+            }
+            for row in eqs {
+                cs.add_eq(row);
+            }
+            cs
+        })
+        .prop_filter("non-empty", |cs| lp_feasible(cs).unwrap())
+}
+
+/// A Farkas template over two ILP variables for a three-variable
+/// polyhedron: four rows of `[y0, y1, constant]`, any of them all-zero.
+fn farkas_template() -> impl Strategy<Value = Vec<Vec<i64>>> {
+    proptest::collection::vec((0u8..4, proptest::collection::vec(-2i64..=2, 3)), 4).prop_map(
+        |rows| {
+            rows.into_iter()
+                .map(|(zero, row)| if zero == 0 { vec![0; 3] } else { row })
+                .collect()
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn farkas_rows_hold_exactly_where_the_form_is_nonnegative(
+        poly in farkas_polyhedron(),
+        template in farkas_template(),
+    ) {
+        // The one elimination path against the definition it linearizes:
+        // y satisfies the rows iff e_y(z) = Σ_i template_i(y)·z_i +
+        // template_3(y) has a bounded minimum over the polyhedron that is
+        // non-negative.
+        let sys = farkas_nonneg(&poly, &template, 2).unwrap();
+        prop_assert_eq!(
+            &sys,
+            &farkas_substitute(&farkas_cone(&poly).unwrap(), &template, 2).unwrap()
+        );
+        for y0 in -2i64..=2 {
+            for y1 in -2i64..=2 {
+                let form: Vec<i64> = template
+                    .iter()
+                    .map(|t| t[0] * y0 + t[1] * y1 + t[2])
+                    .collect();
+                let nonneg = match lp_minimize(&poly, &form[..3]).unwrap() {
+                    LpOutcome::Optimal { value, .. } => value + Rat::from(form[3]) >= Rat::ZERO,
+                    LpOutcome::Unbounded => false,
+                    LpOutcome::Infeasible => unreachable!("filtered non-empty"),
+                };
+                prop_assert!(
+                    sys.contains_point(&[y0, y1]) == nonneg,
+                    "y = ({y0}, {y1}): form {form:?} nonneg {nonneg}, rows {sys:?} on {poly:?}"
+                );
+            }
         }
     }
 }

@@ -25,7 +25,7 @@
 //! * **Cross-request persistence** — every SCoP is resolved through a
 //!   [`ScopRegistry`](polytops_core::registry::ScopRegistry):
 //!   fingerprinted, deduped across clients, and kept resident (exact
-//!   dependence analysis + per-layout Farkas caches) under an LRU
+//!   dependence analysis + one Farkas cone per dependence) under an LRU
 //!   bound. A client re-scheduling a known kernel under a new
 //!   configuration pays only the ILP solves.
 //! * **Determinism** — responses are bit-identical to the offline
@@ -36,7 +36,7 @@
 //! * **Fleet serving** — the registry persists across restarts
 //!   ([`persist`]: checksummed snapshots of canonical SCoP text plus an
 //!   append-only journal; a restarted daemon prewarms every Farkas
-//!   cache so warm replays pay zero re-eliminations), connections are
+//!   cone so warm replays pay zero re-eliminations), connections are
 //!   served by a nonblocking readiness loop (one thread for all
 //!   sockets, not thread-per-connection), and [`Router`] fronts N
 //!   daemon shards behind one address by consistent-hashing SCoP

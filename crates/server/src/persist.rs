@@ -17,28 +17,32 @@
 //! compact-JSON payload:
 //!
 //! ```text
-//! {"entries":[{"layouts":[{"neg":false,"shift":false,"vars":[]}],
+//! {"entries":[{"learned":[{"key":"…","score":-512,"winner":"pluto/t32"}],
 //!              "name":"matmul","scop":"<polyscop> ..."}]}
 //! ```
 //!
 //! Entries are in LRU order (coldest first), each carrying the SCoP's
-//! *canonical text* — the registry's identity representation — plus the
-//! [`CacheLayout`]s that had resident Farkas caches. Nothing derived is
-//! stored: dependence analyses and cache contents rebuild
-//! deterministically from the text on load (see
-//! [`ScopRegistry::restore`]), which is what makes a snapshot immune to
-//! solver/code drift across daemon versions.
+//! *canonical text* — the registry's identity representation — plus its
+//! remembered tuning winners. Nothing derived is stored: dependence
+//! analyses and Farkas cones rebuild deterministically from the text on
+//! load (see [`ScopRegistry::restore`]), which is what makes a snapshot
+//! immune to solver/code drift across daemon versions.
 //!
 //! The journal is one compact-JSON event per line:
 //!
 //! ```text
 //! {"event":"admit","name":"matmul","scop":"<polyscop> ..."}
-//! {"event":"layout","fp":"9f…","neg":false,"shift":false,"vars":[]}
+//! {"event":"learned","fp":"9f…","key":"…","score":-512,"winner":"pluto/t32"}
 //! ```
 //!
 //! Events are idempotent, so replay after a crash mid-append is safe; a
 //! torn final line (the only line a single-writer crash can tear) is
 //! detected by its parse failure and dropped.
+//!
+//! Files written before the Farkas cache stopped depending on the ILP
+//! layout carry a `"layouts"` array per snapshot entry and `layout`
+//! journal events; both are read and ignored (a restored entry's cones
+//! are prewarmed whatever they say).
 //!
 //! ## Rotation
 //!
@@ -50,7 +54,7 @@
 //! missing `snapshot` falls back to `snapshot.prev` + both journals
 //! (replay idempotency makes the over-approximation harmless).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -58,7 +62,7 @@ use std::sync::Mutex;
 
 use polytops_core::json::{parse, Json};
 use polytops_core::registry::{
-    fingerprint, fnv1a, CacheLayout, LearnedConfig, RegistrySnapshot, ScopRegistry, SnapshotEntry,
+    fingerprint, fnv1a, LearnedConfig, RegistrySnapshot, ScopRegistry, SnapshotEntry,
 };
 use polytops_ir::{parse_scop, print_scop, Scop};
 
@@ -72,8 +76,6 @@ const MAGIC: &str = "polytops-snapshot v1";
 pub struct LoadOutcome {
     /// Registry entries restored (snapshot plus journal replay).
     pub restored_entries: usize,
-    /// Cache layouts prewarmed during restore.
-    pub prewarmed_layouts: usize,
     /// Whether the current snapshot was unusable and the previous
     /// rotation was used instead.
     pub recovered_from_prev: bool,
@@ -95,18 +97,15 @@ struct PersistState {
     events_total: usize,
     /// Rotations performed since startup.
     rotations: usize,
-    /// Per-fingerprint layouts already journaled or snapshotted, so the
-    /// post-batch diff appends each `layout` event exactly once.
-    known: HashMap<u64, BTreeSet<CacheLayout>>,
-    /// Per-fingerprint learned winners already journaled or
-    /// snapshotted, keyed by tuning key — the same diff discipline as
-    /// `known`, so each `learned` event is appended exactly once (and
-    /// again if a re-exploration changes the winner).
-    known_learned: HashMap<u64, BTreeMap<String, LearnedConfig>>,
+    /// The fingerprints already journaled or snapshotted, each with its
+    /// learned winners by tuning key, so the post-batch diff appends
+    /// each `admit` and `learned` event exactly once (a `learned` again
+    /// if a re-exploration changes the winner).
+    known: HashMap<u64, BTreeMap<String, LearnedConfig>>,
 }
 
 /// The daemon's persistence engine: owns the snapshot directory, the
-/// journal handle, and the layout diff state. One per daemon; all
+/// journal handle, and the journal diff state. One per daemon; all
 /// methods are `&self` (internally locked) so the batcher and the
 /// shutdown path can share it.
 pub struct Persister {
@@ -144,15 +143,7 @@ impl Persister {
         let loaded = load(dir, registry);
         // Journal replay re-admitted the journal's own events; seed the
         // diff state from the registry so they are not re-appended.
-        let mut known: HashMap<u64, BTreeSet<CacheLayout>> = HashMap::new();
-        let mut known_learned: HashMap<u64, BTreeMap<String, LearnedConfig>> = HashMap::new();
-        for entry in &registry.snapshot().entries {
-            let scop = parse_scop(&entry.scop_text)
-                .expect("snapshot of a live registry always round-trips");
-            let fp = fingerprint(&scop);
-            known.insert(fp, entry.layouts.iter().cloned().collect());
-            known_learned.insert(fp, entry.learned.iter().cloned().collect());
-        }
+        let known = known_from(&registry.snapshot());
         let journal = OpenOptions::new()
             .create(true)
             .append(true)
@@ -167,7 +158,6 @@ impl Persister {
                 events_total: 0,
                 rotations: 0,
                 known,
-                known_learned,
             }),
             loaded,
             recorder: std::sync::OnceLock::new(),
@@ -190,7 +180,6 @@ impl Persister {
         let state = self.state.lock().expect("persist lock");
         PersistTotals {
             restored_entries: self.loaded.restored_entries,
-            prewarmed_layouts: self.loaded.prewarmed_layouts,
             recovered_from_prev: self.loaded.recovered_from_prev,
             replayed_events: self.loaded.replayed_events,
             relearned_configs: self.loaded.relearned_configs,
@@ -201,8 +190,8 @@ impl Persister {
     }
 
     /// Records the state a finished batch left behind: an `admit` event
-    /// for each entry the diff state has not seen, and a `layout` event
-    /// for each newly resident cache layout. Called with the entries
+    /// for each entry the diff state has not seen, and a `learned` event
+    /// for each new or changed tuning winner. Called with the entries
     /// the batch touched; rotates afterwards if the journal has grown
     /// past `rotate_every`. I/O errors are swallowed (persistence is
     /// best-effort; serving must not depend on the disk).
@@ -218,31 +207,14 @@ impl Persister {
                     ("scop".to_string(), Json::Str(print_scop(scop))),
                 ]));
                 append(&mut state, &event, recorder);
-                state.known.insert(fp, BTreeSet::new());
+                state.known.insert(fp, BTreeMap::new());
             }
             let Some(entry) = registry.find_by_fingerprint(fp) else {
-                continue; // evicted between batch and record; nothing to pin
+                continue; // evicted between batch and record; nothing to learn
             };
-            let resident: BTreeSet<CacheLayout> = entry.layout_keys().into_iter().collect();
-            let seen = state.known.get(&fp).cloned().unwrap_or_default();
-            for layout in resident.difference(&seen) {
-                let &(neg, shift, ref vars) = layout;
-                let event = Json::Object(std::collections::BTreeMap::from([
-                    ("event".to_string(), Json::Str("layout".to_string())),
-                    ("fp".to_string(), Json::Str(format!("{fp:016x}"))),
-                    ("neg".to_string(), Json::Bool(neg)),
-                    ("shift".to_string(), Json::Bool(shift)),
-                    (
-                        "vars".to_string(),
-                        Json::Array(vars.iter().map(|v| Json::Str(v.clone())).collect()),
-                    ),
-                ]));
-                append(&mut state, &event, recorder);
-            }
-            state.known.insert(fp, resident);
             let learned: BTreeMap<String, LearnedConfig> =
                 entry.learned_snapshot().into_iter().collect();
-            let seen = state.known_learned.get(&fp).cloned().unwrap_or_default();
+            let seen = state.known.remove(&fp).unwrap_or_default();
             for (key, config) in &learned {
                 if seen.get(key) == Some(config) {
                     continue;
@@ -256,7 +228,7 @@ impl Persister {
                 ]));
                 append(&mut state, &event, recorder);
             }
-            state.known_learned.insert(fp, learned);
+            state.known.insert(fp, learned);
         }
         if state.events >= self.rotate_every {
             drop(state);
@@ -301,20 +273,20 @@ impl Persister {
         state.rotations += 1;
         // Everything resident is now in the snapshot; reset the diff
         // baseline to match.
-        state.known.clear();
-        state.known_learned.clear();
-        for entry in &snap.entries {
-            if let Ok(scop) = parse_scop(&entry.scop_text) {
-                let fp = fingerprint(&scop);
-                state
-                    .known
-                    .insert(fp, entry.layouts.iter().cloned().collect());
-                state
-                    .known_learned
-                    .insert(fp, entry.learned.iter().cloned().collect());
-            }
-        }
+        state.known = known_from(&snap);
     }
+}
+
+/// The journal diff baseline matching a snapshot of the live registry:
+/// every entry admitted, every learned winner recorded.
+fn known_from(snap: &RegistrySnapshot) -> HashMap<u64, BTreeMap<String, LearnedConfig>> {
+    snap.entries
+        .iter()
+        .filter_map(|entry| {
+            let scop = parse_scop(&entry.scop_text).ok()?;
+            Some((fingerprint(&scop), entry.learned.iter().cloned().collect()))
+        })
+        .collect()
 }
 
 /// Records the wall time of one snapshot rotation on drop, so every
@@ -373,10 +345,6 @@ fn snapshot_payload(snap: &RegistrySnapshot) -> String {
                 ("name".to_string(), Json::Str(entry.name.clone())),
                 ("scop".to_string(), Json::Str(entry.scop_text.clone())),
                 (
-                    "layouts".to_string(),
-                    Json::Array(entry.layouts.iter().map(layout_to_json).collect()),
-                ),
-                (
                     "learned".to_string(),
                     Json::Array(
                         entry
@@ -402,18 +370,6 @@ fn snapshot_payload(snap: &RegistrySnapshot) -> String {
     .compact()
 }
 
-fn layout_to_json(layout: &CacheLayout) -> Json {
-    let &(neg, shift, ref vars) = layout;
-    Json::Object(std::collections::BTreeMap::from([
-        ("neg".to_string(), Json::Bool(neg)),
-        ("shift".to_string(), Json::Bool(shift)),
-        (
-            "vars".to_string(),
-            Json::Array(vars.iter().map(|v| Json::Str(v.clone())).collect()),
-        ),
-    ]))
-}
-
 fn learned_from_json(json: &Json) -> Option<(String, LearnedConfig)> {
     let obj = json.as_object()?;
     Some((
@@ -423,19 +379,6 @@ fn learned_from_json(json: &Json) -> Option<(String, LearnedConfig)> {
             score: obj.get("score")?.as_int()?,
         },
     ))
-}
-
-fn layout_from_json(json: &Json) -> Option<CacheLayout> {
-    let obj = json.as_object()?;
-    let neg = obj.get("neg")?.as_bool()?;
-    let shift = obj.get("shift")?.as_bool()?;
-    let vars = obj
-        .get("vars")?
-        .as_array()?
-        .iter()
-        .map(|v| v.as_str().map(str::to_string))
-        .collect::<Option<Vec<String>>>()?;
-    Some((neg, shift, vars))
 }
 
 /// Writes one snapshot file: checksummed header line + payload, fsynced
@@ -483,12 +426,6 @@ fn read_snapshot_file(path: &Path) -> Option<RegistrySnapshot> {
         entries.push(SnapshotEntry {
             name: obj.get("name")?.as_str()?.to_string(),
             scop_text: obj.get("scop")?.as_str()?.to_string(),
-            layouts: obj
-                .get("layouts")?
-                .as_array()?
-                .iter()
-                .map(layout_from_json)
-                .collect::<Option<Vec<CacheLayout>>>()?,
             learned,
         });
     }
@@ -496,8 +433,8 @@ fn read_snapshot_file(path: &Path) -> Option<RegistrySnapshot> {
 }
 
 /// What replaying one journal file applied:
-/// `(events_applied, torn_lines, layouts_prewarmed, configs_relearned)`.
-type ReplayCounts = (usize, usize, usize, usize);
+/// `(events_applied, torn_lines, configs_relearned)`.
+type ReplayCounts = (usize, usize, usize);
 
 /// Replays one journal file into the registry. Malformed lines
 /// (the torn tail of a killed daemon, at most one per file) are
@@ -505,51 +442,40 @@ type ReplayCounts = (usize, usize, usize, usize);
 /// corrupted disk) are counted as torn rather than fatal.
 fn replay_journal(path: &Path, registry: &ScopRegistry) -> ReplayCounts {
     let Ok(text) = fs::read_to_string(path) else {
-        return (0, 0, 0, 0);
+        return (0, 0, 0);
     };
-    let (mut applied, mut torn, mut layouts, mut relearned) = (0, 0, 0, 0);
+    let (mut applied, mut torn, mut relearned) = (0, 0, 0);
     for line in text.lines() {
         if line.trim().is_empty() {
             continue;
         }
         match parse(line).ok().and_then(|e| apply_event(&e, registry)) {
-            Some((prewarmed, learned)) => {
+            Some(learned) => {
                 applied += 1;
-                layouts += usize::from(prewarmed);
                 relearned += usize::from(learned);
             }
             None => torn += 1,
         }
     }
-    (applied, torn, layouts, relearned)
+    (applied, torn, relearned)
 }
 
-/// Applies one journal event, returning
-/// `(prewarmed_a_layout, relearned_a_config)`. Idempotent: `admit`
-/// rides the registry's dedupe, `layout` rides prewarm's
-/// replay-from-cache no-op, `learned` rides the learned map's
+/// Applies one journal event, returning whether it relearned a config.
+/// Idempotent: `admit` rides the registry's dedupe and prewarm's
+/// already-resident no-op, `learned` rides the learned map's
 /// last-write-wins insert (replaying the same event twice is the same
-/// write).
-fn apply_event(event: &Json, registry: &ScopRegistry) -> Option<(bool, bool)> {
+/// write). A `layout` event — written by daemons whose Farkas caches
+/// were per ILP layout — applies as nothing.
+fn apply_event(event: &Json, registry: &ScopRegistry) -> Option<bool> {
     let obj = event.as_object()?;
     match obj.get("event")?.as_str()? {
         "admit" => {
             let name = obj.get("name")?.as_str()?;
             let scop = parse_scop(obj.get("scop")?.as_str()?).ok()?;
-            registry.resolve(name, &scop);
-            Some((false, false))
+            registry.resolve(name, &scop).0.prewarm().ok()?;
+            Some(false)
         }
-        "layout" => {
-            let fp = u64::from_str_radix(obj.get("fp")?.as_str()?, 16).ok()?;
-            let layout = layout_from_json(event)?;
-            // The entry may have been evicted by later journal events'
-            // admissions; a missing target is not corruption.
-            if let Some(entry) = registry.find_by_fingerprint(fp) {
-                entry.prewarm_layout(&layout).ok()?;
-                return Some((true, false));
-            }
-            Some((false, false))
-        }
+        "layout" => Some(false),
         "learned" => {
             let fp = u64::from_str_radix(obj.get("fp")?.as_str()?, 16).ok()?;
             let key = obj.get("key")?.as_str()?;
@@ -557,11 +483,13 @@ fn apply_event(event: &Json, registry: &ScopRegistry) -> Option<(bool, bool)> {
                 winner: obj.get("winner")?.as_str()?.to_string(),
                 score: obj.get("score")?.as_int()?,
             };
+            // The entry may have been evicted by later journal events'
+            // admissions; a missing target is not corruption.
             if let Some(entry) = registry.find_by_fingerprint(fp) {
                 entry.learn(key, config);
-                return Some((false, true));
+                return Some(true);
             }
-            Some((false, false))
+            Some(false)
         }
         _ => None,
     }
@@ -591,7 +519,6 @@ fn load(dir: &Path, registry: &ScopRegistry) -> LoadOutcome {
         match registry.restore(&snap) {
             Ok(report) => {
                 outcome.restored_entries = report.entries;
-                outcome.prewarmed_layouts = report.layouts;
                 outcome.relearned_configs = report.learned;
             }
             Err(_) => outcome.torn_events += 1,
@@ -599,10 +526,9 @@ fn load(dir: &Path, registry: &ScopRegistry) -> LoadOutcome {
     }
     let before = registry.stats().misses;
     for journal in journals {
-        let (applied, torn, layouts, relearned) = replay_journal(&journal, registry);
+        let (applied, torn, relearned) = replay_journal(&journal, registry);
         outcome.replayed_events += applied;
         outcome.torn_events += torn;
-        outcome.prewarmed_layouts += layouts;
         outcome.relearned_configs += relearned;
     }
     // Journal admissions of SCoPs the snapshot missed count as restored
@@ -624,7 +550,6 @@ mod tests {
             entries: vec![SnapshotEntry {
                 name: "k".to_string(),
                 scop_text: "<polyscop>\n".to_string(),
-                layouts: vec![(false, false, vec![]), (true, true, vec!["x".to_string()])],
                 learned: vec![(
                     "line64:max16:est256".to_string(),
                     LearnedConfig {

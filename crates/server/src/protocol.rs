@@ -609,13 +609,11 @@ pub struct TunerTotals {
 /// Like [`SolverTotals`] these are diagnostics, not part of the
 /// bit-identity contract — but the fault-injection suite asserts on
 /// them (`recovered_from_prev` proves the torn-snapshot fallback fired,
-/// `restored_entries`/`prewarmed_layouts` prove the daemon served warm).
+/// `restored_entries` proves the daemon served warm).
 #[derive(Debug, Default, Clone)]
 pub struct PersistTotals {
     /// Registry entries rebuilt from the snapshot + journal at startup.
     pub restored_entries: usize,
-    /// Farkas cache layouts eagerly prewarmed during restore.
-    pub prewarmed_layouts: usize,
     /// Whether the load fell back to the previous snapshot rotation
     /// (current snapshot missing or corrupt).
     pub recovered_from_prev: bool,
@@ -638,10 +636,6 @@ impl PersistTotals {
     fn to_json(&self) -> Json {
         object(vec![
             ("restored_entries", Json::Int(self.restored_entries as i64)),
-            (
-                "prewarmed_layouts",
-                Json::Int(self.prewarmed_layouts as i64),
-            ),
             ("recovered_from_prev", Json::Bool(self.recovered_from_prev)),
             ("replayed_events", Json::Int(self.replayed_events as i64)),
             (

@@ -7,7 +7,10 @@
 //! * a restarted daemon serves **warm** — replayed requests report
 //!   `farkas_misses == 0`;
 //! * a torn snapshot on disk is detected and recovered from the
-//!   previous rotation.
+//!   previous rotation;
+//! * a snapshot directory written by an older daemon (per-layout Farkas
+//!   caches: `layouts` arrays, `layout` journal events) restores like
+//!   one of today's.
 //!
 //! Restarts use the listener-handoff pattern ([`Server::start_on`]):
 //! the test binds the port once and hands each daemon generation a
@@ -23,7 +26,7 @@ use std::time::Duration;
 use polytops_core::json::Json;
 use polytops_server::protocol::{self, Request};
 use polytops_server::{FaultPlan, RetryClient, RetryPolicy, Server, ServerConfig, ServerHandle};
-use polytops_workloads::requests::{autotune_request_line, fleet_request_streams};
+use polytops_workloads::requests::{autotune_request_line, fleet_request_streams, request_line};
 
 /// A fresh scratch directory under the system temp dir.
 fn scratch(tag: &str) -> PathBuf {
@@ -503,6 +506,174 @@ fn torn_snapshot_recovers_from_previous_rotation() {
         }
         second.shutdown();
     });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a daemon of the commit before the Farkas cache stopped being
+/// kept per ILP layout left in its snapshot directory, byte for byte:
+/// entries carry `"layouts"`, journals carry `layout` events. It had
+/// served `stencil_chain` (pluto, an autotune, pluto_plus),
+/// `producer_consumer` (pluto_plus), `reversed_consumer` (pluto and
+/// pluto_plus) and `jacobi_1d` (feautrier) at `rotate_every` 4, and was
+/// killed after the last of them.
+const PARENT_SNAPSHOT: &str = r#"polytops-snapshot v1 1890 baa8f5167d9202df
+{"entries":[{"layouts":[{"neg":true,"shift":true,"vars":[]}],"learned":[],"name":"producer_consumer","scop":"<polyscop>\nname producer_consumer\nparams N\ncontext 1\n  ineq 1 -1\narrays 3\narray A 8 1\n  dim 1 0\narray B 8 1\n  dim 1 0\narray C 8 1\n  dim 1 0\nstatements 2\nstatement S0\n  iters i\n  beta 0 0\n  ops 1\n  text B[i] = A[i];\n  domain 2\n    ineq 1 0 0\n    ineq -1 1 -1\n  accesses 2\n  read 0 1\n    aff 1 0 0\n  write 1 1\n    aff 1 0 0\nstatement S1\n  iters j\n  beta 1 0\n  ops 1\n  text C[j] = B[j];\n  domain 2\n    ineq 1 0 0\n    ineq -1 1 -1\n  accesses 2\n  read 1 1\n    aff 1 0 0\n  write 2 1\n    aff 1 0 0\n</polyscop>\n"},{"layouts":[{"neg":false,"shift":false,"vars":[]},{"neg":true,"shift":true,"vars":[]}],"learned":[],"name":"reversed_consumer","scop":"<polyscop>\nname reversed_consumer\nparams N\ncontext 1\n  ineq 1 -1\narrays 3\narray A 8 1\n  dim 1 0\narray B 8 1\n  dim 1 0\narray C 8 1\n  dim 1 0\nstatements 2\nstatement S0\n  iters i\n  beta 0 0\n  ops 1\n  text B[i] = A[i];\n  domain 2\n    ineq 1 0 0\n    ineq -1 1 -1\n  accesses 2\n  read 0 1\n    aff 1 0 0\n  write 1 1\n    aff 1 0 0\nstatement S1\n  iters j\n  beta 1 0\n  ops 1\n  text C[j] = B[N-1-j];\n  domain 2\n    ineq 1 0 0\n    ineq -1 1 -1\n  accesses 2\n  read 1 1\n    aff -1 1 -1\n  write 2 1\n    aff 1 0 0\n</polyscop>\n"},{"layouts":[{"neg":false,"shift":false,"vars":[]},{"neg":true,"shift":true,"vars":[]}],"learned":[{"key":"line64:cache33554432:vec32:cores16:miss24:sync2000:max4:est64","score":-63,"winner":"pluto"}],"name":"stencil_chain","scop":"<polyscop>\nname stencil_chain\nparams N\ncontext 1\n  ineq 1 -1\narrays 1\narray A 8 1\n  dim 1 0\nstatements 1\nstatement S0\n  iters i\n  beta 0 0\n  ops 1\n  text A[i] = A[i-1];\n  domain 2\n    ineq 1 0 -1\n    ineq -1 1 -1\n  accesses 2\n  read 0 1\n    aff 1 0 -1\n  write 0 1\n    aff 1 0 0\n</polyscop>\n"}]}"#;
+const PARENT_SNAPSHOT_PREV: &str = r#"polytops-snapshot v1 1167 5c5ccd83403e4aa1
+{"entries":[{"layouts":[{"neg":false,"shift":false,"vars":[]}],"learned":[{"key":"line64:cache33554432:vec32:cores16:miss24:sync2000:max4:est64","score":-63,"winner":"pluto"}],"name":"stencil_chain","scop":"<polyscop>\nname stencil_chain\nparams N\ncontext 1\n  ineq 1 -1\narrays 1\narray A 8 1\n  dim 1 0\nstatements 1\nstatement S0\n  iters i\n  beta 0 0\n  ops 1\n  text A[i] = A[i-1];\n  domain 2\n    ineq 1 0 -1\n    ineq -1 1 -1\n  accesses 2\n  read 0 1\n    aff 1 0 -1\n  write 0 1\n    aff 1 0 0\n</polyscop>\n"},{"layouts":[{"neg":true,"shift":true,"vars":[]}],"learned":[],"name":"producer_consumer","scop":"<polyscop>\nname producer_consumer\nparams N\ncontext 1\n  ineq 1 -1\narrays 3\narray A 8 1\n  dim 1 0\narray B 8 1\n  dim 1 0\narray C 8 1\n  dim 1 0\nstatements 2\nstatement S0\n  iters i\n  beta 0 0\n  ops 1\n  text B[i] = A[i];\n  domain 2\n    ineq 1 0 0\n    ineq -1 1 -1\n  accesses 2\n  read 0 1\n    aff 1 0 0\n  write 1 1\n    aff 1 0 0\nstatement S1\n  iters j\n  beta 1 0\n  ops 1\n  text C[j] = B[j];\n  domain 2\n    ineq 1 0 0\n    ineq -1 1 -1\n  accesses 2\n  read 1 1\n    aff 1 0 0\n  write 2 1\n    aff 1 0 0\n</polyscop>\n"}]}"#;
+const PARENT_JOURNAL_PREV: &str = r#"{"event":"admit","name":"reversed_consumer","scop":"<polyscop>\nname reversed_consumer\nparams N\ncontext 1\n  ineq 1 -1\narrays 3\narray A 8 1\n  dim 1 0\narray B 8 1\n  dim 1 0\narray C 8 1\n  dim 1 0\nstatements 2\nstatement S0\n  iters i\n  beta 0 0\n  ops 1\n  text B[i] = A[i];\n  domain 2\n    ineq 1 0 0\n    ineq -1 1 -1\n  accesses 2\n  read 0 1\n    aff 1 0 0\n  write 1 1\n    aff 1 0 0\nstatement S1\n  iters j\n  beta 1 0\n  ops 1\n  text C[j] = B[N-1-j];\n  domain 2\n    ineq 1 0 0\n    ineq -1 1 -1\n  accesses 2\n  read 1 1\n    aff -1 1 -1\n  write 2 1\n    aff 1 0 0\n</polyscop>\n"}
+{"event":"layout","fp":"1f197e71ae7b17ef","neg":false,"shift":false,"vars":[]}
+{"event":"layout","fp":"1f197e71ae7b17ef","neg":true,"shift":true,"vars":[]}
+{"event":"layout","fp":"b97220021c17b112","neg":true,"shift":true,"vars":[]}
+"#;
+const PARENT_JOURNAL: &str = r#"{"event":"admit","name":"jacobi_1d","scop":"<polyscop>\nname jacobi_1d\nparams T N\ncontext 2\n  ineq 1 0 -1\n  ineq 0 1 -1\narrays 1\narray A 8 1\n  dim 0 1 0\nstatements 1\nstatement S0\n  iters t i\n  beta 0 0 0\n  ops 2\n  text A[i] = A[i-1] + A[i] + A[i+1];\n  domain 4\n    ineq 1 0 0 0 0\n    ineq -1 0 1 0 -1\n    ineq 0 1 0 0 -1\n    ineq 0 -1 0 1 -2\n  accesses 4\n  read 0 1\n    aff 0 1 0 0 -1\n  read 0 1\n    aff 0 1 0 0 0\n  read 0 1\n    aff 0 1 0 0 1\n  write 0 1\n    aff 0 1 0 0 0\n</polyscop>\n"}
+{"event":"layout","fp":"5acdbe87a328f1fe","neg":false,"shift":false,"vars":[]}
+"#;
+
+/// A snapshot directory holding the parent commit's four files.
+fn parent_dir(tag: &str) -> PathBuf {
+    let dir = scratch(tag);
+    for (name, bytes) in [
+        ("snapshot", PARENT_SNAPSHOT),
+        ("snapshot.prev", PARENT_SNAPSHOT_PREV),
+        ("journal.prev", PARENT_JOURNAL_PREV),
+        ("journal", PARENT_JOURNAL),
+    ] {
+        std::fs::write(dir.join(name), bytes).expect("write fixture");
+    }
+    dir
+}
+
+/// A daemon on `dir` that never rotates while a test drives it.
+fn start_on_dir(dir: &std::path::Path) -> ServerHandle {
+    Server::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        rotate_every: 1_000,
+        ..fleet_config(2, dir)
+    })
+    .expect("start on the fixture directory")
+}
+
+/// The first request against each of the four SCoPs the parent's files
+/// hold — under the presets it served them with — must be a registry
+/// hit that eliminates nothing and answers as the offline engine does.
+fn assert_parent_entries_serve_warm(handle: &ServerHandle) {
+    use polytops_workloads::{jacobi_1d, producer_consumer, reversed_consumer, stencil_chain};
+    let mut client = RetryClient::new(handle.addr().to_string(), patient());
+    for (kernel, scop, presets) in [
+        (
+            "stencil_chain",
+            stencil_chain(),
+            &["pluto", "pluto_plus"][..],
+        ),
+        (
+            "producer_consumer",
+            producer_consumer(),
+            &["pluto_plus"][..],
+        ),
+        (
+            "reversed_consumer",
+            reversed_consumer(),
+            &["pluto", "pluto_plus"][..],
+        ),
+        ("jacobi_1d", jacobi_1d(), &["feautrier"][..]),
+    ] {
+        let line = request_line(kernel, kernel, &scop, presets);
+        let response = client.roundtrip(&line).expect("first request");
+        let (ok, hit, results, misses) = unpack(&response);
+        assert!(ok && hit, "{kernel} must be resident: {response}");
+        assert_eq!(misses, 0, "{kernel} must be prewarmed: {response}");
+        assert_eq!(results, golden(&line), "{kernel}");
+    }
+}
+
+/// Files written by the parent commit still load: every entry of the
+/// snapshot and the journal is resident and prewarmed, the `layouts`
+/// arrays and `layout` events are read and ignored (an event still
+/// counts as replayed), and a torn journal tail is dropped as before.
+#[test]
+fn parent_commit_files_restore_every_entry_warm() {
+    for torn_tail in [false, true] {
+        let dir = parent_dir(&format!("parent-{torn_tail}"));
+        if torn_tail {
+            let torn = format!("{PARENT_JOURNAL}{{\"event\":\"layout\",\"fp\":\"5acd");
+            std::fs::write(dir.join("journal"), torn).expect("tear the journal");
+        }
+        let handle = start_on_dir(&dir);
+        let totals = handle.persist_totals().expect("persistence enabled");
+        assert_eq!(totals.restored_entries, 4, "torn={torn_tail}: {totals:?}");
+        assert_eq!(totals.replayed_events, 2, "torn={torn_tail}: {totals:?}");
+        assert_eq!(totals.relearned_configs, 1, "torn={torn_tail}: {totals:?}");
+        assert!(!totals.recovered_from_prev, "torn={torn_tail}: {totals:?}");
+        assert_parent_entries_serve_warm(&handle);
+        handle.shutdown();
+        // The graceful shutdown rewrote the snapshot in today's format.
+        let snapshot = std::fs::read_to_string(dir.join("snapshot")).expect("snapshot");
+        assert!(!snapshot.contains("layouts"), "{snapshot}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The `.prev` fallback over the parent's files: with its current
+/// snapshot torn, the previous rotation plus both journal generations
+/// (six events, four of them `layout`) rebuild the same four entries.
+#[test]
+fn parent_commit_files_recover_from_previous_rotation() {
+    let dir = parent_dir("parent-prev");
+    std::fs::write(dir.join("snapshot"), &PARENT_SNAPSHOT[..10]).expect("tear the snapshot");
+    let handle = start_on_dir(&dir);
+    let totals = handle.persist_totals().expect("persistence enabled");
+    assert!(totals.recovered_from_prev, "{totals:?}");
+    assert_eq!(totals.restored_entries, 4, "{totals:?}");
+    assert_eq!(totals.replayed_events, 6, "{totals:?}");
+    assert_parent_entries_serve_warm(&handle);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A churn of new SCoPs under layout-changing presets, and an
+/// exploration, append `admit` and `learned` events and nothing else.
+#[test]
+fn churn_journals_admit_and_learned_events_only() {
+    use polytops_workloads::synthetic::long_chain;
+    let dir = parent_dir("parent-churn");
+    let handle = start_on_dir(&dir);
+    let mut client = RetryClient::new(handle.addr().to_string(), patient());
+    for (n, presets) in [
+        (2, &["pluto_plus"][..]),
+        (3, &["pluto", "pluto_plus"][..]),
+        (4, &["feautrier"][..]),
+    ] {
+        let name = format!("long_chain_{n}");
+        let line = request_line(&name, &name, &long_chain(n), presets);
+        let (ok, hit, _, _) = unpack(&client.roundtrip(&line).expect("churn request"));
+        assert!(ok && !hit, "{name} is new");
+    }
+    // A resident SCoP under a preset it has not seen: nothing to journal.
+    let line = request_line("again", "long_chain_2", &long_chain(2), &["pluto"]);
+    assert!(unpack(&client.roundtrip(&line).expect("repeat")).1);
+    let tune = autotune_request_line("tune", &long_chain(2), 4, 64);
+    assert!(unpack_tune(&client.roundtrip(&tune).expect("autotune")).0);
+
+    let journal = std::fs::read_to_string(dir.join("journal")).expect("journal");
+    let appended = journal
+        .strip_prefix(PARENT_JOURNAL)
+        .expect("the journal is appended to");
+    let events: Vec<String> = appended
+        .lines()
+        .map(|line| {
+            let event = polytops_core::json::parse(line).expect("journal line parses");
+            event.as_object().expect("event object")["event"]
+                .as_str()
+                .expect("event name")
+                .to_string()
+        })
+        .collect();
+    assert_eq!(events, ["admit", "admit", "admit", "learned"]);
+    assert_eq!(
+        handle.persist_totals().expect("persistence").journal_events,
+        4
+    );
+    handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

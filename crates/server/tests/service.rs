@@ -332,13 +332,23 @@ fn requests_arriving_during_a_batch_form_exactly_one_following_batch() {
     let mut control = Client::connect(addr).unwrap();
     assert_eq!(batch_counts(&mut control), (0, 0));
 
-    // A slow batch: the idle daemon dispatches it at once, alone.
+    // A slow batch: the idle daemon dispatches it at once, alone. It is
+    // sized from work: six ILP scenarios on a 24-statement chain keep
+    // the pool busy 400-700 ms in a debug build, against 2-4 ms for
+    // the followers' three connects, sends and pings below.
     let mut slow = Client::connect(addr).unwrap();
     slow.send_line(&request_line(
         "slow",
-        "long_chain_12",
-        &long_chain(12),
-        &["feautrier"],
+        "long_chain_24",
+        &long_chain(24),
+        &[
+            "feautrier",
+            "isl_like",
+            "pluto",
+            "feautrier",
+            "isl_like",
+            "pluto",
+        ],
     ))
     .unwrap();
     while batch_counts(&mut control) != (1, 1) {

@@ -88,7 +88,7 @@ pub fn sweep_request_streams(clients: usize) -> Vec<Vec<String>> {
 }
 
 /// The presets the fleet harness rotates through — a diverse slice of
-/// the grid (distinct cost functions and cache layouts), kept small so
+/// the grid (distinct cost functions and post-processing), kept small so
 /// 100-client runs stay fast.
 const FLEET_PRESETS: [&str; 4] = ["pluto", "feautrier", "isl_like", "wavefront"];
 
