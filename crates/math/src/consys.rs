@@ -6,7 +6,7 @@
 //! This is the workhorse representation shared by iteration domains,
 //! dependence polyhedra and scheduler ILP systems.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::Result;
@@ -178,8 +178,11 @@ impl ConstraintSystem {
     }
 
     fn normalize_impl(&mut self, tighten: bool) -> bool {
-        let mut seen: HashSet<(RowKind, Vec<i64>)> = HashSet::new();
-        let mut out: Vec<(RowKind, Vec<i64>)> = Vec::with_capacity(self.rows.len());
+        // What makes two rows one — an equality's whole row, an
+        // inequality's coefficients — with the place of the first such
+        // row and the tightest (smallest) constant seen beside them.
+        let mut first: HashMap<(RowKind, Vec<i64>), (usize, i64)> =
+            HashMap::with_capacity(self.rows.len());
         let n = self.num_vars;
         for (kind, mut row) in std::mem::take(&mut self.rows) {
             let g = gcd_slice(&row[..n]);
@@ -228,27 +231,21 @@ impl ConstraintSystem {
                     }
                 }
             }
-            if seen.insert((kind, row.clone())) {
-                out.push((kind, row));
-            }
+            let cst = match kind {
+                RowKind::Eq => 0,
+                RowKind::Ineq => row.pop().expect("a row has its constant"),
+            };
+            let at = first.len();
+            let (_, tightest) = first.entry((kind, row)).or_insert((at, cst));
+            *tightest = cst.min(*tightest);
         }
-        // Subsumption: for identical inequality coefficients keep the
-        // tightest constant (the smallest one).
-        let mut best: Vec<(RowKind, Vec<i64>)> = Vec::with_capacity(out.len());
-        'next: for (kind, row) in out {
+        self.rows.resize(first.len(), (RowKind::Eq, Vec::new()));
+        for ((kind, mut row), (at, cst)) in first {
             if kind == RowKind::Ineq {
-                for (bk, brow) in &mut best {
-                    if *bk == RowKind::Ineq && brow[..n] == row[..n] {
-                        if row[n] < brow[n] {
-                            brow[n] = row[n];
-                        }
-                        continue 'next;
-                    }
-                }
+                row.push(cst);
             }
-            best.push((kind, row));
+            self.rows[at] = (kind, row);
         }
-        self.rows = best;
         true
     }
 

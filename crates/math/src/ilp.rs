@@ -5,7 +5,7 @@
 use crate::consys::ConstraintSystem;
 use crate::error::{MathError, Result};
 use crate::num::{floor_div, gcd_slice};
-use crate::simplex::{Bound, IncrementalLp, LpOutcome, Snapshot};
+use crate::simplex::{Bound, IncrementalLp, Snapshot, Stage};
 
 /// Result of an integer linear program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,7 +55,10 @@ pub struct IlpStats {
     /// zero objective is optimal without any search).
     pub seed_shortcuts: usize,
     /// Dual-simplex pivots spent pinning stage optima on the shared
-    /// incremental tableau.
+    /// incremental tableau. Only a fractional stage pins — its integer
+    /// optimum lies above the relaxation's — so a cascade whose every
+    /// vertex is integral counts none: its stages end by face
+    /// restriction, which takes no pivot.
     pub dual_pivots: usize,
     /// Always 0: the phase-1 fallback it counted is gone (a pin at the
     /// dual pivot cap is an error), but perfbench and the `stats` bytes
@@ -289,11 +292,7 @@ impl IncrementalLp {
                         // and the node is then unusable rather than
                         // wrapped. At the root this still counts as a
                         // stage pure LP could not finish.
-                        let point: Vec<i64> = self
-                            .vertex()
-                            .iter()
-                            .map(|v| i64::try_from(v.numer()).expect("an integral cell"))
-                            .collect();
+                        let point = self.integral_vertex().expect("no fractional cell");
                         match value.to_integer().and_then(|v| i64::try_from(v).ok()) {
                             None => {
                                 if nodes == 1 {
@@ -424,14 +423,17 @@ pub fn ilp_lexmin(cs: &ConstraintSystem, objectives: &[Vec<i64>]) -> Result<Opti
 /// * **incremental simplex** — one [`IncrementalLp`] tableau is built
 ///   once, on the slack basis, and made feasible by dual pivots on the
 ///   rows `x = 0` violates; each objective stage re-optimizes from the
-///   previous optimal basis, and pinning an optimum appends a single
-///   equality row and repairs it with the same dual pivots. When a
-///   stage's LP vertex is integral it *is* the stage's integer optimum
-///   and no branch and bound runs at all ([`IlpStats::lp_stages`]
-///   counts these);
+///   previous optimal basis. When a stage's LP vertex is integral it
+///   *is* the stage's integer optimum: no branch and bound runs at all
+///   ([`IlpStats::lp_stages`] counts these), and the stage ends by
+///   **face restriction** — every slack with a positive reduced cost
+///   is fixed at zero where it stands, which leaves exactly the points
+///   attaining the optimum, with no row appended and no pivot taken;
 /// * **stage seeding** — when a stage does need branch and bound (a
 ///   fractional vertex), the previous stage's optimum seeds it as the
-///   initial incumbent;
+///   initial incumbent, and the integer optimum — off the relaxation's
+///   optimal face — is pinned as a single equality row, repaired by the
+///   dual pivots of phase 1 ([`IlpStats::dual_pivots`]);
 /// * **cross-call seeding** — a caller solving a sequence of related
 ///   systems (the iterative scheduler, one dimension after another) can
 ///   pass the previous solve's point as `warm`; it seeds the first
@@ -456,8 +458,7 @@ pub fn ilp_lexmin_warm(
 ) -> Result<Option<Vec<i64>>> {
     let n = cs.num_vars();
     // Normalize once (gcd tightening, dedup, subsumption) so the shared
-    // tableau is built from the small system, not the raw one. `cur`
-    // gathers the pins beside it: what a seed has to satisfy.
+    // tableau is built from the small system, not the raw one.
     let mut cur = cs.clone();
     if !cur.normalize() {
         return Ok(None);
@@ -466,78 +467,64 @@ pub fn ilp_lexmin_warm(
     if !lp.is_feasible() {
         return Ok(None); // LP-infeasible ⇒ ILP-infeasible
     }
+    // A seed has to lie in `cur` and on every face and pin so far: the
+    // caller's does before the first stage, and the point of a stage
+    // does in the next.
     let mut hint: Option<Vec<i64>> = warm
         .filter(|p| p.len() == n && cs.contains_point(p))
         .map(<[i64]>::to_vec);
     for obj in objectives {
         assert_eq!(obj.len(), n, "objective length mismatch");
         // Stage attempt 1: pure LP re-optimization. An integral optimal
-        // vertex of the relaxation is the integer optimum of the stage;
-        // a fractional one still proves a lower bound for attempt 2.
-        let mut stage_point: Option<(i64, Vec<i64>)> = None;
-        let mut stage_lb: Option<i64> = None;
-        match lp.minimize(obj)? {
-            LpOutcome::Optimal { value, point } => {
-                // Checked narrowing throughout: a vertex with an
-                // i64-overflowing coordinate falls back to branch
-                // and bound instead of silently truncating.
-                let ivalue = value.to_integer().and_then(|v| i64::try_from(v).ok());
-                let ipoint: Option<Vec<i64>> = point
-                    .iter()
-                    .map(|v| v.to_integer().and_then(|c| i64::try_from(c).ok()))
-                    .collect();
-                match (ipoint, ivalue) {
-                    (Some(ipoint), Some(value)) => {
-                        stats.lp_stages += 1;
-                        stage_point = Some((value, ipoint));
-                    }
-                    // Fractional (or overflowing) vertex: branch and
-                    // bound must run, from the relaxation this tableau
-                    // has just solved and above its value.
-                    _ => stage_lb = i64::try_from(value.ceil()).ok(),
-                }
+        // vertex of the relaxation is the integer optimum of the stage,
+        // and the stage ends there, on its optimal face; a fractional
+        // one still proves a lower bound for attempt 2.
+        let stage_lb = match lp.lexmin_stage(obj)? {
+            Stage::Integral(point) => {
+                stats.lp_stages += 1;
+                hint = Some(point);
+                continue;
             }
-            LpOutcome::Unbounded => return Ok(None),
+            // Fractional vertex: branch and bound must run, from the
+            // relaxation this tableau has just solved and above its
+            // value.
+            Stage::Relaxed(Bound::Value(value)) => i64::try_from(value.ceil()).ok(),
+            Stage::Relaxed(Bound::Unbounded) => return Ok(None),
             // Infeasibility cannot appear after a successful pin; the
             // search below reads it off its root.
-            LpOutcome::Infeasible => {}
-        }
+            Stage::Relaxed(Bound::Infeasible) => None,
+        };
         // Stage attempt 2: branch and bound on a snapshot of the shared
         // tableau, seeded with the previous stage's optimum and stopped
         // early at the LP-proven lower bound. A truncated run's
         // incumbent is still a legal point, so it is pinned best-effort.
-        let (value, point) = match stage_point {
-            Some(vp) => vp,
-            None => {
-                let incumbent = match seeded(&cur, obj, hint.as_deref(), stage_lb, stats) {
-                    Seeded::Optimal(outcome) => Ok(outcome),
-                    Seeded::Incumbent(incumbent) => {
-                        let before = lp.snapshot();
-                        let outcome = lp.int_minimize(obj, incumbent, stage_lb, MAX_NODES, stats);
-                        lp.rollback(before);
-                        outcome
-                    }
-                };
-                match incumbent? {
-                    IlpOutcome::Optimal { value, point }
-                    | IlpOutcome::NodeLimit {
-                        best: Some((value, point)),
-                    } => (value, point),
-                    _ => return Ok(None),
-                }
+        let incumbent = match seeded(&cur, obj, hint.as_deref(), stage_lb, stats) {
+            Seeded::Optimal(outcome) => outcome,
+            Seeded::Incumbent(incumbent) => {
+                let before = lp.snapshot();
+                let outcome = lp.int_minimize(obj, incumbent, stage_lb, MAX_NODES, stats);
+                lp.rollback(before);
+                outcome?
             }
         };
-        // Pin the stage optimum. A pin is cheap — the dual-simplex
+        let (value, point) = match incumbent {
+            IlpOutcome::Optimal { value, point }
+            | IlpOutcome::NodeLimit {
+                best: Some((value, point)),
+            } => (value, point),
+            _ => return Ok(None),
+        };
+        // The integer optimum lies above the relaxation's face, which
+        // only a row can say: pin it. A pin is cheap — the dual-simplex
         // pivots of phase 1, on the existing basis — so the tableau
         // stays alive across fractional stages too: the next stage still
         // gets an LP lower bound and a solved root relaxation even when
         // this one had to branch. The value is attained, so the pin
-        // holds; were it to fail, every later `minimize` would read
-        // `Infeasible` and the stage end at the root of its search.
+        // holds; were it to fail, every later stage would read
+        // `Infeasible` and end at the root of its search.
         let mut row = obj.clone();
         row.push(value.checked_neg().ok_or(MathError::Overflow)?);
         lp.pin_eq(&row)?;
-        cur.add_eq(row);
         hint = Some(point);
     }
     stats.dual_pivots += lp.dual_pivots();
@@ -560,6 +547,7 @@ pub fn ineq_implied(cs: &ConstraintSystem, row: &[i64]) -> bool {
 mod tests {
     use super::*;
     use crate::rat::Rat;
+    use crate::simplex::LpOutcome;
 
     /// The private branch and bound with only a seed and a node budget.
     fn bb(
@@ -820,6 +808,51 @@ mod tests {
         );
     }
 
+    /// Rows `ilp_lexmin_warm` pinned while it solved: the samples of
+    /// `simplex.pin_eq_ns`, which only its stage pins record.
+    fn stage_pins(cs: &ConstraintSystem, objectives: &[Vec<i64>]) -> (Vec<i64>, u64) {
+        let recorder = crate::obs::Recorder::new(true);
+        let root = recorder.root_span("test");
+        let _bound = root.link().expect("spans are on").bind();
+        let point = ilp_lexmin(cs, objectives).unwrap().expect("feasible");
+        let pins = recorder.histogram("simplex.pin_eq_ns").snapshot().count;
+        (point, pins)
+    }
+
+    #[test]
+    fn only_a_fractional_stage_pins_a_row() {
+        // Six stages, every vertex integral: each ends on its face and
+        // the tableau gains no row (it used to gain one a stage).
+        let mut cs = ConstraintSystem::new(3);
+        for j in 0..3 {
+            let mut lo = vec![0i64; 4];
+            lo[j] = 1;
+            cs.add_ineq(lo);
+            let mut hi = vec![0i64; 4];
+            (hi[j], hi[3]) = (-1, 4);
+            cs.add_ineq(hi);
+        }
+        cs.add_ineq(vec![1, 1, 1, -5]);
+        let units = [vec![1, 0, 0], vec![0, 1, 0], vec![0, 0, 1]];
+        let mut objectives = vec![vec![1, 1, 1], vec![1, 1, 0], vec![-1, 0, 1]];
+        objectives.extend(units.clone());
+        assert_eq!(stage_pins(&cs, &objectives), (vec![1, 0, 4], 0));
+        // The cascade of `pins_never_fall_back_to_phase1`, made total:
+        // its first stage is fractional — the integer optimum lies off
+        // the relaxation's face, which takes a row to say — and is the
+        // only one that pins.
+        let mut cs = ConstraintSystem::new(3);
+        cs.add_ineq(vec![1, 0, 0, 0]);
+        cs.add_ineq(vec![0, 1, 0, 0]);
+        cs.add_ineq(vec![0, 0, 1, 0]);
+        cs.add_ineq(vec![0, 0, -1, 3]);
+        cs.add_ineq(vec![-4, -1, 0, 4]);
+        cs.add_ineq(vec![-1, -4, 0, 4]);
+        let mut objectives = vec![vec![-1, -1, 0], vec![0, 0, 1]];
+        objectives.extend(units);
+        assert_eq!(stage_pins(&cs, &objectives), (vec![0, 1, 0], 1));
+    }
+
     #[test]
     fn pushed_rows_get_their_own_integer_tightening() {
         // 0 <= x, y <= 3. Over the rationals 2x + 2y == 3 cuts the box;
@@ -960,5 +993,30 @@ mod tests {
         );
         assert_eq!(stats.nodes, 1, "{stats:?}");
         assert!(ilp_feasible(&cs), "a point may exist");
+    }
+
+    #[test]
+    fn a_stage_read_as_integers_never_wraps() {
+        // x == i64::MAX exactly: the widest coordinate a cell holds is
+        // read as it stands, under either sign of the objective.
+        let mut cs = ConstraintSystem::new(1);
+        cs.add_ineq(vec![1, -i64::MAX]);
+        cs.add_ineq(vec![-1, i64::MAX]);
+        assert_eq!(ilp_lexmin(&cs, &[vec![1]]), Ok(Some(vec![i64::MAX])));
+        assert_eq!(ilp_lexmin(&cs, &[vec![-1]]), Ok(Some(vec![i64::MAX])));
+        // 2x there is beyond `i64`: the cost row cannot hold the value,
+        // and the stage is an error — not a wrapped optimum, and not the
+        // `None` that means "no point".
+        assert_eq!(ilp_lexmin(&cs, &[vec![2]]), Err(MathError::Overflow));
+        // A fractional vertex at that size goes to branch and bound,
+        // which finds the integer point beside it.
+        let mut cs = ConstraintSystem::new(1);
+        cs.add_ineq(vec![2, -(i64::MAX - 2)]);
+        cs.add_ineq(vec![-1, i64::MAX]);
+        let mut stats = IlpStats::default();
+        assert_eq!(
+            ilp_lexmin_warm(&cs, &[vec![1]], None, &mut stats),
+            Ok(Some(vec![i64::MAX / 2]))
+        );
     }
 }

@@ -17,7 +17,10 @@
 //! lets the same dual loop repair it, and [`IncrementalLp::snapshot`] /
 //! [`IncrementalLp::rollback`] take the row back, so a family of
 //! questions that differ from one base system by a row is asked of one
-//! tableau (`docs/SOLVER.md`, lever 3).
+//! tableau (`docs/SOLVER.md`, lever 3). A lexmin stage ends with
+//! neither a row nor a pivot: [`IncrementalLp::minimize_onto_face`]
+//! zeroes, where they stand, the slack columns that are zero on the
+//! objective's optimal face (lever 1).
 //!
 //! Every tableau row is a vector of `i64` numerators over one positive
 //! `i64` denominator of its own, kept free of common factors; products
@@ -306,12 +309,12 @@ impl Tableau {
     /// [`vertex`](Tableau::vertex) read the optimum.
     fn solve(&mut self, objective: &[i64]) -> Result<bool> {
         let n = self.n;
-        let mut cost2 = vec![0i64; self.width];
+        self.cost.clear();
+        self.cost.resize(self.width + 1, 0);
         for (j, &c) in objective.iter().enumerate() {
-            cost2[j] = c;
-            cost2[n + j] = neg(c)?;
+            (self.cost[j], self.cost[n + j]) = (c, neg(c)?);
         }
-        self.optimize(&cost2)
+        self.optimize()
     }
 
     /// The objective value [`optimize`](Tableau::optimize) stopped at.
@@ -347,6 +350,51 @@ impl Tableau {
                 (bj % n, if bj < n { rhs } else { -rhs })
             })
             .min_by_key(|&(j, _)| j)
+    }
+
+    /// The current basic solution when every coordinate of it is an
+    /// integer — [`vertex`](Tableau::vertex) without a `Rat` built.
+    /// `None` is "fractional", or a sum that left `i64`.
+    fn integral_vertex(&self) -> Option<Vec<i64>> {
+        let (n, w) = (self.n, self.width);
+        let mut point = vec![0i64; n];
+        for ((row, &den), &bj) in self.rows().zip(&self.den).zip(&self.basis) {
+            if bj < 2 * n {
+                if row[w] % den != 0 {
+                    return None;
+                }
+                let v = row[w] / den; // a cell: never `i64::MIN`
+                let (j, v) = if bj < n { (bj, v) } else { (bj - n, -v) };
+                point[j] = point[j].checked_add(v)?;
+            }
+        }
+        Some(point)
+    }
+
+    /// Restricts the tableau to the optimal face of the objective
+    /// [`optimize`](Tableau::optimize) has just stopped on: the points
+    /// where every non-basic column with a positive reduced cost is
+    /// zero. Such a column is a slack (the two reduced costs of an
+    /// x⁺/x⁻ pair are negatives of each other, so at an optimum both
+    /// are zero) and is zeroed in every row. Its raw cost is 0 under
+    /// every objective, so from here on it prices to 0, shows no dual
+    /// loop a negative entry and is in no row reduced by the basis: the
+    /// column is out of the problem, with no row added and no pivot
+    /// taken, and a [`Clone`] carries that.
+    fn restrict_to_face(&mut self) {
+        let (n, w, s) = (self.n, self.width, self.stride);
+        debug_assert!(
+            self.cost[..2 * n].iter().all(|&c| c == 0),
+            "a structural column priced non-zero at an optimum"
+        );
+        for j in (2 * n..w).filter(|&j| self.cost[j] > 0) {
+            for (row, den) in self.cells.chunks_exact_mut(s).zip(&mut self.den) {
+                if row[j] != 0 {
+                    row[j] = 0;
+                    reduce(&mut row[..=w], den);
+                }
+            }
+        }
     }
 
     /// A copy of this tableau over `extra` more variables, which no row
@@ -534,10 +582,13 @@ impl Tableau {
                         })
                 };
                 // The slack's defining row is a combination of the
-                // tableau's, so its column is not all zeros.
-                let li = pick(true)
-                    .or_else(|| pick(false))
-                    .expect("a live slack column has a non-zero entry");
+                // tableau's, so a live slack's column is not all zeros.
+                // One that is was fixed at zero by `restrict_to_face`:
+                // its row is an equality of the face and, like a pin,
+                // stays.
+                let Some(li) = pick(true).or_else(|| pick(false)) else {
+                    return Ok(());
+                };
                 self.pivot(li, slack)?;
                 li
             }
@@ -590,16 +641,14 @@ impl Tableau {
         }
     }
 
-    /// Runs the simplex loop for the given cost vector (one integer per
-    /// column) and leaves minus the optimal value in the cost row's
-    /// last cell; `false` means unbounded.
-    fn optimize(&mut self, cost: &[i64]) -> Result<bool> {
+    /// Runs the simplex loop for the raw cost vector
+    /// [`solve`](Tableau::solve) wrote into the cost row (one integer
+    /// per column, then 0) and leaves minus the optimal value in the
+    /// row's last cell; `false` means unbounded.
+    fn optimize(&mut self) -> Result<bool> {
         let (w, s) = (self.width, self.stride);
         // Reduced costs c_j - c_B · B⁻¹ A_j: the rows are B⁻¹ A, so
         // eliminating each basic column from the raw cost row prices it.
-        self.cost.clear();
-        self.cost.extend_from_slice(cost);
-        self.cost.push(0);
         self.cost_den = 1;
         for ((prow, &pd), &bj) in self.cells.chunks_exact(s).zip(&self.den).zip(&self.basis) {
             if self.cost[bj] != 0 {
@@ -696,9 +745,12 @@ impl Tableau {
 
 /// An incrementally re-optimizable LP: the tableau is built (and phase 1
 /// run) **once**, then a sequence of objectives is minimized by phase-2
-/// re-optimization from the previous optimal basis, with equality rows
-/// pinned in between ([`IncrementalLp::pin_eq`]) by re-pivoting only on
-/// the appended row.
+/// re-optimization from the previous optimal basis. In between the
+/// system is narrowed to the optimum just found: to its face
+/// ([`IncrementalLp::minimize_onto_face`] — no row, no pivot), or by a
+/// pinned equality row ([`IncrementalLp::pin_eq`]) that is repaired by
+/// re-pivoting on it alone and can hold a value no face of the
+/// relaxation does.
 ///
 /// This is the warm-start engine of
 /// [`ilp_lexmin_warm`](crate::ilp_lexmin_warm): the lexicographic
@@ -728,11 +780,14 @@ impl Tableau {
 /// cs.add_ineq(vec![0, -1, 2]);
 /// cs.add_ineq(vec![1, 1, -2]);
 /// let mut lp = IncrementalLp::new(&cs).unwrap();
-/// let LpOutcome::Optimal { value, .. } = lp.minimize(&[1, 0]).unwrap() else { panic!() };
+/// // The system is the face x == 0 from here on.
+/// let LpOutcome::Optimal { value, .. } = lp.minimize_onto_face(&[1, 0]).unwrap() else { panic!() };
 /// assert_eq!(value, Rat::from(0));
-/// assert!(lp.pin_eq(&[1, 0, 0]).unwrap()); // pin x == 0, re-pivot on one row
 /// let LpOutcome::Optimal { value, .. } = lp.minimize(&[0, 1]).unwrap() else { panic!() };
 /// assert_eq!(value, Rat::from(2));
+/// assert!(lp.pin_eq(&[0, 1, -2]).unwrap()); // pin y == 2, re-pivot on one row
+/// let LpOutcome::Optimal { value, .. } = lp.minimize(&[-1, -1]).unwrap() else { panic!() };
+/// assert_eq!(value, Rat::from(-2)); // one point is left: (0, 2)
 /// ```
 pub struct IncrementalLp {
     tab: Tableau,
@@ -753,6 +808,16 @@ pub(crate) enum Bound {
     Infeasible,
     Unbounded,
     Value(Rat),
+}
+
+/// What [`IncrementalLp::lexmin_stage`] found.
+pub(crate) enum Stage {
+    /// An integral optimal vertex, to whose face the system is now
+    /// restricted.
+    Integral(Vec<i64>),
+    /// Anything else — a fractional optimum is its value — with the
+    /// system untouched.
+    Relaxed(Bound),
 }
 
 impl IncrementalLp {
@@ -828,18 +893,66 @@ impl IncrementalLp {
     /// [`minimize`](IncrementalLp::minimize) for a caller that reads
     /// the vertex itself, or not at all.
     pub(crate) fn minimize_value(&mut self, objective: &[i64]) -> Result<Bound> {
+        Ok(match self.solve(objective)? {
+            None => Bound::Infeasible,
+            Some(false) => Bound::Unbounded,
+            Some(true) => Bound::Value(self.tab.value()),
+        })
+    }
+
+    /// The primal loop on `objective`: `None` of an infeasible system,
+    /// otherwise whether it stopped on an optimum — which the cost row
+    /// describes until the next pivot — or found none (`false`).
+    fn solve(&mut self, objective: &[i64]) -> Result<Option<bool>> {
         assert_eq!(objective.len(), self.tab.n, "objective length mismatch");
         if !self.state.clone()? {
-            return Ok(Bound::Infeasible);
+            return Ok(None);
         }
-        match self.tab.solve(objective) {
-            Ok(true) => Ok(Bound::Value(self.tab.value())),
-            Ok(false) => Ok(Bound::Unbounded),
-            Err(e) => {
-                self.state = Err(e.clone());
-                Err(e)
-            }
+        let bounded = self.tab.solve(objective);
+        if let Err(e) = &bounded {
+            self.state = Err(e.clone());
         }
+        bounded.map(Some)
+    }
+
+    /// [`minimize`](IncrementalLp::minimize), after which the system is
+    /// only the face the minimum is attained on — what pinning
+    /// `objective · x` to the optimal value would leave, without the
+    /// row and the pivot of [`pin_eq`](IncrementalLp::pin_eq): every
+    /// slack with a positive reduced cost is fixed at zero. A
+    /// [`rollback`](IncrementalLp::rollback) to a snapshot taken before
+    /// gives the whole system back.
+    ///
+    /// # Errors
+    ///
+    /// As [`minimize`](IncrementalLp::minimize).
+    pub fn minimize_onto_face(&mut self, objective: &[i64]) -> Result<LpOutcome> {
+        let outcome = self.minimize(objective)?;
+        if matches!(outcome, LpOutcome::Optimal { .. }) {
+            self.tab.restrict_to_face();
+        }
+        Ok(outcome)
+    }
+
+    /// One stage of a lexmin over integer variables: minimizes, and
+    /// when the vertex is integral — so that the optimal face of the
+    /// relaxation holds exactly the stage's integer optima — restricts
+    /// the system to that face as
+    /// [`minimize_onto_face`](IncrementalLp::minimize_onto_face) does
+    /// and returns the vertex, read as the integers it is. Any other
+    /// outcome leaves the system as it was.
+    pub(crate) fn lexmin_stage(&mut self, objective: &[i64]) -> Result<Stage> {
+        Ok(match self.solve(objective)? {
+            None => Stage::Relaxed(Bound::Infeasible),
+            Some(false) => Stage::Relaxed(Bound::Unbounded),
+            Some(true) => match self.tab.integral_vertex() {
+                Some(point) => {
+                    self.tab.restrict_to_face();
+                    Stage::Integral(point)
+                }
+                None => Stage::Relaxed(Bound::Value(self.tab.value())),
+            },
+        })
     }
 
     /// The first variable whose value at the current vertex of a
@@ -848,9 +961,9 @@ impl IncrementalLp {
         self.tab.first_fractional()
     }
 
-    /// The current vertex of a feasible system.
-    pub(crate) fn vertex(&self) -> Vec<Rat> {
-        self.tab.vertex()
+    /// The current vertex of a feasible system, if it is integral.
+    pub(crate) fn integral_vertex(&self) -> Option<Vec<i64>> {
+        self.tab.integral_vertex()
     }
 
     /// Pins the equality `row · x + c == 0` (`row` has `n + 1` entries)
@@ -896,7 +1009,11 @@ impl IncrementalLp {
     /// numbered from 0 in the order the system given to
     /// [`new`](IncrementalLp::new) listed them, pushed rows following
     /// on, and a number is never reused. Of an infeasible system
-    /// nothing is left to take a row from, and it stays as it is.
+    /// nothing is left to take a row from, and it stays as it is. So
+    /// does a system restricted to a face
+    /// ([`minimize_onto_face`](IncrementalLp::minimize_onto_face)) on
+    /// which inequality `k` holds with equality by a fixed slack: that
+    /// row is an equality of the face and, like a pin, not droppable.
     ///
     /// # Errors
     ///
@@ -1353,6 +1470,87 @@ mod tests {
         assert!(lp.implies(&[1, -2]), "its twin still holds x >= 2");
         lp.drop_ineq(1).unwrap();
         assert!(!lp.implies(&[1, -2]) && primal_feasible(&lp));
+    }
+
+    #[test]
+    fn a_row_that_is_an_equality_of_the_face_is_not_droppable() {
+        // 0 <= x <= 1, 0 <= y <= 3, x + y >= 2. Minimizing x + y onto
+        // its face fixes the slack of the last row at zero: on the face
+        // the row reads x + y == 2, and dropping it leaves it there.
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_ineq(vec![1, 0, 0]);
+        cs.add_ineq(vec![-1, 0, 1]);
+        cs.add_ineq(vec![0, 1, 0]);
+        cs.add_ineq(vec![0, -1, 3]);
+        cs.add_ineq(vec![1, 1, -2]);
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        let LpOutcome::Optimal { value, .. } = lp.minimize_onto_face(&[1, 1]).unwrap() else {
+            panic!()
+        };
+        assert_eq!(value, Rat::from(2));
+        let rows = lp.tab.den.len();
+        lp.drop_ineq(4).unwrap();
+        assert!(lp.is_feasible() && primal_feasible(&lp));
+        assert_eq!(lp.tab.den.len(), rows);
+        assert!(lp.implies(&[-1, -1, 2]), "x + y <= 2 on the face still");
+        // A row the face does not fix goes as it always did: without
+        // x <= 1 the face reaches x = 2, where y >= 0 stops it.
+        lp.drop_ineq(1).unwrap();
+        assert_eq!(lp.tab.den.len(), rows - 1);
+        assert!(primal_feasible(&lp) && lp.implies(&[-1, -1, 2]));
+        assert!(!lp.implies(&[-1, 0, 1]) && lp.implies(&[-1, 0, 2]));
+    }
+
+    #[test]
+    fn a_stage_that_ends_on_its_face_adds_no_row_and_takes_no_pivot() {
+        // Lexmin (x, y) over the box [0,2]² with x + y >= 2, a stage at
+        // a time: both vertices are integral, so both stages end by
+        // restriction and the tableau keeps the rows phase 1 left it.
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_ineq(vec![1, 0, 0]);
+        cs.add_ineq(vec![-1, 0, 2]);
+        cs.add_ineq(vec![0, 1, 0]);
+        cs.add_ineq(vec![0, -1, 2]);
+        cs.add_ineq(vec![1, 1, -2]);
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        let rows = lp.tab.den.len();
+        let whole = lp.snapshot();
+        let Stage::Integral(point) = lp.lexmin_stage(&[1, 0]).unwrap() else {
+            panic!()
+        };
+        assert_eq!(point[0], 0);
+        let Stage::Integral(point) = lp.lexmin_stage(&[0, 1]).unwrap() else {
+            panic!()
+        };
+        assert_eq!(point, vec![0, 2]);
+        assert_eq!((lp.tab.den.len(), lp.dual_pivots()), (rows, 0));
+        // The faces hold under any later objective, and a snapshot taken
+        // before them gives the box back.
+        let LpOutcome::Optimal { value, .. } = lp.minimize(&[-1, 1]).unwrap() else {
+            panic!()
+        };
+        assert_eq!(value, Rat::from(2), "one point is left, (0, 2)");
+        lp.rollback(whole);
+        let LpOutcome::Optimal { value, .. } = lp.minimize(&[-1, 1]).unwrap() else {
+            panic!()
+        };
+        assert_eq!(value, Rat::from(-2));
+
+        // A fractional vertex is no integer optimum and restricts
+        // nothing: 1/2 <= x <= 3 is whole after its stage, and the pin
+        // of the integer optimum is the one row more.
+        let mut cs = ConstraintSystem::new(1);
+        cs.add_ineq(vec![2, -1]);
+        cs.add_ineq(vec![-1, 3]);
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        let rows = lp.tab.den.len();
+        let Stage::Relaxed(Bound::Value(value)) = lp.lexmin_stage(&[1]).unwrap() else {
+            panic!()
+        };
+        assert_eq!(value, Rat::new(1, 2));
+        assert!(!lp.implies(&[-1, 2]), "x = 3 is still there");
+        assert_eq!(lp.pin_eq(&[1, -1]), Ok(true));
+        assert_eq!(lp.tab.den.len(), rows + 1);
     }
 
     #[test]

@@ -119,6 +119,14 @@ fn boxed_system() -> impl Strategy<Value = (ConstraintSystem, Vec<(i64, i64)>)> 
         })
 }
 
+/// `obj · x == value` as the integer row `d·obj·x − n == 0`.
+fn value_row(obj: &[i64], value: Rat) -> Vec<i64> {
+    let (n, d) = (value.numer() as i64, value.denom() as i64);
+    let mut row: Vec<i64> = obj.iter().map(|c| c * d).collect();
+    row.push(-n);
+    row
+}
+
 /// Enumerates the integer points of the box and filters by the system.
 fn brute_points(cs: &ConstraintSystem, bounds: &[(i64, i64)]) -> Vec<Vec<i64>> {
     let mut out = Vec::new();
@@ -226,10 +234,7 @@ proptest! {
                     panic!("a feasible boxed stage is bounded: {stage:?} vs {cold:?}");
                 };
                 prop_assert_eq!(value, cold);
-                // obj·x == n/d as the integer row d·obj·x − n == 0.
-                let (n, d) = (value.numer() as i64, value.denom() as i64);
-                let mut row: Vec<i64> = obj.iter().map(|c| c * d).collect();
-                row.push(-n);
+                let row = value_row(obj, *value);
                 prop_assert!(lp.pin_eq(&row).unwrap(), "pinning an attained optimum cannot fail");
                 acc.add_eq(row);
             }
@@ -247,6 +252,111 @@ proptest! {
             prop_assert!(proj.contains_point(&p[..2]), "projection lost {:?}", p);
         }
     }
+}
+
+/// [`boxed_system`] with rows `normalize` has something to do with:
+/// equalities, a row beside a multiple of it, a row beside itself under
+/// another constant, coefficients with a common factor, constant rows.
+fn redundant_system() -> impl Strategy<Value = (ConstraintSystem, Vec<(i64, i64)>)> {
+    let row = (proptest::collection::vec(-4i64..=4, 4), 0u8..5, 1i64..=3);
+    (boxed_system(), proptest::collection::vec(row, 0..5)).prop_map(|((mut cs, bounds), rows)| {
+        for (r, kind, k) in rows {
+            match kind {
+                0 => cs.add_eq(r),
+                1 => {
+                    cs.add_ineq(r.clone());
+                    cs.add_ineq(r.iter().map(|v| v * k).collect());
+                }
+                2 => {
+                    cs.add_ineq(r.clone());
+                    cs.add_ineq(vec![r[0], r[1], r[2], r[3] - k]);
+                }
+                3 => cs.add_ineq(vec![0, 0, 0, r[3]]),
+                _ => cs.add_ineq(r),
+            }
+        }
+        (cs, bounds)
+    })
+}
+
+proptest! {
+    #[test]
+    fn normalize_keeps_the_integer_points_and_is_idempotent((cs, bounds) in redundant_system()) {
+        let points = brute_points(&cs, &bounds);
+        for tighten in [true, false] {
+            let mut once = cs.clone();
+            let held = if tighten { once.normalize() } else { once.normalize_rational() };
+            prop_assert_eq!(&brute_points(&once, &bounds), &points);
+            if held {
+                prop_assert!(once.len() <= cs.len());
+                let mut twice = once.clone();
+                prop_assert!(if tighten { twice.normalize() } else { twice.normalize_rational() });
+                prop_assert_eq!(&twice, &once);
+            } else {
+                // What is left is the row that no point satisfies.
+                prop_assert!(once.len() == 1 && points.is_empty(), "{:?}", once);
+            }
+        }
+    }
+}
+
+/// What `normalize` returned for `cs`, and the rows it left.
+fn normalized(mut cs: ConstraintSystem) -> (bool, Vec<(RowKind, Vec<i64>)>) {
+    (cs.normalize(), cs.rows().to_vec())
+}
+
+#[test]
+fn normalize_keeps_first_occurrences_in_order_and_tightens_them_in_place() {
+    let mut cs = ConstraintSystem::new(2);
+    cs.add_ineq(vec![1, 0, 5]); // 0: first of its coefficients
+    cs.add_eq(vec![1, 1, -2]); // 1
+    cs.add_ineq(vec![0, 1, 0]); // 2
+    cs.add_ineq(vec![2, 0, 7]); // x >= -7/2, i.e. x + 3 >= 0: tightens 0
+    cs.add_ineq(vec![0, 0, 4]); // trivially true: dropped
+    cs.add_eq(vec![2, 2, -4]); // row 1 again
+    cs.add_ineq(vec![1, 0, 4]); // looser than what 0 has become
+    cs.add_ineq(vec![0, 1, 0]); // row 2 again
+    cs.add_eq(vec![1, 1, -3]); // 3: row 1's coefficients, another constant
+    cs.add_ineq(vec![1, 1, -2]); // 4: row 1's numbers, another kind
+    let want = vec![
+        (RowKind::Ineq, vec![1, 0, 3]),
+        (RowKind::Eq, vec![1, 1, -2]),
+        (RowKind::Ineq, vec![0, 1, 0]),
+        (RowKind::Eq, vec![1, 1, -3]),
+        (RowKind::Ineq, vec![1, 1, -2]),
+    ];
+    assert_eq!(normalized(cs), (true, want));
+}
+
+#[test]
+fn normalize_stops_at_the_first_row_nothing_satisfies_and_keeps_it() {
+    // A witness behind a row that is fine and before one that is a
+    // witness too.
+    let around = |kind: RowKind, row: &[i64]| {
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_ineq(vec![1, 0, 0]);
+        match kind {
+            RowKind::Eq => cs.add_eq(row.to_vec()),
+            RowKind::Ineq => cs.add_ineq(row.to_vec()),
+        }
+        cs.add_ineq(vec![0, 0, -9]);
+        cs
+    };
+    // 0 == 3, 0 >= −1, and 2x + 4y == 3 over the integers.
+    let witnesses = [
+        (RowKind::Eq, [0, 0, 3]),
+        (RowKind::Ineq, [0, 0, -1]),
+        (RowKind::Eq, [2, 4, 3]),
+    ];
+    for (kind, row) in witnesses {
+        let want = vec![(kind, row.to_vec())];
+        assert_eq!(normalized(around(kind, &row)), (false, want));
+    }
+    // The rationals satisfy 2x + 4y == 3: there the witness is the row
+    // behind it.
+    let mut loose = around(RowKind::Eq, &[2, 4, 3]);
+    assert!(!loose.normalize_rational());
+    assert_eq!(loose.rows(), [(RowKind::Ineq, vec![0, 0, -9])]);
 }
 
 /// One step of a live-tableau session: what to do, and the row to do it
@@ -456,12 +566,10 @@ fn chains_agree(
         // denominator ends the chain: that row would bring 20-bit
         // coefficients into the basis, and three of those outgrow `i64`
         // (the reference has `i128` to go on with).
-        let (n, d) = (value.numer() as i64, value.denom() as i64);
-        if d > 64 {
+        if value.denom() > 64 {
             break;
         }
-        let mut row: Vec<i64> = obj.iter().map(|c| c * d).collect();
-        row.push(-n);
+        let row = value_row(obj, value);
         let mut cut: Vec<i64> = obj.iter().rev().copied().collect();
         cut.push(-1);
         for pin in [row, cut] {
@@ -476,12 +584,57 @@ fn chains_agree(
     Ok(())
 }
 
+/// [`chains_agree`] with two ways to end a stage: the integer tableau
+/// restricts itself to the optimal face — no row, no pivot — where the
+/// reference pins `obj·x = value`. Feasibility, every later stage's
+/// verdict and value, and the result of a pin that cuts into the face
+/// must agree, and every vertex must lie on every face before it.
+fn faces_agree(
+    cs: &ConstraintSystem,
+    objs: &[Vec<i64>],
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let mut lp = IncrementalLp::new(cs).unwrap();
+    let mut old = reference::IncrementalLp::new(cs);
+    prop_assert_eq!(lp.is_feasible(), old.is_feasible());
+    let mut acc = cs.clone(); // `cs`, the faces, and the cuts that held
+    for obj in objs {
+        let outcome = lp.minimize_onto_face(obj).unwrap();
+        same_answer(&acc, obj, &outcome, &old.minimize(obj))?;
+        let LpOutcome::Optimal { value, .. } = outcome else {
+            break;
+        };
+        let face = value_row(obj, value);
+        prop_assert!(old.pin_eq(&face), "an attained optimum");
+        prop_assert!(lp.is_feasible());
+        acc.add_eq(face);
+        let mut cut: Vec<i64> = obj.iter().rev().copied().collect();
+        cut.push(-1);
+        let held = lp.pin_eq(&cut).unwrap();
+        prop_assert_eq!(held, old.pin_eq(&cut));
+        prop_assert_eq!(lp.is_feasible(), held);
+        if held {
+            acc.add_eq(cut);
+        }
+    }
+    Ok(())
+}
+
+/// The tableau minimizes `probe` to what a cold solve of `cs`, the system
+/// it should stand for, does.
+fn answers_as(
+    lp: &mut IncrementalLp,
+    cs: &ConstraintSystem,
+    probe: &[i64],
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let (live, cold) = (lp.minimize(probe).unwrap(), lp_minimize(cs, probe).unwrap());
+    same_answer(cs, probe, &live, &cold)
+}
+
 // The integer tableau's dual phase 1 against the `Rat` tableau's
 // artificial one: two pivot paths, so verdict and optimal value are the
-// contract, not the vertex.
+// contract, not the vertex. These run `PROPTEST_CASES` cases a property
+// (256 without it; CI adds a pass at 4 096).
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
     #[test]
     fn lp_is_identical_to_the_reference_on_boxed_systems(
         (cs, _bounds) in boxed_system(),
@@ -515,6 +668,65 @@ proptest! {
         let rotated: Vec<i64> = (0..n).map(|j| obj[(j + seed) % n]).collect();
         let negated: Vec<i64> = obj.iter().map(|c| -c).collect();
         chains_agree(&cs, &[obj, rotated, negated])?;
+    }
+
+    #[test]
+    fn face_chains_are_identical_to_pinned_reference_chains_on_boxed_systems(
+        (cs, _bounds) in boxed_system(),
+        objs in proptest::collection::vec(proptest::collection::vec(-3i64..=3, 3), 1..5),
+    ) {
+        faces_agree(&cs, &objs)?;
+    }
+
+    #[test]
+    fn face_chains_are_identical_to_pinned_reference_chains_on_wide_systems(
+        (cs, obj) in wide_system(),
+        seed in 0usize..6,
+    ) {
+        let n = obj.len();
+        let rotated: Vec<i64> = (0..n).map(|j| obj[(j + seed) % n]).collect();
+        let negated: Vec<i64> = obj.iter().map(|c| -c).collect();
+        faces_agree(&cs, &[obj, rotated, negated])?;
+    }
+
+    #[test]
+    fn a_face_is_carried_by_a_snapshot_and_undone_by_one_taken_before_it(
+        (cs, _bounds) in boxed_system(),
+        obj in proptest::collection::vec(-3i64..=3, 3),
+        probe in proptest::collection::vec(-3i64..=3, 3),
+        rows in proptest::collection::vec(proptest::collection::vec(-3i64..=3, 4), 1..4),
+    ) {
+        // What a tableau says of `probe` must be what a cold solve says
+        // of the system it stands for: the box, the box on the face,
+        // the face with rows pushed and pinned onto it, the face again
+        // after a rollback to it, the box again after one across it.
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        if lp.is_feasible() {
+            let whole = lp.snapshot();
+            let LpOutcome::Optimal { value, .. } = lp.minimize_onto_face(&obj).unwrap() else {
+                panic!("a feasible box is bounded");
+            };
+            let mut face = cs.clone();
+            face.add_eq(value_row(&obj, value));
+            answers_as(&mut lp, &face, &probe)?;
+            let on_face = lp.snapshot();
+            let mut acc = face.clone();
+            for (k, row) in rows.iter().enumerate() {
+                let held = if k % 2 == 0 {
+                    acc.add_ineq(row.clone());
+                    lp.push_ineq(row).unwrap()
+                } else {
+                    acc.add_eq(row.clone());
+                    lp.pin_eq(row).unwrap()
+                };
+                prop_assert!(held == lp_feasible(&acc).unwrap(), "{:?}", acc);
+                answers_as(&mut lp, &acc, &probe)?;
+            }
+            lp.rollback(on_face);
+            answers_as(&mut lp, &face, &probe)?;
+            lp.rollback(whole);
+            answers_as(&mut lp, &cs, &probe)?;
+        }
     }
 
     #[test]
