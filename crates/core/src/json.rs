@@ -8,9 +8,21 @@
 //! parse as [`Json::Float`] (the configuration format itself only ever
 //! uses integers, but the benchmark's run files carry fractional metric
 //! values). The [`std::fmt::Display`] impl serializes a value back out
-//! with two-space indentation.
+//! with two-space indentation; [`Json::compact`] writes the one-line
+//! form of the `polytopsd` wire protocol.
+//!
+//! **Both directions are linear in their bytes.** [`parse`] looks at
+//! every input byte a bounded number of times: a string body is copied
+//! as whole runs between its `"` / `\` delimiters, which are ASCII and
+//! so always end a run on a char boundary of the already-validated
+//! `&str` — nothing is re-validated. The serializer writes every value
+//! straight into one output, and both printed forms share one string
+//! escaper that copies unescaped runs whole, so the pretty and compact
+//! forms cannot disagree on how a string is escaped. A request line at
+//! the daemon's size limit therefore costs milliseconds, not minutes,
+//! on the event-loop thread that parses it.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 
 /// A parsed JSON value.
@@ -87,42 +99,13 @@ impl Json {
 impl Json {
     /// Serializes on a single line with no whitespace — the framing the
     /// `polytopsd` line-delimited protocol requires (one JSON document
-    /// per `\n`-terminated line). Escaping matches [`fmt::Display`], so
-    /// `parse(&v.compact())` round-trips exactly like the pretty form,
-    /// and objects still print in key order (deterministic output).
+    /// per `\n`-terminated line). Escaping is [`fmt::Display`]'s (one
+    /// shared escaper), so `parse(&v.compact())` round-trips exactly
+    /// like the pretty form, and objects still print in key order
+    /// (deterministic output). Written in one pass into one `String`.
     pub fn compact(&self) -> String {
-        fn value(out: &mut String, v: &Json) {
-            match v {
-                Json::Null | Json::Bool(_) | Json::Int(_) | Json::Float(_) | Json::Str(_) => {
-                    // Scalars already print without newlines.
-                    out.push_str(&v.to_string());
-                }
-                Json::Array(items) => {
-                    out.push('[');
-                    for (i, item) in items.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        value(out, item);
-                    }
-                    out.push(']');
-                }
-                Json::Object(map) => {
-                    out.push('{');
-                    for (i, (k, v)) in map.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&Json::Str(k.clone()).to_string());
-                        out.push(':');
-                        value(out, v);
-                    }
-                    out.push('}');
-                }
-            }
-        }
-        let mut out = String::new();
-        value(&mut out, self);
+        let mut out = String::with_capacity(256);
+        write_value(&mut out, self, None).expect("writing to a String cannot fail");
         out
     }
 }
@@ -131,81 +114,113 @@ impl fmt::Display for Json {
     /// Serializes with two-space indentation and `\n` line ends; objects
     /// print in key order, so output is deterministic.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn indent(f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
-            for _ in 0..depth {
-                f.write_str("  ")?;
-            }
-            Ok(())
-        }
-        fn string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-            f.write_str("\"")?;
-            for c in s.chars() {
-                match c {
-                    '"' => f.write_str("\\\"")?,
-                    '\\' => f.write_str("\\\\")?,
-                    '\n' => f.write_str("\\n")?,
-                    '\r' => f.write_str("\\r")?,
-                    '\t' => f.write_str("\\t")?,
-                    c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                    c => write!(f, "{c}")?,
-                }
-            }
-            f.write_str("\"")
-        }
-        fn value(f: &mut fmt::Formatter<'_>, v: &Json, depth: usize) -> fmt::Result {
-            match v {
-                Json::Null => f.write_str("null"),
-                Json::Bool(b) => write!(f, "{b}"),
-                Json::Int(n) => write!(f, "{n}"),
-                Json::Float(x) if x.is_finite() => {
-                    if x.fract() == 0.0 {
-                        // Keep the value recognizably fractional so it
-                        // round-trips as a Float.
-                        write!(f, "{x:.1}")
-                    } else {
-                        write!(f, "{x}")
-                    }
-                }
-                // JSON has no NaN/Infinity; degrade to null.
-                Json::Float(_) => f.write_str("null"),
-                Json::Str(s) => string(f, s),
-                Json::Array(items) if items.is_empty() => f.write_str("[]"),
-                Json::Array(items) => {
-                    f.write_str("[\n")?;
-                    for (i, item) in items.iter().enumerate() {
-                        indent(f, depth + 1)?;
-                        value(f, item, depth + 1)?;
-                        f.write_str(if i + 1 < items.len() { ",\n" } else { "\n" })?;
-                    }
-                    indent(f, depth)?;
-                    f.write_str("]")
-                }
-                Json::Object(map) if map.is_empty() => f.write_str("{}"),
-                Json::Object(map) => {
-                    f.write_str("{\n")?;
-                    for (i, (k, v)) in map.iter().enumerate() {
-                        indent(f, depth + 1)?;
-                        string(f, k)?;
-                        f.write_str(": ")?;
-                        value(f, v, depth + 1)?;
-                        f.write_str(if i + 1 < map.len() { ",\n" } else { "\n" })?;
-                    }
-                    indent(f, depth)?;
-                    f.write_str("}")
-                }
-            }
-        }
-        value(f, self, 0)
+        write_value(f, self, Some(0))
     }
 }
 
-/// Parses a complete JSON document.
+/// Writes `v` in the compact form (`depth` = `None`) or the pretty form
+/// indented at `depth` — the one serializer behind [`Json::compact`] and
+/// [`fmt::Display`].
+fn write_value<W: fmt::Write>(w: &mut W, v: &Json, depth: Option<usize>) -> fmt::Result {
+    match v {
+        Json::Null => w.write_str("null"),
+        Json::Bool(b) => w.write_str(if *b { "true" } else { "false" }),
+        Json::Int(n) => write!(w, "{n}"),
+        // Keep a whole-valued float recognizably fractional so it
+        // round-trips as a Float.
+        Json::Float(x) if x.is_finite() && x.fract() == 0.0 => write!(w, "{x:.1}"),
+        Json::Float(x) if x.is_finite() => write!(w, "{x}"),
+        // JSON has no NaN/Infinity; degrade to null.
+        Json::Float(_) => w.write_str("null"),
+        Json::Str(s) => write_string(w, s),
+        Json::Array(items) => {
+            write_container(w, ('[', ']'), items.iter().map(|v| (None, v)), depth)
+        }
+        Json::Object(map) => write_container(
+            w,
+            ('{', '}'),
+            map.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            depth,
+        ),
+    }
+}
+
+/// Writes an array (entries without keys) or an object (entries with
+/// keys). Empty containers print as `[]` / `{}` in both forms; the
+/// pretty form puts every entry on its own line at `depth + 1`.
+fn write_container<'a, W: fmt::Write>(
+    w: &mut W,
+    (open, close): (char, char),
+    entries: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+    depth: Option<usize>,
+) -> fmt::Result {
+    w.write_char(open)?;
+    let inner = depth.map(|d| d + 1);
+    let mut empty = true;
+    for (key, value) in entries {
+        if !empty {
+            w.write_char(',')?;
+        }
+        empty = false;
+        if let Some(d) = inner {
+            write_line_start(w, d)?;
+        }
+        if let Some(key) = key {
+            write_string(w, key)?;
+            w.write_str(if inner.is_some() { ": " } else { ":" })?;
+        }
+        write_value(w, value, inner)?;
+    }
+    match depth {
+        Some(d) if !empty => write_line_start(w, d)?,
+        _ => {}
+    }
+    w.write_char(close)
+}
+
+/// A newline and `depth` levels of two-space indentation.
+fn write_line_start<W: fmt::Write>(w: &mut W, depth: usize) -> fmt::Result {
+    w.write_char('\n')?;
+    for _ in 0..depth {
+        w.write_str("  ")?;
+    }
+    Ok(())
+}
+
+/// The one string escaper: `"`, `\`, `\n`, `\r` and `\t` get their short
+/// escapes, other control characters `\u00XX`, and every run of bytes
+/// between them is copied whole. The bytes escaped are ASCII, so each
+/// run ends on a char boundary.
+fn write_string<W: fmt::Write>(w: &mut W, s: &str) -> fmt::Result {
+    w.write_char('"')?;
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        w.write_str(&s[run..i])?;
+        match b {
+            b'"' => w.write_str("\\\"")?,
+            b'\\' => w.write_str("\\\\")?,
+            b'\n' => w.write_str("\\n")?,
+            b'\r' => w.write_str("\\r")?,
+            b'\t' => w.write_str("\\t")?,
+            _ => write!(w, "\\u{b:04x}")?,
+        }
+        run = i + 1;
+    }
+    w.write_str(&s[run..])?;
+    w.write_char('"')
+}
+
+/// Parses a complete JSON document, in time linear in its length.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first syntax error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -219,6 +234,10 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    /// The document; every slice taken from it starts and ends next to
+    /// an ASCII byte, so on a char boundary.
+    text: &'a str,
+    /// `text` as bytes, for the scanning.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -309,7 +328,7 @@ impl<'a> Parser<'a> {
                 return Err(format!("missing exponent digits at byte {start}"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let text = &self.text[start..self.pos];
         if fractional {
             text.parse::<f64>()
                 .map(Json::Float)
@@ -325,48 +344,44 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+            // Copy the run up to the next delimiter whole.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
+            }
+            // A backslash: decode the escape after it.
+            self.pos += 1;
+            let esc = self.peek().ok_or("unterminated escape")?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .ok_or("truncated \\u escape")?;
+                    let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+                    let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                    // Parsed, so the four bytes were ASCII: the next run
+                    // starts on a char boundary.
+                    self.pos += 4;
+                    out.push(char::from_u32(code).ok_or("bad \\u code point")?);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        }
-                        other => {
-                            return Err(format!("bad escape `\\{}`", char::from(other)));
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                other => {
+                    return Err(format!("bad escape `\\{}`", char::from(other)));
                 }
             }
         }
@@ -387,10 +402,15 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            if map.insert(key.clone(), value).is_some() {
-                // serde's deny_unknown_fields structs rejected duplicate
-                // fields; keep that strictness.
-                return Err(format!("duplicate field `{key}`"));
+            match map.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(value);
+                }
+                Entry::Occupied(slot) => {
+                    // serde's deny_unknown_fields structs rejected
+                    // duplicate fields; keep that strictness.
+                    return Err(format!("duplicate field `{}`", slot.key()));
+                }
             }
             self.skip_ws();
             match self.peek() {
@@ -507,5 +527,208 @@ mod tests {
     fn unicode_escapes_decode() {
         let v = parse(r#""A\t""#).unwrap();
         assert_eq!(v.as_str(), Some("A\t"));
+    }
+
+    #[test]
+    fn error_messages_are_unchanged() {
+        // What `rejects_malformed_input` relies on, and every other
+        // message the parser can produce, word for word.
+        for (doc, message) in [
+            ("{", "expected `\"` at byte 1"),
+            (r#"{"a": }"#, "unexpected input at byte 6"),
+            ("[1, 2,]", "unexpected input at byte 6"),
+            ("1.", "missing fraction digits at byte 0"),
+            ("1e", "missing exponent digits at byte 0"),
+            ("{} trailing", "trailing input at byte 3"),
+            (r#"{"a": 1, "a": 2}"#, "duplicate field `a`"),
+            (r#"{"é\n": 1, "é\u000a": 2}"#, "duplicate field `é\n`"),
+            ("", "unexpected input at byte 0"),
+            ("tru", "bad keyword at byte 0"),
+            ("007", "number with leading zero at byte 0"),
+            ("99999999999999999999", "bad number `99999999999999999999`"),
+            ("[1 2]", "expected `,` or `]` at byte 3"),
+            (r#"{"a":1 "b":2}"#, "expected `,` or `}` at byte 7"),
+            (r#"{"a" 1}"#, "expected `:` at byte 5"),
+            (r#""abc"#, "unterminated string"),
+            (r#""a\"#, "unterminated escape"),
+            (r#""a\q""#, "bad escape `\\q`"),
+            ("\"a\\é\"", "bad escape `\\\u{c3}`"),
+            (r#""\u12""#, "truncated \\u escape"),
+            (r#""\u12G4""#, "bad \\u escape"),
+            ("\"\\u0€\"", "bad \\u escape"),
+            ("\"\\u00€\"", "bad \\u escape"),
+            (r#""\ud83d""#, "bad \\u code point"),
+            (r#""😀\ud83d\ude00""#, "bad \\u code point"),
+        ] {
+            assert_eq!(parse(doc), Err(message.to_string()), "{doc:?}");
+        }
+    }
+
+    #[test]
+    fn escapes_decode_at_every_position_of_a_run() {
+        for (doc, want) in [
+            (r#""\"start""#, "\"start"),
+            (r#""end\\""#, "end\\"),
+            (r#""mid\/dle""#, "mid/dle"),
+            (r#""\n\"\\\/\u00e9""#, "\n\"\\/é"),
+            (r#""\u00e9""#, "é"),
+            (r#""a\b\f\r\tz""#, "a\u{8}\u{c}\r\tz"),
+            (r#""\u+041""#, "A"),
+            (r#""""#, ""),
+        ] {
+            assert_eq!(parse(doc), Ok(Json::Str(want.to_string())), "{doc:?}");
+        }
+    }
+
+    #[test]
+    fn multi_byte_utf8_beside_quotes_and_escapes() {
+        for (doc, want) in [
+            (r#""é\"€\\😀""#, "é\"€\\😀"),
+            (r#""😀""#, "😀"),
+            (r#""€\n€""#, "€\n€"),
+            (r#""\u00e9é\u20ac€""#, "éé€€"),
+        ] {
+            assert_eq!(parse(doc), Ok(Json::Str(want.to_string())), "{doc:?}");
+        }
+        let v = parse(r#"{"ключ": ["значение", "😀"]}"#).unwrap();
+        assert_eq!(
+            v.as_object().unwrap()["ключ"].as_array().unwrap()[1].as_str(),
+            Some("😀")
+        );
+    }
+
+    #[test]
+    fn raw_control_characters_are_accepted_in_strings() {
+        let v = parse("\"a\u{1}b\tc\nd\u{1f}\u{7f}\"").unwrap();
+        assert_eq!(v.as_str(), Some("a\u{1}b\tc\nd\u{1f}\u{7f}"));
+    }
+
+    /// A value using every escape the serializer knows, every scalar
+    /// form and both container forms, empty and not.
+    fn escape_document() -> Json {
+        let every_escape = "\"\\/\n\r\t\u{0}\u{1}\u{8}\u{c}\u{1f}\u{7f}é€😀".to_string();
+        Json::Object(BTreeMap::from([
+            ("esc".to_string(), Json::Str(every_escape.clone())),
+            (
+                every_escape,
+                Json::Array(vec![
+                    Json::Int(-1),
+                    Json::Float(2.0),
+                    Json::Float(0.5),
+                    Json::Float(f64::NAN),
+                    Json::Null,
+                    Json::Bool(true),
+                    Json::Bool(false),
+                    Json::Array(vec![]),
+                    Json::Object(BTreeMap::new()),
+                ]),
+            ),
+            (
+                "n".to_string(),
+                Json::Object(BTreeMap::from([(
+                    "a".to_string(),
+                    Json::Array(vec![Json::Int(1), Json::Str(String::new())]),
+                )])),
+            ),
+        ]))
+    }
+
+    #[test]
+    fn compact_bytes_are_pinned() {
+        let esc = "\"\\\"\\\\/\\n\\r\\t\\u0000\\u0001\\u0008\\u000c\\u001f\u{7f}é€😀\"";
+        let want = format!(
+            "{{{esc}:[-1,2.0,0.5,null,null,true,false,[],{{}}],\"esc\":{esc},\"n\":{{\"a\":[1,\"\"]}}}}"
+        );
+        assert_eq!(escape_document().compact(), want);
+        assert_eq!(Json::Str(String::new()).compact(), "\"\"");
+        assert_eq!(Json::Float(-0.0).compact(), "-0.0");
+        assert_eq!(Json::Float(1e21).compact(), "1000000000000000000000.0");
+        assert_eq!(Json::Float(1.5e-7).compact(), "0.00000015");
+        assert_eq!(Json::Int(i64::MIN).compact(), "-9223372036854775808");
+        assert_eq!(Json::Float(f64::INFINITY).compact(), "null");
+    }
+
+    #[test]
+    fn display_bytes_are_pinned() {
+        let esc = "\"\\\"\\\\/\\n\\r\\t\\u0000\\u0001\\u0008\\u000c\\u001f\u{7f}é€😀\"";
+        let want = format!(
+            "{{\n  {esc}: [\n    -1,\n    2.0,\n    0.5,\n    null,\n    null,\n    true,\n    \
+             false,\n    [],\n    {{}}\n  ],\n  \"esc\": {esc},\n  \"n\": {{\n    \"a\": [\n      \
+             1,\n      \"\"\n    ]\n  }}\n}}"
+        );
+        assert_eq!(escape_document().to_string(), want);
+        assert_eq!(Json::Array(vec![]).to_string(), "[]");
+        assert_eq!(Json::Str("x\u{1}".into()).to_string(), "\"x\\u0001\"");
+    }
+
+    /// A seeded generator of arbitrary [`Json`] trees (finite floats
+    /// only: NaN and infinities print as `null` by design).
+    struct Trees(u64);
+
+    impl Trees {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn text(&mut self) -> String {
+            const POOL: [char; 20] = [
+                'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1}', '\u{8}',
+                '\u{c}', '\u{1f}', '\u{7f}', 'é', '€', '😀', '\u{ffff}',
+            ];
+            (0..self.below(12))
+                .map(|_| POOL[self.below(POOL.len() as u64) as usize])
+                .collect()
+        }
+
+        fn tree(&mut self, depth: u32) -> Json {
+            match self.below(if depth == 0 { 5 } else { 7 }) {
+                0 => Json::Null,
+                1 => Json::Bool(self.next() & 1 == 1),
+                2 => Json::Int(self.next() as i64 >> self.below(64)),
+                3 => match f64::from_bits(self.next()) {
+                    x if x.is_finite() => Json::Float(x),
+                    _ => Json::Float(self.below(1000) as f64 / 8.0),
+                },
+                4 => Json::Str(self.text()),
+                5 => Json::Array((0..self.below(5)).map(|_| self.tree(depth - 1)).collect()),
+                _ => Json::Object(
+                    (0..self.below(5))
+                        .map(|_| (self.text(), self.tree(depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn both_printed_forms_round_trip(seed in 0u64..=u64::MAX) {
+            let v = Trees(seed | 1).tree(4);
+            proptest::prop_assert_eq!(parse(&v.compact()), Ok(v.clone()));
+            proptest::prop_assert_eq!(parse(&v.to_string()), Ok(v));
+        }
+    }
+
+    #[test]
+    fn a_mebibyte_string_parses_in_linear_time() {
+        let unit = "ascii é€😀 \\\" \\n ";
+        let body = unit.repeat((1 << 20) / unit.len());
+        let doc = format!("{{\"pad\":\"{body}\"}}");
+        let start = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let line = v.compact();
+        let elapsed = start.elapsed();
+        assert_eq!(line, doc);
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "1 MiB took {elapsed:?}"
+        );
     }
 }

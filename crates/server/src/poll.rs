@@ -17,9 +17,10 @@
 //! batcher, which dispatches at once.
 //!
 //! Per connection the loop keeps a read buffer (bytes up to the next
-//! `\n`) and a write buffer (queued response lines); only this thread
-//! touches either, which is what makes response bytes on one
-//! connection impossible to interleave.
+//! `\n`, searched once each however the client splits its writes) and a
+//! write buffer (queued response lines); only this thread touches
+//! either, which is what makes response bytes on one connection
+//! impossible to interleave.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -57,11 +58,48 @@ pub(crate) struct Outbound {
     pub(crate) trace: Option<polytops_obs::SpanHandle>,
 }
 
+/// A connection's unhandled input: the bytes received since the last
+/// handled `\n`, and how far the newline search has already looked, so
+/// a line dripped in small writes is searched once, not once per write.
+#[derive(Default)]
+struct LineBuf {
+    bytes: Vec<u8>,
+    /// `bytes[..scanned]` holds no `\n` but the ends of lines already
+    /// handed out by [`LineBuf::next_newline`].
+    scanned: usize,
+}
+
+impl LineBuf {
+    /// The index of the next `\n`, searching only bytes not searched
+    /// before; the line it ends starts after the previous one returned.
+    fn next_newline(&mut self) -> Option<usize> {
+        match self.bytes[self.scanned..].iter().position(|&b| b == b'\n') {
+            Some(len) => {
+                let end = self.scanned + len;
+                self.scanned = end + 1;
+                Some(end)
+            }
+            None => {
+                self.scanned = self.bytes.len();
+                None
+            }
+        }
+    }
+
+    /// Drops the first `n` bytes: lines [`next_newline`] handed out.
+    ///
+    /// [`next_newline`]: LineBuf::next_newline
+    fn consume(&mut self, n: usize) {
+        self.bytes.drain(..n);
+        self.scanned -= n;
+    }
+}
+
 /// One live connection's state.
 struct Conn {
     stream: TcpStream,
     /// Bytes received but not yet terminated by `\n`.
-    rbuf: Vec<u8>,
+    rbuf: LineBuf,
     /// Response bytes accepted but not yet written to the socket.
     wbuf: Vec<u8>,
     /// Close (after flushing `wbuf`) instead of reading further — set
@@ -144,7 +182,7 @@ pub(crate) fn event_loop(
                         id,
                         Conn {
                             stream,
-                            rbuf: Vec::new(),
+                            rbuf: LineBuf::default(),
                             wbuf: Vec::new(),
                             close_after_flush: false,
                             dead: false,
@@ -177,22 +215,22 @@ pub(crate) fn event_loop(
             // Handle complete lines (may queue inline responses or
             // forward to workers). The buffer leaves the connection
             // meanwhile, so each line is parsed where it was read.
-            let rbuf = std::mem::take(&mut conn.rbuf);
+            let mut rbuf = std::mem::take(&mut conn.rbuf);
             let mut handled = 0;
             while !conn.dead && !conn.close_after_flush {
-                let Some(len) = rbuf[handled..].iter().position(|&b| b == b'\n') else {
+                let Some(end) = rbuf.next_newline() else {
                     break;
                 };
-                let text = String::from_utf8_lossy(&rbuf[handled..handled + len]);
+                let text = String::from_utf8_lossy(&rbuf.bytes[handled..end]);
                 if !text.trim().is_empty() {
                     handle_line(shared, conn, id, &text, admit, tune);
                 }
                 // The next pipelined line's read time starts fresh.
                 conn.read_started = None;
-                handled += len + 1;
+                handled = end + 1;
             }
+            rbuf.consume(handled);
             conn.rbuf = rbuf;
-            conn.rbuf.drain(..handled);
             let written = write_ready(conn);
             if written > 0 {
                 progress = true;
@@ -295,20 +333,20 @@ fn read_ready(conn: &mut Conn, chunk: &mut [u8], max_line_bytes: usize) -> bool 
                 break;
             }
             Ok(n) => {
-                if !any && conn.rbuf.is_empty() {
+                if !any && conn.rbuf.bytes.is_empty() {
                     // First bytes of a new request: the lifecycle's
                     // "read" phase starts here.
                     conn.read_started = Some(Instant::now());
                 }
                 any = true;
-                conn.rbuf.extend_from_slice(&chunk[..n]);
-                if conn.rbuf.len() > max_line_bytes && !conn.rbuf.contains(&b'\n') {
+                conn.rbuf.bytes.extend_from_slice(&chunk[..n]);
+                if conn.rbuf.bytes.len() > max_line_bytes && !conn.rbuf.bytes.contains(&b'\n') {
                     conn.push_line(&protocol::error_response(
                         &polytops_core::json::Json::Null,
                         "request line exceeds the size limit",
                     ));
                     conn.close_after_flush = true;
-                    conn.rbuf.clear();
+                    conn.rbuf = LineBuf::default();
                     break;
                 }
             }
@@ -435,5 +473,60 @@ fn handle_line(
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::LineBuf;
+
+    /// Feeds `input` to a [`LineBuf`] in `chunk`-byte reads, taking the
+    /// complete lines off after every read as the event loop does.
+    /// Returns the lines and the unterminated rest.
+    fn split(input: &[u8], chunk: usize) -> (Vec<Vec<u8>>, Vec<u8>) {
+        let mut buf = LineBuf::default();
+        let mut lines = Vec::new();
+        for piece in input.chunks(chunk) {
+            buf.bytes.extend_from_slice(piece);
+            let mut handled = 0;
+            while let Some(end) = buf.next_newline() {
+                lines.push(buf.bytes[handled..end].to_vec());
+                handled = end + 1;
+            }
+            buf.consume(handled);
+            // Everything left was searched: the next read's search
+            // starts at its own first byte.
+            assert_eq!(buf.scanned, buf.bytes.len());
+        }
+        (lines, buf.bytes)
+    }
+
+    #[test]
+    fn lines_are_the_same_however_the_bytes_arrive() {
+        let input = b"{\"op\":\"ping\"}\n\n{\"op\":\"stats\"}\n\xc3\xa9\n\ntail";
+        let want: Vec<Vec<u8>> = input.split(|&b| b == b'\n').map(<[u8]>::to_vec).collect();
+        let (complete, rest) = want.split_at(want.len() - 1);
+        // Every chunk size puts a read boundary everywhere: inside a
+        // line, just before and just after a newline, inside a UTF-8
+        // sequence; chunk = len is several lines in one read.
+        for chunk in 1..=input.len() {
+            assert_eq!(split(input, chunk), (complete.to_vec(), rest[0].clone()));
+        }
+    }
+
+    #[test]
+    fn a_sweep_that_stops_early_resumes_at_the_next_line() {
+        // A protocol error closes the stream after the first line; the
+        // lines behind it stay in the buffer, found again if searched.
+        let mut buf = LineBuf::default();
+        buf.bytes.extend_from_slice(b"a\nb\nc");
+        let end = buf.next_newline().unwrap();
+        assert_eq!(&buf.bytes[..end], b"a");
+        buf.consume(end + 1);
+        assert_eq!(buf.scanned, 0);
+        assert_eq!(buf.next_newline(), Some(1));
+        buf.consume(2);
+        assert_eq!(buf.next_newline(), None);
+        assert_eq!((buf.bytes.as_slice(), buf.scanned), (&b"c"[..], 1));
     }
 }

@@ -452,7 +452,7 @@ pub fn result_to_json(name: &str, result: &ScenarioResult, certified: bool) -> J
 /// The full results array of one request, in scenario order — exactly
 /// the value the bit-identity contract compares between the daemon and
 /// the offline scenario engine.
-pub fn results_to_json(reports: &[(String, ScenarioResult, bool)]) -> Json {
+pub fn results_to_json(reports: &[(&str, &ScenarioResult, bool)]) -> Json {
     Json::Array(
         reports
             .iter()
@@ -882,16 +882,16 @@ pub fn offline_results(req: &ScheduleRequest) -> Json {
     set.split_components(req.split_components);
     let results = set.run_sequential();
     let deps = analyze(&req.scop);
-    let reports: Vec<(String, ScenarioResult, bool)> = req
+    let reports: Vec<(&str, &ScenarioResult, bool)> = req
         .scenarios
         .iter()
-        .zip(results)
+        .zip(&results)
         .map(|(spec, result)| {
-            let certified = match &result {
+            let certified = match result {
                 Ok(report) => certify(&deps, report),
                 Err(_) => false,
             };
-            (spec.name.clone(), result, certified)
+            (spec.name.as_str(), result, certified)
         })
         .collect();
     results_to_json(&reports)

@@ -661,12 +661,12 @@ fn process_group(
             .iter()
             .zip(&slot.scenarios)
             .map(|(spec, &idx)| {
-                let result = results[idx].clone();
-                let certified = match &result {
+                let result = &results[idx];
+                let certified = match result {
                     Ok(report) => protocol::certify(&deps, report),
                     Err(_) => false,
                 };
-                (spec.name.clone(), result, certified)
+                (spec.name.as_str(), result, certified)
             })
             .collect();
         let line = if reports.iter().any(|(_, r, c)| r.is_ok() && !c) {
@@ -684,7 +684,7 @@ fn process_group(
                         polytops_core::json::Json::Object(std::collections::BTreeMap::from([
                             (
                                 "name".to_string(),
-                                polytops_core::json::Json::Str(name.clone()),
+                                polytops_core::json::Json::Str(name.to_string()),
                             ),
                             (
                                 "pipeline".to_string(),

@@ -25,7 +25,9 @@ use std::time::Duration;
 
 use polytops_core::json::Json;
 use polytops_server::protocol::{self, Request};
-use polytops_server::{FaultPlan, RetryClient, RetryPolicy, Server, ServerConfig, ServerHandle};
+use polytops_server::{
+    Client, FaultPlan, RetryClient, RetryPolicy, Server, ServerConfig, ServerHandle,
+};
 use polytops_workloads::requests::{autotune_request_line, fleet_request_streams, request_line};
 
 /// A fresh scratch directory under the system temp dir.
@@ -675,6 +677,52 @@ fn churn_journals_admit_and_learned_events_only() {
     );
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Hostile text: a 4 MiB request line whose pad mixes ASCII, 2-, 3- and
+/// 4-byte UTF-8 and escapes is parsed on the event-loop thread in time
+/// linear in its bytes, so the daemon answers it, and a ping on a second
+/// connection is answered promptly both while the line sits unterminated
+/// in its buffer and right behind its final newline (a parser quadratic
+/// in the line held every connection for over a minute there).
+#[test]
+fn a_four_mebibyte_line_does_not_stall_other_connections() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::Instant;
+
+    let handle = Server::start(ServerConfig::default()).expect("start daemon");
+    let unit = r#"pad é € 😀 \" \\ é "#;
+    let body = format!(
+        r#"{{"op":"ping","pad":"{}"}}"#,
+        unit.repeat((4 << 20) / unit.len() + 1)
+    );
+    assert!(body.len() > 4 << 20);
+    let pong = r#"{"ok":true,"pong":true}"#;
+    let mut big = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    let mut probe = Client::connect(handle.addr()).expect("connect the probe");
+    let mut ping = || {
+        let start = Instant::now();
+        assert_eq!(probe.roundtrip(r#"{"op":"ping"}"#).expect("probe"), pong);
+        start.elapsed()
+    };
+
+    big.write_all(body.as_bytes())
+        .expect("send all but the newline");
+    let unterminated = ping();
+    big.write_all(b"\n").expect("finish the line");
+    let behind = ping();
+    let mut response = String::new();
+    BufReader::new(&big)
+        .read_line(&mut response)
+        .expect("the 4 MiB line is answered");
+    assert_eq!(response.trim_end(), pong);
+    for (when, waited) in [("unterminated", unterminated), ("behind it", behind)] {
+        assert!(
+            waited < Duration::from_secs(2),
+            "a ping {when} the 4 MiB line waited {waited:?}"
+        );
+    }
+    handle.shutdown();
 }
 
 /// The `Client` hard-failure regression: a request submitted while the

@@ -77,6 +77,47 @@ fn ping_stats_and_malformed_lines() {
     handle.join();
 }
 
+/// However a client splits its writes — a line dripped over many reads,
+/// several lines in one write, a newline arriving on its own — each
+/// line gets exactly one answer, in order.
+#[test]
+fn lines_split_across_writes_are_answered_in_order() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let handle = start(local_config());
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut responses = BufReader::new(stream.try_clone().unwrap()).lines();
+    let mut drip = |pieces: &[&[u8]]| {
+        for piece in pieces {
+            stream.write_all(piece).unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+    let pad = format!(r#"{{"op":"ping","pad":"{}"}}"#, "é€😀 x".repeat(400));
+    let mut dripped: Vec<&[u8]> = pad.as_bytes().chunks(61).collect();
+    dripped.push(b"\n");
+    drip(&dripped);
+    drip(&[b"{\"op\":\"pi", b"ng\"}", b"\n"]);
+    drip(&[
+        b"{\"op\":\"ping\"}\n\n{\"op\":\"stats\"}\n{\"op\":\"pi",
+        b"ng\"}\n",
+    ]);
+    drip(&[b"{\"op\":\"ping\"}", b"\n{\"op\":\"ping\"}\n"]);
+
+    let mut next = || responses.next().unwrap().unwrap();
+    let pong = r#"{"ok":true,"pong":true}"#;
+    assert_eq!(next(), pong, "the dripped line");
+    assert_eq!(next(), pong, "newline on its own write");
+    assert_eq!(next(), pong, "several lines in one write");
+    assert!(next().contains(r#""registry""#), "the stats line");
+    assert_eq!(next(), pong, "the line finished by the next write");
+    assert_eq!(next(), pong, "newline starting a write");
+    assert_eq!(next(), pong, "the last line");
+
+    handle.shutdown();
+}
+
 #[test]
 fn daemon_matches_offline_engine_bit_for_bit() {
     let handle = start(local_config());
