@@ -132,14 +132,6 @@ impl<T> DimMap<T> {
             .map(|(_, v)| v)
             .unwrap_or(&self.default)
     }
-
-    /// Iterates over every distinct value the map can produce: the
-    /// default first, then each per-dimension override. Used e.g. by the
-    /// scenario engine to prove a configuration sets no custom
-    /// constraints anywhere before splitting a SCoP into components.
-    pub fn values(&self) -> impl Iterator<Item = &T> {
-        std::iter::once(&self.default).chain(self.overrides.iter().map(|(_, v)| v))
-    }
 }
 
 /// Post-processing options (paper Fig. 1's post-processing block).

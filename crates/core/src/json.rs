@@ -21,6 +21,18 @@
 //! forms cannot disagree on how a string is escaped. A request line at
 //! the daemon's size limit therefore costs milliseconds, not minutes,
 //! on the event-loop thread that parses it.
+//!
+//! **Nesting is bounded.** [`parse`] rejects a document whose arrays and
+//! objects nest deeper than [`MAX_DEPTH`] levels, naming the bound in
+//! its error; unbounded, a line of a few thousand `[` overflows the
+//! stack of the thread that parses it. This is the one place the
+//! accepted grammar is narrower than RFC 8259 (which lets a parser set
+//! such a limit). The parser, both printers and the derived `Drop`,
+//! `Clone` and `PartialEq` all recurse once per level, and none of them
+//! needs an iterative form: `parse` is the only way outside text
+//! becomes a [`Json`], so every value built from input is at most
+//! `MAX_DEPTH` deep, and the values the program builds itself (the
+//! `polytopsd` responses) nest far less.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
@@ -213,16 +225,23 @@ fn write_string<W: fmt::Write>(w: &mut W, s: &str) -> fmt::Result {
     w.write_char('"')
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. A
+/// document this deep parses, and drops, on a 2 MiB thread stack in
+/// either build profile.
+pub const MAX_DEPTH: usize = 512;
+
 /// Parses a complete JSON document, in time linear in its length.
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first syntax error.
+/// Returns a human-readable description of the first syntax error, or
+/// of nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -240,6 +259,8 @@ struct Parser<'a> {
     /// `text` as bytes, for the scanning.
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -268,8 +289,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.keyword("true", Json::Bool(true)),
             Some(b'f') => self.keyword("false", Json::Bool(false)),
@@ -277,6 +298,21 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn keyword(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -714,6 +750,43 @@ mod tests {
             proptest::prop_assert_eq!(parse(&v.compact()), Ok(v.clone()));
             proptest::prop_assert_eq!(parse(&v.to_string()), Ok(v));
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        // Parse and drop on a thread no bigger than the daemon's event
+        // loop: the bound must keep every recursion inside it.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let v = parse(&nest(MAX_DEPTH)).unwrap();
+                assert_eq!(v.compact(), nest(MAX_DEPTH));
+                assert_eq!(parse(&v.to_string()), Ok(v.clone()));
+                drop(v);
+                let deep = parse(&format!(
+                    "{}1{}",
+                    "[".repeat(MAX_DEPTH),
+                    "]".repeat(MAX_DEPTH)
+                ));
+                assert!(deep.is_ok());
+                let objects = format!(
+                    "{}{{}}{}",
+                    "{\"a\":".repeat(MAX_DEPTH - 1),
+                    "}".repeat(MAX_DEPTH - 1)
+                );
+                assert!(parse(&objects).is_ok());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        let too_deep = format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}");
+        assert_eq!(parse(&nest(MAX_DEPTH + 1)), Err(too_deep.clone()));
+        assert_eq!(parse(&"[".repeat(40_000)), Err(too_deep));
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects)
+            .unwrap_err()
+            .starts_with("nesting deeper than"));
     }
 
     #[test]

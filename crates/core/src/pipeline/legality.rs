@@ -13,8 +13,8 @@
 //!
 //! The cache is `Send + Sync` (cones behind [`OnceLock`], counters
 //! atomic), so the scenario engine ([`crate::scenario`]) shares one per
-//! (SCoP, component) among all its scenarios whatever their
-//! configuration, and a registry entry keeps one resident across
+//! SCoP among all its scenarios whatever their configuration, and a
+//! registry entry keeps one resident across
 //! requests. Cones are keyed by dependence index (the one assigned by
 //! [`polytops_deps::analyze`], deterministic for a given SCoP).
 //!

@@ -1,11 +1,11 @@
-//! Scenario-engine integration tests: determinism of sharded execution,
-//! cross-scenario Farkas-cache amortization, and component-split
-//! stitching — all certified against the independent legality oracle.
+//! Scenario-engine integration tests: determinism of sharded execution
+//! and cross-scenario Farkas-cache amortization, certified against the
+//! independent legality oracle.
 
 use polytops_core::scenario::{winner, ScenarioSet};
 use polytops_core::{presets, EngineOptions, SchedulerConfig};
 use polytops_deps::{analyze, schedule_respects_dependence};
-use polytops_ir::{Aff, Schedule, Scop, ScopBuilder, StmtId};
+use polytops_ir::{Schedule, Scop};
 use polytops_workloads::sweep::standard_sweep;
 use polytops_workloads::{jacobi_1d, matmul, producer_consumer, stencil_chain};
 
@@ -234,67 +234,4 @@ fn mixed_kernel_sweep_reports_cross_scenario_hits() {
         shared > isolated,
         "cross-scenario hits must exist: shared {shared} vs isolated {isolated}"
     );
-}
-
-#[test]
-fn component_split_is_legal_oracle_certified_and_deterministic() {
-    // Three dependence components: a carried chain, an independent
-    // producer/consumer pair, and an isolated loop.
-    let mut b = ScopBuilder::new("three_comps");
-    let n = b.param("N");
-    let a = b.array("A", &[n.clone()], 8);
-    let bb = b.array("B", &[n.clone()], 8);
-    let c = b.array("C", &[n.clone()], 8);
-    let d = b.array("D", &[n.clone()], 8);
-    b.open_loop("i", Aff::val(1), n.clone() - 1);
-    b.stmt("S0")
-        .read(a, &[Aff::var("i") - 1])
-        .write(a, &[Aff::var("i")])
-        .add(&mut b);
-    b.close_loop();
-    b.open_loop("j", Aff::val(0), n.clone() - 1);
-    b.stmt("S1").write(bb, &[Aff::var("j")]).add(&mut b);
-    b.stmt("S2")
-        .read(bb, &[Aff::var("j")])
-        .write(c, &[Aff::var("j")])
-        .add(&mut b);
-    b.close_loop();
-    b.open_loop("k", Aff::val(0), n - 1);
-    b.stmt("S3").write(d, &[Aff::var("k")]).add(&mut b);
-    b.close_loop();
-    let scop = b.build().unwrap();
-
-    let mut set = ScenarioSet::new();
-    let id = set.add_scop("three_comps", scop);
-    set.add_scenario(id, "pluto", presets::pluto());
-    set.add_scenario_with_options(
-        id,
-        "feautrier-cold",
-        presets::feautrier(),
-        EngineOptions::default(),
-    );
-    set.split_components(true);
-
-    let sequential = set.run_sequential();
-    let sharded = set.run_sharded(3);
-    for (a, b) in sequential.iter().zip(&sharded) {
-        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-        assert_eq!(a.schedule, b.schedule, "{}", a.name);
-        assert_eq!(a.sub_jobs, 3, "{}", a.name);
-        assert_legal(&a.name, &set.scops()[id].1, &a.schedule);
-        // The leading dimension is the distribution cut: components in
-        // textual order.
-        let cut: Vec<i64> = (0..4)
-            .map(|s| {
-                let ss = a.schedule.stmt(StmtId(s));
-                assert!(ss.row_is_constant(0), "{}: dim 0 constant", a.name);
-                *ss.rows()[0].last().unwrap()
-            })
-            .collect();
-        assert_eq!(cut, vec![0, 1, 1, 2], "{}", a.name);
-        // Every statement still spans its iteration space.
-        for s in 0..4 {
-            assert_eq!(a.schedule.stmt(StmtId(s)).iter_matrix().rank(), 1);
-        }
-    }
 }

@@ -154,20 +154,3 @@ fn vectorize_mark_survives_and_preserves_the_instance_set() {
     );
     assert_strict_total_order("heat_2d tiled+vectorize", &scop, &sched);
 }
-
-#[test]
-fn marks_survive_a_remap_round_trip() {
-    let scop = jacobi_1d();
-    let mut cfg = SchedulerConfig::default();
-    cfg.post.tile_sizes = vec![4, 4];
-    cfg.post.wavefront = true;
-    let sched = schedule(&scop, &cfg).unwrap();
-    let tree = sched.tree().unwrap();
-    let identity: Vec<usize> = (0..tree.nstmts).collect();
-    let round = tree.remap(tree.nstmts, &identity, 0);
-    assert_eq!(round.marks(), tree.marks(), "remap must keep every mark");
-    assert_eq!(
-        round.root, tree.root,
-        "identity remap must be structural identity"
-    );
-}

@@ -400,83 +400,6 @@ impl ScheduleTree {
         walk(&self.root, &mut out);
         out
     }
-
-    /// Re-embeds the tree of a sub-SCoP into a parent statement space:
-    /// local statement `s` becomes `map[s]` of `nstmts` total, term rows
-    /// move to the mapped slots (sub-SCoP extraction keeps each
-    /// statement's iterator/parameter arity, so rows transfer verbatim)
-    /// and every term's `source_dim` shifts by `dim_shift` (the flat
-    /// dimensions the parent prepends, e.g. a distribution level).
-    pub fn remap(&self, nstmts: usize, map: &[usize], dim_shift: usize) -> ScheduleTree {
-        fn walk(node: &TreeNode, nstmts: usize, map: &[usize], shift: usize) -> TreeNode {
-            match node {
-                TreeNode::Leaf => TreeNode::Leaf,
-                TreeNode::Filter { stmts, child } => {
-                    let mut stmts: Vec<usize> = stmts.iter().map(|&s| map[s]).collect();
-                    stmts.sort_unstable();
-                    TreeNode::Filter {
-                        stmts,
-                        child: walk(child, nstmts, map, shift).boxed(),
-                    }
-                }
-                TreeNode::Mark { kind, child } => {
-                    let kind = match kind {
-                        MarkKind::Vectorize(stmts) => {
-                            let mut stmts: Vec<usize> = stmts.iter().map(|&s| map[s]).collect();
-                            stmts.sort_unstable();
-                            MarkKind::Vectorize(stmts)
-                        }
-                        other => other.clone(),
-                    };
-                    TreeNode::Mark {
-                        kind,
-                        child: walk(child, nstmts, map, shift).boxed(),
-                    }
-                }
-                TreeNode::Sequence(children) => TreeNode::Sequence(
-                    children
-                        .iter()
-                        .map(|c| walk(c, nstmts, map, shift))
-                        .collect(),
-                ),
-                TreeNode::Band {
-                    members,
-                    permutable,
-                    child,
-                } => TreeNode::Band {
-                    members: members
-                        .iter()
-                        .map(|m| BandMember {
-                            terms: m
-                                .terms
-                                .iter()
-                                .map(|t| {
-                                    let mut rows = vec![Vec::new(); nstmts];
-                                    for (s, row) in t.rows.iter().enumerate() {
-                                        if let Some(&g) = map.get(s) {
-                                            rows[g] = row.clone();
-                                        }
-                                    }
-                                    MemberTerm {
-                                        rows,
-                                        div: t.div,
-                                        source_dim: t.source_dim + shift,
-                                    }
-                                })
-                                .collect(),
-                            coincident: m.coincident,
-                        })
-                        .collect(),
-                    permutable: *permutable,
-                    child: walk(child, nstmts, map, shift).boxed(),
-                },
-            }
-        }
-        ScheduleTree {
-            nstmts,
-            root: walk(&self.root, nstmts, map, dim_shift),
-        }
-    }
 }
 
 /// Compares two instances along precomputed paths (see

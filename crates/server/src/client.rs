@@ -10,10 +10,9 @@ use polytops_core::json::{self, Json};
 
 /// A connected client: line-oriented send/receive plus op helpers.
 ///
-/// Responses to one connection arrive in request order for requests
-/// sharing a `split_components` value (see `docs/SERVICE.md`), so the
-/// simple pattern "send N lines, read N lines" is valid for the common
-/// case of uniform requests.
+/// Schedule responses to one connection arrive in request order (see
+/// `docs/SERVICE.md`), so the simple pattern "send N lines, read N
+/// lines" is valid for a stream of schedule requests.
 #[derive(Debug)]
 pub struct Client {
     reader: BufReader<TcpStream>,

@@ -38,9 +38,6 @@ pub struct ScheduleRequest {
     pub scop: Scop,
     /// The configurations to schedule under.
     pub scenarios: Vec<ScenarioSpec>,
-    /// Whether disconnected dependence components may be solved as
-    /// parallel sub-jobs (the scenario engine's explicit sweep axis).
-    pub split_components: bool,
     /// Request-scoped trace id, propagated in the request envelope (the
     /// router stamps one before forwarding so router and shard agree).
     /// Never echoed in responses: responses stay byte-identical whether
@@ -123,10 +120,16 @@ fn parse_schedule(obj: &BTreeMap<String, Json>) -> Result<ScheduleRequest, Strin
         .and_then(Json::as_str)
         .unwrap_or(&scop.name)
         .to_string();
-    let split_components = match obj.get("split_components") {
-        None => false,
-        Some(v) => v.as_bool().ok_or("`split_components` must be a boolean")?,
-    };
+    // `false` is accepted: it asks for the one whole-SCoP solve every
+    // request gets.
+    if !matches!(obj.get("split_components"), None | Some(Json::Bool(false))) {
+        return Err(concat!(
+            "`split_components` was removed: every scenario is one whole-SCoP solve; ",
+            "to distribute, set `\"fusion_heuristic\": \"nofuse\"` or fusion controls ",
+            "in the scenario's config"
+        )
+        .to_string());
+    }
     let trace = match obj.get("trace") {
         None => None,
         Some(v) => Some(
@@ -178,7 +181,6 @@ fn parse_schedule(obj: &BTreeMap<String, Json>) -> Result<ScheduleRequest, Strin
         name,
         scop,
         scenarios,
-        split_components,
         trace,
     })
 }
@@ -439,7 +441,6 @@ pub fn result_to_json(name: &str, result: &ScenarioResult, certified: bool) -> J
             ("ok", Json::Bool(true)),
             ("certified", Json::Bool(certified)),
             ("schedule", schedule_to_json(&report.schedule)),
-            ("sub_jobs", Json::Int(report.sub_jobs as i64)),
         ]),
         Err(e) => object(vec![
             ("name", Json::Str(name.to_string())),
@@ -573,40 +574,10 @@ pub fn error_response(id: &Json, message: &str) -> String {
     .compact()
 }
 
-/// Cumulative solver counters over every batch the daemon has run,
-/// surfaced by the `stats` op (the per-request split travels in each
-/// schedule response's `stats` field — see [`stats_to_json`]).
-///
-/// All four are diagnostic sums, not part of the bit-identity contract
-/// on schedules — see `polytops_core::scenario`'s determinism contract.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SolverTotals {
-    /// Dual-simplex re-optimization pivots across all ILP stages.
-    pub dual_pivots: usize,
-    /// Mini phase-1 fallbacks the dual simplex could not avoid.
-    pub phase1_passes: usize,
-    /// Schedule dimensions solved by the heuristic fast path.
-    pub fast_path_dims: usize,
-    /// Fast-path proposals that failed validation and fell back to ILP.
-    pub fast_path_fallbacks: usize,
-}
-
-/// Autotuner counters surfaced by the `stats` op's `tuner` object: how
-/// many autotune requests the daemon has served, and how many of them
-/// were answered from the learned registry (zero exploration
-/// scenarios) instead of a full lattice sweep.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct TunerTotals {
-    /// Autotune requests processed by the tuner worker.
-    pub requests: usize,
-    /// Requests answered from a remembered winner.
-    pub learned_hits: usize,
-}
-
 /// Persistence counters surfaced by the `stats` op's `persist` object
 /// (absent/`null` when the daemon runs without `--snapshot-dir`).
 ///
-/// Like [`SolverTotals`] these are diagnostics, not part of the
+/// Like the `solver` counters these are diagnostics, not part of the
 /// bit-identity contract — but the fault-injection suite asserts on
 /// them (`recovered_from_prev` proves the torn-snapshot fallback fired,
 /// `restored_entries` proves the daemon served warm).
@@ -814,16 +785,31 @@ pub fn chrome_events_from_trace(trace: &Json) -> Result<Vec<polytops_obs::Chrome
     Ok(events)
 }
 
-/// The `stats` response line.
+/// The `stats` response line. The `tuner` and `solver` objects are reads
+/// of the daemon's recorder (the pipeline folds into `solver.*` through
+/// [`PipelineStats::accumulate_into`]); the same recorder is serialized
+/// whole under `obs`. These are diagnostic sums, not part of the
+/// bit-identity contract on schedules.
 pub fn stats_response(
     registry: RegistryStats,
     batches: usize,
     requests: usize,
-    solver: SolverTotals,
-    tuner: TunerTotals,
     persist: Option<&PersistTotals>,
-    obs: Json,
+    recorder: &polytops_obs::Recorder,
 ) -> String {
+    // Read before `obs_to_json`: a first read registers the counter, so
+    // it is listed under `obs` too.
+    let count = |name: &str| obs_int(recorder.counter(name).get());
+    let tuner = object(vec![
+        ("requests", count("tuner.requests")),
+        ("learned_hits", count("tuner.learned_hits")),
+    ]);
+    let solver = object(vec![
+        ("dual_pivots", count("solver.dual_pivots")),
+        ("phase1_passes", count("solver.phase1_passes")),
+        ("fast_path_dims", count("solver.fast_path_dims")),
+        ("fast_path_fallbacks", count("solver.fast_path_fallbacks")),
+    ]);
     object(vec![
         ("ok", Json::Bool(true)),
         (
@@ -837,30 +823,13 @@ pub fn stats_response(
                 ("learned", Json::Int(registry.learned as i64)),
             ]),
         ),
-        (
-            "tuner",
-            object(vec![
-                ("requests", Json::Int(tuner.requests as i64)),
-                ("learned_hits", Json::Int(tuner.learned_hits as i64)),
-            ]),
-        ),
-        (
-            "solver",
-            object(vec![
-                ("dual_pivots", Json::Int(solver.dual_pivots as i64)),
-                ("phase1_passes", Json::Int(solver.phase1_passes as i64)),
-                ("fast_path_dims", Json::Int(solver.fast_path_dims as i64)),
-                (
-                    "fast_path_fallbacks",
-                    Json::Int(solver.fast_path_fallbacks as i64),
-                ),
-            ]),
-        ),
+        ("tuner", tuner),
+        ("solver", solver),
         (
             "persist",
             persist.map_or(Json::Null, PersistTotals::to_json),
         ),
-        ("obs", obs),
+        ("obs", obs_to_json(recorder)),
         ("batches", Json::Int(batches as i64)),
         ("requests", Json::Int(requests as i64)),
     ])
@@ -879,7 +848,6 @@ pub fn offline_results(req: &ScheduleRequest) -> Json {
     for spec in &req.scenarios {
         set.add_scenario(scop, spec.name.clone(), spec.config.clone());
     }
-    set.split_components(req.split_components);
     let results = set.run_sequential();
     let deps = analyze(&req.scop);
     let reports: Vec<(&str, &ScenarioResult, bool)> = req
@@ -947,7 +915,6 @@ mod tests {
         assert_eq!(req.scenarios[0].config, presets::pluto());
         assert_eq!(req.scenarios[1].name, "tuned");
         assert_eq!(req.scenarios[1].config.post.tile_sizes, vec![32]);
-        assert!(!req.split_components);
     }
 
     #[test]
@@ -1031,6 +998,74 @@ mod tests {
         ])
         .compact();
         assert!(parse_request(&no_scenarios).unwrap_err().contains("empty"));
+        let split = |v: bool| {
+            object(vec![
+                ("op", Json::Str("schedule".into())),
+                ("scop", Json::Str(print_scop(&stencil_chain()))),
+                (
+                    "scenarios",
+                    Json::Array(vec![object(vec![("preset", Json::Str("pluto".into()))])]),
+                ),
+                ("split_components", Json::Bool(v)),
+            ])
+            .compact()
+        };
+        let err = parse_request(&split(true)).unwrap_err();
+        assert!(
+            err.contains("`split_components` was removed") && err.contains("nofuse"),
+            "{err}"
+        );
+        assert!(parse_request(&split(false)).is_ok());
+    }
+
+    #[test]
+    fn responses_nest_far_below_the_parser_bound() {
+        // Clients, the router and `replay` parse what the daemon writes,
+        // so the depth bound must never reject a response. The deepest
+        // ones carry tiled, wavefronted, vectorized schedule trees.
+        fn depth(v: &Json) -> usize {
+            match v {
+                Json::Array(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+                Json::Object(map) => 1 + map.values().map(depth).max().unwrap_or(0),
+                _ => 0,
+            }
+        }
+        let mut deepest = 0;
+        for (kernel, scop) in polytops_workloads::all_kernels() {
+            let scenarios = polytops_workloads::sweep::preset_grid()
+                .into_iter()
+                .map(|(preset, mut config)| {
+                    config.post.tile_sizes = vec![16, 16, 16];
+                    config.post.wavefront = true;
+                    config.post.intra_tile_vectorize = true;
+                    config.auto_vectorize = true;
+                    ScenarioSpec {
+                        name: preset.to_string(),
+                        config,
+                    }
+                })
+                .collect();
+            let req = ScheduleRequest {
+                id: Json::Null,
+                name: kernel.to_string(),
+                scop,
+                scenarios,
+                trace: None,
+            };
+            let line = schedule_response(
+                &req.id,
+                offline_results(&req),
+                Json::Array(vec![]),
+                false,
+                0,
+            );
+            let parsed = polytops_core::json::parse(&line).expect("response parses");
+            deepest = deepest.max(depth(&parsed));
+        }
+        assert!(
+            deepest < polytops_core::json::MAX_DEPTH / 4,
+            "a response nests {deepest} levels"
+        );
     }
 
     #[test]

@@ -164,19 +164,6 @@ impl ServerObs {
             recorder,
         }
     }
-
-    /// The `stats` op's `solver` object, rebuilt from the unified
-    /// counter registry (the pipeline folds into `solver.*` via
-    /// [`polytops_core::PipelineStats::accumulate_into`]).
-    pub(crate) fn solver_totals(&self) -> protocol::SolverTotals {
-        let get = |name: &str| self.recorder.counter(name).get() as usize;
-        protocol::SolverTotals {
-            dual_pivots: get("solver.dual_pivots"),
-            phase1_passes: get("solver.phase1_passes"),
-            fast_path_dims: get("solver.fast_path_dims"),
-            fast_path_fallbacks: get("solver.fast_path_fallbacks"),
-        }
-    }
 }
 
 /// State shared by every daemon thread.
@@ -216,13 +203,8 @@ impl Shared {
             self.registry.stats(),
             self.obs.batches.get() as usize,
             self.obs.requests.get() as usize,
-            self.obs.solver_totals(),
-            protocol::TunerTotals {
-                requests: self.obs.tune_requests.get() as usize,
-                learned_hits: self.obs.tune_learned_hits.get() as usize,
-            },
             self.persist.as_ref().map(Persister::totals).as_ref(),
-            protocol::obs_to_json(&self.obs.recorder),
+            &self.obs.recorder,
         )
     }
 
@@ -521,18 +503,9 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>, out: &Sender<Outbou
         }
         let nth_batch = shared.obs.batches.inc() as usize;
         shared.obs.requests.add(batch.len() as u64);
-        // `split_components` changes scenario semantics per request, so
-        // a mixed batch runs as two sets (responses still correlate by
-        // id; cross-request state lives in the registry either way).
-        let (plain, split): (Vec<_>, Vec<_>) =
-            batch.into_iter().partition(|a| !a.req.split_components);
         let mut responses = Vec::new();
         let mut touched = Vec::new();
-        for (group, split_flag) in [(plain, false), (split, true)] {
-            if !group.is_empty() {
-                process_group(shared, group, split_flag, &mut responses, &mut touched);
-            }
-        }
+        process_group(shared, batch, &mut responses, &mut touched);
         // Durability before delivery: the journal records this batch's
         // admissions (fsynced) before any client can observe a
         // response, so an acknowledged answer is always replayable.
@@ -560,14 +533,12 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>, out: &Sender<Outbou
     shared.batcher_done.store(true, Ordering::SeqCst);
 }
 
-/// Executes one admission group as a single `ScenarioSet`, pushing one
-/// response line per request (with its still-open "request" span, when
-/// traced) and recording which SCoPs were touched (for the persistence
-/// journal).
+/// Executes one batch as a single `ScenarioSet`, pushing one response
+/// line per request (with its still-open "request" span, when traced)
+/// and recording which SCoPs were touched (for the persistence journal).
 fn process_group(
     shared: &Arc<Shared>,
     group: Vec<Admitted>,
-    split: bool,
     responses: &mut Vec<(u64, String, Option<polytops_obs::SpanHandle>)>,
     touched: &mut Vec<(String, Scop)>,
 ) {
@@ -583,7 +554,6 @@ fn process_group(
     }
 
     let mut set = ScenarioSet::new();
-    set.split_components(split);
     // SCoP slots already admitted this batch, by registry entry
     // identity — two clients submitting the same kernel share one slot
     // (and therefore one analysis and cache group) within the batch.

@@ -725,6 +725,33 @@ fn a_four_mebibyte_line_does_not_stall_other_connections() {
     handle.shutdown();
 }
 
+/// Hostile nesting: the parser recurses once per `[`, so a 40 KB line of
+/// them used to overflow the event loop's stack and abort the daemon.
+/// The depth bound answers it with an error instead, and both the same
+/// connection and a fresh one are served after it.
+#[test]
+fn a_deeply_nested_line_gets_an_error_not_a_crash() {
+    let handle = Server::start(ServerConfig::default()).expect("start daemon");
+    let pong = r#"{"ok":true,"pong":true}"#;
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let response = client
+        .roundtrip(&"[".repeat(40_000))
+        .expect("the nested line is answered");
+    let parsed = polytops_core::json::parse(&response).expect("response parses");
+    let obj = parsed.as_object().expect("response object");
+    assert_eq!(obj["ok"].as_bool(), Some(false), "{response}");
+    let bound = format!("nesting deeper than {}", polytops_core::json::MAX_DEPTH);
+    assert!(
+        obj["error"].as_str().is_some_and(|e| e.contains(&bound)),
+        "{response}"
+    );
+    let ping = r#"{"op":"ping"}"#;
+    assert_eq!(client.roundtrip(ping).expect("same connection"), pong);
+    let mut fresh = Client::connect(handle.addr()).expect("connect again");
+    assert_eq!(fresh.roundtrip(ping).expect("fresh connection"), pong);
+    handle.shutdown();
+}
+
 /// The `Client` hard-failure regression: a request submitted while the
 /// daemon is *down* (connection refused, nothing listening) must still
 /// get its bit-identical answer once the daemon comes up.
