@@ -3,13 +3,15 @@
 //! Validity (`Δ ≥ 0`), proximity (`u·N + w − Δ ≥ 0`) and Feautrier
 //! (`Δ − x_e ≥ 0`) all ask which affine forms are non-negative on a
 //! dependence polyhedron. The answer — the polyhedron's Farkas cone,
-//! [`polytops_math::farkas_cone`] — is the expensive part
-//! (Fourier–Motzkin over the multipliers) and depends on the dependence
-//! alone: not on the constraint kind, the dimension, the live set or the
+//! [`polytops_math::farkas_cone`] — is the expensive part (eliminating
+//! the multipliers by Fourier–Motzkin, pruned as it runs so that no row
+//! of the cone is redundant) and depends on the dependence alone: not on
+//! the constraint kind, the dimension, the live set or the
 //! configuration's ILP variable layout. [`FarkasCache`] eliminates it
 //! **once** per dependence; every lookup then substitutes the asked
 //! kind's [template](DepConstraint::template) over the asking run's
-//! [`IlpSpace`] into it, which is a few multiplications per row.
+//! [`IlpSpace`] into it, which is a few multiplications per row — per
+//! row the cone keeps, which is why it keeps none it does not need.
 //!
 //! The cache is `Send + Sync` (cones behind [`OnceLock`], counters
 //! atomic), so the scenario engine ([`crate::scenario`]) shares one per
@@ -82,7 +84,9 @@ impl FarkasCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
             let _timing = polytops_obs::time("farkas.eliminate_ns");
-            let _ = slot.set(farkas_cone(&dep.poly)?);
+            let cone = farkas_cone(&dep.poly)?;
+            polytops_obs::count("farkas.cone_rows", cone.len() as u64);
+            let _ = slot.set(cone);
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
         Ok((slot.get().expect("filled above"), hit))
@@ -190,7 +194,9 @@ impl CacheSession {
 mod tests {
     use super::*;
     use polytops_deps::analyze;
+    use polytops_math::{ineq_implied, RowKind};
     use polytops_workloads::stencil_chain as chain;
+    use polytops_workloads::{all_kernels, synthetic::long_chain};
 
     fn validity(cache: &FarkasCache, dep: &Dependence, space: &IlpSpace) -> ConstraintSystem {
         let mut out = ConstraintSystem::new(space.total());
@@ -280,6 +286,38 @@ mod tests {
             }
         }
         assert_eq!((session.hits(), session.misses()), (3 * deps.len(), 0));
+    }
+
+    #[test]
+    fn bundled_cones_are_irredundant_and_pinned() {
+        // Every cone row is substituted on every lookup and carried
+        // through every ILP stage: a cone that keeps redundant rows again
+        // fails here, not only in a bench.
+        let mut scops: Vec<_> = all_kernels().into_iter().map(|(_, scop)| scop).collect();
+        scops.extend([8, 12, 16].map(long_chain));
+        let (mut deps, mut rows) = (0, 0);
+        for scop in &scops {
+            for dep in analyze(scop) {
+                let cone = farkas_cone(&dep.poly).unwrap();
+                deps += 1;
+                rows += cone.len();
+                for (i, (kind, row)) in cone.iter().enumerate() {
+                    if kind != RowKind::Ineq {
+                        continue;
+                    }
+                    let mut rest = ConstraintSystem::new(cone.num_vars());
+                    for (j, (kind, other)) in cone.iter().enumerate() {
+                        match kind {
+                            _ if j == i => {}
+                            RowKind::Eq => rest.add_eq(other.to_vec()),
+                            RowKind::Ineq => rest.add_ineq(other.to_vec()),
+                        }
+                    }
+                    assert!(!ineq_implied(&rest, row), "row {i} of {cone:?}");
+                }
+            }
+        }
+        assert_eq!((deps, rows), (107, 506));
     }
 
     #[test]

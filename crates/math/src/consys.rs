@@ -251,9 +251,10 @@ impl ConstraintSystem {
 
     /// Eliminates variable `var` by exact Fourier–Motzkin (using an
     /// equality pivot when available), producing a system over one fewer
-    /// variable. The result is normalized with **integer** tightening —
-    /// use [`ConstraintSystem::eliminate_var_rational`] when any remaining
-    /// variable may be fractional.
+    /// variable. The result is normalized with **integer** tightening, so
+    /// every variable is read as an integer. (Farkas multipliers are
+    /// rational; [`farkas_cone`](crate::farkas_cone) eliminates them on
+    /// its own.)
     ///
     /// # Errors
     ///
@@ -263,25 +264,6 @@ impl ConstraintSystem {
     ///
     /// Panics if `var >= num_vars`.
     pub fn eliminate_var(&self, var: usize) -> Result<ConstraintSystem> {
-        self.eliminate_impl(var, true)
-    }
-
-    /// Fourier–Motzkin elimination with rational semantics (no integer
-    /// tightening). Sound when the variables are rational, e.g. Farkas
-    /// multipliers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::Overflow`](crate::MathError::Overflow) when combined rows overflow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var >= num_vars`.
-    pub fn eliminate_var_rational(&self, var: usize) -> Result<ConstraintSystem> {
-        self.eliminate_impl(var, false)
-    }
-
-    fn eliminate_impl(&self, var: usize, tighten: bool) -> Result<ConstraintSystem> {
         assert!(var < self.num_vars);
         let n = self.num_vars;
         let mut out = ConstraintSystem::new(n - 1);
@@ -325,7 +307,7 @@ impl ConstraintSystem {
                 }
                 out.rows.push((*kind, nr));
             }
-            out.normalize_impl(tighten);
+            out.normalize();
             return Ok(out);
         }
 
@@ -359,7 +341,7 @@ impl ConstraintSystem {
                 out.rows.push((RowKind::Ineq, nr));
             }
         }
-        out.normalize_impl(tighten);
+        out.normalize();
         Ok(out)
     }
 
@@ -373,19 +355,6 @@ impl ConstraintSystem {
         let mut cur = self.clone();
         for _ in 0..count {
             cur = cur.eliminate_var(cur.num_vars - 1)?;
-        }
-        Ok(cur)
-    }
-
-    /// Eliminates the trailing `count` variables with rational semantics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::Overflow`](crate::MathError::Overflow) when combined rows overflow.
-    pub fn eliminate_last_vars_rational(&self, count: usize) -> Result<ConstraintSystem> {
-        let mut cur = self.clone();
-        for _ in 0..count {
-            cur = cur.eliminate_var_rational(cur.num_vars - 1)?;
         }
         Ok(cur)
     }

@@ -17,19 +17,54 @@
 //! [`farkas_substitute`] writes the coefficients of one particular `e`
 //! (affine in the unknowns of the scheduling ILP) into that cone.
 //! [`farkas_nonneg`] is the two in sequence.
+//!
+//! # An irredundant cone, by histories
+//!
+//! Plain Fourier–Motzkin keeps every pairwise combination it makes, and
+//! most of them are redundant: the cones of the bundled kernels would
+//! hold about three times the rows they need, and every one of them
+//! would be substituted on every lookup and carried through every ILP
+//! stage. So each inequality of the elimination carries its *history*,
+//! the set of original multiplier rows (`λ₀ ≥ 0`, `λ_k ≥ 0`) it is a
+//! non-negative combination of. Equality pivots substitute a multiplier
+//! away and leave histories alone; after the `k`-th true Fourier–Motzkin
+//! step a combination is dropped when its history
+//!
+//! * has more than `k + 1` members (Kohler's rule), or
+//! * contains the history of another row of the step (Chernikov's
+//!   rule; of two equal histories the first row stays).
+//!
+//! A row survives exactly when its combination is an extreme ray of the
+//! cone of combinations that cancel the eliminated multipliers, and
+//! here — the multipliers are free coordinates of the lifted system, so
+//! those rays correspond one to one to facets of the Farkas cone — that
+//! makes the result irredundant, which the property tests check with an
+//! LP on every row. No LP redundancy pass runs afterwards: on the
+//! bundled kernels it costs three times the elimination and removes
+//! nothing the rules leave.
 
 use crate::consys::{ConstraintSystem, RowKind};
 use crate::error::{MathError, Result};
+use crate::num::{gcd_slice, narrow};
 
 /// The cone of affine forms non-negative on `poly`: a homogeneous system
 /// over `nz + 1` variables — the coefficient of each of `poly`'s `nz`
 /// variables, then the constant term — that `(c, c₀)` satisfies exactly
 /// when `c·z + c₀ ≥ 0` everywhere on `poly` (assumed non-empty).
 ///
+/// The multipliers are eliminated by equality pivots where an equality
+/// holds one and by Fourier–Motzkin otherwise. Every inequality carries
+/// the set of original multiplier rows it combines; after the `k`-th
+/// Fourier–Motzkin step a combination whose set has more than `k + 1`
+/// members (Kohler) or contains another row's set (Chernikov) is dropped
+/// before it is computed. No inequality of the result is implied by the
+/// others, so no LP redundancy pass follows (it would cost three times
+/// the elimination and find nothing).
+///
 /// # Errors
 ///
-/// Returns [`MathError::Overflow`] when Fourier–Motzkin combinations
-/// overflow `i64`.
+/// Returns [`MathError::Overflow`] when a combination does not fit
+/// `i64`.
 ///
 /// # Examples
 ///
@@ -46,16 +81,17 @@ use crate::error::{MathError, Result};
 /// ```
 pub fn farkas_cone(poly: &ConstraintSystem) -> Result<ConstraintSystem> {
     let nz = poly.num_vars();
-    let m = poly.len();
-    // Variable space: [ c (nz) | c₀ | λ0 | λ_1..λ_m ], plus constant column.
-    let nv = nz + 2 + m;
-    let mut sys = ConstraintSystem::new(nv);
+    // Columns: [ c (nz) | c₀ | λ0 | λ_1..λ_m ]. Every row is homogeneous,
+    // so there is no constant column, and the multiplier eliminated next
+    // is always the last column.
+    let width = nz + 2 + poly.len();
 
     // Coefficient matching, one equality per z variable and one for the
     // constant (which also absorbs λ0):
     //   c_i - Σ_k λ_k A[k][i] = 0,   c₀ - λ0 - Σ_k λ_k b_k = 0.
+    let mut eqs = Vec::with_capacity(nz + 1);
     for i in 0..=nz {
-        let mut row = vec![0i64; nv + 1];
+        let mut row = vec![0i64; width];
         row[i] = 1;
         if i == nz {
             row[nz + 1] = -1; // λ0
@@ -63,23 +99,157 @@ pub fn farkas_cone(poly: &ConstraintSystem) -> Result<ConstraintSystem> {
         for (k, (_, prow)) in poly.rows().iter().enumerate() {
             row[nz + 2 + k] = prow[i].checked_neg().ok_or(MathError::Overflow)?;
         }
-        sys.add_eq(row);
+        eqs.push(row);
     }
-    // λ0 >= 0 and λ_k >= 0 for inequality rows (free for equalities).
-    let mut lambda0 = vec![0i64; nv + 1];
-    lambda0[nz + 1] = 1;
-    sys.add_ineq(lambda0);
-    for (k, (kind, _)) in poly.rows().iter().enumerate() {
-        if *kind == RowKind::Ineq {
-            let mut row = vec![0i64; nv + 1];
-            row[nz + 2 + k] = 1;
-            sys.add_ineq(row);
+    // λ0 >= 0 and λ_k >= 0 for inequality rows (free for equalities),
+    // each the one member of its own history.
+    let columns: Vec<usize> = std::iter::once(nz + 1)
+        .chain(
+            poly.iter()
+                .enumerate()
+                .filter(|(_, (kind, _))| *kind == RowKind::Ineq)
+                .map(|(k, _)| nz + 2 + k),
+        )
+        .collect();
+    let words = columns.len().div_ceil(64);
+    let mut ineqs: Vec<Tracked> = columns
+        .iter()
+        .enumerate()
+        .map(|(bit, &col)| {
+            let mut row = vec![0i64; width];
+            row[col] = 1;
+            let mut history = vec![0u64; words];
+            history[bit / 64] = 1 << (bit % 64);
+            Tracked {
+                row,
+                history,
+                members: 1,
+            }
+        })
+        .collect();
+
+    let mut fm_steps = 0;
+    for var in (nz + 1..width).rev() {
+        if let Some(at) = eqs.iter().position(|row| row[var] != 0) {
+            let pivot = eqs.remove(at);
+            for row in eqs.iter_mut().chain(ineqs.iter_mut().map(|t| &mut t.row)) {
+                substitute(row, &pivot)?;
+            }
+        } else {
+            fm_steps += 1;
+            ineqs = fm_step(ineqs, fm_steps)?;
+        }
+        for row in eqs.iter_mut().chain(ineqs.iter_mut().map(|t| &mut t.row)) {
+            row.pop();
         }
     }
-    // Eliminate the multipliers (rational semantics: λ, μ are rational).
-    let mut cone = sys.eliminate_last_vars_rational(m + 1)?;
+
+    let mut cone = ConstraintSystem::new(nz + 1);
+    for mut row in eqs {
+        row.push(0);
+        cone.add_eq(row);
+    }
+    for Tracked { mut row, .. } in ineqs {
+        row.push(0);
+        cone.add_ineq(row);
+    }
     cone.normalize_rational();
     Ok(cone)
+}
+
+/// An inequality of the elimination over the columns not yet eliminated,
+/// and its history: one bit per original multiplier row it combines.
+struct Tracked {
+    row: Vec<i64>,
+    history: Vec<u64>,
+    members: usize,
+}
+
+/// Divides `row` by the gcd of its entries.
+fn reduce(row: &mut [i64]) {
+    let g = gcd_slice(row);
+    if g > 1 {
+        row.iter_mut().for_each(|v| *v /= g);
+    }
+}
+
+/// Substitutes the equality `pivot` for the last column of `row`, in
+/// place: the combination of the two that cancels it, scaled by a
+/// positive factor so that an inequality keeps its direction.
+fn substitute(row: &mut [i64], pivot: &[i64]) -> Result<()> {
+    let var = pivot.len() - 1;
+    let (a, b) = (i128::from(pivot[var]), i128::from(row[var]));
+    if b != 0 {
+        let s = a.signum();
+        for (r, &p) in row.iter_mut().zip(pivot) {
+            *r = narrow(s * (a * i128::from(*r) - b * i128::from(p)))?;
+        }
+        reduce(row);
+    }
+    Ok(())
+}
+
+/// One Fourier–Motzkin step on the last column, the `steps`-th of the
+/// elimination: rows without the column pass, and each pair of opposite
+/// signs combines unless the history rules prove the combination
+/// redundant. Only the survivors' rows are computed.
+fn fm_step(rows: Vec<Tracked>, steps: usize) -> Result<Vec<Tracked>> {
+    let Some(var) = rows.first().map(|t| t.row.len() - 1) else {
+        return Ok(rows);
+    };
+    let (mut next, mut pos, mut neg) = (Vec::new(), Vec::new(), Vec::new());
+    for t in rows {
+        match t.row[var].signum() {
+            0 => next.push(t),
+            1 => pos.push(t),
+            _ => neg.push(t),
+        }
+    }
+    let passed = next.len();
+    let mut pairs = Vec::new();
+    for (i, p) in pos.iter().enumerate() {
+        for (j, q) in neg.iter().enumerate() {
+            let union = p.history.iter().zip(&q.history).map(|(x, y)| x | y);
+            let members = union.clone().map(|w| w.count_ones() as usize).sum();
+            if members <= steps + 1 {
+                pairs.push((i, j));
+                next.push(Tracked {
+                    row: Vec::new(),
+                    history: union.collect(),
+                    members,
+                });
+            }
+        }
+    }
+    // Chernikov's rule, over the rows of this step; a passing row is an
+    // extreme combination already and never falls to it.
+    let redundant: Vec<bool> = (passed..next.len())
+        .map(|i| {
+            let t = &next[i];
+            next.iter().enumerate().any(|(j, o)| {
+                j != i
+                    && o.members <= t.members
+                    && (o.members < t.members || j < i)
+                    && o.history.iter().zip(&t.history).all(|(x, y)| x & !y == 0)
+            })
+        })
+        .collect();
+    let combined = next.split_off(passed);
+    for ((mut t, (i, j)), dropped) in combined.into_iter().zip(pairs).zip(redundant) {
+        if dropped {
+            continue;
+        }
+        let (p, q) = (&pos[i].row, &neg[j].row);
+        let (a, b) = (i128::from(p[var]), -i128::from(q[var]));
+        t.row = p
+            .iter()
+            .zip(q)
+            .map(|(&x, &y)| narrow(b * i128::from(x) + a * i128::from(y)))
+            .collect::<Result<_>>()?;
+        reduce(&mut t.row);
+        next.push(t);
+    }
+    Ok(next)
 }
 
 /// Substitutes `template` for the variables of `cone`: row `i` of
@@ -250,6 +420,55 @@ mod tests {
         let template = vec![vec![-1], vec![0]];
         let sys = farkas_nonneg(&p, &template, 0).unwrap();
         assert!(!sys.contains_point(&[]));
+    }
+
+    #[test]
+    fn a_polyhedron_without_rows_has_the_constant_cone() {
+        // Only a constant is non-negative on all of Z²: c = 0, c₀ ≥ 0.
+        let cone = farkas_cone(&ConstraintSystem::new(2)).unwrap();
+        assert_eq!(
+            cone.rows(),
+            &[
+                (RowKind::Eq, vec![1, 0, 0, 0]),
+                (RowKind::Eq, vec![0, 1, 0, 0]),
+                (RowKind::Ineq, vec![0, 0, 1, 0]),
+            ]
+        );
+    }
+
+    #[test]
+    fn histories_are_not_capped_in_width() {
+        // 150 lower bounds z + k ≥ 0 (only z ≥ 0 is tight) and z ≤ 10:
+        // 152 multiplier rows, so histories span three words.
+        let mut p = ConstraintSystem::new(1);
+        for k in 0..150 {
+            p.add_ineq(vec![1, k]);
+        }
+        p.add_ineq(vec![-1, 10]);
+        let cone = farkas_cone(&p).unwrap();
+        let mut rows: Vec<_> = cone.rows().to_vec();
+        rows.sort_by(|a, b| a.1.cmp(&b.1));
+        assert_eq!(
+            rows,
+            vec![
+                (RowKind::Ineq, vec![0, 1, 0]),
+                (RowKind::Ineq, vec![10, 1, 0])
+            ]
+        );
+    }
+
+    #[test]
+    fn elimination_overflow_is_an_error() {
+        // Substituting c_z0 = MAX·λ1 + λ2 into c_z1 = λ1 + MAX·λ2 puts
+        // MAX² − 1 on λ1, which no i64 holds.
+        let mut p = ConstraintSystem::new(2);
+        p.add_ineq(vec![i64::MAX, 1, 0]);
+        p.add_ineq(vec![1, i64::MAX, 0]);
+        assert_eq!(farkas_cone(&p), Err(MathError::Overflow));
+        // i64::MIN has no negation to match coefficients with.
+        let mut p = ConstraintSystem::new(1);
+        p.add_ineq(vec![i64::MIN, 0]);
+        assert_eq!(farkas_cone(&p), Err(MathError::Overflow));
     }
 
     #[test]

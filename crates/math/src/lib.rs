@@ -8,9 +8,8 @@
 //! * [`IntMatrix`] / [`RatMatrix`] — dense matrices with rank, inversion,
 //!   Hermite normal form and the Pluto-style
 //!   [`orthogonal_complement`] used by the progression constraint;
-//! * [`ConstraintSystem`] — affine equality/inequality systems with exact
-//!   Fourier–Motzkin elimination (integer-tightening and rational
-//!   variants);
+//! * [`ConstraintSystem`] — affine equality/inequality systems with exact,
+//!   integer-tightening Fourier–Motzkin elimination;
 //! * [`lp_minimize`] — exact simplex on an integer tableau (a dual
 //!   phase 1 from the slack basis, a primal phase 2; one `i64`
 //!   denominator per row; overflow is an error);
@@ -19,7 +18,8 @@
 //!   coefficient selection;
 //! * [`farkas_nonneg`] — the affine form of Farkas' lemma, which turns
 //!   "this affine form is non-negative on that dependence polyhedron"
-//!   into linear constraints over schedule coefficients.
+//!   into linear constraints over schedule coefficients, through an
+//!   irredundant [`farkas_cone`] per polyhedron.
 //!
 //! # Example: a miniature scheduling legality check
 //!

@@ -837,4 +837,47 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn the_cone_holds_exactly_the_forms_nonnegative_on_the_polyhedron(poly in farkas_polyhedron()) {
+        // The definition, point by point over a box of (c, c₀): c·z + c₀
+        // has a bounded, non-negative minimum over the polyhedron.
+        let cone = farkas_cone(&poly).unwrap();
+        for c0 in -2i64..=2 {
+            for c1 in -2i64..=2 {
+                for c2 in -2i64..=2 {
+                    let minimum = match lp_minimize(&poly, &[c0, c1, c2]).unwrap() {
+                        LpOutcome::Optimal { value, .. } => Some(value),
+                        LpOutcome::Unbounded => None,
+                        LpOutcome::Infeasible => unreachable!("filtered non-empty"),
+                    };
+                    for constant in -4i64..=4 {
+                        let nonneg = minimum.is_some_and(|v| v + Rat::from(constant) >= Rat::ZERO);
+                        prop_assert!(
+                            cone.contains_point(&[c0, c1, c2, constant]) == nonneg,
+                            "({c0}, {c1}, {c2}, {constant}): nonneg {nonneg}, cone {cone:?} of {poly:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_cone_inequality_is_implied_by_the_others(poly in farkas_polyhedron()) {
+        let cone = farkas_cone(&poly).unwrap();
+        for (i, (kind, row)) in cone.iter().enumerate() {
+            if kind == RowKind::Ineq {
+                let mut rest = ConstraintSystem::new(cone.num_vars());
+                for (j, (kind, other)) in cone.iter().enumerate() {
+                    match kind {
+                        _ if j == i => {}
+                        RowKind::Eq => rest.add_eq(other.to_vec()),
+                        RowKind::Ineq => rest.add_ineq(other.to_vec()),
+                    }
+                }
+                prop_assert!(!ineq_implied(&rest, row), "row {i} of {cone:?} on {poly:?}");
+            }
+        }
+    }
 }
