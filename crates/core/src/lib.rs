@@ -13,7 +13,7 @@
 //!   (proximity, Feautrier, contiguity, big-loops-first, user variables);
 //! * [`constraints`] — the custom-constraint mini-language (§III-A2);
 //! * [`pipeline`] — the staged driver (legality → objectives → solve →
-//!   postprocess), with its cached Farkas cones and warm-started ILP;
+//!   postprocess), with its cached Farkas cones and one lexmin per dimension;
 //! * [`scenario`] — the scenario engine: N (SCoP × config) jobs sharing
 //!   one `Arc`-wrapped Farkas cache per SCoP and executing on a
 //!   work-stealing thread pool (the paper's per-scenario

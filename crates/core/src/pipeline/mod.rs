@@ -17,8 +17,9 @@
 //! * [`objectives`] — assembly of one dimension's ILP (progression,
 //!   bounds, layered cost functions, custom constraints, directives,
 //!   tie-break) over the engine's fixed [`IlpSpace`](crate::IlpSpace);
-//! * [`solve`] — the iterative driver: warm-started lexicographic ILP
-//!   solves with SCC-cut fallback, producing rows plus band metadata;
+//! * [`solve`] — the iterative driver: one self-contained lexicographic
+//!   ILP solve per dimension, with SCC-cut fallback, producing rows plus
+//!   band metadata;
 //!   with [`SchedulerConfig::heuristic_fast_path`](crate::SchedulerConfig)
 //!   set, a fusion + dimension-matching heuristic (`fastpath`) proposes
 //!   each dimension from the dependence structure first and only falls

@@ -8,22 +8,23 @@
 //! 2. [`objectives::assemble`] builds the dimension's ILP over the
 //!    engine's **fixed** [`IlpSpace`], substituting into the cones of
 //!    the [`FarkasCache`];
-//! 3. [`polytops_math::ilp_lexmin_warm`] solves it, seeded with the
-//!    previous solve's optimum whenever that point is still feasible;
+//! 3. [`polytops_math::ilp_lexmin`] solves it, from its own system
+//!    alone: no point carries over from the previous dimension;
 //! 4. infeasibility falls back to an SCC cut of the live dependence
 //!    graph ([`polytops_deps::sccs_topological`]);
 //! 5. after the last dimension, the [`postprocess`] stage applies the
 //!    configured tiling/wavefront transformations.
 //!
 //! The variable layout is fixed per SCoP (dependence-variable columns
-//! exist for *all* dependences, pinned to zero while unused) so
-//! warm-start points stay valid across dimensions.
+//! exist for *all* dependences, pinned to zero while unused): one
+//! [`IlpSpace`] serves every dimension, and a column means the same
+//! thing at any dimension.
 
 use std::sync::Arc;
 
 use polytops_deps::{analyze, sccs_topological, Certifier, Dependence};
 use polytops_ir::{Schedule, Scop, StmtSchedule};
-use polytops_math::{ilp_lexmin_warm, IlpStats, IntMatrix};
+use polytops_math::{ilp_lexmin, IlpStats, IntMatrix};
 
 use crate::config::{DirectiveKind, FusionHeuristic, SchedulerConfig};
 use crate::error::ScheduleError;
@@ -195,7 +196,7 @@ impl<'a> Engine<'a> {
             .unwrap_or_else(|| Arc::new(analyze(scop)));
         // One layout for the whole SCoP: dependence-satisfaction columns
         // exist for every dependence (unused columns are pinned to
-        // zero), so a warm-start point means the same at any dimension.
+        // zero), built once instead of once a dimension.
         let space = IlpSpace::new(
             scop,
             config.new_variables.clone(),
@@ -282,7 +283,6 @@ impl<'a> Engine<'a> {
         // distribution level; this budget is generous for both.
         let budget = 2 * (max_depth + nstmts) + 8;
         let mut stats = PipelineStats::default();
-        let mut warm: Option<Vec<i64>> = None;
         // One oracle for the run: every dimension's carried / parallel
         // tests and the post-processing stage ask the same dependences.
         let deps = Arc::clone(&self.deps);
@@ -306,7 +306,7 @@ impl<'a> Engine<'a> {
             let mut recompute = 0usize;
             loop {
                 let (solution, band_break) =
-                    self.solve_dimension(oracle, &plan, dim, &mut stats, &mut warm)?;
+                    self.solve_dimension(oracle, &plan, dim, &mut stats)?;
                 let ranks = self.ranks();
                 let state = StrategyState {
                     dimension: dim,
@@ -347,7 +347,6 @@ impl<'a> Engine<'a> {
         plan: &DimensionPlan,
         dim: usize,
         stats: &mut PipelineStats,
-        warm: &mut Option<Vec<i64>>,
     ) -> Result<(DimSolution, bool), ScheduleError> {
         if let Some(groups) = &plan.distribute {
             return Ok((self.distribute(groups, true)?, false));
@@ -382,13 +381,13 @@ impl<'a> Engine<'a> {
             }
             stats.fast_path_fallbacks += 1;
         }
-        if let Some(solution) = self.solve_ilp(oracle, plan, true, stats, warm)? {
+        if let Some(solution) = self.solve_ilp(oracle, plan, true, stats)? {
             return Ok((solution, false));
         }
         // The band's permutability constraints may be what blocks the
         // dimension: close the band and retry with live legality only.
         if self.has_in_band_carried() {
-            if let Some(solution) = self.solve_ilp(oracle, plan, false, stats, warm)? {
+            if let Some(solution) = self.solve_ilp(oracle, plan, false, stats)? {
                 return Ok((solution, true));
             }
         }
@@ -402,7 +401,7 @@ impl<'a> Engine<'a> {
                 extra_constraints: Vec::new(),
             };
             if self
-                .solve_ilp(oracle, &unconstrained, false, stats, warm)?
+                .solve_ilp(oracle, &unconstrained, false, stats)?
                 .is_some()
             {
                 return Err(ScheduleError::InfeasibleCustomConstraints { dimension: dim });
@@ -424,7 +423,6 @@ impl<'a> Engine<'a> {
         plan: &DimensionPlan,
         in_band_legality: bool,
         stats: &mut PipelineStats,
-        warm: &mut Option<Vec<i64>>,
     ) -> Result<Option<DimSolution>, ScheduleError> {
         let live = self.live_deps();
         let legality = if in_band_legality {
@@ -448,7 +446,7 @@ impl<'a> Engine<'a> {
 
         let point = {
             let _span = polytops_obs::span("ilp_solve");
-            ilp_lexmin_warm(&sys, &objectives, warm.as_deref(), &mut stats.ilp)?
+            ilp_lexmin(&sys, &objectives, &mut stats.ilp)?
         };
         let Some(point) = point else {
             return Ok(None);
@@ -468,7 +466,6 @@ impl<'a> Engine<'a> {
         let parallel = live
             .iter()
             .all(|&(e, dep)| oracle.zero_distance(e, &rows[dep.src.0], &rows[dep.dst.0]));
-        *warm = Some(point);
         Ok(Some(DimSolution {
             rows,
             parallel,

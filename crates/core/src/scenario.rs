@@ -30,10 +30,9 @@
 //! Sharded execution is **bit-identical** to sequential execution: a
 //! resident cone equals what a recomputation would eliminate, so no
 //! result depends on which thread finished first.
-//! The lexmin is total over the schedule coefficients, so no seed or
-//! pivot order picks between schedules; ILP warm-start seeds — which
-//! *can* still steer the other variables of a point — never leave the
-//! run that produced them. Only the
+//! The lexmin is total over the schedule coefficients, so no pivot
+//! order picks between schedules, and each dimension's ILP solve reads
+//! nothing but its own system. Only the
 //! per-scenario cache hit/miss *split* may vary under concurrency;
 //! every schedule is reproducible at any thread count.
 //!

@@ -32,9 +32,9 @@ pub enum IlpOutcome {
 /// Default branch-and-bound node budget.
 const MAX_NODES: usize = 50_000;
 
-/// Cumulative solver-effort counters of [`ilp_lexmin_warm`]: where a
+/// Cumulative solver-effort counters of [`ilp_lexmin`]: where a
 /// lexicographic solve spent its work (LP stages, branch-and-bound
-/// nodes, dual pivots) and how often a seed paid.
+/// nodes, dual pivots).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IlpStats {
     /// Branch-and-bound nodes explored (each node is its parent's
@@ -48,12 +48,6 @@ pub struct IlpStats {
     /// re-optimization could not finish and real branching began: every
     /// unit here pays for both a simplex solve and a tree search.
     pub fractional_stages: usize,
-    /// Seed points offered that were feasible and became the initial
-    /// incumbent of a branch-and-bound run.
-    pub seeds_accepted: usize,
-    /// Solves short-circuited entirely by a seed (a feasible seed under a
-    /// zero objective is optimal without any search).
-    pub seed_shortcuts: usize,
     /// Dual-simplex pivots spent pinning stage optima on the shared
     /// incremental tableau. Only a fractional stage pins — its integer
     /// optimum lies above the relaxation's — so a cascade whose every
@@ -72,8 +66,6 @@ impl IlpStats {
         self.nodes += other.nodes;
         self.lp_stages += other.lp_stages;
         self.fractional_stages += other.fractional_stages;
-        self.seeds_accepted += other.seeds_accepted;
-        self.seed_shortcuts += other.seed_shortcuts;
         self.dual_pivots += other.dual_pivots;
         self.phase1_passes += other.phase1_passes;
     }
@@ -104,19 +96,15 @@ impl IlpStats {
 /// }
 /// ```
 pub fn ilp_minimize(cs: &ConstraintSystem, obj: &[i64]) -> Result<IlpOutcome> {
-    ilp_minimize_impl(cs, obj, None, None, MAX_NODES, &mut IlpStats::default())
+    ilp_minimize_impl(cs, obj, MAX_NODES, &mut IlpStats::default())
 }
 
 /// The one-question form of [`IncrementalLp::int_minimize`]: `cs` is
 /// normalized (gcd tightening, dedup, subsumption), its tableau built,
-/// the search run and the tableau dropped. `seed` becomes the initial
-/// incumbent when it is an integer point of `cs`; an infeasible or
-/// ill-sized one is silently ignored.
+/// the search run and the tableau dropped.
 fn ilp_minimize_impl(
     cs: &ConstraintSystem,
     obj: &[i64],
-    seed: Option<&[i64]>,
-    lower_bound: Option<i64>,
     max_nodes: usize,
     stats: &mut IlpStats,
 ) -> Result<IlpOutcome> {
@@ -125,55 +113,9 @@ fn ilp_minimize_impl(
     if !root.normalize() {
         return Ok(IlpOutcome::Infeasible);
     }
-    let incumbent = match seeded(cs, obj, seed, lower_bound, stats) {
-        Seeded::Optimal(outcome) => return Ok(outcome),
-        Seeded::Incumbent(incumbent) => incumbent,
-    };
     // The root relaxation is node 1 whether or not its phase 1 ends.
     let mut lp = IncrementalLp::new(&root).inspect_err(|_| stats.nodes += 1)?;
-    lp.int_minimize(obj, incumbent, lower_bound, max_nodes, stats)
-}
-
-/// What a seed is worth before any node is solved.
-enum Seeded {
-    /// The seed is optimal outright.
-    Optimal(IlpOutcome),
-    /// The incumbent the search starts with.
-    Incumbent(Option<(i64, Vec<i64>)>),
-}
-
-/// Turns `seed` into the initial incumbent of a search over `cs` when
-/// it is an integer point of it (a MIP start: the search has an upper
-/// bound and prunes from its first node). Any feasible point is optimal
-/// under a zero objective, and one attaining a proven `lower_bound` is
-/// optimal outright.
-fn seeded(
-    cs: &ConstraintSystem,
-    obj: &[i64],
-    seed: Option<&[i64]>,
-    lower_bound: Option<i64>,
-    stats: &mut IlpStats,
-) -> Seeded {
-    let Some(p) = seed.filter(|p| p.len() == cs.num_vars() && cs.contains_point(p)) else {
-        return Seeded::Incumbent(None);
-    };
-    let value: i128 = obj
-        .iter()
-        .zip(p)
-        .map(|(&c, &v)| i128::from(c) * i128::from(v))
-        .sum();
-    let Ok(value) = i64::try_from(value) else {
-        return Seeded::Incumbent(None);
-    };
-    stats.seeds_accepted += 1;
-    if obj.iter().all(|&c| c == 0) || lower_bound == Some(value) {
-        stats.seed_shortcuts += 1;
-        return Seeded::Optimal(IlpOutcome::Optimal {
-            value,
-            point: p.to_vec(),
-        });
-    }
-    Seeded::Incumbent(Some((value, p.to_vec())))
+    lp.int_minimize(obj, None, None, max_nodes, stats)
 }
 
 impl IncrementalLp {
@@ -242,12 +184,12 @@ impl IncrementalLp {
     /// the other branch. The base system is expected normalized; the
     /// unit bound rows need no tightening.
     ///
-    /// `incumbent` is an integer point known beforehand with its value:
-    /// the search starts with an upper bound. `lower_bound` is an
-    /// optional proven objective lower bound (e.g. the ceiling of the
-    /// LP relaxation's optimum): the search stops as soon as an
-    /// incumbent attains it. The tableau is left wherever the search
-    /// stopped.
+    /// `incumbent` is an integer point known beforehand with its value
+    /// (the lexmin cascade's previous stage optimum): the search starts
+    /// with an upper bound. `lower_bound` is an optional proven
+    /// objective lower bound (the ceiling of the LP relaxation's
+    /// optimum): the search stops as soon as an incumbent attains it.
+    /// The tableau is left wherever the search stopped.
     ///
     /// # Errors
     ///
@@ -377,7 +319,7 @@ pub fn ilp_feasible(cs: &ConstraintSystem) -> bool {
 fn feasible_within(cs: &ConstraintSystem, max_nodes: usize) -> bool {
     let zeros = vec![0i64; cs.num_vars()];
     let mut stats = IlpStats::default();
-    let outcome = ilp_minimize_impl(cs, &zeros, None, None, max_nodes, &mut stats);
+    let outcome = ilp_minimize_impl(cs, &zeros, max_nodes, &mut stats);
     outcome != Ok(IlpOutcome::Infeasible)
 }
 
@@ -392,33 +334,8 @@ fn feasible_within(cs: &ConstraintSystem, max_nodes: usize) -> bool {
 /// unbounded below (callers bound their variables, so unboundedness
 /// signals a modeling error upstream).
 ///
-/// # Errors
-///
-/// [`MathError::Overflow`] when the simplex
-/// tableau outgrew `i64` — which says nothing about feasibility, so it
-/// is not a `None`.
-///
-/// # Examples
-///
-/// ```
-/// use polytops_math::{ilp_lexmin, ConstraintSystem};
-///
-/// // 0 <= x, y <= 3, x + y >= 3: lexmin (x, then y) = (0, 3).
-/// let mut cs = ConstraintSystem::new(2);
-/// cs.add_ineq(vec![1, 0, 0]);
-/// cs.add_ineq(vec![-1, 0, 3]);
-/// cs.add_ineq(vec![0, 1, 0]);
-/// cs.add_ineq(vec![0, -1, 3]);
-/// cs.add_ineq(vec![1, 1, -3]);
-/// let point = ilp_lexmin(&cs, &[vec![1, 0], vec![0, 1]]).unwrap();
-/// assert_eq!(point, Some(vec![0, 3]));
-/// ```
-pub fn ilp_lexmin(cs: &ConstraintSystem, objectives: &[Vec<i64>]) -> Result<Option<Vec<i64>>> {
-    ilp_lexmin_warm(cs, objectives, None, &mut IlpStats::default())
-}
-
-/// [`ilp_lexmin`] with a warm start and effort counters — the one
-/// lexicographic solver.
+/// It is the one lexicographic solver, and a call is self-contained: no
+/// point flows in from an earlier call.
 ///
 /// * **incremental simplex** — one [`IncrementalLp`] tableau is built
 ///   once, on the slack basis, and made feasible by dual pivots on the
@@ -430,15 +347,11 @@ pub fn ilp_lexmin(cs: &ConstraintSystem, objectives: &[Vec<i64>]) -> Result<Opti
 ///   is fixed at zero where it stands, which leaves exactly the points
 ///   attaining the optimum, with no row appended and no pivot taken;
 /// * **stage seeding** — when a stage does need branch and bound (a
-///   fractional vertex), the previous stage's optimum seeds it as the
-///   initial incumbent, and the integer optimum — off the relaxation's
-///   optimal face — is pinned as a single equality row, repaired by the
-///   dual pivots of phase 1 ([`IlpStats::dual_pivots`]);
-/// * **cross-call seeding** — a caller solving a sequence of related
-///   systems (the iterative scheduler, one dimension after another) can
-///   pass the previous solve's point as `warm`; it seeds the first
-///   branch-and-bound fallback whenever it is still feasible. An
-///   infeasible or ill-sized `warm` is ignored.
+///   fractional vertex), the previous stage's optimum is its initial
+///   incumbent, and the stage's optimum outright when it attains the
+///   ceiling of the relaxation's value; the integer optimum — off the
+///   relaxation's optimal face — is pinned as a single equality row,
+///   repaired by the dual pivots of phase 1 ([`IlpStats::dual_pivots`]).
 ///
 /// Which point comes back when several attain the lexmin depends on
 /// the pivots taken; a caller that needs one answer makes the
@@ -448,12 +361,30 @@ pub fn ilp_lexmin(cs: &ConstraintSystem, objectives: &[Vec<i64>]) -> Result<Opti
 ///
 /// # Errors
 ///
-/// [`MathError::Overflow`], as [`ilp_lexmin`], and
+/// [`MathError::Overflow`] when the simplex tableau outgrew `i64` —
+/// which says nothing about feasibility, so it is not a `None` — and
 /// [`MathError::PivotLimit`] when a dual-simplex loop reached its cap.
-pub fn ilp_lexmin_warm(
+///
+/// # Examples
+///
+/// ```
+/// use polytops_math::{ilp_lexmin, ConstraintSystem, IlpStats};
+///
+/// // 0 <= x, y <= 3, x + y >= 3: lexmin (x, then y) = (0, 3).
+/// let mut cs = ConstraintSystem::new(2);
+/// cs.add_ineq(vec![1, 0, 0]);
+/// cs.add_ineq(vec![-1, 0, 3]);
+/// cs.add_ineq(vec![0, 1, 0]);
+/// cs.add_ineq(vec![0, -1, 3]);
+/// cs.add_ineq(vec![1, 1, -3]);
+/// let mut stats = IlpStats::default();
+/// let point = ilp_lexmin(&cs, &[vec![1, 0], vec![0, 1]], &mut stats).unwrap();
+/// assert_eq!(point, Some(vec![0, 3]));
+/// assert_eq!(stats.lp_stages, 2); // both vertices integral: no search
+/// ```
+pub fn ilp_lexmin(
     cs: &ConstraintSystem,
     objectives: &[Vec<i64>],
-    warm: Option<&[i64]>,
     stats: &mut IlpStats,
 ) -> Result<Option<Vec<i64>>> {
     let n = cs.num_vars();
@@ -467,12 +398,9 @@ pub fn ilp_lexmin_warm(
     if !lp.is_feasible() {
         return Ok(None); // LP-infeasible ⇒ ILP-infeasible
     }
-    // A seed has to lie in `cur` and on every face and pin so far: the
-    // caller's does before the first stage, and the point of a stage
-    // does in the next.
-    let mut hint: Option<Vec<i64>> = warm
-        .filter(|p| p.len() == n && cs.contains_point(p))
-        .map(<[i64]>::to_vec);
+    // The optimum of the last stage solved: it lies in `cur` and on
+    // every face and pin so far.
+    let mut last: Option<Vec<i64>> = None;
     for obj in objectives {
         assert_eq!(obj.len(), n, "objective length mismatch");
         // Stage attempt 1: pure LP re-optimization. An integral optimal
@@ -482,7 +410,7 @@ pub fn ilp_lexmin_warm(
         let stage_lb = match lp.lexmin_stage(obj)? {
             Stage::Integral(point) => {
                 stats.lp_stages += 1;
-                hint = Some(point);
+                last = Some(point);
                 continue;
             }
             // Fractional vertex: branch and bound must run, from the
@@ -495,19 +423,32 @@ pub fn ilp_lexmin_warm(
             Stage::Relaxed(Bound::Infeasible) => None,
         };
         // Stage attempt 2: branch and bound on a snapshot of the shared
-        // tableau, seeded with the previous stage's optimum and stopped
-        // early at the LP-proven lower bound. A truncated run's
-        // incumbent is still a legal point, so it is pinned best-effort.
-        let incumbent = match seeded(&cur, obj, hint.as_deref(), stage_lb, stats) {
-            Seeded::Optimal(outcome) => outcome,
-            Seeded::Incumbent(incumbent) => {
+        // tableau, stopped early at the LP-proven lower bound. The
+        // previous stage's optimum is feasible here, so it is the first
+        // incumbent — and the optimum outright when it attains that
+        // bound or the objective is zero. A truncated run's incumbent is
+        // still a legal point, so it is pinned best-effort.
+        let seed = last.take().and_then(|p| {
+            debug_assert!(cur.contains_point(&p), "a stage optimum left the system");
+            let value: i128 = obj
+                .iter()
+                .zip(&p)
+                .map(|(&c, &v)| i128::from(c) * i128::from(v))
+                .sum();
+            Some((i64::try_from(value).ok()?, p))
+        });
+        let outcome = match seed {
+            Some((value, point)) if stage_lb == Some(value) || obj.iter().all(|&c| c == 0) => {
+                IlpOutcome::Optimal { value, point }
+            }
+            seed => {
                 let before = lp.snapshot();
-                let outcome = lp.int_minimize(obj, incumbent, stage_lb, MAX_NODES, stats);
+                let outcome = lp.int_minimize(obj, seed, stage_lb, MAX_NODES, stats);
                 lp.rollback(before);
                 outcome?
             }
         };
-        let (value, point) = match incumbent {
+        let (value, point) = match outcome {
             IlpOutcome::Optimal { value, point }
             | IlpOutcome::NodeLimit {
                 best: Some((value, point)),
@@ -525,10 +466,10 @@ pub fn ilp_lexmin_warm(
         let mut row = obj.clone();
         row.push(value.checked_neg().ok_or(MathError::Overflow)?);
         lp.pin_eq(&row)?;
-        hint = Some(point);
+        last = Some(point);
     }
     stats.dual_pivots += lp.dual_pivots();
-    match hint {
+    match last {
         Some(point) => Ok(Some(point)),
         None => ilp_feasible_point(&cur),
     }
@@ -549,15 +490,9 @@ mod tests {
     use crate::rat::Rat;
     use crate::simplex::LpOutcome;
 
-    /// The private branch and bound with only a seed and a node budget.
-    fn bb(
-        cs: &ConstraintSystem,
-        obj: &[i64],
-        seed: Option<&[i64]>,
-        max_nodes: usize,
-        stats: &mut IlpStats,
-    ) -> IlpOutcome {
-        ilp_minimize_impl(cs, obj, seed, None, max_nodes, stats).unwrap()
+    /// [`ilp_lexmin`] with the counters thrown away.
+    fn lexmin(cs: &ConstraintSystem, objectives: &[Vec<i64>]) -> Result<Option<Vec<i64>>> {
+        ilp_lexmin(cs, objectives, &mut IlpStats::default())
     }
 
     #[test]
@@ -619,7 +554,7 @@ mod tests {
         cs.add_ineq(vec![0, 1, 0]);
         cs.add_ineq(vec![0, -1, 2]);
         cs.add_ineq(vec![1, 1, -2]);
-        let p = ilp_lexmin(&cs, &[vec![1, 0], vec![0, 1]]).unwrap().unwrap();
+        let p = lexmin(&cs, &[vec![1, 0], vec![0, 1]]).unwrap().unwrap();
         assert_eq!(p, vec![0, 2]);
     }
 
@@ -631,7 +566,7 @@ mod tests {
             cs.add_ineq(r);
         }
         cs.add_ineq(vec![1, 1, -1]); // x + y >= 1
-        let p = ilp_lexmin(&cs, &[vec![1, 1], vec![1, 0]]).unwrap().unwrap();
+        let p = lexmin(&cs, &[vec![1, 1], vec![1, 0]]).unwrap().unwrap();
         assert_eq!(p, vec![0, 1]);
     }
 
@@ -640,86 +575,7 @@ mod tests {
         let mut cs = ConstraintSystem::new(1);
         cs.add_ineq(vec![1, -5]);
         cs.add_ineq(vec![-1, 2]);
-        assert_eq!(ilp_lexmin(&cs, &[vec![1]]), Ok(None));
-    }
-
-    #[test]
-    fn seeded_incumbent_prunes_and_matches_cold_result() {
-        // minimize x + y with 2x + 3y >= 7, x, y >= 0: optimum 3.
-        let mut cs = ConstraintSystem::new(2);
-        cs.add_ineq(vec![2, 3, -7]);
-        cs.add_ineq(vec![1, 0, 0]);
-        cs.add_ineq(vec![0, 1, 0]);
-        let mut cold = IlpStats::default();
-        let mut warm = IlpStats::default();
-        let c = bb(&cs, &[1, 1], None, MAX_NODES, &mut cold);
-        // Seed with the known optimum (2, 1).
-        let w = bb(&cs, &[1, 1], Some(&[2, 1]), MAX_NODES, &mut warm);
-        let value = |o: &IlpOutcome| match o {
-            IlpOutcome::Optimal { value, .. } => *value,
-            other => panic!("unexpected {other:?}"),
-        };
-        assert_eq!(value(&c), value(&w));
-        assert_eq!(warm.seeds_accepted, 1);
-        assert!(
-            warm.nodes <= cold.nodes,
-            "warm {} vs cold {}",
-            warm.nodes,
-            cold.nodes
-        );
-    }
-
-    #[test]
-    fn infeasible_seed_is_ignored() {
-        let mut cs = ConstraintSystem::new(1);
-        cs.add_ineq(vec![1, -3]); // x >= 3
-        let mut stats = IlpStats::default();
-        let out = bb(&cs, &[1], Some(&[0]), MAX_NODES, &mut stats);
-        assert_eq!(stats.seeds_accepted, 0);
-        match out {
-            IlpOutcome::Optimal { value, .. } => assert_eq!(value, 3),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn feasible_seed_under_zero_objective_short_circuits() {
-        let mut cs = ConstraintSystem::new(1);
-        cs.add_ineq(vec![1, -3]);
-        let mut stats = IlpStats::default();
-        let out = bb(&cs, &[0], Some(&[5]), MAX_NODES, &mut stats);
-        assert_eq!(stats.seed_shortcuts, 1);
-        assert_eq!(stats.nodes, 0);
-        assert_eq!(
-            out,
-            IlpOutcome::Optimal {
-                value: 0,
-                point: vec![5]
-            }
-        );
-    }
-
-    #[test]
-    fn lexmin_warm_agrees_with_cold() {
-        // Box [0,2]^2 with x + y >= 2; lexmin (x, y) = (0, 2).
-        let mut cs = ConstraintSystem::new(2);
-        cs.add_ineq(vec![1, 0, 0]);
-        cs.add_ineq(vec![-1, 0, 2]);
-        cs.add_ineq(vec![0, 1, 0]);
-        cs.add_ineq(vec![0, -1, 2]);
-        cs.add_ineq(vec![1, 1, -2]);
-        let objectives = [vec![1, 0], vec![0, 1]];
-        let mut cold = IlpStats::default();
-        let p_cold = ilp_lexmin_warm(&cs, &objectives, None, &mut cold)
-            .unwrap()
-            .unwrap();
-        let mut warm = IlpStats::default();
-        let p_warm = ilp_lexmin_warm(&cs, &objectives, Some(&[1, 1]), &mut warm)
-            .unwrap()
-            .unwrap();
-        assert_eq!(p_cold, vec![0, 2]);
-        assert_eq!(p_warm, p_cold);
-        assert!(warm.nodes <= cold.nodes);
+        assert_eq!(lexmin(&cs, &[vec![1]]), Ok(None));
     }
 
     #[test]
@@ -733,7 +589,7 @@ mod tests {
         cs.add_ineq(vec![-4, -1, 4]);
         cs.add_ineq(vec![-1, -4, 4]);
         let mut stats = IlpStats::default();
-        let p = ilp_lexmin_warm(&cs, &[vec![-1, -1]], None, &mut stats)
+        let p = ilp_lexmin(&cs, &[vec![-1, -1]], &mut stats)
             .unwrap()
             .unwrap();
         assert_eq!(p[0] + p[1], 1, "integer optimum of x + y is 1: {p:?}");
@@ -744,11 +600,35 @@ mod tests {
         cs.add_ineq(vec![1, -3]);
         cs.add_ineq(vec![-1, 5]);
         let mut stats = IlpStats::default();
-        let p = ilp_lexmin_warm(&cs, &[vec![1]], None, &mut stats)
-            .unwrap()
-            .unwrap();
+        let p = ilp_lexmin(&cs, &[vec![1]], &mut stats).unwrap().unwrap();
         assert_eq!(p, vec![3]);
         assert_eq!(stats.fractional_stages, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn a_stage_seed_at_the_lp_ceiling_ends_the_stage_without_search() {
+        // Box [0,3]^2 with x + y >= 1 and x - 2y + 1 >= 0. Stage 1,
+        // min x + y, ends on the integral vertex (1, 0) of its face
+        // x + y == 1, 1/3 <= x <= 1. Stage 2, min x, relaxes to the
+        // fractional x = 1/3 on that face; its ceiling 1 is what the
+        // stage-1 point already attains, so that point is the stage's
+        // optimum and no branch-and-bound node is solved. Without the
+        // seed the search starts at the fractional root.
+        let mut cs = ConstraintSystem::new(2);
+        for r in [vec![1, 0, 0], vec![-1, 0, 3], vec![0, 1, 0], vec![0, -1, 3]] {
+            cs.add_ineq(r);
+        }
+        cs.add_ineq(vec![1, 1, -1]);
+        cs.add_ineq(vec![1, -2, 1]);
+        let mut stats = IlpStats::default();
+        let p = ilp_lexmin(&cs, &[vec![1, 1], vec![1, 0]], &mut stats).unwrap();
+        assert_eq!(p, Some(vec![1, 0]));
+        assert_eq!(stats.lp_stages, 1, "stage 1 is integral: {stats:?}");
+        assert_eq!(
+            (stats.nodes, stats.fractional_stages),
+            (0, 0),
+            "stage 2 ends on its seed: {stats:?}"
+        );
     }
 
     #[test]
@@ -757,8 +637,6 @@ mod tests {
             nodes: 1,
             lp_stages: 4,
             fractional_stages: 5,
-            seeds_accepted: 2,
-            seed_shortcuts: 3,
             dual_pivots: 6,
             phase1_passes: 7,
         };
@@ -766,16 +644,12 @@ mod tests {
             nodes: 10,
             lp_stages: 40,
             fractional_stages: 50,
-            seeds_accepted: 20,
-            seed_shortcuts: 30,
             dual_pivots: 60,
             phase1_passes: 70,
         });
         assert_eq!(a.nodes, 11);
         assert_eq!(a.lp_stages, 44);
         assert_eq!(a.fractional_stages, 55);
-        assert_eq!(a.seeds_accepted, 22);
-        assert_eq!(a.seed_shortcuts, 33);
         assert_eq!(a.dual_pivots, 66);
         assert_eq!(a.phase1_passes, 77);
     }
@@ -794,9 +668,7 @@ mod tests {
         cs.add_ineq(vec![-1, -4, 0, 4]); // x + 4y <= 4
         let objectives = [vec![-1, -1, 0], vec![0, 0, 1]];
         let mut stats = IlpStats::default();
-        let p = ilp_lexmin_warm(&cs, &objectives, None, &mut stats)
-            .unwrap()
-            .unwrap();
+        let p = ilp_lexmin(&cs, &objectives, &mut stats).unwrap().unwrap();
         assert_eq!(p[0] + p[1], 1, "integer max of x + y is 1: {p:?}");
         assert_eq!(p[2], 0);
         assert_eq!(stats.fractional_stages, 1, "{stats:?}");
@@ -808,13 +680,13 @@ mod tests {
         );
     }
 
-    /// Rows `ilp_lexmin_warm` pinned while it solved: the samples of
+    /// Rows `ilp_lexmin` pinned while it solved: the samples of
     /// `simplex.pin_eq_ns`, which only its stage pins record.
     fn stage_pins(cs: &ConstraintSystem, objectives: &[Vec<i64>]) -> (Vec<i64>, u64) {
         let recorder = crate::obs::Recorder::new(true);
         let root = recorder.root_span("test");
         let _bound = root.link().expect("spans are on").bind();
-        let point = ilp_lexmin(cs, objectives).unwrap().expect("feasible");
+        let point = lexmin(cs, objectives).unwrap().expect("feasible");
         let pins = recorder.histogram("simplex.pin_eq_ns").snapshot().count;
         (point, pins)
     }
@@ -947,8 +819,8 @@ mod tests {
         cs.add_ineq(vec![-1, 0, 10]);
         let mut stats = IlpStats::default();
         assert_eq!(
-            bb(&cs, &[0, 0], None, 1, &mut stats),
-            IlpOutcome::NodeLimit { best: None }
+            ilp_minimize_impl(&cs, &[0, 0], 1, &mut stats),
+            Ok(IlpOutcome::NodeLimit { best: None })
         );
         assert!(feasible_within(&cs, 1), "a point may exist");
         assert!(ilp_feasible(&cs));
@@ -967,7 +839,7 @@ mod tests {
         assert_eq!(ilp_minimize(&cs, &[1, 1, 1]), Err(MathError::Overflow));
         assert_eq!(ilp_feasible_point(&cs), Err(MathError::Overflow));
         assert_eq!(
-            ilp_lexmin_warm(&cs, &objectives, None, &mut stats),
+            ilp_lexmin(&cs, &objectives, &mut stats),
             Err(MathError::Overflow)
         );
         // `deps` reads `!ilp_feasible` as proof that no dependence
@@ -988,7 +860,7 @@ mod tests {
         cs.add_ineq(vec![0, 1, -i64::MAX]);
         let mut stats = IlpStats::default();
         assert_eq!(
-            ilp_minimize_impl(&cs, &[1, 0], None, None, 64, &mut stats),
+            ilp_minimize_impl(&cs, &[1, 0], 64, &mut stats),
             Err(MathError::Overflow)
         );
         assert_eq!(stats.nodes, 1, "{stats:?}");
@@ -1002,12 +874,12 @@ mod tests {
         let mut cs = ConstraintSystem::new(1);
         cs.add_ineq(vec![1, -i64::MAX]);
         cs.add_ineq(vec![-1, i64::MAX]);
-        assert_eq!(ilp_lexmin(&cs, &[vec![1]]), Ok(Some(vec![i64::MAX])));
-        assert_eq!(ilp_lexmin(&cs, &[vec![-1]]), Ok(Some(vec![i64::MAX])));
+        assert_eq!(lexmin(&cs, &[vec![1]]), Ok(Some(vec![i64::MAX])));
+        assert_eq!(lexmin(&cs, &[vec![-1]]), Ok(Some(vec![i64::MAX])));
         // 2x there is beyond `i64`: the cost row cannot hold the value,
         // and the stage is an error — not a wrapped optimum, and not the
         // `None` that means "no point".
-        assert_eq!(ilp_lexmin(&cs, &[vec![2]]), Err(MathError::Overflow));
+        assert_eq!(lexmin(&cs, &[vec![2]]), Err(MathError::Overflow));
         // A fractional vertex at that size goes to branch and bound,
         // which finds the integer point beside it.
         let mut cs = ConstraintSystem::new(1);
@@ -1015,7 +887,7 @@ mod tests {
         cs.add_ineq(vec![-1, i64::MAX]);
         let mut stats = IlpStats::default();
         assert_eq!(
-            ilp_lexmin_warm(&cs, &[vec![1]], None, &mut stats),
+            ilp_lexmin(&cs, &[vec![1]], &mut stats),
             Ok(Some(vec![i64::MAX / 2]))
         );
     }

@@ -15,7 +15,7 @@
 //!   denominator per row; overflow is an error);
 //! * [`ilp_minimize`] / [`ilp_lexmin`] / [`ilp_feasible`] — branch-and-
 //!   bound ILP with the lexicographic minimization that drives schedule
-//!   coefficient selection;
+//!   coefficient selection (one lexmin, its effort in [`IlpStats`]);
 //! * [`farkas_nonneg`] — the affine form of Farkas' lemma, which turns
 //!   "this affine form is non-negative on that dependence polyhedron"
 //!   into linear constraints over schedule coefficients, through an
@@ -24,7 +24,7 @@
 //! # Example: a miniature scheduling legality check
 //!
 //! ```
-//! use polytops_math::{farkas_nonneg, ilp_lexmin, ConstraintSystem};
+//! use polytops_math::{farkas_nonneg, ilp_lexmin, ConstraintSystem, IlpStats};
 //!
 //! // Dependence polyhedron for S(i) -> R(i), 0 <= i <= 9 (same i).
 //! let mut dep = ConstraintSystem::new(2); // (i_S, i_R)
@@ -44,7 +44,8 @@
 //! legal.add_ineq(vec![1, 0, 0]);  // t_S >= 0
 //! legal.add_ineq(vec![0, 1, 0]);  // t_R >= 0
 //! legal.add_ineq(vec![1, 1, -1]); // t_S + t_R >= 1
-//! let sol = ilp_lexmin(&legal, &[vec![1, 1], vec![1, 0]]).unwrap();
+//! let objectives = [vec![1, 1], vec![1, 0]];
+//! let sol = ilp_lexmin(&legal, &objectives, &mut IlpStats::default()).unwrap();
 //! assert_eq!(sol, Some(vec![0, 1]));
 //! ```
 
@@ -68,8 +69,7 @@ pub use consys::{ConstraintSystem, RowKind};
 pub use error::{MathError, Result};
 pub use farkas::{farkas_cone, farkas_nonneg, farkas_substitute};
 pub use ilp::{
-    ilp_feasible, ilp_feasible_point, ilp_lexmin, ilp_lexmin_warm, ilp_minimize, ineq_implied,
-    IlpOutcome, IlpStats,
+    ilp_feasible, ilp_feasible_point, ilp_lexmin, ilp_minimize, ineq_implied, IlpOutcome, IlpStats,
 };
 pub use matrix::{orthogonal_complement, primitive, IntMatrix, RatMatrix};
 pub use num::{ceil_div, floor_div, gcd, gcd_slice, lcm, modulo, narrow};

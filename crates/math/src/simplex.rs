@@ -752,10 +752,9 @@ impl Tableau {
 /// re-pivoting on it alone and can hold a value no face of the
 /// relaxation does.
 ///
-/// This is the warm-start engine of
-/// [`ilp_lexmin_warm`](crate::ilp_lexmin_warm): the lexicographic
-/// objective cascade re-uses one basis instead of rebuilding and
-/// re-solving the whole system per objective.
+/// This is the engine of [`ilp_lexmin`](crate::ilp_lexmin): the
+/// lexicographic objective cascade re-uses one basis instead of
+/// rebuilding and re-solving the whole system per objective.
 ///
 /// It is also the one tableau under every feasibility and implication
 /// question: [`push_ineq`](IncrementalLp::push_ineq) adds a row to a

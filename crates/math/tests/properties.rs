@@ -5,9 +5,9 @@ mod reference;
 use proptest::prelude::*;
 
 use polytops_math::{
-    farkas_cone, farkas_nonneg, farkas_substitute, ilp_feasible, ilp_lexmin, ilp_lexmin_warm,
-    ilp_minimize, ineq_implied, lp_feasible, lp_minimize, orthogonal_complement, ConstraintSystem,
-    IlpOutcome, IlpStats, IncrementalLp, IntMatrix, LpOutcome, Rat, RowKind, Snapshot,
+    farkas_cone, farkas_nonneg, farkas_substitute, ilp_feasible, ilp_lexmin, ilp_minimize,
+    ineq_implied, lp_feasible, lp_minimize, orthogonal_complement, ConstraintSystem, IlpOutcome,
+    IlpStats, IncrementalLp, IntMatrix, LpOutcome, Rat, RowKind, Snapshot,
 };
 
 fn small_rat() -> impl Strategy<Value = Rat> {
@@ -180,7 +180,7 @@ proptest! {
             vec![0, 1, 0],
             vec![0, 0, 1],
         ];
-        let got = ilp_lexmin(&cs, &objs).unwrap();
+        let got = ilp_lexmin(&cs, &objs, &mut IlpStats::default()).unwrap();
         let want = pts.iter().min().cloned();
         prop_assert_eq!(got, want);
     }
@@ -196,23 +196,6 @@ proptest! {
         ) {
             prop_assert!(value <= Rat::from(bv), "LP relaxation must lower-bound ILP");
         }
-    }
-
-    #[test]
-    fn warm_lexmin_matches_cold_for_any_seed(
-        (cs, bounds) in boxed_system(),
-        seed in proptest::collection::vec(-5i64..=5, 3),
-        use_seed in 0u8..=1,
-    ) {
-        // A seed must be a pure optimization: the brute-force answer
-        // whatever seed the solver is handed — feasible, infeasible, or
-        // absent. The full identity cascade makes the lexmin point
-        // unique, so equality is exact.
-        let objs = vec![vec![1, 0, 0], vec![0, 1, 0], vec![0, 0, 1]];
-        let want = brute_points(&cs, &bounds).into_iter().min();
-        let mut stats = IlpStats::default();
-        let warm = ilp_lexmin_warm(&cs, &objs, (use_seed == 1).then_some(seed.as_slice()), &mut stats);
-        prop_assert_eq!(warm, Ok(want));
     }
 
     #[test]
@@ -750,8 +733,35 @@ proptest! {
         let mut rotated = rows.clone();
         rotated.rotate_left(shift % rows.len());
         for sys in [&cs, &reversed, &with_rows(rotated)] {
-            prop_assert_eq!(ilp_lexmin(sys, &objs), Ok(want.clone()));
+            prop_assert_eq!(ilp_lexmin(sys, &objs, &mut IlpStats::default()), Ok(want.clone()));
         }
+    }
+
+    #[test]
+    fn composite_lexmin_matches_brute_force(
+        (cs, bounds) in boxed_system(),
+        composite in proptest::collection::vec(proptest::collection::vec(-3i64..=3, 3), 1..4),
+    ) {
+        // Composite rows first, then the identity rows, so the cascade is
+        // total: the answer is the point whose composite values are
+        // lexicographically least, and the least such point. Composite
+        // rows reach fractional stages, where the previous stage's point
+        // is the branch-and-bound seed — and, at the LP bound, the
+        // stage's optimum outright.
+        let mut objs = composite.clone();
+        objs.extend([vec![1, 0, 0], vec![0, 1, 0], vec![0, 0, 1]]);
+        let values = |p: &[i64]| -> Vec<i64> {
+            composite
+                .iter()
+                .map(|row| row.iter().zip(p).map(|(a, b)| a * b).sum())
+                .collect()
+        };
+        let want = brute_points(&cs, &bounds)
+            .into_iter()
+            .min_by_key(|p| (values(p), p.clone()));
+        let got = ilp_lexmin(&cs, &objs, &mut IlpStats::default()).unwrap();
+        prop_assert_eq!(got.as_deref().map(values), want.as_deref().map(values));
+        prop_assert_eq!(got, want);
     }
 }
 
