@@ -36,12 +36,30 @@
 //! redundancy pruning of a Fourier–Motzkin step takes each tested row
 //! out of the one tableau of the step's system and puts it back if it
 //! was needed.
+//!
+//! Most of those questions never reach a tableau, because the rows
+//! answer them. Every rule below is exact: it gives the answer the LP
+//! would give, so the emitted C is the same with or without it.
+//! - A row whose coefficients are those of a row of the system, with no
+//!   smaller constant, is implied by that row. This settles a leaf guard
+//!   that restates a loop bound, a floor relaxation or a guard already
+//!   kept, and a shared bound that is a row of the statement's own scan
+//!   space. A context's tableau is built only for the first question
+//!   these rows cannot settle.
+//! - In pruning, an inequality that is the only one of its sign on some
+//!   variable no equality mentions is needed: without it that variable
+//!   is unbounded one way, so nothing else implies it.
+//! - Between two equality substitutions of the iterator cascade, the
+//!   prune is skipped when the second substitution changes its rows only
+//!   by scale. A substitution maps the pivot's hyperplane one to one
+//!   onto the projection, so the prune after it keeps the same rows.
 
 use std::fmt::Write as _;
 
 use polytops_ir::{MarkKind, PathStep, Schedule, Scop, StmtId, TreeNode};
 use polytops_math::{
-    ineq_implied, ConstraintSystem, IncrementalLp, MathError, Rat, Result as MathResult, RowKind,
+    gcd, ineq_implied, lcm, narrow, ConstraintSystem, IncrementalLp, MathError, Rat,
+    Result as MathResult, RowKind,
 };
 
 /// Why a scheduled SCoP could not be lowered to C.
@@ -209,38 +227,53 @@ struct StmtScan {
     bounds: Vec<(Vec<BoundTerm>, Vec<BoundTerm>)>,
     /// The full projection onto `(c_0..c_{K-1}, params)` — the exact
     /// (convex) description of the statement's scan space, the source
-    /// of leaf guards.
-    full: ConstraintSystem,
-    /// The solved tableau of `full`, which every bound proposed for a
-    /// loop around the statement is checked against.
+    /// of leaf guards — which every bound proposed for a loop around
+    /// the statement is checked against.
     space: Context,
     /// Original iterators over `(c_0..c_{K-1}, params, 1)`, when the
     /// affine members pin them integrally.
     iters: Option<Vec<Vec<i64>>>,
 }
 
-/// A system that is asked many implication questions: its live tableau,
-/// and the count of questions for `codegen.implied_queries`.
+/// A system that is asked many implication questions, its live tableau,
+/// and the count of the questions that tableau answered, for
+/// `codegen.implied_queries`.
+///
+/// A question the rows answer ([`restates`]) is not asked of the
+/// tableau, and the tableau is built on the first question they do not
+/// answer. Where that build overflowed, the tableau implies nothing, as
+/// [`ineq_implied`] would answer, while a restated row is still implied
+/// — which is true over the rationals too.
 struct Context {
-    /// `None` when the tableau could not be built (an overflow):
-    /// nothing is implied then, as [`ineq_implied`] would answer.
-    lp: Option<IncrementalLp>,
+    cs: ConstraintSystem,
+    /// `None` until a question needs the tableau; `Some(None)` when it
+    /// could not be built.
+    lp: Option<Option<IncrementalLp>>,
     queries: u64,
 }
 
 impl Context {
-    fn new(cs: &ConstraintSystem) -> Context {
+    fn new(cs: ConstraintSystem) -> Context {
         Context {
-            lp: IncrementalLp::new(cs).ok(),
+            cs,
+            lp: None,
             queries: 0,
         }
     }
 
     /// Whether the system implies `row ≥ 0` over the rationals. Every
-    /// answer re-optimizes from the basis the last one stopped at.
+    /// answer the tableau gives re-optimizes from the basis the last
+    /// one stopped at.
     fn implies(&mut self, row: &[i64]) -> bool {
+        if restates(&self.cs, row) {
+            return true;
+        }
         self.queries += 1;
-        self.lp.as_mut().is_some_and(|lp| lp.implies(row))
+        let cs = &self.cs;
+        self.lp
+            .get_or_insert_with(|| IncrementalLp::new(cs).ok())
+            .as_mut()
+            .is_some_and(|lp| lp.implies(row))
     }
 
     /// Whether the system implies `row == 0`.
@@ -252,7 +285,11 @@ impl Context {
     /// Adds a row to the system. A push that overflows leaves a
     /// tableau that implies nothing, which only keeps guards.
     fn push(&mut self, kind: RowKind, row: &[i64]) {
-        if let Some(lp) = &mut self.lp {
+        match kind {
+            RowKind::Ineq => self.cs.add_ineq(row.to_vec()),
+            RowKind::Eq => self.cs.add_eq(row.to_vec()),
+        }
+        if let Some(Some(lp)) = &mut self.lp {
             let _ = match kind {
                 RowKind::Ineq => lp.push_ineq(row),
                 RowKind::Eq => lp.pin_eq(row),
@@ -261,18 +298,47 @@ impl Context {
     }
 }
 
+/// Whether `cs` implies `row ≥ 0` by inspection: it has an inequality
+/// with `row`'s coefficients and a constant no larger than `row`'s, or
+/// an equality that, read either way, is such an inequality.
+fn restates(cs: &ConstraintSystem, row: &[i64]) -> bool {
+    let n = cs.num_vars();
+    let (coeffs, cst) = (&row[..n], i128::from(row[n]));
+    cs.iter().any(|(kind, r)| {
+        (r[..n] == *coeffs && i128::from(r[n]) <= cst)
+            || (kind == RowKind::Eq
+                && r[..n]
+                    .iter()
+                    .zip(coeffs)
+                    .all(|(&a, &b)| b.checked_neg() == Some(a))
+                && -i128::from(r[n]) <= cst)
+    })
+}
+
 /// Drops every inequality row the remaining rows already imply (an
 /// exact LP check per row). Fourier–Motzkin cascades produce heavily
 /// redundant systems; pruning after each elimination keeps the cascade
-/// small and the extracted loop bounds readable.
+/// small and the extracted loop bounds readable. `queries` counts the
+/// LP questions asked.
 ///
 /// Rows are tested in order against the rows still kept, so of two
 /// identical rows the first goes and the second stays. All tests are
 /// asked of the one tableau of `cs`: the tested row is taken out of it
 /// and the rest minimizes it; a row that turns out implied stays out,
 /// a row that does not is put back by rolling the tableau back.
+///
+/// A feasible system keeps, with no question, every inequality that is
+/// the only one with a positive (or the only one with a negative)
+/// coefficient on a variable no equality mentions. Without that row,
+/// any feasible point of the rows still kept stays feasible as the
+/// variable moves against the row, which makes the row's value as
+/// negative as one likes: the row is not implied, and the LP would say
+/// so. Rows only leave, so a row alone in its sign among all of `cs`'s
+/// rows is alone among the kept ones too. An infeasible system implies
+/// every row, and there no row is kept this way.
 fn prune_redundant(cs: &ConstraintSystem, queries: &mut u64) -> ConstraintSystem {
     let rows = cs.rows();
+    let n = cs.num_vars();
     let mut keep = vec![true; rows.len()];
     // An empty system has no feasible basis to take a row out of, and
     // a tableau that overflowed none to trust: each row is then tested
@@ -280,11 +346,30 @@ fn prune_redundant(cs: &ConstraintSystem, queries: &mut u64) -> ConstraintSystem
     let mut live = IncrementalLp::new(cs)
         .ok()
         .filter(IncrementalLp::is_feasible);
+    // Per variable: the inequalities with a positive and with a
+    // negative coefficient on it, and whether an equality mentions it.
+    let mut pos = vec![0usize; n];
+    let mut neg = vec![0usize; n];
+    let mut in_eq = vec![false; n];
+    for (kind, row) in rows {
+        for v in 0..n {
+            match (kind, row[v].signum()) {
+                (_, 0) => {}
+                (RowKind::Eq, _) => in_eq[v] = true,
+                (RowKind::Ineq, 1) => pos[v] += 1,
+                (RowKind::Ineq, _) => neg[v] += 1,
+            }
+        }
+    }
+    let sole_bound = |row: &[i64]| {
+        (0..n).any(|v| !in_eq[v] && ((row[v] > 0 && pos[v] == 1) || (row[v] < 0 && neg[v] == 1)))
+    };
     let ineqs = (0..rows.len()).filter(|&i| rows[i].0 == RowKind::Ineq);
     for (k, i) in ineqs.enumerate() {
-        *queries += 1;
         keep[i] = match &mut live {
+            Some(_) if sole_bound(&rows[i].1) => true,
             Some(lp) => {
+                *queries += 1;
                 let before = lp.snapshot();
                 let implied = lp.drop_ineq(k).is_ok() && lp.implies(&rows[i].1);
                 if !implied {
@@ -293,7 +378,8 @@ fn prune_redundant(cs: &ConstraintSystem, queries: &mut u64) -> ConstraintSystem
                 !implied
             }
             None => {
-                let mut rest = ConstraintSystem::new(cs.num_vars());
+                *queries += 1;
+                let mut rest = ConstraintSystem::new(n);
                 for (j, (kind, row)) in rows.iter().enumerate() {
                     match kind {
                         _ if j == i || !keep[j] => {}
@@ -438,11 +524,8 @@ fn scan_stmt(scop: &Scop, sid: usize, members: Vec<MemberData>) -> MathResult<St
     }
     // Eliminate the auxiliary floor variables and the original
     // iterators (positions kk..kk+aux+d).
-    let mut cur = sys;
     let mut queries = 0;
-    for _ in 0..(aux + d) {
-        cur = prune_redundant(&cur.eliminate_var(kk)?, &mut queries);
-    }
+    let mut cur = eliminate_pruned(sys, kk, aux + d, &mut queries)?;
     let full = cur.clone();
     // Successive projections onto (c_0..c_k, params).
     let mut projections = vec![cur.clone()];
@@ -455,14 +538,56 @@ fn scan_stmt(scop: &Scop, sid: usize, members: Vec<MemberData>) -> MathResult<St
         .map(|k| extract_bounds(&projections[k], k))
         .collect();
     let iters = invert_iters(scop, sid, &members);
-    let mut space = Context::new(&full);
+    let mut space = Context::new(full);
     space.queries += queries;
     Ok(StmtScan {
         members,
         bounds,
-        full,
         space,
         iters,
+    })
+}
+
+/// Eliminates `count` variables at position `at`, one at a time, and
+/// prunes the system after each step: the same rows as
+/// `prune_redundant(&cur.eliminate_var(at)?)` `count` times over.
+///
+/// A prune between two equality substitutions is skipped when the
+/// second one changes its rows only by scale
+/// ([`ConstraintSystem::substitute_eq`]). Such a substitution keeps
+/// every rational implication between rows, so the prune after it tests
+/// the same rows with the same answers, and drops what the skipped
+/// prune would have dropped; a row that prune kept was implied by none
+/// of the rows after it, so the later prune keeps it as well. When the
+/// second step merges, drops or tightens a row, the first prune runs as
+/// before and the step is taken again from its result.
+fn eliminate_pruned(
+    mut cur: ConstraintSystem,
+    at: usize,
+    count: usize,
+    queries: &mut u64,
+) -> MathResult<ConstraintSystem> {
+    // Whether `cur` is a substitution's result whose prune is put off.
+    let mut unpruned = false;
+    for _ in 0..count {
+        let mut step = cur.substitute_eq(at)?;
+        if unpruned {
+            if let Some((next, true)) = step {
+                cur = next;
+                continue;
+            }
+            cur = prune_redundant(&cur, queries);
+            step = cur.substitute_eq(at)?;
+        }
+        (cur, unpruned) = match step {
+            Some((next, _)) => (next, true),
+            None => (prune_redundant(&cur.eliminate_var(at)?, queries), false),
+        };
+    }
+    Ok(if unpruned {
+        prune_redundant(&cur, queries)
+    } else {
+        cur
     })
 }
 
@@ -478,17 +603,17 @@ fn invert_iters(scop: &Scop, sid: usize, members: &[MemberData]) -> Option<Vec<V
         return Some(Vec::new());
     }
     // Greedily pick affine members whose iterator rows form a rank-d
-    // basis.
+    // basis: a row joins when the echelon form of the rows picked so far
+    // does not reduce it to zero.
     let mut m = polytops_math::IntMatrix::zeros(0, d);
+    let mut echelon = Echelon::default();
     let mut picked: Vec<usize> = Vec::new();
     for (k, md) in members.iter().enumerate() {
         let [(row, 1)] = md.terms.as_slice() else {
             continue;
         };
-        let mut candidate = m.clone();
-        candidate.push_row(row[..d].to_vec());
-        if candidate.rank() == candidate.rows() {
-            m = candidate;
+        if echelon.insert(&row[..d])? {
+            m.push_row(row[..d].to_vec());
             picked.push(k);
         }
         if m.rows() == d {
@@ -524,6 +649,44 @@ fn invert_iters(scop: &Scop, sid: usize, members: &[MemberData]) -> Option<Vec<V
     Some(out)
 }
 
+/// A fraction-free row echelon form: rows in order of their first
+/// nonzero column (the pivot), each zero before it and divided by the
+/// gcd of its entries.
+#[derive(Default)]
+struct Echelon {
+    rows: Vec<(usize, Vec<i128>)>,
+}
+
+impl Echelon {
+    /// Reduces `row` against the rows held and adds what is left, when
+    /// something is: returns whether `row` is independent of them.
+    /// `None` when a combination outgrows `i128`.
+    fn insert(&mut self, row: &[i64]) -> Option<bool> {
+        let mut r: Vec<i128> = row.iter().map(|&c| i128::from(c)).collect();
+        for (p, e) in &self.rows {
+            let (a, b) = (e[*p], r[*p]);
+            if b == 0 {
+                continue;
+            }
+            // r ← a·r − b·e zeroes column p and, with `e` zero before
+            // its pivot, keeps the earlier pivot columns zero.
+            for (x, &y) in r.iter_mut().zip(e) {
+                *x = a.checked_mul(*x)?.checked_sub(b.checked_mul(y)?)?;
+            }
+            let g = r.iter().fold(0, |g, &x| gcd(g, x));
+            if g > 1 {
+                r.iter_mut().for_each(|x| *x /= g);
+            }
+        }
+        let Some(p) = r.iter().position(|&x| x != 0) else {
+            return Some(false);
+        };
+        let at = self.rows.partition_point(|(q, _)| *q < p);
+        self.rows.insert(at, (p, r));
+        Some(true)
+    }
+}
+
 /// Lifts a bound on `c_k` (over `(c_0..c_{k-1}, params, 1)`) into a
 /// statement's full `(c_0..c_{K-1}, params)` row: `div·c_k − expr ≥ 0`
 /// for lower bounds, `expr − div·c_k ≥ 0` for upper bounds.
@@ -541,7 +704,9 @@ fn lift_bound(term: &BoundTerm, k: usize, kk: usize, np: usize, lower: bool) -> 
 }
 
 /// Whether `term` is a valid `c_k` bound for every point of `scan`'s
-/// statement (an exact LP implication over the full projection).
+/// statement (an exact LP implication over the full projection). A
+/// term lifted to one of the projection's own rows is valid without
+/// the LP.
 fn bound_valid(scan: &mut StmtScan, k: usize, term: &BoundTerm, lower: bool, np: usize) -> bool {
     let row = lift_bound(term, k, scan.members.len(), np, lower);
     scan.space.implies(&row)
@@ -603,14 +768,21 @@ struct PendingMarks<'a> {
 
 /// The leaf guards of one statement — the exact floor checks of its
 /// quasi-affine members plus every full-projection row the enclosing
-/// loop bounds do not imply — and the number of implication questions
-/// that took. The context the rows are tested against is one tableau:
-/// the loop bounds, and each guard kept so far pushed onto it.
+/// loop bounds do not imply — and the number of LP questions that took.
+/// The context the rows are tested against is one tableau: the loop
+/// bounds, and each guard kept so far pushed onto it. A row that
+/// restates one of those is implied on sight, and the tableau is built
+/// only when a row is not.
+///
+/// # Errors
+///
+/// [`MathError::Overflow`] when a floor relaxation's coefficients
+/// outgrow `i64`.
 fn leaf_guards(
     scan: &StmtScan,
     loop_bounds: &[(usize, bool, BoundTerm)],
     np: usize,
-) -> (Vec<Guard>, u64) {
+) -> MathResult<(Vec<Guard>, u64)> {
     let kk = scan.members.len();
     let mut bounds = ConstraintSystem::new(kk + np);
     for (k, lower, term) in loop_bounds {
@@ -618,17 +790,19 @@ fn leaf_guards(
     }
     let mut out = Vec::new();
     // Exact floor guards for quasi-affine members, plus their linear
-    // relaxation (`D·c_v` between the div-weighted term sums) so the
-    // projection rows derived from the same facts are recognized as
-    // implied below.
+    // relaxation (`D·c_v` between the div-weighted term sums, `D` the
+    // lcm of the divisors) so the projection rows derived from the same
+    // facts are recognized as implied below.
     for (v, md) in scan.members.iter().enumerate() {
         if md.terms.len() < 2 {
             continue;
         }
-        let Some(terms) = floor_terms(scan, md) else {
+        let Some(terms) = floor_terms(scan, md)? else {
             continue;
         };
-        let d_all: i64 = terms.iter().map(|t| t.div).product();
+        let d_all = terms
+            .iter()
+            .try_fold(1, |d: i64, t| narrow(lcm(d.into(), t.div.into())))?;
         let mut lo = vec![0i64; kk + np + 1];
         let mut hi = vec![0i64; kk + np + 1];
         lo[v] = d_all;
@@ -636,17 +810,17 @@ fn leaf_guards(
         for t in &terms {
             let w = d_all / t.div;
             for (i, &c) in t.expr.iter().enumerate() {
-                lo[i] -= w * c;
-                hi[i] += w * c;
+                lo[i] = mul_add(lo[i], -w, c)?;
+                hi[i] = mul_add(hi[i], w, c)?;
             }
-            lo[kk + np] += w * (t.div - 1);
+            lo[kk + np] = mul_add(lo[kk + np], w, t.div - 1)?;
         }
         bounds.add_ineq(lo);
         bounds.add_ineq(hi);
         out.push(Guard::Floors { var: v, terms });
     }
-    let mut ctx = Context::new(&bounds);
-    for (kind, row) in scan.full.iter() {
+    let mut ctx = Context::new(bounds);
+    for (kind, row) in scan.space.cs.iter() {
         let implied = match kind {
             RowKind::Ineq => ctx.implies(row),
             RowKind::Eq => ctx.implies_eq(row),
@@ -659,15 +833,21 @@ fn leaf_guards(
             ctx.push(kind, row);
         }
     }
-    (out, ctx.queries)
+    Ok((out, ctx.queries))
 }
 
 /// The floored terms of a quasi-affine member rewritten over the scan
-/// variables (requires the statement's iterators to be invertible).
-fn floor_terms(scan: &StmtScan, md: &MemberData) -> Option<Vec<BoundTerm>> {
-    let iters = scan.iters.as_ref()?;
+/// variables; `None` when the statement's iterators are not invertible.
+///
+/// # Errors
+///
+/// [`MathError::Overflow`] when a rewritten coefficient outgrows `i64`.
+fn floor_terms(scan: &StmtScan, md: &MemberData) -> MathResult<Option<Vec<BoundTerm>>> {
+    let Some(iters) = scan.iters.as_ref() else {
+        return Ok(None);
+    };
     let kk = scan.members.len();
-    let width = scan.full.num_vars() + 1; // kk + np + 1
+    let width = scan.space.cs.num_vars() + 1; // kk + np + 1
     let np = width - kk - 1;
     let d = iters.len();
     let mut out = Vec::with_capacity(md.terms.len());
@@ -675,16 +855,20 @@ fn floor_terms(scan: &StmtScan, md: &MemberData) -> Option<Vec<BoundTerm>> {
         let mut e = vec![0i64; width];
         for (i, x) in iters.iter().enumerate() {
             for (pos, &c) in x.iter().enumerate() {
-                e[pos] += row[i] * c;
+                e[pos] = mul_add(e[pos], row[i], c)?;
             }
         }
-        for p in 0..np {
-            e[kk + p] += row[d + p];
+        for p in 0..=np {
+            e[kk + p] = mul_add(e[kk + p], row[d + p], 1)?;
         }
-        e[kk + np] += row[d + np];
         out.push(BoundTerm { expr: e, div: *div });
     }
-    Some(out)
+    Ok(Some(out))
+}
+
+/// `acc + a·b`, or [`MathError::Overflow`] when that outgrows `i64`.
+fn mul_add(acc: i64, a: i64, b: i64) -> MathResult<i64> {
+    narrow(i128::from(acc) + i128::from(a) * i128::from(b))
 }
 
 /// Recursively builds the AST of one tree node for the active
@@ -698,23 +882,23 @@ fn walk(
     level: usize,
     loop_bounds: &mut Vec<(usize, bool, BoundTerm)>,
     marks: PendingMarks<'_>,
-) -> Vec<AstNode> {
+) -> MathResult<Vec<AstNode>> {
     if active.is_empty() {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     let np = scop.nparams();
     match node {
         TreeNode::Leaf => active
             .iter()
             .map(|&sid| {
-                let (guards, asked) = leaf_guards(&scans[sid], loop_bounds, np);
+                let (guards, asked) = leaf_guards(&scans[sid], loop_bounds, np)?;
                 scans[sid].space.queries += asked;
-                AstNode::Stmt(StmtNode {
+                Ok(AstNode::Stmt(StmtNode {
                     id: StmtId(sid),
                     name: scop.statements[sid].name.clone(),
                     iters: scans[sid].iters.clone(),
                     guards,
-                })
+                }))
             })
             .collect(),
         TreeNode::Filter { stmts, child } => {
@@ -736,9 +920,9 @@ fn walk(
                     level,
                     loop_bounds,
                     PendingMarks::default(),
-                ));
+                )?);
             }
-            out
+            Ok(out)
         }
         TreeNode::Mark { kind, child } => {
             let next = match kind {
@@ -774,7 +958,7 @@ fn build_member(
     child: &TreeNode,
     loop_bounds: &mut Vec<(usize, bool, BoundTerm)>,
     marks: PendingMarks<'_>,
-) -> Vec<AstNode> {
+) -> MathResult<Vec<AstNode>> {
     if j == n {
         return walk(
             scop,
@@ -817,7 +1001,7 @@ fn build_member(
         child,
         loop_bounds,
         marks,
-    );
+    )?;
     for _ in 0..pushed {
         loop_bounds.pop();
     }
@@ -830,7 +1014,7 @@ fn build_member(
         && marks
             .simd_stmts
             .is_some_and(|stmts| active.iter().all(|s| stmts.contains(s)));
-    vec![AstNode::Loop(LoopNode {
+    Ok(vec![AstNode::Loop(LoopNode {
         var: k,
         tile,
         wavefront: j == 0 && marks.wavefront,
@@ -839,7 +1023,7 @@ fn build_member(
         lb,
         ub,
         body,
-    })]
+    })])
 }
 
 /// Generates the AST of a scheduled SCoP by walking its schedule tree
@@ -886,7 +1070,7 @@ pub fn generate(scop: &Scop, sched: &Schedule) -> MathResult<AstNode> {
         0,
         &mut loop_bounds,
         PendingMarks::default(),
-    );
+    )?;
     polytops_math::obs::count(
         "codegen.implied_queries",
         scans.iter().map(|scan| scan.space.queries).sum(),
@@ -1102,4 +1286,239 @@ pub fn emit_c(scop: &Scop, sched: &Schedule) -> Result<String, CodegenError> {
     let mut out = String::new();
     emit_node(&tree, &params, 0, false, &mut out)?;
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use polytops_math::IntMatrix;
+    use proptest::prelude::*;
+
+    /// The prune before inspection, kept as the reference: one LP
+    /// question per inequality.
+    fn prune_redundant_lp(cs: &ConstraintSystem, queries: &mut u64) -> ConstraintSystem {
+        let rows = cs.rows();
+        let mut keep = vec![true; rows.len()];
+        let mut live = IncrementalLp::new(cs)
+            .ok()
+            .filter(IncrementalLp::is_feasible);
+        let ineqs = (0..rows.len()).filter(|&i| rows[i].0 == RowKind::Ineq);
+        for (k, i) in ineqs.enumerate() {
+            *queries += 1;
+            keep[i] = match &mut live {
+                Some(lp) => {
+                    let before = lp.snapshot();
+                    let implied = lp.drop_ineq(k).is_ok() && lp.implies(&rows[i].1);
+                    if !implied {
+                        lp.rollback(before);
+                    }
+                    !implied
+                }
+                None => {
+                    let mut rest = ConstraintSystem::new(cs.num_vars());
+                    for (j, (kind, row)) in rows.iter().enumerate() {
+                        match kind {
+                            _ if j == i || !keep[j] => {}
+                            RowKind::Eq => rest.add_eq(row.clone()),
+                            RowKind::Ineq => rest.add_ineq(row.clone()),
+                        }
+                    }
+                    !ineq_implied(&rest, &rows[i].1)
+                }
+            };
+        }
+        let mut out = ConstraintSystem::new(cs.num_vars());
+        for ((kind, row), _) in rows.iter().zip(keep).filter(|(_, keep)| *keep) {
+            match kind {
+                RowKind::Eq => out.add_eq(row.clone()),
+                RowKind::Ineq => out.add_ineq(row.clone()),
+            }
+        }
+        out
+    }
+
+    /// Both prunes of `cs`, with the questions each asked.
+    fn both_prunes(cs: &ConstraintSystem) -> ((ConstraintSystem, u64), (ConstraintSystem, u64)) {
+        let (mut fast, mut slow) = (0, 0);
+        let pruned = prune_redundant(cs, &mut fast);
+        let reference = prune_redundant_lp(cs, &mut slow);
+        ((pruned, fast), (reference, slow))
+    }
+
+    fn rationally_feasible(cs: &ConstraintSystem) -> bool {
+        IncrementalLp::new(cs).is_ok_and(|lp| lp.is_feasible())
+    }
+
+    /// A system over four variables whose rows repeat directions: an
+    /// inequality beside itself under a larger constant or scaled, and
+    /// equalities now and then.
+    fn system() -> impl Strategy<Value = ConstraintSystem> {
+        let row = (
+            (0u8..5, 1i64..=3),
+            proptest::collection::vec(-3i64..=3, 4),
+            -4i64..=8,
+        );
+        proptest::collection::vec(row, 1..9).prop_map(|rows| {
+            let mut cs = ConstraintSystem::new(4);
+            for ((kind, k), mut r, cst) in rows {
+                r.push(cst);
+                match kind {
+                    0 => cs.add_eq(r),
+                    1 => {
+                        let mut looser = r.clone();
+                        looser[4] += k;
+                        cs.add_ineq(r);
+                        cs.add_ineq(looser);
+                    }
+                    2 => {
+                        cs.add_ineq(r.iter().map(|c| c * k).collect());
+                        cs.add_ineq(r);
+                    }
+                    _ => cs.add_ineq(r),
+                }
+            }
+            cs
+        })
+    }
+
+    /// [`system`] with a row and its strict negation: nothing rational
+    /// satisfies it.
+    fn infeasible_system() -> impl Strategy<Value = ConstraintSystem> {
+        (system(), proptest::collection::vec(-3i64..=3, 5)).prop_map(|(mut cs, r)| {
+            let mut opposite: Vec<i64> = r.iter().map(|c| -c).collect();
+            opposite[4] -= 1;
+            cs.add_ineq(r);
+            cs.add_ineq(opposite);
+            cs
+        })
+    }
+
+    /// A system over six variables with equalities mentioning the three
+    /// the cascade eliminates (positions 1..4), some with coefficients
+    /// whose substitution tightens or merges rows.
+    fn cascade_system() -> impl Strategy<Value = ConstraintSystem> {
+        let eq = (proptest::collection::vec(-2i64..=2, 6), -3i64..=3);
+        let ineq = (proptest::collection::vec(-2i64..=2, 6), -2i64..=6);
+        (
+            proptest::collection::vec(eq, 0..4),
+            proptest::collection::vec(ineq, 2..9),
+        )
+            .prop_map(|(eqs, ineqs)| {
+                let mut cs = ConstraintSystem::new(6);
+                for (mut r, cst) in eqs {
+                    r.push(cst);
+                    cs.add_eq(r);
+                }
+                for (mut r, cst) in ineqs {
+                    r.push(cst);
+                    cs.add_ineq(r);
+                }
+                cs
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::default())]
+
+        #[test]
+        fn the_shortcut_prune_keeps_what_the_lp_prune_keeps(cs in system()) {
+            let ((pruned, asked), (reference, lp_asked)) = both_prunes(&cs);
+            prop_assert_eq!(&pruned, &reference);
+            prop_assert!(asked <= lp_asked, "{} > {}", asked, lp_asked);
+            if !rationally_feasible(&cs) {
+                prop_assert_eq!(asked, lp_asked);
+            }
+        }
+
+        #[test]
+        fn no_shortcut_fires_on_an_infeasible_system(cs in infeasible_system()) {
+            prop_assert!(!rationally_feasible(&cs));
+            let ((pruned, asked), (reference, lp_asked)) = both_prunes(&cs);
+            prop_assert_eq!(&pruned, &reference);
+            prop_assert_eq!(asked, lp_asked);
+        }
+
+        #[test]
+        fn a_cascade_that_skips_prunes_matches_the_per_step_cascade(cs in cascade_system()) {
+            let mut asked = 0;
+            let skipping = eliminate_pruned(cs.clone(), 1, 3, &mut asked);
+            let mut lp_asked = 0;
+            let mut per_step = Ok(cs);
+            for _ in 0..3 {
+                per_step = per_step.and_then(|cur| {
+                    Ok(prune_redundant_lp(&cur.eliminate_var(1)?, &mut lp_asked))
+                });
+            }
+            prop_assert_eq!(&skipping, &per_step);
+            prop_assert!(asked <= lp_asked, "{} > {}", asked, lp_asked);
+        }
+
+        #[test]
+        fn the_echelon_picks_the_rows_the_rank_test_picks(
+            rows in proptest::collection::vec(proptest::collection::vec(-3i64..=3, 3), 0..7),
+        ) {
+            let mut echelon = Echelon::default();
+            let mut basis = IntMatrix::zeros(0, 3);
+            for row in rows {
+                let mut candidate = basis.clone();
+                candidate.push_row(row.clone());
+                let independent = candidate.rank() == candidate.rows();
+                prop_assert_eq!(echelon.insert(&row), Some(independent));
+                if independent {
+                    basis = candidate;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_alone_in_its_sign_on_a_free_variable_is_kept_unasked() {
+        // 0 ≤ x ≤ 4, 0 ≤ y ≤ 3, x + y ≤ 10: `x ≥ 0` and `y ≥ 0` are the
+        // only rows bounding their variable from below, so only the
+        // three upper bounds are asked about, and the last one goes.
+        let mut cs = ConstraintSystem::new(2);
+        for row in [[1, 0, 0], [-1, 0, 4], [0, 1, 0], [0, -1, 3], [-1, -1, 10]] {
+            cs.add_ineq(row.to_vec());
+        }
+        let ((pruned, asked), (reference, lp_asked)) = both_prunes(&cs);
+        assert_eq!(pruned, reference);
+        assert_eq!(pruned.len(), 4);
+        assert_eq!((asked, lp_asked), (3, 5));
+        // An equality on x leaves x bounded without `x ≥ 0`: asked.
+        cs.add_eq(vec![1, -1, 0]);
+        let ((pruned, asked), (reference, _)) = both_prunes(&cs);
+        assert_eq!(pruned, reference);
+        assert_eq!(asked, 5);
+    }
+
+    #[test]
+    fn a_floor_relaxation_that_outgrows_i64_is_an_error() {
+        // c0 == ⌊x / p⌋ + ⌊x / q⌋ + ⌊x / r⌋ with x == c0 … over divisors
+        // whose lcm is about 2^66: their product wraps in `i64`.
+        let big = 1i64 << 22;
+        let scan = |divs: [i64; 3], coeff: i64| StmtScan {
+            members: vec![MemberData {
+                terms: divs.iter().map(|&div| (vec![coeff, 0], div)).collect(),
+                coincident: false,
+            }],
+            bounds: Vec::new(),
+            space: Context::new(ConstraintSystem::new(1)),
+            iters: Some(vec![vec![1, 0]]),
+        };
+        let coprime = scan([big, big - 1, big + 1], 1);
+        assert_eq!(
+            leaf_guards(&coprime, &[], 0).map(|_| ()),
+            Err(MathError::Overflow)
+        );
+        // Small divisors, but a weight times a coefficient overflows.
+        let steep = scan([2, 3, 5], i64::MAX / 4);
+        assert_eq!(
+            leaf_guards(&steep, &[], 0).map(|_| ()),
+            Err(MathError::Overflow)
+        );
+        // Equal divisors relax by their lcm, not their cube.
+        let equal = scan([big, big, big], 1);
+        let (guards, _) = leaf_guards(&equal, &[], 0).expect("lcm fits");
+        assert!(matches!(guards.as_slice(), [Guard::Floors { var: 0, .. }]));
+    }
 }

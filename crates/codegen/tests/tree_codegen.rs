@@ -3,8 +3,10 @@
 
 use polytops_codegen::{emit_c, generate, stats, AstNode, CodegenError};
 use polytops_core::{presets, schedule, SchedulerConfig};
-use polytops_ir::{Aff, MarkKind, Schedule, ScopBuilder, StmtSchedule};
-use polytops_workloads::{gemver, heat_2d, jacobi_1d, matmul, producer_consumer};
+use polytops_ir::{Aff, MarkKind, Schedule, Scop, ScopBuilder, StmtSchedule};
+use polytops_workloads::{
+    all_kernels, gemver, heat_2d, jacobi_1d, matmul, producer_consumer, sweep::preset_grid,
+};
 
 /// Counts the loops (tile and point) of a generated AST.
 fn count_loops(node: &AstNode) -> (usize, usize) {
@@ -147,4 +149,65 @@ fn a_schedule_without_an_integral_inverse_is_an_error_not_an_ellipsis() {
     assert!(err.to_string().contains("`S0`"), "{err}");
     // The AST itself still says so, for callers that walk it.
     assert!(generate(&scop, &sched).is_ok());
+}
+
+/// The LP questions one `generate` asks, from the
+/// `codegen.implied_queries` counter of a recorder bound around it.
+fn implied_queries(scop: &Scop, sched: &Schedule) -> u64 {
+    let recorder = polytops_math::obs::Recorder::new(true);
+    let root = recorder.root_span("test");
+    {
+        let _bound = root.link().expect("armed").bind();
+        generate(scop, sched).expect("lowers");
+    }
+    recorder.counter("codegen.implied_queries").get()
+}
+
+#[test]
+fn implied_queries_are_pinned_per_kernel_and_preset() {
+    // In `preset_grid` order: pluto, feautrier, isl_like, wavefront,
+    // fast_path. Only the questions the rows could not answer count.
+    let want: [(&str, [u64; 5]); 7] = [
+        ("stencil_chain", [0, 0, 0, 4, 0]),
+        ("matmul", [2, 2, 2, 23, 2]),
+        ("producer_consumer", [0, 4, 0, 7, 0]),
+        ("reversed_consumer", [0, 0, 0, 8, 0]),
+        ("jacobi_1d", [1, 5, 5, 51, 1]),
+        ("heat_2d", [3, 26, 26, 162, 3]),
+        ("gemver", [3, 18, 18, 45, 3]),
+    ];
+    let kernels = all_kernels();
+    assert_eq!(kernels.len(), want.len());
+    for ((kernel, scop), (name, queries)) in kernels.iter().zip(want) {
+        assert_eq!(*kernel, name);
+        let got: Vec<u64> = preset_grid()
+            .iter()
+            .map(|(_, config)| implied_queries(scop, &schedule(scop, config).unwrap()))
+            .collect();
+        assert_eq!(got, queries, "{kernel}");
+    }
+}
+
+#[test]
+fn huge_wavefront_tiles_lower_or_overflow_the_same_in_every_profile() {
+    // Three floors of one tile size each: the floor relaxation weighs
+    // them by the lcm of their divisors (2^22), not their product
+    // (2^66, which wrapped in `i64`). At 2^30 the projections overflow,
+    // and that is an error, not a panic or a wrapped bound.
+    let scop = heat_2d();
+    let lower = |size: i64| {
+        let mut cfg = SchedulerConfig::default();
+        cfg.post.tile_sizes = vec![size];
+        cfg.post.wavefront = true;
+        emit_c(&scop, &schedule(&scop, &cfg).unwrap())
+    };
+    let text = lower(1 << 22).expect("a 2^22 tile lowers");
+    assert!(
+        text.contains("c0 == floord(c3, 4194304) + floord(c4, 4194304) + floord(c5, 4194304)"),
+        "{text}"
+    );
+    assert_eq!(
+        lower(1 << 30),
+        Err(CodegenError::Math(polytops_math::MathError::Overflow))
+    );
 }

@@ -164,7 +164,7 @@ impl ConstraintSystem {
     /// Returns `false` if a trivially *infeasible* row was found (e.g.
     /// `0 >= 1`), in which case the system is left holding that witness.
     pub fn normalize(&mut self) -> bool {
-        self.normalize_impl(true)
+        self.normalize_impl(true) != Normalized::Infeasible
     }
 
     /// Normalizes every row assuming **rational** variables: divides by
@@ -174,16 +174,18 @@ impl ConstraintSystem {
     ///
     /// Returns `false` on a trivially infeasible constant row.
     pub fn normalize_rational(&mut self) -> bool {
-        self.normalize_impl(false)
+        self.normalize_impl(false) != Normalized::Infeasible
     }
 
-    fn normalize_impl(&mut self, tighten: bool) -> bool {
+    fn normalize_impl(&mut self, tighten: bool) -> Normalized {
         // What makes two rows one — an equality's whole row, an
         // inequality's coefficients — with the place of the first such
         // row and the tightest (smallest) constant seen beside them.
         let mut first: HashMap<(RowKind, Vec<i64>), (usize, i64)> =
             HashMap::with_capacity(self.rows.len());
         let n = self.num_vars;
+        let given = self.rows.len();
+        let mut tightened = false;
         for (kind, mut row) in std::mem::take(&mut self.rows) {
             let g = gcd_slice(&row[..n]);
             if g == 0 {
@@ -191,11 +193,11 @@ impl ConstraintSystem {
                 match kind {
                     RowKind::Eq if row[n] != 0 => {
                         self.rows = vec![(kind, row)];
-                        return false;
+                        return Normalized::Infeasible;
                     }
                     RowKind::Ineq if row[n] < 0 => {
                         self.rows = vec![(kind, row)];
-                        return false;
+                        return Normalized::Infeasible;
                     }
                     _ => continue, // trivially true
                 }
@@ -207,7 +209,7 @@ impl ConstraintSystem {
                             // gcd of coefficients does not divide the
                             // constant: no integer solutions.
                             self.rows = vec![(kind, row)];
-                            return false;
+                            return Normalized::Infeasible;
                         }
                         for v in &mut row {
                             *v /= g;
@@ -219,6 +221,7 @@ impl ConstraintSystem {
                         }
                         // a·x >= -c  =>  (a/g)·x >= ceil(-c/g), i.e. the
                         // constant becomes floor(c/g).
+                        tightened |= row[n] % g != 0;
                         row[n] = floor_div(row[n], g);
                     }
                     (_, false) => {
@@ -246,7 +249,11 @@ impl ConstraintSystem {
             }
             self.rows[at] = (kind, row);
         }
-        true
+        if tightened || self.rows.len() < given {
+            Normalized::Changed
+        } else {
+            Normalized::Scaled
+        }
     }
 
     /// Eliminates variable `var` by exact Fourier–Motzkin (using an
@@ -264,52 +271,12 @@ impl ConstraintSystem {
     ///
     /// Panics if `var >= num_vars`.
     pub fn eliminate_var(&self, var: usize) -> Result<ConstraintSystem> {
-        assert!(var < self.num_vars);
-        let n = self.num_vars;
-        let mut out = ConstraintSystem::new(n - 1);
-
-        let drop_col = |row: &[i64]| -> Vec<i64> {
-            let mut r: Vec<i64> = Vec::with_capacity(row.len() - 1);
-            r.extend_from_slice(&row[..var]);
-            r.extend_from_slice(&row[var + 1..]);
-            r
-        };
-
         // Prefer an equality pivot: exact substitution, no blowup.
-        if let Some(pivot_idx) = self
-            .rows
-            .iter()
-            .position(|(k, r)| *k == RowKind::Eq && r[var] != 0)
-        {
-            let (_, pivot) = &self.rows[pivot_idx];
-            let a = pivot[var];
-            for (i, (kind, row)) in self.rows.iter().enumerate() {
-                if i == pivot_idx {
-                    continue;
-                }
-                let b = row[var];
-                if b == 0 {
-                    out.rows.push((*kind, drop_col(row)));
-                    continue;
-                }
-                // new_row = a * row - b * pivot, scaled so the inequality
-                // direction is preserved (multiply by sign(a)).
-                let s: i128 = if a > 0 { 1 } else { -1 };
-                let mut nr: Vec<i64> = Vec::with_capacity(n);
-                for c in 0..=n {
-                    if c == var {
-                        continue;
-                    }
-                    let v = s
-                        * (i128::from(a) * i128::from(row[c])
-                            - i128::from(b) * i128::from(pivot[c]));
-                    nr.push(narrow(v)?);
-                }
-                out.rows.push((*kind, nr));
-            }
-            out.normalize();
+        if let Some((out, _)) = self.substitute_eq(var)? {
             return Ok(out);
         }
+        let n = self.num_vars;
+        let mut out = ConstraintSystem::new(n - 1);
 
         // Plain Fourier–Motzkin on inequalities. Equalities not involving
         // `var` pass through; equalities involving `var` were handled above.
@@ -317,7 +284,7 @@ impl ConstraintSystem {
         let mut neg: Vec<&Vec<i64>> = Vec::new();
         for (kind, row) in &self.rows {
             match (kind, row[var].signum()) {
-                (_, 0) => out.rows.push((*kind, drop_col(row))),
+                (_, 0) => out.rows.push((*kind, drop_column(row, var))),
                 (RowKind::Ineq, 1) => pos.push(row),
                 (RowKind::Ineq, -1) => neg.push(row),
                 (RowKind::Eq, _) => unreachable!("equality pivot handled above"),
@@ -345,6 +312,68 @@ impl ConstraintSystem {
         Ok(out)
     }
 
+    /// The equality-pivot half of [`eliminate_var`]: eliminates `var` by
+    /// substituting the first equality that mentions it, or returns
+    /// `None` when no equality does. The result is normalized as
+    /// [`eliminate_var`]'s is.
+    ///
+    /// The flag says whether normalizing changed nothing but scale:
+    /// every row other than the pivot is still there, in order, as a
+    /// positive multiple of its substituted form, with none merged,
+    /// dropped or tightened. The substitution maps the pivot's
+    /// hyperplane one to one onto the projection, so such a result has
+    /// exactly the rational implications between its rows that `self`
+    /// had between theirs.
+    ///
+    /// [`eliminate_var`]: ConstraintSystem::eliminate_var
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MathError::Overflow`](crate::MathError::Overflow) when combined rows overflow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var >= num_vars`.
+    pub fn substitute_eq(&self, var: usize) -> Result<Option<(ConstraintSystem, bool)>> {
+        assert!(var < self.num_vars);
+        let Some(pivot_idx) = self
+            .rows
+            .iter()
+            .position(|(k, r)| *k == RowKind::Eq && r[var] != 0)
+        else {
+            return Ok(None);
+        };
+        let n = self.num_vars;
+        let mut out = ConstraintSystem::new(n - 1);
+        let (_, pivot) = &self.rows[pivot_idx];
+        let a = pivot[var];
+        for (i, (kind, row)) in self.rows.iter().enumerate() {
+            if i == pivot_idx {
+                continue;
+            }
+            let b = row[var];
+            if b == 0 {
+                out.rows.push((*kind, drop_column(row, var)));
+                continue;
+            }
+            // new_row = a * row - b * pivot, scaled so the inequality
+            // direction is preserved (multiply by sign(a)).
+            let s: i128 = if a > 0 { 1 } else { -1 };
+            let mut nr: Vec<i64> = Vec::with_capacity(n);
+            for c in 0..=n {
+                if c == var {
+                    continue;
+                }
+                let v =
+                    s * (i128::from(a) * i128::from(row[c]) - i128::from(b) * i128::from(pivot[c]));
+                nr.push(narrow(v)?);
+            }
+            out.rows.push((*kind, nr));
+        }
+        let scaled = out.normalize_impl(true) == Normalized::Scaled;
+        Ok(Some((out, scaled)))
+    }
+
     /// Eliminates the trailing `count` variables (one at a time, last
     /// first) with integer tightening.
     ///
@@ -364,6 +393,27 @@ impl ConstraintSystem {
         let mut c = self.clone();
         !c.normalize()
     }
+}
+
+/// What normalizing a system did to its rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Normalized {
+    /// A trivially infeasible row, now the system's only row.
+    Infeasible,
+    /// Every row kept, in order, divided by a factor that leaves its
+    /// rational solutions as they were.
+    Scaled,
+    /// A row merged into another, dropped as trivially true, or
+    /// tightened to its integer points.
+    Changed,
+}
+
+/// `row` without column `var`.
+fn drop_column(row: &[i64], var: usize) -> Vec<i64> {
+    let mut r: Vec<i64> = Vec::with_capacity(row.len() - 1);
+    r.extend_from_slice(&row[..var]);
+    r.extend_from_slice(&row[var + 1..]);
+    r
 }
 
 impl fmt::Debug for ConstraintSystem {
@@ -497,6 +547,37 @@ mod tests {
         cs.add_ineq(vec![1, 0, 1, 0]);
         cs.add_ineq(vec![i64::MIN, 1, 0, 0]);
         assert_eq!(cs.eliminate_var(0), Err(crate::MathError::Overflow));
+    }
+
+    #[test]
+    fn substitute_eq_says_whether_its_rows_only_changed_scale() {
+        // x == y with 0 <= x and y <= 4: substituting x keeps both rows.
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_eq(vec![1, -1, 0]);
+        cs.add_ineq(vec![1, 0, 0]);
+        cs.add_ineq(vec![0, -1, 4]);
+        let (out, scaled) = cs.substitute_eq(0).unwrap().expect("x has a pivot");
+        assert!(scaled);
+        assert_eq!(
+            out.rows(),
+            [(RowKind::Ineq, vec![1, 0]), (RowKind::Ineq, vec![-1, 4])]
+        );
+        // 0 <= y as well: it merges with what 0 <= x became.
+        let mut merging = cs.clone();
+        merging.add_ineq(vec![0, 1, 0]);
+        assert_eq!(
+            merging.substitute_eq(0).unwrap().map(|(_, s)| s),
+            Some(false)
+        );
+        // x == 2y with x >= 1: 2y - 1 >= 0 tightens to y - 1 >= 0.
+        let mut tightening = ConstraintSystem::new(2);
+        tightening.add_eq(vec![1, -2, 0]);
+        tightening.add_ineq(vec![1, 0, -1]);
+        let (out, scaled) = tightening.substitute_eq(0).unwrap().expect("pivot");
+        assert!(!scaled);
+        assert_eq!(out.rows(), [(RowKind::Ineq, vec![1, -1])]);
+        // No equality mentions y once x is gone.
+        assert_eq!(out.substitute_eq(0), Ok(None));
     }
 
     #[test]
