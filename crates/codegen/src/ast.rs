@@ -33,9 +33,14 @@
 //! statement's scan space answers every shared-bound question about it
 //! by re-optimizing from where the last answer left the basis, a leaf's
 //! context tableau takes each kept guard as a pushed row, and the
-//! redundancy pruning of a Fourier–Motzkin step takes each tested row
-//! out of the one tableau of the step's system and puts it back if it
-//! was needed.
+//! redundancy pruning of a Fourier–Motzkin step asks the one tableau of
+//! the step's system about each tested row
+//! ([`IncrementalLp::redundant`]), which leaves an implied row out and a
+//! needed one in. A question stops where its answer is known: a row is
+//! refuted at the first basis where its value is negative, and a row
+//! the prune keeps often at the vertex, before any pivot. The price of
+//! the questions is counted as well as their number:
+//! `codegen.question_pivots` beside `codegen.implied_queries`.
 //!
 //! Most of those questions never reach a tableau, because the rows
 //! answer them. Every rule below is exact: it gives the answer the LP
@@ -58,8 +63,8 @@ use std::fmt::Write as _;
 
 use polytops_ir::{MarkKind, PathStep, Schedule, Scop, StmtId, TreeNode};
 use polytops_math::{
-    gcd, ineq_implied, lcm, narrow, ConstraintSystem, IncrementalLp, MathError, Rat,
-    Result as MathResult, RowKind,
+    gcd, lcm, narrow, ConstraintSystem, IncrementalLp, MathError, Rat, Result as MathResult,
+    RowKind,
 };
 
 /// Why a scheduled SCoP could not be lowered to C.
@@ -235,21 +240,49 @@ struct StmtScan {
     iters: Option<Vec<Vec<i64>>>,
 }
 
+/// What the implication questions of a scan cost: the LP questions
+/// asked (`codegen.implied_queries`) and the primal pivots they took
+/// (`codegen.question_pivots`).
+#[derive(Default, Clone, Copy)]
+struct Effort {
+    queries: u64,
+    pivots: u64,
+}
+
+impl std::ops::AddAssign for Effort {
+    fn add_assign(&mut self, other: Effort) {
+        self.queries += other.queries;
+        self.pivots += other.pivots;
+    }
+}
+
+/// Asks `lp` whether it implies `row ≥ 0`, and counts the question and
+/// its pivots. A tableau that could not be built implies nothing, as
+/// `ineq_implied` would answer.
+fn ask(lp: Option<&mut IncrementalLp>, row: &[i64], effort: &mut Effort) -> bool {
+    effort.queries += 1;
+    lp.is_some_and(|lp| {
+        let before = lp.primal_pivots();
+        let implied = lp.implies(row);
+        effort.pivots += (lp.primal_pivots() - before) as u64;
+        implied
+    })
+}
+
 /// A system that is asked many implication questions, its live tableau,
-/// and the count of the questions that tableau answered, for
-/// `codegen.implied_queries`.
+/// and what the questions that tableau answered cost.
 ///
 /// A question the rows answer ([`restates`]) is not asked of the
 /// tableau, and the tableau is built on the first question they do not
-/// answer. Where that build overflowed, the tableau implies nothing, as
-/// [`ineq_implied`] would answer, while a restated row is still implied
-/// — which is true over the rationals too.
+/// answer. Where that build overflowed, the tableau implies nothing,
+/// while a restated row is still implied — which is true over the
+/// rationals too.
 struct Context {
     cs: ConstraintSystem,
     /// `None` until a question needs the tableau; `Some(None)` when it
     /// could not be built.
     lp: Option<Option<IncrementalLp>>,
-    queries: u64,
+    effort: Effort,
 }
 
 impl Context {
@@ -257,23 +290,21 @@ impl Context {
         Context {
             cs,
             lp: None,
-            queries: 0,
+            effort: Effort::default(),
         }
     }
 
     /// Whether the system implies `row ≥ 0` over the rationals. Every
-    /// answer the tableau gives re-optimizes from the basis the last
-    /// one stopped at.
+    /// answer the tableau gives starts from the basis the last one
+    /// stopped at, and a refutation stops at the first basis that
+    /// shows it ([`IncrementalLp::implies`]).
     fn implies(&mut self, row: &[i64]) -> bool {
         if restates(&self.cs, row) {
             return true;
         }
-        self.queries += 1;
         let cs = &self.cs;
-        self.lp
-            .get_or_insert_with(|| IncrementalLp::new(cs).ok())
-            .as_mut()
-            .is_some_and(|lp| lp.implies(row))
+        let lp = self.lp.get_or_insert_with(|| IncrementalLp::new(cs).ok());
+        ask(lp.as_mut(), row, &mut self.effort)
     }
 
     /// Whether the system implies `row == 0`.
@@ -283,7 +314,8 @@ impl Context {
     }
 
     /// Adds a row to the system. A push that overflows leaves a
-    /// tableau that implies nothing, which only keeps guards.
+    /// tableau that implies nothing, which only keeps guards. An
+    /// equality goes in untimed: `simplex.pin_eq_ns` is the lexmin's.
     fn push(&mut self, kind: RowKind, row: &[i64]) {
         match kind {
             RowKind::Ineq => self.cs.add_ineq(row.to_vec()),
@@ -292,7 +324,7 @@ impl Context {
         if let Some(Some(lp)) = &mut self.lp {
             let _ = match kind {
                 RowKind::Ineq => lp.push_ineq(row),
-                RowKind::Eq => lp.pin_eq(row),
+                RowKind::Eq => lp.push_eq(row),
             };
         }
     }
@@ -318,14 +350,16 @@ fn restates(cs: &ConstraintSystem, row: &[i64]) -> bool {
 /// Drops every inequality row the remaining rows already imply (an
 /// exact LP check per row). Fourier–Motzkin cascades produce heavily
 /// redundant systems; pruning after each elimination keeps the cascade
-/// small and the extracted loop bounds readable. `queries` counts the
-/// LP questions asked.
+/// small and the extracted loop bounds readable. `effort` counts the
+/// LP questions asked and their pivots.
 ///
 /// Rows are tested in order against the rows still kept, so of two
 /// identical rows the first goes and the second stays. All tests are
-/// asked of the one tableau of `cs`: the tested row is taken out of it
-/// and the rest minimizes it; a row that turns out implied stays out,
-/// a row that does not is put back by rolling the tableau back.
+/// asked of the one tableau of `cs` ([`IncrementalLp::redundant`]). A
+/// row the prune keeps is refuted where that is cheapest: at the
+/// current vertex with no pivot when its slack can leave downwards
+/// there, otherwise on the first basis below zero after the drop,
+/// which is rolled back. A row that turns out implied stays out.
 ///
 /// A feasible system keeps, with no question, every inequality that is
 /// the only one with a positive (or the only one with a negative)
@@ -336,7 +370,7 @@ fn restates(cs: &ConstraintSystem, row: &[i64]) -> bool {
 /// so. Rows only leave, so a row alone in its sign among all of `cs`'s
 /// rows is alone among the kept ones too. An infeasible system implies
 /// every row, and there no row is kept this way.
-fn prune_redundant(cs: &ConstraintSystem, queries: &mut u64) -> ConstraintSystem {
+fn prune_redundant(cs: &ConstraintSystem, effort: &mut Effort) -> ConstraintSystem {
     let rows = cs.rows();
     let n = cs.num_vars();
     let mut keep = vec![true; rows.len()];
@@ -369,16 +403,10 @@ fn prune_redundant(cs: &ConstraintSystem, queries: &mut u64) -> ConstraintSystem
         keep[i] = match &mut live {
             Some(_) if sole_bound(&rows[i].1) => true,
             Some(lp) => {
-                *queries += 1;
-                let before = lp.snapshot();
-                let implied = lp.drop_ineq(k).is_ok() && lp.implies(&rows[i].1);
-                if !implied {
-                    lp.rollback(before);
-                }
-                !implied
+                effort.queries += 1;
+                !lp.redundant(k, &rows[i].1)
             }
             None => {
-                *queries += 1;
                 let mut rest = ConstraintSystem::new(n);
                 for (j, (kind, row)) in rows.iter().enumerate() {
                     match kind {
@@ -387,10 +415,12 @@ fn prune_redundant(cs: &ConstraintSystem, queries: &mut u64) -> ConstraintSystem
                         RowKind::Ineq => rest.add_ineq(row.clone()),
                     }
                 }
-                !ineq_implied(&rest, &rows[i].1)
+                !ask(IncrementalLp::new(&rest).ok().as_mut(), &rows[i].1, effort)
             }
         };
     }
+    // A rollback keeps the pivots counted: these are every question's.
+    effort.pivots += live.map_or(0, |lp| lp.primal_pivots() as u64);
     let mut out = ConstraintSystem::new(cs.num_vars());
     for ((kind, row), _) in rows.iter().zip(keep).filter(|(_, keep)| *keep) {
         match kind {
@@ -524,13 +554,13 @@ fn scan_stmt(scop: &Scop, sid: usize, members: Vec<MemberData>) -> MathResult<St
     }
     // Eliminate the auxiliary floor variables and the original
     // iterators (positions kk..kk+aux+d).
-    let mut queries = 0;
-    let mut cur = eliminate_pruned(sys, kk, aux + d, &mut queries)?;
+    let mut effort = Effort::default();
+    let mut cur = eliminate_pruned(sys, kk, aux + d, &mut effort)?;
     let full = cur.clone();
     // Successive projections onto (c_0..c_k, params).
     let mut projections = vec![cur.clone()];
     for k in (1..kk).rev() {
-        cur = prune_redundant(&cur.eliminate_var(k)?, &mut queries);
+        cur = prune_redundant(&cur.eliminate_var(k)?, &mut effort);
         projections.push(cur.clone());
     }
     projections.reverse();
@@ -539,7 +569,7 @@ fn scan_stmt(scop: &Scop, sid: usize, members: Vec<MemberData>) -> MathResult<St
         .collect();
     let iters = invert_iters(scop, sid, &members);
     let mut space = Context::new(full);
-    space.queries += queries;
+    space.effort += effort;
     Ok(StmtScan {
         members,
         bounds,
@@ -565,7 +595,7 @@ fn eliminate_pruned(
     mut cur: ConstraintSystem,
     at: usize,
     count: usize,
-    queries: &mut u64,
+    effort: &mut Effort,
 ) -> MathResult<ConstraintSystem> {
     // Whether `cur` is a substitution's result whose prune is put off.
     let mut unpruned = false;
@@ -576,16 +606,16 @@ fn eliminate_pruned(
                 cur = next;
                 continue;
             }
-            cur = prune_redundant(&cur, queries);
+            cur = prune_redundant(&cur, effort);
             step = cur.substitute_eq(at)?;
         }
         (cur, unpruned) = match step {
             Some((next, _)) => (next, true),
-            None => (prune_redundant(&cur.eliminate_var(at)?, queries), false),
+            None => (prune_redundant(&cur.eliminate_var(at)?, effort), false),
         };
     }
     Ok(if unpruned {
-        prune_redundant(&cur, queries)
+        prune_redundant(&cur, effort)
     } else {
         cur
     })
@@ -768,7 +798,7 @@ struct PendingMarks<'a> {
 
 /// The leaf guards of one statement — the exact floor checks of its
 /// quasi-affine members plus every full-projection row the enclosing
-/// loop bounds do not imply — and the number of LP questions that took.
+/// loop bounds do not imply — and what the LP questions that took cost.
 /// The context the rows are tested against is one tableau: the loop
 /// bounds, and each guard kept so far pushed onto it. A row that
 /// restates one of those is implied on sight, and the tableau is built
@@ -782,7 +812,7 @@ fn leaf_guards(
     scan: &StmtScan,
     loop_bounds: &[(usize, bool, BoundTerm)],
     np: usize,
-) -> MathResult<(Vec<Guard>, u64)> {
+) -> MathResult<(Vec<Guard>, Effort)> {
     let kk = scan.members.len();
     let mut bounds = ConstraintSystem::new(kk + np);
     for (k, lower, term) in loop_bounds {
@@ -833,7 +863,7 @@ fn leaf_guards(
             ctx.push(kind, row);
         }
     }
-    Ok((out, ctx.queries))
+    Ok((out, ctx.effort))
 }
 
 /// The floored terms of a quasi-affine member rewritten over the scan
@@ -892,7 +922,7 @@ fn walk(
             .iter()
             .map(|&sid| {
                 let (guards, asked) = leaf_guards(&scans[sid], loop_bounds, np)?;
-                scans[sid].space.queries += asked;
+                scans[sid].space.effort += asked;
                 Ok(AstNode::Stmt(StmtNode {
                     id: StmtId(sid),
                     name: scop.statements[sid].name.clone(),
@@ -1071,10 +1101,12 @@ pub fn generate(scop: &Scop, sched: &Schedule) -> MathResult<AstNode> {
         &mut loop_bounds,
         PendingMarks::default(),
     )?;
-    polytops_math::obs::count(
-        "codegen.implied_queries",
-        scans.iter().map(|scan| scan.space.queries).sum(),
-    );
+    let mut effort = Effort::default();
+    for scan in &scans {
+        effort += scan.space.effort;
+    }
+    polytops_math::obs::count("codegen.implied_queries", effort.queries);
+    polytops_math::obs::count("codegen.question_pivots", effort.pivots);
     Ok(match body.len() {
         1 => body.into_iter().next().expect("nonempty"),
         _ => AstNode::Seq(body),
@@ -1291,7 +1323,7 @@ pub fn emit_c(scop: &Scop, sched: &Schedule) -> Result<String, CodegenError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polytops_math::IntMatrix;
+    use polytops_math::{ineq_implied, IntMatrix};
     use proptest::prelude::*;
 
     /// The prune before inspection, kept as the reference: one LP
@@ -1339,10 +1371,10 @@ mod tests {
 
     /// Both prunes of `cs`, with the questions each asked.
     fn both_prunes(cs: &ConstraintSystem) -> ((ConstraintSystem, u64), (ConstraintSystem, u64)) {
-        let (mut fast, mut slow) = (0, 0);
+        let (mut fast, mut slow) = (Effort::default(), 0);
         let pruned = prune_redundant(cs, &mut fast);
         let reference = prune_redundant_lp(cs, &mut slow);
-        ((pruned, fast), (reference, slow))
+        ((pruned, fast.queries), (reference, slow))
     }
 
     fn rationally_feasible(cs: &ConstraintSystem) -> bool {
@@ -1440,7 +1472,7 @@ mod tests {
 
         #[test]
         fn a_cascade_that_skips_prunes_matches_the_per_step_cascade(cs in cascade_system()) {
-            let mut asked = 0;
+            let mut asked = Effort::default();
             let skipping = eliminate_pruned(cs.clone(), 1, 3, &mut asked);
             let mut lp_asked = 0;
             let mut per_step = Ok(cs);
@@ -1450,7 +1482,7 @@ mod tests {
                 });
             }
             prop_assert_eq!(&skipping, &per_step);
-            prop_assert!(asked <= lp_asked, "{} > {}", asked, lp_asked);
+            prop_assert!(asked.queries <= lp_asked, "{} > {}", asked.queries, lp_asked);
         }
 
         #[test]

@@ -1,9 +1,12 @@
 //! Schedule-tree codegen integration tests: schedule real kernels with
 //! the core pipeline and check the generated loop nests.
 
-use polytops_codegen::{emit_c, generate, stats, AstNode, CodegenError};
+use std::sync::Arc;
+
+use polytops_codegen::{emit_c, generate, stats, AstNode, CodegenError, Guard};
 use polytops_core::{presets, schedule, SchedulerConfig};
 use polytops_ir::{Aff, MarkKind, Schedule, Scop, ScopBuilder, StmtSchedule};
+use polytops_math::obs::Recorder;
 use polytops_workloads::{
     all_kernels, gemver, heat_2d, jacobi_1d, matmul, producer_consumer, sweep::preset_grid,
 };
@@ -151,16 +154,21 @@ fn a_schedule_without_an_integral_inverse_is_an_error_not_an_ellipsis() {
     assert!(generate(&scop, &sched).is_ok());
 }
 
+/// One `generate` under a recorder bound around it, and that recorder.
+fn recorded(scop: &Scop, sched: &Schedule) -> (AstNode, Arc<Recorder>) {
+    let recorder = Recorder::new(true);
+    let root = recorder.root_span("test");
+    let _bound = root.link().expect("armed").bind();
+    (generate(scop, sched).expect("lowers"), recorder.clone())
+}
+
 /// The LP questions one `generate` asks, from the
 /// `codegen.implied_queries` counter of a recorder bound around it.
 fn implied_queries(scop: &Scop, sched: &Schedule) -> u64 {
-    let recorder = polytops_math::obs::Recorder::new(true);
-    let root = recorder.root_span("test");
-    {
-        let _bound = root.link().expect("armed").bind();
-        generate(scop, sched).expect("lowers");
-    }
-    recorder.counter("codegen.implied_queries").get()
+    recorded(scop, sched)
+        .1
+        .counter("codegen.implied_queries")
+        .get()
 }
 
 #[test]
@@ -186,6 +194,55 @@ fn implied_queries_are_pinned_per_kernel_and_preset() {
             .collect();
         assert_eq!(got, queries, "{kernel}");
     }
+}
+
+#[test]
+fn question_pivots_are_pinned_per_kernel_and_preset() {
+    // The primal pivots the questions above take, in the same order. A
+    // refuted row stops at the vertex or on the first basis below zero;
+    // minimizing it on to its optimum would take this count up while
+    // the question count holds.
+    let want: [(&str, [u64; 5]); 7] = [
+        ("stencil_chain", [0, 0, 0, 3, 0]),
+        ("matmul", [2, 2, 2, 38, 2]),
+        ("producer_consumer", [0, 0, 0, 12, 0]),
+        ("reversed_consumer", [0, 0, 0, 14, 0]),
+        ("jacobi_1d", [1, 3, 3, 59, 1]),
+        ("heat_2d", [2, 35, 35, 318, 2]),
+        ("gemver", [3, 7, 7, 77, 3]),
+    ];
+    let kernels = all_kernels();
+    assert_eq!(kernels.len(), want.len());
+    for ((kernel, scop), (name, pivots)) in kernels.iter().zip(want) {
+        assert_eq!(*kernel, name);
+        let got: Vec<u64> = preset_grid()
+            .iter()
+            .map(|(_, config)| {
+                let (_, recorder) = recorded(scop, &schedule(scop, config).unwrap());
+                recorder.counter("codegen.question_pivots").get()
+            })
+            .collect();
+        assert_eq!(got, pivots, "{kernel}");
+    }
+}
+
+#[test]
+fn a_kept_equality_guard_is_no_lexmin_pin() {
+    // gemver under feautrier keeps `-c1 == 0` on S2: the guard is pushed
+    // onto the leaf's context, and `simplex.pin_eq_ns` times only the
+    // lexmin's fractional-stage pins, which ran before the recorder.
+    let scop = gemver();
+    let sched = schedule(&scop, &presets::feautrier()).unwrap();
+    let (tree, recorder) = recorded(&scop, &sched);
+    fn has_eq_guard(node: &AstNode) -> bool {
+        match node {
+            AstNode::Stmt(s) => s.guards.iter().any(|g| matches!(g, Guard::Eq(_))),
+            AstNode::Seq(children) => children.iter().any(has_eq_guard),
+            AstNode::Loop(l) => l.body.iter().any(has_eq_guard),
+        }
+    }
+    assert!(has_eq_guard(&tree), "{tree:?}");
+    assert_eq!(recorder.histogram("simplex.pin_eq_ns").snapshot().count, 0);
 }
 
 #[test]

@@ -151,14 +151,14 @@ impl IncrementalLp {
         let n = row.len() - 1;
         let g = gcd_slice(&row[..n]);
         if g <= 1 {
-            return self.pin(row);
+            return self.push_eq(row);
         }
         if row[n] % g != 0 {
             let mut never = vec![0i64; n + 1];
             never[n] = 1;
-            return self.pin(&never);
+            return self.push_eq(&never);
         }
-        self.pin(&row.iter().map(|v| v / g).collect::<Vec<_>>())
+        self.push_eq(&row.iter().map(|v| v / g).collect::<Vec<_>>())
     }
 
     /// Whether the system may contain an integer point: `false` only

@@ -22,6 +22,16 @@
 //! zeroes, where they stand, the slack columns that are zero on the
 //! objective's optimal face (lever 1).
 //!
+//! An implication question stops where its answer is known (lever 4).
+//! [`IncrementalLp::implies`] runs the primal loop only until the row's
+//! value goes negative, which refutes it, and to the optimum only to
+//! prove it implied. [`IncrementalLp::redundant`] — is an inequality
+//! implied by the others? — first reads the current vertex: a tight
+//! row whose slack can go below zero with every other value staying
+//! non-negative is refuted there, with no pivot and no snapshot.
+//! Otherwise the row is dropped along the edge that violates it and
+//! asked of the rest.
+//!
 //! Every tableau row is a vector of `i64` numerators over one positive
 //! `i64` denominator of its own, kept free of common factors; products
 //! are formed in `i128` and narrowed back. The rational value of every
@@ -119,6 +129,9 @@ struct Tableau {
     /// Pivots of [`dual_reoptimize`](Tableau::dual_reoptimize) so far,
     /// phase 1's and the pins'.
     dual_pivots: usize,
+    /// Pivots of [`optimize`](Tableau::optimize) and
+    /// [`remove_ineq_row`](Tableau::remove_ineq_row) so far.
+    primal_pivots: usize,
     nz: Vec<usize>, // scratch: non-zero columns of the pivot row
 }
 
@@ -264,6 +277,7 @@ impl Tableau {
             cost: Vec::new(),
             cost_den: 1,
             dual_pivots: 0,
+            primal_pivots: 0,
             nz: Vec::new(),
         })
     }
@@ -295,7 +309,7 @@ impl Tableau {
     /// the current (feasible) basis.
     #[cfg(test)]
     fn phase2(&mut self, objective: &[i64]) -> Result<LpOutcome> {
-        Ok(match self.solve(objective)? {
+        Ok(match self.solve(objective, None)? {
             false => LpOutcome::Unbounded,
             true => LpOutcome::Optimal {
                 value: self.value(),
@@ -305,16 +319,18 @@ impl Tableau {
     }
 
     /// [`phase2`](Tableau::phase2) without its report: `false` means
-    /// unbounded, otherwise [`value`](Tableau::value) and
-    /// [`vertex`](Tableau::vertex) read the optimum.
-    fn solve(&mut self, objective: &[i64]) -> Result<bool> {
+    /// unbounded (or refuted, given `refute`; see
+    /// [`optimize`](Tableau::optimize)), otherwise
+    /// [`value`](Tableau::value) and [`vertex`](Tableau::vertex) read
+    /// the optimum.
+    fn solve(&mut self, objective: &[i64], refute: Option<i64>) -> Result<bool> {
         let n = self.n;
         self.cost.clear();
         self.cost.resize(self.width + 1, 0);
         for (j, &c) in objective.iter().enumerate() {
             (self.cost[j], self.cost[n + j]) = (c, neg(c)?);
         }
-        self.optimize()
+        self.optimize(refute)
     }
 
     /// The objective value [`optimize`](Tableau::optimize) stopped at.
@@ -425,6 +441,7 @@ impl Tableau {
             cost: Vec::new(),
             cost_den: 1,
             dual_pivots: self.dual_pivots,
+            primal_pivots: self.primal_pivots,
             nz: Vec::new(),
         }
     }
@@ -544,12 +561,39 @@ impl Tableau {
         self.dual_reoptimize()
     }
 
+    /// Whether the inequality whose slack is column `slack` is violated
+    /// on an edge out of the current vertex of a feasible tableau that
+    /// every other row allows: the slack is non-basic, its column is
+    /// live (not fixed by [`restrict_to_face`](Tableau::restrict_to_face))
+    /// and every row it would lower as it goes below zero has a
+    /// positive value. Moving the slack to `−t` for a small `t > 0`
+    /// then keeps every row's value non-negative — so every other
+    /// inequality and every equality holds — while the inequality
+    /// itself reads `−t`.
+    fn refuted_at_vertex(&self, slack: usize) -> bool {
+        let w = self.width;
+        let mut live = false;
+        for (row, &bj) in self.rows().zip(&self.basis) {
+            let a = row[slack];
+            if bj == slack || (a < 0 && row[w] == 0) {
+                return false;
+            }
+            live |= a != 0;
+        }
+        live
+    }
+
     /// Takes the inequality whose slack is column `slack` out of a
     /// feasible tableau: one pivot makes the slack basic without making
     /// any *other* row infeasible — its own value may go negative, the
     /// constraint is leaving — and its row is then deleted. What is left
     /// is a feasible basis of the system without that inequality; the
     /// column stays behind, all zeros.
+    ///
+    /// A non-basic slack leaves downwards when its column lets it: the
+    /// vertex the pivot reaches then violates the inequality, by the
+    /// ratio of the row that stopped it, and a minimization of the
+    /// inequality over the rest starts at a negative value.
     fn remove_ineq_row(&mut self, slack: usize) -> Result<()> {
         let (w, s) = (self.width, self.stride);
         let at = match self.basis.iter().position(|&b| b == slack) {
@@ -586,9 +630,10 @@ impl Tableau {
                 // One that is was fixed at zero by `restrict_to_face`:
                 // its row is an equality of the face and, like a pin,
                 // stays.
-                let Some(li) = pick(true).or_else(|| pick(false)) else {
+                let Some(li) = pick(false).or_else(|| pick(true)) else {
                     return Ok(());
                 };
+                self.primal_pivots += 1;
                 self.pivot(li, slack)?;
                 li
             }
@@ -645,7 +690,13 @@ impl Tableau {
     /// [`solve`](Tableau::solve) wrote into the cost row (one integer
     /// per column, then 0) and leaves minus the optimal value in the
     /// row's last cell; `false` means unbounded.
-    fn optimize(&mut self) -> Result<bool> {
+    ///
+    /// With `refute` a constant `c`, the loop also stops, with `false`,
+    /// at the first basis whose value `v` has `v + c < 0`. A primal
+    /// pivot never raises the value, so the minimum is below `−c` too:
+    /// `true` is then an optimum with `v + c ≥ 0`, and `false` says the
+    /// objective plus `c` goes negative somewhere on the system.
+    fn optimize(&mut self, refute: Option<i64>) -> Result<bool> {
         let (w, s) = (self.width, self.stride);
         // Reduced costs c_j - c_B · B⁻¹ A_j: the rows are B⁻¹ A, so
         // eliminating each basic column from the raw cost row prices it.
@@ -661,6 +712,12 @@ impl Tableau {
         let mut iters = 0usize;
         let max_dantzig = 4 * (w + self.den.len());
         loop {
+            // v = −cost[w] / cost_den, so v + c < 0 is c · cost_den < cost[w].
+            if refute.is_some_and(|c| {
+                i128::from(c) * i128::from(self.cost_den) < i128::from(self.cost[w])
+            }) {
+                return Ok(false);
+            }
             iters += 1;
             let bland = iters > max_dantzig;
             // Entering column: negative reduced cost — the most negative
@@ -703,6 +760,7 @@ impl Tableau {
             let Some(li) = leave else {
                 return Ok(false); // unbounded
             };
+            self.primal_pivots += 1;
             self.pivot(li, je)?;
             let pivot_row = (&self.cells[li * s..][..=w], self.den[li]);
             let (cost, den) = (&mut self.cost, &mut self.cost_den);
@@ -892,7 +950,7 @@ impl IncrementalLp {
     /// [`minimize`](IncrementalLp::minimize) for a caller that reads
     /// the vertex itself, or not at all.
     pub(crate) fn minimize_value(&mut self, objective: &[i64]) -> Result<Bound> {
-        Ok(match self.solve(objective)? {
+        Ok(match self.solve(objective, None)? {
             None => Bound::Infeasible,
             Some(false) => Bound::Unbounded,
             Some(true) => Bound::Value(self.tab.value()),
@@ -901,13 +959,15 @@ impl IncrementalLp {
 
     /// The primal loop on `objective`: `None` of an infeasible system,
     /// otherwise whether it stopped on an optimum — which the cost row
-    /// describes until the next pivot — or found none (`false`).
-    fn solve(&mut self, objective: &[i64]) -> Result<Option<bool>> {
+    /// describes until the next pivot — or found none (`false`): the
+    /// objective is unbounded, or, given `refute`, fell below `−refute`
+    /// ([`Tableau::optimize`]).
+    fn solve(&mut self, objective: &[i64], refute: Option<i64>) -> Result<Option<bool>> {
         assert_eq!(objective.len(), self.tab.n, "objective length mismatch");
         if !self.state.clone()? {
             return Ok(None);
         }
-        let bounded = self.tab.solve(objective);
+        let bounded = self.tab.solve(objective, refute);
         if let Err(e) = &bounded {
             self.state = Err(e.clone());
         }
@@ -941,7 +1001,7 @@ impl IncrementalLp {
     /// and returns the vertex, read as the integers it is. Any other
     /// outcome leaves the system as it was.
     pub(crate) fn lexmin_stage(&mut self, objective: &[i64]) -> Result<Stage> {
-        Ok(match self.solve(objective)? {
+        Ok(match self.solve(objective, None)? {
             None => Stage::Relaxed(Bound::Infeasible),
             Some(false) => Stage::Relaxed(Bound::Unbounded),
             Some(true) => match self.tab.integral_vertex() {
@@ -977,14 +1037,19 @@ impl IncrementalLp {
     /// cap, now or in an earlier call.
     pub fn pin_eq(&mut self, row: &[i64]) -> Result<bool> {
         let _timing = polytops_obs::time("simplex.pin_eq_ns");
-        self.pin(row)
+        self.push_eq(row)
     }
 
     /// [`pin_eq`](IncrementalLp::pin_eq) outside the
     /// `simplex.pin_eq_ns` histogram, which times the lexmin's stage
-    /// pins: an oracle's walk pins a row per step and has a timer of
-    /// its own around the whole rewrite.
-    pub(crate) fn pin(&mut self, row: &[i64]) -> Result<bool> {
+    /// pins only: an oracle's walk pins a row per step and has a timer
+    /// of its own around the whole rewrite, and the scanner pushes each
+    /// equality guard it keeps onto its context.
+    ///
+    /// # Errors
+    ///
+    /// As [`pin_eq`](IncrementalLp::pin_eq).
+    pub fn push_eq(&mut self, row: &[i64]) -> Result<bool> {
         assert_eq!(row.len(), self.tab.n + 1, "row length mismatch");
         self.advance(|tab| tab.add_eq_row(row))
     }
@@ -1032,14 +1097,48 @@ impl IncrementalLp {
     /// system — of an infeasible one, vacuously. Conservative: an
     /// unbounded minimum or an overflowing tableau answers `false`
     /// (the latter for every later question too).
+    ///
+    /// The primal loop minimizes `row · x` only until its answer is
+    /// known: it stops at the first basis where the value plus `c` is
+    /// negative, which refutes the row, and runs to the optimum only to
+    /// prove it implied. The tableau is left on that feasible basis,
+    /// where the next question starts. So an overflow that minimizing
+    /// on past a refutation would have hit is never met: it does not
+    /// poison a tableau the caller does not roll back.
     pub fn implies(&mut self, row: &[i64]) -> bool {
         let n = self.tab.n;
         assert_eq!(row.len(), n + 1, "row length mismatch");
-        match self.minimize_value(&row[..n]) {
-            Ok(Bound::Value(value)) => value + Rat::from(row[n]) >= Rat::ZERO,
-            Ok(Bound::Infeasible) => true,
-            Ok(Bound::Unbounded) | Err(_) => false,
+        matches!(self.solve(&row[..n], Some(row[n])), Ok(None | Some(true)))
+    }
+
+    /// Whether inequality `k` — numbered as for
+    /// [`drop_ineq`](IncrementalLp::drop_ineq), `row` being that
+    /// inequality — is implied by the rest of the system. An implied
+    /// one is left out of the system, as `drop_ineq` leaves it; a
+    /// refuted one stays in, and the system is the same as before.
+    ///
+    /// The current vertex answers first: when the row's slack is
+    /// non-basic and can go below zero with every other row's value
+    /// staying non-negative, the row is refuted with no pivot, no
+    /// snapshot and no rollback. Otherwise the row is dropped on a
+    /// snapshot and asked of the rest by [`implies`](IncrementalLp::implies),
+    /// and the snapshot is rolled back only when it is refuted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if inequality `k` was never there.
+    pub fn redundant(&mut self, k: usize, row: &[i64]) -> bool {
+        let slack = 2 * self.tab.n + k;
+        assert!(slack < self.tab.width, "no inequality {k}");
+        if self.is_feasible() && self.tab.refuted_at_vertex(slack) {
+            return false;
         }
+        let before = self.snapshot();
+        let implied = self.drop_ineq(k).is_ok() && self.implies(row);
+        if !implied {
+            self.rollback(before);
+        }
+        implied
     }
 
     /// A copy of the tableau as it stands. A tableau here is tens of
@@ -1050,16 +1149,27 @@ impl IncrementalLp {
     }
 
     /// Puts the tableau back to where `snapshot` was taken: rows pinned
-    /// or pushed since, the pivots they cost and an error that poisoned
-    /// it are all gone.
+    /// or pushed since, the dual pivots they cost and an error that
+    /// poisoned it are all gone. The primal pivots spent since stay
+    /// counted: they are work done, not part of the system.
     pub fn rollback(&mut self, snapshot: Snapshot) {
+        let spent = self.tab.primal_pivots;
         *self = snapshot.0;
+        self.tab.primal_pivots = spent;
     }
 
     /// Dual-simplex pivots spent by [`pin_eq`](IncrementalLp::pin_eq)
     /// and [`push_ineq`](IncrementalLp::push_ineq) calls so far.
     pub fn dual_pivots(&self) -> usize {
         self.tab.dual_pivots - self.phase1_pivots
+    }
+
+    /// Primal pivots spent so far: the primal loop's, under every
+    /// objective and question, and the one pivot of each
+    /// [`drop_ineq`](IncrementalLp::drop_ineq) that makes a slack basic.
+    /// A rollback keeps them (phase 1 takes none).
+    pub fn primal_pivots(&self) -> usize {
+        self.tab.primal_pivots
     }
 }
 
@@ -1469,6 +1579,117 @@ mod tests {
         assert!(lp.implies(&[1, -2]), "its twin still holds x >= 2");
         lp.drop_ineq(1).unwrap();
         assert!(!lp.implies(&[1, -2]) && primal_feasible(&lp));
+    }
+
+    #[test]
+    fn a_dropped_slack_leaves_downwards_along_the_edge_that_violates_its_row() {
+        // x >= 2, x <= 5, x >= -3: phase 1 stops at x = 2 with the first
+        // slack non-basic. Its column is positive in the row of x <= 5
+        // and negative in the other two, so it could leave either way;
+        // downwards x = 2 is the first value to reach 0 (at t = 2),
+        // before x >= -3 (at t = 5).
+        let mut cs = ConstraintSystem::new(1);
+        cs.add_ineq(vec![1, -2]);
+        cs.add_ineq(vec![-1, 5]);
+        cs.add_ineq(vec![1, 3]);
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        assert!(!lp.tab.basis.contains(&2), "x >= 2 is tight at the vertex");
+        lp.drop_ineq(0).unwrap();
+        assert!(lp.is_feasible() && primal_feasible(&lp));
+        assert_eq!(lp.primal_pivots(), 1);
+        assert_eq!(lp.tab.vertex(), vec![Rat::from(0)], "the row reads -2 here");
+        assert!(lp.implies(&[1, 3]) && lp.implies(&[-1, 5]));
+        assert!(!lp.implies(&[1, 0]), "nothing but x >= -3 bounds x below");
+    }
+
+    #[test]
+    fn a_tight_row_at_a_non_degenerate_vertex_is_refuted_with_no_pivot() {
+        // The system above: at x = 2 every row the slack of x >= 2 would
+        // lower going negative has a positive value, so the vertex
+        // itself refutes the row, and it stays in the system.
+        let mut cs = ConstraintSystem::new(1);
+        cs.add_ineq(vec![1, -2]);
+        cs.add_ineq(vec![-1, 5]);
+        cs.add_ineq(vec![1, 3]);
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        assert!(lp.tab.refuted_at_vertex(2));
+        assert!(!lp.redundant(0, &[1, -2]));
+        assert_eq!((lp.primal_pivots(), lp.dual_pivots()), (0, 0));
+        assert!(lp.implies(&[1, -2]), "x >= 2 is still there");
+        // x <= 5 is slack (basic) at x = 2: the LP refutes it, off a
+        // rolled-back drop, and keeps it too.
+        assert!(!lp.redundant(1, &[-1, 5]));
+        assert!(lp.implies(&[-1, 5]) && primal_feasible(&lp));
+    }
+
+    #[test]
+    fn a_degenerate_vertex_leaves_the_question_to_the_lp() {
+        // x >= 2, y >= -5, x - y >= 2. Phase 1 moves x to 2 and leaves
+        // the slack of x - y >= 2 basic at 0 with a negative entry in
+        // the column of x >= 2: no inspection can move that slack down.
+        // The LP refutes x >= 2 all the same (x >= y + 2 >= -3)…
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_ineq(vec![1, 0, -2]);
+        cs.add_ineq(vec![0, 1, 5]);
+        cs.add_ineq(vec![1, -1, -2]);
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        assert!(!lp.tab.basis.contains(&4) && !lp.tab.refuted_at_vertex(4));
+        assert!(!lp.redundant(0, &[1, 0, -2]));
+        assert!(lp.primal_pivots() >= 2, "the drop's pivot, then the LP's");
+        assert!(lp.implies(&[1, 0, -2]) && lp.implies(&[1, -1, -2]));
+        // …and proves it implied once y >= 0 replaces y >= -5.
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_ineq(vec![1, 0, -2]);
+        cs.add_ineq(vec![0, 1, 0]);
+        cs.add_ineq(vec![1, -1, -2]);
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        assert!(!lp.tab.refuted_at_vertex(4));
+        assert!(lp.redundant(0, &[1, 0, -2]));
+        assert!(lp.implies(&[1, 0, -2]) && primal_feasible(&lp));
+        assert!(!lp.redundant(2, &[1, -1, -2]) && lp.implies(&[1, -1, -2]));
+    }
+
+    #[test]
+    fn a_row_no_other_row_stops_going_down_is_refuted() {
+        // 0 <= x <= 5, maximized: x = 5 with the slack of x <= 5
+        // non-basic, and its column positive in every row — lowering it
+        // only raises x and the slack of x >= 0.
+        let mut cs = ConstraintSystem::new(1);
+        cs.add_ineq(vec![1, 0]);
+        cs.add_ineq(vec![-1, 5]);
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        assert!(matches!(lp.minimize(&[-1]), Ok(LpOutcome::Optimal { .. })));
+        let slack = 3;
+        assert!(!lp.tab.basis.contains(&slack));
+        assert!(lp.tab.rows().all(|row| row[slack] >= 0));
+        let spent = lp.primal_pivots();
+        assert!(!lp.redundant(1, &[-1, 5]));
+        assert_eq!(lp.primal_pivots(), spent);
+        assert!(lp.implies(&[-1, 5]));
+    }
+
+    #[test]
+    fn an_implication_stops_at_the_first_basis_that_refutes_it() {
+        // 0 <= x, y <= 10 from the origin: x + y >= 1 is refuted where
+        // it starts, with no pivot, and x + y <= 5 after the first of
+        // the two pivots its maximum needs (x = 10, then y = 10).
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_ineq(vec![1, 0, 0]);
+        cs.add_ineq(vec![-1, 0, 10]);
+        cs.add_ineq(vec![0, 1, 0]);
+        cs.add_ineq(vec![0, -1, 10]);
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        assert!(!lp.implies(&[1, 1, -1]));
+        assert_eq!(lp.primal_pivots(), 0);
+        assert!(!lp.implies(&[-1, -1, 5]));
+        assert_eq!(lp.primal_pivots(), 1);
+        // Proving one implied runs to the optimum: x + y <= 20.
+        assert!(lp.implies(&[-1, -1, 20]));
+        assert_eq!(lp.primal_pivots(), 2);
+        let LpOutcome::Optimal { value, .. } = lp.minimize(&[1, 1]).unwrap() else {
+            panic!()
+        };
+        assert_eq!(value, Rat::from(0), "the box is whole");
     }
 
     #[test]

@@ -765,6 +765,141 @@ proptest! {
     }
 }
 
+/// `a·x + c` over the first `n` variables of a row drawn at six, the
+/// constant last.
+fn cut_row(drawn: &[i64], n: usize) -> Vec<i64> {
+    let mut row = drawn[..n].to_vec();
+    row.push(drawn[6]);
+    row
+}
+
+/// The verdict of minimizing `row`'s linear part to its optimum over
+/// `lp`'s system: an optimum plus the constant non-negative, or no point.
+fn minimized_verdict(lp: &mut IncrementalLp, row: &[i64]) -> bool {
+    let n = row.len() - 1;
+    match lp.minimize(&row[..n]).unwrap() {
+        LpOutcome::Optimal { value, .. } => value + Rat::from(row[n]) >= Rat::ZERO,
+        LpOutcome::Infeasible => true,
+        LpOutcome::Unbounded => false,
+    }
+}
+
+/// `cs`'s rows, with inequality `k` (counted among the inequalities)
+/// left out when given.
+fn without(cs: &ConstraintSystem, k: Option<usize>) -> ConstraintSystem {
+    let mut rest = ConstraintSystem::new(cs.num_vars());
+    let mut ineq = 0;
+    for (kind, row) in cs.iter() {
+        match kind {
+            RowKind::Eq => rest.add_eq(row.to_vec()),
+            RowKind::Ineq => {
+                if Some(ineq) != k {
+                    rest.add_ineq(row.to_vec());
+                }
+                ineq += 1;
+            }
+        }
+    }
+    rest
+}
+
+/// The inequalities of `cs`, in order.
+fn ineqs(cs: &ConstraintSystem) -> Vec<Vec<i64>> {
+    cs.iter()
+        .filter(|(kind, _)| *kind == RowKind::Ineq)
+        .map(|(_, row)| row.to_vec())
+        .collect()
+}
+
+// An implication question stops where its answer is known: on the
+// first basis that refutes the row, or at the vertex before any pivot
+// in `redundant`. These hold the answers, and the tableau each leaves
+// behind, to full minimizations and cold tableaus (`PROPTEST_CASES`
+// cases a property, like the block above).
+proptest! {
+    #[test]
+    fn an_implication_gives_the_verdict_of_a_full_minimization(
+        (cs, obj) in wide_system(),
+        constant in -60i64..=60,
+        probes in proptest::collection::vec(proptest::collection::vec(-5i64..=5, 7), 1..4),
+    ) {
+        // Bounded, unbounded and infeasible systems, with equalities. A
+        // refutation leaves the tableau on a feasible, non-optimal
+        // basis, and the questions after it, asked with no rollback,
+        // answer as cold ones do.
+        let n = cs.num_vars();
+        let mut row = obj.clone();
+        row.push(constant);
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        let want = minimized_verdict(&mut IncrementalLp::new(&cs).unwrap(), &row);
+        prop_assert_eq!(lp.implies(&row), want);
+        prop_assert_eq!(want, ineq_implied(&cs, &row));
+        for probe in probes {
+            let probe = cut_row(&probe, n);
+            prop_assert!(lp.implies(&probe) == ineq_implied(&cs, &probe), "{:?} on {:?}", probe, cs);
+        }
+        prop_assert_eq!(lp.implies(&row), want);
+    }
+
+    #[test]
+    fn redundant_gives_the_drop_and_minimize_answer_for_every_row(
+        (cs, _obj) in wide_system(),
+        probes in proptest::collection::vec(proptest::collection::vec(-5i64..=5, 7), 1..4),
+    ) {
+        // Each inequality asked of a fresh tableau, against one that
+        // drops it and minimizes it to the optimum. What the tableau
+        // then stands for — the system without an implied row, the
+        // whole system after a refuted one — answers the follow-up
+        // questions as a cold tableau of it does.
+        let n = cs.num_vars();
+        let feasible = lp_feasible(&cs).unwrap();
+        for (k, row) in ineqs(&cs).iter().enumerate() {
+            let mut lp = IncrementalLp::new(&cs).unwrap();
+            let mut dropped = IncrementalLp::new(&cs).unwrap();
+            dropped.drop_ineq(k).unwrap();
+            let want = minimized_verdict(&mut dropped, row);
+            prop_assert_eq!(lp.redundant(k, row), want);
+            if feasible {
+                let stands_for = without(&cs, want.then_some(k));
+                prop_assert_eq!(want, ineq_implied(&without(&cs, Some(k)), row));
+                for probe in &probes {
+                    let probe = cut_row(probe, n);
+                    prop_assert!(
+                        lp.implies(&probe) == ineq_implied(&stands_for, &probe),
+                        "{:?} after row {} on {:?}", probe, k, cs
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_prune_on_one_tableau_keeps_what_cold_tableaus_keep(
+        (cs, _obj) in wide_system(),
+        probe in proptest::collection::vec(-5i64..=5, 7),
+    ) {
+        // Every inequality in turn, on one tableau and against the rows
+        // still kept: an implied row leaves, a refuted one stays and
+        // leaves the system as it was, however it was refuted.
+        let probe = cut_row(&probe, cs.num_vars());
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        let mut kept = cs.clone();
+        let mut gone = 0;
+        // An empty system implies every row, its subsystems need not.
+        let rows = if lp.is_feasible() { ineqs(&cs) } else { Vec::new() };
+        for (k, row) in rows.iter().enumerate() {
+            let want = ineq_implied(&without(&kept, Some(k - gone)), row);
+            prop_assert!(lp.redundant(k, row) == want, "row {} of {:?}", k, cs);
+            if want {
+                kept = without(&kept, Some(k - gone));
+                gone += 1;
+            }
+            prop_assert!(lp.implies(&probe) == ineq_implied(&kept, &probe), "{:?}", kept);
+            prop_assert!(lp.implies(row), "a kept row holds, a dropped one is implied");
+        }
+    }
+}
+
 /// A non-empty polyhedron over three variables: per variable a box, a
 /// lower bound alone or nothing (unbounded directions), up to two extra
 /// inequality rows and up to one equality row.
