@@ -63,8 +63,8 @@ use std::fmt::Write as _;
 
 use polytops_ir::{MarkKind, PathStep, Schedule, Scop, StmtId, TreeNode};
 use polytops_math::{
-    gcd, lcm, narrow, ConstraintSystem, IncrementalLp, MathError, Rat, Result as MathResult,
-    RowKind,
+    integral_inverse, lcm, narrow, ConstraintSystem, Echelon, IncrementalLp, MathError,
+    Result as MathResult, RowKind,
 };
 
 /// Why a scheduled SCoP could not be lowered to C.
@@ -567,7 +567,7 @@ fn scan_stmt(scop: &Scop, sid: usize, members: Vec<MemberData>) -> MathResult<St
     let bounds = (0..kk)
         .map(|k| extract_bounds(&projections[k], k))
         .collect();
-    let iters = invert_iters(scop, sid, &members);
+    let iters = invert_iters(d, np, &members)?;
     let mut space = Context::new(full);
     space.effort += effort;
     Ok(StmtScan {
@@ -621,100 +621,50 @@ fn eliminate_pruned(
     })
 }
 
-/// Inverts the affine members pinning a statement's iterators:
+/// Inverts the affine members pinning a statement's `d` iterators:
 /// expresses each original iterator over `(scan vars…, params, 1)`.
-/// Returns `None` when no integral inverse exists.
-fn invert_iters(scop: &Scop, sid: usize, members: &[MemberData]) -> Option<Vec<Vec<i64>>> {
-    let stmt = &scop.statements[sid];
-    let d = stmt.depth();
-    let np = scop.nparams();
+/// `Ok(None)` when no integral inverse exists.
+fn invert_iters(d: usize, np: usize, members: &[MemberData]) -> MathResult<Option<Vec<Vec<i64>>>> {
     let kk = members.len();
-    if d == 0 {
-        return Some(Vec::new());
-    }
     // Greedily pick affine members whose iterator rows form a rank-d
-    // basis: a row joins when the echelon form of the rows picked so far
-    // does not reduce it to zero.
-    let mut m = polytops_math::IntMatrix::zeros(0, d);
-    let mut echelon = Echelon::default();
+    // basis: a row joins when it is independent of the rows before it.
+    let mut echelon = Echelon::new(d);
     let mut picked: Vec<usize> = Vec::new();
     for (k, md) in members.iter().enumerate() {
-        let [(row, 1)] = md.terms.as_slice() else {
-            continue;
-        };
-        if echelon.insert(&row[..d])? {
-            m.push_row(row[..d].to_vec());
-            picked.push(k);
-        }
-        if m.rows() == d {
+        if echelon.rank() == d {
             break;
         }
+        if let [(row, 1)] = md.terms.as_slice() {
+            if echelon.insert(&row[..d])? {
+                picked.push(k);
+            }
+        }
     }
-    if m.rows() != d {
-        return None;
+    if echelon.rank() != d {
+        return Ok(None);
     }
-    let inv = m.to_rat().inverse().ok()?;
+    let m: Vec<Vec<i64>> = picked
+        .iter()
+        .map(|&k| members[k].terms[0].0[..d].to_vec())
+        .collect();
+    let Some(inv) = integral_inverse(&m)? else {
+        return Ok(None);
+    };
     // x = M⁻¹ · (c_picked − param/const parts of the picked rows).
     let mut out = Vec::with_capacity(d);
-    for i in 0..d {
-        let mut expr_rat = vec![Rat::ZERO; kk + np + 1];
-        for (j, &k) in picked.iter().enumerate() {
-            let w = inv[(i, j)];
-            if w == Rat::ZERO {
-                continue;
+    for inv_row in inv {
+        let mut expr = vec![0i128; kk + np + 1];
+        for (w, &k) in inv_row.into_iter().map(i128::from).zip(&picked) {
+            expr[k] = w;
+            for (e, &c) in expr[kk..].iter_mut().zip(&members[k].terms[0].0[d..]) {
+                *e = e
+                    .checked_sub(w * i128::from(c))
+                    .ok_or(MathError::Overflow)?;
             }
-            let row = &members[k].terms[0].0;
-            expr_rat[k] += w;
-            for p in 0..np {
-                expr_rat[kk + p] -= w * Rat::from(row[d + p]);
-            }
-            expr_rat[kk + np] -= w * Rat::from(row[d + np]);
         }
-        let mut expr = Vec::with_capacity(kk + np + 1);
-        for v in expr_rat {
-            expr.push(i64::try_from(v.to_integer()?).ok()?);
-        }
-        out.push(expr);
+        out.push(expr.into_iter().map(narrow).collect::<MathResult<_>>()?);
     }
-    Some(out)
-}
-
-/// A fraction-free row echelon form: rows in order of their first
-/// nonzero column (the pivot), each zero before it and divided by the
-/// gcd of its entries.
-#[derive(Default)]
-struct Echelon {
-    rows: Vec<(usize, Vec<i128>)>,
-}
-
-impl Echelon {
-    /// Reduces `row` against the rows held and adds what is left, when
-    /// something is: returns whether `row` is independent of them.
-    /// `None` when a combination outgrows `i128`.
-    fn insert(&mut self, row: &[i64]) -> Option<bool> {
-        let mut r: Vec<i128> = row.iter().map(|&c| i128::from(c)).collect();
-        for (p, e) in &self.rows {
-            let (a, b) = (e[*p], r[*p]);
-            if b == 0 {
-                continue;
-            }
-            // r ← a·r − b·e zeroes column p and, with `e` zero before
-            // its pivot, keeps the earlier pivot columns zero.
-            for (x, &y) in r.iter_mut().zip(e) {
-                *x = a.checked_mul(*x)?.checked_sub(b.checked_mul(y)?)?;
-            }
-            let g = r.iter().fold(0, |g, &x| gcd(g, x));
-            if g > 1 {
-                r.iter_mut().for_each(|x| *x /= g);
-            }
-        }
-        let Some(p) = r.iter().position(|&x| x != 0) else {
-            return Some(false);
-        };
-        let at = self.rows.partition_point(|(q, _)| *q < p);
-        self.rows.insert(at, (p, r));
-        Some(true)
-    }
+    Ok(Some(out))
 }
 
 /// Lifts a bound on `c_k` (over `(c_0..c_{k-1}, params, 1)`) into a
@@ -1323,7 +1273,7 @@ pub fn emit_c(scop: &Scop, sched: &Schedule) -> Result<String, CodegenError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polytops_math::{ineq_implied, IntMatrix};
+    use polytops_math::ineq_implied;
     use proptest::prelude::*;
 
     /// The prune before inspection, kept as the reference: one LP
@@ -1484,23 +1434,6 @@ mod tests {
             prop_assert_eq!(&skipping, &per_step);
             prop_assert!(asked.queries <= lp_asked, "{} > {}", asked.queries, lp_asked);
         }
-
-        #[test]
-        fn the_echelon_picks_the_rows_the_rank_test_picks(
-            rows in proptest::collection::vec(proptest::collection::vec(-3i64..=3, 3), 0..7),
-        ) {
-            let mut echelon = Echelon::default();
-            let mut basis = IntMatrix::zeros(0, 3);
-            for row in rows {
-                let mut candidate = basis.clone();
-                candidate.push_row(row.clone());
-                let independent = candidate.rank() == candidate.rows();
-                prop_assert_eq!(echelon.insert(&row), Some(independent));
-                if independent {
-                    basis = candidate;
-                }
-            }
-        }
     }
 
     #[test]
@@ -1552,5 +1485,33 @@ mod tests {
         let equal = scan([big, big, big], 1);
         let (guards, _) = leaf_guards(&equal, &[], 0).expect("lcm fits");
         assert!(matches!(guards.as_slice(), [Guard::Floors { var: 0, .. }]));
+    }
+
+    #[test]
+    fn an_inverse_that_outgrows_i128_is_an_error_not_a_missing_inverse() {
+        let affine = |row: Vec<i64>| MemberData {
+            terms: vec![(row, 1)],
+            coincident: false,
+        };
+        // Members over (i, j, k, N, 1) whose pick multiplies two entries
+        // near 2^126.
+        let m = i64::MAX;
+        let huge = [
+            vec![m, 1, 0, 0, 0],
+            vec![1, m, 1, 0, 0],
+            vec![1, 1, m, 0, 0],
+        ];
+        assert_eq!(
+            invert_iters(3, 1, &huge.map(affine)),
+            Err(MathError::Overflow)
+        );
+        // c0 = 2i has no integral inverse; the skew c0 = i + j,
+        // c1 = j + 3 has i = c0 − c1 + 3, j = c1 − 3.
+        assert_eq!(invert_iters(1, 1, &[affine(vec![2, 0, 0])]), Ok(None));
+        let skew = [vec![1, 1, 0, 0], vec![0, 1, 0, 3]];
+        assert_eq!(
+            invert_iters(2, 1, &skew.map(affine)),
+            Ok(Some(vec![vec![1, -1, 0, 3], vec![0, 1, 0, -3]]))
+        );
     }
 }

@@ -35,7 +35,7 @@
 
 use polytops_deps::{Certifier, Dependence};
 use polytops_ir::Scop;
-use polytops_math::{ilp_minimize, IlpOutcome, IntMatrix};
+use polytops_math::{ilp_minimize, Echelon, IlpOutcome};
 
 use crate::strategy::DimSolution;
 
@@ -45,7 +45,7 @@ use crate::strategy::DimSolution;
 pub(crate) fn propose(
     oracle: &mut Certifier<'_>,
     scop: &Scop,
-    basis: &[IntMatrix],
+    basis: &[Echelon],
     legality: &[(usize, &Dependence)],
     live: &[(usize, &Dependence)],
     shift_bound: i64,
@@ -54,21 +54,21 @@ pub(crate) fn propose(
     let nstmts = scop.statements.len();
 
     // 1. Dimension matching: one-hot rows on each statement's first
-    //    basis-independent original iterator.
+    //    basis-independent original iterator. An overflow of the
+    //    independence test gives up, as in `min_distance`.
     let mut rows: Vec<Vec<i64>> = Vec::with_capacity(nstmts);
     let mut progressed = false;
     for (s, stmt) in scop.statements.iter().enumerate() {
         let depth = stmt.depth();
         let mut row = vec![0i64; depth + np + 1];
-        if let Some(j) = (0..depth).find(|&j| {
+        for j in 0..depth {
             let mut onehot = vec![0i64; depth];
             onehot[j] = 1;
-            let mut candidate = basis[s].clone();
-            candidate.push_row(onehot);
-            candidate.rank() == candidate.rows()
-        }) {
-            row[j] = 1;
-            progressed = true;
+            if basis[s].independent(&onehot).ok()? {
+                row[j] = 1;
+                progressed = true;
+                break;
+            }
         }
         rows.push(row);
     }

@@ -24,7 +24,7 @@
 
 use polytops_deps::Dependence;
 use polytops_ir::Scop;
-use polytops_math::{ilp_feasible, orthogonal_complement, ConstraintSystem, IntMatrix, RowKind};
+use polytops_math::{ilp_feasible, orthogonal_complement, ConstraintSystem, Echelon, RowKind};
 
 use crate::config::{CostFn, DirectiveKind, SchedulerConfig};
 use crate::constraints::parse_constraints;
@@ -68,8 +68,8 @@ pub struct DimensionContext<'a> {
     /// Live (uncarried) dependences as `(global id, dependence)` pairs —
     /// the set cost functions optimize over.
     pub live: &'a [(usize, &'a Dependence)],
-    /// Per-statement basis of committed linearly independent rows.
-    pub basis: &'a [IntMatrix],
+    /// Per-statement echelon form of the committed rows.
+    pub basis: &'a [Echelon],
 }
 
 /// Builds the constraint rows and objective sequence for a dimension's
@@ -240,29 +240,20 @@ fn add_progression(
     let space = ctx.space;
     let n = space.total();
     for (s, stmt) in ctx.scop.statements.iter().enumerate() {
-        let rank = ctx.basis[s].rows();
-        if rank == stmt.depth() || stmt.depth() == 0 {
+        if ctx.basis[s].rank() == stmt.depth() || stmt.depth() == 0 {
             continue;
         }
         // `orthogonal_complement` returns a spanning (possibly redundant,
-        // sign-symmetric) row set; reduce it to a row basis first —
-        // otherwise opposite-sign rows cancel in the sum constraint and
-        // the per-row half-spaces collapse the cone to the already-
-        // covered subspace.
-        let perp = orthogonal_complement(&ctx.basis[s])?;
-        let mut perp_basis = IntMatrix::zeros(0, stmt.depth());
-        for h in perp.iter_rows() {
-            if h.iter().all(|&c| c == 0) {
+        // sign-symmetric) row set; keep only the rows independent of
+        // those before them — otherwise opposite-sign rows cancel in the
+        // sum constraint and the per-row half-spaces collapse the cone to
+        // the already-covered subspace.
+        let mut perp_basis = Echelon::new(stmt.depth());
+        let mut sum = vec![0i64; n + 1];
+        for h in orthogonal_complement(&ctx.basis[s])? {
+            if !perp_basis.insert(&h)? {
                 continue;
             }
-            let mut candidate = perp_basis.clone();
-            candidate.push_row(h.to_vec());
-            if candidate.rank() == candidate.rows() {
-                perp_basis = candidate;
-            }
-        }
-        let mut sum = vec![0i64; n + 1];
-        for h in perp_basis.iter_rows() {
             let mut row = vec![0i64; n + 1];
             for (k, &c) in h.iter().enumerate() {
                 space.add_iter_coeff(&mut row, s, k, c);
@@ -342,7 +333,7 @@ fn apply_directives(ctx: &DimensionContext<'_>, sys: &mut ConstraintSystem) {
                 // Prefer φ = it_q for targets still at rank 0.
                 for &s in &targets {
                     let stmt = &ctx.scop.statements[s];
-                    if ctx.basis[s].rows() != 0 || d.iterator >= stmt.depth() {
+                    if ctx.basis[s].rank() != 0 || d.iterator >= stmt.depth() {
                         continue;
                     }
                     for k in 0..stmt.depth() {
@@ -358,7 +349,7 @@ fn apply_directives(ctx: &DimensionContext<'_>, sys: &mut ConstraintSystem) {
                 // statement still has other dimensions to place.
                 for &s in &targets {
                     let stmt = &ctx.scop.statements[s];
-                    if d.iterator >= stmt.depth() || ctx.basis[s].rows() + 1 >= stmt.depth() {
+                    if d.iterator >= stmt.depth() || ctx.basis[s].rank() + 1 >= stmt.depth() {
                         continue;
                     }
                     let mut row = vec![0i64; n + 1];

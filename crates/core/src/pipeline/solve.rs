@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use polytops_deps::{analyze, sccs_topological, Certifier, Dependence};
 use polytops_ir::{Schedule, Scop, StmtSchedule};
-use polytops_math::{ilp_lexmin, IlpStats, IntMatrix};
+use polytops_math::{ilp_lexmin, Echelon, IlpStats};
 
 use crate::config::{DirectiveKind, FusionHeuristic, SchedulerConfig};
 use crate::error::ScheduleError;
@@ -174,8 +174,9 @@ struct Engine<'a> {
     carried_band: Vec<Option<usize>>,
     /// `rows[stmt][dim]`: committed schedule rows `[T_it, T_par, T_cst]`.
     rows: Vec<Vec<Vec<i64>>>,
-    /// Per-statement basis of linearly independent iterator rows.
-    basis: Vec<IntMatrix>,
+    /// Per-statement echelon form of the committed iterator rows: its
+    /// rank is how many independent rows the statement has.
+    basis: Vec<Echelon>,
     /// Per-dimension band id and parallelism flag.
     bands: Vec<usize>,
     parallel: Vec<bool>,
@@ -220,7 +221,7 @@ impl<'a> Engine<'a> {
             basis: scop
                 .statements
                 .iter()
-                .map(|s| IntMatrix::zeros(0, s.depth()))
+                .map(|s| Echelon::new(s.depth()))
                 .collect(),
             bands: Vec::new(),
             parallel: Vec::new(),
@@ -229,7 +230,7 @@ impl<'a> Engine<'a> {
     }
 
     fn ranks(&self) -> Vec<usize> {
-        self.basis.iter().map(IntMatrix::rows).collect()
+        self.basis.iter().map(Echelon::rank).collect()
     }
 
     fn complete(&self) -> bool {
@@ -237,7 +238,7 @@ impl<'a> Engine<'a> {
             .statements
             .iter()
             .zip(&self.basis)
-            .all(|(s, b)| b.rows() == s.depth())
+            .all(|(s, b)| b.rank() == s.depth())
     }
 
     fn live_count(&self) -> usize {
@@ -323,7 +324,7 @@ impl<'a> Engine<'a> {
                         recompute += 1;
                     }
                     _ => {
-                        self.commit(oracle, &solution, band_break);
+                        self.commit(oracle, &solution, band_break)?;
                         break;
                     }
                 }
@@ -592,7 +593,15 @@ impl<'a> Engine<'a> {
     // Committing and finishing.
     // -----------------------------------------------------------------
 
-    fn commit(&mut self, oracle: &mut Certifier<'_>, solution: &DimSolution, band_break: bool) {
+    /// Commits a dimension's rows. A row joins its statement's basis
+    /// when it is independent of the rows there; an overflow of that
+    /// test is [`ScheduleError::Math`].
+    fn commit(
+        &mut self,
+        oracle: &mut Certifier<'_>,
+        solution: &DimSolution,
+        band_break: bool,
+    ) -> Result<(), ScheduleError> {
         if band_break && !solution.constant {
             // The dimension was solved with the previous band closed.
             self.band_id += 1;
@@ -600,12 +609,7 @@ impl<'a> Engine<'a> {
         for (s, stmt) in self.scop.statements.iter().enumerate() {
             let row = solution.rows[s].clone();
             if !solution.constant {
-                let iter_part = row[..stmt.depth()].to_vec();
-                let mut candidate = self.basis[s].clone();
-                candidate.push_row(iter_part);
-                if candidate.rank() == candidate.rows() {
-                    self.basis[s] = candidate;
-                }
+                self.basis[s].insert(&row[..stmt.depth()])?;
             }
             self.rows[s].push(row);
         }
@@ -638,6 +642,7 @@ impl<'a> Engine<'a> {
             self.bands.push(dim_band);
             self.parallel.push(parallel);
         }
+        Ok(())
     }
 
     /// Whether a `sequential` directive forbids marking this dimension
@@ -715,7 +720,7 @@ impl<'a> Engine<'a> {
                     constant: true,
                 },
                 false,
-            );
+            )?;
         }
         // If the SCoP has no statements or no dimensions at all, emit a
         // single constant dimension so downstream consumers always see a
@@ -731,7 +736,7 @@ impl<'a> Engine<'a> {
                     constant: true,
                 },
                 false,
-            );
+            )?;
         }
 
         let np = self.scop.nparams();

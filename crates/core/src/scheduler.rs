@@ -148,7 +148,7 @@ mod tests {
         let scop = b.build().unwrap();
         let sched = schedule(&scop, &SchedulerConfig::default()).unwrap();
         for s in 0..2 {
-            assert_eq!(sched.stmt(StmtId(s)).iter_matrix().rank(), 1);
+            assert_eq!(sched.stmt(StmtId(s)).rank().unwrap(), 1);
         }
         // No dependences: the loop dimension is (vacuously) parallel.
         assert!(analyze(&scop).is_empty());

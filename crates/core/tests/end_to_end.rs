@@ -132,7 +132,7 @@ fn assert_legal(name: &str, scop: &Scop, sched: &Schedule) {
     }
     for (s, stmt) in scop.statements.iter().enumerate() {
         assert_eq!(
-            sched.stmt(StmtId(s)).iter_matrix().rank(),
+            sched.stmt(StmtId(s)).rank().unwrap(),
             stmt.depth(),
             "{name}: S{s} schedule must span its iteration space"
         );
@@ -171,7 +171,7 @@ fn matmul_schedule_is_full_rank_identity_like() {
     let scop = matmul();
     let sched = schedule(&scop, &presets::pluto()).unwrap();
     let ss = sched.stmt(StmtId(0));
-    assert_eq!(ss.iter_matrix().rank(), 3);
+    assert_eq!(ss.rank().unwrap(), 3);
     // Proximity keeps the self-dependence on C[i][j] at distance 0 on
     // the first two dimensions (i and j stay outer, k carries).
     for dep in analyze(&scop) {

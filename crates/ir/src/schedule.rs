@@ -89,14 +89,20 @@ impl StmtSchedule {
             .collect()
     }
 
-    /// The iterator-coefficient submatrix (rows × depth), used for rank /
-    /// bijectivity checks and inversion during code generation.
-    pub fn iter_matrix(&self) -> polytops_math::IntMatrix {
-        let mut m = polytops_math::IntMatrix::zeros(0, self.depth);
+    /// The rank of the iterator coefficients of the rows: how many
+    /// independent directions of the iteration space the schedule
+    /// separates (`depth` for a full-rank schedule).
+    ///
+    /// # Errors
+    ///
+    /// [`polytops_math::MathError::Overflow`] when the exact elimination
+    /// outgrows `i128`.
+    pub fn rank(&self) -> polytops_math::Result<usize> {
+        let mut echelon = polytops_math::Echelon::new(self.depth);
         for r in &self.rows {
-            m.push_row(r[..self.depth].to_vec());
+            echelon.insert(&r[..self.depth])?;
         }
-        m
+        Ok(echelon.rank())
     }
 }
 
@@ -380,12 +386,12 @@ mod tests {
     }
 
     #[test]
-    fn iter_matrix_extracts_coefficients() {
+    fn rank_reads_the_iterator_coefficients() {
         let scop = two_stmt_scop();
         let sched = Schedule::identity_2dp1(&scop);
-        let m = sched.stmt(StmtId(1)).iter_matrix();
-        assert_eq!(m.rows(), 5);
-        assert_eq!(m.cols(), 2);
-        assert_eq!(m.rank(), 2); // covers both iterators
+        let ss = sched.stmt(StmtId(1));
+        assert_eq!(ss.rows().len(), 5);
+        assert_eq!(ss.depth(), 2);
+        assert_eq!(ss.rank(), Ok(2)); // covers both iterators
     }
 }

@@ -6,23 +6,13 @@ use std::fmt;
 /// Errors produced by exact arithmetic and polyhedral operations.
 ///
 /// All operations in this crate are exact; the only failure modes are
-/// arithmetic overflow of the fixed-width integer representation,
-/// structural misuse (dimension mismatches, singular matrices) and the
-/// simplex's pivot cap.
+/// arithmetic overflow of the fixed-width integer representation and
+/// the simplex's pivot cap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MathError {
     /// An intermediate value exceeded the `i64`/`i128` representation.
     Overflow,
-    /// Two operands had incompatible dimensions.
-    DimensionMismatch {
-        /// Dimension expected by the operation.
-        expected: usize,
-        /// Dimension actually provided.
-        found: usize,
-    },
-    /// A matrix inversion was requested for a singular matrix.
-    SingularMatrix,
     /// Division by zero in rational arithmetic.
     DivisionByZero,
     /// The dual simplex reached its pivot cap: the system is neither
@@ -34,10 +24,6 @@ impl fmt::Display for MathError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MathError::Overflow => write!(f, "integer overflow in exact arithmetic"),
-            MathError::DimensionMismatch { expected, found } => {
-                write!(f, "dimension mismatch: expected {expected}, found {found}")
-            }
-            MathError::SingularMatrix => write!(f, "matrix is singular"),
             MathError::DivisionByZero => write!(f, "division by zero"),
             MathError::PivotLimit => write!(f, "dual simplex reached its pivot cap"),
         }

@@ -3,11 +3,11 @@
 //! This crate provides everything the scheduler stack needs and nothing
 //! more, implemented from scratch with **exact** arithmetic:
 //!
-//! * [`Rat`] — rational numbers over `i128`, for matrices and for the
-//!   values an LP reports;
-//! * [`IntMatrix`] / [`RatMatrix`] — dense matrices with rank, inversion,
-//!   Hermite normal form and the Pluto-style
-//!   [`orthogonal_complement`] used by the progression constraint;
+//! * [`Rat`] — rational numbers over `i128`, the values an LP reports;
+//! * [`Echelon`] — the one exact rank test, a fraction-free row echelon
+//!   form grown one row at a time, with the Pluto-style
+//!   [`orthogonal_complement`] of the progression constraint and the
+//!   [`integral_inverse`] of code generation built on it;
 //! * [`ConstraintSystem`] — affine equality/inequality systems with exact,
 //!   integer-tightening Fourier–Motzkin elimination;
 //! * [`lp_minimize`] — exact simplex on an integer tableau (a dual
@@ -71,7 +71,7 @@ pub use farkas::{farkas_cone, farkas_nonneg, farkas_substitute};
 pub use ilp::{
     ilp_feasible, ilp_feasible_point, ilp_lexmin, ilp_minimize, ineq_implied, IlpOutcome, IlpStats,
 };
-pub use matrix::{orthogonal_complement, primitive, IntMatrix, RatMatrix};
+pub use matrix::{integral_inverse, orthogonal_complement, Echelon};
 pub use num::{ceil_div, floor_div, gcd, gcd_slice, lcm, modulo, narrow};
 pub use rat::Rat;
 pub use simplex::{lp_feasible, lp_minimize, IncrementalLp, LpOutcome, Snapshot};

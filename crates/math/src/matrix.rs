@@ -1,627 +1,341 @@
-//! Dense integer and rational matrices with the exact linear algebra the
-//! scheduler needs: multiplication, rank, inversion, Hermite normal form
-//! and Pluto-style orthogonal complements.
-
-use std::fmt;
-use std::ops::{Index, IndexMut};
+//! The exact rank kernel: a fraction-free row echelon form, and the two
+//! matrix questions the scheduler builds on it — the Pluto-style
+//! orthogonal complement of the progression constraint and the integral
+//! inverse of code generation.
+//!
+//! Everything here is `i128` arithmetic with the gcd divided out of a
+//! row after each combination; a value that outgrows `i128` is
+//! [`MathError::Overflow`], never a panic or a wrapped value.
 
 use crate::error::{MathError, Result};
-use crate::num::{gcd, gcd_slice, narrow};
-use crate::rat::Rat;
+use crate::num::{gcd, narrow};
 
-/// A dense matrix of `i64` entries.
+/// A fraction-free row echelon form, built one row at a time.
+///
+/// The rows held are in order of their first nonzero column (the
+/// pivot), each zero before it and primitive (its entries share no
+/// factor). [`Echelon::insert`] reduces a row against them and keeps
+/// what is left, so the number of rows held is the rank of every row
+/// inserted, and a row joins exactly when it is linearly independent of
+/// the rows before it.
 ///
 /// # Examples
 ///
 /// ```
-/// use polytops_math::IntMatrix;
+/// use polytops_math::Echelon;
 ///
-/// let m = IntMatrix::from_rows(&[vec![1, 2], vec![3, 4]]);
-/// assert_eq!(m[(1, 0)], 3);
-/// assert_eq!(m.transpose()[(0, 1)], 3);
+/// let mut e = Echelon::new(3);
+/// assert_eq!(e.insert(&[1, 2, 0]), Ok(true));
+/// assert_eq!(e.insert(&[2, 4, 0]), Ok(false)); // twice the first row
+/// assert_eq!(e.independent(&[0, 0, 1]), Ok(true)); // asked, not kept
+/// assert_eq!(e.rank(), 1);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct IntMatrix {
-    rows: usize,
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Echelon {
     cols: usize,
-    data: Vec<i64>,
+    rows: Vec<(usize, Vec<i128>)>,
 }
 
-impl IntMatrix {
-    /// Creates a zero matrix of the given shape.
-    pub fn zeros(rows: usize, cols: usize) -> IntMatrix {
-        IntMatrix {
-            rows,
+impl Echelon {
+    /// An empty echelon form for rows of `cols` entries.
+    pub fn new(cols: usize) -> Echelon {
+        Echelon {
             cols,
-            data: vec![0; rows * cols],
+            rows: Vec::new(),
         }
     }
 
-    /// Creates the `n x n` identity matrix.
-    pub fn identity(n: usize) -> IntMatrix {
-        let mut m = IntMatrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1;
-        }
-        m
+    /// The number of rows held: the rank of every row inserted.
+    pub fn rank(&self) -> usize {
+        self.rows.len()
     }
 
-    /// Builds a matrix from row slices.
+    /// Reduces `row` against the rows held and keeps what is left, when
+    /// something is: returns whether `row` is independent of them.
+    ///
+    /// # Errors
+    ///
+    /// [`MathError::Overflow`] when a combination outgrows `i128`; the
+    /// form is then unchanged.
     ///
     /// # Panics
     ///
-    /// Panics if the rows have differing lengths.
-    pub fn from_rows(rows: &[Vec<i64>]) -> IntMatrix {
-        let r = rows.len();
-        let c = rows.first().map_or(0, Vec::len);
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            assert_eq!(row.len(), c, "ragged rows");
-            data.extend_from_slice(row);
-        }
-        IntMatrix {
-            rows: r,
-            cols: c,
-            data,
-        }
+    /// Panics if `row` is not as wide as the form.
+    pub fn insert(&mut self, row: &[i64]) -> Result<bool> {
+        let r = self.reduce(row)?;
+        let Some(p) = r.iter().position(|&x| x != 0) else {
+            return Ok(false);
+        };
+        let at = self.rows.partition_point(|(q, _)| *q < p);
+        self.rows.insert(at, (p, r));
+        Ok(true)
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Whether the matrix has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0 || self.cols == 0
-    }
-
-    /// A view of row `r`.
+    /// Whether `row` is independent of the rows held, without keeping it.
+    ///
+    /// # Errors
+    ///
+    /// [`MathError::Overflow`] when a combination outgrows `i128`.
     ///
     /// # Panics
     ///
-    /// Panics if `r` is out of bounds.
-    pub fn row(&self, r: usize) -> &[i64] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
+    /// Panics if `row` is not as wide as the form.
+    pub fn independent(&self, row: &[i64]) -> Result<bool> {
+        Ok(self.reduce(row)?.iter().any(|&x| x != 0))
     }
 
-    /// Mutable view of row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of bounds.
-    pub fn row_mut(&mut self, r: usize) -> &mut [i64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Appends a row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != self.cols()` (unless the matrix is empty).
-    pub fn push_row(&mut self, row: Vec<i64>) {
-        if self.rows == 0 && self.cols == 0 {
-            self.cols = row.len();
-        }
+    /// `row` with every pivot column of the form zeroed, made primitive.
+    fn reduce(&self, row: &[i64]) -> Result<Vec<i128>> {
         assert_eq!(row.len(), self.cols, "row length mismatch");
-        self.data.extend_from_slice(&row);
-        self.rows += 1;
-    }
-
-    /// Iterator over rows as slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[i64]> {
-        (0..self.rows).map(move |r| self.row(r))
-    }
-
-    /// Matrix transpose.
-    pub fn transpose(&self) -> IntMatrix {
-        let mut t = IntMatrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t[(c, r)] = self[(r, c)];
-            }
+        let mut r: Vec<i128> = row.iter().map(|&c| i128::from(c)).collect();
+        make_primitive(&mut r);
+        // A later row is zero before its pivot, so it leaves the pivot
+        // columns already zeroed as they are.
+        for (p, e) in &self.rows {
+            eliminate(&mut r, e, *p)?;
         }
-        t
-    }
-
-    /// Matrix product `self * rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::DimensionMismatch`] when inner dimensions
-    /// disagree and [`MathError::Overflow`] when an entry overflows `i64`.
-    pub fn mul(&self, rhs: &IntMatrix) -> Result<IntMatrix> {
-        if self.cols != rhs.rows {
-            return Err(MathError::DimensionMismatch {
-                expected: self.cols,
-                found: rhs.rows,
-            });
-        }
-        let mut out = IntMatrix::zeros(self.rows, rhs.cols);
-        for r in 0..self.rows {
-            for c in 0..rhs.cols {
-                let mut acc: i128 = 0;
-                for k in 0..self.cols {
-                    acc += i128::from(self[(r, k)]) * i128::from(rhs[(k, c)]);
-                }
-                out[(r, c)] = narrow(acc)?;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Applies the matrix to a vector: `self * v`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::DimensionMismatch`] or [`MathError::Overflow`].
-    pub fn mul_vec(&self, v: &[i64]) -> Result<Vec<i64>> {
-        if self.cols != v.len() {
-            return Err(MathError::DimensionMismatch {
-                expected: self.cols,
-                found: v.len(),
-            });
-        }
-        let mut out = Vec::with_capacity(self.rows);
-        for r in 0..self.rows {
-            let mut acc: i128 = 0;
-            for k in 0..self.cols {
-                acc += i128::from(self[(r, k)]) * i128::from(v[k]);
-            }
-            out.push(narrow(acc)?);
-        }
-        Ok(out)
-    }
-
-    /// Rank of the matrix (exact, over the rationals).
-    pub fn rank(&self) -> usize {
-        RatMatrix::from(self).rank()
-    }
-
-    /// Converts to a rational matrix.
-    pub fn to_rat(&self) -> RatMatrix {
-        RatMatrix::from(self)
-    }
-
-    /// Column-style Hermite normal form.
-    ///
-    /// Returns `(h, u)` with `self * u == h`, `u` unimodular and `h` lower
-    /// triangular with non-negative entries below each positive pivot.
-    /// Useful for lattice/stride analysis of schedule transformations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::Overflow`] if intermediate values overflow.
-    pub fn hermite_normal_form(&self) -> Result<(IntMatrix, IntMatrix)> {
-        let mut h = self.clone();
-        let mut u = IntMatrix::identity(self.cols);
-        let (rows, cols) = (self.rows, self.cols);
-        let mut pivot_col = 0usize;
-        for r in 0..rows {
-            if pivot_col >= cols {
-                break;
-            }
-            // Reduce columns pivot_col.. so that row r has a single nonzero
-            // leading entry at pivot_col (Euclidean column reduction).
-            loop {
-                // Find column with smallest nonzero |entry| in row r.
-                let mut best: Option<usize> = None;
-                for c in pivot_col..cols {
-                    if h[(r, c)] != 0 {
-                        match best {
-                            None => best = Some(c),
-                            Some(b) if h[(r, c)].abs() < h[(r, b)].abs() => best = Some(c),
-                            _ => {}
-                        }
-                    }
-                }
-                let Some(b) = best else { break };
-                h.swap_cols(pivot_col, b);
-                u.swap_cols(pivot_col, b);
-                if h[(r, pivot_col)] < 0 {
-                    h.negate_col(pivot_col);
-                    u.negate_col(pivot_col);
-                }
-                let p = h[(r, pivot_col)];
-                let mut done = true;
-                for c in pivot_col + 1..cols {
-                    let q = crate::num::floor_div(h[(r, c)], p);
-                    if q != 0 {
-                        h.add_col_multiple(c, pivot_col, -q)?;
-                        u.add_col_multiple(c, pivot_col, -q)?;
-                    }
-                    if h[(r, c)] != 0 {
-                        done = false;
-                    }
-                }
-                if done {
-                    break;
-                }
-            }
-            if h[(r, pivot_col)] != 0 {
-                // Reduce entries to the left of the pivot modulo the pivot.
-                let p = h[(r, pivot_col)];
-                for c in 0..pivot_col {
-                    let q = crate::num::floor_div(h[(r, c)], p);
-                    if q != 0 {
-                        h.add_col_multiple(c, pivot_col, -q)?;
-                        u.add_col_multiple(c, pivot_col, -q)?;
-                    }
-                }
-                pivot_col += 1;
-            }
-        }
-        Ok((h, u))
-    }
-
-    fn swap_cols(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        for r in 0..self.rows {
-            self.data.swap(r * self.cols + a, r * self.cols + b);
-        }
-    }
-
-    fn negate_col(&mut self, c: usize) {
-        for r in 0..self.rows {
-            self[(r, c)] = -self[(r, c)];
-        }
-    }
-
-    /// `col[dst] += k * col[src]`.
-    fn add_col_multiple(&mut self, dst: usize, src: usize, k: i64) -> Result<()> {
-        for r in 0..self.rows {
-            let v = i128::from(self[(r, dst)]) + i128::from(k) * i128::from(self[(r, src)]);
-            self[(r, dst)] = narrow(v)?;
-        }
-        Ok(())
+        Ok(r)
     }
 }
 
-impl Index<(usize, usize)> for IntMatrix {
-    type Output = i64;
-    fn index(&self, (r, c): (usize, usize)) -> &i64 {
-        &self.data[r * self.cols + c]
+/// `r ← e[p]·r − r[p]·e`, made primitive: zeroes column `p` of `r`
+/// (`e[p] ≠ 0`) and keeps zero every column where both are zero.
+fn eliminate(r: &mut [i128], e: &[i128], p: usize) -> Result<()> {
+    let (a, b) = (e[p], r[p]);
+    if b == 0 {
+        return Ok(());
+    }
+    for (x, &y) in r.iter_mut().zip(e) {
+        *x = sub(mul(a, *x)?, mul(b, y)?)?;
+    }
+    make_primitive(r);
+    Ok(())
+}
+
+/// Divides `r` by the gcd of its entries (a zero row stays zero).
+fn make_primitive(r: &mut [i128]) {
+    let g = r.iter().fold(0, |g, &x| gcd(g, x));
+    if g > 1 {
+        r.iter_mut().for_each(|x| *x /= g);
     }
 }
 
-impl IndexMut<(usize, usize)> for IntMatrix {
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut i64 {
-        &mut self.data[r * self.cols + c]
-    }
+/// `a·b`, or [`MathError::Overflow`]. `i128::MIN` counts as overflow, so
+/// every value these helpers return has an absolute value.
+fn mul(a: i128, b: i128) -> Result<i128> {
+    a.checked_mul(b)
+        .filter(|&v| v != i128::MIN)
+        .ok_or(MathError::Overflow)
 }
 
-impl fmt::Debug for IntMatrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "IntMatrix {}x{} [", self.rows, self.cols)?;
-        for r in 0..self.rows {
-            writeln!(f, "  {:?}", self.row(r))?;
-        }
-        write!(f, "]")
-    }
+/// `a − b`, or [`MathError::Overflow`] (as [`mul`]).
+fn sub(a: i128, b: i128) -> Result<i128> {
+    a.checked_sub(b)
+        .filter(|&v| v != i128::MIN)
+        .ok_or(MathError::Overflow)
 }
 
-/// A dense matrix of exact rationals.
-#[derive(Clone, PartialEq, Eq)]
-pub struct RatMatrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<Rat>,
-}
-
-impl RatMatrix {
-    /// Creates a zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> RatMatrix {
-        RatMatrix {
-            rows,
-            cols,
-            data: vec![Rat::ZERO; rows * cols],
-        }
-    }
-
-    /// Creates the identity.
-    pub fn identity(n: usize) -> RatMatrix {
-        let mut m = RatMatrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = Rat::ONE;
-        }
-        m
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Matrix product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::DimensionMismatch`] when shapes disagree.
-    pub fn mul(&self, rhs: &RatMatrix) -> Result<RatMatrix> {
-        if self.cols != rhs.rows {
-            return Err(MathError::DimensionMismatch {
-                expected: self.cols,
-                found: rhs.rows,
-            });
-        }
-        let mut out = RatMatrix::zeros(self.rows, rhs.cols);
-        for r in 0..self.rows {
-            for c in 0..rhs.cols {
-                let mut acc = Rat::ZERO;
-                for k in 0..self.cols {
-                    acc += self[(r, k)] * rhs[(k, c)];
-                }
-                out[(r, c)] = acc;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Rank via Gaussian elimination.
-    pub fn rank(&self) -> usize {
-        let mut m = self.clone();
-        let mut rank = 0;
-        for col in 0..m.cols {
-            // Find pivot in rows rank..
-            let Some(p) = (rank..m.rows).find(|&r| !m[(r, col)].is_zero()) else {
-                continue;
-            };
-            m.swap_rows(p, rank);
-            let pivot = m[(rank, col)];
-            for r in 0..m.rows {
-                if r != rank && !m[(r, col)].is_zero() {
-                    let f = m[(r, col)] / pivot;
-                    for c in col..m.cols {
-                        let sub = f * m[(rank, c)];
-                        m[(r, c)] -= sub;
-                    }
-                }
-            }
-            rank += 1;
-            if rank == m.rows {
-                break;
-            }
-        }
-        rank
-    }
-
-    /// Exact inverse.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::SingularMatrix`] for singular or non-square
-    /// input.
-    pub fn inverse(&self) -> Result<RatMatrix> {
-        if self.rows != self.cols {
-            return Err(MathError::SingularMatrix);
-        }
-        let n = self.rows;
-        let mut a = self.clone();
-        let mut inv = RatMatrix::identity(n);
-        for col in 0..n {
-            let Some(p) = (col..n).find(|&r| !a[(r, col)].is_zero()) else {
-                return Err(MathError::SingularMatrix);
-            };
-            a.swap_rows(p, col);
-            inv.swap_rows(p, col);
-            let pivot = a[(col, col)];
-            for c in 0..n {
-                a[(col, c)] = a[(col, c)] / pivot;
-                inv[(col, c)] = inv[(col, c)] / pivot;
-            }
-            for r in 0..n {
-                if r != col && !a[(r, col)].is_zero() {
-                    let f = a[(r, col)];
-                    for c in 0..n {
-                        let sa = f * a[(col, c)];
-                        a[(r, c)] -= sa;
-                        let si = f * inv[(col, c)];
-                        inv[(r, c)] -= si;
-                    }
-                }
-            }
-        }
-        Ok(inv)
-    }
-
-    fn swap_rows(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        for c in 0..self.cols {
-            self.data.swap(a * self.cols + c, b * self.cols + c);
-        }
-    }
-
-    /// Scales every row to a primitive integer vector (clearing
-    /// denominators and dividing by the gcd), dropping all-zero rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::Overflow`] when the cleared row overflows.
-    pub fn to_primitive_int_rows(&self) -> Result<IntMatrix> {
-        let mut out = IntMatrix::zeros(0, self.cols);
-        for r in 0..self.rows {
-            let mut denlcm: i128 = 1;
-            for c in 0..self.cols {
-                denlcm = crate::num::lcm(denlcm, self[(r, c)].denom());
-            }
-            let mut row: Vec<i128> = Vec::with_capacity(self.cols);
-            for c in 0..self.cols {
-                let v = self[(r, c)];
-                row.push(v.numer() * (denlcm / v.denom()));
-            }
-            let mut g: i128 = 0;
-            for &v in &row {
-                g = gcd(g, v);
-            }
-            if g == 0 {
-                continue; // all-zero row
-            }
-            let ints: Result<Vec<i64>> = row.iter().map(|&v| narrow(v / g)).collect();
-            out.push_row(ints?);
-        }
-        Ok(out)
-    }
-}
-
-impl From<&IntMatrix> for RatMatrix {
-    fn from(m: &IntMatrix) -> RatMatrix {
-        let mut out = RatMatrix::zeros(m.rows(), m.cols());
-        for r in 0..m.rows() {
-            for c in 0..m.cols() {
-                out[(r, c)] = Rat::from(m[(r, c)]);
-            }
-        }
-        out
-    }
-}
-
-impl Index<(usize, usize)> for RatMatrix {
-    type Output = Rat;
-    fn index(&self, (r, c): (usize, usize)) -> &Rat {
-        &self.data[r * self.cols + c]
-    }
-}
-
-impl IndexMut<(usize, usize)> for RatMatrix {
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut Rat {
-        &mut self.data[r * self.cols + c]
-    }
-}
-
-impl fmt::Debug for RatMatrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "RatMatrix {}x{} [", self.rows, self.cols)?;
-        for r in 0..self.rows {
-            let row: Vec<String> = (0..self.cols).map(|c| self[(r, c)].to_string()).collect();
-            writeln!(f, "  [{}]", row.join(", "))?;
-        }
-        write!(f, "]")
-    }
+/// `a · b`, or [`MathError::Overflow`] (as [`mul`]).
+fn dot(a: &[i128], b: &[i128]) -> Result<i128> {
+    a.iter().zip(b).try_fold(0i128, |acc, (&x, &y)| {
+        acc.checked_add(mul(x, y)?)
+            .filter(|&v| v != i128::MIN)
+            .ok_or(MathError::Overflow)
+    })
 }
 
 /// Pluto-style orthogonal complement of the row space of `h`.
 ///
-/// Computes `I - Hᵀ (H Hᵀ)⁻¹ H` over the rationals and returns its nonzero
-/// rows scaled to primitive integer vectors. Any integer vector `v` in the
-/// row space of the result satisfies `H v = 0`; together with the rows of
-/// `h` the result spans the full space. When `h` has no rows the identity
-/// is returned.
+/// Returns the nonzero rows of the projector `P = I − Hᵀ (H Hᵀ)⁻¹ H`
+/// onto the null space of `H`, in row order, each scaled to a primitive
+/// integer vector. Any integer vector `v` in the row space of the result
+/// satisfies `H v = 0`; together with the rows of `h` the result spans
+/// the full space. When `h` has no rows the identity is returned.
 ///
 /// This is exactly the matrix `H⊥` of the paper's progression constraint
 /// (Eq. 3): the next schedule row must have a nonzero component in the
 /// complement of the rows already found.
 ///
+/// `P` depends only on the row space, so it is computed from the
+/// echelon rows in integers: a fraction-free Gram–Schmidt turns them
+/// into orthogonal primitive rows `u_i`, and with `D` the lcm of the
+/// `|u_i|²`, `D·P = D·I − Σ (D / |u_i|²) · u_i u_iᵀ`.
+///
 /// # Errors
 ///
-/// Returns an error when `h` has linearly dependent rows making `H Hᵀ`
-/// singular, or on overflow.
+/// [`MathError::Overflow`] when an intermediate value outgrows `i128`
+/// or a result entry outgrows `i64`.
 ///
 /// # Examples
 ///
 /// ```
-/// use polytops_math::{orthogonal_complement, IntMatrix};
+/// use polytops_math::{orthogonal_complement, Echelon};
 ///
-/// let h = IntMatrix::from_rows(&[vec![1, 0, 0]]);
+/// let mut h = Echelon::new(3);
+/// h.insert(&[1, 0, 0]).unwrap();
 /// let perp = orthogonal_complement(&h).unwrap();
 /// // Every row of `perp` is orthogonal to (1, 0, 0).
-/// for r in perp.iter_rows() {
+/// for r in &perp {
 ///     assert_eq!(r[0], 0);
 /// }
 /// ```
-pub fn orthogonal_complement(h: &IntMatrix) -> Result<IntMatrix> {
-    let n = h.cols();
-    if h.rows() == 0 {
-        return Ok(IntMatrix::identity(n));
+pub fn orthogonal_complement(h: &Echelon) -> Result<Vec<Vec<i64>>> {
+    let n = h.cols;
+    // Orthogonal rows with their squared norms, and the lcm `d` of those.
+    let mut us: Vec<(Vec<i128>, i128)> = Vec::with_capacity(h.rank());
+    let mut d: i128 = 1;
+    for (_, row) in &h.rows {
+        // d·row minus its projection onto each earlier u, all integral
+        // because every |u|² divides d.
+        let mut v = row.iter().map(|&x| mul(d, x)).collect::<Result<Vec<_>>>()?;
+        for (u, norm) in &us {
+            let c = mul(dot(row, u)?, d / norm)?;
+            for (x, &y) in v.iter_mut().zip(u) {
+                *x = sub(*x, mul(c, y)?)?;
+            }
+        }
+        make_primitive(&mut v);
+        let norm = dot(&v, &v)?;
+        d = mul(d / gcd(d, norm), norm)?;
+        us.push((v, norm));
     }
-    let hr = h.to_rat();
-    let ht = h.transpose().to_rat();
-    let hht = hr.mul(&ht)?;
-    let inv = hht.inverse()?;
-    let proj = ht.mul(&inv)?.mul(&hr)?;
-    let mut perp = RatMatrix::identity(n);
+    let mut perp = Vec::with_capacity(n);
     for r in 0..n {
-        for c in 0..n {
-            let s = proj[(r, c)];
-            perp[(r, c)] -= s;
+        let mut row = vec![0i128; n];
+        row[r] = d;
+        for (u, norm) in &us {
+            let c = mul(d / norm, u[r])?;
+            for (x, &y) in row.iter_mut().zip(u) {
+                *x = sub(*x, mul(c, y)?)?;
+            }
+        }
+        make_primitive(&mut row);
+        if row.iter().any(|&x| x != 0) {
+            perp.push(row.into_iter().map(narrow).collect::<Result<_>>()?);
         }
     }
-    perp.to_primitive_int_rows()
+    Ok(perp)
 }
 
-/// Normalizes an integer vector to primitive form (divides by the gcd of
-/// its entries). Zero vectors are returned unchanged.
-pub fn primitive(mut v: Vec<i64>) -> Vec<i64> {
-    let g = gcd_slice(&v);
-    if g > 1 {
-        for x in &mut v {
-            *x /= g;
+/// The inverse of the square integer matrix `m`, when it is an integer
+/// matrix: `Ok(None)` when `m` is singular or its inverse has a
+/// fractional entry, that is, unless `m` is unimodular.
+///
+/// A fraction-free Gauss–Jordan elimination on `[m | I]` leaves row `i`
+/// as `[d_i·e_i | x_i]` with no common factor, so the inverse's row
+/// `x_i / d_i` is integral exactly when `d_i = ±1`.
+///
+/// # Errors
+///
+/// [`MathError::Overflow`] when an intermediate value outgrows `i128`
+/// or an inverse entry outgrows `i64`.
+///
+/// # Panics
+///
+/// Panics if a row of `m` does not have `m.len()` entries.
+pub fn integral_inverse(m: &[Vec<i64>]) -> Result<Option<Vec<Vec<i64>>>> {
+    let n = m.len();
+    let mut a: Vec<Vec<i128>> = m
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            assert_eq!(row.len(), n, "matrix is not square");
+            let mut r: Vec<i128> = row.iter().map(|&c| i128::from(c)).collect();
+            r.resize(2 * n, 0);
+            r[n + i] = 1;
+            r
+        })
+        .collect();
+    for c in 0..n {
+        let Some(p) = (c..n).find(|&r| a[r][c] != 0) else {
+            return Ok(None);
+        };
+        a.swap(c, p);
+        // Every other row is reduced against the pivot row, whose slot
+        // stays empty while it is out.
+        let pivot = std::mem::take(&mut a[c]);
+        for row in a.iter_mut().filter(|row| !row.is_empty()) {
+            eliminate(row, &pivot, c)?;
         }
+        a[c] = pivot;
     }
-    v
+    let mut inv = Vec::with_capacity(n);
+    for (i, row) in a.iter().enumerate() {
+        let d = row[i];
+        if d.abs() != 1 {
+            return Ok(None);
+        }
+        inv.push(
+            row[n..]
+                .iter()
+                .map(|&x| narrow(d * x))
+                .collect::<Result<_>>()?,
+        );
+    }
+    Ok(Some(inv))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn mul_identity() {
-        let m = IntMatrix::from_rows(&[vec![1, 2], vec![3, 4]]);
-        let i = IntMatrix::identity(2);
-        assert_eq!(m.mul(&i).unwrap(), m);
-        assert_eq!(i.mul(&m).unwrap(), m);
+    fn echelon(rows: &[&[i64]]) -> Result<Echelon> {
+        let mut e = Echelon::new(rows.first().map_or(0, |r| r.len()));
+        for row in rows {
+            e.insert(row)?;
+        }
+        Ok(e)
     }
 
-    #[test]
-    fn mul_vec_works() {
-        let m = IntMatrix::from_rows(&[vec![1, 2], vec![3, 4]]);
-        assert_eq!(m.mul_vec(&[1, 1]).unwrap(), vec![3, 7]);
+    fn identity(n: usize) -> Vec<Vec<i64>> {
+        (0..n)
+            .map(|i| (0..n).map(|j| i64::from(i == j)).collect())
+            .collect()
     }
 
     #[test]
     fn rank_detects_dependence() {
-        let m = IntMatrix::from_rows(&[vec![1, 2], vec![2, 4]]);
-        assert_eq!(m.rank(), 1);
-        let m = IntMatrix::from_rows(&[vec![1, 0], vec![0, 1]]);
-        assert_eq!(m.rank(), 2);
-        assert_eq!(IntMatrix::zeros(3, 3).rank(), 0);
+        assert_eq!(echelon(&[&[1, 2], &[2, 4]]).unwrap().rank(), 1);
+        assert_eq!(echelon(&[&[1, 0], &[0, 1]]).unwrap().rank(), 2);
+        assert_eq!(echelon(&[&[0, 0, 0], &[0, 0, 0]]).unwrap().rank(), 0);
+        let e = echelon(&[&[0, 2, 4]]).unwrap();
+        assert_eq!(e.independent(&[0, -1, -2]), Ok(false));
+        assert_eq!(e.independent(&[1, 2, 4]), Ok(true));
+        assert_eq!(e.rank(), 1);
     }
 
     #[test]
     fn inverse_round_trip() {
-        let m = IntMatrix::from_rows(&[vec![2, 1], vec![1, 1]]);
-        let inv = m.to_rat().inverse().unwrap();
-        let prod = m.to_rat().mul(&inv).unwrap();
-        assert_eq!(prod, RatMatrix::identity(2));
+        let m = vec![vec![2, 1], vec![1, 1]];
+        let inv = integral_inverse(&m).unwrap().unwrap();
+        assert_eq!(inv, vec![vec![1, -1], vec![-1, 2]]);
+        let prod: Vec<Vec<i64>> = (0..2)
+            .map(|i| {
+                (0..2)
+                    .map(|j| m[i][0] * inv[0][j] + m[i][1] * inv[1][j])
+                    .collect()
+            })
+            .collect();
+        assert_eq!(prod, identity(2));
+        assert_eq!(integral_inverse(&[]), Ok(Some(Vec::new())));
     }
 
     #[test]
     fn inverse_singular_fails() {
-        let m = IntMatrix::from_rows(&[vec![1, 2], vec![2, 4]]);
-        assert_eq!(m.to_rat().inverse().unwrap_err(), MathError::SingularMatrix);
+        assert_eq!(integral_inverse(&[vec![1, 2], vec![2, 4]]), Ok(None));
+        // Invertible over the rationals, but i = c / 2 is no integer.
+        assert_eq!(integral_inverse(&[vec![2]]), Ok(None));
+        assert_eq!(integral_inverse(&[vec![1, 1], vec![1, -1]]), Ok(None));
     }
 
     #[test]
     fn ortho_complement_of_e1() {
-        let h = IntMatrix::from_rows(&[vec![1, 0, 0]]);
+        let h = echelon(&[&[1, 0, 0]]).unwrap();
         let perp = orthogonal_complement(&h).unwrap();
         // Rows span the (e2, e3) plane.
-        assert_eq!(perp.rank(), 2);
-        for r in perp.iter_rows() {
+        let refs: Vec<&[i64]> = perp.iter().map(Vec::as_slice).collect();
+        assert_eq!(echelon(&refs).unwrap().rank(), 2);
+        for r in &perp {
             assert_eq!(r[0], 0);
         }
     }
@@ -629,41 +343,51 @@ mod tests {
     #[test]
     fn ortho_complement_of_diagonal() {
         // H = [1 1]; complement spanned by (1, -1).
-        let h = IntMatrix::from_rows(&[vec![1, 1]]);
+        let h = echelon(&[&[1, 1]]).unwrap();
         let perp = orthogonal_complement(&h).unwrap();
-        assert_eq!(perp.rank(), 1);
-        for r in perp.iter_rows() {
-            assert_eq!(r[0] + r[1], 0);
-        }
+        assert_eq!(perp, vec![vec![1, -1], vec![-1, 1]]);
     }
 
     #[test]
     fn ortho_complement_empty_is_identity() {
-        let h = IntMatrix::zeros(0, 3);
-        assert_eq!(orthogonal_complement(&h).unwrap(), IntMatrix::identity(3));
-    }
-
-    #[test]
-    fn hnf_of_unimodular_is_identityish() {
-        let m = IntMatrix::from_rows(&[vec![1, 1], vec![0, 1]]);
-        let (h, u) = m.hermite_normal_form().unwrap();
-        assert_eq!(m.mul(&u).unwrap(), h);
-        // Lower triangular.
-        assert_eq!(h[(0, 1)], 0);
-    }
-
-    #[test]
-    fn hnf_detects_stride() {
-        // Schedule t = 2i: lattice has stride 2.
-        let m = IntMatrix::from_rows(&[vec![2]]);
-        let (h, _) = m.hermite_normal_form().unwrap();
-        assert_eq!(h[(0, 0)], 2);
+        assert_eq!(
+            orthogonal_complement(&Echelon::new(3)).unwrap(),
+            identity(3)
+        );
     }
 
     #[test]
     fn primitive_normalizes() {
-        assert_eq!(primitive(vec![2, 4, -6]), vec![1, 2, -3]);
-        assert_eq!(primitive(vec![0, 0]), vec![0, 0]);
-        assert_eq!(primitive(vec![3]), vec![1]);
+        let mut r = [2, 4, -6];
+        make_primitive(&mut r);
+        assert_eq!(r, [1, 2, -3]);
+        let mut zero = [0, 0];
+        make_primitive(&mut zero);
+        assert_eq!(zero, [0, 0]);
+        let mut one = [-3];
+        make_primitive(&mut one);
+        assert_eq!(one, [-1]);
+    }
+
+    #[test]
+    fn overflow_is_an_error_not_a_panic() {
+        let m = i64::MAX;
+        // The third row's reduction multiplies two entries near 2^126.
+        let rows = [vec![m, 1, 0], vec![1, m, 1], vec![1, 1, m]];
+        let mut e = Echelon::new(3);
+        assert_eq!(e.insert(&rows[0]), Ok(true));
+        assert_eq!(e.insert(&rows[1]), Ok(true));
+        assert_eq!(e.independent(&rows[2]), Err(MathError::Overflow));
+        let before = e.clone();
+        assert_eq!(e.insert(&rows[2]), Err(MathError::Overflow));
+        assert_eq!(e, before);
+        assert_eq!(integral_inverse(&rows), Err(MathError::Overflow));
+        // A primitive row near i64::MAX: its squared norm outgrows i128.
+        let h = echelon(&[&[m, m - 1, m]]).unwrap();
+        assert_eq!(orthogonal_complement(&h), Err(MathError::Overflow));
+        // An entry exactly at the bounds is no overflow.
+        let mut e = Echelon::new(2);
+        assert_eq!(e.insert(&[i64::MIN, 0]), Ok(true));
+        assert_eq!(e.independent(&[i64::MAX, 0]), Ok(false));
     }
 }

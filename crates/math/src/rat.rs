@@ -1,10 +1,11 @@
 //! Exact rational arithmetic over `i128`.
 //!
-//! [`Rat`] is the number type of rational linear algebra (matrix
-//! inversion, orthogonal complements) and of what a linear program
-//! reports ([`LpOutcome`](crate::LpOutcome)); the simplex tableau itself
-//! holds integers. Values are kept normalized: the denominator is always
-//! positive and `gcd(num, den) == 1`.
+//! [`Rat`] is the number type of what a linear program reports
+//! ([`LpOutcome`](crate::LpOutcome)) and of the rational references the
+//! property tests check the integer kernels against; the simplex tableau
+//! and the rank kernel ([`Echelon`](crate::Echelon)) hold integers.
+//! Values are kept normalized: the denominator is always positive and
+//! `gcd(num, den) == 1`.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -15,12 +16,11 @@ use crate::num::gcd;
 /// An exact rational number with `i128` numerator and denominator.
 ///
 /// Arithmetic panics on overflow rather than wrap. What still reaches it
-/// is narrow — an LP reports `i64` numerators over `i64` denominators,
-/// and the matrices are schedule rows under the configured coefficient
-/// bound — so one sum or product of such operands fits `i128`. The
-/// simplex, which chained these operations on request-sized data, works
-/// on integers now and reports [`MathError::Overflow`](crate::MathError)
-/// instead.
+/// is narrow — an LP reports `i64` numerators over `i64` denominators —
+/// so one sum or product of such operands fits `i128`. The simplex and
+/// the rank kernel, which chained these operations on request-sized
+/// data, work on integers now and report
+/// [`MathError::Overflow`](crate::MathError) instead.
 ///
 /// # Examples
 ///

@@ -2,13 +2,17 @@
 
 mod reference;
 
+use std::cmp::Ordering;
+
 use proptest::prelude::*;
 
 use polytops_math::{
     farkas_cone, farkas_nonneg, farkas_substitute, ilp_feasible, ilp_lexmin, ilp_minimize,
-    ineq_implied, lp_feasible, lp_minimize, orthogonal_complement, ConstraintSystem, IlpOutcome,
-    IlpStats, IncrementalLp, IntMatrix, LpOutcome, Rat, RowKind, Snapshot,
+    ineq_implied, integral_inverse, lp_feasible, lp_minimize, orthogonal_complement,
+    ConstraintSystem, Echelon, IlpOutcome, IlpStats, IncrementalLp, LpOutcome, Rat, RowKind,
+    Snapshot,
 };
+use reference::linalg;
 
 fn small_rat() -> impl Strategy<Value = Rat> {
     (-20i128..=20, 1i128..=9).prop_map(|(n, d)| Rat::new(n, d))
@@ -45,49 +49,115 @@ proptest! {
     }
 }
 
-fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = IntMatrix> {
-    proptest::collection::vec(proptest::collection::vec(-5i64..=5, cols), rows)
-        .prop_map(|rows| IntMatrix::from_rows(&rows))
+/// Square matrices of order 1–4: in one case of two random entries
+/// (mostly singular or with a fractional inverse), in the other a
+/// unimodular product `L·U` of triangular matrices with ±1 diagonals.
+fn square_matrix() -> impl Strategy<Value = Vec<Vec<i64>>> {
+    let entries = || proptest::collection::vec(-3i64..=3, 16);
+    ((1usize..=4, 0u8..=1), entries(), entries()).prop_map(|((n, unimodular), a, b)| {
+        let square = |f: &dyn Fn(usize, usize) -> i64| -> Vec<Vec<i64>> {
+            (0..n).map(|i| (0..n).map(|j| f(i, j)).collect()).collect()
+        };
+        if unimodular == 0 {
+            return square(&|i, j| a[4 * i + j]);
+        }
+        let lower = |i: usize, k: usize| match k.cmp(&i) {
+            Ordering::Less => a[4 * i + k],
+            Ordering::Equal if b[4 * i + k] < 0 => -1,
+            Ordering::Equal => 1,
+            Ordering::Greater => 0,
+        };
+        let upper = |k: usize, j: usize| {
+            if k < j {
+                b[4 * k + j]
+            } else {
+                i64::from(k == j)
+            }
+        };
+        square(&|i, j| (0..n).map(|k| lower(i, k) * upper(k, j)).sum())
+    })
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     #[test]
-    fn inverse_round_trips(m in small_matrix(3, 3)) {
-        let rm = m.to_rat();
-        if let Ok(inv) = rm.inverse() {
-            let prod = rm.mul(&inv).unwrap();
-            for i in 0..3 {
-                for j in 0..3 {
-                    let expected = if i == j { Rat::ONE } else { Rat::ZERO };
-                    prop_assert_eq!(prod[(i, j)], expected);
-                }
+    fn the_echelon_picks_the_rows_the_rank_test_picks(
+        rows in proptest::collection::vec(proptest::collection::vec(-3i64..=3, 3), 0..7),
+    ) {
+        let mut echelon = Echelon::new(3);
+        let mut basis: Vec<Vec<i64>> = Vec::new();
+        for row in rows {
+            let mut candidate = basis.clone();
+            candidate.push(row.clone());
+            let independent = linalg::rank(&candidate) == candidate.len();
+            prop_assert_eq!(echelon.independent(&row), Ok(independent));
+            prop_assert_eq!(echelon.insert(&row), Ok(independent));
+            if independent {
+                basis = candidate;
             }
+            prop_assert_eq!(echelon.rank(), basis.len());
         }
     }
 
     #[test]
-    fn hnf_preserves_lattice(m in small_matrix(2, 3)) {
-        let (h, u) = m.hermite_normal_form().unwrap();
-        // m * u == h and u unimodular (|det| == 1 checked via rank + inverse).
-        prop_assert_eq!(m.mul(&u).unwrap(), h);
-        let ur = u.to_rat();
-        prop_assert!(ur.inverse().is_ok(), "unimodular matrices are invertible");
+    fn the_complement_is_the_rational_projector(
+        (width, count, rows) in (
+            1usize..=6,
+            0usize..=6,
+            proptest::collection::vec(proptest::collection::vec(-4i64..=4, 6), 6),
+        ),
+    ) {
+        // A full-row-rank H: the rows the rational rank test keeps.
+        let mut h: Vec<Vec<i64>> = Vec::new();
+        for row in rows.iter().take(count.min(width)) {
+            let mut candidate = h.clone();
+            candidate.push(row[..width].to_vec());
+            if linalg::rank(&candidate) == candidate.len() {
+                h = candidate;
+            }
+        }
+        let mut echelon = Echelon::new(width);
+        for row in &h {
+            echelon.insert(row).unwrap();
+        }
+        prop_assert_eq!(orthogonal_complement(&echelon).unwrap(), linalg::projector(&h, width));
     }
 
     #[test]
-    fn ortho_complement_rows_are_orthogonal(m in small_matrix(1, 4)) {
-        if m.rank() == 1 {
-            let perp = orthogonal_complement(&m).unwrap();
-            for r in perp.iter_rows() {
-                let dot: i64 = r.iter().zip(m.row(0)).map(|(a, b)| a * b).sum();
+    fn ortho_complement_rows_are_orthogonal(row in proptest::collection::vec(-5i64..=5, 4)) {
+        let mut h = Echelon::new(4);
+        if h.insert(&row).unwrap() {
+            let perp = orthogonal_complement(&h).unwrap();
+            for r in &perp {
+                let dot: i64 = r.iter().zip(&row).map(|(a, b)| a * b).sum();
                 prop_assert_eq!(dot, 0);
             }
             // Complement + original spans the full space.
-            let mut all = perp.clone();
-            all.push_row(m.row(0).to_vec());
-            prop_assert_eq!(all.rank(), 4);
+            for r in &perp {
+                h.insert(r).unwrap();
+            }
+            prop_assert_eq!(h.rank(), 4);
+        }
+    }
+
+    #[test]
+    fn the_integral_inverse_is_the_rational_inverse_when_integral(m in square_matrix()) {
+        let expected = linalg::inverse(&m)
+            .filter(|inv| inv.iter().flatten().all(|v| v.is_integer()))
+            .map(|inv| {
+                let int_row = |row: &Vec<Rat>| row.iter().map(|v| v.numer() as i64).collect();
+                inv.iter().map(int_row).collect::<Vec<Vec<i64>>>()
+            });
+        prop_assert_eq!(integral_inverse(&m), Ok(expected));
+    }
+
+    #[test]
+    fn inverse_round_trips(m in square_matrix()) {
+        if let Some(inv) = integral_inverse(&m).unwrap() {
+            let n = m.len();
+            let entry = |i: usize, j: usize| -> i64 { (0..n).map(|k| m[i][k] * inv[k][j]).sum() };
+            for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                prop_assert_eq!(entry(i, j), i64::from(i == j));
+            }
         }
     }
 }

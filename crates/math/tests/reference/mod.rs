@@ -4,6 +4,10 @@
 //! gcd-normalized `i128/i128` rationals. The crate's phase 1 is a dual
 //! simplex from the slack basis, so the two take different pivots to
 //! the same verdicts and optimal values.
+//!
+//! [`linalg`] holds the rational references of the rank kernel.
+
+pub mod linalg;
 
 use polytops_math::{ConstraintSystem, LpOutcome, Rat, RowKind};
 

@@ -73,5 +73,5 @@ pub use polytops_ir::{
 };
 pub use polytops_math::{
     farkas_nonneg, ilp_feasible, ilp_lexmin, ilp_minimize, lp_minimize, ConstraintSystem,
-    IlpOutcome, IlpStats, IntMatrix, LpOutcome, Rat, RowKind,
+    IlpOutcome, IlpStats, LpOutcome, Rat, RowKind,
 };
