@@ -20,21 +20,42 @@
 //!   follow), and vectorization directives/auto-detection become
 //!   `Mark::Vectorize` annotations.
 //!
-//! Every transformation is **verified before it is committed**, by the
-//! independent dependence oracle ([`polytops_deps::Certifier`]): the
-//! candidate's instance order must respect every dependence *whose step
-//! sequence the rewrite changed*. That is every dependence there is to
-//! check — a verdict is a function of (dependence, step sequence), the
-//! tree a rewrite starts from is certified by induction (the lowering
-//! of the engine's schedule is legal by its Farkas construction, each
-//! committed rewrite by this check), so a dependence that crosses the
-//! same steps before and after keeps the verdict it had. A
-//! transformation that fails verification is silently dropped —
+//! Every transformation is **proved legal before it is committed**, by
+//! the dependence oracle ([`polytops_deps::Certifier`]), in one of two
+//! ways:
+//!
+//! * **The permutability proof** (the common case). Each rewrite
+//!   replaces the steps of one band (or one tiled nest) by steps that
+//!   are sums of floored rows, and that are all zero only where the old
+//!   steps were. So it is legal when every row of the new steps has
+//!   `Δ ≥ 0` on every dependence live at the band's entry whose two
+//!   statements both reach the band: floors are monotone, so every new
+//!   step is `≥ 0`; where one is positive the order is, and where all
+//!   are zero so were the old steps, below which the order is as it
+//!   was. Dependences carried before the band never have equal outer
+//!   coordinates there, and the others cross the same steps as before.
+//!   Each row is one `Δ ≤ −1` question of the dependence's base
+//!   tableau, and the engine's Farkas rows make the bands it emits pass
+//!   it (Pluto's permutability). Which dependences are live at entry is
+//!   the engine's record (`carried_at` of `solve`'s engine), not
+//!   re-asked.
+//! * **The walk** (the fallback). Where a row fails the proof, the
+//!   candidate's instance order is walked for every dependence *whose
+//!   step sequence the rewrite changed* ([`Certifier::certify_rewrite`],
+//!   widened by the floor variables). A verdict is a function of
+//!   (dependence, step sequence) and the tree a rewrite starts from is
+//!   certified by induction, so a dependence that crosses the same steps
+//!   before and after keeps the verdict it had.
+//!
+//! A transformation neither proves is silently dropped —
 //! post-processing, like directives, is best-effort and never breaks
-//! legality. Coincidence flags of transformed bands are recomputed with
-//! the *conditioned* oracle on the same walk (zero distance given equal
-//! outer coordinates); untransformed bands keep the engine's flags so
-//! model scores of plain schedules are unchanged.
+//! legality. Coincidence flags of a skewed or rotated band are
+//! recomputed with the *conditioned* oracle (zero distance given equal
+//! outer coordinates): on the walk when there is one, else on walks of
+//! the dependences that reach the band that ask no order question.
+//! Untransformed bands keep the engine's flags so model scores of plain
+//! schedules are unchanged. `postprocess.rewrites_proved` and
+//! `postprocess.rewrites_walked` count the two gates.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -50,54 +71,168 @@ use crate::pipeline::objectives::expand_targets;
 /// Applies the configured post-processing to `sched` in place: lowers
 /// the schedule to a tree, transforms it, and attaches the result
 /// (every schedule leaves this stage with an explicit tree). `oracle`
-/// answers for the dependences of the schedule's SCoP.
-pub fn apply(oracle: &mut Certifier<'_>, sched: &mut Schedule, config: &SchedulerConfig) {
+/// answers for the dependences of the schedule's SCoP; `carried_at[e]`
+/// is the flat dimension whose row first carries dependence `e` (`None`
+/// when none does), as the engine recorded it.
+pub fn apply(
+    oracle: &mut Certifier<'_>,
+    sched: &mut Schedule,
+    config: &SchedulerConfig,
+    carried_at: &[Option<usize>],
+) {
     let mut tree = sched.tree_or_lowered();
     let post = &config.post;
+    let mut gate = Gate {
+        oracle,
+        sched,
+        carried_at,
+        proved: 0,
+        walked: 0,
+    };
     if !post.tile_sizes.is_empty() {
         let _timing = polytops_obs::time("postprocess.tile_ns");
-        tile(oracle, sched, &mut tree, &post.tile_sizes);
+        tile(&mut gate, &mut tree, &post.tile_sizes);
     }
     if post.wavefront {
         let _timing = polytops_obs::time("postprocess.wavefront_ns");
-        wavefront(oracle, &mut tree);
+        wavefront(&mut gate, &mut tree);
     }
     if post.intra_tile_vectorize && !post.tile_sizes.is_empty() {
         let _timing = polytops_obs::time("postprocess.rotate_ns");
-        intra_tile_vectorize(oracle, &mut tree);
+        intra_tile_vectorize(&mut gate, &mut tree);
+    }
+    for (name, n) in [
+        ("postprocess.rewrites_proved", gate.proved),
+        ("postprocess.rewrites_walked", gate.walked),
+    ] {
+        if n > 0 {
+            polytops_obs::count(name, n);
+        }
     }
     vectorize_marks(sched, &mut tree, config);
     sched.set_tree(tree);
 }
 
 // ---------------------------------------------------------------------
-// Oracle plumbing.
+// The commit gate.
 // ---------------------------------------------------------------------
 
-/// The commit gate of every transformation: whether `candidate`, a
-/// rewrite of the certified `tree`, respects every dependence. With it
-/// come the conditioned coincidence flags of the candidate's members
-/// with structural node ids `flags` — a member is coincident iff, for
-/// every dependence, its step distance is zero given equal coordinates
-/// on all *prefix* steps (dependences that never reach the member —
-/// separated earlier or filtered apart — are vacuously fine; a member
-/// no statement crosses is not coincident).
-fn certify_rewrite(
-    oracle: &mut Certifier<'_>,
-    tree: &ScheduleTree,
-    candidate: &ScheduleTree,
-    flags: Range<usize>,
-) -> Option<Vec<bool>> {
-    let after = candidate.stmt_paths();
-    let mut out = oracle.certify_rewrite(&tree.stmt_paths(), &after, flags.clone())?;
-    let crossed = |id: usize| {
-        let on = |step: &PathStep| matches!(step, PathStep::Member { node, .. } if *node == id);
-        after.iter().any(|path| path.iter().any(on))
-    };
-    for (flag, id) in out.iter_mut().zip(flags) {
-        *flag &= crossed(id);
+/// What every rewrite is committed through: the oracle, the flat
+/// schedule the tree was lowered from, and the engine's record of where
+/// each dependence was carried.
+struct Gate<'g, 'a> {
+    oracle: &'g mut Certifier<'a>,
+    sched: &'g Schedule,
+    carried_at: &'g [Option<usize>],
+    /// Rewrites decided by the permutability proof.
+    proved: u64,
+    /// Rewrites decided by the walk, committed or refused.
+    walked: u64,
+}
+
+/// Whether a statement's path crosses the band member with structural
+/// node id `id`.
+fn crosses(path: &[PathStep], id: usize) -> bool {
+    path.iter()
+        .any(|step| matches!(step, PathStep::Member { node, .. } if *node == id))
+}
+
+impl Gate<'_, '_> {
+    /// Dependences not carried by any flat dimension before `start`.
+    fn live_at(&self, start: usize) -> Vec<usize> {
+        let live: Vec<usize> = (0..self.carried_at.len())
+            .filter(|&e| self.carried_at[e].is_none_or(|d| d >= start))
+            .collect();
+        #[cfg(test)]
+        assert_eq!(
+            live,
+            tests::live_at(&mut Certifier::new(self.oracle.deps()), self.sched, start),
+            "the engine's record of the dependences live at dimension {start}"
+        );
+        live
     }
-    Some(out)
+
+    /// Whether `candidate` — a rewrite of the certified `tree` — is
+    /// legal, and if so the candidate with the conditioned coincidence
+    /// flags of bands `bands` recomputed when `flags` is set. `bands`
+    /// (depth-first band indices of `candidate`) are the bands the
+    /// rewrite made; a member is coincident iff, for every dependence,
+    /// its step distance is zero given equal coordinates on all
+    /// *prefix* steps (dependences that never reach the member —
+    /// separated earlier or filtered apart — are vacuously fine; a
+    /// member no statement crosses is not coincident).
+    fn certify(
+        &mut self,
+        tree: &ScheduleTree,
+        mut candidate: ScheduleTree,
+        bands: Range<usize>,
+        flags: bool,
+    ) -> Option<ScheduleTree> {
+        let after = candidate.stmt_paths();
+        let ids = if flags {
+            member_ids(&candidate, bands.clone())
+        } else {
+            0..0
+        };
+        let mut out = if self.proves(&candidate, &after, bands) {
+            self.proved += 1;
+            let out = self.oracle.coincidence(&after, ids.clone());
+            #[cfg(test)]
+            assert_eq!(
+                tests::walk_gate(self.oracle.deps(), tree, &after, ids.clone()).as_ref(),
+                Some(&out),
+                "the walk accepts what the proof commits, with the same flags"
+            );
+            out
+        } else {
+            self.walked += 1;
+            self.oracle
+                .certify_rewrite(&tree.stmt_paths(), &after, ids.clone())?
+        };
+        for (flag, id) in out.iter_mut().zip(ids.clone()) {
+            *flag &= after.iter().any(|path| crosses(path, id));
+        }
+        set_flags(&mut candidate, ids, &out);
+        Some(candidate)
+    }
+
+    /// The permutability proof of the module doc for the rewritten
+    /// bands `bands` of `candidate` (paths `after`): every distinct
+    /// term row of their members has `Δ ≥ 0` on every dependence live
+    /// at their entry — the lowest flat dimension a term scans — whose
+    /// two statements both reach them.
+    fn proves(
+        &mut self,
+        candidate: &ScheduleTree,
+        after: &[Vec<PathStep>],
+        bands: Range<usize>,
+    ) -> bool {
+        let mut rows: Vec<Vec<Vec<i64>>> = Vec::new();
+        let mut first = None;
+        let mut start = usize::MAX;
+        let mut k = 0;
+        candidate.for_each_band(|id, members| {
+            if bands.contains(&k) {
+                first.get_or_insert(id);
+                for t in members.iter().flat_map(|m| &m.terms) {
+                    start = start.min(t.source_dim);
+                    if !rows.contains(&t.rows) {
+                        rows.push(t.rows.clone());
+                    }
+                }
+            }
+            k += 1;
+        });
+        let Some(first) = first else { return false };
+        let deps = self.oracle.deps();
+        self.live_at(start).into_iter().all(|e| {
+            let (src, dst) = (deps[e].src.0, deps[e].dst.0);
+            !(crosses(&after[src], first) && crosses(&after[dst], first))
+                || rows
+                    .iter()
+                    .all(|r| self.oracle.respects(e, &r[src], &r[dst]))
+        })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -203,38 +338,17 @@ fn rewrite_band(
 }
 
 // ---------------------------------------------------------------------
-// Flat-schedule helpers (tile-loop parallelism uses the engine's
-// unconditioned rule so plain-tiling model scores match the engine).
-// ---------------------------------------------------------------------
-
-/// Dependences not strongly carried by any flat dimension before
-/// `start`.
-fn live_at(oracle: &mut Certifier<'_>, sched: &Schedule, start: usize) -> Vec<usize> {
-    let deps = oracle.deps();
-    let mut live: Vec<usize> = (0..deps.len()).collect();
-    for d in 0..start {
-        live.retain(|&e| {
-            let dep = &deps[e];
-            !oracle.strongly_satisfies(
-                e,
-                &sched.stmt(dep.src).rows()[d],
-                &sched.stmt(dep.dst).rows()[d],
-            )
-        });
-    }
-    live
-}
-
-// ---------------------------------------------------------------------
 // Tiling.
 // ---------------------------------------------------------------------
 
 /// Tiles every point band: `Mark::Tile` over a tile band over the point
-/// band, the candidate certified against the oracle before committing.
+/// band, the candidate proved or certified before committing.
 /// `tile_sizes` supplies one size per band depth and is cycled when the
-/// band is deeper.
-fn tile(oracle: &mut Certifier<'_>, sched: &Schedule, tree: &mut ScheduleTree, tile_sizes: &[i64]) {
-    let deps = oracle.deps();
+/// band is deeper. A tile loop's parallelism uses the engine's
+/// unconditioned rule, so plain-tiling model scores match the engine.
+fn tile(gate: &mut Gate<'_, '_>, tree: &mut ScheduleTree, tile_sizes: &[i64]) {
+    let deps = gate.oracle.deps();
+    let sched = gate.sched;
     let mut bi = 0;
     while bi < count_bands(&tree.root) {
         let candidate = rewrite_band(tree, bi, &mut |ctx, members, permutable, child| {
@@ -249,8 +363,7 @@ fn tile(oracle: &mut Certifier<'_>, sched: &Schedule, tree: &mut ScheduleTree, t
             // entry* has zero distance on its dimension — a dependence
             // carried by an earlier member of the same band still
             // crosses tiles.
-            let start = members[0].source_dim();
-            let live = live_at(oracle, sched, start);
+            let live = gate.live_at(members[0].source_dim());
             let tile_members: Vec<BandMember> = members
                 .iter()
                 .zip(&sizes)
@@ -258,7 +371,7 @@ fn tile(oracle: &mut Certifier<'_>, sched: &Schedule, tree: &mut ScheduleTree, t
                     let t = &m.terms[0];
                     let parallel = live.iter().all(|&e| {
                         let dep = &deps[e];
-                        oracle.zero_distance(
+                        gate.oracle.zero_distance(
                             e,
                             &sched.stmt(dep.src).rows()[t.source_dim],
                             &sched.stmt(dep.dst).rows()[t.source_dim],
@@ -289,14 +402,14 @@ fn tile(oracle: &mut Certifier<'_>, sched: &Schedule, tree: &mut ScheduleTree, t
                 .boxed(),
             })
         });
-        match candidate {
-            Some(c) if certify_rewrite(oracle, tree, &c, 0..0).is_some() => {
+        match candidate.and_then(|c| gate.certify(tree, c, bi..bi + 2, false)) {
+            Some(c) => {
                 *tree = c;
                 // The rewrite put two bands (tile + point) where one
                 // was; continue past both.
                 bi += 2;
             }
-            _ => bi += 1,
+            None => bi += 1,
         }
     }
 }
@@ -351,10 +464,10 @@ fn set_flags(tree: &mut ScheduleTree, ids: Range<usize>, flags: &[bool]) {
 /// outer member becomes the sum of the band's members. Tile bands are
 /// preferred (the terms concatenate into a sum of floors); untiled
 /// point bands fall back to the classic affine row sum. A skew commits
-/// only when it is certified against every dependence and loses no
-/// coincident members (the user asked for a wavefront; pipelining an
-/// already-parallel-inside band is allowed, degrading one is not).
-fn wavefront(oracle: &mut Certifier<'_>, tree: &mut ScheduleTree) {
+/// only when it is proved or certified and loses no coincident members
+/// (the user asked for a wavefront; pipelining an already-parallel-
+/// inside band is allowed, degrading one is not).
+fn wavefront(gate: &mut Gate<'_, '_>, tree: &mut ScheduleTree) {
     let mut bi = 0;
     while bi < count_bands(&tree.root) {
         let candidate = rewrite_band(tree, bi, &mut |ctx, members, _permutable, child| {
@@ -407,13 +520,9 @@ fn wavefront(oracle: &mut Certifier<'_>, tree: &mut ScheduleTree) {
                 .boxed(),
             })
         });
-        if let Some(mut c) = candidate {
-            let ids = member_ids(&c, bi..bi + 1);
-            if let Some(flags) = certify_rewrite(oracle, tree, &c, ids.clone()) {
-                set_flags(&mut c, ids, &flags);
-                if coincident_count(&c, bi) >= coincident_count(tree, bi) {
-                    *tree = c;
-                }
+        if let Some(c) = candidate.and_then(|c| gate.certify(tree, c, bi..bi + 1, true)) {
+            if coincident_count(&c, bi) >= coincident_count(tree, bi) {
+                *tree = c;
             }
         }
         bi += 1;
@@ -516,9 +625,9 @@ fn rotate_under_tile_mark(under: &TreeNode, sizes: &[i64]) -> Option<(TreeNode, 
             let p = (0..n - 1).rev().find(|&d| point_members[d].coincident)?;
             // A wavefronted tile band owns a skewed member 0 that no
             // longer corresponds 1:1 to a point member; only swap tile
-            // members that do.
+            // members that do (a single term each).
             let mut tiles = tile_members.clone();
-            if tiles.len() == n {
+            if tiles.len() == n && tiles[p].terms.len() == 1 && tiles[n - 1].terms.len() == 1 {
                 tiles.swap(p, n - 1);
             }
             let mut points = point_members.clone();
@@ -545,11 +654,10 @@ fn rotate_under_tile_mark(under: &TreeNode, sizes: &[i64]) -> Option<(TreeNode, 
     }
 }
 
-/// Driver: tries each tiled nest in turn, committing certified
-/// rotations (flags of both bands of a rotated nest are recomputed with
-/// the conditioned oracle — the permutation changes every prefix — on
-/// the walk that certifies it).
-fn intra_tile_vectorize(oracle: &mut Certifier<'_>, tree: &mut ScheduleTree) {
+/// Driver: tries each tiled nest in turn, committing proved or
+/// certified rotations (flags of the rotated bands are recomputed with
+/// the conditioned oracle — the permutation changes every prefix).
+fn intra_tile_vectorize(gate: &mut Gate<'_, '_>, tree: &mut ScheduleTree) {
     let ntiles = tree
         .marks()
         .iter()
@@ -560,7 +668,7 @@ fn intra_tile_vectorize(oracle: &mut Certifier<'_>, tree: &mut ScheduleTree) {
         let Some(root) = rotate_tiled_nest(&tree.root, &mut skip) else {
             continue;
         };
-        let mut candidate = ScheduleTree {
+        let candidate = ScheduleTree {
             nstmts: tree.nstmts,
             root,
         };
@@ -578,10 +686,8 @@ fn intra_tile_vectorize(oracle: &mut Certifier<'_>, tree: &mut ScheduleTree) {
             k += 1;
         });
         let Some(changed) = changed else { continue };
-        let ids = member_ids(&candidate, changed);
-        if let Some(flags) = certify_rewrite(oracle, tree, &candidate, ids.clone()) {
-            set_flags(&mut candidate, ids, &flags);
-            *tree = candidate;
+        if let Some(c) = gate.certify(tree, candidate, changed, true) {
+            *tree = c;
         }
     }
 }
@@ -673,11 +779,65 @@ fn vectorize_marks(sched: &Schedule, tree: &mut ScheduleTree, config: &Scheduler
     }
 }
 
+/// The from-scratch dependence oracle (a rebuilt system per question)
+/// the tests hold final trees to.
+#[cfg(test)]
+#[path = "../../../deps/tests/reference/mod.rs"]
+mod reference;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use polytops_deps::{analyze, order_steps, steps_respect_dependence, Dependence};
-    use polytops_ir::{Aff, Scop, ScopBuilder};
+    use polytops_ir::{Aff, Scop, ScopBuilder, StmtSchedule};
+
+    /// Dependences not strongly carried by any flat dimension before
+    /// `start`, asked of `oracle` dimension by dimension: what the
+    /// engine's record must say.
+    pub(super) fn live_at(
+        oracle: &mut Certifier<'_>,
+        sched: &Schedule,
+        start: usize,
+    ) -> Vec<usize> {
+        let deps = oracle.deps();
+        let mut live: Vec<usize> = (0..deps.len()).collect();
+        for d in 0..start {
+            live.retain(|&e| {
+                let dep = &deps[e];
+                !oracle.strongly_satisfies(
+                    e,
+                    &sched.stmt(dep.src).rows()[d],
+                    &sched.stmt(dep.dst).rows()[d],
+                )
+            });
+        }
+        live
+    }
+
+    /// The commit gate before the proof: the order of every dependence
+    /// the rewrite touched walked, the flags from the same walks. Every
+    /// rewrite the proof commits is held to it.
+    pub(super) fn walk_gate(
+        deps: &[Dependence],
+        tree: &ScheduleTree,
+        after: &[Vec<PathStep>],
+        flags: Range<usize>,
+    ) -> Option<Vec<bool>> {
+        Certifier::new(deps).certify_rewrite(&tree.stmt_paths(), after, flags)
+    }
+
+    /// The engine's record for a hand-made flat schedule: per
+    /// dependence, the first dimension whose row carries it.
+    fn carried_at(deps: &[Dependence], sched: &Schedule) -> Vec<Option<usize>> {
+        let mut oracle = Certifier::new(deps);
+        deps.iter()
+            .enumerate()
+            .map(|(e, dep)| {
+                let (src, dst) = (sched.stmt(dep.src).rows(), sched.stmt(dep.dst).rows());
+                (0..sched.dims()).find(|&d| oracle.strongly_satisfies(e, &src[d], &dst[d]))
+            })
+            .collect()
+    }
 
     /// Whether every dependence is respected by the tree's instance
     /// order, each asked from scratch.
@@ -826,7 +986,8 @@ mod tests {
         let mut sched = crate::schedule(&scop, &crate::SchedulerConfig::default()).unwrap();
         let before = sched.clone();
         let config = crate::SchedulerConfig::default();
-        apply(&mut Certifier::new(&deps), &mut sched, &config);
+        let carried = carried_at(&deps, &sched);
+        apply(&mut Certifier::new(&deps), &mut sched, &config, &carried);
         // Rows, bands and flags untouched; the tree is exactly the
         // lowering of the flat schedule.
         assert_eq!(
@@ -900,5 +1061,151 @@ mod tests {
             "vectorize mark on the copy statement: {:?}",
             tree.marks()
         );
+    }
+
+    #[test]
+    fn the_proof_never_commits_what_the_walk_would_refuse() {
+        // Inside the gate, every rewrite the proof commits is also put
+        // to `walk_gate` (same verdict, same flags) and every band's
+        // live-at-entry to `live_at`. Here the grid runs through it, and
+        // the final trees are held to the from-scratch oracle.
+        let presets = [
+            ("pluto", crate::presets::pluto()),
+            ("feautrier", crate::presets::feautrier()),
+            ("isl_like", crate::presets::isl_like()),
+            ("wavefront", crate::presets::wavefront()),
+            ("fast_path", crate::presets::fast_path()),
+        ];
+        let grid: Vec<&str> = polytops_workloads::sweep::preset_grid()
+            .iter()
+            .map(|(name, _)| *name)
+            .collect();
+        assert_eq!(
+            presets.iter().map(|(name, _)| *name).collect::<Vec<_>>(),
+            grid
+        );
+        let posts = [
+            (vec![16], false, false),
+            (vec![32, 32], true, false),
+            (vec![64], true, true),
+        ];
+        let recorder = polytops_obs::Recorder::new(true);
+        let root = recorder.root_span("test");
+        for (kernel, scop) in polytops_workloads::all_kernels() {
+            let deps = analyze(&scop);
+            for (preset, base) in &presets {
+                for (sizes, wavefront, vectorize) in &posts {
+                    let mut config = base.clone();
+                    config.post.tile_sizes = sizes.clone();
+                    config.post.wavefront = *wavefront;
+                    config.post.intra_tile_vectorize = *vectorize;
+                    let sched = {
+                        let _bound = root.link().expect("armed").bind();
+                        crate::schedule(&scop, &config).unwrap()
+                    };
+                    let paths = sched.tree().expect("a tree").stmt_paths();
+                    for dep in &deps {
+                        let steps = order_steps(&paths[dep.src.0], &paths[dep.dst.0]);
+                        assert!(
+                            reference::steps_respect(dep, &steps),
+                            "{kernel}/{preset}/{sizes:?}"
+                        );
+                    }
+                }
+            }
+        }
+        let get = |name: &str| recorder.counter(name).get();
+        let (proved, walked) = (
+            get("postprocess.rewrites_proved"),
+            get("postprocess.rewrites_walked"),
+        );
+        eprintln!("rewrites over the grid: {proved} proved, {walked} walked");
+        assert_eq!((proved, walked), (164, 0));
+    }
+
+    #[test]
+    fn a_band_that_is_not_permutable_falls_back_to_the_walk_and_stays_untiled() {
+        let scop = jacobi();
+        let deps = analyze(&scop);
+        // Rows over (t, i, T, N, 1). (t, i) orders every dependence but
+        // runs the (1, −1) one backwards across i tiles; (t, t + i) is
+        // a permutable band.
+        for (inner, permutable) in [([0, 1, 0, 0, 0], false), ([1, 1, 0, 0, 0], true)] {
+            let mut ss = StmtSchedule::new(2, 2);
+            ss.push_row(vec![1, 0, 0, 0, 0]);
+            ss.push_row(inner.to_vec());
+            let sched = Schedule::from_parts(vec![ss], vec![0, 0], vec![false, false]);
+            let carried = carried_at(&deps, &sched);
+            let before = ScheduleTree::lower(&sched);
+            let mut tree = before.clone();
+            let mut oracle = Certifier::new(&deps);
+            let mut gate = Gate {
+                oracle: &mut oracle,
+                sched: &sched,
+                carried_at: &carried,
+                proved: 0,
+                walked: 0,
+            };
+            tile(&mut gate, &mut tree, &[4]);
+            let gates = (gate.proved, gate.walked);
+            let walks = oracle.stats().deps_recertified;
+            if permutable {
+                assert_eq!(gates, (1, 0), "proved");
+                assert_eq!(walks, 0, "with no walk");
+                assert!(tiled_nest(&tree).is_some());
+                assert!(tree_respects_all(&deps, &tree));
+            } else {
+                assert_eq!(gates, (0, 1), "the proof fails");
+                assert!(walks >= 1, "the walk runs");
+                assert_eq!(tree, before, "and refuses: the tree is unchanged");
+            }
+        }
+    }
+
+    #[test]
+    fn rotation_keeps_the_skewed_tile_member_outermost() {
+        // A wavefronted tile nest whose one coincident point member is
+        // the outer one (p = 0): the point members and the sizes swap,
+        // the tile band — its skewed member 0 a sum of two floors — does
+        // not.
+        let term = |row: Vec<i64>, div: i64, source_dim: usize| MemberTerm {
+            rows: vec![row],
+            div,
+            source_dim,
+        };
+        let member = |terms: Vec<MemberTerm>, coincident: bool| BandMember { terms, coincident };
+        let (t, skew) = (vec![1, 0, 0, 0, 0], vec![1, 1, 0, 0, 0]);
+        let tiles = vec![
+            member(vec![term(t.clone(), 4, 0), term(skew.clone(), 8, 1)], false),
+            member(vec![term(skew.clone(), 8, 1)], true),
+        ];
+        let points = vec![
+            member(vec![term(t, 1, 0)], true),
+            member(vec![term(skew, 1, 1)], false),
+        ];
+        let under = TreeNode::Mark {
+            kind: MarkKind::Wavefront,
+            child: TreeNode::Band {
+                members: tiles.clone(),
+                permutable: false,
+                child: TreeNode::Band {
+                    members: points.clone(),
+                    permutable: true,
+                    child: TreeNode::Leaf.boxed(),
+                }
+                .boxed(),
+            }
+            .boxed(),
+        };
+        let (rotated, sizes) = rotate_under_tile_mark(&under, &[4, 8]).expect("p = 0 rotates");
+        assert_eq!(sizes, vec![8, 4]);
+        let tree = ScheduleTree {
+            nstmts: 1,
+            root: rotated,
+        };
+        let mut bands = Vec::new();
+        tree.for_each_band(|_, m| bands.push(m.to_vec()));
+        assert_eq!(bands[0], tiles, "the tile band keeps its skewed member 0");
+        assert_eq!(bands[1], vec![points[1].clone(), points[0].clone()]);
     }
 }

@@ -165,13 +165,13 @@ struct Engine<'a> {
     /// analysis is deterministic, so a shared vector equals what this
     /// run would compute).
     deps: Arc<Vec<Dependence>>,
-    /// `live[e]`: dependence `e` has not been strongly satisfied yet.
-    live: Vec<bool>,
-    /// Band id of the dimension that carried dependence `e`, once
-    /// carried. A dependence carried *inside* the currently open band
-    /// keeps contributing legality constraints (`Δ ≥ 0`) until the band
-    /// closes, which is what makes emitted bands permutable (tilable).
-    carried_band: Vec<Option<usize>>,
+    /// The flat dimension whose row first strongly satisfied (carried)
+    /// dependence `e`; `None` while `e` is live. A dependence carried
+    /// *inside* the currently open band (`bands[d]`) keeps contributing
+    /// legality constraints (`Δ ≥ 0`) until the band closes, which is
+    /// what makes emitted bands permutable (tilable). Post-processing
+    /// reads the dependences live at a band's entry from it.
+    carried_at: Vec<Option<usize>>,
     /// `rows[stmt][dim]`: committed schedule rows `[T_it, T_par, T_cst]`.
     rows: Vec<Vec<Vec<i64>>>,
     /// Per-statement echelon form of the committed iterator rows: its
@@ -214,8 +214,7 @@ impl<'a> Engine<'a> {
             options,
             space,
             cache: CacheSession::new(cache),
-            live: vec![true; deps.len()],
-            carried_band: vec![None; deps.len()],
+            carried_at: vec![None; deps.len()],
             deps,
             rows: vec![Vec::new(); nstmts],
             basis: scop
@@ -241,16 +240,25 @@ impl<'a> Engine<'a> {
             .all(|(s, b)| b.rank() == s.depth())
     }
 
+    /// Whether dependence `e` has not been strongly satisfied yet.
+    fn is_live(&self, e: usize) -> bool {
+        self.carried_at[e].is_none()
+    }
+
+    /// Whether dependence `e` was carried inside the currently open band.
+    fn carried_in_band(&self, e: usize) -> bool {
+        self.carried_at[e].is_some_and(|d| self.bands[d] == self.band_id)
+    }
+
     fn live_count(&self) -> usize {
-        self.live.iter().filter(|&&l| l).count()
+        (0..self.deps.len()).filter(|&e| self.is_live(e)).count()
     }
 
     fn live_deps(&self) -> Vec<(usize, &Dependence)> {
         self.deps
             .iter()
             .enumerate()
-            .zip(&self.live)
-            .filter_map(|((e, d), &l)| l.then_some((e, d)))
+            .filter(|&(e, _)| self.is_live(e))
             .collect()
     }
 
@@ -260,13 +268,13 @@ impl<'a> Engine<'a> {
         self.deps
             .iter()
             .enumerate()
-            .filter(|&(e, _)| self.live[e] || self.carried_band[e] == Some(self.band_id))
+            .filter(|&(e, _)| self.is_live(e) || self.carried_in_band(e))
             .collect()
     }
 
     /// Whether some dependence was carried inside the currently open band.
     fn has_in_band_carried(&self) -> bool {
-        self.carried_band.contains(&Some(self.band_id))
+        (0..self.deps.len()).any(|e| self.carried_in_band(e))
     }
 
     fn run(
@@ -554,11 +562,7 @@ impl<'a> Engine<'a> {
         let nstmts = self.scop.statements.len();
         let sccs = sccs_topological(
             nstmts,
-            self.deps
-                .iter()
-                .zip(&self.live)
-                .filter(|(_, &l)| l)
-                .map(|(d, _)| (d.src.0, d.dst.0)),
+            self.live_deps().iter().map(|(_, d)| (d.src.0, d.dst.0)),
         );
         if sccs.len() <= 1 {
             // Nothing to cut: the dimension is genuinely unschedulable.
@@ -606,6 +610,7 @@ impl<'a> Engine<'a> {
             // The dimension was solved with the previous band closed.
             self.band_id += 1;
         }
+        let dim = self.bands.len();
         for (s, stmt) in self.scop.statements.iter().enumerate() {
             let row = solution.rows[s].clone();
             if !solution.constant {
@@ -613,23 +618,23 @@ impl<'a> Engine<'a> {
             }
             self.rows[s].push(row);
         }
-        // Retire strongly satisfied dependences, remembering the band
-        // that carried them (constant dimensions get their own band id).
+        // Retire strongly satisfied dependences, remembering the
+        // dimension that carried them (its band id is pushed below;
+        // constant dimensions get their own).
         let dim_band = if solution.constant {
             self.band_id + 1
         } else {
             self.band_id
         };
         for (e, dep) in self.deps.iter().enumerate() {
-            if self.live[e]
+            if self.carried_at[e].is_none()
                 && oracle.strongly_satisfies(
                     e,
                     &solution.rows[dep.src.0],
                     &solution.rows[dep.dst.0],
                 )
             {
-                self.live[e] = false;
-                self.carried_band[e] = Some(dim_band);
+                self.carried_at[e] = Some(dim);
             }
         }
         // Bands: constant dimensions split permutable bands.
@@ -687,23 +692,17 @@ impl<'a> Engine<'a> {
     ) -> Result<(Schedule, PipelineStats), ScheduleError> {
         let nstmts = self.scop.statements.len();
         let mut rounds = 0usize;
-        while self
-            .deps
-            .iter()
-            .zip(&self.live)
-            .any(|(d, &l)| l && d.src != d.dst)
-        {
+        while self.live_deps().iter().any(|(_, d)| d.src != d.dst) {
             if rounds > nstmts {
                 return Err(ScheduleError::DimensionBudgetExceeded);
             }
             rounds += 1;
             let order = sccs_topological(
                 nstmts,
-                self.deps
+                self.live_deps()
                     .iter()
-                    .zip(&self.live)
-                    .filter(|(d, &l)| l && d.src != d.dst)
-                    .map(|(d, _)| (d.src.0, d.dst.0)),
+                    .filter(|(_, d)| d.src != d.dst)
+                    .map(|(_, d)| (d.src.0, d.dst.0)),
             );
             let mut values = vec![0i64; nstmts];
             for (gi, scc) in order.iter().enumerate() {
@@ -753,11 +752,11 @@ impl<'a> Engine<'a> {
         // Post-processing stage: lowers the schedule to its tree form
         // and applies tiling, wavefront skewing, intra-tile
         // vectorization and vectorize marks as tree-to-tree transforms,
-        // each verified against the dependence oracle before being
-        // committed.
+        // each proved or verified against the dependence oracle before
+        // being committed.
         {
             let _span = polytops_obs::span("postprocess");
-            postprocess::apply(oracle, &mut sched, self.config);
+            postprocess::apply(oracle, &mut sched, self.config, &self.carried_at);
         }
 
         stats.dimensions = sched.dims();

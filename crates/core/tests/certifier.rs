@@ -345,8 +345,15 @@ fn a_dependence_between_two_filters_under_the_rewritten_band_is_re_checked() {
 // The counters: a tableau per dependence, not per question.
 // ---------------------------------------------------------------------
 
-/// The `oracle.*` counters one `schedule` call leaves in a recorder.
+/// The `oracle.*` counters one `schedule` call leaves in a recorder:
+/// dependences, tableau builds, questions.
 fn oracle_counters(scop: &Scop, config: &SchedulerConfig) -> (u64, u64, u64) {
+    counters(scop, config).0
+}
+
+/// [`oracle_counters`], and beside them the rewrites post-processing
+/// proved and walked.
+fn counters(scop: &Scop, config: &SchedulerConfig) -> ((u64, u64, u64), (u64, u64)) {
     let recorder = polytops_obs::Recorder::new(true);
     let root = recorder.root_span("test");
     {
@@ -355,27 +362,35 @@ fn oracle_counters(scop: &Scop, config: &SchedulerConfig) -> (u64, u64, u64) {
     }
     let get = |name: &str| recorder.counter(name).get();
     (
-        analyze(scop).len() as u64,
-        get("oracle.tableau_builds"),
-        get("oracle.queries"),
+        (
+            analyze(scop).len() as u64,
+            get("oracle.tableau_builds"),
+            get("oracle.queries"),
+        ),
+        (
+            get("postprocess.rewrites_proved"),
+            get("postprocess.rewrites_walked"),
+        ),
     )
 }
 
 #[test]
 fn a_schedule_builds_one_tableau_per_dependence_however_many_questions() {
     // The engine's carried / parallel tests of every dimension, the
-    // tile flags, and the certification of every rewrite all ask the
+    // tile flags, and the proof or walk of every rewrite all ask the
     // run's one certifier. The counts are exact and deterministic: a
-    // return to a tableau per question multiplies the first by ten.
-    let (deps, builds, queries) =
-        oracle_counters(&jacobi_1d(), &polytops_core::presets::wavefront());
-    assert_eq!((deps, builds, queries), (9, 9, 109));
+    // return to a tableau per question multiplies the first by ten, and
+    // a rewrite the proof stops deciding shows as a walked one.
+    let (oracle, rewrites) = counters(&jacobi_1d(), &polytops_core::presets::wavefront());
+    assert_eq!(oracle, (9, 9, 105));
+    assert_eq!(rewrites, (2, 0), "tile and wavefront, both proved");
 
     let mut config = SchedulerConfig::default();
     config.post.tile_sizes = vec![16];
     config.post.intra_tile_vectorize = true;
-    let (deps, builds, queries) = oracle_counters(&polytops_workloads::heat_2d(), &config);
-    assert_eq!((deps, builds, queries), (13, 13, 122));
+    let (oracle, rewrites) = counters(&polytops_workloads::heat_2d(), &config);
+    assert_eq!(oracle, (13, 13, 64));
+    assert_eq!(rewrites, (1, 0), "one tiling, proved");
 
     // No dependence, no question, no tableau.
     let wide = polytops_workloads::synthetic::wide_scop(8);
