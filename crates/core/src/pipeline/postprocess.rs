@@ -21,41 +21,32 @@
 //!   `Mark::Vectorize` annotations.
 //!
 //! Every transformation is **proved legal before it is committed**, by
-//! the dependence oracle ([`polytops_deps::Certifier`]), in one of two
-//! ways:
+//! a permutability proof asked of the dependence oracle
+//! ([`polytops_deps::Certifier`]). Each rewrite replaces the steps of
+//! one band (or one tiled nest) by steps that are sums of floored rows,
+//! and that are all zero only where the old steps were. So it is legal
+//! when every row of the new steps has `Δ ≥ 0` on every dependence live
+//! at the band's entry whose two statements both reach the band: floors
+//! are monotone, so every new step is `≥ 0`; where one is positive the
+//! order is, and where all are zero so were the old steps, below which
+//! the order is as it was. Dependences carried before the band never
+//! have equal outer coordinates there, and the others cross the same
+//! steps as before. Each row is one `Δ ≤ −1` question of the
+//! dependence's base tableau — no floor variables — and the engine's
+//! Farkas rows make every band it emits pass it (Pluto's
+//! permutability). Which dependences are live at entry is the engine's
+//! record (`carried_at` of `solve`'s engine), not re-asked.
 //!
-//! * **The permutability proof** (the common case). Each rewrite
-//!   replaces the steps of one band (or one tiled nest) by steps that
-//!   are sums of floored rows, and that are all zero only where the old
-//!   steps were. So it is legal when every row of the new steps has
-//!   `Δ ≥ 0` on every dependence live at the band's entry whose two
-//!   statements both reach the band: floors are monotone, so every new
-//!   step is `≥ 0`; where one is positive the order is, and where all
-//!   are zero so were the old steps, below which the order is as it
-//!   was. Dependences carried before the band never have equal outer
-//!   coordinates there, and the others cross the same steps as before.
-//!   Each row is one `Δ ≤ −1` question of the dependence's base
-//!   tableau, and the engine's Farkas rows make the bands it emits pass
-//!   it (Pluto's permutability). Which dependences are live at entry is
-//!   the engine's record (`carried_at` of `solve`'s engine), not
-//!   re-asked.
-//! * **The walk** (the fallback). Where a row fails the proof, the
-//!   candidate's instance order is walked for every dependence *whose
-//!   step sequence the rewrite changed* ([`Certifier::certify_rewrite`],
-//!   widened by the floor variables). A verdict is a function of
-//!   (dependence, step sequence) and the tree a rewrite starts from is
-//!   certified by induction, so a dependence that crosses the same steps
-//!   before and after keeps the verdict it had.
-//!
-//! A transformation neither proves is silently dropped —
+//! A transformation the proof does not cover is silently dropped —
 //! post-processing, like directives, is best-effort and never breaks
-//! legality. Coincidence flags of a skewed or rotated band are
-//! recomputed with the *conditioned* oracle (zero distance given equal
-//! outer coordinates): on the walk when there is one, else on walks of
-//! the dependences that reach the band that ask no order question.
-//! Untransformed bands keep the engine's flags so model scores of plain
-//! schedules are unchanged. `postprocess.rewrites_proved` and
-//! `postprocess.rewrites_walked` count the two gates.
+//! legality. (Test builds also walk the floor encoding of every proved
+//! rewrite, [`Certifier::certify_rewrite`], and require it to agree.)
+//! Coincidence flags of a skewed or rotated band are recomputed with
+//! the *conditioned* oracle (zero distance given equal outer
+//! coordinates), on walks of the dependences that reach the band that
+//! ask no order question. Untransformed bands keep the engine's flags so
+//! model scores of plain schedules are unchanged.
+//! `postprocess.rewrites_proved` counts the committed rewrites.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -87,7 +78,6 @@ pub fn apply(
         sched,
         carried_at,
         proved: 0,
-        walked: 0,
     };
     if !post.tile_sizes.is_empty() {
         let _timing = polytops_obs::time("postprocess.tile_ns");
@@ -101,13 +91,8 @@ pub fn apply(
         let _timing = polytops_obs::time("postprocess.rotate_ns");
         intra_tile_vectorize(&mut gate, &mut tree);
     }
-    for (name, n) in [
-        ("postprocess.rewrites_proved", gate.proved),
-        ("postprocess.rewrites_walked", gate.walked),
-    ] {
-        if n > 0 {
-            polytops_obs::count(name, n);
-        }
+    if gate.proved > 0 {
+        polytops_obs::count("postprocess.rewrites_proved", gate.proved);
     }
     vectorize_marks(sched, &mut tree, config);
     sched.set_tree(tree);
@@ -124,10 +109,8 @@ struct Gate<'g, 'a> {
     oracle: &'g mut Certifier<'a>,
     sched: &'g Schedule,
     carried_at: &'g [Option<usize>],
-    /// Rewrites decided by the permutability proof.
+    /// Rewrites the permutability proof committed.
     proved: u64,
-    /// Rewrites decided by the walk, committed or refused.
-    walked: u64,
 }
 
 /// Whether a statement's path crosses the band member with structural
@@ -153,14 +136,15 @@ impl Gate<'_, '_> {
     }
 
     /// Whether `candidate` — a rewrite of the certified `tree` — is
-    /// legal, and if so the candidate with the conditioned coincidence
-    /// flags of bands `bands` recomputed when `flags` is set. `bands`
-    /// (depth-first band indices of `candidate`) are the bands the
-    /// rewrite made; a member is coincident iff, for every dependence,
-    /// its step distance is zero given equal coordinates on all
-    /// *prefix* steps (dependences that never reach the member —
+    /// proved legal, and if so the candidate with the conditioned
+    /// coincidence flags of bands `bands` recomputed when `flags` is
+    /// set. `bands` (depth-first band indices of `candidate`) are the
+    /// bands the rewrite made; a member is coincident iff, for every
+    /// dependence, its step distance is zero given equal coordinates on
+    /// all *prefix* steps (dependences that never reach the member —
     /// separated earlier or filtered apart — are vacuously fine; a
     /// member no statement crosses is not coincident).
+    #[cfg_attr(not(test), allow(unused_variables))]
     fn certify(
         &mut self,
         tree: &ScheduleTree,
@@ -174,21 +158,24 @@ impl Gate<'_, '_> {
         } else {
             0..0
         };
-        let mut out = if self.proves(&candidate, &after, bands) {
-            self.proved += 1;
-            let out = self.oracle.coincidence(&after, ids.clone());
-            #[cfg(test)]
-            assert_eq!(
-                tests::walk_gate(self.oracle.deps(), tree, &after, ids.clone()).as_ref(),
-                Some(&out),
-                "the walk accepts what the proof commits, with the same flags"
-            );
-            out
+        if !self.proves(&candidate, &after, bands) {
+            return None;
+        }
+        self.proved += 1;
+        // The order is proved: walked against itself, the candidate
+        // touches no dependence, so the walks ask only the coincidence
+        // questions of the dependences that reach a member of `ids`.
+        let mut out = if ids.is_empty() {
+            Vec::new()
         } else {
-            self.walked += 1;
-            self.oracle
-                .certify_rewrite(&tree.stmt_paths(), &after, ids.clone())?
+            self.oracle.certify_rewrite(&after, &after, ids.clone())?
         };
+        #[cfg(test)]
+        assert_eq!(
+            tests::walk_gate(self.oracle.deps(), tree, &after, ids.clone()).as_ref(),
+            Some(&out),
+            "the walk accepts what the proof commits, with the same flags"
+        );
         for (flag, id) in out.iter_mut().zip(ids.clone()) {
             *flag &= after.iter().any(|path| crosses(path, id));
         }
@@ -342,7 +329,7 @@ fn rewrite_band(
 // ---------------------------------------------------------------------
 
 /// Tiles every point band: `Mark::Tile` over a tile band over the point
-/// band, the candidate proved or certified before committing.
+/// band, the candidate proved before committing.
 /// `tile_sizes` supplies one size per band depth and is cycled when the
 /// band is deeper. A tile loop's parallelism uses the engine's
 /// unconditioned rule, so plain-tiling model scores match the engine.
@@ -464,7 +451,7 @@ fn set_flags(tree: &mut ScheduleTree, ids: Range<usize>, flags: &[bool]) {
 /// outer member becomes the sum of the band's members. Tile bands are
 /// preferred (the terms concatenate into a sum of floors); untiled
 /// point bands fall back to the classic affine row sum. A skew commits
-/// only when it is proved or certified and loses no coincident members
+/// only when it is proved and loses no coincident members
 /// (the user asked for a wavefront; pipelining an already-parallel-
 /// inside band is allowed, degrading one is not).
 fn wavefront(gate: &mut Gate<'_, '_>, tree: &mut ScheduleTree) {
@@ -654,8 +641,8 @@ fn rotate_under_tile_mark(under: &TreeNode, sizes: &[i64]) -> Option<(TreeNode, 
     }
 }
 
-/// Driver: tries each tiled nest in turn, committing proved or
-/// certified rotations (flags of the rotated bands are recomputed with
+/// Driver: tries each tiled nest in turn, committing proved rotations
+/// (flags of the rotated bands are recomputed with
 /// the conditioned oracle — the permutation changes every prefix).
 fn intra_tile_vectorize(gate: &mut Gate<'_, '_>, tree: &mut ScheduleTree) {
     let ntiles = tree
@@ -779,12 +766,6 @@ fn vectorize_marks(sched: &Schedule, tree: &mut ScheduleTree, config: &Scheduler
     }
 }
 
-/// The from-scratch dependence oracle (a rebuilt system per question)
-/// the tests hold final trees to.
-#[cfg(test)]
-#[path = "../../../deps/tests/reference/mod.rs"]
-mod reference;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -814,9 +795,9 @@ mod tests {
         live
     }
 
-    /// The commit gate before the proof: the order of every dependence
-    /// the rewrite touched walked, the flags from the same walks. Every
-    /// rewrite the proof commits is held to it.
+    /// The commit gate before the proof: the floor-encoded order of
+    /// every dependence the rewrite touched walked, the flags from the
+    /// same walks. Every rewrite the proof commits is held to it.
     pub(super) fn walk_gate(
         deps: &[Dependence],
         tree: &ScheduleTree,
@@ -1067,23 +1048,24 @@ mod tests {
     fn the_proof_never_commits_what_the_walk_would_refuse() {
         // Inside the gate, every rewrite the proof commits is also put
         // to `walk_gate` (same verdict, same flags) and every band's
-        // live-at-entry to `live_at`. Here the grid runs through it, and
-        // the final trees are held to the from-scratch oracle.
-        let presets = [
-            ("pluto", crate::presets::pluto()),
-            ("feautrier", crate::presets::feautrier()),
-            ("isl_like", crate::presets::isl_like()),
-            ("wavefront", crate::presets::wavefront()),
-            ("fast_path", crate::presets::fast_path()),
-        ];
-        let grid: Vec<&str> = polytops_workloads::sweep::preset_grid()
-            .iter()
-            .map(|(name, _)| *name)
+        // live-at-entry to `live_at`; here the grid runs through it.
+        // The grid's configurations are another build's type, so each
+        // is rebuilt here by name, and must print the same.
+        let presets: Vec<(&str, crate::SchedulerConfig)> = polytops_workloads::sweep::preset_grid()
+            .into_iter()
+            .map(|(name, grid)| {
+                let config = match name {
+                    "pluto" => crate::presets::pluto(),
+                    "feautrier" => crate::presets::feautrier(),
+                    "isl_like" => crate::presets::isl_like(),
+                    "wavefront" => crate::presets::wavefront(),
+                    "fast_path" => crate::presets::fast_path(),
+                    other => panic!("no preset `{other}` here"),
+                };
+                assert_eq!(format!("{config:?}"), format!("{grid:?}"), "{name}");
+                (name, config)
+            })
             .collect();
-        assert_eq!(
-            presets.iter().map(|(name, _)| *name).collect::<Vec<_>>(),
-            grid
-        );
         let posts = [
             (vec![16], false, false),
             (vec![32, 32], true, false),
@@ -1092,44 +1074,31 @@ mod tests {
         let recorder = polytops_obs::Recorder::new(true);
         let root = recorder.root_span("test");
         for (kernel, scop) in polytops_workloads::all_kernels() {
-            let deps = analyze(&scop);
             for (preset, base) in &presets {
                 for (sizes, wavefront, vectorize) in &posts {
                     let mut config = base.clone();
                     config.post.tile_sizes = sizes.clone();
                     config.post.wavefront = *wavefront;
                     config.post.intra_tile_vectorize = *vectorize;
-                    let sched = {
-                        let _bound = root.link().expect("armed").bind();
-                        crate::schedule(&scop, &config).unwrap()
-                    };
-                    let paths = sched.tree().expect("a tree").stmt_paths();
-                    for dep in &deps {
-                        let steps = order_steps(&paths[dep.src.0], &paths[dep.dst.0]);
-                        assert!(
-                            reference::steps_respect(dep, &steps),
-                            "{kernel}/{preset}/{sizes:?}"
-                        );
-                    }
+                    let _bound = root.link().expect("armed").bind();
+                    crate::schedule(&scop, &config)
+                        .unwrap_or_else(|e| panic!("{kernel}/{preset}/{sizes:?}: {e}"));
                 }
             }
         }
-        let get = |name: &str| recorder.counter(name).get();
-        let (proved, walked) = (
-            get("postprocess.rewrites_proved"),
-            get("postprocess.rewrites_walked"),
-        );
-        eprintln!("rewrites over the grid: {proved} proved, {walked} walked");
-        assert_eq!((proved, walked), (164, 0));
+        let proved = recorder.counter("postprocess.rewrites_proved").get();
+        eprintln!("rewrites proved over the grid: {proved}");
+        assert_eq!(proved, 164);
     }
 
     #[test]
-    fn a_band_that_is_not_permutable_falls_back_to_the_walk_and_stays_untiled() {
+    fn a_band_that_is_not_permutable_is_refused_and_stays_untiled() {
         let scop = jacobi();
         let deps = analyze(&scop);
         // Rows over (t, i, T, N, 1). (t, i) orders every dependence but
-        // runs the (1, −1) one backwards across i tiles; (t, t + i) is
-        // a permutable band.
+        // runs the (1, −1) one backwards across i tiles, so its tiling
+        // is illegal (`crates/core/tests/certifier.rs` walks it and
+        // refuses); (t, t + i) is a permutable band.
         for (inner, permutable) in [([0, 1, 0, 0, 0], false), ([1, 1, 0, 0, 0], true)] {
             let mut ss = StmtSchedule::new(2, 2);
             ss.push_row(vec![1, 0, 0, 0, 0]);
@@ -1144,20 +1113,17 @@ mod tests {
                 sched: &sched,
                 carried_at: &carried,
                 proved: 0,
-                walked: 0,
             };
             tile(&mut gate, &mut tree, &[4]);
-            let gates = (gate.proved, gate.walked);
-            let walks = oracle.stats().deps_recertified;
+            let proved = gate.proved;
+            assert_eq!(oracle.stats().deps_recertified, 0, "no walk runs");
             if permutable {
-                assert_eq!(gates, (1, 0), "proved");
-                assert_eq!(walks, 0, "with no walk");
+                assert_eq!(proved, 1, "proved");
                 assert!(tiled_nest(&tree).is_some());
                 assert!(tree_respects_all(&deps, &tree));
             } else {
-                assert_eq!(gates, (0, 1), "the proof fails");
-                assert!(walks >= 1, "the walk runs");
-                assert_eq!(tree, before, "and refuses: the tree is unchanged");
+                assert_eq!(proved, 0, "the proof fails");
+                assert_eq!(tree, before, "and the tree is unchanged");
             }
         }
     }

@@ -474,10 +474,11 @@ pub struct CertifierStats {
     /// Branch-and-bound nodes the feasibility questions explored.
     pub bb_nodes: u64,
     /// Dependences [`Certifier::certify_rewrite`] walked because the
-    /// rewrite changed their step sequence ([`Certifier::coincidence`]
-    /// counts in neither field).
+    /// rewrite changed their step sequence.
     pub deps_recertified: u64,
-    /// Dependences it did not: same steps before and after.
+    /// Dependences it did not: same steps before and after (every
+    /// dependence when a proved rewrite is walked against itself for
+    /// its coincidence flags alone).
     pub deps_skipped: u64,
 }
 
@@ -726,55 +727,22 @@ impl<'a> Certifier<'a> {
         after: &[Vec<PathStep>],
         flags: std::ops::Range<usize>,
     ) -> Option<Vec<bool>> {
-        self.rewrite_walks(Some(before), after, flags)
-    }
-
-    /// The flags of [`Certifier::certify_rewrite`] alone, for a rewrite
-    /// whose legality is proved another way: only the dependences that
-    /// reach a member of `flags` are walked, and no walk asks about the
-    /// order.
-    pub fn coincidence(
-        &mut self,
-        after: &[Vec<PathStep>],
-        flags: std::ops::Range<usize>,
-    ) -> Vec<bool> {
-        if flags.is_empty() {
-            return Vec::new();
-        }
-        self.rewrite_walks(None, after, flags)
-            .expect("a walk that asks no order question refutes nothing")
-    }
-
-    /// [`Certifier::certify_rewrite`], or with no `before` its
-    /// [`Certifier::coincidence`].
-    fn rewrite_walks(
-        &mut self,
-        before: Option<&[Vec<PathStep>]>,
-        after: &[Vec<PathStep>],
-        flags: std::ops::Range<usize>,
-    ) -> Option<Vec<bool>> {
         let mut out = vec![true; flags.len()];
         for (e, dep) in self.deps.iter().enumerate() {
             let (src, dst) = (dep.src.0, dep.dst.0);
             let (steps, nodes) = order_steps_with_nodes(&after[src], &after[dst]);
+            let touched = steps != order_steps(&before[src], &before[dst]);
             let wanted: Vec<bool> = nodes
                 .iter()
                 .map(|id| id.is_some_and(|id| flags.contains(&id)))
                 .collect();
-            let touched = match before {
-                Some(before) => {
-                    let touched = steps != order_steps(&before[src], &before[dst]);
-                    if touched {
-                        self.stats.deps_recertified += 1;
-                    } else {
-                        self.stats.deps_skipped += 1;
-                    }
-                    touched
+            if touched {
+                self.stats.deps_recertified += 1;
+            } else {
+                self.stats.deps_skipped += 1;
+                if !wanted.contains(&true) {
+                    continue;
                 }
-                None => false,
-            };
-            if !touched && !wanted.contains(&true) {
-                continue;
             }
             let walk = self.walk(e, &steps, touched, &wanted);
             if !walk.respected {
