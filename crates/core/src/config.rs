@@ -165,7 +165,9 @@ pub struct SchedulerConfig {
     pub fusion: Vec<FusionControl>,
     /// Directives.
     pub directives: Vec<Directive>,
-    /// Enable the auto-vectorization heuristic (paper §III-B2).
+    /// Enable the auto-vectorization heuristic (paper §III-B2). A
+    /// post-processing control like those in [`post`](Self::post): it
+    /// marks loops of the solved schedule and never shapes an ILP.
     pub auto_vectorize: bool,
     /// Fusion heuristic for algorithm-driven SCC cuts.
     pub fusion_heuristic: FusionHeuristic,
@@ -296,6 +298,18 @@ fn parse_stmt_id(s: &str, context: &str) -> Result<usize, ScheduleError> {
 }
 
 impl SchedulerConfig {
+    /// This configuration with its post-processing cleared: the part
+    /// that shapes the ILPs. Configurations with equal solve keys solve
+    /// to the same schedule before post-processing, so the scenario
+    /// engine solves them once.
+    pub(crate) fn solve_key(&self) -> SchedulerConfig {
+        SchedulerConfig {
+            post: PostProcess::default(),
+            auto_vectorize: false,
+            ..self.clone()
+        }
+    }
+
     /// Parses the paper's JSON configuration format (Listing 2), plus the
     /// documented extension keys.
     ///

@@ -271,8 +271,11 @@ fn add_progression(
 
 /// Box bounds over the raw ILP variables. Dependence-satisfaction
 /// variables `x_e` are boxed to `[0, 1]` only when Feautrier's cost is
-/// active for a live dependence and pinned to 0 otherwise, so the fixed
-/// variable layout costs nothing on the proximity-only path.
+/// active for a live dependence and pinned to 0 otherwise. The pinned
+/// columns are not free: each stays a lexmin variable with its two
+/// bound rows. In one `sweep_ilp` pass, 440 of the 1 309 lexmin
+/// variables are pinned `x_e`, and they bring 880 of the 3 855
+/// normalized rows.
 fn add_bounds(ctx: &DimensionContext<'_>, feautrier: bool, sys: &mut ConstraintSystem) {
     let space = ctx.space;
     let config = ctx.config;

@@ -13,7 +13,9 @@
 //! 4. infeasibility falls back to an SCC cut of the live dependence
 //!    graph ([`polytops_deps::sccs_topological`]);
 //! 5. after the last dimension, the [`postprocess`] stage applies the
-//!    configured tiling/wavefront transformations.
+//!    configured tiling/wavefront transformations — once per
+//!    configuration of a solve group ([`run_shared`]), each to its own
+//!    copy of the solved schedule.
 //!
 //! The variable layout is fixed per SCoP (dependence-variable columns
 //! exist for *all* dependences, pinned to zero while unused): one
@@ -49,6 +51,12 @@ pub struct EngineOptions {
 }
 
 /// Counters describing one scheduling run.
+///
+/// In a solve group ([`run_shared`]) only the first member's counters
+/// describe the solve. Every later member reports zero solver effort —
+/// no Farkas lookups, no fast-path dimensions, a default [`IlpStats`] —
+/// and only the [`dimensions`](Self::dimensions) of its own schedule, so
+/// sums over a scenario set count each solve once.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Farkas lookups whose cone was resident in the cache.
@@ -118,17 +126,30 @@ pub fn run(
     strategy: &mut dyn Strategy,
     options: &EngineOptions,
 ) -> Result<(Schedule, PipelineStats), ScheduleError> {
-    Engine::new(scop, config, options.clone(), None, None).run(strategy)
+    let mut runs =
+        Engine::new(scop, config, options.clone(), None, None).run(strategy, &[config])?;
+    Ok(runs.pop().expect("one configuration, one schedule"))
 }
 
-/// [`run`] with externally owned dependence analysis and
-/// [`FarkasCache`] — the entry point of the scenario engine. Every run
-/// sharing `cache` reuses (instead of re-eliminating) the Farkas cones
-/// computed by any earlier — or concurrent — run over the same SCoP,
-/// whatever its configuration, and the exact dependence analysis
-/// (itself a stack of integer feasibility tests, 6–28% of a run on the
-/// reference kernels) is done once per SCoP instead of once per
-/// scenario.
+/// [`run`] for a group of configurations that differ only in
+/// post-processing, with externally owned dependence analysis and
+/// [`FarkasCache`] — the entry point of the scenario engine.
+///
+/// The group solves once, under `configs[0]`: post-processing does not
+/// shape the ILPs, so every member's solve would be the same. Each
+/// member then post-processes its own copy of the solved schedule, in
+/// order, through the run's one dependence oracle and carried-at
+/// record. The result has one entry per configuration. The first
+/// reports the run's solver and Farkas counters; the others did no
+/// solving and report only the [`dimensions`](PipelineStats::dimensions)
+/// of their own schedule. An empty group solves nothing.
+///
+/// Every run sharing `cache` reuses (instead of re-eliminating) the
+/// Farkas cones computed by any earlier — or concurrent — run over the
+/// same SCoP, whatever its configuration, and the exact dependence
+/// analysis (itself a stack of integer feasibility tests, 6–28% of a
+/// run on the reference kernels) is done once per SCoP instead of once
+/// per scenario.
 ///
 /// `deps` must be [`analyze`]\ `(scop)` — cache entries are keyed by
 /// position in that vector — and the cache must have been created for
@@ -139,16 +160,24 @@ pub fn run(
 ///
 /// # Errors
 ///
-/// Same contract as [`crate::schedule`].
+/// Same contract as [`crate::schedule`]; a failed solve fails the whole
+/// group.
 pub fn run_shared(
     scop: &Scop,
-    config: &SchedulerConfig,
+    configs: &[&SchedulerConfig],
     strategy: &mut dyn Strategy,
     options: &EngineOptions,
     deps: Arc<Vec<Dependence>>,
     cache: Arc<FarkasCache>,
-) -> Result<(Schedule, PipelineStats), ScheduleError> {
-    Engine::new(scop, config, options.clone(), Some(deps), Some(cache)).run(strategy)
+) -> Result<Vec<(Schedule, PipelineStats)>, ScheduleError> {
+    let Some(&config) = configs.first() else {
+        return Ok(Vec::new());
+    };
+    debug_assert!(
+        configs.iter().all(|c| c.solve_key() == config.solve_key()),
+        "a solve group's configurations differ only in post-processing"
+    );
+    Engine::new(scop, config, options.clone(), Some(deps), Some(cache)).run(strategy, configs)
 }
 
 /// Mutable scheduling state threaded through the iterative algorithm.
@@ -277,10 +306,13 @@ impl<'a> Engine<'a> {
         (0..self.deps.len()).any(|e| self.carried_in_band(e))
     }
 
+    /// Solves every dimension, then post-processes one copy of the
+    /// schedule per configuration in `posts` (see [`run_shared`]).
     fn run(
         mut self,
         strategy: &mut dyn Strategy,
-    ) -> Result<(Schedule, PipelineStats), ScheduleError> {
+        posts: &[&SchedulerConfig],
+    ) -> Result<Vec<(Schedule, PipelineStats)>, ScheduleError> {
         // Bind the caller's span context for the duration of the run:
         // every scoped span below (and in the stages this thread calls
         // into — objectives, simplex, postprocess) nests under it.
@@ -293,7 +325,8 @@ impl<'a> Engine<'a> {
         let budget = 2 * (max_depth + nstmts) + 8;
         let mut stats = PipelineStats::default();
         // One oracle for the run: every dimension's carried / parallel
-        // tests and the post-processing stage ask the same dependences.
+        // tests and every configuration's post-processing ask the same
+        // dependences.
         let deps = Arc::clone(&self.deps);
         let oracle = &mut Certifier::new(&deps);
         let mut dim = 0usize;
@@ -339,7 +372,10 @@ impl<'a> Engine<'a> {
             }
             dim += 1;
         }
-        self.finalize(oracle, stats)
+        self.finalize(oracle)?;
+        stats.farkas_hits = self.cache.hits();
+        stats.farkas_misses = self.cache.misses();
+        Ok(self.postprocess(oracle, stats, posts))
     }
 
     // -----------------------------------------------------------------
@@ -683,13 +719,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Orders any remaining live dependences with constant rows (the β
-    /// dimension of the 2d+1 form), assembles the final [`Schedule`] and
-    /// runs the post-processing stage on it.
-    fn finalize(
-        mut self,
-        oracle: &mut Certifier<'_>,
-        mut stats: PipelineStats,
-    ) -> Result<(Schedule, PipelineStats), ScheduleError> {
+    /// dimension of the 2d+1 form), completing the solved rows.
+    fn finalize(&mut self, oracle: &mut Certifier<'_>) -> Result<(), ScheduleError> {
         let nstmts = self.scop.statements.len();
         let mut rounds = 0usize;
         while self.live_deps().iter().any(|(_, d)| d.src != d.dst) {
@@ -737,7 +768,12 @@ impl<'a> Engine<'a> {
                 false,
             )?;
         }
+        Ok(())
+    }
 
+    /// The solved [`Schedule`], assembled from the committed rows.
+    fn schedule(&self) -> Schedule {
+        let nstmts = self.scop.statements.len();
         let np = self.scop.nparams();
         let mut per_stmt = Vec::with_capacity(nstmts);
         for (s, stmt) in self.scop.statements.iter().enumerate() {
@@ -747,21 +783,39 @@ impl<'a> Engine<'a> {
             }
             per_stmt.push(ss);
         }
-        let mut sched = Schedule::from_parts(per_stmt, self.bands.clone(), self.parallel.clone());
+        Schedule::from_parts(per_stmt, self.bands.clone(), self.parallel.clone())
+    }
 
-        // Post-processing stage: lowers the schedule to its tree form
-        // and applies tiling, wavefront skewing, intra-tile
-        // vectorization and vectorize marks as tree-to-tree transforms,
-        // each proved or verified against the dependence oracle before
-        // being committed.
-        {
-            let _span = polytops_obs::span("postprocess");
-            postprocess::apply(oracle, &mut sched, self.config, &self.carried_at);
+    /// The post-processing stage, once per configuration: lowers its own
+    /// copy of the solved schedule to its tree form and applies tiling,
+    /// wavefront skewing, intra-tile vectorization and vectorize marks
+    /// as tree-to-tree transforms, each proved against the dependence
+    /// oracle before being committed. The first copy carries the run's
+    /// solver counters, the others only their own dimension count.
+    fn postprocess(
+        &self,
+        oracle: &mut Certifier<'_>,
+        stats: PipelineStats,
+        posts: &[&SchedulerConfig],
+    ) -> Vec<(Schedule, PipelineStats)> {
+        let mut out = Vec::with_capacity(posts.len());
+        for (i, config) in posts.iter().enumerate() {
+            let mut sched = self.schedule();
+            {
+                let _span = polytops_obs::span("postprocess");
+                postprocess::apply(oracle, &mut sched, config, &self.carried_at);
+            }
+            let solver = if i == 0 {
+                stats
+            } else {
+                PipelineStats::default()
+            };
+            let stats = PipelineStats {
+                dimensions: sched.dims(),
+                ..solver
+            };
+            out.push((sched, stats));
         }
-
-        stats.dimensions = sched.dims();
-        stats.farkas_hits = self.cache.hits();
-        stats.farkas_misses = self.cache.misses();
-        Ok((sched, stats))
+        out
     }
 }

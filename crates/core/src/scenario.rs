@@ -8,19 +8,24 @@
 //! Farkas eliminations of every dependence) once per configuration and
 //! uses one core. This module turns the loop into an engine:
 //!
-//! * a [`ScenarioSet`] holds N (SCoP × configuration) jobs
+//! * a [`ScenarioSet`] holds N (SCoP × configuration) scenarios
 //!   ([`Scenario`]) over a shared pool of SCoPs;
-//! * jobs are **grouped by SCoP**, each group sharing one dependence
-//!   analysis and one `Arc`-wrapped [`FarkasCache`]: the first scenario
-//!   to need a dependence eliminates its cone, every later (or
-//!   concurrent) scenario — under any configuration, a cone knows
-//!   nothing of the ILP layout — substitutes into it;
-//!   [`PipelineStats::farkas_hits`] of the later scenarios measure
-//!   exactly this cross-scenario amortization;
-//! * [`ScenarioSet::run_sharded`] executes one engine job per scenario
-//!   on a work-stealing pool of scoped threads claiming jobs from an
-//!   atomic index (`std::thread::scope` — the build environment has no
-//!   registry access, so no rayon/crossbeam); a pool of one is the
+//! * scenarios that differ only in post-processing (tile sizes,
+//!   wavefront, intra-tile and auto vectorization) form one **solve
+//!   group**: post-processing never shapes an ILP, so the group solves
+//!   once and each member post-processes its own copy of the solved
+//!   schedule. The group's first scenario reports the solver and Farkas
+//!   counters; the others report zero solver effort;
+//! * every SCoP shares one dependence analysis and one `Arc`-wrapped
+//!   [`FarkasCache`] across its groups: the first group to need a
+//!   dependence eliminates its cone, every later (or concurrent) group —
+//!   under any configuration, a cone knows nothing of the ILP layout —
+//!   substitutes into it; [`PipelineStats::farkas_hits`] of the later
+//!   groups measure exactly this cross-scenario amortization;
+//! * [`ScenarioSet::run_sharded`] executes one engine job per solve
+//!   group on a work-stealing pool of scoped threads claiming jobs from
+//!   an atomic index (`std::thread::scope` — the build environment has
+//!   no registry access, so no rayon/crossbeam); a pool of one is the
 //!   caller itself;
 //! * [`winner`]/[`winner_by`] select the best report by a score (a
 //!   static cost heuristic by default, or any user oracle).
@@ -29,7 +34,10 @@
 //!
 //! Sharded execution is **bit-identical** to sequential execution: a
 //! resident cone equals what a recomputation would eliminate, so no
-//! result depends on which thread finished first.
+//! result depends on which thread finished first. Grouping is invisible
+//! in the schedules too: a member's copy is post-processed from exactly
+//! the schedule its own solve would have produced, and the oracle it
+//! asks answers the same whatever it was asked before.
 //! The lexmin is total over the schedule coefficients, so no pivot
 //! order picks between schedules, and each dimension's ILP solve reads
 //! nothing but its own system. Only the
@@ -78,7 +86,7 @@ use crate::pipeline::solve::{self, EngineOptions, PipelineStats};
 use crate::registry::ScopEntry;
 use crate::strategy::ConfigStrategy;
 
-/// One scheduling job: a SCoP (by index into its [`ScenarioSet`])
+/// One scheduling scenario: a SCoP (by index into its [`ScenarioSet`])
 /// paired with a complete configuration.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -231,8 +239,12 @@ impl ScenarioSet {
 
     /// Runs every scenario on a pool of `threads` workers claiming jobs
     /// from a shared index (work-stealing: a free worker takes the next
-    /// job whatever its scenario), then assembles results in scenario
-    /// order. `threads` is clamped to `1..=jobs`; a pool of one — a
+    /// job whatever its SCoP), then assembles results in scenario order.
+    /// A job is one solve group: the scenarios over one SCoP slot whose
+    /// configurations differ only in post-processing (and that trace
+    /// into the same trace, or are all untraced). It solves once and
+    /// post-processes once per member; a failed solve is every member's
+    /// error. `threads` is clamped to `1..=jobs`; a pool of one — a
     /// one-job set, or `threads == 1` — is the calling thread itself and
     /// spawns nothing.
     ///
@@ -242,15 +254,28 @@ impl ScenarioSet {
     pub fn run_sharded(&self, threads: usize) -> Vec<ScenarioResult> {
         let jobs = self.jobs();
         // One slot per scenario; `OnceLock` gives each a single writer
-        // (the worker that ran the job) without a lock around the vector.
-        let slots: Vec<OnceLock<EngineOutcome>> = jobs.iter().map(|_| OnceLock::new()).collect();
+        // (the worker that ran its group) without a lock around the
+        // vector.
+        let slots: Vec<OnceLock<EngineOutcome>> =
+            self.scenarios.iter().map(|_| OnceLock::new()).collect();
         let workers = threads.clamp(1, jobs.len().max(1));
         // Relaxed: the index publishes nothing. Jobs are read-only and
         // results reach the caller through the scope's join.
         let next = AtomicUsize::new(0);
         let work = || {
             while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let _ = slots[job.scenario].set(self.execute(job));
+                match self.execute(job) {
+                    Ok(runs) => {
+                        for (&i, run) in job.scenarios.iter().zip(runs) {
+                            let _ = slots[i].set(Ok(run));
+                        }
+                    }
+                    Err(err) => {
+                        for &i in &job.scenarios {
+                            let _ = slots[i].set(Err(err.clone()));
+                        }
+                    }
+                }
             }
         };
         if workers == 1 {
@@ -342,10 +367,12 @@ pub fn default_score(report: &ScenarioReport) -> i64 {
 // Execution internals.
 // ---------------------------------------------------------------------
 
-/// A unit of work for the pool: one scenario, carrying its SCoP's shared
-/// dependence analysis and Farkas cache.
+/// A unit of work for the pool: one solve group, carrying its SCoP's
+/// shared dependence analysis and Farkas cache.
 struct Job {
-    scenario: usize,
+    /// The group's scenarios in scenario order; the first one's
+    /// configuration and options drive the solve.
+    scenarios: Vec<usize>,
     deps: Arc<Vec<Dependence>>,
     cache: Arc<FarkasCache>,
     /// When the job was enqueued, for the pool's queue-wait histogram
@@ -356,45 +383,61 @@ struct Job {
 type EngineOutcome = Result<(Schedule, PipelineStats), ScheduleError>;
 
 impl ScenarioSet {
-    /// One job per scenario, each sharing its SCoP's dependence analysis
-    /// and Farkas cache. The analysis — itself a stack of exact integer
-    /// feasibility tests — and each cone elimination thus run once per
-    /// SCoP instead of once per scenario. A registry-resident SCoP draws
-    /// both from its entry, so its state persists beyond this run.
+    /// One job per solve group, each sharing its SCoP's dependence
+    /// analysis and Farkas cache. The analysis — itself a stack of exact
+    /// integer feasibility tests — and each cone elimination thus run
+    /// once per SCoP instead of once per scenario, and each solve once
+    /// per group. A registry-resident SCoP draws both from its entry, so
+    /// its state persists beyond this run.
     fn jobs(&self) -> Vec<Job> {
         type Shared = (Arc<Vec<Dependence>>, Arc<FarkasCache>);
         let mut shared: Vec<Option<Shared>> = vec![None; self.scops.len()];
-        self.scenarios
-            .iter()
-            .enumerate()
-            .map(|(i, sc)| {
-                let (deps, cache) =
-                    shared[sc.scop].get_or_insert_with(|| match &self.resident[sc.scop] {
-                        Some(entry) => (entry.deps(), entry.cache()),
-                        None => {
-                            let deps = Arc::new(analyze(&self.scops[sc.scop].1));
-                            let cache = Arc::new(FarkasCache::new(deps.len()));
-                            (deps, cache)
-                        }
-                    });
-                Job {
-                    scenario: i,
-                    deps: Arc::clone(deps),
-                    cache: Arc::clone(cache),
-                    queued: Instant::now(),
-                }
-            })
-            .collect()
+        // Each job's solve key, beside it.
+        let mut jobs: Vec<(SchedulerConfig, Job)> = Vec::new();
+        for (i, sc) in self.scenarios.iter().enumerate() {
+            let key = sc.config.solve_key();
+            let group = jobs.iter_mut().find(|(k, job)| {
+                let lead = &self.scenarios[job.scenarios[0]];
+                lead.scop == sc.scop && same_trace(&lead.options, &sc.options) && *k == key
+            });
+            if let Some((_, job)) = group {
+                job.scenarios.push(i);
+                continue;
+            }
+            let (deps, cache) =
+                shared[sc.scop].get_or_insert_with(|| match &self.resident[sc.scop] {
+                    Some(entry) => (entry.deps(), entry.cache()),
+                    None => {
+                        let deps = Arc::new(analyze(&self.scops[sc.scop].1));
+                        let cache = Arc::new(FarkasCache::new(deps.len()));
+                        (deps, cache)
+                    }
+                });
+            let job = Job {
+                scenarios: vec![i],
+                deps: Arc::clone(deps),
+                cache: Arc::clone(cache),
+                queued: Instant::now(),
+            };
+            jobs.push((key, job));
+        }
+        jobs.into_iter().map(|(_, job)| job).collect()
     }
 
-    /// Runs one job under its SCoP's shared analysis and cache.
-    fn execute(&self, job: &Job) -> EngineOutcome {
-        let sc = &self.scenarios[job.scenario];
-        let (options, _job_span) = traced_options(&sc.options, job.scenario, job.queued);
-        let mut strategy = ConfigStrategy::new(sc.config.clone());
+    /// Runs one solve group under its SCoP's shared analysis and cache:
+    /// one outcome per member, in the group's order.
+    fn execute(&self, job: &Job) -> Result<Vec<(Schedule, PipelineStats)>, ScheduleError> {
+        let lead = &self.scenarios[job.scenarios[0]];
+        let (options, _job_span) = traced_options(&lead.options, job.scenarios[0], job.queued);
+        let configs: Vec<&SchedulerConfig> = job
+            .scenarios
+            .iter()
+            .map(|&i| &self.scenarios[i].config)
+            .collect();
+        let mut strategy = ConfigStrategy::new(lead.config.clone());
         solve::run_shared(
-            &self.scops[sc.scop].1,
-            &sc.config,
+            &self.scops[lead.scop].1,
+            &configs,
             &mut strategy,
             &options,
             Arc::clone(&job.deps),
@@ -403,9 +446,23 @@ impl ScenarioSet {
     }
 }
 
-/// When the scenario carries a span link, records the job's queue wait
-/// into the pool histogram and opens a per-job span (arg = scenario
-/// index) that the engine's pipeline spans nest under on whichever
+/// Whether two scenarios trace into the same trace of the same
+/// recorder, or both run untraced. Only such scenarios share a solve,
+/// so a traced request never finds its engine spans in another's trace.
+fn same_trace(a: &EngineOptions, b: &EngineOptions) -> bool {
+    match (&a.trace, &b.trace) {
+        (None, None) => true,
+        (Some(a), Some(b)) => {
+            Arc::ptr_eq(a.recorder(), b.recorder()) && a.trace_id() == b.trace_id()
+        }
+        _ => false,
+    }
+}
+
+/// When the group's first scenario carries a span link, records the
+/// job's queue wait into the pool histogram and opens a per-job span
+/// (arg = that scenario's index) that the engine's pipeline spans — the
+/// one solve and every member's `postprocess` — nest under on whichever
 /// worker thread runs it. Untraced scenarios pay one `Option` check.
 fn traced_options(
     options: &EngineOptions,
@@ -426,6 +483,7 @@ fn traced_options(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DimMap;
     use crate::presets;
     use polytops_workloads::stencil_chain as chain;
 
@@ -447,15 +505,67 @@ mod tests {
 
     #[test]
     fn second_scenario_of_a_group_replays_the_first() {
+        // Two solve configurations (identical ones would share a solve):
+        // the second re-solves, but substitutes into the first's cones.
         let mut set = ScenarioSet::new();
         let scop = set.add_scop("chain", chain());
         set.add_scenario(scop, "a", presets::pluto());
-        set.add_scenario(scop, "b", presets::pluto());
+        set.add_scenario(
+            scop,
+            "b",
+            SchedulerConfig {
+                coefficient_bound: 3,
+                ..presets::pluto()
+            },
+        );
         let results = set.run_sequential();
         let (a, b) = (results[0].as_ref().unwrap(), results[1].as_ref().unwrap());
         assert!(a.stats.farkas_misses > 0, "{:?}", a.stats);
         assert_eq!(b.stats.farkas_misses, 0, "{:?}", b.stats);
         assert!(b.stats.farkas_hits > 0, "{:?}", b.stats);
+    }
+
+    #[test]
+    fn jobs_group_post_only_variants_of_one_slot_and_trace() {
+        let recorder = polytops_obs::Recorder::new(true);
+        let root = recorder.root_span("test");
+        let mut tiled = presets::pluto();
+        tiled.post.tile_sizes = vec![16];
+        tiled.auto_vectorize = true;
+        let mut set = ScenarioSet::new();
+        let a = set.add_scop("chain", chain());
+        let b = set.add_scop("chain again", chain());
+        set.add_scenario(a, "pluto", presets::pluto());
+        set.add_scenario(a, "feautrier", presets::feautrier());
+        set.add_scenario(a, "tiled", tiled.clone());
+        set.add_scenario(b, "other slot", tiled.clone());
+        let traced = EngineOptions { trace: root.link() };
+        set.add_scenario_with_options(a, "traced", tiled.clone(), traced.clone());
+        set.add_scenario_with_options(a, "traced twin", presets::pluto(), traced);
+        set.add_scenario(a, "pluto again", presets::pluto());
+        let groups: Vec<Vec<usize>> = set.jobs().into_iter().map(|j| j.scenarios).collect();
+        assert_eq!(groups, vec![vec![0, 2, 6], vec![1], vec![3], vec![4, 5]]);
+    }
+
+    #[test]
+    fn a_failed_solve_fails_every_member_of_its_group() {
+        // The iterator coefficient is boxed to [0, 4]: no solve meets it.
+        let mut infeasible = presets::pluto();
+        infeasible.custom_constraints = DimMap::uniform(vec!["S0_it_0 >= 9".to_string()]);
+        let mut tiled = infeasible.clone();
+        tiled.post.tile_sizes = vec![8];
+        let mut set = ScenarioSet::new();
+        let scop = set.add_scop("chain", chain());
+        set.add_scenario(scop, "infeasible", infeasible);
+        set.add_scenario(scop, "pluto", presets::pluto());
+        set.add_scenario(scop, "infeasible/tile8", tiled);
+        for threads in [1, 2] {
+            let results = set.run_sharded(threads);
+            let want = ScheduleError::InfeasibleCustomConstraints { dimension: 0 };
+            assert_eq!(results[0].as_ref().err(), Some(&want));
+            assert_eq!(results[2].as_ref().err(), Some(&want));
+            assert!(results[1].is_ok());
+        }
     }
 
     #[test]

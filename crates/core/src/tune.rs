@@ -212,7 +212,8 @@ pub fn candidate_lattice(scop: &Scop, machine: &MachineModel, max: usize) -> Vec
 ///
 /// Runs every candidate through one [`ScenarioSet`] on
 /// `budget.threads` workers (sharing the SCoP's dependence analysis
-/// and Farkas caches exactly like any other sweep), extracts features
+/// and Farkas caches exactly like any other sweep; a base stack's
+/// post-processing variants share its one solve), extracts features
 /// and scores each legal schedule, and selects the highest score —
 /// ties toward the earlier candidate. The winner is re-verified
 /// against the independent legality oracle

@@ -3,7 +3,8 @@
 //! independent legality oracle.
 
 use polytops_core::scenario::{winner, ScenarioSet};
-use polytops_core::{presets, EngineOptions, SchedulerConfig};
+use polytops_core::tune::{self, MachineModel};
+use polytops_core::{presets, EngineOptions, PipelineStats, PostProcess, SchedulerConfig};
 use polytops_deps::{analyze, schedule_respects_dependence};
 use polytops_ir::{Schedule, Scop};
 use polytops_workloads::sweep::standard_sweep;
@@ -107,14 +108,19 @@ fn sweep_results_match_the_plain_scheduler_and_stay_legal() {
 
 #[test]
 fn farkas_hits_grow_with_scenario_count_for_a_fixed_scop() {
-    // The cross-scenario cache contract: for one SCoP scheduled K
-    // times, total hits grow with K and every scenario after the first
-    // eliminates nothing.
+    // The cross-scenario cache contract: for one SCoP scheduled under K
+    // solve configurations (distinct coefficient bounds, so each
+    // re-solves), total hits grow with K and every scenario after the
+    // first eliminates nothing.
     let total_hits = |k: usize| -> (usize, Vec<usize>) {
         let mut set = ScenarioSet::new();
         let scop = set.add_scop("matmul", matmul());
         for i in 0..k {
-            set.add_scenario(scop, format!("pluto#{i}"), presets::pluto());
+            let config = SchedulerConfig {
+                coefficient_bound: 4 + i as i64,
+                ..presets::pluto()
+            };
+            set.add_scenario(scop, format!("pluto#{i}"), config);
         }
         let results = set.run_sequential();
         let reports: Vec<_> = results.iter().map(|r| r.as_ref().unwrap()).collect();
@@ -134,6 +140,139 @@ fn farkas_hits_grow_with_scenario_count_for_a_fixed_scop() {
             "repeat scenarios must replay everything: {misses:?}"
         );
     }
+}
+
+/// `config` with tiling (and optionally wavefront and both
+/// vectorizations) switched on: the same solve, another post-processing.
+fn post(config: SchedulerConfig, tile: i64, wavefront: bool, vectorize: bool) -> SchedulerConfig {
+    let mut config = config;
+    config.post = PostProcess {
+        tile_sizes: vec![tile],
+        wavefront,
+        intra_tile_vectorize: vectorize,
+    };
+    config.auto_vectorize = vectorize;
+    config
+}
+
+#[test]
+fn post_only_variants_share_one_solve_and_match_standalone_runs() {
+    // Two SCoPs; post-only variants of a preset, distinct presets, and
+    // one exact duplicate. Groups (first member leads): jacobi
+    // {0, 1, 3, 4}, {2, 5}; matmul {6, 8}, {7}.
+    let kernels = [("jacobi_1d", jacobi_1d()), ("matmul", matmul())];
+    let scenarios: [(usize, &str, SchedulerConfig); 9] = [
+        (0, "pluto", presets::pluto()),
+        (0, "pluto/tile16", post(presets::pluto(), 16, false, false)),
+        (0, "feautrier", presets::feautrier()),
+        (
+            0,
+            "pluto/tile8+wave+vec",
+            post(presets::pluto(), 8, true, true),
+        ),
+        (0, "pluto again", presets::pluto()),
+        (
+            0,
+            "feautrier/tile32",
+            post(presets::feautrier(), 32, false, false),
+        ),
+        (
+            1,
+            "pluto/tile16+vec",
+            post(presets::pluto(), 16, false, true),
+        ),
+        (1, "isl_like", presets::isl_like()),
+        (1, "pluto", presets::pluto()),
+    ];
+    let leaders = [0, 2, 6, 7];
+    let mut set = ScenarioSet::new();
+    let ids: Vec<usize> = kernels
+        .iter()
+        .map(|(name, scop)| set.add_scop(*name, scop.clone()))
+        .collect();
+    for (k, name, config) in &scenarios {
+        set.add_scenario(ids[*k], *name, config.clone());
+    }
+    let standalone: Vec<_> = scenarios
+        .iter()
+        .map(|(k, _, config)| polytops_core::schedule(&kernels[*k].1, config).unwrap())
+        .collect();
+    let ndeps: usize = kernels.iter().map(|(_, scop)| analyze(scop).len()).sum();
+
+    let sequential = set.run_sequential();
+    let misses: usize = sequential
+        .iter()
+        .map(|r| r.as_ref().unwrap().stats.farkas_misses)
+        .sum();
+    assert_eq!(misses, ndeps, "one elimination per dependence, as before");
+    for threads in [1, 2, 4] {
+        let results = set.run_sharded(threads);
+        for (i, (r, want)) in results.iter().zip(&standalone).enumerate() {
+            let report = r.as_ref().unwrap();
+            let at = format!("{}@{threads} threads", report.name);
+            assert_eq!(report.scenario, i, "{at}");
+            assert_eq!(&report.schedule, want, "{at}: equals the standalone run");
+            let stats = report.stats;
+            if leaders.contains(&i) {
+                assert!(
+                    stats.ilp.lp_stages > 0,
+                    "{at}: the leader solved: {stats:?}"
+                );
+                let lead = sequential[i].as_ref().unwrap().stats;
+                assert_eq!(
+                    stats.farkas_hits + stats.farkas_misses,
+                    lead.farkas_hits + lead.farkas_misses,
+                    "{at}"
+                );
+                assert_eq!(stats.ilp, lead.ilp, "{at}");
+            } else {
+                let zero = PipelineStats {
+                    dimensions: report.schedule.dims(),
+                    ..PipelineStats::default()
+                };
+                assert_eq!(stats, zero, "{at}: a member reports no solver effort");
+            }
+            assert_eq!(stats.dimensions, report.schedule.dims(), "{at}");
+        }
+    }
+
+    // Traced: one `job` span a group, one `postprocess` span a scenario.
+    let recorder = polytops_obs::Recorder::new(true);
+    let root = recorder.root_span("test");
+    let mut traced = ScenarioSet::new();
+    let ids: Vec<usize> = kernels
+        .iter()
+        .map(|(name, scop)| traced.add_scop(*name, scop.clone()))
+        .collect();
+    for (k, name, config) in &scenarios {
+        let options = EngineOptions { trace: root.link() };
+        traced.add_scenario_with_options(ids[*k], *name, config.clone(), options);
+    }
+    traced.run_sharded(2);
+    let spans = recorder.spans_for(root.trace_id());
+    let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
+    assert_eq!(count("job"), leaders.len());
+    assert_eq!(count("pipeline"), leaders.len());
+    assert_eq!(count("postprocess"), scenarios.len());
+}
+
+#[test]
+fn the_default_tuning_lattice_solves_once_per_base_stack() {
+    // 16 candidates: 3 base presets × post-processing variants.
+    let scop = matmul();
+    let lattice = tune::candidate_lattice(&scop, &MachineModel::default(), 16);
+    assert_eq!(lattice.len(), 16);
+    let mut set = ScenarioSet::new();
+    let id = set.add_scop("matmul", scop);
+    for c in &lattice {
+        set.add_scenario(id, c.name.clone(), c.config.clone());
+    }
+    let results = set.run_sharded(2);
+    let solves = results
+        .iter()
+        .filter(|r| r.as_ref().unwrap().stats.ilp.lp_stages > 0)
+        .count();
+    assert_eq!(solves, 3);
 }
 
 #[test]
