@@ -13,10 +13,19 @@
 //! parameters…)`; each affine band member pins its scan variable to its
 //! row, each tile member (single term, divisor > 1) is boxed around its
 //! row (`T·v ≤ φ ≤ T·v + T − 1`), and each quasi-affine member (a
-//! wavefront sum of floors) introduces one auxiliary variable per
-//! floored term. Auxiliary variables and the original iterators are
-//! eliminated, and loop bounds for scan variable `k` are read off the
-//! projection onto the first `k + 1` scan variables.
+//! wavefront sum of floors) is pinned to the sum of its floored terms. A
+//! term `(row, div)` that is the single term of a member on the same
+//! path is that member's scan variable: both name the integer
+//! `⌊row·x / div⌋`, so a wavefront's floors of its tile counters add no
+//! column and no window rows. Every other term gets an auxiliary
+//! variable of its own. Auxiliary variables and the original iterators
+//! are eliminated, and loop bounds for scan variable `k` are read off
+//! the projection onto the first `k + 1` scan variables.
+//!
+//! Statements with equal domain rows and equal path members (terms and
+//! coincidence) have equal systems, so they share one scan: the union
+//! bounds and the leaf guards ask each such class once and hand every
+//! statement of the class the same answer.
 //!
 //! Statements that share a band never split into sibling loops: every
 //! band member emits **one union loop** whose bounds cover all active
@@ -216,6 +225,7 @@ pub fn stats(node: &AstNode) -> CodegenStats {
 }
 
 /// One band member a statement crosses, specialized to that statement.
+#[derive(PartialEq)]
 struct MemberData {
     /// `(numerator row, divisor)` terms; rows over the statement's
     /// `(iters, params, 1)` columns.
@@ -308,9 +318,13 @@ impl Context {
     }
 
     /// Whether the system implies `row == 0`.
-    fn implies_eq(&mut self, row: &[i64]) -> bool {
-        let neg: Vec<i64> = row.iter().map(|&c| -c).collect();
-        self.implies(row) && self.implies(&neg)
+    ///
+    /// # Errors
+    ///
+    /// [`MathError::Overflow`] when an entry of `row` is `i64::MIN`.
+    fn implies_eq(&mut self, row: &[i64]) -> MathResult<bool> {
+        let neg = negated(row)?;
+        Ok(self.implies(row) && self.implies(&neg))
     }
 
     /// Adds a row to the system. A push that overflows leaves a
@@ -433,19 +447,27 @@ fn prune_redundant(cs: &ConstraintSystem, effort: &mut Effort) -> ConstraintSyst
 
 /// Extracts lb/ub terms for scan variable `k` from the projection onto
 /// `(c_0..c_k, params)`.
-fn extract_bounds(proj: &ConstraintSystem, k: usize) -> (Vec<BoundTerm>, Vec<BoundTerm>) {
+///
+/// # Errors
+///
+/// [`MathError::Overflow`] when a negated entry is `i64::MIN`.
+fn extract_bounds(
+    proj: &ConstraintSystem,
+    k: usize,
+) -> MathResult<(Vec<BoundTerm>, Vec<BoundTerm>)> {
     let mut lb = Vec::new();
     let mut ub = Vec::new();
     let n = proj.num_vars();
-    let mut add = |coeff: i64, row: &[i64]| {
+    let mut add = |row: &[i64]| {
         // coeff·c_k + rest ⋛ 0 with rest over (c_0..c_{k-1}, params, 1).
+        let coeff = row[k];
         let mut rest: Vec<i64> = Vec::with_capacity(n);
         rest.extend_from_slice(&row[..k]);
         rest.extend_from_slice(&row[k + 1..=n]);
         if coeff > 0 {
             // c_k >= ceil(-rest / coeff)
             let term = BoundTerm {
-                expr: rest.iter().map(|&c| -c).collect(),
+                expr: negated(&rest)?,
                 div: coeff,
             };
             if !lb.contains(&term) {
@@ -455,28 +477,24 @@ fn extract_bounds(proj: &ConstraintSystem, k: usize) -> (Vec<BoundTerm>, Vec<Bou
             // c_k <= floor(rest / -coeff)
             let term = BoundTerm {
                 expr: rest,
-                div: -coeff,
+                div: coeff.checked_neg().ok_or(MathError::Overflow)?,
             };
             if !ub.contains(&term) {
                 ub.push(term);
             }
         }
+        MathResult::Ok(())
     };
     for (kind, row) in proj.iter() {
-        let c = row[k];
-        if c == 0 {
+        if row[k] == 0 {
             continue;
         }
-        match kind {
-            RowKind::Ineq => add(c, row),
-            RowKind::Eq => {
-                add(c, row);
-                let neg: Vec<i64> = row.iter().map(|&v| -v).collect();
-                add(-c, &neg);
-            }
+        add(row)?;
+        if kind == RowKind::Eq {
+            add(&negated(row)?)?;
         }
     }
-    (lb, ub)
+    Ok((lb, ub))
 }
 
 /// Builds one statement's scan data: lift the domain and the member
@@ -488,11 +506,8 @@ fn scan_stmt(scop: &Scop, sid: usize, members: Vec<MemberData>) -> MathResult<St
     let d = stmt.depth();
     let np = scop.nparams();
     let kk = members.len();
-    let aux: usize = members
-        .iter()
-        .filter(|m| m.terms.len() > 1)
-        .map(|m| m.terms.len())
-        .sum();
+    let columns = floor_columns(&members);
+    let aux = columns.iter().flatten().filter(|&&w| w >= kk).count();
     let total = kk + aux + d + np;
     let mut sys = ConstraintSystem::new(total);
     // Domain rows (over iters, params) lifted into the new layout.
@@ -515,15 +530,15 @@ fn scan_stmt(scop: &Scop, sid: usize, members: Vec<MemberData>) -> MathResult<St
     // div·target ≤ φ ≤ div·target + div − 1.
     let add_box = |sys: &mut ConstraintSystem, target: usize, row: &[i64], div: i64| {
         let mut lo = lift(row);
-        lo[target] -= div;
+        lo[target] = mul_add(lo[target], -1, div)?;
         sys.add_ineq(lo);
-        let mut hi: Vec<i64> = lift(row).iter().map(|&c| -c).collect();
-        hi[target] += div;
-        hi[total] += div - 1;
+        let mut hi = negated(&lift(row))?;
+        hi[target] = mul_add(hi[target], 1, div)?;
+        hi[total] = mul_add(hi[total], 1, div - 1)?;
         sys.add_ineq(hi);
+        MathResult::Ok(())
     };
-    let mut next_aux = kk;
-    for (v, md) in members.iter().enumerate() {
+    for (v, (md, terms_at)) in members.iter().zip(&columns).enumerate() {
         if let [(row, div)] = md.terms.as_slice() {
             if *div == 1 {
                 // c_v == φ.
@@ -531,22 +546,24 @@ fn scan_stmt(scop: &Scop, sid: usize, members: Vec<MemberData>) -> MathResult<St
                 eq[v] -= 1;
                 sys.add_eq(eq);
             } else {
-                add_box(&mut sys, v, row, *div);
+                add_box(&mut sys, v, row, *div)?;
             }
         } else {
-            // c_v == Σ w_j with each w_j = ⌊rowⱼ·x / divⱼ⌋.
+            // c_v == Σ w_j with each w_j = ⌊rowⱼ·x / divⱼ⌋ in its column.
             let mut eq = vec![0i64; total + 1];
             eq[v] = 1;
-            for (row, div) in &md.terms {
-                let w = next_aux;
-                next_aux += 1;
+            for ((row, div), &w) in md.terms.iter().zip(terms_at) {
                 eq[w] -= 1;
+                if w < kk {
+                    // A scan variable its own member already pins.
+                    continue;
+                }
                 if *div == 1 {
                     let mut e = lift(row);
                     e[w] -= 1;
                     sys.add_eq(e);
                 } else {
-                    add_box(&mut sys, w, row, *div);
+                    add_box(&mut sys, w, row, *div)?;
                 }
             }
             sys.add_eq(eq);
@@ -566,7 +583,7 @@ fn scan_stmt(scop: &Scop, sid: usize, members: Vec<MemberData>) -> MathResult<St
     projections.reverse();
     let bounds = (0..kk)
         .map(|k| extract_bounds(&projections[k], k))
-        .collect();
+        .collect::<MathResult<_>>()?;
     let iters = invert_iters(d, np, &members)?;
     let mut space = Context::new(full);
     space.effort += effort;
@@ -576,6 +593,33 @@ fn scan_stmt(scop: &Scop, sid: usize, members: Vec<MemberData>) -> MathResult<St
         space,
         iters,
     })
+}
+
+/// The lifted column of each term of each quasi-affine member (none for
+/// a single-term member). A term `(row, div)` that is the single term of
+/// a member on the path lives in that member's scan variable: both name
+/// the integer `⌊row·x / div⌋`, so the sum needs no auxiliary variable
+/// and no window rows for it. Every other term gets an auxiliary column
+/// of its own, numbered from `members.len()` on.
+fn floor_columns(members: &[MemberData]) -> Vec<Vec<usize>> {
+    let mut next_aux = members.len();
+    let mut columns = Vec::with_capacity(members.len());
+    for md in members {
+        let mut at = Vec::new();
+        if md.terms.len() > 1 {
+            for term in &md.terms {
+                let member = members
+                    .iter()
+                    .position(|m| matches!(m.terms.as_slice(), [t] if t == term));
+                at.push(member.unwrap_or_else(|| {
+                    next_aux += 1;
+                    next_aux - 1
+                }));
+            }
+        }
+        columns.push(at);
+    }
+    columns
 }
 
 /// Eliminates `count` variables at position `at`, one at a time, and
@@ -670,38 +714,117 @@ fn invert_iters(d: usize, np: usize, members: &[MemberData]) -> MathResult<Optio
 /// Lifts a bound on `c_k` (over `(c_0..c_{k-1}, params, 1)`) into a
 /// statement's full `(c_0..c_{K-1}, params)` row: `div·c_k − expr ≥ 0`
 /// for lower bounds, `expr − div·c_k ≥ 0` for upper bounds.
-fn lift_bound(term: &BoundTerm, k: usize, kk: usize, np: usize, lower: bool) -> Vec<i64> {
+///
+/// # Errors
+///
+/// [`MathError::Overflow`] when a negated entry is `i64::MIN`.
+fn lift_bound(
+    term: &BoundTerm,
+    k: usize,
+    kk: usize,
+    np: usize,
+    lower: bool,
+) -> MathResult<Vec<i64>> {
     let sign = if lower { -1 } else { 1 };
     let mut row = vec![0i64; kk + np + 1];
     for (i, &c) in term.expr[..k].iter().enumerate() {
-        row[i] = sign * c;
+        row[i] = mul_add(0, sign, c)?;
     }
     for (p, &c) in term.expr[k..].iter().enumerate() {
-        row[kk + p] = sign * c;
+        row[kk + p] = mul_add(0, sign, c)?;
     }
-    row[k] = -sign * term.div;
-    row
+    row[k] = mul_add(0, -sign, term.div)?;
+    Ok(row)
 }
 
 /// Whether `term` is a valid `c_k` bound for every point of `scan`'s
 /// statement (an exact LP implication over the full projection). A
 /// term lifted to one of the projection's own rows is valid without
 /// the LP.
-fn bound_valid(scan: &mut StmtScan, k: usize, term: &BoundTerm, lower: bool, np: usize) -> bool {
-    let row = lift_bound(term, k, scan.members.len(), np, lower);
-    scan.space.implies(&row)
+fn bound_valid(
+    scan: &mut StmtScan,
+    k: usize,
+    term: &BoundTerm,
+    lower: bool,
+    np: usize,
+) -> MathResult<bool> {
+    let row = lift_bound(term, k, scan.members.len(), np, lower)?;
+    Ok(scan.space.implies(&row))
+}
+
+/// The scans of a SCoP's statements: one per class of statements with
+/// equal domain rows and equal path members, since equal systems give
+/// equal projections, bounds and answers.
+struct Scans {
+    classes: Vec<StmtScan>,
+    /// Each statement's class.
+    class_of: Vec<usize>,
+}
+
+impl Scans {
+    /// Scans each class of statements once: the statements whose domain
+    /// rows and whose members along `paths` (terms and coincidence) are
+    /// equal to an earlier statement's join that statement's class.
+    fn new(scop: &Scop, paths: &[Vec<PathStep>]) -> MathResult<Scans> {
+        let mut scans = Scans {
+            classes: Vec::new(),
+            class_of: Vec::with_capacity(paths.len()),
+        };
+        // The first statement of each class, whose domain the class scans.
+        let mut firsts: Vec<usize> = Vec::new();
+        for (sid, path) in paths.iter().enumerate() {
+            let members: Vec<MemberData> = path
+                .iter()
+                .filter_map(|step| match step {
+                    PathStep::Member {
+                        terms, coincident, ..
+                    } => Some(MemberData {
+                        terms: terms.clone(),
+                        coincident: *coincident,
+                    }),
+                    PathStep::Seq { .. } => None,
+                })
+                .collect();
+            let domain = &scop.statements[sid].domain;
+            let class = firsts
+                .iter()
+                .zip(&scans.classes)
+                .position(|(&first, scan)| {
+                    scan.members == members && scop.statements[first].domain == *domain
+                });
+            scans.class_of.push(class.unwrap_or(scans.classes.len()));
+            if class.is_none() {
+                firsts.push(sid);
+                scans.classes.push(scan_stmt(scop, sid, members)?);
+            }
+        }
+        Ok(scans)
+    }
+
+    /// The classes of `active`, each once, in order of first appearance.
+    fn classes_of(&self, active: &[usize]) -> Vec<usize> {
+        let mut out: Vec<usize> = Vec::new();
+        for &s in active {
+            let c = self.class_of[s];
+            if !out.contains(&c) {
+                out.push(c);
+            }
+        }
+        out
+    }
 }
 
 /// The union bound of one loop level: the shared terms every active
 /// statement satisfies when such terms exist, otherwise the per-
-/// statement bound lists combined with an outer `min`/`max`.
+/// statement bound lists combined with an outer `min`/`max`. Each class
+/// of active statements is asked once.
 fn union_bounds(
-    scans: &mut [StmtScan],
+    scans: &mut Scans,
     active: &[usize],
     k: usize,
     lower: bool,
     np: usize,
-) -> Vec<Vec<BoundTerm>> {
+) -> MathResult<Vec<Vec<BoundTerm>>> {
     fn list_of(scan: &StmtScan, k: usize, lower: bool) -> &Vec<BoundTerm> {
         let (lb, ub) = &scan.bounds[k];
         if lower {
@@ -710,33 +833,35 @@ fn union_bounds(
             ub
         }
     }
+    let classes = scans.classes_of(active);
     let mut candidates: Vec<BoundTerm> = Vec::new();
-    for &s in active {
-        for t in list_of(&scans[s], k, lower) {
+    for &c in &classes {
+        for t in list_of(&scans.classes[c], k, lower) {
             if !candidates.contains(t) {
                 candidates.push(t.clone());
             }
         }
     }
-    let shared: Vec<BoundTerm> = candidates
-        .into_iter()
-        .filter(|t| {
-            active
-                .iter()
-                .all(|&s| bound_valid(&mut scans[s], k, t, lower, np))
-        })
-        .collect();
+    let mut shared = Vec::new();
+    'candidates: for t in candidates {
+        for &c in &classes {
+            if !bound_valid(&mut scans.classes[c], k, &t, lower, np)? {
+                continue 'candidates;
+            }
+        }
+        shared.push(t);
+    }
     if !shared.is_empty() {
-        return vec![shared];
+        return Ok(vec![shared]);
     }
     let mut lists: Vec<Vec<BoundTerm>> = Vec::new();
-    for &s in active {
-        let l = list_of(&scans[s], k, lower).clone();
+    for &c in &classes {
+        let l = list_of(&scans.classes[c], k, lower).clone();
         if !lists.contains(&l) {
             lists.push(l);
         }
     }
-    lists
+    Ok(lists)
 }
 
 /// Marks pending from enclosing `Mark` nodes, consumed by the next band.
@@ -766,7 +891,7 @@ fn leaf_guards(
     let kk = scan.members.len();
     let mut bounds = ConstraintSystem::new(kk + np);
     for (k, lower, term) in loop_bounds {
-        bounds.add_ineq(lift_bound(term, *k, kk, np, *lower));
+        bounds.add_ineq(lift_bound(term, *k, kk, np, *lower)?);
     }
     let mut out = Vec::new();
     // Exact floor guards for quasi-affine members, plus their linear
@@ -803,7 +928,7 @@ fn leaf_guards(
     for (kind, row) in scan.space.cs.iter() {
         let implied = match kind {
             RowKind::Ineq => ctx.implies(row),
-            RowKind::Eq => ctx.implies_eq(row),
+            RowKind::Eq => ctx.implies_eq(row)?,
         };
         if !implied {
             out.push(match kind {
@@ -851,12 +976,19 @@ fn mul_add(acc: i64, a: i64, b: i64) -> MathResult<i64> {
     narrow(i128::from(acc) + i128::from(a) * i128::from(b))
 }
 
+/// `-row`, or [`MathError::Overflow`] when an entry is `i64::MIN`.
+fn negated(row: &[i64]) -> MathResult<Vec<i64>> {
+    row.iter()
+        .map(|&c| c.checked_neg().ok_or(MathError::Overflow))
+        .collect()
+}
+
 /// Recursively builds the AST of one tree node for the active
 /// statements.
 #[allow(clippy::too_many_arguments)]
 fn walk(
     scop: &Scop,
-    scans: &mut [StmtScan],
+    scans: &mut Scans,
     node: &TreeNode,
     active: &[usize],
     level: usize,
@@ -868,19 +1000,31 @@ fn walk(
     }
     let np = scop.nparams();
     match node {
-        TreeNode::Leaf => active
-            .iter()
-            .map(|&sid| {
-                let (guards, asked) = leaf_guards(&scans[sid], loop_bounds, np)?;
-                scans[sid].space.effort += asked;
-                Ok(AstNode::Stmt(StmtNode {
-                    id: StmtId(sid),
-                    name: scop.statements[sid].name.clone(),
-                    iters: scans[sid].iters.clone(),
-                    guards,
-                }))
-            })
-            .collect(),
+        TreeNode::Leaf => {
+            // One guard list per class under the same loop bounds.
+            let mut guards = Vec::new();
+            for c in scans.classes_of(active) {
+                let (g, asked) = leaf_guards(&scans.classes[c], loop_bounds, np)?;
+                scans.classes[c].space.effort += asked;
+                guards.push((c, g));
+            }
+            Ok(active
+                .iter()
+                .map(|&sid| {
+                    let c = scans.class_of[sid];
+                    let (_, g) = guards
+                        .iter()
+                        .find(|(gc, _)| *gc == c)
+                        .expect("active class");
+                    AstNode::Stmt(StmtNode {
+                        id: StmtId(sid),
+                        name: scop.statements[sid].name.clone(),
+                        iters: scans.classes[c].iters.clone(),
+                        guards: g.clone(),
+                    })
+                })
+                .collect())
+        }
         TreeNode::Filter { stmts, child } => {
             let inner: Vec<usize> = active
                 .iter()
@@ -930,7 +1074,7 @@ fn walk(
 #[allow(clippy::too_many_arguments)]
 fn build_member(
     scop: &Scop,
-    scans: &mut [StmtScan],
+    scans: &mut Scans,
     active: &[usize],
     level: usize,
     n: usize,
@@ -952,8 +1096,8 @@ fn build_member(
     }
     let k = level + j;
     let np = scop.nparams();
-    let lb = union_bounds(scans, active, k, true, np);
-    let ub = union_bounds(scans, active, k, false, np);
+    let lb = union_bounds(scans, active, k, true, np)?;
+    let ub = union_bounds(scans, active, k, false, np)?;
     // Shared bounds join the gist context of every nested statement.
     let pushed = {
         let mut pushed = 0;
@@ -985,7 +1129,7 @@ fn build_member(
     for _ in 0..pushed {
         loop_bounds.pop();
     }
-    let md = &scans[active[0]].members[k];
+    let md = &scans.classes[scans.class_of[active[0]]].members[k];
     let tile = match md.terms.as_slice() {
         [(_, div)] if *div > 1 => Some(*div),
         _ => None,
@@ -1023,23 +1167,7 @@ pub fn generate(scop: &Scop, sched: &Schedule) -> MathResult<AstNode> {
         scop.statements.len(),
         "schedule/scop statement count"
     );
-    let paths = tree.stmt_paths();
-    let mut scans = Vec::with_capacity(paths.len());
-    for (sid, path) in paths.iter().enumerate() {
-        let members = path
-            .iter()
-            .filter_map(|step| match step {
-                PathStep::Member {
-                    terms, coincident, ..
-                } => Some(MemberData {
-                    terms: terms.clone(),
-                    coincident: *coincident,
-                }),
-                PathStep::Seq { .. } => None,
-            })
-            .collect();
-        scans.push(scan_stmt(scop, sid, members)?);
-    }
+    let mut scans = Scans::new(scop, &tree.stmt_paths())?;
     let active: Vec<usize> = (0..scop.statements.len()).collect();
     let mut loop_bounds = Vec::new();
     let body = walk(
@@ -1052,7 +1180,7 @@ pub fn generate(scop: &Scop, sched: &Schedule) -> MathResult<AstNode> {
         PendingMarks::default(),
     )?;
     let mut effort = Effort::default();
-    for scan in &scans {
+    for scan in &scans.classes {
         effort += scan.space.effort;
     }
     polytops_math::obs::count("codegen.implied_queries", effort.queries);
@@ -1069,7 +1197,11 @@ pub fn generate(scop: &Scop, sched: &Schedule) -> MathResult<AstNode> {
 
 /// Renders an affine numerator over `(c_0.., params, 1)`; the scan-var
 /// count is implied by the expression length.
-fn render_affine(expr: &[i64], params: &[&str]) -> String {
+///
+/// # Errors
+///
+/// [`MathError::Overflow`] when a negated entry is `i64::MIN`.
+fn render_affine(expr: &[i64], params: &[&str]) -> MathResult<String> {
     let nvars = expr.len() - 1 - params.len();
     let mut out = String::new();
     let name = |i: usize| -> String {
@@ -1079,6 +1211,7 @@ fn render_affine(expr: &[i64], params: &[&str]) -> String {
             params[i - nvars].to_string()
         }
     };
+    let magnitude = |c: i64| c.checked_abs().ok_or(MathError::Overflow);
     for (i, &c) in expr[..expr.len() - 1].iter().enumerate() {
         if c == 0 {
             continue;
@@ -1096,7 +1229,7 @@ fn render_affine(expr: &[i64], params: &[&str]) -> String {
             }
         } else {
             let sign = if c > 0 { "+" } else { "-" };
-            let a = c.abs();
+            let a = magnitude(c)?;
             if a == 1 {
                 let _ = write!(out, " {sign} {v}");
             } else {
@@ -1110,30 +1243,30 @@ fn render_affine(expr: &[i64], params: &[&str]) -> String {
     } else if cst > 0 {
         let _ = write!(out, " + {cst}");
     } else if cst < 0 {
-        let _ = write!(out, " - {}", -cst);
+        let _ = write!(out, " - {}", magnitude(cst)?);
     }
-    out
+    Ok(out)
 }
 
 /// Renders one bound term, wrapping in `floord`/`ceild` when divided.
-fn render_term(term: &BoundTerm, lower: bool, params: &[&str]) -> String {
-    let e = render_affine(&term.expr, params);
-    if term.div == 1 {
+fn render_term(term: &BoundTerm, lower: bool, params: &[&str]) -> MathResult<String> {
+    let e = render_affine(&term.expr, params)?;
+    Ok(if term.div == 1 {
         e
     } else if lower {
         format!("ceild({e}, {})", term.div)
     } else {
         format!("floord({e}, {})", term.div)
-    }
+    })
 }
 
 /// Renders a max-of/min-of list of bound terms.
-fn render_terms(terms: &[BoundTerm], lower: bool, params: &[&str]) -> String {
-    let rendered: Vec<String> = terms
+fn render_terms(terms: &[BoundTerm], lower: bool, params: &[&str]) -> MathResult<String> {
+    let rendered = terms
         .iter()
         .map(|t| render_term(t, lower, params))
-        .collect();
-    match rendered.len() {
+        .collect::<MathResult<Vec<_>>>()?;
+    Ok(match rendered.len() {
         0 => if lower { "-INF" } else { "INF" }.to_string(),
         1 => rendered.into_iter().next().expect("nonempty"),
         _ => format!(
@@ -1141,17 +1274,17 @@ fn render_terms(terms: &[BoundTerm], lower: bool, params: &[&str]) -> String {
             if lower { "max" } else { "min" },
             rendered.join(", ")
         ),
-    }
+    })
 }
 
 /// Renders a full loop bound: the outer `min`/`max` over per-statement
 /// term lists (a single list renders without the outer combinator).
-fn render_bound(lists: &[Vec<BoundTerm>], lower: bool, params: &[&str]) -> String {
-    let rendered: Vec<String> = lists
+fn render_bound(lists: &[Vec<BoundTerm>], lower: bool, params: &[&str]) -> MathResult<String> {
+    let rendered = lists
         .iter()
         .map(|terms| render_terms(terms, lower, params))
-        .collect();
-    match rendered.len() {
+        .collect::<MathResult<Vec<_>>>()?;
+    Ok(match rendered.len() {
         0 => if lower { "-INF" } else { "INF" }.to_string(),
         1 => rendered.into_iter().next().expect("nonempty"),
         _ => format!(
@@ -1159,29 +1292,29 @@ fn render_bound(lists: &[Vec<BoundTerm>], lower: bool, params: &[&str]) -> Strin
             if lower { "min" } else { "max" },
             rendered.join(", ")
         ),
-    }
+    })
 }
 
 /// Renders one guard condition.
-fn render_guard(g: &Guard, params: &[&str]) -> String {
-    match g {
-        Guard::Ineq(row) => format!("{} >= 0", render_affine(row, params)),
-        Guard::Eq(row) => format!("{} == 0", render_affine(row, params)),
+fn render_guard(g: &Guard, params: &[&str]) -> MathResult<String> {
+    Ok(match g {
+        Guard::Ineq(row) => format!("{} >= 0", render_affine(row, params)?),
+        Guard::Eq(row) => format!("{} == 0", render_affine(row, params)?),
         Guard::Floors { var, terms } => {
-            let sum: Vec<String> = terms
+            let sum = terms
                 .iter()
                 .map(|t| {
-                    let e = render_affine(&t.expr, params);
-                    if t.div == 1 {
+                    let e = render_affine(&t.expr, params)?;
+                    Ok(if t.div == 1 {
                         format!("({e})")
                     } else {
                         format!("floord({e}, {})", t.div)
-                    }
+                    })
                 })
-                .collect();
+                .collect::<MathResult<Vec<_>>>()?;
             format!("c{var} == {}", sum.join(" + "))
         }
-    }
+    })
 }
 
 fn emit_node(
@@ -1200,8 +1333,8 @@ fn emit_node(
         }
         AstNode::Loop(l) => {
             let v = format!("c{}", l.var);
-            let lb = render_bound(&l.lb, true, params);
-            let ub = render_bound(&l.ub, false, params);
+            let lb = render_bound(&l.lb, true, params)?;
+            let ub = render_bound(&l.ub, false, params)?;
             let mark_parallel = l.parallel && !in_parallel;
             if mark_parallel {
                 let _ = writeln!(out, "{pad}#pragma omp parallel for");
@@ -1234,12 +1367,16 @@ fn emit_node(
             let args = exprs
                 .iter()
                 .map(|e| render_affine(e, params))
-                .collect::<Vec<_>>()
+                .collect::<MathResult<Vec<_>>>()?
                 .join(", ");
             if s.guards.is_empty() {
                 let _ = writeln!(out, "{pad}{}({args});", s.name);
             } else {
-                let conds: Vec<String> = s.guards.iter().map(|g| render_guard(g, params)).collect();
+                let conds = s
+                    .guards
+                    .iter()
+                    .map(|g| render_guard(g, params))
+                    .collect::<MathResult<Vec<_>>>()?;
                 let _ = writeln!(out, "{pad}if ({}) {}({args});", conds.join(" && "), s.name);
             }
         }
@@ -1273,6 +1410,7 @@ pub fn emit_c(scop: &Scop, sched: &Schedule) -> Result<String, CodegenError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polytops_ir::StmtSchedule;
     use polytops_math::ineq_implied;
     use proptest::prelude::*;
 
@@ -1512,6 +1650,195 @@ mod tests {
         assert_eq!(
             invert_iters(2, 1, &skew.map(affine)),
             Ok(Some(vec![vec![1, -1, 0, 3], vec![0, 1, 0, -3]]))
+        );
+    }
+
+    /// A member over a statement's `(i, j, N, 1)` columns from its
+    /// `(row, div)` terms.
+    fn member(terms: &[([i64; 4], i64)]) -> MemberData {
+        MemberData {
+            terms: terms
+                .iter()
+                .map(|(row, div)| (row.to_vec(), *div))
+                .collect(),
+            coincident: false,
+        }
+    }
+
+    const I: [i64; 4] = [1, 0, 0, 0];
+    const J: [i64; 4] = [0, 1, 0, 0];
+
+    /// `0 ≤ i, j ≤ N − 1` with `statements` statements in the inner loop,
+    /// then one more over `0 ≤ i ≤ N − 2`, `0 ≤ j ≤ N − 1`.
+    fn square(statements: usize) -> Scop {
+        use polytops_ir::{Aff, ScopBuilder};
+        let mut b = ScopBuilder::new("square");
+        let n = b.param("N");
+        let a = b.array("A", &[n.clone(), n.clone()], 8);
+        let at = [Aff::var("i"), Aff::var("j")];
+        b.open_loop("i", Aff::val(0), n.clone() - 1);
+        b.open_loop("j", Aff::val(0), n.clone() - 1);
+        for s in 0..statements {
+            b.stmt(&format!("S{s}")).write(a, &at).add(&mut b);
+        }
+        b.close_loop();
+        b.close_loop();
+        b.open_loop("i", Aff::val(0), n.clone() - 2);
+        b.open_loop("j", Aff::val(0), n - 1);
+        b.stmt(&format!("S{statements}")).write(a, &at).add(&mut b);
+        b.close_loop();
+        b.close_loop();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn a_quasi_affine_member_whose_floors_match_no_member_keeps_its_auxiliary_variables() {
+        // c0 = ⌊i/4⌋ + ⌊j/4⌋ over the point members c1 = i, c2 = j: no
+        // member's single term is one of the floors, so each is an
+        // auxiliary column after the three scan variables. A floor of
+        // another divisor is not the tile counter either.
+        let members = [
+            member(&[(I, 4), (J, 4)]),
+            member(&[(I, 1)]),
+            member(&[(J, 1)]),
+        ];
+        assert_eq!(floor_columns(&members), [vec![3, 4], vec![], vec![]]);
+        let members = [
+            member(&[(I, 4), (J, 4)]),
+            member(&[(I, 8)]),
+            member(&[(J, 2)]),
+        ];
+        assert_eq!(floor_columns(&members), [vec![3, 4], vec![], vec![]]);
+    }
+
+    #[test]
+    fn a_quasi_affine_member_whose_floors_repeat_tile_members_reuses_their_counters() {
+        // The wavefront c0 = ⌊i/4⌋ + ⌊j/4⌋ over the tile counters
+        // c1 = ⌊i/4⌋, c2 = ⌊j/4⌋ and the points c3 = i, c4 = j: both
+        // floors are tile counters, and no auxiliary column is lifted.
+        let members = || {
+            vec![
+                member(&[(I, 4), (J, 4)]),
+                member(&[(I, 4)]),
+                member(&[(J, 4)]),
+                member(&[(I, 1)]),
+                member(&[(J, 1)]),
+            ]
+        };
+        assert_eq!(
+            floor_columns(&members()),
+            [vec![1, 2], vec![], vec![], vec![], vec![]]
+        );
+        // With the counters for the floors, the wavefront starts at 0
+        // (both counters do), and the tile counter of j is the sum less
+        // the one of i.
+        let scan = scan_stmt(&square(1), 0, members()).expect("scans");
+        let (lb, _) = &scan.bounds[0];
+        assert_eq!(
+            lb,
+            &[BoundTerm {
+                expr: vec![0, 0],
+                div: 1
+            }]
+        );
+        // Only one term repeats a member: the other keeps its column.
+        let partial = [
+            member(&[(I, 4), (J, 4)]),
+            member(&[(I, 4)]),
+            member(&[(I, 1)]),
+            member(&[(J, 1)]),
+        ];
+        assert_eq!(
+            floor_columns(&partial),
+            [vec![1, 4], vec![], vec![], vec![]]
+        );
+    }
+
+    #[test]
+    fn statements_that_differ_in_one_domain_row_do_not_share_a_scan() {
+        // S0 and S1 have equal domains and equal members; S2's `i` stops
+        // one short. All three cross the one member c0 = i, then c1 = j.
+        let scop = square(2);
+        let mut parts = Vec::new();
+        for _ in 0..3 {
+            let mut ss = StmtSchedule::new(2, 1);
+            ss.push_row(vec![1, 0, 0, 0]);
+            ss.push_row(vec![0, 1, 0, 0]);
+            parts.push(ss);
+        }
+        let sched = Schedule::from_parts(parts, vec![0, 0], vec![false, false]);
+        let scans = Scans::new(&scop, &sched.tree_or_lowered().stmt_paths()).expect("scans");
+        assert_eq!(scans.class_of, [0, 0, 1]);
+        assert_eq!(scans.classes.len(), 2);
+        // The shared scan answers for S0 and S1 alike, and S2 keeps the
+        // guard its own domain row needs.
+        let text = emit_c(&scop, &sched).expect("lowers");
+        assert!(text.contains("S0(c0, c1);"), "{text}");
+        assert!(text.contains("S1(c0, c1);"), "{text}");
+        assert!(text.contains("if (-c0 + N - 2 >= 0) S2(c0, c1);"), "{text}");
+    }
+
+    #[test]
+    fn an_entry_whose_negation_outgrows_i64_is_an_overflow_error() {
+        let min = i64::MIN;
+        // A projection row over (c0, N, 1) with a lower bound whose
+        // numerator negates `i64::MIN`, and an equality on c0 whose
+        // coefficient does.
+        let mut proj = ConstraintSystem::new(2);
+        proj.add_ineq(vec![1, min, 0]);
+        assert_eq!(extract_bounds(&proj, 0), Err(MathError::Overflow));
+        let mut proj = ConstraintSystem::new(2);
+        proj.add_eq(vec![min, 1, 0]);
+        assert_eq!(extract_bounds(&proj, 0), Err(MathError::Overflow));
+        // `c0 ≥ ⌈(i64::MIN·N) / 1⌉` lifted to a row negates the numerator.
+        let term = BoundTerm {
+            expr: vec![min, 0],
+            div: 1,
+        };
+        assert_eq!(lift_bound(&term, 0, 1, 1, true), Err(MathError::Overflow));
+        assert_eq!(lift_bound(&term, 0, 1, 1, false), Ok(vec![-1, min, 0]));
+        // An equality to check against a context reads the row both ways.
+        let mut ctx = Context::new(ConstraintSystem::new(2));
+        assert_eq!(ctx.implies_eq(&[min, 0, 0]), Err(MathError::Overflow));
+        // So does a leaf's guard of a statement whose space keeps that
+        // equality.
+        let scan = StmtScan {
+            members: vec![member(&[(I, 1)])],
+            bounds: Vec::new(),
+            space: {
+                let mut cs = ConstraintSystem::new(2);
+                cs.add_eq(vec![min, 1, 0]);
+                Context::new(cs)
+            },
+            iters: None,
+        };
+        assert_eq!(
+            leaf_guards(&scan, &[], 1).map(|_| ()),
+            Err(MathError::Overflow)
+        );
+        // The printer writes `- |c|`: an `i64::MIN` coefficient or
+        // constant after the first term is an error, not a wrapped sign.
+        assert_eq!(
+            render_affine(&[1, min, 0], &["N"]),
+            Err(MathError::Overflow)
+        );
+        assert_eq!(
+            render_affine(&[1, 0, min], &["N"]),
+            Err(MathError::Overflow)
+        );
+        assert_eq!(
+            render_affine(&[1, -2, -3], &["N"]).as_deref(),
+            Ok("c0 - 2*N - 3")
+        );
+        let stmt = AstNode::Stmt(StmtNode {
+            id: StmtId(0),
+            name: "S0".to_string(),
+            iters: Some(vec![vec![1, 0, min]]),
+            guards: Vec::new(),
+        });
+        assert_eq!(
+            emit_node(&stmt, &["N"], 0, false, &mut String::new()),
+            Err(CodegenError::Math(MathError::Overflow))
         );
     }
 }
