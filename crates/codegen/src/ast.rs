@@ -1,9 +1,8 @@
 //! Schedule-tree code generation: a CLooG-lite polyhedral scanner over
 //! the explicit [`polytops_ir::ScheduleTree`].
 //!
-//! [`generate`] walks the schedule tree of a [`Schedule`] (lowering the
-//! flat form first when post-processing never ran) and produces an
-//! [`AstNode`] tree; [`emit_c`] lowers that tree to C-like text with
+//! [`generate`] walks the schedule tree of a [`Schedule`] and produces
+//! an [`AstNode`] tree; [`emit_c`] lowers that tree to C-like text with
 //! explicit tile loops, `#pragma omp parallel for` / `#pragma omp simd`
 //! markers, and statement instances rewritten over the scan variables.
 //!
@@ -1150,8 +1149,7 @@ fn build_member(
     })])
 }
 
-/// Generates the AST of a scheduled SCoP by walking its schedule tree
-/// (lowering the flat schedule when no tree was recorded).
+/// Generates the AST of a scheduled SCoP by walking its schedule tree.
 ///
 /// # Errors
 ///
@@ -1161,7 +1159,7 @@ fn build_member(
 ///
 /// Panics if `sched` is not a schedule of `scop`.
 pub fn generate(scop: &Scop, sched: &Schedule) -> MathResult<AstNode> {
-    let tree = sched.tree_or_lowered();
+    let tree = sched.tree();
     assert_eq!(
         tree.nstmts,
         scop.statements.len(),
@@ -1767,7 +1765,7 @@ mod tests {
             parts.push(ss);
         }
         let sched = Schedule::from_parts(parts, vec![0, 0], vec![false, false]);
-        let scans = Scans::new(&scop, &sched.tree_or_lowered().stmt_paths()).expect("scans");
+        let scans = Scans::new(&scop, &sched.tree().stmt_paths()).expect("scans");
         assert_eq!(scans.class_of, [0, 0, 1]);
         assert_eq!(scans.classes.len(), 2);
         // The shared scan answers for S0 and S1 alike, and S2 keeps the

@@ -282,7 +282,7 @@ fn emitted_c_runs_every_domain_instance_in_schedule_order() {
             cases.push(Case {
                 name: format!("{kernel}/{config_name}"),
                 scop: scop.clone(),
-                tree: sched.tree_or_lowered(),
+                tree: sched.tree().clone(),
                 code,
             });
         }

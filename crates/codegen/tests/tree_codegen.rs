@@ -59,7 +59,7 @@ fn tiled_jacobi_materializes_tile_loops() {
     let mut cfg = SchedulerConfig::default();
     cfg.post.tile_sizes = vec![32, 32];
     let sched = schedule(&scop, &cfg).unwrap();
-    let marks = sched.tree().expect("post sets a tree").marks();
+    let marks = sched.tree().marks();
     assert!(
         marks.iter().any(|m| matches!(m, MarkKind::Tile(_))),
         "jacobi band must tile"

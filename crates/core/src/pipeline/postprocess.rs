@@ -1,8 +1,9 @@
 //! PostProcess stage: tree-to-tree transformations of the solver's
 //! schedule (paper Fig. 1's post-processing block).
 //!
-//! The stage lowers the engine's flat schedule into an explicit
-//! [`ScheduleTree`] and expresses every transformation structurally:
+//! The stage rewrites the explicit [`ScheduleTree`] a schedule is built
+//! with (the lowering of the engine's flat rows) and expresses every
+//! transformation structurally:
 //!
 //! * **Tiling** replaces a point band with a `Mark::Tile` over a *tile
 //!   band* (one member `⌊row·x / size⌋` per point member) over the
@@ -59,19 +60,18 @@ use polytops_ir::{
 use crate::config::{DirectiveKind, SchedulerConfig};
 use crate::pipeline::objectives::expand_targets;
 
-/// Applies the configured post-processing to `sched` in place: lowers
-/// the schedule to a tree, transforms it, and attaches the result
-/// (every schedule leaves this stage with an explicit tree). `oracle`
-/// answers for the dependences of the schedule's SCoP; `carried_at[e]`
-/// is the flat dimension whose row first carries dependence `e` (`None`
-/// when none does), as the engine recorded it.
+/// Applies the configured post-processing to `sched` in place: takes
+/// the schedule's tree out, transforms it, and puts the result back.
+/// `oracle` answers for the dependences of the schedule's SCoP;
+/// `carried_at[e]` is the flat dimension whose row first carries
+/// dependence `e` (`None` when none does), as the engine recorded it.
 pub fn apply(
     oracle: &mut Certifier<'_>,
     sched: &mut Schedule,
     config: &SchedulerConfig,
     carried_at: &[Option<usize>],
 ) {
-    let mut tree = sched.tree_or_lowered();
+    let mut tree = sched.take_tree();
     let post = &config.post;
     let mut gate = Gate {
         oracle,
@@ -893,7 +893,7 @@ mod tests {
         let mut cfg = crate::SchedulerConfig::default();
         cfg.post.tile_sizes = vec![16];
         let sched = crate::schedule(&scop, &cfg).unwrap();
-        let tree = sched.tree().expect("post-processing attaches a tree");
+        let tree = sched.tree();
         let (sizes, tiles, points) = tiled_nest(tree).expect("jacobi band tiles");
         assert_eq!(sizes, vec![16, 16]);
         assert_eq!(tiles.len(), 2);
@@ -907,7 +907,7 @@ mod tests {
         let scop = jacobi();
         let deps = analyze(&scop);
         let sched = crate::schedule(&scop, &crate::presets::wavefront()).unwrap();
-        let tree = sched.tree().expect("tree attached");
+        let tree = sched.tree();
         let (_, tiles, _) = tiled_nest(tree).expect("tiled");
         // The outer tile member is the wavefront: a sum of two floored
         // terms — and the skew makes the inner tile member coincident.
@@ -949,7 +949,7 @@ mod tests {
         let mut cfg = crate::SchedulerConfig::default();
         cfg.post.tile_sizes = vec![8, 8];
         let sched = crate::schedule(&scop, &cfg).unwrap();
-        let (_, tiles, points) = tiled_nest(sched.tree().unwrap()).expect("band must tile");
+        let (_, tiles, points) = tiled_nest(sched.tree()).expect("band must tile");
         assert!(
             points.last().unwrap().coincident,
             "inner point dimension is parallel"
@@ -969,12 +969,13 @@ mod tests {
         let config = crate::SchedulerConfig::default();
         let carried = carried_at(&deps, &sched);
         apply(&mut Certifier::new(&deps), &mut sched, &config, &carried);
-        // Rows, bands and flags untouched; the tree is exactly the
-        // lowering of the flat schedule.
+        // Rows, bands, flags and tree untouched; the tree is exactly
+        // the lowering of the flat schedule.
+        assert_eq!(sched, before);
         assert_eq!(
             sched.tree(),
-            Some(&ScheduleTree::lower(&before)),
-            "default post-processing attaches the plain lowering"
+            &ScheduleTree::lower(&before),
+            "default post-processing keeps the plain lowering"
         );
     }
 
@@ -1005,7 +1006,7 @@ mod tests {
         cfg.post.tile_sizes = vec![8];
         cfg.post.intra_tile_vectorize = true;
         let sched = crate::schedule(&scop, &cfg).unwrap();
-        let tree = sched.tree().unwrap();
+        let tree = sched.tree();
         let (_, _, points) = tiled_nest(tree).expect("tiled");
         assert!(
             points.last().unwrap().coincident,
@@ -1034,7 +1035,7 @@ mod tests {
             ..Default::default()
         };
         let sched = crate::schedule(&scop, &cfg).unwrap();
-        let tree = sched.tree().unwrap();
+        let tree = sched.tree();
         assert!(
             tree.marks()
                 .iter()

@@ -786,12 +786,13 @@ impl<'a> Engine<'a> {
         Schedule::from_parts(per_stmt, self.bands.clone(), self.parallel.clone())
     }
 
-    /// The post-processing stage, once per configuration: lowers its own
-    /// copy of the solved schedule to its tree form and applies tiling,
-    /// wavefront skewing, intra-tile vectorization and vectorize marks
-    /// as tree-to-tree transforms, each proved against the dependence
-    /// oracle before being committed. The first copy carries the run's
-    /// solver counters, the others only their own dimension count.
+    /// The post-processing stage, once per configuration: builds its own
+    /// copy of the solved schedule (its tree the lowering of the rows)
+    /// and applies tiling, wavefront skewing, intra-tile vectorization
+    /// and vectorize marks as tree-to-tree transforms, each proved
+    /// against the dependence oracle before being committed. The first
+    /// copy carries the run's solver counters, the others only their own
+    /// dimension count.
     fn postprocess(
         &self,
         oracle: &mut Certifier<'_>,
@@ -800,11 +801,12 @@ impl<'a> Engine<'a> {
     ) -> Vec<(Schedule, PipelineStats)> {
         let mut out = Vec::with_capacity(posts.len());
         for (i, config) in posts.iter().enumerate() {
-            let mut sched = self.schedule();
-            {
+            let sched = {
                 let _span = polytops_obs::span("postprocess");
+                let mut sched = self.schedule();
                 postprocess::apply(oracle, &mut sched, config, &self.carried_at);
-            }
+                sched
+            };
             let solver = if i == 0 {
                 stats
             } else {

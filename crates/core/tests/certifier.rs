@@ -37,7 +37,7 @@ fn every_answer_matches_the_from_scratch_oracle() {
                 config.post.intra_tile_vectorize = vectorize;
                 let what = format!("{kernel}/{preset}/{post}");
                 let sched = schedule(&scop, &config).unwrap_or_else(|e| panic!("{what}: {e}"));
-                let paths = sched.tree_or_lowered().stmt_paths();
+                let paths = sched.tree().stmt_paths();
                 let mut certifier = Certifier::new(&deps);
                 for (e, dep) in deps.iter().enumerate() {
                     let (src, dst) = (sched.stmt(dep.src).rows(), sched.stmt(dep.dst).rows());
@@ -210,10 +210,7 @@ fn a_reversed_point_loop_that_carries_a_dependence_is_rejected() {
     let mut config = SchedulerConfig::default();
     config.post.tile_sizes = vec![16];
     let sched = schedule(&scop, &config).unwrap();
-    let legal = sched
-        .tree()
-        .expect("post-processing attaches a tree")
-        .clone();
+    let legal = sched.tree().clone();
     let mut broken = legal.clone();
     let mut band_no = 0;
     broken.for_each_band_mut(|_, members| {
@@ -313,7 +310,7 @@ fn a_dependence_between_two_filters_under_the_rewritten_band_is_re_checked() {
     let cross = deps.iter().filter(|d| d.src != d.dst).count() as u64;
     assert!(cross >= 1);
     let sched = schedule(&scop, &SchedulerConfig::default()).unwrap();
-    let before = sched.tree_or_lowered();
+    let before = sched.tree().clone();
     let TreeNode::Band { members, child, .. } = &before.root else {
         panic!("one fused band at the root: {before:?}");
     };

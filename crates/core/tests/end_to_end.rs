@@ -20,7 +20,7 @@ use polytops_workloads::{
 /// instance-order oracle (the flat oracle in [`assert_legal`] does not
 /// see tile or wavefront members).
 fn assert_tree_legal(name: &str, scop: &Scop, sched: &Schedule) {
-    let tree = sched.tree().unwrap_or_else(|| panic!("{name}: want tree"));
+    let tree = sched.tree();
     let paths = tree.stmt_paths();
     for (e, dep) in analyze(scop).iter().enumerate() {
         let steps = order_steps(&paths[dep.src.0], &paths[dep.dst.0]);
@@ -300,7 +300,7 @@ fn tiled_stencil_is_legal_and_records_tile_bands() {
     let sched = schedule(&scop, &cfg).unwrap();
     assert_legal("jacobi_1d/tiled", &scop, &sched);
     assert_tree_legal("jacobi_1d/tiled", &scop, &sched);
-    let nests = tile_nests(&sched.tree().unwrap().root);
+    let nests = tile_nests(&sched.tree().root);
     assert_eq!(nests.len(), 1, "one tiled band");
     let (sizes, tiles, points) = &nests[0];
     assert_eq!(sizes, &vec![32, 32]);
@@ -326,7 +326,7 @@ fn wavefronted_matmul_is_legal_and_exposes_inner_parallelism() {
     assert_tree_legal("matmul/wavefront", &scop, &sched);
     // The flat rows are untouched — the wavefront lives on the tree…
     assert_eq!(sched.stmt(StmtId(0)).rows(), plain.stmt(StmtId(0)).rows());
-    let band = wavefront_band(&sched.tree().unwrap().root).expect("a wavefronted band");
+    let band = wavefront_band(&sched.tree().root).expect("a wavefronted band");
     // …whose outer member became the band sum (a genuine transformation)…
     let expected: Vec<i64> = (0..5)
         .map(|c| (0..3).map(|d| plain.stmt(StmtId(0)).rows()[d][c]).sum())
@@ -356,7 +356,7 @@ fn intra_tile_vectorize_moves_the_parallel_loop_innermost() {
     let sched = schedule(&scop, &cfg).unwrap();
     assert_legal("matmul/intra-tile-vec", &scop, &sched);
     assert_tree_legal("matmul/intra-tile-vec", &scop, &sched);
-    let nests = tile_nests(&sched.tree().unwrap().root);
+    let nests = tile_nests(&sched.tree().root);
     assert_eq!(nests.len(), 1);
     let (_, _, points) = &nests[0];
     assert!(
@@ -369,7 +369,7 @@ fn intra_tile_vectorize_moves_the_parallel_loop_innermost() {
     let mut plain_cfg = presets::pluto();
     plain_cfg.post.tile_sizes = vec![16];
     let plain = schedule(&scop, &plain_cfg).unwrap();
-    let plain_nests = tile_nests(&plain.tree().unwrap().root);
+    let plain_nests = tile_nests(&plain.tree().root);
     let (_, _, plain_points) = &plain_nests[0];
     assert!(
         !plain_points.last().unwrap().coincident,

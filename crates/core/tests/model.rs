@@ -18,7 +18,7 @@ fn tiled_stencil_has_bounded_footprint() {
     let scop = jacobi_1d();
     let deps = analyze(&scop);
     let tiled = schedule(&scop, &presets::wavefront()).unwrap();
-    let marks = tiled.tree().expect("post-processing sets a tree").marks();
+    let marks = tiled.tree().marks();
     assert!(
         marks
             .iter()
@@ -160,7 +160,7 @@ fn for_machine_preset_schedules_and_certifies() {
             sched.stmt(d.dst).rows(),
         )
     }));
-    let marks = sched.tree().expect("post-processing sets a tree").marks();
+    let marks = sched.tree().marks();
     assert!(
         marks
             .iter()

@@ -106,7 +106,7 @@ fn lowered_tree_order_equals_flat_order_on_every_sweep_kernel() {
 /// instances — tiling or wavefronting may *reorder* instances but must
 /// never collapse or duplicate them.
 fn assert_strict_total_order(name: &str, scop: &Scop, sched: &Schedule) {
-    let tree = sched.tree().expect("post-processing sets a tree");
+    let tree = sched.tree();
     let paths = tree.stmt_paths();
     let instances = all_instances(scop);
     let params = &PARAMS[..scop.nparams()];
@@ -132,7 +132,7 @@ fn tiled_wavefronted_tree_remains_a_strict_total_order() {
     cfg.post.tile_sizes = vec![4, 4];
     cfg.post.wavefront = true;
     let sched = schedule(&scop, &cfg).unwrap();
-    let marks = sched.tree().unwrap().marks();
+    let marks = sched.tree().marks();
     assert!(marks.iter().any(|m| matches!(m, MarkKind::Tile(_))));
     assert!(marks.iter().any(|m| matches!(m, MarkKind::Wavefront)));
     assert_strict_total_order("jacobi_1d tiled+wavefront", &scop, &sched);
@@ -146,7 +146,7 @@ fn vectorize_mark_survives_and_preserves_the_instance_set() {
     cfg.post.intra_tile_vectorize = true;
     cfg.auto_vectorize = true;
     let sched = schedule(&scop, &cfg).unwrap();
-    let marks = sched.tree().unwrap().marks();
+    let marks = sched.tree().marks();
     assert!(marks.iter().any(|m| matches!(m, MarkKind::Tile(_))));
     assert!(
         marks.iter().any(|m| matches!(m, MarkKind::Vectorize(_))),

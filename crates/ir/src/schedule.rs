@@ -4,7 +4,7 @@ use std::fmt;
 
 use crate::expr::AffineExpr;
 use crate::scop::{Scop, StmtId};
-use crate::tree::ScheduleTree;
+use crate::tree::{ScheduleTree, TreeNode};
 
 /// The schedule of one statement: one affine row per scheduling dimension,
 /// each over the statement's `(iters, params, 1)` columns.
@@ -60,17 +60,6 @@ impl StmtSchedule {
         &self.rows
     }
 
-    /// Replaces row `i` (used by post-processing transformations such as
-    /// wavefront skewing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range or the row has the wrong length.
-    pub fn set_row(&mut self, i: usize, row: Vec<i64>) {
-        assert_eq!(row.len(), self.depth + self.nparams + 1, "row length");
-        self.rows[i] = row;
-    }
-
     /// Row `i` as an affine expression.
     pub fn row_expr(&self, i: usize) -> AffineExpr {
         AffineExpr::from_row(&self.rows[i], self.depth, self.nparams)
@@ -108,9 +97,9 @@ impl StmtSchedule {
 
 /// A complete schedule for a [`Scop`]: per-statement rows plus band and
 /// parallelism metadata produced by the scheduler (paper Algorithm 1's
-/// `Bands` and `ParallelDimension` outputs), and — after the
-/// post-processing stage — the structured [`ScheduleTree`] view that
-/// tiling, wavefronting and vectorization are expressed on.
+/// `Bands` and `ParallelDimension` outputs), and the structured
+/// [`ScheduleTree`] that tiling, wavefronting and vectorization are
+/// expressed on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     per_stmt: Vec<StmtSchedule>,
@@ -119,27 +108,14 @@ pub struct Schedule {
     bands: Vec<usize>,
     /// Whether each scheduling dimension is parallel.
     parallel: Vec<bool>,
-    /// The structured schedule-tree view. `None` until post-processing
-    /// lowers the flat rows (tiling, wavefronting and vectorization are
-    /// tree transforms and live here, not in the rows).
-    tree: Option<ScheduleTree>,
+    /// The structured schedule tree: the lowering of the flat rows when
+    /// the schedule is built, replaced by post-processing (tiling,
+    /// wavefronting and vectorization are tree transforms and live here,
+    /// not in the rows).
+    tree: ScheduleTree,
 }
 
 impl Schedule {
-    /// Creates an empty schedule shaped for `scop`.
-    pub fn empty(scop: &Scop) -> Schedule {
-        Schedule {
-            per_stmt: scop
-                .statements
-                .iter()
-                .map(|s| StmtSchedule::new(s.depth(), scop.nparams()))
-                .collect(),
-            bands: Vec::new(),
-            parallel: Vec::new(),
-            tree: None,
-        }
-    }
-
     /// The classic 2d+1 identity schedule: interleaves β positions and
     /// iterators, padding shallower statements so all timestamps have
     /// equal length.
@@ -189,15 +165,10 @@ impl Schedule {
         // Bands: every loop level is its own band in the 2d+1 form.
         let bands = (0..nrows).collect();
         let parallel = vec![false; nrows];
-        Schedule {
-            per_stmt,
-            bands,
-            parallel,
-            tree: None,
-        }
+        Schedule::lowered(per_stmt, bands, parallel)
     }
 
-    /// Builds a schedule from parts.
+    /// Builds a schedule from parts, its tree the lowering of the rows.
     ///
     /// # Panics
     ///
@@ -213,31 +184,42 @@ impl Schedule {
         }
         assert_eq!(bands.len(), dims, "bands length");
         assert_eq!(parallel.len(), dims, "parallel length");
-        Schedule {
+        Schedule::lowered(per_stmt, bands, parallel)
+    }
+
+    /// Assembles the flat parts and lowers them, once, to the tree.
+    fn lowered(per_stmt: Vec<StmtSchedule>, bands: Vec<usize>, parallel: Vec<bool>) -> Schedule {
+        let mut sched = Schedule {
+            tree: ScheduleTree {
+                nstmts: per_stmt.len(),
+                root: TreeNode::Leaf,
+            },
             per_stmt,
             bands,
             parallel,
-            tree: None,
-        }
+        };
+        sched.tree = ScheduleTree::lower(&sched);
+        sched
     }
 
-    /// The structured schedule-tree view (attached by post-processing;
-    /// `None` on a raw solver schedule).
-    pub fn tree(&self) -> Option<&ScheduleTree> {
-        self.tree.as_ref()
+    /// The structured schedule tree.
+    pub fn tree(&self) -> &ScheduleTree {
+        &self.tree
     }
 
-    /// The schedule-tree view, lowering the flat rows on the fly when no
-    /// tree has been attached yet.
-    pub fn tree_or_lowered(&self) -> ScheduleTree {
-        self.tree
-            .clone()
-            .unwrap_or_else(|| ScheduleTree::lower(self))
+    /// Moves the tree out for a rewrite, leaving a bare leaf until
+    /// [`Schedule::set_tree`] puts the rewritten tree back.
+    pub fn take_tree(&mut self) -> ScheduleTree {
+        let leaf = ScheduleTree {
+            nstmts: self.per_stmt.len(),
+            root: TreeNode::Leaf,
+        };
+        std::mem::replace(&mut self.tree, leaf)
     }
 
-    /// Attaches (or replaces) the structured schedule-tree view.
+    /// Replaces the structured schedule tree.
     pub fn set_tree(&mut self, tree: ScheduleTree) {
-        self.tree = Some(tree);
+        self.tree = tree;
     }
 
     /// Number of scheduling dimensions (equal across statements).
@@ -259,15 +241,6 @@ impl Schedule {
         &self.per_stmt[id.0]
     }
 
-    /// Mutable access (used by post-processing passes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn stmt_mut(&mut self, id: StmtId) -> &mut StmtSchedule {
-        &mut self.per_stmt[id.0]
-    }
-
     /// Band ids per dimension.
     pub fn bands(&self) -> &[usize] {
         &self.bands
@@ -276,11 +249,6 @@ impl Schedule {
     /// Parallel flags per dimension.
     pub fn parallel(&self) -> &[bool] {
         &self.parallel
-    }
-
-    /// Mutable parallel flags (post-processing).
-    pub fn parallel_mut(&mut self) -> &mut Vec<bool> {
-        &mut self.parallel
     }
 
     /// Timestamp of a statement instance.
@@ -393,5 +361,27 @@ mod tests {
         assert_eq!(ss.rows().len(), 5);
         assert_eq!(ss.depth(), 2);
         assert_eq!(ss.rank(), Ok(2)); // covers both iterators
+    }
+
+    #[test]
+    fn constructors_attach_the_lowered_tree() {
+        let scop = two_stmt_scop();
+        let identity = Schedule::identity_2dp1(&scop);
+        assert_eq!(identity.tree(), &ScheduleTree::lower(&identity));
+        // (i, β, j) with S0 before the j loop; i parallel, one band.
+        let mut s0 = StmtSchedule::new(1, 1);
+        s0.push_row(vec![1, 0, 0]);
+        s0.push_row(vec![0, 0, 0]);
+        s0.push_row(vec![0, 0, 0]);
+        let mut s1 = StmtSchedule::new(2, 1);
+        s1.push_row(vec![1, 0, 0, 0]);
+        s1.push_row(vec![0, 0, 0, 1]);
+        s1.push_row(vec![0, 1, 0, 0]);
+        let sched = Schedule::from_parts(vec![s0, s1], vec![0, 1, 2], vec![true, false, false]);
+        assert_eq!(sched.tree(), &ScheduleTree::lower(&sched));
+        assert!(matches!(
+            &sched.tree().root,
+            TreeNode::Band { members, .. } if members.len() == 1 && members[0].coincident
+        ));
     }
 }

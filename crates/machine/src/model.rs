@@ -278,14 +278,8 @@ pub fn stream_stride(
     access: &Access,
     param_estimate: i64,
 ) -> Option<i64> {
-    let facts: Vec<TileFact> = match sched.tree() {
-        Some(tree) => {
-            let mut v = Vec::new();
-            collect_tile_facts(&tree.root, &mut v);
-            v
-        }
-        None => Vec::new(),
-    };
+    let mut facts: Vec<TileFact> = Vec::new();
+    collect_tile_facts(&sched.tree().root, &mut facts);
     let d = innermost_executed_dim(sched, &facts, s)?;
     let row = sched.stmt(s).row_expr(d);
     // The iterator that advances when the innermost loop steps: the
@@ -398,17 +392,9 @@ pub fn extract_features(
     let est = param_estimate.max(2);
     let np = scop.nparams();
 
-    // Tiling and vectorization facts live on the schedule tree; a
-    // schedule that never went through post-processing has no tree and
-    // therefore neither transformation.
-    let facts: Vec<TileFact> = match sched.tree() {
-        Some(tree) => {
-            let mut v = Vec::new();
-            collect_tile_facts(&tree.root, &mut v);
-            v
-        }
-        None => Vec::new(),
-    };
+    // Tiling and vectorization facts live on the schedule tree.
+    let mut facts: Vec<TileFact> = Vec::new();
+    collect_tile_facts(&sched.tree().root, &mut facts);
 
     // Exact per-iterator extents of every statement domain (params
     // fixed at the estimate): the basis of every trip-count product.
@@ -514,17 +500,14 @@ pub fn extract_features(
     let vectorized_stmts = {
         let mut marked: Vec<usize> = sched
             .tree()
-            .map(|tree| {
-                tree.marks()
-                    .into_iter()
-                    .filter_map(|m| match m {
-                        MarkKind::Vectorize(stmts) => Some(stmts.iter().copied()),
-                        _ => None,
-                    })
-                    .flatten()
-                    .collect()
+            .marks()
+            .into_iter()
+            .filter_map(|m| match m {
+                MarkKind::Vectorize(stmts) => Some(stmts.iter().copied()),
+                _ => None,
             })
-            .unwrap_or_default();
+            .flatten()
+            .collect();
         marked.sort_unstable();
         marked.dedup();
         marked.len()
@@ -790,12 +773,13 @@ mod tests {
         }
     }
 
-    /// The identity (t, i) schedule of the stencil, one permutable band.
-    fn identity_schedule(tiled: Option<Vec<i64>>) -> Schedule {
+    /// The identity (t, i) schedule of the stencil, one permutable band
+    /// with the given parallel flags.
+    fn identity_schedule(parallel: [bool; 2], tiled: Option<Vec<i64>>) -> Schedule {
         let mut ss = StmtSchedule::new(2, 2);
         ss.push_row(vec![1, 0, 0, 0, 0]);
         ss.push_row(vec![0, 1, 0, 0, 0]);
-        let mut sched = Schedule::from_parts(vec![ss], vec![0, 0], vec![false, false]);
+        let mut sched = Schedule::from_parts(vec![ss], vec![0, 0], parallel.to_vec());
         if let Some(sizes) = tiled {
             let n = sizes.len();
             sched.set_tree(tiled_tree(sizes, vec![false; n], vec![false; n]));
@@ -811,7 +795,7 @@ mod tests {
         assert_eq!(ext, vec![64, 62]);
 
         let deps = polytops_deps::analyze(&scop);
-        let f = extract_features(&scop, &identity_schedule(None), &deps, 64);
+        let f = extract_features(&scop, &identity_schedule([false; 2], None), &deps, 64);
         assert_eq!(f.trip_counts, vec![64, 62]);
         assert_eq!(f.total_instances, 64 * 62, "instances use real bounds");
     }
@@ -819,7 +803,7 @@ mod tests {
     #[test]
     fn strides_follow_the_innermost_executed_loop() {
         let scop = stencil();
-        let sched = identity_schedule(None);
+        let sched = identity_schedule([false; 2], None);
         let stmt = &scop.statements[0];
         // Every access of A[i±k] is stride 1 in i, stride 0 in t.
         for acc in &stmt.accesses {
@@ -838,8 +822,13 @@ mod tests {
         let deps = polytops_deps::analyze(&scop);
         assert!(!deps.is_empty());
 
-        let plain = extract_features(&scop, &identity_schedule(None), &deps, 1024);
-        let tiled = extract_features(&scop, &identity_schedule(Some(vec![16, 16])), &deps, 1024);
+        let plain = extract_features(&scop, &identity_schedule([false; 2], None), &deps, 1024);
+        let tiled = extract_features(
+            &scop,
+            &identity_schedule([false; 2], Some(vec![16, 16])),
+            &deps,
+            1024,
+        );
 
         // Untiled: the footprint is the whole (estimated) array; tiled:
         // one 16×16 tile of it, independent of the parameter estimate.
@@ -867,11 +856,11 @@ mod tests {
     fn outer_parallelism_is_read_from_tile_or_point_flags() {
         let scop = stencil();
         let deps = polytops_deps::analyze(&scop);
-        let mut sched = identity_schedule(None);
+        let sched = identity_schedule([false; 2], None);
         assert!(!extract_features(&scop, &sched, &deps, 64).outer_parallel);
 
         // Point flag on the outermost dimension.
-        sched.parallel_mut()[0] = true;
+        let mut sched = identity_schedule([true, false], None);
         let f = extract_features(&scop, &sched, &deps, 64);
         assert!(f.outer_parallel);
         assert_eq!(f.sync_events, 1);
@@ -889,8 +878,8 @@ mod tests {
     fn inner_parallelism_pays_barriers() {
         let scop = stencil();
         let deps = polytops_deps::analyze(&scop);
-        let mut sched = identity_schedule(None);
-        sched.parallel_mut()[1] = true; // parallel inner, sequential outer
+        // Parallel inner, sequential outer.
+        let sched = identity_schedule([false, true], None);
         let f = extract_features(&scop, &sched, &deps, 64);
         assert!(!f.outer_parallel);
         assert_eq!(f.sync_events, 64, "one barrier per outer iteration");
@@ -909,9 +898,9 @@ mod tests {
     fn vectorization_reduces_compute() {
         let scop = stencil();
         let deps = polytops_deps::analyze(&scop);
-        let mut sched = identity_schedule(None);
+        let mut sched = identity_schedule([false; 2], None);
         let base = extract_features(&scop, &sched, &deps, 64);
-        let inner = sched.tree_or_lowered();
+        let inner = sched.tree().clone();
         sched.set_tree(ScheduleTree {
             nstmts: inner.nstmts,
             root: TreeNode::Mark {
@@ -984,7 +973,7 @@ mod tests {
     fn scores_are_finite_under_extreme_estimates() {
         let scop = stencil();
         let deps = polytops_deps::analyze(&scop);
-        let sched = identity_schedule(Some(vec![1 << 20, 1 << 20]));
+        let sched = identity_schedule([false; 2], Some(vec![1 << 20, 1 << 20]));
         let f = extract_features(&scop, &sched, &deps, i64::MAX / 2);
         let m = MachineModel::default();
         let cycles = estimate_cycles(&m, &f);

@@ -373,26 +373,6 @@ impl ConstraintSystem {
         let scaled = out.normalize_impl(true) == Normalized::Scaled;
         Ok(Some((out, scaled)))
     }
-
-    /// Eliminates the trailing `count` variables (one at a time, last
-    /// first) with integer tightening.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::Overflow`](crate::MathError::Overflow) when combined rows overflow.
-    pub fn eliminate_last_vars(&self, count: usize) -> Result<ConstraintSystem> {
-        let mut cur = self.clone();
-        for _ in 0..count {
-            cur = cur.eliminate_var(cur.num_vars - 1)?;
-        }
-        Ok(cur)
-    }
-
-    /// Whether normalization exposes a trivially infeasible row.
-    pub fn is_trivially_infeasible(&self) -> bool {
-        let mut c = self.clone();
-        !c.normalize()
-    }
 }
 
 /// What normalizing a system did to its rows.

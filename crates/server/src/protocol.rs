@@ -369,7 +369,7 @@ fn tree_node_to_json(node: &TreeNode) -> Json {
 /// Serializes a schedule: per-statement rows (over `(iters, params, 1)`
 /// columns) plus band and parallelism metadata, and the schedule tree
 /// (tiling, wavefront and vectorization all live there as marks and
-/// quasi-affine band members; `null` when post-processing never ran).
+/// quasi-affine band members).
 pub fn schedule_to_json(sched: &Schedule) -> Json {
     let statements: Vec<Json> = (0..sched.num_statements())
         .map(|s| {
@@ -396,12 +396,7 @@ pub fn schedule_to_json(sched: &Schedule) -> Json {
             Json::Array(sched.parallel().iter().map(|&p| Json::Bool(p)).collect()),
         ),
         ("statements", Json::Array(statements)),
-        (
-            "tree",
-            sched
-                .tree()
-                .map_or(Json::Null, |t| tree_node_to_json(&t.root)),
-        ),
+        ("tree", tree_node_to_json(&sched.tree().root)),
     ])
 }
 
@@ -1082,6 +1077,29 @@ mod tests {
             let obj = entry.as_object().unwrap();
             assert_eq!(obj["ok"].as_bool(), Some(true));
             assert_eq!(obj["certified"].as_bool(), Some(true));
+        }
+    }
+
+    #[test]
+    fn every_schedule_result_carries_its_tree() {
+        // One untiled and one tiled scenario: both trees are objects.
+        let req = match parse_request(&request_line()).unwrap() {
+            Request::Schedule(r) => r,
+            other => panic!("expected schedule, got {other:?}"),
+        };
+        let line = schedule_response(
+            &req.id,
+            offline_results(&req),
+            Json::Array(vec![]),
+            false,
+            0,
+        );
+        let parsed = polytops_core::json::parse(&line).unwrap();
+        let results = parsed.as_object().unwrap()["results"].as_array().unwrap();
+        assert_eq!(results.len(), 2);
+        for result in results {
+            let schedule = result.as_object().unwrap()["schedule"].as_object().unwrap();
+            assert!(schedule["tree"].as_object().is_some(), "{result:?}");
         }
     }
 }

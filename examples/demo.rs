@@ -289,21 +289,19 @@ fn main() {
     let sched = schedule(&scop, &cfg).expect("demo kernel schedules");
     println!("\n== schedule ({preset}) ==");
     print!("{}", polytops::codegen::schedule_table(&scop, &sched));
-    if let Some(tree) = sched.tree() {
-        for mark in tree.marks() {
-            match mark {
-                polytops::MarkKind::Tile(sizes) => println!("tiled band: sizes {sizes:?}"),
-                polytops::MarkKind::Wavefront => println!("wavefronted band"),
-                polytops::MarkKind::Vectorize(stmts) => {
-                    println!("vectorized statements {stmts:?}");
-                }
+    for mark in sched.tree().marks() {
+        match mark {
+            polytops::MarkKind::Tile(sizes) => println!("tiled band: sizes {sizes:?}"),
+            polytops::MarkKind::Wavefront => println!("wavefronted band"),
+            polytops::MarkKind::Vectorize(stmts) => {
+                println!("vectorized statements {stmts:?}");
             }
         }
     }
 
     if preset == "tree" {
         println!("\n== schedule tree ==");
-        print!("{}", sched.tree_or_lowered().render(&scop));
+        print!("{}", sched.tree().render(&scop));
     }
 
     println!("\n== generated loop nest (schedule tree) ==");
@@ -312,7 +310,7 @@ fn main() {
 
     // Certify the emitted tree itself: compare source and target
     // instance order along the tree paths for every dependence.
-    let paths = sched.tree_or_lowered().stmt_paths();
+    let paths = sched.tree().stmt_paths();
     let legal = deps.iter().all(|d| {
         polytops::steps_respect_dependence(
             d,
