@@ -1,17 +1,18 @@
 //! The dependence [`Certifier`] — one live tableau per dependence,
-//! walks that pin as they go, touched-only re-certification — against
-//! the from-scratch oracle of `crates/deps/tests/reference` (a rebuilt
-//! system per question), over every kernel × preset × post-processing
-//! combination; and against trees that are illegal on purpose, which it
-//! must keep rejecting.
+//! walks that pin as they go — against the from-scratch oracle of
+//! `crates/deps/tests/reference` (a rebuilt system per question), over
+//! every kernel × preset × post-processing combination; every
+//! coincidence flag of those trees against the reference's conditioned
+//! coincidence; and trees that are illegal on purpose, which both must
+//! keep rejecting.
 
 #[path = "../../deps/tests/reference/mod.rs"]
 mod reference;
 
 use polytops_core::{schedule, SchedulerConfig};
-use polytops_deps::{analyze, order_steps_with_nodes, Certifier, Dependence};
+use polytops_deps::{analyze, order_steps, Certifier, Dependence};
 use polytops_ir::{
-    Aff, BandMember, MarkKind, MemberTerm, ScheduleTree, Scop, ScopBuilder, TreeNode,
+    Aff, BandMember, MarkKind, MemberTerm, PathStep, ScheduleTree, Scop, ScopBuilder, TreeNode,
 };
 use polytops_workloads::{all_kernels, jacobi_1d, producer_consumer, sweep::preset_grid};
 
@@ -59,20 +60,10 @@ fn every_answer_matches_the_from_scratch_oracle() {
                             "{what}: dep {e}"
                         );
                     }
-                    // The tree: its order, and every member's
-                    // conditioned coincidence from one walk.
-                    let (steps, _) = order_steps_with_nodes(&paths[dep.src.0], &paths[dep.dst.0]);
+                    // The tree's order.
+                    let steps = order_steps(&paths[dep.src.0], &paths[dep.dst.0]);
                     assert!(certifier.steps_respect(e, &steps), "{what}: dep {e}");
                     assert!(reference::steps_respect(dep, &steps), "{what}: dep {e}");
-                    let walk = certifier.walk(e, &steps, true, &vec![true; steps.len()]);
-                    assert!(walk.respected, "{what}: dep {e}");
-                    for j in 0..steps.len() {
-                        assert_eq!(
-                            walk.coincident[j],
-                            reference::step_coincident(dep, &steps[..j], &steps[j]),
-                            "{what}: dep {e}, step {j} of {steps:?}"
-                        );
-                    }
                     asked += steps.len();
                 }
                 assert!(certifier.stats().tableau_builds <= deps.len() as u64);
@@ -80,6 +71,55 @@ fn every_answer_matches_the_from_scratch_oracle() {
         }
     }
     assert!(asked > 1000, "the sweep asked about {asked} steps");
+}
+
+#[test]
+fn every_coincident_member_is_coincident_given_the_steps_outside_it() {
+    // Every flag of every emitted tree — the engine's on untransformed
+    // bands, the unconditioned rule's on tile bands, the proof's rule on
+    // wavefronts and rotations — must be sound: on every dependence that
+    // reaches the member, the member's step is zero wherever the steps
+    // before it are.
+    let mut posts = vec![("none", vec![], false, false)];
+    posts.extend(post_grid());
+    let (mut members_seen, mut coincident) = (0, 0);
+    for (kernel, scop) in all_kernels() {
+        let deps = analyze(&scop);
+        for (preset, base) in preset_grid() {
+            for (post, sizes, wavefront, vectorize) in &posts {
+                let mut config = base.clone();
+                config.post.tile_sizes = sizes.clone();
+                config.post.wavefront = *wavefront;
+                config.post.intra_tile_vectorize = *vectorize;
+                let what = format!("{kernel}/{preset}/{post}");
+                let sched = schedule(&scop, &config).unwrap_or_else(|e| panic!("{what}: {e}"));
+                let tree = sched.tree();
+                let paths = tree.stmt_paths();
+                tree.for_each_band(|_, members| {
+                    members_seen += members.len();
+                    coincident += members.iter().filter(|m| m.coincident).count();
+                });
+                for dep in &deps {
+                    let src = &paths[dep.src.0];
+                    let steps = order_steps(src, &paths[dep.dst.0]);
+                    // Step j compares what src[j] is.
+                    for (j, step) in src.iter().take(steps.len()).enumerate() {
+                        if let PathStep::Member {
+                            coincident: true, ..
+                        } = step
+                        {
+                            assert!(
+                                reference::step_coincident(dep, &steps[..j], &steps[j]),
+                                "{what}: step {j} is flagged coincident but not for {dep:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Every flag of the grid, so a flag that flips shows here too.
+    assert_eq!((members_seen, coincident), (505, 222));
 }
 
 // ---------------------------------------------------------------------
@@ -146,16 +186,20 @@ fn tree(nstmts: usize, root: TreeNode) -> ScheduleTree {
     ScheduleTree { nstmts, root }
 }
 
-/// Whether the rewrite `before → after` is certified, with what the
-/// certifier did to decide.
-fn rewrite(
-    deps: &[Dependence],
-    before: &ScheduleTree,
-    after: &ScheduleTree,
-) -> (bool, polytops_deps::CertifierStats) {
+/// Whether `tree` orders every dependence source-first, asked of one
+/// certifier and of the from-scratch reference, which must agree.
+fn legal(deps: &[Dependence], tree: &ScheduleTree) -> bool {
+    let paths = tree.stmt_paths();
     let mut certifier = Certifier::new(deps);
-    let verdict = certifier.certify_rewrite(&before.stmt_paths(), &after.stmt_paths(), 0..0);
-    (verdict.is_some(), certifier.stats())
+    let verdicts: Vec<bool> = (deps.iter().enumerate())
+        .map(|(e, dep)| {
+            let steps = order_steps(&paths[dep.src.0], &paths[dep.dst.0]);
+            let verdict = certifier.steps_respect(e, &steps);
+            assert_eq!(verdict, reference::steps_respect(dep, &steps), "dep {e}");
+            verdict
+        })
+        .collect();
+    verdicts.iter().all(|&v| v)
 }
 
 #[test]
@@ -169,35 +213,24 @@ fn a_tile_band_over_a_band_that_is_not_permutable_is_rejected() {
     // (t, i) is a legal order but not a permutable band — the (1, −1)
     // dependence runs backwards across i tiles — while (t, t + i) is.
     let plain = tree(1, band(vec![t.clone(), i.clone()], TreeNode::Leaf));
-    let skewed = tree(1, band(vec![t.clone(), skew.clone()], TreeNode::Leaf));
-    let (ok, stats) = rewrite(
-        &deps,
-        &plain,
-        &tree(1, tiled(&[t.clone(), i.clone()], 4, TreeNode::Leaf)),
-    );
-    assert!(!ok, "tiling (t, i) must be refused");
+    assert!(legal(&deps, &plain));
     assert!(
-        stats.deps_recertified >= 1 && stats.deps_skipped == 0,
-        "{stats:?}"
+        !legal(
+            &deps,
+            &tree(1, tiled(&[t.clone(), i.clone()], 4, TreeNode::Leaf))
+        ),
+        "tiling (t, i) must be refused"
     );
-    let (ok, stats) = rewrite(
-        &deps,
-        &skewed,
-        &tree(1, tiled(&[t.clone(), skew], 4, TreeNode::Leaf)),
+    assert!(
+        legal(
+            &deps,
+            &tree(1, tiled(&[t.clone(), skew], 4, TreeNode::Leaf))
+        ),
+        "tiling (t, t + i) is legal"
     );
-    assert!(ok, "tiling (t, t + i) is legal");
-    assert_eq!(stats.deps_recertified, deps.len() as u64);
-
     // A rotation that moves the carrying member t inside i.
     let rotated = tree(1, band(vec![i, t], TreeNode::Leaf));
-    assert!(
-        !rewrite(&deps, &plain, &rotated).0,
-        "(i, t) must be refused"
-    );
-    // Nothing changed: nothing is asked, the verdict stands.
-    let (ok, stats) = rewrite(&deps, &plain, &plain);
-    assert!(ok);
-    assert_eq!((stats.deps_skipped, stats.queries), (deps.len() as u64, 0));
+    assert!(!legal(&deps, &rotated), "(i, t) must be refused");
 }
 
 #[test]
@@ -210,8 +243,8 @@ fn a_reversed_point_loop_that_carries_a_dependence_is_rejected() {
     let mut config = SchedulerConfig::default();
     config.post.tile_sizes = vec![16];
     let sched = schedule(&scop, &config).unwrap();
-    let legal = sched.tree().clone();
-    let mut broken = legal.clone();
+    let legal_tree = sched.tree().clone();
+    let mut broken = legal_tree.clone();
     let mut band_no = 0;
     broken.for_each_band_mut(|_, members| {
         if band_no == 1 {
@@ -222,19 +255,10 @@ fn a_reversed_point_loop_that_carries_a_dependence_is_rejected() {
         band_no += 1;
     });
     assert!(band_no >= 2, "a tile band and a point band");
-    assert_ne!(broken, legal);
-    assert!(!rewrite(&deps, &legal, &broken).0);
-    // The same tree asked from scratch agrees.
-    let paths = broken.stmt_paths();
-    assert!(deps.iter().any(|dep| {
-        let (steps, _) = order_steps_with_nodes(&paths[dep.src.0], &paths[dep.dst.0]);
-        !reference::steps_respect(dep, &steps)
-    }));
+    assert_ne!(broken, legal_tree);
+    assert!(legal(&deps, &legal_tree));
+    assert!(!legal(&deps, &broken));
 }
-
-// ---------------------------------------------------------------------
-// Touched-only re-certification, both ways.
-// ---------------------------------------------------------------------
 
 /// `n` independent nests `for i for j: Ak[i][j] = Ak[i-1][j] + Ak[i][j-1]`.
 fn stripes(n: usize) -> Scop {
@@ -256,59 +280,37 @@ fn stripes(n: usize) -> Scop {
 }
 
 #[test]
-fn a_rewrite_of_one_band_re_certifies_only_the_dependences_through_it() {
+fn a_tiled_nest_beside_untiled_ones_is_legal() {
     // One band per statement under a sequence, and the band of S2
-    // tiled: only S2's own dependences cross a changed step.
+    // tiled.
     let n = 4;
     let scop = stripes(n);
     let deps = analyze(&scop);
-    let own = |k: usize| deps.iter().filter(|d| d.src.0 == k && d.dst.0 == k).count() as u64;
-    assert!(deps.iter().all(|d| d.src == d.dst) && own(2) >= 2);
+    assert!(deps.iter().all(|d| d.src == d.dst));
     let rows_i: Vec<&[i64]> = vec![&[1, 0, 0, 0]; n]; // (i, j, N, 1)
     let rows_j: Vec<&[i64]> = vec![&[0, 1, 0, 0]; n];
     let points = [member(&rows_i, 1, 0), member(&rows_j, 1, 1)];
-    let nest = |k: usize, tile: bool| TreeNode::Filter {
+    let nest = |k: usize| TreeNode::Filter {
         stmts: vec![k],
-        child: if tile {
+        child: if k == 2 {
             tiled(&points, 16, TreeNode::Leaf)
         } else {
             band(points.to_vec(), TreeNode::Leaf)
         }
         .boxed(),
     };
-    let before = tree(
-        n,
-        TreeNode::Sequence((0..n).map(|k| nest(k, false)).collect()),
-    );
-    let after = tree(
-        n,
-        TreeNode::Sequence((0..n).map(|k| nest(k, k == 2)).collect()),
-    );
-    let (ok, stats) = rewrite(&deps, &before, &after);
-    assert!(ok, "each nest is a permutable band");
-    assert_eq!(stats.deps_recertified, own(2));
-    assert_eq!(stats.deps_skipped, deps.len() as u64 - own(2));
-    assert_eq!(
-        stats.tableau_builds,
-        own(2),
-        "no tableau for a skipped dependence"
-    );
-
-    // wide_scop_8 — the sweep's widest tree — has no dependence at all:
-    // whatever is rewritten, nothing is asked.
-    let wide = polytops_workloads::synthetic::wide_scop(8);
-    assert!(analyze(&wide).is_empty());
+    let after = tree(n, TreeNode::Sequence((0..n).map(nest).collect()));
+    assert!(legal(&deps, &after), "each nest is a permutable band");
 }
 
 #[test]
 fn a_dependence_between_two_filters_under_the_rewritten_band_is_re_checked() {
     // producer_consumer fuses S0 and S1 under one band with a sequence
-    // below it; S0 → S1 crosses the band, so tiling it re-checks that
-    // dependence, and a tile member that runs S1 backwards is caught.
+    // below it; S0 → S1 crosses the band, so a tile member that runs S1
+    // backwards is caught.
     let scop = producer_consumer();
     let deps = analyze(&scop);
-    let cross = deps.iter().filter(|d| d.src != d.dst).count() as u64;
-    assert!(cross >= 1);
+    assert!(deps.iter().any(|d| d.src != d.dst));
     let sched = schedule(&scop, &SchedulerConfig::default()).unwrap();
     let before = sched.tree().clone();
     let TreeNode::Band { members, child, .. } = &before.root else {
@@ -316,13 +318,7 @@ fn a_dependence_between_two_filters_under_the_rewritten_band_is_re_checked() {
     };
     assert!(matches!(child.as_ref(), TreeNode::Sequence(_)));
     let after = tree(2, tiled(members, 16, child.as_ref().clone()));
-    let (ok, stats) = rewrite(&deps, &before, &after);
-    assert!(ok);
-    assert_eq!(
-        stats.deps_recertified,
-        deps.len() as u64,
-        "every dependence crosses the band"
-    );
+    assert!(legal(&deps, &after));
 
     let mut broken = after.clone();
     broken.for_each_band_mut(|first, members| {
@@ -332,10 +328,7 @@ fn a_dependence_between_two_filters_under_the_rewritten_band_is_re_checked() {
             row.iter_mut().for_each(|c| *c = -*c);
         }
     });
-    assert!(
-        !rewrite(&deps, &before, &broken).0,
-        "S0 → S1 must be re-checked"
-    );
+    assert!(!legal(&deps, &broken), "S0 → S1 must be checked");
 }
 
 // ---------------------------------------------------------------------
@@ -376,7 +369,7 @@ fn a_schedule_builds_one_tableau_per_dependence_however_many_questions() {
     // tableau per question multiplies the first by ten, and a rewrite
     // the proof stops covering is no longer committed.
     let (oracle, proved) = counters(&jacobi_1d(), &polytops_core::presets::wavefront());
-    assert_eq!(oracle, (9, 9, 105));
+    assert_eq!(oracle, (9, 9, 52));
     assert_eq!(proved, 2, "tile and wavefront");
 
     let mut config = SchedulerConfig::default();

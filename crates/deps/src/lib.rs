@@ -44,7 +44,6 @@ mod satisfy;
 pub use analysis::{analyze, common_loops, DepKind, Dependence};
 pub use graph::{dependence_sccs, sccs_topological};
 pub use satisfy::{
-    distance_row, order_steps, order_steps_with_nodes, respects, schedule_respects_dependence,
-    step_coincident, steps_respect_dependence, strongly_satisfies, zero_distance, Certifier,
-    CertifierStats, OrderStep, StepDelta, StepSystem, Walk,
+    distance_row, order_steps, respects, schedule_respects_dependence, steps_respect_dependence,
+    strongly_satisfies, zero_distance, Certifier, CertifierStats, OrderStep, StepDelta, StepSystem,
 };

@@ -12,10 +12,11 @@
 //! over one polyhedron. A [`Certifier`] therefore keeps, per
 //! dependence, the solved tableau of its polyhedron
 //! ([`IncrementalLp`]) and asks each question as one pushed row on a
-//! snapshot of it; a walk down a step sequence pins `Δ = 0` on one
-//! working copy as it goes instead of rebuilding prefix + step per
-//! question. The free functions of this module are the one-dependence,
-//! one-question forms of the same code.
+//! snapshot of it. An order question about a whole flat schedule or a
+//! tree's step sequence walks it on one working copy, asking `Δ ≤ −1`
+//! of each step and pinning `Δ = 0` before the next, instead of
+//! rebuilding prefix + step per question. The free functions of this
+//! module are the one-dependence, one-question forms of the same code.
 
 use std::collections::HashMap;
 
@@ -125,9 +126,8 @@ pub fn schedule_respects_dependence(
 ///
 /// The floored-term windows over-approximate the true floor difference,
 /// so the oracle is *sound but conservative*: it never certifies an
-/// illegal instance order and never reports a non-coincident member
-/// coincident, but it may reject a legal transform (never observed for
-/// permutable bands, where the windows are tight enough).
+/// illegal instance order, but it may reject a legal transform (never
+/// observed for permutable bands, where the windows are tight enough).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OrderStep {
     /// A band member: `(numerator row, divisor)` terms per side, the
@@ -153,19 +153,8 @@ pub enum OrderStep {
 /// and a sequence node where the positions differ (which decides the
 /// order statically) terminates the sequence.
 pub fn order_steps(src_path: &[PathStep], dst_path: &[PathStep]) -> Vec<OrderStep> {
-    order_steps_with_nodes(src_path, dst_path).0
-}
-
-/// [`order_steps`] plus, beside each step, the structural node id of
-/// the band member it compares (`None` for a sequence position) — what
-/// attributes a conditioned property of the step back to a tree member.
-pub fn order_steps_with_nodes(
-    src_path: &[PathStep],
-    dst_path: &[PathStep],
-) -> (Vec<OrderStep>, Vec<Option<usize>>) {
     use PathStep as P;
     let mut steps = Vec::new();
-    let mut nodes = Vec::new();
     for (a, b) in src_path.iter().zip(dst_path.iter()) {
         match (a, b) {
             (
@@ -184,11 +173,9 @@ pub fn order_steps_with_nodes(
                     src: ta.clone(),
                     dst: tb.clone(),
                 });
-                nodes.push(Some(*na));
             }
             (P::Seq { node: na, pos: pa }, P::Seq { node: nb, pos: pb }) if na == nb => {
                 steps.push(OrderStep::Position { src: *pa, dst: *pb });
-                nodes.push(None);
                 if pa != pb {
                     break;
                 }
@@ -196,7 +183,7 @@ pub fn order_steps_with_nodes(
             _ => break,
         }
     }
-    (steps, nodes)
+    steps
 }
 
 /// The distance of one step over the extended variable space
@@ -441,22 +428,6 @@ pub fn steps_respect_dependence(dep: &Dependence, steps: &[OrderStep]) -> bool {
     Certifier::new(std::slice::from_ref(dep)).steps_respect(0, steps)
 }
 
-/// Whether the step's distance is 0 for every dependence instance with
-/// equal coordinates on all `prefix` steps — the tree notion of
-/// coincidence (the member's loop may run in parallel at that position
-/// of the schedule). Conditioning on the prefix is what lets a
-/// wavefronted tile band expose coincident inner tile members: a
-/// dependence crossing tiles always crosses the skewed outer member
-/// first.
-pub fn step_coincident(dep: &Dependence, prefix: &[OrderStep], step: &OrderStep) -> bool {
-    let mut steps = prefix.to_vec();
-    steps.push(step.clone());
-    let mut wanted = vec![false; steps.len()];
-    wanted[prefix.len()] = true;
-    let walk = Certifier::new(std::slice::from_ref(dep)).walk(0, &steps, false, &wanted);
-    walk.coincident[prefix.len()]
-}
-
 // ---------------------------------------------------------------------
 // The certifier.
 // ---------------------------------------------------------------------
@@ -473,13 +444,6 @@ pub struct CertifierStats {
     pub tableau_builds: u64,
     /// Branch-and-bound nodes the feasibility questions explored.
     pub bb_nodes: u64,
-    /// Dependences [`Certifier::certify_rewrite`] walked because the
-    /// rewrite changed their step sequence.
-    pub deps_recertified: u64,
-    /// Dependences it did not: same steps before and after (every
-    /// dependence when a proved rewrite is walked against itself for
-    /// its coincidence flags alone).
-    pub deps_skipped: u64,
 }
 
 /// What one dependence keeps between questions.
@@ -492,19 +456,6 @@ struct DepOracle {
     /// `δ` row is the key): `1` for `δ ≥ 0`, `-1` for `δ ≤ 0`, `0` for
     /// neither.
     cuts: HashMap<Vec<i64>, i8>,
-}
-
-/// The outcome of [`Certifier::walk`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Walk {
-    /// Whether the step sequence orders every instance pair of the
-    /// dependence source-first (`true` when the order was not asked
-    /// about).
-    pub respected: bool,
-    /// Per step: whether its distance is 0 wherever every earlier step
-    /// is. `true` where it was not asked, and vacuously `true` below a
-    /// step that already separates every pair.
-    pub coincident: Vec<bool>,
 }
 
 /// The dependence oracle of one set of dependences: answers every
@@ -526,8 +477,6 @@ impl Drop for Certifier<'_> {
             ("oracle.queries", s.queries),
             ("oracle.tableau_builds", s.tableau_builds),
             ("oracle.bb_nodes", s.bb_nodes),
-            ("oracle.deps_recertified", s.deps_recertified),
-            ("oracle.deps_skipped", s.deps_skipped),
         ] {
             if n > 0 {
                 polytops_math::obs::count(name, n);
@@ -638,7 +587,7 @@ impl<'a> Certifier<'a> {
             .collect();
         let (oracle, stats) = self.oracle(e);
         let mut lp = oracle.base.as_ref().map(|base| base.with_vars(0, 0));
-        descend(&mut lp, &deltas, true, &vec![false; deltas.len()], stats).respected
+        descend(&mut lp, &deltas, stats)
     }
 
     /// Whether `sched`'s rows order every dependence source-first: the
@@ -651,24 +600,10 @@ impl<'a> Certifier<'a> {
         })
     }
 
-    /// [`steps_respect_dependence`] for `deps[e]`.
+    /// [`steps_respect_dependence`] for `deps[e]`: one walk down `steps`
+    /// on a copy of the base tableau widened by the sequence's auxiliary
+    /// variables.
     pub fn steps_respect(&mut self, e: usize, steps: &[OrderStep]) -> bool {
-        self.walk(e, steps, true, &vec![false; steps.len()])
-            .respected
-    }
-
-    /// Walks `steps` for `deps[e]` on one tableau — the base tableau
-    /// widened by the sequence's auxiliary variables — asking of each
-    /// step in turn and then pinning its distance to 0:
-    ///
-    /// * with `order`, whether some instance pair still equal on every
-    ///   earlier step is ordered backwards by this one (`Δ ≤ −1` on a
-    ///   snapshot), and at the end whether some pair is equal on all of
-    ///   them — either way the sequence does not respect the
-    ///   dependence, and the walk stops;
-    /// * where `wanted`, whether the step is coincident given the
-    ///   earlier ones (`Δ ≥ 1` and `Δ ≤ −1` both empty).
-    pub fn walk(&mut self, e: usize, steps: &[OrderStep], order: bool, wanted: &[bool]) -> Walk {
         let dep = &self.deps[e];
         let (oracle, stats) = self.oracle(e);
         let DepOracle { base, cuts } = oracle;
@@ -706,111 +641,42 @@ impl<'a> Certifier<'a> {
             }
             lp
         });
-        descend(&mut lp, &enc.deltas, order, wanted, stats)
-    }
-
-    /// Certifies the instance order `after` of a rewritten tree, given
-    /// that the tree it was rewritten from — instance order `before` —
-    /// is certified: only the dependences whose step sequence the
-    /// rewrite changed are walked again, since a verdict is a function
-    /// of (dependence, steps). Both arguments are
-    /// [`polytops_ir::ScheduleTree::stmt_paths`].
-    ///
-    /// `flags` selects, by structural node id in `after`, the band
-    /// members whose conditioned coincidence is wanted. Returns `None`
-    /// when `after` violates a dependence, otherwise one flag per id of
-    /// `flags`: whether the member is coincident for every dependence
-    /// that reaches it.
-    pub fn certify_rewrite(
-        &mut self,
-        before: &[Vec<PathStep>],
-        after: &[Vec<PathStep>],
-        flags: std::ops::Range<usize>,
-    ) -> Option<Vec<bool>> {
-        let mut out = vec![true; flags.len()];
-        for (e, dep) in self.deps.iter().enumerate() {
-            let (src, dst) = (dep.src.0, dep.dst.0);
-            let (steps, nodes) = order_steps_with_nodes(&after[src], &after[dst]);
-            let touched = steps != order_steps(&before[src], &before[dst]);
-            let wanted: Vec<bool> = nodes
-                .iter()
-                .map(|id| id.is_some_and(|id| flags.contains(&id)))
-                .collect();
-            if touched {
-                self.stats.deps_recertified += 1;
-            } else {
-                self.stats.deps_skipped += 1;
-                if !wanted.contains(&true) {
-                    continue;
-                }
-            }
-            let walk = self.walk(e, &steps, touched, &wanted);
-            if !walk.respected {
-                return None;
-            }
-            for (j, id) in nodes.iter().enumerate() {
-                if let Some(id) = id.filter(|_| wanted[j]) {
-                    out[id - flags.start] &= walk.coincident[j];
-                }
-            }
-        }
-        Some(out)
+        descend(&mut lp, &enc.deltas, stats)
     }
 }
 
-/// The walk of [`Certifier::walk`] over the encoded distances, on the
-/// working tableau `lp`.
+/// The walk of the order questions over encoded distances, on the
+/// working tableau `lp`: of each step in turn, whether some instance
+/// pair still equal on every earlier step is ordered backwards by it
+/// (`Δ ≤ −1` on a snapshot), then its distance pinned to 0; at the end,
+/// whether some pair is equal on all of them. Either way the sequence
+/// does not respect the dependence.
 fn descend(
     lp: &mut Option<IncrementalLp>,
     deltas: &[StepDelta],
-    order: bool,
-    wanted: &[bool],
     stats: &mut CertifierStats,
-) -> Walk {
-    let mut walk = Walk {
-        respected: true,
-        coincident: vec![true; deltas.len()],
-    };
-    for (j, delta) in deltas.iter().enumerate() {
+) -> bool {
+    for delta in deltas {
         match delta {
             StepDelta::Const(0) => {}
-            StepDelta::Const(c) => {
-                // Strictly ordered wherever the prefix is equal, so
-                // nothing can remain unordered below — forwards, or
-                // backwards for every instance still equal on it.
-                let backwards = order && *c < 0;
-                if (backwards || wanted[j]) && may_hold(lp, None, stats) {
-                    walk.respected = !backwards;
-                    walk.coincident[j] = !wanted[j];
-                }
-                return walk;
-            }
+            // Strictly ordered wherever the prefix is equal, so nothing
+            // can remain unordered below — forwards, or backwards for
+            // every instance still equal on it.
+            StepDelta::Const(c) => return *c > 0 || !may_hold(lp, None, stats),
             StepDelta::Linear(row) => {
-                if order || wanted[j] {
-                    let backwards = may_hold(lp, Some(&at_most_minus_one(row)), stats);
-                    if wanted[j] {
-                        walk.coincident[j] =
-                            !backwards && !may_hold(lp, Some(&at_least_one(row)), stats);
-                    }
-                    if order && backwards {
-                        walk.respected = false;
-                        return walk;
-                    }
+                if may_hold(lp, Some(&at_most_minus_one(row)), stats) {
+                    return false;
                 }
                 if let Some(live) = lp {
                     if live.pin_int_eq(row) == Ok(false) {
-                        // No pair is equal this far down: every later
-                        // question is about the empty set.
-                        return walk;
+                        // No pair is equal this far down.
+                        return true;
                     }
                 }
             }
         }
     }
-    // Violated if some instance pair is equal on every step (no strict
-    // order at all).
-    walk.respected = !(order && may_hold(lp, None, stats));
-    walk
+    !may_hold(lp, None, stats)
 }
 
 #[cfg(test)]
@@ -908,9 +774,7 @@ mod tests {
         // every term has divisor 1.
         assert!(steps_respect_dependence(&dep, &[id.clone()]));
         assert!(!steps_respect_dependence(&dep, &[rev.clone()]));
-        assert!(!steps_respect_dependence(&dep, &[cst.clone()]));
-        assert!(!step_coincident(&dep, &[], &id));
-        assert!(step_coincident(&dep, &[], &cst));
+        assert!(!steps_respect_dependence(&dep, &[cst]));
     }
 
     #[test]
@@ -926,73 +790,14 @@ mod tests {
             &dep,
             &[OrderStep::Position { src: 1, dst: 0 }]
         ));
-        // A separating prefix makes every conditioned property vacuous.
-        let rev = affine_step(vec![-1, 0, 0]);
-        assert!(step_coincident(
+        // A separating prefix settles the order whatever follows.
+        assert!(steps_respect_dependence(
             &dep,
-            &[OrderStep::Position { src: 0, dst: 1 }],
-            &rev
+            &[
+                OrderStep::Position { src: 0, dst: 1 },
+                affine_step(vec![-1, 0, 0])
+            ]
         ));
-    }
-
-    #[test]
-    fn tile_steps_follow_the_floors() {
-        let dep = flow_dep(); // distance exactly 1 on i
-        let tile = OrderStep::Value {
-            src: vec![(vec![1, 0, 0], 4)],
-            dst: vec![(vec![1, 0, 0], 4)],
-        };
-        let point = affine_step(vec![1, 0, 0]);
-        // ⌊i/4⌋ is not coincident (tile-crossing pairs exist), but the
-        // full (tile, point) order is respected.
-        assert!(!step_coincident(&dep, &[], &tile));
-        assert!(steps_respect_dependence(&dep, &[tile, point]));
-    }
-
-    #[test]
-    fn wavefront_of_tiles_exposes_coincidence() {
-        // for t for i: A[i] = A[i-1] + A[i+1] under the skewed schedule
-        // (t, t+i): tile members q0 = ⌊t/4⌋, q1 = ⌊(t+i)/4⌋. Neither is
-        // coincident alone, but given the wavefronted outer member
-        // q0 + q1 equal, q1 is (the classic tile-wavefront win).
-        let mut b = ScopBuilder::new("jacobi");
-        let tp = b.param("T");
-        let n = b.param("N");
-        let a = b.array("A", &[n.clone()], 8);
-        b.open_loop("t", Aff::val(0), tp - 1);
-        b.open_loop("i", Aff::val(1), n - 2);
-        b.stmt("S0")
-            .read(a, &[Aff::var("i") - 1])
-            .read(a, &[Aff::var("i") + 1])
-            .write(a, &[Aff::var("i")])
-            .add(&mut b);
-        b.close_loop();
-        b.close_loop();
-        let scop = b.build().unwrap();
-        let deps = analyze(&scop);
-        assert!(!deps.is_empty());
-        let t_row = vec![1i64, 0, 0, 0, 0]; // t over (t, i, T, N, 1)
-        let skew_row = vec![1i64, 1, 0, 0, 0]; // t + i
-        let q0 = (t_row, 4i64);
-        let q1 = (skew_row, 4i64);
-        let tile_q1 = OrderStep::Value {
-            src: vec![q1.clone()],
-            dst: vec![q1.clone()],
-        };
-        let wave = OrderStep::Value {
-            src: vec![q0.clone(), q1.clone()],
-            dst: vec![q0.clone(), q1.clone()],
-        };
-        for dep in &deps {
-            assert!(
-                !step_coincident(dep, &[], &tile_q1),
-                "q1 alone crosses tiles"
-            );
-            assert!(
-                step_coincident(dep, &[wave.clone()], &tile_q1),
-                "q1 is coincident under the wavefront"
-            );
-        }
     }
 
     #[test]
