@@ -133,8 +133,7 @@ impl ScopEntry {
 
     /// Remembers `config` as the tuning winner for `key`. Returns
     /// whether the map changed (an identical re-record is a no-op, so
-    /// the persistence layer can diff cheaply and journal replay is
-    /// idempotent).
+    /// journal replay is idempotent).
     pub fn learn(&self, key: &str, config: LearnedConfig) -> bool {
         let mut learned = self.learned.lock().expect("learned map lock");
         if learned.get(key) == Some(&config) {

@@ -35,9 +35,13 @@
 //! {"event":"learned","fp":"9f…","key":"…","score":-512,"winner":"pluto/t32"}
 //! ```
 //!
-//! Events are idempotent, so replay after a crash mid-append is safe; a
-//! torn final line (the only line a single-writer crash can tear) is
-//! detected by its parse failure and dropped.
+//! The daemon journals where the registry changes, and keeps no copy of
+//! it here: an `admit` each time the registry admits a SCoP (a
+//! re-admission after eviction included), a `learned` each time an
+//! autotune changes a winner. Events are idempotent, so replay after a
+//! crash mid-append is safe; replay skips every line that fails to
+//! parse or apply (a torn final line is the only one a single-writer
+//! crash can leave) and goes on.
 //!
 //! Files written before the Farkas cache stopped depending on the ILP
 //! layout carry a `"layouts"` array per snapshot entry and `layout`
@@ -54,38 +58,23 @@
 //! missing `snapshot` falls back to `snapshot.prev` + both journals
 //! (replay idempotency makes the over-approximation harmless).
 
-use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use polytops_core::json::{parse, Json};
 use polytops_core::registry::{
-    fingerprint, fnv1a, LearnedConfig, RegistrySnapshot, ScopRegistry, SnapshotEntry,
+    fnv1a, LearnedConfig, RegistrySnapshot, ScopEntry, ScopRegistry, SnapshotEntry,
 };
-use polytops_ir::{parse_scop, print_scop, Scop};
+use polytops_ir::{parse_scop, print_scop};
+use polytops_obs::{Histogram, Recorder};
 
 use crate::protocol::PersistTotals;
 
 /// Magic prefix of the snapshot header line.
 const MAGIC: &str = "polytops-snapshot v1";
-
-/// What `load` found on disk and rebuilt.
-#[derive(Debug, Default, Clone)]
-pub struct LoadOutcome {
-    /// Registry entries restored (snapshot plus journal replay).
-    pub restored_entries: usize,
-    /// Whether the current snapshot was unusable and the previous
-    /// rotation was used instead.
-    pub recovered_from_prev: bool,
-    /// Journal events replayed on top of the snapshot.
-    pub replayed_events: usize,
-    /// Malformed journal lines skipped (a torn tail counts as one).
-    pub torn_events: usize,
-    /// Learned tuning winners restored (snapshot plus journal replay).
-    pub relearned_configs: usize,
-}
 
 /// Journal/rotation state behind the persister's lock.
 struct PersistState {
@@ -97,36 +86,32 @@ struct PersistState {
     events_total: usize,
     /// Rotations performed since startup.
     rotations: usize,
-    /// The fingerprints already journaled or snapshotted, each with its
-    /// learned winners by tuning key, so the post-batch diff appends
-    /// each `admit` and `learned` event exactly once (a `learned` again
-    /// if a re-exploration changes the winner).
-    known: HashMap<u64, BTreeMap<String, LearnedConfig>>,
 }
 
-/// The daemon's persistence engine: owns the snapshot directory, the
-/// journal handle, and the journal diff state. One per daemon; all
-/// methods are `&self` (internally locked) so the batcher and the
-/// shutdown path can share it.
+/// The daemon's persistence engine: owns the snapshot directory and
+/// the journal handle, and appends the events the daemon hands it. One
+/// per daemon; all methods are `&self` (internally locked) so the
+/// batcher, the tuner and the shutdown path can share it.
 pub struct Persister {
     dir: PathBuf,
     /// Rotate once the current journal holds this many events.
     rotate_every: usize,
     state: Mutex<PersistState>,
-    /// What `load` found, echoed in stats.
-    loaded: LoadOutcome,
-    /// Durability telemetry sink (journal-append/fsync/rotation
-    /// histograms), attached by the daemon after it builds its
-    /// recorder. Never affects persistence behavior.
-    recorder: std::sync::OnceLock<std::sync::Arc<polytops_obs::Recorder>>,
+    /// What `load` restored, echoed in stats (its live counters stay 0).
+    loaded: PersistTotals,
+    /// Durability telemetry: journal append, fsync and rotation times.
+    append_ns: Arc<Histogram>,
+    fsync_ns: Arc<Histogram>,
+    rotate_ns: Arc<Histogram>,
 }
 
 impl Persister {
     /// Opens (creating if needed) the snapshot directory, restores the
     /// registry from whatever is on disk, and leaves the journal open
-    /// for appends. Rotation is *not* performed here: the freshly
-    /// replayed journal stays valid until the daemon's first natural
-    /// rotation point, so a crash loop cannot destroy both rotations.
+    /// for appends, timing them into `recorder`. Rotation is *not*
+    /// performed here: the freshly replayed journal stays valid until
+    /// the daemon's first natural rotation point, so a crash loop
+    /// cannot destroy both rotations.
     ///
     /// # Errors
     ///
@@ -138,12 +123,10 @@ impl Persister {
         dir: &Path,
         rotate_every: usize,
         registry: &ScopRegistry,
+        recorder: &Recorder,
     ) -> Result<Persister, String> {
         fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
         let loaded = load(dir, registry);
-        // Journal replay re-admitted the journal's own events; seed the
-        // diff state from the registry so they are not re-appended.
-        let known = known_from(&registry.snapshot());
         let journal = OpenOptions::new()
             .create(true)
             .append(true)
@@ -157,83 +140,90 @@ impl Persister {
                 events: 0,
                 events_total: 0,
                 rotations: 0,
-                known,
             }),
             loaded,
-            recorder: std::sync::OnceLock::new(),
+            append_ns: recorder.histogram("persist.append_ns"),
+            fsync_ns: recorder.histogram("persist.fsync_ns"),
+            rotate_ns: recorder.histogram("persist.rotate_ns"),
         })
-    }
-
-    /// Attaches the daemon's recorder so journal appends, fsyncs and
-    /// rotations report their durations. Only the first attach wins.
-    pub fn attach_recorder(&self, recorder: std::sync::Arc<polytops_obs::Recorder>) {
-        let _ = self.recorder.set(recorder);
-    }
-
-    /// What startup restored (for stats and the fault suite).
-    pub fn load_outcome(&self) -> &LoadOutcome {
-        &self.loaded
     }
 
     /// Current counters for the `stats` op.
     pub fn totals(&self) -> PersistTotals {
         let state = self.state.lock().expect("persist lock");
         PersistTotals {
-            restored_entries: self.loaded.restored_entries,
-            recovered_from_prev: self.loaded.recovered_from_prev,
-            replayed_events: self.loaded.replayed_events,
-            relearned_configs: self.loaded.relearned_configs,
             journal_events: state.events_total,
             rotations: state.rotations,
-            dir: self.dir.display().to_string(),
+            ..self.loaded.clone()
         }
     }
 
-    /// Records the state a finished batch left behind: an `admit` event
-    /// for each entry the diff state has not seen, and a `learned` event
-    /// for each new or changed tuning winner. Called with the entries
-    /// the batch touched; rotates afterwards if the journal has grown
-    /// past `rotate_every`. I/O errors are swallowed (persistence is
-    /// best-effort; serving must not depend on the disk).
-    pub fn record(&self, registry: &ScopRegistry, touched: &[(String, Scop)]) {
-        let recorder = self.recorder.get().map(std::sync::Arc::as_ref);
-        let mut state = self.state.lock().expect("persist lock");
-        for (name, scop) in touched {
-            let fp = fingerprint(scop);
-            if !state.known.contains_key(&fp) {
-                let event = Json::Object(std::collections::BTreeMap::from([
+    /// Journals an `admit` event for each entry the registry has just
+    /// admitted (a re-admission after eviction included), in admission
+    /// order.
+    pub fn admitted(&self, registry: &ScopRegistry, entries: &[Arc<ScopEntry>]) {
+        self.journal(
+            registry,
+            entries.iter().map(|entry| {
+                Json::Object(std::collections::BTreeMap::from([
                     ("event".to_string(), Json::Str("admit".to_string())),
-                    ("name".to_string(), Json::Str(name.clone())),
-                    ("scop".to_string(), Json::Str(print_scop(scop))),
-                ]));
-                append(&mut state, &event, recorder);
-                state.known.insert(fp, BTreeMap::new());
-            }
-            let Some(entry) = registry.find_by_fingerprint(fp) else {
-                continue; // evicted between batch and record; nothing to learn
-            };
-            let learned: BTreeMap<String, LearnedConfig> =
-                entry.learned_snapshot().into_iter().collect();
-            let seen = state.known.remove(&fp).unwrap_or_default();
-            for (key, config) in &learned {
-                if seen.get(key) == Some(config) {
-                    continue;
-                }
-                let event = Json::Object(std::collections::BTreeMap::from([
-                    ("event".to_string(), Json::Str("learned".to_string())),
-                    ("fp".to_string(), Json::Str(format!("{fp:016x}"))),
-                    ("key".to_string(), Json::Str(key.clone())),
-                    ("winner".to_string(), Json::Str(config.winner.clone())),
-                    ("score".to_string(), Json::Int(config.score)),
-                ]));
-                append(&mut state, &event, recorder);
-            }
-            state.known.insert(fp, learned);
+                    ("name".to_string(), Json::Str(entry.name().to_string())),
+                    ("scop".to_string(), Json::Str(print_scop(entry.scop()))),
+                ]))
+            }),
+        );
+    }
+
+    /// Journals a `learned` event: `config` is now `entry`'s tuning
+    /// winner under `key`.
+    pub fn learned(
+        &self,
+        registry: &ScopRegistry,
+        entry: &ScopEntry,
+        key: &str,
+        config: &LearnedConfig,
+    ) {
+        let event = Json::Object(std::collections::BTreeMap::from([
+            ("event".to_string(), Json::Str("learned".to_string())),
+            (
+                "fp".to_string(),
+                Json::Str(format!("{:016x}", entry.fingerprint())),
+            ),
+            ("key".to_string(), Json::Str(key.to_string())),
+            ("winner".to_string(), Json::Str(config.winner.clone())),
+            ("score".to_string(), Json::Int(config.score)),
+        ]));
+        self.journal(registry, [event]);
+    }
+
+    /// Appends `events`, then rotates if the journal has grown past
+    /// `rotate_every`. I/O errors are swallowed (persistence is
+    /// best-effort; serving must not depend on the disk).
+    fn journal(&self, registry: &ScopRegistry, events: impl IntoIterator<Item = Json>) {
+        let mut state = self.state.lock().expect("persist lock");
+        for event in events {
+            self.append(&mut state, &event);
         }
         if state.events >= self.rotate_every {
             drop(state);
             self.rotate(registry);
         }
+    }
+
+    /// Appends one journal event line, fsyncing so a subsequent daemon
+    /// kill cannot lose an acknowledged batch's admissions.
+    fn append(&self, state: &mut PersistState, event: &Json) {
+        let started = Instant::now();
+        let mut line = event.compact();
+        line.push('\n');
+        if state.journal.write_all(line.as_bytes()).is_ok() {
+            let fsync_started = Instant::now();
+            let _ = state.journal.sync_data();
+            record_since(&self.fsync_ns, fsync_started);
+            state.events += 1;
+            state.events_total += 1;
+        }
+        record_since(&self.append_ns, started);
     }
 
     /// Writes a fresh checksummed snapshot of `registry` and rotates
@@ -243,96 +233,36 @@ impl Persister {
     /// rotation leaves the previous snapshot + journal, which still
     /// restore correctly.
     pub fn rotate(&self, registry: &ScopRegistry) {
-        let _timing = self
-            .recorder
-            .get()
-            .map(|rec| RotateTimer::new(rec.histogram("persist.rotate_ns")));
+        let started = Instant::now();
         let mut state = self.state.lock().expect("persist lock");
-        let snap = registry.snapshot();
+        if let Ok(fresh) = self.write_rotation(registry) {
+            state.journal = fresh;
+            state.events = 0;
+            state.rotations += 1;
+        }
+        record_since(&self.rotate_ns, started);
+    }
+
+    /// The file steps of a rotation; returns the fresh journal.
+    fn write_rotation(&self, registry: &ScopRegistry) -> std::io::Result<File> {
         let tmp = self.dir.join("snapshot.tmp");
-        if write_snapshot_file(&tmp, &snap).is_err() {
-            return;
-        }
+        write_snapshot_file(&tmp, &registry.snapshot())?;
         let snapshot = self.dir.join("snapshot");
-        let prev = self.dir.join("snapshot.prev");
         if snapshot.exists() {
-            let _ = fs::rename(&snapshot, &prev);
+            let _ = fs::rename(&snapshot, self.dir.join("snapshot.prev"));
         }
-        if fs::rename(&tmp, &snapshot).is_err() {
-            return;
-        }
+        fs::rename(&tmp, &snapshot)?;
         // The old journal's events are inside the new snapshot; keep
         // them one generation as the fallback chain's companion.
         let journal = self.dir.join("journal");
         let _ = fs::rename(&journal, self.dir.join("journal.prev"));
-        let Ok(fresh) = OpenOptions::new().create(true).append(true).open(&journal) else {
-            return;
-        };
-        state.journal = fresh;
-        state.events = 0;
-        state.rotations += 1;
-        // Everything resident is now in the snapshot; reset the diff
-        // baseline to match.
-        state.known = known_from(&snap);
+        OpenOptions::new().create(true).append(true).open(&journal)
     }
 }
 
-/// The journal diff baseline matching a snapshot of the live registry:
-/// every entry admitted, every learned winner recorded.
-fn known_from(snap: &RegistrySnapshot) -> HashMap<u64, BTreeMap<String, LearnedConfig>> {
-    snap.entries
-        .iter()
-        .filter_map(|entry| {
-            let scop = parse_scop(&entry.scop_text).ok()?;
-            Some((fingerprint(&scop), entry.learned.iter().cloned().collect()))
-        })
-        .collect()
-}
-
-/// Records the wall time of one snapshot rotation on drop, so every
-/// early-out path in `rotate` still reports its duration.
-struct RotateTimer {
-    histogram: std::sync::Arc<polytops_obs::Histogram>,
-    started: std::time::Instant,
-}
-
-impl RotateTimer {
-    fn new(histogram: std::sync::Arc<polytops_obs::Histogram>) -> Self {
-        RotateTimer {
-            histogram,
-            started: std::time::Instant::now(),
-        }
-    }
-}
-
-impl Drop for RotateTimer {
-    fn drop(&mut self) {
-        self.histogram
-            .record(u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    }
-}
-
-/// Appends one journal event line, fsyncing so a subsequent daemon kill
-/// cannot lose an acknowledged batch's admissions. Reports the total
-/// append and fsync-only durations when a recorder is attached.
-fn append(state: &mut PersistState, event: &Json, recorder: Option<&polytops_obs::Recorder>) {
-    let started = std::time::Instant::now();
-    let mut line = event.compact();
-    line.push('\n');
-    if state.journal.write_all(line.as_bytes()).is_ok() {
-        let fsync_started = std::time::Instant::now();
-        let _ = state.journal.sync_data();
-        if let Some(rec) = recorder {
-            rec.histogram("persist.fsync_ns")
-                .record(u64::try_from(fsync_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-        state.events += 1;
-        state.events_total += 1;
-    }
-    if let Some(rec) = recorder {
-        rec.histogram("persist.append_ns")
-            .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    }
+/// Records the nanoseconds since `started` into `histogram`.
+fn record_since(histogram: &Histogram, started: Instant) {
+    histogram.record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
 }
 
 /// Serializes a snapshot payload (compact JSON, entries in LRU order).
@@ -432,32 +362,22 @@ fn read_snapshot_file(path: &Path) -> Option<RegistrySnapshot> {
     Some(RegistrySnapshot { entries })
 }
 
-/// What replaying one journal file applied:
-/// `(events_applied, torn_lines, configs_relearned)`.
-type ReplayCounts = (usize, usize, usize);
-
-/// Replays one journal file into the registry. Malformed lines
-/// (the torn tail of a killed daemon, at most one per file) are
-/// skipped, and events that fail to apply (unparseable SCoP from a
-/// corrupted disk) are counted as torn rather than fatal.
-fn replay_journal(path: &Path, registry: &ScopRegistry) -> ReplayCounts {
+/// Replays one journal file into the registry, returning
+/// `(events_applied, configs_relearned)`. Every line that does not
+/// parse or apply (the torn tail of a killed daemon, an unparseable
+/// SCoP from a corrupted disk) is skipped, and replay goes on.
+fn replay_journal(path: &Path, registry: &ScopRegistry) -> (usize, usize) {
     let Ok(text) = fs::read_to_string(path) else {
-        return (0, 0, 0);
+        return (0, 0);
     };
-    let (mut applied, mut torn, mut relearned) = (0, 0, 0);
+    let (mut applied, mut relearned) = (0, 0);
     for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse(line).ok().and_then(|e| apply_event(&e, registry)) {
-            Some(learned) => {
-                applied += 1;
-                relearned += usize::from(learned);
-            }
-            None => torn += 1,
+        if let Some(learned) = parse(line).ok().and_then(|e| apply_event(&e, registry)) {
+            applied += 1;
+            relearned += usize::from(learned);
         }
     }
-    (applied, torn, relearned)
+    (applied, relearned)
 }
 
 /// Applies one journal event, returning whether it relearned a config.
@@ -496,9 +416,13 @@ fn apply_event(event: &Json, registry: &ScopRegistry) -> Option<bool> {
 }
 
 /// The startup fallback chain: newest usable snapshot, then every
-/// journal generation that could hold events missing from it.
-fn load(dir: &Path, registry: &ScopRegistry) -> LoadOutcome {
-    let mut outcome = LoadOutcome::default();
+/// journal generation that could hold events missing from it. Returns
+/// what it restored, with the live counters at zero.
+fn load(dir: &Path, registry: &ScopRegistry) -> PersistTotals {
+    let mut totals = PersistTotals {
+        dir: dir.display().to_string(),
+        ..PersistTotals::default()
+    };
     let current = read_snapshot_file(&dir.join("snapshot"));
     let (snapshot, journals): (Option<RegistrySnapshot>, Vec<PathBuf>) = match current {
         Some(snap) => (Some(snap), vec![dir.join("journal")]),
@@ -508,33 +432,27 @@ fn load(dir: &Path, registry: &ScopRegistry) -> LoadOutcome {
                 // There *was* a current snapshot and it failed its
                 // checksum — the torn-rotation case the fault suite
                 // exercises.
-                outcome.recovered_from_prev = true;
+                totals.recovered_from_prev = true;
             }
             // Without the current snapshot, the previous journal's
             // events may not be covered; replay both (idempotent).
             (prev, vec![dir.join("journal.prev"), dir.join("journal")])
         }
     };
-    if let Some(snap) = snapshot {
-        match registry.restore(&snap) {
-            Ok(report) => {
-                outcome.restored_entries = report.entries;
-                outcome.relearned_configs = report.learned;
-            }
-            Err(_) => outcome.torn_events += 1,
-        }
+    if let Some(Ok(report)) = snapshot.map(|snap| registry.restore(&snap)) {
+        totals.restored_entries = report.entries;
+        totals.relearned_configs = report.learned;
     }
     let before = registry.stats().misses;
     for journal in journals {
-        let (applied, torn, relearned) = replay_journal(&journal, registry);
-        outcome.replayed_events += applied;
-        outcome.torn_events += torn;
-        outcome.relearned_configs += relearned;
+        let (applied, relearned) = replay_journal(&journal, registry);
+        totals.replayed_events += applied;
+        totals.relearned_configs += relearned;
     }
     // Journal admissions of SCoPs the snapshot missed count as restored
     // entries too (they show up as fresh registry misses).
-    outcome.restored_entries += registry.stats().misses.saturating_sub(before);
-    outcome
+    totals.restored_entries += registry.stats().misses.saturating_sub(before);
+    totals
 }
 
 #[cfg(test)]

@@ -15,7 +15,8 @@
 //! the previous batch ran (up to max_batch) → one ScenarioSet (SCoPs
 //! resolved through the ScopRegistry) → run_sharded(threads), on the
 //! batcher itself when the batch is one scenario → per-request response
-//! lines, journaled to the persister, queued back to the event loop
+//! lines, queued back to the event loop once the persister has journaled
+//! the SCoPs the batch admitted
 //! ```
 //!
 //! Exactly one thread (the event loop) touches sockets, so thousands
@@ -32,7 +33,6 @@ use std::time::{Duration, Instant};
 
 use polytops_core::registry::{ScopEntry, ScopRegistry};
 use polytops_core::scenario::ScenarioSet;
-use polytops_ir::Scop;
 
 use crate::persist::Persister;
 use crate::poll::{event_loop, Outbound};
@@ -296,14 +296,16 @@ impl Server {
         let obs = ServerObs::new(config.trace);
         let persist = match &config.snapshot_dir {
             Some(dir) => Some(
-                Persister::open(std::path::Path::new(dir), config.rotate_every, &registry)
-                    .map_err(std::io::Error::other)?,
+                Persister::open(
+                    std::path::Path::new(dir),
+                    config.rotate_every,
+                    &registry,
+                    &obs.recorder,
+                )
+                .map_err(std::io::Error::other)?,
             ),
             None => None,
         };
-        if let Some(persist) = &persist {
-            persist.attach_recorder(Arc::clone(&obs.recorder));
-        }
         let shared = Arc::new(Shared {
             registry,
             persist,
@@ -428,7 +430,14 @@ fn tune_loop(shared: &Arc<Shared>, rx: &Receiver<TuneJob>, out: &Sender<Outbound
         // Repeated tuning of a known SCoP rides the same registry
         // residency as the schedule op: the entry's dependence analysis
         // and Farkas caches persist across autotune requests/clients.
-        let (entry, _) = shared.registry.resolve(&req.scop.name, &req.scop);
+        let (entry, hit) = shared.registry.resolve(&req.scop.name, &req.scop);
+        // An admission is journaled before the exploration, a changed
+        // winner after it, and both before the response is queued.
+        if let (Some(persist), false) = (&shared.persist, hit) {
+            persist.admitted(&shared.registry, std::slice::from_ref(&entry));
+        }
+        let key = polytops_core::tune::learned_key(&req.machine, &budget);
+        let before = entry.learned_for(&key);
         shared.obs.tune_requests.inc();
         let line = match polytops_core::tune::explore_entry(&entry, &req.machine, &budget) {
             Ok(outcome) if outcome.certified => {
@@ -444,10 +453,12 @@ fn tune_loop(shared: &Arc<Shared>, rx: &Receiver<TuneJob>, out: &Sender<Outbound
             Err(e) => protocol::error_response(&req.id, &e.to_string()),
         };
         if let Some(persist) = &shared.persist {
-            persist.record(
-                &shared.registry,
-                &[(req.scop.name.clone(), req.scop.clone())],
-            );
+            match entry.learned_for(&key) {
+                Some(after) if before.as_ref() != Some(&after) => {
+                    persist.learned(&shared.registry, &entry, &key, &after);
+                }
+                _ => {}
+            }
         }
         let _ = out.send(Outbound {
             conn: job.conn,
@@ -504,13 +515,13 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>, out: &Sender<Outbou
         let nth_batch = shared.obs.batches.inc() as usize;
         shared.obs.requests.add(batch.len() as u64);
         let mut responses = Vec::new();
-        let mut touched = Vec::new();
-        process_group(shared, batch, &mut responses, &mut touched);
+        let mut misses = Vec::new();
+        process_group(shared, batch, &mut responses, &mut misses);
         // Durability before delivery: the journal records this batch's
         // admissions (fsynced) before any client can observe a
         // response, so an acknowledged answer is always replayable.
         if let Some(persist) = &shared.persist {
-            persist.record(&shared.registry, &touched);
+            persist.admitted(&shared.registry, &misses);
         }
         // The kill fault fires between durability and delivery — the
         // worst crash point: clients must retry, and the retry must
@@ -535,12 +546,13 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>, out: &Sender<Outbou
 
 /// Executes one batch as a single `ScenarioSet`, pushing one response
 /// line per request (with its still-open "request" span, when traced)
-/// and recording which SCoPs were touched (for the persistence journal).
+/// and collecting, in order, the entries the registry admitted on a
+/// miss (the persistence journal's `admit` events).
 fn process_group(
     shared: &Arc<Shared>,
     group: Vec<Admitted>,
     responses: &mut Vec<(u64, String, Option<polytops_obs::SpanHandle>)>,
-    touched: &mut Vec<(String, Scop)>,
+    misses: &mut Vec<Arc<ScopEntry>>,
 ) {
     struct Slot {
         admitted: Admitted,
@@ -563,11 +575,13 @@ fn process_group(
         let (entry, hit) = shared
             .registry
             .resolve(&admitted.req.name, &admitted.req.scop);
+        if !hit {
+            misses.push(Arc::clone(&entry));
+        }
         let key = Arc::as_ptr(&entry);
         let scop_idx = match slot_of_entry.iter().find(|(k, _)| *k == key) {
             Some(&(_, idx)) => idx,
             None => {
-                touched.push((admitted.req.name.clone(), admitted.req.scop.clone()));
                 let idx = set.add_resident_scop(Arc::clone(&entry));
                 slot_of_entry.push((key, idx));
                 idx

@@ -655,6 +655,12 @@ fn churn_journals_admit_and_learned_events_only() {
     assert!(unpack(&client.roundtrip(&line).expect("repeat")).1);
     let tune = autotune_request_line("tune", &long_chain(2), 4, 64);
     assert!(unpack_tune(&client.roundtrip(&tune).expect("autotune")).0);
+    // The same autotune again is served from the learned store, and a
+    // hit changes nothing: neither journals an event.
+    let (ok, learned, _, _) = unpack_tune(&client.roundtrip(&tune).expect("repeat autotune"));
+    assert!(ok && learned, "the repeat is served from the learned store");
+    let line = request_line("hit", "long_chain_3", &long_chain(3), &["feautrier"]);
+    assert!(unpack(&client.roundtrip(&line).expect("hit")).1);
 
     let journal = std::fs::read_to_string(dir.join("journal")).expect("journal");
     let appended = journal
@@ -676,6 +682,67 @@ fn churn_journals_admit_and_learned_events_only() {
         4
     );
     handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A SCoP evicted and admitted again inside one rotation window is
+/// journaled again, so the replay after a kill rebuilds the resident
+/// set with it and the restarted daemon serves it warm.
+#[test]
+fn readmission_after_eviction_is_journaled() {
+    use polytops_workloads::synthetic::long_chain;
+    let dir = scratch("readmit");
+    let config = ServerConfig {
+        registry_capacity: 2,
+        rotate_every: 1_000,
+        ..fleet_config(2, &dir)
+    };
+    let first = Server::start(ServerConfig {
+        faults: FaultPlan {
+            kill_after_batches: Some(4),
+            ..FaultPlan::default()
+        },
+        ..config.clone()
+    })
+    .expect("start first generation");
+    let lines: Vec<String> = [2, 3, 4, 2]
+        .into_iter()
+        .map(|n| {
+            let name = format!("long_chain_{n}");
+            request_line(&name, &name, &long_chain(n), &["pluto"])
+        })
+        .collect();
+    let mut client = Client::connect(first.addr()).expect("connect");
+    for line in &lines[..3] {
+        let (ok, hit, _, _) = unpack(&client.roundtrip(line).expect("request"));
+        assert!(ok && !hit, "{line}");
+    }
+    // The fourth batch admits the evicted long_chain_2 again; the kill
+    // follows its journal append and drops the response.
+    assert!(client.roundtrip(&lines[3]).is_err(), "the kill drops it");
+    while !first.crashed() {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    first.join();
+
+    let journal = std::fs::read_to_string(dir.join("journal")).expect("journal");
+    let admits = journal
+        .lines()
+        .filter(|line| {
+            let event = polytops_core::json::parse(line).expect("journal line parses");
+            event.as_object().expect("event object")["event"].as_str() == Some("admit")
+        })
+        .count();
+    assert_eq!(admits, 4, "{journal}");
+
+    let second = Server::start(config).expect("start second generation");
+    let mut client = Client::connect(second.addr()).expect("connect");
+    let response = client.roundtrip(&lines[3]).expect("request after restart");
+    let (ok, hit, results, misses) = unpack(&response);
+    assert!(ok && hit, "long_chain_2 must be resident: {response}");
+    assert_eq!(misses, 0, "long_chain_2 must be prewarmed: {response}");
+    assert_eq!(results, golden(&lines[3]));
+    second.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
