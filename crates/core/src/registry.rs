@@ -19,7 +19,14 @@
 //!   shared by every configuration);
 //! * the [`ScopRegistry`] dedupes SCoPs by canonical text, bounds
 //!   residency with an LRU policy, and reports
-//!   [`RegistryStats`] so callers can assert hits.
+//!   [`RegistryStats`] so callers can assert hits;
+//! * [`ScopRegistry::resolve_text`] answers polyscop *text*: each
+//!   resident entry remembers up to [`TEXTS_PER_ENTRY`] raw texts that
+//!   resolved to it, so a repeated submission is found by a byte
+//!   comparison, without `parse_scop` or [`canonical_text`]. This is a
+//!   cache of text → resident entry, not of answers: every request is
+//!   still scheduled and certified. The texts live and die with their
+//!   entry and are never part of a [`RegistrySnapshot`].
 //!
 //! # Determinism
 //!
@@ -36,7 +43,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use polytops_deps::{analyze, Dependence};
-use polytops_ir::{parse_scop, print_scop, AccessKind, Scop, Subscript};
+use polytops_ir::{parse_scop, print_scop, AccessKind, ParseScopError, Scop, Subscript};
 
 use crate::error::ScheduleError;
 use crate::pipeline::legality::FarkasCache;
@@ -206,6 +213,9 @@ pub struct RegistryStats {
     pub capacity: usize,
     /// Resolutions answered by a resident entry.
     pub hits: usize,
+    /// The part of `hits` answered by a remembered raw text
+    /// ([`ScopRegistry::resolve_text`]), without parsing it.
+    pub text_hits: usize,
     /// Resolutions that had to analyze a new SCoP.
     pub misses: usize,
     /// Entries dropped by the LRU bound.
@@ -245,11 +255,36 @@ pub struct RegistryStats {
 #[derive(Debug)]
 pub struct ScopRegistry {
     /// Entries in LRU order: front = coldest, back = most recently used.
-    lru: Mutex<Vec<(String, Arc<ScopEntry>)>>,
+    lru: Mutex<Vec<Slot>>,
     capacity: usize,
     hits: AtomicUsize,
+    text_hits: AtomicUsize,
     misses: AtomicUsize,
     evictions: AtomicUsize,
+}
+
+/// How many raw polyscop texts one resident entry remembers. A client
+/// resends one text per kernel; a few more cover clients that print the
+/// same SCoP differently, and the bound keeps an entry's memory within
+/// a constant factor of its representative's.
+pub const TEXTS_PER_ENTRY: usize = 4;
+
+/// One resident entry with its identity and the raw texts that resolved
+/// to it.
+#[derive(Debug)]
+struct Slot {
+    canonical: String,
+    /// At most [`TEXTS_PER_ENTRY`] distinct texts, first seen first.
+    texts: Vec<String>,
+    entry: Arc<ScopEntry>,
+}
+
+impl Slot {
+    fn remember(&mut self, text: &str) {
+        if self.texts.len() < TEXTS_PER_ENTRY && !self.texts.iter().any(|t| t == text) {
+            self.texts.push(text.to_string());
+        }
+    }
 }
 
 impl ScopRegistry {
@@ -260,6 +295,7 @@ impl ScopRegistry {
             lru: Mutex::new(Vec::new()),
             capacity: capacity.max(1),
             hits: AtomicUsize::new(0),
+            text_hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
         }
@@ -280,8 +316,44 @@ impl ScopRegistry {
     /// may evict the coldest entry to keep the registry within its
     /// bound.
     pub fn resolve(&self, name: &str, scop: &Scop) -> (Arc<ScopEntry>, bool) {
+        self.resolve_scop(name, scop, None)
+    }
+
+    /// Resolves polyscop exchange text to its resident entry: the
+    /// daemon's path. A text some earlier call resolved to a
+    /// still-resident entry is found by byte comparison and answered
+    /// as a hit without parsing it. Any other text is parsed and
+    /// resolved as [`resolve`](ScopRegistry::resolve) does — canonical
+    /// dedupe and the first-registered representative are unchanged —
+    /// and then remembered on its entry (up to [`TEXTS_PER_ENTRY`]).
+    ///
+    /// `name` labels a new entry; `None` takes the SCoP's own name.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`parse_scop`] error of a text that does not parse;
+    /// nothing is registered then.
+    pub fn resolve_text(
+        &self,
+        name: Option<&str>,
+        text: &str,
+    ) -> Result<(Arc<ScopEntry>, bool), ParseScopError> {
+        let is_text = |slot: &Slot| slot.texts.iter().any(|t| t == text);
+        if let Some(entry) = warm_in(&mut self.lru.lock().expect("registry lock"), is_text, None) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.text_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((entry, true));
+        }
+        let scop = parse_scop(text)?;
+        Ok(self.resolve_scop(name.unwrap_or(&scop.name), &scop, Some(text)))
+    }
+
+    /// [`resolve`](ScopRegistry::resolve), remembering `text` on the
+    /// entry it lands on.
+    fn resolve_scop(&self, name: &str, scop: &Scop, text: Option<&str>) -> (Arc<ScopEntry>, bool) {
         let canonical = canonical_text(scop);
-        if let Some(entry) = self.lookup(&canonical) {
+        let is_scop = |slot: &Slot| slot.canonical == canonical;
+        if let Some(entry) = warm_in(&mut self.lru.lock().expect("registry lock"), is_scop, text) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (entry, true);
         }
@@ -293,32 +365,23 @@ impl ScopRegistry {
         let fp = fnv1a(canonical.as_bytes());
         let entry = Arc::new(ScopEntry::new(name.to_string(), fp, scop.clone()));
         let mut lru = self.lru.lock().expect("registry lock");
-        if let Some(i) = lru.iter().position(|(key, _)| *key == canonical) {
+        if let Some(resident) = warm_in(&mut lru, is_scop, text) {
             // A concurrent resolver registered it first; ours is wasted
             // work, theirs is the representative everyone shares.
-            let pair = lru.remove(i);
-            let resident = Arc::clone(&pair.1);
-            lru.push(pair);
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (resident, true);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        lru.push((canonical, Arc::clone(&entry)));
+        lru.push(Slot {
+            canonical,
+            texts: text.into_iter().map(str::to_string).collect(),
+            entry: Arc::clone(&entry),
+        });
         if lru.len() > self.capacity {
             lru.remove(0);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         (entry, false)
-    }
-
-    /// Looks up (and warms) an entry by canonical text.
-    fn lookup(&self, canonical: &str) -> Option<Arc<ScopEntry>> {
-        let mut lru = self.lru.lock().expect("registry lock");
-        let i = lru.iter().position(|(key, _)| key == canonical)?;
-        let pair = lru.remove(i);
-        let entry = Arc::clone(&pair.1);
-        lru.push(pair);
-        Some(entry)
     }
 
     /// Captures the registry as a [`RegistrySnapshot`]: every resident
@@ -331,7 +394,7 @@ impl ScopRegistry {
         RegistrySnapshot {
             entries: lru
                 .iter()
-                .map(|(_, entry)| SnapshotEntry {
+                .map(|Slot { entry, .. }| SnapshotEntry {
                     name: entry.name().to_string(),
                     scop_text: print_scop(entry.scop()),
                     learned: entry.learned_snapshot(),
@@ -389,8 +452,8 @@ impl ScopRegistry {
     pub fn find_by_fingerprint(&self, fingerprint: u64) -> Option<Arc<ScopEntry>> {
         let lru = self.lru.lock().expect("registry lock");
         lru.iter()
-            .find(|(_, entry)| entry.fingerprint() == fingerprint)
-            .map(|(_, entry)| Arc::clone(entry))
+            .find(|slot| slot.entry.fingerprint() == fingerprint)
+            .map(|slot| Arc::clone(&slot.entry))
     }
 
     /// Number of resident entries.
@@ -407,17 +470,35 @@ impl ScopRegistry {
     pub fn stats(&self) -> RegistryStats {
         let learned = {
             let lru = self.lru.lock().expect("registry lock");
-            lru.iter().map(|(_, e)| e.learned_count()).sum()
+            lru.iter().map(|slot| slot.entry.learned_count()).sum()
         };
         RegistryStats {
             entries: self.len(),
             capacity: self.capacity,
             hits: self.hits.load(Ordering::Relaxed),
+            text_hits: self.text_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             learned,
         }
     }
+}
+
+/// Moves the first slot matching `found` to the warm end of `lru` and
+/// remembers `text` on it.
+fn warm_in(
+    lru: &mut Vec<Slot>,
+    found: impl Fn(&Slot) -> bool,
+    text: Option<&str>,
+) -> Option<Arc<ScopEntry>> {
+    let i = lru.iter().position(found)?;
+    let mut slot = lru.remove(i);
+    if let Some(text) = text {
+        slot.remember(text);
+    }
+    let entry = Arc::clone(&slot.entry);
+    lru.push(slot);
+    Some(entry)
 }
 
 /// The canonical identity text of a SCoP: every scheduling-relevant

@@ -1,14 +1,15 @@
 //! Tests for the SCoP registry: canonical fingerprinting (dedupe under
-//! access permutation), LRU eviction, cross-run cache persistence via
+//! access permutation), LRU eviction, raw-text resolution
+//! (`resolve_text`), cross-run cache persistence via
 //! `add_resident_scop`, and determinism of registry-backed scheduling
 //! under concurrency.
 
 use std::sync::Arc;
 
-use polytops_core::registry::{canonical_text, fingerprint, ScopRegistry};
+use polytops_core::registry::{canonical_text, fingerprint, ScopRegistry, TEXTS_PER_ENTRY};
 use polytops_core::scenario::ScenarioSet;
 use polytops_core::{presets, SchedulerConfig};
-use polytops_ir::{Aff, Scop, ScopBuilder};
+use polytops_ir::{parse_scop, print_scop, Aff, Scop, ScopBuilder};
 use polytops_workloads::{jacobi_1d, matmul, producer_consumer, stencil_chain};
 
 /// `producer_consumer` with each statement's accesses listed in the
@@ -83,6 +84,106 @@ fn lru_evicts_the_coldest_entry() {
     assert!(!hit, "matmul was the coldest entry and must be gone");
     let (_, hit) = registry.resolve("jacobi", &jacobi_1d());
     assert!(hit, "jacobi stays resident");
+}
+
+/// (hits, text hits, misses, evictions) of a registry.
+fn counts(registry: &ScopRegistry) -> (usize, usize, usize, usize) {
+    let stats = registry.stats();
+    (stats.hits, stats.text_hits, stats.misses, stats.evictions)
+}
+
+#[test]
+fn a_repeated_text_is_a_text_hit_on_the_same_entry() {
+    let registry = ScopRegistry::new(8);
+    let text = print_scop(&matmul());
+    let (first, hit) = registry.resolve_text(Some("mm"), &text).unwrap();
+    assert!(!hit);
+    assert_eq!(first.name(), "mm");
+    assert_eq!(counts(&registry), (0, 0, 1, 0));
+    let (again, hit) = registry.resolve_text(Some("other"), &text).unwrap();
+    assert!(hit);
+    assert!(Arc::ptr_eq(&first, &again));
+    assert_eq!(again.name(), "mm", "the first registration names the entry");
+    assert_eq!(counts(&registry), (1, 1, 1, 0));
+    // Without a name, a new entry takes the SCoP's own.
+    let (chain, _) = registry
+        .resolve_text(None, &print_scop(&stencil_chain()))
+        .unwrap();
+    assert_eq!(chain.name(), stencil_chain().name);
+}
+
+#[test]
+fn a_permuted_text_is_a_canonical_hit_then_a_text_hit() {
+    let registry = ScopRegistry::new(8);
+    let original = print_scop(&producer_consumer());
+    let permuted = print_scop(&producer_consumer_permuted());
+    assert_ne!(original, permuted);
+    let (first, _) = registry.resolve_text(None, &original).unwrap();
+    let (second, hit) = registry.resolve_text(None, &permuted).unwrap();
+    assert!(hit && Arc::ptr_eq(&first, &second));
+    assert_eq!(counts(&registry), (1, 0, 1, 0), "a canonical hit");
+    let (third, hit) = registry.resolve_text(None, &permuted).unwrap();
+    assert!(hit && Arc::ptr_eq(&first, &third));
+    assert_eq!(counts(&registry), (2, 1, 1, 0), "then a text hit");
+    // Both are served from the first registration's representative.
+    assert_eq!(third.name(), "producer_consumer");
+    assert_eq!(*third.scop(), producer_consumer());
+}
+
+#[test]
+fn texts_are_evicted_with_their_entry() {
+    let registry = ScopRegistry::new(1);
+    let a = print_scop(&stencil_chain());
+    let b = print_scop(&matmul());
+    let (first, _) = registry.resolve_text(None, &a).unwrap();
+    registry.resolve_text(None, &b).unwrap();
+    let (again, hit) = registry.resolve_text(None, &a).unwrap();
+    assert!(!hit, "A was evicted with its text");
+    assert!(!Arc::ptr_eq(&first, &again), "A is analyzed again");
+    assert_eq!(counts(&registry), (0, 0, 3, 2));
+}
+
+#[test]
+fn an_entry_remembers_at_most_its_cap_of_texts() {
+    let registry = ScopRegistry::new(8);
+    // The name line is part of the text but not of the identity, so
+    // each of these is a distinct text of one SCoP.
+    let texts: Vec<String> = (0..=TEXTS_PER_ENTRY)
+        .map(|i| {
+            let mut scop = jacobi_1d();
+            scop.name = format!("jacobi_{i}");
+            print_scop(&scop)
+        })
+        .collect();
+    let (entry, _) = registry.resolve_text(None, &texts[0]).unwrap();
+    for text in &texts[1..] {
+        let (same, hit) = registry.resolve_text(None, text).unwrap();
+        assert!(hit && Arc::ptr_eq(&entry, &same));
+    }
+    assert_eq!(counts(&registry), (TEXTS_PER_ENTRY, 0, 1, 0));
+    // The first TEXTS_PER_ENTRY texts were remembered; the last was not
+    // and stays a canonical hit.
+    for text in &texts {
+        let (same, hit) = registry.resolve_text(None, text).unwrap();
+        assert!(hit && Arc::ptr_eq(&entry, &same));
+    }
+    let (hits, text_hits, misses, _) = counts(&registry);
+    assert_eq!(
+        (hits, text_hits, misses),
+        (2 * TEXTS_PER_ENTRY + 1, TEXTS_PER_ENTRY, 1)
+    );
+    assert_eq!(registry.len(), 1);
+}
+
+#[test]
+fn unparsable_text_registers_nothing() {
+    let registry = ScopRegistry::new(8);
+    let text = print_scop(&matmul());
+    let truncated = &text[..text.len() / 2];
+    let err = registry.resolve_text(None, truncated).unwrap_err();
+    assert_eq!(err, parse_scop(truncated).unwrap_err());
+    assert!(registry.is_empty());
+    assert_eq!(counts(&registry), (0, 0, 0, 0));
 }
 
 #[test]

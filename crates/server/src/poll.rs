@@ -16,6 +16,11 @@
 //! busy one) — nothing else sits between a request's bytes and the
 //! batcher, which dispatches at once.
 //!
+//! A request line is parsed here only as far as its JSON envelope
+//! (`protocol::parse_wire_request`): the SCoP of a `schedule` or
+//! `autotune` request travels on as polyscop text, and the registry
+//! parses it on the worker thread only when it has not seen that text.
+//!
 //! Per connection the loop keeps a read buffer (bytes up to the next
 //! `\n`, searched once each however the client splits its writes) and a
 //! write buffer (queued response lines); only this thread touches
@@ -396,7 +401,7 @@ fn handle_line(
     admit: &SyncSender<Admitted>,
     tune: &Sender<TuneJob>,
 ) {
-    match protocol::parse_request(line) {
+    match protocol::parse_wire_request(line) {
         Err(e) => conn.push_line(&protocol::error_response(
             &polytops_core::json::Json::Null,
             &e,

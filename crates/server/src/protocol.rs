@@ -2,10 +2,15 @@
 //! responses.
 //!
 //! One JSON document per `\n`-terminated line, both directions; the full
-//! schema reference lives in `docs/SERVICE.md`. Requests are parsed into
-//! [`Request`] with the in-tree parser ([`polytops_core::json`]);
-//! responses are built as [`Json`] values and serialized with
-//! [`Json::compact`], whose `BTreeMap`-ordered output makes every
+//! schema reference lives in `docs/SERVICE.md`. The daemon reads a line
+//! with `parse_wire_request`: the envelope is parsed with the in-tree
+//! parser ([`polytops_core::json`]), but the `scop` field stays polyscop
+//! text, moved out of the parsed document, for the registry to resolve
+//! (it parses the text only when no resident entry has seen it).
+//! [`parse_request`] is that same parse followed by `parse_scop`, for
+//! callers that want the SCoP itself (the router, which routes by its
+//! fingerprint, and the offline golden path). Responses are built as
+//! [`Json`] values and serialized with [`Json::compact`], whose `BTreeMap`-ordered output makes every
 //! response byte-deterministic — the property the bit-identity contract
 //! (daemon vs offline scenario engine) is stated over.
 
@@ -27,6 +32,40 @@ pub struct ScenarioSpec {
     pub config: SchedulerConfig,
 }
 
+/// A `"op": "schedule"` request as the daemon reads it: the envelope
+/// parsed, the SCoP still its polyscop text.
+#[derive(Debug, Clone)]
+pub(crate) struct WireSchedule {
+    /// Request id, echoed verbatim in the response (`null` if absent).
+    pub(crate) id: Json,
+    /// The request's `name` field, when it is a string.
+    pub(crate) name: Option<String>,
+    /// The polyscop exchange text.
+    pub(crate) scop: String,
+    /// The configurations to schedule under.
+    pub(crate) scenarios: Vec<ScenarioSpec>,
+    /// Request-scoped trace id (see [`ScheduleRequest::trace`]).
+    pub(crate) trace: Option<u64>,
+}
+
+impl WireSchedule {
+    /// Parses the SCoP text.
+    ///
+    /// # Errors
+    ///
+    /// The `parse_scop` error, as its message.
+    fn parse_scop(self) -> Result<ScheduleRequest, String> {
+        let scop = parse_scop(&self.scop).map_err(|e| e.to_string())?;
+        Ok(ScheduleRequest {
+            id: self.id,
+            name: self.name.unwrap_or_else(|| scop.name.clone()),
+            scop,
+            scenarios: self.scenarios,
+            trace: self.trace,
+        })
+    }
+}
+
 /// A parsed `"op": "schedule"` request.
 #[derive(Debug, Clone)]
 pub struct ScheduleRequest {
@@ -45,6 +84,39 @@ pub struct ScheduleRequest {
     pub trace: Option<u64>,
 }
 
+/// A `"op": "autotune"` request as the daemon reads it: the envelope
+/// parsed, the SCoP still its polyscop text.
+#[derive(Debug, Clone)]
+pub(crate) struct WireAutotune {
+    /// Request id, echoed verbatim in the response (`null` if absent).
+    pub(crate) id: Json,
+    /// The polyscop exchange text.
+    pub(crate) scop: String,
+    /// The machine to tune for.
+    pub(crate) machine: MachineModel,
+    /// Maximum candidate configurations to explore.
+    pub(crate) max_candidates: usize,
+    /// Parametric-loop trip estimate for feature extraction.
+    pub(crate) param_estimate: i64,
+}
+
+impl WireAutotune {
+    /// Parses the SCoP text.
+    ///
+    /// # Errors
+    ///
+    /// The `parse_scop` error, as its message.
+    fn parse_scop(self) -> Result<AutotuneRequest, String> {
+        Ok(AutotuneRequest {
+            id: self.id,
+            scop: parse_scop(&self.scop).map_err(|e| e.to_string())?,
+            machine: self.machine,
+            max_candidates: self.max_candidates,
+            param_estimate: self.param_estimate,
+        })
+    }
+}
+
 /// A parsed `"op": "autotune"` request.
 #[derive(Debug, Clone)]
 pub struct AutotuneRequest {
@@ -61,15 +133,16 @@ pub struct AutotuneRequest {
     pub param_estimate: i64,
 }
 
-/// Any request the daemon understands.
+/// Any request the daemon understands, with its SCoPs parsed (the
+/// default parameters) or still polyscop text (as the daemon reads it).
 #[derive(Debug, Clone)]
-pub enum Request {
+pub enum Request<S = ScheduleRequest, A = AutotuneRequest> {
     /// Schedule a SCoP under one or more configurations (batched).
-    Schedule(Box<ScheduleRequest>),
+    Schedule(Box<S>),
     /// Explore the machine-derived configuration lattice for a SCoP and
     /// return the cost model's pick (runs on the engine pool,
     /// independent of the admission window).
-    Autotune(Box<AutotuneRequest>),
+    Autotune(Box<A>),
     /// Report registry and service counters (immediate).
     Stats,
     /// Return the span tree of the most recently completed traced
@@ -81,7 +154,10 @@ pub enum Request {
     Shutdown,
 }
 
-/// Parses one request line.
+/// A request as the daemon reads it: SCoPs stay polyscop text.
+pub(crate) type WireRequest = Request<WireSchedule, WireAutotune>;
+
+/// Parses one request line, SCoP text included.
 ///
 /// # Errors
 ///
@@ -89,13 +165,29 @@ pub enum Request {
 /// daemon reports it in an error response without dropping the
 /// connection.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let root = polytops_core::json::parse(line)?;
-    let obj = root.as_object().ok_or("request must be a JSON object")?;
-    let op = obj
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or("missing string field `op`")?;
-    match op {
+    Ok(match parse_wire_request(line)? {
+        Request::Schedule(req) => Request::Schedule(Box::new(req.parse_scop()?)),
+        Request::Autotune(req) => Request::Autotune(Box::new(req.parse_scop()?)),
+        Request::Stats => Request::Stats,
+        Request::Trace => Request::Trace,
+        Request::Ping => Request::Ping,
+        Request::Shutdown => Request::Shutdown,
+    })
+}
+
+/// Parses one request line, leaving its SCoP text unparsed.
+///
+/// # Errors
+///
+/// As [`parse_request`], except that SCoP text is not checked.
+pub(crate) fn parse_wire_request(line: &str) -> Result<WireRequest, String> {
+    let Json::Object(mut obj) = polytops_core::json::parse(line)? else {
+        return Err("request must be a JSON object".to_string());
+    };
+    let Some(Json::Str(op)) = obj.remove("op") else {
+        return Err("missing string field `op`".to_string());
+    };
+    match op.as_str() {
         "ping" => Ok(Request::Ping),
         "stats" => Ok(Request::Stats),
         "trace" => Ok(Request::Trace),
@@ -108,18 +200,21 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-fn parse_schedule(obj: &BTreeMap<String, Json>) -> Result<ScheduleRequest, String> {
-    let id = obj.get("id").cloned().unwrap_or(Json::Null);
-    let scop_text = obj
-        .get("scop")
-        .and_then(Json::as_str)
-        .ok_or("missing string field `scop` (polyscop exchange text)")?;
-    let scop = parse_scop(scop_text).map_err(|e| e.to_string())?;
-    let name = obj
-        .get("name")
-        .and_then(Json::as_str)
-        .unwrap_or(&scop.name)
-        .to_string();
+/// Moves the `scop` field's text out of a request object.
+fn take_scop_text(obj: &mut BTreeMap<String, Json>) -> Result<String, String> {
+    match obj.remove("scop") {
+        Some(Json::Str(text)) => Ok(text),
+        _ => Err("missing string field `scop` (polyscop exchange text)".to_string()),
+    }
+}
+
+fn parse_schedule(mut obj: BTreeMap<String, Json>) -> Result<WireSchedule, String> {
+    let id = obj.remove("id").unwrap_or(Json::Null);
+    let scop = take_scop_text(&mut obj)?;
+    let name = match obj.remove("name") {
+        Some(Json::Str(name)) => Some(name),
+        _ => None,
+    };
     // `false` is accepted: it asks for the one whole-SCoP solve every
     // request gets.
     if !matches!(obj.get("split_components"), None | Some(Json::Bool(false))) {
@@ -176,7 +271,7 @@ fn parse_schedule(obj: &BTreeMap<String, Json>) -> Result<ScheduleRequest, Strin
             .unwrap_or(default_name);
         scenarios.push(ScenarioSpec { name, config });
     }
-    Ok(ScheduleRequest {
+    Ok(WireSchedule {
         id,
         name,
         scop,
@@ -185,13 +280,9 @@ fn parse_schedule(obj: &BTreeMap<String, Json>) -> Result<ScheduleRequest, Strin
     })
 }
 
-fn parse_autotune(obj: &BTreeMap<String, Json>) -> Result<AutotuneRequest, String> {
-    let id = obj.get("id").cloned().unwrap_or(Json::Null);
-    let scop_text = obj
-        .get("scop")
-        .and_then(Json::as_str)
-        .ok_or("missing string field `scop` (polyscop exchange text)")?;
-    let scop = parse_scop(scop_text).map_err(|e| e.to_string())?;
+fn parse_autotune(mut obj: BTreeMap<String, Json>) -> Result<WireAutotune, String> {
+    let id = obj.remove("id").unwrap_or(Json::Null);
+    let scop = take_scop_text(&mut obj)?;
     let mut machine = MachineModel::default();
     if let Some(m) = obj.get("machine") {
         let m = m.as_object().ok_or("`machine` must be an object")?;
@@ -240,7 +331,7 @@ fn parse_autotune(obj: &BTreeMap<String, Json>) -> Result<AutotuneRequest, Strin
             v
         }
     };
-    Ok(AutotuneRequest {
+    Ok(WireAutotune {
         id,
         scop,
         machine,
@@ -813,6 +904,7 @@ pub fn stats_response(
                 ("entries", Json::Int(registry.entries as i64)),
                 ("capacity", Json::Int(registry.capacity as i64)),
                 ("hits", Json::Int(registry.hits as i64)),
+                ("text_hits", Json::Int(registry.text_hits as i64)),
                 ("misses", Json::Int(registry.misses as i64)),
                 ("evictions", Json::Int(registry.evictions as i64)),
                 ("learned", Json::Int(registry.learned as i64)),
@@ -910,6 +1002,24 @@ mod tests {
         assert_eq!(req.scenarios[0].config, presets::pluto());
         assert_eq!(req.scenarios[1].name, "tuned");
         assert_eq!(req.scenarios[1].config.post.tile_sizes, vec![32]);
+    }
+
+    #[test]
+    fn the_wire_parse_keeps_the_scop_text_for_the_registry() {
+        let Ok(Request::Schedule(wire)) = parse_wire_request(&request_line()) else {
+            panic!("a schedule request");
+        };
+        assert_eq!(wire.scop, print_scop(&stencil_chain()));
+        assert_eq!((wire.id, wire.name), (Json::Int(7), None));
+        // A SCoP that does not parse passes the wire parse and fails
+        // `parse_request` with `parse_scop`'s message.
+        let cut = request_line().replace(
+            &Json::Str(print_scop(&stencil_chain())).compact(),
+            r#""<polyscop>""#,
+        );
+        assert!(matches!(parse_wire_request(&cut), Ok(Request::Schedule(_))));
+        let want = parse_scop("<polyscop>").unwrap_err().to_string();
+        assert_eq!(parse_request(&cut).unwrap_err(), want);
     }
 
     #[test]

@@ -6,14 +6,15 @@
 //!
 //! ```text
 //! event-loop thread: nonblocking listener + every connection
-//!      │  accept / read / parse line → Request
+//!      │  accept / read / parse line → WireRequest (SCoP still text)
 //!      │  ping/stats/shutdown: answered inline into the write buffer
 //!      │  schedule ──► bounded admission channel ──► batcher thread
 //!      │  autotune ──► unbounded tune channel ─────► tuner thread
 //!      ▼
 //! batcher thread: takes the first request, drains what queued while
-//! the previous batch ran (up to max_batch) → one ScenarioSet (SCoPs
-//! resolved through the ScopRegistry) → run_sharded(threads), on the
+//! the previous batch ran (up to max_batch) → one ScenarioSet (SCoP
+//! texts resolved through the ScopRegistry, which parses a text only
+//! when no resident entry remembers it) → run_sharded(threads), on the
 //! batcher itself when the batch is one scenario → per-request response
 //! lines, queued back to the event loop once the persister has journaled
 //! the SCoPs the batch admitted
@@ -31,12 +32,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use polytops_core::json::Json;
 use polytops_core::registry::{ScopEntry, ScopRegistry};
-use polytops_core::scenario::ScenarioSet;
+use polytops_core::scenario::{ScenarioResult, ScenarioSet};
+use polytops_ir::ParseScopError;
 
 use crate::persist::Persister;
 use crate::poll::{event_loop, Outbound};
-use crate::protocol::{self, AutotuneRequest, ScheduleRequest};
+use crate::protocol::{self, WireAutotune, WireSchedule};
 
 /// Deterministic fault injection for the restart test harness. All
 /// fields default to "no fault"; production configs never set them.
@@ -239,7 +242,7 @@ pub(crate) struct RequestTrace {
 
 /// One admitted schedule request awaiting its batch.
 pub(crate) struct Admitted {
-    pub(crate) req: ScheduleRequest,
+    pub(crate) req: WireSchedule,
     pub(crate) conn: u64,
     /// Lifecycle spans, when tracing is enabled.
     pub(crate) trace: Option<RequestTrace>,
@@ -247,7 +250,7 @@ pub(crate) struct Admitted {
 
 /// One autotune request on its way to the tuner worker.
 pub(crate) struct TuneJob {
-    pub(crate) req: AutotuneRequest,
+    pub(crate) req: WireAutotune,
     pub(crate) conn: u64,
 }
 
@@ -430,7 +433,17 @@ fn tune_loop(shared: &Arc<Shared>, rx: &Receiver<TuneJob>, out: &Sender<Outbound
         // Repeated tuning of a known SCoP rides the same registry
         // residency as the schedule op: the entry's dependence analysis
         // and Farkas caches persist across autotune requests/clients.
-        let (entry, hit) = shared.registry.resolve(&req.scop.name, &req.scop);
+        let (entry, hit) = match shared.registry.resolve_text(None, &req.scop) {
+            Ok(resolved) => resolved,
+            Err(e) => {
+                let _ = out.send(Outbound {
+                    conn: job.conn,
+                    line: protocol::error_response(&Json::Null, &e.to_string()),
+                    trace: None,
+                });
+                continue;
+            }
+        };
         // An admission is journaled before the exploration, a changed
         // winner after it, and both before the response is queued.
         if let (Some(persist), false) = (&shared.persist, hit) {
@@ -547,7 +560,9 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>, out: &Sender<Outbou
 /// Executes one batch as a single `ScenarioSet`, pushing one response
 /// line per request (with its still-open "request" span, when traced)
 /// and collecting, in order, the entries the registry admitted on a
-/// miss (the persistence journal's `admit` events).
+/// miss (the persistence journal's `admit` events). A request whose
+/// SCoP text does not parse gets the parse error, with a `null` id, in
+/// its place among the batch's responses.
 fn process_group(
     shared: &Arc<Shared>,
     group: Vec<Admitted>,
@@ -556,8 +571,9 @@ fn process_group(
 ) {
     struct Slot {
         admitted: Admitted,
-        entry: Arc<ScopEntry>,
-        hit: bool,
+        /// The resident entry and whether it was a hit, or the SCoP
+        /// text's parse error.
+        resolved: Result<(Arc<ScopEntry>, bool), ParseScopError>,
         /// Scenario indices of this request inside the shared set.
         scenarios: Vec<usize>,
         /// The open "solve" span covering this request's share of the
@@ -572,17 +588,38 @@ fn process_group(
     let mut slot_of_entry: Vec<(*const ScopEntry, usize)> = Vec::new();
     let mut slots: Vec<Slot> = Vec::with_capacity(group.len());
     for admitted in group {
-        let (entry, hit) = shared
+        let resolve = admitted
+            .trace
+            .as_ref()
+            .map(|trace| trace.root.child("resolve"));
+        let resolved = shared
             .registry
-            .resolve(&admitted.req.name, &admitted.req.scop);
-        if !hit {
-            misses.push(Arc::clone(&entry));
+            .resolve_text(admitted.req.name.as_deref(), &admitted.req.scop);
+        if let Some(resolve) = resolve {
+            resolve.finish();
         }
-        let key = Arc::as_ptr(&entry);
+        let entry = match &resolved {
+            Ok((entry, hit)) => {
+                if !hit {
+                    misses.push(Arc::clone(entry));
+                }
+                entry
+            }
+            Err(_) => {
+                slots.push(Slot {
+                    admitted,
+                    resolved,
+                    scenarios: Vec::new(),
+                    solve: None,
+                });
+                continue;
+            }
+        };
+        let key = Arc::as_ptr(entry);
         let scop_idx = match slot_of_entry.iter().find(|(k, _)| *k == key) {
             Some(&(_, idx)) => idx,
             None => {
-                let idx = set.add_resident_scop(Arc::clone(&entry));
+                let idx = set.add_resident_scop(Arc::clone(entry));
                 slot_of_entry.push((key, idx));
                 idx
             }
@@ -614,8 +651,7 @@ fn process_group(
             .collect();
         slots.push(Slot {
             admitted,
-            entry,
-            hit,
+            resolved,
             scenarios,
             solve,
         });
@@ -637,58 +673,11 @@ fn process_group(
             .trace
             .as_ref()
             .map(|trace| trace.root.child("serialize"));
-        let deps = slot.entry.deps();
-        let reports: Vec<_> = slot
-            .admitted
-            .req
-            .scenarios
-            .iter()
-            .zip(&slot.scenarios)
-            .map(|(spec, &idx)| {
-                let result = &results[idx];
-                let certified = match result {
-                    Ok(report) => protocol::certify(&deps, report),
-                    Err(_) => false,
-                };
-                (spec.name.as_str(), result, certified)
-            })
-            .collect();
-        let line = if reports.iter().any(|(_, r, c)| r.is_ok() && !c) {
-            // The oracle is the last line of defense; a violation must
-            // never leave the daemon as a schedule.
-            protocol::error_response(
-                &slot.admitted.req.id,
-                "internal error: schedule failed oracle certification",
-            )
-        } else {
-            let stats = polytops_core::json::Json::Array(
-                reports
-                    .iter()
-                    .map(|(name, result, _)| {
-                        polytops_core::json::Json::Object(std::collections::BTreeMap::from([
-                            (
-                                "name".to_string(),
-                                polytops_core::json::Json::Str(name.to_string()),
-                            ),
-                            (
-                                "pipeline".to_string(),
-                                result
-                                    .as_ref()
-                                    .map_or(polytops_core::json::Json::Null, |r| {
-                                        protocol::stats_to_json(&r.stats)
-                                    }),
-                            ),
-                        ]))
-                    })
-                    .collect(),
-            );
-            protocol::schedule_response(
-                &slot.admitted.req.id,
-                protocol::results_to_json(&reports),
-                stats,
-                slot.hit,
-                slot.entry.fingerprint(),
-            )
+        let line = match &slot.resolved {
+            Ok((entry, hit)) => {
+                schedule_line(&slot.admitted.req, &slot.scenarios, &results, entry, *hit)
+            }
+            Err(e) => protocol::error_response(&Json::Null, &e.to_string()),
         };
         if let Some(serialize) = serialize {
             serialize.finish();
@@ -696,4 +685,60 @@ fn process_group(
         let root = slot.admitted.trace.take().map(|trace| trace.root);
         responses.push((slot.admitted.conn, line, root));
     }
+}
+
+/// The response line of one scheduled request: its scenarios' results,
+/// each certified by the oracle, or an error if any answer fails it.
+fn schedule_line(
+    req: &WireSchedule,
+    scenarios: &[usize],
+    results: &[ScenarioResult],
+    entry: &ScopEntry,
+    hit: bool,
+) -> String {
+    let deps = entry.deps();
+    let reports: Vec<_> = req
+        .scenarios
+        .iter()
+        .zip(scenarios)
+        .map(|(spec, &idx)| {
+            let result = &results[idx];
+            let certified = match result {
+                Ok(report) => protocol::certify(&deps, report),
+                Err(_) => false,
+            };
+            (spec.name.as_str(), result, certified)
+        })
+        .collect();
+    if reports.iter().any(|(_, r, c)| r.is_ok() && !c) {
+        // The oracle is the last line of defense; a violation must
+        // never leave the daemon as a schedule.
+        return protocol::error_response(
+            &req.id,
+            "internal error: schedule failed oracle certification",
+        );
+    }
+    let stats = Json::Array(
+        reports
+            .iter()
+            .map(|(name, result, _)| {
+                Json::Object(std::collections::BTreeMap::from([
+                    ("name".to_string(), Json::Str(name.to_string())),
+                    (
+                        "pipeline".to_string(),
+                        result
+                            .as_ref()
+                            .map_or(Json::Null, |r| protocol::stats_to_json(&r.stats)),
+                    ),
+                ]))
+            })
+            .collect(),
+    );
+    protocol::schedule_response(
+        &req.id,
+        protocol::results_to_json(&reports),
+        stats,
+        hit,
+        entry.fingerprint(),
+    )
 }

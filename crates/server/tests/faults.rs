@@ -746,6 +746,62 @@ fn readmission_after_eviction_is_journaled() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The registry's remembered texts are not persisted: after a kill, the
+/// restarted daemon answers a resent text by parsing it — a canonical
+/// hit on the restored entry, eliminating nothing — and only the text's
+/// second resend is a text hit.
+#[test]
+fn remembered_texts_do_not_survive_a_restart() {
+    let dir = scratch("texts");
+    let config = ServerConfig {
+        rotate_every: 1_000,
+        ..fleet_config(2, &dir)
+    };
+    let first = Server::start(ServerConfig {
+        faults: FaultPlan {
+            kill_after_batches: Some(2),
+            ..FaultPlan::default()
+        },
+        ..config.clone()
+    })
+    .expect("start first generation");
+    let line = request_line(
+        "chain",
+        "stencil_chain",
+        &polytops_workloads::stencil_chain(),
+        &["pluto", "feautrier"],
+    );
+    let mut client = Client::connect(first.addr()).expect("connect");
+    let (ok, hit, _, _) = unpack(&client.roundtrip(&line).expect("first request"));
+    assert!(ok && !hit);
+    assert!(client.roundtrip(&line).is_err(), "the kill drops it");
+    while !first.crashed() {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    first.join();
+
+    let second = Server::start(config).expect("start second generation");
+    let mut client = Client::connect(second.addr()).expect("connect");
+    let text_hits = |client: &mut Client| {
+        let stats = client.stats().expect("stats");
+        stats.as_object().expect("stats object")["registry"]
+            .as_object()
+            .expect("registry object")["text_hits"]
+            .as_int()
+            .expect("text_hits")
+    };
+    for resend in 0..2 {
+        let response = client.roundtrip(&line).expect("resend");
+        let (ok, hit, results, misses) = unpack(&response);
+        assert!(ok && hit, "resend {resend} must be resident: {response}");
+        assert_eq!(misses, 0, "resend {resend} must be prewarmed: {response}");
+        assert_eq!(results, golden(&line), "resend {resend}");
+        assert_eq!(text_hits(&mut client), resend, "resend {resend}");
+    }
+    second.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Hostile text: a 4 MiB request line whose pad mixes ASCII, 2-, 3- and
 /// 4-byte UTF-8 and escapes is parsed on the event-loop thread in time
 /// linear in its bytes, so the daemon answers it, and a ping on a second

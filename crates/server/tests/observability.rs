@@ -102,7 +102,14 @@ fn trace_op_returns_the_full_request_lifecycle_tree() {
         .collect();
     assert_eq!(
         phases,
-        ["read", "admission", "solve", "serialize", "write"],
+        [
+            "read",
+            "admission",
+            "resolve",
+            "solve",
+            "serialize",
+            "write"
+        ],
         "lifecycle phases in order"
     );
 

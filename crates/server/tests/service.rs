@@ -527,3 +527,44 @@ fn shutdown_op_stops_the_daemon() {
     // join() returns only when accept and batcher threads exit.
     handle.join();
 }
+
+/// A schedule line whose SCoP text does not parse gets the parse error
+/// in its place among pipelined answers; a text sent again is answered
+/// from the registry's remembered texts with the same bytes.
+#[test]
+fn a_bad_scop_is_answered_in_line_and_a_resent_text_is_a_text_hit() {
+    let handle = start(local_config());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let first = sweep_request_line("first", "matmul", &matmul());
+    let second = sweep_request_line("second", "jacobi_1d", &jacobi_1d());
+    let text = polytops_ir::print_scop(&stencil_chain());
+    let bad = sweep_request_line("bad", "stencil_chain", &stencil_chain())
+        .replace(&Json::Str(text).compact(), r#""<polyscop>\nname cut\n""#);
+    assert!(bad.contains("name cut"), "{bad}");
+    for line in [&first, &bad, &second] {
+        client.send_line(line).unwrap();
+    }
+    let (ok, hit, got) = unpack(&client.recv_line().unwrap());
+    assert!(ok && !hit);
+    let golden = |line: &str| match protocol::parse_request(line).unwrap() {
+        Request::Schedule(req) => protocol::offline_results(&req).compact(),
+        other => panic!("generated line must be a schedule request, got {other:?}"),
+    };
+    assert_eq!(got, golden(&first));
+    assert_eq!(
+        client.recv_line().unwrap(),
+        r#"{"error":"scop parse error at line 3: unexpected end of input","id":null,"ok":false}"#
+    );
+    let (ok, hit, got) = unpack(&client.recv_line().unwrap());
+    assert!(ok && !hit);
+    assert_eq!(got, golden(&second));
+
+    let (ok, hit, again) = unpack(&client.roundtrip(&first).unwrap());
+    assert!(ok && hit, "a resent text is resident");
+    assert_eq!(again, golden(&first));
+    let stats = client.stats().unwrap();
+    let registry = stats.as_object().unwrap()["registry"].as_object().unwrap();
+    assert!(registry["text_hits"].as_int().unwrap() >= 1, "{stats:?}");
+    assert_eq!(registry["entries"].as_int(), Some(2), "{stats:?}");
+    handle.shutdown();
+}
