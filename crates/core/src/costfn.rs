@@ -151,7 +151,7 @@ mod tests {
     use polytops_math::{farkas_nonneg, ConstraintSystem};
 
     fn rows(kind: DepConstraint, dep: &Dependence, space: &IlpSpace) -> ConstraintSystem {
-        farkas_nonneg(&dep.poly, &kind.template(dep, 0, space), space.total()).unwrap()
+        farkas_nonneg(dep.poly(), &kind.template(dep, 0, space), space.total()).unwrap()
     }
 
     fn chain() -> (Scop, Vec<Dependence>) {

@@ -35,7 +35,7 @@
 
 use polytops_deps::{Certifier, Dependence};
 use polytops_ir::Scop;
-use polytops_math::{ilp_minimize, Echelon, IlpOutcome};
+use polytops_math::Echelon;
 
 use crate::strategy::DimSolution;
 
@@ -55,7 +55,7 @@ pub(crate) fn propose(
 
     // 1. Dimension matching: one-hot rows on each statement's first
     //    basis-independent original iterator. An overflow of the
-    //    independence test gives up, as in `min_distance`.
+    //    independence test gives up, as in the shift repair.
     let mut rows: Vec<Vec<i64>> = Vec::with_capacity(nstmts);
     let mut progressed = false;
     for (s, stmt) in scop.statements.iter().enumerate() {
@@ -88,10 +88,12 @@ pub(crate) fn propose(
             if oracle.respects(e, &rows[dep.src.0], &rows[dep.dst.0]) {
                 continue;
             }
-            let deficit = match min_distance(dep, &rows[dep.src.0], &rows[dep.dst.0]) {
+            // `None` when `Δ` is unbounded below (or the solver
+            // overflowed): the fast path gives up.
+            let deficit = match oracle.min_distance(e, &rows[dep.src.0], &rows[dep.dst.0]) {
                 Some(m) if m < 0 => -m,
                 Some(_) => continue,
-                None => return None, // unbounded below: unfixable
+                None => return None,
             };
             if dep.src == dep.dst {
                 // Shifting a self-dependence moves both sides equally.
@@ -127,16 +129,4 @@ pub(crate) fn propose(
         parallel,
         constant: false,
     })
-}
-
-/// The minimal schedule distance `Δ` of a dependence under candidate
-/// rows, or `None` when `Δ` is unbounded below (or the polyhedron is
-/// somehow empty, or the solver overflowed): the fast path gives up.
-fn min_distance(dep: &Dependence, src_row: &[i64], dst_row: &[i64]) -> Option<i64> {
-    let delta = polytops_deps::distance_row(dep, src_row, dst_row);
-    let nv = dep.poly.num_vars();
-    match ilp_minimize(&dep.poly, &delta[..nv]) {
-        Ok(IlpOutcome::Optimal { value, .. }) => Some(value + delta[nv]),
-        _ => None,
-    }
 }

@@ -84,7 +84,7 @@ impl FarkasCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
             let _timing = polytops_obs::time("farkas.eliminate_ns");
-            let cone = farkas_cone(&dep.poly)?;
+            let cone = farkas_cone(dep.poly())?;
             polytops_obs::count("farkas.cone_rows", cone.len() as u64);
             let _ = slot.set(cone);
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -298,7 +298,7 @@ mod tests {
         let (mut deps, mut rows) = (0, 0);
         for scop in &scops {
             for dep in analyze(scop) {
-                let cone = farkas_cone(&dep.poly).unwrap();
+                let cone = farkas_cone(dep.poly()).unwrap();
                 deps += 1;
                 rows += cone.len();
                 for (i, (kind, row)) in cone.iter().enumerate() {

@@ -66,7 +66,6 @@ fn every_answer_matches_the_from_scratch_oracle() {
                     assert!(reference::steps_respect(dep, &steps), "{what}: dep {e}");
                     asked += steps.len();
                 }
-                assert!(certifier.stats().tableau_builds <= deps.len() as u64);
             }
         }
     }
@@ -332,18 +331,19 @@ fn a_dependence_between_two_filters_under_the_rewritten_band_is_re_checked() {
 }
 
 // ---------------------------------------------------------------------
-// The counters: a tableau per dependence, not per question.
+// The counters: the analysis's tableau per dependence, however many
+// questions.
 // ---------------------------------------------------------------------
 
 /// The `oracle.*` counters one `schedule` call leaves in a recorder:
-/// dependences, tableau builds, questions.
-fn oracle_counters(scop: &Scop, config: &SchedulerConfig) -> (u64, u64, u64) {
+/// dependences, questions.
+fn oracle_counters(scop: &Scop, config: &SchedulerConfig) -> (u64, u64) {
     counters(scop, config).0
 }
 
 /// [`oracle_counters`], and beside them the rewrites post-processing
 /// proved and committed.
-fn counters(scop: &Scop, config: &SchedulerConfig) -> ((u64, u64, u64), u64) {
+fn counters(scop: &Scop, config: &SchedulerConfig) -> ((u64, u64), u64) {
     let recorder = polytops_obs::Recorder::new(true);
     let root = recorder.root_span("test");
     {
@@ -352,11 +352,7 @@ fn counters(scop: &Scop, config: &SchedulerConfig) -> ((u64, u64, u64), u64) {
     }
     let get = |name: &str| recorder.counter(name).get();
     (
-        (
-            analyze(scop).len() as u64,
-            get("oracle.tableau_builds"),
-            get("oracle.queries"),
-        ),
+        (analyze(scop).len() as u64, get("oracle.queries")),
         get("postprocess.rewrites_proved"),
     )
 }
@@ -365,21 +361,23 @@ fn counters(scop: &Scop, config: &SchedulerConfig) -> ((u64, u64, u64), u64) {
 fn a_schedule_builds_one_tableau_per_dependence_however_many_questions() {
     // The engine's carried / parallel tests of every dimension, the
     // tile flags, and the proof of every rewrite all ask the run's one
-    // certifier. The counts are exact and deterministic: a return to a
-    // tableau per question multiplies the first by ten, and a rewrite
-    // the proof stops covering is no longer committed.
+    // certifier, each question on a copy of the tableau the analysis
+    // built for its dependence. The counts are exact and deterministic:
+    // a question asked twice, or one the proof stops asking, moves the
+    // second, and a rewrite the proof stops covering is no longer
+    // committed.
     let (oracle, proved) = counters(&jacobi_1d(), &polytops_core::presets::wavefront());
-    assert_eq!(oracle, (9, 9, 52));
+    assert_eq!(oracle, (9, 52));
     assert_eq!(proved, 2, "tile and wavefront");
 
     let mut config = SchedulerConfig::default();
     config.post.tile_sizes = vec![16];
     config.post.intra_tile_vectorize = true;
     let (oracle, proved) = counters(&polytops_workloads::heat_2d(), &config);
-    assert_eq!(oracle, (13, 13, 64));
+    assert_eq!(oracle, (13, 64));
     assert_eq!(proved, 1, "one tiling");
 
-    // No dependence, no question, no tableau.
+    // No dependence, no question.
     let wide = polytops_workloads::synthetic::wide_scop(8);
-    assert_eq!(oracle_counters(&wide, &config), (0, 0, 0));
+    assert_eq!(oracle_counters(&wide, &config), (0, 0));
 }

@@ -1,8 +1,20 @@
 //! Candl-style dependence analysis: one convex dependence polyhedron per
 //! access pair and per dependence level.
+//!
+//! Each candidate polyhedron is normalized once and solved into a
+//! simplex tableau once. The integer emptiness test searches that
+//! tableau; a candidate that survives keeps a packed copy of it,
+//! untouched, in its [`Dependence`], and every
+//! [`Certifier`](crate::Certifier) question about it starts from a copy
+//! of that one. No certifier builds a tableau of its own. A candidate
+//! whose polyhedron equals one already kept is neither built nor
+//! searched again: it shares the kept tableau.
+
+use std::fmt;
+use std::sync::Arc;
 
 use polytops_ir::{AccessKind, ArrayId, Scop, Statement, StmtId, Subscript};
-use polytops_math::{ilp_feasible, ConstraintSystem};
+use polytops_math::{ConstraintSystem, IncrementalLp};
 
 /// Dependence class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -21,7 +33,16 @@ pub enum DepKind {
 /// The polyhedron lives in the combined space
 /// `(it_src, it_dst, params, 1)` and is guaranteed non-empty (empty
 /// candidates are filtered during analysis).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Beside the polyhedron a dependence carries the solved tableau of it,
+/// built by the analysis that found the dependence. The polyhedron is
+/// private so that it can never change under its tableau: it is read
+/// through [`poly`](Dependence::poly), and only [`analyze`] makes a
+/// `Dependence`. The tableau is `None` exactly when building it
+/// overflowed; every question about such a dependence answers "a point
+/// may exist". A clone shares the tableau, equality ignores it (it is
+/// derived from the polyhedron) and `Debug` omits it.
+#[derive(Clone)]
 pub struct Dependence {
     /// Source statement (executes first).
     pub src: StmtId,
@@ -31,8 +52,11 @@ pub struct Dependence {
     pub kind: DepKind,
     /// The array inducing the dependence.
     pub array: ArrayId,
-    /// Dependence polyhedron over `(it_src, it_dst, params, 1)`.
-    pub poly: ConstraintSystem,
+    /// Dependence polyhedron over `(it_src, it_dst, params, 1)`,
+    /// normalized.
+    poly: ConstraintSystem,
+    /// The solved tableau of `poly`, as phase 1 left it.
+    base: Option<Arc<IncrementalLp>>,
     /// Candl-style level: `1..=common` means carried by that common loop;
     /// `common + 1` means loop-independent (textual order).
     pub level: usize,
@@ -43,6 +67,67 @@ pub struct Dependence {
     pub src_depth: usize,
     /// Iterator count of the destination statement (cached from the scop).
     pub dst_depth: usize,
+}
+
+impl Dependence {
+    /// Dependence polyhedron over `(it_src, it_dst, params, 1)`,
+    /// normalized.
+    pub fn poly(&self) -> &ConstraintSystem {
+        &self.poly
+    }
+
+    /// The solved tableau of [`poly`](Dependence::poly), for a question
+    /// to copy: `None` when it overflowed.
+    pub(crate) fn base(&self) -> Option<&IncrementalLp> {
+        self.base.as_deref()
+    }
+
+    /// The candidate kept, with the tableau of its polyhedron, unless
+    /// the integer emptiness test on that tableau proves it empty.
+    fn solved(mut self) -> Option<Dependence> {
+        if let Ok(mut lp) = IncrementalLp::new(&self.poly) {
+            // The search leaves its bound rows behind, so the tableau
+            // kept is a copy taken before it — packed: it holds no room
+            // for rows, which a question copies it to push.
+            let base = lp.packed();
+            if !lp.may_have_integer_point(&mut 0) {
+                return None;
+            }
+            self.base = Some(Arc::new(base));
+        }
+        Some(self)
+    }
+}
+
+impl PartialEq for Dependence {
+    /// Every field but the tableau, which is derived from the polyhedron.
+    fn eq(&self, other: &Dependence) -> bool {
+        self.src == other.src
+            && self.dst == other.dst
+            && self.kind == other.kind
+            && self.array == other.array
+            && self.poly == other.poly
+            && self.level == other.level
+            && self.exact == other.exact
+            && self.src_depth == other.src_depth
+            && self.dst_depth == other.dst_depth
+    }
+}
+
+impl fmt::Debug for Dependence {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Dependence")
+            .field("src", &self.src)
+            .field("dst", &self.dst)
+            .field("kind", &self.kind)
+            .field("array", &self.array)
+            .field("poly", &self.poly)
+            .field("level", &self.level)
+            .field("exact", &self.exact)
+            .field("src_depth", &self.src_depth)
+            .field("dst_depth", &self.dst_depth)
+            .finish()
+    }
 }
 
 /// Number of common (shared) loops of two statements, derived from their
@@ -80,7 +165,11 @@ fn textually_before(s: &Statement, r: &Statement, common: usize) -> bool {
 ///   subscripts),
 /// * the level's precedence constraint.
 ///
-/// Candidates with no integer point are discarded (exact ILP test).
+/// Each candidate is normalized and solved into a tableau once.
+/// Candidates with no integer point are discarded (an exact branch and
+/// bound on a copy of that tableau); the others keep it. Dependences
+/// with equal polyhedra — the same access pattern between statements
+/// over equal domains, as along a chain — share one tableau.
 ///
 /// # Examples
 ///
@@ -103,7 +192,25 @@ fn textually_before(s: &Statement, r: &Statement, common: usize) -> bool {
 /// assert!(deps.iter().any(|d| d.kind == DepKind::Flow && d.level == 1));
 /// ```
 pub fn analyze(scop: &Scop) -> Vec<Dependence> {
-    let mut out = Vec::new();
+    let mut out: Vec<Dependence> = Vec::new();
+    candidates(scop, |candidate| {
+        // A polyhedron equal to one already kept is non-empty, and its
+        // tableau is that one's: the two dependences share it.
+        match out.iter().find(|kept| kept.poly == candidate.poly) {
+            Some(twin) => {
+                let base = twin.base.clone();
+                out.push(Dependence { base, ..candidate });
+            }
+            None => out.extend(candidate.solved()),
+        }
+    });
+    out
+}
+
+/// Hands every candidate dependence of `scop` to `keep`, in the order
+/// [`analyze`] reports them: its polyhedron normalized, its tableau not
+/// built yet. A candidate `normalize` proves empty is skipped.
+fn candidates(scop: &Scop, mut keep: impl FnMut(Dependence)) {
     let np = scop.nparams();
     for s in &scop.statements {
         for r in &scop.statements {
@@ -125,21 +232,20 @@ pub fn analyze(scop: &Scop) -> Vec<Dependence> {
                     // Carried levels.
                     for level in 1..=common {
                         if let Some(dep) = build_dep(scop, s, r, a, b, kind, level, common, np) {
-                            out.push(dep);
+                            keep(dep);
                         }
                     }
                     // Loop-independent level.
                     if s.id != r.id && textually_before(s, r, common) {
                         if let Some(dep) = build_dep(scop, s, r, a, b, kind, common + 1, common, np)
                         {
-                            out.push(dep);
+                            keep(dep);
                         }
                     }
                 }
             }
         }
     }
-    out
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -244,15 +350,13 @@ fn build_dep(
     if !poly.normalize() {
         return None;
     }
-    if !ilp_feasible(&poly) {
-        return None;
-    }
     Some(Dependence {
         src: s.id,
         dst: r.id,
         kind,
         array: a.array,
         poly,
+        base: None,
         level,
         exact,
         src_depth: ds,
@@ -264,6 +368,92 @@ fn build_dep(
 mod tests {
     use super::*;
     use polytops_ir::{Aff, ScopBuilder};
+    use polytops_math::ilp_feasible;
+    use polytops_workloads::synthetic::{long_chain, offset_chain, wide_scop};
+    use proptest::prelude::*;
+
+    /// [`analyze`] with its emptiness test replaced by the one-question
+    /// [`ilp_feasible`] of each candidate: a clone of the polyhedron,
+    /// normalized again, built, searched and dropped.
+    fn reference_analyze(scop: &Scop) -> Vec<Dependence> {
+        let mut out = Vec::new();
+        candidates(scop, |candidate| {
+            if ilp_feasible(candidate.poly()) {
+                out.push(candidate);
+            }
+        });
+        out
+    }
+
+    /// Same dependences, in the same order, with the same polyhedra —
+    /// and each with its tableau.
+    fn assert_matches_reference(scop: &Scop) {
+        let deps = analyze(scop);
+        assert_eq!(deps, reference_analyze(scop), "{}", scop.name);
+        assert!(deps.iter().all(|d| d.base().is_some()), "{}", scop.name);
+    }
+
+    #[test]
+    fn analysis_keeps_what_the_one_question_test_keeps() {
+        let mut scops: Vec<Scop> = polytops_workloads::all_kernels()
+            .into_iter()
+            .map(|(_, scop)| scop)
+            .collect();
+        scops.extend([long_chain(16), wide_scop(8), chain_scop()]);
+        for scop in &scops {
+            assert_matches_reference(scop);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn seeded_chains_keep_what_the_one_question_test_keeps(
+            shape in collection::vec((0i64..4, 0i64..4, 0i64..4), 2..6)
+        ) {
+            assert_matches_reference(&offset_chain(&shape));
+        }
+    }
+
+    #[test]
+    fn equal_polyhedra_share_one_tableau() {
+        // Along a chain every statement pair repeats the same two
+        // polyhedra: 30 dependences, two tableaus.
+        let deps = analyze(&long_chain(16));
+        assert_eq!(deps.len(), 30);
+        for a in &deps {
+            for b in &deps {
+                let (Some(x), Some(y)) = (&a.base, &b.base) else {
+                    panic!("a tableau per dependence");
+                };
+                assert_eq!(Arc::ptr_eq(x, y), a.poly == b.poly);
+            }
+        }
+    }
+
+    #[test]
+    fn a_dependence_whose_tableau_overflows_is_kept_without_one() {
+        // Subscripts whose dependence polyhedron needs products of
+        // near-`i64::MAX` coefficients: no tableau holds it, and no
+        // emptiness is proved.
+        let src = "
+            double A[N][N][N];
+            #pragma scop
+            for (i = 0; i < N; i++)
+              for (j = 0; j < N; j++)
+                for (k = 0; k < N; k++)
+                  A[9223372036854775807*i - 9223372036854775805*j]
+                   [9223372036854775803*j - 9223372036854775801*k]
+                   [9223372036854775799*k - 9223372036854775797*i]
+                    = A[9223372036854775807*i - 9223372036854775805*j + 1]
+                       [9223372036854775803*j - 9223372036854775801*k + 1]
+                       [9223372036854775799*k - 9223372036854775797*i + 1];
+            #pragma endscop
+        ";
+        let scop = polytops_ir::frontend::parse_c("hostile", src).unwrap();
+        let deps = analyze(&scop);
+        assert_eq!(deps, reference_analyze(&scop));
+        assert!(deps.iter().any(|d| d.base().is_none()), "{deps:?}");
+    }
 
     fn chain_scop() -> Scop {
         // for (i = 1; i < N; i++) A[i] = A[i-1];
@@ -289,8 +479,8 @@ mod tests {
         assert_eq!(d.src, StmtId(0));
         assert_eq!(d.dst, StmtId(0));
         // (i_s, i_r, N) with i_r = i_s + 1 is in the polyhedron.
-        assert!(d.poly.contains_point(&[1, 2, 3]));
-        assert!(!d.poly.contains_point(&[2, 1, 3]));
+        assert!(d.poly().contains_point(&[1, 2, 3]));
+        assert!(!d.poly().contains_point(&[2, 1, 3]));
         // The flow dep is the *only* dependence: every cell is written
         // once (no output dep) and each read happens after the write of
         // its cell (no anti dep).

@@ -8,8 +8,8 @@
 //! every dimension, and [`schedule_respects_dependence`] is the
 //! independent legality oracle used by the test suite. Each is the
 //! one-question form of a [`Certifier`], which answers families of such
-//! questions about one set of dependences on one live tableau per
-//! dependence.
+//! questions about one set of dependences, each question on a copy of
+//! the tableau [`analyze`] solved for its dependence.
 //!
 //! # Example
 //!

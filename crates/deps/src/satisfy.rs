@@ -9,10 +9,12 @@
 //!
 //! Every such question is "does the dependence polyhedron, plus a row
 //! or two, hold an integer point", and the questions come in families
-//! over one polyhedron. A [`Certifier`] therefore keeps, per
-//! dependence, the solved tableau of its polyhedron
-//! ([`IncrementalLp`]) and asks each question as one pushed row on a
-//! snapshot of it. An order question about a whole flat schedule or a
+//! over one polyhedron. The polyhedron is solved once, by the analysis
+//! that found the dependence: each [`Dependence`] carries the solved
+//! tableau of its own polyhedron ([`IncrementalLp`]), and a
+//! [`Certifier`] asks each question as one pushed row on a copy of it.
+//! Certifiers share that tableau, never an answer: what one proves
+//! stays in it. An order question about a whole flat schedule or a
 //! tree's step sequence walks it on one working copy, asking `Δ ≤ −1`
 //! of each step and pinning `Δ = 0` before the next, instead of
 //! rebuilding prefix + step per question. The free functions of this
@@ -21,7 +23,7 @@
 use std::collections::HashMap;
 
 use polytops_ir::PathStep;
-use polytops_math::{ConstraintSystem, IncrementalLp, RowKind};
+use polytops_math::{ConstraintSystem, IlpOutcome, IlpStats, IncrementalLp, RowKind};
 
 use crate::analysis::Dependence;
 
@@ -35,10 +37,10 @@ use crate::analysis::Dependence;
 pub fn distance_row(dep: &Dependence, src_row: &[i64], dst_row: &[i64]) -> Vec<i64> {
     let ds = dep.src_depth;
     let dr = dep.dst_depth;
-    let np = dep.poly.num_vars() - ds - dr;
+    let np = dep.poly().num_vars() - ds - dr;
     assert_eq!(src_row.len(), ds + np + 1, "source row arity");
     assert_eq!(dst_row.len(), dr + np + 1, "destination row arity");
-    let nv = dep.poly.num_vars();
+    let nv = dep.poly().num_vars();
     let mut row = vec![0i64; nv + 1];
     for k in 0..ds {
         row[k] -= src_row[k];
@@ -237,7 +239,7 @@ impl StepSystem {
     ) -> StepSystem {
         let ds = dep.src_depth;
         let dr = dep.dst_depth;
-        let nv = dep.poly.num_vars();
+        let nv = dep.poly().num_vars();
         let np = nv - ds - dr;
         // First pass: one auxiliary variable per distinct floored term,
         // paired across sides when a member contributes the same
@@ -391,18 +393,18 @@ impl StepSystem {
     pub fn materialized(dep: &Dependence, steps: &[OrderStep]) -> (ConstraintSystem, StepSystem) {
         let enc = StepSystem::new(dep, steps, |delta| {
             let neg: Vec<i64> = delta.iter().map(|&c| -c).collect();
-            if polytops_math::ineq_implied(&dep.poly, delta) {
+            if polytops_math::ineq_implied(dep.poly(), delta) {
                 1
-            } else if polytops_math::ineq_implied(&dep.poly, &neg) {
+            } else if polytops_math::ineq_implied(dep.poly(), &neg) {
                 -1
             } else {
                 0
             }
         });
-        let nv = dep.poly.num_vars();
+        let nv = dep.poly().num_vars();
         let next = nv + enc.aux;
         let mut sys = ConstraintSystem::new(next);
-        for (kind, row) in dep.poly.iter() {
+        for (kind, row) in dep.poly().iter() {
             let mut r = vec![0i64; next + 1];
             r[..nv].copy_from_slice(&row[..nv]);
             r[next] = row[nv];
@@ -437,36 +439,28 @@ pub fn steps_respect_dependence(dep: &Dependence, steps: &[OrderStep]) -> bool {
 /// is dropped.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CertifierStats {
-    /// Feasibility and implication questions asked of a tableau.
+    /// Feasibility, implication and minimization questions asked of a
+    /// tableau.
     pub queries: u64,
-    /// Tableaus built from a constraint system (one per dependence
-    /// asked about; never one per question).
-    pub tableau_builds: u64,
     /// Branch-and-bound nodes the feasibility questions explored.
     pub bb_nodes: u64,
 }
 
-/// What one dependence keeps between questions.
-struct DepOracle {
-    /// The solved tableau of `dep.poly`, normalized once. `None` when
-    /// it could not be built (an overflow): every feasibility question
-    /// then answers "a point may exist" and no cut is proved.
-    base: Option<IncrementalLp>,
-    /// The sign of `δ` over the polyhedron, per floored term pair (the
-    /// `δ` row is the key): `1` for `δ ≥ 0`, `-1` for `δ ≤ 0`, `0` for
-    /// neither.
-    cuts: HashMap<Vec<i64>, i8>,
-}
-
 /// The dependence oracle of one set of dependences: answers every
-/// satisfaction and legality question about them, keeping per
-/// dependence the live tableau of its polyhedron and the monotonicity
-/// cuts it has proved. One per post-processing pass, certification or
-/// tuner call, dropped with it — nothing outlives the dependences it
-/// was made for.
+/// satisfaction and legality question about them. Each question starts
+/// from a copy of the solved tableau of the dependence's polyhedron,
+/// which [`analyze`](crate::analyze) left in the dependence; the
+/// certifier builds none. What it keeps per dependence is the
+/// monotonicity cuts it has proved. One
+/// per post-processing pass, certification or tuner call, dropped with
+/// it — nothing outlives the dependences it was made for, and no answer
+/// is shared between certifiers.
 pub struct Certifier<'a> {
     deps: &'a [Dependence],
-    oracles: Vec<Option<DepOracle>>,
+    /// Per dependence, the sign of `δ` over the polyhedron per floored
+    /// term pair (the `δ` row is the key): `1` for `δ ≥ 0`, `-1` for
+    /// `δ ≤ 0`, `0` for neither.
+    cuts: Vec<HashMap<Vec<i64>, i8>>,
     stats: CertifierStats,
 }
 
@@ -475,7 +469,6 @@ impl Drop for Certifier<'_> {
         let s = &self.stats;
         for (name, n) in [
             ("oracle.queries", s.queries),
-            ("oracle.tableau_builds", s.tableau_builds),
             ("oracle.bb_nodes", s.bb_nodes),
         ] {
             if n > 0 {
@@ -486,16 +479,12 @@ impl Drop for Certifier<'_> {
 }
 
 /// Whether `lp` plus `row ≥ 0` (over integer variables) may hold an
-/// integer point; `lp` is left as it was. An unusable tableau proves
-/// nothing: a point may exist.
-fn may_hold(
-    lp: &mut Option<IncrementalLp>,
-    row: Option<&[i64]>,
-    stats: &mut CertifierStats,
-) -> bool {
+/// integer point, asked on a copy: `lp` is left as it was. An unusable
+/// tableau proves nothing: a point may exist.
+fn may_hold(lp: Option<&IncrementalLp>, row: Option<&[i64]>, stats: &mut CertifierStats) -> bool {
     stats.queries += 1;
     let Some(lp) = lp else { return true };
-    let before = lp.snapshot();
+    let mut lp = lp.with_vars(0, 1);
     let pushed = row.map_or(Ok(true), |row| lp.push_int_ineq(row));
     let mut nodes = 0;
     let answer = match pushed {
@@ -504,17 +493,15 @@ fn may_hold(
         Err(_) => true,
     };
     stats.bb_nodes += nodes as u64;
-    lp.rollback(before);
     answer
 }
 
 impl<'a> Certifier<'a> {
     /// A certifier for `deps`; dependence `e` below is `deps[e]`.
-    /// Nothing is built until a dependence is first asked about.
     pub fn new(deps: &'a [Dependence]) -> Certifier<'a> {
         Certifier {
             deps,
-            oracles: deps.iter().map(|_| None).collect(),
+            cuts: deps.iter().map(|_| HashMap::new()).collect(),
             stats: CertifierStats::default(),
         }
     }
@@ -529,27 +516,9 @@ impl<'a> Certifier<'a> {
         self.stats
     }
 
-    fn oracle(&mut self, e: usize) -> (&mut DepOracle, &mut CertifierStats) {
-        let dep = &self.deps[e];
-        let stats = &mut self.stats;
-        let oracle = self.oracles[e].get_or_insert_with(|| {
-            stats.tableau_builds += 1;
-            // `normalize` leaves an infeasible witness behind when it
-            // finds one, and the tableau of that is infeasible too.
-            let mut poly = dep.poly.clone();
-            poly.normalize();
-            DepOracle {
-                base: IncrementalLp::new(&poly).ok(),
-                cuts: HashMap::new(),
-            }
-        });
-        (oracle, stats)
-    }
-
     /// Whether `deps[e].poly` plus `row ≥ 0` may hold an integer point.
     fn ask(&mut self, e: usize, row: &[i64]) -> bool {
-        let (oracle, stats) = self.oracle(e);
-        may_hold(&mut oracle.base, Some(row), stats)
+        may_hold(self.deps[e].base(), Some(row), &mut self.stats)
     }
 
     /// [`strongly_satisfies`] for `deps[e]`.
@@ -572,6 +541,25 @@ impl<'a> Certifier<'a> {
         !self.ask(e, &at_most_minus_one(&delta))
     }
 
+    /// The least value of `Δ = φ_R − φ_S` over the integer points of
+    /// `deps[e]`, searched on a copy of its tableau. `None` when `Δ` is
+    /// unbounded below, when the search ran out of nodes or overflowed,
+    /// or when the least value does not fit `i64`: nothing is proven
+    /// then.
+    pub fn min_distance(&mut self, e: usize, src_row: &[i64], dst_row: &[i64]) -> Option<i64> {
+        self.stats.queries += 1;
+        let delta = distance_row(&self.deps[e], src_row, dst_row);
+        let (obj, constant) = delta.split_at(delta.len() - 1);
+        let mut lp = self.deps[e].base()?.with_vars(0, 0);
+        let mut ilp = IlpStats::default();
+        let outcome = lp.int_minimize(obj, &mut ilp);
+        self.stats.bb_nodes += ilp.nodes as u64;
+        match outcome {
+            Ok(IlpOutcome::Optimal { value, .. }) => value.checked_add(constant[0]),
+            _ => None,
+        }
+    }
+
     /// [`schedule_respects_dependence`] for `deps[e]`: one walk down the
     /// dimensions on a copy of the base tableau.
     pub fn schedule_respects(
@@ -585,9 +573,8 @@ impl<'a> Certifier<'a> {
         let deltas: Vec<StepDelta> = (src_rows.iter().zip(dst_rows))
             .map(|(s, d)| StepDelta::Linear(distance_row(dep, s, d)))
             .collect();
-        let (oracle, stats) = self.oracle(e);
-        let mut lp = oracle.base.as_ref().map(|base| base.with_vars(0, 0));
-        descend(&mut lp, &deltas, stats)
+        let mut lp = dep.base().map(|base| base.with_vars(0, 0));
+        descend(&mut lp, &deltas, &mut self.stats)
     }
 
     /// Whether `sched`'s rows order every dependence source-first: the
@@ -605,22 +592,16 @@ impl<'a> Certifier<'a> {
     /// variables.
     pub fn steps_respect(&mut self, e: usize, steps: &[OrderStep]) -> bool {
         let dep = &self.deps[e];
-        let (oracle, stats) = self.oracle(e);
-        let DepOracle { base, cuts } = oracle;
+        let base = dep.base();
+        let (cuts, stats) = (&mut self.cuts[e], &mut self.stats);
         let enc = StepSystem::new(dep, steps, |delta| {
             if let Some(&sign) = cuts.get(delta) {
                 return sign;
             }
-            // One question each way of the base tableau, on a snapshot:
-            // an overflowing minimize would poison it.
+            // One question each way, on a copy of the base tableau.
             let mut implied = |row: &[i64]| {
                 stats.queries += 1;
-                base.as_mut().is_some_and(|base| {
-                    let before = base.snapshot();
-                    let implied = base.implies(row);
-                    base.rollback(before);
-                    implied
-                })
+                base.is_some_and(|base| base.clone().implies(row))
             };
             let neg: Vec<i64> = delta.iter().map(|&c| -c).collect();
             let sign = if implied(delta) {
@@ -633,7 +614,7 @@ impl<'a> Certifier<'a> {
             cuts.insert(delta.to_vec(), sign);
             sign
         });
-        let mut lp = base.as_ref().map(|base| {
+        let mut lp = base.map(|base| {
             let mut lp = base.with_vars(enc.aux, enc.rows.len());
             for row in &enc.rows {
                 // An empty or poisoned tableau keeps answering so.
@@ -662,9 +643,9 @@ fn descend(
             // Strictly ordered wherever the prefix is equal, so nothing
             // can remain unordered below — forwards, or backwards for
             // every instance still equal on it.
-            StepDelta::Const(c) => return *c > 0 || !may_hold(lp, None, stats),
+            StepDelta::Const(c) => return *c > 0 || !may_hold(lp.as_ref(), None, stats),
             StepDelta::Linear(row) => {
-                if may_hold(lp, Some(&at_most_minus_one(row)), stats) {
+                if may_hold(lp.as_ref(), Some(&at_most_minus_one(row)), stats) {
                     return false;
                 }
                 if let Some(live) = lp {
@@ -676,7 +657,7 @@ fn descend(
             }
         }
     }
-    !may_hold(lp, None, stats)
+    !may_hold(lp.as_ref(), None, stats)
 }
 
 #[cfg(test)]

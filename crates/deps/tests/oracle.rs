@@ -7,15 +7,25 @@
 //! here against known answers and against the instances themselves.
 //! (The kernel × preset × post-processing sweep is
 //! `crates/core/tests/certifier.rs`.)
+//!
+//! The properties at the end hold the tableau each dependence carries
+//! from its analysis to the reference's cold rebuild, on every
+//! dependence of the reference kernels, `long_chain(16)`,
+//! `wide_scop(8)`, a SCoP of strided subscripts and seeded offset
+//! chains. They read `PROPTEST_CASES`.
 
 mod reference;
 
+use std::sync::OnceLock;
+
 use polytops_deps::{
-    analyze, respects, schedule_respects_dependence, steps_respect_dependence, strongly_satisfies,
-    zero_distance, Certifier, DepKind, Dependence, OrderStep,
+    analyze, distance_row, respects, schedule_respects_dependence, steps_respect_dependence,
+    strongly_satisfies, zero_distance, Certifier, DepKind, Dependence, OrderStep,
 };
 use polytops_ir::{Aff, Scop, ScopBuilder};
-use polytops_math::RowKind;
+use polytops_math::{ilp_minimize, IlpOutcome, RowKind};
+use polytops_workloads::synthetic::{long_chain, offset_chain, wide_scop};
+use proptest::prelude::*;
 
 /// The flow dependence of `for i: A[i] = A[i-1]`, at distance 1.
 fn chain() -> Dependence {
@@ -88,6 +98,24 @@ fn small_rows(width: usize) -> Vec<Vec<i64>> {
         .collect()
 }
 
+/// Row pairs over `dep`'s two statements with entries in {−1, 0, 1}:
+/// a same-statement dependence takes each row on both sides, a
+/// cross-statement one pairs every 7th source row with every 5th
+/// destination row.
+fn small_row_pairs(dep: &Dependence) -> Vec<(Vec<i64>, Vec<i64>)> {
+    let np = dep.poly().num_vars() - dep.src_depth - dep.dst_depth;
+    let src_rows = small_rows(dep.src_depth + np + 1);
+    let dst_rows = small_rows(dep.dst_depth + np + 1);
+    if dep.src == dep.dst {
+        src_rows.into_iter().zip(dst_rows).collect()
+    } else {
+        let dst: Vec<Vec<i64>> = dst_rows.into_iter().step_by(5).collect();
+        (src_rows.iter().step_by(7))
+            .flat_map(|s| dst.iter().map(move |d| (s.clone(), d.clone())))
+            .collect()
+    }
+}
+
 #[test]
 fn affine_row_answers_match_the_from_scratch_oracle() {
     for scop in [jacobi(), producer_consumer()] {
@@ -98,18 +126,7 @@ fn affine_row_answers_match_the_from_scratch_oracle() {
         // from one answer into the next.
         let mut certifier = Certifier::new(&deps);
         for (e, dep) in deps.iter().enumerate() {
-            let np = dep.poly.num_vars() - dep.src_depth - dep.dst_depth;
-            let src_rows = small_rows(dep.src_depth + np + 1);
-            let dst_rows = small_rows(dep.dst_depth + np + 1);
-            // Same-statement dependences take the same row both sides;
-            // cross-statement ones pair every 7th with every 5th.
-            let pairs: Vec<(&Vec<i64>, &Vec<i64>)> = if dep.src == dep.dst {
-                src_rows.iter().zip(&dst_rows).collect()
-            } else {
-                let (src, dst) = (src_rows.iter().step_by(7), dst_rows.iter().step_by(5));
-                src.flat_map(|s| dst.clone().map(move |d| (s, d))).collect()
-            };
-            for (s, d) in pairs {
+            for (s, d) in &small_row_pairs(dep) {
                 let want = (
                     reference::strongly_satisfies(dep, s, d),
                     reference::zero_distance(dep, s, d),
@@ -129,11 +146,6 @@ fn affine_row_answers_match_the_from_scratch_oracle() {
                 assert_eq!(wrappers, want);
             }
         }
-        // The certifier built one tableau per dependence, however many
-        // questions that was.
-        let stats = certifier.stats();
-        assert_eq!(stats.tableau_builds, deps.len() as u64);
-        assert!(stats.queries > 10 * stats.tableau_builds, "{stats:?}");
     }
 }
 
@@ -152,13 +164,13 @@ fn member(terms: &[(&[i64], i64)]) -> OrderStep {
 /// `(iters, params, 1)`.
 fn instances(dep: &Dependence) -> Vec<(Vec<i64>, Vec<i64>)> {
     let (ds, n) = (dep.src_depth, dep.src_depth + dep.dst_depth);
-    let params = vec![6; dep.poly.num_vars() - n];
+    let params = vec![6; dep.poly().num_vars() - n];
     let side = |iters: &[i64]| [iters, &params, &[1]].concat();
     let mut out = Vec::new();
     let mut it = vec![0i64; n];
     loop {
         let x = side(&it);
-        let holds = dep.poly.iter().all(|(kind, row)| {
+        let holds = dep.poly().iter().all(|(kind, row)| {
             let v: i64 = row.iter().zip(&x).map(|(a, b)| a * b).sum();
             match kind {
                 RowKind::Eq => v == 0,
@@ -386,5 +398,327 @@ fn wavefront_of_tiles_exposes_coincidence() {
             reference::step_coincident(dep, std::slice::from_ref(&wave), &q1),
             "q1 is coincident under the wavefront"
         );
+    }
+}
+
+/// [`ilp_minimize`] of `Δ` over `dep`'s polyhedron: a clone, a
+/// normalize, a build and a search.
+fn cold_min_distance(dep: &Dependence, src_row: &[i64], dst_row: &[i64]) -> Option<i64> {
+    let delta = distance_row(dep, src_row, dst_row);
+    let (obj, constant) = delta.split_at(delta.len() - 1);
+    match ilp_minimize(dep.poly(), obj) {
+        Ok(IlpOutcome::Optimal { value, .. }) => value.checked_add(constant[0]),
+        _ => None,
+    }
+}
+
+#[test]
+fn min_distance_is_ilp_minimize_on_the_analysis_tableau() {
+    let mut asked = 0;
+    for (name, scop) in polytops_workloads::all_kernels() {
+        let deps = analyze(&scop);
+        let mut certifier = Certifier::new(&deps);
+        for (e, dep) in deps.iter().enumerate() {
+            for (s, d) in &small_row_pairs(dep) {
+                let want = cold_min_distance(dep, s, d);
+                assert_eq!(
+                    certifier.min_distance(e, s, d),
+                    want,
+                    "{name} dep {e}, {s:?} / {d:?}"
+                );
+                asked += 1;
+            }
+        }
+    }
+    assert!(asked > 1000, "{asked}");
+}
+
+// ---------------------------------------------------------------------
+// The analysis tableau against the cold rebuild.
+// ---------------------------------------------------------------------
+
+/// Strided subscripts in two bounded nests: the emptiness test of
+/// some of their dependence polyhedra starts from a fractional vertex
+/// and branches, so a tableau kept after that search instead of before
+/// it has lost a part of the polyhedron.
+fn strided() -> Scop {
+    let mut b = ScopBuilder::new("strided");
+    let a = b.array("A", &[Aff::val(64)], 8);
+    b.open_loop("i", Aff::val(0), Aff::val(9));
+    b.open_loop("j", Aff::val(0), Aff::val(9));
+    b.stmt("S0")
+        .read(a, &[Aff::var("i") * 3 + Aff::var("j") * 2 + 1])
+        .write(a, &[Aff::var("i") * 2 + Aff::var("j") * 5 + 3])
+        .add(&mut b);
+    b.close_loop();
+    b.close_loop();
+    b.open_loop("i", Aff::val(0), Aff::val(9));
+    b.stmt("S1")
+        .read(a, &[Aff::var("i") * 7 + 2])
+        .write(a, &[Aff::var("i") * 4 + 1])
+        .add(&mut b);
+    b.close_loop();
+    b.build().unwrap()
+}
+
+/// Every dependence of the reference kernels, `long_chain(16)`,
+/// `wide_scop(8)` and [`strided`], analyzed once.
+fn fixed_pool() -> &'static [Dependence] {
+    static POOL: OnceLock<Vec<Dependence>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let mut scops: Vec<Scop> = (polytops_workloads::all_kernels().into_iter())
+            .map(|(_, scop)| scop)
+            .collect();
+        scops.extend([long_chain(16), wide_scop(8), strided()]);
+        scops.iter().flat_map(analyze).collect()
+    })
+}
+
+/// A seeded offset chain's shape: 2–5 statements, each with two read
+/// offsets and a lower bound in `0..4`, as in the churn stream.
+fn chain_shape() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
+    collection::vec((0i64..4, 0i64..4, 0i64..4), 2..6)
+}
+
+/// One dependence of the fixed pool and one of the seeded chain, both
+/// picked by `pick`.
+fn case_deps(pick: usize, shape: &[(i64, i64, i64)]) -> Vec<Dependence> {
+    let pool = fixed_pool();
+    let chain = analyze(&offset_chain(shape));
+    assert!(!chain.is_empty(), "a chain has flow dependences");
+    vec![
+        pool[pick % pool.len()].clone(),
+        chain[pick % chain.len()].clone(),
+    ]
+}
+
+/// A row over `width` columns, drawn from `coeffs` (entries in
+/// [−2, 2]) starting at `at`.
+fn row_from(coeffs: &[i64], at: usize, width: usize) -> Vec<i64> {
+    (0..width)
+        .map(|k| coeffs[(at + k) % coeffs.len()])
+        .collect()
+}
+
+/// Source and destination row `k` of a case, over `dep`'s statements.
+fn case_rows(dep: &Dependence, coeffs: &[i64], k: usize) -> (Vec<i64>, Vec<i64>) {
+    let np = dep.poly().num_vars() - dep.src_depth - dep.dst_depth;
+    let (ws, wd) = (dep.src_depth + np + 1, dep.dst_depth + np + 1);
+    (
+        row_from(coeffs, 11 * k, ws),
+        row_from(coeffs, 11 * k + 5, wd),
+    )
+}
+
+/// Every question the properties ask of one dependence, answered by
+/// `certifier` about `deps[e]`.
+fn answers(
+    certifier: &mut Certifier<'_>,
+    e: usize,
+    coeffs: &[i64],
+    div: i64,
+    pos: (i64, i64),
+) -> Vec<Option<i64>> {
+    let dep = &certifier.deps()[e];
+    let (s0, d0) = case_rows(dep, coeffs, 0);
+    let (s1, d1) = case_rows(dep, coeffs, 1);
+    let steps = case_steps(dep, coeffs, div, pos);
+    let flag = |b: bool| Some(i64::from(b));
+    vec![
+        flag(certifier.strongly_satisfies(e, &s0, &d0)),
+        flag(certifier.zero_distance(e, &s0, &d0)),
+        flag(certifier.respects(e, &s0, &d0)),
+        flag(certifier.schedule_respects(e, &[s0.clone(), s1.clone()], &[d0.clone(), d1.clone()])),
+        flag(certifier.steps_respect(e, &steps)),
+        certifier.min_distance(e, &s0, &d0),
+    ]
+}
+
+/// The same questions, asked of the reference's cold rebuild.
+fn reference_answers(
+    dep: &Dependence,
+    coeffs: &[i64],
+    div: i64,
+    pos: (i64, i64),
+) -> Vec<Option<i64>> {
+    let (s0, d0) = case_rows(dep, coeffs, 0);
+    let (s1, d1) = case_rows(dep, coeffs, 1);
+    let steps = case_steps(dep, coeffs, div, pos);
+    let flag = |b: bool| Some(i64::from(b));
+    vec![
+        flag(reference::strongly_satisfies(dep, &s0, &d0)),
+        flag(reference::zero_distance(dep, &s0, &d0)),
+        flag(reference::respects(dep, &s0, &d0)),
+        flag(reference::schedule_respects(
+            dep,
+            &[s0.clone(), s1.clone()],
+            &[d0.clone(), d1.clone()],
+        )),
+        flag(reference::steps_respect(dep, &steps)),
+        cold_min_distance(dep, &s0, &d0),
+    ]
+}
+
+/// A tile member of divisor `div` on rows 2, a sequence position pair,
+/// and a point member on rows 3.
+fn case_steps(dep: &Dependence, coeffs: &[i64], div: i64, pos: (i64, i64)) -> Vec<OrderStep> {
+    let (s2, d2) = case_rows(dep, coeffs, 2);
+    let (s3, d3) = case_rows(dep, coeffs, 3);
+    vec![
+        OrderStep::Value {
+            src: vec![(s2, div)],
+            dst: vec![(d2, div)],
+        },
+        OrderStep::Position {
+            src: pos.0,
+            dst: pos.1,
+        },
+        OrderStep::Value {
+            src: vec![(s3, 1)],
+            dst: vec![(d3, 1)],
+        },
+    ]
+}
+
+proptest! {
+    #[test]
+    fn the_analysis_tableau_answers_as_the_cold_rebuild(
+        pick in 0usize..1 << 16,
+        shape in chain_shape(),
+        coeffs in collection::vec(-2i64..=2, 48),
+        div in 1i64..=4,
+        pos in (0i64..2, 0i64..2),
+    ) {
+        let deps = case_deps(pick, &shape);
+        // One certifier for both: nothing it keeps may leak from one
+        // dependence's answers into the other's.
+        let mut certifier = Certifier::new(&deps);
+        for (e, dep) in deps.iter().enumerate() {
+            let got = answers(&mut certifier, e, &coeffs, div, pos);
+            let want = reference_answers(dep, &coeffs, div, pos);
+            prop_assert!(got == want, "{dep:?}: {got:?} against {want:?}");
+        }
+    }
+
+    #[test]
+    fn a_cloned_dependence_answers_alike_from_two_threads(
+        pick in 0usize..1 << 16,
+        shape in chain_shape(),
+        coeffs in collection::vec(-2i64..=2, 48),
+        div in 1i64..=4,
+        pos in (0i64..2, 0i64..2),
+    ) {
+        let deps = case_deps(pick, &shape);
+        let alone: Vec<Vec<Option<i64>>> = {
+            let mut certifier = Certifier::new(&deps);
+            (0..deps.len()).map(|e| answers(&mut certifier, e, &coeffs, div, pos)).collect()
+        };
+        // Two clones share each tableau; their certifiers ask it at once.
+        let (a, b) = (deps.clone(), deps.clone());
+        let ask = |deps: &[Dependence]| {
+            let mut certifier = Certifier::new(deps);
+            (0..deps.len())
+                .map(|e| answers(&mut certifier, e, &coeffs, div, pos))
+                .collect::<Vec<_>>()
+        };
+        let (ta, tb) = std::thread::scope(|scope| {
+            let ta = scope.spawn(|| ask(&a));
+            let tb = scope.spawn(|| ask(&b));
+            (ta.join().unwrap(), tb.join().unwrap())
+        });
+        prop_assert_eq!(&ta, &alone);
+        prop_assert_eq!(&tb, &alone);
+    }
+
+    #[test]
+    fn a_second_normalize_of_a_seeded_chain_changes_no_row(shape in chain_shape()) {
+        for dep in analyze(&offset_chain(&shape)) {
+            let mut again = dep.poly().clone();
+            prop_assert!(again.normalize());
+            prop_assert_eq!(&again, dep.poly());
+        }
+    }
+}
+
+#[test]
+fn every_dependence_keeps_its_whole_polyhedron() {
+    // The least and the greatest value of every coordinate, on the
+    // analysis tableau and on a cold rebuild: a tableau kept after the
+    // emptiness search, with the bound rows of a branch still in it,
+    // would have lost a part of the polyhedron.
+    for dep in fixed_pool() {
+        let mut certifier = Certifier::new(std::slice::from_ref(dep));
+        let np = dep.poly().num_vars() - dep.src_depth - dep.dst_depth;
+        let (ws, wd) = (dep.src_depth + np + 1, dep.dst_depth + np + 1);
+        let unit = |w: usize, k: usize| (0..w).map(|c| i64::from(c == k)).collect::<Vec<_>>();
+        // −x_k over the source side, +x_k over the destination side.
+        let pairs = ((0..ws - 1).map(|k| (unit(ws, k), vec![0; wd])))
+            .chain((0..wd - 1).map(|k| (vec![0; ws], unit(wd, k))));
+        for (s, d) in pairs {
+            let negate = |row: &[i64]| row.iter().map(|v| -v).collect::<Vec<_>>();
+            for (s, d) in [(negate(&s), negate(&d)), (s, d)] {
+                let want = cold_min_distance(dep, &s, &d);
+                assert_eq!(
+                    certifier.min_distance(0, &s, &d),
+                    want,
+                    "{dep:?}: {s:?} / {d:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_second_normalize_of_an_analyzed_polyhedron_changes_no_row() {
+    for dep in fixed_pool() {
+        let mut again = dep.poly().clone();
+        assert!(again.normalize());
+        assert_eq!(&again, dep.poly());
+    }
+}
+
+#[test]
+fn a_dependence_whose_tableau_overflows_is_kept_and_refuses_every_certification() {
+    // Subscripts whose dependence polyhedron needs products of
+    // near-`i64::MAX` coefficients: no tableau holds it.
+    let src = "
+        double A[N][N][N];
+        #pragma scop
+        for (i = 0; i < N; i++)
+          for (j = 0; j < N; j++)
+            for (k = 0; k < N; k++)
+              A[9223372036854775807*i - 9223372036854775805*j]
+               [9223372036854775803*j - 9223372036854775801*k]
+               [9223372036854775799*k - 9223372036854775797*i]
+                = A[9223372036854775807*i - 9223372036854775805*j + 1]
+                   [9223372036854775803*j - 9223372036854775801*k + 1]
+                   [9223372036854775799*k - 9223372036854775797*i + 1];
+        #pragma endscop
+    ";
+    let scop = polytops_ir::frontend::parse_c("hostile", src).unwrap();
+    let deps = analyze(&scop);
+    assert!(!deps.is_empty(), "an overflow proves no absence");
+    let mut certifier = Certifier::new(&deps);
+    // The identity schedule, over (i, j, k, N, 1).
+    let rows: Vec<Vec<i64>> = (0..3)
+        .map(|k| (0..5).map(|c| i64::from(c == k)).collect())
+        .collect();
+    let steps: Vec<OrderStep> = rows
+        .iter()
+        .map(|row| OrderStep::Value {
+            src: vec![(row.clone(), 1)],
+            dst: vec![(row.clone(), 1)],
+        })
+        .collect();
+    for (e, dep) in deps.iter().enumerate() {
+        assert!(!certifier.schedule_respects(e, &rows, &rows), "dep {e}");
+        assert!(!reference::schedule_respects(dep, &rows, &rows), "dep {e}");
+        assert!(!certifier.steps_respect(e, &steps), "dep {e}");
+        assert!(!reference::steps_respect(dep, &steps), "dep {e}");
+        for row in &rows {
+            assert!(!certifier.respects(e, row, row), "dep {e}");
+            assert!(!certifier.strongly_satisfies(e, row, row), "dep {e}");
+            assert_eq!(certifier.min_distance(e, row, row), None, "dep {e}");
+        }
     }
 }

@@ -29,22 +29,22 @@ fn at_most_minus_one(row: &[i64]) -> Vec<i64> {
 
 pub fn strongly_satisfies(dep: &Dependence, src_row: &[i64], dst_row: &[i64]) -> bool {
     let delta = distance_row(dep, src_row, dst_row);
-    !feasible_with(&dep.poly, delta.iter().map(|&d| -d).collect())
+    !feasible_with(dep.poly(), delta.iter().map(|&d| -d).collect())
 }
 
 pub fn zero_distance(dep: &Dependence, src_row: &[i64], dst_row: &[i64]) -> bool {
     let delta = distance_row(dep, src_row, dst_row);
-    !feasible_with(&dep.poly, at_least_one(&delta))
-        && !feasible_with(&dep.poly, at_most_minus_one(&delta))
+    !feasible_with(dep.poly(), at_least_one(&delta))
+        && !feasible_with(dep.poly(), at_most_minus_one(&delta))
 }
 
 pub fn respects(dep: &Dependence, src_row: &[i64], dst_row: &[i64]) -> bool {
     let delta = distance_row(dep, src_row, dst_row);
-    !feasible_with(&dep.poly, at_most_minus_one(&delta))
+    !feasible_with(dep.poly(), at_most_minus_one(&delta))
 }
 
 pub fn schedule_respects(dep: &Dependence, src_rows: &[Vec<i64>], dst_rows: &[Vec<i64>]) -> bool {
-    let mut sys = dep.poly.clone();
+    let mut sys = dep.poly().clone();
     for (src, dst) in src_rows.iter().zip(dst_rows) {
         let delta = distance_row(dep, src, dst);
         if feasible_with(&sys, at_most_minus_one(&delta)) {

@@ -96,7 +96,7 @@ impl IlpStats {
 /// }
 /// ```
 pub fn ilp_minimize(cs: &ConstraintSystem, obj: &[i64]) -> Result<IlpOutcome> {
-    ilp_minimize_impl(cs, obj, MAX_NODES, &mut IlpStats::default())
+    ilp_minimize_impl(cs, obj, &mut IlpStats::default())
 }
 
 /// The one-question form of [`IncrementalLp::int_minimize`]: `cs` is
@@ -105,7 +105,6 @@ pub fn ilp_minimize(cs: &ConstraintSystem, obj: &[i64]) -> Result<IlpOutcome> {
 fn ilp_minimize_impl(
     cs: &ConstraintSystem,
     obj: &[i64],
-    max_nodes: usize,
     stats: &mut IlpStats,
 ) -> Result<IlpOutcome> {
     assert_eq!(obj.len(), cs.num_vars(), "objective length mismatch");
@@ -115,7 +114,7 @@ fn ilp_minimize_impl(
     }
     // The root relaxation is node 1 whether or not its phase 1 ends.
     let mut lp = IncrementalLp::new(&root).inspect_err(|_| stats.nodes += 1)?;
-    lp.int_minimize(obj, None, None, max_nodes, stats)
+    lp.int_minimize(obj, stats)
 }
 
 impl IncrementalLp {
@@ -171,9 +170,25 @@ impl IncrementalLp {
     pub fn may_have_integer_point(&mut self, nodes: &mut usize) -> bool {
         let zeros = vec![0i64; self.num_vars()];
         let mut stats = IlpStats::default();
-        let outcome = self.int_minimize(&zeros, None, None, MAX_NODES, &mut stats);
+        let outcome = self.int_minimize(&zeros, &mut stats);
         *nodes += stats.nodes;
         outcome != Ok(IlpOutcome::Infeasible)
+    }
+
+    /// Minimizes an integer objective `obj · x` over the integer points
+    /// of the system as it stands, by depth-first branch and bound on
+    /// this tableau within the default node budget. [`ilp_minimize`] is
+    /// its build-ask-drop form; a caller that keeps a solved tableau
+    /// asks on a copy of it instead and pays for no build. Nodes
+    /// explored are added to `stats`. The tableau is left wherever the
+    /// search stopped.
+    ///
+    /// # Errors
+    ///
+    /// [`MathError::Overflow`] and [`MathError::PivotLimit`], which
+    /// also poison the tableau; nothing is proven then.
+    pub fn int_minimize(&mut self, obj: &[i64], stats: &mut IlpStats) -> Result<IlpOutcome> {
+        self.branch_and_bound(obj, None, None, MAX_NODES, stats)
     }
 
     /// Depth-first branch and bound **on this tableau**, over at most
@@ -195,7 +210,7 @@ impl IncrementalLp {
     ///
     /// [`MathError::Overflow`] and [`MathError::PivotLimit`], which
     /// also poison the tableau; nothing is proven then.
-    pub(crate) fn int_minimize(
+    pub(crate) fn branch_and_bound(
         &mut self,
         obj: &[i64],
         mut incumbent: Option<(i64, Vec<i64>)>,
@@ -313,14 +328,7 @@ pub fn ilp_feasible_point(cs: &ConstraintSystem) -> Result<Option<Vec<i64>>> {
 /// certification read `!ilp_feasible(..)` as proof that no dependence /
 /// no violating instance exists.
 pub fn ilp_feasible(cs: &ConstraintSystem) -> bool {
-    feasible_within(cs, MAX_NODES)
-}
-
-fn feasible_within(cs: &ConstraintSystem, max_nodes: usize) -> bool {
-    let zeros = vec![0i64; cs.num_vars()];
-    let mut stats = IlpStats::default();
-    let outcome = ilp_minimize_impl(cs, &zeros, max_nodes, &mut stats);
-    outcome != Ok(IlpOutcome::Infeasible)
+    ilp_minimize(cs, &vec![0i64; cs.num_vars()]) != Ok(IlpOutcome::Infeasible)
 }
 
 /// Lexicographic minimization: minimizes each objective in turn, fixing
@@ -443,7 +451,7 @@ pub fn ilp_lexmin(
             }
             seed => {
                 let before = lp.snapshot();
-                let outcome = lp.int_minimize(obj, seed, stage_lb, MAX_NODES, stats);
+                let outcome = lp.branch_and_bound(obj, seed, stage_lb, MAX_NODES, stats);
                 lp.rollback(before);
                 outcome?
             }
@@ -748,7 +756,7 @@ mod tests {
         assert_eq!(lp.push_int_ineq(&[2, 0, -3]), Ok(true));
         let mut stats = IlpStats::default();
         assert_eq!(
-            lp.int_minimize(&[1, 0], None, None, MAX_NODES, &mut stats),
+            lp.int_minimize(&[1, 0], &mut stats),
             Ok(IlpOutcome::Optimal {
                 value: 2,
                 point: vec![2, 0]
@@ -769,7 +777,7 @@ mod tests {
         let mut lp = IncrementalLp::new(&cs).unwrap();
         let before = lp.snapshot();
         let mut stats = IlpStats::default();
-        let outcome = lp.int_minimize(&[-1, -1], None, None, MAX_NODES, &mut stats);
+        let outcome = lp.int_minimize(&[-1, -1], &mut stats);
         let Ok(IlpOutcome::Optimal { value: -1, point }) = &outcome else {
             panic!("unexpected {outcome:?}");
         };
@@ -783,10 +791,7 @@ mod tests {
         };
         assert_eq!(value, Rat::new(-8, 5));
         let mut again = IlpStats::default();
-        assert_eq!(
-            lp.int_minimize(&[-1, -1], None, None, MAX_NODES, &mut again),
-            outcome
-        );
+        assert_eq!(lp.int_minimize(&[-1, -1], &mut again), outcome);
         assert_eq!(again, stats);
     }
 
@@ -817,18 +822,22 @@ mod tests {
         cs.add_eq(vec![2, -3, 0]);
         cs.add_ineq(vec![1, 0, -1]);
         cs.add_ineq(vec![-1, 0, 10]);
-        let mut stats = IlpStats::default();
+        let within_one_node = |cs: &ConstraintSystem| {
+            let mut lp = IncrementalLp::new(cs).unwrap();
+            let zeros = vec![0i64; cs.num_vars()];
+            lp.branch_and_bound(&zeros, None, None, 1, &mut IlpStats::default())
+        };
+        // A point may exist.
         assert_eq!(
-            ilp_minimize_impl(&cs, &[0, 0], 1, &mut stats),
+            within_one_node(&cs),
             Ok(IlpOutcome::NodeLimit { best: None })
         );
-        assert!(feasible_within(&cs, 1), "a point may exist");
         assert!(ilp_feasible(&cs));
-        // A proof of emptiness within the same budget still reads false.
+        // A proof of emptiness within the same budget still reads so.
         let mut empty = ConstraintSystem::new(1);
         empty.add_ineq(vec![1, -5]);
         empty.add_ineq(vec![-1, 2]);
-        assert!(!feasible_within(&empty, 1));
+        assert_eq!(within_one_node(&empty), Ok(IlpOutcome::Infeasible));
     }
 
     #[test]
@@ -860,7 +869,7 @@ mod tests {
         cs.add_ineq(vec![0, 1, -i64::MAX]);
         let mut stats = IlpStats::default();
         assert_eq!(
-            ilp_minimize_impl(&cs, &[1, 0], 64, &mut stats),
+            ilp_minimize_impl(&cs, &[1, 0], &mut stats),
             Err(MathError::Overflow)
         );
         assert_eq!(stats.nodes, 1, "{stats:?}");

@@ -846,6 +846,7 @@ impl Tableau {
 /// let LpOutcome::Optimal { value, .. } = lp.minimize(&[-1, -1]).unwrap() else { panic!() };
 /// assert_eq!(value, Rat::from(-2)); // one point is left: (0, 2)
 /// ```
+#[derive(Clone)]
 pub struct IncrementalLp {
     tab: Tableau,
     /// Dual pivots phase 1 spent: not the pins'.
@@ -901,6 +902,13 @@ impl IncrementalLp {
     /// ask a base system a chain of questions and keep it.
     pub fn with_vars(&self, extra: usize, rows: usize) -> IncrementalLp {
         self.with_tableau(self.tab.widened(extra, rows + SPARE_SLACKS))
+    }
+
+    /// A copy of this tableau with no room for rows or columns to come:
+    /// the form to keep while questions are asked of
+    /// [`with_vars`](IncrementalLp::with_vars) copies of it.
+    pub fn packed(&self) -> IncrementalLp {
+        self.with_tableau(self.tab.widened(0, 0))
     }
 
     fn with_tableau(&self, tab: Tableau) -> IncrementalLp {

@@ -11,7 +11,10 @@
 //!   the same and the previous index), the "N-statement stencil chain"
 //!   shape;
 //! * [`wide_scop`] — `n` independent 2-deep nests over disjoint arrays:
-//!   no dependences at all, so cost is pure ILP-width.
+//!   no dependences at all, so cost is pure ILP-width;
+//! * [`offset_chain`] — a chain like [`long_chain`] whose read offsets
+//!   and lower bounds are given per statement, for seeded families of
+//!   structurally distinct SCoPs.
 //!
 //! Both are fully affine and legal under the identity schedule, which
 //! is exactly what makes them fast-path showcases: the
@@ -88,6 +91,50 @@ pub fn wide_scop(n: usize) -> Scop {
         b.close_loop();
     }
     b.build().expect("wide_scop builds")
+}
+
+/// A chain of single-loop statements, one per `(off_a, off_b, lower)`
+/// in `shape`: statement `k` runs `i` from `max(off_a, off_b) + lower`
+/// to `N − 1` and reads its predecessor's array at `i − off_a` and
+/// `i − off_b`:
+///
+/// ```c
+/// for (i = max(a0, b0) + l0; i < N; i++) A1[i] = A0[i-a0] + A0[i-b0];   // S0
+/// ...
+/// ```
+///
+/// Offsets and lower bounds in `0..4` give the shapes of the churn
+/// stream `polytopsd` is benchmarked on: every dependence is a forward
+/// flow, and distinct shapes are distinct SCoPs.
+///
+/// # Panics
+///
+/// Panics if `shape` is empty or an offset is negative.
+pub fn offset_chain(shape: &[(i64, i64, i64)]) -> Scop {
+    assert!(
+        !shape.is_empty(),
+        "offset_chain needs at least one statement"
+    );
+    let mut b = ScopBuilder::new(&format!("offset_chain_{}", shape.len()));
+    let n = b.param("N");
+    let arrays: Vec<_> = (0..=shape.len())
+        .map(|k| b.array(&format!("A{k}"), std::slice::from_ref(&n), 8))
+        .collect();
+    for (k, &(off_a, off_b, lower)) in shape.iter().enumerate() {
+        assert!(off_a >= 0 && off_b >= 0, "offsets read backwards");
+        b.open_loop("i", Aff::val(off_a.max(off_b) + lower), n.clone() - 1);
+        b.stmt(&format!("S{k}"))
+            .read(arrays[k], &[Aff::var("i") - off_a])
+            .read(arrays[k], &[Aff::var("i") - off_b])
+            .write(arrays[k + 1], &[Aff::var("i")])
+            .text(&format!(
+                "A{}[i] = A{k}[i-{off_a}] + A{k}[i-{off_b}];",
+                k + 1
+            ))
+            .add(&mut b);
+        b.close_loop();
+    }
+    b.build().expect("offset_chain builds")
 }
 
 #[cfg(test)]
