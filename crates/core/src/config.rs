@@ -310,6 +310,24 @@ impl SchedulerConfig {
         }
     }
 
+    /// The [`solve_key`](Self::solve_key) with the fields only the
+    /// strategy reads reset as well: what the engine reads when it
+    /// assembles and solves one dimension's ILP. Cost functions and
+    /// custom constraints reach an ILP through the dimension's plan,
+    /// and fusion controls and the isl fallback only choose which plans
+    /// are asked, so two configurations with equal ILP keys answer an
+    /// equal plan over equal committed rows with the same dimension.
+    pub(crate) fn ilp_key(&self) -> SchedulerConfig {
+        let default = SchedulerConfig::default();
+        SchedulerConfig {
+            cost_functions: default.cost_functions,
+            custom_constraints: default.custom_constraints,
+            fusion: default.fusion,
+            isl_fallback: default.isl_fallback,
+            ..self.solve_key()
+        }
+    }
+
     /// Parses the paper's JSON configuration format (Listing 2), plus the
     /// documented extension keys.
     ///

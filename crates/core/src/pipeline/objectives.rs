@@ -1,6 +1,8 @@
 //! Objectives stage: assembling one scheduling dimension's ILP.
 //!
-//! [`assemble`] turns a [`DimensionPlan`] into a concrete
+//! [`assemble`] turns a dimension's [`IlpKey`] (its plan, the
+//! configuration's ILP-shaping part, the dependences it must respect and
+//! the rows committed so far) into a concrete
 //! `(ConstraintSystem, lexicographic objectives)` pair over the engine's
 //! fixed [`IlpSpace`]:
 //!
@@ -22,6 +24,8 @@
 //!    attains it, so the schedule is a function of the SCoP and the
 //!    configuration and not of the vertex the simplex happened to reach.
 
+use std::borrow::Cow;
+
 use polytops_deps::Dependence;
 use polytops_ir::Scop;
 use polytops_math::{ilp_feasible, orthogonal_complement, ConstraintSystem, Echelon, RowKind};
@@ -32,7 +36,6 @@ use crate::costfn::{big_loops_first_coeffs, contiguity_coeffs, DepConstraint};
 use crate::error::ScheduleError;
 use crate::pipeline::legality::CacheSession;
 use crate::space::IlpSpace;
-use crate::strategy::DimensionPlan;
 
 /// Everything a set of cost functions contributes to one dimension's ILP.
 #[derive(Debug, Clone)]
@@ -51,25 +54,76 @@ pub fn expand_targets(stmts: Option<&Vec<usize>>, nstmts: usize) -> Vec<usize> {
     }
 }
 
-/// Read-only context shared by the assembly steps of one dimension.
+/// One dimension's ILP question: everything [`assemble`] and the
+/// engine's post-solve flags read beyond the SCoP-fixed part of a
+/// [`DimensionContext`] (the SCoP, its dependences and their cones, the
+/// variable layout). Over one SCoP, equal keys ask the same ILP and get
+/// the same answer, which is what lets the scenario engine answer a key
+/// once for every solve group of a run that asks it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IlpKey<'a> {
+    /// The configuration's ILP-shaping part: its solve key with the
+    /// fields only the strategy reads (cost functions, custom
+    /// constraints, fusion controls, the isl fallback) reset.
+    pub config: Cow<'a, SchedulerConfig>,
+    /// The plan's cost functions, in lexicographic priority order.
+    pub cost_functions: Cow<'a, [CostFn]>,
+    /// The plan's custom constraint strings.
+    pub extra_constraints: Cow<'a, [String]>,
+    /// Ids of the dependences whose legality (`Δ ≥ 0`) this dimension
+    /// must enforce: the live ones plus, while the band stays open,
+    /// those carried *inside the current band*, which is what makes the
+    /// emitted bands permutable (tilable) à la Pluto.
+    pub legality: Vec<usize>,
+    /// Ids of the live (uncarried) dependences: the set cost functions
+    /// optimize over and the parallel flag is read on.
+    pub live: Vec<usize>,
+    /// `rows[stmt][dim]`: the committed schedule rows.
+    pub rows: Cow<'a, [Vec<Vec<i64>>]>,
+}
+
+impl IlpKey<'_> {
+    /// This key with its borrowed parts copied, to be kept.
+    pub fn into_owned(self) -> IlpKey<'static> {
+        IlpKey {
+            config: Cow::Owned(self.config.into_owned()),
+            cost_functions: Cow::Owned(self.cost_functions.into_owned()),
+            extra_constraints: Cow::Owned(self.extra_constraints.into_owned()),
+            legality: self.legality,
+            live: self.live,
+            rows: Cow::Owned(self.rows.into_owned()),
+        }
+    }
+}
+
+/// Read-only context of one dimension's assembly: the SCoP-fixed data
+/// and the dimension's [`IlpKey`]. Nothing else reaches [`assemble`].
 pub struct DimensionContext<'a> {
     /// The SCoP being scheduled.
     pub scop: &'a Scop,
-    /// Global configuration knobs (bounds, directives, estimates).
-    pub config: &'a SchedulerConfig,
+    /// The SCoP's dependences, indexed by the ids in the key.
+    pub deps: &'a [Dependence],
     /// The engine's fixed ILP variable layout.
     pub space: &'a IlpSpace,
     /// This run's session over the SCoP's Farkas cones.
     pub cache: &'a CacheSession,
-    /// Dependences whose legality (`Δ ≥ 0`) this dimension must enforce:
-    /// the live ones plus those carried *inside the current band*, which
-    /// is what makes the emitted bands permutable (tilable) à la Pluto.
-    pub legality: &'a [(usize, &'a Dependence)],
-    /// Live (uncarried) dependences as `(global id, dependence)` pairs —
-    /// the set cost functions optimize over.
-    pub live: &'a [(usize, &'a Dependence)],
-    /// Per-statement echelon form of the committed rows.
+    /// Per-statement echelon form of the iterator parts of the key's
+    /// rows, which the engine keeps as it commits them.
     pub basis: &'a [Echelon],
+    /// The question.
+    pub key: &'a IlpKey<'a>,
+}
+
+impl DimensionContext<'_> {
+    /// The key's legality dependences as `(id, dependence)` pairs.
+    pub fn legality(&self) -> impl Iterator<Item = (usize, &Dependence)> {
+        self.key.legality.iter().map(|&e| (e, &self.deps[e]))
+    }
+
+    /// The key's live dependences as `(id, dependence)` pairs.
+    pub fn live(&self) -> impl Iterator<Item = (usize, &Dependence)> {
+        self.key.live.iter().map(|&e| (e, &self.deps[e]))
+    }
 }
 
 /// Builds the constraint rows and objective sequence for a dimension's
@@ -90,7 +144,7 @@ pub fn build_costs(
     for cost in costs {
         match cost {
             CostFn::Proximity => {
-                for &(e, dep) in ctx.live {
+                for (e, dep) in ctx.live() {
                     ctx.cache
                         .extend(DepConstraint::Proximity, e, dep, space, &mut out.sys)?;
                 }
@@ -105,14 +159,14 @@ pub fn build_costs(
                 out.objectives.push(wrow);
             }
             CostFn::Feautrier => {
-                for &(e, dep) in ctx.live {
+                for (e, dep) in ctx.live() {
                     ctx.cache
                         .extend(DepConstraint::Feautrier, e, dep, space, &mut out.sys)?;
                 }
                 // Maximize Σ x_e  ⇔  minimize −Σ x_e (the 0 ≤ x_e ≤ 1 box
                 // is part of the engine's bounds).
                 let mut row = vec![0i64; space.total()];
-                for &(e, _) in ctx.live {
+                for &e in ctx.key.live.iter() {
                     row[space.dep_var(e)] = -1;
                 }
                 out.objectives.push(row);
@@ -132,7 +186,7 @@ pub fn build_costs(
                 let mut row = vec![0i64; space.total() + 1];
                 for (sid, stmt) in ctx.scop.statements.iter().enumerate() {
                     let coeffs =
-                        big_loops_first_coeffs(ctx.scop, stmt, ctx.config.parameter_estimate);
+                        big_loops_first_coeffs(ctx.scop, stmt, ctx.key.config.parameter_estimate);
                     for (k, &c) in coeffs.iter().enumerate() {
                         space.add_iter_coeff(&mut row, sid, k, c);
                     }
@@ -154,7 +208,8 @@ pub fn build_costs(
 }
 
 /// Assembles the full constraint system and lexicographic objective
-/// sequence of one scheduling dimension.
+/// sequence of one scheduling dimension: its key's question over the
+/// context's SCoP-fixed data.
 ///
 /// # Errors
 ///
@@ -162,7 +217,6 @@ pub fn build_costs(
 /// user variables.
 pub fn assemble(
     ctx: &DimensionContext<'_>,
-    plan: &DimensionPlan,
 ) -> Result<(ConstraintSystem, Vec<Vec<i64>>), ScheduleError> {
     let space = ctx.space;
     let n = space.total();
@@ -172,7 +226,7 @@ pub fn assemble(
     //    dependence carried earlier in the (still open) current band.
     {
         let _span = polytops_obs::span("legality");
-        for &(e, dep) in ctx.legality {
+        for (e, dep) in ctx.legality() {
             ctx.cache
                 .extend(DepConstraint::Validity, e, dep, space, &mut sys)?;
         }
@@ -182,15 +236,15 @@ pub fn assemble(
     add_progression(ctx, &mut sys)?;
 
     // 3. Box bounds.
-    let feautrier = plan.cost_functions.contains(&CostFn::Feautrier);
+    let feautrier = ctx.key.cost_functions.contains(&CostFn::Feautrier);
     add_bounds(ctx, feautrier, &mut sys);
 
     // 4. Cost functions, layered in priority order.
-    let cost = build_costs(ctx, &plan.cost_functions)?;
+    let cost = build_costs(ctx, &ctx.key.cost_functions)?;
     sys.extend(&cost.sys);
 
     // 5. Custom constraints (the mini-language of §III-A2).
-    for (kind, row) in parse_constraints(&plan.extra_constraints, space)? {
+    for (kind, row) in parse_constraints(&ctx.key.extra_constraints, space)? {
         match kind {
             RowKind::Eq => sys.add_eq(row),
             RowKind::Ineq => sys.add_ineq(row),
@@ -259,7 +313,7 @@ fn add_progression(
                 space.add_iter_coeff(&mut row, s, k, c);
                 space.add_iter_coeff(&mut sum, s, k, c);
             }
-            if !ctx.config.negative_coefficients {
+            if !ctx.key.config.negative_coefficients {
                 sys.add_ineq(row);
             }
         }
@@ -278,7 +332,7 @@ fn add_progression(
 /// normalized rows.
 fn add_bounds(ctx: &DimensionContext<'_>, feautrier: bool, sys: &mut ConstraintSystem) {
     let space = ctx.space;
-    let config = ctx.config;
+    let config = &ctx.key.config;
     let n = space.total();
     let mut bound = |var: usize, hi: i64| {
         let mut lo_row = vec![0i64; n + 1];
@@ -297,7 +351,7 @@ fn add_bounds(ctx: &DimensionContext<'_>, feautrier: bool, sys: &mut ConstraintS
         bound(space.user_offset + i, config.bound_bound);
     }
     let mut live_dep = vec![false; space.num_deps];
-    for &(e, _) in ctx.live {
+    for &e in ctx.key.live.iter() {
         live_dep[e] = true;
     }
     for (e, &live) in live_dep.iter().enumerate() {
@@ -328,7 +382,7 @@ fn apply_directives(ctx: &DimensionContext<'_>, sys: &mut ConstraintSystem) {
     let space = ctx.space;
     let n = space.total();
     let nstmts = ctx.scop.statements.len();
-    for d in &ctx.config.directives {
+    for d in &ctx.key.config.directives {
         let targets = expand_targets(d.stmts.as_ref(), nstmts);
         let mut extra: Vec<(RowKind, Vec<i64>)> = Vec::new();
         match d.kind {

@@ -7,9 +7,12 @@
 //! 1. the [`Strategy`] plans the dimension;
 //! 2. [`objectives::assemble`] builds the dimension's ILP over the
 //!    engine's **fixed** [`IlpSpace`], substituting into the cones of
-//!    the [`FarkasCache`];
+//!    the [`FarkasCache`], from the dimension's [`IlpKey`] alone;
 //! 3. [`polytops_math::ilp_lexmin`] solves it, from its own system
-//!    alone: no point carries over from the previous dimension;
+//!    alone: no point carries over from the previous dimension. In a
+//!    scenario-set run, a key another solve group of the same SCoP
+//!    already answered is taken from the run's [`DimMemo`] instead of
+//!    being assembled and solved again;
 //! 4. infeasibility falls back to an SCC cut of the live dependence
 //!    graph ([`polytops_deps::sccs_topological`]);
 //! 5. after the last dimension, the [`postprocess`] stage applies the
@@ -22,7 +25,8 @@
 //! [`IlpSpace`] serves every dimension, and a column means the same
 //! thing at any dimension.
 
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::sync::{Arc, Mutex};
 
 use polytops_deps::{analyze, sccs_topological, Certifier, Dependence};
 use polytops_ir::{Schedule, Scop, StmtSchedule};
@@ -32,7 +36,7 @@ use crate::config::{DirectiveKind, FusionHeuristic, SchedulerConfig};
 use crate::error::ScheduleError;
 use crate::pipeline::fastpath;
 use crate::pipeline::legality::{CacheSession, FarkasCache};
-use crate::pipeline::objectives::{self, expand_targets, DimensionContext};
+use crate::pipeline::objectives::{self, expand_targets, DimensionContext, IlpKey};
 use crate::pipeline::postprocess;
 use crate::space::IlpSpace;
 use crate::strategy::{DimSolution, DimensionPlan, Reaction, Strategy, StrategyState};
@@ -56,7 +60,11 @@ pub struct EngineOptions {
 /// describe the solve. Every later member reports zero solver effort —
 /// no Farkas lookups, no fast-path dimensions, a default [`IlpStats`] —
 /// and only the [`dimensions`](Self::dimensions) of its own schedule, so
-/// sums over a scenario set count each solve once.
+/// sums over a scenario set count each solve once. A dimension ILP that
+/// another solve group of the run answered ([`DimMemo`]) counts in
+/// [`ilp_dims`](Self::ilp_dims) and [`shared_dims`](Self::shared_dims)
+/// only: which group solves a shared ILP and which takes its answer may
+/// vary under concurrency, but `ilp_dims` does not.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Farkas lookups whose cone was resident in the cache.
@@ -70,6 +78,12 @@ pub struct PipelineStats {
     /// Dimensions where the fast path was attempted but could not
     /// produce a legal proposal, falling back to the ILP cascade.
     pub fast_path_fallbacks: usize,
+    /// Dimension ILPs asked (recomputations and band-closing retries
+    /// included), whether solved by this run or shared.
+    pub ilp_dims: usize,
+    /// Dimension ILPs answered by another solve group's solve in the
+    /// same scenario-set run: neither assembled nor solved here.
+    pub shared_dims: usize,
     /// Aggregated ILP solver effort.
     pub ilp: IlpStats,
 }
@@ -112,6 +126,9 @@ impl PipelineStats {
         recorder
             .counter("solver.farkas_misses")
             .add(self.farkas_misses as u64);
+        recorder
+            .counter("solver.shared_dims")
+            .add(self.shared_dims as u64);
     }
 }
 
@@ -127,7 +144,7 @@ pub fn run(
     options: &EngineOptions,
 ) -> Result<(Schedule, PipelineStats), ScheduleError> {
     let mut runs =
-        Engine::new(scop, config, options.clone(), None, None).run(strategy, &[config])?;
+        Engine::new(scop, config, options.clone(), None, None, None).run(strategy, &[config])?;
     Ok(runs.pop().expect("one configuration, one schedule"))
 }
 
@@ -158,6 +175,11 @@ pub fn run(
 /// corrupt a run. Reported [`PipelineStats`] count only this run's
 /// lookups.
 ///
+/// A `memo` shared with other groups over the same SCoP answers every
+/// dimension ILP one of them already solved (and keeps this group's
+/// answers for them); the answer is a function of the dimension's
+/// [`IlpKey`], so sharing it changes no schedule.
+///
 /// # Errors
 ///
 /// Same contract as [`crate::schedule`]; a failed solve fails the whole
@@ -169,6 +191,7 @@ pub fn run_shared(
     options: &EngineOptions,
     deps: Arc<Vec<Dependence>>,
     cache: Arc<FarkasCache>,
+    memo: Option<Arc<DimMemo>>,
 ) -> Result<Vec<(Schedule, PipelineStats)>, ScheduleError> {
     let Some(&config) = configs.first() else {
         return Ok(Vec::new());
@@ -177,13 +200,87 @@ pub fn run_shared(
         configs.iter().all(|c| c.solve_key() == config.solve_key()),
         "a solve group's configurations differ only in post-processing"
     );
-    Engine::new(scop, config, options.clone(), Some(deps), Some(cache)).run(strategy, configs)
+    Engine::new(scop, config, options.clone(), Some(deps), Some(cache), memo).run(strategy, configs)
+}
+
+/// The dimension answers of one scenario-set run's solve groups over
+/// one SCoP slot (and trace): the first group to ask an [`IlpKey`]
+/// solves it, and every later or concurrent group that asks it takes the
+/// answer, an infeasible one included. Errors are not kept, and a
+/// racing duplicate solve adds nothing. The scenario engine builds one
+/// only for a slot with two solve groups or more and drops it when the
+/// run returns.
+#[derive(Debug, Default)]
+pub struct DimMemo {
+    answers: Mutex<Vec<(IlpKey<'static>, Option<DimSolution>)>>,
+}
+
+impl DimMemo {
+    /// The answer kept for `key`, if some group solved it.
+    fn get(&self, key: &IlpKey<'_>) -> Option<Option<DimSolution>> {
+        let answers = self.answers.lock().expect("dimension memo lock");
+        answers
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, answer)| answer.clone())
+    }
+
+    /// Keeps `answer` for `key` unless a racing group kept it first.
+    fn insert(&self, key: IlpKey<'_>, answer: &Option<DimSolution>) {
+        let mut answers = self.answers.lock().expect("dimension memo lock");
+        if !answers.iter().any(|(k, _)| *k == key) {
+            answers.push((key.into_owned(), answer.clone()));
+        }
+    }
+}
+
+/// Assembles and solves one dimension's ILP and reads its flags. It
+/// reads nothing but `ctx` (its key and the SCoP-fixed data) and the
+/// oracle over the same dependences, so the answer is a function of the
+/// key: what lets [`DimMemo`] share it.
+fn answer_key(
+    ctx: &DimensionContext<'_>,
+    oracle: &mut Certifier<'_>,
+    stats: &mut IlpStats,
+) -> Result<Option<DimSolution>, ScheduleError> {
+    let (sys, objectives) = {
+        let _span = polytops_obs::span("objectives");
+        objectives::assemble(ctx)?
+    };
+    let point = {
+        let _span = polytops_obs::span("ilp_solve");
+        ilp_lexmin(&sys, &objectives, stats)?
+    };
+    let Some(point) = point else {
+        return Ok(None);
+    };
+    let rows: Vec<Vec<i64>> = (0..ctx.scop.statements.len())
+        .map(|s| ctx.space.extract_row(&point, s))
+        .collect();
+    let constant = ctx
+        .scop
+        .statements
+        .iter()
+        .enumerate()
+        .all(|(s, stmt)| rows[s][..stmt.depth()].iter().all(|&c| c == 0));
+    // Parallel iff no live dependence has a nonzero distance on this
+    // dimension (vacuously true without live dependences).
+    let parallel = ctx
+        .live()
+        .all(|(e, dep)| oracle.zero_distance(e, &rows[dep.src.0], &rows[dep.dst.0]));
+    Ok(Some(DimSolution {
+        rows,
+        parallel,
+        constant,
+    }))
 }
 
 /// Mutable scheduling state threaded through the iterative algorithm.
 struct Engine<'a> {
     scop: &'a Scop,
-    config: &'a SchedulerConfig,
+    /// The configuration's ILP-shaping part
+    /// ([`SchedulerConfig::ilp_key`]): the strategy reads the rest.
+    config: SchedulerConfig,
     options: EngineOptions,
     /// Fixed ILP variable layout shared by every dimension.
     space: IlpSpace,
@@ -194,6 +291,9 @@ struct Engine<'a> {
     /// analysis is deterministic, so a shared vector equals what this
     /// run would compute).
     deps: Arc<Vec<Dependence>>,
+    /// The run's dimension answers, shared with the other solve groups
+    /// of the SCoP (see [`run_shared`]).
+    memo: Option<Arc<DimMemo>>,
     /// The flat dimension whose row first strongly satisfied (carried)
     /// dependence `e`; `None` while `e` is live. A dependence carried
     /// *inside* the currently open band (`bands[d]`) keeps contributing
@@ -215,10 +315,11 @@ struct Engine<'a> {
 impl<'a> Engine<'a> {
     fn new(
         scop: &'a Scop,
-        config: &'a SchedulerConfig,
+        config: &SchedulerConfig,
         options: EngineOptions,
         deps: Option<Arc<Vec<Dependence>>>,
         shared: Option<Arc<FarkasCache>>,
+        memo: Option<Arc<DimMemo>>,
     ) -> Engine<'a> {
         let nstmts = scop.statements.len();
         let deps = deps
@@ -239,12 +340,13 @@ impl<'a> Engine<'a> {
             .unwrap_or_else(|| Arc::new(FarkasCache::new(deps.len())));
         Engine {
             scop,
-            config,
+            config: config.ilp_key(),
             options,
             space,
             cache: CacheSession::new(cache),
             carried_at: vec![None; deps.len()],
             deps,
+            memo,
             rows: vec![Vec::new(); nstmts],
             basis: scop
                 .statements
@@ -458,10 +560,11 @@ impl<'a> Engine<'a> {
         Ok((self.distribute(&groups, false)?, false))
     }
 
-    /// Builds and solves the ILP of one dimension. `Ok(None)` means the
-    /// space is infeasible (caller decides whether to cut or fail); a
-    /// solver overflow proves nothing of the kind and is
-    /// [`ScheduleError::Math`].
+    /// Answers the ILP of one dimension: from the run's [`DimMemo`]
+    /// when another solve group already solved its [`IlpKey`], else by
+    /// [`answer_key`]. `Ok(None)` means the space is infeasible (caller
+    /// decides whether to cut or fail); a solver overflow proves nothing
+    /// of the kind and is [`ScheduleError::Math`].
     fn solve_ilp(
         &self,
         oracle: &mut Certifier<'_>,
@@ -469,53 +572,41 @@ impl<'a> Engine<'a> {
         in_band_legality: bool,
         stats: &mut PipelineStats,
     ) -> Result<Option<DimSolution>, ScheduleError> {
-        let live = self.live_deps();
+        let ids = |deps: Vec<(usize, &Dependence)>| -> Vec<usize> {
+            deps.into_iter().map(|(e, _)| e).collect()
+        };
+        let live = ids(self.live_deps());
         let legality = if in_band_legality {
-            self.legality_deps()
+            ids(self.legality_deps())
         } else {
             live.clone()
         };
+        let key = IlpKey {
+            config: Cow::Borrowed(&self.config),
+            cost_functions: Cow::Borrowed(&plan.cost_functions),
+            extra_constraints: Cow::Borrowed(&plan.extra_constraints),
+            legality,
+            live,
+            rows: Cow::Borrowed(&self.rows),
+        };
+        stats.ilp_dims += 1;
+        if let Some(answer) = self.memo.as_ref().and_then(|memo| memo.get(&key)) {
+            stats.shared_dims += 1;
+            return Ok(answer);
+        }
         let ctx = DimensionContext {
             scop: self.scop,
-            config: self.config,
+            deps: &self.deps,
             space: &self.space,
             cache: &self.cache,
-            legality: &legality,
-            live: &live,
             basis: &self.basis,
+            key: &key,
         };
-        let (sys, objectives) = {
-            let _span = polytops_obs::span("objectives");
-            objectives::assemble(&ctx, plan)?
-        };
-
-        let point = {
-            let _span = polytops_obs::span("ilp_solve");
-            ilp_lexmin(&sys, &objectives, &mut stats.ilp)?
-        };
-        let Some(point) = point else {
-            return Ok(None);
-        };
-
-        let rows: Vec<Vec<i64>> = (0..self.scop.statements.len())
-            .map(|s| self.space.extract_row(&point, s))
-            .collect();
-        let constant = self
-            .scop
-            .statements
-            .iter()
-            .enumerate()
-            .all(|(s, stmt)| rows[s][..stmt.depth()].iter().all(|&c| c == 0));
-        // Parallel iff no live dependence has a nonzero distance on this
-        // dimension (vacuously true without live dependences).
-        let parallel = live
-            .iter()
-            .all(|&(e, dep)| oracle.zero_distance(e, &rows[dep.src.0], &rows[dep.dst.0]));
-        Ok(Some(DimSolution {
-            rows,
-            parallel,
-            constant,
-        }))
+        let answer = answer_key(&ctx, oracle, &mut stats.ilp)?;
+        if let Some(memo) = &self.memo {
+            memo.insert(key, &answer);
+        }
+        Ok(answer)
     }
 
     /// Emits a constant (splitting) dimension placing each fusion group

@@ -22,6 +22,15 @@
 //!   under any configuration, a cone knows nothing of the ILP layout —
 //!   substitutes into it; [`PipelineStats::farkas_hits`] of the later
 //!   groups measure exactly this cross-scenario amortization;
+//! * **dimension sharing**: when one SCoP slot has two solve groups or
+//!   more in a run (untraced, or tracing into one trace), they share a
+//!   [`DimMemo`]: a dimension ILP one group solved — keyed by exactly
+//!   what the solve reads ([`IlpKey`](crate::pipeline::objectives::IlpKey)) —
+//!   is answered for every other group that reaches it, without
+//!   assembling or solving it again (the isl-style strategy's first try
+//!   is pluto's dimension, its recomputation feautrier's;
+//!   [`PipelineStats::shared_dims`] counts them). The memo lives for
+//!   the run only, never in a registry entry;
 //! * [`ScenarioSet::run_sharded`] executes one engine job per solve
 //!   group on a work-stealing pool of scoped threads claiming jobs from
 //!   an atomic index (`std::thread::scope` — the build environment has
@@ -33,7 +42,8 @@
 //! # Determinism
 //!
 //! Sharded execution is **bit-identical** to sequential execution: a
-//! resident cone equals what a recomputation would eliminate, so no
+//! resident cone equals what a recomputation would eliminate, and a
+//! shared dimension equals what a re-solve of its key would find, so no
 //! result depends on which thread finished first. Grouping is invisible
 //! in the schedules too: a member's copy is post-processed from exactly
 //! the schedule its own solve would have produced, and the oracle it
@@ -41,8 +51,9 @@
 //! The lexmin is total over the schedule coefficients, so no pivot
 //! order picks between schedules, and each dimension's ILP solve reads
 //! nothing but its own system. Only the
-//! per-scenario cache hit/miss *split* may vary under concurrency;
-//! every schedule is reproducible at any thread count.
+//! per-scenario cache hit/miss *split*, and which group solves a shared
+//! dimension, may vary under concurrency; every schedule is
+//! reproducible at any thread count.
 //!
 //! # Example
 //!
@@ -82,7 +93,7 @@ use polytops_ir::{Schedule, Scop, StmtId};
 use crate::config::SchedulerConfig;
 use crate::error::ScheduleError;
 use crate::pipeline::legality::FarkasCache;
-use crate::pipeline::solve::{self, EngineOptions, PipelineStats};
+use crate::pipeline::solve::{self, DimMemo, EngineOptions, PipelineStats};
 use crate::registry::ScopEntry;
 use crate::strategy::ConfigStrategy;
 
@@ -375,6 +386,9 @@ struct Job {
     scenarios: Vec<usize>,
     deps: Arc<Vec<Dependence>>,
     cache: Arc<FarkasCache>,
+    /// The dimension answers the job shares with the other solve groups
+    /// of its SCoP slot and trace; `None` when it is their only one.
+    memo: Option<Arc<DimMemo>>,
     /// When the job was enqueued, for the pool's queue-wait histogram
     /// (recorded only for traced scenarios).
     queued: Instant,
@@ -388,7 +402,10 @@ impl ScenarioSet {
     /// integer feasibility tests — and each cone elimination thus run
     /// once per SCoP instead of once per scenario, and each solve once
     /// per group. A registry-resident SCoP draws both from its entry, so
-    /// its state persists beyond this run.
+    /// its state persists beyond this run. The groups of one slot and
+    /// trace share a [`DimMemo`] when there are two or more of them, so
+    /// each distinct dimension ILP is solved once a run; a lone group
+    /// gets none and pays nothing for it.
     fn jobs(&self) -> Vec<Job> {
         type Shared = (Arc<Vec<Dependence>>, Arc<FarkasCache>);
         let mut shared: Vec<Option<Shared>> = vec![None; self.scops.len()];
@@ -396,10 +413,9 @@ impl ScenarioSet {
         let mut jobs: Vec<(SchedulerConfig, Job)> = Vec::new();
         for (i, sc) in self.scenarios.iter().enumerate() {
             let key = sc.config.solve_key();
-            let group = jobs.iter_mut().find(|(k, job)| {
-                let lead = &self.scenarios[job.scenarios[0]];
-                lead.scop == sc.scop && same_trace(&lead.options, &sc.options) && *k == key
-            });
+            let group = jobs
+                .iter_mut()
+                .find(|(k, job)| *k == key && self.peers(job.scenarios[0], i));
             if let Some((_, job)) = group {
                 job.scenarios.push(i);
                 continue;
@@ -417,11 +433,37 @@ impl ScenarioSet {
                 scenarios: vec![i],
                 deps: Arc::clone(deps),
                 cache: Arc::clone(cache),
+                memo: None,
                 queued: Instant::now(),
             };
             jobs.push((key, job));
         }
-        jobs.into_iter().map(|(_, job)| job).collect()
+        let mut jobs: Vec<Job> = jobs.into_iter().map(|(_, job)| job).collect();
+        for j in 0..jobs.len() {
+            let lead = jobs[j].scenarios[0];
+            if jobs[j].memo.is_some()
+                || !jobs[j + 1..]
+                    .iter()
+                    .any(|o| self.peers(lead, o.scenarios[0]))
+            {
+                continue;
+            }
+            let memo = Arc::new(DimMemo::default());
+            for job in &mut jobs[j..] {
+                if self.peers(lead, job.scenarios[0]) {
+                    job.memo = Some(Arc::clone(&memo));
+                }
+            }
+        }
+        jobs
+    }
+
+    /// Whether scenarios `a` and `b` schedule the same SCoP slot into
+    /// the same trace (or both untraced): the scenarios that may share a
+    /// solve, or a solved dimension.
+    fn peers(&self, a: usize, b: usize) -> bool {
+        let (a, b) = (&self.scenarios[a], &self.scenarios[b]);
+        a.scop == b.scop && same_trace(&a.options, &b.options)
     }
 
     /// Runs one solve group under its SCoP's shared analysis and cache:
@@ -442,6 +484,7 @@ impl ScenarioSet {
             &options,
             Arc::clone(&job.deps),
             Arc::clone(&job.cache),
+            job.memo.clone(),
         )
     }
 }

@@ -4,11 +4,15 @@
 
 use polytops_core::scenario::{winner, ScenarioSet};
 use polytops_core::tune::{self, MachineModel};
-use polytops_core::{presets, EngineOptions, PipelineStats, PostProcess, SchedulerConfig};
+use polytops_core::{
+    presets, CostFn, DimMap, Directive, DirectiveKind, EngineOptions, FusionControl, PipelineStats,
+    PostProcess, SchedulerConfig,
+};
 use polytops_deps::{analyze, schedule_respects_dependence};
 use polytops_ir::{Schedule, Scop};
 use polytops_workloads::sweep::standard_sweep;
-use polytops_workloads::{jacobi_1d, matmul, producer_consumer, stencil_chain};
+use polytops_workloads::synthetic::long_chain;
+use polytops_workloads::{all_kernels, jacobi_1d, matmul, producer_consumer, stencil_chain};
 
 fn assert_legal(name: &str, scop: &Scop, sched: &Schedule) {
     for (e, dep) in analyze(scop).iter().enumerate() {
@@ -42,12 +46,12 @@ fn sharded_sweep_is_bit_identical_to_sequential() {
         for (a, b) in sequential.iter().zip(&sharded) {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
             assert_eq!(a.schedule, b.schedule, "{}@{threads} threads", a.name);
-            // The hit/miss *split* may differ under concurrency (two
-            // scenarios can race to eliminate an entry) but the lookup
-            // count is part of the deterministic work.
+            // Which scenario solves a shared dimension (and so looks up
+            // its cones) may differ under concurrency, as the hit/miss
+            // split may, but the dimension ILPs each scenario asks are
+            // part of the deterministic work.
             assert_eq!(
-                a.stats.farkas_hits + a.stats.farkas_misses,
-                b.stats.farkas_hits + b.stats.farkas_misses,
+                a.stats.ilp_dims, b.stats.ilp_dims,
                 "{}@{threads} threads",
                 a.name
             );
@@ -205,6 +209,17 @@ fn post_only_variants_share_one_solve_and_match_standalone_runs() {
         .map(|r| r.as_ref().unwrap().stats.farkas_misses)
         .sum();
     assert_eq!(misses, ndeps, "one elimination per dependence, as before");
+    // In scenario order, every leader solves what it asks except
+    // matmul's isl_like: its three first tries are the pluto group's
+    // dimensions, so it solves only its Feautrier recomputation of the
+    // innermost, carrying one.
+    for &i in &leaders {
+        let stats = sequential[i].as_ref().unwrap().stats;
+        let shared = if i == 7 { 3 } else { 0 };
+        assert_eq!(stats.shared_dims, shared, "{i}: {stats:?}");
+        assert!(stats.ilp_dims > shared, "{i}: {stats:?}");
+        assert!(stats.ilp.lp_stages > 0, "{i}: {stats:?}");
+    }
     for threads in [1, 2, 4] {
         let results = set.run_sharded(threads);
         for (i, (r, want)) in results.iter().zip(&standalone).enumerate() {
@@ -214,17 +229,14 @@ fn post_only_variants_share_one_solve_and_match_standalone_runs() {
             assert_eq!(&report.schedule, want, "{at}: equals the standalone run");
             let stats = report.stats;
             if leaders.contains(&i) {
-                assert!(
-                    stats.ilp.lp_stages > 0,
-                    "{at}: the leader solved: {stats:?}"
-                );
+                // Which of matmul's two groups solves their shared
+                // dimensions races in a wider pool; a pool of one is the
+                // sequential run.
                 let lead = sequential[i].as_ref().unwrap().stats;
-                assert_eq!(
-                    stats.farkas_hits + stats.farkas_misses,
-                    lead.farkas_hits + lead.farkas_misses,
-                    "{at}"
-                );
-                assert_eq!(stats.ilp, lead.ilp, "{at}");
+                assert_eq!(stats.ilp_dims, lead.ilp_dims, "{at}");
+                if threads == 1 {
+                    assert_eq!(stats, lead, "{at}");
+                }
             } else {
                 let zero = PipelineStats {
                     dimensions: report.schedule.dims(),
@@ -267,12 +279,15 @@ fn the_default_tuning_lattice_solves_once_per_base_stack() {
     for c in &lattice {
         set.add_scenario(id, c.name.clone(), c.config.clone());
     }
-    let results = set.run_sharded(2);
-    let solves = results
-        .iter()
-        .filter(|r| r.as_ref().unwrap().stats.ilp.lp_stages > 0)
-        .count();
+    // In scenario order the isl_like base takes pluto's three dimensions
+    // from the pluto base's solve and solves only its recomputation.
+    let results = set.run_sequential();
+    let stats: Vec<_> = results.iter().map(|r| r.as_ref().unwrap().stats).collect();
+    let solves = stats.iter().filter(|s| s.ilp.lp_stages > 0).count();
     assert_eq!(solves, 3);
+    let shared: Vec<usize> = stats.iter().map(|s| s.shared_dims).collect();
+    assert_eq!(shared.iter().sum::<usize>(), 3, "{shared:?}");
+    assert_eq!(stats[2].shared_dims, 3, "the isl_like base");
 }
 
 #[test]
@@ -373,4 +388,245 @@ fn mixed_kernel_sweep_reports_cross_scenario_hits() {
         shared > isolated,
         "cross-scenario hits must exist: shared {shared} vs isolated {isolated}"
     );
+}
+
+/// The kernels of the `sweep_ilp` benchmark workload: the three long
+/// chains and four reference kernels.
+fn sweep_ilp_kernels() -> Vec<(String, Scop)> {
+    let mut kernels: Vec<(String, Scop)> = [8, 12, 16]
+        .map(|n| (format!("long_chain_{n}"), long_chain(n)))
+        .into();
+    for (name, scop) in all_kernels() {
+        if ["gemver", "heat_2d", "jacobi_1d", "matmul"].contains(&name) {
+            kernels.push((name.to_string(), scop));
+        }
+    }
+    kernels
+}
+
+/// One set of every `(kernel, configuration)` pair, kernels registered
+/// once each.
+fn one_set(kernels: &[(String, Scop)], configs: &[(&str, SchedulerConfig)]) -> ScenarioSet {
+    let mut set = ScenarioSet::new();
+    for (kernel, scop) in kernels {
+        let id = set.add_scop(kernel.clone(), scop.clone());
+        for (name, config) in configs {
+            set.add_scenario(id, format!("{kernel}/{name}"), config.clone());
+        }
+    }
+    set
+}
+
+#[test]
+fn shared_dimensions_match_standalone_runs_at_any_thread_count() {
+    let mut kernels: Vec<(String, Scop)> = all_kernels()
+        .into_iter()
+        .map(|(name, scop)| (name.to_string(), scop))
+        .collect();
+    kernels.extend([8, 12, 16].map(|n| (format!("long_chain_{n}"), long_chain(n))));
+    let configs = [
+        ("pluto", presets::pluto()),
+        ("feautrier", presets::feautrier()),
+        ("isl_like", presets::isl_like()),
+        ("fast_path", presets::fast_path()),
+    ];
+    let set = one_set(&kernels, &configs);
+    let standalone: Vec<Schedule> = set
+        .scenarios()
+        .iter()
+        .map(|sc| polytops_core::schedule(&set.scops()[sc.scop].1, &sc.config).unwrap())
+        .collect();
+    let sequential = set.run_sequential();
+    let shared: usize = sequential
+        .iter()
+        .map(|r| r.as_ref().unwrap().stats.shared_dims)
+        .sum();
+    assert!(
+        shared > 0,
+        "isl_like shares pluto's and feautrier's dimensions"
+    );
+    for threads in [1, 2, 4] {
+        let results = set.run_sharded(threads);
+        for ((r, want), seq) in results.iter().zip(&standalone).zip(&sequential) {
+            let report = r.as_ref().unwrap();
+            let at = format!("{}@{threads} threads", report.name);
+            assert_eq!(&report.schedule, want, "{at}: equals the standalone run");
+            let seq = seq.as_ref().unwrap();
+            assert_eq!(report.stats.ilp_dims, seq.stats.ilp_dims, "{at}");
+        }
+    }
+
+    // The `sweep_ilp` workload's seven kernels × three presets: 17 of
+    // the dimension ILPs repeat one another scenario already asked, all
+    // of them isl_like's, and sharing them takes the pass from 624
+    // lexmin stages to 366.
+    let set = one_set(&sweep_ilp_kernels(), &configs[..3]);
+    let results = set.run_sequential();
+    let stats: Vec<PipelineStats> = results.iter().map(|r| r.as_ref().unwrap().stats).collect();
+    let sum = |f: fn(&PipelineStats) -> usize| stats.iter().map(f).sum::<usize>();
+    assert_eq!(sum(|s| s.shared_dims), 17);
+    assert_eq!(sum(|s| s.ilp.lp_stages), 366);
+    for (sc, s) in set.scenarios().iter().zip(&stats) {
+        if !sc.name.ends_with("/isl_like") {
+            assert_eq!(s.shared_dims, 0, "{}", sc.name);
+        }
+    }
+    let alone: usize = set
+        .scenarios()
+        .iter()
+        .map(|sc| {
+            let mut alone = ScenarioSet::new();
+            let (name, scop) = &set.scops()[sc.scop];
+            let id = alone.add_scop(name.clone(), scop.clone());
+            alone.add_scenario(id, sc.name.clone(), sc.config.clone());
+            let report = alone.run_sequential().remove(0).unwrap();
+            assert_eq!(report.stats.shared_dims, 0, "a lone group shares nothing");
+            report.stats.ilp.lp_stages
+        })
+        .sum();
+    assert_eq!(alone, 624);
+}
+
+/// The stats of each scenario of a sequential run of `configs` over
+/// `scop`.
+fn run_stats(scop: &Scop, configs: &[SchedulerConfig]) -> Vec<PipelineStats> {
+    let mut set = ScenarioSet::new();
+    let id = set.add_scop("kernel", scop.clone());
+    for (i, config) in configs.iter().enumerate() {
+        set.add_scenario(id, format!("#{i}"), config.clone());
+    }
+    set.run_sequential()
+        .iter()
+        .map(|r| r.as_ref().unwrap().stats)
+        .collect()
+}
+
+/// The shared dimensions of each scenario of a sequential run of
+/// `configs` over `scop`.
+fn shared_dims(scop: &Scop, configs: &[SchedulerConfig]) -> Vec<usize> {
+    run_stats(scop, configs)
+        .iter()
+        .map(|s| s.shared_dims)
+        .collect()
+}
+
+#[test]
+fn configurations_differing_in_an_ilp_field_share_no_dimension() {
+    let base = presets::pluto();
+    let variants: [(&str, SchedulerConfig); 9] = [
+        (
+            "coefficient_bound",
+            SchedulerConfig {
+                coefficient_bound: 5,
+                ..base.clone()
+            },
+        ),
+        (
+            "constant_bound",
+            SchedulerConfig {
+                constant_bound: 17,
+                ..base.clone()
+            },
+        ),
+        (
+            "bound_bound",
+            SchedulerConfig {
+                bound_bound: 33,
+                ..base.clone()
+            },
+        ),
+        (
+            "negative_coefficients",
+            SchedulerConfig {
+                negative_coefficients: true,
+                ..base.clone()
+            },
+        ),
+        (
+            "parametric_shift",
+            SchedulerConfig {
+                parametric_shift: true,
+                ..base.clone()
+            },
+        ),
+        (
+            "new_variables",
+            SchedulerConfig {
+                new_variables: vec!["x".to_string()],
+                ..base.clone()
+            },
+        ),
+        (
+            "directives",
+            SchedulerConfig {
+                directives: vec![Directive {
+                    kind: DirectiveKind::Parallelize,
+                    stmts: None,
+                    iterator: 1,
+                }],
+                ..base.clone()
+            },
+        ),
+        (
+            "parameter_estimate",
+            SchedulerConfig {
+                parameter_estimate: 65,
+                ..base.clone()
+            },
+        ),
+        (
+            "heuristic_fast_path",
+            SchedulerConfig {
+                heuristic_fast_path: true,
+                ..base.clone()
+            },
+        ),
+    ];
+    // A twin in another solve group (a fusion control past the last
+    // dimension, which no plan reads) asks the same ILPs and shares
+    // every one; a variant in one ILP-shaping field shares none.
+    let twin = SchedulerConfig {
+        fusion: vec![FusionControl {
+            dimension: 99,
+            total_distribution: true,
+            groups: Vec::new(),
+        }],
+        ..base.clone()
+    };
+    for scop in [matmul(), jacobi_1d()] {
+        let stats = run_stats(&scop, &[base.clone(), twin.clone()]);
+        assert_eq!(stats[0].shared_dims, 0);
+        assert!(stats[1].ilp_dims > 0);
+        assert_eq!(stats[1].shared_dims, stats[1].ilp_dims);
+    }
+    for (field, variant) in variants {
+        for (kernel, scop) in [("matmul", matmul()), ("jacobi_1d", jacobi_1d())] {
+            let shared = shared_dims(&scop, &[base.clone(), variant.clone()]);
+            assert_eq!(shared, [0, 0], "{kernel}: {field}");
+        }
+    }
+}
+
+#[test]
+fn a_plan_that_differs_from_dimension_one_on_shares_dimension_zero_only() {
+    let base = presets::pluto();
+    let mut costs = DimMap::uniform(vec![CostFn::Feautrier]);
+    costs.set(0, vec![CostFn::Proximity]);
+    let by_cost = SchedulerConfig {
+        cost_functions: costs,
+        ..base.clone()
+    };
+    let mut constraints = DimMap::uniform(vec!["S0_it_0 >= 0".to_string()]);
+    constraints.set(0, Vec::new());
+    let by_constraint = SchedulerConfig {
+        custom_constraints: constraints,
+        ..base.clone()
+    };
+    for (kernel, scop) in [("matmul", matmul()), ("jacobi_1d", jacobi_1d())] {
+        let shared = shared_dims(
+            &scop,
+            &[base.clone(), by_cost.clone(), by_constraint.clone()],
+        );
+        assert_eq!(shared, [0, 1, 1], "{kernel}");
+    }
 }

@@ -435,6 +435,65 @@ fn requests_arriving_during_a_batch_form_exactly_one_following_batch() {
 }
 
 #[test]
+fn scenarios_sharing_dimensions_match_the_offline_engine_alone_and_batched() {
+    // pluto, feautrier and isl_like over one SCoP are three solve groups
+    // of one slot: isl_like's first tries are pluto's dimensions, taken
+    // from the pluto group's solve. A request alone, and two such
+    // untraced requests batched onto one slot, answer the offline
+    // engine's bytes. A pool of one runs the groups in scenario order,
+    // so which group solves a shared dimension does not race and the
+    // counter is exact.
+    let handle = start(ServerConfig {
+        window_ms: 200, // wide window: the pair below forms one batch
+        threads: 1,
+        trace: false, // a traced request shares only within its own trace
+        ..local_config()
+    });
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let presets = ["pluto", "feautrier", "isl_like"];
+    let lines = ["a", "b"].map(|id| request_line(id, "matmul", &matmul(), &presets));
+    let want = match protocol::parse_request(&lines[0]).unwrap() {
+        Request::Schedule(req) => protocol::offline_results(&req).compact(),
+        other => panic!("generated line must be a schedule request, got {other:?}"),
+    };
+    let shared_dims = |client: &mut Client| {
+        let stats = client.stats().unwrap();
+        stats.as_object().unwrap()["obs"].as_object().unwrap()["counters"]
+            .as_object()
+            .unwrap()["solver.shared_dims"]
+            .as_int()
+            .unwrap()
+    };
+
+    let (ok, _, got) = unpack(&client.roundtrip(&lines[0]).unwrap());
+    assert!(ok);
+    assert_eq!(got, want, "alone");
+    assert_eq!(batch_counts(&mut client), (1, 1));
+    assert_eq!(
+        shared_dims(&mut client),
+        3,
+        "isl_like shares pluto's dimensions"
+    );
+
+    for line in &lines {
+        client.send_line(line).unwrap();
+    }
+    for line in &lines {
+        let (ok, _, got) = unpack(&client.recv_line().unwrap());
+        assert!(ok);
+        assert_eq!(got, want, "batched: {line}");
+    }
+    assert_eq!(batch_counts(&mut client), (2, 3), "the pair is one batch");
+    // The pair's scenarios form the same three groups as one request's.
+    assert_eq!(
+        shared_dims(&mut client),
+        6,
+        "one slot, three groups, one memo"
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn autotune_op_returns_a_certified_deterministic_winner() {
     use std::collections::BTreeMap;
     let line = Json::Object(BTreeMap::from([
