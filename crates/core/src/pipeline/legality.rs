@@ -1,14 +1,15 @@
-//! Legality stage: one Farkas cone per dependence.
+//! Legality stage: one Farkas cone per dependence polyhedron.
 //!
 //! Validity (`Δ ≥ 0`), proximity (`u·N + w − Δ ≥ 0`) and Feautrier
 //! (`Δ − x_e ≥ 0`) all ask which affine forms are non-negative on a
 //! dependence polyhedron. The answer — the polyhedron's Farkas cone,
 //! [`polytops_math::farkas_cone`] — is the expensive part (eliminating
 //! the multipliers by Fourier–Motzkin, pruned as it runs so that no row
-//! of the cone is redundant) and depends on the dependence alone: not on
-//! the constraint kind, the dimension, the live set or the
-//! configuration's ILP variable layout. [`FarkasCache`] eliminates it
-//! **once** per dependence; every lookup then substitutes the asked
+//! of the cone is redundant) and depends on the polyhedron alone: not on
+//! the access pair or kind (flow, anti, output) that produced it, the
+//! constraint kind, the dimension, the live set or the configuration's
+//! ILP variable layout. [`FarkasCache`] eliminates it **once** per
+//! polyhedron; every lookup then substitutes the asked
 //! kind's [template](DepConstraint::template) over the asking run's
 //! [`IlpSpace`] into it, which is a few multiplications per row — per
 //! row the cone keeps, which is why it keeps none it does not need.
@@ -17,8 +18,13 @@
 //! atomic), so the scenario engine ([`crate::scenario`]) shares one per
 //! SCoP among all its scenarios whatever their configuration, and a
 //! registry entry keeps one resident across
-//! requests. Cones are keyed by dependence index (the one assigned by
-//! [`polytops_deps::analyze`], deterministic for a given SCoP).
+//! requests. Cones are keyed by polyhedron: dependences that
+//! [`polytops_deps::analyze`] gave one tableau
+//! ([`Dependence::same_polyhedron`]) share one cone, and each dependence
+//! index (deterministic for a given SCoP) maps to its polyhedron's slot.
+//! Two dependences with one source, target and polyhedron also have one
+//! validity and one proximity template, so
+//! [`CacheSession::extend_classes`] replays such a class once.
 //!
 //! Two counter sets exist: the cache's own atomic totals (aggregated
 //! over every run that ever shared it) and the per-run [`CacheSession`]
@@ -31,27 +37,41 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use polytops_deps::Dependence;
+use polytops_deps::{polyhedron_classes, Dependence};
 use polytops_math::{farkas_cone, farkas_substitute, ConstraintSystem};
 
 use crate::costfn::DepConstraint;
 use crate::error::ScheduleError;
 use crate::space::IlpSpace;
 
-/// The Farkas cones of one SCoP's dependences, shareable across
-/// scheduling runs (and threads) of that SCoP under any configuration.
+/// The Farkas cones of one SCoP's dependence polyhedra, shareable
+/// across scheduling runs (and threads) of that SCoP under any
+/// configuration.
 #[derive(Debug)]
 pub struct FarkasCache {
+    /// Per dependence, its polyhedron's slot in `cones`.
+    slot: Vec<usize>,
     cones: Vec<OnceLock<ConstraintSystem>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
 
 impl FarkasCache {
-    /// Creates an empty cache for `num_deps` dependences.
-    pub fn new(num_deps: usize) -> FarkasCache {
+    /// Creates an empty cache for `deps`, one slot per distinct
+    /// polyhedron.
+    pub fn new(deps: &[Dependence]) -> FarkasCache {
+        let (mut slot, mut cones) = (Vec::with_capacity(deps.len()), Vec::new());
+        for (e, first) in polyhedron_classes(deps).into_iter().enumerate() {
+            if first == e {
+                slot.push(cones.len());
+                cones.push(OnceLock::new());
+            } else {
+                slot.push(slot[first]);
+            }
+        }
         FarkasCache {
-            cones: (0..num_deps).map(|_| OnceLock::new()).collect(),
+            slot,
+            cones,
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
         }
@@ -59,7 +79,7 @@ impl FarkasCache {
 
     /// Number of dependences the cache was sized for.
     pub fn num_deps(&self) -> usize {
-        self.cones.len()
+        self.slot.len()
     }
 
     /// Total lookups that found their cone resident, across every run
@@ -74,11 +94,11 @@ impl FarkasCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// The cone of dependence `e`, eliminated on first use, and whether
-    /// it was resident already. Two threads racing on an empty slot both
-    /// eliminate; the results are equal and one is kept.
+    /// The cone of dependence `e`'s polyhedron, eliminated on first use,
+    /// and whether it was resident already. Two threads racing on an
+    /// empty slot both eliminate; the results are equal and one is kept.
     fn cone(&self, e: usize, dep: &Dependence) -> Result<(&ConstraintSystem, bool), ScheduleError> {
-        let slot = &self.cones[e];
+        let slot = &self.cones[self.slot[e]];
         let hit = slot.get().is_some();
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -93,7 +113,7 @@ impl FarkasCache {
     }
 
     /// Appends the `kind` constraints of dependence `e` over `space` to
-    /// `out`. Returns whether the dependence's cone was resident.
+    /// `out`. Returns whether its polyhedron's cone was resident.
     ///
     /// # Errors
     ///
@@ -114,16 +134,19 @@ impl FarkasCache {
         Ok(hit)
     }
 
-    /// Eliminates the cone of every dependence in `deps` that is not
-    /// resident yet, so that no later lookup misses (the restore path's
-    /// "serve warm" guarantee).
+    /// Eliminates the cone of every polyhedron of `deps` (the
+    /// dependences the cache was made for) that is not resident yet, so
+    /// that no later lookup misses (the restore path's "serve warm"
+    /// guarantee).
     ///
     /// # Errors
     ///
     /// Propagates arithmetic overflow from an elimination.
     pub fn prewarm(&self, deps: &[Dependence]) -> Result<(), ScheduleError> {
         for (e, dep) in deps.iter().enumerate() {
-            self.cone(e, dep)?;
+            if self.cones[self.slot[e]].get().is_none() {
+                self.cone(e, dep)?;
+            }
         }
         Ok(())
     }
@@ -188,15 +211,46 @@ impl CacheSession {
         counter.set(counter.get() + 1);
         Ok(())
     }
+
+    /// Session-counted [`FarkasCache::extend`] of each dependence
+    /// `deps[e]`, `e` in `ids`, once per (source, target, polyhedron): a
+    /// repeat has the first one's cone and, for a `kind` other than
+    /// Feautrier (whose template writes the dependence's own `x_e`
+    /// column), its template, so it would only append rows that
+    /// `normalize` drops.
+    ///
+    /// # Errors
+    ///
+    /// Propagates arithmetic overflow from the elimination or the
+    /// substitution.
+    pub fn extend_classes(
+        &self,
+        kind: DepConstraint,
+        ids: &[usize],
+        deps: &[Dependence],
+        space: &IlpSpace,
+        out: &mut ConstraintSystem,
+    ) -> Result<(), ScheduleError> {
+        debug_assert!(kind != DepConstraint::Feautrier, "x_e is per dependence");
+        let class = |e: usize| (deps[e].src, deps[e].dst, self.cache.slot[e]);
+        for (i, &e) in ids.iter().enumerate() {
+            if ids[..i].iter().all(|&f| class(f) != class(e)) {
+                self.extend(kind, e, &deps[e], space, out)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use polytops_deps::analyze;
+    use polytops_math::farkas_substitute;
     use polytops_math::{ineq_implied, RowKind};
+    use polytops_workloads::all_kernels;
     use polytops_workloads::stencil_chain as chain;
-    use polytops_workloads::{all_kernels, synthetic::long_chain};
+    use polytops_workloads::synthetic::{long_chain, offset_chain};
 
     fn validity(cache: &FarkasCache, dep: &Dependence, space: &IlpSpace) -> ConstraintSystem {
         let mut out = ConstraintSystem::new(space.total());
@@ -211,7 +265,7 @@ mod tests {
         let scop = chain();
         let deps = analyze(&scop);
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
-        let cache = FarkasCache::new(deps.len());
+        let cache = FarkasCache::new(&deps);
 
         let first = validity(&cache, &deps[0], &space);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
@@ -226,7 +280,7 @@ mod tests {
         let scop = chain();
         let deps = analyze(&scop);
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
-        let cache = Arc::new(FarkasCache::new(deps.len()));
+        let cache = Arc::new(FarkasCache::new(&deps));
 
         let first = CacheSession::new(Arc::clone(&cache));
         let mut out = ConstraintSystem::new(space.total());
@@ -254,15 +308,15 @@ mod tests {
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
         let wide = IlpSpace::new(&scop, vec!["x".into()], deps.len(), true, true);
         assert_ne!(space.total(), wide.total());
-        let cache = FarkasCache::new(deps.len());
+        let cache = FarkasCache::new(&deps);
 
         let narrow_rows = validity(&cache, &deps[0], &space);
         let wide_rows = validity(&cache, &deps[0], &wide);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // Each equals what a cold cache builds for that layout alone.
-        let cold = FarkasCache::new(deps.len());
+        let cold = FarkasCache::new(&deps);
         assert_eq!(wide_rows, validity(&cold, &deps[0], &wide));
-        let cold = FarkasCache::new(deps.len());
+        let cold = FarkasCache::new(&deps);
         assert_eq!(narrow_rows, validity(&cold, &deps[0], &space));
     }
 
@@ -271,9 +325,9 @@ mod tests {
         let scop = chain();
         let deps = analyze(&scop);
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
-        let cache = Arc::new(FarkasCache::new(deps.len()));
+        let cache = Arc::new(FarkasCache::new(&deps));
         cache.prewarm(&deps).unwrap();
-        assert_eq!(cache.misses(), deps.len());
+        assert_eq!(cache.misses(), distinct_polyhedra(&deps));
         let session = CacheSession::new(Arc::clone(&cache));
         for kind in [
             DepConstraint::Validity,
@@ -295,9 +349,11 @@ mod tests {
         // fails here, not only in a bench.
         let mut scops: Vec<_> = all_kernels().into_iter().map(|(_, scop)| scop).collect();
         scops.extend([8, 12, 16].map(long_chain));
-        let (mut deps, mut rows) = (0, 0);
+        let (mut deps, mut polyhedra, mut rows) = (0, 0, 0);
         for scop in &scops {
-            for dep in analyze(scop) {
+            let analysis = analyze(scop);
+            polyhedra += distinct_polyhedra(&analysis);
+            for dep in analysis {
                 let cone = farkas_cone(dep.poly()).unwrap();
                 deps += 1;
                 rows += cone.len();
@@ -317,7 +373,62 @@ mod tests {
                 }
             }
         }
-        assert_eq!((deps, rows), (107, 506));
+        // One cone per polyhedron: 26 eliminations serve the 107
+        // dependences.
+        assert_eq!((deps, polyhedra, rows), (107, 26, 506));
+    }
+
+    fn distinct_polyhedra(deps: &[Dependence]) -> usize {
+        (deps.iter().enumerate())
+            .filter(|&(e, dep)| deps[..e].iter().all(|d| d.poly() != dep.poly()))
+            .count()
+    }
+
+    #[test]
+    fn every_dependence_reads_its_own_polyhedrons_cone() {
+        // Whichever twin eliminated the shared cone, every dependence's
+        // rows, under every kind and layout, are those of its own cone;
+        // and replaying a kind once per (source, target, polyhedron)
+        // leaves the normalized system of replaying it per dependence.
+        let mut scops: Vec<_> = all_kernels().into_iter().map(|(_, scop)| scop).collect();
+        scops.extend([8, 12, 16].map(long_chain));
+        scops.push(offset_chain(&[(0, 1, 2), (1, 0, 3), (2, 2, 0), (0, 3, 1)]));
+        for scop in &scops {
+            let deps = analyze(scop);
+            let narrow = IlpSpace::new(scop, vec![], deps.len(), false, false);
+            let wide = IlpSpace::new(scop, vec!["x".into()], deps.len(), true, true);
+            let cache = Arc::new(FarkasCache::new(&deps));
+            let session = CacheSession::new(Arc::clone(&cache));
+            for (e, dep) in deps.iter().enumerate() {
+                let own = farkas_cone(dep.poly()).unwrap();
+                for space in [&narrow, &wide] {
+                    for kind in [
+                        DepConstraint::Validity,
+                        DepConstraint::Proximity,
+                        DepConstraint::Feautrier,
+                    ] {
+                        let mut out = ConstraintSystem::new(space.total());
+                        session.extend(kind, e, dep, space, &mut out).unwrap();
+                        let template = kind.template(dep, e, space);
+                        let expected = farkas_substitute(&own, &template, space.total()).unwrap();
+                        assert_eq!(out, expected, "{} dependence {e}", scop.name);
+                    }
+                }
+            }
+            assert_eq!(cache.misses(), distinct_polyhedra(&deps));
+            for kind in [DepConstraint::Validity, DepConstraint::Proximity] {
+                let mut each = ConstraintSystem::new(narrow.total());
+                for (e, dep) in deps.iter().enumerate() {
+                    session.extend(kind, e, dep, &narrow, &mut each).unwrap();
+                }
+                let mut once = ConstraintSystem::new(narrow.total());
+                let ids: Vec<usize> = (0..deps.len()).collect();
+                (session.extend_classes(kind, &ids, &deps, &narrow, &mut once)).unwrap();
+                assert!(once.len() <= each.len());
+                assert_eq!(each.normalize(), once.normalize());
+                assert_eq!(each, once, "{} {kind:?}", scop.name);
+            }
+        }
     }
 
     #[test]
@@ -325,8 +436,8 @@ mod tests {
         let scop = chain();
         let deps = analyze(&scop);
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
-        let cache = Arc::new(FarkasCache::new(deps.len()));
-        let reference = validity(&FarkasCache::new(deps.len()), &deps[0], &space);
+        let cache = Arc::new(FarkasCache::new(&deps));
+        let reference = validity(&FarkasCache::new(&deps), &deps[0], &space);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {

@@ -6,10 +6,10 @@
 //! `(ConstraintSystem, lexicographic objectives)` pair over the engine's
 //! fixed [`IlpSpace`]:
 //!
-//! 1. **legality** — `Δ_e ≥ 0` per live dependence, substituted into
-//!    the dependence's cone in the
-//!    [`FarkasCache`](crate::pipeline::FarkasCache) through the run's
-//!    [`CacheSession`];
+//! 1. **legality** — `Δ_e ≥ 0` per live (source, target, polyhedron)
+//!    class of dependences, substituted into the polyhedron's cone in
+//!    the [`FarkasCache`](crate::pipeline::FarkasCache) through the
+//!    run's [`CacheSession`];
 //! 2. **progression** — the next row of every incomplete statement must
 //!    leave the span of its committed rows (Eq. 3);
 //! 3. **box bounds** — keep branch-and-bound finite and solutions small;
@@ -115,11 +115,6 @@ pub struct DimensionContext<'a> {
 }
 
 impl DimensionContext<'_> {
-    /// The key's legality dependences as `(id, dependence)` pairs.
-    pub fn legality(&self) -> impl Iterator<Item = (usize, &Dependence)> {
-        self.key.legality.iter().map(|&e| (e, &self.deps[e]))
-    }
-
     /// The key's live dependences as `(id, dependence)` pairs.
     pub fn live(&self) -> impl Iterator<Item = (usize, &Dependence)> {
         self.key.live.iter().map(|&e| (e, &self.deps[e]))
@@ -144,10 +139,13 @@ pub fn build_costs(
     for cost in costs {
         match cost {
             CostFn::Proximity => {
-                for (e, dep) in ctx.live() {
-                    ctx.cache
-                        .extend(DepConstraint::Proximity, e, dep, space, &mut out.sys)?;
-                }
+                ctx.cache.extend_classes(
+                    DepConstraint::Proximity,
+                    &ctx.key.live,
+                    ctx.deps,
+                    space,
+                    &mut out.sys,
+                )?;
                 // Objectives: Σ u_j first, then w (Pluto's lexmin order).
                 let mut urow = vec![0i64; space.total()];
                 for j in 0..space.nparams {
@@ -223,13 +221,17 @@ pub fn assemble(
     let mut sys = ConstraintSystem::new(n);
 
     // 1. Legality: Farkas-linearized Δ ≥ 0 per live dependence and per
-    //    dependence carried earlier in the (still open) current band.
+    //    dependence carried earlier in the (still open) current band,
+    //    one replay per (source, target, polyhedron).
     {
         let _span = polytops_obs::span("legality");
-        for (e, dep) in ctx.legality() {
-            ctx.cache
-                .extend(DepConstraint::Validity, e, dep, space, &mut sys)?;
-        }
+        ctx.cache.extend_classes(
+            DepConstraint::Validity,
+            &ctx.key.legality,
+            ctx.deps,
+            space,
+            &mut sys,
+        )?;
     }
 
     // 2. Progression (Eq. 3).

@@ -51,7 +51,7 @@
 //!   to zero; or
 //! * (sufficient) every term row of `m` has zero distance on every
 //!   dependence live at the rewritten bands' entry whose two statements
-//!   both cross `m` — one base-tableau question per dependence and row.
+//!   both cross `m` — one base-tableau question per polyhedron and row.
 //!
 //! Tile bands take the engine's unconditioned rule and untransformed
 //! bands keep the engine's flags, so model scores of plain schedules

@@ -69,7 +69,7 @@ pub struct EngineOptions {
 pub struct PipelineStats {
     /// Farkas lookups whose cone was resident in the cache.
     pub farkas_hits: usize,
-    /// Farkas lookups that eliminated their dependence's cone.
+    /// Farkas lookups that eliminated their polyhedron's cone.
     pub farkas_misses: usize,
     /// Scheduling dimensions emitted (including constant levels).
     pub dimensions: usize,
@@ -168,12 +168,11 @@ pub fn run(
 /// run on the reference kernels) is done once per SCoP instead of once
 /// per scenario.
 ///
-/// `deps` must be [`analyze`]\ `(scop)` — cache entries are keyed by
+/// `deps` must be [`analyze`]\ `(scop)` — cache entries are reached by
 /// position in that vector — and the cache must have been created for
-/// its length (`FarkasCache::new(deps.len())`); a mis-sized cache
-/// is ignored and a private one used instead, so sharing can never
-/// corrupt a run. Reported [`PipelineStats`] count only this run's
-/// lookups.
+/// it (`FarkasCache::new(&deps)`); a mis-sized cache is ignored and a
+/// private one used instead, so sharing can never corrupt a run.
+/// Reported [`PipelineStats`] count only this run's lookups.
 ///
 /// A `memo` shared with other groups over the same SCoP answers every
 /// dimension ILP one of them already solved (and keeps this group's
@@ -337,7 +336,7 @@ impl<'a> Engine<'a> {
         );
         let cache = shared
             .filter(|c| c.num_deps() == deps.len())
-            .unwrap_or_else(|| Arc::new(FarkasCache::new(deps.len())));
+            .unwrap_or_else(|| Arc::new(FarkasCache::new(&deps)));
         Engine {
             scop,
             config: config.ilp_key(),

@@ -15,7 +15,7 @@
 //!   analyzed dependence vector) land on the same entry;
 //! * a [`ScopEntry`] keeps a SCoP resident together with its
 //!   `Arc<Vec<Dependence>>` (the exact dependence analysis, done once
-//!   ever) and its `Arc<FarkasCache>` (one Farkas cone per dependence,
+//!   ever) and its `Arc<FarkasCache>` (one Farkas cone per polyhedron,
 //!   shared by every configuration);
 //! * the [`ScopRegistry`] dedupes SCoPs by canonical text, bounds
 //!   residency with an LRU policy, and reports
@@ -82,7 +82,7 @@ impl ScopEntry {
             name,
             fingerprint,
             scop,
-            cache: Arc::new(FarkasCache::new(deps.len())),
+            cache: Arc::new(FarkasCache::new(&deps)),
             deps,
             learned: Mutex::new(BTreeMap::new()),
         }
@@ -116,10 +116,10 @@ impl ScopEntry {
         Arc::clone(&self.cache)
     }
 
-    /// Eagerly eliminates every dependence's Farkas cone, so later
-    /// scheduling runs pay none (the restore path's "serve warm"
-    /// guarantee: a request against a restored entry reports
-    /// `farkas_misses == 0`). Idempotent.
+    /// Eagerly eliminates the Farkas cone of every dependence
+    /// polyhedron, so later scheduling runs pay none (the restore
+    /// path's "serve warm" guarantee: a request against a restored
+    /// entry reports `farkas_misses == 0`). Idempotent.
     ///
     /// # Errors
     ///

@@ -425,7 +425,7 @@ impl ScenarioSet {
                     Some(entry) => (entry.deps(), entry.cache()),
                     None => {
                         let deps = Arc::new(analyze(&self.scops[sc.scop].1));
-                        let cache = Arc::new(FarkasCache::new(deps.len()));
+                        let cache = Arc::new(FarkasCache::new(&deps));
                         (deps, cache)
                     }
                 });

@@ -252,10 +252,11 @@ fn every_layout_shares_the_entrys_one_cache() {
     );
 
     let (entry, _) = registry.resolve("matmul", &matmul());
+    // matmul's 3 dependences share one polyhedron, hence one cone.
     entry.prewarm().unwrap();
-    assert_eq!(entry.cache().misses(), entry.deps().len());
+    assert_eq!((entry.deps().len(), entry.cache().misses()), (3, 1));
     entry.prewarm().unwrap();
-    assert_eq!(entry.cache().misses(), entry.deps().len(), "idempotent");
+    assert_eq!(entry.cache().misses(), 1, "idempotent");
 }
 
 #[test]

@@ -82,6 +82,18 @@ impl Dependence {
         self.base.as_deref()
     }
 
+    /// Whether `self` and `other` have one polyhedron by the analysis's
+    /// own account: [`analyze`] gives dependences with equal polyhedra
+    /// one tableau, and this compares the tableaus by address, which
+    /// holds in any slice, whichever analyses its dependences came
+    /// from. A dependence whose tableau overflowed is only its own twin.
+    pub fn same_polyhedron(&self, other: &Dependence) -> bool {
+        match (&self.base, &other.base) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => std::ptr::eq(self, other),
+        }
+    }
+
     /// The candidate kept, with the tableau of its polyhedron, unless
     /// the integer emptiness test on that tableau proves it empty.
     fn solved(mut self) -> Option<Dependence> {
@@ -128,6 +140,25 @@ impl fmt::Debug for Dependence {
             .field("dst_depth", &self.dst_depth)
             .finish()
     }
+}
+
+/// Per dependence of `deps`, the position in `deps` of the first one
+/// with the [same polyhedron](Dependence::same_polyhedron): its
+/// polyhedron's class within the slice.
+pub fn polyhedron_classes(deps: &[Dependence]) -> Vec<usize> {
+    let mut firsts: Vec<usize> = Vec::new();
+    (deps.iter().enumerate())
+        .map(|(e, dep)| {
+            let first = firsts
+                .iter()
+                .copied()
+                .find(|&f| deps[f].same_polyhedron(dep));
+            first.unwrap_or_else(|| {
+                firsts.push(e);
+                e
+            })
+        })
+        .collect()
 }
 
 /// Number of common (shared) loops of two statements, derived from their
@@ -426,6 +457,7 @@ mod tests {
                     panic!("a tableau per dependence");
                 };
                 assert_eq!(Arc::ptr_eq(x, y), a.poly == b.poly);
+                assert_eq!(a.same_polyhedron(b), a.poly == b.poly);
             }
         }
     }

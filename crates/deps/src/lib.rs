@@ -41,7 +41,7 @@ mod analysis;
 mod graph;
 mod satisfy;
 
-pub use analysis::{analyze, common_loops, DepKind, Dependence};
+pub use analysis::{analyze, common_loops, polyhedron_classes, DepKind, Dependence};
 pub use graph::{dependence_sccs, sccs_topological};
 pub use satisfy::{
     distance_row, order_steps, respects, schedule_respects_dependence, steps_respect_dependence,

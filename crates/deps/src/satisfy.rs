@@ -13,19 +13,23 @@
 //! that found the dependence: each [`Dependence`] carries the solved
 //! tableau of its own polyhedron ([`IncrementalLp`]), and a
 //! [`Certifier`] asks each question as one pushed row on a copy of it.
-//! Certifiers share that tableau, never an answer: what one proves
-//! stays in it. An order question about a whole flat schedule or a
+//! A question is about a polyhedron, not about the dependence that
+//! brought it: a certifier answers each (polyhedron, pushed row) once,
+//! from a memo of its own, for every dependence with that polyhedron
+//! (a flow, anti and output twin) and every repeat. Certifiers share
+//! the tableau, never an answer: what one proves stays in it. An order
+//! question about a whole flat schedule or a
 //! tree's step sequence walks it on one working copy, asking `Δ ≤ −1`
 //! of each step and pinning `Δ = 0` before the next, instead of
 //! rebuilding prefix + step per question. The free functions of this
 //! module are the one-dependence, one-question forms of the same code.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use polytops_ir::PathStep;
 use polytops_math::{ConstraintSystem, IlpOutcome, IlpStats, IncrementalLp, RowKind};
 
-use crate::analysis::Dependence;
+use crate::analysis::{polyhedron_classes, Dependence};
 
 /// Builds the row of `Δ = φ_R − φ_S` over the dependence space
 /// `(it_src, it_dst, params, 1)` from per-statement schedule rows (each
@@ -450,16 +454,21 @@ pub struct CertifierStats {
 /// satisfaction and legality question about them. Each question starts
 /// from a copy of the solved tableau of the dependence's polyhedron,
 /// which [`analyze`](crate::analyze) left in the dependence; the
-/// certifier builds none. What it keeps per dependence is the
-/// monotonicity cuts it has proved. One
-/// per post-processing pass, certification or tuner call, dropped with
-/// it — nothing outlives the dependences it was made for, and no answer
-/// is shared between certifiers.
+/// certifier builds none. What it keeps per polyhedron (dependences
+/// with the [same polyhedron](Dependence::same_polyhedron) are one) is
+/// the answer of each row question and the monotonicity cuts it has
+/// proved. One per post-processing pass, certification or tuner call,
+/// dropped with it — nothing outlives the dependences it was made for,
+/// and no answer is shared between certifiers.
 pub struct Certifier<'a> {
     deps: &'a [Dependence],
-    /// Per dependence, the sign of `δ` over the polyhedron per floored
-    /// term pair (the `δ` row is the key): `1` for `δ ≥ 0`, `-1` for
-    /// `δ ≤ 0`, `0` for neither.
+    /// Per dependence, its [polyhedron class](polyhedron_classes).
+    class: Vec<usize>,
+    /// The answer of each (class, pushed row) question asked so far.
+    answers: HashMap<(usize, Vec<i64>), bool>,
+    /// Per class, the sign of `δ` over the polyhedron per floored term
+    /// pair (the `δ` row is the key): `1` for `δ ≥ 0`, `-1` for `δ ≤ 0`,
+    /// `0` for neither.
     cuts: Vec<HashMap<Vec<i64>, i8>>,
     stats: CertifierStats,
 }
@@ -501,6 +510,8 @@ impl<'a> Certifier<'a> {
     pub fn new(deps: &'a [Dependence]) -> Certifier<'a> {
         Certifier {
             deps,
+            class: polyhedron_classes(deps),
+            answers: HashMap::new(),
             cuts: deps.iter().map(|_| HashMap::new()).collect(),
             stats: CertifierStats::default(),
         }
@@ -516,29 +527,35 @@ impl<'a> Certifier<'a> {
         self.stats
     }
 
-    /// Whether `deps[e].poly` plus `row ≥ 0` may hold an integer point.
-    fn ask(&mut self, e: usize, row: &[i64]) -> bool {
-        may_hold(self.deps[e].base(), Some(row), &mut self.stats)
+    /// Whether `deps[e].poly` plus `row ≥ 0` may hold an integer point,
+    /// asked once per polyhedron and row.
+    fn ask(&mut self, e: usize, row: Vec<i64>) -> bool {
+        let key = (self.class[e], row);
+        if let Some(&answer) = self.answers.get(&key) {
+            return answer;
+        }
+        let answer = may_hold(self.deps[e].base(), Some(&key.1), &mut self.stats);
+        self.answers.insert(key, answer);
+        answer
     }
 
     /// [`strongly_satisfies`] for `deps[e]`.
     pub fn strongly_satisfies(&mut self, e: usize, src_row: &[i64], dst_row: &[i64]) -> bool {
         // Strongly satisfied iff { poly ∧ Δ <= 0 } has no integer point.
         let delta = distance_row(&self.deps[e], src_row, dst_row);
-        let leq: Vec<i64> = delta.iter().map(|&d| -d).collect();
-        !self.ask(e, &leq)
+        !self.ask(e, delta.iter().map(|&d| -d).collect())
     }
 
     /// [`zero_distance`] for `deps[e]`.
     pub fn zero_distance(&mut self, e: usize, src_row: &[i64], dst_row: &[i64]) -> bool {
         let delta = distance_row(&self.deps[e], src_row, dst_row);
-        !self.ask(e, &at_least_one(&delta)) && !self.ask(e, &at_most_minus_one(&delta))
+        !self.ask(e, at_least_one(&delta)) && !self.ask(e, at_most_minus_one(&delta))
     }
 
     /// [`respects`] for `deps[e]`.
     pub fn respects(&mut self, e: usize, src_row: &[i64], dst_row: &[i64]) -> bool {
         let delta = distance_row(&self.deps[e], src_row, dst_row);
-        !self.ask(e, &at_most_minus_one(&delta))
+        !self.ask(e, at_most_minus_one(&delta))
     }
 
     /// The least value of `Δ = φ_R − φ_S` over the integer points of
@@ -578,12 +595,15 @@ impl<'a> Certifier<'a> {
     }
 
     /// Whether `sched`'s rows order every dependence source-first: the
-    /// legality certificate of a flat schedule.
+    /// legality certificate of a flat schedule. Dependences with one
+    /// source, target and polyhedron ask one walk.
     pub fn certifies(&mut self, sched: &polytops_ir::Schedule) -> bool {
         let deps = self.deps;
+        let mut walked = HashSet::new();
         (0..deps.len()).all(|e| {
             let (src, dst) = (sched.stmt(deps[e].src), sched.stmt(deps[e].dst));
-            self.schedule_respects(e, src.rows(), dst.rows())
+            !walked.insert((deps[e].src, deps[e].dst, self.class[e]))
+                || self.schedule_respects(e, src.rows(), dst.rows())
         })
     }
 
@@ -593,7 +613,7 @@ impl<'a> Certifier<'a> {
     pub fn steps_respect(&mut self, e: usize, steps: &[OrderStep]) -> bool {
         let dep = &self.deps[e];
         let base = dep.base();
-        let (cuts, stats) = (&mut self.cuts[e], &mut self.stats);
+        let (cuts, stats) = (&mut self.cuts[self.class[e]], &mut self.stats);
         let enc = StepSystem::new(dep, steps, |delta| {
             if let Some(&sign) = cuts.get(delta) {
                 return sign;

@@ -19,10 +19,11 @@ mod reference;
 use std::sync::OnceLock;
 
 use polytops_deps::{
-    analyze, distance_row, respects, schedule_respects_dependence, steps_respect_dependence,
-    strongly_satisfies, zero_distance, Certifier, DepKind, Dependence, OrderStep,
+    analyze, distance_row, polyhedron_classes, respects, schedule_respects_dependence,
+    steps_respect_dependence, strongly_satisfies, zero_distance, Certifier, DepKind, Dependence,
+    OrderStep,
 };
-use polytops_ir::{Aff, Scop, ScopBuilder};
+use polytops_ir::{Aff, Schedule, Scop, ScopBuilder, StmtSchedule};
 use polytops_math::{ilp_minimize, IlpOutcome, RowKind};
 use polytops_workloads::synthetic::{long_chain, offset_chain, wide_scop};
 use proptest::prelude::*;
@@ -636,6 +637,149 @@ proptest! {
             let mut again = dep.poly().clone();
             prop_assert!(again.normalize());
             prop_assert_eq!(&again, dep.poly());
+        }
+    }
+}
+
+/// The reference kernels and the long chains, each with its analysis.
+fn class_pool() -> &'static [(Scop, Vec<Dependence>)] {
+    static POOL: OnceLock<Vec<(Scop, Vec<Dependence>)>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let mut scops: Vec<Scop> = (polytops_workloads::all_kernels().into_iter())
+            .map(|(_, scop)| scop)
+            .collect();
+        scops.extend([8, 12, 16].map(long_chain));
+        (scops.into_iter())
+            .map(|scop| {
+                let deps = analyze(&scop);
+                (scop, deps)
+            })
+            .collect()
+    })
+}
+
+/// Per statement of `scop`, its `k`-th row drawn from `coeffs`: the
+/// rows of one schedule dimension, so that the dependences of one
+/// (source, target, polyhedron) class are asked one question.
+fn stmt_rows(scop: &Scop, coeffs: &[i64], k: usize) -> Vec<Vec<i64>> {
+    let np = scop.nparams();
+    (scop.statements.iter().enumerate())
+        .map(|(s, stmt)| row_from(coeffs, 11 * k + 3 * s, stmt.depth() + np + 1))
+        .collect()
+}
+
+/// The row questions of the engine and post-processing about
+/// `deps[e]`, over one schedule dimension's `rows`.
+fn row_answers(certifier: &mut Certifier<'_>, e: usize, rows: &[Vec<i64>]) -> [bool; 3] {
+    let dep = &certifier.deps()[e];
+    let (s, d) = (&rows[dep.src.0], &rows[dep.dst.0]);
+    [
+        certifier.strongly_satisfies(e, s, d),
+        certifier.zero_distance(e, s, d),
+        certifier.respects(e, s, d),
+    ]
+}
+
+/// One certifier over `deps`, every dependence of `scop` (dependences
+/// with one polyhedron share its answers), answers each row question
+/// — asked twice — and each flat schedule's certification as a fresh
+/// one-dependence certifier per dependence does.
+fn assert_one_answer_per_polyhedron(
+    scop: &Scop,
+    deps: &[Dependence],
+    coeffs: &[i64],
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let mut shared = Certifier::new(deps);
+    let dims: Vec<Vec<Vec<i64>>> = (0..2).map(|k| stmt_rows(scop, coeffs, k)).collect();
+    for rows in &dims {
+        for (e, dep) in deps.iter().enumerate() {
+            let alone = row_answers(&mut Certifier::new(std::slice::from_ref(dep)), 0, rows);
+            for _ in 0..2 {
+                let got = row_answers(&mut shared, e, rows);
+                prop_assert!(got == alone, "{} dependence {e}", scop.name);
+            }
+        }
+    }
+    // The identity, a random two-dimensional schedule, and the identity
+    // behind a random first row.
+    let np = scop.nparams();
+    let identity = Schedule::identity_2dp1(scop);
+    let schedule = |first: &[Vec<Vec<i64>>], rest: Option<&Schedule>| {
+        let per_stmt: Vec<StmtSchedule> = (scop.statements.iter().enumerate())
+            .map(|(s, stmt)| {
+                let mut rows = StmtSchedule::new(stmt.depth(), np);
+                let tail = rest.map_or(&[][..], |r| r.stmt(stmt.id).rows());
+                for row in first.iter().map(|dim| &dim[s]).chain(tail) {
+                    rows.push_row(row.clone());
+                }
+                rows
+            })
+            .collect();
+        let n = per_stmt[0].len();
+        Schedule::from_parts(per_stmt, (0..n).collect(), vec![false; n])
+    };
+    for sched in [
+        identity.clone(),
+        schedule(&dims, None),
+        schedule(&dims[..1], Some(&identity)),
+    ] {
+        let want = deps.iter().all(|dep| {
+            let (src, dst) = (sched.stmt(dep.src), sched.stmt(dep.dst));
+            Certifier::new(std::slice::from_ref(dep)).schedule_respects(0, src.rows(), dst.rows())
+        });
+        prop_assert!(shared.certifies(&sched) == want, "{}", scop.name);
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn a_certifier_answers_each_polyhedron_as_each_dependence_alone(
+        pick in 0usize..1 << 16,
+        shape in chain_shape(),
+        coeffs in collection::vec(-2i64..=2, 48),
+    ) {
+        let (scop, deps) = &class_pool()[pick % class_pool().len()];
+        assert_one_answer_per_polyhedron(scop, deps, &coeffs)?;
+        let chain = offset_chain(&shape);
+        assert_one_answer_per_polyhedron(&chain, &analyze(&chain), &coeffs)?;
+    }
+
+    #[test]
+    fn dependences_of_two_analyses_never_share_a_polyhedron(
+        shape in chain_shape(),
+        other in chain_shape(),
+        coeffs in collection::vec(-2i64..=2, 48),
+    ) {
+        // Two analyses of one SCoP and one of another, concatenated:
+        // equal polyhedra of two analyses are two tableaus, and no
+        // position in one analysis names a polyhedron of another.
+        let (a, b) = (offset_chain(&shape), offset_chain(&other));
+        let parts = [(&a, analyze(&a)), (&a, analyze(&a)), (&b, analyze(&b))];
+        for x in &parts[0].1 {
+            for y in &parts[0].1 {
+                prop_assert_eq!(x.same_polyhedron(y), x.poly() == y.poly());
+            }
+            prop_assert!(parts[1].1.iter().all(|y| !x.same_polyhedron(y)));
+        }
+        let all: Vec<Dependence> = parts.iter().flat_map(|(_, deps)| deps.clone()).collect();
+        let scops: Vec<&Scop> = parts.iter().flat_map(|(scop, deps)| deps.iter().map(|_| *scop)).collect();
+        let classes = polyhedron_classes(&all);
+        prop_assert!(classes.iter().enumerate().all(|(e, &first)| all[first].poly() == all[e].poly()));
+        // Two certifiers over the concatenation, the second asking back
+        // to front, so that another member asks each class first.
+        let (mut forward, mut backward) = (Certifier::new(&all), Certifier::new(&all));
+        let alone = |e: usize, rows: &[Vec<i64>]| {
+            row_answers(&mut Certifier::new(std::slice::from_ref(&all[e])), 0, rows)
+        };
+        for k in 0..2 {
+            for e in 0..all.len() {
+                let rows = stmt_rows(scops[e], &coeffs, k);
+                prop_assert!(row_answers(&mut forward, e, &rows) == alone(e, &rows), "dependence {e}");
+                let e = all.len() - 1 - e;
+                let rows = stmt_rows(scops[e], &coeffs, k);
+                prop_assert!(row_answers(&mut backward, e, &rows) == alone(e, &rows), "dependence {e}");
+            }
         }
     }
 }

@@ -157,6 +157,12 @@ impl<'a> Cursor<'a> {
         ))
     }
 
+    /// A capacity for `n` items, `n` read from the text: each item
+    /// needs at least one more line, so the lines left bound it.
+    fn capacity(&self, n: usize) -> usize {
+        n.min(self.lines.len() - self.pos)
+    }
+
     fn expect(&mut self, head: &str) -> Result<(usize, Vec<&'a str>), ParseScopError> {
         let (at, toks) = self.next()?;
         if toks.first() != Some(&head) {
@@ -219,7 +225,7 @@ pub fn parse_scop(text: &str) -> Result<Scop, ParseScopError> {
         .get(1)
         .and_then(|t| t.parse().ok())
         .ok_or_else(|| ParseScopError::new(at, "bad array count"))?;
-    let mut arrays = Vec::with_capacity(narr);
+    let mut arrays = Vec::with_capacity(cur.capacity(narr));
     for _ in 0..narr {
         let (at, toks) = cur.expect("array")?;
         if toks.len() != 4 {
@@ -232,7 +238,7 @@ pub fn parse_scop(text: &str) -> Result<Scop, ParseScopError> {
         let ndims: usize = toks[3]
             .parse()
             .map_err(|_| ParseScopError::new(at, "bad dim count"))?;
-        let mut dims = Vec::with_capacity(ndims);
+        let mut dims = Vec::with_capacity(cur.capacity(ndims));
         for _ in 0..ndims {
             let (at, toks) = cur.expect("dim")?;
             let row = ints(at, &toks[1..])?;
@@ -253,7 +259,7 @@ pub fn parse_scop(text: &str) -> Result<Scop, ParseScopError> {
         .get(1)
         .and_then(|t| t.parse().ok())
         .ok_or_else(|| ParseScopError::new(at, "bad statement count"))?;
-    let mut statements = Vec::with_capacity(nst);
+    let mut statements = Vec::with_capacity(cur.capacity(nst));
     for sid in 0..nst {
         let (_, toks) = cur.expect("statement")?;
         let sname = toks.get(1).unwrap_or(&"S").to_string();
@@ -302,7 +308,7 @@ pub fn parse_scop(text: &str) -> Result<Scop, ParseScopError> {
             .get(1)
             .and_then(|t| t.parse().ok())
             .ok_or_else(|| ParseScopError::new(at, "bad access count"))?;
-        let mut accesses = Vec::with_capacity(nacc);
+        let mut accesses = Vec::with_capacity(cur.capacity(nacc));
         for _ in 0..nacc {
             let (at, toks) = cur.next()?;
             let kind = match toks[0] {
@@ -323,7 +329,7 @@ pub fn parse_scop(text: &str) -> Result<Scop, ParseScopError> {
                 .get(2)
                 .and_then(|t| t.parse().ok())
                 .ok_or_else(|| ParseScopError::new(at, "bad subscript count"))?;
-            let mut subscripts = Vec::with_capacity(nsub);
+            let mut subscripts = Vec::with_capacity(cur.capacity(nsub));
             for _ in 0..nsub {
                 let (at, toks) = cur.next()?;
                 let parse_expr = |from: usize| -> Result<AffineExpr, ParseScopError> {
@@ -436,6 +442,26 @@ mod tests {
     fn parse_reports_line_numbers() {
         let err = parse_scop("<polyscop>\nbogus").unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
+    }
+
+    #[test]
+    fn counts_beyond_the_input_size_nothing() {
+        // Each count asks for more items than lines remain: an error at
+        // the end of the input, not an allocation of the count.
+        let text = print_scop(&sample());
+        let huge = "4611686018427387903";
+        let arrays = text.replace("arrays 2", &format!("arrays {huge}"));
+        let err = parse_scop(&arrays).unwrap_err();
+        assert!(err.to_string().contains("expected `array`"), "{err}");
+        for (from, to) in [
+            ("statements 2", format!("statements {huge}")),
+            ("accesses 2", format!("accesses {huge}")),
+            ("A 8 2", format!("A 8 {huge}")),
+            ("read 0 2", format!("read 0 {huge}")),
+        ] {
+            assert!(text.contains(from), "{from}");
+            assert!(parse_scop(&text.replacen(from, &to, 1)).is_err(), "{to}");
+        }
     }
 
     #[test]

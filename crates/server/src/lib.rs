@@ -25,7 +25,7 @@
 //! * **Cross-request persistence** — every SCoP is resolved through a
 //!   [`ScopRegistry`](polytops_core::registry::ScopRegistry):
 //!   fingerprinted, deduped across clients, and kept resident (exact
-//!   dependence analysis + one Farkas cone per dependence) under an LRU
+//!   dependence analysis + one Farkas cone per polyhedron) under an LRU
 //!   bound. A client re-scheduling a known kernel under a new
 //!   configuration pays only the ILP solves.
 //! * **Determinism** — responses are bit-identical to the offline

@@ -875,6 +875,48 @@ fn a_deeply_nested_line_gets_an_error_not_a_crash() {
     handle.shutdown();
 }
 
+/// Hostile counts: a SCoP text whose `arrays` line asks for 2^62 − 1
+/// arrays used to reach an allocation of that many and abort the
+/// daemon. The parser sizes nothing by a count the remaining lines
+/// cannot back, so the line gets a parse error, and a well-formed
+/// request after it on the same connection gets its golden bytes.
+#[test]
+fn an_unbacked_count_gets_an_error_not_an_abort() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let handle = Server::start(ServerConfig::default()).expect("start daemon");
+    let stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    // A daemon that lost its batcher would never answer: fail, not hang.
+    (stream.set_read_timeout(Some(Duration::from_secs(30)))).expect("set a read timeout");
+    let mut reader = BufReader::new(&stream);
+    let mut roundtrip = |line: &str| {
+        (&stream)
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("an answer");
+        response.trim_end().to_string()
+    };
+    let hostile = r#"{"op":"schedule","id":1,"scop":"<polyscop>\nname big\nparams N\ncontext 0\narrays 4611686018427387903\n</polyscop>\n","scenarios":[{"preset":"pluto"}]}"#;
+    let response = roundtrip(hostile);
+    let parsed = polytops_core::json::parse(&response).expect("response parses");
+    assert_eq!(
+        parsed.as_object().expect("response object")["ok"].as_bool(),
+        Some(false)
+    );
+    assert!(response.contains("expected `array`"), "{response}");
+    let line = request_line(
+        "matmul",
+        "matmul",
+        &polytops_workloads::matmul(),
+        &["pluto"],
+    );
+    let (ok, _, results, _) = unpack(&roundtrip(&line));
+    assert!(ok, "{line}");
+    assert_eq!(results, golden(&line));
+    handle.shutdown();
+}
+
 /// The `Client` hard-failure regression: a request submitted while the
 /// daemon is *down* (connection refused, nothing listening) must still
 /// get its bit-identical answer once the daemon comes up.
