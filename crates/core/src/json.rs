@@ -20,7 +20,7 @@
 //! escaper that copies unescaped runs whole, so the pretty and compact
 //! forms cannot disagree on how a string is escaped. A request line at
 //! the daemon's size limit therefore costs milliseconds, not minutes,
-//! on the event-loop thread that parses it.
+//! on the connection's reader thread that parses it.
 //!
 //! **Nesting is bounded.** [`parse`] rejects a document whose arrays and
 //! objects nest deeper than [`MAX_DEPTH`] levels, naming the bound in

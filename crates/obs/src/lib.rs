@@ -18,7 +18,7 @@
 //! Spans come in two flavors:
 //!
 //! - [`SpanHandle`] — an explicit, owned span that may cross threads
-//!   (a request travelling event loop → batcher → pool worker). It
+//!   (a request travelling reader → batcher → pool worker → writer). It
 //!   finishes when dropped or via [`SpanHandle::finish`].
 //! - Scoped spans ([`span`]/[`span_arg`]) — RAII guards bound to the
 //!   *current thread's* span context. A worker enters a context with

@@ -36,11 +36,10 @@
 //! * **Fleet serving** — the registry persists across restarts
 //!   ([`persist`]: checksummed snapshots of canonical SCoP text plus an
 //!   append-only journal; a restarted daemon prewarms every Farkas
-//!   cone so warm replays pay zero re-eliminations), connections are
-//!   served by a nonblocking readiness loop (one thread for all
-//!   sockets, not thread-per-connection), and [`Router`] fronts N
-//!   daemon shards behind one address by consistent-hashing SCoP
-//!   fingerprints ([`HashRing`]). [`RetryClient`] rides restarts with
+//!   cone so warm replays pay zero re-eliminations), each connection
+//!   is served by a blocking reader and writer thread pair, and
+//!   [`Router`] fronts N daemon shards behind one address by
+//!   consistent-hashing SCoP fingerprints ([`HashRing`]). [`RetryClient`] rides restarts with
 //!   reconnect-and-resend backoff; scripted [`FaultPlan`]s drive the
 //!   fault-injection suite that proves bit-identity through kills.
 //!
@@ -65,9 +64,9 @@ pub mod protocol;
 pub mod router;
 
 mod client;
-mod poll;
+mod conn;
 mod service;
 
 pub use client::{Client, RetryClient, RetryPolicy};
 pub use router::{HashRing, Router, RouterConfig, RouterHandle};
-pub use service::{FaultPlan, Server, ServerConfig, ServerHandle};
+pub use service::{FaultPlan, Server, ServerConfig, ServerHandle, DEFAULT_MAX_LINE_BYTES};

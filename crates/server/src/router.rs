@@ -19,12 +19,13 @@
 //! a shard restart mid-stream is absorbed by reconnect-and-resend with
 //! backoff, invisible to the client beyond latency.
 //!
-//! The router itself is a thin line-shuffler — a thread per client
-//! connection is deliberate here. The scale point of the fleet is the
-//! shards (each holding a solver pool and a registry), not the front;
-//! the daemon behind each shard runs the nonblocking event loop.
+//! The router itself is a thin line-shuffler with a thread per client
+//! connection, as the daemon behind each shard serves its own
+//! connections. Both frame request lines with one capped reader: a line
+//! over [`DEFAULT_MAX_LINE_BYTES`] gets an error and its connection
+//! closes.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -34,7 +35,9 @@ use polytops_core::json::Json;
 use polytops_core::registry::{fingerprint, fnv1a};
 
 use crate::client::{RetryClient, RetryPolicy};
+use crate::conn::{line_too_long, read_line, Line};
 use crate::protocol::{self, Request};
+use crate::DEFAULT_MAX_LINE_BYTES;
 
 /// A consistent-hash ring over shard labels.
 ///
@@ -225,9 +228,18 @@ fn serve_client(stream: TcpStream, shared: &Arc<RouterShared>) {
     // per-connection response ordering survives the indirection.
     let mut upstreams: Vec<Option<RetryClient>> =
         (0..shared.config.shards.len()).map(|_| None).collect();
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    let mut bytes = Vec::new();
+    loop {
+        match read_line(&mut reader, &mut bytes, DEFAULT_MAX_LINE_BYTES) {
+            Ok(Line::Complete) => {}
+            Ok(Line::TooLong) => {
+                send_line(&mut write_half, &line_too_long());
+                return;
+            }
+            Ok(Line::Eof) | Err(_) => return,
+        }
+        let line = String::from_utf8_lossy(&bytes);
         if line.trim().is_empty() {
             continue;
         }
@@ -268,7 +280,7 @@ fn serve_client(stream: TcpStream, shared: &Arc<RouterShared>) {
                 let line = if req.trace.is_none() {
                     stamp_trace(&line, shared.obs.begin_trace())
                 } else {
-                    line.clone()
+                    line.to_string()
                 };
                 forward(
                     shared,

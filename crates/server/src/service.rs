@@ -1,13 +1,16 @@
-//! The daemon: a readiness event loop over nonblocking sockets, the
-//! batcher, a dedicated tuner worker, optional registry persistence,
-//! and graceful shutdown.
+//! The daemon: an acceptor with a reader and a writer thread per
+//! connection, the batcher, a dedicated tuner worker, optional registry
+//! persistence, and graceful shutdown.
 //!
 //! Thread shape (see `docs/ARCHITECTURE.md` for the request lifecycle):
 //!
 //! ```text
-//! event-loop thread: nonblocking listener + every connection
-//!      │  accept / read / parse line → WireRequest (SCoP still text)
-//!      │  ping/stats/shutdown: answered inline into the write buffer
+//! acceptor thread: accepts up to max_connections, spawns per connection
+//!      ▼
+//! reader thread (one per connection): blocking read, \n-framed lines
+//!      │  parse line → WireRequest (SCoP still text)
+//!      │  ping/shutdown/errors ──► the connection's reply queue
+//!      │  stats/trace ──► reply queue, answered when the writer reaches them
 //!      │  schedule ──► bounded admission channel ──► batcher thread
 //!      │  autotune ──► unbounded tune channel ─────► tuner thread
 //!      ▼
@@ -16,14 +19,15 @@
 //! texts resolved through the ScopRegistry, which parses a text only
 //! when no resident entry remembers it) → run_sharded(threads), on the
 //! batcher itself when the batch is one scenario → per-request response
-//! lines, queued back to the event loop once the persister has journaled
-//! the SCoPs the batch admitted
+//! lines, sent to each request's reply queue once the persister has
+//! journaled the SCoPs the batch admitted
+//!      ▼
+//! writer thread (one per connection): drains its reply queue in order
 //! ```
 //!
-//! Exactly one thread (the event loop) touches sockets, so thousands
-//! of idle connections cost one `Conn` struct each instead of a parked
-//! thread, and responses to one connection can never interleave bytes.
-//! The batcher and tuner communicate with it only through channels.
+//! A request carries its connection's reply sender, so a response goes
+//! straight to that connection's writer; no table routes it. An idle
+//! connection is two blocked threads and costs no CPU.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,8 +41,8 @@ use polytops_core::registry::{ScopEntry, ScopRegistry};
 use polytops_core::scenario::{ScenarioResult, ScenarioSet};
 use polytops_ir::ParseScopError;
 
+use crate::conn::{accept_loop, Reply};
 use crate::persist::Persister;
-use crate::poll::{event_loop, Outbound};
 use crate::protocol::{self, WireAutotune, WireSchedule};
 
 /// Deterministic fault injection for the restart test harness. All
@@ -70,6 +74,10 @@ impl FaultPlan {
     }
 }
 
+/// The default [`ServerConfig::max_line_bytes`], and the line cap of
+/// the [`Router`](crate::Router), which has no option for it.
+pub const DEFAULT_MAX_LINE_BYTES: usize = 16 << 20;
+
 /// Daemon configuration. Every knob is also a `polytopsd serve` flag
 /// (see `docs/CONFIG.md`).
 #[derive(Debug, Clone)]
@@ -95,8 +103,8 @@ pub struct ServerConfig {
     /// Maximum simultaneously open connections; excess accepts are
     /// closed immediately (clients retry with backoff).
     pub max_connections: usize,
-    /// Maximum bytes of one request line before the connection is
-    /// dropped as malformed (protects the event loop's read buffers).
+    /// Maximum bytes of one request line: a longer line gets an error
+    /// and its connection closes (bounds each connection's read buffer).
     pub max_line_bytes: usize,
     /// Record request-lifecycle and pipeline spans (the `trace` op and
     /// Chrome export). Counters and histograms accumulate either way;
@@ -118,7 +126,7 @@ impl Default for ServerConfig {
             snapshot_dir: None,
             rotate_every: 64,
             max_connections: 1024,
-            max_line_bytes: 16 << 20,
+            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             trace: true,
             faults: FaultPlan::default(),
         }
@@ -180,7 +188,7 @@ pub(crate) struct Shared {
     pub(crate) shutting_down: AtomicBool,
     /// Crash (fault injection): drop everything on the floor, exit.
     pub(crate) crashed: AtomicBool,
-    /// Worker liveness, so the event loop knows when the drain is over.
+    /// Worker liveness, so the acceptor knows when the drain is over.
     pub(crate) batcher_done: AtomicBool,
     pub(crate) tuner_done: AtomicBool,
     /// Telemetry: spans, counters, histograms.
@@ -243,7 +251,8 @@ pub(crate) struct RequestTrace {
 /// One admitted schedule request awaiting its batch.
 pub(crate) struct Admitted {
     pub(crate) req: WireSchedule,
-    pub(crate) conn: u64,
+    /// Its connection's reply queue.
+    pub(crate) reply: Sender<Reply>,
     /// Lifecycle spans, when tracing is enabled.
     pub(crate) trace: Option<RequestTrace>,
 }
@@ -251,17 +260,18 @@ pub(crate) struct Admitted {
 /// One autotune request on its way to the tuner worker.
 pub(crate) struct TuneJob {
     pub(crate) req: WireAutotune,
-    pub(crate) conn: u64,
+    /// Its connection's reply queue.
+    pub(crate) reply: Sender<Reply>,
 }
 
 /// The daemon entry point.
 pub struct Server;
 
-/// A running daemon: its bound address plus the event-loop, batcher and
+/// A running daemon: its bound address plus the acceptor, batcher and
 /// tuner threads to join.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    event: JoinHandle<()>,
+    acceptor: JoinHandle<()>,
     batcher: JoinHandle<()>,
     tuner: JoinHandle<()>,
 }
@@ -320,28 +330,28 @@ impl Server {
             tuner_done: AtomicBool::new(false),
             obs,
         });
-        // Admission is bounded so a flood applies backpressure at the
-        // event loop; responses and tune jobs are unbounded (their
-        // volume is bounded by admitted work).
+        // Admission is bounded so a flood applies backpressure to the
+        // reader that sends it. Tune jobs are unbounded (their volume is
+        // bounded by admitted work), and so are reply queues, which the
+        // batcher must never block on: one grows only with its own
+        // client's unread answers.
         let (admit_tx, admit_rx) = mpsc::sync_channel::<Admitted>(1024);
         let (tune_tx, tune_rx) = mpsc::channel::<TuneJob>();
-        let (out_tx, out_rx) = mpsc::channel::<Outbound>();
         let batcher = {
             let shared = Arc::clone(&shared);
-            let out = out_tx.clone();
-            std::thread::spawn(move || batch_loop(&shared, &admit_rx, &out))
+            std::thread::spawn(move || batch_loop(&shared, &admit_rx))
         };
         let tuner = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || tune_loop(&shared, &tune_rx, &out_tx))
+            std::thread::spawn(move || tune_loop(&shared, &tune_rx))
         };
-        let event = {
+        let acceptor = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || event_loop(listener, &shared, &admit_tx, &tune_tx, &out_rx))
+            std::thread::spawn(move || accept_loop(&listener, &shared, &admit_tx, &tune_tx))
         };
         Ok(ServerHandle {
             shared,
-            event,
+            acceptor,
             batcher,
             tuner,
         })
@@ -381,7 +391,7 @@ impl ServerHandle {
     /// Waits for the daemon to stop (after a `shutdown` op, a
     /// [`shutdown`](ServerHandle::shutdown) call, or a scripted crash).
     pub fn join(self) {
-        let _ = self.event.join();
+        let _ = self.acceptor.join();
         let _ = self.batcher.join();
         let _ = self.tuner.join();
     }
@@ -407,7 +417,7 @@ fn crash(shared: &Shared) {
 /// The tuner worker: autotune explorations run here, one at a time, so
 /// the daemon's parallelism stays bounded by one batch pool plus one
 /// tuner pool no matter how many clients tune concurrently.
-fn tune_loop(shared: &Arc<Shared>, rx: &Receiver<TuneJob>, out: &Sender<Outbound>) {
+fn tune_loop(shared: &Arc<Shared>, rx: &Receiver<TuneJob>) {
     loop {
         let job = match rx.recv_timeout(Duration::from_millis(50)) {
             Ok(job) => job,
@@ -436,11 +446,8 @@ fn tune_loop(shared: &Arc<Shared>, rx: &Receiver<TuneJob>, out: &Sender<Outbound
         let (entry, hit) = match shared.registry.resolve_text(None, &req.scop) {
             Ok(resolved) => resolved,
             Err(e) => {
-                let _ = out.send(Outbound {
-                    conn: job.conn,
-                    line: protocol::error_response(&Json::Null, &e.to_string()),
-                    trace: None,
-                });
+                let line = protocol::error_response(&Json::Null, &e.to_string());
+                let _ = job.reply.send(Reply::response(line, None));
                 continue;
             }
         };
@@ -473,16 +480,12 @@ fn tune_loop(shared: &Arc<Shared>, rx: &Receiver<TuneJob>, out: &Sender<Outbound
                 _ => {}
             }
         }
-        let _ = out.send(Outbound {
-            conn: job.conn,
-            line,
-            trace: None,
-        });
+        let _ = job.reply.send(Reply::response(line, None));
     }
     shared.tuner_done.store(true, Ordering::SeqCst);
 }
 
-fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>, out: &Sender<Outbound>) {
+fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>) {
     loop {
         // Wait for the request that opens the next batch, polling the
         // shutdown flags so a quiet daemon can stop.
@@ -543,8 +546,8 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>, out: &Sender<Outbou
             crash(shared);
             break;
         }
-        for (conn, line, trace) in responses {
-            let _ = out.send(Outbound { conn, line, trace });
+        for (reply, line, root) in responses {
+            let _ = reply.send(Reply::response(line, root));
         }
     }
     // A graceful exit snapshots the final registry state so the next
@@ -566,7 +569,7 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>, out: &Sender<Outbou
 fn process_group(
     shared: &Arc<Shared>,
     group: Vec<Admitted>,
-    responses: &mut Vec<(u64, String, Option<polytops_obs::SpanHandle>)>,
+    responses: &mut Vec<(Sender<Reply>, String, Option<polytops_obs::SpanHandle>)>,
     misses: &mut Vec<Arc<ScopEntry>>,
 ) {
     struct Slot {
@@ -683,7 +686,7 @@ fn process_group(
             serialize.finish();
         }
         let root = slot.admitted.trace.take().map(|trace| trace.root);
-        responses.push((slot.admitted.conn, line, root));
+        responses.push((slot.admitted.reply, line, root));
     }
 }
 

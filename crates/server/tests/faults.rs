@@ -803,11 +803,12 @@ fn remembered_texts_do_not_survive_a_restart() {
 }
 
 /// Hostile text: a 4 MiB request line whose pad mixes ASCII, 2-, 3- and
-/// 4-byte UTF-8 and escapes is parsed on the event-loop thread in time
-/// linear in its bytes, so the daemon answers it, and a ping on a second
-/// connection is answered promptly both while the line sits unterminated
-/// in its buffer and right behind its final newline (a parser quadratic
-/// in the line held every connection for over a minute there).
+/// 4-byte UTF-8 and escapes is parsed on its connection's reader thread
+/// in time linear in its bytes, so the daemon answers it, and a ping on
+/// a second connection is answered promptly both while the line sits
+/// unterminated in its buffer and right behind its final newline (a
+/// parser quadratic in the line once held every connection of the
+/// single-threaded event loop for over a minute there).
 #[test]
 fn a_four_mebibyte_line_does_not_stall_other_connections() {
     use std::io::{BufRead, BufReader, Write};
@@ -849,8 +850,9 @@ fn a_four_mebibyte_line_does_not_stall_other_connections() {
 }
 
 /// Hostile nesting: the parser recurses once per `[`, so a 40 KB line of
-/// them used to overflow the event loop's stack and abort the daemon.
-/// The depth bound answers it with an error instead, and both the same
+/// them used to overflow the parsing thread's stack and abort the
+/// daemon. The depth bound, sized for a connection reader's default
+/// thread stack, answers it with an error instead, and both the same
 /// connection and a fresh one are served after it.
 #[test]
 fn a_deeply_nested_line_gets_an_error_not_a_crash() {

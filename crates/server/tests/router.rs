@@ -182,3 +182,39 @@ fn routed_sweep_is_byte_identical_to_direct() {
     shard_b.join();
     direct.shutdown();
 }
+
+/// The router frames lines with the daemon's cap: a client that streams
+/// more than `DEFAULT_MAX_LINE_BYTES` without a newline gets the
+/// size-limit error and then EOF, and another client is still routed.
+#[test]
+fn an_oversized_line_is_refused_and_other_clients_are_still_routed() {
+    use std::io::{BufRead, BufReader, Read, Write};
+
+    let shard = Server::start(ServerConfig::default()).expect("shard");
+    let router = Router::start(RouterConfig {
+        shards: vec![shard.addr().to_string()],
+        ..RouterConfig::default()
+    })
+    .expect("router");
+
+    let mut flood = std::net::TcpStream::connect(router.addr()).expect("connect router");
+    flood
+        .write_all(&vec![b'x'; polytops_server::DEFAULT_MAX_LINE_BYTES + 1])
+        .expect("the router reads up to the cap");
+    let mut reader = BufReader::new(flood);
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("the error line");
+    assert_eq!(
+        response.trim_end(),
+        r#"{"error":"request line exceeds the size limit","id":null,"ok":false}"#
+    );
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).expect("EOF"), 0, "then EOF");
+
+    let mut client = Client::connect(router.addr()).expect("connect router");
+    let line = sweep_request_line("after", "jacobi_1d", &polytops_workloads::jacobi_1d());
+    let routed = client.roundtrip(&line).expect("routed roundtrip");
+    assert!(routed.contains(r#""ok":true"#), "{routed}");
+    router.shutdown();
+    shard.shutdown();
+}

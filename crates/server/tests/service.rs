@@ -396,8 +396,8 @@ fn requests_arriving_during_a_batch_form_exactly_one_following_batch() {
         std::thread::yield_now();
     }
 
-    // While it runs, each follower queues one request. The event loop
-    // handles a connection's lines in order, so the pong proves the
+    // While it runs, each follower queues one request. A connection's
+    // reader handles its lines in order, so the pong proves the
     // schedule line before it already sits in the admission queue.
     let line = sweep_request_line("follower", "jacobi_1d", &jacobi_1d());
     let mut clients: Vec<Client> = (0..followers)
@@ -626,4 +626,115 @@ fn a_bad_scop_is_answered_in_line_and_a_resent_text_is_a_text_hit() {
     assert!(registry["text_hits"].as_int().unwrap() >= 1, "{stats:?}");
     assert_eq!(registry["entries"].as_int(), Some(2), "{stats:?}");
     handle.shutdown();
+}
+
+/// A line longer than `max_line_bytes` gets the size-limit error and
+/// then EOF on its own connection; another connection is still served.
+#[test]
+fn an_oversized_line_closes_only_its_own_connection() {
+    use std::io::{BufRead, BufReader, Read, Write};
+
+    let handle = start(ServerConfig {
+        max_line_bytes: 1024,
+        ..local_config()
+    });
+    let mut other = Client::connect(handle.addr()).unwrap();
+    let mut big = std::net::TcpStream::connect(handle.addr()).unwrap();
+    big.write_all(&[b'x'; 2048]).unwrap();
+    let mut reader = BufReader::new(big);
+    let mut response = String::new();
+    reader.read_line(&mut response).unwrap();
+    assert_eq!(
+        response.trim_end(),
+        r#"{"error":"request line exceeds the size limit","id":null,"ok":false}"#
+    );
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0, "then EOF");
+    assert!(other
+        .roundtrip(r#"{"op":"ping"}"#)
+        .unwrap()
+        .contains("pong"));
+    handle.shutdown();
+}
+
+/// With `max_connections` open, a further connection is closed at once;
+/// once one of them closes, a new connection is served.
+#[test]
+fn connections_beyond_the_cap_are_closed_until_one_leaves() {
+    use std::io::Read;
+
+    let handle = start(ServerConfig {
+        max_connections: 2,
+        ..local_config()
+    });
+    let ping = r#"{"op":"ping"}"#;
+    // A pong proves the daemon accepted and counts the connection.
+    let mut first = Client::connect(handle.addr()).unwrap();
+    let mut second = Client::connect(handle.addr()).unwrap();
+    assert!(first.roundtrip(ping).unwrap().contains("pong"));
+    assert!(second.roundtrip(ping).unwrap().contains("pong"));
+
+    let mut third = std::net::TcpStream::connect(handle.addr()).unwrap();
+    third
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    assert_eq!(third.read(&mut [0u8; 16]).unwrap(), 0, "over the cap: EOF");
+
+    drop(first);
+    // The closed connection leaves the count once its threads finish.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let served = Client::connect(handle.addr()).and_then(|mut c| c.roundtrip(ping));
+        match served {
+            Ok(pong) => {
+                assert!(pong.contains("pong"), "{pong}");
+                break;
+            }
+            Err(e) => assert!(std::time::Instant::now() < deadline, "never served: {e}"),
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(second.roundtrip(ping).unwrap().contains("pong"));
+    handle.shutdown();
+}
+
+/// A client that pipelines requests and never reads its answers blocks
+/// only its own connection's writer: another client is answered with
+/// the offline engine's bytes meanwhile, and a graceful shutdown gives
+/// up on the stalled connection after the flush grace (2 s).
+#[test]
+fn a_client_that_never_reads_stalls_only_itself() {
+    use std::io::Write;
+    use std::time::Instant;
+
+    let handle = start(local_config());
+    // Far more answer bytes than loopback's socket buffers hold.
+    let mut stalled = std::net::TcpStream::connect(handle.addr()).unwrap();
+    stalled
+        .write_all(
+            r#"{"op":"stats"}
+"#
+            .repeat(20_000)
+            .as_bytes(),
+        )
+        .unwrap();
+
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let line = sweep_request_line("meanwhile", "jacobi_1d", &jacobi_1d());
+    let (ok, _, got) = unpack(&client.roundtrip(&line).unwrap());
+    assert!(ok);
+    let want = match protocol::parse_request(&line).unwrap() {
+        Request::Schedule(req) => protocol::offline_results(&req).compact(),
+        other => panic!("generated line must be a schedule request, got {other:?}"),
+    };
+    assert_eq!(got, want);
+
+    let started = Instant::now();
+    handle.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(3),
+        "shutdown waited {took:?} on a client that never reads"
+    );
+    drop(stalled);
 }
