@@ -77,7 +77,7 @@ pub use config::{
 };
 pub use error::ScheduleError;
 pub use pipeline::{CacheSession, EngineOptions, FarkasCache, PipelineStats};
-pub use registry::{LearnedConfig, RegistryStats, ScopEntry, ScopRegistry};
+pub use registry::{RegistryStats, ScopEntry, ScopRegistry};
 pub use scenario::{winner, winner_by, Scenario, ScenarioReport, ScenarioResult, ScenarioSet};
 pub use scheduler::{schedule, schedule_with_options, schedule_with_strategy};
 pub use space::{IlpSpace, StmtBlock};

@@ -28,6 +28,10 @@
 //!   still scheduled and certified. The texts live and die with their
 //!   entry and are never part of a [`RegistrySnapshot`].
 //!
+//! An entry keeps analysis state only, never an answer: a `schedule`
+//! request and an `autotune` request against a resident entry are both
+//! solved again, on its shared dependences and cones.
+//!
 //! # Determinism
 //!
 //! Scheduling a registry-resident SCoP is bit-identical to scheduling it
@@ -38,7 +42,6 @@
 //! so the answer cannot depend on which client registered it first, nor
 //! on how warm the caches already are.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -48,21 +51,6 @@ use polytops_ir::{parse_scop, print_scop, AccessKind, ParseScopError, Scop, Subs
 use crate::error::ScheduleError;
 use crate::pipeline::legality::FarkasCache;
 
-/// A tuning winner remembered for one SCoP under one tuning key
-/// (machine model + budget; see `tune::learned_key`): the name of the
-/// winning candidate in the deterministic candidate lattice, plus the
-/// model score it won with. The full configuration is *not* stored —
-/// the lattice is a pure function of (SCoP, machine, budget), so the
-/// name alone re-derives it exactly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LearnedConfig {
-    /// Candidate name in the tuner's lattice (e.g. `"pluto/t64+wave"`).
-    pub winner: String,
-    /// The model score ([`estimate_cycles`](polytops_machine::model))
-    /// the winner was selected with.
-    pub score: i64,
-}
-
 /// A registry-resident SCoP with its shared scheduling state.
 #[derive(Debug)]
 pub struct ScopEntry {
@@ -71,8 +59,6 @@ pub struct ScopEntry {
     scop: Scop,
     deps: Arc<Vec<Dependence>>,
     cache: Arc<FarkasCache>,
-    /// Remembered tuning winners, keyed by tuning key.
-    learned: Mutex<BTreeMap<String, LearnedConfig>>,
 }
 
 impl ScopEntry {
@@ -84,7 +70,6 @@ impl ScopEntry {
             scop,
             cache: Arc::new(FarkasCache::new(&deps)),
             deps,
-            learned: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -128,63 +113,23 @@ impl ScopEntry {
     pub fn prewarm(&self) -> Result<(), ScheduleError> {
         self.cache.prewarm(&self.deps)
     }
-
-    /// The remembered tuning winner for `key`, if any.
-    pub fn learned_for(&self, key: &str) -> Option<LearnedConfig> {
-        self.learned
-            .lock()
-            .expect("learned map lock")
-            .get(key)
-            .cloned()
-    }
-
-    /// Remembers `config` as the tuning winner for `key`. Returns
-    /// whether the map changed (an identical re-record is a no-op, so
-    /// journal replay is idempotent).
-    pub fn learn(&self, key: &str, config: LearnedConfig) -> bool {
-        let mut learned = self.learned.lock().expect("learned map lock");
-        if learned.get(key) == Some(&config) {
-            return false;
-        }
-        learned.insert(key.to_string(), config);
-        true
-    }
-
-    /// Every remembered winner, in deterministic (`BTreeMap`) key order
-    /// — what a snapshot records.
-    pub fn learned_snapshot(&self) -> Vec<(String, LearnedConfig)> {
-        self.learned
-            .lock()
-            .expect("learned map lock")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
-    /// How many tuning winners are remembered on this entry.
-    pub fn learned_count(&self) -> usize {
-        self.learned.lock().expect("learned map lock").len()
-    }
 }
 
 /// One registry entry as captured by [`ScopRegistry::snapshot`]: the
 /// representative SCoP serialized as polyscop exchange text (the format
 /// round-trips exactly, and the dependence analysis plus the
-/// [`FarkasCache`] rebuild deterministically from it) together with its
-/// remembered tuning winners.
+/// [`FarkasCache`] rebuild deterministically from it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotEntry {
     /// The name the SCoP was first registered under.
     pub name: String,
     /// [`print_scop`] text of the representative SCoP.
     pub scop_text: String,
-    /// Remembered tuning winners, in deterministic key order.
-    pub learned: Vec<(String, LearnedConfig)>,
 }
 
 /// A point-in-time, self-contained image of a [`ScopRegistry`]:
 /// entries in LRU order (coldest first), each reduced to canonical SCoP
-/// text plus its learned winners. Everything else — canonical
+/// text. Everything else — canonical
 /// identity, fingerprints, dependence analyses, Farkas eliminations —
 /// is a deterministic function of that text, which is what makes
 /// snapshot → [`restore`](ScopRegistry::restore) → snapshot an exact
@@ -193,15 +138,6 @@ pub struct SnapshotEntry {
 pub struct RegistrySnapshot {
     /// Entries in LRU order: front = coldest, back = warmest.
     pub entries: Vec<SnapshotEntry>,
-}
-
-/// What [`ScopRegistry::restore`] rebuilt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RestoreReport {
-    /// Entries registered (and re-analyzed) by the restore.
-    pub entries: usize,
-    /// Tuning winners re-learned from the snapshot.
-    pub learned: usize,
 }
 
 /// Registry counters, taken with [`ScopRegistry::stats`].
@@ -220,8 +156,6 @@ pub struct RegistryStats {
     pub misses: usize,
     /// Entries dropped by the LRU bound.
     pub evictions: usize,
-    /// Remembered tuning winners across all resident entries.
-    pub learned: usize,
 }
 
 /// A bounded, thread-safe pool of [`ScopEntry`]s, keyed by canonical
@@ -385,8 +319,7 @@ impl ScopRegistry {
     }
 
     /// Captures the registry as a [`RegistrySnapshot`]: every resident
-    /// entry in LRU order, reduced to canonical SCoP text plus learned
-    /// winners. The snapshot is a pure value — serialize it
+    /// entry in LRU order, reduced to canonical SCoP text. The snapshot is a pure value — serialize it
     /// however persistence wants (the `polytopsd` daemon writes it as
     /// checksummed JSON; see `polytops_server`).
     pub fn snapshot(&self) -> RegistrySnapshot {
@@ -397,7 +330,6 @@ impl ScopRegistry {
                 .map(|Slot { entry, .. }| SnapshotEntry {
                     name: entry.name().to_string(),
                     scop_text: print_scop(entry.scop()),
-                    learned: entry.learned_snapshot(),
                 })
                 .collect(),
         }
@@ -407,7 +339,8 @@ impl ScopRegistry {
     /// registered through the normal [`resolve`](ScopRegistry::resolve)
     /// path (re-running its dependence analysis) and
     /// [prewarmed](ScopEntry::prewarm), so the first request after a
-    /// restart eliminates nothing.
+    /// restart eliminates nothing. Returns how many entries it
+    /// registered (an entry already resident is not counted).
     ///
     /// Entries are applied in snapshot (LRU) order, so a restore into an
     /// empty registry reproduces the captured LRU order exactly; a
@@ -423,37 +356,18 @@ impl ScopRegistry {
     ///
     /// Returns a description of the first entry that fails to parse or
     /// prewarm, leaving previously restored entries resident.
-    pub fn restore(&self, snapshot: &RegistrySnapshot) -> Result<RestoreReport, String> {
-        let mut report = RestoreReport::default();
+    pub fn restore(&self, snapshot: &RegistrySnapshot) -> Result<usize, String> {
+        let mut registered = 0;
         for entry in &snapshot.entries {
             let scop = parse_scop(&entry.scop_text)
                 .map_err(|e| format!("snapshot entry `{}`: {e}", entry.name))?;
             let (resident, hit) = self.resolve(&entry.name, &scop);
-            if !hit {
-                report.entries += 1;
-            }
+            registered += usize::from(!hit);
             resident
                 .prewarm()
                 .map_err(|e| format!("prewarm `{}`: {e}", entry.name))?;
-            for (key, config) in &entry.learned {
-                resident.learn(key, config.clone());
-                report.learned += 1;
-            }
         }
-        Ok(report)
-    }
-
-    /// Looks up a resident entry by canonical fingerprint *without*
-    /// warming its LRU position (the journal-replay path: replays must
-    /// not perturb the order the snapshot captured). Fingerprints can
-    /// collide in principle; a collision here would file a learned
-    /// winner under the wrong entry — a name the tuner re-derives,
-    /// re-scores and certifies before use, so never a wrong answer.
-    pub fn find_by_fingerprint(&self, fingerprint: u64) -> Option<Arc<ScopEntry>> {
-        let lru = self.lru.lock().expect("registry lock");
-        lru.iter()
-            .find(|slot| slot.entry.fingerprint() == fingerprint)
-            .map(|slot| Arc::clone(&slot.entry))
+        Ok(registered)
     }
 
     /// Number of resident entries.
@@ -468,10 +382,6 @@ impl ScopRegistry {
 
     /// A snapshot of the counters.
     pub fn stats(&self) -> RegistryStats {
-        let learned = {
-            let lru = self.lru.lock().expect("registry lock");
-            lru.iter().map(|slot| slot.entry.learned_count()).sum()
-        };
         RegistryStats {
             entries: self.len(),
             capacity: self.capacity,
@@ -479,7 +389,6 @@ impl ScopRegistry {
             text_hits: self.text_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            learned,
         }
     }
 }

@@ -10,7 +10,9 @@
 //! budget — and [`explore`] runs the grid through a [`ScenarioSet`] on
 //! the work-stealing pool, scores every legal schedule with
 //! [`model_score`], and returns the winner with its feature vector,
-//! model score and oracle verdict.
+//! model score and oracle verdict. [`explore_entry`] does the same on
+//! a resident registry entry, sharing its dependence analysis and
+//! Farkas cones; no winner is remembered, so every call explores.
 //!
 //! # Determinism
 //!
@@ -30,7 +32,7 @@ pub use polytops_machine::MachineModel;
 use crate::config::{PostProcess, SchedulerConfig};
 use crate::error::ScheduleError;
 use crate::presets;
-use crate::registry::{LearnedConfig, ScopRegistry};
+use crate::registry::ScopRegistry;
 use crate::scenario::{ScenarioReport, ScenarioSet};
 
 /// How much exploration [`explore`] may spend.
@@ -90,36 +92,11 @@ pub struct TuneOutcome {
     /// bench) refuse to act on an uncertified winner.
     pub certified: bool,
     /// Every candidate with its model score (`None` when scheduling
-    /// failed), in lattice order. On a learned (warm) serve only the
-    /// winner appears — the loser scores were not persisted.
+    /// failed), in lattice order.
     pub candidates: Vec<(String, Option<i64>)>,
-    /// How many candidate scenarios were actually scheduled. A learned
-    /// serve reports the single winner re-derivation as `0` explored
-    /// scenarios — nothing was *explored*, the answer was remembered.
+    /// How many candidate scenarios were scheduled: the length of
+    /// [`candidates`](TuneOutcome::candidates).
     pub explored_scenarios: usize,
-    /// Whether the winner came from the registry's learned store
-    /// instead of a fresh exploration.
-    pub learned: bool,
-}
-
-/// The deterministic tuning key a learned winner is remembered under:
-/// every input that shapes the candidate lattice or the scoring —
-/// machine fields, the candidate budget and the parameter estimate.
-/// The engine's *thread count* is deliberately excluded: exploration is
-/// bit-identical on every thread count (the PR 3 contract), so a
-/// winner learned on 1 thread serves requests tuned on 8.
-pub fn learned_key(machine: &MachineModel, budget: &TuneBudget) -> String {
-    format!(
-        "line{}:cache{}:vec{}:cores{}:miss{}:sync{}:max{}:est{}",
-        machine.cache_line_bytes,
-        machine.cache_bytes,
-        machine.vector_bytes,
-        machine.num_cores,
-        machine.miss_penalty_cycles,
-        machine.sync_cycles,
-        budget.max_candidates,
-        budget.param_estimate,
-    )
 }
 
 /// Largest power of two `≤ v`, clamped into `lo..=hi` (all powers).
@@ -239,83 +216,17 @@ pub fn explore(
 }
 
 /// [`explore`] over an already-resolved registry entry — the daemon's
-/// entry point: repeated autotune requests for a resident SCoP reuse
-/// its persistent dependence analysis and Farkas cones instead of
-/// re-analyzing per request. Tunes the entry's
-/// *representative* SCoP (the same value the `schedule` op answers
-/// from), so responses stay bit-stable across deduped clients.
+/// entry point: autotune requests for a resident SCoP reuse its
+/// persistent dependence analysis and Farkas cones instead of
+/// re-analyzing per request. Every call explores the whole lattice;
+/// nothing about a winner is remembered between calls. Tunes the
+/// entry's *representative* SCoP (the same value the `schedule` op
+/// answers from), so responses stay bit-stable across deduped clients.
 ///
 /// # Errors
 ///
 /// Same contract as [`explore`].
 pub fn explore_entry(
-    entry: &std::sync::Arc<crate::registry::ScopEntry>,
-    machine: &MachineModel,
-    budget: &TuneBudget,
-) -> Result<TuneOutcome, ScheduleError> {
-    let key = learned_key(machine, budget);
-    if let Some(remembered) = entry.learned_for(&key) {
-        if let Some(outcome) = serve_learned(entry, machine, budget, &remembered) {
-            return Ok(outcome);
-        }
-        // A remembered winner that no longer re-derives (it should:
-        // the lattice is pure) falls through to a fresh exploration,
-        // which re-learns whatever wins now.
-    }
-    let outcome = explore_candidates(entry, machine, budget)?;
-    entry.learn(
-        &key,
-        LearnedConfig {
-            winner: outcome.winner.name.clone(),
-            score: outcome.score,
-        },
-    );
-    Ok(outcome)
-}
-
-/// Serves a remembered winner without exploration: re-derive the named
-/// candidate from the (pure) lattice, schedule just that one scenario,
-/// and certify it. Because scenario results are independent of batch
-/// composition (the engine's bit-identity contract), the schedule —
-/// and therefore the features and score — is byte-identical to what
-/// the original full exploration produced. Returns `None` when the
-/// name no longer resolves or the single run fails or scores
-/// differently (stale memory: the caller re-explores).
-fn serve_learned(
-    entry: &std::sync::Arc<crate::registry::ScopEntry>,
-    machine: &MachineModel,
-    budget: &TuneBudget,
-    remembered: &LearnedConfig,
-) -> Option<TuneOutcome> {
-    let scop = entry.scop();
-    let candidates = candidate_lattice(scop, machine, budget.max_candidates);
-    let candidate = candidates.iter().find(|c| c.name == remembered.winner)?;
-    let deps = entry.deps();
-    let mut set = ScenarioSet::new();
-    let id = set.add_resident_scop(std::sync::Arc::clone(entry));
-    set.add_scenario(id, candidate.name.clone(), candidate.config.clone());
-    let results = set.run_sequential();
-    let winner = results.into_iter().next()?.ok()?;
-    let features = extract_features(scop, &winner.schedule, &deps, budget.param_estimate);
-    let score = model_score(machine, &features);
-    if score != remembered.score {
-        return None;
-    }
-    let certified = Certifier::new(&deps).certifies(&winner.schedule);
-    Some(TuneOutcome {
-        config: candidate.config.clone(),
-        winner,
-        score,
-        features,
-        certified,
-        candidates: vec![(remembered.winner.clone(), Some(score))],
-        explored_scenarios: 0,
-        learned: true,
-    })
-}
-
-/// The cold path of [`explore_entry`]: run the full lattice.
-fn explore_candidates(
     entry: &std::sync::Arc<crate::registry::ScopEntry>,
     machine: &MachineModel,
     budget: &TuneBudget,
@@ -364,7 +275,6 @@ fn explore_candidates(
         certified,
         candidates: scored,
         explored_scenarios,
-        learned: false,
     })
 }
 
@@ -404,7 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn second_exploration_is_served_from_the_learned_store() {
+    fn a_second_exploration_repeats_the_first() {
         let scop = polytops_workloads::jacobi_1d();
         let machine = MachineModel::default();
         let budget = TuneBudget {
@@ -412,32 +322,18 @@ mod tests {
             threads: 2,
             ..TuneBudget::default()
         };
-        let registry = ScopRegistry::new(4);
-        let (entry, _) = registry.resolve(&scop.name, &scop);
-        let cold = explore_entry(&entry, &machine, &budget).unwrap();
-        assert!(!cold.learned);
-        assert_eq!(cold.explored_scenarios, 6);
-        assert_eq!(entry.learned_count(), 1);
-        let warm = explore_entry(&entry, &machine, &budget).unwrap();
-        assert!(warm.learned && warm.certified);
-        assert_eq!(warm.explored_scenarios, 0);
-        // The warm serve is byte-identical to the cold winner.
-        assert_eq!(warm.winner.name, cold.winner.name);
-        assert_eq!(warm.winner.schedule, cold.winner.schedule);
-        assert_eq!(warm.score, cold.score);
-        assert_eq!(warm.features, cold.features);
-        assert_eq!(
-            warm.candidates,
-            vec![(cold.winner.name.clone(), Some(cold.score))]
-        );
-        // A different budget is a different key: cold again.
-        let other = TuneBudget {
-            max_candidates: 4,
-            ..budget.clone()
-        };
-        let again = explore_entry(&entry, &machine, &other).unwrap();
-        assert!(!again.learned);
-        assert_eq!(entry.learned_count(), 2);
+        let (entry, _) = ScopRegistry::new(4).resolve(&scop.name, &scop);
+        let first = explore_entry(&entry, &machine, &budget).unwrap();
+        assert_eq!(first.explored_scenarios, 6);
+        assert_eq!(first.candidates.len(), 6);
+        let again = explore_entry(&entry, &machine, &budget).unwrap();
+        assert!(again.certified);
+        assert_eq!(again.winner.name, first.winner.name);
+        assert_eq!(again.winner.schedule, first.winner.schedule);
+        assert_eq!(again.score, first.score);
+        assert_eq!(again.features, first.features);
+        assert_eq!(again.candidates, first.candidates);
+        assert_eq!(again.explored_scenarios, first.explored_scenarios);
     }
 
     #[test]

@@ -17,36 +17,36 @@
 //! compact-JSON payload:
 //!
 //! ```text
-//! {"entries":[{"learned":[{"key":"…","score":-512,"winner":"pluto/t32"}],
-//!              "name":"matmul","scop":"<polyscop> ..."}]}
+//! {"entries":[{"name":"matmul","scop":"<polyscop> ..."}]}
 //! ```
 //!
 //! Entries are in LRU order (coldest first), each carrying the SCoP's
-//! *canonical text* — the registry's identity representation — plus its
-//! remembered tuning winners. Nothing derived is stored: dependence
-//! analyses and Farkas cones rebuild deterministically from the text on
-//! load (see [`ScopRegistry::restore`]), which is what makes a snapshot
-//! immune to solver/code drift across daemon versions.
+//! *canonical text* — the registry's identity representation. Nothing
+//! derived is stored: dependence analyses and Farkas cones rebuild
+//! deterministically from the text on load (see
+//! [`ScopRegistry::restore`]), which is what makes a snapshot immune to
+//! solver/code drift across daemon versions.
 //!
 //! The journal is one compact-JSON event per line:
 //!
 //! ```text
 //! {"event":"admit","name":"matmul","scop":"<polyscop> ..."}
-//! {"event":"learned","fp":"9f…","key":"…","score":-512,"winner":"pluto/t32"}
 //! ```
 //!
 //! The daemon journals where the registry changes, and keeps no copy of
 //! it here: an `admit` each time the registry admits a SCoP (a
-//! re-admission after eviction included), a `learned` each time an
-//! autotune changes a winner. Events are idempotent, so replay after a
-//! crash mid-append is safe; replay skips every line that fails to
-//! parse or apply (a torn final line is the only one a single-writer
-//! crash can leave) and goes on.
+//! re-admission after eviction included). Nothing else changes it — an
+//! autotune answer is never remembered, so a repeated autotune journals
+//! nothing. Events are idempotent, so replay after a crash mid-append is
+//! safe; replay skips every line that fails to parse or apply (a torn
+//! final line is the only one a single-writer crash can leave) and goes
+//! on.
 //!
-//! Files written before the Farkas cache stopped depending on the ILP
-//! layout carry a `"layouts"` array per snapshot entry and `layout`
-//! journal events; both are read and ignored (a restored entry's cones
-//! are prewarmed whatever they say).
+//! Files written by older daemons carry more than this: per-entry
+//! arrays (the Farkas cache's ILP layouts, remembered autotune winners)
+//! and the journal events that fed them. The arrays are never read, and
+//! those events apply as nothing but count as replayed (a restored
+//! entry's cones are prewarmed whatever they say; autotune re-explores).
 //!
 //! ## Rotation
 //!
@@ -65,9 +65,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use polytops_core::json::{parse, Json};
-use polytops_core::registry::{
-    fnv1a, LearnedConfig, RegistrySnapshot, ScopEntry, ScopRegistry, SnapshotEntry,
-};
+use polytops_core::registry::{fnv1a, RegistrySnapshot, ScopEntry, ScopRegistry, SnapshotEntry};
 use polytops_ir::{parse_scop, print_scop};
 use polytops_obs::{Histogram, Recorder};
 
@@ -174,28 +172,6 @@ impl Persister {
         );
     }
 
-    /// Journals a `learned` event: `config` is now `entry`'s tuning
-    /// winner under `key`.
-    pub fn learned(
-        &self,
-        registry: &ScopRegistry,
-        entry: &ScopEntry,
-        key: &str,
-        config: &LearnedConfig,
-    ) {
-        let event = Json::Object(std::collections::BTreeMap::from([
-            ("event".to_string(), Json::Str("learned".to_string())),
-            (
-                "fp".to_string(),
-                Json::Str(format!("{:016x}", entry.fingerprint())),
-            ),
-            ("key".to_string(), Json::Str(key.to_string())),
-            ("winner".to_string(), Json::Str(config.winner.clone())),
-            ("score".to_string(), Json::Int(config.score)),
-        ]));
-        self.journal(registry, [event]);
-    }
-
     /// Appends `events`, then rotates if the journal has grown past
     /// `rotate_every`. I/O errors are swallowed (persistence is
     /// best-effort; serving must not depend on the disk).
@@ -274,22 +250,6 @@ fn snapshot_payload(snap: &RegistrySnapshot) -> String {
             Json::Object(std::collections::BTreeMap::from([
                 ("name".to_string(), Json::Str(entry.name.clone())),
                 ("scop".to_string(), Json::Str(entry.scop_text.clone())),
-                (
-                    "learned".to_string(),
-                    Json::Array(
-                        entry
-                            .learned
-                            .iter()
-                            .map(|(key, config)| {
-                                Json::Object(std::collections::BTreeMap::from([
-                                    ("key".to_string(), Json::Str(key.clone())),
-                                    ("winner".to_string(), Json::Str(config.winner.clone())),
-                                    ("score".to_string(), Json::Int(config.score)),
-                                ]))
-                            })
-                            .collect(),
-                    ),
-                ),
             ]))
         })
         .collect();
@@ -298,17 +258,6 @@ fn snapshot_payload(snap: &RegistrySnapshot) -> String {
         Json::Array(entries),
     )]))
     .compact()
-}
-
-fn learned_from_json(json: &Json) -> Option<(String, LearnedConfig)> {
-    let obj = json.as_object()?;
-    Some((
-        obj.get("key")?.as_str()?.to_string(),
-        LearnedConfig {
-            winner: obj.get("winner")?.as_str()?.to_string(),
-            score: obj.get("score")?.as_int()?,
-        },
-    ))
 }
 
 /// Writes one snapshot file: checksummed header line + payload, fsynced
@@ -343,74 +292,49 @@ fn read_snapshot_file(path: &Path) -> Option<RegistrySnapshot> {
     let mut entries = Vec::new();
     for item in root.as_object()?.get("entries")?.as_array()? {
         let obj = item.as_object()?;
-        // Snapshots from before the learned store lack the key; treat
-        // them as having learned nothing rather than as corrupt.
-        let learned = match obj.get("learned") {
-            Some(list) => list
-                .as_array()?
-                .iter()
-                .map(learned_from_json)
-                .collect::<Option<Vec<(String, LearnedConfig)>>>()?,
-            None => Vec::new(),
-        };
         entries.push(SnapshotEntry {
             name: obj.get("name")?.as_str()?.to_string(),
             scop_text: obj.get("scop")?.as_str()?.to_string(),
-            learned,
         });
     }
     Some(RegistrySnapshot { entries })
 }
 
-/// Replays one journal file into the registry, returning
-/// `(events_applied, configs_relearned)`. Every line that does not
-/// parse or apply (the torn tail of a killed daemon, an unparseable
-/// SCoP from a corrupted disk) is skipped, and replay goes on.
-fn replay_journal(path: &Path, registry: &ScopRegistry) -> (usize, usize) {
+/// Replays one journal file into the registry, returning how many
+/// events applied. Every line that does not parse or apply (the torn
+/// tail of a killed daemon, an unparseable SCoP from a corrupted disk)
+/// is skipped, and replay goes on.
+fn replay_journal(path: &Path, registry: &ScopRegistry) -> usize {
     let Ok(text) = fs::read_to_string(path) else {
-        return (0, 0);
+        return 0;
     };
-    let (mut applied, mut relearned) = (0, 0);
+    let mut applied = 0;
     for line in text.lines() {
-        if let Some(learned) = parse(line).ok().and_then(|e| apply_event(&e, registry)) {
+        if parse(line)
+            .ok()
+            .and_then(|e| apply_event(&e, registry))
+            .is_some()
+        {
             applied += 1;
-            relearned += usize::from(learned);
         }
     }
-    (applied, relearned)
+    applied
 }
 
-/// Applies one journal event, returning whether it relearned a config.
-/// Idempotent: `admit` rides the registry's dedupe and prewarm's
-/// already-resident no-op, `learned` rides the learned map's
-/// last-write-wins insert (replaying the same event twice is the same
-/// write). A `layout` event — written by daemons whose Farkas caches
-/// were per ILP layout — applies as nothing.
-fn apply_event(event: &Json, registry: &ScopRegistry) -> Option<bool> {
+/// Applies one journal event. Idempotent: `admit` rides the registry's
+/// dedupe and prewarm's already-resident no-op.
+fn apply_event(event: &Json, registry: &ScopRegistry) -> Option<()> {
     let obj = event.as_object()?;
     match obj.get("event")?.as_str()? {
         "admit" => {
             let name = obj.get("name")?.as_str()?;
             let scop = parse_scop(obj.get("scop")?.as_str()?).ok()?;
             registry.resolve(name, &scop).0.prewarm().ok()?;
-            Some(false)
+            Some(())
         }
-        "layout" => Some(false),
-        "learned" => {
-            let fp = u64::from_str_radix(obj.get("fp")?.as_str()?, 16).ok()?;
-            let key = obj.get("key")?.as_str()?;
-            let config = LearnedConfig {
-                winner: obj.get("winner")?.as_str()?.to_string(),
-                score: obj.get("score")?.as_int()?,
-            };
-            // The entry may have been evicted by later journal events'
-            // admissions; a missing target is not corruption.
-            if let Some(entry) = registry.find_by_fingerprint(fp) {
-                entry.learn(key, config);
-                return Some(true);
-            }
-            Some(false)
-        }
+        // Older daemons journaled `layout` (per-ILP-layout cones) and
+        // `learned` (remembered autotune winners); both apply as nothing.
+        "layout" | "learned" => Some(()),
         _ => None,
     }
 }
@@ -439,15 +363,12 @@ fn load(dir: &Path, registry: &ScopRegistry) -> PersistTotals {
             (prev, vec![dir.join("journal.prev"), dir.join("journal")])
         }
     };
-    if let Some(Ok(report)) = snapshot.map(|snap| registry.restore(&snap)) {
-        totals.restored_entries = report.entries;
-        totals.relearned_configs = report.learned;
+    if let Some(Ok(registered)) = snapshot.map(|snap| registry.restore(&snap)) {
+        totals.restored_entries = registered;
     }
     let before = registry.stats().misses;
     for journal in journals {
-        let (applied, relearned) = replay_journal(&journal, registry);
-        totals.replayed_events += applied;
-        totals.relearned_configs += relearned;
+        totals.replayed_events += replay_journal(&journal, registry);
     }
     // Journal admissions of SCoPs the snapshot missed count as restored
     // entries too (they show up as fresh registry misses).
@@ -468,13 +389,6 @@ mod tests {
             entries: vec![SnapshotEntry {
                 name: "k".to_string(),
                 scop_text: "<polyscop>\n".to_string(),
-                learned: vec![(
-                    "line64:max16:est256".to_string(),
-                    LearnedConfig {
-                        winner: "pluto/tile32+wave".to_string(),
-                        score: -123_456,
-                    },
-                )],
             }],
         };
         write_snapshot_file(&path, &snap).unwrap();

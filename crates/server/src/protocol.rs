@@ -609,13 +609,9 @@ pub fn features_to_json(f: &ScheduleFeatures) -> Json {
 /// model score, feature vector, schedule, oracle verdict) plus every
 /// candidate's score (`null` when that configuration failed to
 /// schedule), in lattice order. Deterministic byte-for-byte for a given
-/// (SCoP, machine, budget), like every other response.
-///
-/// `explored_scenarios` and `learned` expose the learned-registry
-/// path: a warm serve reports `"learned":true,"explored_scenarios":0`
-/// and lists only the winner under `candidates` (loser scores are not
-/// persisted) — but its `winner` object is byte-identical to the cold
-/// exploration's.
+/// (SCoP, machine, budget), like every other response: a repeated
+/// request is explored again and answered with the same bytes.
+/// `explored_scenarios` counts the candidates scheduled.
 pub fn autotune_response(id: &Json, outcome: &TuneOutcome) -> String {
     let candidates: Vec<Json> = outcome
         .candidates
@@ -645,7 +641,6 @@ pub fn autotune_response(id: &Json, outcome: &TuneOutcome) -> String {
             "explored_scenarios",
             Json::Int(outcome.explored_scenarios as i64),
         ),
-        ("learned", Json::Bool(outcome.learned)),
     ])
     .compact()
 }
@@ -676,10 +671,6 @@ pub struct PersistTotals {
     pub recovered_from_prev: bool,
     /// Journal events replayed on top of the snapshot at startup.
     pub replayed_events: usize,
-    /// Learned tuning winners restored at startup (snapshot entries
-    /// plus `learned` journal replays) — proves remembered winners
-    /// survive a restart.
-    pub relearned_configs: usize,
     /// Journal events appended since startup.
     pub journal_events: usize,
     /// Snapshot rotations performed since startup.
@@ -695,10 +686,6 @@ impl PersistTotals {
             ("restored_entries", Json::Int(self.restored_entries as i64)),
             ("recovered_from_prev", Json::Bool(self.recovered_from_prev)),
             ("replayed_events", Json::Int(self.replayed_events as i64)),
-            (
-                "relearned_configs",
-                Json::Int(self.relearned_configs as i64),
-            ),
             ("journal_events", Json::Int(self.journal_events as i64)),
             ("rotations", Json::Int(self.rotations as i64)),
             ("dir", Json::Str(self.dir.clone())),
@@ -886,10 +873,7 @@ pub fn stats_response(
     // Read before `obs_to_json`: a first read registers the counter, so
     // it is listed under `obs` too.
     let count = |name: &str| obs_int(recorder.counter(name).get());
-    let tuner = object(vec![
-        ("requests", count("tuner.requests")),
-        ("learned_hits", count("tuner.learned_hits")),
-    ]);
+    let tuner = object(vec![("requests", count("tuner.requests"))]);
     let solver = object(vec![
         ("dual_pivots", count("solver.dual_pivots")),
         ("phase1_passes", count("solver.phase1_passes")),
@@ -907,7 +891,6 @@ pub fn stats_response(
                 ("text_hits", Json::Int(registry.text_hits as i64)),
                 ("misses", Json::Int(registry.misses as i64)),
                 ("evictions", Json::Int(registry.evictions as i64)),
-                ("learned", Json::Int(registry.learned as i64)),
             ]),
         ),
         ("tuner", tuner),
@@ -1084,7 +1067,6 @@ mod tests {
         assert!(features.contains_key("stream_strides"));
         assert_eq!(obj["candidates"].as_array().unwrap().len(), 3);
         assert_eq!(obj["explored_scenarios"].as_int(), Some(3));
-        assert_eq!(obj["learned"].as_bool(), Some(false));
     }
 
     #[test]

@@ -78,8 +78,9 @@ impl FaultPlan {
 /// the [`Router`](crate::Router), which has no option for it.
 pub const DEFAULT_MAX_LINE_BYTES: usize = 16 << 20;
 
-/// Daemon configuration. Every knob is also a `polytopsd serve` flag
-/// (see `docs/CONFIG.md`).
+/// Daemon configuration. Every field but `max_line_bytes` and `faults`
+/// is also a `polytopsd serve` flag (`trace` as `--no-trace`; see
+/// `docs/CONFIG.md`).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address; port 0 picks an ephemeral port (tests/benches).
@@ -154,9 +155,6 @@ pub(crate) struct ServerObs {
     pub(crate) responses: Arc<polytops_obs::Counter>,
     /// Autotune requests served by the tuner worker (`tuner.requests`).
     pub(crate) tune_requests: Arc<polytops_obs::Counter>,
-    /// Autotune requests answered from a remembered winner
-    /// (`tuner.learned_hits`).
-    pub(crate) tune_learned_hits: Arc<polytops_obs::Counter>,
     /// Trace id of the most recent fully-written schedule response —
     /// what the `trace` op returns.
     pub(crate) last_trace: AtomicU64,
@@ -170,7 +168,6 @@ impl ServerObs {
             batches: recorder.counter("service.batches"),
             responses: recorder.counter("service.responses"),
             tune_requests: recorder.counter("tuner.requests"),
-            tune_learned_hits: recorder.counter("tuner.learned_hits"),
             last_trace: AtomicU64::new(0),
             recorder,
         }
@@ -451,35 +448,20 @@ fn tune_loop(shared: &Arc<Shared>, rx: &Receiver<TuneJob>) {
                 continue;
             }
         };
-        // An admission is journaled before the exploration, a changed
-        // winner after it, and both before the response is queued.
+        // An admission is journaled before the exploration, so before
+        // the response is queued.
         if let (Some(persist), false) = (&shared.persist, hit) {
             persist.admitted(&shared.registry, std::slice::from_ref(&entry));
         }
-        let key = polytops_core::tune::learned_key(&req.machine, &budget);
-        let before = entry.learned_for(&key);
         shared.obs.tune_requests.inc();
         let line = match polytops_core::tune::explore_entry(&entry, &req.machine, &budget) {
-            Ok(outcome) if outcome.certified => {
-                if outcome.learned {
-                    shared.obs.tune_learned_hits.inc();
-                }
-                protocol::autotune_response(&req.id, &outcome)
-            }
+            Ok(outcome) if outcome.certified => protocol::autotune_response(&req.id, &outcome),
             Ok(_) => protocol::error_response(
                 &req.id,
                 "internal error: tuned schedule failed oracle certification",
             ),
             Err(e) => protocol::error_response(&req.id, &e.to_string()),
         };
-        if let Some(persist) = &shared.persist {
-            match entry.learned_for(&key) {
-                Some(after) if before.as_ref() != Some(&after) => {
-                    persist.learned(&shared.registry, &entry, &key, &after);
-                }
-                _ => {}
-            }
-        }
         let _ = job.reply.send(Reply::response(line, None));
     }
     shared.tuner_done.store(true, Ordering::SeqCst);

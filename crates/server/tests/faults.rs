@@ -227,26 +227,18 @@ fn finish(handle: ServerHandle) {
     handle.shutdown();
 }
 
-/// Parses an autotune response into (ok, learned, explored_scenarios,
-/// winner-object text).
-fn unpack_tune(response: &str) -> (bool, bool, i64, String) {
+/// Whether an autotune response succeeded.
+fn tune_ok(response: &str) -> bool {
     let parsed = polytops_core::json::parse(response).expect("tune response parses");
-    let obj = parsed.as_object().expect("tune response object");
-    (
-        obj["ok"].as_bool().expect("ok flag"),
-        obj["learned"].as_bool().expect("learned flag"),
-        obj["explored_scenarios"].as_int().expect("explored count"),
-        obj["winner"].compact(),
-    )
+    parsed.as_object().expect("tune response object")["ok"].as_bool() == Some(true)
 }
 
-/// A learned tuning winner survives a kill/restart: the second
-/// generation relearns it from the journal, and re-submitting the same
-/// autotune request is served warm (`explored_scenarios == 0`) with a
-/// byte-identical winner.
+/// An autotune answer survives a kill/restart: the second generation
+/// restores the tuned SCoP from the journal, and the same autotune
+/// request, explored again, gets the first generation's bytes.
 #[test]
-fn learned_winner_survives_kill_restart() {
-    let dir = scratch("learned-kill");
+fn autotune_answer_survives_kill_restart() {
+    let dir = scratch("tune-kill");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind supervisor port");
     let addr = listener.local_addr().unwrap().to_string();
 
@@ -262,13 +254,12 @@ fn learned_winner_survives_kill_restart() {
     )
     .expect("start first generation");
 
-    // Pay the cold exploration before the crash: the winner goes into
-    // the journal as a `learned` event.
+    // Tune before the crash: the SCoP goes into the journal as an
+    // `admit` event.
     let tune_line = autotune_request_line("survivor", &polytops_workloads::jacobi_1d(), 6, 64);
     let mut client = RetryClient::new(addr.clone(), patient());
-    let (ok, learned, explored, cold_winner) =
-        unpack_tune(&client.roundtrip(&tune_line).expect("cold autotune"));
-    assert!(ok && !learned && explored > 0, "cold run must explore");
+    let before = client.roundtrip(&tune_line).expect("first autotune");
+    assert!(tune_ok(&before), "{before}");
 
     // Drive the batcher past the scripted kill point while the
     // supervisor hands the port to the second generation.
@@ -293,34 +284,28 @@ fn learned_winner_survives_kill_restart() {
         .expect("start second generation");
         let totals = second.persist_totals().expect("persistence enabled");
         assert!(
-            totals.relearned_configs > 0,
-            "the restart must relearn the journaled winner: {totals:?}"
+            totals.restored_entries > 0,
+            "the restart must restore the journaled SCoPs: {totals:?}"
         );
         worker.join().expect("client thread");
 
-        // The re-submission is served from the relearned store: no
-        // exploration, and the winner is byte-identical.
         let mut probe = RetryClient::new(second.addr().to_string(), patient());
-        let (ok, learned, explored, warm_winner) =
-            unpack_tune(&probe.roundtrip(&tune_line).expect("warm autotune"));
-        assert!(ok, "warm autotune must succeed after restart");
-        assert!(learned, "the relearned winner must serve the re-submission");
-        assert_eq!(explored, 0, "the warm serve must explore nothing");
+        let after = probe.roundtrip(&tune_line).expect("autotune after restart");
         assert_eq!(
-            warm_winner, cold_winner,
-            "the winner must survive the restart byte-identically"
+            after, before,
+            "the answer must survive the restart byte-identically"
         );
         second.shutdown();
     });
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A learned winner survives even a *torn* snapshot: the second
+/// An autotune answer survives even a *torn* snapshot: the second
 /// generation falls back to the previous rotation plus the journals,
-/// and still serves the remembered winner warm.
+/// and the same autotune request gets the first generation's bytes.
 #[test]
-fn learned_winner_survives_torn_snapshot() {
-    let dir = scratch("learned-torn");
+fn autotune_answer_survives_torn_snapshot() {
+    let dir = scratch("tune-torn");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind supervisor port");
     let addr = listener.local_addr().unwrap().to_string();
 
@@ -342,9 +327,8 @@ fn learned_winner_survives_torn_snapshot() {
 
     let tune_line = autotune_request_line("survivor", &polytops_workloads::stencil_chain(), 5, 64);
     let mut client = RetryClient::new(addr.clone(), patient());
-    let (ok, learned, explored, cold_winner) =
-        unpack_tune(&client.roundtrip(&tune_line).expect("cold autotune"));
-    assert!(ok && !learned && explored > 0, "cold run must explore");
+    let before = client.roundtrip(&tune_line).expect("first autotune");
+    assert!(tune_ok(&before), "{before}");
 
     let stream = &fleet_request_streams(1, 4)[0];
     let addr_ref: &str = &addr;
@@ -379,18 +363,16 @@ fn learned_winner_survives_torn_snapshot() {
             "the bad checksum must trigger the .prev fallback: {totals:?}"
         );
         assert!(
-            totals.relearned_configs > 0,
-            "the fallback must still relearn the winner: {totals:?}"
+            totals.restored_entries > 0,
+            "the fallback must still restore the SCoPs: {totals:?}"
         );
         worker.join().expect("client thread");
 
         let mut probe = RetryClient::new(second.addr().to_string(), patient());
-        let (ok, learned, explored, warm_winner) =
-            unpack_tune(&probe.roundtrip(&tune_line).expect("warm autotune"));
-        assert!(ok && learned && explored == 0, "recovery must serve warm");
+        let after = probe.roundtrip(&tune_line).expect("autotune after restart");
         assert_eq!(
-            warm_winner, cold_winner,
-            "the winner must survive the torn snapshot byte-identically"
+            after, before,
+            "the answer must survive the torn snapshot byte-identically"
         );
         second.shutdown();
     });
@@ -531,6 +513,13 @@ const PARENT_JOURNAL: &str = r#"{"event":"admit","name":"jacobi_1d","scop":"<pol
 {"event":"layout","fp":"5acdbe87a328f1fe","neg":false,"shift":false,"vars":[]}
 "#;
 
+/// A journal of the commit that still remembered autotune winners, byte
+/// for byte: it admitted `stencil_chain` for an autotune and journaled
+/// the winner as a `learned` event.
+const PARENT_TUNE_JOURNAL: &str = r#"{"event":"admit","name":"stencil_chain","scop":"<polyscop>\nname stencil_chain\nparams N\ncontext 1\n  ineq 1 -1\narrays 1\narray A 8 1\n  dim 1 0\nstatements 1\nstatement S0\n  iters i\n  beta 0 0\n  ops 1\n  text A[i] = A[i-1];\n  domain 2\n    ineq 1 0 -1\n    ineq -1 1 -1\n  accesses 2\n  read 0 1\n    aff 1 0 -1\n  write 0 1\n    aff 1 0 0\n</polyscop>\n"}
+{"event":"learned","fp":"b97220021c17b112","key":"line64:cache33554432:vec32:cores16:miss24:sync2000:max4:est256","score":-255,"winner":"pluto"}
+"#;
+
 /// A snapshot directory holding the parent commit's four files.
 fn parent_dir(tag: &str) -> PathBuf {
     let dir = scratch(tag);
@@ -604,7 +593,6 @@ fn parent_commit_files_restore_every_entry_warm() {
         let totals = handle.persist_totals().expect("persistence enabled");
         assert_eq!(totals.restored_entries, 4, "torn={torn_tail}: {totals:?}");
         assert_eq!(totals.replayed_events, 2, "torn={torn_tail}: {totals:?}");
-        assert_eq!(totals.relearned_configs, 1, "torn={torn_tail}: {totals:?}");
         assert!(!totals.recovered_from_prev, "torn={torn_tail}: {totals:?}");
         assert_parent_entries_serve_warm(&handle);
         handle.shutdown();
@@ -632,10 +620,38 @@ fn parent_commit_files_recover_from_previous_rotation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A churn of new SCoPs under layout-changing presets, and an
-/// exploration, append `admit` and `learned` events and nothing else.
+/// A journal of the commit that remembered autotune winners still
+/// loads: its `admit` restores the entry, prewarmed, and its `learned`
+/// event applies as nothing; both count as replayed.
 #[test]
-fn churn_journals_admit_and_learned_events_only() {
+fn parent_commit_tune_journal_restores_its_entry_warm() {
+    let dir = scratch("parent-tune");
+    std::fs::write(dir.join("journal"), PARENT_TUNE_JOURNAL).expect("write fixture");
+    let handle = start_on_dir(&dir);
+    let totals = handle.persist_totals().expect("persistence enabled");
+    assert_eq!(totals.restored_entries, 1, "{totals:?}");
+    assert_eq!(totals.replayed_events, 2, "{totals:?}");
+    let line = request_line(
+        "stencil_chain",
+        "stencil_chain",
+        &polytops_workloads::stencil_chain(),
+        &["pluto"],
+    );
+    let mut client = RetryClient::new(handle.addr().to_string(), patient());
+    let response = client.roundtrip(&line).expect("first request");
+    let (ok, hit, results, misses) = unpack(&response);
+    assert!(ok && hit, "stencil_chain must be resident: {response}");
+    assert_eq!(misses, 0, "stencil_chain must be prewarmed: {response}");
+    assert_eq!(results, golden(&line));
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A churn of new SCoPs under layout-changing presets appends `admit`
+/// events and nothing else; registry hits and autotunes of a resident
+/// SCoP append nothing.
+#[test]
+fn churn_journals_admit_events_only() {
     use polytops_workloads::synthetic::long_chain;
     let dir = parent_dir("parent-churn");
     let handle = start_on_dir(&dir);
@@ -654,11 +670,9 @@ fn churn_journals_admit_and_learned_events_only() {
     let line = request_line("again", "long_chain_2", &long_chain(2), &["pluto"]);
     assert!(unpack(&client.roundtrip(&line).expect("repeat")).1);
     let tune = autotune_request_line("tune", &long_chain(2), 4, 64);
-    assert!(unpack_tune(&client.roundtrip(&tune).expect("autotune")).0);
-    // The same autotune again is served from the learned store, and a
-    // hit changes nothing: neither journals an event.
-    let (ok, learned, _, _) = unpack_tune(&client.roundtrip(&tune).expect("repeat autotune"));
-    assert!(ok && learned, "the repeat is served from the learned store");
+    assert!(tune_ok(&client.roundtrip(&tune).expect("autotune")));
+    // Neither a repeated autotune nor a hit changes the registry.
+    assert!(tune_ok(&client.roundtrip(&tune).expect("repeat autotune")));
     let line = request_line("hit", "long_chain_3", &long_chain(3), &["feautrier"]);
     assert!(unpack(&client.roundtrip(&line).expect("hit")).1);
 
@@ -676,10 +690,10 @@ fn churn_journals_admit_and_learned_events_only() {
                 .to_string()
         })
         .collect();
-    assert_eq!(events, ["admit", "admit", "admit", "learned"]);
+    assert_eq!(events, ["admit", "admit", "admit"]);
     assert_eq!(
         handle.persist_totals().expect("persistence").journal_events,
-        4
+        3
     );
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -536,31 +536,12 @@ fn autotune_op_returns_a_certified_deterministic_winner() {
         }
     }
 
-    // First sight means a full exploration.
-    assert_eq!(obj["learned"].as_bool(), Some(false), "{first}");
     assert_eq!(obj["explored_scenarios"].as_int(), Some(8), "{first}");
 
-    // Same request, fresh connection: served warm from the learned
-    // registry — zero exploration, a byte-identical winner object, and
-    // only the winner under `candidates` (loser scores are not
-    // persisted).
+    // Same request, fresh connection: explored again, same bytes.
     let mut second = Client::connect(handle.addr()).unwrap();
-    let warm = second.roundtrip(&line).unwrap();
-    let warm_parsed = polytops_core::json::parse(&warm).unwrap();
-    let warm_obj = warm_parsed.as_object().unwrap();
-    assert_eq!(warm_obj["ok"].as_bool(), Some(true), "{warm}");
-    assert_eq!(warm_obj["learned"].as_bool(), Some(true), "{warm}");
-    assert_eq!(warm_obj["explored_scenarios"].as_int(), Some(0), "{warm}");
-    assert_eq!(
-        warm_obj["winner"].compact(),
-        obj["winner"].compact(),
-        "the remembered winner must be byte-identical"
-    );
-    assert_eq!(
-        warm_obj["candidates"].as_array().unwrap().len(),
-        1,
-        "{warm}"
-    );
+    let again = second.roundtrip(&line).unwrap();
+    assert_eq!(again, first, "a repeated autotune must get the same bytes");
     let registry = handle.registry_stats();
     assert_eq!(registry.entries, 1, "autotune SCoPs become resident");
     assert_eq!(registry.hits, 1, "second autotune rides the registry");

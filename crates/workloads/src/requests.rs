@@ -40,11 +40,9 @@ pub fn request_line(id: &str, kernel: &str, scop: &polytops_ir::Scop, presets: &
 
 /// Builds one autotune-request line: `kernel` explored under at most
 /// `max_candidates` lattice candidates at `param_estimate`, tagged
-/// `id`. Submitting the same line twice is the learned-registry
-/// regression scenario: the first request pays a full exploration, the
-/// second must be served from the remembered winner
-/// (`"learned":true,"explored_scenarios":0`) with a byte-identical
-/// `winner` object.
+/// `id`. Submitting the same line twice explores the lattice twice and
+/// must get the same response bytes both times, on any thread count and
+/// across a daemon restart.
 pub fn autotune_request_line(
     id: &str,
     scop: &polytops_ir::Scop,
