@@ -1,103 +1,86 @@
-//! The learned-registry regression suite: re-submitting a previously
-//! tuned SCoP through the `autotune` op must be served from the
-//! registry's remembered winner — `"learned":true` with
-//! `"explored_scenarios":0` and a `winner` object byte-identical to
-//! the cold exploration's — at every worker-thread count, and through
-//! the consistent-hash router (same fingerprint → same shard → the
-//! shard holding the learned entry answers the warm hit).
+//! Re-submitting an autotune request: it is explored again on the
+//! registry entry the first request left resident and answered with the
+//! first answer's bytes — at every worker-thread count, and through the
+//! consistent-hash router (same fingerprint → same shard → the shard
+//! holding the entry answers the repeat).
+//!
+//! The test names predate the removal of the remembered-winner store;
+//! "learned" now names the resident registry entry, which keeps analysis
+//! state only, never an answer.
 
 use polytops_server::{Client, Router, RouterConfig, Server, ServerConfig};
 use polytops_workloads::requests::autotune_request_line;
 
-/// Unpacks an autotune response into
-/// `(ok, learned, explored_scenarios, winner-object text)`.
-fn unpack(response: &str) -> (bool, bool, i64, String) {
-    let parsed = polytops_core::json::parse(response).expect("response parses");
-    let obj = parsed.as_object().expect("response object");
-    (
-        obj["ok"].as_bool().expect("ok flag"),
-        obj["learned"].as_bool().expect("learned flag"),
-        obj["explored_scenarios"].as_int().expect("explored count"),
-        obj["winner"].compact(),
-    )
+/// Sends `line` to `addr` on a fresh connection and returns the answer.
+fn ask(addr: std::net::SocketAddr, line: &str) -> String {
+    Client::connect(addr)
+        .expect("connect")
+        .roundtrip(line)
+        .expect("roundtrip")
 }
 
-/// Cold exploration then warm re-submission, at 1, 2 and 4 worker
-/// threads: the warm serve must skip exploration entirely and return
-/// the remembered winner byte-identically — and the winner must also
-/// be identical *across* thread counts (the tuner's bit-identity
-/// contract extends to the learned path).
+/// Asserts `answer` is a certified autotune answer that scheduled all
+/// `candidates` lattice points.
+fn assert_explored(answer: &str, candidates: usize) {
+    let parsed = polytops_core::json::parse(answer).expect("answer parses");
+    let obj = parsed.as_object().expect("answer object");
+    assert_eq!(obj["ok"].as_bool(), Some(true), "{answer}");
+    assert_eq!(
+        obj["candidates"].as_array().map(<[_]>::len),
+        Some(candidates),
+        "{answer}"
+    );
+    assert_eq!(
+        obj["explored_scenarios"].as_int(),
+        Some(candidates as i64),
+        "{answer}"
+    );
+}
+
+/// The first request registers the SCoP and explores the lattice; the
+/// repeat, on a fresh connection, hits the registry, explores again and
+/// gets the first answer's bytes. The answer is also the same at 1, 2
+/// and 4 worker threads.
 #[test]
 fn warm_resubmission_is_served_from_the_learned_registry() {
     let scop = polytops_workloads::jacobi_1d();
     let line = autotune_request_line("tune", &scop, 6, 64);
-    let mut winners: Vec<String> = Vec::new();
+    let mut answers: Vec<(usize, String)> = Vec::new();
     for threads in [1usize, 2, 4] {
         let handle = Server::start(ServerConfig {
             threads,
             ..ServerConfig::default()
         })
         .expect("start daemon");
-        let mut client = Client::connect(handle.addr()).expect("connect");
+        let first = ask(handle.addr(), &line);
+        let repeat = ask(handle.addr(), &line);
+        assert_explored(&first, 6);
+        assert_eq!(repeat, first, "threads={threads}: repeat bytes");
 
-        let cold = client.roundtrip(&line).expect("cold autotune");
-        let (ok, learned, explored, cold_winner) = unpack(&cold);
-        assert!(ok, "threads={threads}: {cold}");
-        assert!(!learned, "threads={threads}: first sight cannot be warm");
-        assert_eq!(
-            explored, 6,
-            "threads={threads}: cold run sweeps the lattice"
-        );
-
-        let warm = client.roundtrip(&line).expect("warm autotune");
-        let (ok, learned, explored, warm_winner) = unpack(&warm);
-        assert!(ok, "threads={threads}: {warm}");
-        assert!(
-            learned,
-            "threads={threads}: re-submission must be served warm"
-        );
-        assert_eq!(
-            explored, 0,
-            "threads={threads}: a warm serve explores nothing"
-        );
-        assert_eq!(
-            warm_winner, cold_winner,
-            "threads={threads}: the remembered winner must be byte-identical"
-        );
-        // The warm response lists only the winner: loser scores are
-        // not persisted.
-        let parsed = polytops_core::json::parse(&warm).unwrap();
-        let candidates = parsed.as_object().unwrap()["candidates"]
-            .as_array()
-            .unwrap();
-        assert_eq!(candidates.len(), 1, "threads={threads}: {warm}");
-
-        // The stats op surfaces the learned store and the hit counter.
-        let stats = client.roundtrip_json(r#"{"op":"stats"}"#).expect("stats");
+        let stats = Client::connect(handle.addr())
+            .expect("connect")
+            .roundtrip_json(r#"{"op":"stats"}"#)
+            .expect("stats");
         let obj = stats.as_object().unwrap();
         let registry = obj["registry"].as_object().unwrap();
-        assert_eq!(registry["learned"].as_int(), Some(1), "{}", stats.compact());
+        assert_eq!(registry["entries"].as_int(), Some(1), "{}", stats.compact());
+        assert_eq!(registry["misses"].as_int(), Some(1), "{}", stats.compact());
+        assert_eq!(registry["hits"].as_int(), Some(1), "{}", stats.compact());
         let tuner = obj["tuner"].as_object().unwrap();
         assert_eq!(tuner["requests"].as_int(), Some(2), "{}", stats.compact());
-        assert_eq!(
-            tuner["learned_hits"].as_int(),
-            Some(1),
-            "{}",
-            stats.compact()
-        );
 
-        winners.push(cold_winner);
+        answers.push((threads, first));
         handle.shutdown();
     }
-    assert!(
-        winners.windows(2).all(|w| w[0] == w[1]),
-        "the tuned winner must not depend on the worker-thread count"
-    );
+    let (_, first) = &answers[0];
+    for (threads, answer) in &answers[1..] {
+        assert_eq!(answer, first, "threads={threads} against threads=1");
+    }
 }
 
-/// Router affinity: autotune requests for one fingerprint always land
-/// on the same shard, so the warm hit finds the learned entry — and
-/// the fleet stats show exactly one shard holding it.
+/// Router affinity: both requests for one fingerprint land on the same
+/// shard, which holds the only registry entry and answers the repeat
+/// with the first answer's bytes.
 #[test]
 fn router_sends_resubmissions_to_the_shard_holding_the_learned_entry() {
     let shard_a = Server::start(ServerConfig::default()).expect("shard a");
@@ -107,49 +90,36 @@ fn router_sends_resubmissions_to_the_shard_holding_the_learned_entry() {
         ..RouterConfig::default()
     })
     .expect("router");
-    let mut client = Client::connect(router.addr()).expect("connect router");
 
     let scop = polytops_workloads::stencil_chain();
     let line = autotune_request_line("routed", &scop, 5, 64);
-    let (ok, learned, _, cold_winner) = unpack(&client.roundtrip(&line).unwrap());
-    assert!(ok && !learned);
-    let (ok, learned, explored, warm_winner) = unpack(&client.roundtrip(&line).unwrap());
-    assert!(ok, "the re-submission must route to a live shard");
-    assert!(
-        learned && explored == 0,
-        "consistent hashing must land the re-submission on the learned shard"
-    );
-    assert_eq!(warm_winner, cold_winner);
+    let first = ask(router.addr(), &line);
+    let repeat = ask(router.addr(), &line);
+    assert_explored(&first, 5);
+    assert_eq!(repeat, first, "the repeat must get the first answer's bytes");
 
-    // Exactly one shard holds the learned entry and served both
-    // requests.
-    let stats = client.roundtrip_json(r#"{"op":"stats"}"#).unwrap();
+    // Exactly one shard holds the entry, and it served both requests.
+    let stats = Client::connect(router.addr())
+        .expect("connect router")
+        .roundtrip_json(r#"{"op":"stats"}"#)
+        .expect("fleet stats");
     let shards = stats.as_object().unwrap()["shards"].as_array().unwrap();
-    let learned_counts: Vec<i64> = shards
-        .iter()
-        .map(|s| {
-            s.as_object().unwrap()["registry"].as_object().unwrap()["learned"]
-                .as_int()
-                .unwrap()
-        })
-        .collect();
-    let hit_counts: Vec<i64> = shards
-        .iter()
-        .map(|s| {
-            s.as_object().unwrap()["tuner"].as_object().unwrap()["learned_hits"]
-                .as_int()
-                .unwrap()
-        })
-        .collect();
-    assert_eq!(learned_counts.iter().sum::<i64>(), 1, "{}", stats.compact());
-    assert_eq!(hit_counts.iter().sum::<i64>(), 1, "{}", stats.compact());
-    let owner = learned_counts.iter().position(|&c| c == 1).unwrap();
-    assert_eq!(
-        hit_counts[owner], 1,
-        "the warm hit must have been served by the owning shard"
-    );
+    let field = |group: &str, key: &str| -> Vec<i64> {
+        shards
+            .iter()
+            .map(|s| s.as_object().unwrap()[group].as_object().unwrap()[key].as_int().unwrap())
+            .collect()
+    };
+    let entries = field("registry", "entries");
+    let hits = field("registry", "hits");
+    let requests = field("tuner", "requests");
+    assert_eq!(entries.iter().sum::<i64>(), 1, "{}", stats.compact());
+    let owner = entries.iter().position(|&c| c == 1).unwrap();
+    assert_eq!(hits[owner], 1, "{}", stats.compact());
+    assert_eq!(requests[owner], 2, "{}", stats.compact());
+    assert_eq!(requests.iter().sum::<i64>(), 2, "{}", stats.compact());
 
-    let ack = client.roundtrip(r#"{"op":"shutdown"}"#).unwrap();
+    let ack = ask(router.addr(), r#"{"op":"shutdown"}"#);
     assert!(ack.contains("shutting_down"), "{ack}");
     router.join();
     shard_a.join();
