@@ -13,6 +13,9 @@
 //! model score and oracle verdict. [`explore_entry`] does the same on
 //! a resident registry entry, sharing its dependence analysis and
 //! Farkas cones; no winner is remembered, so every call explores.
+//! [`pick`] is the scoring half on its own: the daemon schedules an
+//! autotune's candidates inside the batch the request joins and picks
+//! through it, so the offline tuner and the daemon pick alike.
 //!
 //! # Determinism
 //!
@@ -33,7 +36,7 @@ use crate::config::{PostProcess, SchedulerConfig};
 use crate::error::ScheduleError;
 use crate::presets;
 use crate::registry::ScopRegistry;
-use crate::scenario::{ScenarioReport, ScenarioSet};
+use crate::scenario::{ScenarioReport, ScenarioResult, ScenarioSet};
 
 /// How much exploration [`explore`] may spend.
 #[derive(Debug, Clone)]
@@ -231,22 +234,41 @@ pub fn explore_entry(
     machine: &MachineModel,
     budget: &TuneBudget,
 ) -> Result<TuneOutcome, ScheduleError> {
-    let scop = entry.scop();
-    let candidates = candidate_lattice(scop, machine, budget.max_candidates);
-    let deps = entry.deps();
+    let candidates = candidate_lattice(entry.scop(), machine, budget.max_candidates);
     let mut set = ScenarioSet::new();
     let id = set.add_resident_scop(std::sync::Arc::clone(entry));
     for c in &candidates {
         set.add_scenario(id, c.name.clone(), c.config.clone());
     }
     let results = set.run_sharded(budget.threads);
+    pick(entry, machine, budget.param_estimate, &candidates, &results)
+}
+
+/// The scoring half of [`explore_entry`]: scores each candidate's
+/// legal schedule under `machine` and picks the highest score, ties
+/// toward the earlier candidate, then certifies the winner. `results`
+/// holds one result per candidate, in lattice order, scheduled on
+/// `entry` by any scenario set (the daemon schedules an autotune's
+/// candidates inside the batch it joins).
+///
+/// # Errors
+///
+/// Same contract as [`explore`].
+pub fn pick(
+    entry: &crate::registry::ScopEntry,
+    machine: &MachineModel,
+    param_estimate: i64,
+    candidates: &[Candidate],
+    results: &[ScenarioResult],
+) -> Result<TuneOutcome, ScheduleError> {
+    let scop = entry.scop();
+    let deps = entry.deps();
     let mut best: Option<(usize, i64, ScheduleFeatures)> = None;
     let mut scored = Vec::with_capacity(results.len());
     for (i, result) in results.iter().enumerate() {
         match result {
             Ok(report) => {
-                let features =
-                    extract_features(scop, &report.schedule, &deps, budget.param_estimate);
+                let features = extract_features(scop, &report.schedule, &deps, param_estimate);
                 let score = model_score(machine, &features);
                 scored.push((candidates[i].name.clone(), Some(score)));
                 if best.as_ref().is_none_or(|&(_, b, _)| score > b) {
@@ -258,15 +280,14 @@ pub fn explore_entry(
     }
     let Some((idx, score, features)) = best else {
         return Err(results
-            .into_iter()
-            .find_map(Result::err)
+            .iter()
+            .find_map(|r| r.as_ref().err().cloned())
             .unwrap_or(ScheduleError::Config {
                 detail: "autotuner has no candidates".to_string(),
             }));
     };
     let winner = results[idx].as_ref().cloned().expect("best is Ok");
     let certified = Certifier::new(&deps).certifies(&winner.schedule);
-    let explored_scenarios = results.len();
     Ok(TuneOutcome {
         config: candidates[idx].config.clone(),
         winner,
@@ -274,7 +295,7 @@ pub fn explore_entry(
         features,
         certified,
         candidates: scored,
-        explored_scenarios,
+        explored_scenarios: results.len(),
     })
 }
 

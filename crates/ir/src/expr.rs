@@ -121,11 +121,6 @@ impl AffineExpr {
             && self.param_coeffs.iter().all(|&c| c == 0)
     }
 
-    /// Whether the expression ignores all iterators (constant + params only).
-    pub fn is_iter_free(&self) -> bool {
-        self.iter_coeffs.iter().all(|&c| c == 0)
-    }
-
     /// The row `[iter_coeffs, param_coeffs, constant]` used by constraint
     /// systems over the `(iters, params, 1)` column layout.
     pub fn to_row(&self) -> Vec<i64> {

@@ -30,19 +30,10 @@
 use std::cmp::Ordering;
 use std::fmt::Write as _;
 
+use polytops_math::floor_div;
+
 use crate::schedule::Schedule;
 use crate::scop::{Scop, StmtId};
-
-/// Floor division (rounds toward negative infinity; `div > 0`).
-pub fn div_floor(a: i64, b: i64) -> i64 {
-    debug_assert!(b > 0, "positive divisor");
-    let (q, r) = (a / b, a % b);
-    if r < 0 {
-        q - 1
-    } else {
-        q
-    }
-}
 
 /// One additive term of a band member: contributes `⌊row·x / div⌋` to
 /// the member's value (plain `row·x` when `div == 1`).
@@ -100,7 +91,7 @@ impl BandMember {
                 for (c, v) in row.iter().zip(iters.iter().chain(params)) {
                     acc += c * v;
                 }
-                div_floor(acc, t.div)
+                floor_div(acc, t.div)
             })
             .sum()
     }
@@ -200,7 +191,7 @@ impl PathStep {
                     for (c, v) in row.iter().zip(iters.iter().chain(params)) {
                         acc += c * v;
                     }
-                    div_floor(acc, *div)
+                    floor_div(acc, *div)
                 })
                 .sum(),
         }
@@ -702,9 +693,9 @@ mod tests {
 
     #[test]
     fn member_eval_floors_negative_values() {
-        assert_eq!(div_floor(7, 2), 3);
-        assert_eq!(div_floor(-7, 2), -4);
-        assert_eq!(div_floor(-8, 2), -4);
+        assert_eq!(floor_div(7, 2), 3);
+        assert_eq!(floor_div(-7, 2), -4);
+        assert_eq!(floor_div(-8, 2), -4);
         let m = BandMember {
             terms: vec![MemberTerm {
                 rows: vec![vec![1, 0, -3]], // i - 3 over (i, N, 1)

@@ -151,11 +151,6 @@ impl ConstraintSystem {
         self.num_vars += count;
     }
 
-    /// Appends `count` fresh unconstrained variables (before the constant).
-    pub fn append_vars(&mut self, count: usize) {
-        self.insert_vars(self.num_vars, count);
-    }
-
     /// Normalizes every row assuming **integer** variables: divides by the
     /// gcd of the coefficients (tightening inequality constants), removes
     /// duplicates and trivially-true rows, and detects equalities with no

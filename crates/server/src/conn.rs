@@ -4,11 +4,12 @@
 //! The reader frames `\n`-terminated lines of at most
 //! [`ServerConfig::max_line_bytes`](crate::ServerConfig::max_line_bytes)
 //! and handles each: `ping` and `shutdown` are answered at once, and a
-//! `schedule` or `autotune` line goes to its worker thread with the
-//! connection's reply sender. A request line is parsed here only as far
-//! as its JSON envelope (`protocol::parse_wire_request`): the SCoP text
-//! travels on unparsed, and the registry parses it on the worker thread
-//! only when it has not seen that text.
+//! `schedule` or `autotune` line goes through the bounded admission
+//! queue to the batcher with the connection's reply sender. A request
+//! line is parsed here only as far as its JSON envelope
+//! (`protocol::parse_wire_request`): the SCoP text travels on unparsed,
+//! and the registry parses it on the batcher only when it has not seen
+//! that text.
 //!
 //! The writer drains the connection's own reply queue, so the bytes of
 //! one response are never interleaved with another's. A `stats` or
@@ -31,7 +32,7 @@ use polytops_core::json::Json;
 use polytops_obs::SpanHandle;
 
 use crate::protocol::{self, Request};
-use crate::service::{Admitted, RequestTrace, Shared, TuneJob};
+use crate::service::{Admitted, RequestTrace, Shared, Work};
 
 /// How long the acceptor sleeps when no connection is waiting. The
 /// listener is nonblocking so that the acceptor can look at the
@@ -39,7 +40,7 @@ use crate::service::{Admitted, RequestTrace, Shared, TuneJob};
 const ACCEPT_POLL: Duration = Duration::from_micros(500);
 
 /// How long a graceful shutdown keeps flushing responses, once the
-/// workers are done, before it closes connections whose clients stopped
+/// batcher is done, before it closes connections whose clients stopped
 /// reading.
 const FLUSH_GRACE: Duration = Duration::from_secs(2);
 
@@ -56,7 +57,7 @@ pub(crate) enum Reply {
     Line(String),
     /// `stats` or `trace`, built when the writer reaches it.
     Later(fn(&Shared) -> String),
-    /// A worker's answer to a schedule or autotune request. The
+    /// The batcher's answer to a schedule or autotune request. The
     /// `drop_response` fault counts these daemon-wide.
     Response {
         line: String,
@@ -67,7 +68,7 @@ pub(crate) enum Reply {
 }
 
 impl Reply {
-    /// A worker's response; the "write" phase of a traced request starts
+    /// The batcher's response; the "write" phase of a traced request starts
     /// here, at the hand-off to the connection.
     pub(crate) fn response(line: String, root: Option<SpanHandle>) -> Reply {
         let trace = root.map(|root| {
@@ -163,16 +164,11 @@ impl Drop for Entry<'_> {
 /// It never accepts once a crash or shutdown has begun: connects wait in
 /// the backlog for the next daemon generation on the same listener
 /// ([`Server::start_on`](crate::Server::start_on)). A crash closes every
-/// connection unflushed. A graceful shutdown waits for the workers to
+/// connection unflushed. A graceful shutdown waits for the batcher to
 /// finish (meanwhile readers answer new schedule and autotune requests
 /// with "shutting down"), stops reading, lets each writer flush for at
 /// most [`FLUSH_GRACE`], then closes.
-pub(crate) fn accept_loop(
-    listener: &TcpListener,
-    shared: &Shared,
-    admit: &SyncSender<Admitted>,
-    tune: &Sender<TuneJob>,
-) {
+pub(crate) fn accept_loop(listener: &TcpListener, shared: &Shared, admit: &SyncSender<Admitted>) {
     let open = Open::default();
     std::thread::scope(|s| {
         while !shared.is_shutting_down() && !shared.is_crashed() {
@@ -197,12 +193,10 @@ pub(crate) fn accept_loop(
             // thread stack (2 MiB), which `json::MAX_DEPTH` was sized
             // for. A failed spawn drops the entry, closing the connection.
             let _ = std::thread::Builder::new()
-                .spawn_scoped(s, move || serve(&entry.stream, shared, admit, tune));
+                .spawn_scoped(s, move || serve(&entry.stream, shared, admit));
         }
         if !shared.is_crashed() {
-            while !(shared.batcher_done.load(Ordering::SeqCst)
-                && shared.tuner_done.load(Ordering::SeqCst))
-            {
+            while !shared.batcher_done.load(Ordering::SeqCst) {
                 std::thread::sleep(ACCEPT_POLL);
             }
             // Readers see EOF and leave; each writer drains its queue and
@@ -220,32 +214,26 @@ pub(crate) fn accept_loop(
 }
 
 /// Serves one connection: this thread reads, a scoped thread writes.
-fn serve(
-    stream: &TcpStream,
-    shared: &Shared,
-    admit: &SyncSender<Admitted>,
-    tune: &Sender<TuneJob>,
-) {
+fn serve(stream: &TcpStream, shared: &Shared, admit: &SyncSender<Admitted>) {
     let (reply, replies) = mpsc::channel();
     std::thread::scope(|s| {
         let writer = std::thread::Builder::new().spawn_scoped(s, || {
             write_loop(stream, replies, shared);
         });
         if writer.is_ok() {
-            read_loop(stream, reply, shared, admit, tune);
+            read_loop(stream, reply, shared, admit);
         }
     });
 }
 
 /// Reads and handles request lines until EOF, an error or an oversized
 /// line. Returning drops this connection's `reply` sender: the writer
-/// stops once the workers have answered what is still in flight.
+/// stops once the batcher has answered what is still in flight.
 fn read_loop(
     stream: &TcpStream,
     reply: Sender<Reply>,
     shared: &Shared,
     admit: &SyncSender<Admitted>,
-    tune: &Sender<TuneJob>,
 ) {
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
@@ -265,7 +253,7 @@ fn read_loop(
         }
         let text = String::from_utf8_lossy(&line);
         if !text.trim().is_empty() {
-            handle_line(shared, &text, started, &reply, admit, tune);
+            handle_line(shared, &text, started, &reply, admit);
         }
     }
 }
@@ -313,15 +301,14 @@ fn write_loop(stream: &TcpStream, replies: Receiver<Reply>, shared: &Shared) {
 }
 
 /// Handles one complete request line: immediate ops are queued to the
-/// writer; schedule and autotune go to their worker threads, which
-/// answer through `reply`.
+/// writer; schedule and autotune requests go to the batcher, which
+/// answers through `reply`.
 fn handle_line(
     shared: &Shared,
     line: &str,
     started: Instant,
     reply: &Sender<Reply>,
     admit: &SyncSender<Admitted>,
-    tune: &Sender<TuneJob>,
 ) {
     let answer = |line: String| {
         let _ = reply.send(Reply::Line(line));
@@ -330,56 +317,50 @@ fn handle_line(
         let _ = reply.send(Reply::Later(answer));
     };
     let shutting_down = |id: &Json| answer(protocol::error_response(id, "shutting down"));
-    match protocol::parse_wire_request(line) {
-        Err(e) => answer(protocol::error_response(&Json::Null, &e)),
-        Ok(Request::Ping) => answer(r#"{"ok":true,"pong":true}"#.to_string()),
-        Ok(Request::Stats) => later(Shared::stats_line),
-        Ok(Request::Trace) => later(Shared::trace_line),
+    let work = match protocol::parse_wire_request(line) {
+        Err(e) => return answer(protocol::error_response(&Json::Null, &e)),
+        Ok(Request::Ping) => return answer(r#"{"ok":true,"pong":true}"#.to_string()),
+        Ok(Request::Stats) => return later(Shared::stats_line),
+        Ok(Request::Trace) => return later(Shared::trace_line),
         Ok(Request::Shutdown) => {
             answer(r#"{"ok":true,"shutting_down":true}"#.to_string());
             shared.begin_shutdown();
+            return;
         }
-        Ok(Request::Autotune(req)) => {
-            if shared.is_shutting_down() {
-                shutting_down(&req.id);
-            } else if let Err(e) = tune.send(TuneJob {
-                req: *req,
-                reply: reply.clone(),
-            }) {
-                shutting_down(&e.0.req.id);
-            }
+        Ok(Request::Schedule(req)) => Work::Schedule(*req),
+        Ok(Request::Autotune(req)) => Work::Autotune(*req),
+    };
+    if shared.is_shutting_down() {
+        return shutting_down(work.id());
+    }
+    // Open a schedule request's lifecycle spans: the "read" phase ran
+    // from the first byte's arrival to now; "admission" stays open
+    // until the batcher takes the request. The root adopts the
+    // envelope's trace id when the router stamped one. Autotunes run
+    // untraced.
+    let recorder = &shared.obs.recorder;
+    let trace = match &work {
+        Work::Schedule(req) if recorder.spans_enabled() => {
+            let start_ns = recorder.ns_of(started);
+            let root = recorder.root_span_at("request", req.trace, start_ns);
+            root.child_at("read", start_ns).finish();
+            let admission = root.child("admission");
+            Some(RequestTrace {
+                root,
+                admission: Some(admission),
+            })
         }
-        Ok(Request::Schedule(req)) => {
-            if shared.is_shutting_down() {
-                shutting_down(&req.id);
-                return;
-            }
-            // Open the request's lifecycle spans: the "read" phase ran
-            // from the first byte's arrival to now; "admission" stays
-            // open until the batcher takes the request. The root adopts
-            // the envelope's trace id when the router stamped one.
-            let recorder = &shared.obs.recorder;
-            let trace = recorder.spans_enabled().then(|| {
-                let start_ns = recorder.ns_of(started);
-                let root = recorder.root_span_at("request", req.trace, start_ns);
-                root.child_at("read", start_ns).finish();
-                let admission = root.child("admission");
-                RequestTrace {
-                    root,
-                    admission: Some(admission),
-                }
-            });
-            // The admission channel is bounded: a full one blocks this
-            // connection's reader only, so a flood slows its own intake
-            // instead of growing memory.
-            if let Err(e) = admit.send(Admitted {
-                req: *req,
-                reply: reply.clone(),
-                trace,
-            }) {
-                shutting_down(&e.0.req.id);
-            }
-        }
+        _ => None,
+    };
+    // The admission channel is bounded: a full one blocks this
+    // connection's reader only, so a flood slows its own intake instead
+    // of growing memory.
+    if let Err(e) = admit.send(Admitted {
+        work,
+        reply: reply.clone(),
+        trace,
+    }) {
+        shutting_down(e.0.work.id());
     }
 }
 

@@ -21,7 +21,11 @@
 //!   thread itself), so requests from different clients share analyses
 //!   and caches within the batch exactly like scenarios of one offline
 //!   sweep, and an idle daemon dispatches a lone request at once.
-//!   [`ServerConfig::window_ms`] is an opt-in extra hold.
+//!   [`ServerConfig::window_ms`] is an opt-in extra hold. An `autotune`
+//!   request is a batch member too: its candidate lattice joins the
+//!   batch's set as untraced scenarios, and
+//!   [`tune::pick`](polytops_core::tune::pick) answers it, so
+//!   [`ServerConfig::threads`] bounds every engine thread.
 //! * **Cross-request persistence** — every SCoP is resolved through a
 //!   [`ScopRegistry`](polytops_core::registry::ScopRegistry):
 //!   fingerprinted, deduped across clients, and kept resident (exact

@@ -89,7 +89,7 @@ struct PersistState {
 /// The daemon's persistence engine: owns the snapshot directory and
 /// the journal handle, and appends the events the daemon hands it. One
 /// per daemon; all methods are `&self` (internally locked) so the
-/// batcher, the tuner and the shutdown path can share it.
+/// batcher and the shutdown path can share it.
 pub struct Persister {
     dir: PathBuf,
     /// Rotate once the current journal holds this many events.

@@ -140,8 +140,8 @@ pub enum Request<S = ScheduleRequest, A = AutotuneRequest> {
     /// Schedule a SCoP under one or more configurations (batched).
     Schedule(Box<S>),
     /// Explore the machine-derived configuration lattice for a SCoP and
-    /// return the cost model's pick (runs on the engine pool,
-    /// independent of the admission window).
+    /// return the cost model's pick (batched like a schedule request:
+    /// the candidates are scenarios of the batch it joins).
     Autotune(Box<A>),
     /// Report registry and service counters (immediate).
     Stats,
@@ -298,8 +298,9 @@ fn parse_autotune(mut obj: BTreeMap<String, Json>) -> Result<WireAutotune, Strin
                 "cache_bytes" => {
                     // Bounded at 1 TiB: `square_tile_edge` walks the
                     // edge linearly (O(√capacity)), so an absurd
-                    // capacity would stall the reader thread while it
-                    // holds the daemon-wide autotune slot.
+                    // capacity would stall the batcher, and every
+                    // request queued behind it, while it builds the
+                    // candidate lattice.
                     machine.cache_bytes = u64::try_from(v)
                         .ok()
                         .filter(|&b| b <= 1 << 40)

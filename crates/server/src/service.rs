@@ -1,6 +1,6 @@
 //! The daemon: an acceptor with a reader and a writer thread per
-//! connection, the batcher, a dedicated tuner worker, optional registry
-//! persistence, and graceful shutdown.
+//! connection, the batcher, optional registry persistence, and graceful
+//! shutdown.
 //!
 //! Thread shape (see `docs/ARCHITECTURE.md` for the request lifecycle):
 //!
@@ -11,16 +11,17 @@
 //!      │  parse line → WireRequest (SCoP still text)
 //!      │  ping/shutdown/errors ──► the connection's reply queue
 //!      │  stats/trace ──► reply queue, answered when the writer reaches them
-//!      │  schedule ──► bounded admission channel ──► batcher thread
-//!      │  autotune ──► unbounded tune channel ─────► tuner thread
+//!      │  schedule/autotune ──► bounded admission channel ──► batcher thread
 //!      ▼
 //! batcher thread: takes the first request, drains what queued while
 //! the previous batch ran (up to max_batch) → one ScenarioSet (SCoP
 //! texts resolved through the ScopRegistry, which parses a text only
-//! when no resident entry remembers it) → run_sharded(threads), on the
+//! when no resident entry remembers it; an autotune adds its candidate
+//! lattice as untraced scenarios) → run_sharded(threads), on the
 //! batcher itself when the batch is one scenario → per-request response
-//! lines, sent to each request's reply queue once the persister has
-//! journaled the SCoPs the batch admitted
+//! lines (an autotune's is the model's pick among its candidates), sent
+//! to each request's reply queue once the persister has journaled the
+//! SCoPs the batch admitted
 //!      ▼
 //! writer thread (one per connection): drains its reply queue in order
 //! ```
@@ -30,6 +31,7 @@
 //! connection is two blocked threads and costs no CPU.
 
 use std::net::{SocketAddr, TcpListener};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -39,6 +41,7 @@ use std::time::{Duration, Instant};
 use polytops_core::json::Json;
 use polytops_core::registry::{ScopEntry, ScopRegistry};
 use polytops_core::scenario::{ScenarioResult, ScenarioSet};
+use polytops_core::tune::{self, Candidate};
 use polytops_ir::ParseScopError;
 
 use crate::conn::{accept_loop, Reply};
@@ -92,7 +95,8 @@ pub struct ServerConfig {
     pub window_ms: u64,
     /// Maximum requests per batch (a full batch runs without waiting).
     pub max_batch: usize,
-    /// Worker threads for the scenario engine's work-stealing pool.
+    /// Worker threads for the scenario engine's work-stealing pool,
+    /// which runs every batch: schedule and autotune requests alike.
     pub threads: usize,
     /// LRU bound of the SCoP registry (resident SCoPs).
     pub registry_capacity: usize,
@@ -153,7 +157,7 @@ pub(crate) struct ServerObs {
     /// indexes (`Counter::inc` returns the new value, preserving the
     /// 1-based ordinal the fault plan scripts against).
     pub(crate) responses: Arc<polytops_obs::Counter>,
-    /// Autotune requests served by the tuner worker (`tuner.requests`).
+    /// Autotune requests whose SCoP resolved (`tuner.requests`).
     pub(crate) tune_requests: Arc<polytops_obs::Counter>,
     /// Trace id of the most recent fully-written schedule response —
     /// what the `trace` op returns.
@@ -185,9 +189,8 @@ pub(crate) struct Shared {
     pub(crate) shutting_down: AtomicBool,
     /// Crash (fault injection): drop everything on the floor, exit.
     pub(crate) crashed: AtomicBool,
-    /// Worker liveness, so the acceptor knows when the drain is over.
+    /// Batcher liveness, so the acceptor knows when the drain is over.
     pub(crate) batcher_done: AtomicBool,
-    pub(crate) tuner_done: AtomicBool,
     /// Telemetry: spans, counters, histograms.
     pub(crate) obs: ServerObs,
 }
@@ -245,32 +248,44 @@ pub(crate) struct RequestTrace {
     pub(crate) admission: Option<polytops_obs::SpanHandle>,
 }
 
-/// One admitted schedule request awaiting its batch.
-pub(crate) struct Admitted {
-    pub(crate) req: WireSchedule,
-    /// Its connection's reply queue.
-    pub(crate) reply: Sender<Reply>,
-    /// Lifecycle spans, when tracing is enabled.
-    pub(crate) trace: Option<RequestTrace>,
+/// What an admitted request asks of its batch.
+pub(crate) enum Work {
+    /// Schedule the SCoP under the request's configurations.
+    Schedule(WireSchedule),
+    /// Schedule the SCoP under its candidate lattice and answer with
+    /// the model's pick.
+    Autotune(WireAutotune),
 }
 
-/// One autotune request on its way to the tuner worker.
-pub(crate) struct TuneJob {
-    pub(crate) req: WireAutotune,
+impl Work {
+    /// The request id its response echoes.
+    pub(crate) fn id(&self) -> &Json {
+        match self {
+            Work::Schedule(req) => &req.id,
+            Work::Autotune(req) => &req.id,
+        }
+    }
+}
+
+/// One admitted request awaiting its batch.
+pub(crate) struct Admitted {
+    pub(crate) work: Work,
     /// Its connection's reply queue.
     pub(crate) reply: Sender<Reply>,
+    /// Lifecycle spans of a schedule request, when tracing is enabled;
+    /// autotunes run untraced.
+    pub(crate) trace: Option<RequestTrace>,
 }
 
 /// The daemon entry point.
 pub struct Server;
 
-/// A running daemon: its bound address plus the acceptor, batcher and
-/// tuner threads to join.
+/// A running daemon: its bound address plus the acceptor and batcher
+/// threads to join.
 pub struct ServerHandle {
     shared: Arc<Shared>,
     acceptor: JoinHandle<()>,
     batcher: JoinHandle<()>,
-    tuner: JoinHandle<()>,
 }
 
 impl Server {
@@ -324,33 +339,25 @@ impl Server {
             shutting_down: AtomicBool::new(false),
             crashed: AtomicBool::new(false),
             batcher_done: AtomicBool::new(false),
-            tuner_done: AtomicBool::new(false),
             obs,
         });
         // Admission is bounded so a flood applies backpressure to the
-        // reader that sends it. Tune jobs are unbounded (their volume is
-        // bounded by admitted work), and so are reply queues, which the
-        // batcher must never block on: one grows only with its own
+        // reader that sends it. Reply queues are unbounded: the batcher
+        // must never block on one, and one grows only with its own
         // client's unread answers.
         let (admit_tx, admit_rx) = mpsc::sync_channel::<Admitted>(1024);
-        let (tune_tx, tune_rx) = mpsc::channel::<TuneJob>();
         let batcher = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || batch_loop(&shared, &admit_rx))
         };
-        let tuner = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || tune_loop(&shared, &tune_rx))
-        };
         let acceptor = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared, &admit_tx, &tune_tx))
+            std::thread::spawn(move || accept_loop(&listener, &shared, &admit_tx))
         };
         Ok(ServerHandle {
             shared,
             acceptor,
             batcher,
-            tuner,
         })
     }
 }
@@ -390,7 +397,6 @@ impl ServerHandle {
     pub fn join(self) {
         let _ = self.acceptor.join();
         let _ = self.batcher.join();
-        let _ = self.tuner.join();
     }
 }
 
@@ -409,62 +415,6 @@ fn crash(shared: &Shared) {
         }
     }
     shared.crashed.store(true, Ordering::SeqCst);
-}
-
-/// The tuner worker: autotune explorations run here, one at a time, so
-/// the daemon's parallelism stays bounded by one batch pool plus one
-/// tuner pool no matter how many clients tune concurrently.
-fn tune_loop(shared: &Arc<Shared>, rx: &Receiver<TuneJob>) {
-    loop {
-        let job = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(job) => job,
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.is_shutting_down() || shared.is_crashed() {
-                    break;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        if shared.is_crashed() {
-            break;
-        }
-        let req = job.req;
-        shared.obs.requests.inc();
-        shared.obs.batches.inc();
-        let budget = polytops_core::tune::TuneBudget {
-            max_candidates: req.max_candidates,
-            threads: shared.config.threads,
-            param_estimate: req.param_estimate,
-        };
-        // Repeated tuning of a known SCoP rides the same registry
-        // residency as the schedule op: the entry's dependence analysis
-        // and Farkas caches persist across autotune requests/clients.
-        let (entry, hit) = match shared.registry.resolve_text(None, &req.scop) {
-            Ok(resolved) => resolved,
-            Err(e) => {
-                let line = protocol::error_response(&Json::Null, &e.to_string());
-                let _ = job.reply.send(Reply::response(line, None));
-                continue;
-            }
-        };
-        // An admission is journaled before the exploration, so before
-        // the response is queued.
-        if let (Some(persist), false) = (&shared.persist, hit) {
-            persist.admitted(&shared.registry, std::slice::from_ref(&entry));
-        }
-        shared.obs.tune_requests.inc();
-        let line = match polytops_core::tune::explore_entry(&entry, &req.machine, &budget) {
-            Ok(outcome) if outcome.certified => protocol::autotune_response(&req.id, &outcome),
-            Ok(_) => protocol::error_response(
-                &req.id,
-                "internal error: tuned schedule failed oracle certification",
-            ),
-            Err(e) => protocol::error_response(&req.id, &e.to_string()),
-        };
-        let _ = job.reply.send(Reply::response(line, None));
-    }
-    shared.tuner_done.store(true, Ordering::SeqCst);
 }
 
 fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>) {
@@ -547,7 +497,9 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>) {
 /// and collecting, in order, the entries the registry admitted on a
 /// miss (the persistence journal's `admit` events). A request whose
 /// SCoP text does not parse gets the parse error, with a `null` id, in
-/// its place among the batch's responses.
+/// its place among the batch's responses. An autotune's candidates are
+/// scenarios of the set like any schedule request's, untraced; its
+/// answer is [`tune::pick`] over their results.
 fn process_group(
     shared: &Arc<Shared>,
     group: Vec<Admitted>,
@@ -560,7 +512,9 @@ fn process_group(
         /// text's parse error.
         resolved: Result<(Arc<ScopEntry>, bool), ParseScopError>,
         /// Scenario indices of this request inside the shared set.
-        scenarios: Vec<usize>,
+        scenarios: Range<usize>,
+        /// An autotune's candidate lattice, one per scenario.
+        candidates: Vec<Candidate>,
         /// The open "solve" span covering this request's share of the
         /// batch execution; finished right after `run_sharded` returns.
         solve: Option<polytops_obs::SpanHandle>,
@@ -577,9 +531,10 @@ fn process_group(
             .trace
             .as_ref()
             .map(|trace| trace.root.child("resolve"));
-        let resolved = shared
-            .registry
-            .resolve_text(admitted.req.name.as_deref(), &admitted.req.scop);
+        let resolved = match &admitted.work {
+            Work::Schedule(req) => shared.registry.resolve_text(req.name.as_deref(), &req.scop),
+            Work::Autotune(req) => shared.registry.resolve_text(None, &req.scop),
+        };
         if let Some(resolve) = resolve {
             resolve.finish();
         }
@@ -594,7 +549,8 @@ fn process_group(
                 slots.push(Slot {
                     admitted,
                     resolved,
-                    scenarios: Vec::new(),
+                    scenarios: 0..0,
+                    candidates: Vec::new(),
                     solve: None,
                 });
                 continue;
@@ -618,26 +574,36 @@ fn process_group(
             .as_ref()
             .map(|trace| trace.root.child("solve"));
         let link = solve.as_ref().and_then(polytops_obs::SpanHandle::link);
-        let scenarios = admitted
-            .req
-            .scenarios
-            .iter()
-            .map(|spec| {
-                let options = polytops_core::EngineOptions {
-                    trace: link.clone(),
-                };
-                set.add_scenario_with_options(
-                    scop_idx,
-                    spec.name.clone(),
-                    spec.config.clone(),
-                    options,
-                )
-            })
-            .collect();
+        let first = set.len();
+        let mut candidates = Vec::new();
+        match &admitted.work {
+            Work::Schedule(req) => {
+                for spec in &req.scenarios {
+                    let options = polytops_core::EngineOptions {
+                        trace: link.clone(),
+                    };
+                    set.add_scenario_with_options(
+                        scop_idx,
+                        spec.name.clone(),
+                        spec.config.clone(),
+                        options,
+                    );
+                }
+            }
+            Work::Autotune(req) => {
+                shared.obs.tune_requests.inc();
+                candidates =
+                    tune::candidate_lattice(entry.scop(), &req.machine, req.max_candidates);
+                for candidate in &candidates {
+                    set.add_scenario(scop_idx, candidate.name.clone(), candidate.config.clone());
+                }
+            }
+        }
         slots.push(Slot {
             admitted,
             resolved,
-            scenarios,
+            scenarios: first..set.len(),
+            candidates,
             solve,
         });
     }
@@ -658,11 +624,13 @@ fn process_group(
             .trace
             .as_ref()
             .map(|trace| trace.root.child("serialize"));
-        let line = match &slot.resolved {
-            Ok((entry, hit)) => {
-                schedule_line(&slot.admitted.req, &slot.scenarios, &results, entry, *hit)
+        let results = &results[slot.scenarios];
+        let line = match (&slot.resolved, &slot.admitted.work) {
+            (Err(e), _) => protocol::error_response(&Json::Null, &e.to_string()),
+            (Ok((entry, hit)), Work::Schedule(req)) => schedule_line(req, results, entry, *hit),
+            (Ok((entry, _)), Work::Autotune(req)) => {
+                autotune_line(req, &slot.candidates, results, entry)
             }
-            Err(e) => protocol::error_response(&Json::Null, &e.to_string()),
         };
         if let Some(serialize) = serialize {
             serialize.finish();
@@ -676,7 +644,6 @@ fn process_group(
 /// each certified by the oracle, or an error if any answer fails it.
 fn schedule_line(
     req: &WireSchedule,
-    scenarios: &[usize],
     results: &[ScenarioResult],
     entry: &ScopEntry,
     hit: bool,
@@ -685,9 +652,8 @@ fn schedule_line(
     let reports: Vec<_> = req
         .scenarios
         .iter()
-        .zip(scenarios)
-        .map(|(spec, &idx)| {
-            let result = &results[idx];
+        .zip(results)
+        .map(|(spec, result)| {
             let certified = match result {
                 Ok(report) => protocol::certify(&deps, report),
                 Err(_) => false,
@@ -726,4 +692,22 @@ fn schedule_line(
         hit,
         entry.fingerprint(),
     )
+}
+
+/// The response line of one autotune request: the model's certified
+/// pick among its candidates' results, or an error.
+fn autotune_line(
+    req: &WireAutotune,
+    candidates: &[Candidate],
+    results: &[ScenarioResult],
+    entry: &ScopEntry,
+) -> String {
+    match tune::pick(entry, &req.machine, req.param_estimate, candidates, results) {
+        Ok(outcome) if outcome.certified => protocol::autotune_response(&req.id, &outcome),
+        Ok(_) => protocol::error_response(
+            &req.id,
+            "internal error: tuned schedule failed oracle certification",
+        ),
+        Err(e) => protocol::error_response(&req.id, &e.to_string()),
+    }
 }

@@ -96,7 +96,10 @@ fn router_sends_resubmissions_to_the_shard_holding_the_learned_entry() {
     let first = ask(router.addr(), &line);
     let repeat = ask(router.addr(), &line);
     assert_explored(&first, 5);
-    assert_eq!(repeat, first, "the repeat must get the first answer's bytes");
+    assert_eq!(
+        repeat, first,
+        "the repeat must get the first answer's bytes"
+    );
 
     // Exactly one shard holds the entry, and it served both requests.
     let stats = Client::connect(router.addr())
@@ -107,7 +110,11 @@ fn router_sends_resubmissions_to_the_shard_holding_the_learned_entry() {
     let field = |group: &str, key: &str| -> Vec<i64> {
         shards
             .iter()
-            .map(|s| s.as_object().unwrap()[group].as_object().unwrap()[key].as_int().unwrap())
+            .map(|s| {
+                s.as_object().unwrap()[group].as_object().unwrap()[key]
+                    .as_int()
+                    .unwrap()
+            })
             .collect()
     };
     let entries = field("registry", "entries");

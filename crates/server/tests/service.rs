@@ -555,6 +555,89 @@ fn autotune_op_returns_a_certified_deterministic_winner() {
     handle.shutdown();
 }
 
+/// Schedule and autotune requests pipelined on one connection share
+/// batches: each schedule answer equals the offline engine's, and each
+/// autotune answer equals the in-process tuner's and a lone request's
+/// on a fresh daemon. The 2-thread daemon runs untraced, so there the
+/// schedule scenarios share solve groups with the candidates.
+#[test]
+fn schedule_and_autotune_requests_share_batches() {
+    use polytops_core::tune::{self, MachineModel, TuneBudget};
+    use polytops_workloads::requests::autotune_request_line;
+
+    let (max_candidates, param_estimate) = (6, 64);
+    let kernels = [
+        ("jacobi_1d", jacobi_1d()),
+        ("stencil_chain", stencil_chain()),
+    ];
+    for (threads, trace) in [(1, true), (2, false), (4, true)] {
+        let config = ServerConfig {
+            threads,
+            trace,
+            ..local_config()
+        };
+        let budget = TuneBudget {
+            max_candidates,
+            threads,
+            param_estimate,
+        };
+        // (schedule line, its offline results, autotune line, the
+        // in-process tuner's answer to it)
+        let pairs: Vec<_> = kernels
+            .iter()
+            .map(|(kernel, scop)| {
+                let schedule = request_line(kernel, kernel, scop, &["pluto", "wavefront"]);
+                let Request::Schedule(req) = protocol::parse_request(&schedule).unwrap() else {
+                    panic!("a schedule line");
+                };
+                let id = format!("tune/{kernel}");
+                let autotune = autotune_request_line(&id, scop, max_candidates, param_estimate);
+                let outcome = tune::explore(scop, &MachineModel::default(), &budget).unwrap();
+                let tuned = protocol::autotune_response(&Json::Str(id), &outcome);
+                (
+                    schedule,
+                    protocol::offline_results(&req).compact(),
+                    autotune,
+                    tuned,
+                )
+            })
+            .collect();
+
+        let handle = start(config.clone());
+        let mut client = Client::connect(handle.addr()).unwrap();
+        for (schedule, _, autotune, _) in &pairs {
+            client.send_line(schedule).unwrap();
+            client.send_line(autotune).unwrap();
+        }
+        let answers: Vec<String> = (0..2 * pairs.len())
+            .map(|_| client.recv_line().unwrap())
+            .collect();
+        let stats = client.stats().unwrap();
+        handle.shutdown();
+
+        for ((schedule, want, autotune, tuned), answer) in pairs.iter().zip(answers.chunks(2)) {
+            let (ok, _, got) = unpack(&answer[0]);
+            assert!(ok, "threads={threads}: {}", answer[0]);
+            assert_eq!(&got, want, "threads={threads}: {schedule}");
+            assert_eq!(&answer[1], tuned, "threads={threads}: in-process tuner");
+            let lone = start(config.clone());
+            let alone = Client::connect(lone.addr())
+                .unwrap()
+                .roundtrip(autotune)
+                .unwrap();
+            lone.shutdown();
+            assert_eq!(answer[1], alone, "threads={threads}: lone request");
+        }
+        let obj = stats.as_object().unwrap();
+        let registry = obj["registry"].as_object().unwrap();
+        assert_eq!(registry["misses"].as_int(), Some(2), "{}", stats.compact());
+        assert_eq!(registry["entries"].as_int(), Some(2), "{}", stats.compact());
+        let tuner = obj["tuner"].as_object().unwrap();
+        assert_eq!(tuner["requests"].as_int(), Some(2), "{}", stats.compact());
+        assert_eq!(obj["requests"].as_int(), Some(4), "{}", stats.compact());
+    }
+}
+
 #[test]
 fn shutdown_op_stops_the_daemon() {
     let handle = start(local_config());
