@@ -14,10 +14,10 @@
 //! * [`constraints`] — the custom-constraint mini-language (§III-A2);
 //! * [`pipeline`] — the staged driver (legality → objectives → solve →
 //!   postprocess), with its cached Farkas cones and one lexmin per dimension;
-//! * [`scenario`] — the scenario engine: N (SCoP × config) jobs sharing
-//!   one `Arc`-wrapped Farkas cache per SCoP and executing on a
-//!   work-stealing thread pool (the paper's per-scenario
-//!   reconfiguration loop);
+//! * [`scenario`] — the scenario engine: N (SCoP × config) jobs over
+//!   SCoP slots, each a [`ScopEntry`] whose one Farkas cache its jobs
+//!   share, executing on a work-stealing thread pool (the paper's
+//!   per-scenario reconfiguration loop);
 //! * [`registry`] — the cross-request persistence layer of the
 //!   `polytopsd` service: SCoPs deduped by canonical fingerprint, their
 //!   dependence analyses and Farkas caches kept resident under an LRU

@@ -14,8 +14,8 @@
 //! [`IlpSpace`] into it, which is a few multiplications per row — per
 //! row the cone keeps, which is why it keeps none it does not need.
 //!
-//! The cache is `Send + Sync` (cones behind [`OnceLock`], counters
-//! atomic), so the scenario engine ([`crate::scenario`]) shares one per
+//! The cache is `Send + Sync` (cones behind [`OnceLock`]), so the
+//! scenario engine ([`crate::scenario`]) shares one per
 //! SCoP among all its scenarios whatever their configuration, and a
 //! registry entry keeps one resident across
 //! requests. Cones are keyed by polyhedron: dependences that
@@ -26,15 +26,14 @@
 //! validity and one proximity template, so
 //! [`CacheSession::extend_classes`] replays such a class once.
 //!
-//! Two counter sets exist: the cache's own atomic totals (aggregated
-//! over every run that ever shared it) and the per-run [`CacheSession`]
-//! counters that feed [`PipelineStats`](crate::pipeline::PipelineStats)
-//! exactly even when other threads use the same cache concurrently. A
-//! hit is a lookup that found its cone resident, a miss one that
-//! eliminated it.
+//! The cache counts nothing. Each run looks up through its own
+//! [`CacheSession`], whose counters feed
+//! [`PipelineStats`](crate::pipeline::PipelineStats) exactly even when
+//! other threads use the same cache concurrently; a total over runs is
+//! the sum of their sessions. A hit is a lookup that found its cone
+//! resident, a miss one that eliminated it.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use polytops_deps::{polyhedron_classes, Dependence};
@@ -52,8 +51,6 @@ pub struct FarkasCache {
     /// Per dependence, its polyhedron's slot in `cones`.
     slot: Vec<usize>,
     cones: Vec<OnceLock<ConstraintSystem>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
 }
 
 impl FarkasCache {
@@ -69,29 +66,7 @@ impl FarkasCache {
                 slot.push(slot[first]);
             }
         }
-        FarkasCache {
-            slot,
-            cones,
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of dependences the cache was sized for.
-    pub fn num_deps(&self) -> usize {
-        self.slot.len()
-    }
-
-    /// Total lookups that found their cone resident, across every run
-    /// (and thread) that shared the cache.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Total lookups that eliminated a cone, across every run (and
-    /// thread) that shared the cache.
-    pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
+        FarkasCache { slot, cones }
     }
 
     /// The cone of dependence `e`'s polyhedron, eliminated on first use,
@@ -100,66 +75,38 @@ impl FarkasCache {
     fn cone(&self, e: usize, dep: &Dependence) -> Result<(&ConstraintSystem, bool), ScheduleError> {
         let slot = &self.cones[self.slot[e]];
         let hit = slot.get().is_some();
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
+        if !hit {
             let _timing = polytops_obs::time("farkas.eliminate_ns");
             let cone = farkas_cone(dep.poly())?;
             polytops_obs::count("farkas.cone_rows", cone.len() as u64);
             let _ = slot.set(cone);
-            self.misses.fetch_add(1, Ordering::Relaxed);
         }
         Ok((slot.get().expect("filled above"), hit))
-    }
-
-    /// Appends the `kind` constraints of dependence `e` over `space` to
-    /// `out`. Returns whether its polyhedron's cone was resident.
-    ///
-    /// # Errors
-    ///
-    /// Propagates arithmetic overflow from the elimination or the
-    /// substitution.
-    pub fn extend(
-        &self,
-        kind: DepConstraint,
-        e: usize,
-        dep: &Dependence,
-        space: &IlpSpace,
-        out: &mut ConstraintSystem,
-    ) -> Result<bool, ScheduleError> {
-        let (cone, hit) = self.cone(e, dep)?;
-        let _timing = polytops_obs::time("farkas.replay_ns");
-        let template = kind.template(dep, e, space);
-        out.extend(&farkas_substitute(cone, &template, space.total())?);
-        Ok(hit)
     }
 
     /// Eliminates the cone of every polyhedron of `deps` (the
     /// dependences the cache was made for) that is not resident yet, so
     /// that no later lookup misses (the restore path's "serve warm"
-    /// guarantee).
+    /// guarantee). Returns how many cones it eliminated.
     ///
     /// # Errors
     ///
     /// Propagates arithmetic overflow from an elimination.
-    pub fn prewarm(&self, deps: &[Dependence]) -> Result<(), ScheduleError> {
+    pub fn prewarm(&self, deps: &[Dependence]) -> Result<usize, ScheduleError> {
+        let mut eliminated = 0;
         for (e, dep) in deps.iter().enumerate() {
-            if self.cones[self.slot[e]].get().is_none() {
-                self.cone(e, dep)?;
-            }
+            eliminated += usize::from(!self.cone(e, dep)?.1);
         }
-        Ok(())
+        Ok(eliminated)
     }
 }
 
 /// One run's view of a (possibly [`Arc`]-shared) [`FarkasCache`].
 ///
-/// The cache's own counters aggregate over every run that shares it —
-/// concurrent scenarios would otherwise pollute each other's
-/// [`PipelineStats`](crate::pipeline::PipelineStats). A session wraps
-/// the shared cache with thread-local hit/miss counters so each engine
-/// run reports exactly the lookups *it* performed, while cones (and the
-/// global totals) remain shared.
+/// A session wraps the shared cache with its own hit/miss counters, so
+/// each engine run reports exactly the lookups *it* performed — even
+/// while concurrent scenarios look up in the same cache — and the cones
+/// remain shared.
 #[derive(Debug)]
 pub struct CacheSession {
     cache: Arc<FarkasCache>,
@@ -189,7 +136,10 @@ impl CacheSession {
         self.misses.get()
     }
 
-    /// Session-counted [`FarkasCache::extend`].
+    /// Appends the `kind` constraints of dependence `e` over `space` to
+    /// `out`, counting a hit when its polyhedron's cone was resident and
+    /// a miss when it was eliminated here: the one lookup path of the
+    /// cache.
     ///
     /// # Errors
     ///
@@ -203,16 +153,16 @@ impl CacheSession {
         space: &IlpSpace,
         out: &mut ConstraintSystem,
     ) -> Result<(), ScheduleError> {
-        let counter = if self.cache.extend(kind, e, dep, space, out)? {
-            &self.hits
-        } else {
-            &self.misses
-        };
+        let (cone, hit) = self.cache.cone(e, dep)?;
+        let _timing = polytops_obs::time("farkas.replay_ns");
+        let template = kind.template(dep, e, space);
+        out.extend(&farkas_substitute(cone, &template, space.total())?);
+        let counter = if hit { &self.hits } else { &self.misses };
         counter.set(counter.get() + 1);
         Ok(())
     }
 
-    /// Session-counted [`FarkasCache::extend`] of each dependence
+    /// [`extend`](CacheSession::extend) of each dependence
     /// `deps[e]`, `e` in `ids`, once per (source, target, polyhedron): a
     /// repeat has the first one's cone and, for a `kind` other than
     /// Feautrier (whose template writes the dependence's own `x_e`
@@ -251,13 +201,18 @@ mod tests {
     use polytops_workloads::all_kernels;
     use polytops_workloads::stencil_chain as chain;
     use polytops_workloads::synthetic::{long_chain, offset_chain};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn validity(cache: &FarkasCache, dep: &Dependence, space: &IlpSpace) -> ConstraintSystem {
+    fn validity(session: &CacheSession, dep: &Dependence, space: &IlpSpace) -> ConstraintSystem {
         let mut out = ConstraintSystem::new(space.total());
-        cache
+        session
             .extend(DepConstraint::Validity, 0, dep, space, &mut out)
             .unwrap();
         out
+    }
+
+    fn session(deps: &[Dependence]) -> CacheSession {
+        CacheSession::new(Arc::new(FarkasCache::new(deps)))
     }
 
     #[test]
@@ -265,7 +220,7 @@ mod tests {
         let scop = chain();
         let deps = analyze(&scop);
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
-        let cache = FarkasCache::new(&deps);
+        let cache = session(&deps);
 
         let first = validity(&cache, &deps[0], &space);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
@@ -290,15 +245,16 @@ mod tests {
         assert_eq!((first.hits(), first.misses()), (0, 1));
 
         // A second session finds the first session's cone — under
-        // another constraint kind too: a hit locally, and the global
-        // totals see both lookups.
+        // another constraint kind too: a hit locally, and the sum over
+        // sessions sees both lookups.
         let second = CacheSession::new(Arc::clone(&cache));
         let mut out = ConstraintSystem::new(space.total());
         second
             .extend(DepConstraint::Proximity, 0, &deps[0], &space, &mut out)
             .unwrap();
         assert_eq!((second.hits(), second.misses()), (1, 0));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        let hits = first.hits() + second.hits();
+        assert_eq!((hits, first.misses() + second.misses()), (1, 1));
     }
 
     #[test]
@@ -308,16 +264,14 @@ mod tests {
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
         let wide = IlpSpace::new(&scop, vec!["x".into()], deps.len(), true, true);
         assert_ne!(space.total(), wide.total());
-        let cache = FarkasCache::new(&deps);
+        let cache = session(&deps);
 
         let narrow_rows = validity(&cache, &deps[0], &space);
         let wide_rows = validity(&cache, &deps[0], &wide);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // Each equals what a cold cache builds for that layout alone.
-        let cold = FarkasCache::new(&deps);
-        assert_eq!(wide_rows, validity(&cold, &deps[0], &wide));
-        let cold = FarkasCache::new(&deps);
-        assert_eq!(narrow_rows, validity(&cold, &deps[0], &space));
+        assert_eq!(wide_rows, validity(&session(&deps), &deps[0], &wide));
+        assert_eq!(narrow_rows, validity(&session(&deps), &deps[0], &space));
     }
 
     #[test]
@@ -326,8 +280,7 @@ mod tests {
         let deps = analyze(&scop);
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
         let cache = Arc::new(FarkasCache::new(&deps));
-        cache.prewarm(&deps).unwrap();
-        assert_eq!(cache.misses(), distinct_polyhedra(&deps));
+        assert_eq!(cache.prewarm(&deps).unwrap(), distinct_polyhedra(&deps));
         let session = CacheSession::new(Arc::clone(&cache));
         for kind in [
             DepConstraint::Validity,
@@ -415,7 +368,7 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(cache.misses(), distinct_polyhedra(&deps));
+            assert_eq!(session.misses(), distinct_polyhedra(&deps));
             for kind in [DepConstraint::Validity, DepConstraint::Proximity] {
                 let mut each = ConstraintSystem::new(narrow.total());
                 for (e, dep) in deps.iter().enumerate() {
@@ -437,7 +390,8 @@ mod tests {
         let deps = analyze(&scop);
         let space = IlpSpace::new(&scop, vec![], deps.len(), false, false);
         let cache = Arc::new(FarkasCache::new(&deps));
-        let reference = validity(&FarkasCache::new(&deps), &deps[0], &space);
+        let reference = validity(&session(&deps), &deps[0], &space);
+        let (hits, misses) = (AtomicUsize::new(0), AtomicUsize::new(0));
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
@@ -455,10 +409,13 @@ mod tests {
                     // but never more than once.
                     assert!(session.misses() <= 1);
                     assert_eq!(session.hits() + session.misses(), 2);
+                    hits.fetch_add(session.hits(), Ordering::Relaxed);
+                    misses.fetch_add(session.misses(), Ordering::Relaxed);
                 });
             }
         });
-        assert_eq!(cache.hits() + cache.misses(), 8);
-        assert!((1..=4).contains(&cache.misses()));
+        let (hits, misses) = (hits.into_inner(), misses.into_inner());
+        assert_eq!(hits + misses, 8);
+        assert!((1..=4).contains(&misses));
     }
 }

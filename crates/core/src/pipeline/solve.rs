@@ -1,13 +1,18 @@
 //! Solve stage: the iterative per-dimension driver (paper Algorithm 1).
 //!
-//! The engine owns the mutable scheduling state (live dependences,
-//! committed rows, progression bases, band metadata) and walks one
+//! [`run_shared`] is the one entry point: every schedule — a lone
+//! [`crate::schedule`] call, a scenario-set solve group, an autotune
+//! candidate — runs on a [`ScopEntry`], which owns the SCoP, its
+//! dependence analysis and its Farkas cache. The engine borrows those
+//! and owns only the mutable scheduling state (live dependences,
+//! committed rows, progression bases, band metadata), walking one
 //! dimension at a time:
 //!
 //! 1. the [`Strategy`] plans the dimension;
 //! 2. [`objectives::assemble`] builds the dimension's ILP over the
 //!    engine's **fixed** [`IlpSpace`], substituting into the cones of
-//!    the [`FarkasCache`], from the dimension's [`IlpKey`] alone;
+//!    the [`FarkasCache`](crate::pipeline::legality::FarkasCache), from
+//!    the dimension's [`IlpKey`] alone;
 //! 3. [`polytops_math::ilp_lexmin`] solves it, from its own system
 //!    alone: no point carries over from the previous dimension. In a
 //!    scenario-set run, a key another solve group of the same SCoP
@@ -28,16 +33,17 @@
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
-use polytops_deps::{analyze, sccs_topological, Certifier, Dependence};
+use polytops_deps::{sccs_topological, Certifier, Dependence};
 use polytops_ir::{Schedule, Scop, StmtSchedule};
 use polytops_math::{ilp_lexmin, Echelon, IlpStats};
 
 use crate::config::{DirectiveKind, FusionHeuristic, SchedulerConfig};
 use crate::error::ScheduleError;
 use crate::pipeline::fastpath;
-use crate::pipeline::legality::{CacheSession, FarkasCache};
+use crate::pipeline::legality::CacheSession;
 use crate::pipeline::objectives::{self, expand_targets, DimensionContext, IlpKey};
 use crate::pipeline::postprocess;
+use crate::registry::ScopEntry;
 use crate::space::IlpSpace;
 use crate::strategy::{DimSolution, DimensionPlan, Reaction, Strategy, StrategyState};
 
@@ -89,17 +95,6 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    /// Fraction of Farkas lookups answered from the cache (0 when no
-    /// lookup happened).
-    pub fn farkas_hit_rate(&self) -> f64 {
-        let total = self.farkas_hits + self.farkas_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.farkas_hits as f64 / total as f64
-        }
-    }
-
     /// Folds this run's counters into a recorder's `solver.*` counters
     /// — the single accumulation path shared by the daemon's `stats`
     /// op, the tuner and the benches (replacing the per-layer counter
@@ -132,25 +127,9 @@ impl PipelineStats {
     }
 }
 
-/// Runs the full staged pipeline for one SCoP and reports statistics.
-///
-/// # Errors
-///
-/// Same contract as [`crate::schedule`].
-pub fn run(
-    scop: &Scop,
-    config: &SchedulerConfig,
-    strategy: &mut dyn Strategy,
-    options: &EngineOptions,
-) -> Result<(Schedule, PipelineStats), ScheduleError> {
-    let mut runs =
-        Engine::new(scop, config, options.clone(), None, None, None).run(strategy, &[config])?;
-    Ok(runs.pop().expect("one configuration, one schedule"))
-}
-
-/// [`run`] for a group of configurations that differ only in
-/// post-processing, with externally owned dependence analysis and
-/// [`FarkasCache`] — the entry point of the scenario engine.
+/// Runs the staged pipeline on `entry`'s SCoP for a group of
+/// configurations that differ only in post-processing: the engine's one
+/// entry point, under [`crate::schedule`] and the scenario engine alike.
 ///
 /// The group solves once, under `configs[0]`: post-processing does not
 /// shape the ILPs, so every member's solve would be the same. Each
@@ -161,18 +140,12 @@ pub fn run(
 /// solving and report only the [`dimensions`](PipelineStats::dimensions)
 /// of their own schedule. An empty group solves nothing.
 ///
-/// Every run sharing `cache` reuses (instead of re-eliminating) the
-/// Farkas cones computed by any earlier — or concurrent — run over the
-/// same SCoP, whatever its configuration, and the exact dependence
-/// analysis (itself a stack of integer feasibility tests, 6–28% of a
-/// run on the reference kernels) is done once per SCoP instead of once
-/// per scenario.
-///
-/// `deps` must be [`analyze`]\ `(scop)` — cache entries are reached by
-/// position in that vector — and the cache must have been created for
-/// it (`FarkasCache::new(&deps)`); a mis-sized cache is ignored and a
-/// private one used instead, so sharing can never corrupt a run.
-/// Reported [`PipelineStats`] count only this run's lookups.
+/// The run reads the entry's dependence analysis and looks up its cones
+/// in the entry's [`FarkasCache`](crate::pipeline::legality::FarkasCache):
+/// every run on one entry reuses
+/// (instead of re-eliminating) the cones any earlier — or concurrent —
+/// run eliminated, whatever its configuration. Reported
+/// [`PipelineStats`] count only this run's lookups.
 ///
 /// A `memo` shared with other groups over the same SCoP answers every
 /// dimension ILP one of them already solved (and keeps this group's
@@ -184,12 +157,10 @@ pub fn run(
 /// Same contract as [`crate::schedule`]; a failed solve fails the whole
 /// group.
 pub fn run_shared(
-    scop: &Scop,
+    entry: &ScopEntry,
     configs: &[&SchedulerConfig],
     strategy: &mut dyn Strategy,
     options: &EngineOptions,
-    deps: Arc<Vec<Dependence>>,
-    cache: Arc<FarkasCache>,
     memo: Option<Arc<DimMemo>>,
 ) -> Result<Vec<(Schedule, PipelineStats)>, ScheduleError> {
     let Some(&config) = configs.first() else {
@@ -199,7 +170,7 @@ pub fn run_shared(
         configs.iter().all(|c| c.solve_key() == config.solve_key()),
         "a solve group's configurations differ only in post-processing"
     );
-    Engine::new(scop, config, options.clone(), Some(deps), Some(cache), memo).run(strategy, configs)
+    Engine::new(entry, config, options.clone(), memo).run(strategy, configs)
 }
 
 /// The dimension answers of one scenario-set run's solve groups over
@@ -283,12 +254,10 @@ struct Engine<'a> {
     options: EngineOptions,
     /// Fixed ILP variable layout shared by every dimension.
     space: IlpSpace,
-    /// This run's session over the (possibly scenario-shared) Farkas
-    /// cones, keyed by dependence id.
+    /// This run's session over the entry's (possibly scenario-shared)
+    /// Farkas cones, keyed by dependence id.
     cache: CacheSession,
-    /// The SCoP's dependences, possibly shared across scenarios (the
-    /// analysis is deterministic, so a shared vector equals what this
-    /// run would compute).
+    /// The entry's dependences.
     deps: Arc<Vec<Dependence>>,
     /// The run's dimension answers, shared with the other solve groups
     /// of the SCoP (see [`run_shared`]).
@@ -313,17 +282,13 @@ struct Engine<'a> {
 
 impl<'a> Engine<'a> {
     fn new(
-        scop: &'a Scop,
+        entry: &'a ScopEntry,
         config: &SchedulerConfig,
         options: EngineOptions,
-        deps: Option<Arc<Vec<Dependence>>>,
-        shared: Option<Arc<FarkasCache>>,
         memo: Option<Arc<DimMemo>>,
     ) -> Engine<'a> {
+        let (scop, deps) = (entry.scop(), entry.deps());
         let nstmts = scop.statements.len();
-        let deps = deps
-            .filter(|d| d.iter().all(|d| d.src.0 < nstmts && d.dst.0 < nstmts))
-            .unwrap_or_else(|| Arc::new(analyze(scop)));
         // One layout for the whole SCoP: dependence-satisfaction columns
         // exist for every dependence (unused columns are pinned to
         // zero), built once instead of once a dimension.
@@ -334,15 +299,12 @@ impl<'a> Engine<'a> {
             config.negative_coefficients,
             config.parametric_shift,
         );
-        let cache = shared
-            .filter(|c| c.num_deps() == deps.len())
-            .unwrap_or_else(|| Arc::new(FarkasCache::new(&deps)));
         Engine {
             scop,
             config: config.ilp_key(),
             options,
             space,
-            cache: CacheSession::new(cache),
+            cache: CacheSession::new(entry.cache()),
             carried_at: vec![None; deps.len()],
             deps,
             memo,

@@ -13,10 +13,12 @@
 //!   statement, so two clients submitting the same kernel (even with
 //!   reads/writes listed in a different order, which would permute the
 //!   analyzed dependence vector) land on the same entry;
-//! * a [`ScopEntry`] keeps a SCoP resident together with its
-//!   `Arc<Vec<Dependence>>` (the exact dependence analysis, done once
-//!   ever) and its `Arc<FarkasCache>` (one Farkas cone per polyhedron,
-//!   shared by every configuration);
+//! * a [`ScopEntry`] is the one owner of a SCoP's scheduling state: the
+//!   SCoP, its `Arc<Vec<Dependence>>` (the exact dependence analysis,
+//!   done once when the entry is built) and its `Arc<FarkasCache>` (one
+//!   Farkas cone per polyhedron, shared by every configuration). Every
+//!   slot of a [`ScenarioSet`](crate::scenario::ScenarioSet) is one; the
+//!   registry keeps its entries resident across runs;
 //! * the [`ScopRegistry`] dedupes SCoPs by canonical text, bounds
 //!   residency with an LRU policy, and reports
 //!   [`RegistryStats`] so callers can assert hits;
@@ -43,7 +45,7 @@
 //! on how warm the caches already are.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use polytops_deps::{analyze, Dependence};
 use polytops_ir::{parse_scop, print_scop, AccessKind, ParseScopError, Scop, Subscript};
@@ -51,22 +53,30 @@ use polytops_ir::{parse_scop, print_scop, AccessKind, ParseScopError, Scop, Subs
 use crate::error::ScheduleError;
 use crate::pipeline::legality::FarkasCache;
 
-/// A registry-resident SCoP with its shared scheduling state.
+/// A SCoP with its shared scheduling state: the one owner of a SCoP,
+/// its dependence analysis and its [`FarkasCache`]. A registry keeps
+/// entries resident across requests; a
+/// [`ScenarioSet`](crate::scenario::ScenarioSet) slot is one, shared or
+/// of its own.
 #[derive(Debug)]
 pub struct ScopEntry {
     name: String,
-    fingerprint: u64,
+    /// Filled by the registry, which computes it anyway; a standalone
+    /// entry computes it on first ask.
+    fingerprint: OnceLock<u64>,
     scop: Scop,
     deps: Arc<Vec<Dependence>>,
     cache: Arc<FarkasCache>,
 }
 
 impl ScopEntry {
-    fn new(name: String, fingerprint: u64, scop: Scop) -> ScopEntry {
+    /// Analyzes `scop` and wraps it with an empty Farkas cache, under
+    /// no registry (no canonical text is built).
+    pub fn new(name: impl Into<String>, scop: Scop) -> ScopEntry {
         let deps = Arc::new(analyze(&scop));
         ScopEntry {
-            name,
-            fingerprint,
+            name: name.into(),
+            fingerprint: OnceLock::new(),
             scop,
             cache: Arc::new(FarkasCache::new(&deps)),
             deps,
@@ -80,7 +90,7 @@ impl ScopEntry {
 
     /// The canonical fingerprint ([`fingerprint`]).
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        *self.fingerprint.get_or_init(|| fingerprint(&self.scop))
     }
 
     /// The resident representative SCoP. Requests deduped onto this
@@ -104,13 +114,14 @@ impl ScopEntry {
     /// Eagerly eliminates the Farkas cone of every dependence
     /// polyhedron, so later scheduling runs pay none (the restore
     /// path's "serve warm" guarantee: a request against a restored
-    /// entry reports `farkas_misses == 0`). Idempotent.
+    /// entry reports `farkas_misses == 0`), and returns how many cones
+    /// it eliminated. Idempotent: a second call eliminates none.
     ///
     /// # Errors
     ///
     /// Propagates arithmetic overflow from an elimination (which would
     /// equally fail when the entry is first scheduled).
-    pub fn prewarm(&self) -> Result<(), ScheduleError> {
+    pub fn prewarm(&self) -> Result<usize, ScheduleError> {
         self.cache.prewarm(&self.deps)
     }
 }
@@ -296,8 +307,9 @@ impl ScopRegistry {
         // would stall stats probes and serialize concurrent resolvers).
         // Two racing resolvers may both analyze; the re-check below
         // keeps only one entry, so answers stay bit-stable.
-        let fp = fnv1a(canonical.as_bytes());
-        let entry = Arc::new(ScopEntry::new(name.to_string(), fp, scop.clone()));
+        let entry = ScopEntry::new(name, scop.clone());
+        let _ = entry.fingerprint.set(fnv1a(canonical.as_bytes()));
+        let entry = Arc::new(entry);
         let mut lru = self.lru.lock().expect("registry lock");
         if let Some(resident) = warm_in(&mut lru, is_scop, text) {
             // A concurrent resolver registered it first; ours is wasted

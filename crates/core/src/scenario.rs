@@ -9,15 +9,21 @@
 //! uses one core. This module turns the loop into an engine:
 //!
 //! * a [`ScenarioSet`] holds N (SCoP × configuration) scenarios
-//!   ([`Scenario`]) over a shared pool of SCoPs;
+//!   ([`Scenario`]) over a pool of SCoP slots, each slot a
+//!   [`ScopEntry`]: the SCoP with its dependence analysis and Farkas
+//!   cache, built for the set ([`ScenarioSet::add_scop`]) or shared
+//!   with a registry ([`ScenarioSet::add_resident_scop`]; one entry
+//!   added twice is one slot);
 //! * scenarios that differ only in post-processing (tile sizes,
 //!   wavefront, intra-tile and auto vectorization) form one **solve
 //!   group**: post-processing never shapes an ILP, so the group solves
 //!   once and each member post-processes its own copy of the solved
 //!   schedule. The group's first scenario reports the solver and Farkas
 //!   counters; the others report zero solver effort;
-//! * every SCoP shares one dependence analysis and one `Arc`-wrapped
-//!   [`FarkasCache`] across its groups: the first group to need a
+//! * the groups of a slot share its entry's one dependence analysis and
+//!   one `Arc`-wrapped
+//!   [`FarkasCache`](crate::pipeline::legality::FarkasCache): the first
+//!   group to need a
 //!   dependence eliminates its cone, every later (or concurrent) group —
 //!   under any configuration, a cone knows nothing of the ILP layout —
 //!   substitutes into it; [`PipelineStats::farkas_hits`] of the later
@@ -87,12 +93,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use polytops_deps::{analyze, Dependence};
 use polytops_ir::{Schedule, Scop, StmtId};
 
 use crate::config::SchedulerConfig;
 use crate::error::ScheduleError;
-use crate::pipeline::legality::FarkasCache;
 use crate::pipeline::solve::{self, DimMemo, EngineOptions, PipelineStats};
 use crate::registry::ScopEntry;
 use crate::strategy::ConfigStrategy;
@@ -132,19 +136,18 @@ pub struct ScenarioReport {
 /// The outcome of one scenario: a report, or the scheduling error.
 pub type ScenarioResult = Result<ScenarioReport, ScheduleError>;
 
-/// A batch of scenarios over a shared pool of SCoPs.
+/// A batch of scenarios over a pool of SCoP slots.
 ///
 /// Adding the same SCoP once and referencing it from many scenarios is
 /// what enables cross-scenario Farkas-cache sharing — scenarios of
-/// *different* SCoPs never share cache entries.
+/// *different* slots never share cache entries. A slot's cones outlive
+/// a run: a second run of the set finds resident what the first
+/// eliminated.
 #[derive(Debug, Default)]
 pub struct ScenarioSet {
-    scops: Vec<(String, Scop)>,
-    /// Registry entries backing a SCoP slot, when admitted via
-    /// [`add_resident_scop`](ScenarioSet::add_resident_scop): their
-    /// whole-SCoP dependence analysis and Farkas cache are used instead
-    /// of per-run ones, which is what carries amortization across runs.
-    resident: Vec<Option<Arc<ScopEntry>>>,
+    /// One entry per slot, owning the slot's SCoP, dependence analysis
+    /// and Farkas cache.
+    scops: Vec<Arc<ScopEntry>>,
     scenarios: Vec<Scenario>,
 }
 
@@ -154,19 +157,20 @@ impl ScenarioSet {
         ScenarioSet::default()
     }
 
-    /// Registers a SCoP and returns its index for
+    /// Registers a SCoP in a slot of its own — an entry that belongs to
+    /// no registry, analyzed here — and returns the slot's index for
     /// [`add_scenario`](ScenarioSet::add_scenario).
     pub fn add_scop(&mut self, name: impl Into<String>, scop: Scop) -> usize {
-        self.scops.push((name.into(), scop));
-        self.resident.push(None);
+        self.scops.push(Arc::new(ScopEntry::new(name, scop)));
         self.scops.len() - 1
     }
 
-    /// Registers a registry-resident SCoP (the admission API of the
-    /// `polytopsd` service): scenarios over this slot reuse the entry's
-    /// persistent dependence analysis and Farkas cache
-    /// instead of building fresh ones for this run, so a SCoP the
-    /// registry has seen before pays only the ILP solves.
+    /// Registers a shared entry (the admission API of the `polytopsd`
+    /// service): scenarios over this slot use the entry's persistent
+    /// dependence analysis and Farkas cache, so a SCoP the registry has
+    /// seen before pays only the ILP solves. An entry already in the set
+    /// ([`Arc::ptr_eq`]) keeps its slot, whose index is returned: two
+    /// requests for one SCoP share its solve groups.
     ///
     /// The scheduled SCoP is the entry's *representative*
     /// ([`ScopEntry::scop`]), making answers bit-identical across every
@@ -174,9 +178,10 @@ impl ScenarioSet {
     /// equals a fresh one, bit-identical to a fresh offline
     /// [`add_scop`](ScenarioSet::add_scop) run of the same SCoP.
     pub fn add_resident_scop(&mut self, entry: Arc<ScopEntry>) -> usize {
-        self.scops
-            .push((entry.name().to_string(), entry.scop().clone()));
-        self.resident.push(Some(entry));
+        if let Some(slot) = self.scops.iter().position(|e| Arc::ptr_eq(e, &entry)) {
+            return slot;
+        }
+        self.scops.push(entry);
         self.scops.len() - 1
     }
 
@@ -225,8 +230,8 @@ impl ScenarioSet {
         &self.scenarios
     }
 
-    /// The registered SCoPs as `(name, scop)` pairs.
-    pub fn scops(&self) -> &[(String, Scop)] {
+    /// The SCoP slots' entries, by slot index.
+    pub fn scops(&self) -> &[Arc<ScopEntry>] {
         &self.scops
     }
 
@@ -312,7 +317,7 @@ impl ScenarioSet {
                     scenario: i,
                     name: sc.name.clone(),
                     scop: sc.scop,
-                    scop_name: self.scops[sc.scop].0.clone(),
+                    scop_name: self.scops[sc.scop].name().to_string(),
                     schedule,
                     stats,
                 })
@@ -378,14 +383,12 @@ pub fn default_score(report: &ScenarioReport) -> i64 {
 // Execution internals.
 // ---------------------------------------------------------------------
 
-/// A unit of work for the pool: one solve group, carrying its SCoP's
-/// shared dependence analysis and Farkas cache.
+/// A unit of work for the pool: one solve group of one slot, run on
+/// the slot's entry.
 struct Job {
     /// The group's scenarios in scenario order; the first one's
-    /// configuration and options drive the solve.
+    /// slot, configuration and options drive the solve.
     scenarios: Vec<usize>,
-    deps: Arc<Vec<Dependence>>,
-    cache: Arc<FarkasCache>,
     /// The dimension answers the job shares with the other solve groups
     /// of its SCoP slot and trace; `None` when it is their only one.
     memo: Option<Arc<DimMemo>>,
@@ -397,18 +400,13 @@ struct Job {
 type EngineOutcome = Result<(Schedule, PipelineStats), ScheduleError>;
 
 impl ScenarioSet {
-    /// One job per solve group, each sharing its SCoP's dependence
-    /// analysis and Farkas cache. The analysis — itself a stack of exact
-    /// integer feasibility tests — and each cone elimination thus run
-    /// once per SCoP instead of once per scenario, and each solve once
-    /// per group. A registry-resident SCoP draws both from its entry, so
-    /// its state persists beyond this run. The groups of one slot and
-    /// trace share a [`DimMemo`] when there are two or more of them, so
-    /// each distinct dimension ILP is solved once a run; a lone group
-    /// gets none and pays nothing for it.
+    /// One job per solve group. Every group of a slot runs on the
+    /// slot's entry, so its cones are eliminated once per slot instead
+    /// of once per scenario, and each solve runs once per group. The
+    /// groups of one slot and trace share a [`DimMemo`] when there are
+    /// two or more of them, so each distinct dimension ILP is solved
+    /// once a run; a lone group gets none and pays nothing for it.
     fn jobs(&self) -> Vec<Job> {
-        type Shared = (Arc<Vec<Dependence>>, Arc<FarkasCache>);
-        let mut shared: Vec<Option<Shared>> = vec![None; self.scops.len()];
         // Each job's solve key, beside it.
         let mut jobs: Vec<(SchedulerConfig, Job)> = Vec::new();
         for (i, sc) in self.scenarios.iter().enumerate() {
@@ -420,19 +418,8 @@ impl ScenarioSet {
                 job.scenarios.push(i);
                 continue;
             }
-            let (deps, cache) =
-                shared[sc.scop].get_or_insert_with(|| match &self.resident[sc.scop] {
-                    Some(entry) => (entry.deps(), entry.cache()),
-                    None => {
-                        let deps = Arc::new(analyze(&self.scops[sc.scop].1));
-                        let cache = Arc::new(FarkasCache::new(&deps));
-                        (deps, cache)
-                    }
-                });
             let job = Job {
                 scenarios: vec![i],
-                deps: Arc::clone(deps),
-                cache: Arc::clone(cache),
                 memo: None,
                 queued: Instant::now(),
             };
@@ -466,8 +453,8 @@ impl ScenarioSet {
         a.scop == b.scop && same_trace(&a.options, &b.options)
     }
 
-    /// Runs one solve group under its SCoP's shared analysis and cache:
-    /// one outcome per member, in the group's order.
+    /// Runs one solve group on its slot's entry: one outcome per member,
+    /// in the group's order.
     fn execute(&self, job: &Job) -> Result<Vec<(Schedule, PipelineStats)>, ScheduleError> {
         let lead = &self.scenarios[job.scenarios[0]];
         let (options, _job_span) = traced_options(&lead.options, job.scenarios[0], job.queued);
@@ -478,12 +465,10 @@ impl ScenarioSet {
             .collect();
         let mut strategy = ConfigStrategy::new(lead.config.clone());
         solve::run_shared(
-            &self.scops[lead.scop].1,
+            &self.scops[lead.scop],
             &configs,
             &mut strategy,
             &options,
-            Arc::clone(&job.deps),
-            Arc::clone(&job.cache),
             job.memo.clone(),
         )
     }
@@ -588,6 +573,46 @@ mod tests {
         set.add_scenario(a, "pluto again", presets::pluto());
         let groups: Vec<Vec<usize>> = set.jobs().into_iter().map(|j| j.scenarios).collect();
         assert_eq!(groups, vec![vec![0, 2, 6], vec![1], vec![3], vec![4, 5]]);
+    }
+
+    #[test]
+    fn one_entry_added_twice_is_one_slot_and_one_solve_group() {
+        let entry = Arc::new(ScopEntry::new("chain", chain()));
+        let mut tiled = presets::pluto();
+        tiled.post.tile_sizes = vec![16];
+        let mut set = ScenarioSet::new();
+        let a = set.add_resident_scop(Arc::clone(&entry));
+        set.add_scenario(a, "pluto", presets::pluto());
+        let b = set.add_resident_scop(Arc::clone(&entry));
+        set.add_scenario(b, "tiled", tiled.clone());
+        assert_eq!((a, set.scops().len()), (b, 1));
+        let groups: Vec<Vec<usize>> = set.jobs().into_iter().map(|j| j.scenarios).collect();
+        assert_eq!(groups, vec![vec![0, 1]]);
+        for (result, config) in set.run_sequential().iter().zip([presets::pluto(), tiled]) {
+            let lone = crate::schedule(&chain(), &config).unwrap();
+            assert_eq!(result.as_ref().unwrap().schedule, lone);
+        }
+    }
+
+    #[test]
+    fn a_slot_of_its_own_and_a_resident_slot_agree_byte_for_byte() {
+        let (entry, _) = crate::registry::ScopRegistry::new(1).resolve("chain", &chain());
+        let mut set = ScenarioSet::new();
+        let own = set.add_scop("chain", chain());
+        let resident = set.add_resident_scop(entry);
+        assert_ne!(own, resident);
+        for slot in [own, resident] {
+            set.add_scenario(slot, "pluto", presets::pluto());
+            set.add_scenario(slot, "feautrier", presets::feautrier());
+        }
+        let results = set.run_sequential();
+        let bytes = |r: &ScenarioResult| {
+            let r = r.as_ref().unwrap();
+            format!("{} {} {:?} {:?}", r.name, r.scop_name, r.schedule, r.stats)
+        };
+        for (a, b) in results[..2].iter().zip(&results[2..]) {
+            assert_eq!(bytes(a), bytes(b));
+        }
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //!   [`EngineOptions`] (a trace context), also returning the run's
 //!   [`PipelineStats`].
 //!
+//! Each call wraps the SCoP in a [`ScopEntry`] of its own (its
+//! dependence analysis and an empty Farkas cache) and runs the engine's
+//! one entry point, [`solve::run_shared`], on it: a lone schedule is a
+//! solve group of one.
+//!
 //! Deviations from the paper, documented rather than hidden:
 //!
 //! * with `negative_coefficients` only the *sum* form of the progression
@@ -26,6 +31,7 @@ use polytops_ir::{Schedule, Scop};
 use crate::config::SchedulerConfig;
 use crate::error::ScheduleError;
 use crate::pipeline::{solve, EngineOptions, PipelineStats};
+use crate::registry::ScopEntry;
 use crate::strategy::{ConfigStrategy, Strategy};
 
 /// Schedules a SCoP under a static configuration.
@@ -80,11 +86,11 @@ pub fn schedule_with_strategy(
     config: &SchedulerConfig,
     strategy: &mut dyn Strategy,
 ) -> Result<Schedule, ScheduleError> {
-    solve::run(scop, config, strategy, &EngineOptions::default()).map(|(sched, _)| sched)
+    run(scop, config, strategy, &EngineOptions::default()).map(|(sched, _)| sched)
 }
 
 /// Schedules a SCoP with explicit pipeline options and reports the run's
-/// statistics (Farkas cache hit rate, ILP solver effort).
+/// statistics (Farkas cache hits and misses, ILP solver effort).
 ///
 /// # Errors
 ///
@@ -95,7 +101,19 @@ pub fn schedule_with_options(
     options: &EngineOptions,
 ) -> Result<(Schedule, PipelineStats), ScheduleError> {
     let mut strategy = ConfigStrategy::new(config.clone());
-    solve::run(scop, config, &mut strategy, options)
+    run(scop, config, &mut strategy, options)
+}
+
+/// One solve group of one configuration, on an entry of its own.
+fn run(
+    scop: &Scop,
+    config: &SchedulerConfig,
+    strategy: &mut dyn Strategy,
+    options: &EngineOptions,
+) -> Result<(Schedule, PipelineStats), ScheduleError> {
+    let entry = ScopEntry::new(scop.name.clone(), scop.clone());
+    let mut runs = solve::run_shared(&entry, &[config], strategy, options, None)?;
+    Ok(runs.pop().expect("one configuration, one schedule"))
 }
 
 #[cfg(test)]

@@ -10,9 +10,11 @@
 //! budget — and [`explore`] runs the grid through a [`ScenarioSet`] on
 //! the work-stealing pool, scores every legal schedule with
 //! [`model_score`], and returns the winner with its feature vector,
-//! model score and oracle verdict. [`explore_entry`] does the same on
-//! a resident registry entry, sharing its dependence analysis and
-//! Farkas cones; no winner is remembered, so every call explores.
+//! model score and oracle verdict. [`explore`] wraps the SCoP in a
+//! [`ScopEntry`] of its own and [`explore_entry`] explores on any entry
+//! (a registry-resident one in the daemon), sharing its dependence
+//! analysis and Farkas cones; no winner is remembered, so every call
+//! explores.
 //! [`pick`] is the scoring half on its own: the daemon schedules an
 //! autotune's candidates inside the batch the request joins and picks
 //! through it, so the offline tuner and the daemon pick alike.
@@ -27,6 +29,8 @@
 //! winner, with the same schedule bytes, on any thread count.
 //! `crates/core/tests/model.rs` asserts exactly this.
 
+use std::sync::Arc;
+
 use polytops_deps::Certifier;
 use polytops_ir::{Schedule, Scop};
 use polytops_machine::model::{extract_features, model_score, ScheduleFeatures};
@@ -35,7 +39,7 @@ pub use polytops_machine::MachineModel;
 use crate::config::{PostProcess, SchedulerConfig};
 use crate::error::ScheduleError;
 use crate::presets;
-use crate::registry::ScopRegistry;
+use crate::registry::ScopEntry;
 use crate::scenario::{ScenarioReport, ScenarioResult, ScenarioSet};
 
 /// How much exploration [`explore`] may spend.
@@ -208,20 +212,16 @@ pub fn explore(
     machine: &MachineModel,
     budget: &TuneBudget,
 ) -> Result<TuneOutcome, ScheduleError> {
-    // A one-shot registry entry carries the dependence analysis: the
-    // engine seeds its per-run analysis map from resident entries, and
-    // feature extraction / certification reuse the same vector — one
-    // analyze() per exploration instead of two. The entry's
-    // representative is the submitted SCoP verbatim (first
-    // registration), so results equal a plain `add_scop` run.
-    let (entry, _) = ScopRegistry::new(1).resolve(&scop.name, scop);
+    // One entry carries the dependence analysis for the engine, feature
+    // extraction and certification alike: one analyze() per exploration.
+    let entry = Arc::new(ScopEntry::new(scop.name.clone(), scop.clone()));
     explore_entry(&entry, machine, budget)
 }
 
-/// [`explore`] over an already-resolved registry entry — the daemon's
-/// entry point: autotune requests for a resident SCoP reuse its
-/// persistent dependence analysis and Farkas cones instead of
-/// re-analyzing per request. Every call explores the whole lattice;
+/// [`explore`] over an entry — a registry-resident one in the daemon:
+/// autotune requests for a resident SCoP reuse its persistent
+/// dependence analysis and Farkas cones instead of re-analyzing per
+/// request. Every call explores the whole lattice;
 /// nothing about a winner is remembered between calls. Tunes the
 /// entry's *representative* SCoP (the same value the `schedule` op
 /// answers from), so responses stay bit-stable across deduped clients.
@@ -230,13 +230,13 @@ pub fn explore(
 ///
 /// Same contract as [`explore`].
 pub fn explore_entry(
-    entry: &std::sync::Arc<crate::registry::ScopEntry>,
+    entry: &Arc<ScopEntry>,
     machine: &MachineModel,
     budget: &TuneBudget,
 ) -> Result<TuneOutcome, ScheduleError> {
     let candidates = candidate_lattice(entry.scop(), machine, budget.max_candidates);
     let mut set = ScenarioSet::new();
-    let id = set.add_resident_scop(std::sync::Arc::clone(entry));
+    let id = set.add_resident_scop(Arc::clone(entry));
     for c in &candidates {
         set.add_scenario(id, c.name.clone(), c.config.clone());
     }
@@ -255,7 +255,7 @@ pub fn explore_entry(
 ///
 /// Same contract as [`explore`].
 pub fn pick(
-    entry: &crate::registry::ScopEntry,
+    entry: &ScopEntry,
     machine: &MachineModel,
     param_estimate: i64,
     candidates: &[Candidate],
@@ -343,7 +343,7 @@ mod tests {
             threads: 2,
             ..TuneBudget::default()
         };
-        let (entry, _) = ScopRegistry::new(4).resolve(&scop.name, &scop);
+        let entry = Arc::new(ScopEntry::new(scop.name.clone(), scop));
         let first = explore_entry(&entry, &machine, &budget).unwrap();
         assert_eq!(first.explored_scenarios, 6);
         assert_eq!(first.candidates.len(), 6);

@@ -393,7 +393,6 @@ fn farkas_cache_hits_across_dimensions() {
         stats.farkas_hits >= stats.farkas_misses,
         "3 dimensions with a stable live set must mostly hit: {stats:?}"
     );
-    assert!(stats.farkas_hit_rate() >= 0.5, "{stats:?}");
 }
 
 #[test]

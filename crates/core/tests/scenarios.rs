@@ -102,7 +102,7 @@ fn sweep_results_match_the_plain_scheduler_and_stay_legal() {
     let results = set.run_sharded(2);
     for (r, scenario) in results.iter().zip(set.scenarios()) {
         let report = r.as_ref().unwrap();
-        let (_, scop) = &set.scops()[scenario.scop];
+        let scop = set.scops()[scenario.scop].scop();
         let standalone = polytops_core::schedule(scop, &scenario.config).unwrap();
         assert_eq!(report.schedule, standalone, "{}", report.name);
         assert_legal(&report.name, scop, &report.schedule);
@@ -189,21 +189,26 @@ fn post_only_variants_share_one_solve_and_match_standalone_runs() {
         (1, "pluto", presets::pluto()),
     ];
     let leaders = [0, 2, 6, 7];
-    let mut set = ScenarioSet::new();
-    let ids: Vec<usize> = kernels
-        .iter()
-        .map(|(name, scop)| set.add_scop(*name, scop.clone()))
-        .collect();
-    for (k, name, config) in &scenarios {
-        set.add_scenario(ids[*k], *name, config.clone());
-    }
+    // A set's slots keep their cones across its runs: each run below
+    // gets a set of its own, so every one starts cold.
+    let set = || {
+        let mut set = ScenarioSet::new();
+        let ids: Vec<usize> = kernels
+            .iter()
+            .map(|(name, scop)| set.add_scop(*name, scop.clone()))
+            .collect();
+        for (k, name, config) in &scenarios {
+            set.add_scenario(ids[*k], *name, config.clone());
+        }
+        set
+    };
     let standalone: Vec<_> = scenarios
         .iter()
         .map(|(k, _, config)| polytops_core::schedule(&kernels[*k].1, config).unwrap())
         .collect();
     let ndeps: usize = kernels.iter().map(|(_, scop)| analyze(scop).len()).sum();
 
-    let sequential = set.run_sequential();
+    let sequential = set().run_sequential();
     let misses: usize = sequential
         .iter()
         .map(|r| r.as_ref().unwrap().stats.farkas_misses)
@@ -222,7 +227,7 @@ fn post_only_variants_share_one_solve_and_match_standalone_runs() {
         assert!(stats.ilp.lp_stages > 0, "{i}: {stats:?}");
     }
     for threads in [1, 2, 4] {
-        let results = set.run_sharded(threads);
+        let results = set().run_sharded(threads);
         for (i, (r, want)) in results.iter().zip(&standalone).enumerate() {
             let report = r.as_ref().unwrap();
             let at = format!("{}@{threads} threads", report.name);
@@ -436,7 +441,7 @@ fn shared_dimensions_match_standalone_runs_at_any_thread_count() {
     let standalone: Vec<Schedule> = set
         .scenarios()
         .iter()
-        .map(|sc| polytops_core::schedule(&set.scops()[sc.scop].1, &sc.config).unwrap())
+        .map(|sc| polytops_core::schedule(set.scops()[sc.scop].scop(), &sc.config).unwrap())
         .collect();
     let sequential = set.run_sequential();
     let shared: usize = sequential
@@ -478,8 +483,8 @@ fn shared_dimensions_match_standalone_runs_at_any_thread_count() {
         .iter()
         .map(|sc| {
             let mut alone = ScenarioSet::new();
-            let (name, scop) = &set.scops()[sc.scop];
-            let id = alone.add_scop(name.clone(), scop.clone());
+            let entry = &set.scops()[sc.scop];
+            let id = alone.add_scop(entry.name(), entry.scop().clone());
             alone.add_scenario(id, sc.name.clone(), sc.config.clone());
             let report = alone.run_sequential().remove(0).unwrap();
             assert_eq!(report.stats.shared_dims, 0, "a lone group shares nothing");

@@ -135,22 +135,6 @@ impl ConstraintSystem {
         })
     }
 
-    /// Inserts `count` fresh unconstrained variables at position `at`
-    /// (existing rows get zero coefficients there).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at > num_vars`.
-    pub fn insert_vars(&mut self, at: usize, count: usize) {
-        assert!(at <= self.num_vars);
-        for (_, row) in &mut self.rows {
-            for _ in 0..count {
-                row.insert(at, 0);
-            }
-        }
-        self.num_vars += count;
-    }
-
     /// Normalizes every row assuming **integer** variables: divides by the
     /// gcd of the coefficients (tightening inequality constants), removes
     /// duplicates and trivially-true rows, and detects equalities with no
@@ -553,15 +537,5 @@ mod tests {
         assert_eq!(out.rows(), [(RowKind::Ineq, vec![1, -1])]);
         // No equality mentions y once x is gone.
         assert_eq!(out.substitute_eq(0), Ok(None));
-    }
-
-    #[test]
-    fn insert_vars_shifts_columns() {
-        let mut cs = ConstraintSystem::new(1);
-        cs.add_ineq(vec![1, -2]); // x >= 2
-        cs.insert_vars(0, 1);
-        assert_eq!(cs.num_vars(), 2);
-        assert!(cs.contains_point(&[99, 2]));
-        assert!(!cs.contains_point(&[0, 1]));
     }
 }

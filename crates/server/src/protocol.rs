@@ -912,7 +912,6 @@ pub fn stats_response(
 /// diff mode and the test suite.
 pub fn offline_results(req: &ScheduleRequest) -> Json {
     use polytops_core::scenario::ScenarioSet;
-    use polytops_deps::analyze;
 
     let mut set = ScenarioSet::new();
     let scop = set.add_scop(req.name.clone(), req.scop.clone());
@@ -920,7 +919,7 @@ pub fn offline_results(req: &ScheduleRequest) -> Json {
         set.add_scenario(scop, spec.name.clone(), spec.config.clone());
     }
     let results = set.run_sequential();
-    let deps = analyze(&req.scop);
+    let deps = set.scops()[scop].deps();
     let reports: Vec<(&str, &ScenarioResult, bool)> = req
         .scenarios
         .iter()

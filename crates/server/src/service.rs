@@ -495,7 +495,10 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>) {
 /// Executes one batch as a single `ScenarioSet`, pushing one response
 /// line per request (with its still-open "request" span, when traced)
 /// and collecting, in order, the entries the registry admitted on a
-/// miss (the persistence journal's `admit` events). A request whose
+/// miss (the persistence journal's `admit` events). Each request's
+/// resident entry is one slot of the set; requests that resolve to one
+/// entry share its slot, as `ScenarioSet::add_resident_scop` dedupes
+/// entries by identity. A request whose
 /// SCoP text does not parse gets the parse error, with a `null` id, in
 /// its place among the batch's responses. An autotune's candidates are
 /// scenarios of the set like any schedule request's, untraced; its
@@ -521,10 +524,6 @@ fn process_group(
     }
 
     let mut set = ScenarioSet::new();
-    // SCoP slots already admitted this batch, by registry entry
-    // identity — two clients submitting the same kernel share one slot
-    // (and therefore one analysis and cache group) within the batch.
-    let mut slot_of_entry: Vec<(*const ScopEntry, usize)> = Vec::new();
     let mut slots: Vec<Slot> = Vec::with_capacity(group.len());
     for admitted in group {
         let resolve = admitted
@@ -556,15 +555,9 @@ fn process_group(
                 continue;
             }
         };
-        let key = Arc::as_ptr(entry);
-        let scop_idx = match slot_of_entry.iter().find(|(k, _)| *k == key) {
-            Some(&(_, idx)) => idx,
-            None => {
-                let idx = set.add_resident_scop(Arc::clone(entry));
-                slot_of_entry.push((key, idx));
-                idx
-            }
-        };
+        // Two clients submitting the same kernel share one slot (and
+        // therefore its solve groups) within the batch.
+        let scop_idx = set.add_resident_scop(Arc::clone(entry));
         // Each scenario's engine run links back under this request's
         // "solve" span, so the trace tree shows per-job queue wait and
         // per-dimension pipeline work no matter which pool thread

@@ -79,10 +79,11 @@ fn sweep_demo() {
         );
         assert_eq!(a.schedule, b.schedule, "sharded must be bit-identical");
     }
-    for (kernel, _) in set.scops() {
+    for entry in set.scops() {
+        let kernel = entry.name();
         let kernel_results: Vec<polytops::ScenarioResult> = sharded
             .iter()
-            .filter(|r| r.as_ref().is_ok_and(|rep| &rep.scop_name == kernel))
+            .filter(|r| r.as_ref().is_ok_and(|rep| rep.scop_name == kernel))
             .cloned()
             .collect();
         if let Some(best) = polytops::scenario::winner(&kernel_results) {
