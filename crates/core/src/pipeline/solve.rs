@@ -155,7 +155,8 @@ impl PipelineStats {
 /// # Errors
 ///
 /// Same contract as [`crate::schedule`]; a failed solve fails the whole
-/// group.
+/// group. A directive naming a statement the SCoP does not have fails
+/// it with [`ScheduleError::Config`] before the first dimension.
 pub fn run_shared(
     entry: &ScopEntry,
     configs: &[&SchedulerConfig],
@@ -170,7 +171,26 @@ pub fn run_shared(
         configs.iter().all(|c| c.solve_key() == config.solve_key()),
         "a solve group's configurations differ only in post-processing"
     );
+    check_directive_stmts(config, entry.scop().statements.len())?;
     Engine::new(entry, config, options.clone(), memo).run(strategy, configs)
+}
+
+/// Refuses a directive whose `stmts` names a statement past the SCoP's
+/// last: every stage indexes statements by those ids. (Directives are in
+/// the solve key, so the group's first configuration speaks for all.) An
+/// `iterator` past a target's depth is not an error: directives are
+/// soft, and each stage skips that statement.
+fn check_directive_stmts(config: &SchedulerConfig, nstmts: usize) -> Result<(), ScheduleError> {
+    for (i, d) in config.directives.iter().enumerate() {
+        if let Some(&s) = d.stmts.iter().flatten().find(|&&s| s >= nstmts) {
+            return Err(ScheduleError::Config {
+                detail: format!(
+                    "directives[{i}].stmts names statement {s}, but the SCoP has {nstmts}"
+                ),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// The dimension answers of one scenario-set run's solve groups over

@@ -11,7 +11,7 @@ use polytops_deps::{
     analyze, order_steps, schedule_respects_dependence, steps_respect_dependence,
     strongly_satisfies,
 };
-use polytops_ir::{BandMember, MarkKind, Schedule, Scop, StmtId, TreeNode};
+use polytops_ir::{Aff, BandMember, MarkKind, Schedule, Scop, ScopBuilder, StmtId, TreeNode};
 use polytops_workloads::{
     all_kernels, jacobi_1d, matmul, producer_consumer, reversed_consumer, stencil_chain,
 };
@@ -415,6 +415,33 @@ fn total_distribution_splits_the_loops() {
     );
 }
 
+/// `A[f(i, j, k)] = A[f(i, j, k) + 1]` over a 3-deep nest, each
+/// subscript of `f` pairing two coefficients within ten of `i64::MAX`.
+fn hostile_scop() -> Scop {
+    let mut b = ScopBuilder::new("hostile");
+    let n = b.param("N");
+    let a = b.array("A", &[n.clone(), n.clone(), n.clone()], 8);
+    for it in ["i", "j", "k"] {
+        b.open_loop(it, Aff::val(0), n.clone() - 1);
+    }
+    let (i, j, k) = (Aff::var("i"), Aff::var("j"), Aff::var("k"));
+    let write = [
+        i.clone() * 9223372036854775807 - j.clone() * 9223372036854775805,
+        j * 9223372036854775803 - k.clone() * 9223372036854775801,
+        k * 9223372036854775799 - i * 9223372036854775797,
+    ];
+    let read = write.clone().map(|s| s + 1);
+    b.stmt("S0")
+        .write(a, &write)
+        .read(a, &read)
+        .text("line 7")
+        .add(&mut b);
+    for _ in 0..3 {
+        b.close_loop();
+    }
+    b.build().unwrap()
+}
+
 #[test]
 fn overflowing_coefficients_fail_the_request_with_a_math_error() {
     // Subscripts whose dependence polyhedron needs products of three
@@ -422,21 +449,7 @@ fn overflowing_coefficients_fail_the_request_with_a_math_error() {
     // Analysis must keep the dependences it could not rule out, and
     // scheduling must fail with the layer's name — not panic the thread
     // that happened to pick the request up.
-    let src = "
-        double A[N][N][N];
-        #pragma scop
-        for (i = 0; i < N; i++)
-          for (j = 0; j < N; j++)
-            for (k = 0; k < N; k++)
-              A[9223372036854775807*i - 9223372036854775805*j]
-               [9223372036854775803*j - 9223372036854775801*k]
-               [9223372036854775799*k - 9223372036854775797*i]
-                = A[9223372036854775807*i - 9223372036854775805*j + 1]
-                   [9223372036854775803*j - 9223372036854775801*k + 1]
-                   [9223372036854775799*k - 9223372036854775797*i + 1];
-        #pragma endscop
-    ";
-    let scop = polytops_ir::frontend::parse_c("hostile", src).unwrap();
+    let scop = hostile_scop();
     assert!(!analyze(&scop).is_empty(), "an overflow proves no absence");
     for (name, cfg) in configs() {
         let err = schedule(&scop, &cfg).unwrap_err();
@@ -444,5 +457,32 @@ fn overflowing_coefficients_fail_the_request_with_a_math_error() {
             matches!(err, polytops_core::ScheduleError::Math(_)),
             "{name}: {err}"
         );
+    }
+}
+
+/// A directive whose `stmts` names a statement the SCoP does not have
+/// fails the schedule with a configuration error naming the field, for
+/// every directive kind. One whose `iterator` is past its statement's
+/// depth is skipped there, as a soft directive is, and changes nothing.
+#[test]
+fn a_directive_on_a_missing_statement_is_a_config_error() {
+    // One statement, and parallel dimensions for `sequential` to look at.
+    let scop = matmul();
+    let plain = schedule(&scop, &SchedulerConfig::default()).unwrap();
+    for kind in ["vectorize", "parallelize", "sequential"] {
+        let directive = |stmts: &str| {
+            SchedulerConfig::from_json(&format!(
+                r#"{{"scheduling_strategy":{{"directives":[{{"type":"{kind}","stmts":"{stmts}","iterator":"9"}}]}}}}"#
+            ))
+            .unwrap()
+        };
+        let err = schedule(&scop, &directive("5")).unwrap_err();
+        assert!(
+            matches!(&err, polytops_core::ScheduleError::Config { detail }
+                if detail.contains("directives[0].stmts") && detail.contains("statement 5")),
+            "{kind}: {err}"
+        );
+        let skipped = schedule(&scop, &directive("0")).unwrap();
+        assert_eq!(skipped, plain, "{kind}");
     }
 }

@@ -462,26 +462,39 @@ mod tests {
         }
     }
 
+    /// `A[f(i, j, k)] = A[f(i, j, k) + 1]` over a 3-deep nest, each
+    /// subscript of `f` pairing two coefficients within ten of `i64::MAX`.
+    fn hostile_scop() -> Scop {
+        let mut b = ScopBuilder::new("hostile");
+        let n = b.param("N");
+        let a = b.array("A", &[n.clone(), n.clone(), n.clone()], 8);
+        for it in ["i", "j", "k"] {
+            b.open_loop(it, Aff::val(0), n.clone() - 1);
+        }
+        let (i, j, k) = (Aff::var("i"), Aff::var("j"), Aff::var("k"));
+        let write = [
+            i.clone() * 9223372036854775807 - j.clone() * 9223372036854775805,
+            j * 9223372036854775803 - k.clone() * 9223372036854775801,
+            k * 9223372036854775799 - i * 9223372036854775797,
+        ];
+        let read = write.clone().map(|s| s + 1);
+        b.stmt("S0")
+            .write(a, &write)
+            .read(a, &read)
+            .text("line 7")
+            .add(&mut b);
+        for _ in 0..3 {
+            b.close_loop();
+        }
+        b.build().unwrap()
+    }
+
     #[test]
     fn a_dependence_whose_tableau_overflows_is_kept_without_one() {
         // Subscripts whose dependence polyhedron needs products of
         // near-`i64::MAX` coefficients: no tableau holds it, and no
         // emptiness is proved.
-        let src = "
-            double A[N][N][N];
-            #pragma scop
-            for (i = 0; i < N; i++)
-              for (j = 0; j < N; j++)
-                for (k = 0; k < N; k++)
-                  A[9223372036854775807*i - 9223372036854775805*j]
-                   [9223372036854775803*j - 9223372036854775801*k]
-                   [9223372036854775799*k - 9223372036854775797*i]
-                    = A[9223372036854775807*i - 9223372036854775805*j + 1]
-                       [9223372036854775803*j - 9223372036854775801*k + 1]
-                       [9223372036854775799*k - 9223372036854775797*i + 1];
-            #pragma endscop
-        ";
-        let scop = polytops_ir::frontend::parse_c("hostile", src).unwrap();
+        let scop = hostile_scop();
         let deps = analyze(&scop);
         assert_eq!(deps, reference_analyze(&scop));
         assert!(deps.iter().any(|d| d.base().is_none()), "{deps:?}");

@@ -83,8 +83,8 @@ impl From<Aff> for SubSpec {
 
 struct LoopFrame {
     name: String,
-    lbs: Vec<Aff>,
-    ubs: Vec<Aff>,
+    lb: Aff,
+    ub: Aff,
     beta_pos: i64,
 }
 
@@ -101,7 +101,6 @@ struct PendingAccess {
 pub struct StmtSpec {
     name: String,
     accesses: Vec<PendingAccess>,
-    guards: Vec<Aff>,
     ops: u32,
     text: Option<String>,
 }
@@ -144,12 +143,6 @@ impl StmtSpec {
             kind: AccessKind::Write,
             subscripts: subs,
         });
-        self
-    }
-
-    /// Adds a guard `expr >= 0` to the statement's domain.
-    pub fn guard(mut self, expr: Aff) -> StmtSpec {
-        self.guards.push(expr);
         self
     }
 
@@ -278,18 +271,13 @@ impl ScopBuilder {
     /// Opens a loop `lb <= name <= ub` (bounds affine in outer iterators
     /// and parameters).
     pub fn open_loop(&mut self, name: &str, lb: Aff, ub: Aff) {
-        self.open_loop_multi(name, &[lb], &[ub]);
-    }
-
-    /// Opens a loop with `max(lbs) <= name <= min(ubs)`.
-    pub fn open_loop_multi(&mut self, name: &str, lbs: &[Aff], ubs: &[Aff]) {
         let beta_pos = *self.beta_counters.last().expect("counter stack");
         *self.beta_counters.last_mut().unwrap() += 1;
         self.beta_counters.push(0);
         self.loops.push(LoopFrame {
             name: name.to_string(),
-            lbs: lbs.to_vec(),
-            ubs: ubs.to_vec(),
+            lb,
+            ub,
             beta_pos,
         });
     }
@@ -307,7 +295,6 @@ impl ScopBuilder {
         StmtSpec {
             name: name.to_string(),
             accesses: Vec::new(),
-            guards: Vec::new(),
             ops: 1,
             text: None,
         }
@@ -334,25 +321,16 @@ impl ScopBuilder {
                 })
         };
 
-        // Domain: loop bounds outermost-in plus statement guards.
+        // Domain: loop bounds outermost-in.
         let mut domain = ConstraintSystem::new(depth + np);
-        for (level, frame) in self.loops.iter().enumerate() {
-            for lb in &frame.lbs {
-                // name - lb >= 0
-                let e = Aff::var(&frame.name) - lb.clone();
-                let ae = resolve(&e, &format!("loop {} lower bound", frame.name))?;
-                let _ = level;
-                domain.add_ineq(ae.to_row());
-            }
-            for ub in &frame.ubs {
-                // ub - name >= 0
-                let e = ub.clone() - Aff::var(&frame.name);
-                let ae = resolve(&e, &format!("loop {} upper bound", frame.name))?;
-                domain.add_ineq(ae.to_row());
-            }
-        }
-        for g in &spec.guards {
-            let ae = resolve(g, &format!("guard of {}", spec.name))?;
+        for frame in &self.loops {
+            // name - lb >= 0
+            let e = Aff::var(&frame.name) - frame.lb.clone();
+            let ae = resolve(&e, &format!("loop {} lower bound", frame.name))?;
+            domain.add_ineq(ae.to_row());
+            // ub - name >= 0
+            let e = frame.ub.clone() - Aff::var(&frame.name);
+            let ae = resolve(&e, &format!("loop {} upper bound", frame.name))?;
             domain.add_ineq(ae.to_row());
         }
 

@@ -2,14 +2,12 @@
 //!
 //! A kernel is modelled as a [`Scop`] (static control part): statements
 //! with polyhedral iteration domains, affine (or PolyMage-style div/mod)
-//! array accesses, and 2d+1 textual positions. Three front doors produce
+//! array accesses, and 2d+1 textual positions. Two front doors produce
 //! SCoPs:
 //!
 //! * [`ScopBuilder`] — programmatic construction mirroring source nesting;
 //! * [`parse_scop`] / [`print_scop`] — a textual exchange format in the
-//!   spirit of OpenScop;
-//! * [`frontend::parse_c`] — a miniature Clan extracting SCoPs from a
-//!   restricted affine C subset.
+//!   spirit of OpenScop, the form a host compiler hands SCoPs over in.
 //!
 //! Scheduling results are represented by [`Schedule`] (per-statement
 //! affine rows plus band/parallelism metadata), shared by the scheduler,
@@ -44,7 +42,6 @@
 
 mod builder;
 mod expr;
-pub mod frontend;
 mod openscop;
 mod schedule;
 mod scop;

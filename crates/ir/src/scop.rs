@@ -138,9 +138,8 @@ impl Statement {
 
 /// A static control part: the unit of polyhedral optimization.
 ///
-/// Build one with [`ScopBuilder`](crate::ScopBuilder), parse one from the
-/// textual exchange format ([`crate::parse_scop`]) or extract one from C
-/// source with [`crate::frontend::parse_c`].
+/// Build one with [`ScopBuilder`](crate::ScopBuilder) or parse one from
+/// the textual exchange format ([`crate::parse_scop`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scop {
     /// Kernel name.

@@ -9,18 +9,12 @@
 //! reuse distances, tile footprints, vectorizable statements) from a
 //! schedule plus its dependence set, and folds it with a
 //! [`MachineModel`] into estimated cycles — the oracle the autotuner
-//! (`polytops_core::tune`) ranks candidate configurations with. The
-//! [`calibrate`] module closes the model-reality loop: it fits the two
-//! cost constants (`miss_penalty_cycles`, `sync_cycles`) by timing
-//! generated C micro-kernels behind a [`calibrate::Timer`] — on the
-//! host when a compiler is available, or against the deterministic
-//! synthetic timer in tests and CI. See `docs/MODEL.md` for the full
-//! formula and determinism contract.
+//! (`polytops_core::tune`) ranks candidate configurations with. See
+//! `docs/MODEL.md` for the full formula and determinism contract.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod calibrate;
 pub mod model;
 
 /// A simple abstract machine: caches, SIMD, core counts and the two

@@ -898,21 +898,8 @@ fn a_deeply_nested_line_gets_an_error_not_a_crash() {
 /// request after it on the same connection gets its golden bytes.
 #[test]
 fn an_unbacked_count_gets_an_error_not_an_abort() {
-    use std::io::{BufRead, BufReader, Write};
-
     let handle = Server::start(ServerConfig::default()).expect("start daemon");
-    let stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
-    // A daemon that lost its batcher would never answer: fail, not hang.
-    (stream.set_read_timeout(Some(Duration::from_secs(30)))).expect("set a read timeout");
-    let mut reader = BufReader::new(&stream);
-    let mut roundtrip = |line: &str| {
-        (&stream)
-            .write_all(format!("{line}\n").as_bytes())
-            .expect("send");
-        let mut response = String::new();
-        reader.read_line(&mut response).expect("an answer");
-        response.trim_end().to_string()
-    };
+    let mut roundtrip = line_roundtrip(handle.addr());
     let hostile = r#"{"op":"schedule","id":1,"scop":"<polyscop>\nname big\nparams N\ncontext 0\narrays 4611686018427387903\n</polyscop>\n","scenarios":[{"preset":"pluto"}]}"#;
     let response = roundtrip(hostile);
     let parsed = polytops_core::json::parse(&response).expect("response parses");
@@ -921,6 +908,60 @@ fn an_unbacked_count_gets_an_error_not_an_abort() {
         Some(false)
     );
     assert!(response.contains("expected `array`"), "{response}");
+    let line = request_line(
+        "matmul",
+        "matmul",
+        &polytops_workloads::matmul(),
+        &["pluto"],
+    );
+    let (ok, _, results, _) = unpack(&roundtrip(&line));
+    assert!(ok, "{line}");
+    assert_eq!(results, golden(&line));
+    handle.shutdown();
+}
+
+/// A raw connection to `addr` that writes one line and reads one line
+/// back. A daemon that lost its batcher would never answer, so a read
+/// fails after 30 s instead of hanging.
+fn line_roundtrip(addr: std::net::SocketAddr) -> impl FnMut(&str) -> String {
+    use std::io::{BufRead, BufReader, Write};
+
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    (stream.set_read_timeout(Some(Duration::from_secs(30)))).expect("set a read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone the stream"));
+    move |line| {
+        stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("an answer");
+        response.trim_end().to_string()
+    }
+}
+
+/// A directive naming a statement the SCoP does not have used to index
+/// past the statement list inside the batcher, whose panic left every
+/// later request answered `"shutting down"`. The configuration is now
+/// checked against its SCoP before any solve: the scenario gets an
+/// error naming the field, the offline engine's bytes, and a
+/// well-formed request after it on the same connection gets its golden
+/// bytes.
+#[test]
+fn a_directive_on_a_missing_statement_gets_an_error_not_a_dead_batcher() {
+    let handle = Server::start(ServerConfig::default()).expect("start daemon");
+    let mut roundtrip = line_roundtrip(handle.addr());
+    let scop = Json::Str(polytops_ir::print_scop(&polytops_workloads::stencil_chain())).compact();
+    let config = r#"{"scheduling_strategy":{"directives":[{"type":"vectorize","stmts":"5","iterator":"9"}]}}"#;
+    let hostile =
+        format!(r#"{{"op":"schedule","id":1,"scop":{scop},"scenarios":[{{"config":{config}}}]}}"#);
+    let response = roundtrip(&hostile);
+    assert!(response.contains(r#""ok":false"#), "{response}");
+    assert!(
+        response.contains("directives[0].stmts names statement 5"),
+        "{response}"
+    );
+    let (_, _, results, _) = unpack(&response);
+    assert_eq!(results, golden(&hostile));
     let line = request_line(
         "matmul",
         "matmul",

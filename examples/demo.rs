@@ -1,21 +1,26 @@
-//! End-to-end demo: extract a SCoP from C source, schedule it under a
-//! configuration, post-process (tiling / wavefront) on the schedule
-//! tree and print the loop nest generated by the tree-walking backend —
-//! or exercise the scenario engine and the `polytopsd` service (run
-//! `-- help` for all modes).
+//! End-to-end demo: schedule a reference kernel under a configuration,
+//! post-process (tiling / wavefront) on the schedule tree and print the
+//! loop nest generated by the tree-walking backend — or exercise the
+//! scenario engine and the `polytopsd` service (run `-- help` for all
+//! modes).
 
-use polytops::{analyze, frontend, schedule, SchedulerConfig};
+use polytops::workloads::{jacobi_1d, producer_consumer};
+use polytops::{analyze, schedule, SchedulerConfig, Scop};
 
 const USAGE: &str = "\
 usage: cargo run --example demo -- [mode]
 
 Scheduling modes (schedule a built-in kernel, print the loop nest):
-  pluto       pluto-style proximity + 32-wide tiling (default mode)
-  wavefront   time-iterated stencil: skewed + tiled + wavefronted
-  feautrier   Feautrier preset (inner parallelism)
-  tree        print the explicit schedule tree of a tiled + wavefronted
-              + vectorized stencil (docs/TREE.md), then the loop nest
-  json        configuration loaded from an inline JSON document
+  pluto       producer_consumer: pluto-style proximity + 32-wide tiling
+              (default mode)
+  wavefront   jacobi_1d, a time-iterated stencil: skewed + tiled +
+              wavefronted
+  feautrier   producer_consumer under the Feautrier preset (inner
+              parallelism)
+  tree        print the explicit schedule tree of jacobi_1d tiled +
+              wavefronted + vectorized (docs/TREE.md), then the loop nest
+  json        producer_consumer under a configuration loaded from an
+              inline JSON document
 
 Engine and service modes:
   sweep            run the standard kernel x preset sweep through the
@@ -31,28 +36,6 @@ Engine and service modes:
                    show the warm registry hit
   help             print this text
 ";
-
-const SOURCE: &str = r#"
-    double A[N];
-    double B[N];
-    double C[N];
-    #pragma scop
-    for (i = 0; i < N; i++)
-        B[i] = A[i];
-    for (j = 0; j < N; j++)
-        C[j] = B[j];
-    #pragma endscop
-"#;
-
-/// A time-iterated stencil: the wavefront/skewing showcase.
-const STENCIL_SOURCE: &str = r#"
-    double A[N];
-    #pragma scop
-    for (t = 0; t < T; t++)
-        for (i = 1; i < N - 1; i++)
-            A[i] = A[i - 1] + A[i + 1];
-    #pragma endscop
-"#;
 
 /// The `sweep` mode: run the standard kernel × preset sweep through the
 /// scenario engine, sequentially and sharded, and report the per-kernel
@@ -190,7 +173,7 @@ fn serve_demo(addr: &str) {
 /// The `client` mode: schedule the demo kernel through a running
 /// daemon, twice, showing the registry going from cold to warm.
 fn client_demo(addr: &str) {
-    let scop = frontend::parse_c("demo", SOURCE).expect("demo source parses");
+    let scop = producer_consumer();
     let line =
         polytops::workloads::requests::request_line("demo", "demo", &scop, &["pluto", "feautrier"]);
     let mut client =
@@ -242,7 +225,7 @@ fn main() {
         }
         _ => {}
     }
-    let mut source = SOURCE;
+    let mut kernel: fn() -> Scop = producer_consumer;
     let cfg = match preset.as_str() {
         "pluto" => {
             // The default demo is the staged pipeline end to end: the
@@ -252,14 +235,14 @@ fn main() {
             cfg
         }
         "wavefront" => {
-            source = STENCIL_SOURCE;
+            kernel = jacobi_1d;
             let mut cfg = SchedulerConfig::default();
             cfg.post.tile_sizes = vec![32, 32];
             cfg.post.wavefront = true;
             cfg
         }
         "tree" => {
-            source = STENCIL_SOURCE;
+            kernel = jacobi_1d;
             let mut cfg = SchedulerConfig::default();
             cfg.post.tile_sizes = vec![32, 32];
             cfg.post.wavefront = true;
@@ -281,7 +264,7 @@ fn main() {
         }
     };
 
-    let scop = frontend::parse_c("demo", source).expect("demo source parses");
+    let scop = kernel();
     println!("== input ==\n{scop}");
 
     let deps = analyze(&scop);

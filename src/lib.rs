@@ -1,16 +1,15 @@
 //! Umbrella crate re-exporting the PolyTOPS public API.
 //!
 //! PolyTOPS is a reconfigurable polyhedral scheduler: it takes a SCoP
-//! (built with [`ScopBuilder`], parsed from the textual exchange format
-//! with [`parse_scop`], or extracted from restricted C with
-//! [`frontend::parse_c`]) plus a [`SchedulerConfig`] and produces a legal
+//! (built with [`ScopBuilder`] or parsed from the textual exchange format
+//! with [`parse_scop`]) plus a [`SchedulerConfig`] and produces a legal
 //! affine [`Schedule`] via [`schedule`].
 //!
 //! The implementation lives in focused workspace crates, all re-exported
 //! here:
 //!
 //! * [`math`](polytops_math) — exact rational/integer math kernel;
-//! * [`ir`](polytops_ir) — SCoPs, schedules, builders, frontends;
+//! * [`ir`](polytops_ir) — SCoPs, schedules, builders, the exchange format;
 //! * [`deps`](polytops_deps) — dependence analysis and legality oracles;
 //! * [`core`](polytops_core) — configurations, cost functions, the
 //!   iterative scheduling driver, the parallel scenario engine and the
@@ -67,9 +66,9 @@ pub use polytops_deps::{
     OrderStep,
 };
 pub use polytops_ir::{
-    frontend, parse_scop, print_scop, Aff, AffineExpr, ArrayId, ArrayInfo, BandMember, MarkKind,
-    MemberTerm, PathStep, Schedule, ScheduleTree, Scop, ScopBuilder, Statement, StmtId,
-    StmtSchedule, Subscript, TreeNode,
+    parse_scop, print_scop, Aff, AffineExpr, ArrayId, ArrayInfo, BandMember, MarkKind, MemberTerm,
+    PathStep, Schedule, ScheduleTree, Scop, ScopBuilder, Statement, StmtId, StmtSchedule,
+    Subscript, TreeNode,
 };
 pub use polytops_math::{
     farkas_nonneg, ilp_feasible, ilp_lexmin, ilp_minimize, lp_minimize, ConstraintSystem,
