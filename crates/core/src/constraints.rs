@@ -80,35 +80,29 @@ fn err(text: &str, detail: impl Into<String>) -> ScheduleError {
     }
 }
 
+/// The error of an integer, in `text` or in the row built from it, past
+/// `i64`.
+fn out_of_range(text: &str) -> ScheduleError {
+    err(text, "integer out of range")
+}
+
 /// Splits on the comparison operator and combines both sides.
 fn parse_one(text: &str, space: &IlpSpace) -> Result<ConstraintRow, ScheduleError> {
     let (op, lhs_txt, rhs_txt) =
         split_relop(text).ok_or_else(|| err(text, "expected one of `>=`, `<=`, `=`, `==`"))?;
     let lhs = parse_expr(lhs_txt, text, space)?;
     let rhs = parse_expr(rhs_txt, text, space)?;
-    let n = space.total();
-    let mut row = vec![0i64; n + 1];
-    match op {
-        ">=" => {
-            for k in 0..=n {
-                row[k] = lhs[k] - rhs[k];
-            }
-            Ok((RowKind::Ineq, row))
-        }
-        "<=" => {
-            for k in 0..=n {
-                row[k] = rhs[k] - lhs[k];
-            }
-            Ok((RowKind::Ineq, row))
-        }
-        "=" | "==" => {
-            for k in 0..=n {
-                row[k] = lhs[k] - rhs[k];
-            }
-            Ok((RowKind::Eq, row))
-        }
-        _ => unreachable!(),
-    }
+    let (kind, big, small) = match op {
+        ">=" => (RowKind::Ineq, &lhs, &rhs),
+        "<=" => (RowKind::Ineq, &rhs, &lhs),
+        _ => (RowKind::Eq, &lhs, &rhs),
+    };
+    let row = big
+        .iter()
+        .zip(small)
+        .map(|(b, s)| b.checked_sub(*s).ok_or_else(|| out_of_range(text)))
+        .collect::<Result<_, _>>()?;
+    Ok((kind, row))
 }
 
 fn split_relop(text: &str) -> Option<(&'static str, &str, &str)> {
@@ -160,7 +154,15 @@ fn parse_expr(expr: &str, whole: &str, space: &IlpSpace) -> Result<Vec<i64>, Sch
             _ if expect_term => {
                 // term := int [* atom] | atom [* int]
                 let (coeff, atom, advance) = read_term(&toks[i..], whole)?;
-                apply_atom(&mut row, sign * coeff, &atom, whole, space)?;
+                let coeff = sign.checked_mul(coeff).ok_or_else(|| out_of_range(whole))?;
+                // The term goes on a zero row of its own: the columns it
+                // touches are distinct and `|coeff| < 2^63`, so they hold
+                // `±coeff` exactly, and only the sum can overflow.
+                let mut term = vec![0i64; row.len()];
+                apply_atom(&mut term, coeff, &atom, whole, space)?;
+                for (r, t) in row.iter_mut().zip(term) {
+                    *r = r.checked_add(t).ok_or_else(|| out_of_range(whole))?;
+                }
                 i += advance;
                 sign = 1;
                 expect_term = false;
@@ -209,7 +211,9 @@ fn tokenize(expr: &str, whole: &str) -> Result<Vec<Token>, ScheduleError> {
                 let mut v: i64 = 0;
                 while let Some(&d) = chars.peek() {
                     if let Some(dv) = d.to_digit(10) {
-                        v = v * 10 + dv as i64;
+                        v = (v.checked_mul(10))
+                            .and_then(|v| v.checked_add(i64::from(dv)))
+                            .ok_or_else(|| out_of_range(whole))?;
                         chars.next();
                     } else {
                         break;
@@ -440,5 +444,36 @@ mod tests {
         assert!(parse_constraints(&["wat >= 0".into()], &sp).is_err());
         assert!(parse_constraints(&["S0_it_0".into()], &sp).is_err());
         assert!(parse_constraints(&["S0_it_0 >= ".into()], &sp).is_ok()); // empty rhs = 0
+    }
+
+    #[test]
+    fn integers_past_i64_are_refused_not_wrapped() {
+        let sp = space();
+        let signed = IlpSpace::new(&scop2(), vec!["x".into()], 0, true, false);
+        for text in [
+            "S0_it_0 >= 99999999999999999999",
+            // 2^64 + 1, which wraps to 1.
+            "S0_it_0 >= 18446744073709551617",
+            // −(2^63 − 1) − (2^63 − 1) in the row's constant.
+            "S0_it_0 - 9223372036854775807 >= 9223372036854775807",
+            "x + 9223372036854775807 + 1 >= 0",
+            "x + x + 9223372036854775806 * x >= 0",
+        ] {
+            for space in [&sp, &signed] {
+                assert_eq!(
+                    parse_constraints(&[text.into()], space),
+                    Err(err(text, "integer out of range")),
+                    "{text}"
+                );
+            }
+        }
+        // The extremes that fit are kept exactly, on both sides of the
+        // ± split.
+        let text = "9223372036854775807 * S0_it_0 >= -9223372036854775807";
+        let rows = parse_constraints(&[text.into()], &signed).unwrap();
+        let mut expect = vec![0i64; signed.total() + 1];
+        signed.add_iter_coeff(&mut expect, 0, 0, i64::MAX);
+        expect[signed.total()] = i64::MAX;
+        assert_eq!(rows, [(RowKind::Ineq, expect)]);
     }
 }

@@ -42,6 +42,10 @@ pub enum ScheduleError {
     /// The scheduler exceeded its dimension budget without completing —
     /// indicates an internal bug; reported rather than looping forever.
     DimensionBudgetExceeded,
+    /// The solved rows order some dependence backwards by the
+    /// independent dependence oracle — indicates an internal bug; a
+    /// schedule that fails the oracle never leaves the engine.
+    Uncertified,
 }
 
 impl fmt::Display for ScheduleError {
@@ -66,6 +70,9 @@ impl fmt::Display for ScheduleError {
             ),
             ScheduleError::DimensionBudgetExceeded => {
                 write!(f, "scheduler exceeded its dimension budget")
+            }
+            ScheduleError::Uncertified => {
+                write!(f, "internal error: schedule failed oracle certification")
             }
         }
     }

@@ -20,10 +20,14 @@
 //!    being assembled and solved again;
 //! 4. infeasibility falls back to an SCC cut of the live dependence
 //!    graph ([`polytops_deps::sccs_topological`]);
-//! 5. after the last dimension, the [`postprocess`] stage applies the
-//!    configured tiling/wavefront transformations — once per
-//!    configuration of a solve group ([`run_shared`]), each to its own
-//!    copy of the solved schedule.
+//! 5. after the last dimension, one walk of the independent oracle
+//!    ([`Certifier::certifies`], blind to the Farkas rows and the
+//!    lexmin) certifies the solved rows, or fails the whole solve group
+//!    with [`ScheduleError::Uncertified`];
+//! 6. the [`postprocess`] stage applies the configured tiling/wavefront
+//!    transformations — once per configuration of a solve group
+//!    ([`run_shared`]), each to its own copy of the certified schedule,
+//!    rewriting only its tree.
 //!
 //! The variable layout is fixed per SCoP (dependence-variable columns
 //! exist for *all* dependences, pinned to zero while unused): one
@@ -154,9 +158,10 @@ impl PipelineStats {
 ///
 /// # Errors
 ///
-/// Same contract as [`crate::schedule`]; a failed solve fails the whole
-/// group. A directive naming a statement the SCoP does not have fails
-/// it with [`ScheduleError::Config`] before the first dimension.
+/// Same contract as [`crate::schedule`]; a failed solve or certification
+/// fails the whole group. A directive naming a statement the SCoP does
+/// not have fails it with [`ScheduleError::Config`] before the first
+/// dimension.
 pub fn run_shared(
     entry: &ScopEntry,
     configs: &[&SchedulerConfig],
@@ -455,10 +460,30 @@ impl<'a> Engine<'a> {
             }
             dim += 1;
         }
-        self.finalize(oracle)?;
         stats.farkas_hits = self.cache.hits();
         stats.farkas_misses = self.cache.misses();
-        Ok(self.postprocess(oracle, stats, posts))
+        self.finish(oracle, stats, posts)
+    }
+
+    /// The stages after the last dimension: completes the rows
+    /// ([`finalize`](Self::finalize)), certifies them, and
+    /// post-processes one copy per configuration.
+    fn finish(
+        &mut self,
+        oracle: &mut Certifier<'_>,
+        stats: PipelineStats,
+        posts: &[&SchedulerConfig],
+    ) -> Result<Vec<(Schedule, PipelineStats)>, ScheduleError> {
+        self.finalize(oracle)?;
+        let solved = self.schedule();
+        let certified = {
+            let _span = polytops_obs::span("certify");
+            oracle.certifies(&solved)
+        };
+        if !certified {
+            return Err(ScheduleError::Uncertified);
+        }
+        Ok(self.postprocess(oracle, stats, posts, solved))
     }
 
     // -----------------------------------------------------------------
@@ -858,27 +883,28 @@ impl<'a> Engine<'a> {
         Schedule::from_parts(per_stmt, self.bands.clone(), self.parallel.clone())
     }
 
-    /// The post-processing stage, once per configuration: builds its own
-    /// copy of the solved schedule (its tree the lowering of the rows)
-    /// and applies tiling, wavefront skewing, intra-tile vectorization
-    /// and vectorize marks as tree-to-tree transforms, each proved
-    /// against the dependence oracle before being committed. The first
-    /// copy carries the run's solver counters, the others only their own
-    /// dimension count.
+    /// The post-processing stage, once per configuration: takes its own
+    /// copy of the certified schedule (its tree the lowering of the
+    /// rows) and applies tiling, wavefront skewing, intra-tile
+    /// vectorization and vectorize marks as tree-to-tree transforms, each
+    /// proved against the dependence oracle before being committed. The
+    /// first copy carries the run's solver counters, the others only
+    /// their own dimension count.
     fn postprocess(
         &self,
         oracle: &mut Certifier<'_>,
         stats: PipelineStats,
         posts: &[&SchedulerConfig],
+        solved: Schedule,
     ) -> Vec<(Schedule, PipelineStats)> {
         let mut out = Vec::with_capacity(posts.len());
-        for (i, config) in posts.iter().enumerate() {
-            let sched = {
+        // The last member takes the solved schedule itself.
+        let copies = vec![solved; posts.len()];
+        for (i, (config, mut sched)) in posts.iter().zip(copies).enumerate() {
+            {
                 let _span = polytops_obs::span("postprocess");
-                let mut sched = self.schedule();
                 postprocess::apply(oracle, &mut sched, config, &self.carried_at);
-                sched
-            };
+            }
             let solver = if i == 0 {
                 stats
             } else {
@@ -891,5 +917,59 @@ impl<'a> Engine<'a> {
             out.push((sched, stats));
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use polytops_ir::{Aff, ScopBuilder, StmtId};
+
+    /// `A[i] = A[i-1]`: one flow dependence, from `i` to `i + 1`.
+    fn chain() -> ScopEntry {
+        let mut b = ScopBuilder::new("chain");
+        let n = b.param("N");
+        let a = b.array("A", &[n.clone()], 8);
+        b.open_loop("i", Aff::val(1), n - 1);
+        b.stmt("S0")
+            .read(a, &[Aff::var("i") - 1])
+            .write(a, &[Aff::var("i")])
+            .add(&mut b);
+        b.close_loop();
+        ScopEntry::new("chain", b.build().unwrap())
+    }
+
+    /// Commits `row` as the chain's only dimension and runs the stages
+    /// after the last dimension for a group of an untiled and a tiled
+    /// member.
+    fn finish_with(row: Vec<i64>) -> Result<Vec<(Schedule, PipelineStats)>, ScheduleError> {
+        let entry = chain();
+        let plain = SchedulerConfig::default();
+        let mut tiled = plain.clone();
+        tiled.post.tile_sizes = vec![16];
+        let mut engine = Engine::new(&entry, &plain, EngineOptions::default(), None);
+        let deps = entry.deps();
+        let oracle = &mut Certifier::new(&deps);
+        let solution = DimSolution {
+            rows: vec![row],
+            parallel: false,
+            constant: false,
+        };
+        engine.commit(oracle, &solution, false)?;
+        engine.finish(oracle, PipelineStats::default(), &[&plain, &tiled])
+    }
+
+    #[test]
+    fn rows_the_oracle_rejects_fail_every_member_of_the_group() {
+        // φ = −i runs the chain backwards: no member gets a schedule.
+        assert_eq!(finish_with(vec![-1, 0, 0]), Err(ScheduleError::Uncertified));
+        // φ = i is certified, and each member post-processes it.
+        let runs = finish_with(vec![1, 0, 0]).unwrap();
+        assert_eq!(runs.len(), 2);
+        for (sched, _) in &runs {
+            assert_eq!(sched.stmt(StmtId(0)).rows(), [vec![1, 0, 0]]);
+        }
+        assert_eq!(runs[0].0.tree().marks().len(), 0);
+        assert_eq!(runs[1].0.tree().marks().len(), 1, "the tile");
     }
 }

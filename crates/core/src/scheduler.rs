@@ -37,14 +37,18 @@ use crate::strategy::{ConfigStrategy, Strategy};
 /// Schedules a SCoP under a static configuration.
 ///
 /// This is the JSON-driven entry point: the configuration is wrapped in a
-/// [`ConfigStrategy`] and handed to [`schedule_with_strategy`].
+/// [`ConfigStrategy`] and handed to [`schedule_with_strategy`]. A
+/// returned schedule is certified: its flat rows order every dependence
+/// source-first by the independent dependence oracle.
 ///
 /// # Errors
 ///
 /// Returns [`ScheduleError::IllegalFusion`] when a user fusion control
 /// violates a dependence, [`ScheduleError::InfeasibleCustomConstraints`]
-/// when custom constraints empty a dimension's search space, and
-/// propagates arithmetic failures from the exact solvers.
+/// when custom constraints empty a dimension's search space,
+/// [`ScheduleError::Uncertified`] when the oracle rejects the solved
+/// rows (an internal bug), and propagates arithmetic failures from the
+/// exact solvers.
 ///
 /// # Examples
 ///

@@ -8,10 +8,10 @@
 //! from a [`MachineModel`] — base cost-function stacks crossed with
 //! post-processing variants whose tile sizes are derived from the cache
 //! budget — and [`explore`] runs the grid through a [`ScenarioSet`] on
-//! the work-stealing pool, scores every legal schedule with
-//! [`model_score`], and returns the winner with its feature vector,
-//! model score and oracle verdict. [`explore`] wraps the SCoP in a
-//! [`ScopEntry`] of its own and [`explore_entry`] explores on any entry
+//! the work-stealing pool, scores every certified schedule with
+//! [`model_score`], and returns the winner with its feature vector and
+//! model score. [`explore`] wraps the SCoP in a [`ScopEntry`] of its
+//! own and [`explore_entry`] explores on any entry
 //! (a registry-resident one in the daemon), sharing its dependence
 //! analysis and Farkas cones; no winner is remembered, so every call
 //! explores.
@@ -31,7 +31,6 @@
 
 use std::sync::Arc;
 
-use polytops_deps::Certifier;
 use polytops_ir::{Schedule, Scop};
 use polytops_machine::model::{extract_features, model_score, ScheduleFeatures};
 pub use polytops_machine::MachineModel;
@@ -92,12 +91,6 @@ pub struct TuneOutcome {
     pub score: i64,
     /// The winner's extracted feature vector.
     pub features: ScheduleFeatures,
-    /// Whether the winner passed the independent legality oracle
-    /// ([`Certifier::certifies`]: every dependence). The
-    /// engine schedules legally by construction, so this is `true`
-    /// unless there is an internal bug — callers (the service, the
-    /// bench) refuse to act on an uncertified winner.
-    pub certified: bool,
     /// Every candidate with its model score (`None` when scheduling
     /// failed), in lattice order.
     pub candidates: Vec<(String, Option<i64>)>,
@@ -198,10 +191,9 @@ pub fn candidate_lattice(scop: &Scop, machine: &MachineModel, max: usize) -> Vec
 /// `budget.threads` workers (sharing the SCoP's dependence analysis
 /// and Farkas caches exactly like any other sweep; a base stack's
 /// post-processing variants share its one solve), extracts features
-/// and scores each legal schedule, and selects the highest score —
-/// ties toward the earlier candidate. The winner is re-verified
-/// against the independent legality oracle
-/// ([`TuneOutcome::certified`]).
+/// and scores each schedule (every one certified by the engine's
+/// oracle stage), and selects the highest score — ties toward the
+/// earlier candidate.
 ///
 /// # Errors
 ///
@@ -212,8 +204,9 @@ pub fn explore(
     machine: &MachineModel,
     budget: &TuneBudget,
 ) -> Result<TuneOutcome, ScheduleError> {
-    // One entry carries the dependence analysis for the engine, feature
-    // extraction and certification alike: one analyze() per exploration.
+    // One entry carries the dependence analysis for the engine (its
+    // certification included) and feature extraction alike: one
+    // analyze() per exploration.
     let entry = Arc::new(ScopEntry::new(scop.name.clone(), scop.clone()));
     explore_entry(&entry, machine, budget)
 }
@@ -245,8 +238,10 @@ pub fn explore_entry(
 }
 
 /// The scoring half of [`explore_entry`]: scores each candidate's
-/// legal schedule under `machine` and picks the highest score, ties
-/// toward the earlier candidate, then certifies the winner. `results`
+/// schedule under `machine` and picks the highest score, ties toward
+/// the earlier candidate. Every `Ok` result is certified by the engine;
+/// a candidate it refused, [`ScheduleError::Uncertified`] included,
+/// scores `None` and is never picked. `results`
 /// holds one result per candidate, in lattice order, scheduled on
 /// `entry` by any scenario set (the daemon schedules an autotune's
 /// candidates inside the batch it joins).
@@ -287,13 +282,11 @@ pub fn pick(
             }));
     };
     let winner = results[idx].as_ref().cloned().expect("best is Ok");
-    let certified = Certifier::new(&deps).certifies(&winner.schedule);
     Ok(TuneOutcome {
         config: candidates[idx].config.clone(),
         winner,
         score,
         features,
-        certified,
         candidates: scored,
         explored_scenarios: results.len(),
     })
@@ -348,7 +341,6 @@ mod tests {
         assert_eq!(first.explored_scenarios, 6);
         assert_eq!(first.candidates.len(), 6);
         let again = explore_entry(&entry, &machine, &budget).unwrap();
-        assert!(again.certified);
         assert_eq!(again.winner.name, first.winner.name);
         assert_eq!(again.winner.schedule, first.winner.schedule);
         assert_eq!(again.score, first.score);

@@ -342,41 +342,51 @@ fn oracle_counters(scop: &Scop, config: &SchedulerConfig) -> (u64, u64) {
 }
 
 /// [`oracle_counters`], and beside them the rewrites post-processing
-/// proved and committed.
-fn counters(scop: &Scop, config: &SchedulerConfig) -> ((u64, u64), u64) {
+/// proved and committed and the questions a standalone certification
+/// of the returned schedule asks.
+fn counters(scop: &Scop, config: &SchedulerConfig) -> ((u64, u64), u64, u64) {
     let recorder = polytops_obs::Recorder::new(true);
     let root = recorder.root_span("test");
-    {
+    let sched = {
         let _bound = root.link().expect("armed").bind();
-        schedule(scop, config).unwrap();
-    }
+        schedule(scop, config).unwrap()
+    };
     let get = |name: &str| recorder.counter(name).get();
+    let deps = analyze(scop);
+    let mut standalone = Certifier::new(&deps);
+    assert!(standalone.certifies(&sched));
     (
-        (analyze(scop).len() as u64, get("oracle.queries")),
+        (deps.len() as u64, get("oracle.queries")),
         get("postprocess.rewrites_proved"),
+        standalone.stats().queries,
     )
 }
 
 #[test]
 fn a_schedule_builds_one_tableau_per_dependence_however_many_questions() {
-    // The engine's carried / parallel tests of every dimension, the
-    // tile flags, and the proof of every rewrite all ask the run's one
-    // certifier, each question on a copy of the tableau the analysis
-    // built for its dependence's polyhedron, and each (polyhedron, row)
-    // question once: a flow / anti / output twin or a repeat is
-    // answered from the certifier's memo. The counts are exact and
-    // deterministic: a question asked twice, or one the proof stops
-    // asking, moves the second, and a rewrite the proof stops covering
-    // is no longer committed.
-    let (oracle, proved) = counters(&jacobi_1d(), &polytops_core::presets::wavefront());
-    assert_eq!(oracle, (9, 16));
+    // The engine's carried / parallel tests of every dimension, its
+    // certification of the solved rows, the tile flags, and the proof of
+    // every rewrite all ask the run's one certifier, each question on a
+    // copy of the tableau the analysis built for its dependence's
+    // polyhedron, and each (polyhedron, row) question once: a flow /
+    // anti / output twin or a repeat is answered from the certifier's
+    // memo. The certification walk keeps no memo, so it asks what a
+    // standalone certification of the same schedule asks, on top of the
+    // engine's own questions. The counts are exact and deterministic: a
+    // question asked twice, or one the proof stops asking, moves the
+    // second, a dropped certification stage moves it by the walk, and a
+    // rewrite the proof stops covering is no longer committed.
+    let (oracle, proved, walk) = counters(&jacobi_1d(), &polytops_core::presets::wavefront());
+    assert_eq!(oracle, (9, 16 + walk));
+    assert!(walk > 0);
     assert_eq!(proved, 2, "tile and wavefront");
 
     let mut config = SchedulerConfig::default();
     config.post.tile_sizes = vec![16];
     config.post.intra_tile_vectorize = true;
-    let (oracle, proved) = counters(&polytops_workloads::heat_2d(), &config);
-    assert_eq!(oracle, (13, 36));
+    let (oracle, proved, walk) = counters(&polytops_workloads::heat_2d(), &config);
+    assert_eq!(oracle, (13, 36 + walk));
+    assert!(walk > 0);
     assert_eq!(proved, 1, "one tiling");
 
     // No dependence, no question.

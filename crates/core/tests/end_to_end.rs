@@ -486,3 +486,27 @@ fn a_directive_on_a_missing_statement_is_a_config_error() {
         assert_eq!(skipped, plain, "{kind}");
     }
 }
+
+/// A custom-constraint integer that does not fit `i64`, or a row that
+/// would overflow combining the two sides, fails the schedule with a
+/// constraint error. It used to panic in a debug build and to wrap in a
+/// release build, where `S0_it_0 >= 2^64 + 1` scheduled as `>= 1`.
+#[test]
+fn custom_constraint_integers_past_i64_are_a_syntax_error() {
+    let scop = matmul();
+    for text in [
+        "S0_it_0 >= 99999999999999999999",
+        "S0_it_0 >= 18446744073709551617",
+        "S0_it_0 - 9223372036854775807 >= 9223372036854775807",
+    ] {
+        let config = SchedulerConfig::from_json(&format!(
+            r#"{{"scheduling_strategy":{{"custom_constraints":[{{"scheduling_dimension":"default","constraints":["{text}"]}}]}}}}"#
+        ))
+        .unwrap();
+        let err = schedule(&scop, &config).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("cannot parse constraint `{text}`: integer out of range")
+        );
+    }
+}

@@ -4,7 +4,7 @@
 
 use polytops_core::tune::{self, MachineModel, TuneBudget};
 use polytops_core::{presets, schedule};
-use polytops_deps::analyze;
+use polytops_deps::{analyze, Certifier};
 use polytops_machine::model::{extract_features, model_score};
 use polytops_workloads::{all_kernels, jacobi_1d, matmul};
 
@@ -81,8 +81,9 @@ fn explore_beats_or_matches_the_default_preset() {
             ..TuneBudget::default()
         };
         let outcome = tune::explore(&scop, &machine, &budget).expect("kernels schedule");
+        let deps = analyze(&scop);
         assert!(
-            outcome.certified,
+            Certifier::new(&deps).certifies(&outcome.winner.schedule),
             "{}: winner must be oracle-legal",
             scop.name
         );

@@ -35,7 +35,7 @@
 //! * **Determinism** — responses are bit-identical to the offline
 //!   scenario-engine path ([`protocol::offline_results`] is the golden
 //!   comparator), every returned schedule is certified by the
-//!   independent dependence oracle before it leaves the daemon, and
+//!   independent dependence oracle before it leaves the engine, and
 //!   response serialization is byte-deterministic.
 //! * **Fleet serving** — the registry persists across restarts
 //!   ([`persist`]: checksummed snapshots of canonical SCoP text plus an

@@ -512,46 +512,48 @@ pub fn stats_to_json(stats: &PipelineStats) -> Json {
     ])
 }
 
-/// Serializes one scenario outcome: the schedule and the oracle verdict
-/// on success, or the scheduling error.
+/// The full results array of one request, in scenario order — exactly
+/// the value the bit-identity contract compares between the daemon and
+/// the offline scenario engine, which both render it here. Each entry
+/// is the schedule on success, or the scheduling error. An `Ok` result
+/// is certified by the engine's oracle stage (an uncertified schedule
+/// is a per-scenario error), so `certified` is always `true`: the key
+/// stays for the clients that read it.
 ///
 /// Pipeline *statistics* are deliberately absent: the per-run Farkas
 /// hit/miss split can vary under concurrency (two scenarios racing to
-/// eliminate the same entry — the PR 3 determinism contract covers the
-/// sum and every schedule, not the split), so stats travel in the
+/// eliminate the same entry — the determinism contract covers the sum
+/// and every schedule, not the split), so stats travel in the
 /// response's separate `stats` field, outside the bit-identity
 /// guarantee over `results`.
-pub fn result_to_json(name: &str, result: &ScenarioResult, certified: bool) -> Json {
-    match result {
-        Ok(report) => object(vec![
-            ("name", Json::Str(name.to_string())),
-            ("ok", Json::Bool(true)),
-            ("certified", Json::Bool(certified)),
-            ("schedule", schedule_to_json(&report.schedule)),
-        ]),
-        Err(e) => object(vec![
-            ("name", Json::Str(name.to_string())),
-            ("ok", Json::Bool(false)),
-            ("error", Json::Str(e.to_string())),
-        ]),
-    }
-}
-
-/// The full results array of one request, in scenario order — exactly
-/// the value the bit-identity contract compares between the daemon and
-/// the offline scenario engine.
-pub fn results_to_json(reports: &[(&str, &ScenarioResult, bool)]) -> Json {
+pub fn results_to_json(specs: &[ScenarioSpec], results: &[ScenarioResult]) -> Json {
     Json::Array(
-        reports
+        specs
             .iter()
-            .map(|(name, result, certified)| result_to_json(name, result, *certified))
+            .zip(results)
+            .map(|(spec, result)| {
+                let name = ("name", Json::Str(spec.name.clone()));
+                match result {
+                    Ok(report) => object(vec![
+                        name,
+                        ("ok", Json::Bool(true)),
+                        ("certified", Json::Bool(true)),
+                        ("schedule", schedule_to_json(&report.schedule)),
+                    ]),
+                    Err(e) => object(vec![
+                        name,
+                        ("ok", Json::Bool(false)),
+                        ("error", Json::Str(e.to_string())),
+                    ]),
+                }
+            })
             .collect(),
     )
 }
 
 /// A successful schedule response line. `stats` is the per-scenario
 /// [`stats_to_json`] array (diagnostic; not covered by the bit-identity
-/// contract over `results` — see [`result_to_json`]).
+/// contract over `results` — see [`results_to_json`]).
 pub fn schedule_response(
     id: &Json,
     results: Json,
@@ -607,12 +609,13 @@ pub fn features_to_json(f: &ScheduleFeatures) -> Json {
 }
 
 /// A successful autotune response line: the winning candidate (name,
-/// model score, feature vector, schedule, oracle verdict) plus every
-/// candidate's score (`null` when that configuration failed to
-/// schedule), in lattice order. Deterministic byte-for-byte for a given
-/// (SCoP, machine, budget), like every other response: a repeated
-/// request is explored again and answered with the same bytes.
-/// `explored_scenarios` counts the candidates scheduled.
+/// model score, `certified` — always `true`, see [`results_to_json`] —
+/// feature vector and schedule) plus every candidate's score (`null`
+/// when that configuration failed to schedule or to certify), in lattice
+/// order. Deterministic byte-for-byte for a given (SCoP, machine,
+/// budget), like every other response: a repeated request is explored
+/// again and answered with the same bytes. `explored_scenarios` counts
+/// the candidates scheduled.
 pub fn autotune_response(id: &Json, outcome: &TuneOutcome) -> String {
     let candidates: Vec<Json> = outcome
         .candidates
@@ -632,7 +635,7 @@ pub fn autotune_response(id: &Json, outcome: &TuneOutcome) -> String {
             object(vec![
                 ("name", Json::Str(outcome.winner.name.clone())),
                 ("score", Json::Int(outcome.score)),
-                ("certified", Json::Bool(outcome.certified)),
+                ("certified", Json::Bool(true)),
                 ("features", features_to_json(&outcome.features)),
                 ("schedule", schedule_to_json(&outcome.winner.schedule)),
             ]),
@@ -918,24 +921,12 @@ pub fn offline_results(req: &ScheduleRequest) -> Json {
     for spec in &req.scenarios {
         set.add_scenario(scop, spec.name.clone(), spec.config.clone());
     }
-    let results = set.run_sequential();
-    let deps = set.scops()[scop].deps();
-    let reports: Vec<(&str, &ScenarioResult, bool)> = req
-        .scenarios
-        .iter()
-        .zip(&results)
-        .map(|(spec, result)| {
-            let certified = match result {
-                Ok(report) => certify(&deps, report),
-                Err(_) => false,
-            };
-            (spec.name.as_str(), result, certified)
-        })
-        .collect();
-    results_to_json(&reports)
+    results_to_json(&req.scenarios, &set.run_sequential())
 }
 
-/// The independent legality oracle over one report.
+/// The independent legality oracle over one report, on a certifier of
+/// its own. The engine already certifies every schedule it returns; this
+/// stays for the benchmark's sweep, which times that walk separately.
 pub fn certify(deps: &[polytops_deps::Dependence], report: &ScenarioReport) -> bool {
     polytops_deps::Certifier::new(deps).certifies(&report.schedule)
 }

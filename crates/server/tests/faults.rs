@@ -974,6 +974,40 @@ fn a_directive_on_a_missing_statement_gets_an_error_not_a_dead_batcher() {
     handle.shutdown();
 }
 
+/// A custom-constraint integer past `i64` used to panic the batcher of
+/// a debug daemon and to wrap in a release one, which scheduled
+/// `S0_it_0 >= 2^64 + 1` as `>= 1`. The scenario now gets a constraint
+/// error, the offline engine's bytes, and a well-formed request after
+/// it on the same connection gets its golden bytes.
+#[test]
+fn a_custom_constraint_past_i64_gets_an_error_not_a_wrapped_schedule() {
+    let handle = Server::start(ServerConfig::default()).expect("start daemon");
+    let mut roundtrip = line_roundtrip(handle.addr());
+    let scop = Json::Str(polytops_ir::print_scop(&polytops_workloads::matmul())).compact();
+    let config = r#"{"scheduling_strategy":{"custom_constraints":[{"scheduling_dimension":"default","constraints":["S0_it_0 >= 18446744073709551617"]}]}}"#;
+    let hostile =
+        format!(r#"{{"op":"schedule","id":1,"scop":{scop},"scenarios":[{{"config":{config}}}]}}"#);
+    let response = roundtrip(&hostile);
+    let (_, _, results, _) = unpack(&response);
+    let parsed = polytops_core::json::parse(&results).expect("results parse");
+    let result = parsed.as_array().expect("results array")[0]
+        .as_object()
+        .expect("result object");
+    assert_eq!(result["ok"].as_bool(), Some(false), "{response}");
+    assert!(response.contains("integer out of range"), "{response}");
+    assert_eq!(results, golden(&hostile));
+    let line = request_line(
+        "matmul",
+        "matmul",
+        &polytops_workloads::matmul(),
+        &["pluto"],
+    );
+    let (ok, _, results, _) = unpack(&roundtrip(&line));
+    assert!(ok, "{line}");
+    assert_eq!(results, golden(&line));
+    handle.shutdown();
+}
+
 /// The `Client` hard-failure regression: a request submitted while the
 /// daemon is *down* (connection refused, nothing listening) must still
 /// get its bit-identical answer once the daemon comes up.

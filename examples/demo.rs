@@ -124,10 +124,7 @@ fn autotune_demo(kernel: &str) {
         }
     }
     let f = &outcome.features;
-    println!(
-        "\nwinner {} (certified: {})",
-        outcome.winner.name, outcome.certified
-    );
+    println!("\nwinner {}", outcome.winner.name);
     println!(
         "  features: dims {}, outer_parallel {}, parallel_dims {}, band width {}, \
          vectorized {}/{} stmts",
