@@ -15,7 +15,7 @@
 use polytops_codegen::emit_c;
 use polytops_core::tune::score_schedule;
 use polytops_core::{presets, schedule_with_options, EngineOptions, MachineModel, SchedulerConfig};
-use polytops_deps::{analyze, schedule_respects_dependence};
+use polytops_deps::{analyze, Certifier};
 use polytops_ir::{Schedule, Scop, StmtId};
 use polytops_math::IlpStats;
 use polytops_workloads::{all_kernels, sweep::preset_grid, synthetic};
@@ -42,13 +42,11 @@ fn model_cycles(
     let (sched, stats) = schedule_with_options(scop, config, &EngineOptions::default())
         .unwrap_or_else(|e| panic!("{name} schedules: {e:?}"));
     ilp.absorb(&stats.ilp);
-    for dep in analyze(scop) {
+    let deps = analyze(scop);
+    let mut oracle = Certifier::new(&deps);
+    for (e, dep) in deps.iter().enumerate() {
         assert!(
-            schedule_respects_dependence(
-                &dep,
-                sched.stmt(dep.src).rows(),
-                sched.stmt(dep.dst).rows()
-            ),
+            oracle.schedule_respects(e, sched.stmt(dep.src).rows(), sched.stmt(dep.dst).rows()),
             "{name}: the schedule violates {:?} -> {:?}",
             dep.src,
             dep.dst,

@@ -189,10 +189,6 @@ pub struct SchedulerConfig {
     pub heuristic_fast_path: bool,
     /// Box bound on iterator coefficients.
     pub coefficient_bound: i64,
-    /// Box bound on schedule constants.
-    pub constant_bound: i64,
-    /// Box bound on the proximity `u`/`w` variables.
-    pub bound_bound: i64,
     /// Parameter value estimate for extent-based heuristics (BLF).
     pub parameter_estimate: i64,
     /// Post-processing controls.
@@ -216,8 +212,6 @@ impl Default for SchedulerConfig {
             isl_fallback: false,
             heuristic_fast_path: false,
             coefficient_bound: 4,
-            constant_bound: 16,
-            bound_bound: 32,
             parameter_estimate: 64,
             post: PostProcess::default(),
         }
@@ -353,7 +347,17 @@ impl SchedulerConfig {
     /// assert!(!cfg.auto_vectorize);
     /// ```
     pub fn from_json(text: &str) -> Result<SchedulerConfig, ScheduleError> {
-        let root = json::parse(text).map_err(cfg_err)?;
+        SchedulerConfig::from_json_value(&json::parse(text).map_err(cfg_err)?)
+    }
+
+    /// [`from_json`](Self::from_json) over an already parsed document,
+    /// such as the inline `config` of a daemon request.
+    ///
+    /// # Errors
+    ///
+    /// As [`from_json`](Self::from_json), except that the text is
+    /// already parsed.
+    pub fn from_json_value(root: &Json) -> Result<SchedulerConfig, ScheduleError> {
         let root = root
             .as_object()
             .ok_or_else(|| cfg_err("top level must be an object"))?;

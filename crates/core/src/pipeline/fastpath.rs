@@ -21,7 +21,7 @@
 //! 2. **Shift repair** — if a cross-statement dependence has a negative
 //!    minimal distance under the proposal, the destination row's
 //!    constant is raised by exactly that deficit (a relaxation loop,
-//!    bounded by the configured constant bound, since raising one
+//!    bounded by the ILP's box bound on constants, since raising one
 //!    statement can re-expose a dependence upstream).
 //! 3. **Validation** — every legality dependence (live ones plus those
 //!    carried inside the open band, so emitted bands stay permutable)
@@ -37,6 +37,7 @@ use polytops_deps::{Certifier, Dependence};
 use polytops_ir::Scop;
 use polytops_math::Echelon;
 
+use super::objectives::CONSTANT_BOUND;
 use crate::strategy::DimSolution;
 
 /// Proposes one schedule dimension from the dependence structure, or
@@ -48,7 +49,6 @@ pub(crate) fn propose(
     basis: &[Echelon],
     legality: &[(usize, &Dependence)],
     live: &[(usize, &Dependence)],
-    shift_bound: i64,
 ) -> Option<DimSolution> {
     let np = scop.nparams();
     let nstmts = scop.statements.len();
@@ -102,7 +102,7 @@ pub(crate) fn propose(
             let dst = &mut rows[dep.dst.0];
             let cpos = dst.len() - 1;
             dst[cpos] += deficit;
-            if dst[cpos] > shift_bound {
+            if dst[cpos] > CONSTANT_BOUND {
                 return None;
             }
             changed = true;

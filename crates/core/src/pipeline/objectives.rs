@@ -325,6 +325,13 @@ fn add_progression(
     Ok(())
 }
 
+/// Box bound on schedule constants; the fast path's shift repair stops
+/// at it too.
+pub(crate) const CONSTANT_BOUND: i64 = 16;
+
+/// Box bound on the proximity `u`/`w` variables and user variables.
+const PROXIMITY_BOUND: i64 = 32;
+
 /// Box bounds over the raw ILP variables. Dependence-satisfaction
 /// variables `x_e` are boxed to `[0, 1]` only when Feautrier's cost is
 /// active for a live dependence and pinned to 0 otherwise. The pinned
@@ -346,11 +353,11 @@ fn add_bounds(ctx: &DimensionContext<'_>, feautrier: bool, sys: &mut ConstraintS
         sys.add_ineq(hi_row); // var <= hi
     };
     for j in 0..space.nparams {
-        bound(space.u(j), config.bound_bound);
+        bound(space.u(j), PROXIMITY_BOUND);
     }
-    bound(space.w(), config.bound_bound);
+    bound(space.w(), PROXIMITY_BOUND);
     for i in 0..space.user_names.len() {
-        bound(space.user_offset + i, config.bound_bound);
+        bound(space.user_offset + i, PROXIMITY_BOUND);
     }
     let mut live_dep = vec![false; space.num_deps];
     for &e in ctx.key.live.iter() {
@@ -368,7 +375,7 @@ fn add_bounds(ctx: &DimensionContext<'_>, feautrier: bool, sys: &mut ConstraintS
             let hi = if v < iter_end {
                 config.coefficient_bound
             } else if v >= const_start {
-                config.constant_bound
+                CONSTANT_BOUND
             } else {
                 // Parameter-coefficient columns (parametric shift).
                 config.coefficient_bound

@@ -519,14 +519,7 @@ impl<'a> Engine<'a> {
             let live = self.live_deps();
             let proposed = {
                 let _span = polytops_obs::span("fast_path");
-                fastpath::propose(
-                    oracle,
-                    self.scop,
-                    &self.basis,
-                    &legality,
-                    &live,
-                    self.config.constant_bound,
-                )
+                fastpath::propose(oracle, self.scop, &self.basis, &legality, &live)
             };
             if let Some(solution) = proposed {
                 stats.fast_path_dims += 1;

@@ -123,8 +123,19 @@ fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polytops_deps::{analyze, schedule_respects_dependence};
+    use polytops_deps::{analyze, Certifier};
     use polytops_ir::{Aff, ScopBuilder, StmtId};
+
+    /// Asserts that the independent oracle finds `sched` legal for
+    /// every dependence of `scop`.
+    fn assert_legal(scop: &Scop, sched: &Schedule) {
+        let deps = analyze(scop);
+        let mut oracle = Certifier::new(&deps);
+        for (e, dep) in deps.iter().enumerate() {
+            let (src, dst) = (sched.stmt(dep.src).rows(), sched.stmt(dep.dst).rows());
+            assert!(oracle.schedule_respects(e, src, dst));
+        }
+    }
 
     fn chain() -> Scop {
         let mut b = ScopBuilder::new("chain");
@@ -145,13 +156,7 @@ mod tests {
         let sched = schedule(&scop, &SchedulerConfig::default()).unwrap();
         // φ = i, the dependence-carrying outer dimension.
         assert_eq!(sched.stmt(StmtId(0)).rows()[0], vec![1, 0, 0]);
-        for dep in analyze(&scop) {
-            assert!(schedule_respects_dependence(
-                &dep,
-                sched.stmt(dep.src).rows(),
-                sched.stmt(dep.dst).rows(),
-            ));
-        }
+        assert_legal(&scop, &sched);
     }
 
     #[test]
@@ -234,13 +239,7 @@ mod tests {
         assert_eq!(stats.ilp.nodes, 0, "no B&B may run: {stats:?}");
         // Same schedule the ILP cascade finds: φ = i.
         assert_eq!(sched.stmt(StmtId(0)).rows()[0], vec![1, 0, 0]);
-        for dep in analyze(&scop) {
-            assert!(schedule_respects_dependence(
-                &dep,
-                sched.stmt(dep.src).rows(),
-                sched.stmt(dep.dst).rows(),
-            ));
-        }
+        assert_legal(&scop, &sched);
     }
 
     #[test]
@@ -256,13 +255,7 @@ mod tests {
         )
         .unwrap();
         assert!(stats.fast_path_fallbacks > 0, "{stats:?}");
-        for dep in analyze(&scop) {
-            assert!(schedule_respects_dependence(
-                &dep,
-                sched.stmt(dep.src).rows(),
-                sched.stmt(dep.dst).rows(),
-            ));
-        }
+        assert_legal(&scop, &sched);
     }
 
     #[test]
@@ -295,12 +288,6 @@ mod tests {
         assert_eq!(stats.fast_path_fallbacks, 0, "{stats:?}");
         assert_eq!(sched.stmt(StmtId(0)).rows()[0], vec![1, 0, 0]);
         assert_eq!(sched.stmt(StmtId(1)).rows()[0], vec![1, 0, 1], "shifted");
-        for dep in analyze(&scop) {
-            assert!(schedule_respects_dependence(
-                &dep,
-                sched.stmt(dep.src).rows(),
-                sched.stmt(dep.dst).rows(),
-            ));
-        }
+        assert_legal(&scop, &sched);
     }
 }

@@ -1,16 +1,13 @@
 //! End-to-end scheduling tests: build SCoPs with `ScopBuilder`, schedule
 //! them under several configurations, and certify every analyzed
-//! dependence with `schedule_respects_dependence` — the independent
+//! dependence with `Certifier::schedule_respects` — the independent
 //! legality oracle that shares no code with the scheduler's Farkas
 //! construction.
 
 use polytops_core::{
     presets, schedule, schedule_with_options, EngineOptions, FusionHeuristic, SchedulerConfig,
 };
-use polytops_deps::{
-    analyze, order_steps, schedule_respects_dependence, steps_respect_dependence,
-    strongly_satisfies,
-};
+use polytops_deps::{analyze, order_steps, steps_respect_dependence, Certifier};
 use polytops_ir::{Aff, BandMember, MarkKind, Schedule, Scop, ScopBuilder, StmtId, TreeNode};
 use polytops_workloads::{
     all_kernels, jacobi_1d, matmul, producer_consumer, reversed_consumer, stencil_chain,
@@ -116,13 +113,10 @@ fn assert_legal(name: &str, scop: &Scop, sched: &Schedule) {
         !deps.is_empty() || scop.statements.len() == 1,
         "{name}: want deps"
     );
+    let mut oracle = Certifier::new(&deps);
     for (e, dep) in deps.iter().enumerate() {
         assert!(
-            schedule_respects_dependence(
-                dep,
-                sched.stmt(dep.src).rows(),
-                sched.stmt(dep.dst).rows(),
-            ),
+            oracle.schedule_respects(e, sched.stmt(dep.src).rows(), sched.stmt(dep.dst).rows()),
             "{name}: dependence {e} ({:?} S{} -> S{} level {}) violated",
             dep.kind,
             dep.src.0,
@@ -160,9 +154,11 @@ fn stencil_chain_outer_dimension_carries() {
     // The acceptance criterion: φ = i on the outer dimension…
     assert_eq!(sched.stmt(StmtId(0)).rows()[0], vec![1, 0, 0]);
     // …and that dimension strongly satisfies (carries) every dependence.
-    for dep in analyze(&scop) {
+    let deps = analyze(&scop);
+    let mut oracle = Certifier::new(&deps);
+    for e in 0..deps.len() {
         let row = &sched.stmt(StmtId(0)).rows()[0];
-        assert!(strongly_satisfies(&dep, row, row));
+        assert!(oracle.strongly_satisfies(e, row, row));
     }
 }
 
@@ -174,9 +170,11 @@ fn matmul_schedule_is_full_rank_identity_like() {
     assert_eq!(ss.rank().unwrap(), 3);
     // Proximity keeps the self-dependence on C[i][j] at distance 0 on
     // the first two dimensions (i and j stay outer, k carries).
-    for dep in analyze(&scop) {
+    let deps = analyze(&scop);
+    let mut oracle = Certifier::new(&deps);
+    for e in 0..deps.len() {
         let rows = ss.rows();
-        assert!(schedule_respects_dependence(&dep, rows, rows));
+        assert!(oracle.schedule_respects(e, rows, rows));
     }
 }
 

@@ -146,12 +146,9 @@ fn for_machine_preset_schedules_and_certifies() {
     let machine = MachineModel::default();
     let sched = schedule(&scop, &presets::for_machine(&machine)).unwrap();
     let deps = analyze(&scop);
-    assert!(deps.iter().all(|d| {
-        polytops_deps::schedule_respects_dependence(
-            d,
-            sched.stmt(d.src).rows(),
-            sched.stmt(d.dst).rows(),
-        )
+    let mut oracle = polytops_deps::Certifier::new(&deps);
+    assert!(deps.iter().enumerate().all(|(e, d)| {
+        oracle.schedule_respects(e, sched.stmt(d.src).rows(), sched.stmt(d.dst).rows())
     }));
     let marks = sched.tree().marks();
     assert!(

@@ -3,11 +3,12 @@
 //! [`analyze`] extracts one convex [`Dependence`] per conflicting access
 //! pair and per dependence level (carried levels plus the
 //! loop-independent level), each backed by an exact integer-feasibility
-//! test. [`strongly_satisfies`], [`zero_distance`] and [`respects`]
-//! answer the satisfaction questions the iterative scheduler asks at
-//! every dimension, and [`schedule_respects_dependence`] is the
-//! independent legality oracle used by the test suite. Each is the
-//! one-question form of a [`Certifier`], which answers families of such
+//! test. A [`Certifier`] answers the satisfaction questions the
+//! iterative scheduler asks at every dimension
+//! ([`Certifier::strongly_satisfies`], [`Certifier::zero_distance`],
+//! [`Certifier::respects`]) and is the independent legality oracle of a
+//! whole schedule ([`Certifier::certifies`],
+//! [`Certifier::schedule_respects`]). It answers families of such
 //! questions about one set of dependences, each question on a copy of
 //! the tableau [`analyze`] solved for its dependence.
 //!
@@ -15,7 +16,7 @@
 //!
 //! ```
 //! use polytops_ir::{Aff, ScopBuilder};
-//! use polytops_deps::{analyze, strongly_satisfies};
+//! use polytops_deps::{analyze, Certifier};
 //!
 //! // for (i = 1; i < N; i++) A[i] = A[i-1];
 //! let mut b = ScopBuilder::new("chain");
@@ -31,7 +32,8 @@
 //!
 //! let deps = analyze(&scop);
 //! // Scheduling φ = i carries every dependence of the chain.
-//! assert!(deps.iter().all(|d| strongly_satisfies(d, &[1, 0, 0], &[1, 0, 0])));
+//! let mut oracle = Certifier::new(&deps);
+//! assert!((0..deps.len()).all(|e| oracle.strongly_satisfies(e, &[1, 0, 0], &[1, 0, 0])));
 //! ```
 
 #![deny(missing_docs)]
@@ -44,6 +46,6 @@ mod satisfy;
 pub use analysis::{analyze, common_loops, polyhedron_classes, DepKind, Dependence};
 pub use graph::{dependence_sccs, sccs_topological};
 pub use satisfy::{
-    distance_row, order_steps, respects, schedule_respects_dependence, steps_respect_dependence,
-    strongly_satisfies, zero_distance, Certifier, CertifierStats, OrderStep, StepDelta, StepSystem,
+    distance_row, order_steps, steps_respect_dependence, Certifier, CertifierStats, OrderStep,
+    StepDelta, StepSystem,
 };

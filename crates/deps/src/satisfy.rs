@@ -21,8 +21,7 @@
 //! question about a whole flat schedule or a
 //! tree's step sequence walks it on one working copy, asking `Δ ≤ −1`
 //! of each step and pinning `Δ = 0` before the next, instead of
-//! rebuilding prefix + step per question. The free functions of this
-//! module are the one-dependence, one-question forms of the same code.
+//! rebuilding prefix + step per question.
 
 use std::collections::{HashMap, HashSet};
 
@@ -71,39 +70,6 @@ fn at_most_minus_one(row: &[i64]) -> Vec<i64> {
     let mut down: Vec<i64> = row.iter().map(|&v| -v).collect();
     *down.last_mut().expect("a constant column") -= 1;
     down
-}
-
-/// Whether `Δ ≥ 1` on the whole dependence polyhedron (the row *carries*
-/// the dependence, which can then be removed from the live set).
-pub fn strongly_satisfies(dep: &Dependence, src_row: &[i64], dst_row: &[i64]) -> bool {
-    Certifier::new(std::slice::from_ref(dep)).strongly_satisfies(0, src_row, dst_row)
-}
-
-/// Whether `Δ = 0` on the whole dependence polyhedron (the dimension is
-/// parallel with respect to this dependence).
-pub fn zero_distance(dep: &Dependence, src_row: &[i64], dst_row: &[i64]) -> bool {
-    Certifier::new(std::slice::from_ref(dep)).zero_distance(0, src_row, dst_row)
-}
-
-/// Whether `Δ ≥ 0` on the whole polyhedron (the row is legal for this
-/// dependence). Mostly used by tests and verification — the scheduler
-/// enforces legality by construction via Farkas.
-pub fn respects(dep: &Dependence, src_row: &[i64], dst_row: &[i64]) -> bool {
-    Certifier::new(std::slice::from_ref(dep)).respects(0, src_row, dst_row)
-}
-
-/// Verifies a complete multidimensional schedule against a dependence:
-/// the destination timestamp must be lexicographically greater than the
-/// source timestamp for every point of the polyhedron.
-///
-/// This is the independent legality oracle used by the test suite: it
-/// shares no code path with the scheduler's Farkas construction.
-pub fn schedule_respects_dependence(
-    dep: &Dependence,
-    src_rows: &[Vec<i64>],
-    dst_rows: &[Vec<i64>],
-) -> bool {
-    Certifier::new(std::slice::from_ref(dep)).schedule_respects(0, src_rows, dst_rows)
 }
 
 // ---------------------------------------------------------------------
@@ -427,7 +393,7 @@ impl StepSystem {
 /// Verifies a schedule-tree instance order against a dependence: the
 /// destination instance must come strictly after the source instance
 /// for every point of the polyhedron. This is the tree-side counterpart
-/// of [`schedule_respects_dependence`], sharing the same independent
+/// of [`Certifier::schedule_respects`], sharing the same independent
 /// integer-feasibility machinery (no code path in common with the
 /// scheduler's Farkas construction).
 pub fn steps_respect_dependence(dep: &Dependence, steps: &[OrderStep]) -> bool {
@@ -539,20 +505,24 @@ impl<'a> Certifier<'a> {
         answer
     }
 
-    /// [`strongly_satisfies`] for `deps[e]`.
+    /// Whether `Δ ≥ 1` on the whole polyhedron of `deps[e]` (the row
+    /// *carries* the dependence, which can then be removed from the live
+    /// set).
     pub fn strongly_satisfies(&mut self, e: usize, src_row: &[i64], dst_row: &[i64]) -> bool {
         // Strongly satisfied iff { poly ∧ Δ <= 0 } has no integer point.
         let delta = distance_row(&self.deps[e], src_row, dst_row);
         !self.ask(e, delta.iter().map(|&d| -d).collect())
     }
 
-    /// [`zero_distance`] for `deps[e]`.
+    /// Whether `Δ = 0` on the whole polyhedron of `deps[e]` (the
+    /// dimension is parallel with respect to this dependence).
     pub fn zero_distance(&mut self, e: usize, src_row: &[i64], dst_row: &[i64]) -> bool {
         let delta = distance_row(&self.deps[e], src_row, dst_row);
         !self.ask(e, at_least_one(&delta)) && !self.ask(e, at_most_minus_one(&delta))
     }
 
-    /// [`respects`] for `deps[e]`.
+    /// Whether `Δ ≥ 0` on the whole polyhedron of `deps[e]` (the row is
+    /// legal for this dependence).
     pub fn respects(&mut self, e: usize, src_row: &[i64], dst_row: &[i64]) -> bool {
         let delta = distance_row(&self.deps[e], src_row, dst_row);
         !self.ask(e, at_most_minus_one(&delta))
@@ -577,8 +547,12 @@ impl<'a> Certifier<'a> {
         }
     }
 
-    /// [`schedule_respects_dependence`] for `deps[e]`: one walk down the
-    /// dimensions on a copy of the base tableau.
+    /// Whether the destination timestamp of `deps[e]` is
+    /// lexicographically greater than the source timestamp on every
+    /// point of its polyhedron: one walk down the dimensions on a copy
+    /// of the base tableau. This is the independent legality oracle of
+    /// the test suite: it shares no code path with the scheduler's
+    /// Farkas construction.
     pub fn schedule_respects(
         &mut self,
         e: usize,
@@ -708,52 +682,44 @@ mod tests {
 
     #[test]
     fn identity_row_strongly_satisfies_chain() {
-        let dep = flow_dep();
+        let deps = [flow_dep()];
+        let mut oracle = Certifier::new(&deps);
         // φ = i for both: Δ = i_r - i_s = 1 > 0 everywhere.
         let row = vec![1, 0, 0]; // (i, N, 1)
-        assert!(strongly_satisfies(&dep, &row, &row));
-        assert!(respects(&dep, &row, &row));
-        assert!(!zero_distance(&dep, &row, &row));
+        assert!(oracle.strongly_satisfies(0, &row, &row));
+        assert!(oracle.respects(0, &row, &row));
+        assert!(!oracle.zero_distance(0, &row, &row));
     }
 
     #[test]
     fn reversed_row_is_illegal() {
-        let dep = flow_dep();
+        let deps = [flow_dep()];
+        let mut oracle = Certifier::new(&deps);
         let row = vec![-1, 0, 0]; // φ = -i reverses the chain
-        assert!(!respects(&dep, &row, &row));
-        assert!(!strongly_satisfies(&dep, &row, &row));
+        assert!(!oracle.respects(0, &row, &row));
+        assert!(!oracle.strongly_satisfies(0, &row, &row));
     }
 
     #[test]
     fn constant_row_is_zero_distance() {
-        let dep = flow_dep();
+        let deps = [flow_dep()];
+        let mut oracle = Certifier::new(&deps);
         let row = vec![0, 0, 7]; // φ = 7 for all instances
-        assert!(zero_distance(&dep, &row, &row));
-        assert!(respects(&dep, &row, &row));
-        assert!(!strongly_satisfies(&dep, &row, &row));
+        assert!(oracle.zero_distance(0, &row, &row));
+        assert!(oracle.respects(0, &row, &row));
+        assert!(!oracle.strongly_satisfies(0, &row, &row));
     }
 
     #[test]
     fn full_schedule_verification() {
-        let dep = flow_dep();
+        let deps = [flow_dep()];
+        let mut oracle = Certifier::new(&deps);
         // Θ = (i) is legal and total for the chain.
-        assert!(schedule_respects_dependence(
-            &dep,
-            &[vec![1, 0, 0]],
-            &[vec![1, 0, 0]]
-        ));
+        assert!(oracle.schedule_respects(0, &[vec![1, 0, 0]], &[vec![1, 0, 0]]));
         // Θ = (0) leaves instances unordered: illegal.
-        assert!(!schedule_respects_dependence(
-            &dep,
-            &[vec![0, 0, 0]],
-            &[vec![0, 0, 0]]
-        ));
+        assert!(!oracle.schedule_respects(0, &[vec![0, 0, 0]], &[vec![0, 0, 0]]));
         // Θ = (-i) is illegal.
-        assert!(!schedule_respects_dependence(
-            &dep,
-            &[vec![-1, 0, 0]],
-            &[vec![-1, 0, 0]]
-        ));
+        assert!(!oracle.schedule_respects(0, &[vec![-1, 0, 0]], &[vec![-1, 0, 0]]));
     }
 
     /// A single-term affine step for the chain dep (φ = row on both

@@ -1,7 +1,5 @@
 //! Multidimensional affine schedules (the scheduler's output).
 
-use std::fmt;
-
 use crate::expr::AffineExpr;
 use crate::scop::{Scop, StmtId};
 use crate::tree::{ScheduleTree, TreeNode};
@@ -274,33 +272,6 @@ impl Schedule {
             i = j;
         }
         out
-    }
-}
-
-impl fmt::Display for Schedule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (sid, ss) in self.per_stmt.iter().enumerate() {
-            writeln!(f, "S{sid}:")?;
-            for (d, row) in ss.rows().iter().enumerate() {
-                let e = AffineExpr::from_row(row, ss.depth(), ss.nparams());
-                writeln!(
-                    f,
-                    "  t{d} = {:?}{}{}",
-                    e,
-                    if self.parallel.get(d).copied().unwrap_or(false) {
-                        "  [parallel]"
-                    } else {
-                        ""
-                    },
-                    if d > 0 && self.bands.get(d) == self.bands.get(d - 1) {
-                        "  (same band)"
-                    } else {
-                        ""
-                    },
-                )?;
-            }
-        }
-        Ok(())
     }
 }
 

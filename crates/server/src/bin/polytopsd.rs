@@ -1,16 +1,18 @@
 //! `polytopsd` — the PolyTOPS batching scheduler daemon.
 //!
 //! ```text
-//! polytopsd serve  [--addr A] [--window-ms W] [--max-batch B]
-//!                  [--threads T] [--registry-capacity C]
+//! polytopsd serve  [--addr A] [--window-ms W] [--threads T]
+//!                  [--registry-capacity C]
 //!                  [--snapshot-dir D] [--rotate-every E]
 //!                  [--max-connections M] [--no-trace]
+//! polytopsd route  --shards HOST:PORT[,HOST:PORT...] [--addr A]
 //! polytopsd replay [--addr A] [--clients N] [--connect-timeout-ms T]
 //!                  [--shutdown]
 //! polytopsd trace-dump [--addr A] [--out F]
 //! ```
 //!
-//! `serve` runs the daemon until a `shutdown` op arrives. `replay` is
+//! `serve` runs the daemon until a `shutdown` op arrives. `route` runs
+//! the consistent-hash front of a fleet of `serve` shards. `replay` is
 //! the end-to-end smoke client used by CI: it replays the standard
 //! sweep as N concurrent clients, diffs every response bit-for-bit
 //! against the offline scenario-engine golden path, prints the registry
@@ -22,13 +24,13 @@ use std::time::Duration;
 
 use polytops_core::json::Json;
 use polytops_server::protocol::{self, Request};
-use polytops_server::{Client, Server, ServerConfig};
+use polytops_server::{Client, Router, RouterConfig, Server, ServerConfig};
 
 const USAGE: &str = "polytopsd — the PolyTOPS batching scheduler daemon
 
 USAGE:
-  polytopsd serve  [--addr A] [--window-ms W] [--max-batch B]
-                   [--threads T] [--registry-capacity C]
+  polytopsd serve  [--addr A] [--window-ms W] [--threads T]
+                   [--registry-capacity C]
                    [--snapshot-dir D] [--rotate-every E]
                    [--max-connections M] [--no-trace]
       Run the daemon (default addr 127.0.0.1:7225) until it receives a
@@ -42,6 +44,12 @@ USAGE:
       --no-trace disables span recording (counters and histograms stay
       on); responses are bit-identical either way.
       Protocol: docs/SERVICE.md.
+
+  polytopsd route --shards HOST:PORT[,HOST:PORT...] [--addr A]
+      Listen on A (default 127.0.0.1:7226) and route schedule/autotune
+      requests across the shard daemons by SCoP fingerprint. Responses
+      are forwarded byte-for-byte; a shutdown op stops the shards and
+      then the router. Topology: docs/SERVICE.md.
 
   polytopsd replay [--addr A] [--clients N] [--connect-timeout-ms T]
                    [--shutdown]
@@ -64,6 +72,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
         Some("serve") => serve(&args[1..]),
+        Some("route") => route(&args[1..]),
         Some("replay") => replay(&args[1..]),
         Some("trace-dump") => trace_dump(&args[1..]),
         Some("help") | Some("--help") | Some("-h") => {
@@ -122,7 +131,6 @@ fn serve(args: &[String]) -> i32 {
             &[
                 "--addr",
                 "--window-ms",
-                "--max-batch",
                 "--threads",
                 "--registry-capacity",
                 "--snapshot-dir",
@@ -137,7 +145,6 @@ fn serve(args: &[String]) -> i32 {
                 .unwrap_or("127.0.0.1:7225")
                 .to_string(),
             window_ms: parse(args, "--window-ms", defaults.window_ms)?,
-            max_batch: parse(args, "--max-batch", defaults.max_batch)?,
             threads: parse(args, "--threads", defaults.threads)?,
             registry_capacity: parse(args, "--registry-capacity", defaults.registry_capacity)?,
             snapshot_dir: flag_value(args, "--snapshot-dir").map(str::to_string),
@@ -168,6 +175,53 @@ fn serve(args: &[String]) -> i32 {
         }
         Err(e) => {
             eprintln!("polytopsd serve: bind failed: {e}");
+            1
+        }
+    }
+}
+
+/// Runs the router in front of the `--shards` daemons until a client's
+/// `shutdown` op stops it.
+fn route(args: &[String]) -> i32 {
+    let parsed = (|| -> Result<RouterConfig, String> {
+        check_flags(args, &["--addr", "--shards"])?;
+        let shards: Vec<String> = flag_value(args, "--shards")
+            .ok_or("--shards is required")?
+            .split(',')
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .collect();
+        if shards.is_empty() {
+            return Err("--shards needs at least one address".to_string());
+        }
+        Ok(RouterConfig {
+            addr: flag_value(args, "--addr")
+                .unwrap_or("127.0.0.1:7226")
+                .to_string(),
+            shards,
+            ..RouterConfig::default()
+        })
+    })();
+    let config = match parsed {
+        Ok(config) => config,
+        Err(e) => {
+            eprintln!("polytopsd route: {e}");
+            return 2;
+        }
+    };
+    let shards = config.shards.len();
+    match Router::start(config) {
+        Ok(handle) => {
+            println!(
+                "polytopsd route listening on {} ({shards} shards)",
+                handle.addr()
+            );
+            handle.join();
+            println!("polytopsd route stopped");
+            0
+        }
+        Err(e) => {
+            eprintln!("polytopsd route: {e}");
             1
         }
     }

@@ -32,7 +32,7 @@ use polytops_core::json::Json;
 use polytops_obs::SpanHandle;
 
 use crate::protocol::{self, Request};
-use crate::service::{Admitted, RequestTrace, Shared, Work};
+use crate::service::{Admitted, Shared, Work};
 
 /// How long the acceptor sleeps when no connection is waiting. The
 /// listener is nonblocking so that the acceptor can look at the
@@ -63,19 +63,17 @@ pub(crate) enum Reply {
         line: String,
         /// The request's open "request" root and its "write" child,
         /// finished once the line's last byte reaches the socket.
-        trace: Option<(SpanHandle, SpanHandle)>,
+        root: SpanHandle,
+        write: SpanHandle,
     },
 }
 
 impl Reply {
-    /// The batcher's response; the "write" phase of a traced request starts
-    /// here, at the hand-off to the connection.
-    pub(crate) fn response(line: String, root: Option<SpanHandle>) -> Reply {
-        let trace = root.map(|root| {
-            let write = root.child("write");
-            (root, write)
-        });
-        Reply::Response { line, trace }
+    /// The batcher's response; the request's "write" phase starts here,
+    /// at the hand-off to the connection.
+    pub(crate) fn response(line: String, root: SpanHandle) -> Reply {
+        let write = root.child("write");
+        Reply::Response { line, root, write }
     }
 }
 
@@ -267,17 +265,18 @@ fn write_loop(stream: &TcpStream, replies: Receiver<Reply>, shared: &Shared) {
         if shared.is_crashed() {
             break;
         }
-        let (mut line, trace) = match reply {
-            Reply::Line(line) => (line, None),
-            Reply::Later(answer) => (answer(shared), None),
-            Reply::Response { line, trace } => {
+        let inert = SpanHandle::disabled;
+        let (mut line, root, write) = match reply {
+            Reply::Line(line) => (line, inert(), inert()),
+            Reply::Later(answer) => (answer(shared), inert(), inert()),
+            Reply::Response { line, root, write } => {
                 let nth = usize::try_from(shared.obs.responses.inc()).unwrap_or(usize::MAX);
                 if shared.config.faults.drop_response == Some(nth) {
                     // A torn line, then EOF; the spans finish on drop.
                     let _ = stream.write_all(&line.as_bytes()[..line.len() / 2]);
                     break;
                 }
-                (line, trace)
+                (line, root, write)
             }
         };
         // One write per line: a separate newline would go out as a
@@ -286,15 +285,13 @@ fn write_loop(stream: &TcpStream, replies: Receiver<Reply>, shared: &Shared) {
         if stream.write_all(line.as_bytes()).is_err() {
             break;
         }
-        if let Some((root, write)) = trace {
-            // The response is on the socket: its trace becomes the one
-            // the `trace` op returns.
-            write.finish();
-            let id = root.trace_id();
-            root.finish();
-            if id != 0 {
-                shared.obs.last_trace.store(id, Ordering::Relaxed);
-            }
+        // The response is on the socket: its trace, if it has one,
+        // becomes the one the `trace` op returns.
+        write.finish();
+        let id = root.trace_id();
+        root.finish();
+        if id != 0 {
+            shared.obs.last_trace.store(id, Ordering::Relaxed);
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
@@ -339,18 +336,15 @@ fn handle_line(
     // envelope's trace id when the router stamped one. Autotunes run
     // untraced.
     let recorder = &shared.obs.recorder;
-    let trace = match &work {
-        Work::Schedule(req) if recorder.spans_enabled() => {
+    let (root, admission) = match &work {
+        Work::Schedule(req) => {
             let start_ns = recorder.ns_of(started);
             let root = recorder.root_span_at("request", req.trace, start_ns);
             root.child_at("read", start_ns).finish();
             let admission = root.child("admission");
-            Some(RequestTrace {
-                root,
-                admission: Some(admission),
-            })
+            (root, admission)
         }
-        _ => None,
+        Work::Autotune(_) => (SpanHandle::disabled(), SpanHandle::disabled()),
     };
     // The admission channel is bounded: a full one blocks this
     // connection's reader only, so a flood slows its own intake instead
@@ -358,7 +352,8 @@ fn handle_line(
     if let Err(e) = admit.send(Admitted {
         work,
         reply: reply.clone(),
-        trace,
+        root,
+        admission,
     }) {
         shutting_down(e.0.work.id());
     }

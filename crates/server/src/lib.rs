@@ -42,8 +42,9 @@
 //!   append-only journal; a restarted daemon prewarms every Farkas
 //!   cone so warm replays pay zero re-eliminations), each connection
 //!   is served by a blocking reader and writer thread pair, and
-//!   [`Router`] fronts N daemon shards behind one address by
-//!   consistent-hashing SCoP fingerprints ([`HashRing`]). [`RetryClient`] rides restarts with
+//!   [`Router`] (`polytopsd route`) fronts N daemon shards behind one
+//!   address by consistent-hashing SCoP fingerprints ([`HashRing`]).
+//!   [`RetryClient`] rides restarts with
 //!   reconnect-and-resend backoff; scripted [`FaultPlan`]s drive the
 //!   fault-injection suite that proves bit-identity through kills.
 //!

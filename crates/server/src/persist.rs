@@ -158,48 +158,40 @@ impl Persister {
 
     /// Journals an `admit` event for each entry the registry has just
     /// admitted (a re-admission after eviction included), in admission
-    /// order.
+    /// order, then rotates if the journal has grown past `rotate_every`.
+    /// One `sync_data` covers every event written, so a later daemon
+    /// kill cannot lose an acknowledged batch's admissions; a batch that
+    /// admitted nothing writes and syncs nothing. I/O errors are
+    /// swallowed (persistence is best-effort; serving must not depend on
+    /// the disk).
     pub fn admitted(&self, registry: &ScopRegistry, entries: &[Arc<ScopEntry>]) {
-        self.journal(
-            registry,
-            entries.iter().map(|entry| {
-                Json::Object(std::collections::BTreeMap::from([
-                    ("event".to_string(), Json::Str("admit".to_string())),
-                    ("name".to_string(), Json::Str(entry.name().to_string())),
-                    ("scop".to_string(), Json::Str(print_scop(entry.scop()))),
-                ]))
-            }),
-        );
-    }
-
-    /// Appends `events`, then rotates if the journal has grown past
-    /// `rotate_every`. I/O errors are swallowed (persistence is
-    /// best-effort; serving must not depend on the disk).
-    fn journal(&self, registry: &ScopRegistry, events: impl IntoIterator<Item = Json>) {
         let mut state = self.state.lock().expect("persist lock");
-        for event in events {
-            self.append(&mut state, &event);
+        let started = Instant::now();
+        let mut written = 0;
+        for entry in entries {
+            let event = Json::Object(std::collections::BTreeMap::from([
+                ("event".to_string(), Json::Str("admit".to_string())),
+                ("name".to_string(), Json::Str(entry.name().to_string())),
+                ("scop".to_string(), Json::Str(print_scop(entry.scop()))),
+            ]));
+            let mut line = event.compact();
+            line.push('\n');
+            if state.journal.write_all(line.as_bytes()).is_ok() {
+                written += 1;
+            }
+        }
+        if written > 0 {
+            let fsync_started = Instant::now();
+            let _ = state.journal.sync_data();
+            record_since(&self.fsync_ns, fsync_started);
+            record_since(&self.append_ns, started);
+            state.events += written;
+            state.events_total += written;
         }
         if state.events >= self.rotate_every {
             drop(state);
             self.rotate(registry);
         }
-    }
-
-    /// Appends one journal event line, fsyncing so a subsequent daemon
-    /// kill cannot lose an acknowledged batch's admissions.
-    fn append(&self, state: &mut PersistState, event: &Json) {
-        let started = Instant::now();
-        let mut line = event.compact();
-        line.push('\n');
-        if state.journal.write_all(line.as_bytes()).is_ok() {
-            let fsync_started = Instant::now();
-            let _ = state.journal.sync_data();
-            record_since(&self.fsync_ns, fsync_started);
-            state.events += 1;
-            state.events_total += 1;
-        }
-        record_since(&self.append_ns, started);
     }
 
     /// Writes a fresh checksummed snapshot of `registry` and rotates

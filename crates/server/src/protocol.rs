@@ -253,9 +253,8 @@ fn parse_schedule(mut obj: BTreeMap<String, Json>) -> Result<WireSchedule, Strin
             }
             (None, Some(c)) => {
                 // Inline configs reuse the paper's Listing 2 JSON format
-                // verbatim: re-serialize the sub-document and hand it to
-                // the existing SchedulerConfig parser.
-                let cfg = SchedulerConfig::from_json(&c.compact()).map_err(|e| format!("{e}"))?;
+                // verbatim, parsed with the request line.
+                let cfg = SchedulerConfig::from_json_value(c).map_err(|e| format!("{e}"))?;
                 (cfg, format!("config{i}"))
             }
             _ => return Err("each scenario needs exactly one of `preset` or `config`".to_string()),

@@ -1,4 +1,4 @@
-//! `polytops-router`: a front process that makes N daemon shards look
+//! `polytopsd route`: a front process that makes N daemon shards look
 //! like one daemon.
 //!
 //! ```text
@@ -39,9 +39,14 @@ use crate::conn::{line_too_long, read_line, Line};
 use crate::protocol::{self, Request};
 use crate::DEFAULT_MAX_LINE_BYTES;
 
+/// Points each shard contributes to a [`HashRing`]. A constant, not an
+/// option: two routers that disagreed on it would send one SCoP to
+/// different shards.
+const VIRTUAL_NODES: usize = 64;
+
 /// A consistent-hash ring over shard labels.
 ///
-/// Each shard contributes `virtual_nodes` points (`fnv1a("label#i")`)
+/// Each shard contributes 64 points (`fnv1a("label#i")`)
 /// on a `u64` ring; a key is owned by the first point clockwise from
 /// its hash. The properties the fleet depends on:
 ///
@@ -58,13 +63,12 @@ pub struct HashRing {
 }
 
 impl HashRing {
-    /// Builds the ring for `labels` with `virtual_nodes` points each.
-    /// Labels should be the shard addresses (stable identities):
-    /// relabeling a shard moves its keys.
-    pub fn new(labels: &[String], virtual_nodes: usize) -> HashRing {
-        let mut points = Vec::with_capacity(labels.len() * virtual_nodes);
+    /// Builds the ring for `labels`. Labels should be the shard
+    /// addresses (stable identities): relabeling a shard moves its keys.
+    pub fn new(labels: &[String]) -> HashRing {
+        let mut points = Vec::with_capacity(labels.len() * VIRTUAL_NODES);
         for (idx, label) in labels.iter().enumerate() {
-            for v in 0..virtual_nodes {
+            for v in 0..VIRTUAL_NODES {
                 points.push((fnv1a(format!("{label}#{v}").as_bytes()), idx));
             }
         }
@@ -93,16 +97,14 @@ impl HashRing {
     }
 }
 
-/// Router configuration. Every knob is also a `polytops-router` flag
-/// (see `docs/CONFIG.md`).
+/// Router configuration. `addr` and `shards` are also `polytopsd route`
+/// flags (see `docs/CONFIG.md`).
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Listen address; port 0 picks an ephemeral port.
     pub addr: String,
     /// Shard daemon addresses (the ring's labels — keep them stable).
     pub shards: Vec<String>,
-    /// Virtual nodes per shard on the hash ring.
-    pub virtual_nodes: usize,
     /// Upstream reconnect policy (per shard, per client connection).
     pub retry: RetryPolicy,
 }
@@ -112,7 +114,6 @@ impl Default for RouterConfig {
         RouterConfig {
             addr: "127.0.0.1:0".to_string(),
             shards: Vec::new(),
-            virtual_nodes: 64,
             retry: RetryPolicy::default(),
         }
     }
@@ -163,7 +164,7 @@ impl Router {
         }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let ring = HashRing::new(&config.shards, config.virtual_nodes);
+        let ring = HashRing::new(&config.shards);
         let shared = Arc::new(RouterShared {
             config,
             ring,

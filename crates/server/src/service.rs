@@ -14,7 +14,7 @@
 //!      │  schedule/autotune ──► bounded admission channel ──► batcher thread
 //!      ▼
 //! batcher thread: takes the first request, drains what queued while
-//! the previous batch ran (up to max_batch) → one ScenarioSet (SCoP
+//! the previous batch ran (up to MAX_BATCH) → one ScenarioSet (SCoP
 //! texts resolved through the ScopRegistry, which parses a text only
 //! when no resident entry remembers it; an autotune adds its candidate
 //! lattice as untraced scenarios) → run_sharded(threads), on the
@@ -43,6 +43,7 @@ use polytops_core::registry::{ScopEntry, ScopRegistry};
 use polytops_core::scenario::{ScenarioResult, ScenarioSet};
 use polytops_core::tune::{self, Candidate};
 use polytops_ir::ParseScopError;
+use polytops_obs::SpanHandle;
 
 use crate::conn::{accept_loop, Reply};
 use crate::persist::Persister;
@@ -77,6 +78,9 @@ impl FaultPlan {
     }
 }
 
+/// Maximum requests per batch: a full batch runs without waiting.
+const MAX_BATCH: usize = 64;
+
 /// The default [`ServerConfig::max_line_bytes`], and the line cap of
 /// the [`Router`](crate::Router), which has no option for it.
 pub const DEFAULT_MAX_LINE_BYTES: usize = 16 << 20;
@@ -93,8 +97,6 @@ pub struct ServerConfig {
     /// batch is the first request plus whatever queued while the
     /// previous batch ran, and an idle daemon dispatches at once.
     pub window_ms: u64,
-    /// Maximum requests per batch (a full batch runs without waiting).
-    pub max_batch: usize,
     /// Worker threads for the scenario engine's work-stealing pool,
     /// which runs every batch: schedule and autotune requests alike.
     pub threads: usize,
@@ -125,7 +127,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             window_ms: 0,
-            max_batch: 64,
             threads: std::thread::available_parallelism().map_or(2, |n| n.get().clamp(2, 8)),
             registry_capacity: 128,
             snapshot_dir: None,
@@ -235,19 +236,6 @@ impl Shared {
     }
 }
 
-/// The open telemetry spans of one in-flight schedule request. The
-/// lifecycle children ("read", "admission", "solve", "serialize",
-/// "write") hang off `root`; whoever owns a handle finishes it at the
-/// matching lifecycle edge.
-pub(crate) struct RequestTrace {
-    /// The whole-lifecycle "request" span; finished when the response's
-    /// last byte reaches the socket.
-    pub(crate) root: polytops_obs::SpanHandle,
-    /// The open "admission" child; finished when the batcher takes
-    /// this request into a batch.
-    pub(crate) admission: Option<polytops_obs::SpanHandle>,
-}
-
 /// What an admitted request asks of its batch.
 pub(crate) enum Work {
     /// Schedule the SCoP under the request's configurations.
@@ -272,9 +260,15 @@ pub(crate) struct Admitted {
     pub(crate) work: Work,
     /// Its connection's reply queue.
     pub(crate) reply: Sender<Reply>,
-    /// Lifecycle spans of a schedule request, when tracing is enabled;
-    /// autotunes run untraced.
-    pub(crate) trace: Option<RequestTrace>,
+    /// The whole-lifecycle "request" span; its children ("read",
+    /// "admission", "resolve", "solve", "serialize", "write") are
+    /// finished at the matching lifecycle edges, and it is finished when
+    /// the response's last byte reaches the socket. Inert when spans are
+    /// off, and for an autotune, which runs untraced.
+    pub(crate) root: SpanHandle,
+    /// The open "admission" child; finished when the batcher takes
+    /// this request into a batch.
+    pub(crate) admission: SpanHandle,
 }
 
 /// The daemon entry point.
@@ -441,7 +435,7 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>) {
         // non-zero `window_ms` holds the batch open that much longer.
         let mut batch = vec![first];
         let deadline = Instant::now() + Duration::from_millis(shared.config.window_ms);
-        while batch.len() < shared.config.max_batch {
+        while batch.len() < MAX_BATCH {
             let left = deadline.saturating_duration_since(Instant::now());
             let next = if left.is_zero() {
                 rx.try_recv().ok()
@@ -454,11 +448,7 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>) {
         // The batcher has taken these requests: their admission wait
         // ends here, where the batch is committed to execution.
         for admitted in &mut batch {
-            if let Some(trace) = &mut admitted.trace {
-                if let Some(admission) = trace.admission.take() {
-                    admission.finish();
-                }
-            }
+            std::mem::replace(&mut admitted.admission, SpanHandle::disabled()).finish();
         }
         let nth_batch = shared.obs.batches.inc() as usize;
         shared.obs.requests.add(batch.len() as u64);
@@ -493,7 +483,7 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>) {
 }
 
 /// Executes one batch as a single `ScenarioSet`, pushing one response
-/// line per request (with its still-open "request" span, when traced)
+/// line per request (with its still-open "request" span)
 /// and collecting, in order, the entries the registry admitted on a
 /// miss (the persistence journal's `admit` events). Each request's
 /// resident entry is one slot of the set; requests that resolve to one
@@ -506,7 +496,7 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>) {
 fn process_group(
     shared: &Arc<Shared>,
     group: Vec<Admitted>,
-    responses: &mut Vec<(Sender<Reply>, String, Option<polytops_obs::SpanHandle>)>,
+    responses: &mut Vec<(Sender<Reply>, String, SpanHandle)>,
     misses: &mut Vec<Arc<ScopEntry>>,
 ) {
     struct Slot {
@@ -518,25 +508,20 @@ fn process_group(
         scenarios: Range<usize>,
         /// An autotune's candidate lattice, one per scenario.
         candidates: Vec<Candidate>,
-        /// The open "solve" span covering this request's share of the
-        /// batch execution; finished right after `run_sharded` returns.
-        solve: Option<polytops_obs::SpanHandle>,
     }
 
     let mut set = ScenarioSet::new();
     let mut slots: Vec<Slot> = Vec::with_capacity(group.len());
+    // The open "solve" span of each resolved request, covering its share
+    // of the batch execution; finished right after `run_sharded` returns.
+    let mut solves = Vec::with_capacity(group.len());
     for admitted in group {
-        let resolve = admitted
-            .trace
-            .as_ref()
-            .map(|trace| trace.root.child("resolve"));
+        let resolve = admitted.root.child("resolve");
         let resolved = match &admitted.work {
             Work::Schedule(req) => shared.registry.resolve_text(req.name.as_deref(), &req.scop),
             Work::Autotune(req) => shared.registry.resolve_text(None, &req.scop),
         };
-        if let Some(resolve) = resolve {
-            resolve.finish();
-        }
+        resolve.finish();
         let entry = match &resolved {
             Ok((entry, hit)) => {
                 if !hit {
@@ -550,7 +535,6 @@ fn process_group(
                     resolved,
                     scenarios: 0..0,
                     candidates: Vec::new(),
-                    solve: None,
                 });
                 continue;
             }
@@ -562,11 +546,8 @@ fn process_group(
         // "solve" span, so the trace tree shows per-job queue wait and
         // per-dimension pipeline work no matter which pool thread
         // executes it.
-        let solve = admitted
-            .trace
-            .as_ref()
-            .map(|trace| trace.root.child("solve"));
-        let link = solve.as_ref().and_then(polytops_obs::SpanHandle::link);
+        let solve = admitted.root.child("solve");
+        let link = solve.link();
         let first = set.len();
         let mut candidates = Vec::new();
         match &admitted.work {
@@ -597,26 +578,18 @@ fn process_group(
             resolved,
             scenarios: first..set.len(),
             candidates,
-            solve,
         });
+        solves.push(solve);
     }
 
     let results = set.run_sharded(shared.config.threads);
-    for slot in &mut slots {
-        if let Some(solve) = slot.solve.take() {
-            solve.finish();
-        }
-    }
+    solves.into_iter().for_each(SpanHandle::finish);
     for result in results.iter().flatten() {
         result.stats.accumulate_into(&shared.obs.recorder);
     }
 
-    for mut slot in slots {
-        let serialize = slot
-            .admitted
-            .trace
-            .as_ref()
-            .map(|trace| trace.root.child("serialize"));
+    for slot in slots {
+        let serialize = slot.admitted.root.child("serialize");
         let results = &results[slot.scenarios];
         let line = match (&slot.resolved, &slot.admitted.work) {
             (Err(e), _) => protocol::error_response(&Json::Null, &e.to_string()),
@@ -629,11 +602,8 @@ fn process_group(
                 }
             }
         };
-        if let Some(serialize) = serialize {
-            serialize.finish();
-        }
-        let root = slot.admitted.trace.take().map(|trace| trace.root);
-        responses.push((slot.admitted.reply, line, root));
+        serialize.finish();
+        responses.push((slot.admitted.reply, line, slot.admitted.root));
     }
 }
 

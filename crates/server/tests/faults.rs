@@ -29,6 +29,7 @@ use polytops_server::{
     Client, FaultPlan, RetryClient, RetryPolicy, Server, ServerConfig, ServerHandle,
 };
 use polytops_workloads::requests::{autotune_request_line, fleet_request_streams, request_line};
+use polytops_workloads::{producer_consumer, stencil_chain};
 
 /// A fresh scratch directory under the system temp dir.
 fn scratch(tag: &str) -> PathBuf {
@@ -756,6 +757,72 @@ fn readmission_after_eviction_is_journaled() {
     assert!(ok && hit, "long_chain_2 must be resident: {response}");
     assert_eq!(misses, 0, "long_chain_2 must be prewarmed: {response}");
     assert_eq!(results, golden(&lines[3]));
+    second.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A batch that admits two SCoPs journals both with one fsync: the one
+/// sync covers every earlier write, so both admissions are durable
+/// before either answer goes out, and a daemon killed afterwards
+/// restarts with both entries warm.
+#[test]
+fn a_batch_of_admissions_is_synced_once() {
+    let dir = scratch("one-sync");
+    let config = ServerConfig {
+        window_ms: 200, // wide window: the pair below forms one batch
+        rotate_every: 1_000,
+        ..fleet_config(2, &dir)
+    };
+    let first = Server::start(ServerConfig {
+        faults: FaultPlan {
+            kill_after_batches: Some(2),
+            ..FaultPlan::default()
+        },
+        ..config.clone()
+    })
+    .expect("start first generation");
+    let lines = [
+        request_line("a", "stencil_chain", &stencil_chain(), &["pluto"]),
+        request_line("b", "producer_consumer", &producer_consumer(), &["pluto"]),
+    ];
+    let mut client = Client::connect(first.addr()).expect("connect");
+    for line in &lines {
+        client.send_line(line).expect("send");
+    }
+    for line in &lines {
+        let (ok, hit, results, _) = unpack(&client.recv_line().expect("response"));
+        assert!(ok && !hit, "{line}");
+        assert_eq!(results, golden(line));
+    }
+    let stats = client.stats().expect("stats");
+    let stats = stats.as_object().expect("stats object");
+    assert_eq!(stats["batches"].as_int(), Some(1), "the pair is one batch");
+    let persist = stats["persist"].as_object().expect("persistence");
+    assert_eq!(persist["journal_events"].as_int(), Some(2));
+    let fsyncs = stats["obs"].as_object().unwrap()["histograms"]
+        .as_object()
+        .unwrap()["persist.fsync_ns"]
+        .as_object()
+        .unwrap()["count"]
+        .as_int();
+    assert_eq!(fsyncs, Some(1), "one fsync for the batch's two events");
+    // A hit journals nothing; the kill follows its batch.
+    assert!(client.roundtrip(&lines[0]).is_err(), "the kill drops it");
+    while !first.crashed() {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    first.join();
+
+    let second = Server::start(config).expect("start second generation");
+    assert_eq!(second.persist_totals().unwrap().restored_entries, 2);
+    let mut client = Client::connect(second.addr()).expect("connect");
+    for line in &lines {
+        let response = client.roundtrip(line).expect("request after restart");
+        let (ok, hit, results, misses) = unpack(&response);
+        assert!(ok && hit, "must be resident: {response}");
+        assert_eq!(misses, 0, "must be prewarmed: {response}");
+        assert_eq!(results, golden(line));
+    }
     second.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

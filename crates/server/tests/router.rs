@@ -22,8 +22,8 @@ fn labels(names: &[&str]) -> Vec<String> {
 
 #[test]
 fn ring_is_stable_under_shard_add() {
-    let before = HashRing::new(&labels(&["a:1", "b:1", "c:1"]), 64);
-    let after = HashRing::new(&labels(&["a:1", "b:1", "c:1", "d:1"]), 64);
+    let before = HashRing::new(&labels(&["a:1", "b:1", "c:1"]));
+    let after = HashRing::new(&labels(&["a:1", "b:1", "c:1", "d:1"]));
     let keys = keys(4000);
     let mut moved = 0u64;
     for &key in &keys {
@@ -51,8 +51,8 @@ fn ring_is_stable_under_shard_add() {
 
 #[test]
 fn ring_is_stable_under_shard_remove() {
-    let before = HashRing::new(&labels(&["a:1", "b:1", "c:1", "d:1"]), 64);
-    let after = HashRing::new(&labels(&["a:1", "b:1", "c:1"]), 64);
+    let before = HashRing::new(&labels(&["a:1", "b:1", "c:1", "d:1"]));
+    let after = HashRing::new(&labels(&["a:1", "b:1", "c:1"]));
     let mut moved = 0u64;
     let keys = keys(4000);
     for &key in &keys {
@@ -79,7 +79,7 @@ fn ring_is_stable_under_shard_remove() {
 
 #[test]
 fn ring_balances_roughly_evenly() {
-    let ring = HashRing::new(&labels(&["a:1", "b:1", "c:1", "d:1"]), 64);
+    let ring = HashRing::new(&labels(&["a:1", "b:1", "c:1", "d:1"]));
     assert_eq!(ring.shards(), 4);
     let mut counts = [0u64; 4];
     for key in keys(10_000) {
@@ -152,10 +152,7 @@ fn routed_sweep_is_byte_identical_to_direct() {
     // assigns it. The oracle rebuilds the router's own ring from the
     // shard addresses, so the check is deterministic even when an
     // unlucky port draw sends the whole sweep to one shard.
-    let ring = HashRing::new(
-        &[shard_a.addr().to_string(), shard_b.addr().to_string()],
-        RouterConfig::default().virtual_nodes,
-    );
+    let ring = HashRing::new(&[shard_a.addr().to_string(), shard_b.addr().to_string()]);
     let mut expected_requests = [0i64; 2];
     for (_, scop) in all_kernels() {
         expected_requests[ring.shard_of(polytops_core::registry::fingerprint(&scop))] += 1;

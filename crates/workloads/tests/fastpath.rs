@@ -6,11 +6,11 @@
 //! sweep kernel (and both synthetic generators at a size the reference
 //! kernels never reach) is scheduled under the `fast_path` preset and
 //! every dependence is re-checked with
-//! [`polytops_deps::schedule_respects_dependence`] — the same oracle
-//! the daemon uses to certify responses.
+//! [`polytops_deps::Certifier::schedule_respects`] — the same oracle
+//! the engine certifies every schedule with.
 
 use polytops_core::{presets, schedule_with_options, EngineOptions};
-use polytops_deps::{analyze, schedule_respects_dependence};
+use polytops_deps::{analyze, Certifier};
 use polytops_workloads::{all_kernels, synthetic};
 
 #[test]
@@ -31,13 +31,11 @@ fn fast_path_schedules_are_oracle_legal_on_every_sweep_kernel() {
             assert_eq!(stats.ilp.lp_stages, 0);
             assert_eq!(stats.ilp.nodes, 0);
         }
-        for dep in analyze(&scop) {
+        let deps = analyze(&scop);
+        let mut oracle = Certifier::new(&deps);
+        for (e, dep) in deps.iter().enumerate() {
             assert!(
-                schedule_respects_dependence(
-                    &dep,
-                    sched.stmt(dep.src).rows(),
-                    sched.stmt(dep.dst).rows(),
-                ),
+                oracle.schedule_respects(e, sched.stmt(dep.src).rows(), sched.stmt(dep.dst).rows()),
                 "{name}: fast-path schedule violates a dependence \
                  ({:?} -> {:?})",
                 dep.src,

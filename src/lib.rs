@@ -61,9 +61,8 @@ pub use polytops_core::{
     ScenarioSet, ScheduleError, SchedulerConfig, ScopEntry, ScopRegistry, Strategy, StrategyState,
 };
 pub use polytops_deps::{
-    analyze, dependence_sccs, order_steps, respects, schedule_respects_dependence,
-    steps_respect_dependence, strongly_satisfies, zero_distance, Certifier, DepKind, Dependence,
-    OrderStep,
+    analyze, dependence_sccs, order_steps, steps_respect_dependence, Certifier, DepKind,
+    Dependence, OrderStep,
 };
 pub use polytops_ir::{
     parse_scop, print_scop, Aff, AffineExpr, ArrayId, ArrayInfo, BandMember, MarkKind, MemberTerm,
