@@ -5,8 +5,9 @@
 //! extremes, and statement indices, iterators and scheduling dimensions
 //! are pushed past the SCoP. The case count reads `PROPTEST_CASES`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+mod fuzz;
 
+use fuzz::{survives, VALUES};
 use polytops_codegen::emit_c;
 use polytops_core::{schedule, SchedulerConfig};
 use polytops_workloads::{producer_consumer, stencil_chain};
@@ -76,24 +77,6 @@ const BASES: [&str; 3] = [
     }}"#,
 ];
 
-/// What a mutated integer becomes.
-const VALUES: [&str; 14] = [
-    "0",
-    "1",
-    "-1",
-    "2",
-    "-2",
-    "3",
-    "64",
-    "2147483648",
-    "-2147483648",
-    "2147483647",
-    "9223372036854775807",
-    "-9223372036854775808",
-    "9223372036854775806",
-    "-9223372036854775807",
-];
-
 /// `text` with its `k`-th run of digits (a leading `-` included)
 /// replaced by `VALUES[c % VALUES.len()]` for `c = choices[k]` when
 /// `c / VALUES.len() < rate`, and kept otherwise: with `c` below
@@ -139,11 +122,6 @@ fn run(text: &str) {
     }
 }
 
-/// Whether `run(text)` returned without panicking.
-fn survives(text: &str) -> bool {
-    catch_unwind(AssertUnwindSafe(|| run(text))).is_ok()
-}
-
 /// The fuzz starts from configurations that reach code generation: each
 /// base lowers on `producer_consumer`, whose two statements the texts
 /// name (`stencil_chain` has one, so it refuses some).
@@ -167,6 +145,6 @@ proptest! {
         ),
     ) {
         let text = mutate(BASES[base], rate, &choices);
-        prop_assert!(survives(&text), "panicked on {text}");
+        prop_assert!(survives(|| run(&text)), "panicked on {text}");
     }
 }

@@ -55,10 +55,10 @@
 //!
 //! Tile bands take the engine's unconditioned rule and untransformed
 //! bands keep the engine's flags, so model scores of plain schedules
-//! are unchanged. Test builds check every flag the rule sets against
-//! the from-scratch conditioned coincidence (zero distance given equal
-//! outer coordinates) of `crates/deps/tests/reference`, and every
-//! committed order against [`Certifier::steps_respect`].
+//! are unchanged. Test builds check every committed order and every
+//! flag the rule sets against the from-scratch tree-order oracle of
+//! `crates/deps/tests/reference`: its step walk, and its conditioned
+//! coincidence (zero distance given equal outer coordinates).
 //! `postprocess.rewrites_proved` counts the committed rewrites.
 
 use std::collections::HashMap;
@@ -809,8 +809,9 @@ mod reference;
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{order_steps, step_coincident, steps_respect};
     use super::*;
-    use polytops_deps::{analyze, order_steps, steps_respect_dependence, Dependence};
+    use polytops_deps::{analyze, Dependence};
     use polytops_ir::{Aff, Scop, ScopBuilder, StmtSchedule};
 
     /// Dependences not strongly carried by any flat dimension before
@@ -836,10 +837,10 @@ mod tests {
         live
     }
 
-    /// What every committed rewrite that sets flags is held to: each
-    /// dependence ordered by the candidate (statement paths `paths`),
-    /// asked of a fresh certifier, and the rule's flag of each member
-    /// id in `ids` equal to the from-scratch verdict — crossed by some
+    /// What every committed rewrite that sets flags is held to, asked
+    /// from scratch: each dependence ordered by the candidate
+    /// (statement paths `paths`), and the rule's flag of each member id
+    /// in `ids` equal to the reference's verdict — crossed by some
     /// statement, and zero distance given equal coordinates on every
     /// earlier step, on every dependence that reaches it.
     pub(super) fn audit(
@@ -848,7 +849,6 @@ mod tests {
         ids: Range<usize>,
         flags: &[bool],
     ) {
-        let mut certifier = Certifier::new(deps);
         let mut want: Vec<bool> = (ids.clone())
             .map(|id| paths.iter().any(|path| crosses(path, id)))
             .collect();
@@ -856,15 +856,14 @@ mod tests {
             let src = &paths[dep.src.0];
             let steps = order_steps(src, &paths[dep.dst.0]);
             assert!(
-                certifier.steps_respect(e, &steps),
+                steps_respect(dep, &steps),
                 "the proof committed an order dependence {e} refutes"
             );
             // Step j compares the member (or sequence) at src[j].
             for (j, step) in src.iter().enumerate().take(steps.len()) {
                 if let PathStep::Member { node, .. } = step {
                     if ids.contains(node) && want[node - ids.start] {
-                        want[node - ids.start] =
-                            super::reference::step_coincident(dep, &steps[..j], &steps[j]);
+                        want[node - ids.start] = step_coincident(dep, &steps[..j], &steps[j]);
                     }
                 }
             }
@@ -891,7 +890,7 @@ mod tests {
         let paths = tree.stmt_paths();
         deps.iter().all(|dep| {
             let steps = order_steps(&paths[dep.src.0], &paths[dep.dst.0]);
-            steps_respect_dependence(dep, &steps)
+            steps_respect(dep, &steps)
         })
     }
 

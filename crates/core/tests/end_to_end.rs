@@ -7,22 +7,26 @@
 use polytops_core::{
     presets, schedule, schedule_with_options, EngineOptions, FusionHeuristic, SchedulerConfig,
 };
-use polytops_deps::{analyze, order_steps, steps_respect_dependence, Certifier};
+#[path = "../../deps/tests/reference/mod.rs"]
+mod reference;
+
+use polytops_deps::{analyze, Certifier};
 use polytops_ir::{Aff, BandMember, MarkKind, Schedule, Scop, ScopBuilder, StmtId, TreeNode};
 use polytops_workloads::{
     all_kernels, jacobi_1d, matmul, producer_consumer, reversed_consumer, stencil_chain,
 };
 
 /// Certifies the schedule *tree* against every dependence via the
-/// instance-order oracle (the flat oracle in [`assert_legal`] does not
-/// see tile or wavefront members).
+/// from-scratch instance-order oracle of `crates/deps/tests/reference`
+/// (the flat oracle in [`assert_legal`] does not see tile or wavefront
+/// members).
 fn assert_tree_legal(name: &str, scop: &Scop, sched: &Schedule) {
     let tree = sched.tree();
     let paths = tree.stmt_paths();
     for (e, dep) in analyze(scop).iter().enumerate() {
-        let steps = order_steps(&paths[dep.src.0], &paths[dep.dst.0]);
+        let steps = reference::order_steps(&paths[dep.src.0], &paths[dep.dst.0]);
         assert!(
-            steps_respect_dependence(dep, &steps),
+            reference::steps_respect(dep, &steps),
             "{name}: tree violates dependence {e} (S{} -> S{})",
             dep.src.0,
             dep.dst.0,

@@ -60,7 +60,8 @@ pub struct Dependence {
     /// Candl-style level: `1..=common` means carried by that common loop;
     /// `common + 1` means loop-independent (textual order).
     pub level: usize,
-    /// `false` when a non-affine subscript forced a conservative
+    /// `false` when a non-affine subscript, or a subscript equality
+    /// with a coefficient past `i64`, forced a conservative
     /// over-approximation (the subscript equality was dropped).
     pub exact: bool,
     /// Iterator count of the source statement (cached from the scop).
@@ -328,30 +329,29 @@ fn build_dep(
             polytops_math::RowKind::Ineq => poly.add_ineq(nr),
         }
     }
-    // Subscript equality per dimension; non-affine dims are skipped.
+    // Subscript equality per dimension; non-affine dims are skipped, and
+    // so is an equality with a coefficient past `i64`.
     let mut exact = true;
     for (sa, sb) in a.subscripts.iter().zip(&b.subscripts) {
-        match (sa, sb) {
-            (Subscript::Aff(ea), Subscript::Aff(eb)) => {
-                let mut nr = vec![0i64; nv + 1];
-                for (k, &c) in ea.iter_coeffs().iter().enumerate() {
-                    nr[k] += c;
-                }
-                for (k, &c) in eb.iter_coeffs().iter().enumerate() {
-                    nr[ds + k] -= c;
-                }
-                for (k, &c) in ea.param_coeffs().iter().enumerate() {
-                    nr[ds + dr + k] += c;
-                }
-                for (k, &c) in eb.param_coeffs().iter().enumerate() {
-                    nr[ds + dr + k] -= c;
-                }
-                nr[nv] = ea.constant_term() - eb.constant_term();
-                poly.add_eq(nr);
+        let (Subscript::Aff(ea), Subscript::Aff(eb)) = (sa, sb) else {
+            exact = false;
+            continue;
+        };
+        let equality = || -> Option<Vec<i64>> {
+            let mut nr = vec![0i64; nv + 1];
+            nr[..ds].copy_from_slice(ea.iter_coeffs());
+            for (k, &c) in eb.iter_coeffs().iter().enumerate() {
+                nr[ds + k] = c.checked_neg()?;
             }
-            _ => {
-                exact = false;
+            for (k, (&p, &q)) in ea.param_coeffs().iter().zip(eb.param_coeffs()).enumerate() {
+                nr[ds + dr + k] = p.checked_sub(q)?;
             }
+            nr[nv] = ea.constant_term().checked_sub(eb.constant_term())?;
+            Some(nr)
+        };
+        match equality() {
+            Some(nr) => poly.add_eq(nr),
+            None => exact = false,
         }
     }
     // Precedence at `level`.
@@ -498,6 +498,28 @@ mod tests {
         let deps = analyze(&scop);
         assert_eq!(deps, reference_analyze(&scop));
         assert!(deps.iter().any(|d| d.base().is_none()), "{deps:?}");
+    }
+
+    #[test]
+    fn a_subscript_equality_past_i64_is_dropped_not_wrapped() {
+        // for (i = 0; i < N; i++) A[i + i64::MAX] = A[i - 1]: the
+        // equality of the two subscripts has the constant 2^63, which
+        // panicked a debug build and wrapped to −2^63 in a release one,
+        // where no pair of iterations met it and the flow dependence
+        // went. The equality is dropped as a non-affine one is: the
+        // dependence is kept, over-approximated.
+        let mut b = ScopBuilder::new("past");
+        let n = b.param("N");
+        let a = b.array("A", &[n.clone()], 8);
+        b.open_loop("i", Aff::val(0), n - 1);
+        b.stmt("S0")
+            .read(a, &[Aff::var("i") - 1])
+            .write(a, &[Aff::var("i") + i64::MAX])
+            .add(&mut b);
+        b.close_loop();
+        let deps = analyze(&b.build().unwrap());
+        let flow = deps.iter().find(|d| d.kind == DepKind::Flow);
+        assert!(flow.is_some_and(|d| !d.exact), "{deps:?}");
     }
 
     fn chain_scop() -> Scop {

@@ -10,7 +10,10 @@
 //! whole schedule ([`Certifier::certifies`],
 //! [`Certifier::schedule_respects`]). It answers families of such
 //! questions about one set of dependences, each question on a copy of
-//! the tableau [`analyze`] solved for its dependence.
+//! the tableau [`analyze`] solved for its dependence. A schedule tree
+//! is certified by the walk over its flat rows and by post-processing's
+//! permutability proof; the order of the tree itself is checked only by
+//! the tests' from-scratch reference (`tests/reference`).
 //!
 //! # Example
 //!
@@ -45,7 +48,4 @@ mod satisfy;
 
 pub use analysis::{analyze, common_loops, polyhedron_classes, DepKind, Dependence};
 pub use graph::{dependence_sccs, sccs_topological};
-pub use satisfy::{
-    distance_row, order_steps, steps_respect_dependence, Certifier, CertifierStats, OrderStep,
-    StepDelta, StepSystem,
-};
+pub use satisfy::{distance_row, Certifier, CertifierStats};

@@ -1,10 +1,11 @@
 //! The [`Certifier`] against the from-scratch oracle of
 //! `tests/reference`, on hand-built SCoPs: every affine row with
-//! coefficients in {−1, 0, 1} and a family of tiled, wavefronted and
-//! sequenced step sequences, each asked both ways. The reference's
-//! conditioned coincidence — what `crates/core/tests/certifier.rs`
-//! holds every emitted flag to — has no library twin; it is checked
-//! here against known answers and against the instances themselves.
+//! coefficients in {−1, 0, 1}, each asked both ways. The reference's
+//! tree-order oracle — its step walk and conditioned coincidence, what
+//! `crates/core/tests/certifier.rs` holds every emitted tree to — has
+//! no library twin; it is checked here on a family of tiled,
+//! wavefronted and sequenced step sequences against known answers,
+//! against the flat row walk and against the instances themselves.
 //! (The kernel × preset × post-processing sweep is
 //! `crates/core/tests/certifier.rs`.)
 //!
@@ -18,14 +19,12 @@ mod reference;
 
 use std::sync::OnceLock;
 
-use polytops_deps::{
-    analyze, distance_row, polyhedron_classes, steps_respect_dependence, Certifier, DepKind,
-    Dependence, OrderStep,
-};
+use polytops_deps::{analyze, distance_row, polyhedron_classes, Certifier, DepKind, Dependence};
 use polytops_ir::{Aff, Schedule, Scop, ScopBuilder, StmtSchedule};
 use polytops_math::{ilp_minimize, IlpOutcome, RowKind};
 use polytops_workloads::synthetic::{long_chain, offset_chain, wide_scop};
 use proptest::prelude::*;
+use reference::OrderStep;
 
 /// The flow dependence of `for i: A[i] = A[i-1]`, at distance 1.
 fn chain() -> Dependence {
@@ -213,20 +212,11 @@ fn values(step: &OrderStep, src: &[i64], dst: &[i64]) -> (i64, i64) {
     }
 }
 
-/// Asks the certifier, the wrapper and the reference whether `steps`
-/// order `dep` (they must agree), and holds each step the reference
-/// calls coincident given the ones before it to the instances: no pair
-/// equal on every earlier step differs on it. Returns how many steps
-/// the reference called coincident.
-fn assert_steps_agree(
-    certifier: &mut Certifier<'_>,
-    e: usize,
-    dep: &Dependence,
-    steps: &[OrderStep],
-) -> usize {
-    let want = reference::steps_respect(dep, steps);
-    assert_eq!(certifier.steps_respect(e, steps), want, "{steps:?}");
-    assert_eq!(steps_respect_dependence(dep, steps), want, "{steps:?}");
+/// Holds each step the reference calls coincident given the ones
+/// before it to the instances: no pair equal on every earlier step
+/// differs on it. Returns how many steps the reference called
+/// coincident.
+fn assert_coincidence_holds(dep: &Dependence, steps: &[OrderStep]) -> usize {
     let points = instances(dep);
     assert!(!points.is_empty(), "{dep:?}");
     let coincident: Vec<usize> = (0..steps.len())
@@ -251,7 +241,6 @@ fn assert_steps_agree(
 fn step_walks_match_the_from_scratch_oracle() {
     let scop = jacobi();
     let deps = analyze(&scop);
-    let mut certifier = Certifier::new(&deps);
     // Rows over (t, i, T, N, 1).
     let t: &[i64] = &[1, 0, 0, 0, 0];
     let i: &[i64] = &[0, 1, 0, 0, 0];
@@ -310,11 +299,11 @@ fn step_walks_match_the_from_scratch_oracle() {
         vec![member(&[(&[0, 0, 0, 0, 7], 1)])],
     ];
     let (mut verdicts, mut coincident, mut steps_asked) = (Vec::new(), 0, 0);
-    for (e, dep) in deps.iter().enumerate() {
+    for dep in &deps {
         for steps in &sequences {
-            coincident += assert_steps_agree(&mut certifier, e, dep, steps);
+            coincident += assert_coincidence_holds(dep, steps);
             steps_asked += steps.len();
-            verdicts.push(certifier.steps_respect(e, steps));
+            verdicts.push(reference::steps_respect(dep, steps));
         }
     }
     assert!(verdicts.contains(&true) && verdicts.contains(&false));
@@ -334,7 +323,7 @@ fn step_walks_match_the_from_scratch_oracle() {
                 },
                 OrderStep::Position { src: 0, dst: 1 },
             ];
-            assert_steps_agree(&mut certifier, e, dep, &steps);
+            assert_coincidence_holds(dep, &steps);
         }
         let rows = [vec![1, 0, 0], vec![0, 0, 0]];
         let flat = (
@@ -354,18 +343,57 @@ fn step_walks_match_the_from_scratch_oracle() {
     }
 }
 
+/// A single-term affine step (φ = `row` on both sides).
+fn affine_step(row: &[i64]) -> OrderStep {
+    member(&[(row, 1)])
+}
+
+#[test]
+fn affine_steps_match_the_row_oracle() {
+    // With every divisor 1 the step walk is the flat row walk.
+    let dep = &chain();
+    for (row, legal) in [([1, 0, 0], true), ([-1, 0, 0], false), ([0, 0, 7], false)] {
+        let rows = [row.to_vec()];
+        assert_eq!(reference::steps_respect(dep, &[affine_step(&row)]), legal);
+        assert_eq!(lone(dep).schedule_respects(0, &rows, &rows), legal);
+    }
+}
+
+#[test]
+fn sequence_positions_decide_statically() {
+    let dep = &chain();
+    // Source before destination: respected without any value step.
+    let before = OrderStep::Position { src: 0, dst: 1 };
+    assert!(reference::steps_respect(dep, std::slice::from_ref(&before)));
+    // Destination before source: violated (polyhedron nonempty).
+    let after = OrderStep::Position { src: 1, dst: 0 };
+    assert!(!reference::steps_respect(dep, &[after]));
+    // A separating prefix settles the order whatever follows.
+    assert!(reference::steps_respect(
+        dep,
+        &[before, affine_step(&[-1, 0, 0])]
+    ));
+}
+
 #[test]
 fn affine_and_sequence_steps_are_coincident_as_their_rows_say() {
     let dep = &chain();
-    let step = |row: &[i64]| member(&[(row, 1)]);
     // φ = i carries the chain; φ = 7 does not move.
-    assert!(!reference::step_coincident(dep, &[], &step(&[1, 0, 0])));
-    assert!(reference::step_coincident(dep, &[], &step(&[0, 0, 7])));
+    assert!(!reference::step_coincident(
+        dep,
+        &[],
+        &affine_step(&[1, 0, 0])
+    ));
+    assert!(reference::step_coincident(
+        dep,
+        &[],
+        &affine_step(&[0, 0, 7])
+    ));
     // A separating prefix makes every conditioned property vacuous.
     assert!(reference::step_coincident(
         dep,
         &[OrderStep::Position { src: 0, dst: 1 }],
-        &step(&[-1, 0, 0])
+        &affine_step(&[-1, 0, 0])
     ));
 }
 
@@ -377,9 +405,7 @@ fn tile_steps_follow_the_floors() {
     // ⌊i/4⌋ is not coincident (tile-crossing pairs exist), but the full
     // (tile, point) order is respected.
     assert!(!reference::step_coincident(dep, &[], &tile));
-    let steps = [tile, point];
-    assert!(steps_respect_dependence(dep, &steps));
-    assert!(reference::steps_respect(dep, &steps));
+    assert!(reference::steps_respect(dep, &[tile, point]));
 }
 
 #[test]
@@ -518,38 +544,24 @@ fn case_rows(dep: &Dependence, coeffs: &[i64], k: usize) -> (Vec<i64>, Vec<i64>)
 
 /// Every question the properties ask of one dependence, answered by
 /// `certifier` about `deps[e]`.
-fn answers(
-    certifier: &mut Certifier<'_>,
-    e: usize,
-    coeffs: &[i64],
-    div: i64,
-    pos: (i64, i64),
-) -> Vec<Option<i64>> {
+fn answers(certifier: &mut Certifier<'_>, e: usize, coeffs: &[i64]) -> Vec<Option<i64>> {
     let dep = &certifier.deps()[e];
     let (s0, d0) = case_rows(dep, coeffs, 0);
     let (s1, d1) = case_rows(dep, coeffs, 1);
-    let steps = case_steps(dep, coeffs, div, pos);
     let flag = |b: bool| Some(i64::from(b));
     vec![
         flag(certifier.strongly_satisfies(e, &s0, &d0)),
         flag(certifier.zero_distance(e, &s0, &d0)),
         flag(certifier.respects(e, &s0, &d0)),
         flag(certifier.schedule_respects(e, &[s0.clone(), s1.clone()], &[d0.clone(), d1.clone()])),
-        flag(certifier.steps_respect(e, &steps)),
         certifier.min_distance(e, &s0, &d0),
     ]
 }
 
 /// The same questions, asked of the reference's cold rebuild.
-fn reference_answers(
-    dep: &Dependence,
-    coeffs: &[i64],
-    div: i64,
-    pos: (i64, i64),
-) -> Vec<Option<i64>> {
+fn reference_answers(dep: &Dependence, coeffs: &[i64]) -> Vec<Option<i64>> {
     let (s0, d0) = case_rows(dep, coeffs, 0);
     let (s1, d1) = case_rows(dep, coeffs, 1);
-    let steps = case_steps(dep, coeffs, div, pos);
     let flag = |b: bool| Some(i64::from(b));
     vec![
         flag(reference::strongly_satisfies(dep, &s0, &d0)),
@@ -560,29 +572,7 @@ fn reference_answers(
             &[s0.clone(), s1.clone()],
             &[d0.clone(), d1.clone()],
         )),
-        flag(reference::steps_respect(dep, &steps)),
         cold_min_distance(dep, &s0, &d0),
-    ]
-}
-
-/// A tile member of divisor `div` on rows 2, a sequence position pair,
-/// and a point member on rows 3.
-fn case_steps(dep: &Dependence, coeffs: &[i64], div: i64, pos: (i64, i64)) -> Vec<OrderStep> {
-    let (s2, d2) = case_rows(dep, coeffs, 2);
-    let (s3, d3) = case_rows(dep, coeffs, 3);
-    vec![
-        OrderStep::Value {
-            src: vec![(s2, div)],
-            dst: vec![(d2, div)],
-        },
-        OrderStep::Position {
-            src: pos.0,
-            dst: pos.1,
-        },
-        OrderStep::Value {
-            src: vec![(s3, 1)],
-            dst: vec![(d3, 1)],
-        },
     ]
 }
 
@@ -592,16 +582,14 @@ proptest! {
         pick in 0usize..1 << 16,
         shape in chain_shape(),
         coeffs in collection::vec(-2i64..=2, 48),
-        div in 1i64..=4,
-        pos in (0i64..2, 0i64..2),
     ) {
         let deps = case_deps(pick, &shape);
         // One certifier for both: nothing it keeps may leak from one
         // dependence's answers into the other's.
         let mut certifier = Certifier::new(&deps);
         for (e, dep) in deps.iter().enumerate() {
-            let got = answers(&mut certifier, e, &coeffs, div, pos);
-            let want = reference_answers(dep, &coeffs, div, pos);
+            let got = answers(&mut certifier, e, &coeffs);
+            let want = reference_answers(dep, &coeffs);
             prop_assert!(got == want, "{dep:?}: {got:?} against {want:?}");
         }
     }
@@ -611,20 +599,18 @@ proptest! {
         pick in 0usize..1 << 16,
         shape in chain_shape(),
         coeffs in collection::vec(-2i64..=2, 48),
-        div in 1i64..=4,
-        pos in (0i64..2, 0i64..2),
     ) {
         let deps = case_deps(pick, &shape);
         let alone: Vec<Vec<Option<i64>>> = {
             let mut certifier = Certifier::new(&deps);
-            (0..deps.len()).map(|e| answers(&mut certifier, e, &coeffs, div, pos)).collect()
+            (0..deps.len()).map(|e| answers(&mut certifier, e, &coeffs)).collect()
         };
         // Two clones share each tableau; their certifiers ask it at once.
         let (a, b) = (deps.clone(), deps.clone());
         let ask = |deps: &[Dependence]| {
             let mut certifier = Certifier::new(deps);
             (0..deps.len())
-                .map(|e| answers(&mut certifier, e, &coeffs, div, pos))
+                .map(|e| answers(&mut certifier, e, &coeffs))
                 .collect::<Vec<_>>()
         };
         let (ta, tb) = std::thread::scope(|scope| {
@@ -875,7 +861,6 @@ fn a_dependence_whose_tableau_overflows_is_kept_and_refuses_every_certification(
     for (e, dep) in deps.iter().enumerate() {
         assert!(!certifier.schedule_respects(e, &rows, &rows), "dep {e}");
         assert!(!reference::schedule_respects(dep, &rows, &rows), "dep {e}");
-        assert!(!certifier.steps_respect(e, &steps), "dep {e}");
         assert!(!reference::steps_respect(dep, &steps), "dep {e}");
         for row in &rows {
             assert!(!certifier.respects(e, row, row), "dep {e}");

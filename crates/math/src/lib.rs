@@ -75,3 +75,8 @@ pub use matrix::{integral_inverse, orthogonal_complement, Echelon};
 pub use num::{ceil_div, floor_div, gcd, gcd_slice, lcm, modulo, narrow};
 pub use rat::Rat;
 pub use simplex::{lp_feasible, lp_minimize, IncrementalLp, LpOutcome, Snapshot};
+
+#[cfg(test)]
+// The shared test modules under `tests/` name this crate by its name,
+// and its own unit tests include some of them by `#[path]`.
+extern crate self as polytops_math;

@@ -17,9 +17,9 @@
 //! lets the same dual loop repair it, and [`IncrementalLp::snapshot`] /
 //! [`IncrementalLp::rollback`] take the row back, so a family of
 //! questions that differ from one base system by a row is asked of one
-//! tableau (`docs/SOLVER.md`, lever 3). A lexmin stage ends with
-//! neither a row nor a pivot: [`IncrementalLp::minimize_onto_face`]
-//! zeroes, where they stand, the slack columns that are zero on the
+//! tableau (`docs/SOLVER.md`, lever 3). A lexmin stage that ends on
+//! an integral vertex ends with neither a row nor a pivot: it zeroes,
+//! where they stand, the slack columns that are zero on the
 //! objective's optimal face (lever 1).
 //!
 //! An implication question stops where its answer is known (lever 4).
@@ -804,9 +804,9 @@ impl Tableau {
 /// An incrementally re-optimizable LP: the tableau is built (and phase 1
 /// run) **once**, then a sequence of objectives is minimized by phase-2
 /// re-optimization from the previous optimal basis. In between the
-/// system is narrowed to the optimum just found: to its face
-/// ([`IncrementalLp::minimize_onto_face`] — no row, no pivot), or by a
-/// pinned equality row ([`IncrementalLp::pin_eq`]) that is repaired by
+/// system is narrowed to the optimum just found: to its face when the
+/// optimal vertex is integral (no row, no pivot), or by a pinned
+/// equality row ([`IncrementalLp::pin_eq`]) that is repaired by
 /// re-pivoting on it alone and can hold a value no face of the
 /// relaxation does.
 ///
@@ -837,9 +837,9 @@ impl Tableau {
 /// cs.add_ineq(vec![0, -1, 2]);
 /// cs.add_ineq(vec![1, 1, -2]);
 /// let mut lp = IncrementalLp::new(&cs).unwrap();
-/// // The system is the face x == 0 from here on.
-/// let LpOutcome::Optimal { value, .. } = lp.minimize_onto_face(&[1, 0]).unwrap() else { panic!() };
+/// let LpOutcome::Optimal { value, .. } = lp.minimize(&[1, 0]).unwrap() else { panic!() };
 /// assert_eq!(value, Rat::from(0));
+/// assert!(lp.pin_eq(&[1, 0, 0]).unwrap()); // the system is x == 0 from here on
 /// let LpOutcome::Optimal { value, .. } = lp.minimize(&[0, 1]).unwrap() else { panic!() };
 /// assert_eq!(value, Rat::from(2));
 /// assert!(lp.pin_eq(&[0, 1, -2]).unwrap()); // pin y == 2, re-pivot on one row
@@ -982,32 +982,17 @@ impl IncrementalLp {
         bounded.map(Some)
     }
 
-    /// [`minimize`](IncrementalLp::minimize), after which the system is
-    /// only the face the minimum is attained on — what pinning
-    /// `objective · x` to the optimal value would leave, without the
-    /// row and the pivot of [`pin_eq`](IncrementalLp::pin_eq): every
-    /// slack with a positive reduced cost is fixed at zero. A
-    /// [`rollback`](IncrementalLp::rollback) to a snapshot taken before
-    /// gives the whole system back.
-    ///
-    /// # Errors
-    ///
-    /// As [`minimize`](IncrementalLp::minimize).
-    pub fn minimize_onto_face(&mut self, objective: &[i64]) -> Result<LpOutcome> {
-        let outcome = self.minimize(objective)?;
-        if matches!(outcome, LpOutcome::Optimal { .. }) {
-            self.tab.restrict_to_face();
-        }
-        Ok(outcome)
-    }
-
     /// One stage of a lexmin over integer variables: minimizes, and
     /// when the vertex is integral — so that the optimal face of the
     /// relaxation holds exactly the stage's integer optima — restricts
-    /// the system to that face as
-    /// [`minimize_onto_face`](IncrementalLp::minimize_onto_face) does
-    /// and returns the vertex, read as the integers it is. Any other
-    /// outcome leaves the system as it was.
+    /// the system to that face and returns the vertex, read as the
+    /// integers it is. The face is what pinning `objective · x` to the
+    /// optimal value would leave, without the row and the pivot of
+    /// [`pin_eq`](IncrementalLp::pin_eq): every slack with a positive
+    /// reduced cost is fixed at zero. A
+    /// [`rollback`](IncrementalLp::rollback) to a snapshot taken before
+    /// gives the whole system back. Any other outcome leaves the system
+    /// as it was.
     pub(crate) fn lexmin_stage(&mut self, objective: &[i64]) -> Result<Stage> {
         Ok(match self.solve(objective, None)? {
             None => Stage::Relaxed(Bound::Infeasible),
@@ -1082,10 +1067,9 @@ impl IncrementalLp {
     /// [`new`](IncrementalLp::new) listed them, pushed rows following
     /// on, and a number is never reused. Of an infeasible system
     /// nothing is left to take a row from, and it stays as it is. So
-    /// does a system restricted to a face
-    /// ([`minimize_onto_face`](IncrementalLp::minimize_onto_face)) on
-    /// which inequality `k` holds with equality by a fixed slack: that
-    /// row is an equality of the face and, like a pin, not droppable.
+    /// does a system restricted to a lexmin stage's face on which
+    /// inequality `k` holds with equality by a fixed slack: that row is
+    /// an equality of the face and, like a pin, not droppable.
     ///
     /// # Errors
     ///
@@ -1197,10 +1181,22 @@ pub(crate) fn overflowing_system() -> ConstraintSystem {
 }
 
 #[cfg(test)]
+#[allow(dead_code)] // the face properties use a part of each
+#[path = "../tests/reference/mod.rs"]
+mod reference;
+
+#[cfg(test)]
+#[path = "../tests/systems/mod.rs"]
+mod systems;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::ilp::{ilp_feasible, ineq_implied};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use std::cell::Cell;
+    use systems::{answers_as, boxed_system, same_answer, value_row, wide_system};
 
     thread_local! {
         /// Overrides [`dual_pivot_cap`] on the thread that sets it.
@@ -1702,9 +1698,10 @@ mod tests {
 
     #[test]
     fn a_row_that_is_an_equality_of_the_face_is_not_droppable() {
-        // 0 <= x <= 1, 0 <= y <= 3, x + y >= 2. Minimizing x + y onto
-        // its face fixes the slack of the last row at zero: on the face
-        // the row reads x + y == 2, and dropping it leaves it there.
+        // 0 <= x <= 1, 0 <= y <= 3, x + y >= 2. A lexmin stage on
+        // x + y ends on an integral vertex and so on its face, which
+        // fixes the slack of the last row at zero: on the face the row
+        // reads x + y == 2, and dropping it leaves it there.
         let mut cs = ConstraintSystem::new(2);
         cs.add_ineq(vec![1, 0, 0]);
         cs.add_ineq(vec![-1, 0, 1]);
@@ -1712,10 +1709,10 @@ mod tests {
         cs.add_ineq(vec![0, -1, 3]);
         cs.add_ineq(vec![1, 1, -2]);
         let mut lp = IncrementalLp::new(&cs).unwrap();
-        let LpOutcome::Optimal { value, .. } = lp.minimize_onto_face(&[1, 1]).unwrap() else {
+        let Stage::Integral(point) = lp.lexmin_stage(&[1, 1]).unwrap() else {
             panic!()
         };
-        assert_eq!(value, Rat::from(2));
+        assert_eq!(point[0] + point[1], 2);
         let rows = lp.tab.den.len();
         lp.drop_ineq(4).unwrap();
         assert!(lp.is_feasible() && primal_feasible(&lp));
@@ -1838,5 +1835,128 @@ mod tests {
         cs.add_ineq(vec![-1, 0, 3]);
         let (v, _) = optimal(&cs, &[1, 1]);
         assert_eq!(v, Rat::from(0));
+    }
+
+    /// `obj · point`, the value of an integral stage.
+    fn value_at(obj: &[i64], point: &[i64]) -> Rat {
+        Rat::from(obj.iter().zip(point).map(|(a, x)| a * x).sum::<i64>())
+    }
+
+    /// Lexmin stages on the integer tableau against minimize → pin
+    /// chains on the `Rat` reference: a stage that ends on an integral
+    /// vertex restricts the tableau to its optimal face — no row, no
+    /// pivot — where the reference pins `obj·x = value`. Feasibility,
+    /// every stage's verdict and value, and the result of a pin that
+    /// cuts into the face must agree, and every vertex must lie on every
+    /// face before it. A stage that ends elsewhere restricts nothing,
+    /// and ends the chain.
+    fn faces_agree(
+        cs: &ConstraintSystem,
+        objs: &[Vec<i64>],
+    ) -> std::result::Result<(), TestCaseError> {
+        let mut lp = IncrementalLp::new(cs).unwrap();
+        let mut old = reference::IncrementalLp::new(cs);
+        prop_assert_eq!(lp.is_feasible(), old.is_feasible());
+        let mut acc = cs.clone(); // `cs`, the faces, and the cuts that held
+        for obj in objs {
+            let want = old.minimize(obj);
+            let got = match lp.lexmin_stage(obj).unwrap() {
+                Stage::Integral(point) => LpOutcome::Optimal {
+                    value: value_at(obj, &point),
+                    point: point.into_iter().map(Rat::from).collect(),
+                },
+                Stage::Relaxed(Bound::Infeasible) => LpOutcome::Infeasible,
+                Stage::Relaxed(Bound::Unbounded) => LpOutcome::Unbounded,
+                Stage::Relaxed(Bound::Value(value)) => {
+                    let LpOutcome::Optimal { value: v, .. } = want else {
+                        return Err(TestCaseError::fail(format!("{value} against {want:?}")));
+                    };
+                    prop_assert_eq!(value, v);
+                    break;
+                }
+            };
+            same_answer(&acc, obj, &got, &want)?;
+            let LpOutcome::Optimal { value, .. } = got else {
+                break;
+            };
+            let face = value_row(obj, value);
+            prop_assert!(old.pin_eq(&face), "an attained optimum");
+            prop_assert!(lp.is_feasible());
+            acc.add_eq(face);
+            let mut cut: Vec<i64> = obj.iter().rev().copied().collect();
+            cut.push(-1);
+            let held = lp.pin_eq(&cut).unwrap();
+            prop_assert_eq!(held, old.pin_eq(&cut));
+            prop_assert_eq!(lp.is_feasible(), held);
+            if held {
+                acc.add_eq(cut);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn face_chains_are_identical_to_pinned_reference_chains_on_boxed_systems(
+            (cs, _bounds) in boxed_system(),
+            objs in proptest::collection::vec(proptest::collection::vec(-3i64..=3, 3), 1..5),
+        ) {
+            faces_agree(&cs, &objs)?;
+        }
+
+        #[test]
+        fn face_chains_are_identical_to_pinned_reference_chains_on_wide_systems(
+            (cs, obj) in wide_system(),
+            seed in 0usize..6,
+        ) {
+            let n = obj.len();
+            let rotated: Vec<i64> = (0..n).map(|j| obj[(j + seed) % n]).collect();
+            let negated: Vec<i64> = obj.iter().map(|c| -c).collect();
+            faces_agree(&cs, &[obj, rotated, negated])?;
+        }
+
+        #[test]
+        fn a_face_is_carried_by_a_snapshot_and_undone_by_one_taken_before_it(
+            (cs, _bounds) in boxed_system(),
+            obj in proptest::collection::vec(-3i64..=3, 3),
+            probe in proptest::collection::vec(-3i64..=3, 3),
+            rows in proptest::collection::vec(proptest::collection::vec(-3i64..=3, 4), 1..4),
+        ) {
+            // What a tableau says of `probe` must be what a cold solve
+            // says of the system it stands for: the box, the box on the
+            // face, the face with rows pushed and pinned onto it, the
+            // face again after a rollback to it, the box again after one
+            // across it.
+            let mut lp = IncrementalLp::new(&cs).unwrap();
+            if !lp.is_feasible() {
+                return Ok(());
+            }
+            let whole = lp.snapshot();
+            let Stage::Integral(point) = lp.lexmin_stage(&obj).unwrap() else {
+                // A fractional vertex restricts nothing.
+                answers_as(&mut lp, &cs, &probe)?;
+                return Ok(());
+            };
+            let mut face = cs.clone();
+            face.add_eq(value_row(&obj, value_at(&obj, &point)));
+            answers_as(&mut lp, &face, &probe)?;
+            let on_face = lp.snapshot();
+            let mut acc = face.clone();
+            for (k, row) in rows.iter().enumerate() {
+                let held = if k % 2 == 0 {
+                    acc.add_ineq(row.clone());
+                    lp.push_ineq(row).unwrap()
+                } else {
+                    acc.add_eq(row.clone());
+                    lp.pin_eq(row).unwrap()
+                };
+                prop_assert!(held == lp_feasible(&acc).unwrap(), "{:?}", acc);
+                answers_as(&mut lp, &acc, &probe)?;
+            }
+            lp.rollback(on_face);
+            answers_as(&mut lp, &face, &probe)?;
+            lp.rollback(whole);
+            answers_as(&mut lp, &cs, &probe)?;
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests for the exact math kernel.
 
 mod reference;
+mod systems;
 
 use std::cmp::Ordering;
 
@@ -13,6 +14,7 @@ use polytops_math::{
     Snapshot,
 };
 use reference::linalg;
+use systems::{boxed_system, same_answer, value_row, wide_system};
 
 fn small_rat() -> impl Strategy<Value = Rat> {
     (-20i128..=20, 1i128..=9).prop_map(|(n, d)| Rat::new(n, d))
@@ -160,41 +162,6 @@ proptest! {
             }
         }
     }
-}
-
-/// Generates a random non-empty box plus extra random inequality rows.
-fn boxed_system() -> impl Strategy<Value = (ConstraintSystem, Vec<(i64, i64)>)> {
-    let bounds = proptest::collection::vec((-4i64..=0, 0i64..=4), 3);
-    (
-        bounds,
-        proptest::collection::vec(proptest::collection::vec(-2i64..=2, 4), 0..3),
-    )
-        .prop_map(|(bounds, extra)| {
-            let n = bounds.len();
-            let mut cs = ConstraintSystem::new(n);
-            for (j, &(lo, hi)) in bounds.iter().enumerate() {
-                let mut row = vec![0i64; n + 1];
-                row[j] = 1;
-                row[n] = -lo;
-                cs.add_ineq(row);
-                let mut row = vec![0i64; n + 1];
-                row[j] = -1;
-                row[n] = hi;
-                cs.add_ineq(row);
-            }
-            for r in extra {
-                cs.add_ineq(r);
-            }
-            (cs, bounds)
-        })
-}
-
-/// `obj · x == value` as the integer row `d·obj·x − n == 0`.
-fn value_row(obj: &[i64], value: Rat) -> Vec<i64> {
-    let (n, d) = (value.numer() as i64, value.denom() as i64);
-    let mut row: Vec<i64> = obj.iter().map(|c| c * d).collect();
-    row.push(-n);
-    row
 }
 
 /// Enumerates the integer points of the box and filters by the system.
@@ -517,87 +484,6 @@ proptest! {
     }
 }
 
-/// A wider family than [`boxed_system`] for the differential tests: 1–6
-/// variables, coefficients to ±50, inequalities and equalities, some
-/// rows repeated or scaled (redundant), one system in three unboxed —
-/// so infeasible, unbounded and optimal outcomes all come up often.
-fn wide_system() -> impl Strategy<Value = (ConstraintSystem, Vec<i64>)> {
-    // Half the coefficients zero, a third small, a sixth up to ±50;
-    // rows and objective are drawn at six variables and cut to `n`.
-    let coeff = (0u8..6, -3i64..=3, -50i64..=50).prop_map(|(pick, small, big)| match pick {
-        0..=2 => 0,
-        3..=4 => small,
-        _ => big,
-    });
-    let row = (proptest::collection::vec(coeff, 7), 0u8..4, 1i64..=3);
-    (
-        (1usize..=6, 0i64..=30),
-        proptest::collection::vec(row, 1..7),
-        proptest::collection::vec(-5i64..=5, 6),
-    )
-        .prop_map(|((n, bound), rows, mut obj)| {
-            let mut cs = ConstraintSystem::new(n);
-            // Two systems in three sit in the box [-bound, bound]^n.
-            for j in (0..n).filter(|_| bound % 3 != 0) {
-                for sign in [1, -1] {
-                    let mut row = vec![0i64; n + 1];
-                    (row[j], row[n]) = (sign, bound);
-                    cs.add_ineq(row);
-                }
-            }
-            for (mut r, kind, k) in rows {
-                r.drain(n..6); // keep the constant
-                match kind {
-                    0 => cs.add_eq(r),
-                    1 => {
-                        // The row, and a multiple of it.
-                        cs.add_ineq(r.clone());
-                        cs.add_ineq(r.iter().map(|v| v * k).collect());
-                    }
-                    _ => cs.add_ineq(r),
-                }
-            }
-            obj.truncate(n);
-            (cs, obj)
-        })
-}
-
-/// The point a solve returned lies in `cs` and attains `value`.
-fn attains(cs: &ConstraintSystem, obj: &[i64], value: Rat, point: &[Rat]) -> bool {
-    let dot = |row: &[i64]| {
-        let terms = row.iter().zip(point).map(|(&a, &x)| Rat::from(a) * x);
-        terms.fold(Rat::ZERO, |acc, t| acc + t)
-    };
-    let n = cs.num_vars();
-    dot(obj) == value
-        && cs.iter().all(|(kind, row)| {
-            let lhs = dot(&row[..n]) + Rat::from(row[n]);
-            match kind {
-                RowKind::Eq => lhs.is_zero(),
-                RowKind::Ineq => !lhs.is_negative(),
-            }
-        })
-}
-
-/// What a solve must share with the reference whatever its pivots were:
-/// the verdict and the optimal value. The vertex is the solver's own,
-/// and is checked against `cs` instead.
-fn same_answer(
-    cs: &ConstraintSystem,
-    obj: &[i64],
-    got: &LpOutcome,
-    want: &LpOutcome,
-) -> Result<(), proptest::test_runner::TestCaseError> {
-    match (got, want) {
-        (LpOutcome::Optimal { value, point }, LpOutcome::Optimal { value: want, .. }) => {
-            prop_assert_eq!(value, want);
-            prop_assert!(attains(cs, obj, *value, point), "{:?} in {:?}", point, cs);
-        }
-        _ => prop_assert_eq!(got, want),
-    }
-    Ok(())
-}
-
 /// Drives minimize → pin chains on both tableaus; feasibility, every
 /// stage's verdict and value and every pin's result must agree.
 fn chains_agree(
@@ -635,52 +521,6 @@ fn chains_agree(
         }
     }
     Ok(())
-}
-
-/// [`chains_agree`] with two ways to end a stage: the integer tableau
-/// restricts itself to the optimal face — no row, no pivot — where the
-/// reference pins `obj·x = value`. Feasibility, every later stage's
-/// verdict and value, and the result of a pin that cuts into the face
-/// must agree, and every vertex must lie on every face before it.
-fn faces_agree(
-    cs: &ConstraintSystem,
-    objs: &[Vec<i64>],
-) -> Result<(), proptest::test_runner::TestCaseError> {
-    let mut lp = IncrementalLp::new(cs).unwrap();
-    let mut old = reference::IncrementalLp::new(cs);
-    prop_assert_eq!(lp.is_feasible(), old.is_feasible());
-    let mut acc = cs.clone(); // `cs`, the faces, and the cuts that held
-    for obj in objs {
-        let outcome = lp.minimize_onto_face(obj).unwrap();
-        same_answer(&acc, obj, &outcome, &old.minimize(obj))?;
-        let LpOutcome::Optimal { value, .. } = outcome else {
-            break;
-        };
-        let face = value_row(obj, value);
-        prop_assert!(old.pin_eq(&face), "an attained optimum");
-        prop_assert!(lp.is_feasible());
-        acc.add_eq(face);
-        let mut cut: Vec<i64> = obj.iter().rev().copied().collect();
-        cut.push(-1);
-        let held = lp.pin_eq(&cut).unwrap();
-        prop_assert_eq!(held, old.pin_eq(&cut));
-        prop_assert_eq!(lp.is_feasible(), held);
-        if held {
-            acc.add_eq(cut);
-        }
-    }
-    Ok(())
-}
-
-/// The tableau minimizes `probe` to what a cold solve of `cs`, the system
-/// it should stand for, does.
-fn answers_as(
-    lp: &mut IncrementalLp,
-    cs: &ConstraintSystem,
-    probe: &[i64],
-) -> Result<(), proptest::test_runner::TestCaseError> {
-    let (live, cold) = (lp.minimize(probe).unwrap(), lp_minimize(cs, probe).unwrap());
-    same_answer(cs, probe, &live, &cold)
 }
 
 // The integer tableau's dual phase 1 against the `Rat` tableau's
@@ -721,65 +561,6 @@ proptest! {
         let rotated: Vec<i64> = (0..n).map(|j| obj[(j + seed) % n]).collect();
         let negated: Vec<i64> = obj.iter().map(|c| -c).collect();
         chains_agree(&cs, &[obj, rotated, negated])?;
-    }
-
-    #[test]
-    fn face_chains_are_identical_to_pinned_reference_chains_on_boxed_systems(
-        (cs, _bounds) in boxed_system(),
-        objs in proptest::collection::vec(proptest::collection::vec(-3i64..=3, 3), 1..5),
-    ) {
-        faces_agree(&cs, &objs)?;
-    }
-
-    #[test]
-    fn face_chains_are_identical_to_pinned_reference_chains_on_wide_systems(
-        (cs, obj) in wide_system(),
-        seed in 0usize..6,
-    ) {
-        let n = obj.len();
-        let rotated: Vec<i64> = (0..n).map(|j| obj[(j + seed) % n]).collect();
-        let negated: Vec<i64> = obj.iter().map(|c| -c).collect();
-        faces_agree(&cs, &[obj, rotated, negated])?;
-    }
-
-    #[test]
-    fn a_face_is_carried_by_a_snapshot_and_undone_by_one_taken_before_it(
-        (cs, _bounds) in boxed_system(),
-        obj in proptest::collection::vec(-3i64..=3, 3),
-        probe in proptest::collection::vec(-3i64..=3, 3),
-        rows in proptest::collection::vec(proptest::collection::vec(-3i64..=3, 4), 1..4),
-    ) {
-        // What a tableau says of `probe` must be what a cold solve says
-        // of the system it stands for: the box, the box on the face,
-        // the face with rows pushed and pinned onto it, the face again
-        // after a rollback to it, the box again after one across it.
-        let mut lp = IncrementalLp::new(&cs).unwrap();
-        if lp.is_feasible() {
-            let whole = lp.snapshot();
-            let LpOutcome::Optimal { value, .. } = lp.minimize_onto_face(&obj).unwrap() else {
-                panic!("a feasible box is bounded");
-            };
-            let mut face = cs.clone();
-            face.add_eq(value_row(&obj, value));
-            answers_as(&mut lp, &face, &probe)?;
-            let on_face = lp.snapshot();
-            let mut acc = face.clone();
-            for (k, row) in rows.iter().enumerate() {
-                let held = if k % 2 == 0 {
-                    acc.add_ineq(row.clone());
-                    lp.push_ineq(row).unwrap()
-                } else {
-                    acc.add_eq(row.clone());
-                    lp.pin_eq(row).unwrap()
-                };
-                prop_assert!(held == lp_feasible(&acc).unwrap(), "{:?}", acc);
-                answers_as(&mut lp, &acc, &probe)?;
-            }
-            lp.rollback(on_face);
-            answers_as(&mut lp, &face, &probe)?;
-            lp.rollback(whole);
-            answers_as(&mut lp, &cs, &probe)?;
-        }
     }
 
     #[test]

@@ -1075,6 +1075,37 @@ fn a_custom_constraint_past_i64_gets_an_error_not_a_wrapped_schedule() {
     handle.shutdown();
 }
 
+/// A subscript at the edge of `i64`: `A[i + i64::MAX] = A[i - 1]`,
+/// whose dependence equality has the constant 2^63. Its analysis used to
+/// panic a debug batcher and to drop the flow dependence in a release
+/// one. The equality is now dropped as a non-affine one is: the request
+/// gets the offline engine's bytes, and a well-formed request after it
+/// on the same connection gets its golden bytes.
+#[test]
+fn a_subscript_past_i64_gets_a_schedule_not_a_dead_batcher() {
+    use polytops_ir::{Aff, ScopBuilder};
+    let handle = Server::start(ServerConfig::default()).expect("start daemon");
+    let mut roundtrip = line_roundtrip(handle.addr());
+    let mut b = ScopBuilder::new("past");
+    let n = b.param("N");
+    let a = b.array("A", &[n.clone()], 8);
+    b.open_loop("i", Aff::val(0), n - 1);
+    b.stmt("S0")
+        .read(a, &[Aff::var("i") - 1])
+        .write(a, &[Aff::var("i") + i64::MAX])
+        .add(&mut b);
+    b.close_loop();
+    let hostile = request_line("past", "past", &b.build().unwrap(), &["pluto"]);
+    let (ok, _, results, _) = unpack(&roundtrip(&hostile));
+    assert!(ok, "{hostile}");
+    assert_eq!(results, golden(&hostile));
+    let line = request_line("chain", "stencil_chain", &stencil_chain(), &["pluto"]);
+    let (ok, _, results, _) = unpack(&roundtrip(&line));
+    assert!(ok, "{line}");
+    assert_eq!(results, golden(&line));
+    handle.shutdown();
+}
+
 /// The `Client` hard-failure regression: a request submitted while the
 /// daemon is *down* (connection refused, nothing listening) must still
 /// get its bit-identical answer once the daemon comes up.

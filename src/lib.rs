@@ -60,10 +60,7 @@ pub use polytops_core::{
     PipelineStats, PostProcess, Reaction, RegistryStats, ScenarioReport, ScenarioResult,
     ScenarioSet, ScheduleError, SchedulerConfig, ScopEntry, ScopRegistry, Strategy, StrategyState,
 };
-pub use polytops_deps::{
-    analyze, dependence_sccs, order_steps, steps_respect_dependence, Certifier, DepKind,
-    Dependence, OrderStep,
-};
+pub use polytops_deps::{analyze, dependence_sccs, Certifier, DepKind, Dependence};
 pub use polytops_ir::{
     parse_scop, print_scop, Aff, AffineExpr, ArrayId, ArrayInfo, BandMember, MarkKind, MemberTerm,
     PathStep, Schedule, ScheduleTree, Scop, ScopBuilder, Statement, StmtId, StmtSchedule,
