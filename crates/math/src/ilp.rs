@@ -312,7 +312,7 @@ impl IncrementalLp {
 ///
 /// [`MathError::Overflow`], as
 /// [`ilp_minimize`].
-pub fn ilp_feasible_point(cs: &ConstraintSystem) -> Result<Option<Vec<i64>>> {
+pub(crate) fn ilp_feasible_point(cs: &ConstraintSystem) -> Result<Option<Vec<i64>>> {
     let zeros = vec![0i64; cs.num_vars()];
     Ok(match ilp_minimize(cs, &zeros)? {
         IlpOutcome::Optimal { point, .. } => Some(point),

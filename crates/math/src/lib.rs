@@ -68,13 +68,11 @@ pub use polytops_obs as obs;
 pub use consys::{ConstraintSystem, RowKind};
 pub use error::{MathError, Result};
 pub use farkas::{farkas_cone, farkas_nonneg, farkas_substitute};
-pub use ilp::{
-    ilp_feasible, ilp_feasible_point, ilp_lexmin, ilp_minimize, ineq_implied, IlpOutcome, IlpStats,
-};
+pub use ilp::{ilp_feasible, ilp_lexmin, ilp_minimize, ineq_implied, IlpOutcome, IlpStats};
 pub use matrix::{integral_inverse, orthogonal_complement, Echelon};
 pub use num::{ceil_div, floor_div, gcd, gcd_slice, lcm, modulo, narrow};
 pub use rat::Rat;
-pub use simplex::{lp_feasible, lp_minimize, IncrementalLp, LpOutcome, Snapshot};
+pub use simplex::{lp_minimize, IncrementalLp, LpOutcome, Snapshot};
 
 #[cfg(test)]
 // The shared test modules under `tests/` name this crate by its name,

@@ -92,16 +92,6 @@ pub fn lp_minimize(cs: &ConstraintSystem, objective: &[i64]) -> Result<LpOutcome
     IncrementalLp::new(cs)?.minimize(objective)
 }
 
-/// Whether `cs` admits any rational solution.
-///
-/// # Errors
-///
-/// [`MathError::Overflow`] and [`MathError::PivotLimit`], as
-/// [`lp_minimize`].
-pub fn lp_feasible(cs: &ConstraintSystem) -> Result<bool> {
-    Ok(IncrementalLp::new(cs)?.is_feasible())
-}
-
 /// Dense simplex tableau in standard form `A z = b, z >= 0`.
 ///
 /// Column layout: `[x⁺ (n), x⁻ (n), slacks]`: one slack per inequality
@@ -820,8 +810,7 @@ impl Tableau {
 /// [`rollback`](IncrementalLp::rollback) take it back,
 /// [`implies`](IncrementalLp::implies) and
 /// [`may_have_integer_point`](IncrementalLp::may_have_integer_point)
-/// ask, and [`lp_minimize`], [`lp_feasible`],
-/// [`ineq_implied`](crate::ineq_implied) and
+/// ask, and [`lp_minimize`], [`ineq_implied`](crate::ineq_implied) and
 /// [`ilp_feasible`](crate::ilp_feasible) are its build-ask-drop forms.
 ///
 /// # Examples
@@ -1259,7 +1248,10 @@ mod tests {
         cs.add_ineq(vec![1, -5]); // x >= 5
         cs.add_ineq(vec![-1, 2]); // x <= 2
         assert_eq!(lp_minimize(&cs, &[1]), Ok(LpOutcome::Infeasible));
-        assert_eq!(lp_feasible(&cs), Ok(false));
+        assert_eq!(
+            IncrementalLp::new(&cs).map(|lp| lp.is_feasible()),
+            Ok(false)
+        );
     }
 
     #[test]
@@ -1363,7 +1355,10 @@ mod tests {
     fn overflow_is_an_error_not_a_panic() {
         let cs = overflowing_system();
         assert_eq!(lp_minimize(&cs, &[1, 1, 1]), Err(MathError::Overflow));
-        assert_eq!(lp_feasible(&cs), Err(MathError::Overflow));
+        assert_eq!(
+            IncrementalLp::new(&cs).map(|lp| lp.is_feasible()),
+            Err(MathError::Overflow)
+        );
         assert_eq!(IncrementalLp::new(&cs).err(), Some(MathError::Overflow));
         // An input that cannot be negated is refused at the door.
         let mut cs = ConstraintSystem::new(1);
@@ -1373,7 +1368,10 @@ mod tests {
         // the widest one that is a cell is solved, not wrapped.
         let mut cs = ConstraintSystem::new(1);
         cs.add_ineq(vec![1, i64::MIN]);
-        assert_eq!(lp_feasible(&cs), Err(MathError::Overflow));
+        assert_eq!(
+            IncrementalLp::new(&cs).map(|lp| lp.is_feasible()),
+            Err(MathError::Overflow)
+        );
         let mut cs = ConstraintSystem::new(1);
         cs.add_ineq(vec![1, -i64::MAX]);
         assert_eq!(optimal(&cs, &[1]).0, Rat::from(i128::from(i64::MAX)));
@@ -1474,10 +1472,13 @@ mod tests {
         cs.add_ineq(vec![-1, 0, 5]);
         cs.add_ineq(vec![0, 1, -3]);
         cs.add_ineq(vec![0, -1, 5]);
-        assert_eq!(lp_feasible(&cs), Ok(true));
+        assert_eq!(IncrementalLp::new(&cs).map(|lp| lp.is_feasible()), Ok(true));
         assert!(ineq_implied(&cs, &[1, 0, -1]), "x >= 1 holds on the box");
         PIVOT_CAP.set(Some(1));
-        assert_eq!(lp_feasible(&cs), Err(MathError::PivotLimit));
+        assert_eq!(
+            IncrementalLp::new(&cs).map(|lp| lp.is_feasible()),
+            Err(MathError::PivotLimit)
+        );
         assert_eq!(lp_minimize(&cs, &[1, 1]), Err(MathError::PivotLimit));
         assert_eq!(IncrementalLp::new(&cs).err(), Some(MathError::PivotLimit));
         // `deps` reads `!ilp_feasible` as proof that no dependence
@@ -1488,7 +1489,10 @@ mod tests {
         let mut empty = ConstraintSystem::new(1);
         empty.add_ineq(vec![1, -5]);
         empty.add_ineq(vec![-1, 2]);
-        assert_eq!(lp_feasible(&empty), Ok(false));
+        assert_eq!(
+            IncrementalLp::new(&empty).map(|lp| lp.is_feasible()),
+            Ok(false)
+        );
         PIVOT_CAP.set(None);
     }
 
@@ -1950,7 +1954,7 @@ mod tests {
                     acc.add_eq(row.clone());
                     lp.pin_eq(row).unwrap()
                 };
-                prop_assert!(held == lp_feasible(&acc).unwrap(), "{:?}", acc);
+                prop_assert!(held == IncrementalLp::new(&acc).unwrap().is_feasible(), "{:?}", acc);
                 answers_as(&mut lp, &acc, &probe)?;
             }
             lp.rollback(on_face);

@@ -9,9 +9,8 @@ use proptest::prelude::*;
 
 use polytops_math::{
     farkas_cone, farkas_nonneg, farkas_substitute, ilp_feasible, ilp_lexmin, ilp_minimize,
-    ineq_implied, integral_inverse, lp_feasible, lp_minimize, orthogonal_complement,
-    ConstraintSystem, Echelon, IlpOutcome, IlpStats, IncrementalLp, LpOutcome, Rat, RowKind,
-    Snapshot,
+    ineq_implied, integral_inverse, lp_minimize, orthogonal_complement, ConstraintSystem, Echelon,
+    IlpOutcome, IlpStats, IncrementalLp, LpOutcome, Rat, RowKind, Snapshot,
 };
 use reference::linalg;
 use systems::{boxed_system, same_answer, value_row, wide_system};
@@ -703,7 +702,7 @@ proptest! {
         // whole system after a refuted one — answers the follow-up
         // questions as a cold tableau of it does.
         let n = cs.num_vars();
-        let feasible = lp_feasible(&cs).unwrap();
+        let feasible = IncrementalLp::new(&cs).unwrap().is_feasible();
         for (k, row) in ineqs(&cs).iter().enumerate() {
             let mut lp = IncrementalLp::new(&cs).unwrap();
             let mut dropped = IncrementalLp::new(&cs).unwrap();
@@ -783,7 +782,9 @@ fn farkas_polyhedron() -> impl Strategy<Value = ConstraintSystem> {
             }
             cs
         })
-        .prop_filter("non-empty", |cs| lp_feasible(cs).unwrap())
+        .prop_filter("non-empty", |cs| {
+            IncrementalLp::new(cs).unwrap().is_feasible()
+        })
 }
 
 /// A Farkas template over two ILP variables for a three-variable

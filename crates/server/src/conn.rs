@@ -4,12 +4,16 @@
 //! The reader frames `\n`-terminated lines of at most
 //! [`ServerConfig::max_line_bytes`](crate::ServerConfig::max_line_bytes)
 //! and handles each: `ping` and `shutdown` are answered at once, and a
-//! `schedule` or `autotune` line goes through the bounded admission
-//! queue to the batcher with the connection's reply sender. A request
-//! line is parsed here only as far as its JSON envelope
-//! (`protocol::parse_wire_request`): the SCoP text travels on unparsed,
-//! and the registry parses it on the batcher only when it has not seen
-//! that text.
+//! `schedule` or `autotune` line is resolved and goes through the
+//! bounded admission queue to the batcher with the connection's reply
+//! sender. The reader parses the line's JSON envelope
+//! (`protocol::parse_wire_request`) and then resolves its SCoP text
+//! through the registry, which parses, canonicalizes and analyzes a text
+//! only when no resident entry remembers it. That analysis runs on this
+//! connection's own thread: it delays only this connection's later
+//! lines, it is bounded by the open connections rather than by
+//! `--threads`, and a graceful shutdown waits for it to be admitted and
+//! answered.
 //!
 //! The writer drains the connection's own reply queue, so the bytes of
 //! one response are never interleaved with another's. A `stats` or
@@ -298,8 +302,8 @@ fn write_loop(stream: &TcpStream, replies: Receiver<Reply>, shared: &Shared) {
 }
 
 /// Handles one complete request line: immediate ops are queued to the
-/// writer; schedule and autotune requests go to the batcher, which
-/// answers through `reply`.
+/// writer; a schedule or autotune request has its SCoP text resolved
+/// here and then goes to the batcher, which answers through `reply`.
 fn handle_line(
     shared: &Shared,
     line: &str,
@@ -327,34 +331,33 @@ fn handle_line(
         Ok(Request::Schedule(req)) => Work::Schedule(*req),
         Ok(Request::Autotune(req)) => Work::Autotune(*req),
     };
+    // Held until the request is admitted: a graceful shutdown that
+    // begins after the check below still waits for this request.
+    let _resolving = shared.resolving();
     if shared.is_shutting_down() {
         return shutting_down(work.id());
     }
     // Open a schedule request's lifecycle spans: the "read" phase ran
-    // from the first byte's arrival to now; "admission" stays open
-    // until the batcher takes the request. The root adopts the
+    // from the first byte's arrival to now. The root adopts the
     // envelope's trace id when the router stamped one. Autotunes run
     // untraced.
-    let recorder = &shared.obs.recorder;
-    let (root, admission) = match &work {
+    let root = match &work {
         Work::Schedule(req) => {
+            let recorder = &shared.obs.recorder;
             let start_ns = recorder.ns_of(started);
             let root = recorder.root_span_at("request", req.trace, start_ns);
             root.child_at("read", start_ns).finish();
-            let admission = root.child("admission");
-            (root, admission)
+            root
         }
-        Work::Autotune(_) => (SpanHandle::disabled(), SpanHandle::disabled()),
+        Work::Autotune(_) => SpanHandle::disabled(),
     };
+    // The SCoP text is resolved here, on this connection's own thread:
+    // a long analysis holds up no other connection.
+    let admitted = Admitted::resolve(shared, work, reply.clone(), root);
     // The admission channel is bounded: a full one blocks this
     // connection's reader only, so a flood slows its own intake instead
     // of growing memory.
-    if let Err(e) = admit.send(Admitted {
-        work,
-        reply: reply.clone(),
-        root,
-        admission,
-    }) {
+    if let Err(e) = admit.send(admitted) {
         shutting_down(e.0.work.id());
     }
 }

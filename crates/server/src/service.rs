@@ -11,28 +11,31 @@
 //!      │  parse line → WireRequest (SCoP still text)
 //!      │  ping/shutdown/errors ──► the connection's reply queue
 //!      │  stats/trace ──► reply queue, answered when the writer reaches them
-//!      │  schedule/autotune ──► bounded admission channel ──► batcher thread
+//!      │  schedule/autotune: resolve the SCoP text through the
+//!      │  ScopRegistry (parse, canonicalize and analyze only when no
+//!      │  resident entry remembers it; an autotune's candidate lattice)
+//!      │  ──► bounded admission channel (entry, or the parse error line)
 //!      ▼
 //! batcher thread: takes the first request, drains what queued while
-//! the previous batch ran (up to MAX_BATCH) → one ScenarioSet (SCoP
-//! texts resolved through the ScopRegistry, which parses a text only
-//! when no resident entry remembers it; an autotune adds its candidate
-//! lattice as untraced scenarios) → run_sharded(threads), on the
-//! batcher itself when the batch is one scenario → per-request response
-//! lines (an autotune's is the model's pick among its candidates), sent
-//! to each request's reply queue once the persister has journaled the
-//! SCoPs the batch admitted
+//! the previous batch ran (up to MAX_BATCH) → one ScenarioSet (each
+//! resolved entry a slot; an autotune's candidates untraced scenarios)
+//! → run_sharded(threads), on the batcher itself when the batch is one
+//! scenario → journal the batch's misses → per-request response lines
+//! (an autotune's is the model's pick among its candidates; a parse
+//! error is forwarded in its place) to each request's reply queue
 //!      ▼
 //! writer thread (one per connection): drains its reply queue in order
 //! ```
 //!
 //! A request carries its connection's reply sender, so a response goes
 //! straight to that connection's writer; no table routes it. An idle
-//! connection is two blocked threads and costs no CPU.
+//! connection is two blocked threads and costs no CPU. A long analysis
+//! holds only the reader that resolves it (and the core it runs on):
+//! analyses run one per busy connection, not bounded by `threads`.
 
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -42,7 +45,6 @@ use polytops_core::json::Json;
 use polytops_core::registry::{ScopEntry, ScopRegistry};
 use polytops_core::scenario::{ScenarioResult, ScenarioSet};
 use polytops_core::tune::{self, Candidate};
-use polytops_ir::ParseScopError;
 use polytops_obs::SpanHandle;
 
 use crate::conn::{accept_loop, Reply};
@@ -141,11 +143,9 @@ impl Default for ServerConfig {
 
 /// The daemon's telemetry: one [`polytops_obs::Recorder`] shared by
 /// every thread, with the hot service counters cached as `Arc`s so the
-/// request path never takes the registry lock. All former hand-rolled
-/// counter structs (`SolverCounters`, tuner atomics) now accumulate
-/// through this registry; the `stats` wire shapes are rebuilt from it.
-/// Relaxed counters: diagnostic sums, never part of the bit-identity
-/// contract.
+/// request path never takes the registry lock; the `stats` wire shapes
+/// are rebuilt from it. Relaxed counters: diagnostic sums, never part
+/// of the bit-identity contract.
 pub(crate) struct ServerObs {
     /// Span ring, counter and histogram registry for the whole daemon.
     pub(crate) recorder: Arc<polytops_obs::Recorder>,
@@ -158,7 +158,8 @@ pub(crate) struct ServerObs {
     /// indexes (`Counter::inc` returns the new value, preserving the
     /// 1-based ordinal the fault plan scripts against).
     pub(crate) responses: Arc<polytops_obs::Counter>,
-    /// Autotune requests whose SCoP resolved (`tuner.requests`).
+    /// Autotune requests whose SCoP resolved (`tuner.requests`),
+    /// counted on the reader that resolved it.
     pub(crate) tune_requests: Arc<polytops_obs::Counter>,
     /// Trace id of the most recent fully-written schedule response —
     /// what the `trace` op returns.
@@ -190,6 +191,8 @@ pub(crate) struct Shared {
     pub(crate) shutting_down: AtomicBool,
     /// Crash (fault injection): drop everything on the floor, exit.
     pub(crate) crashed: AtomicBool,
+    /// Readers between their shutdown check and their admission.
+    pub(crate) resolving: AtomicUsize,
     /// Batcher liveness, so the acceptor knows when the drain is over.
     pub(crate) batcher_done: AtomicBool,
     /// Telemetry: spans, counters, histograms.
@@ -207,6 +210,13 @@ impl Shared {
 
     pub(crate) fn is_crashed(&self) -> bool {
         self.crashed.load(Ordering::SeqCst)
+    }
+
+    /// Counts the calling reader as resolving until the guard drops: a
+    /// graceful shutdown's batcher drains until no reader holds one.
+    pub(crate) fn resolving(&self) -> Resolving<'_> {
+        self.resolving.fetch_add(1, Ordering::SeqCst);
+        Resolving(&self.resolving)
     }
 
     /// The `stats` response for the current counters.
@@ -236,6 +246,15 @@ impl Shared {
     }
 }
 
+/// A reader's hold on a graceful shutdown's drain.
+pub(crate) struct Resolving<'a>(&'a AtomicUsize);
+
+impl Drop for Resolving<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// What an admitted request asks of its batch.
 pub(crate) enum Work {
     /// Schedule the SCoP under the request's configurations.
@@ -255,13 +274,22 @@ impl Work {
     }
 }
 
-/// One admitted request awaiting its batch.
+/// One admitted request awaiting its batch, its SCoP text already
+/// resolved on its connection's reader thread.
 pub(crate) struct Admitted {
     pub(crate) work: Work,
+    /// The resident entry and whether the registry already held it; or,
+    /// for a SCoP text that does not parse, the rendered error line the
+    /// batcher forwards in the request's place among its connection's
+    /// answers.
+    pub(crate) resolved: Result<(Arc<ScopEntry>, bool), String>,
+    /// An autotune's candidate lattice, one scenario each; empty for a
+    /// schedule request or a text that does not parse.
+    pub(crate) candidates: Vec<Candidate>,
     /// Its connection's reply queue.
     pub(crate) reply: Sender<Reply>,
     /// The whole-lifecycle "request" span; its children ("read",
-    /// "admission", "resolve", "solve", "serialize", "write") are
+    /// "resolve", "admission", "solve", "serialize", "write") are
     /// finished at the matching lifecycle edges, and it is finished when
     /// the response's last byte reaches the socket. Inert when spans are
     /// off, and for an autotune, which runs untraced.
@@ -269,6 +297,73 @@ pub(crate) struct Admitted {
     /// The open "admission" child; finished when the batcher takes
     /// this request into a batch.
     pub(crate) admission: SpanHandle,
+}
+
+impl Admitted {
+    /// Resolves `work`'s SCoP text through the registry, and builds an
+    /// autotune's candidate lattice, on the calling reader thread under
+    /// a "resolve" child of `root`; the "admission" child opens after.
+    pub(crate) fn resolve(
+        shared: &Shared,
+        work: Work,
+        reply: Sender<Reply>,
+        root: SpanHandle,
+    ) -> Admitted {
+        let resolve = root.child("resolve");
+        let resolved = match &work {
+            Work::Schedule(req) => shared.registry.resolve_text(req.name.as_deref(), &req.scop),
+            Work::Autotune(req) => shared.registry.resolve_text(None, &req.scop),
+        };
+        let resolved = resolved.map_err(|e| protocol::error_response(&Json::Null, &e.to_string()));
+        let mut candidates = Vec::new();
+        if let (Ok((entry, _)), Work::Autotune(req)) = (&resolved, &work) {
+            shared.obs.tune_requests.inc();
+            candidates = tune::candidate_lattice(entry.scop(), &req.machine, req.max_candidates);
+        }
+        resolve.finish();
+        let admission = root.child("admission");
+        Admitted {
+            work,
+            resolved,
+            candidates,
+            reply,
+            root,
+            admission,
+        }
+    }
+
+    /// The response line, from this request's share of the batch's
+    /// results: each scenario certified by the engine or its error, an
+    /// autotune's [`tune::pick`] over its candidates, or the parse error.
+    fn answer(&self, results: &[ScenarioResult]) -> String {
+        let (entry, hit) = match &self.resolved {
+            Ok((entry, hit)) => (entry, *hit),
+            Err(line) => return line.clone(),
+        };
+        match &self.work {
+            Work::Schedule(req) => {
+                let stats = req.scenarios.iter().zip(results).map(|(spec, result)| {
+                    let name = Json::Str(spec.name.clone());
+                    let pipeline = result.as_ref().map(|r| protocol::stats_to_json(&r.stats));
+                    let pipeline = pipeline.unwrap_or(Json::Null);
+                    Json::Object(BTreeMap::from([
+                        ("name".to_string(), name),
+                        ("pipeline".to_string(), pipeline),
+                    ]))
+                });
+                let stats = Json::Array(stats.collect());
+                let results = protocol::results_to_json(&req.scenarios, results);
+                protocol::schedule_response(&req.id, results, stats, hit, entry.fingerprint())
+            }
+            Work::Autotune(req) => {
+                let (machine, estimate) = (&req.machine, req.param_estimate);
+                match tune::pick(entry, machine, estimate, &self.candidates, results) {
+                    Ok(outcome) => protocol::autotune_response(&req.id, &outcome),
+                    Err(e) => protocol::error_response(&req.id, &e.to_string()),
+                }
+            }
+        }
+    }
 }
 
 /// The daemon entry point.
@@ -332,6 +427,7 @@ impl Server {
             addr,
             shutting_down: AtomicBool::new(false),
             crashed: AtomicBool::new(false),
+            resolving: AtomicUsize::new(0),
             batcher_done: AtomicBool::new(false),
             obs,
         });
@@ -419,8 +515,14 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>) {
             match rx.recv_timeout(Duration::from_millis(50)) {
                 Ok(admitted) => break Some(admitted),
                 Err(RecvTimeoutError::Timeout) => {
-                    if shared.is_shutting_down() || shared.is_crashed() {
+                    if shared.is_crashed() {
                         break None;
+                    }
+                    // A graceful shutdown drains: it stops only once no
+                    // reader is still resolving a request it took before
+                    // the shutdown began, and nothing is queued.
+                    if shared.is_shutting_down() && shared.resolving.load(Ordering::SeqCst) == 0 {
+                        break rx.try_recv().ok();
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => break None,
@@ -445,16 +547,59 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>) {
             let Some(admitted) = next else { break };
             batch.push(admitted);
         }
-        // The batcher has taken these requests: their admission wait
-        // ends here, where the batch is committed to execution.
-        for admitted in &mut batch {
-            std::mem::replace(&mut admitted.admission, SpanHandle::disabled()).finish();
-        }
         let nth_batch = shared.obs.batches.inc() as usize;
         shared.obs.requests.add(batch.len() as u64);
-        let mut responses = Vec::new();
+        // One ScenarioSet for the whole batch. Each resolved request's
+        // entry is one slot of it (requests that resolved to one entry
+        // share its slot, and so its solve groups, as
+        // `add_resident_scop` dedupes entries by identity); its
+        // scenarios are its configurations, or an autotune's candidates,
+        // untraced. The entries the registry admitted on a miss are the
+        // journal's `admit` events, in batch order.
+        let mut set = ScenarioSet::new();
         let mut misses = Vec::new();
-        process_group(shared, batch, &mut responses, &mut misses);
+        let mut solves = Vec::with_capacity(batch.len());
+        let mut scenarios = Vec::with_capacity(batch.len());
+        for admitted in &mut batch {
+            // The batcher has taken this request: its admission wait
+            // ends here, where the batch is committed to execution.
+            std::mem::replace(&mut admitted.admission, SpanHandle::disabled()).finish();
+            let first = set.len();
+            if let Ok((entry, hit)) = &admitted.resolved {
+                if !hit {
+                    misses.push(Arc::clone(entry));
+                }
+                let scop_idx = set.add_resident_scop(Arc::clone(entry));
+                // Each scenario's engine run links back under this
+                // request's "solve" span, so the trace tree shows per-job
+                // queue wait and per-dimension pipeline work no matter
+                // which pool thread executes it.
+                let solve = admitted.root.child("solve");
+                match &admitted.work {
+                    Work::Schedule(req) => {
+                        for spec in &req.scenarios {
+                            let (name, config) = (spec.name.clone(), spec.config.clone());
+                            let trace = solve.link();
+                            let options = polytops_core::EngineOptions { trace };
+                            set.add_scenario_with_options(scop_idx, name, config, options);
+                        }
+                    }
+                    Work::Autotune(_) => {
+                        for candidate in &admitted.candidates {
+                            let (name, config) = (candidate.name.clone(), candidate.config.clone());
+                            set.add_scenario(scop_idx, name, config);
+                        }
+                    }
+                }
+                solves.push(solve);
+            }
+            scenarios.push(first..set.len());
+        }
+        let results = set.run_sharded(shared.config.threads);
+        solves.into_iter().for_each(SpanHandle::finish);
+        for result in results.iter().flatten() {
+            result.stats.accumulate_into(&shared.obs.recorder);
+        }
         // Durability before delivery: the journal records this batch's
         // admissions (fsynced) before any client can observe a
         // response, so an acknowledged answer is always replayable.
@@ -468,8 +613,11 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>) {
             crash(shared);
             break;
         }
-        for (reply, line, root) in responses {
-            let _ = reply.send(Reply::response(line, root));
+        for (admitted, range) in batch.into_iter().zip(scenarios) {
+            let serialize = admitted.root.child("serialize");
+            let line = admitted.answer(&results[range]);
+            serialize.finish();
+            let _ = admitted.reply.send(Reply::response(line, admitted.root));
         }
     }
     // A graceful exit snapshots the final registry state so the next
@@ -480,163 +628,4 @@ fn batch_loop(shared: &Arc<Shared>, rx: &Receiver<Admitted>) {
         }
     }
     shared.batcher_done.store(true, Ordering::SeqCst);
-}
-
-/// Executes one batch as a single `ScenarioSet`, pushing one response
-/// line per request (with its still-open "request" span)
-/// and collecting, in order, the entries the registry admitted on a
-/// miss (the persistence journal's `admit` events). Each request's
-/// resident entry is one slot of the set; requests that resolve to one
-/// entry share its slot, as `ScenarioSet::add_resident_scop` dedupes
-/// entries by identity. A request whose
-/// SCoP text does not parse gets the parse error, with a `null` id, in
-/// its place among the batch's responses. An autotune's candidates are
-/// scenarios of the set like any schedule request's, untraced; its
-/// answer is [`tune::pick`] over their results.
-fn process_group(
-    shared: &Arc<Shared>,
-    group: Vec<Admitted>,
-    responses: &mut Vec<(Sender<Reply>, String, SpanHandle)>,
-    misses: &mut Vec<Arc<ScopEntry>>,
-) {
-    struct Slot {
-        admitted: Admitted,
-        /// The resident entry and whether it was a hit, or the SCoP
-        /// text's parse error.
-        resolved: Result<(Arc<ScopEntry>, bool), ParseScopError>,
-        /// Scenario indices of this request inside the shared set.
-        scenarios: Range<usize>,
-        /// An autotune's candidate lattice, one per scenario.
-        candidates: Vec<Candidate>,
-    }
-
-    let mut set = ScenarioSet::new();
-    let mut slots: Vec<Slot> = Vec::with_capacity(group.len());
-    // The open "solve" span of each resolved request, covering its share
-    // of the batch execution; finished right after `run_sharded` returns.
-    let mut solves = Vec::with_capacity(group.len());
-    for admitted in group {
-        let resolve = admitted.root.child("resolve");
-        let resolved = match &admitted.work {
-            Work::Schedule(req) => shared.registry.resolve_text(req.name.as_deref(), &req.scop),
-            Work::Autotune(req) => shared.registry.resolve_text(None, &req.scop),
-        };
-        resolve.finish();
-        let entry = match &resolved {
-            Ok((entry, hit)) => {
-                if !hit {
-                    misses.push(Arc::clone(entry));
-                }
-                entry
-            }
-            Err(_) => {
-                slots.push(Slot {
-                    admitted,
-                    resolved,
-                    scenarios: 0..0,
-                    candidates: Vec::new(),
-                });
-                continue;
-            }
-        };
-        // Two clients submitting the same kernel share one slot (and
-        // therefore its solve groups) within the batch.
-        let scop_idx = set.add_resident_scop(Arc::clone(entry));
-        // Each scenario's engine run links back under this request's
-        // "solve" span, so the trace tree shows per-job queue wait and
-        // per-dimension pipeline work no matter which pool thread
-        // executes it.
-        let solve = admitted.root.child("solve");
-        let link = solve.link();
-        let first = set.len();
-        let mut candidates = Vec::new();
-        match &admitted.work {
-            Work::Schedule(req) => {
-                for spec in &req.scenarios {
-                    let options = polytops_core::EngineOptions {
-                        trace: link.clone(),
-                    };
-                    set.add_scenario_with_options(
-                        scop_idx,
-                        spec.name.clone(),
-                        spec.config.clone(),
-                        options,
-                    );
-                }
-            }
-            Work::Autotune(req) => {
-                shared.obs.tune_requests.inc();
-                candidates =
-                    tune::candidate_lattice(entry.scop(), &req.machine, req.max_candidates);
-                for candidate in &candidates {
-                    set.add_scenario(scop_idx, candidate.name.clone(), candidate.config.clone());
-                }
-            }
-        }
-        slots.push(Slot {
-            admitted,
-            resolved,
-            scenarios: first..set.len(),
-            candidates,
-        });
-        solves.push(solve);
-    }
-
-    let results = set.run_sharded(shared.config.threads);
-    solves.into_iter().for_each(SpanHandle::finish);
-    for result in results.iter().flatten() {
-        result.stats.accumulate_into(&shared.obs.recorder);
-    }
-
-    for slot in slots {
-        let serialize = slot.admitted.root.child("serialize");
-        let results = &results[slot.scenarios];
-        let line = match (&slot.resolved, &slot.admitted.work) {
-            (Err(e), _) => protocol::error_response(&Json::Null, &e.to_string()),
-            (Ok((entry, hit)), Work::Schedule(req)) => schedule_line(req, results, entry, *hit),
-            (Ok((entry, _)), Work::Autotune(req)) => {
-                let (machine, estimate) = (&req.machine, req.param_estimate);
-                match tune::pick(entry, machine, estimate, &slot.candidates, results) {
-                    Ok(outcome) => protocol::autotune_response(&req.id, &outcome),
-                    Err(e) => protocol::error_response(&req.id, &e.to_string()),
-                }
-            }
-        };
-        serialize.finish();
-        responses.push((slot.admitted.reply, line, slot.admitted.root));
-    }
-}
-
-/// The response line of one scheduled request: its scenarios' results,
-/// each certified by the engine or a per-scenario error.
-fn schedule_line(
-    req: &WireSchedule,
-    results: &[ScenarioResult],
-    entry: &ScopEntry,
-    hit: bool,
-) -> String {
-    let stats = Json::Array(
-        req.scenarios
-            .iter()
-            .zip(results)
-            .map(|(spec, result)| {
-                Json::Object(std::collections::BTreeMap::from([
-                    ("name".to_string(), Json::Str(spec.name.clone())),
-                    (
-                        "pipeline".to_string(),
-                        result
-                            .as_ref()
-                            .map_or(Json::Null, |r| protocol::stats_to_json(&r.stats)),
-                    ),
-                ]))
-            })
-            .collect(),
-    );
-    protocol::schedule_response(
-        &req.id,
-        protocol::results_to_json(&req.scenarios, results),
-        stats,
-        hit,
-        entry.fingerprint(),
-    )
 }

@@ -104,8 +104,8 @@ fn trace_op_returns_the_full_request_lifecycle_tree() {
         phases,
         [
             "read",
-            "admission",
             "resolve",
+            "admission",
             "solve",
             "serialize",
             "write"
