@@ -1,20 +1,24 @@
 //! Candl-style dependence analysis: one convex dependence polyhedron per
 //! access pair and per dependence level.
 //!
-//! Each candidate polyhedron is normalized once and solved into a
-//! simplex tableau once. The integer emptiness test searches that
-//! tableau; a candidate that survives keeps a packed copy of it,
-//! untouched, in its [`Dependence`], and every
-//! [`Certifier`](crate::Certifier) question about it starts from a copy
-//! of that one. No certifier builds a tableau of its own. A candidate
-//! whose polyhedron equals one already kept is neither built nor
-//! searched again: it shares the kept tableau.
+//! Each candidate's emptiness is decided on its equalities solved over
+//! the integers ([`ConstraintSystem::compress_equalities`]): a candidate
+//! whose equalities have no integer solution, or whose other rows turn
+//! trivially infeasible once they are substituted, is dropped before any
+//! tableau is built. Every other candidate is searched for an integer
+//! point on the tableau of its compressed rows, over the free variables
+//! the equalities leave. A candidate that survives keeps the packed
+//! tableau of its polyhedron, in the original space, in its
+//! [`Dependence`], and every [`Certifier`](crate::Certifier) question
+//! about it starts from a copy of that one. No certifier builds a
+//! tableau of its own. A candidate whose polyhedron equals one already
+//! kept is neither searched nor built again: it shares the kept tableau.
 
 use std::fmt;
 use std::sync::Arc;
 
 use polytops_ir::{AccessKind, ArrayId, Scop, Statement, StmtId, Subscript};
-use polytops_math::{ConstraintSystem, IncrementalLp};
+use polytops_math::{obs, Compressed, ConstraintSystem, IncrementalLp};
 
 /// Dependence class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,7 +59,9 @@ pub struct Dependence {
     /// Dependence polyhedron over `(it_src, it_dst, params, 1)`,
     /// normalized.
     poly: ConstraintSystem,
-    /// The solved tableau of `poly`, as phase 1 left it.
+    /// The solved tableau of `poly`, as phase 1 left it: no search ran
+    /// on it (the emptiness search ran on the candidate's compressed
+    /// rows).
     base: Option<Arc<IncrementalLp>>,
     /// Candl-style level: `1..=common` means carried by that common loop;
     /// `common + 1` means loop-independent (textual order).
@@ -94,21 +100,79 @@ impl Dependence {
             _ => std::ptr::eq(self, other),
         }
     }
+}
 
-    /// The candidate kept, with the tableau of its polyhedron, unless
-    /// the integer emptiness test on that tableau proves it empty.
-    fn solved(mut self) -> Option<Dependence> {
-        if let Ok(mut lp) = IncrementalLp::new(&self.poly) {
-            // The search leaves its bound rows behind, so the tableau
-            // kept is a copy taken before it — packed: it holds no room
-            // for rows, which a question copies it to push.
-            let base = lp.packed();
-            if !lp.may_have_integer_point(&mut 0) {
-                return None;
-            }
-            self.base = Some(Arc::new(base));
+/// What [`analyze`] has kept so far.
+#[derive(Default)]
+struct Analysis {
+    out: Vec<Dependence>,
+    /// Candidates seen.
+    candidates: u64,
+    /// Tableaus built: the searches' and the ones kept.
+    tableaus: u64,
+}
+
+impl Analysis {
+    /// Keeps `candidate`, with the tableau of its polyhedron, unless its
+    /// equalities solved over the integers prove it empty: they have no
+    /// integer solution, a row they turn into is trivially infeasible,
+    /// or branch and bound on the tableau of those rows, over the free
+    /// variables the equalities leave, finds no point.
+    ///
+    /// A candidate whose polyhedron equals one kept is its twin: it
+    /// shares that tableau and is neither searched nor built. A kept
+    /// polyhedron is normalized, and normalizing leaves a normalized
+    /// system as it is, so a candidate built equal to one is a twin
+    /// before anything is solved; one that only normalizes to it is
+    /// found after.
+    ///
+    /// The tableau kept is the polyhedron's own, in the original space,
+    /// as phase 1 left it: no search runs on it. An overflow, in the
+    /// compression or in a build, proves nothing: the candidate is kept,
+    /// with no tableau when its own overflowed.
+    fn add(&mut self, candidate: Dependence) {
+        self.candidates += 1;
+        let Some(mut candidate) = self.not_a_twin(candidate) else {
+            return;
+        };
+        let lattice = match candidate.poly.compress_equalities() {
+            Ok(Compressed::Empty) => return,
+            Ok(Compressed::Lattice(lattice)) if lattice.trivially_infeasible() => return,
+            Ok(Compressed::Lattice(lattice)) => Some(lattice),
+            Err(_) => None,
+        };
+        if !candidate.poly.normalize() {
+            return;
         }
-        Some(self)
+        let Some(mut candidate) = self.not_a_twin(candidate) else {
+            return;
+        };
+        if let Some(lattice) = lattice {
+            self.tableaus += 1;
+            let search = IncrementalLp::new(&lattice.system());
+            if search.is_ok_and(|mut lp| !lp.may_have_integer_point(&mut 0)) {
+                return;
+            }
+        }
+        self.tableaus += 1;
+        candidate.base = IncrementalLp::new(&candidate.poly)
+            .ok()
+            .map(|lp| Arc::new(lp.packed()));
+        self.out.push(candidate);
+    }
+
+    /// `candidate` back, unless a dependence with its polyhedron is kept:
+    /// a polyhedron equal to one kept is non-empty, and the candidate is
+    /// then kept as that one's twin, sharing its tableau.
+    fn not_a_twin(&mut self, candidate: Dependence) -> Option<Dependence> {
+        match self.out.iter().find(|kept| kept.poly == candidate.poly) {
+            Some(twin) => {
+                let base = twin.base.clone();
+                self.out.push(Dependence { base, ..candidate });
+                None
+            }
+            None => Some(candidate),
+        }
     }
 }
 
@@ -197,11 +261,19 @@ fn textually_before(s: &Statement, r: &Statement, common: usize) -> bool {
 ///   subscripts),
 /// * the level's precedence constraint.
 ///
-/// Each candidate is normalized and solved into a tableau once.
-/// Candidates with no integer point are discarded (an exact branch and
-/// bound on a copy of that tableau); the others keep it. Dependences
-/// with equal polyhedra — the same access pattern between statements
-/// over equal domains, as along a chain — share one tableau.
+/// Each candidate's equalities are solved over the integers first
+/// ([`ConstraintSystem::compress_equalities`]). A candidate they prove
+/// empty — no integer solution, or an inequality they turn into
+/// `0 ≥ c` with `c < 0` — is discarded with no tableau built; the
+/// others are searched by an exact branch and bound on the tableau of
+/// their rows over the free variables the equalities leave, and
+/// discarded when it finds no point. Only a dependence kept is solved
+/// into a tableau of its own polyhedron, in the original space.
+/// Dependences with equal polyhedra — the same access pattern between
+/// statements over equal domains, as along a chain — share one tableau,
+/// and a twin is neither searched nor built. `deps.candidates` and
+/// `deps.tableaus` count the candidates and the tableaus built, once
+/// per call.
 ///
 /// # Examples
 ///
@@ -224,24 +296,16 @@ fn textually_before(s: &Statement, r: &Statement, common: usize) -> bool {
 /// assert!(deps.iter().any(|d| d.kind == DepKind::Flow && d.level == 1));
 /// ```
 pub fn analyze(scop: &Scop) -> Vec<Dependence> {
-    let mut out: Vec<Dependence> = Vec::new();
-    candidates(scop, |candidate| {
-        // A polyhedron equal to one already kept is non-empty, and its
-        // tableau is that one's: the two dependences share it.
-        match out.iter().find(|kept| kept.poly == candidate.poly) {
-            Some(twin) => {
-                let base = twin.base.clone();
-                out.push(Dependence { base, ..candidate });
-            }
-            None => out.extend(candidate.solved()),
-        }
-    });
-    out
+    let mut analysis = Analysis::default();
+    candidates(scop, |candidate| analysis.add(candidate));
+    obs::count("deps.candidates", analysis.candidates);
+    obs::count("deps.tableaus", analysis.tableaus);
+    analysis.out
 }
 
 /// Hands every candidate dependence of `scop` to `keep`, in the order
-/// [`analyze`] reports them: its polyhedron normalized, its tableau not
-/// built yet. A candidate `normalize` proves empty is skipped.
+/// [`analyze`] reports them: its polyhedron as built, not normalized,
+/// and no tableau.
 fn candidates(scop: &Scop, mut keep: impl FnMut(Dependence)) {
     let np = scop.nparams();
     for s in &scop.statements {
@@ -263,16 +327,11 @@ fn candidates(scop: &Scop, mut keep: impl FnMut(Dependence)) {
                     // (loop-independent self-pairs are skipped below).
                     // Carried levels.
                     for level in 1..=common {
-                        if let Some(dep) = build_dep(scop, s, r, a, b, kind, level, common, np) {
-                            keep(dep);
-                        }
+                        keep(build_dep(scop, s, r, a, b, kind, level, common, np));
                     }
                     // Loop-independent level.
                     if s.id != r.id && textually_before(s, r, common) {
-                        if let Some(dep) = build_dep(scop, s, r, a, b, kind, common + 1, common, np)
-                        {
-                            keep(dep);
-                        }
+                        keep(build_dep(scop, s, r, a, b, kind, common + 1, common, np));
                     }
                 }
             }
@@ -291,7 +350,7 @@ fn build_dep(
     level: usize,
     common: usize,
     np: usize,
-) -> Option<Dependence> {
+) -> Dependence {
     let ds = s.depth();
     let dr = r.depth();
     let nv = ds + dr + np;
@@ -378,10 +437,7 @@ fn build_dep(
         }
     }
 
-    if !poly.normalize() {
-        return None;
-    }
-    Some(Dependence {
+    Dependence {
         src: s.id,
         dst: r.id,
         kind,
@@ -392,7 +448,7 @@ fn build_dep(
         exact,
         src_depth: ds,
         dst_depth: dr,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -404,12 +460,13 @@ mod tests {
     use proptest::prelude::*;
 
     /// [`analyze`] with its emptiness test replaced by the one-question
-    /// [`ilp_feasible`] of each candidate: a clone of the polyhedron,
-    /// normalized again, built, searched and dropped.
+    /// [`ilp_feasible`] of each candidate's normalized polyhedron, in
+    /// the original space: a clone of it normalized again, built,
+    /// searched and dropped. No equality is solved.
     fn reference_analyze(scop: &Scop) -> Vec<Dependence> {
         let mut out = Vec::new();
-        candidates(scop, |candidate| {
-            if ilp_feasible(candidate.poly()) {
+        candidates(scop, |mut candidate| {
+            if candidate.poly.normalize() && ilp_feasible(candidate.poly()) {
                 out.push(candidate);
             }
         });
@@ -443,6 +500,30 @@ mod tests {
         ) {
             assert_matches_reference(&offset_chain(&shape));
         }
+    }
+
+    #[test]
+    fn analysis_counts_its_candidates_and_the_tableaus_it_builds() {
+        // heat_2d's 27 candidates: 14 are refuted by their equalities
+        // alone, with no tableau, and the other 13 are kept. Six of those
+        // are twins of another, which build nothing; the 7 distinct
+        // polyhedra build two tableaus each, one over the free variables
+        // for the search and their own, to keep.
+        let recorder = obs::Recorder::new(true);
+        let root = recorder.root_span("test");
+        let deps = {
+            let _bound = root.link().expect("armed").bind();
+            analyze(&polytops_workloads::heat_2d())
+        };
+        let get = |name: &str| recorder.counter(name).get();
+        assert_eq!(
+            (get("deps.candidates"), get("deps.tableaus"), deps.len()),
+            (27, 14, 13)
+        );
+        let mut distinct = polyhedron_classes(&deps);
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 7);
     }
 
     #[test]
@@ -520,6 +601,117 @@ mod tests {
         let deps = analyze(&b.build().unwrap());
         let flow = deps.iter().find(|d| d.kind == DepKind::Flow);
         assert!(flow.is_some_and(|d| !d.exact), "{deps:?}");
+    }
+
+    /// Case 6262 of the SCoP-text fuzz (`mutated_scop_texts_never_panic`
+    /// in `crates/codegen/tests/scop_fuzz.rs`): `heat_2d` with subscript
+    /// coefficients 2³¹, 2³¹ − 1 and −(2⁶³ − 1) and a β entry of −1.
+    const CASE_6262: &str = "<polyscop>
+name heat_2d
+params T N
+context 2
+ineq 1 0 -1
+ineq 0 1 -1
+arrays 1
+array A 8 2
+dim 0 1 0
+dim 0 1 0
+statements 1
+statement S0
+iters t i j
+beta 0 0 0 -1
+ops 3
+text A[i][j] = A[i-1][j] + A[i+1][j] + A[i][j-1] + A[i][j+1];
+domain 6
+ineq 1 0 0 0 0 0
+ineq -1 0 0 1 0 -1
+ineq 0 1 0 0 0 -1
+ineq 0 -1 0 0 1 -2
+ineq 0 0 1 0 0 -1
+ineq 0 0 -1 0 1 -2
+accesses 5
+read 0 2
+aff 0 1 0 0 -9223372036854775807 -1
+aff 0 0 1 0 0 0
+read 0 2
+aff 0 1 0 0 0 1
+aff 0 0 1 0 0 0
+read 0 2
+aff 0 1 0 0 0 0
+aff 0 0 1 0 0 -1
+read 0 2
+aff 2147483648 1 0 0 0 0
+aff 0 0 1 0 0 1
+write 0 2
+aff 0 2147483647 0 0 0 0
+aff 0 0 1 0 0 0
+</polyscop>
+";
+
+    /// Case 11014 of the same fuzz: `jacobi_1d` with the write's `T`
+    /// coefficient and a read's `N` coefficient set to −2³¹.
+    const CASE_11014: &str = "<polyscop>
+name jacobi_1d
+params T N
+context 2
+ineq 1 0 -1
+ineq 0 1 -1
+arrays 1
+array A 8 1
+dim 0 1 0
+statements 1
+statement S0
+iters t i
+beta 0 0 0
+ops 2
+text A[i] = A[i-1] + A[i] + A[i+1];
+domain 4
+ineq 1 0 0 0 0
+ineq -1 0 1 0 -1
+ineq 0 1 0 0 -1
+ineq 0 -1 0 1 -2
+accesses 4
+read 0 1
+aff 0 1 0 0 -1
+read 0 1
+aff 0 1 0 -2147483648 0
+read 0 1
+aff 0 1 0 0 1
+write 0 1
+aff 0 1 -2147483648 0 0
+</polyscop>
+";
+
+    /// The analysis of `text`, which must end within `bound`: it runs on
+    /// a thread of its own, left behind when it does not.
+    fn analyzed_within(text: &str, bound: std::time::Duration) -> Vec<Dependence> {
+        let scop = polytops_ir::parse_scop(text).expect("the case parses");
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(analyze(&scop)));
+        rx.recv_timeout(bound).expect("the analysis ends in time")
+    }
+
+    #[test]
+    fn a_lattice_branch_and_bound_never_reaches_is_solved() {
+        // The read A[2³¹t + i][j + 1] and the write A[(2³¹ − 1)i][j] meet
+        // at level 3 (t' = t, i' = i, j' = j + 1) where
+        // 2³⁰t = (2³⁰ − 1)i: on the lattice i = 2³⁰k, t = (2³⁰ − 1)k. A
+        // search from the LP vertex of the uncompressed tableau walked a
+        // thin strip for minutes; solved, it is one free variable. Its
+        // point at k = 1, with T and N large enough, is kept.
+        let deps = analyzed_within(CASE_6262, std::time::Duration::from_secs(2));
+        let k = 1i64 << 30;
+        let point = [k - 1, k, 1, k - 1, k, 2, k, k + 2];
+        let anti = deps.iter().find(|d| {
+            (d.kind, d.level, d.src, d.dst) == (DepKind::Anti, 3, StmtId(0), StmtId(0))
+                && d.poly().contains_point(&point)
+        });
+        assert!(anti.is_some_and(|d| d.base().is_some()), "{deps:?}");
+    }
+
+    #[test]
+    fn parameter_subscripts_at_two_to_the_31_are_analyzed_in_time() {
+        analyzed_within(CASE_11014, std::time::Duration::from_secs(2));
     }
 
     fn chain_scop() -> Scop {

@@ -10,6 +10,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::Result;
+use crate::matrix::{compress, Lattice};
 use crate::num::{floor_div, gcd_slice, narrow};
 
 /// Whether a row is an equality or an inequality.
@@ -352,6 +353,67 @@ impl ConstraintSystem {
         let scaled = out.normalize_impl(true) == Normalized::Scaled;
         Ok(Some((out, scaled)))
     }
+
+    /// Solves the equalities over the integers and rewrites the
+    /// inequalities in the free variables they leave: the first step of
+    /// Pugh's Omega test, and isl's variable compression.
+    ///
+    /// The equality rows go to Hermite normal form by unimodular column
+    /// operations, which the inequalities take too. When the equalities
+    /// have no integer solution the answer is [`Compressed::Empty`].
+    /// Otherwise their integer solutions are exactly `x = x₀ + U·z` over
+    /// integer `z`, each for one `z` only, and the inequalities become
+    /// rows over `z` ([`Lattice::system`]): the system's integer points
+    /// map one to one onto the integer points of those rows. With no
+    /// equalities, `U` is the identity and the rows are the inequalities
+    /// as given. Nothing is normalized.
+    ///
+    /// # Errors
+    ///
+    /// [`MathError::Overflow`](crate::MathError::Overflow) when a value
+    /// outgrows `i128` on the way or an entry of the result outgrows
+    /// `i64`: nothing is proven then.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use polytops_math::{Compressed, ConstraintSystem};
+    ///
+    /// // 2x == 3y with 0 <= x <= 5: x = 3z, y = 2z for integer z.
+    /// let mut cs = ConstraintSystem::new(2);
+    /// cs.add_eq(vec![2, -3, 0]);
+    /// cs.add_ineq(vec![1, 0, 0]);
+    /// cs.add_ineq(vec![-1, 0, 5]);
+    /// let Ok(Compressed::Lattice(lattice)) = cs.compress_equalities() else {
+    ///     panic!("2x == 3y has integer solutions");
+    /// };
+    /// let (x0, u, system) = (lattice.x0(), lattice.u(), lattice.system());
+    /// assert_eq!(system.num_vars(), 1);
+    /// for z in -1..=3 {
+    ///     let x: Vec<i64> = (0..2).map(|j| x0[j] + u[j][0] * z).collect();
+    ///     assert_eq!(cs.contains_point(&x), system.contains_point(&[z]));
+    /// }
+    /// // 2x == 2y + 1 has none.
+    /// let mut odd = ConstraintSystem::new(2);
+    /// odd.add_eq(vec![2, -2, -1]);
+    /// assert_eq!(odd.compress_equalities(), Ok(Compressed::Empty));
+    /// ```
+    pub fn compress_equalities(&self) -> Result<Compressed> {
+        Ok(match compress(&self.rows, self.num_vars)? {
+            Some(lattice) => Compressed::Lattice(lattice),
+            None => Compressed::Empty,
+        })
+    }
+}
+
+/// What [`ConstraintSystem::compress_equalities`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Compressed {
+    /// The equalities have no integer solution: the system is empty.
+    Empty,
+    /// The integer solutions of the equalities, and the inequalities
+    /// over them.
+    Lattice(Lattice),
 }
 
 /// What normalizing a system did to its rows.
@@ -506,6 +568,39 @@ mod tests {
         cs.add_ineq(vec![1, 0, 1, 0]);
         cs.add_ineq(vec![i64::MIN, 1, 0, 0]);
         assert_eq!(cs.eliminate_var(0), Err(crate::MathError::Overflow));
+    }
+
+    #[test]
+    fn compress_equalities_reports_overflow_past_i64() {
+        // Two equalities with entries near i64::MAX: the one direction
+        // they leave free is their cross product, about 2^126 long.
+        let m = i64::MAX;
+        let mut cs = ConstraintSystem::new(3);
+        cs.add_eq(vec![m, m - 1, 0, 0]);
+        cs.add_eq(vec![0, m - 2, m - 3, 0]);
+        assert_eq!(cs.compress_equalities(), Err(crate::MathError::Overflow));
+    }
+
+    #[test]
+    fn compress_equalities_solves_a_lattice() {
+        // 2^30 t == (2^30 - 1) i: t = (2^30 - 1) k, i = 2^30 k, one free
+        // variable, with 0 <= t, i and i <= 2^31 leaving k in 0..=2.
+        let k = 1i64 << 30;
+        let mut cs = ConstraintSystem::new(2);
+        cs.add_eq(vec![k, 1 - k, 0]);
+        cs.add_ineq(vec![1, 0, 0]);
+        cs.add_ineq(vec![0, 1, 0]);
+        cs.add_ineq(vec![0, -1, 2 * k]);
+        let Ok(Compressed::Lattice(lattice)) = cs.compress_equalities() else {
+            panic!("the equality has integer solutions");
+        };
+        let (x0, u, mut system) = (lattice.x0(), lattice.u(), lattice.system());
+        assert_eq!((x0, system.num_vars()), (vec![0, 0], 1));
+        let sign = u[1][0].signum();
+        assert_eq!(u, [[sign * (k - 1)], [sign * k]]);
+        assert!(system.normalize());
+        let points: Vec<i64> = (-5..=5).filter(|&z| system.contains_point(&[z])).collect();
+        assert_eq!(points, if sign > 0 { [0, 1, 2] } else { [-2, -1, 0] });
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //!   [`orthogonal_complement`] of the progression constraint and the
 //!   [`integral_inverse`] of code generation built on it;
 //! * [`ConstraintSystem`] — affine equality/inequality systems with exact,
-//!   integer-tightening Fourier–Motzkin elimination;
+//!   integer-tightening Fourier–Motzkin elimination, and
+//!   [`compress_equalities`](ConstraintSystem::compress_equalities),
+//!   which solves the equalities over the integers (Hermite normal form)
+//!   into a [`Lattice`] `x₀ + U·z` with the inequalities over `z`;
 //! * [`lp_minimize`] — exact simplex on an integer tableau (a dual
 //!   phase 1 from the slack basis, a primal phase 2; one `i64`
 //!   denominator per row; overflow is an error);
@@ -65,11 +68,11 @@ mod simplex;
 /// above this one that ask it questions and count them.
 pub use polytops_obs as obs;
 
-pub use consys::{ConstraintSystem, RowKind};
+pub use consys::{Compressed, ConstraintSystem, RowKind};
 pub use error::{MathError, Result};
 pub use farkas::{farkas_cone, farkas_nonneg, farkas_substitute};
 pub use ilp::{ilp_feasible, ilp_lexmin, ilp_minimize, ineq_implied, IlpOutcome, IlpStats};
-pub use matrix::{integral_inverse, orthogonal_complement, Echelon};
+pub use matrix::{integral_inverse, orthogonal_complement, Echelon, Lattice};
 pub use num::{ceil_div, floor_div, gcd, gcd_slice, lcm, modulo, narrow};
 pub use rat::Rat;
 pub use simplex::{lp_minimize, IncrementalLp, LpOutcome, Snapshot};

@@ -1,12 +1,14 @@
 //! The exact rank kernel: a fraction-free row echelon form, and the two
 //! matrix questions the scheduler builds on it — the Pluto-style
 //! orthogonal complement of the progression constraint and the integral
-//! inverse of code generation.
+//! inverse of code generation — beside the Hermite form that solves a
+//! system's equalities over the integers ([`Lattice`], behind
+//! [`ConstraintSystem::compress_equalities`]).
 //!
-//! Everything here is `i128` arithmetic with the gcd divided out of a
-//! row after each combination; a value that outgrows `i128` is
+//! Everything here is `i128` arithmetic; a value that outgrows `i128` is
 //! [`MathError::Overflow`], never a panic or a wrapped value.
 
+use crate::consys::{ConstraintSystem, RowKind};
 use crate::error::{MathError, Result};
 use crate::num::{gcd, narrow};
 
@@ -121,8 +123,13 @@ fn make_primitive(r: &mut [i128]) {
 }
 
 /// `a·b`, or [`MathError::Overflow`]. `i128::MIN` counts as overflow, so
-/// every value these helpers return has an absolute value.
+/// every value these helpers return has an absolute value. Two factors
+/// that fit `i64` take the one-instruction widening product, which
+/// cannot overflow.
 fn mul(a: i128, b: i128) -> Result<i128> {
+    if let (Ok(x), Ok(y)) = (i64::try_from(a), i64::try_from(b)) {
+        return Ok(i128::from(x) * i128::from(y));
+    }
     a.checked_mul(b)
         .filter(|&v| v != i128::MIN)
         .ok_or(MathError::Overflow)
@@ -133,6 +140,316 @@ fn sub(a: i128, b: i128) -> Result<i128> {
     a.checked_sub(b)
         .filter(|&v| v != i128::MIN)
         .ok_or(MathError::Overflow)
+}
+
+/// The integer solutions `x = x₀ + U·z` of a system's equalities, each
+/// for exactly one integer `z`, and the system's inequalities rewritten
+/// over `z`. Read out on demand: deciding that one of those rows is
+/// trivially infeasible builds nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Lattice {
+    /// How many variables `x` has.
+    num_vars: usize,
+    /// How many variables `z` has.
+    free: usize,
+    /// Rows over `z`, row-major, each `free` coefficients and a constant:
+    /// the inequalities in their order, then one row per `x_j`, row `j`
+    /// of `U` with entry `j` of `x₀` as its constant. Every entry fits
+    /// `i64`.
+    rows: Vec<i128>,
+}
+
+impl Lattice {
+    /// How many rows are inequalities: the rest are `x₀ + U·z`'s.
+    fn inequalities(&self) -> usize {
+        self.rows.len() / (self.free + 1) - self.num_vars
+    }
+
+    /// Every row over `z`, as `i64`s.
+    fn rows_i64(&self) -> impl Iterator<Item = Vec<i64>> + '_ {
+        // Every entry was checked to fit when the lattice was built.
+        (self.rows.chunks(self.free + 1)).map(|row| row.iter().map(|&v| v as i64).collect())
+    }
+
+    /// `x₀`, the solution at `z = 0`.
+    pub fn x0(&self) -> Vec<i64> {
+        let rows = self.rows_i64().skip(self.inequalities());
+        rows.map(|row| row[self.free]).collect()
+    }
+
+    /// `U` by rows: one row per variable `x_j`, one entry per free
+    /// variable `z_k`.
+    pub fn u(&self) -> Vec<Vec<i64>> {
+        let rows = self.rows_i64().skip(self.inequalities());
+        rows.map(|row| row[..self.free].to_vec()).collect()
+    }
+
+    /// The inequalities over `z`, in their order, and no equality.
+    pub fn system(&self) -> ConstraintSystem {
+        let mut system = ConstraintSystem::new(self.free);
+        for row in self.rows_i64().take(self.inequalities()) {
+            system.add_ineq(row);
+        }
+        system
+    }
+
+    /// Whether an inequality became `0 ≥ c` with `c < 0`: the system is
+    /// then empty.
+    pub fn trivially_infeasible(&self) -> bool {
+        let k = self.free;
+        (self.rows.chunks(k + 1).take(self.inequalities()))
+            .any(|row| row[k] < 0 && row[..k].iter().all(|&v| v == 0))
+    }
+}
+
+/// Solves the equalities among `rows` (over `n` variables, the constant
+/// last) over the integers and rewrites the inequalities over the free
+/// variables they leave: `None` when the equalities have no integer
+/// solution. Every entry of the lattice fits `i64`.
+///
+/// The equality rows go to Hermite normal form `H = A·W` by unimodular
+/// column operations — an extended gcd per pair of entries, or a plain
+/// `col_q ← col_q − f·col_p` when the pivot divides the entry, with a
+/// unit entry taken as the pivot where a row has one — and `W` starts as
+/// the identity: `H` is lower triangular with a positive diagonal and
+/// every entry left of it reduced below it. `x = W·y` maps integer `y`
+/// one to one onto integer `x`, and `H·y = −c` fixes `y` on the pivot
+/// columns by forward substitution — integrally, or there is no integer
+/// solution; a row that gets no pivot must then hold already. The rest
+/// of `y` is `z`. The same operations run on the inequalities and on
+/// the rows of `W` itself, which end as `x₀` and `U`. Last, `U`'s
+/// columns are shortened ([`shorten`]), with the rows rewritten to
+/// match.
+///
+/// # Errors
+///
+/// [`MathError::Overflow`] when a value outgrows `i128`, or an entry of
+/// the lattice `i64`.
+pub(crate) fn compress(rows: &[(RowKind, Vec<i64>)], n: usize) -> Result<Option<Lattice>> {
+    let width = n + 1;
+    // The equalities, the inequalities, then the rows of W: every row an
+    // affine form over y, so every column op is one pass over `m`.
+    let equalities = rows.iter().filter(|(kind, _)| *kind == RowKind::Eq);
+    let inequalities = rows.iter().filter(|(kind, _)| *kind == RowKind::Ineq);
+    let ne = equalities.clone().count();
+    let mut m: Vec<i128> = Vec::with_capacity((rows.len() + n) * width);
+    for (_, row) in equalities.chain(inequalities) {
+        m.extend(row.iter().map(|&v| i128::from(v)));
+    }
+    m.extend((0..n * width).map(|e| i128::from(e % width == e / width)));
+    let total = m.len() / width;
+    let mut y: Vec<i128> = Vec::with_capacity(ne.min(n));
+    for e in 0..ne {
+        let k = y.len();
+        let at = |c: usize| e * width + c;
+        // Rows above `e` are zero from column `k` on: ops on columns
+        // `k..n` touch rows `e..` only.
+        let pivot = (k..n).find(|&c| m[at(c)].unsigned_abs() == 1);
+        let Some(p) = pivot.or_else(|| (k..n).find(|&c| m[at(c)] != 0)) else {
+            // No pivot left: the row holds on the y fixed so far, or never.
+            if add(dot(&m[at(0)..at(k)], &y)?, m[at(n)])? != 0 {
+                return Ok(None);
+            }
+            continue;
+        };
+        if p != k {
+            (e..total).for_each(|r| m.swap(r * width + k, r * width + p));
+        }
+        for q in k + 1..n {
+            let (a, b) = (m[at(k)], m[at(q)]);
+            if b != 0 {
+                ColumnOp::clearing(a, b)?.apply(&mut m[e * width..], width, k, q)?;
+            }
+        }
+        if m[at(k)] < 0 {
+            (e..total).for_each(|r| m[r * width + k] = -m[r * width + k]);
+        }
+        let d = m[at(k)];
+        for j in 0..k {
+            let f = if d == 1 {
+                m[at(j)]
+            } else {
+                m[at(j)].div_euclid(d)
+            };
+            if f != 0 {
+                ColumnOp::taking(f).apply(&mut m[e * width..], width, j, k)?;
+            }
+        }
+        // m[e][..k]·y + d·y_k + c_e == 0.
+        let rest = add(dot(&m[at(0)..at(k)], &y)?, m[at(n)])?;
+        if rest % d != 0 {
+            return Ok(None);
+        }
+        y.push(-rest / d);
+    }
+    // Every other row over z, its constant taking the fixed y, written
+    // over the rows already read.
+    let (rank, free) = (y.len(), n - y.len());
+    for r in ne..total {
+        let row = r * width;
+        let constant = add(dot(&m[row..row + rank], &y)?, m[row + n])?;
+        let to = (r - ne) * (free + 1);
+        m.copy_within(row + rank..row + n, to);
+        m[to + free] = constant;
+    }
+    m.truncate((total - ne) * (free + 1));
+    shorten(&mut m, free, total - ne - n)?;
+    m.iter().try_for_each(|&v| narrow(v).map(drop))?;
+    Ok(Some(Lattice {
+        num_vars: n,
+        free,
+        rows: m,
+    }))
+}
+
+/// Shortens the lattice basis held in `rows`, the rows over `z` of
+/// [`compress`] (`free` coefficients and a constant each), of which the
+/// ones after the first `skip` are those of `x = x₀ + U·z`: the columns
+/// of `U` pairwise, then `x₀` against them, leaving the lattice and the
+/// points `x₀ + U·z` as they were. A column `v` becomes `v − f·b` for
+/// another column `b`, with `f` the integer nearest `⟨v, b⟩ / ⟨b, b⟩`,
+/// as long as that makes some vector strictly shorter (Lagrange's
+/// reduction, in every pair); every row takes the same column
+/// operation, so each still says what it said over the new `z`. A
+/// solution lattice such as `i = 2³¹·u − i'` then has a short basis,
+/// and the rows rewritten over it do not cut a thin strip that branch
+/// and bound cannot walk. A basis of entries 0 and ±1 is left as it is.
+fn shorten(rows: &mut [i128], free: usize, skip: usize) -> Result<()> {
+    let width = free + 1;
+    let basis = skip * width;
+    if rows[basis..]
+        .chunks(width)
+        .all(|r| r[..free].iter().all(|x| x.unsigned_abs() <= 1))
+    {
+        return Ok(());
+    }
+    // ⟨column a, column b⟩ over the rows of U; `free` is x₀.
+    let dot_cols = |rows: &[i128], a: usize, b: usize| -> Result<i128> {
+        (rows[basis..].chunks(width)).try_fold(0, |acc, r| add(acc, mul(r[a], r[b])?))
+    };
+    let mut norms = (0..free)
+        .map(|c| dot_cols(rows, c, c))
+        .collect::<Result<Vec<_>>>()?;
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for v in 0..free {
+            for b in (0..free).filter(|&b| b != v) {
+                if let Some(f) = nearest(dot_cols(rows, v, b)?, norms[b])? {
+                    ColumnOp::taking(f).apply(rows, width, v, b)?;
+                    norms[v] = dot_cols(rows, v, v)?;
+                    changed = true;
+                }
+            }
+        }
+    }
+    // `x₀ − f·b`, which adds `f` to `z_b`: each row's constant loses `f`
+    // times its `z_b` coefficient.
+    changed = true;
+    while changed {
+        changed = false;
+        for (b, &norm) in norms.iter().enumerate() {
+            if let Some(f) = nearest(dot_cols(rows, free, b)?, norm)? {
+                ColumnOp::taking(f).apply(rows, width, free, b)?;
+                changed = true;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The integer nearest `num / den` (`den > 0`), when taking that many
+/// `b` off a `v` with `⟨v, b⟩ = num` and `⟨b, b⟩ = den` shortens `v`:
+/// when `2|num| > den`.
+fn nearest(num: i128, den: i128) -> Result<Option<i128>> {
+    if num.unsigned_abs() <= den.unsigned_abs() / 2 {
+        return Ok(None);
+    }
+    Ok(Some(add(mul(2, num)?, den)?.div_euclid(mul(2, den)?)))
+}
+
+/// A unimodular operation on two columns `(i, q)` of a row-major matrix:
+/// `col_i ← s·col_i + t·col_q`, `col_q ← u·col_i + v·col_q`.
+struct ColumnOp {
+    s: i128,
+    t: i128,
+    u: i128,
+    v: i128,
+}
+
+impl ColumnOp {
+    /// The op that clears the entry `b ≠ 0` of a row against its entry
+    /// `a`: when `a` divides `b`, `col_q ← col_q − (b/a)·col_i`;
+    /// otherwise, with `s·a + t·b = g` the extended gcd,
+    /// `col_i ← s·col_i + t·col_q` and `col_q ← −(b/g)·col_i + (a/g)·col_q`.
+    /// Either has determinant 1.
+    fn clearing(a: i128, b: i128) -> Result<ColumnOp> {
+        if a != 0 && b % a == 0 {
+            return Ok(ColumnOp {
+                s: 1,
+                t: 0,
+                u: -(b / a),
+                v: 1,
+            });
+        }
+        let (g, s, t) = ext_gcd(a, b)?;
+        Ok(ColumnOp {
+            s,
+            t,
+            u: -(b / g),
+            v: a / g,
+        })
+    }
+
+    /// `col_i ← col_i − f·col_q`.
+    fn taking(f: i128) -> ColumnOp {
+        ColumnOp {
+            s: 1,
+            t: -f,
+            u: 0,
+            v: 1,
+        }
+    }
+
+    /// Applies the op to columns `i` and `q` of every row of `m`, rows
+    /// `width` entries wide.
+    fn apply(&self, m: &mut [i128], width: usize, i: usize, q: usize) -> Result<()> {
+        for row in m.chunks_mut(width) {
+            let (x, z) = (row[i], row[q]);
+            if x != 0 || z != 0 {
+                row[i] = add(mul(self.s, x)?, mul(self.t, z)?)?;
+                row[q] = add(mul(self.u, x)?, mul(self.v, z)?)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// `a + b`, or [`MathError::Overflow`] (as [`mul`]).
+fn add(a: i128, b: i128) -> Result<i128> {
+    a.checked_add(b)
+        .filter(|&v| v != i128::MIN)
+        .ok_or(MathError::Overflow)
+}
+
+/// `(g, s, t)` with `g = gcd(a, b) > 0` and `s·a + t·b = g`, for `b ≠ 0`:
+/// the extended Euclidean algorithm, whose coefficients never outgrow
+/// `|a|` and `|b|`.
+fn ext_gcd(a: i128, b: i128) -> Result<(i128, i128, i128)> {
+    let (mut r0, mut r1) = (a, b);
+    let (mut s0, mut s1) = (1, 0);
+    let (mut t0, mut t1) = (0, 1);
+    while r1 != 0 {
+        let q = r0 / r1;
+        (r0, r1) = (r1, sub(r0, mul(q, r1)?)?);
+        (s0, s1) = (s1, sub(s0, mul(q, s1)?)?);
+        (t0, t1) = (t1, sub(t0, mul(q, t1)?)?);
+    }
+    Ok(if r0 < 0 {
+        (-r0, -s0, -t0)
+    } else {
+        (r0, s0, t0)
+    })
 }
 
 /// `a · b`, or [`MathError::Overflow`] (as [`mul`]).

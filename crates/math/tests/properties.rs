@@ -9,11 +9,12 @@ use proptest::prelude::*;
 
 use polytops_math::{
     farkas_cone, farkas_nonneg, farkas_substitute, ilp_feasible, ilp_lexmin, ilp_minimize,
-    ineq_implied, integral_inverse, lp_minimize, orthogonal_complement, ConstraintSystem, Echelon,
-    IlpOutcome, IlpStats, IncrementalLp, LpOutcome, Rat, RowKind, Snapshot,
+    ineq_implied, integral_inverse, lp_minimize, orthogonal_complement, Compressed,
+    ConstraintSystem, Echelon, IlpOutcome, IlpStats, IncrementalLp, LpOutcome, MathError, Rat,
+    RowKind, Snapshot,
 };
 use reference::linalg;
-use systems::{boxed_system, same_answer, value_row, wide_system};
+use systems::{boxed_system, boxed_system_with_equalities, same_answer, value_row, wide_system};
 
 fn small_rat() -> impl Strategy<Value = Rat> {
     (-20i128..=20, 1i128..=9).prop_map(|(n, d)| Rat::new(n, d))
@@ -269,6 +270,184 @@ proptest! {
         let proj = cs.eliminate_var(2).unwrap();
         for p in brute_points(&cs, &bounds) {
             prop_assert!(proj.contains_point(&p[..2]), "projection lost {:?}", p);
+        }
+    }
+}
+
+/// Every point of `[−r, r]^k`.
+fn cube(k: usize, r: i64) -> Vec<Vec<i64>> {
+    (0..k).fold(vec![Vec::new()], |points, _| {
+        (points.iter())
+            .flat_map(|p| {
+                (-r..=r).map(move |v| {
+                    let mut q = p.clone();
+                    q.push(v);
+                    q
+                })
+            })
+            .collect()
+    })
+}
+
+/// The equalities of `cs`, alone.
+fn equalities(cs: &ConstraintSystem) -> ConstraintSystem {
+    let mut eqs = ConstraintSystem::new(cs.num_vars());
+    for (kind, row) in cs.iter() {
+        if kind == RowKind::Eq {
+            eqs.add_eq(row.to_vec());
+        }
+    }
+    eqs
+}
+
+/// `x₀ + U·z`, when it fits `i64`.
+fn lattice_point(x0: &[i64], u: &[Vec<i64>], z: &[i64]) -> Option<Vec<i64>> {
+    (x0.iter().zip(u))
+        .map(|(&x, row)| {
+            let terms = row
+                .iter()
+                .zip(z)
+                .map(|(&a, &b)| i128::from(a) * i128::from(b));
+            i64::try_from(terms.sum::<i128>() + i128::from(x)).ok()
+        })
+        .collect()
+}
+
+/// The `z` with `x₀ + U·z = x`, when there is an integer one; `U` must
+/// have full column rank, so that there is at most one.
+fn preimage(x0: &[i64], u: &[Vec<i64>], x: &[i64]) -> Option<Vec<i64>> {
+    let k = u.first().map_or(0, Vec::len);
+    // `k` independent rows of `U`, and `x − x₀` on them.
+    let mut rows: Vec<Vec<i64>> = Vec::new();
+    let mut rhs: Vec<Rat> = Vec::new();
+    for (j, row) in u.iter().enumerate() {
+        rows.push(row.clone());
+        if linalg::rank(&rows) < rows.len() {
+            rows.pop();
+        } else {
+            rhs.push(Rat::from(x[j]) - Rat::from(x0[j]));
+        }
+    }
+    assert_eq!(rows.len(), k, "U has full column rank");
+    let inv = linalg::inverse(&rows).expect("independent rows");
+    let z: Vec<i64> = (inv.iter())
+        .map(|row| {
+            let v = row
+                .iter()
+                .zip(&rhs)
+                .fold(Rat::ZERO, |acc, (&a, &b)| acc + a * b);
+            v.to_integer().map(|v| v as i64)
+        })
+        .collect::<Option<_>>()?;
+    (lattice_point(x0, u, &z).as_deref() == Some(x)).then_some(z)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn compression_is_empty_exactly_when_the_equalities_have_no_integer_solution(
+        (cs, _bounds) in boxed_system_with_equalities(),
+    ) {
+        let eqs = equalities(&cs);
+        let solvable = cube(3, 24).iter().any(|p| eqs.contains_point(p));
+        prop_assert_eq!(cs.compress_equalities().unwrap() == Compressed::Empty, !solvable);
+    }
+
+    #[test]
+    fn compression_maps_every_point_to_one_z_and_back(
+        (cs, bounds) in boxed_system_with_equalities(),
+    ) {
+        let Compressed::Lattice(lattice) = cs.compress_equalities().unwrap() else {
+            return Ok(());
+        };
+        let (x0, u, system) = (lattice.x0(), lattice.u(), lattice.system());
+        // One free variable per variable the equalities leave free.
+        let eqs = equalities(&cs);
+        let coefficients: Vec<Vec<i64>> = eqs.iter().map(|(_, r)| r[..3].to_vec()).collect();
+        prop_assert_eq!(system.num_vars() + linalg::rank(&coefficients), 3);
+        for x in brute_points(&cs, &bounds) {
+            let z = preimage(&x0, &u, &x);
+            prop_assert!(z.as_ref().is_some_and(|z| system.contains_point(z)), "{:?} from {:?}", x, z);
+        }
+        for z in cube(system.num_vars(), 3) {
+            let x = lattice_point(&x0, &u, &z).expect("small");
+            prop_assert!(eqs.contains_point(&x), "{:?} from {:?}", x, z);
+            prop_assert!(cs.contains_point(&x) == system.contains_point(&z), "{:?}", z);
+        }
+    }
+
+    #[test]
+    fn the_compressed_system_has_a_point_exactly_when_the_original_does(
+        (cs, bounds) in boxed_system_with_equalities(),
+    ) {
+        let want = !brute_points(&cs, &bounds).is_empty();
+        prop_assert_eq!(ilp_feasible(&cs), want);
+        match cs.compress_equalities().unwrap() {
+            Compressed::Empty => prop_assert!(!want),
+            Compressed::Lattice(lattice) => {
+                prop_assert_eq!(ilp_feasible(&lattice.system()), want);
+                if lattice.trivially_infeasible() {
+                    prop_assert!(!want);
+                }
+            }
+        }
+    }
+}
+
+/// Three-variable systems of one to three equalities and up to two
+/// inequalities, each entry within three of `i64::MAX` or `i64::MIN`, or
+/// in −2..=2.
+fn extreme_system() -> impl Strategy<Value = ConstraintSystem> {
+    let entry = (0u8..3, 0i64..=3, -2i64..=2).prop_map(|(pick, d, small)| match pick {
+        0 => i64::MAX - d,
+        1 => i64::MIN + d,
+        _ => small,
+    });
+    let row = (proptest::collection::vec(entry, 4), 0u8..3);
+    proptest::collection::vec(row, 1..5).prop_map(|rows| {
+        let mut cs = ConstraintSystem::new(3);
+        for (i, (row, kind)) in rows.into_iter().enumerate() {
+            if i == 0 || kind > 0 {
+                cs.add_eq(row);
+            } else {
+                cs.add_ineq(row);
+            }
+        }
+        cs
+    })
+}
+
+proptest! {
+    #[test]
+    fn compression_near_i64_extremes_overflows_or_answers_without_panicking(
+        cs in extreme_system(),
+    ) {
+        // `a·x + c` in wrapping `i128`: a sum of three products of `i64`s
+        // and a constant is below 2¹²⁸, so it wraps to 0 exactly when it
+        // is 0.
+        let holds = |x: &[i128], homogeneous: bool| {
+            cs.iter().filter(|(kind, _)| *kind == RowKind::Eq).all(|(_, row)| {
+                let constant = if homogeneous { 0 } else { i128::from(row[3]) };
+                let terms = row[..3].iter().zip(x);
+                terms.fold(constant, |acc, (&a, &b)| acc.wrapping_add(i128::from(a).wrapping_mul(b))) == 0
+            })
+        };
+        match cs.compress_equalities() {
+            Err(e) => prop_assert_eq!(e, MathError::Overflow),
+            Ok(Compressed::Empty) => {
+                let eqs = equalities(&cs);
+                prop_assert!(cube(3, 3).iter().all(|p| !eqs.contains_point(p)));
+            }
+            Ok(Compressed::Lattice(lattice)) => {
+                let x0: Vec<i128> = lattice.x0().iter().map(|&v| i128::from(v)).collect();
+                prop_assert!(holds(&x0, false), "{:?}", x0);
+                let u = lattice.u();
+                for k in 0..lattice.system().num_vars() {
+                    let col: Vec<i128> = u.iter().map(|row| i128::from(row[k])).collect();
+                    prop_assert!(holds(&col, true), "{:?}", col);
+                }
+            }
         }
     }
 }

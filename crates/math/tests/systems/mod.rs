@@ -134,3 +134,21 @@ pub fn answers_as(
     let (live, cold) = (lp.minimize(probe).unwrap(), lp_minimize(cs, probe).unwrap());
     same_answer(cs, probe, &live, &cold)
 }
+
+/// [`boxed_system`] with one or two equality rows beside its
+/// inequalities: coefficients in −2..=2, constants in −3..=3, so that
+/// every 2 × 2 minor of the equalities with their constants is at most
+/// 12 — an integer solution, when there is one, has one in `[−24, 24]³`.
+pub fn boxed_system_with_equalities() -> impl Strategy<Value = (ConstraintSystem, Vec<(i64, i64)>)>
+{
+    let equality = (proptest::collection::vec(-2i64..=2, 3), -3i64..=3);
+    (boxed_system(), proptest::collection::vec(equality, 1..3)).prop_map(
+        |((mut cs, bounds), equalities)| {
+            for (mut row, constant) in equalities {
+                row.push(constant);
+                cs.add_eq(row);
+            }
+            (cs, bounds)
+        },
+    )
+}

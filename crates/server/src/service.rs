@@ -302,7 +302,10 @@ pub(crate) struct Admitted {
 impl Admitted {
     /// Resolves `work`'s SCoP text through the registry, and builds an
     /// autotune's candidate lattice, on the calling reader thread under
-    /// a "resolve" child of `root`; the "admission" child opens after.
+    /// a "resolve" child of `root`, bound as the thread's context while
+    /// the text resolves (so a miss's `deps.*` counts reach the daemon's
+    /// recorder when the request is traced); the "admission" child
+    /// opens after.
     pub(crate) fn resolve(
         shared: &Shared,
         work: Work,
@@ -310,9 +313,13 @@ impl Admitted {
         root: SpanHandle,
     ) -> Admitted {
         let resolve = root.child("resolve");
-        let resolved = match &work {
-            Work::Schedule(req) => shared.registry.resolve_text(req.name.as_deref(), &req.scop),
-            Work::Autotune(req) => shared.registry.resolve_text(None, &req.scop),
+        let resolved = {
+            // A miss's analysis counts into the daemon's recorder.
+            let _bound = resolve.link().map(|link| link.bind());
+            match &work {
+                Work::Schedule(req) => shared.registry.resolve_text(req.name.as_deref(), &req.scop),
+                Work::Autotune(req) => shared.registry.resolve_text(None, &req.scop),
+            }
         };
         let resolved = resolved.map_err(|e| protocol::error_response(&Json::Null, &e.to_string()));
         let mut candidates = Vec::new();

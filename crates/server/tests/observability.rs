@@ -181,6 +181,15 @@ fn stats_op_reports_unified_counters_and_histograms() {
     // The pipeline's counters flow through the same registry the old
     // hand-rolled structs fed; solver totals must agree with them.
     assert!(counters["solver.dimensions"].as_int().unwrap() > 0);
+    // The miss's analysis ran on its reader under the request's resolve
+    // span, and counted there: candidates, and the tableaus it built.
+    assert_eq!(
+        (
+            counters["deps.candidates"].as_int(),
+            counters["deps.tableaus"].as_int()
+        ),
+        (Some(3), Some(2))
+    );
     let solver = stats.as_object().unwrap()["solver"].as_object().unwrap();
     assert_eq!(
         solver["dual_pivots"].as_int(),
