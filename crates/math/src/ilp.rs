@@ -4,7 +4,7 @@
 
 use crate::consys::ConstraintSystem;
 use crate::error::{MathError, Result};
-use crate::num::{floor_div, gcd_slice};
+use crate::num::{ceil_div, floor_div, gcd_slice};
 use crate::simplex::{Bound, IncrementalLp, Snapshot, Stage};
 
 /// Result of an integer linear program.
@@ -44,9 +44,9 @@ pub struct IlpStats {
     /// on the shared tableau (no branch and bound at all).
     pub lp_stages: usize,
     /// Branch-and-bound entries whose *root* relaxation vertex was
-    /// fractional (or overflowed `i64`), i.e. stages where pure LP
-    /// re-optimization could not finish and real branching began: every
-    /// unit here pays for both a simplex solve and a tree search.
+    /// fractional, i.e. stages where pure LP re-optimization could not
+    /// finish and real branching began: every unit here pays for both a
+    /// simplex solve and a tree search.
     pub fractional_stages: usize,
     /// Dual-simplex pivots spent pinning stage optima on the shared
     /// incremental tableau. Only a fractional stage pins — its integer
@@ -238,54 +238,35 @@ impl IncrementalLp {
                     return Ok(IlpOutcome::Unbounded);
                 }
                 // Bound pruning: integer objective values are integers.
-                Bound::Value(value)
+                Bound::Value(num, den)
                     if incumbent
                         .as_ref()
-                        .is_some_and(|(inc, _)| value.ceil() >= i128::from(*inc)) => {}
-                Bound::Value(value) => match self.first_fractional() {
+                        .is_some_and(|(inc, _)| ceil_div(num, den) >= *inc) => {}
+                Bound::Value(num, den) => match self.first_fractional() {
                     None => {
-                        // Cells are `i64`, so an integral vertex fits;
-                        // the value of a wide objective on it may not,
-                        // and the node is then unusable rather than
-                        // wrapped. At the root this still counts as a
-                        // stage pure LP could not finish.
+                        // An integer objective is an integer on an
+                        // integral vertex, and a ratio of two cells fits.
                         let point = self.integral_vertex().expect("no fractional cell");
-                        match value.to_integer().and_then(|v| i64::try_from(v).ok()) {
-                            None => {
-                                if nodes == 1 {
-                                    stats.fractional_stages += 1;
-                                }
-                            }
-                            Some(ival) => {
-                                if incumbent.as_ref().is_none_or(|(inc, _)| ival < *inc) {
-                                    incumbent = Some((ival, point));
-                                    if zero_obj || lower_bound == Some(ival) {
-                                        // Optimal: zero objective, or
-                                        // the proven lower bound was
-                                        // attained.
-                                        break;
-                                    }
-                                }
+                        debug_assert_eq!(num % den, 0, "an integral vertex's value");
+                        let value = num / den;
+                        if incumbent.as_ref().is_none_or(|(inc, _)| value < *inc) {
+                            incumbent = Some((value, point));
+                            if zero_obj || lower_bound == Some(value) {
+                                // Optimal: zero objective, or the proven
+                                // lower bound was attained.
+                                break;
                             }
                         }
                     }
-                    Some((j, v)) => {
+                    Some((j, num, den)) => {
                         if nodes == 1 {
                             // The root relaxation itself went fractional:
                             // this solve genuinely needs branch and bound.
                             stats.fractional_stages += 1;
                         }
-                        // Branch x_j <= floor(v) and x_j >= ceil(v), the
-                        // floor branch first. Both fit: `v` is a ratio
-                        // of two cells.
-                        let bound = |coeff: i64, cst: i128| {
-                            let mut row = vec![0i64; n + 1];
-                            row[j] = coeff;
-                            row[n] = i64::try_from(cst).expect("a ratio of two cells");
-                            row
-                        };
-                        pending.push((self.snapshot(), bound(1, -v.ceil())));
-                        self.push_ineq(&bound(-1, v.floor()))?;
+                        let [floor, ceil] = branch_rows(n, j, num, den);
+                        pending.push((self.snapshot(), ceil));
+                        self.push_ineq(&floor)?;
                         continue;
                     }
                 },
@@ -301,6 +282,22 @@ impl IncrementalLp {
             None => IlpOutcome::Infeasible,
         })
     }
+}
+
+/// The two children of a node whose `x_j` reads `num / den`, not an
+/// integer, over `n` variables: `x_j ≤ ⌊num / den⌋`, the branch taken
+/// first, and `x_j ≥ ⌈num / den⌉`. Both bounds fit, and so does the
+/// negated one: the ratio is of two cells, and `den ≥ 2`.
+fn branch_rows(n: usize, j: usize, num: i64, den: i64) -> [Vec<i64>; 2] {
+    let bound = |coeff: i64, constant: i64| {
+        let mut row = vec![0i64; n + 1];
+        (row[j], row[n]) = (coeff, constant);
+        row
+    };
+    [
+        bound(-1, floor_div(num, den)),
+        bound(1, -ceil_div(num, den)),
+    ]
 }
 
 /// Finds an integer point of `cs`. `None` means none was found: either
@@ -424,7 +421,7 @@ pub fn ilp_lexmin(
             // Fractional vertex: branch and bound must run, from the
             // relaxation this tableau has just solved and above its
             // value.
-            Stage::Relaxed(Bound::Value(value)) => i64::try_from(value.ceil()).ok(),
+            Stage::Relaxed(Bound::Value(num, den)) => Some(ceil_div(num, den)),
             Stage::Relaxed(Bound::Unbounded) => return Ok(None),
             // Infeasibility cannot appear after a successful pin; the
             // search below reads it off its root.
@@ -495,8 +492,6 @@ pub fn ineq_implied(cs: &ConstraintSystem, row: &[i64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rat::Rat;
-    use crate::simplex::LpOutcome;
 
     /// [`ilp_lexmin`] with the counters thrown away.
     fn lexmin(cs: &ConstraintSystem, objectives: &[Vec<i64>]) -> Result<Option<Vec<i64>>> {
@@ -784,15 +779,49 @@ mod tests {
         assert!(cs.contains_point(point));
         assert!(stats.nodes > 1 && stats.fractional_stages == 1, "{stats:?}");
         // The bound rows of the search are gone with the rollback: the
-        // relaxation is the root's again, and so is a second search.
+        // relaxation is the root's again, −8/5, and so is a second search.
+        // Its ceiling, the search's bound, is −1 and its floor −2: the
+        // sign case where a truncating division would read both wrong.
         lp.rollback(before);
-        let LpOutcome::Optimal { value, .. } = lp.minimize(&[-1, -1]).unwrap() else {
+        let Ok(Bound::Value(num, den)) = lp.minimize_value(&[-1, -1]) else {
             panic!()
         };
-        assert_eq!(value, Rat::new(-8, 5));
+        assert!(den > 0 && 5 * num == -8 * den, "{num}/{den}");
+        assert_eq!((ceil_div(num, den), floor_div(num, den)), (-1, -2));
         let mut again = IlpStats::default();
         assert_eq!(lp.int_minimize(&[-1, -1], &mut again), outcome);
         assert_eq!(again, stats);
+    }
+
+    #[test]
+    fn a_negative_fractional_variable_branches_on_its_floor_and_its_ceiling() {
+        // min x s.t. 2x >= −3, x <= 5: the vertex x = −3/2 is negative,
+        // so x⁻ is the basic column of x and its row reads +3/2. The
+        // branches are x <= −2 and x >= −1 — not x <= −1 and x >= −2,
+        // which would take the vertex along into both children.
+        let mut cs = ConstraintSystem::new(1);
+        cs.add_ineq(vec![2, 3]);
+        cs.add_ineq(vec![-1, 5]);
+        let mut lp = IncrementalLp::new(&cs).unwrap();
+        let Ok(Bound::Value(num, den)) = lp.minimize_value(&[1]) else {
+            panic!()
+        };
+        assert_eq!(2 * num, -3 * den);
+        let (j, num, den) = lp.first_fractional().expect("x = -3/2");
+        assert!(j == 0 && den > 0 && 2 * num == -3 * den, "{num}/{den}");
+        let [floor, ceil] = branch_rows(1, j, num, den);
+        assert_eq!(floor, vec![-1, -2], "−x − 2 >= 0: x <= −2");
+        assert_eq!(ceil, vec![1, 1], "x + 1 >= 0: x >= −1");
+        // The search ends on the ceiling's side, at x = −1.
+        let mut stats = IlpStats::default();
+        assert_eq!(
+            lp.int_minimize(&[1], &mut stats),
+            Ok(IlpOutcome::Optimal {
+                value: -1,
+                point: vec![-1]
+            })
+        );
+        assert_eq!((stats.nodes, stats.fractional_stages), (3, 1));
     }
 
     #[test]

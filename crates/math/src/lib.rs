@@ -3,7 +3,6 @@
 //! This crate provides everything the scheduler stack needs and nothing
 //! more, implemented from scratch with **exact** arithmetic:
 //!
-//! * [`Rat`] — rational numbers over `i128`, the values an LP reports;
 //! * [`Echelon`] — the one exact rank test, a fraction-free row echelon
 //!   form grown one row at a time, with the Pluto-style
 //!   [`orthogonal_complement`] of the progression constraint and the
@@ -13,9 +12,11 @@
 //!   [`compress_equalities`](ConstraintSystem::compress_equalities),
 //!   which solves the equalities over the integers (Hermite normal form)
 //!   into a [`Lattice`] `x₀ + U·z` with the inequalities over `z`;
-//! * [`lp_minimize`] — exact simplex on an integer tableau (a dual
+//! * [`IncrementalLp`] — exact simplex on an integer tableau (a dual
 //!   phase 1 from the slack basis, a primal phase 2; one `i64`
-//!   denominator per row; overflow is an error);
+//!   denominator per row; overflow is an error), asked feasibility and
+//!   implication questions, a row at a time ([`ineq_implied`] is the
+//!   one-question form);
 //! * [`ilp_minimize`] / [`ilp_lexmin`] / [`ilp_feasible`] — branch-and-
 //!   bound ILP with the lexicographic minimization that drives schedule
 //!   coefficient selection (one lexmin, its effort in [`IlpStats`]);
@@ -61,7 +62,6 @@ mod farkas;
 mod ilp;
 mod matrix;
 mod num;
-mod rat;
 mod simplex;
 
 /// The instrumentation crate the solver records into, for the crates
@@ -74,8 +74,7 @@ pub use farkas::{farkas_cone, farkas_nonneg, farkas_substitute};
 pub use ilp::{ilp_feasible, ilp_lexmin, ilp_minimize, ineq_implied, IlpOutcome, IlpStats};
 pub use matrix::{integral_inverse, orthogonal_complement, Echelon, Lattice};
 pub use num::{ceil_div, floor_div, gcd, gcd_slice, lcm, modulo, narrow};
-pub use rat::Rat;
-pub use simplex::{lp_minimize, IncrementalLp, LpOutcome, Snapshot};
+pub use simplex::{IncrementalLp, Snapshot};
 
 #[cfg(test)]
 // The shared test modules under `tests/` name this crate by its name,

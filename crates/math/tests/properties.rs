@@ -9,12 +9,65 @@ use proptest::prelude::*;
 
 use polytops_math::{
     farkas_cone, farkas_nonneg, farkas_substitute, ilp_feasible, ilp_lexmin, ilp_minimize,
-    ineq_implied, integral_inverse, lp_minimize, orthogonal_complement, Compressed,
-    ConstraintSystem, Echelon, IlpOutcome, IlpStats, IncrementalLp, LpOutcome, MathError, Rat,
-    RowKind, Snapshot,
+    ineq_implied, integral_inverse, orthogonal_complement, Compressed, ConstraintSystem, Echelon,
+    IlpOutcome, IlpStats, IncrementalLp, MathError, RowKind, Snapshot,
 };
-use reference::linalg;
-use systems::{boxed_system, boxed_system_with_equalities, same_answer, value_row, wide_system};
+use reference::{linalg, LpOutcome, Rat};
+use systems::{boxed_system, boxed_system_with_equalities, value_row, wide_system};
+
+// `Rat`, the number type of the references, on its own.
+
+#[test]
+fn rat_normalization() {
+    assert_eq!(Rat::new(2, 4), Rat::new(1, 2));
+    assert_eq!(Rat::new(-2, -4), Rat::new(1, 2));
+    assert_eq!(Rat::new(2, -4), Rat::new(-1, 2));
+    assert_eq!(Rat::new(0, -7), Rat::ZERO);
+}
+
+#[test]
+fn rat_arithmetic() {
+    let a = Rat::new(1, 2);
+    let b = Rat::new(1, 3);
+    assert_eq!(a + b, Rat::new(5, 6));
+    assert_eq!(a - b, Rat::new(1, 6));
+    assert_eq!(a * b, Rat::new(1, 6));
+    assert_eq!(a / b, Rat::new(3, 2));
+    assert_eq!(-a, Rat::new(-1, 2));
+    let (a, b) = (Rat::new(1, 3), Rat::new(1, 6));
+    assert_eq!(a + b, Rat::new(1, 2));
+    assert!(a > b);
+    assert_eq!(a / b, Rat::from(2));
+}
+
+#[test]
+fn rat_floor_ceil() {
+    assert_eq!(Rat::new(7, 2).floor(), 3);
+    assert_eq!(Rat::new(7, 2).ceil(), 4);
+    assert_eq!(Rat::new(-7, 2).floor(), -4);
+    assert_eq!(Rat::new(-7, 2).ceil(), -3);
+    assert_eq!(Rat::from(5).floor(), 5);
+    assert_eq!(Rat::from(5).ceil(), 5);
+}
+
+#[test]
+fn rat_ordering() {
+    assert!(Rat::new(1, 3) < Rat::new(1, 2));
+    assert!(Rat::new(-1, 2) < Rat::new(-1, 3));
+    assert!(Rat::from(0) < Rat::new(1, 100));
+}
+
+#[test]
+fn rat_debug_is_lowest_terms() {
+    assert_eq!(format!("{:?}", Rat::new(3, 6)), "1/2");
+    assert_eq!(format!("{:?}", Rat::from(-4)), "-4");
+}
+
+#[test]
+#[should_panic(expected = "zero denominator")]
+fn rat_zero_denominator_panics() {
+    let _ = Rat::new(1, 0);
+}
 
 fn small_rat() -> impl Strategy<Value = Rat> {
     (-20i128..=20, 1i128..=9).prop_map(|(n, d)| Rat::new(n, d))
@@ -38,8 +91,8 @@ proptest! {
 
     #[test]
     fn rat_floor_ceil_bracket(a in small_rat()) {
-        let f = Rat::from(a.floor());
-        let c = Rat::from(a.ceil());
+        let f = Rat::new(a.floor(), 1);
+        let c = Rat::new(a.ceil(), 1);
         prop_assert!(f <= a && a <= c);
         prop_assert!(c - f <= Rat::ONE);
     }
@@ -225,13 +278,17 @@ proptest! {
     #[test]
     fn lp_value_bounds_ilp_value((cs, bounds) in boxed_system(), obj in proptest::collection::vec(-3i64..=3, 3)) {
         let pts = brute_points(&cs, &bounds);
-        if let (LpOutcome::Optimal { value, .. }, Some(bv)) = (
-            lp_minimize(&cs, &obj).unwrap(),
-            pts.iter()
-                .map(|p| p.iter().zip(&obj).map(|(a, b)| a * b).sum::<i64>())
-                .min(),
-        ) {
-            prop_assert!(value <= Rat::from(bv), "LP relaxation must lower-bound ILP");
+        let brute = pts
+            .iter()
+            .map(|p| p.iter().zip(&obj).map(|(a, b)| a * b).sum::<i64>())
+            .min();
+        if let Some(bv) = brute {
+            // The LP minimum is at most `bv`: the relaxation has a point
+            // with obj·x <= bv.
+            let mut row: Vec<i64> = obj.iter().map(|c| -c).collect();
+            row.push(bv);
+            let mut lp = IncrementalLp::new(&cs).unwrap();
+            prop_assert!(lp.push_ineq(&row).unwrap(), "LP relaxation must lower-bound ILP");
         }
     }
 
@@ -241,22 +298,21 @@ proptest! {
         objs in proptest::collection::vec(proptest::collection::vec(-3i64..=3, 3), 1..5),
     ) {
         // minimize → pin the optimum → minimize the next objective, on
-        // one tableau, against a cold solve of the system with every pin
-        // appended as an equality row.
+        // one tableau, against the same chain on the reference. The
+        // tableau's minimum is the reference's value when it implies
+        // obj·x >= value and holds the pin obj·x == value.
         let mut lp = IncrementalLp::new(&cs).unwrap();
-        let mut acc = cs.clone();
+        let mut old = reference::IncrementalLp::new(&cs);
+        prop_assert_eq!(lp.is_feasible(), old.is_feasible());
         if lp.is_feasible() {
             for obj in &objs {
-                let (stage, cold) = (lp.minimize(obj).unwrap(), lp_minimize(&acc, obj).unwrap());
-                let (LpOutcome::Optimal { value, .. }, LpOutcome::Optimal { value: cold, .. }) =
-                    (&stage, &cold)
-                else {
-                    panic!("a feasible boxed stage is bounded: {stage:?} vs {cold:?}");
+                let LpOutcome::Optimal(value) = old.minimize(obj) else {
+                    panic!("a feasible boxed stage is bounded");
                 };
-                prop_assert_eq!(value, cold);
-                let row = value_row(obj, *value);
+                let row = value_row(obj, value);
+                prop_assert!(lp.implies(&row), "nothing below the optimum {:?}", value);
                 prop_assert!(lp.pin_eq(&row).unwrap(), "pinning an attained optimum cannot fail");
-                acc.add_eq(row);
+                prop_assert!(old.pin_eq(&row));
             }
         }
     }
@@ -662,85 +718,8 @@ proptest! {
     }
 }
 
-/// Drives minimize → pin chains on both tableaus; feasibility, every
-/// stage's verdict and value and every pin's result must agree.
-fn chains_agree(
-    cs: &ConstraintSystem,
-    objs: &[Vec<i64>],
-) -> Result<(), proptest::test_runner::TestCaseError> {
-    let mut lp = IncrementalLp::new(cs).unwrap();
-    let mut old = reference::IncrementalLp::new(cs);
-    prop_assert_eq!(lp.is_feasible(), old.is_feasible());
-    let mut acc = cs.clone(); // `cs` and the pins that held
-    for obj in objs {
-        let outcome = lp.minimize(obj).unwrap();
-        same_answer(&acc, obj, &outcome, &old.minimize(obj))?;
-        let LpOutcome::Optimal { value, .. } = outcome else {
-            break;
-        };
-        // obj·x == n/d as the integer row d·obj·x − n == 0, then a pin
-        // that cuts the vertex off (or contradicts the system). A wide
-        // denominator ends the chain: that row would bring 20-bit
-        // coefficients into the basis, and three of those outgrow `i64`
-        // (the reference has `i128` to go on with).
-        if value.denom() > 64 {
-            break;
-        }
-        let row = value_row(obj, value);
-        let mut cut: Vec<i64> = obj.iter().rev().copied().collect();
-        cut.push(-1);
-        for pin in [row, cut] {
-            let held = lp.pin_eq(&pin).unwrap();
-            prop_assert_eq!(held, old.pin_eq(&pin));
-            prop_assert_eq!(lp.is_feasible(), held);
-            if held {
-                acc.add_eq(pin);
-            }
-        }
-    }
-    Ok(())
-}
-
-// The integer tableau's dual phase 1 against the `Rat` tableau's
-// artificial one: two pivot paths, so verdict and optimal value are the
-// contract, not the vertex. These run `PROPTEST_CASES` cases a property
-// (256 without it; CI adds a pass at 4 096).
+// What the row order and the stage seeds of a lexmin must not change.
 proptest! {
-    #[test]
-    fn lp_is_identical_to_the_reference_on_boxed_systems(
-        (cs, _bounds) in boxed_system(),
-        obj in proptest::collection::vec(-3i64..=3, 3),
-    ) {
-        let got = lp_minimize(&cs, &obj).unwrap();
-        same_answer(&cs, &obj, &got, &reference::lp_minimize(&cs, &obj))?;
-    }
-
-    #[test]
-    fn lp_is_identical_to_the_reference_on_wide_systems((cs, obj) in wide_system()) {
-        let got = lp_minimize(&cs, &obj).unwrap();
-        same_answer(&cs, &obj, &got, &reference::lp_minimize(&cs, &obj))?;
-    }
-
-    #[test]
-    fn pin_chains_are_identical_to_the_reference_on_boxed_systems(
-        (cs, _bounds) in boxed_system(),
-        objs in proptest::collection::vec(proptest::collection::vec(-3i64..=3, 3), 1..5),
-    ) {
-        chains_agree(&cs, &objs)?;
-    }
-
-    #[test]
-    fn pin_chains_are_identical_to_the_reference_on_wide_systems(
-        (cs, obj) in wide_system(),
-        seed in 0usize..6,
-    ) {
-        // Three objectives off the one drawn: itself, rotated, negated.
-        let n = obj.len();
-        let rotated: Vec<i64> = (0..n).map(|j| obj[(j + seed) % n]).collect();
-        let negated: Vec<i64> = obj.iter().map(|c| -c).collect();
-        chains_agree(&cs, &[obj, rotated, negated])?;
-    }
-
     #[test]
     fn a_total_lexmin_does_not_depend_on_the_row_order(
         (cs, bounds) in boxed_system(),
@@ -803,11 +782,12 @@ fn cut_row(drawn: &[i64], n: usize) -> Vec<i64> {
 }
 
 /// The verdict of minimizing `row`'s linear part to its optimum over
-/// `lp`'s system: an optimum plus the constant non-negative, or no point.
-fn minimized_verdict(lp: &mut IncrementalLp, row: &[i64]) -> bool {
+/// `cs` on the reference: an optimum plus the constant non-negative, or
+/// no point.
+fn minimized_verdict(cs: &ConstraintSystem, row: &[i64]) -> bool {
     let n = row.len() - 1;
-    match lp.minimize(&row[..n]).unwrap() {
-        LpOutcome::Optimal { value, .. } => value + Rat::from(row[n]) >= Rat::ZERO,
+    match reference::lp_minimize(cs, &row[..n]) {
+        LpOutcome::Optimal(value) => value + Rat::from(row[n]) >= Rat::ZERO,
         LpOutcome::Infeasible => true,
         LpOutcome::Unbounded => false,
     }
@@ -843,8 +823,8 @@ fn ineqs(cs: &ConstraintSystem) -> Vec<Vec<i64>> {
 // An implication question stops where its answer is known: on the
 // first basis that refutes the row, or at the vertex before any pivot
 // in `redundant`. These hold the answers, and the tableau each leaves
-// behind, to full minimizations and cold tableaus (`PROPTEST_CASES`
-// cases a property, like the block above).
+// behind, to full minimizations on the reference and cold tableaus
+// (`PROPTEST_CASES` cases a property; CI adds a pass at 4 096).
 proptest! {
     #[test]
     fn an_implication_gives_the_verdict_of_a_full_minimization(
@@ -860,7 +840,7 @@ proptest! {
         let mut row = obj.clone();
         row.push(constant);
         let mut lp = IncrementalLp::new(&cs).unwrap();
-        let want = minimized_verdict(&mut IncrementalLp::new(&cs).unwrap(), &row);
+        let want = minimized_verdict(&cs, &row);
         prop_assert_eq!(lp.implies(&row), want);
         prop_assert_eq!(want, ineq_implied(&cs, &row));
         for probe in probes {
@@ -875,18 +855,17 @@ proptest! {
         (cs, _obj) in wide_system(),
         probes in proptest::collection::vec(proptest::collection::vec(-5i64..=5, 7), 1..4),
     ) {
-        // Each inequality asked of a fresh tableau, against one that
-        // drops it and minimizes it to the optimum. What the tableau
-        // then stands for — the system without an implied row, the
-        // whole system after a refuted one — answers the follow-up
-        // questions as a cold tableau of it does.
+        // Each inequality asked of a fresh tableau, against the
+        // system without it, minimized to the optimum (an empty system
+        // stays empty when a row is dropped, and implies every row).
+        // What the tableau then stands for — the system without an
+        // implied row, the whole system after a refuted one — answers
+        // the follow-up questions as a cold tableau of it does.
         let n = cs.num_vars();
         let feasible = IncrementalLp::new(&cs).unwrap().is_feasible();
         for (k, row) in ineqs(&cs).iter().enumerate() {
             let mut lp = IncrementalLp::new(&cs).unwrap();
-            let mut dropped = IncrementalLp::new(&cs).unwrap();
-            dropped.drop_ineq(k).unwrap();
-            let want = minimized_verdict(&mut dropped, row);
+            let want = !feasible || minimized_verdict(&without(&cs, Some(k)), row);
             prop_assert_eq!(lp.redundant(k, row), want);
             if feasible {
                 let stands_for = without(&cs, want.then_some(k));
@@ -1001,8 +980,8 @@ proptest! {
                     .iter()
                     .map(|t| t[0] * y0 + t[1] * y1 + t[2])
                     .collect();
-                let nonneg = match lp_minimize(&poly, &form[..3]).unwrap() {
-                    LpOutcome::Optimal { value, .. } => value + Rat::from(form[3]) >= Rat::ZERO,
+                let nonneg = match reference::lp_minimize(&poly, &form[..3]) {
+                    LpOutcome::Optimal(value) => value + Rat::from(form[3]) >= Rat::ZERO,
                     LpOutcome::Unbounded => false,
                     LpOutcome::Infeasible => unreachable!("filtered non-empty"),
                 };
@@ -1022,8 +1001,8 @@ proptest! {
         for c0 in -2i64..=2 {
             for c1 in -2i64..=2 {
                 for c2 in -2i64..=2 {
-                    let minimum = match lp_minimize(&poly, &[c0, c1, c2]).unwrap() {
-                        LpOutcome::Optimal { value, .. } => Some(value),
+                    let minimum = match reference::lp_minimize(&poly, &[c0, c1, c2]) {
+                        LpOutcome::Optimal(value) => Some(value),
                         LpOutcome::Unbounded => None,
                         LpOutcome::Infeasible => unreachable!("filtered non-empty"),
                     };

@@ -3,7 +3,9 @@
 //! `I − Hᵀ (H Hᵀ)⁻¹ H`, computed over `Rat` the way the crate computed
 //! them before the kernel became fraction-free.
 
-use polytops_math::{gcd, lcm, Rat};
+use polytops_math::{gcd, lcm};
+
+use super::Rat;
 
 fn to_rat(m: &[Vec<i64>]) -> Vec<Vec<Rat>> {
     m.iter()

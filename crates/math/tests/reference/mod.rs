@@ -1,17 +1,33 @@
 //! The `Rat` tableau the integer tableau in `src/simplex.rs` replaced,
 //! kept as the independent oracle of the differential proptests: a
 //! two-phase primal simplex with one artificial column per row, on
-//! gcd-normalized `i128/i128` rationals. The crate's phase 1 is a dual
-//! simplex from the slack basis, so the two take different pivots to
-//! the same verdicts and optimal values.
+//! gcd-normalized `i128/i128` rationals ([`Rat`]). The crate's phase 1
+//! is a dual simplex from the slack basis, so the two take different
+//! pivots to the same verdicts and optimal values — which is all a
+//! property compares, so the reference reports nothing else.
 //!
 //! [`linalg`] holds the rational references of the rank kernel.
 
 pub mod linalg;
+mod rat;
 
-use polytops_math::{ConstraintSystem, LpOutcome, Rat, RowKind};
+pub use rat::Rat;
 
-/// `lp_minimize` on the reference tableau.
+use polytops_math::{ConstraintSystem, RowKind};
+
+/// Result of a linear program.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LpOutcome {
+    /// No rational point satisfies the constraints.
+    Infeasible,
+    /// The objective decreases without bound on the feasible region.
+    Unbounded,
+    /// The minimal objective value.
+    Optimal(Rat),
+}
+
+/// Minimizes `objective · x` over the rational points of `cs` on the
+/// reference tableau.
 pub fn lp_minimize(cs: &ConstraintSystem, objective: &[i64]) -> LpOutcome {
     assert_eq!(objective.len(), cs.num_vars(), "objective length mismatch");
     Tableau::build(cs).solve(objective)
@@ -87,7 +103,7 @@ impl Tableau {
         }
         match self.phase2(objective) {
             None => LpOutcome::Unbounded,
-            Some((value, point)) => LpOutcome::Optimal { value, point },
+            Some(value) => LpOutcome::Optimal(value),
         }
     }
 
@@ -99,7 +115,7 @@ impl Tableau {
             *c = Rat::ONE;
         }
         // Phase 1 is bounded below by 0, so `optimize` cannot return None.
-        let Some((z1, _)) = self.optimize(&cost1, /*restrict_arts=*/ false) else {
+        let Some(z1) = self.optimize(&cost1, /*restrict_arts=*/ false) else {
             return false;
         };
         if z1.is_positive() {
@@ -111,7 +127,7 @@ impl Tableau {
 
     /// Phase 2: the original objective on x⁺/x⁻ columns, starting from
     /// the current (feasible) basis. `None` means unbounded.
-    fn phase2(&mut self, objective: &[i64]) -> Option<(Rat, Vec<Rat>)> {
+    fn phase2(&mut self, objective: &[i64]) -> Option<Rat> {
         let mut cost2 = vec![Rat::ZERO; self.ncols + self.nart];
         for j in 0..self.n {
             cost2[j] = Rat::from(objective[j]);
@@ -224,9 +240,9 @@ impl Tableau {
         }
     }
 
-    /// Runs the simplex loop for the given cost vector. Returns
-    /// `(objective value, original-variable point)` or `None` if unbounded.
-    fn optimize(&mut self, cost: &[Rat], restrict_arts: bool) -> Option<(Rat, Vec<Rat>)> {
+    /// Runs the simplex loop for the given cost vector. Returns the
+    /// objective value, or `None` if unbounded.
+    fn optimize(&mut self, cost: &[Rat], restrict_arts: bool) -> Option<Rat> {
         let total_cols = self.ncols + self.nart;
         // Reduced costs are computed on demand: c_j - c_B · B⁻¹ A_j. Since we
         // keep the tableau fully updated (rows are B⁻¹ A), the reduced cost
@@ -266,22 +282,14 @@ impl Tableau {
                 }
             }
             let Some((je, _)) = enter else {
-                // Optimal: compute value and point.
-                let mut point = vec![Rat::ZERO; self.n];
-                for (i, &bj) in self.basis.iter().enumerate() {
-                    if bj < self.n {
-                        point[bj] += self.rhs[i];
-                    } else if bj < 2 * self.n {
-                        point[bj - self.n] -= self.rhs[i];
-                    }
-                }
+                // Optimal: the value of the basic solution.
                 let mut value = Rat::ZERO;
                 for (i, &bj) in self.basis.iter().enumerate() {
                     if !cost[bj].is_zero() {
                         value += cost[bj] * self.rhs[i];
                     }
                 }
-                return Some((value, point));
+                return Some(value);
             };
             // Ratio test (Bland tie-break on basis index).
             let mut leave: Option<(usize, Rat)> = None;
@@ -376,7 +384,7 @@ impl IncrementalLp {
         }
         match self.tab.phase2(objective) {
             None => LpOutcome::Unbounded,
-            Some((value, point)) => LpOutcome::Optimal { value, point },
+            Some(value) => LpOutcome::Optimal(value),
         }
     }
 

@@ -1,39 +1,21 @@
-//! Exact rational arithmetic over `i128`.
-//!
-//! [`Rat`] is the number type of what a linear program reports
-//! ([`LpOutcome`](crate::LpOutcome)) and of the rational references the
-//! property tests check the integer kernels against; the simplex tableau
-//! and the rank kernel ([`Echelon`](crate::Echelon)) hold integers.
-//! Values are kept normalized: the denominator is always positive and
-//! `gcd(num, den) == 1`.
+//! Exact rational arithmetic over `i128`: the number type of the
+//! reference simplex (`mod.rs`) and of the rank references
+//! (`linalg.rs`). The crate's own kernels hold integers; this is what
+//! they are held to. Values are kept normalized: the denominator is
+//! always positive and `gcd(num, den) == 1`.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use crate::num::gcd;
+use polytops_math::gcd;
 
 /// An exact rational number with `i128` numerator and denominator.
 ///
-/// Arithmetic panics on overflow rather than wrap. What still reaches it
-/// is narrow — an LP reports `i64` numerators over `i64` denominators —
-/// so one sum or product of such operands fits `i128`. The simplex and
-/// the rank kernel, which chained these operations on request-sized
-/// data, work on integers now and report
-/// [`MathError::Overflow`](crate::MathError) instead.
-///
-/// # Examples
-///
-/// ```
-/// use polytops_math::Rat;
-///
-/// let a = Rat::new(1, 3);
-/// let b = Rat::new(1, 6);
-/// assert_eq!(a + b, Rat::new(1, 2));
-/// assert!(a > b);
-/// assert_eq!((a / b), Rat::from(2));
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+/// Arithmetic panics on overflow rather than wrap: the systems the
+/// properties draw are small, and a reference that wrapped would agree
+/// with nothing.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Rat {
     num: i128,
     den: i128, // invariant: den > 0, gcd(num, den) == 1
@@ -118,47 +100,18 @@ impl Rat {
         Rat::new(self.den, self.num)
     }
 
-    /// Absolute value.
-    pub fn abs(self) -> Rat {
-        Rat {
-            num: self.num.abs(),
-            den: self.den,
-        }
-    }
-
     /// Returns `self` as an `i128` if it is an integer.
     pub fn to_integer(self) -> Option<i128> {
         self.is_integer().then_some(self.num)
     }
 }
 
-impl Default for Rat {
-    fn default() -> Self {
-        Rat::ZERO
-    }
-}
-
-impl From<i32> for Rat {
-    fn from(v: i32) -> Rat {
-        Rat {
-            num: v as i128,
-            den: 1,
-        }
-    }
-}
-
 impl From<i64> for Rat {
     fn from(v: i64) -> Rat {
         Rat {
-            num: v as i128,
+            num: v.into(),
             den: 1,
         }
-    }
-}
-
-impl From<i128> for Rat {
-    fn from(v: i128) -> Rat {
-        Rat { num: v, den: 1 }
     }
 }
 
@@ -266,69 +219,10 @@ impl Ord for Rat {
 
 impl fmt::Debug for Rat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(self, f)
-    }
-}
-
-impl fmt::Display for Rat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.den == 1 {
             write!(f, "{}", self.num)
         } else {
             write!(f, "{}/{}", self.num, self.den)
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn normalization() {
-        assert_eq!(Rat::new(2, 4), Rat::new(1, 2));
-        assert_eq!(Rat::new(-2, -4), Rat::new(1, 2));
-        assert_eq!(Rat::new(2, -4), Rat::new(-1, 2));
-        assert_eq!(Rat::new(0, -7), Rat::ZERO);
-    }
-
-    #[test]
-    fn arithmetic() {
-        let a = Rat::new(1, 2);
-        let b = Rat::new(1, 3);
-        assert_eq!(a + b, Rat::new(5, 6));
-        assert_eq!(a - b, Rat::new(1, 6));
-        assert_eq!(a * b, Rat::new(1, 6));
-        assert_eq!(a / b, Rat::new(3, 2));
-        assert_eq!(-a, Rat::new(-1, 2));
-    }
-
-    #[test]
-    fn floor_ceil() {
-        assert_eq!(Rat::new(7, 2).floor(), 3);
-        assert_eq!(Rat::new(7, 2).ceil(), 4);
-        assert_eq!(Rat::new(-7, 2).floor(), -4);
-        assert_eq!(Rat::new(-7, 2).ceil(), -3);
-        assert_eq!(Rat::from(5).floor(), 5);
-        assert_eq!(Rat::from(5).ceil(), 5);
-    }
-
-    #[test]
-    fn ordering() {
-        assert!(Rat::new(1, 3) < Rat::new(1, 2));
-        assert!(Rat::new(-1, 2) < Rat::new(-1, 3));
-        assert!(Rat::from(0) < Rat::new(1, 100));
-    }
-
-    #[test]
-    fn display() {
-        assert_eq!(Rat::new(3, 6).to_string(), "1/2");
-        assert_eq!(Rat::from(-4).to_string(), "-4");
-    }
-
-    #[test]
-    #[should_panic(expected = "zero denominator")]
-    fn zero_denominator_panics() {
-        let _ = Rat::new(1, 0);
     }
 }

@@ -1,12 +1,13 @@
-//! The systems the differential properties of the simplex draw, and
-//! what an answer about one must satisfy. Shared (by `#[path]`) with the
-//! face properties in `src/simplex.rs`, which reach the crate-private
-//! lexmin stage.
+//! The systems the differential properties of the simplex draw. Shared
+//! (by `#[path]`) with the properties in `src/simplex.rs`, which reach
+//! the crate-private minimization and lexmin stage.
 
 #![allow(dead_code)] // each including test uses its own part
 
-use polytops_math::{lp_minimize, ConstraintSystem, IncrementalLp, LpOutcome, Rat, RowKind};
+use polytops_math::ConstraintSystem;
 use proptest::prelude::*;
+
+use super::reference::Rat;
 
 /// Generates a random non-empty box plus extra random inequality rows.
 pub fn boxed_system() -> impl Strategy<Value = (ConstraintSystem, Vec<(i64, i64)>)> {
@@ -86,53 +87,6 @@ pub fn wide_system() -> impl Strategy<Value = (ConstraintSystem, Vec<i64>)> {
             obj.truncate(n);
             (cs, obj)
         })
-}
-
-/// The point a solve returned lies in `cs` and attains `value`.
-pub fn attains(cs: &ConstraintSystem, obj: &[i64], value: Rat, point: &[Rat]) -> bool {
-    let dot = |row: &[i64]| {
-        let terms = row.iter().zip(point).map(|(&a, &x)| Rat::from(a) * x);
-        terms.fold(Rat::ZERO, |acc, t| acc + t)
-    };
-    let n = cs.num_vars();
-    dot(obj) == value
-        && cs.iter().all(|(kind, row)| {
-            let lhs = dot(&row[..n]) + Rat::from(row[n]);
-            match kind {
-                RowKind::Eq => lhs.is_zero(),
-                RowKind::Ineq => !lhs.is_negative(),
-            }
-        })
-}
-
-/// What a solve must share with the reference whatever its pivots were:
-/// the verdict and the optimal value. The vertex is the solver's own,
-/// and is checked against `cs` instead.
-pub fn same_answer(
-    cs: &ConstraintSystem,
-    obj: &[i64],
-    got: &LpOutcome,
-    want: &LpOutcome,
-) -> Result<(), proptest::test_runner::TestCaseError> {
-    match (got, want) {
-        (LpOutcome::Optimal { value, point }, LpOutcome::Optimal { value: want, .. }) => {
-            prop_assert_eq!(value, want);
-            prop_assert!(attains(cs, obj, *value, point), "{:?} in {:?}", point, cs);
-        }
-        _ => prop_assert_eq!(got, want),
-    }
-    Ok(())
-}
-
-/// The tableau minimizes `probe` to what a cold solve of `cs`, the system
-/// it should stand for, does.
-pub fn answers_as(
-    lp: &mut IncrementalLp,
-    cs: &ConstraintSystem,
-    probe: &[i64],
-) -> Result<(), proptest::test_runner::TestCaseError> {
-    let (live, cold) = (lp.minimize(probe).unwrap(), lp_minimize(cs, probe).unwrap());
-    same_answer(cs, probe, &live, &cold)
 }
 
 /// [`boxed_system`] with one or two equality rows beside its

@@ -8,7 +8,7 @@
 //! The implementation lives in focused workspace crates, all re-exported
 //! here:
 //!
-//! * [`math`](polytops_math) — exact rational/integer math kernel;
+//! * [`math`](polytops_math) — exact integer math kernel (simplex, ILP, Farkas);
 //! * [`ir`](polytops_ir) — SCoPs, schedules, builders, the exchange format;
 //! * [`deps`](polytops_deps) — dependence analysis and legality oracles;
 //! * [`core`](polytops_core) — configurations, cost functions, the
@@ -67,6 +67,6 @@ pub use polytops_ir::{
     Subscript, TreeNode,
 };
 pub use polytops_math::{
-    farkas_nonneg, ilp_feasible, ilp_lexmin, ilp_minimize, lp_minimize, ConstraintSystem,
-    IlpOutcome, IlpStats, LpOutcome, Rat, RowKind,
+    farkas_nonneg, ilp_feasible, ilp_lexmin, ilp_minimize, ConstraintSystem, IlpOutcome, IlpStats,
+    RowKind,
 };
