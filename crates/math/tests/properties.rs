@@ -34,7 +34,12 @@ fn rat_arithmetic() {
     assert_eq!(a * b, Rat::new(1, 6));
     assert_eq!(a / b, Rat::new(3, 2));
     assert_eq!(-a, Rat::new(-1, 2));
-    let (a, b) = (Rat::new(1, 3), Rat::new(1, 6));
+}
+
+#[test]
+fn rat_adds_compares_and_divides() {
+    let a = Rat::new(1, 3);
+    let b = Rat::new(1, 6);
     assert_eq!(a + b, Rat::new(1, 2));
     assert!(a > b);
     assert_eq!(a / b, Rat::from(2));
