@@ -1,7 +1,8 @@
 //! A seeded SCoP-text fuzz: the printed polyscop text of every reference
 //! kernel and of `long_chain(8)`, with a few integer tokens mutated, runs
 //! through `parse_scop`, `schedule` (under `pluto`, and under tile 16 +
-//! wavefront) and `emit_c`. Every case must end in `Ok` or `Err`; none
+//! wavefront + intra-tile and auto vectorization, the rewrites that move
+//! the tree most) and `emit_c`. Every case must end in `Ok` or `Err`; none
 //! may panic. A mutated integer becomes 0, ±1, ±2, ±2³¹ or an `i64`
 //! extreme, or moves by ±1 (which moves a count when the integer is
 //! one); an access's array and a β position can be pushed past their
@@ -42,8 +43,9 @@ fn configs() -> [SchedulerConfig; 2] {
         post: PostProcess {
             tile_sizes: vec![16],
             wavefront: true,
-            intra_tile_vectorize: false,
+            intra_tile_vectorize: true,
         },
+        auto_vectorize: true,
         ..SchedulerConfig::default()
     };
     [presets::pluto(), tiled]

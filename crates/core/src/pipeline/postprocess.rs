@@ -7,7 +7,9 @@
 //!
 //! * **Tiling** replaces a point band with a `Mark::Tile` over a *tile
 //!   band* (one member `⌊row·x / size⌋` per point member) over the
-//!   original point band.
+//!   original point band. Only a band whose nearest ancestor that is not
+//!   a mark is not a band is offered: a band directly under another one
+//!   stays untiled.
 //! * **Wavefront** skews the outermost member of a *tile* band into the
 //!   sum of the band's members (`Σ ⌊rowⱼ·x / sizeⱼ⌋` — inexpressible in
 //!   the flat row form, which is one reason the tree exists), falling
@@ -17,8 +19,15 @@
 //!   members become parallel (Pluto §5.3 lifted to tile space).
 //! * **Intra-tile vectorization** rotates a coincident point member to
 //!   the innermost position of its tiled band (tile members and sizes
-//!   follow), and vectorization directives/auto-detection become
+//!   follow), in each tiled nest that is not inside another nest's
+//!   subtree, and vectorization directives/auto-detection become
 //!   `Mark::Vectorize` annotations.
+//!
+//! Every rewrite finds its band in one [`ScheduleTree::walk`]
+//! (`bands_of`: each band's path, first structural id, wavefront parent
+//! and `BandCtx`) and edits a clone of the tree through
+//! [`ScheduleTree::node_mut`]; the clone is what the proof is asked
+//! about.
 //!
 //! Every transformation is **proved legal before it is committed**, by
 //! a permutability proof asked of the dependence oracle
@@ -61,8 +70,7 @@
 //! coincidence (zero distance given equal outer coordinates).
 //! `postprocess.rewrites_proved` counts the committed rewrites.
 
-use std::collections::HashMap;
-use std::ops::{Range, RangeBounds};
+use std::ops::Range;
 
 use polytops_deps::Certifier;
 use polytops_ir::{
@@ -158,14 +166,15 @@ impl Gate<'_, '_> {
         flags: bool,
     ) -> Option<ScheduleTree> {
         let paths = candidate.stmt_paths();
-        let rewritten = bands_of(&candidate, bands);
+        let all = bands_of(&candidate);
+        let rewritten = &all[bands];
         let start = rewritten
             .iter()
             .flat_map(Band::terms)
             .map(|t| t.source_dim)
             .min()?;
         let live = self.live_at(start);
-        if !self.proves(&paths, &rewritten, &live) {
+        if !self.proves(&paths, rewritten, &live) {
             return None;
         }
         self.proved += 1;
@@ -235,12 +244,17 @@ impl Gate<'_, '_> {
     }
 }
 
-/// A band of a tree as the gate reads it.
+/// A band of a tree as the rewrites and the gate read it.
 struct Band<'t> {
+    /// Its child positions from the root.
+    path: Vec<usize>,
     /// The structural node id of its first member (member `j` has id
     /// `first + j`, the numbering of [`ScheduleTree::stmt_paths`]).
     first: usize,
     members: &'t [BandMember],
+    permutable: bool,
+    /// What it sits under.
+    ctx: BandCtx,
     /// Whether it is the child of a `Mark::Wavefront`.
     wavefront: bool,
 }
@@ -251,211 +265,150 @@ impl Band<'_> {
     }
 }
 
-/// The bands of `tree` whose depth-first indices are in `bands`.
-fn bands_of(tree: &ScheduleTree, bands: impl RangeBounds<usize>) -> Vec<Band<'_>> {
-    /// `at` is (bands, node ids) seen so far.
-    fn walk<'t>(
-        node: &'t TreeNode,
-        wavefront: bool,
-        at: &mut (usize, usize),
-        bands: &impl RangeBounds<usize>,
-        out: &mut Vec<Band<'t>>,
-    ) {
-        match node {
-            TreeNode::Leaf => {}
-            TreeNode::Filter { child, .. } => walk(child, false, at, bands, out),
-            TreeNode::Mark { kind, child } => {
-                walk(child, *kind == MarkKind::Wavefront, at, bands, out);
-            }
-            TreeNode::Band { members, child, .. } => {
-                if bands.contains(&at.0) {
-                    out.push(Band {
-                        first: at.1,
-                        members,
-                        wavefront,
-                    });
-                }
-                *at = (at.0 + 1, at.1 + members.len());
-                walk(child, false, at, bands, out);
-            }
-            TreeNode::Sequence(children) => {
-                at.1 += 1;
-                for c in children {
-                    walk(c, false, at, bands, out);
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(&tree.root, false, &mut (0, 0), &bands, &mut out);
-    out
-}
-
-// ---------------------------------------------------------------------
-// Band location.
-// ---------------------------------------------------------------------
-
-/// Where a band sits when the rewrite walk reaches it.
+/// What a band sits under: its nearest ancestor that is not a mark,
+/// unless a `Mark::Tile` comes first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BandCtx {
-    /// An ordinary (point) band.
+    /// A filter, a sequence or nothing: an ordinary (point) band.
     Plain,
-    /// Directly under a `Mark::Tile` (possibly through other marks): a
-    /// tile band.
+    /// A `Mark::Tile` (possibly through other marks): a tile band.
     UnderTileMark,
-    /// Directly under another band: the point band of a tiled nest.
+    /// Another band: the point band of a tiled nest.
     UnderBand,
 }
 
-/// Callback of [`rewrite_nth_band`]: sees a band's context and parts
-/// and returns the replacement node (or `None` to decline).
-type BandRewrite<'a> = dyn FnMut(BandCtx, &[BandMember], bool, &TreeNode) -> Option<TreeNode> + 'a;
-
-/// Rewrites the `target`-th band (depth-first order, the numbering of
-/// [`bands_of`] and [`ScheduleTree::for_each_band`]) with `f`, which
-/// sees the band's context and parts and returns the replacement node
-/// (or `None` to decline). Returns `None` when nothing was rewritten.
-fn rewrite_nth_band(
-    node: &TreeNode,
-    count: &mut usize,
-    target: usize,
-    ctx: BandCtx,
-    f: &mut BandRewrite<'_>,
-) -> Option<TreeNode> {
-    match node {
-        TreeNode::Leaf => None,
-        TreeNode::Filter { stmts, child } => {
-            rewrite_nth_band(child, count, target, BandCtx::Plain, f).map(|c| TreeNode::Filter {
-                stmts: stmts.clone(),
-                child: c.boxed(),
-            })
-        }
-        TreeNode::Mark { kind, child } => {
-            let ctx = if matches!(kind, MarkKind::Tile(_)) {
-                BandCtx::UnderTileMark
-            } else {
-                ctx
-            };
-            rewrite_nth_band(child, count, target, ctx, f).map(|c| TreeNode::Mark {
-                kind: kind.clone(),
-                child: c.boxed(),
-            })
-        }
-        TreeNode::Sequence(children) => {
-            for (i, c) in children.iter().enumerate() {
-                if let Some(nc) = rewrite_nth_band(c, count, target, BandCtx::Plain, f) {
-                    let mut out = children.clone();
-                    out[i] = nc;
-                    return Some(TreeNode::Sequence(out));
-                }
-            }
-            None
-        }
-        TreeNode::Band {
+/// Every band of `tree`, in preorder: one [`ScheduleTree::walk`].
+fn bands_of(tree: &ScheduleTree) -> Vec<Band<'_>> {
+    let mut out = Vec::new();
+    // The ancestors of the node the walk is at, outermost first.
+    let mut above: Vec<&TreeNode> = Vec::new();
+    tree.walk(|node, path, first| {
+        above.truncate(path.len());
+        if let TreeNode::Band {
             members,
             permutable,
-            child,
-        } => {
-            let idx = *count;
-            *count += 1;
-            if idx == target {
-                return f(ctx, members, *permutable, child);
-            }
-            rewrite_nth_band(child, count, target, BandCtx::UnderBand, f).map(|c| TreeNode::Band {
-                members: members.clone(),
+            ..
+        } = node
+        {
+            let wavefront = matches!(
+                above.last(),
+                Some(TreeNode::Mark {
+                    kind: MarkKind::Wavefront,
+                    ..
+                })
+            );
+            let ctx = (above.iter().rev())
+                .find_map(|node| match node {
+                    TreeNode::Mark {
+                        kind: MarkKind::Tile(_),
+                        ..
+                    } => Some(BandCtx::UnderTileMark),
+                    TreeNode::Mark { .. } => None,
+                    TreeNode::Band { .. } => Some(BandCtx::UnderBand),
+                    _ => Some(BandCtx::Plain),
+                })
+                .unwrap_or(BandCtx::Plain);
+            out.push(Band {
+                path: path.to_vec(),
+                first,
+                members,
                 permutable: *permutable,
-                child: c.boxed(),
-            })
+                ctx,
+                wavefront,
+            });
         }
-    }
+        above.push(node);
+    });
+    out
 }
 
-/// Convenience: runs [`rewrite_nth_band`] over a whole tree.
+/// A copy of `tree` with `edit` applied to its node at `path`.
 fn rewrite_band(
     tree: &ScheduleTree,
-    target: usize,
-    f: &mut BandRewrite<'_>,
-) -> Option<ScheduleTree> {
-    let mut count = 0;
-    rewrite_nth_band(&tree.root, &mut count, target, BandCtx::Plain, f).map(|root| ScheduleTree {
-        nstmts: tree.nstmts,
-        root,
-    })
+    path: &[usize],
+    edit: impl FnOnce(&mut TreeNode),
+) -> ScheduleTree {
+    let mut out = tree.clone();
+    edit(out.node_mut(path).expect("a band's path"));
+    out
+}
+
+/// Puts `parent` of `node` (boxed) in `node`'s place.
+fn wrap(node: &mut TreeNode, parent: impl FnOnce(Box<TreeNode>) -> TreeNode) {
+    let child = std::mem::replace(node, TreeNode::Leaf).boxed();
+    *node = parent(child);
 }
 
 // ---------------------------------------------------------------------
 // Tiling.
 // ---------------------------------------------------------------------
 
-/// Tiles every point band: `Mark::Tile` over a tile band over the point
-/// band, the candidate proved before committing.
+/// Tiles each plain affine band — one whose nearest ancestor that is
+/// not a mark is not a band ([`BandCtx::Plain`]): `Mark::Tile` over a
+/// tile band over the point band, the candidate proved before
+/// committing. A band directly under another band is never offered to
+/// the proof, so a nest the solver split into two bands tiles its
+/// outer band only.
 /// `tile_sizes` supplies one size per band depth and is cycled when the
 /// band is deeper. A tile loop's parallelism uses the engine's
 /// unconditioned rule, so plain-tiling model scores match the engine.
 fn tile(gate: &mut Gate<'_, '_>, tree: &mut ScheduleTree, tile_sizes: &[i64]) {
     let deps = gate.oracle.deps();
     let sched = gate.sched;
-    let mut bi = 0;
-    while bi < bands_of(tree, ..).len() {
-        let candidate = rewrite_band(tree, bi, &mut |ctx, members, permutable, child| {
-            if ctx != BandCtx::Plain || !members.iter().all(BandMember::is_affine) {
-                return None;
-            }
-            let sizes: Vec<i64> = (0..members.len())
-                .map(|i| tile_sizes[i % tile_sizes.len()].max(1))
-                .collect();
-            // A tile loop executes outside the band's point loops, so it
-            // is parallel only when every dependence live at *band
-            // entry* has zero distance on its dimension — a dependence
-            // carried by an earlier member of the same band still
-            // crosses tiles.
-            let live = gate.live_at(members[0].source_dim());
-            let tile_members: Vec<BandMember> = members
-                .iter()
-                .zip(&sizes)
-                .map(|(m, &size)| {
-                    let t = &m.terms[0];
-                    let parallel = live.iter().all(|&e| {
-                        let dep = &deps[e];
-                        gate.oracle.zero_distance(
-                            e,
-                            &sched.stmt(dep.src).rows()[t.source_dim],
-                            &sched.stmt(dep.dst).rows()[t.source_dim],
-                        )
-                    });
-                    BandMember {
-                        terms: vec![MemberTerm {
-                            rows: t.rows.clone(),
-                            div: size,
-                            source_dim: t.source_dim,
-                        }],
-                        coincident: parallel,
-                    }
-                })
-                .collect();
-            Some(TreeNode::Mark {
+    // A committed tile puts its tile band at `bi` and the point band,
+    // which is not plain, at `bi + 1`.
+    let mut bands = bands_of(tree);
+    for bi in 0.. {
+        let Some(band) = bands.get(bi) else { break };
+        let members = band.members;
+        if band.ctx != BandCtx::Plain || !members.iter().all(BandMember::is_affine) {
+            continue;
+        }
+        let sizes: Vec<i64> = (0..members.len())
+            .map(|i| tile_sizes[i % tile_sizes.len()].max(1))
+            .collect();
+        // A tile loop executes outside the band's point loops, so it is
+        // parallel only when every dependence live at *band entry* has
+        // zero distance on its dimension — a dependence carried by an
+        // earlier member of the same band still crosses tiles.
+        let live = gate.live_at(members[0].source_dim());
+        let tile_members: Vec<BandMember> = members
+            .iter()
+            .zip(&sizes)
+            .map(|(m, &size)| {
+                let t = &m.terms[0];
+                let parallel = live.iter().all(|&e| {
+                    let dep = &deps[e];
+                    gate.oracle.zero_distance(
+                        e,
+                        &sched.stmt(dep.src).rows()[t.source_dim],
+                        &sched.stmt(dep.dst).rows()[t.source_dim],
+                    )
+                });
+                BandMember {
+                    terms: vec![MemberTerm {
+                        rows: t.rows.clone(),
+                        div: size,
+                        source_dim: t.source_dim,
+                    }],
+                    coincident: parallel,
+                }
+            })
+            .collect();
+        let candidate = rewrite_band(tree, &band.path, |node| {
+            wrap(node, |point| TreeNode::Mark {
                 kind: MarkKind::Tile(sizes),
                 child: TreeNode::Band {
                     members: tile_members,
-                    permutable,
-                    child: TreeNode::Band {
-                        members: members.to_vec(),
-                        permutable,
-                        child: child.clone().boxed(),
-                    }
-                    .boxed(),
+                    permutable: band.permutable,
+                    child: point,
                 }
                 .boxed(),
-            })
+            });
         });
-        match candidate.and_then(|c| gate.certify(c, bi..bi + 2, false)) {
-            Some(c) => {
-                *tree = c;
-                // The rewrite put two bands (tile + point) where one
-                // was; continue past both.
-                bi += 2;
-            }
-            None => bi += 1,
+        if let Some(c) = gate.certify(candidate, bi..bi + 2, false) {
+            *tree = c;
+            bands = bands_of(tree);
         }
     }
 }
@@ -464,12 +417,9 @@ fn tile(gate: &mut Gate<'_, '_>, tree: &mut ScheduleTree, tile_sizes: &[i64]) {
 // Wavefront skewing.
 // ---------------------------------------------------------------------
 
-/// Coincident-member count of the `target`-th band.
-fn coincident_count(tree: &ScheduleTree, target: usize) -> usize {
-    (bands_of(tree, target..target + 1).iter())
-        .flat_map(|band| band.members)
-        .filter(|m| m.coincident)
-        .count()
+/// How many of `members` are coincident.
+fn coincident_count(members: &[BandMember]) -> usize {
+    members.iter().filter(|m| m.coincident).count()
 }
 
 /// Sets the coincidence flags of the members with structural node ids
@@ -492,64 +442,68 @@ fn set_flags(tree: &mut ScheduleTree, ids: Range<usize>, flags: &[bool]) {
 /// (the user asked for a wavefront; pipelining an already-parallel-
 /// inside band is allowed, degrading one is not).
 fn wavefront(gate: &mut Gate<'_, '_>, tree: &mut ScheduleTree) {
-    let mut bi = 0;
-    while bi < bands_of(tree, ..).len() {
-        let candidate = rewrite_band(tree, bi, &mut |ctx, members, _permutable, child| {
-            if members.len() < 2 || members[0].coincident {
-                return None;
-            }
-            let skewed = match ctx {
-                BandCtx::UnderBand => return None,
-                BandCtx::UnderTileMark => BandMember {
-                    terms: members.iter().flat_map(|m| m.terms.clone()).collect(),
-                    coincident: false,
-                },
-                BandCtx::Plain => {
-                    if !members.iter().all(BandMember::is_affine) {
-                        return None;
-                    }
-                    let t0 = &members[0].terms[0];
-                    let rows: Vec<Vec<i64>> = (0..t0.rows.len())
-                        .map(|s| {
-                            let mut sum = t0.rows[s].clone();
-                            for m in &members[1..] {
-                                for (acc, v) in sum.iter_mut().zip(&m.terms[0].rows[s]) {
-                                    *acc += v;
-                                }
+    let mut bands = bands_of(tree);
+    for bi in 0.. {
+        let Some(band) = bands.get(bi) else { break };
+        let members = band.members;
+        if members.len() < 2 || members[0].coincident {
+            continue;
+        }
+        let skewed = match band.ctx {
+            BandCtx::UnderBand => continue,
+            BandCtx::UnderTileMark => BandMember {
+                terms: members.iter().flat_map(|m| m.terms.clone()).collect(),
+                coincident: false,
+            },
+            BandCtx::Plain => {
+                if !members.iter().all(BandMember::is_affine) {
+                    continue;
+                }
+                let t0 = &members[0].terms[0];
+                let rows: Vec<Vec<i64>> = (0..t0.rows.len())
+                    .map(|s| {
+                        let mut sum = t0.rows[s].clone();
+                        for m in &members[1..] {
+                            for (acc, v) in sum.iter_mut().zip(&m.terms[0].rows[s]) {
+                                *acc += v;
                             }
-                            sum
-                        })
-                        .collect();
-                    BandMember {
-                        terms: vec![MemberTerm {
-                            rows,
-                            div: 1,
-                            source_dim: t0.source_dim,
-                        }],
-                        coincident: false,
-                    }
+                        }
+                        sum
+                    })
+                    .collect();
+                BandMember {
+                    terms: vec![MemberTerm {
+                        rows,
+                        div: 1,
+                        source_dim: t0.source_dim,
+                    }],
+                    coincident: false,
                 }
-            };
-            let mut out = members.to_vec();
-            out[0] = skewed;
-            Some(TreeNode::Mark {
+            }
+        };
+        let candidate = rewrite_band(tree, &band.path, |node| {
+            if let TreeNode::Band {
+                members,
+                permutable,
+                ..
+            } = node
+            {
+                members[0] = skewed;
+                // The skewed member is not freely interchangeable with
+                // the others.
+                *permutable = false;
+            }
+            wrap(node, |band| TreeNode::Mark {
                 kind: MarkKind::Wavefront,
-                child: TreeNode::Band {
-                    members: out,
-                    // The skewed member is not freely interchangeable
-                    // with the others.
-                    permutable: false,
-                    child: child.clone().boxed(),
-                }
-                .boxed(),
-            })
+                child: band,
+            });
         });
-        if let Some(c) = candidate.and_then(|c| gate.certify(c, bi..bi + 1, true)) {
-            if coincident_count(&c, bi) >= coincident_count(tree, bi) {
+        if let Some(c) = gate.certify(candidate, bi..bi + 1, true) {
+            if coincident_count(bands_of(&c)[bi].members) >= coincident_count(members) {
                 *tree = c;
+                bands = bands_of(tree);
             }
         }
-        bi += 1;
     }
 }
 
@@ -557,159 +511,80 @@ fn wavefront(gate: &mut Gate<'_, '_>, tree: &mut ScheduleTree) {
 // Intra-tile vectorization.
 // ---------------------------------------------------------------------
 
-/// Rotates a coincident point member to the innermost position of its
-/// tiled band so it can be vectorized; the corresponding tile member
-/// and the mark's size list follow. Rewrites the first eligible tiled
-/// nest starting at `skip` (depth-first over `Mark::Tile` nodes).
-fn rotate_tiled_nest(node: &TreeNode, skip: &mut isize) -> Option<TreeNode> {
-    match node {
-        TreeNode::Leaf => None,
-        TreeNode::Filter { stmts, child } => {
-            rotate_tiled_nest(child, skip).map(|c| TreeNode::Filter {
-                stmts: stmts.clone(),
-                child: c.boxed(),
-            })
-        }
-        TreeNode::Sequence(children) => {
-            for (i, c) in children.iter().enumerate() {
-                if let Some(nc) = rotate_tiled_nest(c, skip) {
-                    let mut out = children.clone();
-                    out[i] = nc;
-                    return Some(TreeNode::Sequence(out));
-                }
+/// The tiled nests rotation tries: the paths of the `Mark::Tile` nodes
+/// that are not inside another nest's subtree, in preorder.
+fn tiled_nests(tree: &ScheduleTree) -> Vec<Vec<usize>> {
+    let mut nests: Vec<Vec<usize>> = Vec::new();
+    tree.walk(|node, path, _| {
+        if matches!(
+            node,
+            TreeNode::Mark {
+                kind: MarkKind::Tile(_),
+                ..
             }
-            None
+        ) && !nests.iter().any(|nest| path.starts_with(nest))
+        {
+            nests.push(path.to_vec());
         }
-        TreeNode::Band {
-            members,
-            permutable,
-            child,
-        } => rotate_tiled_nest(child, skip).map(|c| TreeNode::Band {
-            members: members.clone(),
-            permutable: *permutable,
-            child: c.boxed(),
-        }),
-        TreeNode::Mark { kind, child } => {
-            if let MarkKind::Tile(sizes) = kind {
-                let my_turn = *skip == 0;
-                *skip -= 1;
-                if my_turn {
-                    if let Some((under, sizes)) = rotate_under_tile_mark(child, sizes) {
-                        return Some(TreeNode::Mark {
-                            kind: MarkKind::Tile(sizes),
-                            child: under.boxed(),
-                        });
-                    }
-                }
-                None
-            } else {
-                rotate_tiled_nest(child, skip).map(|c| TreeNode::Mark {
-                    kind: kind.clone(),
-                    child: c.boxed(),
-                })
-            }
-        }
-    }
+    });
+    nests
 }
 
-/// The swap itself: given the subtree under a `Mark::Tile`, finds the
-/// tile band and its point band, picks the rightmost coincident point
-/// member `p` (when the innermost is sequential) and swaps `p` with the
-/// innermost in both bands; returns the rebuilt subtree plus the
-/// reordered size list.
-fn rotate_under_tile_mark(under: &TreeNode, sizes: &[i64]) -> Option<(TreeNode, Vec<i64>)> {
-    match under {
-        // The tile band may sit under further marks (e.g. wavefront).
-        TreeNode::Mark { kind, child } => rotate_under_tile_mark(child, sizes).map(|(c, sizes)| {
-            (
-                TreeNode::Mark {
-                    kind: kind.clone(),
-                    child: c.boxed(),
-                },
-                sizes,
-            )
-        }),
-        TreeNode::Band {
-            members: tile_members,
-            permutable,
-            child,
-        } => {
-            let TreeNode::Band {
-                members: point_members,
-                permutable: point_permutable,
-                child: body,
-            } = child.as_ref()
-            else {
-                return None;
-            };
-            let n = point_members.len();
-            if n < 2 || point_members[n - 1].coincident {
-                return None;
-            }
-            let p = (0..n - 1).rev().find(|&d| point_members[d].coincident)?;
-            // A wavefronted tile band owns a skewed member 0 that no
-            // longer corresponds 1:1 to a point member; only swap tile
-            // members that do (a single term each).
-            let mut tiles = tile_members.clone();
-            if tiles.len() == n && tiles[p].terms.len() == 1 && tiles[n - 1].terms.len() == 1 {
-                tiles.swap(p, n - 1);
-            }
-            let mut points = point_members.clone();
-            points.swap(p, n - 1);
-            let mut sizes = sizes.to_vec();
-            if sizes.len() == n {
-                sizes.swap(p, n - 1);
-            }
-            Some((
-                TreeNode::Band {
-                    members: tiles,
-                    permutable: *permutable,
-                    child: TreeNode::Band {
-                        members: points,
-                        permutable: *point_permutable,
-                        child: body.clone().boxed(),
-                    }
-                    .boxed(),
-                },
-                sizes,
-            ))
-        }
-        _ => None,
+/// Rotates the nest under the `Mark::Tile` at path `nest` so a
+/// coincident point member is innermost and can be vectorized: when the
+/// innermost point member is sequential, the rightmost coincident one
+/// `p` swaps with it, and so do the mark's sizes and the tile members.
+/// Returns the rotated copy of `tree` and the preorder range of the
+/// bands it changed: the tile band and the point band when the tile
+/// members swapped, the point band alone otherwise.
+fn rotate(tree: &ScheduleTree, nest: &[usize]) -> Option<(ScheduleTree, Range<usize>)> {
+    // The tile band sits below the mark through marks only (e.g. a
+    // wavefront); the point band is its child.
+    let mut at = nest.to_vec();
+    while let Some(TreeNode::Mark { .. }) = tree.node(&at) {
+        at.push(0);
     }
+    let bands = bands_of(tree);
+    let t = bands.iter().position(|band| band.path == at)?;
+    let point = bands.get(t + 1)?;
+    if point.path.len() != at.len() + 1 || !point.path.starts_with(&at) {
+        return None;
+    }
+    let (tiles, points) = (bands[t].members, point.members);
+    let n = points.len();
+    if n < 2 || points[n - 1].coincident {
+        return None;
+    }
+    let p = (0..n - 1).rev().find(|&d| points[d].coincident)?;
+    // A wavefronted tile band owns a skewed member 0 that no longer
+    // corresponds 1:1 to a point member; only swap tile members that do
+    // (a single term each).
+    let tiles_swap = tiles.len() == n && tiles[p].terms.len() == 1 && tiles[n - 1].terms.len() == 1;
+    let mut out = tree.clone();
+    let mut swap = |path: &[usize]| match out.node_mut(path) {
+        Some(TreeNode::Band { members, .. }) => members.swap(p, n - 1),
+        Some(TreeNode::Mark {
+            kind: MarkKind::Tile(sizes),
+            ..
+        }) if sizes.len() == n => sizes.swap(p, n - 1),
+        _ => {}
+    };
+    swap(nest);
+    swap(&point.path);
+    if tiles_swap {
+        swap(&at);
+    }
+    Some((out, if tiles_swap { t } else { t + 1 }..t + 2))
 }
 
-/// Driver: tries each tiled nest in turn, committing proved rotations
-/// (flags of the rotated bands are set again by the gate's rule — the
-/// permutation changes every prefix).
+/// Driver: tries each nest of [`tiled_nests`] in turn, committing proved
+/// rotations (flags of the rotated bands are set again by the gate's
+/// rule — the permutation changes every prefix).
 fn intra_tile_vectorize(gate: &mut Gate<'_, '_>, tree: &mut ScheduleTree) {
-    let ntiles = tree
-        .marks()
-        .iter()
-        .filter(|m| matches!(m, MarkKind::Tile(_)))
-        .count();
-    for nest in 0..ntiles {
-        let mut skip = nest as isize;
-        let Some(root) = rotate_tiled_nest(&tree.root, &mut skip) else {
+    for nest in tiled_nests(tree) {
+        let Some((candidate, changed)) = rotate(tree, &nest) else {
             continue;
         };
-        let candidate = ScheduleTree {
-            nstmts: tree.nstmts,
-            root,
-        };
-        // Locate the rotated nest's two bands: they are the bands whose
-        // members differ from `tree`'s at the same index, the point band
-        // right below the tile band.
-        let mut before = Vec::new();
-        tree.for_each_band(|_, m| before.push(m.to_vec()));
-        let mut changed: Option<Range<usize>> = None;
-        let mut k = 0;
-        candidate.for_each_band(|_, m| {
-            if before.get(k).map(Vec::as_slice) != Some(m) {
-                changed = Some(changed.take().map_or(k, |c| c.start)..k + 1);
-            }
-            k += 1;
-        });
-        let Some(changed) = changed else { continue };
         if let Some(c) = gate.certify(candidate, changed, true) {
             *tree = c;
         }
@@ -771,35 +646,25 @@ fn vectorize_marks(sched: &Schedule, tree: &mut ScheduleTree, config: &Scheduler
                 .and_then(|(node, coincident)| coincident.then_some(node));
         }
     }
-    // Group statements by the band owning their chosen member.
-    let mut bands: Vec<(usize, usize)> = Vec::new(); // (first member id, len)
-    tree.for_each_band(|first, members| bands.push((first, members.len())));
-    let mut by_band: HashMap<usize, Vec<usize>> = HashMap::new();
-    for (s, c) in choice.iter().enumerate() {
-        let Some(id) = c else { continue };
-        if let Some(bi) = bands
-            .iter()
-            .position(|&(first, len)| (first..first + len).contains(id))
-        {
-            by_band.entry(bi).or_default().push(s);
-        }
-    }
-    for (bi, mut stmts) in by_band {
-        stmts.sort_unstable();
-        let rewritten = rewrite_band(tree, bi, &mut |_, members, permutable, child| {
-            Some(TreeNode::Mark {
-                kind: MarkKind::Vectorize(stmts.clone()),
-                child: TreeNode::Band {
-                    members: members.to_vec(),
-                    permutable,
-                    child: child.clone().boxed(),
-                }
-                .boxed(),
-            })
+    // Per band owning some statement's chosen member, in preorder: its
+    // path and those statements.
+    let marks: Vec<(Vec<usize>, Vec<usize>)> = (bands_of(tree).into_iter())
+        .filter_map(|band| {
+            let ids = band.first..band.first + band.members.len();
+            let stmts: Vec<usize> = (0..nstmts)
+                .filter(|&s| choice[s].is_some_and(|id| ids.contains(&id)))
+                .collect();
+            (!stmts.is_empty()).then_some((band.path, stmts))
+        })
+        .collect();
+    // Last band first: a mark moves only the paths below it.
+    for (path, stmts) in marks.into_iter().rev() {
+        wrap(tree.node_mut(&path).expect("a band's path"), |band| {
+            TreeNode::Mark {
+                kind: MarkKind::Vectorize(stmts),
+                child: band,
+            }
         });
-        if let Some(t) = rewritten {
-            *tree = t;
-        }
     }
 }
 
@@ -1214,29 +1079,100 @@ mod tests {
             member(vec![term(t, 1, 0)], true),
             member(vec![term(skew, 1, 1)], false),
         ];
-        let under = TreeNode::Mark {
-            kind: MarkKind::Wavefront,
-            child: TreeNode::Band {
-                members: tiles.clone(),
-                permutable: false,
-                child: TreeNode::Band {
-                    members: points.clone(),
-                    permutable: true,
-                    child: TreeNode::Leaf.boxed(),
-                }
-                .boxed(),
-            }
-            .boxed(),
-        };
-        let (rotated, sizes) = rotate_under_tile_mark(&under, &[4, 8]).expect("p = 0 rotates");
-        assert_eq!(sizes, vec![8, 4]);
         let tree = ScheduleTree {
             nstmts: 1,
-            root: rotated,
+            root: TreeNode::Mark {
+                kind: MarkKind::Tile(vec![4, 8]),
+                child: TreeNode::Mark {
+                    kind: MarkKind::Wavefront,
+                    child: TreeNode::Band {
+                        members: tiles.clone(),
+                        permutable: false,
+                        child: TreeNode::Band {
+                            members: points.clone(),
+                            permutable: true,
+                            child: TreeNode::Leaf.boxed(),
+                        }
+                        .boxed(),
+                    }
+                    .boxed(),
+                }
+                .boxed(),
+            },
         };
+        let (tree, changed) = rotate(&tree, &[]).expect("p = 0 rotates");
+        assert_eq!(tree.marks()[0], &MarkKind::Tile(vec![8, 4]));
+        assert_eq!(changed, 1..2, "the point band alone");
         let mut bands = Vec::new();
         tree.for_each_band(|_, m| bands.push(m.to_vec()));
         assert_eq!(bands[0], tiles, "the tile band keeps its skewed member 0");
         assert_eq!(bands[1], vec![points[1].clone(), points[0].clone()]);
+    }
+
+    #[test]
+    fn tiling_never_offers_a_band_directly_under_another_band() {
+        // gemver under these presets lowers to two plain bands, one
+        // directly under the other. `tile` refuses the inner one
+        // (`BandCtx::UnderBand`) before any proof, so one nest tiles.
+        let scop = polytops_workloads::gemver();
+        for mut config in [crate::presets::feautrier(), crate::presets::isl_like()] {
+            config.post.tile_sizes = vec![16];
+            let sched = crate::schedule(&scop, &config).unwrap();
+            let ctxs = |tree: &ScheduleTree| -> Vec<BandCtx> {
+                bands_of(tree).iter().map(|band| band.ctx).collect()
+            };
+            let lowered = ScheduleTree::lower(&sched);
+            assert_eq!(ctxs(&lowered), [BandCtx::Plain, BandCtx::UnderBand]);
+            let tree = sched.tree();
+            let tiles = (tree.marks().iter())
+                .filter(|m| matches!(m, MarkKind::Tile(_)))
+                .count();
+            assert_eq!(tiles, 1, "{}", tree.render(&scop));
+            assert_eq!(
+                ctxs(tree),
+                [
+                    BandCtx::UnderTileMark,
+                    BandCtx::UnderBand,
+                    BandCtx::UnderBand
+                ]
+            );
+        }
+    }
+
+    #[test]
+    fn rotation_tries_no_nest_inside_another_nest() {
+        // Mark::Tile → tile band → point band → (a nested nest), beside a
+        // second nest: the nested one is not selected.
+        let nest = |below: TreeNode| {
+            let band = |child: TreeNode| TreeNode::Band {
+                members: vec![BandMember {
+                    terms: vec![MemberTerm {
+                        rows: vec![vec![1, 0]; 2],
+                        div: 1,
+                        source_dim: 0,
+                    }],
+                    coincident: false,
+                }],
+                permutable: true,
+                child: child.boxed(),
+            };
+            TreeNode::Mark {
+                kind: MarkKind::Tile(vec![4]),
+                child: band(band(below)).boxed(),
+            }
+        };
+        let filter = |stmts: Vec<usize>, child: TreeNode| TreeNode::Filter {
+            stmts,
+            child: child.boxed(),
+        };
+        let tree = ScheduleTree {
+            nstmts: 2,
+            root: TreeNode::Sequence(vec![
+                filter(vec![0], nest(nest(TreeNode::Leaf))),
+                filter(vec![1], nest(TreeNode::Leaf)),
+            ]),
+        };
+        assert_eq!(tree.marks().len(), 3);
+        assert_eq!(tiled_nests(&tree), [vec![0, 0], vec![1, 0]]);
     }
 }

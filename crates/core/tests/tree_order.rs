@@ -7,7 +7,9 @@
 use std::cmp::Ordering;
 
 use polytops_core::{schedule, SchedulerConfig};
-use polytops_ir::{instance_cmp_paths, MarkKind, Schedule, ScheduleTree, Scop, StmtId};
+use polytops_ir::{
+    instance_cmp_paths, MarkKind, PathStep, Schedule, ScheduleTree, Scop, StmtId, TreeNode,
+};
 use polytops_workloads::{all_kernels, jacobi_1d, matmul, sweep::preset_grid};
 
 const PARAMS: [i64; 2] = [7, 5]; // generous enough for every kernel's (N, T)
@@ -153,4 +155,64 @@ fn vectorize_mark_survives_and_preserves_the_instance_set() {
         "intra-tile vectorization must leave a mark, got {marks:?}"
     );
     assert_strict_total_order("heat_2d tiled+vectorize", &scop, &sched);
+}
+
+#[test]
+fn walk_ids_are_the_stmt_paths_numbering() {
+    // `ScheduleTree::walk` and `stmt_paths` each count structural ids;
+    // on every schedule of the grid, each band's and each sequence's
+    // walk id must be the id its step carries on the path of every
+    // statement that crosses it.
+    let posts = [
+        (vec![], false, false),
+        (vec![16], false, false),
+        (vec![32, 32], true, false),
+        (vec![64], true, true),
+    ];
+    let mut checked = 0;
+    for (kernel, scop) in all_kernels() {
+        for (preset, base) in preset_grid() {
+            for (sizes, wavefront, vectorize) in &posts {
+                let mut config = base.clone();
+                config.post.tile_sizes = sizes.clone();
+                config.post.wavefront = *wavefront;
+                config.post.intra_tile_vectorize = *vectorize;
+                let what = format!("{kernel}/{preset}/{sizes:?}/{wavefront}/{vectorize}");
+                let sched = schedule(&scop, &config).unwrap_or_else(|e| panic!("{what}: {e}"));
+                let tree = sched.tree();
+                let paths = tree.stmt_paths();
+                tree.walk(|node, path, id| {
+                    if !matches!(node, TreeNode::Band { .. } | TreeNode::Sequence(_)) {
+                        return;
+                    }
+                    // The statements its ancestors' filters let through,
+                    // and the steps those ancestors put on their paths.
+                    let mut active: Vec<usize> = (0..tree.nstmts).collect();
+                    let mut depth = 0;
+                    for above in (0..path.len()).filter_map(|k| tree.node(&path[..k])) {
+                        match above {
+                            TreeNode::Filter { .. } => {
+                                active = ScheduleTree::stmts_of(above, &active);
+                            }
+                            TreeNode::Band { members, .. } => depth += members.len(),
+                            TreeNode::Sequence(_) => depth += 1,
+                            _ => {}
+                        }
+                    }
+                    for s in ScheduleTree::stmts_of(node, &active) {
+                        let step = &paths[s][depth];
+                        match (node, step) {
+                            (TreeNode::Band { .. }, PathStep::Member { node, .. })
+                            | (TreeNode::Sequence(_), PathStep::Seq { node, .. }) => {
+                                assert_eq!(*node, id, "{what}: statement {s} at {path:?}");
+                                checked += 1;
+                            }
+                            _ => panic!("{what}: statement {s} at {path:?} steps {step:?}"),
+                        }
+                    }
+                });
+            }
+        }
+    }
+    assert!(checked > 500, "checked {checked} steps");
 }

@@ -150,6 +150,29 @@ impl TreeNode {
     pub fn boxed(self) -> Box<TreeNode> {
         Box::new(self)
     }
+
+    /// The node's children, in order (one for a band, filter or mark,
+    /// none for a leaf).
+    pub fn children(&self) -> &[TreeNode] {
+        match self {
+            TreeNode::Band { child, .. }
+            | TreeNode::Filter { child, .. }
+            | TreeNode::Mark { child, .. } => std::slice::from_ref(child),
+            TreeNode::Sequence(children) => children,
+            TreeNode::Leaf => &[],
+        }
+    }
+
+    /// Mutable variant of [`TreeNode::children`].
+    pub fn children_mut(&mut self) -> &mut [TreeNode] {
+        match self {
+            TreeNode::Band { child, .. }
+            | TreeNode::Filter { child, .. }
+            | TreeNode::Mark { child, .. } => std::slice::from_mut(child),
+            TreeNode::Sequence(children) => children,
+            TreeNode::Leaf => &mut [],
+        }
+    }
 }
 
 /// One step of a statement's root-to-leaf path through the tree: the
@@ -242,7 +265,7 @@ impl ScheduleTree {
     }
 
     /// The statements scheduled by a subtree (every statement when the
-    /// subtree has no filters), restricted to `active`.
+    /// subtree has no filters), restricted to `active` (which is sorted).
     pub fn stmts_of(node: &TreeNode, active: &[usize]) -> Vec<usize> {
         match node {
             TreeNode::Leaf => active.to_vec(),
@@ -251,14 +274,10 @@ impl ScheduleTree {
                 .copied()
                 .filter(|s| stmts.contains(s))
                 .collect(),
-            TreeNode::Band { child, .. } | TreeNode::Mark { child, .. } => {
-                ScheduleTree::stmts_of(child, active)
-            }
-            TreeNode::Sequence(children) => {
-                let mut out = Vec::new();
-                for c in children {
-                    out.extend(ScheduleTree::stmts_of(c, active));
-                }
+            _ => {
+                let mut out: Vec<usize> = (node.children().iter())
+                    .flat_map(|c| ScheduleTree::stmts_of(c, active))
+                    .collect();
                 out.sort_unstable();
                 out.dedup();
                 out
@@ -305,90 +324,86 @@ impl ScheduleTree {
     /// SCoP's statement, iterator and parameter names.
     pub fn render(&self, scop: &Scop) -> String {
         let mut out = String::new();
-        render_node(&self.root, scop, 0, &mut out);
+        self.walk(|node, path, _| render_node(node, scop, path.len(), &mut out));
         out
     }
 
-    /// Visits every band in depth-first order, passing the structural
-    /// node id of its first member (the numbering of
-    /// [`ScheduleTree::stmt_paths`] — member `j` of the band has id
-    /// `first + j`) and the band's members.
-    pub fn for_each_band(&self, mut f: impl FnMut(usize, &[BandMember])) {
-        fn walk(node: &TreeNode, counter: &mut usize, f: &mut impl FnMut(usize, &[BandMember])) {
-            match node {
-                TreeNode::Leaf => {}
-                TreeNode::Filter { child, .. } | TreeNode::Mark { child, .. } => {
-                    walk(child, counter, f);
-                }
-                TreeNode::Band { members, child, .. } => {
-                    let first = *counter;
-                    *counter += members.len();
-                    f(first, members);
-                    walk(child, counter, f);
-                }
-                TreeNode::Sequence(children) => {
-                    *counter += 1;
-                    for c in children {
-                        walk(c, counter, f);
-                    }
-                }
+    /// Visits every node in preorder with its `path` (the child
+    /// positions from the root) and `id`, its first structural node id
+    /// in the numbering of [`ScheduleTree::stmt_paths`]: a band's first
+    /// member (member `j` has id `id + j`), a sequence's own id, and for
+    /// any other node the id the next band member or sequence below it
+    /// takes.
+    pub fn walk<'t>(&'t self, mut f: impl FnMut(&'t TreeNode, &[usize], usize)) {
+        fn go<'t>(
+            node: &'t TreeNode,
+            path: &mut Vec<usize>,
+            id: &mut usize,
+            f: &mut impl FnMut(&'t TreeNode, &[usize], usize),
+        ) {
+            f(node, path, *id);
+            *id += match node {
+                TreeNode::Band { members, .. } => members.len(),
+                TreeNode::Sequence(_) => 1,
+                _ => 0,
+            };
+            for (pos, c) in node.children().iter().enumerate() {
+                path.push(pos);
+                go(c, path, id, f);
+                path.pop();
             }
         }
-        let mut counter = 0;
-        walk(&self.root, &mut counter, &mut f);
+        go(&self.root, &mut Vec::new(), &mut 0, &mut f);
+    }
+
+    /// The node at `path` (child positions from the root), if any.
+    pub fn node(&self, path: &[usize]) -> Option<&TreeNode> {
+        (path.iter()).try_fold(&self.root, |node, &pos| node.children().get(pos))
+    }
+
+    /// Mutable variant of [`ScheduleTree::node`].
+    pub fn node_mut(&mut self, path: &[usize]) -> Option<&mut TreeNode> {
+        (path.iter()).try_fold(&mut self.root, |node, &pos| {
+            node.children_mut().get_mut(pos)
+        })
+    }
+
+    /// Visits every band in preorder (a [`ScheduleTree::walk`]),
+    /// passing the structural node id of its first member (the numbering
+    /// of [`ScheduleTree::stmt_paths`] — member `j` of the band has id
+    /// `first + j`) and the band's members.
+    pub fn for_each_band(&self, mut f: impl FnMut(usize, &[BandMember])) {
+        self.walk(|node, _, first| {
+            if let TreeNode::Band { members, .. } = node {
+                f(first, members);
+            }
+        });
     }
 
     /// Mutable variant of [`ScheduleTree::for_each_band`] (same
     /// numbering).
     pub fn for_each_band_mut(&mut self, mut f: impl FnMut(usize, &mut Vec<BandMember>)) {
-        fn walk(
-            node: &mut TreeNode,
-            counter: &mut usize,
-            f: &mut impl FnMut(usize, &mut Vec<BandMember>),
-        ) {
-            match node {
-                TreeNode::Leaf => {}
-                TreeNode::Filter { child, .. } | TreeNode::Mark { child, .. } => {
-                    walk(child, counter, f);
-                }
-                TreeNode::Band { members, child, .. } => {
-                    let first = *counter;
-                    *counter += members.len();
-                    f(first, members);
-                    walk(child, counter, f);
-                }
-                TreeNode::Sequence(children) => {
-                    *counter += 1;
-                    for c in children {
-                        walk(c, counter, f);
-                    }
-                }
+        let mut bands = Vec::new();
+        self.walk(|node, path, first| {
+            if let TreeNode::Band { .. } = node {
+                bands.push((path.to_vec(), first));
+            }
+        });
+        for (path, first) in bands {
+            if let Some(TreeNode::Band { members, .. }) = self.node_mut(&path) {
+                f(first, members);
             }
         }
-        let mut counter = 0;
-        walk(&mut self.root, &mut counter, &mut f);
     }
 
-    /// Every mark in the tree, depth-first.
+    /// Every mark in the tree, in preorder.
     pub fn marks(&self) -> Vec<&MarkKind> {
-        fn walk<'a>(node: &'a TreeNode, out: &mut Vec<&'a MarkKind>) {
-            match node {
-                TreeNode::Leaf => {}
-                TreeNode::Filter { child, .. } => walk(child, out),
-                TreeNode::Band { child, .. } => walk(child, out),
-                TreeNode::Mark { kind, child } => {
-                    out.push(kind);
-                    walk(child, out);
-                }
-                TreeNode::Sequence(children) => {
-                    for c in children {
-                        walk(c, out);
-                    }
-                }
-            }
-        }
         let mut out = Vec::new();
-        walk(&self.root, &mut out);
+        self.walk(|node, _, _| {
+            if let TreeNode::Mark { kind, .. } = node {
+                out.push(kind);
+            }
+        });
         out
     }
 }
@@ -550,45 +565,39 @@ fn render_term(term: &MemberTerm, s: usize, scop: &Scop) -> String {
     }
 }
 
-/// Tree pretty-printer worker.
+/// Tree pretty-printer worker: the lines of one node, indented by its
+/// depth.
 fn render_node(node: &TreeNode, scop: &Scop, indent: usize, out: &mut String) {
     let pad = "  ".repeat(indent);
     match node {
         TreeNode::Leaf => {
             let _ = writeln!(out, "{pad}leaf");
         }
-        TreeNode::Sequence(children) => {
+        TreeNode::Sequence(_) => {
             let _ = writeln!(out, "{pad}sequence");
-            for c in children {
-                render_node(c, scop, indent + 1, out);
-            }
         }
-        TreeNode::Filter { stmts, child } => {
+        TreeNode::Filter { stmts, .. } => {
             let names: Vec<&str> = stmts
                 .iter()
                 .map(|&s| scop.statements[s].name.as_str())
                 .collect();
             let _ = writeln!(out, "{pad}filter {{{}}}", names.join(", "));
-            render_node(child, scop, indent + 1, out);
         }
-        TreeNode::Mark { kind, child } => {
-            match kind {
-                MarkKind::Tile(sizes) => {
-                    let _ = writeln!(out, "{pad}mark tile sizes={sizes:?}");
-                }
-                MarkKind::Wavefront => {
-                    let _ = writeln!(out, "{pad}mark wavefront");
-                }
-                MarkKind::Vectorize(stmts) => {
-                    let names: Vec<&str> = stmts
-                        .iter()
-                        .map(|&s| scop.statements[s].name.as_str())
-                        .collect();
-                    let _ = writeln!(out, "{pad}mark vectorize {{{}}}", names.join(", "));
-                }
+        TreeNode::Mark { kind, .. } => match kind {
+            MarkKind::Tile(sizes) => {
+                let _ = writeln!(out, "{pad}mark tile sizes={sizes:?}");
             }
-            render_node(child, scop, indent + 1, out);
-        }
+            MarkKind::Wavefront => {
+                let _ = writeln!(out, "{pad}mark wavefront");
+            }
+            MarkKind::Vectorize(stmts) => {
+                let names: Vec<&str> = stmts
+                    .iter()
+                    .map(|&s| scop.statements[s].name.as_str())
+                    .collect();
+                let _ = writeln!(out, "{pad}mark vectorize {{{}}}", names.join(", "));
+            }
+        },
         TreeNode::Band {
             members,
             permutable,
@@ -618,7 +627,6 @@ fn render_node(node: &TreeNode, scop: &Scop, indent: usize, out: &mut String) {
                     exprs.join(", ")
                 );
             }
-            render_node(child, scop, indent + 1, out);
         }
     }
 }

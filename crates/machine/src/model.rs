@@ -41,7 +41,9 @@
 //! autotuner's winner selection is built on.
 
 use polytops_deps::{Certifier, Dependence};
-use polytops_ir::{Access, AffineExpr, MarkKind, Schedule, Scop, Statement, StmtId, TreeNode};
+use polytops_ir::{
+    Access, AffineExpr, MarkKind, Schedule, ScheduleTree, Scop, Statement, StmtId, TreeNode,
+};
 use polytops_math::{ilp_minimize, IlpOutcome};
 
 use crate::MachineModel;
@@ -71,51 +73,43 @@ fn peel_marks(mut node: &TreeNode) -> &TreeNode {
     node
 }
 
-/// Collects one [`TileFact`] per tile nest (a `Mark::Tile` whose
-/// subtree is a tile band over a point band of matching width) in
-/// depth-first order, i.e. outermost nest first.
-fn collect_tile_facts(node: &TreeNode, out: &mut Vec<TileFact>) {
-    if let TreeNode::Mark {
-        kind: MarkKind::Tile(sizes),
-        child,
-    } = node
-    {
-        if let TreeNode::Band {
+/// One [`TileFact`] per tile nest (a `Mark::Tile` whose subtree is a
+/// tile band over a point band of matching width) in preorder, i.e.
+/// outermost nest first.
+fn tile_facts(tree: &ScheduleTree) -> Vec<TileFact> {
+    let mut out = Vec::new();
+    tree.walk(|node, _, _| {
+        let TreeNode::Mark {
+            kind: MarkKind::Tile(sizes),
+            child,
+        } = node
+        else {
+            return;
+        };
+        let TreeNode::Band {
             members: tiles,
-            child: inner,
+            child,
             ..
         } = peel_marks(child)
-        {
-            if let TreeNode::Band {
-                members: points,
-                child: rest,
-                ..
-            } = peel_marks(inner)
-            {
-                if points.len() == sizes.len() && tiles.len() == sizes.len() {
-                    out.push(TileFact {
-                        point_dims: points.iter().map(|m| m.source_dim()).collect(),
-                        sizes: sizes.clone(),
-                        tile_parallel: tiles.iter().map(|m| m.coincident).collect(),
-                        point_parallel: points.iter().map(|m| m.coincident).collect(),
-                    });
-                }
-                collect_tile_facts(rest, out);
-                return;
-            }
+        else {
+            return;
+        };
+        let TreeNode::Band {
+            members: points, ..
+        } = peel_marks(child)
+        else {
+            return;
+        };
+        if points.len() == sizes.len() && tiles.len() == sizes.len() {
+            out.push(TileFact {
+                point_dims: points.iter().map(|m| m.source_dim()).collect(),
+                sizes: sizes.clone(),
+                tile_parallel: tiles.iter().map(|m| m.coincident).collect(),
+                point_parallel: points.iter().map(|m| m.coincident).collect(),
+            });
         }
-    }
-    match node {
-        TreeNode::Band { child, .. }
-        | TreeNode::Filter { child, .. }
-        | TreeNode::Mark { child, .. } => collect_tile_facts(child, out),
-        TreeNode::Sequence(children) => {
-            for c in children {
-                collect_tile_facts(c, out);
-            }
-        }
-        TreeNode::Leaf => {}
-    }
+    });
+    out
 }
 
 /// Clamp for every estimated quantity: large enough to order any real
@@ -278,8 +272,7 @@ pub fn stream_stride(
     access: &Access,
     param_estimate: i64,
 ) -> Option<i64> {
-    let mut facts: Vec<TileFact> = Vec::new();
-    collect_tile_facts(&sched.tree().root, &mut facts);
+    let facts = tile_facts(sched.tree());
     let d = innermost_executed_dim(sched, &facts, s)?;
     let row = sched.stmt(s).row_expr(d);
     // The iterator that advances when the innermost loop steps: the
@@ -393,8 +386,7 @@ pub fn extract_features(
     let np = scop.nparams();
 
     // Tiling and vectorization facts live on the schedule tree.
-    let mut facts: Vec<TileFact> = Vec::new();
-    collect_tile_facts(&sched.tree().root, &mut facts);
+    let facts = tile_facts(sched.tree());
 
     // Exact per-iterator extents of every statement domain (params
     // fixed at the estimate): the basis of every trip-count product.
