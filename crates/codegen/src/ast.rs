@@ -330,10 +330,7 @@ impl Context {
     /// tableau that implies nothing, which only keeps guards. An
     /// equality goes in untimed: `simplex.pin_eq_ns` is the lexmin's.
     fn push(&mut self, kind: RowKind, row: &[i64]) {
-        match kind {
-            RowKind::Ineq => self.cs.add_ineq(row.to_vec()),
-            RowKind::Eq => self.cs.add_eq(row.to_vec()),
-        }
+        self.cs.add_row(kind, row);
         if let Some(Some(lp)) = &mut self.lp {
             let _ = match kind {
                 RowKind::Ineq => lp.push_ineq(row),
@@ -384,9 +381,8 @@ fn restates(cs: &ConstraintSystem, row: &[i64]) -> bool {
 /// rows is alone among the kept ones too. An infeasible system implies
 /// every row, and there no row is kept this way.
 fn prune_redundant(cs: &ConstraintSystem, effort: &mut Effort) -> ConstraintSystem {
-    let rows = cs.rows();
     let n = cs.num_vars();
-    let mut keep = vec![true; rows.len()];
+    let mut keep = vec![true; cs.len()];
     // An empty system has no feasible basis to take a row out of, and
     // a tableau that overflowed none to trust: each row is then tested
     // against a system rebuilt from the rows still kept.
@@ -398,7 +394,7 @@ fn prune_redundant(cs: &ConstraintSystem, effort: &mut Effort) -> ConstraintSyst
     let mut pos = vec![0usize; n];
     let mut neg = vec![0usize; n];
     let mut in_eq = vec![false; n];
-    for (kind, row) in rows {
+    for (kind, row) in cs.iter() {
         for v in 0..n {
             match (kind, row[v].signum()) {
                 (_, 0) => {}
@@ -411,35 +407,34 @@ fn prune_redundant(cs: &ConstraintSystem, effort: &mut Effort) -> ConstraintSyst
     let sole_bound = |row: &[i64]| {
         (0..n).any(|v| !in_eq[v] && ((row[v] > 0 && pos[v] == 1) || (row[v] < 0 && neg[v] == 1)))
     };
-    let ineqs = (0..rows.len()).filter(|&i| rows[i].0 == RowKind::Ineq);
-    for (k, i) in ineqs.enumerate() {
+    let ineqs = cs
+        .iter()
+        .enumerate()
+        .filter(|(_, (kind, _))| *kind == RowKind::Ineq);
+    for (k, (i, (_, row))) in ineqs.enumerate() {
         keep[i] = match &mut live {
-            Some(_) if sole_bound(&rows[i].1) => true,
+            Some(_) if sole_bound(row) => true,
             Some(lp) => {
                 effort.queries += 1;
-                !lp.redundant(k, &rows[i].1)
+                !lp.redundant(k, row)
             }
             None => {
-                let mut rest = ConstraintSystem::new(n);
-                for (j, (kind, row)) in rows.iter().enumerate() {
-                    match kind {
-                        _ if j == i || !keep[j] => {}
-                        RowKind::Eq => rest.add_eq(row.clone()),
-                        RowKind::Ineq => rest.add_ineq(row.clone()),
-                    }
-                }
-                !ask(IncrementalLp::new(&rest).ok().as_mut(), &rows[i].1, effort)
+                let rest = kept_rows(cs, |j| j != i && keep[j]);
+                !ask(IncrementalLp::new(&rest).ok().as_mut(), row, effort)
             }
         };
     }
     // A rollback keeps the pivots counted: these are every question's.
     effort.pivots += live.map_or(0, |lp| lp.primal_pivots() as u64);
-    let mut out = ConstraintSystem::new(cs.num_vars());
-    for ((kind, row), _) in rows.iter().zip(keep).filter(|(_, keep)| *keep) {
-        match kind {
-            RowKind::Eq => out.add_eq(row.clone()),
-            RowKind::Ineq => out.add_ineq(row.clone()),
-        }
+    kept_rows(cs, |j| keep[j])
+}
+
+/// The rows of `cs` whose index `keep` holds, in order.
+fn kept_rows(cs: &ConstraintSystem, keep: impl Fn(usize) -> bool) -> ConstraintSystem {
+    let count = (0..cs.len()).filter(|&j| keep(j)).count();
+    let mut out = ConstraintSystem::with_capacity(cs.num_vars(), count);
+    for (_, (kind, row)) in cs.iter().enumerate().filter(|(j, _)| keep(*j)) {
+        out.add_row(kind, row);
     }
     out
 }
@@ -509,43 +504,44 @@ fn scan_stmt(scop: &Scop, sid: usize, members: Vec<MemberData>) -> MathResult<St
     let aux = columns.iter().flatten().filter(|&&w| w >= kk).count();
     let total = kk + aux + d + np;
     let mut sys = ConstraintSystem::new(total);
-    // Domain rows (over iters, params) lifted into the new layout.
-    for (kind, row) in stmt.domain.iter() {
-        let mut r = vec![0i64; total + 1];
-        r[kk + aux..kk + aux + d + np].copy_from_slice(&row[..d + np]);
+    let lifted = kk + aux..kk + aux + d + np;
+    // `row` (over iters, params, 1) spread into the lifted layout of
+    // `r`, the one row every lifted row is written into.
+    let lift = |r: &mut [i64], row: &[i64]| {
+        r.fill(0);
+        r[lifted.clone()].copy_from_slice(&row[..d + np]);
         r[total] = row[d + np];
-        match kind {
-            RowKind::Eq => sys.add_eq(r),
-            RowKind::Ineq => sys.add_ineq(r),
-        }
+    };
+    let mut r = vec![0i64; total + 1];
+    // Domain rows.
+    for (kind, row) in stmt.domain.iter() {
+        lift(&mut r, row);
+        sys.add_row(kind, &r);
     }
-    // φ(iters, params) spread into the lifted layout.
-    let lift = |row: &[i64]| {
-        let mut phi = vec![0i64; total + 1];
-        phi[kk + aux..kk + aux + d + np].copy_from_slice(&row[..d + np]);
-        phi[total] = row[d + np];
-        phi
-    };
     // div·target ≤ φ ≤ div·target + div − 1.
-    let add_box = |sys: &mut ConstraintSystem, target: usize, row: &[i64], div: i64| {
-        let mut lo = lift(row);
-        lo[target] = mul_add(lo[target], -1, div)?;
-        sys.add_ineq(lo);
-        let mut hi = negated(&lift(row))?;
-        hi[target] = mul_add(hi[target], 1, div)?;
-        hi[total] = mul_add(hi[total], 1, div - 1)?;
-        sys.add_ineq(hi);
-        MathResult::Ok(())
-    };
+    let add_box =
+        |sys: &mut ConstraintSystem, r: &mut [i64], target: usize, row: &[i64], div: i64| {
+            lift(r, row);
+            r[target] = mul_add(r[target], -1, div)?;
+            sys.add_ineq(&*r);
+            lift(r, row);
+            for v in r.iter_mut() {
+                *v = v.checked_neg().ok_or(MathError::Overflow)?;
+            }
+            r[target] = mul_add(r[target], 1, div)?;
+            r[total] = mul_add(r[total], 1, div - 1)?;
+            sys.add_ineq(&*r);
+            MathResult::Ok(())
+        };
     for (v, (md, terms_at)) in members.iter().zip(&columns).enumerate() {
         if let [(row, div)] = md.terms.as_slice() {
             if *div == 1 {
                 // c_v == φ.
-                let mut eq = lift(row);
-                eq[v] -= 1;
-                sys.add_eq(eq);
+                lift(&mut r, row);
+                r[v] -= 1;
+                sys.add_eq(&r);
             } else {
-                add_box(&mut sys, v, row, *div)?;
+                add_box(&mut sys, &mut r, v, row, *div)?;
             }
         } else {
             // c_v == Σ w_j with each w_j = ⌊rowⱼ·x / divⱼ⌋ in its column.
@@ -558,11 +554,11 @@ fn scan_stmt(scop: &Scop, sid: usize, members: Vec<MemberData>) -> MathResult<St
                     continue;
                 }
                 if *div == 1 {
-                    let mut e = lift(row);
-                    e[w] -= 1;
-                    sys.add_eq(e);
+                    lift(&mut r, row);
+                    r[w] -= 1;
+                    sys.add_eq(&r);
                 } else {
-                    add_box(&mut sys, w, row, *div)?;
+                    add_box(&mut sys, &mut r, w, row, *div)?;
                 }
             }
             sys.add_eq(eq);
@@ -571,18 +567,19 @@ fn scan_stmt(scop: &Scop, sid: usize, members: Vec<MemberData>) -> MathResult<St
     // Eliminate the auxiliary floor variables and the original
     // iterators (positions kk..kk+aux+d).
     let mut effort = Effort::default();
-    let mut cur = eliminate_pruned(sys, kk, aux + d, &mut effort)?;
-    let full = cur.clone();
-    // Successive projections onto (c_0..c_k, params).
-    let mut projections = vec![cur.clone()];
+    // Successive projections onto (c_0..c_k, params), the full system
+    // (k = kk − 1) first.
+    let mut projections = vec![eliminate_pruned(sys, kk, aux + d, &mut effort)?];
     for k in (1..kk).rev() {
-        cur = prune_redundant(&cur.eliminate_var(k)?, &mut effort);
-        projections.push(cur.clone());
+        let cur = projections.last().expect("the full system");
+        let next = prune_redundant(&cur.eliminate_var(k)?, &mut effort);
+        projections.push(next);
     }
     projections.reverse();
     let bounds = (0..kk)
         .map(|k| extract_bounds(&projections[k], k))
         .collect::<MathResult<_>>()?;
+    let full = projections.pop().expect("the full system");
     let iters = invert_iters(d, np, &members)?;
     let mut space = Context::new(full);
     space.effort += effort;
@@ -1415,18 +1412,18 @@ mod tests {
     /// The prune before inspection, kept as the reference: one LP
     /// question per inequality.
     fn prune_redundant_lp(cs: &ConstraintSystem, queries: &mut u64) -> ConstraintSystem {
-        let rows = cs.rows();
-        let mut keep = vec![true; rows.len()];
+        let mut keep = vec![true; cs.len()];
         let mut live = IncrementalLp::new(cs)
             .ok()
             .filter(IncrementalLp::is_feasible);
-        let ineqs = (0..rows.len()).filter(|&i| rows[i].0 == RowKind::Ineq);
+        let ineqs = (0..cs.len()).filter(|&i| cs.row(i).0 == RowKind::Ineq);
         for (k, i) in ineqs.enumerate() {
             *queries += 1;
+            let row = cs.row(i).1;
             keep[i] = match &mut live {
                 Some(lp) => {
                     let before = lp.snapshot();
-                    let implied = lp.drop_ineq(k).is_ok() && lp.implies(&rows[i].1);
+                    let implied = lp.drop_ineq(k).is_ok() && lp.implies(row);
                     if !implied {
                         lp.rollback(before);
                     }
@@ -1434,23 +1431,18 @@ mod tests {
                 }
                 None => {
                     let mut rest = ConstraintSystem::new(cs.num_vars());
-                    for (j, (kind, row)) in rows.iter().enumerate() {
-                        match kind {
-                            _ if j == i || !keep[j] => {}
-                            RowKind::Eq => rest.add_eq(row.clone()),
-                            RowKind::Ineq => rest.add_ineq(row.clone()),
+                    for (j, (kind, other)) in cs.iter().enumerate() {
+                        if j != i && keep[j] {
+                            rest.add_row(kind, other);
                         }
                     }
-                    !ineq_implied(&rest, &rows[i].1)
+                    !ineq_implied(&rest, row)
                 }
             };
         }
         let mut out = ConstraintSystem::new(cs.num_vars());
-        for ((kind, row), _) in rows.iter().zip(keep).filter(|(_, keep)| *keep) {
-            match kind {
-                RowKind::Eq => out.add_eq(row.clone()),
-                RowKind::Ineq => out.add_ineq(row.clone()),
-            }
+        for ((kind, row), _) in cs.iter().zip(keep).filter(|(_, keep)| *keep) {
+            out.add_row(kind, row);
         }
         out
     }
@@ -1489,7 +1481,7 @@ mod tests {
                         cs.add_ineq(looser);
                     }
                     2 => {
-                        cs.add_ineq(r.iter().map(|c| c * k).collect());
+                        cs.add_ineq(r.iter().map(|c| c * k).collect::<Vec<_>>());
                         cs.add_ineq(r);
                     }
                     _ => cs.add_ineq(r),
@@ -1579,7 +1571,7 @@ mod tests {
         // three upper bounds are asked about, and the last one goes.
         let mut cs = ConstraintSystem::new(2);
         for row in [[1, 0, 0], [-1, 0, 4], [0, 1, 0], [0, -1, 3], [-1, -1, 10]] {
-            cs.add_ineq(row.to_vec());
+            cs.add_ineq(row);
         }
         let ((pruned, asked), (reference, lp_asked)) = both_prunes(&cs);
         assert_eq!(pruned, reference);

@@ -11,42 +11,38 @@
 
 use polytops_deps::Dependence;
 use polytops_ir::{Scop, Statement, Subscript};
+use polytops_math::{farkas_substitute, ConstraintSystem};
 
 use crate::space::IlpSpace;
 
 /// Builds the template matrix of `Δ = φ_dst − φ_src` over a dependence's
 /// `(it_src, it_dst, params, 1)` space: one row per `z` variable plus one
 /// constant row, each expressing the coefficient as an affine function of
-/// the ILP variables.
-pub fn delta_template(dep: &Dependence, space: &IlpSpace) -> Vec<Vec<i64>> {
+/// the ILP variables. The rows lie one after another in one buffer,
+/// `space.total() + 1` entries each.
+pub fn delta_template(dep: &Dependence, space: &IlpSpace) -> Vec<i64> {
     let ds = dep.src_depth;
     let dr = dep.dst_depth;
     let np = space.nparams;
     let s = dep.src.0;
     let r = dep.dst.0;
     let width = space.total() + 1;
-    let mut rows: Vec<Vec<i64>> = Vec::with_capacity(ds + dr + np + 1);
-    for k in 0..ds {
-        let mut row = vec![0i64; width];
-        space.add_iter_coeff(&mut row, s, k, -1);
-        rows.push(row);
+    let mut template = vec![0i64; (ds + dr + np + 1) * width];
+    let mut rows = template.chunks_exact_mut(width);
+    for (k, row) in (0..ds).zip(&mut rows) {
+        space.add_iter_coeff(row, s, k, -1);
     }
-    for k in 0..dr {
-        let mut row = vec![0i64; width];
-        space.add_iter_coeff(&mut row, r, k, 1);
-        rows.push(row);
+    for (k, row) in (0..dr).zip(&mut rows) {
+        space.add_iter_coeff(row, r, k, 1);
     }
-    for j in 0..np {
-        let mut row = vec![0i64; width];
-        space.add_param_coeff(&mut row, r, j, 1);
-        space.add_param_coeff(&mut row, s, j, -1);
-        rows.push(row);
+    for (j, row) in (0..np).zip(&mut rows) {
+        space.add_param_coeff(row, r, j, 1);
+        space.add_param_coeff(row, s, j, -1);
     }
-    let mut row = vec![0i64; width];
-    space.add_const_coeff(&mut row, r, 1);
-    space.add_const_coeff(&mut row, s, -1);
-    rows.push(row);
-    rows
+    let row = rows.next().expect("the constant row");
+    space.add_const_coeff(row, r, 1);
+    space.add_const_coeff(row, s, -1);
+    template
 }
 
 /// The affine forms the scheduler requires to be non-negative on a
@@ -65,25 +61,46 @@ pub enum DepConstraint {
 
 impl DepConstraint {
     /// The template of this form for dependence `dep` (index `e` in the
-    /// analysis, which picks its `x_e` column) over `space`.
-    pub fn template(self, dep: &Dependence, e: usize, space: &IlpSpace) -> Vec<Vec<i64>> {
+    /// analysis, which picks its `x_e` column) over `space`, laid out
+    /// as [`delta_template`]'s.
+    pub fn template(self, dep: &Dependence, e: usize, space: &IlpSpace) -> Vec<i64> {
         let mut template = delta_template(dep, space);
-        let last = template.len() - 1;
+        let width = space.total() + 1;
+        let last = template.len() - width;
         match self {
             DepConstraint::Validity => {}
             DepConstraint::Proximity => {
-                for v in template.iter_mut().flatten() {
+                for v in template.iter_mut() {
                     *v = -*v;
                 }
-                let params = dep.src_depth + dep.dst_depth;
+                let params = (dep.src_depth + dep.dst_depth) * width;
                 for j in 0..space.nparams {
-                    template[params + j][space.u(j)] += 1;
+                    template[params + j * width + space.u(j)] += 1;
                 }
-                template[last][space.w()] += 1;
+                template[last + space.w()] += 1;
             }
-            DepConstraint::Feautrier => template[last][space.dep_var(e)] -= 1,
+            DepConstraint::Feautrier => template[last + space.dep_var(e)] -= 1,
         }
         template
+    }
+
+    /// [`template`](DepConstraint::template) substituted into `cone`:
+    /// the form's constraints over `space`.
+    ///
+    /// # Errors
+    ///
+    /// [`MathError::Overflow`](polytops_math::MathError::Overflow) when
+    /// the substitution overflows `i64`.
+    pub fn substitute(
+        self,
+        cone: &ConstraintSystem,
+        dep: &Dependence,
+        e: usize,
+        space: &IlpSpace,
+    ) -> polytops_math::Result<ConstraintSystem> {
+        let template = self.template(dep, e, space);
+        let rows: Vec<&[i64]> = template.chunks_exact(space.total() + 1).collect();
+        farkas_substitute(cone, &rows, space.total())
     }
 }
 
@@ -148,10 +165,11 @@ mod tests {
     use super::*;
     use polytops_deps::analyze;
     use polytops_ir::{Aff, ScopBuilder};
-    use polytops_math::{farkas_nonneg, ConstraintSystem};
+    use polytops_math::farkas_cone;
 
     fn rows(kind: DepConstraint, dep: &Dependence, space: &IlpSpace) -> ConstraintSystem {
-        farkas_nonneg(dep.poly(), &kind.template(dep, 0, space), space.total()).unwrap()
+        let cone = farkas_cone(dep.poly()).unwrap();
+        kind.substitute(&cone, dep, 0, space).unwrap()
     }
 
     fn chain() -> (Scop, Vec<Dependence>) {

@@ -37,7 +37,7 @@ use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 
 use polytops_deps::{polyhedron_classes, Dependence};
-use polytops_math::{farkas_cone, farkas_substitute, ConstraintSystem};
+use polytops_math::{farkas_cone, ConstraintSystem};
 
 use crate::costfn::DepConstraint;
 use crate::error::ScheduleError;
@@ -155,8 +155,7 @@ impl CacheSession {
     ) -> Result<(), ScheduleError> {
         let (cone, hit) = self.cache.cone(e, dep)?;
         let _timing = polytops_obs::time("farkas.replay_ns");
-        let template = kind.template(dep, e, space);
-        out.extend(&farkas_substitute(cone, &template, space.total())?);
+        out.extend(&kind.substitute(cone, dep, e, space)?);
         let counter = if hit { &self.hits } else { &self.misses };
         counter.set(counter.get() + 1);
         Ok(())
@@ -316,10 +315,8 @@ mod tests {
                     }
                     let mut rest = ConstraintSystem::new(cone.num_vars());
                     for (j, (kind, other)) in cone.iter().enumerate() {
-                        match kind {
-                            _ if j == i => {}
-                            RowKind::Eq => rest.add_eq(other.to_vec()),
-                            RowKind::Ineq => rest.add_ineq(other.to_vec()),
+                        if j != i {
+                            rest.add_row(kind, other);
                         }
                     }
                     assert!(!ineq_implied(&rest, row), "row {i} of {cone:?}");
@@ -363,7 +360,8 @@ mod tests {
                         let mut out = ConstraintSystem::new(space.total());
                         session.extend(kind, e, dep, space, &mut out).unwrap();
                         let template = kind.template(dep, e, space);
-                        let expected = farkas_substitute(&own, &template, space.total()).unwrap();
+                        let rows: Vec<&[i64]> = template.chunks_exact(space.total() + 1).collect();
+                        let expected = farkas_substitute(&own, &rows, space.total()).unwrap();
                         assert_eq!(out, expected, "{} dependence {e}", scop.name);
                     }
                 }

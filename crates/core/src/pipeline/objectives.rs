@@ -247,10 +247,7 @@ pub fn assemble(
 
     // 5. Custom constraints (the mini-language of §III-A2).
     for (kind, row) in parse_constraints(&ctx.key.extra_constraints, space)? {
-        match kind {
-            RowKind::Eq => sys.add_eq(row),
-            RowKind::Ineq => sys.add_ineq(row),
-        }
+        sys.add_row(kind, row);
     }
 
     // 6. Directives are suggestions: each is kept only if the space
@@ -284,6 +281,9 @@ pub fn assemble(
         }
     }
 
+    // The system lives through the whole lexmin: without the room its
+    // appends left behind.
+    sys.shrink_to_fit();
     Ok((sys, objectives))
 }
 
@@ -306,17 +306,18 @@ fn add_progression(
         // the already-covered subspace.
         let mut perp_basis = Echelon::new(stmt.depth());
         let mut sum = vec![0i64; n + 1];
+        let mut row = vec![0i64; n + 1];
         for h in orthogonal_complement(&ctx.basis[s])? {
             if !perp_basis.insert(&h)? {
                 continue;
             }
-            let mut row = vec![0i64; n + 1];
+            row.fill(0);
             for (k, &c) in h.iter().enumerate() {
                 space.add_iter_coeff(&mut row, s, k, c);
                 space.add_iter_coeff(&mut sum, s, k, c);
             }
             if !ctx.key.config.negative_coefficients {
-                sys.add_ineq(row);
+                sys.add_ineq(&row);
             }
         }
         sum[n] = -1; // Σ h·t ≥ 1
@@ -343,14 +344,13 @@ fn add_bounds(ctx: &DimensionContext<'_>, feautrier: bool, sys: &mut ConstraintS
     let space = ctx.space;
     let config = &ctx.key.config;
     let n = space.total();
+    let mut row = vec![0i64; n + 1];
     let mut bound = |var: usize, hi: i64| {
-        let mut lo_row = vec![0i64; n + 1];
-        lo_row[var] = 1;
-        sys.add_ineq(lo_row); // var >= 0
-        let mut hi_row = vec![0i64; n + 1];
-        hi_row[var] = -1;
-        hi_row[n] = hi;
-        sys.add_ineq(hi_row); // var <= hi
+        row.fill(0);
+        row[var] = 1;
+        sys.add_ineq(&row); // var >= 0
+        (row[var], row[n]) = (-1, hi);
+        sys.add_ineq(&row); // var <= hi
     };
     for j in 0..space.nparams {
         bound(space.u(j), PROXIMITY_BOUND);
@@ -432,10 +432,7 @@ fn apply_directives(ctx: &DimensionContext<'_>, sys: &mut ConstraintSystem) {
         }
         let mut probe = sys.clone();
         for (kind, row) in &extra {
-            match kind {
-                RowKind::Eq => probe.add_eq(row.clone()),
-                RowKind::Ineq => probe.add_ineq(row.clone()),
-            }
+            probe.add_row(*kind, row);
         }
         if ilp_feasible(&probe) {
             *sys = probe;

@@ -354,39 +354,35 @@ fn build_dep(
     let ds = s.depth();
     let dr = r.depth();
     let nv = ds + dr + np;
-    let mut poly = ConstraintSystem::new(nv);
+    let subscripts = a.subscripts.len().min(b.subscripts.len());
+    let order = if level <= common { level } else { common };
+    let rows = s.domain.len() + r.domain.len() + scop.context.len() + subscripts + order;
+    let mut poly = ConstraintSystem::with_capacity(nv, rows);
+    // Every row is written into this one, then copied into `poly`.
+    let mut nr = vec![0i64; nv + 1];
 
     // Embed source domain: columns (it_s, params) -> (0..ds, ds+dr..).
     for (dkind, row) in s.domain.iter() {
-        let mut nr = vec![0i64; nv + 1];
+        nr.fill(0);
         nr[..ds].copy_from_slice(&row[..ds]);
         nr[ds + dr..ds + dr + np].copy_from_slice(&row[ds..ds + np]);
         nr[nv] = row[ds + np];
-        match dkind {
-            polytops_math::RowKind::Eq => poly.add_eq(nr),
-            polytops_math::RowKind::Ineq => poly.add_ineq(nr),
-        }
+        poly.add_row(dkind, &nr);
     }
     // Embed destination domain: columns (it_r, params).
     for (dkind, row) in r.domain.iter() {
-        let mut nr = vec![0i64; nv + 1];
+        nr.fill(0);
         nr[ds..ds + dr].copy_from_slice(&row[..dr]);
         nr[ds + dr..ds + dr + np].copy_from_slice(&row[dr..dr + np]);
         nr[nv] = row[dr + np];
-        match dkind {
-            polytops_math::RowKind::Eq => poly.add_eq(nr),
-            polytops_math::RowKind::Ineq => poly.add_ineq(nr),
-        }
+        poly.add_row(dkind, &nr);
     }
     // Context over params.
     for (ckind, row) in scop.context.iter() {
-        let mut nr = vec![0i64; nv + 1];
+        nr.fill(0);
         nr[ds + dr..ds + dr + np].copy_from_slice(&row[..np]);
         nr[nv] = row[np];
-        match ckind {
-            polytops_math::RowKind::Eq => poly.add_eq(nr),
-            polytops_math::RowKind::Ineq => poly.add_ineq(nr),
-        }
+        poly.add_row(ckind, &nr);
     }
     // Subscript equality per dimension; non-affine dims are skipped, and
     // so is an equality with a coefficient past `i64`.
@@ -396,8 +392,8 @@ fn build_dep(
             exact = false;
             continue;
         };
-        let equality = || -> Option<Vec<i64>> {
-            let mut nr = vec![0i64; nv + 1];
+        let equality = |nr: &mut [i64]| -> Option<()> {
+            nr.fill(0);
             nr[..ds].copy_from_slice(ea.iter_coeffs());
             for (k, &c) in eb.iter_coeffs().iter().enumerate() {
                 nr[ds + k] = c.checked_neg()?;
@@ -406,34 +402,24 @@ fn build_dep(
                 nr[ds + dr + k] = p.checked_sub(q)?;
             }
             nr[nv] = ea.constant_term().checked_sub(eb.constant_term())?;
-            Some(nr)
+            Some(())
         };
-        match equality() {
-            Some(nr) => poly.add_eq(nr),
+        match equality(&mut nr) {
+            Some(()) => poly.add_eq(&nr),
             None => exact = false,
         }
     }
-    // Precedence at `level`.
-    if level <= common {
-        for k in 0..level - 1 {
-            let mut nr = vec![0i64; nv + 1];
-            nr[k] = 1;
-            nr[ds + k] = -1;
-            poly.add_eq(nr);
-        }
-        // it_r[level-1] - it_s[level-1] - 1 >= 0.
-        let mut nr = vec![0i64; nv + 1];
-        nr[level - 1] = -1;
-        nr[ds + level - 1] = 1;
-        nr[nv] = -1;
-        poly.add_ineq(nr);
-    } else {
-        // Loop independent: all common iterators equal.
-        for k in 0..common {
-            let mut nr = vec![0i64; nv + 1];
-            nr[k] = 1;
-            nr[ds + k] = -1;
-            poly.add_eq(nr);
+    // Precedence at `level`: it_s[k] == it_r[k] above it, and
+    // it_r[level-1] - it_s[level-1] - 1 >= 0; loop independent, all
+    // common iterators equal.
+    for k in 0..order {
+        nr.fill(0);
+        if k + 1 < level {
+            (nr[k], nr[ds + k]) = (1, -1);
+            poly.add_eq(&nr);
+        } else {
+            (nr[k], nr[ds + k], nr[nv]) = (-1, 1, -1);
+            poly.add_ineq(&nr);
         }
     }
 

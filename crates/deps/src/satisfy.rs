@@ -36,13 +36,21 @@ use crate::analysis::{polyhedron_classes, Dependence};
 ///
 /// Panics if row lengths do not match the dependence's statement depths.
 pub fn distance_row(dep: &Dependence, src_row: &[i64], dst_row: &[i64]) -> Vec<i64> {
+    let mut row = Vec::new();
+    write_distance(dep, src_row, dst_row, &mut row);
+    row
+}
+
+/// [`distance_row`] written into `row`, which keeps its room.
+fn write_distance(dep: &Dependence, src_row: &[i64], dst_row: &[i64], row: &mut Vec<i64>) {
     let ds = dep.src_depth;
     let dr = dep.dst_depth;
     let np = dep.poly().num_vars() - ds - dr;
     assert_eq!(src_row.len(), ds + np + 1, "source row arity");
     assert_eq!(dst_row.len(), dr + np + 1, "destination row arity");
     let nv = dep.poly().num_vars();
-    let mut row = vec![0i64; nv + 1];
+    row.clear();
+    row.resize(nv + 1, 0);
     for k in 0..ds {
         row[k] -= src_row[k];
     }
@@ -53,21 +61,22 @@ pub fn distance_row(dep: &Dependence, src_row: &[i64], dst_row: &[i64]) -> Vec<i
         row[ds + dr + j] += dst_row[dr + j] - src_row[ds + j];
     }
     row[nv] = dst_row[dr + np] - src_row[ds + np];
-    row
 }
 
-/// `row − 1 ≥ 0`, i.e. `Δ ≥ 1` for a distance row.
-fn at_least_one(row: &[i64]) -> Vec<i64> {
-    let mut up = row.to_vec();
-    *up.last_mut().expect("a constant column") -= 1;
-    up
+/// `−row ≥ 0`, i.e. `Δ ≤ 0` for a distance row, in place.
+fn at_most_zero(row: &mut [i64]) {
+    row.iter_mut().for_each(|v| *v = -*v);
 }
 
-/// `−row − 1 ≥ 0`, i.e. `Δ ≤ −1` for a distance row.
-fn at_most_minus_one(row: &[i64]) -> Vec<i64> {
-    let mut down: Vec<i64> = row.iter().map(|&v| -v).collect();
-    *down.last_mut().expect("a constant column") -= 1;
-    down
+/// `row − 1 ≥ 0`, i.e. `Δ ≥ 1` for a distance row, in place.
+fn at_least_one(row: &mut [i64]) {
+    *row.last_mut().expect("a constant column") -= 1;
+}
+
+/// `−row − 1 ≥ 0`, i.e. `Δ ≤ −1` for a distance row, in place.
+fn at_most_minus_one(row: &mut [i64]) {
+    at_most_zero(row);
+    at_least_one(row);
 }
 
 /// What a [`Certifier`] did so far. Flushed into the `oracle.*`
@@ -95,8 +104,11 @@ pub struct Certifier<'a> {
     deps: &'a [Dependence],
     /// Per dependence, its [polyhedron class](polyhedron_classes).
     class: Vec<usize>,
-    /// The answer of each (class, pushed row) question asked so far.
-    answers: HashMap<(usize, Vec<i64>), bool>,
+    /// Per class, the answer of each pushed row asked so far.
+    answers: Vec<HashMap<Vec<i64>, bool>>,
+    /// The pushed row of a question, formed in place and reused from
+    /// one question to the next.
+    row: Vec<i64>,
     stats: CertifierStats,
 }
 
@@ -138,7 +150,8 @@ impl<'a> Certifier<'a> {
         Certifier {
             deps,
             class: polyhedron_classes(deps),
-            answers: HashMap::new(),
+            answers: deps.iter().map(|_| HashMap::new()).collect(),
+            row: Vec::new(),
             stats: CertifierStats::default(),
         }
     }
@@ -154,14 +167,17 @@ impl<'a> Certifier<'a> {
     }
 
     /// Whether `deps[e].poly` plus `row ≥ 0` may hold an integer point,
-    /// asked once per polyhedron and row.
-    fn ask(&mut self, e: usize, row: Vec<i64>) -> bool {
-        let key = (self.class[e], row);
-        if let Some(&answer) = self.answers.get(&key) {
+    /// `row` the distance row of the two schedule rows as `form` leaves
+    /// it; asked once per polyhedron and row.
+    fn ask(&mut self, e: usize, src_row: &[i64], dst_row: &[i64], form: fn(&mut [i64])) -> bool {
+        write_distance(&self.deps[e], src_row, dst_row, &mut self.row);
+        form(&mut self.row);
+        let answers = &mut self.answers[self.class[e]];
+        if let Some(&answer) = answers.get(&self.row[..]) {
             return answer;
         }
-        let answer = may_hold(self.deps[e].base(), Some(&key.1), &mut self.stats);
-        self.answers.insert(key, answer);
+        let answer = may_hold(self.deps[e].base(), Some(&self.row), &mut self.stats);
+        answers.insert(self.row.clone(), answer);
         answer
     }
 
@@ -170,22 +186,20 @@ impl<'a> Certifier<'a> {
     /// set).
     pub fn strongly_satisfies(&mut self, e: usize, src_row: &[i64], dst_row: &[i64]) -> bool {
         // Strongly satisfied iff { poly ∧ Δ <= 0 } has no integer point.
-        let delta = distance_row(&self.deps[e], src_row, dst_row);
-        !self.ask(e, delta.iter().map(|&d| -d).collect())
+        !self.ask(e, src_row, dst_row, at_most_zero)
     }
 
     /// Whether `Δ = 0` on the whole polyhedron of `deps[e]` (the
     /// dimension is parallel with respect to this dependence).
     pub fn zero_distance(&mut self, e: usize, src_row: &[i64], dst_row: &[i64]) -> bool {
-        let delta = distance_row(&self.deps[e], src_row, dst_row);
-        !self.ask(e, at_least_one(&delta)) && !self.ask(e, at_most_minus_one(&delta))
+        !self.ask(e, src_row, dst_row, at_least_one)
+            && !self.ask(e, src_row, dst_row, at_most_minus_one)
     }
 
     /// Whether `Δ ≥ 0` on the whole polyhedron of `deps[e]` (the row is
     /// legal for this dependence).
     pub fn respects(&mut self, e: usize, src_row: &[i64], dst_row: &[i64]) -> bool {
-        let delta = distance_row(&self.deps[e], src_row, dst_row);
-        !self.ask(e, at_most_minus_one(&delta))
+        !self.ask(e, src_row, dst_row, at_most_minus_one)
     }
 
     /// The least value of `Δ = φ_R − φ_S` over the integer points of
@@ -227,9 +241,12 @@ impl<'a> Certifier<'a> {
         assert_eq!(src_rows.len(), dst_rows.len(), "ragged schedules");
         let dep = &self.deps[e];
         let mut lp = dep.base().map(|base| base.with_vars(0, 0));
+        let (mut row, mut down) = (Vec::new(), Vec::new());
         for (s, d) in src_rows.iter().zip(dst_rows) {
-            let row = distance_row(dep, s, d);
-            if may_hold(lp.as_ref(), Some(&at_most_minus_one(&row)), &mut self.stats) {
+            write_distance(dep, s, d, &mut row);
+            down.clone_from(&row);
+            at_most_minus_one(&mut down);
+            if may_hold(lp.as_ref(), Some(&down), &mut self.stats) {
                 return false;
             }
             if let Some(live) = &mut lp {

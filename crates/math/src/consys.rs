@@ -5,8 +5,11 @@
 //! number of variables. The final column of every row is the constant term.
 //! This is the workhorse representation shared by iteration domains,
 //! dependence polyhedra and scheduler ILP systems.
+//!
+//! The rows live in one row-major buffer beside one kind per row, so a
+//! copy, an elimination or a normalization writes whole buffers and
+//! allocates no `Vec` per row.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::Result;
@@ -32,9 +35,9 @@ pub enum RowKind {
 ///
 /// // { (i, j) | 0 <= i <= 9, i <= j }
 /// let mut cs = ConstraintSystem::new(2);
-/// cs.add_ineq(vec![1, 0, 0]);    // i >= 0
-/// cs.add_ineq(vec![-1, 0, 9]);   // -i + 9 >= 0
-/// cs.add_ineq(vec![-1, 1, 0]);   // j - i >= 0
+/// cs.add_ineq([1, 0, 0]);    // i >= 0
+/// cs.add_ineq([-1, 0, 9]);   // -i + 9 >= 0
+/// cs.add_ineq([-1, 1, 0]);   // j - i >= 0
 /// assert_eq!(cs.num_vars(), 2);
 /// assert!(cs.contains_point(&[3, 5]));
 /// assert!(!cs.contains_point(&[5, 3]));
@@ -42,15 +45,25 @@ pub enum RowKind {
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct ConstraintSystem {
     num_vars: usize,
-    rows: Vec<(RowKind, Vec<i64>)>,
+    /// One kind per row.
+    kinds: Vec<RowKind>,
+    /// The rows one after another, `num_vars + 1` entries each.
+    cells: Vec<i64>,
 }
 
 impl ConstraintSystem {
     /// Creates an unconstrained system over `num_vars` variables.
     pub fn new(num_vars: usize) -> ConstraintSystem {
+        ConstraintSystem::with_capacity(num_vars, 0)
+    }
+
+    /// An unconstrained system over `num_vars` variables with room for
+    /// `rows` rows.
+    pub fn with_capacity(num_vars: usize, rows: usize) -> ConstraintSystem {
         ConstraintSystem {
             num_vars,
-            rows: Vec::new(),
+            kinds: Vec::with_capacity(rows),
+            cells: Vec::with_capacity(rows * (num_vars + 1)),
         }
     }
 
@@ -61,12 +74,12 @@ impl ConstraintSystem {
 
     /// Number of constraint rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.kinds.len()
     }
 
     /// Whether the system has no constraints.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.kinds.is_empty()
     }
 
     /// Adds `row`, interpreted as `a·x + c >= 0` (`row.len() == num_vars + 1`).
@@ -74,9 +87,8 @@ impl ConstraintSystem {
     /// # Panics
     ///
     /// Panics if `row` has the wrong length.
-    pub fn add_ineq(&mut self, row: Vec<i64>) {
-        assert_eq!(row.len(), self.num_vars + 1, "row length mismatch");
-        self.rows.push((RowKind::Ineq, row));
+    pub fn add_ineq(&mut self, row: impl AsRef<[i64]>) {
+        self.add_row(RowKind::Ineq, row);
     }
 
     /// Adds `row`, interpreted as `a·x + c == 0`.
@@ -84,9 +96,20 @@ impl ConstraintSystem {
     /// # Panics
     ///
     /// Panics if `row` has the wrong length.
-    pub fn add_eq(&mut self, row: Vec<i64>) {
+    pub fn add_eq(&mut self, row: impl AsRef<[i64]>) {
+        self.add_row(RowKind::Eq, row);
+    }
+
+    /// Adds `row` as a row of the given kind.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` has the wrong length.
+    pub fn add_row(&mut self, kind: RowKind, row: impl AsRef<[i64]>) {
+        let row = row.as_ref();
         assert_eq!(row.len(), self.num_vars + 1, "row length mismatch");
-        self.rows.push((RowKind::Eq, row));
+        self.kinds.push(kind);
+        self.cells.extend_from_slice(row);
     }
 
     /// Adds every row of `other` (same variable space).
@@ -96,17 +119,31 @@ impl ConstraintSystem {
     /// Panics if variable counts differ.
     pub fn extend(&mut self, other: &ConstraintSystem) {
         assert_eq!(self.num_vars, other.num_vars, "variable count mismatch");
-        self.rows.extend(other.rows.iter().cloned());
+        self.kinds.extend_from_slice(&other.kinds);
+        self.cells.extend_from_slice(&other.cells);
+    }
+
+    /// Gives back the room the row buffer has beyond its rows, for a
+    /// system kept while much else is allocated.
+    pub fn shrink_to_fit(&mut self) {
+        self.kinds.shrink_to_fit();
+        self.cells.shrink_to_fit();
     }
 
     /// Iterates over `(kind, row)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (RowKind, &[i64])> {
-        self.rows.iter().map(|(k, r)| (*k, r.as_slice()))
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (RowKind, &[i64])> + Clone {
+        let rows = self.cells.chunks_exact(self.num_vars + 1);
+        self.kinds.iter().copied().zip(rows)
     }
 
-    /// The rows as `(kind, coefficients-with-constant)` tuples.
-    pub fn rows(&self) -> &[(RowKind, Vec<i64>)] {
-        &self.rows
+    /// Row `i` and its kind.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn row(&self, i: usize) -> (RowKind, &[i64]) {
+        let w = self.num_vars + 1;
+        (self.kinds[i], &self.cells[i * w..(i + 1) * w])
     }
 
     /// Evaluates row `r` at an integer point (without the constant column
@@ -127,7 +164,7 @@ impl ConstraintSystem {
     /// Panics if `point.len() != num_vars`.
     pub fn contains_point(&self, point: &[i64]) -> bool {
         assert_eq!(point.len(), self.num_vars, "point dimension mismatch");
-        self.rows.iter().all(|(kind, row)| {
+        self.iter().all(|(kind, row)| {
             let v = Self::eval_row(row, point);
             match kind {
                 RowKind::Eq => v == 0,
@@ -157,29 +194,28 @@ impl ConstraintSystem {
         self.normalize_impl(false) != Normalized::Infeasible
     }
 
+    /// Scales each row, then compacts the buffer in place: a row that
+    /// is one with an earlier kept row — an equality's whole row, an
+    /// inequality's coefficients — merges into it, an inequality
+    /// keeping the tightest (smallest) constant of the two, and the
+    /// rows kept stay in the order of their first occurrence.
     fn normalize_impl(&mut self, tighten: bool) -> Normalized {
-        // What makes two rows one — an equality's whole row, an
-        // inequality's coefficients — with the place of the first such
-        // row and the tightest (smallest) constant seen beside them.
-        let mut first: HashMap<(RowKind, Vec<i64>), (usize, i64)> =
-            HashMap::with_capacity(self.rows.len());
         let n = self.num_vars;
-        let given = self.rows.len();
+        let w = n + 1;
+        let given = self.len();
+        let mut table = RowTable::new(given);
+        let mut kept = 0;
         let mut tightened = false;
-        for (kind, mut row) in std::mem::take(&mut self.rows) {
+        for i in 0..given {
+            let kind = self.kinds[i];
+            let row = &mut self.cells[i * w..(i + 1) * w];
             let g = gcd_slice(&row[..n]);
             if g == 0 {
-                // Constant row.
+                // Constant row: trivially true, or the witness.
                 match kind {
-                    RowKind::Eq if row[n] != 0 => {
-                        self.rows = vec![(kind, row)];
-                        return Normalized::Infeasible;
-                    }
-                    RowKind::Ineq if row[n] < 0 => {
-                        self.rows = vec![(kind, row)];
-                        return Normalized::Infeasible;
-                    }
-                    _ => continue, // trivially true
+                    RowKind::Eq if row[n] != 0 => return self.keep_only(i),
+                    RowKind::Ineq if row[n] < 0 => return self.keep_only(i),
+                    _ => continue,
                 }
             }
             if g > 1 {
@@ -188,17 +224,12 @@ impl ConstraintSystem {
                         if row[n] % g != 0 {
                             // gcd of coefficients does not divide the
                             // constant: no integer solutions.
-                            self.rows = vec![(kind, row)];
-                            return Normalized::Infeasible;
+                            return self.keep_only(i);
                         }
-                        for v in &mut row {
-                            *v /= g;
-                        }
+                        row.iter_mut().for_each(|v| *v /= g);
                     }
                     (RowKind::Ineq, true) => {
-                        for v in row[..n].iter_mut() {
-                            *v /= g;
-                        }
+                        row[..n].iter_mut().for_each(|v| *v /= g);
                         // a·x >= -c  =>  (a/g)·x >= ceil(-c/g), i.e. the
                         // constant becomes floor(c/g).
                         tightened |= row[n] % g != 0;
@@ -207,33 +238,60 @@ impl ConstraintSystem {
                     (_, false) => {
                         // Rational semantics: only divide when exact.
                         if row[n] % g == 0 {
-                            for v in &mut row {
-                                *v /= g;
-                            }
+                            row.iter_mut().for_each(|v| *v /= g);
                         }
                     }
                 }
             }
-            let cst = match kind {
-                RowKind::Eq => 0,
-                RowKind::Ineq => row.pop().expect("a row has its constant"),
+            let key = match kind {
+                RowKind::Eq => w,
+                RowKind::Ineq => n,
             };
-            let at = first.len();
-            let (_, tightest) = first.entry((kind, row)).or_insert((at, cst));
-            *tightest = cst.min(*tightest);
-        }
-        self.rows.resize(first.len(), (RowKind::Eq, Vec::new()));
-        for ((kind, mut row), (at, cst)) in first {
-            if kind == RowKind::Ineq {
-                row.push(cst);
+            let cells = &self.cells;
+            let row = &cells[i * w..i * w + key];
+            let same = |j: usize| self.kinds[j] == kind && cells[j * w..j * w + key] == *row;
+            match table.find_or_insert(row_hash(kind, row), kept, same) {
+                Some(j) => {
+                    let cst = self.cells[i * w + n];
+                    let tightest = &mut self.cells[j * w + n];
+                    *tightest = cst.min(*tightest);
+                }
+                None => {
+                    if kept < i {
+                        self.cells.copy_within(i * w..(i + 1) * w, kept * w);
+                        self.kinds[kept] = kind;
+                    }
+                    kept += 1;
+                }
             }
-            self.rows[at] = (kind, row);
         }
-        if tightened || self.rows.len() < given {
+        self.truncate(kept);
+        if tightened || kept < given {
             Normalized::Changed
         } else {
             Normalized::Scaled
         }
+    }
+
+    /// Leaves row `i` the only row, as the witness of infeasibility.
+    fn keep_only(&mut self, i: usize) -> Normalized {
+        let w = self.num_vars + 1;
+        self.cells.copy_within(i * w..(i + 1) * w, 0);
+        self.kinds[0] = self.kinds[i];
+        self.truncate(1);
+        Normalized::Infeasible
+    }
+
+    fn truncate(&mut self, rows: usize) {
+        self.kinds.truncate(rows);
+        self.cells.truncate(rows * (self.num_vars + 1));
+    }
+
+    /// Appends `kind` with `row` without column `var`.
+    fn push_dropping(&mut self, kind: RowKind, row: &[i64], var: usize) {
+        self.kinds.push(kind);
+        self.cells.extend_from_slice(&row[..var]);
+        self.cells.extend_from_slice(&row[var + 1..]);
     }
 
     /// Eliminates variable `var` by exact Fourier–Motzkin (using an
@@ -255,37 +313,26 @@ impl ConstraintSystem {
         if let Some((out, _)) = self.substitute_eq(var)? {
             return Ok(out);
         }
-        let n = self.num_vars;
-        let mut out = ConstraintSystem::new(n - 1);
-
         // Plain Fourier–Motzkin on inequalities. Equalities not involving
         // `var` pass through; equalities involving `var` were handled above.
-        let mut pos: Vec<&Vec<i64>> = Vec::new();
-        let mut neg: Vec<&Vec<i64>> = Vec::new();
-        for (kind, row) in &self.rows {
-            match (kind, row[var].signum()) {
-                (_, 0) => out.rows.push((*kind, drop_column(row, var))),
-                (RowKind::Ineq, 1) => pos.push(row),
-                (RowKind::Ineq, -1) => neg.push(row),
-                (RowKind::Eq, _) => unreachable!("equality pivot handled above"),
-                _ => unreachable!(),
-            }
+        let sign = |s: i64| self.iter().filter(move |(_, row)| row[var].signum() == s);
+        let (pos, neg) = (sign(1).count(), sign(-1).count());
+        let n = self.num_vars;
+        let mut out = ConstraintSystem::with_capacity(n - 1, self.len() - pos - neg + pos * neg);
+        for (kind, row) in sign(0) {
+            out.push_dropping(kind, row, var);
         }
-        for p in &pos {
-            for q in &neg {
+        for (_, p) in sign(1) {
+            for (_, q) in sign(-1) {
                 // p: a x_var + ... >= 0 (a > 0), q: -b x_var + ... >= 0 (b > 0)
                 // combine: b * p + a * q
                 let a = i128::from(p[var]);
                 let b = -i128::from(q[var]);
-                let mut nr: Vec<i64> = Vec::with_capacity(n);
-                for c in 0..=n {
-                    if c == var {
-                        continue;
-                    }
+                out.kinds.push(RowKind::Ineq);
+                for c in (0..=n).filter(|&c| c != var) {
                     let v = b * i128::from(p[c]) + a * i128::from(q[c]);
-                    nr.push(narrow(v)?);
+                    out.cells.push(narrow(v)?);
                 }
-                out.rows.push((RowKind::Ineq, nr));
             }
         }
         out.normalize();
@@ -317,38 +364,33 @@ impl ConstraintSystem {
     pub fn substitute_eq(&self, var: usize) -> Result<Option<(ConstraintSystem, bool)>> {
         assert!(var < self.num_vars);
         let Some(pivot_idx) = self
-            .rows
             .iter()
-            .position(|(k, r)| *k == RowKind::Eq && r[var] != 0)
+            .position(|(k, r)| k == RowKind::Eq && r[var] != 0)
         else {
             return Ok(None);
         };
         let n = self.num_vars;
-        let mut out = ConstraintSystem::new(n - 1);
-        let (_, pivot) = &self.rows[pivot_idx];
+        let mut out = ConstraintSystem::with_capacity(n - 1, self.len() - 1);
+        let (_, pivot) = self.row(pivot_idx);
         let a = pivot[var];
-        for (i, (kind, row)) in self.rows.iter().enumerate() {
+        for (i, (kind, row)) in self.iter().enumerate() {
             if i == pivot_idx {
                 continue;
             }
             let b = row[var];
             if b == 0 {
-                out.rows.push((*kind, drop_column(row, var)));
+                out.push_dropping(kind, row, var);
                 continue;
             }
             // new_row = a * row - b * pivot, scaled so the inequality
             // direction is preserved (multiply by sign(a)).
             let s: i128 = if a > 0 { 1 } else { -1 };
-            let mut nr: Vec<i64> = Vec::with_capacity(n);
-            for c in 0..=n {
-                if c == var {
-                    continue;
-                }
+            out.kinds.push(kind);
+            for c in (0..=n).filter(|&c| c != var) {
                 let v =
                     s * (i128::from(a) * i128::from(row[c]) - i128::from(b) * i128::from(pivot[c]));
-                nr.push(narrow(v)?);
+                out.cells.push(narrow(v)?);
             }
-            out.rows.push((*kind, nr));
         }
         let scaled = out.normalize_impl(true) == Normalized::Scaled;
         Ok(Some((out, scaled)))
@@ -399,7 +441,7 @@ impl ConstraintSystem {
     /// assert_eq!(odd.compress_equalities(), Ok(Compressed::Empty));
     /// ```
     pub fn compress_equalities(&self) -> Result<Compressed> {
-        Ok(match compress(&self.rows, self.num_vars)? {
+        Ok(match compress(self.iter(), self.num_vars)? {
             Some(lattice) => Compressed::Lattice(lattice),
             None => Compressed::Empty,
         })
@@ -429,18 +471,72 @@ enum Normalized {
     Changed,
 }
 
-/// `row` without column `var`.
-fn drop_column(row: &[i64], var: usize) -> Vec<i64> {
-    let mut r: Vec<i64> = Vec::with_capacity(row.len() - 1);
-    r.extend_from_slice(&row[..var]);
-    r.extend_from_slice(&row[var + 1..]);
-    r
+/// A row's kind and the entries that make two rows one, hashed.
+fn row_hash(kind: RowKind, key: &[i64]) -> u64 {
+    key.iter().fold(kind as u64, |h, &v| {
+        (h.rotate_left(5) ^ v as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
+}
+
+/// The rows a normalization keeps, by index, in an open-addressed table
+/// of at least twice as many slots as rows; a system of up to 32 rows
+/// keeps it on the stack.
+struct RowTable {
+    inline: [u32; 64],
+    heap: Vec<u32>,
+    /// Bits of the hash that pick a slot.
+    bits: u32,
+}
+
+impl RowTable {
+    const EMPTY: u32 = u32::MAX;
+
+    fn new(rows: usize) -> RowTable {
+        let slots = (2 * rows).next_power_of_two().max(2);
+        let heap = if slots > 64 {
+            vec![Self::EMPTY; slots]
+        } else {
+            Vec::new()
+        };
+        RowTable {
+            inline: [Self::EMPTY; 64],
+            heap,
+            bits: slots.trailing_zeros(),
+        }
+    }
+
+    /// The kept row `same` says equals the one hashed to `hash`, or
+    /// `None` after recording `next` as that row's index.
+    fn find_or_insert(
+        &mut self,
+        hash: u64,
+        next: usize,
+        same: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
+        let slots = if self.heap.is_empty() {
+            &mut self.inline[..1 << self.bits]
+        } else {
+            &mut self.heap[..]
+        };
+        let mask = slots.len() - 1;
+        let mut at = (hash >> (64 - self.bits)) as usize;
+        loop {
+            match slots[at] {
+                Self::EMPTY => {
+                    slots[at] = next as u32;
+                    return None;
+                }
+                j if same(j as usize) => return Some(j as usize),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
 }
 
 impl fmt::Debug for ConstraintSystem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "ConstraintSystem({} vars) {{", self.num_vars)?;
-        for (kind, row) in &self.rows {
+        for (kind, row) in self.iter() {
             let op = match kind {
                 RowKind::Eq => "==",
                 RowKind::Ineq => ">=",
@@ -489,7 +585,7 @@ mod tests {
         let mut cs = ConstraintSystem::new(1);
         cs.add_ineq(vec![2, 3]); // 2x + 3 >= 0  =>  x >= -3/2  =>  x + 1 >= 0
         assert!(cs.normalize());
-        assert_eq!(cs.rows()[0].1, vec![1, 1]);
+        assert_eq!(cs.row(0), (RowKind::Ineq, &[1, 1][..]));
     }
 
     #[test]
@@ -514,7 +610,7 @@ mod tests {
         cs.add_ineq(vec![1, 3]); // duplicate
         assert!(cs.normalize());
         assert_eq!(cs.len(), 1);
-        assert_eq!(cs.rows()[0].1, vec![1, 3]);
+        assert_eq!(cs.row(0), (RowKind::Ineq, &[1, 3][..]));
     }
 
     #[test]
@@ -613,8 +709,8 @@ mod tests {
         let (out, scaled) = cs.substitute_eq(0).unwrap().expect("x has a pivot");
         assert!(scaled);
         assert_eq!(
-            out.rows(),
-            [(RowKind::Ineq, vec![1, 0]), (RowKind::Ineq, vec![-1, 4])]
+            out.iter().collect::<Vec<_>>(),
+            [(RowKind::Ineq, &[1, 0][..]), (RowKind::Ineq, &[-1, 4][..])]
         );
         // 0 <= y as well: it merges with what 0 <= x became.
         let mut merging = cs.clone();
@@ -629,7 +725,10 @@ mod tests {
         tightening.add_ineq(vec![1, 0, -1]);
         let (out, scaled) = tightening.substitute_eq(0).unwrap().expect("pivot");
         assert!(!scaled);
-        assert_eq!(out.rows(), [(RowKind::Ineq, vec![1, -1])]);
+        assert_eq!(
+            out.iter().collect::<Vec<_>>(),
+            [(RowKind::Ineq, &[1, -1][..])]
+        );
         // No equality mentions y once x is gone.
         assert_eq!(out.substitute_eq(0), Ok(None));
     }

@@ -83,86 +83,210 @@ pub fn farkas_cone(poly: &ConstraintSystem) -> Result<ConstraintSystem> {
     let nz = poly.num_vars();
     // Columns: [ c (nz) | c₀ | λ0 | λ_1..λ_m ]. Every row is homogeneous,
     // so there is no constant column, and the multiplier eliminated next
-    // is always the last column.
+    // is always the last live column: a row keeps its `width` cells, of
+    // which the columns already eliminated are dead.
     let width = nz + 2 + poly.len();
 
     // Coefficient matching, one equality per z variable and one for the
     // constant (which also absorbs λ0):
     //   c_i - Σ_k λ_k A[k][i] = 0,   c₀ - λ0 - Σ_k λ_k b_k = 0.
-    let mut eqs = Vec::with_capacity(nz + 1);
-    for i in 0..=nz {
-        let mut row = vec![0i64; width];
+    let mut eqs = vec![0i64; (nz + 1) * width];
+    for (i, row) in eqs.chunks_exact_mut(width).enumerate() {
         row[i] = 1;
         if i == nz {
             row[nz + 1] = -1; // λ0
         }
-        for (k, (_, prow)) in poly.rows().iter().enumerate() {
+        for (k, (_, prow)) in poly.iter().enumerate() {
             row[nz + 2 + k] = prow[i].checked_neg().ok_or(MathError::Overflow)?;
         }
-        eqs.push(row);
     }
     // λ0 >= 0 and λ_k >= 0 for inequality rows (free for equalities),
     // each the one member of its own history.
-    let columns: Vec<usize> = std::iter::once(nz + 1)
-        .chain(
-            poly.iter()
-                .enumerate()
-                .filter(|(_, (kind, _))| *kind == RowKind::Ineq)
-                .map(|(k, _)| nz + 2 + k),
-        )
-        .collect();
-    let words = columns.len().div_ceil(64);
-    let mut ineqs: Vec<Tracked> = columns
-        .iter()
-        .enumerate()
-        .map(|(bit, &col)| {
-            let mut row = vec![0i64; width];
-            row[col] = 1;
-            let mut history = vec![0u64; words];
-            history[bit / 64] = 1 << (bit % 64);
-            Tracked {
-                row,
-                history,
-                members: 1,
-            }
-        })
-        .collect();
+    let columns = std::iter::once(nz + 1).chain(
+        poly.iter()
+            .enumerate()
+            .filter(|(_, (kind, _))| *kind == RowKind::Ineq)
+            .map(move |(k, _)| nz + 2 + k),
+    );
+    let mut ineqs = Inequalities::new(width, columns);
 
     let mut fm_steps = 0;
+    let mut pivot = vec![0i64; width];
     for var in (nz + 1..width).rev() {
-        if let Some(at) = eqs.iter().position(|row| row[var] != 0) {
-            let pivot = eqs.remove(at);
-            for row in eqs.iter_mut().chain(ineqs.iter_mut().map(|t| &mut t.row)) {
-                substitute(row, &pivot)?;
+        let live = ..=var;
+        if let Some(at) = eqs.chunks_exact(width).position(|row| row[var] != 0) {
+            pivot.copy_from_slice(&eqs[at * width..][..width]);
+            eqs.drain(at * width..(at + 1) * width);
+            let rows = eqs.chunks_exact_mut(width);
+            for row in rows.chain(ineqs.rows.chunks_exact_mut(width)) {
+                substitute(&mut row[live], &pivot[live])?;
             }
         } else {
             fm_steps += 1;
-            ineqs = fm_step(ineqs, fm_steps)?;
-        }
-        for row in eqs.iter_mut().chain(ineqs.iter_mut().map(|t| &mut t.row)) {
-            row.pop();
+            ineqs.fm_step(var, fm_steps)?;
         }
     }
 
-    let mut cone = ConstraintSystem::new(nz + 1);
-    for mut row in eqs {
-        row.push(0);
-        cone.add_eq(row);
-    }
-    for Tracked { mut row, .. } in ineqs {
-        row.push(0);
-        cone.add_ineq(row);
+    // What is left is over c and c₀, with the constant 0 behind it.
+    let (eqs, ineqs) = (eqs.chunks_exact(width), ineqs.rows.chunks_exact(width));
+    let mut cone = ConstraintSystem::with_capacity(nz + 1, eqs.len() + ineqs.len());
+    let mut row = vec![0i64; nz + 2];
+    for (kind, rows) in [(RowKind::Eq, eqs), (RowKind::Ineq, ineqs)] {
+        for from in rows {
+            row[..=nz].copy_from_slice(&from[..=nz]);
+            cone.add_row(kind, &row);
+        }
     }
     cone.normalize_rational();
     Ok(cone)
 }
 
-/// An inequality of the elimination over the columns not yet eliminated,
-/// and its history: one bit per original multiplier row it combines.
-struct Tracked {
-    row: Vec<i64>,
+/// The inequalities of the elimination, one row of `width` cells each
+/// (the columns not yet eliminated, then dead ones), with their
+/// histories: one bit per original multiplier row an inequality
+/// combines, `words` words per row, and how many bits are set. A step
+/// writes its combinations behind the rows and compacts the buffers in
+/// place, so it allocates only when one outgrows its room.
+struct Inequalities {
+    width: usize,
+    words: usize,
+    rows: Vec<i64>,
     history: Vec<u64>,
-    members: usize,
+    members: Vec<usize>,
+    /// A step's combinations Kohler's rule lets through: the positive
+    /// and the negative row, and whether Chernikov's rule keeps it.
+    pairs: Vec<(usize, usize, bool)>,
+}
+
+impl Inequalities {
+    /// `λ ≥ 0` for the multiplier in each of `columns`.
+    fn new(width: usize, columns: impl Iterator<Item = usize> + Clone) -> Inequalities {
+        let count = columns.clone().count();
+        let words = count.div_ceil(64);
+        let mut ineqs = Inequalities {
+            width,
+            words,
+            rows: vec![0; count * width],
+            history: vec![0; count * words],
+            members: vec![1; count],
+            pairs: Vec::new(),
+        };
+        for (bit, col) in columns.enumerate() {
+            ineqs.rows[bit * width + col] = 1;
+            ineqs.history[bit * words + bit / 64] = 1 << (bit % 64);
+        }
+        ineqs
+    }
+
+    fn sign(&self, i: usize, var: usize) -> i64 {
+        self.rows[i * self.width + var].signum()
+    }
+
+    /// Word `k` of the union of the histories at `i` and `j`.
+    fn union(&self, i: usize, j: usize, k: usize) -> u64 {
+        self.history[i * self.words + k] | self.history[j * self.words + k]
+    }
+
+    /// Whether the history at `a` is contained in the one at `b`.
+    fn within(&self, a: usize, b: usize) -> bool {
+        let words = self.words;
+        (0..words).all(|k| self.history[a * words + k] & !self.history[b * words + k] == 0)
+    }
+
+    /// Moves the inequality whose history is at `from` and row at `row`
+    /// to `to`, which is no later than either.
+    fn move_to(&mut self, to: usize, from: usize, row: usize) {
+        let (w, words) = (self.width, self.words);
+        self.rows.copy_within(row * w..(row + 1) * w, to * w);
+        self.history
+            .copy_within(from * words..(from + 1) * words, to * words);
+        self.members[to] = self.members[from];
+    }
+
+    /// One Fourier–Motzkin step on column `var`, the last live one, and
+    /// the `steps`-th of the elimination: rows without the column pass,
+    /// and each pair of opposite signs combines unless the history
+    /// rules prove the combination redundant. Only the survivors' rows
+    /// are computed. The passing rows come first, in order, then the
+    /// survivors in the order of their pairs.
+    fn fm_step(&mut self, var: usize, steps: usize) -> Result<()> {
+        let (w, words, n) = (self.width, self.words, self.members.len());
+        // Kohler's rule: a pair whose union of histories has at most
+        // `steps + 1` members is a candidate, its history and member
+        // count written behind the rows' (candidate `c` at `n + c`).
+        self.pairs.clear();
+        for i in 0..n {
+            if self.sign(i, var) <= 0 {
+                continue;
+            }
+            for j in 0..n {
+                if self.sign(j, var) >= 0 {
+                    continue;
+                }
+                let count = (0..words).map(|k| self.union(i, j, k).count_ones() as usize);
+                let count = count.sum();
+                if count <= steps + 1 {
+                    for k in 0..words {
+                        let word = self.union(i, j, k);
+                        self.history.push(word);
+                    }
+                    self.members.push(count);
+                    self.pairs.push((i, j, true));
+                }
+            }
+        }
+        // Chernikov's rule, over the rows of this step; a passing row is
+        // an extreme combination already, never falls to it, and comes
+        // before every combination.
+        let candidates = n..n + self.pairs.len();
+        for (c, t) in candidates.clone().enumerate() {
+            let m = self.members[t];
+            let passing = |z: usize| self.sign(z, var) == 0;
+            let dropped = (0..n).any(|z| passing(z) && self.members[z] <= m && self.within(z, t))
+                || candidates.clone().any(|o| {
+                    let other = self.members[o];
+                    o != t && other <= m && (other < m || o < t) && self.within(o, t)
+                });
+            self.pairs[c].2 = !dropped;
+        }
+        // The survivors' rows, behind the rows.
+        for c in 0..self.pairs.len() {
+            let (i, j, kept) = self.pairs[c];
+            if !kept {
+                continue;
+            }
+            let a = i128::from(self.rows[i * w + var]);
+            let b = -i128::from(self.rows[j * w + var]);
+            let start = self.rows.len();
+            for col in 0..=var {
+                let (x, y) = (self.rows[i * w + col], self.rows[j * w + col]);
+                self.rows
+                    .push(narrow(b * i128::from(x) + a * i128::from(y))?);
+            }
+            reduce(&mut self.rows[start..]);
+            self.rows.resize(start + w, 0);
+        }
+        // Compact: the passing rows, then the survivors. Nothing is
+        // written over a row or history not yet moved.
+        let mut at = 0;
+        for z in 0..n {
+            if self.sign(z, var) == 0 {
+                self.move_to(at, z, z);
+                at += 1;
+            }
+        }
+        let mut row = n;
+        for c in 0..self.pairs.len() {
+            if self.pairs[c].2 {
+                self.move_to(at, n + c, row);
+                (at, row) = (at + 1, row + 1);
+            }
+        }
+        self.rows.truncate(at * w);
+        self.history.truncate(at * words);
+        self.members.truncate(at);
+        Ok(())
+    }
 }
 
 /// Divides `row` by the gcd of its entries.
@@ -189,69 +313,6 @@ fn substitute(row: &mut [i64], pivot: &[i64]) -> Result<()> {
     Ok(())
 }
 
-/// One Fourier–Motzkin step on the last column, the `steps`-th of the
-/// elimination: rows without the column pass, and each pair of opposite
-/// signs combines unless the history rules prove the combination
-/// redundant. Only the survivors' rows are computed.
-fn fm_step(rows: Vec<Tracked>, steps: usize) -> Result<Vec<Tracked>> {
-    let Some(var) = rows.first().map(|t| t.row.len() - 1) else {
-        return Ok(rows);
-    };
-    let (mut next, mut pos, mut neg) = (Vec::new(), Vec::new(), Vec::new());
-    for t in rows {
-        match t.row[var].signum() {
-            0 => next.push(t),
-            1 => pos.push(t),
-            _ => neg.push(t),
-        }
-    }
-    let passed = next.len();
-    let mut pairs = Vec::new();
-    for (i, p) in pos.iter().enumerate() {
-        for (j, q) in neg.iter().enumerate() {
-            let union = p.history.iter().zip(&q.history).map(|(x, y)| x | y);
-            let members = union.clone().map(|w| w.count_ones() as usize).sum();
-            if members <= steps + 1 {
-                pairs.push((i, j));
-                next.push(Tracked {
-                    row: Vec::new(),
-                    history: union.collect(),
-                    members,
-                });
-            }
-        }
-    }
-    // Chernikov's rule, over the rows of this step; a passing row is an
-    // extreme combination already and never falls to it.
-    let redundant: Vec<bool> = (passed..next.len())
-        .map(|i| {
-            let t = &next[i];
-            next.iter().enumerate().any(|(j, o)| {
-                j != i
-                    && o.members <= t.members
-                    && (o.members < t.members || j < i)
-                    && o.history.iter().zip(&t.history).all(|(x, y)| x & !y == 0)
-            })
-        })
-        .collect();
-    let combined = next.split_off(passed);
-    for ((mut t, (i, j)), dropped) in combined.into_iter().zip(pairs).zip(redundant) {
-        if dropped {
-            continue;
-        }
-        let (p, q) = (&pos[i].row, &neg[j].row);
-        let (a, b) = (i128::from(p[var]), -i128::from(q[var]));
-        t.row = p
-            .iter()
-            .zip(q)
-            .map(|(&x, &y)| narrow(b * i128::from(x) + a * i128::from(y)))
-            .collect::<Result<_>>()?;
-        reduce(&mut t.row);
-        next.push(t);
-    }
-    Ok(next)
-}
-
 /// Substitutes `template` for the variables of `cone`: row `i` of
 /// `template` (`nilp + 1` entries, the last one the constant) is the
 /// affine function of the `nilp` ILP variables that stands for the
@@ -267,33 +328,31 @@ fn fm_step(rows: Vec<Tracked>, steps: usize) -> Result<Vec<Tracked>> {
 /// `nilp + 1` entries.
 pub fn farkas_substitute(
     cone: &ConstraintSystem,
-    template: &[Vec<i64>],
+    template: &[impl AsRef<[i64]>],
     nilp: usize,
 ) -> Result<ConstraintSystem> {
     let nc = cone.num_vars();
     assert_eq!(template.len(), nc, "template must have nz + 1 rows");
     for row in template {
-        assert_eq!(row.len(), nilp + 1, "template row length mismatch");
+        assert_eq!(row.as_ref().len(), nilp + 1, "template row length mismatch");
     }
-    let mut out = ConstraintSystem::new(nilp);
+    let mut out = ConstraintSystem::with_capacity(nilp, cone.len());
+    let mut row = vec![0i64; nilp + 1];
     for (kind, crow) in cone.iter() {
-        let mut row = vec![0i64; nilp + 1];
+        row.fill(0);
         row[nilp] = crow[nc];
         for (&a, trow) in crow.iter().zip(template) {
             if a == 0 {
                 continue;
             }
-            for (acc, &t) in row.iter_mut().zip(trow) {
+            for (acc, &t) in row.iter_mut().zip(trow.as_ref()) {
                 *acc = a
                     .checked_mul(t)
                     .and_then(|p| acc.checked_add(p))
                     .ok_or(MathError::Overflow)?;
             }
         }
-        match kind {
-            RowKind::Eq => out.add_eq(row),
-            RowKind::Ineq => out.add_ineq(row),
-        }
+        out.add_row(kind, &row);
     }
     out.normalize_rational();
     Ok(out)
@@ -344,7 +403,7 @@ pub fn farkas_substitute(
 /// ```
 pub fn farkas_nonneg(
     poly: &ConstraintSystem,
-    template: &[Vec<i64>],
+    template: &[impl AsRef<[i64]>],
     nilp: usize,
 ) -> Result<ConstraintSystem> {
     farkas_substitute(&farkas_cone(poly)?, template, nilp)
@@ -427,11 +486,11 @@ mod tests {
         // Only a constant is non-negative on all of Z²: c = 0, c₀ ≥ 0.
         let cone = farkas_cone(&ConstraintSystem::new(2)).unwrap();
         assert_eq!(
-            cone.rows(),
-            &[
-                (RowKind::Eq, vec![1, 0, 0, 0]),
-                (RowKind::Eq, vec![0, 1, 0, 0]),
-                (RowKind::Ineq, vec![0, 0, 1, 0]),
+            cone.iter().collect::<Vec<_>>(),
+            [
+                (RowKind::Eq, &[1, 0, 0, 0][..]),
+                (RowKind::Eq, &[0, 1, 0, 0][..]),
+                (RowKind::Ineq, &[0, 0, 1, 0][..]),
             ]
         );
     }
@@ -446,13 +505,13 @@ mod tests {
         }
         p.add_ineq(vec![-1, 10]);
         let cone = farkas_cone(&p).unwrap();
-        let mut rows: Vec<_> = cone.rows().to_vec();
-        rows.sort_by(|a, b| a.1.cmp(&b.1));
+        let mut rows: Vec<_> = cone.iter().collect();
+        rows.sort_by(|a, b| a.1.cmp(b.1));
         assert_eq!(
             rows,
-            vec![
-                (RowKind::Ineq, vec![0, 1, 0]),
-                (RowKind::Ineq, vec![10, 1, 0])
+            [
+                (RowKind::Ineq, &[0, 1, 0][..]),
+                (RowKind::Ineq, &[10, 1, 0][..])
             ]
         );
     }
@@ -490,6 +549,9 @@ mod tests {
         // The same shape within range substitutes exactly.
         let template = vec![vec![3, 1], vec![-1, 4]];
         let sys = farkas_substitute(&cone, &template, 1).unwrap();
-        assert_eq!(sys.rows(), &[(RowKind::Ineq, vec![5, 6])]);
+        assert_eq!(
+            sys.iter().collect::<Vec<_>>(),
+            [(RowKind::Ineq, &[5, 6][..])]
+        );
     }
 }

@@ -186,9 +186,13 @@ impl Lattice {
 
     /// The inequalities over `z`, in their order, and no equality.
     pub fn system(&self) -> ConstraintSystem {
-        let mut system = ConstraintSystem::new(self.free);
-        for row in self.rows_i64().take(self.inequalities()) {
-            system.add_ineq(row);
+        let k = self.free;
+        let mut system = ConstraintSystem::with_capacity(k, self.inequalities());
+        let mut row = vec![0; k + 1];
+        for from in self.rows.chunks(k + 1).take(self.inequalities()) {
+            // Every entry was checked to fit when the lattice was built.
+            row.iter_mut().zip(from).for_each(|(to, &v)| *to = v as i64);
+            system.add_ineq(&row);
         }
         system
     }
@@ -225,14 +229,17 @@ impl Lattice {
 ///
 /// [`MathError::Overflow`] when a value outgrows `i128`, or an entry of
 /// the lattice `i64`.
-pub(crate) fn compress(rows: &[(RowKind, Vec<i64>)], n: usize) -> Result<Option<Lattice>> {
+pub(crate) fn compress<'a>(
+    rows: impl ExactSizeIterator<Item = (RowKind, &'a [i64])> + Clone,
+    n: usize,
+) -> Result<Option<Lattice>> {
     let width = n + 1;
     // The equalities, the inequalities, then the rows of W: every row an
     // affine form over y, so every column op is one pass over `m`.
-    let equalities = rows.iter().filter(|(kind, _)| *kind == RowKind::Eq);
-    let inequalities = rows.iter().filter(|(kind, _)| *kind == RowKind::Ineq);
-    let ne = equalities.clone().count();
     let mut m: Vec<i128> = Vec::with_capacity((rows.len() + n) * width);
+    let equalities = rows.clone().filter(|(kind, _)| *kind == RowKind::Eq);
+    let inequalities = rows.filter(|(kind, _)| *kind == RowKind::Ineq);
+    let ne = equalities.clone().count();
     for (_, row) in equalities.chain(inequalities) {
         m.extend(row.iter().map(|&v| i128::from(v)));
     }

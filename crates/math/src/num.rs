@@ -41,11 +41,21 @@ pub fn lcm(a: i128, b: i128) -> i128 {
     (a / gcd(a, b)).checked_mul(b).expect("lcm overflow").abs()
 }
 
+/// Greatest common divisor on machine words, the one the kernels use:
+/// [`gcd`]'s `i128` remainder is a library call, this one an
+/// instruction.
+pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
 /// Gcd of a slice, ignoring zeros; `0` when the slice has no nonzero entry.
 pub fn gcd_slice(values: &[i64]) -> i64 {
-    let mut g: i128 = 0;
+    let mut g: u64 = 0;
     for &v in values {
-        g = gcd(g, v as i128);
+        g = gcd_u64(g, v.unsigned_abs());
         if g == 1 {
             break;
         }

@@ -47,6 +47,7 @@
 
 use crate::consys::{ConstraintSystem, RowKind};
 use crate::error::{MathError, Result};
+use crate::num::gcd_u64;
 
 /// Dense simplex tableau in standard form `A z = b, z >= 0`.
 ///
@@ -78,7 +79,19 @@ struct Tableau {
     /// Pivots of [`optimize`](Tableau::optimize) and
     /// [`remove_ineq_row`](Tableau::remove_ineq_row) so far.
     primal_pivots: usize,
-    nz: Vec<usize>, // scratch: non-zero columns of the pivot row
+    nz: Scratch, // non-zero columns of the pivot row
+}
+
+/// Room for the non-zero columns of a pivot row, `stride` of them
+/// reserved when the tableau is laid out. A copy starts empty with the
+/// same room, so no snapshot or branch-and-bound node regrows it on its
+/// first pivot.
+struct Scratch(Vec<usize>);
+
+impl Clone for Scratch {
+    fn clone(&self) -> Scratch {
+        Scratch(Vec::with_capacity(self.0.capacity()))
+    }
 }
 
 /// Sentinel basis entry for a freshly appended row before its first
@@ -109,15 +122,6 @@ fn neg(v: i64) -> Result<i64> {
     v.checked_neg().ok_or(MathError::Overflow)
 }
 
-/// [`crate::gcd`] on machine words: its `i128` remainder is a library
-/// call, this one an instruction.
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
-}
-
 /// Divides `row` and its denominator by their common factor.
 fn reduce(row: &mut [i64], den: &mut i64) {
     let mut g = den.unsigned_abs();
@@ -128,7 +132,7 @@ fn reduce(row: &mut [i64], den: &mut i64) {
         // Most entries are a multiple of what `g` already is.
         let r = v.unsigned_abs() % g;
         if r != 0 {
-            g = gcd(g, r);
+            g = gcd_u64(g, r);
             if g == 1 {
                 return;
             }
@@ -166,7 +170,7 @@ fn eliminate(
     nz: &[usize],
 ) -> Result<()> {
     let f = row[je];
-    let g = gcd(f.unsigned_abs(), pd.unsigned_abs()) as i64;
+    let g = gcd_u64(f.unsigned_abs(), pd.unsigned_abs()) as i64;
     let (f, scale) = (i128::from(f / g), i128::from(pd / g));
     if scale != 1 {
         for v in row.iter_mut().filter(|v| **v != 0) {
@@ -205,7 +209,13 @@ impl Tableau {
         let m = ineqs().count();
         let width = 2 * n + m;
         let stride = width + 1 + spare;
-        let mut cells = vec![0i64; m * stride];
+        // Room for the equalities phase 1 appends and for `spare` rows.
+        let rows = cs.len() + spare;
+        let mut cells = Vec::with_capacity(rows * stride);
+        cells.resize(m * stride, 0);
+        let (mut den, mut basis) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+        den.resize(m, 1);
+        basis.extend(2 * n..width);
         for (i, ((_, row), r)) in ineqs().zip(cells.chunks_exact_mut(stride)).enumerate() {
             for j in 0..n {
                 (r[j], r[n + j]) = (neg(row[j])?, row[j]);
@@ -218,13 +228,13 @@ impl Tableau {
             width,
             stride,
             cells,
-            den: vec![1; m],
-            basis: (2 * n..width).collect(),
+            den,
+            basis,
             cost: Vec::new(),
             cost_den: 1,
             dual_pivots: 0,
             primal_pivots: 0,
-            nz: Vec::new(),
+            nz: Scratch(Vec::with_capacity(stride)),
         })
     }
 
@@ -339,7 +349,10 @@ impl Tableau {
         let (n, w) = (self.n, self.width);
         let (n2, w2) = (n + extra, w + 2 * extra);
         let stride = w2 + 1 + spare;
-        let mut cells = vec![0i64; self.den.len() * stride];
+        // Room for `spare` rows beside the slack columns they bring.
+        let rows = self.den.len() + spare;
+        let mut cells = Vec::with_capacity(rows * stride);
+        cells.resize(self.den.len() * stride, 0);
         for (to, from) in cells.chunks_exact_mut(stride).zip(self.rows()) {
             to[..n].copy_from_slice(&from[..n]);
             to[n2..n2 + n].copy_from_slice(&from[n..2 * n]);
@@ -350,18 +363,21 @@ impl Tableau {
             c if c < 2 * n => c + extra,
             c => c + 2 * extra,
         };
+        let (mut den, mut basis) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+        den.extend_from_slice(&self.den);
+        basis.extend(self.basis.iter().map(|&c| moved(c)));
         Tableau {
             n: n2,
             width: w2,
             stride,
             cells,
-            den: self.den.clone(),
-            basis: self.basis.iter().map(|&c| moved(c)).collect(),
+            den,
+            basis,
             cost: Vec::new(),
             cost_den: 1,
             dual_pivots: self.dual_pivots,
             primal_pivots: self.primal_pivots,
-            nz: Vec::new(),
+            nz: Scratch(Vec::with_capacity(stride)),
         }
     }
 
@@ -395,8 +411,8 @@ impl Tableau {
         for ((prow, &pd), &bj) in rows.chunks_exact(s).zip(&self.den).zip(&self.basis) {
             if r[bj] != 0 {
                 let prow = &prow[..=w];
-                nonzeros(prow, &mut self.nz);
-                eliminate(r, &mut den, (prow, pd), bj, &self.nz)?;
+                nonzeros(prow, &mut self.nz.0);
+                eliminate(r, &mut den, (prow, pd), bj, &self.nz.0)?;
             }
         }
         Ok(den)
@@ -623,9 +639,9 @@ impl Tableau {
         for ((prow, &pd), &bj) in self.cells.chunks_exact(s).zip(&self.den).zip(&self.basis) {
             if self.cost[bj] != 0 {
                 let prow = &prow[..=w];
-                nonzeros(prow, &mut self.nz);
+                nonzeros(prow, &mut self.nz.0);
                 let (cost, den) = (&mut self.cost, &mut self.cost_den);
-                eliminate(cost, den, (prow, pd), bj, &self.nz)?;
+                eliminate(cost, den, (prow, pd), bj, &self.nz.0)?;
             }
         }
         let mut iters = 0usize;
@@ -683,7 +699,7 @@ impl Tableau {
             self.pivot(li, je)?;
             let pivot_row = (&self.cells[li * s..][..=w], self.den[li]);
             let (cost, den) = (&mut self.cost, &mut self.cost_den);
-            eliminate(cost, den, pivot_row, je, &self.nz)?;
+            eliminate(cost, den, pivot_row, je, &self.nz.0)?;
         }
     }
 
@@ -706,13 +722,13 @@ impl Tableau {
         }
         *pd = p.abs();
         reduce(prow, pd);
-        nonzeros(prow, &mut self.nz);
+        nonzeros(prow, &mut self.nz.0);
         let pivot_row = (&*prow, *pd);
         let others = (before.chunks_exact_mut(s).zip(den_before))
             .chain(after.chunks_exact_mut(s).zip(den_after));
         for (row, den) in others {
             if row[je] != 0 {
-                eliminate(&mut row[..=w], den, pivot_row, je, &self.nz)?;
+                eliminate(&mut row[..=w], den, pivot_row, je, &self.nz.0)?;
             }
         }
         self.basis[li] = je;

@@ -355,7 +355,7 @@ fn equalities(cs: &ConstraintSystem) -> ConstraintSystem {
     let mut eqs = ConstraintSystem::new(cs.num_vars());
     for (kind, row) in cs.iter() {
         if kind == RowKind::Eq {
-            eqs.add_eq(row.to_vec());
+            eqs.add_eq(row);
         }
     }
     eqs
@@ -524,7 +524,7 @@ fn redundant_system() -> impl Strategy<Value = (ConstraintSystem, Vec<(i64, i64)
                 0 => cs.add_eq(r),
                 1 => {
                     cs.add_ineq(r.clone());
-                    cs.add_ineq(r.iter().map(|v| v * k).collect());
+                    cs.add_ineq(r.iter().map(|v| v * k).collect::<Vec<_>>());
                 }
                 2 => {
                     cs.add_ineq(r.clone());
@@ -561,7 +561,80 @@ proptest! {
 
 /// What `normalize` returned for `cs`, and the rows it left.
 fn normalized(mut cs: ConstraintSystem) -> (bool, Vec<(RowKind, Vec<i64>)>) {
-    (cs.normalize(), cs.rows().to_vec())
+    let held = cs.normalize();
+    (
+        held,
+        cs.iter().map(|(kind, row)| (kind, row.to_vec())).collect(),
+    )
+}
+
+/// `normalize` by its definition, one row at a time against the rows
+/// kept so far: a row's gcd divides it (an integer inequality's
+/// constant is floored), a constant row is trivially true or the only
+/// row left, and a row with the coefficients of a kept inequality (the
+/// whole row of a kept equality) merges into it, which keeps the
+/// smaller constant. The reference the buffer's in-place compaction is
+/// held to.
+fn normalized_by_definition(
+    cs: &ConstraintSystem,
+    tighten: bool,
+) -> (bool, Vec<(RowKind, Vec<i64>)>) {
+    let n = cs.num_vars();
+    let mut kept: Vec<(RowKind, Vec<i64>)> = Vec::new();
+    for (kind, row) in cs.iter() {
+        let witness = (false, vec![(kind, row.to_vec())]);
+        let g = row[..n]
+            .iter()
+            .fold(0, |g, &v| polytops_math::gcd(g, v.into())) as i64;
+        if g == 0 {
+            match kind {
+                RowKind::Eq if row[n] != 0 => return witness,
+                RowKind::Ineq if row[n] < 0 => return witness,
+                _ => continue,
+            }
+        }
+        let mut row = row.to_vec();
+        match (kind, tighten) {
+            (RowKind::Eq, true) if row[n] % g != 0 => return witness,
+            (RowKind::Eq, true) => row.iter_mut().for_each(|v| *v /= g),
+            (RowKind::Ineq, true) => {
+                row[..n].iter_mut().for_each(|v| *v /= g);
+                row[n] = polytops_math::floor_div(row[n], g);
+            }
+            (_, false) if row[n] % g == 0 => row.iter_mut().for_each(|v| *v /= g),
+            (_, false) => {}
+        }
+        let key = if kind == RowKind::Eq { n + 1 } else { n };
+        match kept
+            .iter_mut()
+            .find(|(k, r)| *k == kind && r[..key] == row[..key])
+        {
+            Some((_, earlier)) => earlier[n] = earlier[n].min(row[n]),
+            None => kept.push((kind, row)),
+        }
+    }
+    (true, kept)
+}
+
+proptest! {
+    #[test]
+    fn normalize_compacts_as_the_definition_says(
+        rows in proptest::collection::vec((0u8..3, proptest::collection::vec(-2i64..=2, 4)), 0..90),
+    ) {
+        // Small entries over three variables: many rows repeat, so up to
+        // 90 of them hit the table's collisions and its heap form.
+        let mut cs = ConstraintSystem::new(3);
+        for (kind, row) in &rows {
+            let row: Vec<i64> = row.iter().map(|v| v * (1 + i64::from(*kind))).collect();
+            cs.add_row(if *kind == 0 { RowKind::Eq } else { RowKind::Ineq }, row);
+        }
+        for tighten in [true, false] {
+            let mut once = cs.clone();
+            let held = if tighten { once.normalize() } else { once.normalize_rational() };
+            let rows = once.iter().map(|(kind, row)| (kind, row.to_vec())).collect();
+            prop_assert_eq!((held, rows), normalized_by_definition(&cs, tighten));
+        }
+    }
 }
 
 #[test]
@@ -594,10 +667,7 @@ fn normalize_stops_at_the_first_row_nothing_satisfies_and_keeps_it() {
     let around = |kind: RowKind, row: &[i64]| {
         let mut cs = ConstraintSystem::new(2);
         cs.add_ineq(vec![1, 0, 0]);
-        match kind {
-            RowKind::Eq => cs.add_eq(row.to_vec()),
-            RowKind::Ineq => cs.add_ineq(row.to_vec()),
-        }
+        cs.add_row(kind, row);
         cs.add_ineq(vec![0, 0, -9]);
         cs
     };
@@ -615,7 +685,10 @@ fn normalize_stops_at_the_first_row_nothing_satisfies_and_keeps_it() {
     // behind it.
     let mut loose = around(RowKind::Eq, &[2, 4, 3]);
     assert!(!loose.normalize_rational());
-    assert_eq!(loose.rows(), [(RowKind::Ineq, vec![0, 0, -9])]);
+    assert_eq!(
+        loose.iter().collect::<Vec<_>>(),
+        [(RowKind::Ineq, &[0, 0, -9][..])]
+    );
 }
 
 /// One step of a live-tableau session: what to do, and the row to do it
@@ -712,7 +785,7 @@ proptest! {
                 if k == which {
                     taken = Some(row.to_vec());
                 } else {
-                    rest.add_ineq(row.to_vec());
+                    rest.add_ineq(row);
                 }
             }
             prop_assert!(lp.is_feasible());
@@ -805,10 +878,10 @@ fn without(cs: &ConstraintSystem, k: Option<usize>) -> ConstraintSystem {
     let mut ineq = 0;
     for (kind, row) in cs.iter() {
         match kind {
-            RowKind::Eq => rest.add_eq(row.to_vec()),
+            RowKind::Eq => rest.add_eq(row),
             RowKind::Ineq => {
                 if Some(ineq) != k {
-                    rest.add_ineq(row.to_vec());
+                    rest.add_ineq(row);
                 }
                 ineq += 1;
             }
@@ -1032,8 +1105,8 @@ proptest! {
                 for (j, (kind, other)) in cone.iter().enumerate() {
                     match kind {
                         _ if j == i => {}
-                        RowKind::Eq => rest.add_eq(other.to_vec()),
-                        RowKind::Ineq => rest.add_ineq(other.to_vec()),
+                        RowKind::Eq => rest.add_eq(other),
+                        RowKind::Ineq => rest.add_ineq(other),
                     }
                 }
                 prop_assert!(!ineq_implied(&rest, row), "row {i} of {cone:?} on {poly:?}");

@@ -79,7 +79,7 @@ pub fn wide_system() -> impl Strategy<Value = (ConstraintSystem, Vec<i64>)> {
                     1 => {
                         // The row, and a multiple of it.
                         cs.add_ineq(r.clone());
-                        cs.add_ineq(r.iter().map(|v| v * k).collect());
+                        cs.add_ineq(r.iter().map(|v| v * k).collect::<Vec<_>>());
                     }
                     _ => cs.add_ineq(r),
                 }
